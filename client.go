@@ -227,7 +227,11 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 					v.EnsureL0Resident(f, fbn+FBN(b))
 					// Log + dirty with no simulation primitive in between:
 					// atomic with respect to CP freezes. Records carry
-					// member-local coordinates.
+					// member-local coordinates. The payload array belongs
+					// to the log record from here on; WriteBlock copies it
+					// once (PayloadBytes bytes) into the buffer's own image,
+					// which later overwrites reuse in place — sharing the
+					// array would let them rewrite a record awaiting replay.
 					res.Append(nvlog.Record{
 						Kind: nvlog.OpWrite, Vol: uint32(lv), Ino: li,
 						FBN: fbn + FBN(b), Data: blocks[b], LogicalBytes: block.Size,

@@ -9,6 +9,7 @@
 //	waflbench -exp fig4       # one experiment: fig4..fig9, batch, ablations
 //	waflbench -window 400ms   # measurement window
 //	waflbench -exp fig4 -trace fig4   # dump fig4-NNN.json Perfetto timelines
+//	waflbench -exp fig4 -cpuprofile cpu.pprof -memprofile mem.pprof   # host profiles
 //	waflbench -crashsweep     # crash-schedule fault-injection sweep (§II-C)
 //	waflbench -clustersweep   # independent member-crash sweep on a cluster
 //	waflbench -exp agedvol -benchjson BENCH.json   # machine-readable results
@@ -19,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -44,6 +46,8 @@ func main() {
 	clonecheck := flag.Bool("clonecheck", false, "run the clone/restore crash sweep (clone create, split, SnapRestore crashed at CP phase boundaries) instead of the figures")
 	clonePoints := flag.Int("clonepoints", 18, "clonecheck: CP phase-boundary crash points inside the clone-ops window")
 	overloadcheck := flag.Bool("overloadcheck", false, "run the admission-control SLO check instead of the figures (exit 1 on violation)")
+	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the -exp run (every measurement's set-up, warm-up and window) to this file")
+	memprofile := flag.String("memprofile", "", "write the host allocation profile (pprof \"allocs\") of the -exp run to this file")
 	flag.Parse()
 
 	if *overloadcheck {
@@ -73,6 +77,7 @@ func main() {
 	if *trace != "" {
 		harness.EnableTracing(*trace, *traceEvents)
 	}
+	defer startProfiles(*cpuprofile, *memprofile)()
 
 	rc := harness.DefaultRun()
 	rc.Window = wafl.Duration(window.Nanoseconds())
@@ -183,6 +188,46 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %d benchmark results to %s\n", len(benchResults), *benchjson)
+	}
+}
+
+// startProfiles starts the host profiles named on the command line (empty =
+// off) and returns the function that stops them and writes the files.
+func startProfiles(cpu, mem string) (stop func()) {
+	fatal := func(err error) {
+		fmt.Fprintf(os.Stderr, "profile: %v\n", err)
+		os.Exit(1)
+	}
+	var cpuFile *os.File
+	if cpu != "" {
+		var err error
+		if cpuFile, err = os.Create(cpu); err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			fatal(err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fatal(err)
+			}
+		}
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 	}
 }
 

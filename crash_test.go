@@ -305,3 +305,56 @@ func TestPersistentReadErrorReconstructed(t *testing.T) {
 		t.Fatalf("fsck with persistent read error: %s", rep)
 	}
 }
+
+// TestTrimmedImagesReconstructed runs the default 64-byte payload, so user
+// data and most parity sit on the media as length-trimmed images, then makes
+// every trimmed data block unreadable: a freshly mounted system must serve
+// all of them through XOR reconstruction, content intact and fsck clean.
+func TestTrimmedImagesReconstructed(t *testing.T) {
+	cfg := crashConfig()
+	cfg.PayloadBytes = DefaultConfig().PayloadBytes
+	cfg.Faults = FaultConfig{TornWriteEvery: 1 << 30, TornWritePrefix: 0} // wires the injector; never fires
+	sys, ino := newCrashSystem(t, cfg)
+	const nblocks = 800
+	sys.ClientThread("w", func(c *ClientCtx) {
+		for fbn := FBN(0); c.Alive() && fbn < nblocks; fbn += 2 {
+			c.Write(0, ino, fbn, 2)
+		}
+	})
+	sys.Run(300 * Millisecond)
+	if err := sys.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	a := sys.m0().a
+	failed := 0
+	for g := 0; g < cfg.RAIDGroups; g++ {
+		for d := 0; d < cfg.DataDrives; d++ {
+			drive := a.Group(g).Drive(d)
+			for dbn := block.DBN(1); dbn < drive.Blocks(); dbn++ {
+				if img := drive.Peek(dbn); img != nil && len(img) < block.Size {
+					sys.Injector().FailBlock(drive.Name(), dbn)
+					failed++
+				}
+			}
+		}
+	}
+	if failed < nblocks {
+		t.Fatalf("only %d trimmed images on the media, want at least the file's %d blocks", failed, nblocks)
+	}
+	sys.Crash()
+	rec, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fbn := FBN(0); fbn < nblocks; fbn++ {
+		if err := rec.VerifyAgainst(0, ino, fbn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs := rec.RepairStats(); rs.Reconstructs < nblocks {
+		t.Fatalf("%d reconstructions for %d unreadable blocks", rs.Reconstructs, nblocks)
+	}
+	if rep := rec.Fsck(); !rep.OK() {
+		t.Fatalf("fsck over reconstructed trimmed images: %s", rep)
+	}
+}

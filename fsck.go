@@ -1,7 +1,6 @@
 package wafl
 
 import (
-	"bytes"
 	"fmt"
 
 	"wafl/internal/aggregate"
@@ -350,7 +349,7 @@ func (sys *System) VerifyAgainst(vol int, ino uint64, fbn FBN) error {
 	if got == nil {
 		return fmt.Errorf("vol %d ino %d fbn %d: hole, want data", vol, ino, fbn)
 	}
-	if !bytes.Equal(got[:len(want)], want) {
+	if !block.Equal(got, want) {
 		return fmt.Errorf("vol %d ino %d fbn %d: content mismatch", vol, ino, fbn)
 	}
 	return nil
@@ -374,7 +373,7 @@ func (sys *System) SnapVerifyAgainst(vol int, snapID, ino uint64, fbn FBN, expec
 	if got == nil {
 		return fmt.Errorf("vol %d snap %d ino %d fbn %d: hole, want data", vol, snapID, ino, fbn)
 	}
-	if !bytes.Equal(got[:len(want)], want) {
+	if !block.Equal(got, want) {
 		return fmt.Errorf("vol %d snap %d ino %d fbn %d: frozen content mismatch", vol, snapID, ino, fbn)
 	}
 	return nil

@@ -198,9 +198,7 @@ func (v *Volume) SplitStep(batch int) (copied, walked int) {
 				!v.Activemap.IsSet(uint64(vvbn)) {
 				continue // clone-owned or already diverged
 			}
-			data := make([]byte, block.Size)
-			copy(data, b.Data())
-			f.WriteBlock(fbn, data)
+			f.WriteBlock(fbn, b.Data())
 			v.MarkDirty(f)
 			copied++
 		}

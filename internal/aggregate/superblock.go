@@ -3,6 +3,7 @@ package aggregate
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 
 	"wafl/internal/bitmap"
 	"wafl/internal/block"
@@ -22,6 +23,15 @@ import (
 //	4088 checksum over [0,4088) (8)
 const superMagic = 0x57414c4c_57410001 // "WALL WA" v1
 
+// superSum is the superblock's self-checksum: FNV-1a over the raw bytes
+// [0,4088). That is a byte range, not a block image, so block.Checksum —
+// which does not count an image's zero tail — is the wrong tool.
+func superSum(sb []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(sb[:block.Size-8])
+	return h.Sum64()
+}
+
 // encodeSuperblock captures the aggregate's commit state into a block.
 func (a *Aggregate) encodeSuperblock() []byte {
 	b := block.New()
@@ -30,7 +40,7 @@ func (a *Aggregate) encodeSuperblock() []byte {
 	binary.LittleEndian.PutUint64(b[16:], uint64(len(a.vols)))
 	fs.EncodeRecord(b[24:], a.amapFile.RecordOf(fs.FlagMetafile))
 	fs.EncodeRecord(b[88:], a.volTable.RecordOf(fs.FlagMetafile))
-	binary.LittleEndian.PutUint64(b[block.Size-8:], block.Checksum(b[:block.Size-8]))
+	binary.LittleEndian.PutUint64(b[block.Size-8:], superSum(b))
 	return b
 }
 
@@ -72,7 +82,7 @@ func MountFrom(old *Aggregate) (*Aggregate, error) {
 	if got := binary.LittleEndian.Uint64(sb[0:]); got != superMagic {
 		return nil, fmt.Errorf("aggregate: bad superblock magic %#x", got)
 	}
-	if sum := binary.LittleEndian.Uint64(sb[block.Size-8:]); sum != block.Checksum(sb[:block.Size-8]) {
+	if sum := binary.LittleEndian.Uint64(sb[block.Size-8:]); sum != superSum(sb) {
 		return nil, fmt.Errorf("aggregate: superblock checksum mismatch")
 	}
 	a.cpCount = binary.LittleEndian.Uint64(sb[8:])

@@ -3,9 +3,15 @@
 // (VBNs) in the aggregate space, virtual volume block numbers (VVBNs) in a
 // FlexVol's space, file block numbers (FBNs) within a file, and fixed-size
 // 4 KiB blocks with checksums.
+//
+// A block image is a []byte of len <= Size whose missing tail reads as
+// zero; nil is the all-zero block. Checksum, Equal and XOR treat an image
+// and its Size-padded twin alike; Clone materialises the tail.
 package block
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 )
@@ -57,7 +63,20 @@ const PtrSize = 16
 // PtrsPerBlock is the fan-out of an indirect block.
 const PtrsPerBlock = Size / PtrSize // 256
 
-// Checksum returns a 64-bit FNV-1a checksum of p. It stands in for the
+// trim returns image p without its trailing zero bytes: the one form every
+// image of the same block content shares.
+func trim(p []byte) []byte {
+	for len(p) > 0 && p[len(p)-1] == 0 {
+		p = p[:len(p)-1]
+	}
+	return p
+}
+
+// Equal reports whether images a and b hold the same block content.
+func Equal(a, b []byte) bool { return bytes.Equal(trim(a), trim(b)) }
+
+// Checksum returns a 64-bit FNV-1a checksum of block image p (of its
+// trimmed form, so the zero tail never counts). It stands in for the
 // per-block checksums a production file system computes on every write; its
 // cost is charged to the simulated CPU by callers via the cost model.
 func Checksum(p []byte) uint64 {
@@ -66,7 +85,7 @@ func Checksum(p []byte) uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, b := range p {
+	for _, b := range trim(p) {
 		h ^= uint64(b)
 		h *= prime64
 	}
@@ -76,7 +95,8 @@ func Checksum(p []byte) uint64 {
 // New allocates a zeroed block.
 func New() []byte { return make([]byte, Size) }
 
-// Clone returns a copy of block p (padding or truncating to Size).
+// Clone returns a full-length copy of image p (padding or truncating to
+// Size).
 func Clone(p []byte) []byte {
 	b := make([]byte, Size)
 	copy(b, p)
@@ -99,15 +119,8 @@ func GetPtr(b []byte, i int) (VVBN, VBN) {
 	return vvbn, vbn
 }
 
-// XOR accumulates src into dst (dst ^= src), used for RAID parity.
-// Both must be Size bytes.
+// XOR accumulates image src into dst (dst ^= src), used for RAID parity.
+// dst must be at least as long as src; src's zero tail leaves dst untouched.
 func XOR(dst, src []byte) {
-	_ = dst[Size-1]
-	_ = src[Size-1]
-	// 8 bytes at a time via binary package to stay in safe code.
-	for i := 0; i < Size; i += 8 {
-		d := binary.LittleEndian.Uint64(dst[i:])
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^s)
-	}
+	subtle.XORBytes(dst, dst[:len(src)], src)
 }

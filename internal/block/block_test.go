@@ -2,6 +2,7 @@ package block
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -100,5 +101,44 @@ func TestInvalidSentinels(t *testing.T) {
 	}
 	if VBN(5).String() != "vbn:5" {
 		t.Fatalf("VBN(5) = %s", VBN(5).String())
+	}
+}
+
+// A trimmed image and its Size-padded twin must be indistinguishable to
+// Equal, Checksum and XOR, wherever the trim point falls.
+func TestTrimmedImageMatchesPaddedTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		n := rng.Intn(Size + 1)
+		short := make([]byte, n)
+		rng.Read(short)
+		if i%4 == 0 && n > 8 {
+			clear(short[n-rng.Intn(8)-1:]) // zeros at the trim point itself
+		}
+		padded := Clone(short)
+		if !Equal(short, padded) || !Equal(padded, short) {
+			t.Fatalf("len %d: image != padded twin", n)
+		}
+		if Checksum(short) != Checksum(padded) {
+			t.Fatalf("len %d: checksum differs from padded twin", n)
+		}
+		acc := New()
+		rng.Read(acc)
+		viaShort, viaPadded := Clone(acc), Clone(acc)
+		XOR(viaShort, short)
+		XOR(viaPadded, padded)
+		if !bytes.Equal(viaShort, viaPadded) {
+			t.Fatalf("len %d: XOR differs from padded twin", n)
+		}
+		if n > 0 && short[n-1] != 0 {
+			other := Clone(short)
+			other[rng.Intn(n)] ^= 1
+			if Equal(short, other) || Equal(short[:n-1], padded) {
+				t.Fatalf("len %d: Equal missed a difference", n)
+			}
+		}
+	}
+	if !Equal(nil, New()) || Checksum(nil) != Checksum(New()) {
+		t.Fatal("nil must be the all-zero block")
 	}
 }

@@ -17,14 +17,20 @@ import (
 // Buffer is the in-memory image of one block of a file, at any tree level
 // (level 0 = user/metafile data, higher levels = indirect blocks).
 //
+// Images follow the internal/block rule: a []byte of len <= block.Size
+// whose missing tail reads as zero. User L0 buffers hold whatever length
+// the client wrote; nothing is allocated until a buffer is first read
+// (Data) or mutated CP-side (CPMutableData), and both of those hand
+// metafile and indirect code a full-length array.
+//
 // CoW semantics during a consistency point (paper §II-C): when a CP freezes
-// a dirty buffer, the buffer is marked inCP. If a client modifies the buffer
-// while it is inCP and not yet cleaned, the pre-modification image is
-// preserved as the CP image (cpData) and the live image (data) is cloned for
-// the modification; the change lands in the *next* CP. Once the cleaner has
+// a dirty buffer, the buffer is marked inCP. If a client overwrites the
+// buffer while it is inCP and not yet cleaned, the pre-overwrite image is
+// preserved as the CP image (cpData) and the live image (data) becomes a
+// fresh array; the change lands in the *next* CP. Once the cleaner has
 // submitted the buffer's CP image for writing, the buffer is sealed: the
 // submitted array is referenced by the drive media and must never be
-// mutated, so the next modification clones first.
+// mutated, so the next modification goes to a new array.
 type Buffer struct {
 	fbn   block.FBN
 	level int
@@ -32,7 +38,7 @@ type Buffer struct {
 	data   []byte // live image
 	cpData []byte // frozen CP image, set only if modified while inCP
 	inCP   bool   // frozen into the running CP, not yet cleaned
-	sealed bool   // live image was submitted to storage; clone before mutating
+	sealed bool   // live image was submitted to storage; never mutate it
 
 	dirtyCurr   bool // dirty in the open (accepting) generation
 	dirtyFrozen bool // dirty in the freezing CP's set
@@ -45,7 +51,6 @@ func newBuffer(fbn block.FBN, level int) *Buffer {
 	return &Buffer{
 		fbn:   fbn,
 		level: level,
-		data:  block.New(),
 		vvbn:  block.InvalidVVBN,
 		vbn:   block.InvalidVBN,
 	}
@@ -73,60 +78,64 @@ func (b *Buffer) DirtyCurr() bool { return b.dirtyCurr }
 // DirtyFrozen reports whether the buffer is dirty in the freezing CP's set.
 func (b *Buffer) DirtyFrozen() bool { return b.dirtyFrozen }
 
-// Data returns the live image for reading. Callers must not mutate it; use
-// MutableData for writes.
-func (b *Buffer) Data() []byte { return b.data }
+// Data returns the live image for reading, materialising the zero block of
+// a buffer nobody has written yet. Callers must not mutate it; clients
+// overwrite through File.WriteBlock, CP-side code through CPMutableData.
+func (b *Buffer) Data() []byte {
+	if b.data == nil {
+		b.data = block.New()
+	}
+	return b.data
+}
 
 // CPImage returns the image that belongs to the running CP: the preserved
-// pre-modification copy if the buffer was modified while frozen, otherwise
+// pre-overwrite image if the buffer was overwritten while frozen, otherwise
 // the live image.
 func (b *Buffer) CPImage() []byte {
 	if b.cpData != nil {
 		return b.cpData
 	}
-	return b.data
+	return b.Data()
 }
 
-// MutableData returns the live image for mutation, performing whatever
-// copy-on-write the buffer's state requires:
-//
-//   - inCP and not yet preserved: the current image becomes the CP image and
-//     the live image is cloned (the modification belongs to the next CP);
-//   - sealed (already submitted to storage): the live image is cloned so the
-//     media's reference stays immutable.
-//
-// Returns true in the second return value if this call dirtied state that
-// the caller must record (the caller always marks dirty anyway; the flag
-// reports whether a CoW copy happened, for statistics).
-func (b *Buffer) MutableData() ([]byte, bool) {
-	cowed := false
-	if b.inCP && b.cpData == nil {
-		b.cpData = b.data
-		b.data = block.Clone(b.data)
+// replace makes a private copy of data the live image — a client's
+// whole-block overwrite in the open generation — and reports whether the
+// old image had to be left behind: to the running CP if the buffer is
+// frozen and not yet preserved, to the media if it is sealed. Only a
+// private image of the same length is overwritten in place.
+func (b *Buffer) replace(data []byte) (cowed bool) {
+	switch {
+	case b.inCP && b.cpData == nil:
+		b.cpData = b.Data()
 		cowed = true
-	} else if b.sealed {
-		b.data = block.Clone(b.data)
-		b.sealed = false
+	case b.sealed:
 		cowed = true
+	case len(b.data) == len(data):
+		copy(b.data, data)
+		return false
 	}
-	return b.data, cowed
+	b.data = make([]byte, len(data))
+	copy(b.data, data)
+	b.sealed = false
+	return cowed
 }
 
 // CPMutableData returns the running CP's image for mutation by CP-side code
 // (the cleaner updating a parent indirect's child pointers, the
 // infrastructure updating allocation-metafile bits, inode-record
-// serialization). Unlike MutableData, a modification through this method
-// belongs to the *current* CP.
+// serialization). Unlike a client overwrite, a modification through this
+// method belongs to the *current* CP. The returned array is always
+// full-length.
 //
 // Indirect and metafile buffers are mutated only by CP-side code, so their
 // CP image and live image are the same array and updates are visible to
-// both; the method unseals (clones) if the live image was already submitted
-// to storage in an earlier CP.
+// both; the method clones if the live image was already submitted to
+// storage in an earlier CP, or is shorter than a block.
 func (b *Buffer) CPMutableData() []byte {
 	if b.cpData != nil {
 		return b.cpData
 	}
-	if b.sealed {
+	if b.sealed || len(b.data) < block.Size {
 		b.data = block.Clone(b.data)
 		b.sealed = false
 	}

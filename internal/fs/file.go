@@ -71,8 +71,8 @@ type File struct {
 	// Gen counts CPs that cleaned this file (persisted in the record).
 	Gen uint64
 
-	// CoWCopies counts copy-on-write clones taken because clients modified
-	// frozen or sealed buffers.
+	// CoWCopies counts client overwrites of frozen or sealed buffers, whose
+	// old image had to stay behind for the CP or the media.
 	CoWCopies uint64
 }
 
@@ -149,19 +149,18 @@ func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.V
 	return b
 }
 
-// WriteBlock writes data (up to one block) into FBN fbn in the open
-// generation, applying CP copy-on-write as needed, and marks the buffer
-// dirty. It returns the buffer.
+// WriteBlock replaces FBN fbn with the block image data (up to one block;
+// bytes past len(data) read as zero) in the open generation, applying CP
+// copy-on-write as needed, and marks the buffer dirty. data is copied, never
+// retained. It returns the buffer.
 func (f *File) WriteBlock(fbn block.FBN, data []byte) *Buffer {
 	if uint64(fbn) >= f.MaxBlocks() {
 		panic(fmt.Sprintf("fs: fbn %d beyond file capacity %d (ino %d)", fbn, f.MaxBlocks(), f.ino))
 	}
 	b := f.getOrCreate(0, fbn)
-	dst, cowed := b.MutableData()
-	if cowed {
+	if b.replace(data) {
 		f.CoWCopies++
 	}
-	copy(dst, data)
 	if !b.dirtyCurr {
 		b.dirtyCurr = true
 		f.curr.add(fbn, b)

@@ -354,3 +354,70 @@ func TestPropertyFreezeCleanCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// WriteBlock replaces the whole block with an image of the length written,
+// whatever state the buffer is in and whatever length it held before.
+func TestWriteBlockReplacesWholeBlock(t *testing.T) {
+	short := func(tag byte) []byte { return pattern(tag)[:64] }
+	for _, c := range []struct {
+		name      string
+		old, next []byte
+	}{
+		{"full then trimmed", pattern(1), short(2)},
+		{"trimmed then full", short(1), pattern(2)},
+		{"trimmed then trimmed", short(1), short(2)},
+	} {
+		// Private, dirty buffer: the old tail must not survive (a prefix
+		// merge would leave pattern(1)[64:] behind).
+		f := NewFile(1, 1)
+		f.WriteBlock(0, c.old)
+		f.WriteBlock(0, c.next)
+		if got := f.ReadBlock(0); !block.Equal(got, c.next) || len(got) != len(c.next) {
+			t.Fatalf("%s: read back %d bytes, not the %d-byte image written", c.name, len(got), len(c.next))
+		}
+
+		// Frozen buffer: the CP keeps the very array it froze.
+		f = NewFile(1, 1)
+		f.WriteBlock(0, c.old)
+		f.Freeze()
+		b := f.Buffer(0, 0)
+		frozen := b.CPImage()
+		f.WriteBlock(0, c.next)
+		f.WriteBlock(0, c.next) // second overwrite lands in the private live image
+		if &b.CPImage()[0] != &frozen[0] || !bytes.Equal(frozen, c.old) {
+			t.Fatalf("%s: overwrite while inCP disturbed the CP image", c.name)
+		}
+		if !bytes.Equal(b.Data(), c.next) || f.CoWCopies != 1 {
+			t.Fatalf("%s: live image wrong or CoWCopies = %d, want 1", c.name, f.CoWCopies)
+		}
+
+		// Sealed buffer: the submitted array is the media's alias.
+		f.CleanChild(b, 10, 20)
+		f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
+		f.Freeze()
+		submitted := b.CPImage()
+		f.CleanChild(b, 12, 22)
+		f.WriteBlock(0, c.old)
+		f.WriteBlock(0, c.next)
+		if !bytes.Equal(submitted, c.next) || &b.Data()[0] == &submitted[0] {
+			t.Fatalf("%s: overwrite of a sealed buffer touched the submitted array", c.name)
+		}
+	}
+}
+
+// Buffers allocate no image until somebody needs one, and CP-side code
+// always gets a full-length array.
+func TestBufferImageMaterialisation(t *testing.T) {
+	f := NewFile(1, 1)
+	b := f.GetOrCreateL0(3)
+	if b.data != nil {
+		t.Fatal("a buffer nobody read or wrote holds an image")
+	}
+	if len(b.Data()) != block.Size || len(f.ReadBlock(3)) != block.Size {
+		t.Fatal("an unwritten buffer must read as a full zero block")
+	}
+	f.WriteBlock(4, pattern(1)[:64])
+	if d := f.Buffer(0, 4).CPMutableData(); len(d) != block.Size || !block.Equal(d, pattern(1)[:64]) {
+		t.Fatal("CPMutableData must pad a trimmed image to a full block")
+	}
+}

@@ -190,12 +190,16 @@ func (l *Log) Switch() {
 	}
 }
 
-// FreeFrozen discards the frozen half after its CP commits.
+// FreeFrozen discards the frozen half after its CP commits. The records'
+// payload references are dropped; the record array is kept for the half's
+// next turn as the active one.
 func (l *Log) FreeFrozen() {
 	if l.frozen < 0 {
 		panic("nvlog: FreeFrozen without a frozen half")
 	}
-	l.halves[l.frozen] = half{}
+	h := &l.halves[l.frozen]
+	clear(h.recs)
+	*h = half{recs: h.recs[:0]}
 	l.frozen = -1
 }
 

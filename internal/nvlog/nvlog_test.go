@@ -287,3 +287,31 @@ func TestRestorePreservesSeqAndProtects(t *testing.T) {
 		t.Fatalf("post-restore seq not monotone: %+v", last)
 	}
 }
+
+// Once both halves have been through a CP, Append reuses the record arrays
+// FreeFrozen kept — and FreeFrozen still drops the payload references.
+func TestSteadyStateAppendAllocatesNothing(t *testing.T) {
+	l := New(1 << 20)
+	r := rec(1, 64)
+	cycle := func() {
+		for i := 0; i < 100; i++ {
+			if !l.Append(r) {
+				t.Fatal("append failed")
+			}
+		}
+		l.Switch()
+		l.FreeFrozen()
+	}
+	cycle()
+	cycle() // both halves have grown to 100 records
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("steady-state Append/Switch/FreeFrozen cycle allocates %v times, want 0", n)
+	}
+	freed := l.halves[1-l.active].recs
+	if len(freed) != 0 || freed[:1][0].Data != nil {
+		t.Fatal("FreeFrozen must empty the half and drop its payload references")
+	}
+	if len(l.Replay()) != 0 {
+		t.Fatal("freed records must not replay")
+	}
+}

@@ -9,7 +9,7 @@ package raid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"wafl/internal/block"
 	"wafl/internal/sim"
@@ -93,44 +93,59 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 	}
 	g.stats.StripeWriteIOs++
 
-	// Index new data by stripe: stripe dbn -> drive index -> payload.
-	newData := make(map[block.DBN]map[int][]byte)
-	for di, reqs := range writes {
+	// The touched stripes, DBN-sorted. Stripe k's row is
+	// rows[k*nd:(k+1)*nd]: per data drive the new image where fresh, else
+	// the old image phase A reads for parity.
+	nd := len(g.data)
+	n := 0
+	for _, reqs := range writes {
+		n += len(reqs)
+	}
+	dbns := make([]block.DBN, 0, n)
+	for _, reqs := range writes {
 		for _, r := range reqs {
-			m := newData[r.DBN]
-			if m == nil {
-				m = make(map[int][]byte)
-				newData[r.DBN] = m
-			}
-			m[di] = r.Data
+			dbns = append(dbns, r.DBN)
 		}
 	}
-	if len(newData) == 0 {
+	if len(dbns) == 0 {
 		if done != nil {
 			g.s.After(0, done)
 		}
 		return res
 	}
-
-	// Classify stripes and plan reconstruction reads for partial ones.
-	readPlan := make([][]block.DBN, len(g.data))
-	stripeList := make([]block.DBN, 0, len(newData))
-	for dbn, m := range newData {
-		stripeList = append(stripeList, dbn)
-		if len(m) == len(g.data) {
-			res.FullStripes++
-			continue
-		}
-		res.PartialStripes++
-		for di := range g.data {
-			if _, ok := m[di]; !ok {
-				readPlan[di] = append(readPlan[di], dbn)
-				res.ParityReads++
-			}
+	slices.Sort(dbns)
+	dbns = slices.Compact(dbns)
+	rowOf := func(dbn block.DBN) int {
+		k, _ := slices.BinarySearch(dbns, dbn)
+		return k * nd
+	}
+	rows := make([][]byte, len(dbns)*nd)
+	fresh := make([]bool, len(rows))
+	for di, reqs := range writes {
+		for _, r := range reqs {
+			i := rowOf(r.DBN) + di
+			rows[i], fresh[i] = r.Data, true
 		}
 	}
-	sort.Slice(stripeList, func(i, j int) bool { return stripeList[i] < stripeList[j] })
-	res.ParityCPU = sim.Duration(len(stripeList)*len(g.data)) * parityCPUPerBlock
+
+	// Classify stripes and plan reconstruction reads for partial ones.
+	readPlan := make([][]block.DBN, nd)
+	for k, dbn := range dbns {
+		missing := 0
+		for di := range readPlan {
+			if !fresh[k*nd+di] {
+				readPlan[di] = append(readPlan[di], dbn)
+				missing++
+			}
+		}
+		if missing == 0 {
+			res.FullStripes++
+		} else {
+			res.PartialStripes++
+			res.ParityReads += missing
+		}
+	}
+	res.ParityCPU = sim.Duration(len(rows)) * parityCPUPerBlock
 
 	g.stats.FullStripeWrites += uint64(res.FullStripes)
 	g.stats.PartialStripeWrites += uint64(res.PartialStripes)
@@ -138,23 +153,17 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 
 	// Phase A: issue reconstruction reads. When all complete, compute
 	// parity and issue the data + parity writes (phase B).
-	oldData := make(map[block.DBN]map[int][]byte)
 	pendingReads := 0
-	issueB := func() { g.issueWrites(writes, newData, oldData, stripeList, done) }
-	for di, dbns := range readPlan {
-		if len(dbns) == 0 {
+	issueB := func() { g.issueWrites(writes, dbns, rows, done) }
+	for di, plan := range readPlan {
+		if len(plan) == 0 {
 			continue
 		}
 		pendingReads++
-		di, dbns := di, dbns
-		g.data[di].Read(dbns, func(bs [][]byte) {
-			for k, dbn := range dbns {
-				m := oldData[dbn]
-				if m == nil {
-					m = make(map[int][]byte)
-					oldData[dbn] = m
-				}
-				m[di] = bs[k]
+		di, plan := di, plan
+		g.data[di].Read(plan, func(bs [][]byte) {
+			for i, dbn := range plan {
+				rows[rowOf(dbn)+di] = bs[i]
 			}
 			pendingReads--
 			if pendingReads == 0 {
@@ -168,24 +177,29 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 	return res
 }
 
-// issueWrites computes parity for each touched stripe and submits one I/O
-// per data drive plus one parity-drive I/O, invoking done when all complete.
-func (g *Group) issueWrites(writes [][]storage.WriteReq, newData, oldData map[block.DBN]map[int][]byte, stripeList []block.DBN, done func()) {
-	parityReqs := make([]storage.WriteReq, 0, len(stripeList))
-	for _, dbn := range stripeList {
-		parity := block.New()
-		for di := range g.data {
-			var src []byte
-			if b, ok := newData[dbn][di]; ok {
-				src = b
-			} else if b, ok := oldData[dbn][di]; ok && b != nil {
-				src = b
-			}
-			if src != nil {
-				block.XOR(parity, src)
-			}
-		}
-		parityReqs = append(parityReqs, storage.WriteReq{DBN: dbn, Data: parity})
+// xorAll returns the XOR of the given block images, sized to the longest.
+func xorAll(imgs [][]byte) []byte {
+	n := 0
+	for _, img := range imgs {
+		n = max(n, len(img))
+	}
+	out := make([]byte, n)
+	for _, img := range imgs {
+		block.XOR(out, img)
+	}
+	return out
+}
+
+// issueWrites computes parity for each touched stripe (rows as in Write) and
+// submits one I/O per data drive plus one parity-drive I/O, invoking done
+// when all complete.
+func (g *Group) issueWrites(writes [][]storage.WriteReq, dbns []block.DBN, rows [][]byte, done func()) {
+	nd := len(g.data)
+	parityReqs := make([]storage.WriteReq, len(dbns))
+	for k, dbn := range dbns {
+		// One array per stripe, not one slab per write: a slab would stay
+		// on the media until the last of its stripes is rewritten.
+		parityReqs[k] = storage.WriteReq{DBN: dbn, Data: xorAll(rows[k*nd : (k+1)*nd])}
 	}
 	g.stats.ParityBlocksWritten += uint64(len(parityReqs))
 
@@ -209,37 +223,28 @@ func (g *Group) issueWrites(writes [][]storage.WriteReq, newData, oldData map[bl
 	g.parity.Write(parityReqs, complete)
 }
 
-// VerifyStripe recomputes parity for stripe dbn from the committed media and
-// reports whether it matches the committed parity block. Tests and the
-// scrub tool use it to validate RAID consistency.
-func (g *Group) VerifyStripe(dbn block.DBN) bool {
-	want := block.New()
-	for _, d := range g.data {
-		if b := d.Peek(dbn); b != nil {
-			block.XOR(want, b)
+// stripe returns the committed images of stripe dbn: every data drive's
+// except skip's (-1 for none), then the parity drive's.
+func (g *Group) stripe(dbn block.DBN, skip int) [][]byte {
+	out := make([][]byte, 0, len(g.data)+1)
+	for di, d := range g.data {
+		if di != skip {
+			out = append(out, d.Peek(dbn))
 		}
 	}
-	got := g.parity.Peek(dbn)
-	if got == nil {
-		got = block.New()
-	}
-	return block.Checksum(want) == block.Checksum(got)
+	return append(out, g.parity.Peek(dbn))
+}
+
+// VerifyStripe recomputes parity for stripe dbn from the committed media and
+// reports whether it matches the committed parity block exactly. Tests and
+// the scrub tool use it to validate RAID consistency.
+func (g *Group) VerifyStripe(dbn block.DBN) bool {
+	imgs := g.stripe(dbn, -1)
+	return block.Equal(xorAll(imgs[:len(g.data)]), imgs[len(g.data)])
 }
 
 // ReconstructBlock rebuilds the committed content of (driveIdx, dbn) from
 // the other drives and parity, as a RAID recovery would.
 func (g *Group) ReconstructBlock(driveIdx int, dbn block.DBN) []byte {
-	out := block.New()
-	if p := g.parity.Peek(dbn); p != nil {
-		block.XOR(out, p)
-	}
-	for di, d := range g.data {
-		if di == driveIdx {
-			continue
-		}
-		if b := d.Peek(dbn); b != nil {
-			block.XOR(out, b)
-		}
-	}
-	return out
+	return xorAll(g.stripe(dbn, driveIdx))
 }

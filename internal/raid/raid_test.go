@@ -156,3 +156,59 @@ func TestWrongWriteShapePanics(t *testing.T) {
 	_, g := newTestGroup(1)
 	g.Write(make([][]storage.WriteReq, 3), 0, nil)
 }
+
+// Stripes may mix nil (all-zero), trimmed and full-length images: parity is
+// sized to the longest member, verifies, and reconstructs every member to
+// its original content — also after a partial-stripe rewrite changes the
+// longest member.
+func TestMixedLengthImages(t *testing.T) {
+	s, g := newTestGroup(2)
+	// Stripe 3: nil, 64 B, 4096 B, 64 B. Stripe 4: trimmed images only.
+	want := map[block.DBN][][]byte{
+		3: {nil, fill(0x11)[:64], fill(0x22), fill(0x33)[:64]},
+		4: {fill(0x44)[:64], fill(0x55)[:64], nil, fill(0x66)[:100]},
+	}
+	check := func(when string) {
+		t.Helper()
+		for dbn, imgs := range want {
+			if !g.VerifyStripe(dbn) {
+				t.Fatalf("%s: parity mismatch at stripe %d", when, dbn)
+			}
+			for di, img := range imgs {
+				if got := g.ReconstructBlock(di, dbn); !block.Equal(got, img) {
+					t.Fatalf("%s: reconstruction of (%d,%d) differs from the original", when, di, dbn)
+				}
+			}
+		}
+	}
+	writes := make([][]storage.WriteReq, 4)
+	for dbn, imgs := range want {
+		for di, img := range imgs {
+			writes[di] = append(writes[di], storage.WriteReq{DBN: dbn, Data: img})
+		}
+	}
+	g.Write(writes, 0, nil)
+	s.Run(sim.Time(100 * sim.Millisecond))
+	check("full-stripe write")
+	if n := len(g.ParityDrive().Peek(4)); n != 100 {
+		t.Fatalf("parity of a trimmed-only stripe is %d bytes, want 100 (its longest member)", n)
+	}
+
+	// Partial rewrites: the only full-length member shrinks, a nil member
+	// becomes full-length; the rest is read back for parity.
+	want[3][2] = fill(0x77)[:64]
+	want[4][2] = fill(0x88)
+	upd := make([][]storage.WriteReq, 4)
+	upd[2] = []storage.WriteReq{{DBN: 3, Data: want[3][2]}, {DBN: 4, Data: want[4][2]}}
+	if res := g.Write(upd, 0, nil); res.PartialStripes != 2 || res.ParityReads != 6 {
+		t.Fatalf("res = %+v, want 2 partial stripes with 6 reads", res)
+	}
+	s.Run(sim.Time(sim.Second))
+	check("partial-stripe rewrite")
+
+	// Verification is exact: one flipped tail byte fails it.
+	g.ParityDrive().Peek(4)[block.Size-1] ^= 1
+	if g.VerifyStripe(4) {
+		t.Fatal("corrupt parity verified")
+	}
+}

@@ -181,10 +181,14 @@ type Config struct {
 	StripeWidthBlocks uint64
 
 	// PayloadBytes is how many bytes of real pattern data each 4 KiB
-	// block write carries (the rest is zeros). NVRAM and drive accounting
-	// always use the full block size; smaller payloads just make long
-	// simulations cheaper on the host. Use 4096 when byte-exact content
-	// verification matters.
+	// block write carries; the rest of the block reads as zeros and is
+	// never materialised (DESIGN.md §14), so the host memory a written
+	// block occupies in buffers, on the drive media and in its share of
+	// parity, and the host work of copying and XOR-ing it, scale with this
+	// value. Simulated costs do not: NVRAM, drive and CPU accounting
+	// always charge a full block, and every simulated metric is identical
+	// for any PayloadBytes. Use 4096 when byte-exact verification of whole
+	// blocks matters.
 	PayloadBytes int
 
 	// Trace enables the observability spine: structured trace events and
