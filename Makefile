@@ -16,10 +16,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# racecp is the focused race gate for the parallel CP engine: the smoke
-# tests plus the parallel-CP regression and determinism tests.
+# racecp is the focused race gate: the smoke tests plus the parallel-CP
+# regression and determinism tests, and the whole of the simulation kernel
+# and Waffinity (event-order goldens included). The execution token passes
+# from thread goroutine to thread goroutine, so the race detector is the
+# cheapest proof that every hand-off still carries a happens-before edge.
 racecp:
 	$(GO) test -race ./... -run 'TestSmoke|TestParallelCP'
+	$(GO) test -race -count=1 ./internal/sim ./internal/waffinity
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

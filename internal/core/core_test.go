@@ -104,7 +104,7 @@ func TestEqualProgressWindowInsertion(t *testing.T) {
 		window block.DBN
 	}
 	perWindow := make(map[winKey]int)
-	for _, b := range e.in.cache.all() {
+	for _, b := range e.in.cache.All() {
 		perWindow[winKey{b.group, b.window}]++
 	}
 	for win, n := range perWindow {
@@ -528,7 +528,7 @@ func TestAAPolicies(t *testing.T) {
 		e := newEnv(t, func(o *Options) { o.AASelection = pol })
 		e.in.StartCP(nil)
 		e.s.RunFor(200 * sim.Millisecond)
-		if e.in.cache.len() == 0 {
+		if e.in.cache.Len() == 0 {
 			t.Fatalf("policy %v produced no buckets", pol)
 		}
 	}

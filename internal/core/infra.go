@@ -7,6 +7,7 @@ import (
 	"wafl/internal/bitmap"
 	"wafl/internal/block"
 	"wafl/internal/counters"
+	"wafl/internal/fifo"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
 	"wafl/internal/storage"
@@ -45,7 +46,7 @@ type windowFill struct {
 // volState is the per-volume virtual allocation state.
 type volState struct {
 	vol          *aggregate.Volume
-	cache        fifo[*VBucket]
+	cache        fifo.Queue[*VBucket]
 	cond         *sim.WaitQueue
 	region       int    // current vAA (one activemap block of VVBNs), -1 initially
 	cursor       uint64 // next vvbn to scan within the region
@@ -77,11 +78,11 @@ type Infra struct {
 	// Bucket cache: the lock-protected list of available buckets.
 	cacheMu   *sim.Mutex
 	cacheCond *sim.WaitQueue
-	cache     fifo[*Bucket]
+	cache     fifo.Queue[*Bucket]
 
 	// Used-bucket queue: PUT parks buckets here until the infrastructure
 	// message that commits them runs.
-	usedQueue fifo[*Bucket]
+	usedQueue fifo.Queue[*Bucket]
 
 	// scanBuf is the reusable FindFree scratch for physical fills (see
 	// volState.scanBuf).
@@ -356,7 +357,7 @@ func (in *Infra) fillWindowInline(t *sim.Thread, group int) {
 	for d := 0; d < drives; d++ {
 		b := in.fillBucket(t, group, d, start, depth, te)
 		if len(b.vbns) > 0 {
-			in.cache.push(b)
+			in.cache.Push(b)
 			in.stats.BucketsFilled++
 			nonEmpty++
 		}
@@ -422,7 +423,7 @@ func (in *Infra) installBucketEarly(t *sim.Thread, wf *windowFill, b *Bucket) {
 		wf.tetris.outstanding++
 		wf.tetris.initialBuckets++
 		in.cacheMu.Lock(t)
-		in.cache.push(b)
+		in.cache.Push(b)
 		in.cacheMu.Unlock(t)
 		in.stats.BucketsFilled++
 		in.cacheCond.Signal()
@@ -471,7 +472,7 @@ func (in *Infra) installWindow(t *sim.Thread, wf *windowFill) {
 	in.cacheMu.Lock(t)
 	for _, b := range wf.buckets {
 		if b != nil && len(b.vbns) > 0 {
-			in.cache.push(b)
+			in.cache.Push(b)
 			in.stats.BucketsFilled++
 		}
 	}
@@ -489,18 +490,18 @@ func (in *Infra) GetBucket(t *sim.Thread) *Bucket {
 	getStart := t.Now()
 	in.cacheMu.Lock(t)
 	if in.opts.CleanInSerialAffinity {
-		for in.cache.len() == 0 {
+		for in.cache.Len() == 0 {
 			in.fillWindowInline(t, in.serialGroup)
 			in.serialGroup = (in.serialGroup + 1) % in.a.Groups()
 		}
 	}
 	waited := false
-	for in.cache.len() == 0 {
+	for in.cache.Len() == 0 {
 		in.stats.GetWaits++
 		waited = true
 		in.cacheCond.WaitWith(t, in.cacheMu)
 	}
-	b := in.cache.pop()
+	b := in.cache.Pop()
 	in.cacheMu.Unlock(t)
 	if tr := t.Tracer(); tr != nil {
 		if waited {
@@ -531,7 +532,7 @@ func (in *Infra) PutBucket(t *sim.Thread, b *Bucket) {
 		in.commitBucketBody(t, b)
 		return
 	}
-	in.usedQueue.push(b)
+	in.usedQueue.Push(b)
 	in.pendingOps++
 	fbn := bitmap.BlockOf(uint64(in.a.Geometry().VBNOf(b.group, b.drive, b.window)))
 	in.w.Send(in.aggrRangeAff(fbn), sim.CatInfra, func(wt *sim.Thread) {
@@ -542,10 +543,10 @@ func (in *Infra) PutBucket(t *sim.Thread, b *Bucket) {
 // commitBucket pops the oldest used bucket and applies its allocations to
 // the activemap.
 func (in *Infra) commitBucket(t *sim.Thread) {
-	if in.usedQueue.len() == 0 {
+	if in.usedQueue.Len() == 0 {
 		return
 	}
-	in.commitBucketBody(t, in.usedQueue.pop())
+	in.commitBucketBody(t, in.usedQueue.Pop())
 }
 
 // commitBucketBody applies one bucket's allocations to the activemap.

@@ -24,7 +24,7 @@ func (in *Infra) StartCP(dirtyVols []*aggregate.Volume) {
 	}
 	for _, v := range dirtyVols {
 		vs := in.vols[v.ID()]
-		for vs.cache.len()+vs.pendingFills < in.opts.VolBucketsReady {
+		for vs.cache.Len()+vs.pendingFills < in.opts.VolBucketsReady {
 			in.requestVBucket(vs)
 		}
 	}
@@ -52,7 +52,7 @@ func (in *Infra) Drain(t *sim.Thread) {
 	in.draining = true
 	// Discard the physical bucket cache.
 	in.cacheMu.Lock(t)
-	cache := in.cache.takeAll()
+	cache := in.cache.TakeAll()
 	in.cacheMu.Unlock(t)
 	for _, b := range cache {
 		for _, vbn := range b.vbns {
@@ -67,7 +67,7 @@ func (in *Infra) Drain(t *sim.Thread) {
 	}
 	// Discard virtual bucket caches.
 	for _, vs := range in.vols {
-		for _, vb := range vs.cache.takeAll() {
+		for _, vb := range vs.cache.TakeAll() {
 			for _, vv := range vb.vvbns {
 				vs.reserved.clear(uint64(vv))
 			}
@@ -86,7 +86,7 @@ func (in *Infra) Drain(t *sim.Thread) {
 func (in *Infra) DrainOps(t *sim.Thread) {
 	in.draining = true
 	in.cacheMu.Lock(t)
-	cache := in.cache.takeAll()
+	cache := in.cache.TakeAll()
 	in.cacheMu.Unlock(t)
 	for _, b := range cache {
 		for _, vbn := range b.vbns {
@@ -100,7 +100,7 @@ func (in *Infra) DrainOps(t *sim.Thread) {
 		}
 	}
 	for _, vs := range in.vols {
-		for _, vb := range vs.cache.takeAll() {
+		for _, vb := range vs.cache.TakeAll() {
 			for _, vv := range vb.vvbns {
 				vs.reserved.clear(uint64(vv))
 			}

@@ -151,7 +151,7 @@ func (in *Infra) installVBucket(vs *volState, vvbns []block.VVBN) {
 	for _, vv := range vvbns {
 		vs.reserved.set(uint64(vv))
 	}
-	vs.cache.push(&VBucket{vol: vs.vol, vvbns: vvbns})
+	vs.cache.Push(&VBucket{vol: vs.vol, vvbns: vvbns})
 	in.stats.VBucketsFilled++
 	vs.cond.Signal()
 }
@@ -179,12 +179,12 @@ func (in *Infra) GetVBucket(t *sim.Thread, vol *aggregate.Volume) *VBucket {
 	getStart := t.Now()
 	vs := in.vols[vol.ID()]
 	if in.opts.CleanInSerialAffinity {
-		for vs.cache.len() == 0 {
+		for vs.cache.Len() == 0 {
 			in.installVBucket(vs, in.scanVBucket(t, vs))
 		}
 	}
 	waited := false
-	for vs.cache.len() == 0 {
+	for vs.cache.Len() == 0 {
 		if vs.pendingFills == 0 && in.inCP && !in.draining {
 			in.requestVBucket(vs)
 		}
@@ -198,8 +198,8 @@ func (in *Infra) GetVBucket(t *sim.Thread, vol *aggregate.Volume) *VBucket {
 		}
 		tr.Observe("infra.vget_wait", int64(t.Now()-getStart))
 	}
-	vb := vs.cache.pop()
-	if !in.draining && in.inCP && vs.cache.len()+vs.pendingFills < in.opts.VolBucketsReady {
+	vb := vs.cache.Pop()
+	if !in.draining && in.inCP && vs.cache.Len()+vs.pendingFills < in.opts.VolBucketsReady {
 		in.requestVBucket(vs)
 	}
 	return vb

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"wafl/internal/fifo"
 	"wafl/internal/obs"
 )
 
@@ -44,16 +45,28 @@ func (d Duration) String() string {
 	}
 }
 
-// event is a scheduled closure. Events with equal timestamps fire in
-// insertion (seq) order, which keeps the simulation deterministic.
+// action is what an event does when it fires: run a plain After callback
+// (fn != nil), or resume thread t — which also completes t's CPU burst when
+// burst is set. It stays at three fields so that next and pop return it in
+// registers; an event returned whole goes through the stack, which doubled the
+// cost of dispatching one.
+type action struct {
+	fn    func()
+	t     *Thread
+	burst bool
+}
+
+// event is an action scheduled for a future instant, stored by value. Events
+// with equal timestamps fire in insertion (seq) order, which keeps the
+// simulation deterministic.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	do  action
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq).
-type eventHeap []*event
+// eventHeap is a binary min-heap of future events ordered by (at, seq).
+type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
@@ -62,7 +75,7 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h *eventHeap) push(e *event) {
+func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	i := len(*h) - 1
 	for i > 0 {
@@ -75,12 +88,13 @@ func (h *eventHeap) push(e *event) {
 	}
 }
 
-func (h *eventHeap) pop() *event {
+// pop removes the earliest event and returns its action.
+func (h *eventHeap) pop() action {
 	old := *h
-	top := old[0]
+	top := old[0].do
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = nil
+	old[n] = event{} // drop the callback and thread references
 	*h = old[:n]
 	i := 0
 	for {
@@ -112,15 +126,28 @@ type Scheduler struct {
 	now  Time
 	seq  uint64
 	heap eventHeap
+	// lane holds the events posted for the current instant (every Signal,
+	// Unlock, Yield and Go), in posting order. It is dispatched after the heap
+	// entries with at <= now and before the clock advances, which is exactly
+	// (at, seq) order: a heap entry due now was posted while the clock was
+	// earlier — hence before anything in the lane — and nothing posted from
+	// now on can precede the lane. Lane entries are due at now (the clock
+	// never advances past a non-empty lane), so they carry no at or seq.
+	lane  fifo.Queue[action]
+	until Time // dispatch bound of the Run/Drain in progress
 
 	cores     int
 	freeCores int
-	readyQ    []*Thread // threads with a pending CPU burst, FIFO
+	readyQ    fifo.Queue[*Thread] // threads with a pending CPU burst
 
 	busy       [NumCategories]Duration
 	dispatched uint64 // events processed
 
-	yield       chan struct{} // threads hand the execution token back here
+	// main stands for the goroutine outside the simulation — the caller of
+	// Run/Drain or of Shutdown/KillRange — as a pseudo-thread: resuming it is
+	// how the token is yielded back once the event loop has nothing more to
+	// dispatch, or a killed thread has unwound.
+	main        *Thread
 	rng         *rand.Rand
 	running     bool
 	live        int       // live (not yet finished) threads
@@ -182,12 +209,11 @@ func (s *Scheduler) Shutdown() {
 	}
 	s.poisoned = true
 	for _, t := range s.threads {
-		if !t.done {
-			s.runThread(t)
-		}
+		s.unwind(t)
 	}
 	s.threads = nil
 	s.heap = nil
+	s.lane = fifo.Queue[action]{}
 }
 
 // ThreadMark returns a marker identifying the threads spawned so far; a
@@ -231,17 +257,13 @@ func (s *Scheduler) KillRange(lo, hi int) {
 		t.killed = true
 	}
 	// Purge killed threads waiting for a CPU: they must never take a core.
-	live := s.readyQ[:0]
-	for _, t := range s.readyQ {
+	for _, t := range s.readyQ.TakeAll() {
 		if !t.killed {
-			live = append(live, t)
+			s.readyQ.Push(t)
 		}
 	}
-	s.readyQ = live
 	for _, t := range s.threads[lo:hi] {
-		if !t.done {
-			s.runThread(t)
-		}
+		s.unwind(t)
 	}
 }
 
@@ -251,12 +273,13 @@ func New(cores int, seed int64) *Scheduler {
 	if cores < 1 {
 		panic("sim: scheduler needs at least one core")
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		cores:     cores,
 		freeCores: cores,
-		yield:     make(chan struct{}),
 		rng:       rand.New(rand.NewSource(seed)),
 	}
+	s.main = &Thread{s: s, name: "main", resume: make(chan struct{})}
+	return s
 }
 
 // Now returns the current simulated time.
@@ -308,13 +331,15 @@ func (s *Scheduler) CPU() CPUStats {
 	return CPUStats{Busy: s.busy, Wall: s.now}
 }
 
-// post schedules fn to run at time at (>= now).
-func (s *Scheduler) post(at Time, fn func()) {
-	if at < s.now {
-		at = s.now
+// post schedules a to fire at time at (clamped to now). Only heap entries need
+// a seq: the zero-delay lane is ordered by position.
+func (s *Scheduler) post(at Time, a action) {
+	if at <= s.now {
+		s.lane.Push(a)
+		return
 	}
 	s.seq++
-	s.heap.push(&event{at: at, seq: s.seq, fn: fn})
+	s.heap.push(event{at: at, seq: s.seq, do: a})
 }
 
 // After schedules fn to run in the scheduler context after d simulated time.
@@ -324,7 +349,7 @@ func (s *Scheduler) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.post(s.now+Time(d), fn)
+	s.post(s.now+Time(d), action{fn: fn})
 }
 
 // Run processes events until the simulated clock reaches until, then advances
@@ -335,22 +360,8 @@ func (s *Scheduler) After(d Duration, fn func()) {
 // and leaves the clock at the last dispatched event's time — the state a
 // crash at that event index would find.
 func (s *Scheduler) Run(until Time) {
-	if s.running {
-		panic("sim: Run called reentrantly")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-	s.halted = false
-	for len(s.heap) > 0 && s.heap[0].at <= until {
-		if s.shouldHalt() {
-			return
-		}
-		e := s.heap.pop()
-		s.now = e.at
-		s.dispatched++
-		e.fn()
-	}
-	if s.shouldHalt() {
+	s.loop(until)
+	if s.halted || s.shouldHalt() {
 		return
 	}
 	if s.now < until {
@@ -365,35 +376,94 @@ func (s *Scheduler) RunFor(d Duration) { s.Run(s.now + Time(d)) }
 // clock would exceed limit. It returns the number of events processed.
 // Useful in tests to let in-flight work settle.
 func (s *Scheduler) Drain(limit Time) int {
-	n := 0
+	return s.loop(limit)
+}
+
+// loop dispatches every event due by until, or up to a pending halt, and
+// returns how many it dispatched. The calling goroutine starts the event loop
+// as s.main and is resumed once whichever goroutine the loop has moved to
+// finds nothing more to dispatch.
+func (s *Scheduler) loop(until Time) int {
 	if s.running {
-		panic("sim: Drain called reentrantly")
+		panic("sim: Run/Drain called reentrantly")
 	}
 	s.running = true
 	defer func() { s.running = false }()
 	s.halted = false
-	for len(s.heap) > 0 && s.heap[0].at <= limit {
-		if s.shouldHalt() {
-			return n
-		}
-		e := s.heap.pop()
-		s.now = e.at
-		s.dispatched++
-		n++
-		e.fn()
-	}
-	return n
+	s.until = until
+	start := s.dispatched
+	s.dispatch(s.main)
+	return int(s.dispatched - start)
 }
 
-// runThread hands the execution token to t and waits until t parks or
-// exits. Resuming a finished thread (e.g. a stale burst-completion event
-// for a killed thread) is a no-op.
-func (s *Scheduler) runThread(t *Thread) {
+// next removes the next event in (at, seq) order, advances the clock to it
+// and returns its action. It reports false, leaving the clock alone, when no
+// event is due by s.until or a halt is pending.
+func (s *Scheduler) next() (action, bool) {
+	fromHeap := len(s.heap) > 0 && (s.lane.Len() == 0 || s.heap[0].at <= s.now)
+	at := s.now
+	if fromHeap {
+		at = s.heap[0].at
+	} else if s.lane.Len() == 0 {
+		return action{}, false
+	}
+	if at > s.until || s.shouldHalt() {
+		return action{}, false
+	}
+	s.dispatched++
+	if fromHeap {
+		s.now = at
+		return s.heap.pop(), true
+	}
+	return s.lane.Pop(), true
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// execution token: self is the calling thread — parking, or done and on its
+// way out — or s.main inside Run/Drain. Callbacks run in place. An event that
+// resumes self ends the loop with no goroutine switch; one that resumes
+// another thread hands it the token directly, and that thread carries the loop
+// on when it next parks. When nothing more is due the thread to resume is
+// s.main, which takes the token back to Run/Drain. dispatch returns when self
+// has the token again (a live thread), or at once after giving it away (a
+// dying thread, which must not touch simulation state afterwards).
+func (s *Scheduler) dispatch(self *Thread) {
+	for {
+		a, ok := s.next()
+		t := a.t
+		switch {
+		case !ok:
+			t = s.main
+		case a.fn != nil:
+			a.fn()
+			continue
+		default:
+			if a.burst {
+				s.finishBurst(t)
+			}
+			if t.done {
+				continue // stale event of a killed thread
+			}
+		}
+		if t != self {
+			t.resume <- struct{}{}
+			if !self.done {
+				self.await()
+			}
+		}
+		return
+	}
+}
+
+// unwind terminates t from outside Run: resumed with the kill or poison flag
+// set, t panics out of whatever primitive or hand-off it is blocked in and
+// gives the token straight back to s.main without dispatching anything.
+func (s *Scheduler) unwind(t *Thread) {
 	if t.done {
 		return
 	}
 	t.resume <- struct{}{}
-	<-s.yield
+	<-s.main.resume
 }
 
 // startBurst begins t's pending CPU burst now; completion is an event.
@@ -409,11 +479,11 @@ func (s *Scheduler) startBurst(t *Thread) {
 			s.freeCoreIDs = s.freeCoreIDs[:n-1]
 		}
 	}
-	s.post(s.now+Time(t.burstDur), func() { s.finishBurst(t) })
+	s.post(s.now+Time(t.burstDur), action{t: t, burst: true})
 }
 
-// finishBurst accounts t's completed burst, starts the next queued burst if
-// any, and resumes t.
+// finishBurst accounts t's completed burst and starts the next queued burst,
+// if any; the dispatcher then resumes t.
 func (s *Scheduler) finishBurst(t *Thread) {
 	s.freeCores++
 	s.busy[t.burstCat] += t.burstDur
@@ -424,12 +494,8 @@ func (s *Scheduler) finishBurst(t *Thread) {
 		s.freeCoreIDs = append(s.freeCoreIDs, t.burstCore)
 		t.burstCore = -1
 	}
-	if len(s.readyQ) > 0 {
-		next := s.readyQ[0]
-		copy(s.readyQ, s.readyQ[1:])
-		s.readyQ = s.readyQ[:len(s.readyQ)-1]
+	if s.readyQ.Len() > 0 {
 		s.freeCores--
-		s.startBurst(next)
+		s.startBurst(s.readyQ.Pop())
 	}
-	s.runThread(t)
 }

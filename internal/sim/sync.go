@@ -1,6 +1,9 @@
 package sim
 
-import "wafl/internal/obs"
+import (
+	"wafl/internal/fifo"
+	"wafl/internal/obs"
+)
 
 // Mutex is a simulated lock with FIFO waiters. Because the kernel serializes
 // all simulated execution, Mutex exists to model blocking and contention —
@@ -9,7 +12,7 @@ type Mutex struct {
 	s       *Scheduler
 	name    string
 	holder  *Thread
-	waiters []*Thread
+	waiters fifo.Queue[*Thread]
 
 	// contention statistics
 	Acquisitions uint64   // total successful Lock calls
@@ -33,7 +36,7 @@ func (m *Mutex) Lock(t *Thread) {
 	}
 	m.Contended++
 	start := m.s.now
-	m.waiters = append(m.waiters, t)
+	m.waiters.Push(t)
 	t.park()
 	// Ownership was transferred to us by Unlock before we were resumed.
 	m.WaitTime += Duration(m.s.now - start)
@@ -58,15 +61,12 @@ func (m *Mutex) Unlock(t *Thread) {
 	if m.holder != t {
 		panic("sim: Unlock of mutex " + m.name + " by non-holder")
 	}
-	if len(m.waiters) == 0 {
+	if m.waiters.Len() == 0 {
 		m.holder = nil
 		return
 	}
-	next := m.waiters[0]
-	copy(m.waiters, m.waiters[1:])
-	m.waiters = m.waiters[:len(m.waiters)-1]
-	m.holder = next
-	m.s.post(m.s.now, func() { m.s.runThread(next) })
+	m.holder = m.waiters.Pop()
+	m.s.post(m.s.now, action{t: m.holder})
 }
 
 // Held reports whether the mutex is currently held (by any thread).
@@ -76,7 +76,7 @@ func (m *Mutex) Held() bool { return m.holder != nil }
 type WaitQueue struct {
 	s       *Scheduler
 	name    string
-	waiters []*Thread
+	waiters fifo.Queue[*Thread]
 
 	Waits   uint64 // total Wait calls
 	Signals uint64 // total Signal/Broadcast wakeups delivered
@@ -91,7 +91,7 @@ func NewWaitQueue(s *Scheduler, name string) *WaitQueue {
 func (q *WaitQueue) Wait(t *Thread) {
 	q.Waits++
 	start := q.s.now
-	q.waiters = append(q.waiters, t)
+	q.waiters.Push(t)
 	t.park()
 	if tr := q.s.tr; tr != nil {
 		tr.Span(obs.PidThreads, t.TrackID(), "sync", "wait:"+q.name, int64(start), int64(q.s.now))
@@ -109,28 +109,23 @@ func (q *WaitQueue) WaitWith(t *Thread, m *Mutex) {
 
 // Signal wakes the oldest waiter, if any, and reports whether one was woken.
 func (q *WaitQueue) Signal() bool {
-	if len(q.waiters) == 0 {
+	if q.waiters.Len() == 0 {
 		return false
 	}
-	next := q.waiters[0]
-	copy(q.waiters, q.waiters[1:])
-	q.waiters = q.waiters[:len(q.waiters)-1]
 	q.Signals++
-	q.s.post(q.s.now, func() { q.s.runThread(next) })
+	q.s.post(q.s.now, action{t: q.waiters.Pop()})
 	return true
 }
 
 // Broadcast wakes all waiters and returns how many were woken.
 func (q *WaitQueue) Broadcast() int {
-	n := len(q.waiters)
-	for _, t := range q.waiters {
-		tt := t
+	n := q.waiters.Len()
+	for i := 0; i < n; i++ {
 		q.Signals++
-		q.s.post(q.s.now, func() { q.s.runThread(tt) })
+		q.s.post(q.s.now, action{t: q.waiters.Pop()})
 	}
-	q.waiters = q.waiters[:0]
 	return n
 }
 
 // Len returns the number of parked threads.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return q.waiters.Len() }

@@ -30,8 +30,8 @@ type Thread struct {
 	obsTid    int32 // interned obs track id + 1; 0 means not yet interned
 }
 
-// killSentinel is the panic value used to unwind poisoned threads during
-// Shutdown.
+// killSentinel is the panic value used to unwind poisoned or killed threads
+// during Shutdown/KillRange.
 type killSentinel struct{}
 
 // spawn builds a thread and its goroutine, scheduled to start at time at.
@@ -51,22 +51,26 @@ func (s *Scheduler) spawn(at Time, name string, cat Category, fn func(*Thread)) 
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
-					// Real failure: crash loudly rather than hang the
-					// scheduler.
+					// Real failure — in the body, or in a callback this
+					// thread was dispatching: crash loudly rather than hang
+					// the scheduler.
 					panic(r)
 				}
 			}
 			t.done = true
 			s.live--
-			s.yield <- struct{}{}
+			if s.poisoned || t.killed {
+				s.main.resume <- struct{}{} // unwind is waiting; dispatch nothing
+				return
+			}
+			// The body returned mid-Run holding the token: carry the event
+			// loop on until it can be handed to someone else.
+			s.dispatch(t)
 		}()
-		<-t.resume
-		if s.poisoned || t.killed {
-			panic(killSentinel{})
-		}
+		t.await()
 		fn(t)
 	}()
-	s.post(at, func() { s.runThread(t) })
+	s.post(at, action{t: t})
 	return t
 }
 
@@ -118,10 +122,13 @@ func (t *Thread) SetCat(cat Category) Category {
 	return prev
 }
 
-// park yields the execution token to the scheduler and blocks until
-// resumed. A resume after Shutdown unwinds the thread.
-func (t *Thread) park() {
-	t.s.yield <- struct{}{}
+// park blocks the thread until an event resumes it. The thread holds the
+// execution token, so it runs the event loop itself until then.
+func (t *Thread) park() { t.s.dispatch(t) }
+
+// await blocks until t is handed the execution token. A resume by
+// Shutdown/KillRange unwinds the thread instead.
+func (t *Thread) await() {
 	<-t.resume
 	if t.s.poisoned || t.killed {
 		panic(killSentinel{})
@@ -150,7 +157,7 @@ func (t *Thread) ConsumeAs(cat Category, d Duration) {
 		if s.tr != nil {
 			t.queuedAt = s.now
 		}
-		s.readyQ = append(s.readyQ, t)
+		s.readyQ.Push(t)
 	}
 	t.park()
 }
@@ -161,7 +168,7 @@ func (t *Thread) Sleep(d Duration) {
 		d = 0
 	}
 	s := t.s
-	s.post(s.now+Time(d), func() { s.runThread(t) })
+	s.post(s.now+Time(d), action{t: t})
 	t.park()
 }
 
@@ -169,6 +176,6 @@ func (t *Thread) Sleep(d Duration) {
 // current simulated time.
 func (t *Thread) Yield() {
 	s := t.s
-	s.post(s.now, func() { s.runThread(t) })
+	s.post(s.now, action{t: t})
 	t.park()
 }

@@ -20,6 +20,7 @@ package waffinity
 import (
 	"fmt"
 
+	"wafl/internal/fifo"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
 )
@@ -75,7 +76,7 @@ type Affinity struct {
 	running    bool // a message of this affinity is executing (or blocked)
 	descActive int  // number of active messages in strict descendants
 
-	pending []*message // FIFO queue of not-yet-dispatched messages
+	pending fifo.Queue[*message] // not-yet-dispatched messages
 
 	obsTid int32 // interned trace track id + 1; 0 when not yet interned
 
@@ -185,10 +186,10 @@ func (w *Scheduler) AddChild(parent *Affinity, kind Kind, name string) *Affinity
 // scheduler context when the message completes.
 func (w *Scheduler) Send(aff *Affinity, cat sim.Category, fn func(*sim.Thread), done func()) {
 	m := &message{aff: aff, cat: cat, fn: fn, enqueued: w.s.Now(), done: done}
-	if len(aff.pending) == 0 {
+	if aff.pending.Len() == 0 {
 		w.pendingAffs = append(w.pendingAffs, aff)
 	}
-	aff.pending = append(aff.pending, m)
+	aff.pending.Push(m)
 	w.stats.Sent++
 	w.queued++
 	if w.queued > w.stats.MaxQueued {
@@ -196,7 +197,7 @@ func (w *Scheduler) Send(aff *Affinity, cat sim.Category, fn func(*sim.Thread), 
 	}
 	if tr := w.s.Tracer(); tr != nil {
 		now := int64(w.s.Now())
-		tr.InstantArg(obs.PidAffinity, aff.track(tr), "waffinity", "enqueue", now, int64(len(aff.pending)))
+		tr.InstantArg(obs.PidAffinity, aff.track(tr), "waffinity", "enqueue", now, int64(aff.pending.Len()))
 		tr.Counter(obs.PidAffinity, 0, "queued msgs", now, int64(w.queued))
 	}
 	w.idle.Signal()
@@ -228,14 +229,14 @@ func canRun(aff *Affinity) bool {
 		return false
 	}
 	var head sim.Time = -1
-	if len(aff.pending) > 0 {
-		head = aff.pending[0].enqueued
+	if aff.pending.Len() > 0 {
+		head = aff.pending.Peek().enqueued
 	}
 	for anc := aff.parent; anc != nil; anc = anc.parent {
 		if anc.running {
 			return false
 		}
-		if len(anc.pending) > 0 && anc.pending[0].enqueued <= head {
+		if anc.pending.Len() > 0 && anc.pending.Peek().enqueued <= head {
 			return false
 		}
 	}
@@ -264,10 +265,10 @@ func (w *Scheduler) pickMessage() *message {
 	bestIdx := -1
 	var best *message
 	for i, aff := range w.pendingAffs {
-		if len(aff.pending) == 0 {
+		if aff.pending.Len() == 0 {
 			continue
 		}
-		head := aff.pending[0]
+		head := aff.pending.Peek()
 		if !canRun(aff) {
 			continue
 		}
@@ -279,8 +280,8 @@ func (w *Scheduler) pickMessage() *message {
 		return nil
 	}
 	aff := w.pendingAffs[bestIdx]
-	aff.pending = aff.pending[1:]
-	if len(aff.pending) == 0 {
+	aff.pending.Pop()
+	if aff.pending.Len() == 0 {
 		w.pendingAffs = append(w.pendingAffs[:bestIdx], w.pendingAffs[bestIdx+1:]...)
 	}
 	w.queued--
