@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race racecp bench crashcheck affcheck clustercheck overloadcheck clonecheck ci clean
+.PHONY: all build test vet race racecp bench benchsmoke crashcheck affcheck clustercheck overloadcheck clonecheck ci clean
 
 all: build
 
@@ -32,6 +32,12 @@ bench:
 	$(GO) run ./cmd/waflbench -exp flexgroup -members 4 -benchjson BENCH_PR6.json
 	$(GO) run ./cmd/waflbench -exp overload -benchjson BENCH_PR7.json
 	$(GO) run ./cmd/waflbench -exp clonefleet -benchjson BENCH_PR8.json
+
+# benchsmoke runs every package benchmark under internal/ for one iteration,
+# so a benchmark that no longer builds or panics fails the gate. The numbers
+# it prints mean nothing; see the files' own comments for measuring.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # crashcheck runs the bounded crash-schedule fault-injection sweep: crash at
 # dozens of reproducible points (event indices + CP phase boundaries),
@@ -76,10 +82,10 @@ clonecheck:
 	$(GO) run ./cmd/waflbench -clonecheck -clonepoints 18
 
 # ci is the gate run before merging: vet, build, the affinity-access gate,
-# the full test suite under the race detector, the bounded crash sweeps
-# (whole-node, single-member, and clone/restore), and the admission-control
-# SLO check.
-ci: vet build affcheck race racecp crashcheck clustercheck clonecheck overloadcheck
+# the full test suite under the race detector, one iteration of every
+# package benchmark, the bounded crash sweeps (whole-node, single-member,
+# and clone/restore), and the admission-control SLO check.
+ci: vet build affcheck race racecp benchsmoke crashcheck clustercheck clonecheck overloadcheck
 
 clean:
 	rm -f wafltop waflbench *.test

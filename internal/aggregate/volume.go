@@ -1,8 +1,10 @@
 package aggregate
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"wafl/internal/bitmap"
 	"wafl/internal/block"
@@ -374,32 +376,20 @@ func (v *Volume) DirtyFiles() int { return len(v.dirty) }
 // the frozen inode list (sorted by ino for determinism). Files with only a
 // record change (fresh creates) are included with zero frozen buffers.
 func (v *Volume) FreezeAll() []*fs.File {
-	seen := make(map[uint64]*fs.File, len(v.dirty)+len(v.recordDirty))
-	for ino, f := range v.dirty {
+	out := make([]*fs.File, 0, len(v.dirty)+len(v.recordDirty))
+	for _, f := range v.dirty {
 		f.Freeze()
-		seen[ino] = f
+		out = append(out, f)
 	}
 	for ino, f := range v.recordDirty {
-		if _, ok := seen[ino]; !ok {
-			seen[ino] = f
+		if _, ok := v.dirty[ino]; !ok {
+			out = append(out, f)
 		}
 	}
 	v.dirty = make(map[uint64]*fs.File)
 	v.recordDirty = make(map[uint64]*fs.File)
-	out := make([]*fs.File, 0, len(seen))
-	for _, f := range seen {
-		out = append(out, f)
-	}
-	sortFilesByIno(out)
+	slices.SortFunc(out, func(a, b *fs.File) int { return cmp.Compare(a.Ino(), b.Ino()) })
 	return out
-}
-
-func sortFilesByIno(fs []*fs.File) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j-1].Ino() > fs[j].Ino(); j-- {
-			fs[j-1], fs[j] = fs[j], fs[j-1]
-		}
-	}
 }
 
 // WriteRecord serializes f's current record into the inode file, dirtying

@@ -194,7 +194,7 @@ func (p *Pool) CleanerEngaged() []sim.Duration {
 func (p *Pool) BuildJobs(vol *aggregate.Volume, files []*fs.File, dual bool) []*Job {
 	var jobs []*Job
 	for _, f := range files {
-		l0 := len(f.FrozenLevel(0))
+		l0 := f.FrozenLevelCount(0)
 		if p.opts.SplitLargeFiles && l0 >= p.opts.SplitThreshold && p.opts.SplitJobs > 1 {
 			p.stats.FilesSplit++
 			g := &splitGroup{remaining: p.opts.SplitJobs, vol: vol, file: f, dual: dual}
@@ -387,10 +387,13 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job, f *fs.File) {
 		loLevel = 1
 	}
 	for level := loLevel; level <= hiLevel; level++ {
-		for _, b := range f.FrozenLevel(level) {
-			if job.Mode == JobL0Range && (b.FBN() < job.Lo || b.FBN() >= job.Hi) {
-				continue
-			}
+		var bufs []*fs.Buffer
+		if job.Mode == JobL0Range {
+			bufs = f.FrozenRange(job.Lo, job.Hi)
+		} else {
+			bufs = f.FrozenLevel(level)
+		}
+		for _, b := range bufs {
 			t.Consume(p.costs.CleanerPerBuffer)
 
 			// USE: one VBN from the physical bucket.

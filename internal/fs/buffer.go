@@ -8,6 +8,12 @@
 // allocators, or scheduling. The consistency-point engine (internal/cp) and
 // the write allocator (internal/core) drive it through the cleaning
 // iteration API on File.
+//
+// Nothing on the data path hashes. An FBN is a radix path, so a File finds
+// its buffers through a trie shaped like the indirect tree (node), and its
+// dirty sets are append-only lists whose membership is the buffer's own
+// flag (dirtyList): Freeze hands a list over, CleanChild clears a flag,
+// FrozenLevel returns the list itself. DESIGN.md §15 has the invariants.
 package fs
 
 import (

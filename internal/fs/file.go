@@ -1,8 +1,9 @@
 package fs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wafl/internal/block"
 )
@@ -28,24 +29,62 @@ func HeightFor(maxBlocks uint64) int {
 	panic(fmt.Sprintf("fs: file of %d blocks exceeds maximum height", maxBlocks))
 }
 
-// dirtySet tracks dirty buffers per level.
-type dirtySet struct {
-	levels []map[block.FBN]*Buffer // keyed by buffer index within the level
-	count  int
+// node is one position of a file's buffer index: a trie with the shape of
+// the indirect tree, one node per indirect-block position from level 1 up
+// to the root. An FBN is a radix path, so finding a buffer is one array
+// step per level. Nodes are not Buffers: a node exists as soon as anything
+// beneath it is resident, while its indirect block may never have been
+// loaded — residency of the block is buf != nil, and the demand-load path
+// branches on exactly that.
+//
+// Slot arrays are allocated on first touch and sized to the highest slot
+// touched (rounded up to a power of two), so small and sparse files do not
+// pay for 256 pointers per node, and nothing is ever sized from the file's
+// capacity or its on-media record.
+type node struct {
+	buf    *Buffer   // the indirect buffer at this position; nil if not resident
+	kids   []*node   // level >= 2: child positions
+	leaves []*Buffer // level 1: L0 buffers
 }
 
-func newDirtySet(height int) *dirtySet {
-	ds := &dirtySet{levels: make([]map[block.FBN]*Buffer, height+1)}
-	for i := range ds.levels {
-		ds.levels[i] = make(map[block.FBN]*Buffer)
+// growSlots returns s extended to hold slot d.
+func growSlots[T any](s []*T, d int) []*T {
+	n := 8
+	for n <= d {
+		n *= 2
 	}
-	return ds
+	ns := make([]*T, n)
+	copy(ns, s)
+	return ns
 }
 
-func (ds *dirtySet) add(idx block.FBN, b *Buffer) {
-	if _, ok := ds.levels[b.level][idx]; !ok {
-		ds.levels[b.level][idx] = b
-		ds.count++
+// dirtyList is a set of dirty buffers kept as an append-only list.
+// Membership is the buffer's own flag (dirtyCurr / dirtyFrozen): a buffer is
+// appended on its false-to-true flag transition, which de-duplicates, and
+// leaves the set by having the flag cleared — the list entry stays behind.
+// So every member appears at least once, live counts the members, and
+// len(bufs) == live exactly when the list holds no cleaned entry and no
+// repeat (a buffer cleaned and re-dirtied before the list was reset).
+type dirtyList struct {
+	bufs     []*Buffer
+	live     int
+	unsorted bool // some append arrived below its predecessor's FBN
+}
+
+func (dl *dirtyList) add(b *Buffer) {
+	if n := len(dl.bufs); n > 0 && b.fbn < dl.bufs[n-1].fbn {
+		dl.unsorted = true
+	}
+	dl.bufs = append(dl.bufs, b)
+	dl.live++
+}
+
+// sort puts the list in FBN order — the cleaning order. Sequential writers
+// append in order and never pay for it.
+func (dl *dirtyList) sort() {
+	if dl.unsorted {
+		slices.SortFunc(dl.bufs, func(a, b *Buffer) int { return cmp.Compare(a.fbn, b.fbn) })
+		dl.unsorted = false
 	}
 }
 
@@ -57,12 +96,17 @@ type File struct {
 	height int
 	size   block.FBN // one past the highest FBN ever written
 
-	// levels[l] caches this file's buffers at level l, keyed by buffer
-	// index (fbn >> (8*l)).
-	levels []map[block.FBN]*Buffer
+	root     node // index position of the root indirect block (level height)
+	resident int  // buffers in the index, all levels
 
-	curr   *dirtySet // dirty in the open generation
-	frozen *dirtySet // dirty in the freezing CP
+	// curr holds the buffers dirty in the open generation. Clients dirty
+	// only L0 buffers; indirect blocks are dirtied by cleaning, straight
+	// into the CP.
+	curr dirtyList
+	// frozen[l] holds the level-l buffers dirty in the freezing CP. All
+	// lists are emptied whenever frozenCount returns to zero.
+	frozen      [MaxHeight + 1]dirtyList
+	frozenCount int
 
 	// Root location on persistent storage (pointer held by the inode).
 	RootVVBN block.VVBN
@@ -81,19 +125,12 @@ func NewFile(ino uint64, height int) *File {
 	if height < 1 || height > MaxHeight {
 		panic(fmt.Sprintf("fs: invalid height %d", height))
 	}
-	f := &File{
+	return &File{
 		ino:      ino,
 		height:   height,
-		levels:   make([]map[block.FBN]*Buffer, height+1),
 		RootVVBN: block.InvalidVVBN,
 		RootVBN:  block.InvalidVBN,
 	}
-	for i := range f.levels {
-		f.levels[i] = make(map[block.FBN]*Buffer)
-	}
-	f.curr = newDirtySet(height)
-	f.frozen = newDirtySet(height)
-	return f
 }
 
 // Ino returns the file's inode number.
@@ -106,31 +143,73 @@ func (f *File) Height() int { return f.height }
 func (f *File) Size() block.FBN { return f.size }
 
 // MaxBlocks returns the file's addressable capacity in blocks.
-func (f *File) MaxBlocks() uint64 {
-	n := uint64(1)
-	for i := 0; i < f.height; i++ {
-		n *= uint64(block.PtrsPerBlock)
-	}
-	return n
-}
+func (f *File) MaxBlocks() uint64 { return 1 << (radixBits * uint(f.height)) }
 
-// index returns b's key within its level map.
+// index returns b's position within its level (fbn >> (8*level)).
 func index(b *Buffer) block.FBN { return b.fbn >> (radixBits * uint(b.level)) }
+
+// digit returns the slot, within the index node at level l, on the path to
+// the buffer at (level, idx).
+func digit(level int, idx block.FBN, l int) int {
+	return int(idx>>(radixBits*uint(l-1-level))) & (block.PtrsPerBlock - 1)
+}
 
 // Buffer returns the cached buffer at (level, idx), or nil.
 func (f *File) Buffer(level int, idx block.FBN) *Buffer {
-	return f.levels[level][idx]
+	if uint(level) > uint(f.height) {
+		panic(fmt.Sprintf("fs: level %d outside tree of height %d (ino %d)", level, f.height, f.ino))
+	}
+	if idx>>(radixBits*uint(f.height-level)) != 0 {
+		return nil
+	}
+	n := &f.root
+	for l := f.height; l > level && l > 1; l-- {
+		d := digit(level, idx, l)
+		if d >= len(n.kids) || n.kids[d] == nil {
+			return nil
+		}
+		n = n.kids[d]
+	}
+	if level > 0 {
+		return n.buf
+	}
+	if d := digit(0, idx, 1); d < len(n.leaves) {
+		return n.leaves[d]
+	}
+	return nil
 }
 
 // getOrCreate returns the buffer at (level, idx), creating it zeroed if
-// absent.
+// absent. Only the index nodes on its path are created with it — never the
+// indirect buffers above it.
 func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
-	if b := f.levels[level][idx]; b != nil {
-		return b
+	if uint(level) > uint(f.height) || idx>>(radixBits*uint(f.height-level)) != 0 {
+		panic(fmt.Sprintf("fs: buffer (level %d, index %d) outside tree of height %d (ino %d)", level, idx, f.height, f.ino))
 	}
-	b := newBuffer(idx<<(radixBits*uint(level)), level)
-	f.levels[level][idx] = b
-	return b
+	n := &f.root
+	for l := f.height; l > level && l > 1; l-- {
+		d := digit(level, idx, l)
+		if d >= len(n.kids) {
+			n.kids = growSlots(n.kids, d)
+		}
+		if n.kids[d] == nil {
+			n.kids[d] = new(node)
+		}
+		n = n.kids[d]
+	}
+	slot := &n.buf
+	if level == 0 {
+		d := digit(0, idx, 1)
+		if d >= len(n.leaves) {
+			n.leaves = growSlots(n.leaves, d)
+		}
+		slot = &n.leaves[d]
+	}
+	if *slot == nil {
+		*slot = newBuffer(idx<<(radixBits*uint(level)), level)
+		f.resident++
+	}
+	return *slot
 }
 
 // InstallBuffer populates the cache with a block loaded from persistent
@@ -154,16 +233,13 @@ func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.V
 // copy-on-write as needed, and marks the buffer dirty. data is copied, never
 // retained. It returns the buffer.
 func (f *File) WriteBlock(fbn block.FBN, data []byte) *Buffer {
-	if uint64(fbn) >= f.MaxBlocks() {
-		panic(fmt.Sprintf("fs: fbn %d beyond file capacity %d (ino %d)", fbn, f.MaxBlocks(), f.ino))
-	}
 	b := f.getOrCreate(0, fbn)
 	if b.replace(data) {
 		f.CoWCopies++
 	}
 	if !b.dirtyCurr {
 		b.dirtyCurr = true
-		f.curr.add(fbn, b)
+		f.curr.add(b)
 	}
 	if fbn >= f.size {
 		f.size = fbn + 1
@@ -174,52 +250,81 @@ func (f *File) WriteBlock(fbn block.FBN, data []byte) *Buffer {
 // ReadBlock returns the live image of FBN fbn from the cache, or nil if the
 // block is not resident (callers fall back to the demand-load path).
 func (f *File) ReadBlock(fbn block.FBN) []byte {
-	if b := f.levels[0][fbn]; b != nil {
+	if b := f.Buffer(0, fbn); b != nil {
 		return b.Data()
 	}
 	return nil
 }
 
 // DirtyCount returns the number of buffers dirty in the open generation.
-func (f *File) DirtyCount() int { return f.curr.count }
+func (f *File) DirtyCount() int { return f.curr.live }
 
 // FrozenCount returns the number of buffers still awaiting cleaning in the
 // frozen set.
-func (f *File) FrozenCount() int { return f.frozen.count }
+func (f *File) FrozenCount() int { return f.frozenCount }
+
+// FrozenLevelCount returns the number of level-l buffers still awaiting
+// cleaning in the frozen set.
+func (f *File) FrozenLevelCount(level int) int { return f.frozen[level].live }
 
 // Freeze atomically moves the open generation's dirty set into the frozen
-// set at CP start. The previous CP must have completed (empty frozen set).
-// It returns the number of buffers frozen.
+// set at CP start: a flag flip per buffer and a hand-over of the list. The
+// previous CP must have completed (empty frozen set). It returns the number
+// of buffers frozen.
 func (f *File) Freeze() int {
-	if f.frozen.count != 0 {
-		panic(fmt.Sprintf("fs: Freeze with %d uncleaned frozen buffers (ino %d)", f.frozen.count, f.ino))
+	if f.frozenCount != 0 {
+		panic(fmt.Sprintf("fs: Freeze with %d uncleaned frozen buffers (ino %d)", f.frozenCount, f.ino))
 	}
-	n := 0
-	for level, m := range f.curr.levels {
-		for idx, b := range m {
-			b.freeze()
-			f.frozen.add(idx, b)
-			n++
-			delete(m, idx)
-		}
-		_ = level
+	for _, b := range f.curr.bufs {
+		b.freeze()
 	}
-	f.curr.count = 0
-	return n
+	// The frozen lists are empty (frozenCount is 0), so the open list becomes
+	// the frozen L0 list as it stands and the spent one is reused.
+	spent := f.frozen[0].bufs[:0]
+	f.frozen[0] = f.curr
+	f.curr = dirtyList{bufs: spent}
+	f.frozenCount = f.frozen[0].live
+	return f.frozenCount
 }
 
 // FrozenLevel returns the frozen-dirty buffers at the given level, sorted by
 // FBN — the cleaning order. Cleaning level l may add newly-dirtied parents
 // at level l+1; callers iterate levels bottom-up, calling FrozenLevel for
 // each level only after the previous level is fully cleaned.
+//
+// The result is the level's own list, not a copy: it stays valid while
+// buffers are cleaned or dirtied, until the next FrozenLevel call for the
+// same level, which drops cleaned entries and sorts in place (at most once
+// per CP for a user file, and only if writes arrived out of FBN order).
 func (f *File) FrozenLevel(level int) []*Buffer {
-	m := f.frozen.levels[level]
-	out := make([]*Buffer, 0, len(m))
-	for _, b := range m {
-		out = append(out, b)
+	dl := &f.frozen[level]
+	if len(dl.bufs) != dl.live {
+		dl.bufs = slices.DeleteFunc(dl.bufs, func(b *Buffer) bool { return !b.dirtyFrozen })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].fbn < out[j].fbn })
-	return out
+	dl.sort()
+	if len(dl.bufs) != dl.live {
+		// Repeats of a buffer cleaned and re-dirtied are adjacent now.
+		dl.bufs = slices.Compact(dl.bufs)
+	}
+	if len(dl.bufs) != dl.live {
+		panic(fmt.Sprintf("fs: frozen list of level %d holds %d buffers, %d dirty (ino %d)", level, len(dl.bufs), dl.live, f.ino))
+	}
+	return dl.bufs
+}
+
+// FrozenRange returns the part of the frozen L0 list with FBN in [lo, hi),
+// in FBN order, found by binary search — one slice of a large file split
+// across cleaner threads. Unlike FrozenLevel it never drops entries, so
+// range jobs over disjoint ranges of one file may interleave: each keeps
+// seeing exactly its range while the others clean theirs.
+func (f *File) FrozenRange(lo, hi block.FBN) []*Buffer {
+	dl := &f.frozen[0]
+	dl.sort()
+	at := func(fbn block.FBN) int {
+		i, _ := slices.BinarySearchFunc(dl.bufs, fbn, func(b *Buffer, fbn block.FBN) int { return cmp.Compare(b.fbn, fbn) })
+		return i
+	}
+	return dl.bufs[at(lo):at(hi)]
 }
 
 // CleanChild records that the cleaner assigned (vvbn, vbn) to frozen buffer
@@ -231,24 +336,28 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (oldVVBN bl
 	if !b.dirtyFrozen {
 		panic("fs: CleanChild on buffer not in frozen set")
 	}
-	idx := index(b)
-	delete(f.frozen.levels[b.level], idx)
-	f.frozen.count--
+	f.frozen[b.level].live--
+	f.frozenCount--
 	oldVVBN, oldVBN = b.MarkCleaned(vvbn, vbn)
 
 	if b.level == f.height {
 		f.RootVVBN, f.RootVBN = vvbn, vbn
 		f.Gen++
+		if f.frozenCount == 0 {
+			// Nothing is left to clean, so nobody is iterating: drop the
+			// cleaned entries. This, not Freeze, is what bounds the lists
+			// of metafiles that are only ever dirtied into the CP.
+			for l := range f.frozen {
+				f.frozen[l] = dirtyList{bufs: f.frozen[l].bufs[:0]}
+			}
+		}
 		return oldVVBN, oldVBN
 	}
+	idx := index(b)
 	parent := f.getOrCreate(b.level+1, idx>>radixBits)
 	pd := parent.CPMutableData()
 	block.PutPtr(pd, int(idx&(block.PtrsPerBlock-1)), vvbn, vbn)
-	if !parent.dirtyFrozen {
-		parent.dirtyFrozen = true
-		parent.inCP = true
-		f.frozen.add(index(parent), parent)
-	}
+	f.DirtyIntoCP(parent)
 	return oldVVBN, oldVBN
 }
 
@@ -260,7 +369,8 @@ func (f *File) DirtyIntoCP(b *Buffer) {
 	if !b.dirtyFrozen {
 		b.dirtyFrozen = true
 		b.inCP = true
-		f.frozen.add(index(b), b)
+		f.frozen[b.level].add(b)
+		f.frozenCount++
 	}
 }
 
@@ -268,9 +378,6 @@ func (f *File) DirtyIntoCP(b *Buffer) {
 // without marking it dirty. Metafile code uses it with DirtyIntoCP /
 // CPMutableData.
 func (f *File) GetOrCreateL0(fbn block.FBN) *Buffer {
-	if uint64(fbn) >= f.MaxBlocks() {
-		panic(fmt.Sprintf("fs: fbn %d beyond metafile capacity %d (ino %d)", fbn, f.MaxBlocks(), f.ino))
-	}
 	b := f.getOrCreate(0, fbn)
 	if fbn >= f.size {
 		f.size = fbn + 1
@@ -301,10 +408,4 @@ func PtrAt(b *Buffer, childIdx int) (block.VVBN, block.VBN) {
 }
 
 // ResidentBuffers returns the total number of cached buffers (all levels).
-func (f *File) ResidentBuffers() int {
-	n := 0
-	for _, m := range f.levels {
-		n += len(m)
-	}
-	return n
-}
+func (f *File) ResidentBuffers() int { return f.resident }
