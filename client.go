@@ -639,13 +639,7 @@ func (c *ClientCtx) CloneCreate(parentVol int, snapID uint64) (int, bool) {
 		if !pv.SnapshotExists(snapID) {
 			return
 		}
-		for s := sys.cfg.Volumes; s < sys.cfg.Volumes+sys.cfg.CloneSlots; s++ {
-			if m.a.Volume(s).CloneSlotFree() {
-				slot = s
-				break
-			}
-		}
-		if slot < 0 {
+		if slot = m.freeCloneSlot(); slot < 0 {
 			return
 		}
 		m.a.Volume(slot).RequestCloneBind(plv, snapID)

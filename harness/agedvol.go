@@ -16,14 +16,14 @@ import (
 // headline metric is volume fill words charged per installed virtual
 // bucket: the simulated CPU the infrastructure burns scanning bitmaps for
 // each bucket of allocatable VVBNs it delivers.
-func AgedVolume(rc RunConfig) (Table, []BenchResult, error) {
+func AgedVolume(rc RunConfig) (Table, error) {
 	t := Table{
 		ID:    "agedvol",
 		Title: "Aged snapshotted volume: legacy bitmap scan vs hierarchical free accounting",
 		Headers: []string{"mode", "ops/s", "MB/s", "lat p50", "lat p99",
 			"vfillwords", "vbuckets", "words/vbucket", "infra cores", "getwaits"},
 	}
-	var out []BenchResult
+	var perVB [2]float64 // fill words per installed vbucket, by mode
 
 	w := workload.DefaultAgedVol()
 	modes := []struct {
@@ -33,7 +33,7 @@ func AgedVolume(rc RunConfig) (Table, []BenchResult, error) {
 		{"legacy scan", false},
 		{"hierarchical", true},
 	}
-	for _, m := range modes {
+	for i, m := range modes {
 		cfg := rc.Base
 		cfg.Volumes = w.Volumes
 		cfg.VolumeBlocks = 1 << 18 // 8 vregions; aged to ~84% occupancy
@@ -41,7 +41,7 @@ func AgedVolume(rc RunConfig) (Table, []BenchResult, error) {
 		cfg.Allocator.HierarchicalFree = m.hier
 		sys, err := wafl.NewSystem(cfg)
 		if err != nil {
-			return t, out, err
+			return t, err
 		}
 		w.Attach(sys) // prefill + age in simulated time
 		sys.Run(rc.Warmup)
@@ -49,21 +49,30 @@ func AgedVolume(rc RunConfig) (Table, []BenchResult, error) {
 		res := sys.Measure(0, rc.Window)
 		c1 := sys.Counters()
 		sys.Shutdown()
-		b := benchResultFrom("agedvol", m.name, res, c0, c1)
-		out = append(out, b)
+		perVB[i] = wordsPerVBucket(c0, c1)
 		t.Rows = append(t.Rows, []string{
-			m.name, f0(b.OpsPerSec), f2(b.MBPerSec), ms(res.LatP50), ms(res.LatP99),
-			fmt.Sprintf("%d", b.VFillWords), fmt.Sprintf("%d", b.VBucketsFilled),
-			f2(b.FillWordsPerVBucket), f2(b.InfraCores), fmt.Sprintf("%d", b.GetWaits),
+			m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
+			fmt.Sprintf("%d", c1.VFillWords-c0.VFillWords),
+			fmt.Sprintf("%d", c1.VBucketsFilled-c0.VBucketsFilled),
+			f2(perVB[i]), f2(res.Cores.Infra), fmt.Sprintf("%d", c1.GetWaits-c0.GetWaits),
 		})
 	}
-	if len(out) == 2 && out[1].FillWordsPerVBucket > 0 {
+	if perVB[1] > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"fill words per installed vbucket: %.1f -> %.1f (%.1fx reduction)",
-			out[0].FillWordsPerVBucket, out[1].FillWordsPerVBucket,
-			out[0].FillWordsPerVBucket/out[1].FillWordsPerVBucket))
+			perVB[0], perVB[1], perVB[0]/perVB[1]))
 	}
 	t.Notes = append(t.Notes,
 		"both volumes ~82% occupied (active + snapshot-held) with a pinned base snapshot and a rotating 2-deep ring")
-	return t, out, nil
+	return t, nil
+}
+
+// wordsPerVBucket is the volume fill words charged per installed virtual
+// bucket between two counter snapshots (0 when none was installed).
+func wordsPerVBucket(c0, c1 wafl.InfraCounters) float64 {
+	n := c1.VBucketsFilled - c0.VBucketsFilled
+	if n == 0 {
+		return 0
+	}
+	return float64(c1.VFillWords-c0.VFillWords) / float64(n)
 }

@@ -17,15 +17,17 @@ import (
 // produce — compared, like agedvol, between the legacy bitmap scan and
 // hierarchical free accounting. The restore columns are the O(metadata)
 // evidence: blocks rewritten per revert against the volume's block count.
-func CloneFleet(rc RunConfig) (Table, []BenchResult, error) {
+func CloneFleet(rc RunConfig) (Table, error) {
 	t := Table{
 		ID:    "clonefleet",
 		Title: "Aged clone fleet: COW divergence + instant restore churn vs free-index mode",
 		Headers: []string{"mode", "ops/s", "MB/s", "lat p50", "lat p99",
 			"words/vbucket", "clone-held", "restores", "meta-blk/restore", "splits", "infra cores"},
 	}
-	var out []BenchResult
+	var perVB [2]float64   // fill words per installed vbucket, by mode
+	var cs wafl.CloneStats // the last (hierarchical) mode's
 
+	const volBlocks = 1 << 18
 	w := workload.DefaultCloneFleet()
 	modes := []struct {
 		name string
@@ -34,59 +36,54 @@ func CloneFleet(rc RunConfig) (Table, []BenchResult, error) {
 		{"legacy scan", false},
 		{"hierarchical", true},
 	}
-	for _, m := range modes {
+	for i, m := range modes {
 		cfg := rc.Base
 		cfg.Volumes = w.Volumes
 		cfg.CloneSlots = w.Slots()
-		cfg.VolumeBlocks = 1 << 18 // same aged shape as agedvol
+		cfg.VolumeBlocks = volBlocks // same aged shape as agedvol
 		cfg.DriveBlocks = 131072
 		cfg.Allocator.HierarchicalFree = m.hier
 		sys, err := wafl.NewSystem(cfg)
 		if err != nil {
-			return t, out, err
+			return t, err
 		}
 		w.Attach(sys) // prefill + fan-out + divergence aging in simulated time
 		sys.Run(rc.Warmup)
 		c0 := sys.Counters()
 		res := sys.Measure(0, rc.Window)
 		c1 := sys.Counters()
-		cs := sys.CloneStats()
+		cs = sys.CloneStats()
 		sys.Shutdown()
-		b := benchResultFrom("clonefleet", m.name, res, c0, c1)
-		b.CloneBinds = cs.Binds
-		b.CloneHeld = cs.CloneHeld
-		b.SplitsDone = cs.SplitsDone
-		b.SplitCopied = cs.SplitCopied
-		b.Restores = cs.Restores
-		b.RestoreFreed = cs.RestoreFreed
-		b.RestoreBlocks = cs.RestoreBlocks
-		if cs.Restores > 0 {
-			b.RestoreMetaPerOp = float64(cs.RestoreBlocks) / float64(cs.Restores)
-			b.RestoreMetaPerVol = b.RestoreMetaPerOp / float64(cfg.VolumeBlocks)
-		}
-		out = append(out, b)
+		perVB[i] = wordsPerVBucket(c0, c1)
 		t.Rows = append(t.Rows, []string{
-			m.name, f0(b.OpsPerSec), f2(b.MBPerSec), ms(res.LatP50), ms(res.LatP99),
-			f2(b.FillWordsPerVBucket), fmt.Sprintf("%d", b.CloneHeld),
-			fmt.Sprintf("%d", b.Restores), f0(b.RestoreMetaPerOp),
-			fmt.Sprintf("%d", b.SplitsDone), f2(b.InfraCores),
+			m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
+			f2(perVB[i]), fmt.Sprintf("%d", cs.CloneHeld),
+			fmt.Sprintf("%d", cs.Restores), f0(restoreMetaPerOp(cs)),
+			fmt.Sprintf("%d", cs.SplitsDone), f2(res.Cores.Infra),
 		})
 	}
-	if len(out) == 2 {
-		if out[1].FillWordsPerVBucket > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"fill words per installed vbucket under clone holds: %.1f -> %.1f (%.1fx reduction)",
-				out[0].FillWordsPerVBucket, out[1].FillWordsPerVBucket,
-				out[0].FillWordsPerVBucket/out[1].FillWordsPerVBucket))
-		}
-		if out[1].Restores > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"SnapRestore is O(metadata): %.0f blocks rewritten per revert of a %d-block volume (%.2f%%), zero data copies",
-				out[1].RestoreMetaPerOp, 1<<18, 100*out[1].RestoreMetaPerVol))
-		}
+	if perVB[1] > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"fill words per installed vbucket under clone holds: %.1f -> %.1f (%.1fx reduction)",
+			perVB[0], perVB[1], perVB[0]/perVB[1]))
+	}
+	if cs.Restores > 0 {
+		perOp := restoreMetaPerOp(cs)
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"SnapRestore is O(metadata): %.0f blocks rewritten per revert of a %d-block volume (%.2f%%), zero data copies",
+			perOp, volBlocks, 100*perOp/volBlocks))
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"%d clones per run (%d parents x %d), aged %d divergence rounds; %d background split(s)",
 		w.Slots(), w.Volumes, w.ClonesPerVol, w.AgeRounds, w.SplitClones))
-	return t, out, nil
+	return t, nil
+}
+
+// restoreMetaPerOp is the metadata blocks rewritten per SnapRestore (0 when
+// none ran).
+func restoreMetaPerOp(cs wafl.CloneStats) float64 {
+	if cs.Restores == 0 {
+		return 0
+	}
+	return float64(cs.RestoreBlocks) / float64(cs.Restores)
 }

@@ -51,15 +51,6 @@ func DefaultClusterSweep() ClusterSweepConfig {
 	}
 }
 
-// ClusterSweepResult is the machine-readable sweep outcome.
-type ClusterSweepResult struct {
-	PointsRun int
-	Failures  []string
-}
-
-// OK reports whether every swept crash point passed.
-func (r ClusterSweepResult) OK() bool { return len(r.Failures) == 0 }
-
 // clusterRun is one constructed sweep system: per-member ack logs, client
 // handles (for CrashMember pinning), and per-member completion counts.
 type clusterRun struct {
@@ -150,8 +141,8 @@ func (r *clusterRun) doneClients(skip int) (done, want int) {
 
 // ClusterSweep runs the member-crash sweep and returns a rendered table
 // plus the machine-readable result.
-func ClusterSweep(cfg ClusterSweepConfig) (Table, ClusterSweepResult, error) {
-	var res ClusterSweepResult
+func ClusterSweep(cfg ClusterSweepConfig) (Table, CrashSweepResult, error) {
+	var res CrashSweepResult
 	tab := Table{
 		ID:      "clustersweep",
 		Title:   "independent member crash/recovery under surviving traffic",

@@ -49,16 +49,14 @@ type CrashSweepConfig struct {
 	// must replay exactly the admitted (logged, acked) writes — shed writes
 	// were never logged and must stay absent from the contract.
 	Overload bool
-	// CloneOps adds ClonePoints CP phase-boundary crash points taken inside
-	// a scripted clone window (snapshot → parent churn → clone create →
-	// clone writes → clone split → SnapRestore → post-restore writes), each
-	// verified against a dedicated oracle: an acked clone serves the frozen
-	// parent image plus its own acked writes, an acked restore is
-	// all-or-nothing and supersedes the parent's post-snapshot churn, and
-	// fsck must hold zero leaked/missing blocks on every recovery leg.
-	CloneOps bool
-	// ClonePoints is how many boundary points the clone-ops schedule
-	// sweeps (0 with CloneOps set means 12 — more than one full CP).
+	// ClonePoints, when > 0, adds that many consecutive CP phase-boundary
+	// crash points (18 = two full CPs) taken inside a scripted clone window
+	// (snapshot → parent churn → clone create → clone writes → clone split
+	// → SnapRestore → post-restore writes), each verified against a
+	// dedicated oracle: an acked clone serves the frozen parent image plus
+	// its own acked writes, an acked restore is all-or-nothing and
+	// supersedes the parent's post-snapshot churn, and fsck must hold zero
+	// leaked/missing blocks on every recovery leg.
 	ClonePoints int
 }
 
@@ -99,8 +97,7 @@ func DefaultCrashSweep() CrashSweepConfig {
 		MaxRun:       2 * wafl.Second,
 		Modes:        []bool{true, false},
 		Overload:     true,
-		CloneOps:     true,
-		ClonePoints:  12,
+		ClonePoints:  18,
 	}
 }
 
@@ -461,7 +458,7 @@ func CrashSweep(cfg CrashSweepConfig) (Table, CrashSweepResult, error) {
 			return tab, res, err
 		}
 	}
-	if cfg.CloneOps {
+	if cfg.ClonePoints > 0 {
 		if err := cloneCrashPoints(cfg, &tab, &res); err != nil {
 			return tab, res, err
 		}
@@ -811,13 +808,9 @@ func cloneCrashPoints(cfg CrashSweepConfig, tab *Table, res *CrashSweepResult) e
 		c.Seed = cfg.Seeds[0]
 	}
 	c.CloneSlots = 2
-	points := cfg.ClonePoints
-	if points <= 0 {
-		points = 12
-	}
 	failsBefore := len(res.Failures)
 	ran := 0
-	for j := 1; j <= points; j++ {
+	for j := 1; j <= cfg.ClonePoints; j++ {
 		sys, err := wafl.NewSystem(c)
 		if err != nil {
 			return err

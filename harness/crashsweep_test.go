@@ -4,7 +4,7 @@ import "testing"
 
 // TestCrashSweepSmall runs a miniature crash-schedule sweep — one seed, a
 // few event-index points, a few phase boundaries — end to end. The full
-// sweep is `make crashcheck`; this keeps `go test ./...` coverage of the
+// sweep is `make crashsweep`; this keeps `go test ./...` coverage of the
 // harness itself cheap.
 func TestCrashSweepSmall(t *testing.T) {
 	cfg := DefaultCrashSweep()

@@ -77,47 +77,40 @@ func permTable(id, title string, prs []PermutationResult) Table {
 // Fig4 reproduces Figure 4: sequential write under the four permutations.
 // Paper shape: +7% (infra only), +82% (cleaners only), +274% (both);
 // ~6.2 write-allocation cores at full parallelism.
-func Fig4(rc RunConfig, parallelCleaners int) (Table, []PermutationResult, error) {
-	prs, err := RunPermutations(rc, func() Attacher {
-		w := workload.DefaultSeqWrite()
-		return w
-	}, parallelCleaners)
+func Fig4(rc RunConfig) (Table, error) {
+	prs, err := RunPermutations(rc, func() Attacher { return workload.DefaultSeqWrite() }, rc.Cleaners)
 	if err != nil {
-		return Table{}, nil, err
+		return Table{}, err
 	}
 	t := permTable("Fig4", "Sequential write: throughput & core usage by parallelization", prs)
 	t.Notes = append(t.Notes, "paper: +7% infra-only, +82% cleaners-only, +274% both")
-	return t, prs, nil
+	return t, nil
 }
 
 // Fig7 reproduces Figure 7: random write under the four permutations.
 // Paper shape (inverted vs Fig 4): +25% infra-only, +14% cleaners-only,
 // +50% both.
-func Fig7(rc RunConfig, parallelCleaners int) (Table, []PermutationResult, error) {
-	prs, err := RunPermutations(rc, func() Attacher {
-		w := workload.DefaultRandWrite()
-		return w
-	}, parallelCleaners)
+func Fig7(rc RunConfig) (Table, error) {
+	prs, err := RunPermutations(rc, func() Attacher { return workload.DefaultRandWrite() }, rc.Cleaners)
 	if err != nil {
-		return Table{}, nil, err
+		return Table{}, err
 	}
 	t := permTable("Fig7", "Random write: throughput & core usage by parallelization", prs)
 	t.Notes = append(t.Notes, "paper: +25% infra-only, +14% cleaners-only, +50% both")
-	return t, prs, nil
+	return t, nil
 }
 
 // Fig5 reproduces Figure 5: sequential-write throughput and cleaner core
-// usage as the (static) cleaner-thread count rises, with the
+// usage as the (static) cleaner-thread count rises from 1 to 6, with the
 // infrastructure parallel. Paper shape: near-linear until CPU saturation.
-func Fig5(rc RunConfig, maxCleaners int) (Table, []wafl.Results, error) {
+func Fig5(rc RunConfig) (Table, error) {
 	t := Table{
 		ID:      "Fig5",
 		Title:   "Sequential write vs number of cleaner threads (parallel infra)",
 		Headers: []string{"cleaners", "ops/s", "rel", "cleaner-cores", "infra-cores", "total-cores"},
 	}
-	var all []wafl.Results
 	var base float64
-	for n := 1; n <= maxCleaners; n++ {
+	for n := 1; n <= 6; n++ {
 		cfg := rc.Base
 		cfg.Allocator.InfraParallel = true
 		cfg.Allocator.InitialCleaners = n
@@ -125,45 +118,42 @@ func Fig5(rc RunConfig, maxCleaners int) (Table, []wafl.Results, error) {
 		cfg.Allocator.Dynamic = false
 		res, _, err := Measure(cfg, workload.DefaultSeqWrite(), rc.Warmup, rc.Window)
 		if err != nil {
-			return Table{}, nil, err
+			return Table{}, err
 		}
 		if n == 1 {
 			base = res.OpsPerSec
 		}
-		all = append(all, res)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n), f0(res.OpsPerSec), pct(res.OpsPerSec, base),
 			f2(res.Cores.Cleaner), f2(res.Cores.Infra), f2(res.Cores.Total()),
 		})
 	}
-	return t, all, nil
+	return t, nil
 }
 
 // Fig6 reproduces Figure 6: infrastructure core usage and throughput with
 // and without infrastructure parallelization, cleaners parallel. Paper:
 // 0.94 -> 2.35 infra cores, +106% throughput.
-func Fig6(rc RunConfig, parallelCleaners int) (Table, []wafl.Results, error) {
+func Fig6(rc RunConfig) (Table, error) {
 	t := Table{
 		ID:      "Fig6",
 		Title:   "Infrastructure parallelization (cleaners parallel)",
 		Headers: []string{"infrastructure", "ops/s", "rel", "infra-cores", "total-cores"},
 	}
-	var all []wafl.Results
 	var base float64
 	for _, par := range []bool{false, true} {
 		cfg := rc.Base
 		cfg.Allocator.InfraParallel = par
-		cfg.Allocator.InitialCleaners = parallelCleaners
-		cfg.Allocator.MaxCleaners = parallelCleaners
+		cfg.Allocator.InitialCleaners = rc.Cleaners
+		cfg.Allocator.MaxCleaners = rc.Cleaners
 		cfg.Allocator.Dynamic = false
 		res, _, err := Measure(cfg, workload.DefaultSeqWrite(), rc.Warmup, rc.Window)
 		if err != nil {
-			return Table{}, nil, err
+			return Table{}, err
 		}
 		if !par {
 			base = res.OpsPerSec
 		}
-		all = append(all, res)
 		name := "serialized"
 		if par {
 			name = "parallel"
@@ -174,5 +164,5 @@ func Fig6(rc RunConfig, parallelCleaners int) (Table, []wafl.Results, error) {
 		})
 	}
 	t.Notes = append(t.Notes, "paper: infra cores 0.94 -> 2.35, throughput +106%")
-	return t, all, nil
+	return t, nil
 }

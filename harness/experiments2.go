@@ -36,21 +36,12 @@ func (cc cleanerConfig) apply(cfg *wafl.Config) {
 	}
 }
 
-// Fig8Result is one Fig 8 row: peak throughput and off-peak (knee)
-// latency for a cleaner-thread configuration.
-type Fig8Result struct {
-	Name     string
-	PeakOps  float64
-	KneeLat  wafl.Duration
-	Cleaners int
-}
-
 // Fig8 reproduces Figure 8: the OLTP benchmark on the Flash Pool system
 // with 1..4 static cleaner threads and dynamic tuning, reporting peak-load
 // throughput and off-peak ("knee") latency. Paper shape: two static
 // threads beat one on both metrics; more than two degrade (-3% peak
 // throughput, higher latency); dynamic matches or beats the best static.
-func Fig8(rc RunConfig) (Table, []Fig8Result, error) {
+func Fig8(rc RunConfig) (Table, error) {
 	base := rc.Base
 	base.Drives = wafl.FlashPool
 
@@ -66,7 +57,6 @@ func Fig8(rc RunConfig) (Table, []Fig8Result, error) {
 		Title:   "OLTP (Flash Pool): peak throughput & knee latency vs cleaner threads",
 		Headers: []string{"cleaners", "peak ops/s", "rel", "knee latency", "rel"},
 	}
-	var out []Fig8Result
 	var baseOps float64
 	var baseLat wafl.Duration
 	for _, cc := range cleanerConfigs(4) {
@@ -78,49 +68,39 @@ func Fig8(rc RunConfig) (Table, []Fig8Result, error) {
 		cfgPeak.Allocator.SplitLargeFiles = false
 		resPeak, _, err := Measure(cfgPeak, peak, rc.Warmup, rc.Window)
 		if err != nil {
-			return Table{}, nil, err
+			return Table{}, err
 		}
 		cfgKnee := base
 		cc.apply(&cfgKnee)
 		cfgKnee.Allocator.SplitLargeFiles = false
 		resKnee, _, err := Measure(cfgKnee, knee, rc.Warmup, rc.Window)
 		if err != nil {
-			return Table{}, nil, err
+			return Table{}, err
 		}
 		if baseOps == 0 {
 			baseOps = resPeak.OpsPerSec
 			baseLat = resKnee.LatAvg
 		}
-		out = append(out, Fig8Result{Name: cc.Name, PeakOps: resPeak.OpsPerSec, KneeLat: resKnee.LatAvg})
 		t.Rows = append(t.Rows, []string{
 			cc.Name, f0(resPeak.OpsPerSec), pct(resPeak.OpsPerSec, baseOps),
 			us(resKnee.LatAvg), pct(float64(resKnee.LatAvg), float64(baseLat)),
 		})
 	}
 	t.Notes = append(t.Notes, "paper: 2 static threads optimal; >2 adds latency and -3% throughput; dynamic best overall")
-	return t, out, nil
-}
-
-// Fig9Point is one (load, throughput, latency) sample of a Fig 9 curve.
-type Fig9Point struct {
-	Config  string
-	Clients int
-	MBps    float64
-	Lat     wafl.Duration
+	return t, nil
 }
 
 // Fig9 reproduces Figure 9: sequential-write throughput vs latency at
 // increasing client load for 1..4 static cleaner threads and dynamic
 // tuning. Paper shape: 4 threads win peak throughput, 3 threads have lower
 // off-peak latency, and dynamic tuning traces the lower envelope.
-func Fig9(rc RunConfig) (Table, []Fig9Point, error) {
+func Fig9(rc RunConfig) (Table, error) {
 	loads := []int{4, 8, 16, 24}
 	t := Table{
 		ID:      "Fig9",
 		Title:   "Sequential write: throughput vs latency at rising load",
 		Headers: []string{"config", "clients", "MB/s", "avg latency"},
 	}
-	var points []Fig9Point
 	for _, cc := range cleanerConfigs(4) {
 		for _, clients := range loads {
 			cfg := rc.Base
@@ -129,20 +109,19 @@ func Fig9(rc RunConfig) (Table, []Fig9Point, error) {
 			w.Clients = clients
 			res, _, err := Measure(cfg, w, rc.Warmup, rc.Window)
 			if err != nil {
-				return Table{}, nil, err
+				return Table{}, err
 			}
-			points = append(points, Fig9Point{Config: cc.Name, Clients: clients, MBps: res.MBPerSec, Lat: res.LatAvg})
 			t.Rows = append(t.Rows, []string{cc.Name, fmt.Sprintf("%d", clients), f2(res.MBPerSec), us(res.LatAvg)})
 		}
 	}
 	t.Notes = append(t.Notes, "paper: peak with 4 threads, lower off-peak latency with 3, dynamic ≥ both")
-	return t, points, nil
+	return t, nil
 }
 
 // BatchedCleaning reproduces the §V-C in-text result: the NFSv3 mix on SAS
 // drives with and without batched inode cleaning. Paper: 21.2K -> 22.0K
 // ops/s (+3.8%) and latency 6.7ms -> 6.5ms.
-func BatchedCleaning(rc RunConfig) (Table, []wafl.Results, error) {
+func BatchedCleaning(rc RunConfig) (Table, error) {
 	base := rc.Base
 	base.Drives = wafl.HDD
 	// The SAS testbed spreads load over a shelf of spindles: four RAID
@@ -154,7 +133,6 @@ func BatchedCleaning(rc RunConfig) (Table, []wafl.Results, error) {
 		Title:   "NFSv3 mix (SAS): batched inode cleaning",
 		Headers: []string{"batching", "ops/s", "rel", "avg latency", "rel", "jobs", "batches"},
 	}
-	var all []wafl.Results
 	var baseOps float64
 	var baseLat wafl.Duration
 	for _, batching := range []bool{false, true} {
@@ -168,13 +146,12 @@ func BatchedCleaning(rc RunConfig) (Table, []wafl.Results, error) {
 		w.FilesPerV = 800
 		res, sys, err := Measure(cfg, w, rc.Warmup, rc.Window)
 		if err != nil {
-			return Table{}, nil, err
+			return Table{}, err
 		}
 		if !batching {
 			baseOps = res.OpsPerSec
 			baseLat = res.LatAvg
 		}
-		all = append(all, res)
 		name := "off"
 		if batching {
 			name = "on"
@@ -187,7 +164,7 @@ func BatchedCleaning(rc RunConfig) (Table, []wafl.Results, error) {
 		})
 	}
 	t.Notes = append(t.Notes, "paper: +3.8% ops/s, latency 6.7ms -> 6.5ms")
-	return t, all, nil
+	return t, nil
 }
 
 // Ablations measures the design choices §IV calls out: bucket (chunk)
@@ -211,8 +188,6 @@ func Ablations(rc RunConfig) (Table, error) {
 		w.Attach(sys)
 		res := sys.Measure(rc.Warmup, rc.Window)
 		sys.Shutdown()
-		st := fmt.Sprintf("%v", sys.InfraStats())
-		_ = st
 		t.Rows = append(t.Rows, []string{
 			name, setting, f0(res.OpsPerSec), f0(res.FullStripe * 100), "-",
 		})

@@ -54,9 +54,8 @@ type FlexgroupResult struct {
 // Flexgroup runs the cluster scaling sweep: for each member count it builds
 // a cluster, applies members x ClientsPerMember manyfile clients placed by
 // the capacity-aware policy, and measures per-member and cluster-wide
-// throughput. Returns the rendered table, the per-width results, and
-// machine-readable bench entries (named manyfile-membersN).
-func Flexgroup(cfg FlexgroupConfig) (Table, []FlexgroupResult, []BenchResult, error) {
+// throughput. Returns the rendered table and the per-width results.
+func Flexgroup(cfg FlexgroupConfig) (Table, []FlexgroupResult, error) {
 	tab := Table{
 		ID:    "flexgroup",
 		Title: "FlexGroup cluster scaling: manyfile ops/s vs member count",
@@ -64,14 +63,13 @@ func Flexgroup(cfg FlexgroupConfig) (Table, []FlexgroupResult, []BenchResult, er
 			"cps", "member-min-ops/s", "member-max-ops/s"},
 	}
 	var out []FlexgroupResult
-	var bench []BenchResult
 	var base float64
 	for _, n := range cfg.MemberCounts {
 		c := cfg.Base
 		c.Members = n
 		sys, err := wafl.NewSystem(c)
 		if err != nil {
-			return tab, nil, nil, fmt.Errorf("flexgroup members=%d: %w", n, err)
+			return tab, nil, fmt.Errorf("flexgroup members=%d: %w", n, err)
 		}
 		w := workload.ManyFile{
 			Clients:    cfg.ClientsPerMember * n,
@@ -83,11 +81,7 @@ func Flexgroup(cfg FlexgroupConfig) (Table, []FlexgroupResult, []BenchResult, er
 		}
 		w.Attach(sys)
 		sys.Run(cfg.Warmup)
-		c0 := sys.Counters()
-		s0 := sys.CPStats()
 		parts := sys.MeasureMembers(0, cfg.Window)
-		c1 := sys.Counters()
-		s1 := sys.CPStats()
 		res := wafl.MergeResults(parts)
 		sys.Shutdown()
 
@@ -114,12 +108,8 @@ func Flexgroup(cfg FlexgroupConfig) (Table, []FlexgroupResult, []BenchResult, er
 			f2(res.MBPerSec), us(res.LatP50), us(res.LatP99),
 			fmt.Sprintf("%d", res.CPs), f0(minOps), f0(maxOps),
 		})
-
-		b := benchResultFrom(fmt.Sprintf("manyfile-members%d", n), "flexgroup", res, c0, c1)
-		addCPStats(&b, s0, s1)
-		bench = append(bench, b)
 	}
 	tab.Notes = append(tab.Notes,
 		"same per-member load at every width; ideal scaling = Nx the 1-member ops/s")
-	return tab, out, bench, nil
+	return tab, out, nil
 }

@@ -1,8 +1,8 @@
 // Package harness runs the paper's experiments (§V, Figures 4-9 and the
-// §V-C batching result) against the simulated storage server and renders
-// the same tables/series the paper reports. Each experiment function
-// returns both machine-readable results (for tests and regression checks)
-// and a formatted table.
+// §V-C batching result) and the crash sweeps against the simulated storage
+// server and renders the same tables/series the paper reports. Every one of
+// them is an entry of Experiments, the registry waflbench and `make ci`
+// select from by name.
 package harness
 
 import (
@@ -74,15 +74,23 @@ type RunConfig struct {
 	Base   wafl.Config
 	Warmup wafl.Duration
 	Window wafl.Duration
+	// Cleaners is the parallel cleaner-thread count of the permutation
+	// experiments (Fig 4, 6, 7).
+	Cleaners int
+	// Points and Seeds deepen the crash sweeps; zero and nil keep each
+	// sweep's CI-sized default.
+	Points int
+	Seeds  []int64
 }
 
 // DefaultRun returns the standard measurement setup: the paper's 20-core
 // SSD system, measured over a 400ms window after 200ms warmup.
 func DefaultRun() RunConfig {
 	return RunConfig{
-		Base:   wafl.DefaultConfig(),
-		Warmup: 200 * wafl.Millisecond,
-		Window: 400 * wafl.Millisecond,
+		Base:     wafl.DefaultConfig(),
+		Warmup:   200 * wafl.Millisecond,
+		Window:   400 * wafl.Millisecond,
+		Cleaners: 4,
 	}
 }
 

@@ -16,14 +16,10 @@ type OverloadPoint struct {
 	// Sojourn (arrival -> completion) quantiles over the measurement
 	// window, per QoS class.
 	LSP50, LSP99, LSP999 wafl.Duration
-	BulkP50, BulkP999    wafl.Duration
-
-	// Open-loop accounting for the window.
-	Arrivals, Completed      uint64
-	Shed                     uint64 // bulk writes refused by admission
-	LSQueueMax, BulkQueueMax int    // high-water pending-op depth (whole run)
+	BulkP999             wafl.Duration
 
 	// Attribution: why the tail is what it is.
+	Shed                     uint64        // bulk writes refused by admission in the window
 	Stalls                   uint64        // NVLog-full write stalls (hit every class)
 	StallTime                wafl.Duration // total time writers sat in those stalls
 	AdmitDelay               wafl.Duration // total admission backpressure applied to bulk
@@ -45,14 +41,9 @@ func OverloadConfig(base wafl.Config) wafl.Config {
 	return cfg
 }
 
-// overloadWorkload is the shared burst shape for both modes.
-func overloadWorkload() workload.OpenLoop {
-	return workload.DefaultOpenLoop()
-}
-
 // runOverload measures one admission mode and returns its point.
 func runOverload(cfg wafl.Config, warmup, window wafl.Duration, mode string) (OverloadPoint, error) {
-	w := overloadWorkload()
+	w := workload.DefaultOpenLoop() // the same burst shape for both modes
 	sys, err := wafl.NewSystem(cfg)
 	if err != nil {
 		return OverloadPoint{}, err
@@ -63,9 +54,8 @@ func runOverload(cfg wafl.Config, warmup, window wafl.Duration, mode string) (Ov
 	// Window baselines: histograms and counters accumulate from t=0, so
 	// snapshot at the window edge and diff.
 	ls0, bulk0 := w.LSLat.Clone(), w.BulkLat.Clone()
-	arr0, done0, shed0 := w.Arrivals, w.Completed, w.Shed
-	shedSys0, delay0 := sys.AdmissionStats()
-	_ = shedSys0
+	shed0 := w.Shed
+	_, delay0 := sys.AdmissionStats()
 	bc0 := sys.BCacheStats()
 	res := sys.Measure(0, window)
 	ls := w.LSLat.Delta(ls0)
@@ -77,13 +67,8 @@ func runOverload(cfg wafl.Config, warmup, window wafl.Duration, mode string) (Ov
 		LSP50:        wafl.Duration(ls.Quantile(0.50)),
 		LSP99:        wafl.Duration(ls.Quantile(0.99)),
 		LSP999:       wafl.Duration(ls.Quantile(0.999)),
-		BulkP50:      wafl.Duration(bulk.Quantile(0.50)),
 		BulkP999:     wafl.Duration(bulk.Quantile(0.999)),
-		Arrivals:     w.Arrivals - arr0,
-		Completed:    w.Completed - done0,
 		Shed:         w.Shed - shed0,
-		LSQueueMax:   w.LSQueueMax,
-		BulkQueueMax: w.BulkQueueMax,
 		Stalls:       res.Stalls,
 		StallTime:    res.StallTime,
 		AdmitDelay:   delay1 - delay0,
@@ -141,32 +126,6 @@ func Overload(rc RunConfig) (Table, []OverloadPoint, error) {
 	return t, points, nil
 }
 
-// OverloadBench converts the study's points to bench-JSON entries.
-func OverloadBench(points []OverloadPoint, window wafl.Duration) []BenchResult {
-	var out []BenchResult
-	secs := window.Micros() / 1e6
-	for _, p := range points {
-		b := BenchResult{
-			Name:         "overload",
-			Mode:         p.Mode,
-			OpsPerSec:    float64(p.Completed) / secs,
-			LatP50Us:     p.LSP50.Micros(),
-			LatP99Us:     p.LSP99.Micros(),
-			LatP999Us:    p.LSP999.Micros(),
-			BulkP999Us:   p.BulkP999.Micros(),
-			ShedOps:      p.Shed,
-			AdmitDelayUs: p.AdmitDelay.Micros(),
-			BCacheHits:   p.BCacheHits,
-			BCacheMisses: p.BCacheMisses,
-			CPs:          p.CPs,
-			Stalls:       p.Stalls,
-			StallTimeUs:  p.StallTime.Micros(),
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
 // OverloadCheck runs the study and asserts the SLO contract that the
 // admission controller exists to provide:
 //
@@ -176,33 +135,27 @@ func OverloadBench(points []OverloadPoint, window wafl.Duration) []BenchResult {
 //     engaged) and the latency-sensitive p99.9 stays bounded — an order
 //     of magnitude below the admission-off tail.
 //
-// It is wired into `make overloadcheck` / CI.
-func OverloadCheck(rc RunConfig) error {
-	_, points, err := Overload(rc)
+// It is the registry's "overloadcheck" gate (`make overloadcheck`, CI); the
+// study's table is returned either way.
+func OverloadCheck(rc RunConfig) (Table, error) {
+	t, points, err := Overload(rc)
 	if err != nil {
-		return err
+		return t, err
 	}
-	var off, on OverloadPoint
-	for _, p := range points {
-		if p.Mode == "admission-on" {
-			on = p
-		} else {
-			off = p
-		}
-	}
+	off, on := points[0], points[1]
 	const lsSLO = 20 * wafl.Millisecond
 	if off.LSP999 < 2*lsSLO {
-		return fmt.Errorf("admission-off LS p99.9 = %v: burst did not overload the system (want >= %v)",
+		return t, fmt.Errorf("admission-off LS p99.9 = %v: burst did not overload the system (want >= %v)",
 			off.LSP999, 2*lsSLO)
 	}
 	if on.Shed == 0 {
-		return fmt.Errorf("admission-on shed no bulk writes: controller never engaged")
+		return t, fmt.Errorf("admission-on shed no bulk writes: controller never engaged")
 	}
 	if on.LSP999 > lsSLO {
-		return fmt.Errorf("admission-on LS p99.9 = %v exceeds SLO %v", on.LSP999, lsSLO)
+		return t, fmt.Errorf("admission-on LS p99.9 = %v exceeds SLO %v", on.LSP999, lsSLO)
 	}
 	if on.LSP999*4 > off.LSP999 {
-		return fmt.Errorf("admission-on LS p99.9 = %v not well under admission-off %v", on.LSP999, off.LSP999)
+		return t, fmt.Errorf("admission-on LS p99.9 = %v not well under admission-off %v", on.LSP999, off.LSP999)
 	}
-	return nil
+	return t, nil
 }

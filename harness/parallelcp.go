@@ -13,15 +13,13 @@ import (
 // the bottleneck — client writes stall on log-half exhaustion whenever the
 // CP tail is too slow — which makes CP duration directly visible as client
 // NVRAM-stall time and back-to-back CP counts.
-func ParallelCP(rc RunConfig) (Table, []BenchResult, error) {
+func ParallelCP(rc RunConfig) (Table, error) {
 	t := Table{
 		ID:    "parallelcp",
 		Title: "Parallel vs serial consistency points under NVRAM pressure",
 		Headers: []string{"workload", "mode", "ops/s", "MB/s", "lat p99",
 			"cps", "cp avg", "back2back", "stalls", "stall time"},
 	}
-	var out []BenchResult
-
 	workloads := []struct {
 		name   string
 		attach func(cfg *wafl.Config) func(*wafl.System)
@@ -52,41 +50,41 @@ func ParallelCP(rc RunConfig) (Table, []BenchResult, error) {
 		{"parallel", true},
 	}
 	for _, w := range workloads {
-		var pair []BenchResult
-		for _, m := range modes {
+		var cpAvgUs, stallMs [2]float64 // by mode
+		var b2b [2]uint64
+		for i, m := range modes {
 			cfg := rc.Base
 			cfg.NVRAMHalfBytes = 2 << 20 // CP-bound: the log half fills fast
 			cfg.Allocator.ParallelCP = m.parallel
 			attach := w.attach(&cfg)
 			sys, err := wafl.NewSystem(cfg)
 			if err != nil {
-				return t, out, err
+				return t, err
 			}
 			attach(sys)
 			sys.Run(rc.Warmup)
-			c0, s0 := sys.Counters(), sys.CPStats()
+			s0 := sys.CPStats()
 			res := sys.Measure(0, rc.Window)
-			c1, s1 := sys.Counters(), sys.CPStats()
+			s1 := sys.CPStats()
 			sys.Shutdown()
-			b := benchResultFrom("parallelcp/"+w.name, m.name, res, c0, c1)
-			addCPStats(&b, s0, s1)
-			pair = append(pair, b)
-			out = append(out, b)
+			if cps := s1.CPs - s0.CPs; cps > 0 {
+				cpAvgUs[i] = wafl.Duration(s1.TotalDuration-s0.TotalDuration).Micros() / float64(cps)
+			}
+			stallMs[i] = res.StallTime.Micros() / 1000
+			b2b[i] = s1.BackToBack - s0.BackToBack
 			t.Rows = append(t.Rows, []string{
-				w.name, m.name, f0(b.OpsPerSec), f2(b.MBPerSec), ms(res.LatP99),
-				fmt.Sprintf("%d", b.CPs), fmt.Sprintf("%.0fus", b.CPAvgUs),
-				fmt.Sprintf("%d", b.BackToBack),
-				fmt.Sprintf("%d", b.Stalls), ms(res.StallTime),
+				w.name, m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP99),
+				fmt.Sprintf("%d", res.CPs), fmt.Sprintf("%.0fus", cpAvgUs[i]),
+				fmt.Sprintf("%d", b2b[i]),
+				fmt.Sprintf("%d", res.Stalls), ms(res.StallTime),
 			})
 		}
-		if len(pair) == 2 && pair[1].CPAvgUs > 0 {
+		if cpAvgUs[1] > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"%s: cp avg %.0fus -> %.0fus (%.2fx), stall time %.1fms -> %.1fms, back2back %d -> %d",
-				w.name, pair[0].CPAvgUs, pair[1].CPAvgUs,
-				pair[0].CPAvgUs/pair[1].CPAvgUs,
-				pair[0].StallTimeUs/1000, pair[1].StallTimeUs/1000,
-				pair[0].BackToBack, pair[1].BackToBack))
+				w.name, cpAvgUs[0], cpAvgUs[1], cpAvgUs[0]/cpAvgUs[1],
+				stallMs[0], stallMs[1], b2b[0], b2b[1]))
 		}
 	}
-	return t, out, nil
+	return t, nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"wafl"
 	"wafl/workload"
 )
 
@@ -14,15 +13,13 @@ import (
 // free = !active && !summary path and make every overwrite of a held block
 // consume a fresh VVBN, so the comparison exposes the summary-map scan and
 // reclamation overheads alongside the free-space split they produce.
-func SnapshotChurn(rc RunConfig) (Table, []wafl.Results, error) {
+func SnapshotChurn(rc RunConfig) (Table, error) {
 	t := Table{
 		ID:    "snapchurn",
 		Title: "Random overwrite under snapshot churn (rotating per-volume ring)",
 		Headers: []string{"mode", "MB/s", "lat p50", "lat p99", "CPs",
 			"snaps +/-", "reclaimed blks", "active", "snap-held", "free"},
 	}
-	var out []wafl.Results
-
 	type mode struct {
 		name string
 		mk   func() Attacher
@@ -43,9 +40,8 @@ func SnapshotChurn(rc RunConfig) (Table, []wafl.Results, error) {
 		cfg := rc.Base
 		res, sys, err := Measure(cfg, m.mk(), rc.Warmup, rc.Window)
 		if err != nil {
-			return t, out, err
+			return t, err
 		}
-		out = append(out, res)
 		created, deleted, reclaimed := sys.SnapStats()
 		var active, held, free uint64
 		for v := 0; v < cfg.Volumes; v++ {
@@ -64,5 +60,5 @@ func SnapshotChurn(rc RunConfig) (Table, []wafl.Results, error) {
 	}
 	t.Notes = append(t.Notes,
 		"snap-held blocks are clear in the activemap but pinned by the summary map until the last holding snapshot is deleted")
-	return t, out, nil
+	return t, nil
 }

@@ -457,6 +457,23 @@ func (sys *System) globalVol(mid, lv int) int {
 	return sys.cfg.Volumes*len(sys.members) + mid*sys.cfg.CloneSlots + (lv - sys.cfg.Volumes)
 }
 
+// cloneSlots returns the member-local volume range [lo, hi) of the clone
+// slots (empty when Config.CloneSlots is 0).
+func (m *Member) cloneSlots() (lo, hi int) {
+	return m.sys.cfg.Volumes, m.sys.cfg.Volumes + m.sys.cfg.CloneSlots
+}
+
+// freeCloneSlot returns the lowest free clone slot (member-local volume
+// index), or -1 when every slot is taken.
+func (m *Member) freeCloneSlot() int {
+	for s, hi := m.cloneSlots(); s < hi; s++ {
+		if m.a.Volume(s).CloneSlotFree() {
+			return s
+		}
+	}
+	return -1
+}
+
 // resolve routes an operation addressed by (global volume, file handle) to
 // its member: the handle's embedded constituent id wins when present
 // (stateless routing); bare handles route by volume. Returns the member,

@@ -774,14 +774,13 @@ func (sys *System) CloneCreateDirect(parentVol int, snapID uint64) int {
 	if !pv.SnapshotExists(snapID) {
 		return -1
 	}
-	for s := sys.cfg.Volumes; s < sys.cfg.Volumes+sys.cfg.CloneSlots; s++ {
-		if m.a.Volume(s).CloneSlotFree() {
-			m.a.Volume(s).RequestCloneBind(plv, snapID)
-			pv.AddCloneRef(snapID)
-			return sys.globalVol(m.id, s)
-		}
+	s := m.freeCloneSlot()
+	if s < 0 {
+		return -1
 	}
-	return -1
+	m.a.Volume(s).RequestCloneBind(plv, snapID)
+	pv.AddCloneRef(snapID)
+	return sys.globalVol(m.id, s)
 }
 
 // CloneSplitDirect starts splitting the clone from its parent without
@@ -824,7 +823,7 @@ func (sys *System) CloneParent(vol int) (parentVol int, snapID uint64, ok bool) 
 func (sys *System) CloneVolumes() []int {
 	var out []int
 	for _, m := range sys.members {
-		for s := sys.cfg.Volumes; s < sys.cfg.Volumes+sys.cfg.CloneSlots; s++ {
+		for s, hi := m.cloneSlots(); s < hi; s++ {
 			v := m.a.Volume(s)
 			if v.IsClone() || v.ClonePending() {
 				out = append(out, sys.globalVol(m.id, s))
