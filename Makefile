@@ -13,7 +13,7 @@ GO ?= go
 #                 latency-sensitive p99.9 up, on must shed bulk and bound it
 GATES = crashsweep clustersweep overloadcheck
 
-.PHONY: all build test vet race racecp benchsmoke expsmoke affcheck $(GATES) ci clean
+.PHONY: all build test vet race racecp benchsmoke expsmoke affcheck opcheck $(GATES) ci clean
 
 all: build
 
@@ -64,12 +64,31 @@ affcheck:
 	fi; \
 	echo "affcheck OK: Aggrs[] indexed only in member.go"
 
+# opcheck enforces one path per namespace operation: among the non-test
+# facade sources, only member.go — Member.apply, which the client ops, their
+# *Direct entries and NVRAM replay all go through — may call the volume
+# request methods, and it calls each exactly once.
+VOLOPS = CreateFileAt|DeleteFile|RequestSnapshot|DeleteSnapshot|RequestRestore|RequestCloneBind|AddCloneRef|StartSplit
+opcheck:
+	@pat='\.(CreateFile|$(VOLOPS))\('; \
+	bad=$$(grep -lE "$$pat" $$(ls *.go | grep -v -e '_test\.go$$' -e '^member\.go$$') || true); \
+	if [ -n "$$bad" ]; then \
+		echo "opcheck: volume request method called outside member.go:"; \
+		grep -nE "$$pat" $$bad; \
+		exit 1; \
+	fi; \
+	for op in $$(echo '$(VOLOPS)' | tr '|' ' '); do \
+		n=$$(grep -o "\.$$op(" member.go | wc -l); \
+		if [ "$$n" != 1 ]; then echo "opcheck: member.go calls $$op $$n times, want 1"; exit 1; fi; \
+	done; \
+	echo "opcheck OK: each volume request method called once, in member.go"
+
 $(GATES):
 	$(GO) run ./cmd/waflbench -exp $@
 
 # ci is the gate run before merging, and all that .github/workflows/ci.yml
 # runs: every stage once.
-ci: vet build affcheck race benchsmoke expsmoke $(GATES)
+ci: vet build affcheck opcheck race benchsmoke expsmoke $(GATES)
 
 clean:
 	rm -f wafltop waflbench *.test

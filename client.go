@@ -3,13 +3,11 @@ package wafl
 import (
 	"fmt"
 
-	"wafl/internal/aggregate"
 	"wafl/internal/bcache"
 	"wafl/internal/block"
 	"wafl/internal/nvlog"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
-	"wafl/internal/waffinity"
 )
 
 // ClientCtx is a closed-loop client session: a simulated thread issuing
@@ -133,26 +131,72 @@ func (c *ClientCtx) stallRestore(m *Member) {
 	m.engine.WaitCPDone(c.t)
 }
 
-// gatedCall runs fn inside aff, stalling and retrying while the volume's
-// SnapRestore gate is closed. The gate check and fn run in the same message
-// with no yield between them, so an operation that logs inside fn can never
-// place its record after a restore record the volume hasn't applied yet —
-// the invariant NVRAM replay depends on.
-func (c *ClientCtx) gatedCall(m *Member, v *aggregate.Volume, aff *waffinity.Affinity, fn func(wt *sim.Thread)) {
+// logged runs one namespace operation the way every logged client op does:
+// reserve the record's NVRAM space (where overload stalls the op), then one
+// message in local volume lv's Logical affinity — namespace operations work
+// outside any single stripe — that charges cost, applies rec (Member.apply
+// fills in the identifiers it assigns) and, if the operation took effect,
+// appends it; then release. While lv's SnapRestore gate is closed the op
+// stalls and retries; a restore itself closes the gate rather than waiting on
+// it. Gate check, apply and append share the message with no yield between
+// them, so the namespace change and its record are atomically adjacent and no
+// record can land after a restore record the volume hasn't applied yet — the
+// invariant NVRAM replay depends on. Reports whether the operation took
+// effect.
+func (c *ClientCtx) logged(m *Member, lv int, cost Duration, rec *nvlog.Record) (ok bool) {
+	res, _ := c.reserveLog(m, rec.Size())
+	v := m.a.Volume(lv)
 	for {
 		gated := false
-		m.call(c.t, aff, sim.CatClient, func(wt *sim.Thread) {
-			if v.RestorePending() {
+		m.call(c.t, m.logicalAff(lv), sim.CatClient, func(wt *sim.Thread) {
+			if rec.Kind != nvlog.OpSnapRestore && v.RestorePending() {
 				gated = true
 				return
 			}
-			fn(wt)
+			wt.Consume(cost)
+			if ok = m.apply(rec); ok {
+				res.Append(*rec)
+			}
 		})
 		if !gated {
-			return
+			res.Release()
+			return ok
 		}
 		c.stallRestore(m)
 	}
+}
+
+// awaitCP blocks until durable reports that a committed consistency point
+// covers the op: it requests a CP and waits it out, again if the request
+// landed after the running CP's freeze cut. An op acknowledged after awaitCP
+// survives any crash without its log record.
+func (c *ClientCtx) awaitCP(m *Member, durable func() bool) {
+	m.engine.RequestCP()
+	for !durable() {
+		m.engine.WaitCPDone(c.t)
+		if !durable() {
+			m.engine.RequestCP()
+		}
+	}
+}
+
+// ack completes a client op, served or refused: the completion cost, the
+// op's trace span (when named; with a latency observation when hist is too)
+// and the op and latency counters, which must move together — Results.Ops is
+// the latency histogram's count. Returns the op latency.
+func (c *ClientCtx) ack(m *Member, start Time, cost Duration, span, hist string, arg int64) Duration {
+	c.t.Consume(cost)
+	lat := Duration(c.t.Now() - start)
+	if tr := c.t.Tracer(); tr != nil && span != "" {
+		tr.SpanArg(obs.PidThreads, c.t.TrackID(), "client", span, int64(start), int64(c.t.Now()), arg)
+		if hist != "" {
+			tr.Observe(hist, int64(lat))
+		}
+	}
+	c.Ops++
+	m.opsDone++
+	m.lat.Observe(int64(lat))
+	return lat
 }
 
 // Write performs one client write of nblocks 4 KiB blocks at fbn: it logs
@@ -257,22 +301,11 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 	// Landed writes convert this file's ingest reservation (if it was
 	// placed) into consumption the free-space counters now carry.
 	m.consumePlacement(lv, li, int64(nblocks))
-	if !m.log.HasFrozen() {
-		m.maybeTriggerCP()
-	}
-	lat := Duration(c.t.Now() - start)
-	if tr := c.t.Tracer(); tr != nil {
-		tr.SpanArg(obs.PidThreads, c.t.TrackID(), "client", "write",
-			int64(start), int64(c.t.Now()), int64(nblocks))
-		tr.Observe("client.write", int64(lat))
-	}
-	c.Ops++
+	m.maybeTriggerCP()
 	c.Blocks += uint64(nblocks)
-	m.opsDone++
 	m.blocksW += uint64(nblocks)
 	m.stallTime += stalled
-	m.lat.Observe(int64(lat))
-	return lat
+	return c.ack(m, start, 0, "write", "client.write", int64(nblocks))
 }
 
 // admitBulk runs the bulk-class admission gate against member m's NVRAM
@@ -311,9 +344,7 @@ func (c *ClientCtx) admitBulk(m *Member) bool {
 		}
 		// Delay round: nudge a CP if none is draining, sleep, re-check.
 		start := c.t.Now()
-		if !m.log.HasFrozen() {
-			m.maybeTriggerCP()
-		}
+		m.maybeTriggerCP()
 		c.t.Sleep(ac.DelayStep)
 		d := Duration(c.t.Now() - start)
 		delayed += d
@@ -389,18 +420,8 @@ func (c *ClientCtx) Read(vol int, ino uint64, fbn FBN, nblocks int) Duration {
 			}
 		})
 	}
-	c.t.Consume(sys.cfg.Costs.ClientOp)
-	lat := Duration(c.t.Now() - start)
-	if tr := c.t.Tracer(); tr != nil {
-		tr.SpanArg(obs.PidThreads, c.t.TrackID(), "client", "read",
-			int64(start), int64(c.t.Now()), int64(nblocks))
-		tr.Observe("client.read", int64(lat))
-	}
-	c.Ops++
-	m.opsDone++
 	m.blocksR += uint64(nblocks)
-	m.lat.Observe(int64(lat))
-	return lat
+	return c.ack(m, start, sys.cfg.Costs.ClientOp, "read", "client.read", int64(nblocks))
 }
 
 // Create makes a new file on the (globally addressed) volume and returns
@@ -410,35 +431,17 @@ func (c *ClientCtx) Read(vol int, ino uint64, fbn FBN, nblocks int) Duration {
 // number, so replay is exact; the client is not acknowledged until the
 // record is logged.
 func (c *ClientCtx) Create(vol int, maxBlocks uint64) uint64 {
-	sys := c.sys
-	m, lv := sys.volMember(vol)
+	m, lv := c.sys.volMember(vol)
 	start := c.t.Now()
-	var ino uint64
-	v := m.a.Volume(lv)
-	// Reserve the record's NVRAM space first so the append can run inside
-	// the affinity message, atomically adjacent to the namespace change —
-	// a restore record logged by another client can then never separate the
-	// create from its record.
-	res, _ := c.reserveLog(m, nvlog.Record{Kind: nvlog.OpCreate}.Size())
-	// Creates operate outside any single stripe: Volume Logical affinity.
-	c.gatedCall(m, v, m.logicalAff(lv), func(wt *sim.Thread) {
-		wt.Consume(sys.cfg.Costs.ClientOp)
-		f := v.CreateFile(maxBlocks)
-		ino = f.Ino()
-		res.Append(nvlog.Record{Kind: nvlog.OpCreate, Vol: uint32(lv), Ino: ino, MaxBlocks: maxBlocks})
-	})
-	res.Release()
+	cost := c.sys.cfg.Costs.ClientOp
+	rec := nvlog.Record{Kind: nvlog.OpCreate, Vol: uint32(lv), MaxBlocks: maxBlocks}
+	c.logged(m, lv, cost, &rec)
 	// Bind the oldest unbound placement charge (if the volume came from
 	// PlaceFile) to this inode, so its writes decay the reservation.
-	m.bindPlacement(lv, ino)
-	c.t.Consume(sys.cfg.Costs.ClientOp)
-	c.Ops++
-	m.opsDone++
-	m.lat.Observe(int64(c.t.Now() - start))
-	if !m.log.HasFrozen() {
-		m.maybeTriggerCP()
-	}
-	return memberHandle(m.id, ino)
+	m.bindPlacement(lv, rec.Ino)
+	c.ack(m, start, cost, "", "", 0)
+	m.maybeTriggerCP()
+	return memberHandle(m.id, rec.Ino)
 }
 
 // CreatePlaced creates a new file on the member the placement policy
@@ -453,20 +456,10 @@ func (c *ClientCtx) CreatePlaced(maxBlocks uint64) (vol int, ino uint64) {
 // blocks are reclaimed by the next consistency point (deferred deletion).
 // Returns false if the inode does not exist.
 func (c *ClientCtx) Delete(vol int, ino uint64) bool {
-	sys := c.sys
-	m, lv, li := sys.resolve(vol, ino)
+	m, lv, li := c.sys.resolve(vol, ino)
 	start := c.t.Now()
-	var ok bool
-	v := m.a.Volume(lv)
-	res, _ := c.reserveLog(m, nvlog.Record{Kind: nvlog.OpDelete}.Size())
-	c.gatedCall(m, v, m.logicalAff(lv), func(wt *sim.Thread) {
-		wt.Consume(sys.cfg.Costs.ClientOp / 2)
-		ok = v.DeleteFile(li)
-		if ok {
-			res.Append(nvlog.Record{Kind: nvlog.OpDelete, Vol: uint32(lv), Ino: li})
-		}
-	})
-	res.Release()
+	cost := c.sys.cfg.Costs.ClientOp / 2
+	ok := c.logged(m, lv, cost, &nvlog.Record{Kind: nvlog.OpDelete, Vol: uint32(lv), Ino: li})
 	if ok {
 		// Refund whatever part of the file's ingest reservation its writes
 		// never consumed; without this, create/delete churn starves the
@@ -477,14 +470,9 @@ func (c *ClientCtx) Delete(vol int, ino uint64) bool {
 			// resident blocks must not satisfy its reads.
 			m.bc.InvalidateFile(lv, li)
 		}
-		if !m.log.HasFrozen() {
-			m.maybeTriggerCP()
-		}
+		m.maybeTriggerCP()
 	}
-	c.t.Consume(sys.cfg.Costs.ClientOp / 2)
-	c.Ops++
-	m.opsDone++
-	m.lat.Observe(int64(c.t.Now() - start))
+	c.ack(m, start, cost, "", "", 0)
 	return ok
 }
 
@@ -499,11 +487,7 @@ func (c *ClientCtx) Getattr(vol int, ino uint64) Duration {
 		wt.Consume(sys.cfg.Costs.ClientOp / 2)
 		v.LookupFile(li)
 	})
-	c.t.Consume(sys.cfg.Costs.ClientOp / 2)
-	c.Ops++
-	m.opsDone++
-	m.lat.Observe(int64(c.t.Now() - start))
-	return Duration(c.t.Now() - start)
+	return c.ack(m, start, sys.cfg.Costs.ClientOp/2, "", "", 0)
 }
 
 // SnapCreate takes a point-in-time snapshot of the volume and returns its
@@ -512,35 +496,15 @@ func (c *ClientCtx) Getattr(vol int, ino uint64) Duration {
 // it to the superblock-reachable metadata, so an acknowledged SnapCreate
 // always survives a crash.
 func (c *ClientCtx) SnapCreate(vol int) uint64 {
-	sys := c.sys
-	m, lv := sys.volMember(vol)
+	m, lv := c.sys.volMember(vol)
 	start := c.t.Now()
-	var id uint64
+	cost := c.sys.cfg.Costs.ClientOp
+	rec := nvlog.Record{Kind: nvlog.OpSnapCreate, Vol: uint32(lv)}
+	c.logged(m, lv, cost, &rec)
 	v := m.a.Volume(lv)
-	res, _ := c.reserveLog(m, nvlog.Record{Kind: nvlog.OpSnapCreate}.Size())
-	c.gatedCall(m, v, m.logicalAff(lv), func(wt *sim.Thread) {
-		wt.Consume(sys.cfg.Costs.ClientOp)
-		id = v.RequestSnapshot()
-		res.Append(nvlog.Record{Kind: nvlog.OpSnapCreate, Vol: uint32(lv), Ino: id})
-	})
-	res.Release()
-	m.engine.RequestCP()
-	for !v.SnapshotExists(id) {
-		m.engine.WaitCPDone(c.t)
-		if !v.SnapshotExists(id) {
-			m.engine.RequestCP()
-		}
-	}
-	c.t.Consume(sys.cfg.Costs.ClientOp)
-	lat := Duration(c.t.Now() - start)
-	if tr := c.t.Tracer(); tr != nil {
-		tr.SpanArg(obs.PidThreads, c.t.TrackID(), "client", "snap-create",
-			int64(start), int64(c.t.Now()), int64(id))
-	}
-	c.Ops++
-	m.opsDone++
-	m.lat.Observe(int64(lat))
-	return id
+	c.awaitCP(m, func() bool { return v.SnapshotExists(rec.Ino) })
+	c.ack(m, start, cost, "snap-create", "", int64(rec.Ino))
+	return rec.Ino
 }
 
 // SnapDelete removes a snapshot. The namespace change is immediate and the
@@ -548,29 +512,14 @@ func (c *ClientCtx) SnapCreate(vol int) uint64 {
 // consistency point (deferred, like file deletion). Returns false if the
 // snapshot does not exist.
 func (c *ClientCtx) SnapDelete(vol int, id uint64) bool {
-	sys := c.sys
-	m, lv := sys.volMember(vol)
+	m, lv := c.sys.volMember(vol)
 	start := c.t.Now()
-	var ok bool
-	v := m.a.Volume(lv)
-	res, _ := c.reserveLog(m, nvlog.Record{Kind: nvlog.OpSnapDelete}.Size())
-	c.gatedCall(m, v, m.logicalAff(lv), func(wt *sim.Thread) {
-		wt.Consume(sys.cfg.Costs.ClientOp / 2)
-		ok = v.DeleteSnapshot(id)
-		if ok {
-			res.Append(nvlog.Record{Kind: nvlog.OpSnapDelete, Vol: uint32(lv), Ino: id})
-		}
-	})
-	res.Release()
+	cost := c.sys.cfg.Costs.ClientOp / 2
+	ok := c.logged(m, lv, cost, &nvlog.Record{Kind: nvlog.OpSnapDelete, Vol: uint32(lv), Ino: id})
 	if ok {
-		if !m.log.HasFrozen() {
-			m.maybeTriggerCP()
-		}
+		m.maybeTriggerCP()
 	}
-	c.t.Consume(sys.cfg.Costs.ClientOp / 2)
-	c.Ops++
-	m.opsDone++
-	m.lat.Observe(int64(c.t.Now() - start))
+	c.ack(m, start, cost, "", "", 0)
 	return ok
 }
 
@@ -583,39 +532,15 @@ func (c *ClientCtx) SnapDelete(vol int, id uint64) bool {
 // an acknowledged SnapRestore always survives a crash. Returns false if the
 // snapshot does not exist (nor is pending).
 func (c *ClientCtx) SnapRestore(vol int, id uint64) bool {
-	sys := c.sys
-	m, lv := sys.volMember(vol)
+	m, lv := c.sys.volMember(vol)
 	start := c.t.Now()
-	var ok bool
-	v := m.a.Volume(lv)
-	res, _ := c.reserveLog(m, nvlog.Record{Kind: nvlog.OpSnapRestore}.Size())
-	m.call(c.t, m.logicalAff(lv), sim.CatClient, func(wt *sim.Thread) {
-		wt.Consume(sys.cfg.Costs.ClientOp)
-		ok = v.RequestRestore(id)
-		if ok {
-			res.Append(nvlog.Record{Kind: nvlog.OpSnapRestore, Vol: uint32(lv), Ino: id})
-		}
-	})
-	res.Release()
+	cost := c.sys.cfg.Costs.ClientOp
+	ok := c.logged(m, lv, cost, &nvlog.Record{Kind: nvlog.OpSnapRestore, Vol: uint32(lv), Ino: id})
 	if ok {
-		m.engine.RequestCP()
-		for v.RestorePending() {
-			m.engine.WaitCPDone(c.t)
-			if v.RestorePending() {
-				m.engine.RequestCP()
-			}
-		}
+		v := m.a.Volume(lv)
+		c.awaitCP(m, func() bool { return !v.RestorePending() })
 	}
-	c.t.Consume(sys.cfg.Costs.ClientOp)
-	lat := Duration(c.t.Now() - start)
-	if tr := c.t.Tracer(); tr != nil {
-		tr.SpanArg(obs.PidThreads, c.t.TrackID(), "client", "snap-restore",
-			int64(start), int64(c.t.Now()), int64(id))
-		tr.Observe("client.restore", int64(lat))
-	}
-	c.Ops++
-	m.opsDone++
-	m.lat.Observe(int64(lat))
+	c.ack(m, start, cost, "snap-restore", "client.restore", int64(id))
 	return ok
 }
 
@@ -628,51 +553,20 @@ func (c *ClientCtx) SnapRestore(vol int, id uint64) bool {
 // no data is copied). Returns (-1, false) if the snapshot does not exist or
 // every clone slot on the member is taken.
 func (c *ClientCtx) CloneCreate(parentVol int, snapID uint64) (int, bool) {
-	sys := c.sys
-	m, plv := sys.volMember(parentVol)
+	m, plv := c.sys.volMember(parentVol)
 	start := c.t.Now()
-	pv := m.a.Volume(plv)
+	cost := c.sys.cfg.Costs.ClientOp
+	rec := nvlog.Record{Kind: nvlog.OpCloneCreate, Ino: snapID, FBN: FBN(plv)}
 	slot := -1
-	res, _ := c.reserveLog(m, nvlog.Record{Kind: nvlog.OpCloneCreate}.Size())
-	c.gatedCall(m, pv, m.logicalAff(plv), func(wt *sim.Thread) {
-		wt.Consume(sys.cfg.Costs.ClientOp)
-		if !pv.SnapshotExists(snapID) {
-			return
-		}
-		if slot = m.freeCloneSlot(); slot < 0 {
-			return
-		}
-		m.a.Volume(slot).RequestCloneBind(plv, snapID)
-		pv.AddCloneRef(snapID)
-		res.Append(nvlog.Record{
-			Kind: nvlog.OpCloneCreate, Vol: uint32(slot), Ino: snapID, FBN: FBN(plv),
-		})
-	})
-	res.Release()
+	if c.logged(m, plv, cost, &rec) {
+		slot = int(rec.Vol)
+		c.awaitCP(m, m.a.Volume(slot).IsClone)
+	}
+	c.ack(m, start, cost, "clone-create", "client.clone", int64(slot))
 	if slot < 0 {
-		c.Ops++
-		m.opsDone++
 		return -1, false
 	}
-	cv := m.a.Volume(slot)
-	m.engine.RequestCP()
-	for !cv.IsClone() {
-		m.engine.WaitCPDone(c.t)
-		if !cv.IsClone() {
-			m.engine.RequestCP()
-		}
-	}
-	c.t.Consume(sys.cfg.Costs.ClientOp)
-	lat := Duration(c.t.Now() - start)
-	if tr := c.t.Tracer(); tr != nil {
-		tr.SpanArg(obs.PidThreads, c.t.TrackID(), "client", "clone-create",
-			int64(start), int64(c.t.Now()), int64(slot))
-		tr.Observe("client.clone", int64(lat))
-	}
-	c.Ops++
-	m.opsDone++
-	m.lat.Observe(int64(lat))
-	return sys.globalVol(m.id, slot), true
+	return c.sys.globalVol(m.id, slot), true
 }
 
 // CloneSplit starts splitting the clone from its parent snapshot: each
@@ -683,27 +577,14 @@ func (c *ClientCtx) CloneCreate(parentVol int, snapID uint64) (int, bool) {
 // System.CloneSplitDone or Flush to drive it to completion. Returns false if
 // the volume is not a clone.
 func (c *ClientCtx) CloneSplit(vol int) bool {
-	sys := c.sys
-	m, lv := sys.volMember(vol)
+	m, lv := c.sys.volMember(vol)
 	start := c.t.Now()
-	var ok bool
-	v := m.a.Volume(lv)
-	res, _ := c.reserveLog(m, nvlog.Record{Kind: nvlog.OpCloneSplit}.Size())
-	c.gatedCall(m, v, m.logicalAff(lv), func(wt *sim.Thread) {
-		wt.Consume(sys.cfg.Costs.ClientOp)
-		ok = v.StartSplit()
-		if ok {
-			res.Append(nvlog.Record{Kind: nvlog.OpCloneSplit, Vol: uint32(lv)})
-		}
-	})
-	res.Release()
+	cost := c.sys.cfg.Costs.ClientOp
+	ok := c.logged(m, lv, cost, &nvlog.Record{Kind: nvlog.OpCloneSplit, Vol: uint32(lv)})
 	if ok {
 		m.engine.RequestCP()
 	}
-	c.t.Consume(sys.cfg.Costs.ClientOp)
-	c.Ops++
-	m.opsDone++
-	m.lat.Observe(int64(c.t.Now() - start))
+	c.ack(m, start, cost, "", "", 0)
 	return ok
 }
 
@@ -725,17 +606,8 @@ func (c *ClientCtx) SnapRead(vol int, snapID, ino uint64, fbn FBN, nblocks int) 
 			}
 		})
 	}
-	c.t.Consume(sys.cfg.Costs.ClientOp)
-	lat := Duration(c.t.Now() - start)
-	if tr := c.t.Tracer(); tr != nil {
-		tr.SpanArg(obs.PidThreads, c.t.TrackID(), "client", "snap-read",
-			int64(start), int64(c.t.Now()), int64(nblocks))
-	}
-	c.Ops++
-	m.opsDone++
 	m.blocksR += uint64(nblocks)
-	m.lat.Observe(int64(lat))
-	return lat, ok
+	return c.ack(m, start, sys.cfg.Costs.ClientOp, "snap-read", "", int64(nblocks)), ok
 }
 
 // VerifyRead returns the committed-or-cached content of a block without
@@ -754,9 +626,10 @@ func (sys *System) VerifyRead(vol int, ino uint64, fbn FBN) []byte {
 // returns its handle (member-tagged; bare inode on member 0).
 func (sys *System) CreateFileDirect(vol int, maxBlocks uint64) uint64 {
 	m, lv := sys.volMember(vol)
-	ino := m.a.Volume(lv).CreateFile(maxBlocks).Ino()
-	m.bindPlacement(lv, ino)
-	return memberHandle(m.id, ino)
+	rec := nvlog.Record{Kind: nvlog.OpCreate, Vol: uint32(lv), MaxBlocks: maxBlocks}
+	m.apply(&rec)
+	m.bindPlacement(lv, rec.Ino)
+	return memberHandle(m.id, rec.Ino)
 }
 
 // SnapVerifyRead returns block fbn of inode ino from a snapshot's frozen

@@ -415,3 +415,107 @@ func TestRaidParityConsistentAfterCheckpoint(t *testing.T) {
 		t.Fatal("superblock unreadable through geometry accessor")
 	}
 }
+
+// TestCreateFileAtForms pins the one create path against every state an
+// inode number can be in — fresh, created but not yet persisted, persisted by
+// a committed CP — for both forms: an explicit number (NVRAM replay: must be
+// idempotent) and 0 (the live path: the next unused number, whatever earlier
+// explicit creates claimed).
+func TestCreateFileAtForms(t *testing.T) {
+	s, a := newTestAggr(t)
+	v := a.AddVolume(1 << 16)
+	persisted := v.CreateFile(1 << 12) // CreateFile is the 0 form
+	persisted.WriteBlock(5, pattern(1))
+	v.MarkDirty(persisted)
+	cp := &testCheckpoint{t: t, s: s, a: a}
+	s.Go("cp", sim.CatCP, func(th *sim.Thread) { cp.run(th) })
+	s.Run(sim.Time(10 * sim.Second))
+	cp.check()
+	a.CrashAll()
+	m, err := MountFrom(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = m.Volume(0)
+
+	// Explicit, persisted: the file on media, not a fresh empty one.
+	got := v.CreateFileAt(persisted.Ino(), 1<<12)
+	if got.Ino() != persisted.Ino() || !bytes.Equal(v.ReadFileBlock(nil, got, 5), pattern(1)) {
+		t.Fatal("re-creating a persisted inode did not return the file on media")
+	}
+	if v.DirtyFiles() != 0 || len(v.FreezeAll()) != 0 {
+		t.Fatal("re-creating a persisted inode dirtied it")
+	}
+	// Explicit, fresh — ahead of the counter, as replay after a CP that
+	// persisted a later nextIno never is, but a gap must still be safe.
+	const ahead = FirstUserIno + 10
+	pending := v.CreateFileAt(ahead, 100)
+	if pending.Ino() != ahead || v.NextIno() != ahead+1 {
+		t.Fatalf("explicit fresh create: ino %d, nextIno %d", pending.Ino(), v.NextIno())
+	}
+	// Explicit, pending: the same in-memory file, record still queued once.
+	if again := v.CreateFileAt(ahead, 100); again != pending || v.NextIno() != ahead+1 {
+		t.Fatal("re-creating a pending inode made a second file or moved the counter")
+	}
+	// 0 form: skips everything claimed so far, persisted or pending.
+	if next := v.CreateFileAt(0, 100); next.Ino() != ahead+1 || v.NextIno() != ahead+2 {
+		t.Fatalf("assigning create after an explicit one: ino %d, nextIno %d", next.Ino(), v.NextIno())
+	}
+	// Explicit below the counter and unused (the gap): created, counter kept.
+	if gap := v.CreateFileAt(ahead-1, 100); gap.Ino() != ahead-1 || v.NextIno() != ahead+2 {
+		t.Fatalf("explicit create in a gap: ino %d, nextIno %d", gap.Ino(), v.NextIno())
+	}
+	if n := len(v.FreezeAll()); n != 3 {
+		t.Fatalf("%d inode records queued, want 3 (pending, assigned, gap)", n)
+	}
+}
+
+// TestRequestSnapshotForms is the same table for snapshot IDs: fresh, already
+// pending, already materialized, in the explicit (replay) and 0 (live) forms.
+func TestRequestSnapshotForms(t *testing.T) {
+	_, a := newTestAggr(t)
+	v := a.AddVolume(1 << 16)
+	pendingIDs := func() []uint64 {
+		p := v.TakePendingSnapshots()
+		for _, id := range p {
+			v.RequestSnapshot(id)
+		}
+		return p
+	}
+	// 0 form, fresh: IDs count from 1.
+	if id := v.RequestSnapshot(0); id != 1 {
+		t.Fatalf("first assigned snapshot ID = %d", id)
+	}
+	// Explicit, pending: nothing queued twice.
+	if id := v.RequestSnapshot(1); id != 1 || len(pendingIDs()) != 1 {
+		t.Fatalf("re-requesting a pending snapshot: id %d, pending %v", id, pendingIDs())
+	}
+	// Explicit, materialized: a no-op.
+	for _, id := range v.TakePendingSnapshots() {
+		v.MaterializeSnapshot(id, 1)
+	}
+	if id := v.RequestSnapshot(1); id != 1 || !v.SnapshotsQuiescent() {
+		t.Fatalf("re-requesting a materialized snapshot queued it again (id %d)", id)
+	}
+	// Explicit, fresh, ahead of the counter; then the 0 form skips past it.
+	if id := v.RequestSnapshot(7); id != 7 {
+		t.Fatalf("explicit fresh snapshot ID = %d", id)
+	}
+	if id := v.RequestSnapshot(0); id != 8 {
+		t.Fatalf("assigned ID after an explicit 7 = %d, want 8", id)
+	}
+	// A cancelled create (deleted while pending) replays as fresh again.
+	if !v.DeleteSnapshot(7) {
+		t.Fatal("cancelling a pending create failed")
+	}
+	if id := v.RequestSnapshot(7); id != 7 {
+		t.Fatalf("re-requesting a cancelled create = %d", id)
+	}
+	if got := pendingIDs(); len(got) != 2 || got[0] != 8 || got[1] != 7 {
+		t.Fatalf("pending = %v, want [8 7]", got)
+	}
+	// 0 form with everything above in place: still the next unused ID.
+	if id := v.RequestSnapshot(0); id != 9 {
+		t.Fatalf("assigned ID = %d, want 9", id)
+	}
+}

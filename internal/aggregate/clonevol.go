@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"slices"
 
 	"wafl/internal/bitmap"
 	"wafl/internal/block"
@@ -43,17 +44,14 @@ func (v *Volume) CloneSlotFree() bool {
 }
 
 // RequestCloneBind queues binding this volume as a writable clone of parent
-// snapshot (parentVol, parentSnap) at the next CP. Idempotent for the NVRAM
-// replay path: re-requesting an identical binding (pending or already
-// materialized) succeeds without queueing. Returns false if the slot is
-// taken by a different binding. The caller holds the parent delete guard
-// (AddCloneRef) before logging.
+// snapshot (parentVol, parentSnap) at the next CP, and reports whether it
+// did: the caller then takes the parent delete guard (AddCloneRef), once.
+// Idempotent for the NVRAM replay path: a slot whose bind is already pending
+// or materialized queues nothing and returns false (a materialized bind's
+// guard was rebuilt by the mount).
 func (v *Volume) RequestCloneBind(parentVol int, parentSnap uint64) bool {
-	if v.cl != nil {
-		return v.cl.ParentVol == parentVol && v.cl.ParentSnap == parentSnap
-	}
-	if v.pendClone != nil {
-		return v.pendClone.parentVol == parentVol && v.pendClone.parentSnap == parentSnap
+	if v.cl != nil || v.pendClone != nil {
+		return false
 	}
 	v.pendClone = &pendingClone{parentVol: parentVol, parentSnap: parentSnap}
 	return true
@@ -260,31 +258,16 @@ func (v *Volume) CompleteSplit() (basePvbns []uint64, freedAlloc int, walked int
 // every uncommitted change, and client operations are gated until the
 // restore is applied and committed. Accepts a still-pending snapshot create
 // as the target (the CP engine defers the restore until the target
-// materializes). Returns false if the snapshot does not exist.
+// materializes). Returns false if the snapshot does not exist. NVRAM replay
+// takes the same path: the snapshot's create record precedes the restore
+// record in the log, so the target is materialized or pending by then.
 func (v *Volume) RequestRestore(id uint64) bool {
-	if !v.SnapshotExists(id) {
-		pending := false
-		for _, p := range v.pendSnaps {
-			if p == id {
-				pending = true
-				break
-			}
-		}
-		if !pending {
-			return false
-		}
+	if !v.SnapshotExists(id) && !slices.Contains(v.pendSnaps, id) {
+		return false
 	}
 	v.DiscardVolatile()
 	v.pendRestores = append(v.pendRestores, id)
 	return true
-}
-
-// RequestRestoreAt is the NVRAM replay path: the snapshot's create record
-// precedes the restore record in the log, so the target is either
-// materialized or pending by the time this runs.
-func (v *Volume) RequestRestoreAt(id uint64) {
-	v.DiscardVolatile()
-	v.pendRestores = append(v.pendRestores, id)
 }
 
 // RestorePending reports whether an unapplied or uncommitted restore gates

@@ -1,6 +1,8 @@
 package aggregate
 
 import (
+	"slices"
+
 	"wafl/internal/block"
 	"wafl/internal/fs"
 	"wafl/internal/sim"
@@ -16,30 +18,21 @@ import (
 // immediately and becomes a zombie reclaimed by the next CP.
 
 // RequestSnapshot queues a snapshot create for the next CP freeze and
-// returns its assigned ID.
-func (v *Volume) RequestSnapshot() uint64 {
-	id := v.nextSnapID
-	v.nextSnapID++
-	v.pendSnaps = append(v.pendSnaps, id)
-	return id
-}
-
-// RequestSnapshotAt re-queues a snapshot create at a specific ID — the NVRAM
-// replay path, which must be idempotent (the create may already have been
-// materialized by a CP that completed before the crash).
-func (v *Volume) RequestSnapshotAt(id uint64) {
+// returns its ID: the next unused one when id is 0, else id itself. With an
+// explicit ID it is the NVRAM replay path and must be idempotent — a no-op if
+// the create is already pending, or was materialized by a CP that completed
+// before the crash.
+func (v *Volume) RequestSnapshot(id uint64) uint64 {
+	if id == 0 {
+		id = v.nextSnapID
+	}
 	if id >= v.nextSnapID {
 		v.nextSnapID = id + 1
 	}
-	if _, ok := v.snaps[id]; ok {
-		return
+	if !v.SnapshotExists(id) && !slices.Contains(v.pendSnaps, id) {
+		v.pendSnaps = append(v.pendSnaps, id)
 	}
-	for _, p := range v.pendSnaps {
-		if p == id {
-			return
-		}
-	}
-	v.pendSnaps = append(v.pendSnaps, id)
+	return id
 }
 
 // SnapshotExists reports whether snapshot id is materialized (readable and

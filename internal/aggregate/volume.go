@@ -210,31 +210,25 @@ func (v *Volume) Container(vvbn block.VVBN) block.VBN {
 
 // CreateFile allocates a new user file able to hold maxBlocks blocks. The
 // inode record is persisted in the next CP.
-func (v *Volume) CreateFile(maxBlocks uint64) *fs.File {
-	ino := v.nextIno
-	v.nextIno++
-	f := fs.NewFile(ino, fs.HeightFor(maxBlocks))
-	v.files[ino] = f
-	v.recordDirty[ino] = f
-	return f
-}
+func (v *Volume) CreateFile(maxBlocks uint64) *fs.File { return v.CreateFileAt(0, maxBlocks) }
 
-// CreateFileAt recreates a file at a specific inode number — the NVRAM
-// replay path, which must be idempotent (the create may already have been
-// persisted by a CP that completed during the op).
+// CreateFileAt creates a file at inode number ino, or at the next unused
+// number when ino is 0. With an explicit number it is the NVRAM replay path
+// and must be idempotent: the create may already have been persisted by a CP
+// that completed during the op, in which case the existing file is returned.
 func (v *Volume) CreateFileAt(ino uint64, maxBlocks uint64) *fs.File {
+	if ino == 0 {
+		ino = v.nextIno
+	}
+	if ino >= v.nextIno {
+		v.nextIno = ino + 1
+	}
 	if f := v.LookupFile(ino); f != nil {
-		if ino >= v.nextIno {
-			v.nextIno = ino + 1
-		}
 		return f
 	}
 	f := fs.NewFile(ino, fs.HeightFor(maxBlocks))
 	v.files[ino] = f
 	v.recordDirty[ino] = f
-	if ino >= v.nextIno {
-		v.nextIno = ino + 1
-	}
 	return f
 }
 

@@ -446,7 +446,7 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job, f *fs.File) {
 				t.Consume(p.costs.StagePush)
 				cs.stagePhys = append(cs.stagePhys, uint64(oldVBN))
 				p.in.CleanerCounterAdd(t, cs.tok, p.in.AggrFreeID(), 1)
-				if len(cs.stagePhys) >= p.opts.StageSize {
+				if len(cs.stagePhys) >= stageSize {
 					p.commitStagePhys(cs)
 				}
 			}
@@ -462,7 +462,7 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job, f *fs.File) {
 				if !snapHeld {
 					p.in.CleanerCounterAdd(t, cs.tok, p.in.VolFreeID(vid), 1)
 				}
-				if len(cs.stageVirt[vid]) >= p.opts.StageSize {
+				if len(cs.stageVirt[vid]) >= stageSize {
 					p.commitStageVirt(cs, vid)
 				}
 			}

@@ -24,7 +24,7 @@ func (in *Infra) StartCP(dirtyVols []*aggregate.Volume) {
 	}
 	for _, v := range dirtyVols {
 		vs := in.vols[v.ID()]
-		for vs.cache.Len()+vs.pendingFills < in.opts.VolBucketsReady {
+		for vs.cache.Len()+vs.pendingFills < volBucketsReady {
 			in.requestVBucket(vs)
 		}
 	}

@@ -199,7 +199,7 @@ func (in *Infra) GetVBucket(t *sim.Thread, vol *aggregate.Volume) *VBucket {
 		tr.Observe("infra.vget_wait", int64(t.Now()-getStart))
 	}
 	vb := vs.cache.Pop()
-	if !in.draining && in.inCP && vs.cache.Len()+vs.pendingFills < in.opts.VolBucketsReady {
+	if !in.draining && in.inCP && vs.cache.Len()+vs.pendingFills < volBucketsReady {
 		in.requestVBucket(vs)
 	}
 	return vb

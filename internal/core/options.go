@@ -73,12 +73,6 @@ type Options struct {
 	// WindowsAhead is how many tetris windows per RAID group the
 	// infrastructure keeps filled in the bucket cache.
 	WindowsAhead int
-	// VolBucketsReady is the per-volume target of ready virtual buckets.
-	VolBucketsReady int
-
-	// StageSize is the free-stage capacity before a commit message is
-	// sent (in blocks).
-	StageSize int
 
 	// AASelection picks the Allocation Area policy.
 	AASelection AAPolicy
@@ -110,13 +104,16 @@ type Options struct {
 	// under CleanInSerialAffinity, whose whole point is the pre-2008
 	// exclusive-CP design.
 	ParallelCP bool
-
-	// CloneSplitBatch bounds the number of still-live base blocks a clone
-	// split rewrites per consistency point. The split is a background
-	// block copy; the bound keeps any single CP's extra cleaning load —
-	// and hence client NVRAM-stall exposure — fixed.
-	CloneSplitBatch int
 }
+
+// Tuning values every configuration in the tree uses unchanged.
+const (
+	// volBucketsReady is the per-volume target of ready virtual buckets.
+	volBucketsReady = 12
+	// stageSize is the free-stage capacity before a commit message is sent
+	// (in blocks).
+	stageSize = 64
+)
 
 // DefaultOptions returns the standard White Alligator configuration.
 func DefaultOptions() Options {
@@ -133,10 +130,7 @@ func DefaultOptions() Options {
 		SplitThreshold:   2048,
 		SplitJobs:        4,
 		WindowsAhead:     8,
-		VolBucketsReady:  12,
-		StageSize:        64,
 		AASelection:      AAMostFree,
-		CloneSplitBatch:  2048,
 		EqualProgress:    true,
 		LooseAccounting:  true,
 		HierarchicalFree: true,

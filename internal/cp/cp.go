@@ -9,6 +9,7 @@ package cp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"wafl/internal/aggregate"
@@ -22,6 +23,12 @@ import (
 	"wafl/internal/storage"
 	"wafl/internal/waffinity"
 )
+
+// cloneSplitBatch bounds the number of still-live base blocks a clone split
+// rewrites per consistency point. The split is a background block copy; the
+// bound keeps any single CP's extra cleaning load — and hence client
+// NVRAM-stall exposure — fixed.
+const cloneSplitBatch = 2048
 
 // Stats holds cumulative CP engine counters.
 type Stats struct {
@@ -180,24 +187,24 @@ func (e *Engine) parallel() bool { return e.opts.ParallelCP && !e.opts.CleanInSe
 // interleaving is a pure function of prior simulation state. Workers may
 // touch engine/infra state directly — at most one simulated thread runs at
 // any real instant, so there is no host-level race — but fn must produce
-// only order-independent effects: slot writes indexed by i, counter adds,
-// stat increments.
-func (e *Engine) scatterVolumes(t *sim.Thread, name string, vols []*aggregate.Volume, fn func(wt *sim.Thread, v *aggregate.Volume, i int)) {
+// only order-independent effects: writes to its own volume's volCut, counter
+// adds, stat increments.
+func (e *Engine) scatterVolumes(t *sim.Thread, name string, vols []*aggregate.Volume, fn func(wt *sim.Thread, v *aggregate.Volume)) {
 	if !e.parallel() {
-		for i, v := range vols {
-			fn(t, v, i)
+		for _, v := range vols {
+			fn(t, v)
 		}
 		return
 	}
 	units := make([]waffinity.Unit, len(vols))
 	for i, v := range vols {
-		i, v := i, v
+		v := v
 		units[i] = waffinity.Unit{
 			Aff: e.h.Aggrs[0].Volumes[v.ID()].Volume,
 			Cat: sim.CatCP,
 			Fn: func(wt *sim.Thread) {
 				start := wt.Now()
-				fn(wt, v, i)
+				fn(wt, v)
 				// Per-volume phase span on the executing worker's own
 				// track, so the fan-out's overlap is visible in the trace.
 				if tr := wt.Tracer(); tr != nil {
@@ -260,10 +267,30 @@ func (e *Engine) loop(t *sim.Thread) {
 	}
 }
 
+// volCut is one volume's share of a consistency point: what the freeze cut
+// took from the volume, and what each phase leaves for the later ones.
+type volCut struct {
+	snapPend []uint64         // snapshot creates taken at the cut; phase 2b materializes them
+	restPend []uint64         // SnapRestores taken at the cut; phase 1b applies them
+	bind     bool             // a clone bind was queued at the cut; phase 1b materializes it
+	frozen   []*fs.File       // inodes frozen into this CP (phase 1), by ino
+	reaped   map[uint64]bool  // inodes phase 1b reaped: phase 3 must not rewrite their records
+	snapZ    []*snap.Snapshot // snapshot zombies taken in phase 1b, reclaimed after the free drain
+	snaps    []*snap.Snapshot // snapshots materialized in phase 2b; phase 3b copies their inode files
+	snapSet  bool             // snapshot set changed (2b create, 1b reclaim): phase 5 rewrites the snapdir
+	redrive  bool             // phase 1b left work (deferred restore or bind, split batch) for a follow-up CP
+}
+
 // runCP executes one full consistency point. The engine thread owns phase
 // ordering, the drains, and the crash-boundary hooks; the per-volume work
 // inside phases 1, 1b, 2b, 3, 3b, and 5 fans out across the Waffinity
 // Volume affinities when ParallelCP is on (see scatterVolumes).
+//
+// Everything a CP tracks per volume lives in one []volCut indexed by volume
+// ID. The freeze cut fills in what this CP — rather than the next — will
+// apply; after that every phase reads it, a fan-out worker writes only its
+// own volume's entry, and the engine thread reads any entry between joins
+// (picked selects the volumes a phase has work for).
 func (e *Engine) runCP(t *sim.Thread) {
 	start := t.Now()
 	tr := t.Tracer()
@@ -292,24 +319,25 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// surviving log record.
 	e.log.Switch()
 	vols := e.a.Volumes()
-	snapPend := make(map[int][]uint64)
-	snapSetChanged := make(map[int]bool)
-	restPend := make(map[int][]uint64)
-	bindPend := make(map[int]bool)
-	for _, v := range vols {
-		if p := v.TakePendingSnapshots(); len(p) > 0 {
-			snapPend[v.ID()] = p
+	cuts := make([]volCut, len(vols))
+	picked := func(keep func(c *volCut) bool) (out []*aggregate.Volume) {
+		for _, v := range vols {
+			if keep(&cuts[v.ID()]) {
+				out = append(out, v)
+			}
 		}
+		return out
+	}
+	for _, v := range vols {
 		// Restores and clone binds are part of the same atomic cut: an op
 		// logged to the frozen half is applied by this CP, one logged after
 		// the switch waits for the next. Restores are taken out of the volume
 		// here; binds stay queued on the volume (MaterializeClone consumes
 		// them) but the decision of *which* CP applies them is made now.
-		if p := v.TakePendingRestores(); len(p) > 0 {
-			restPend[v.ID()] = p
-		}
-		if v.ClonePending() {
-			bindPend[v.ID()] = true
+		cuts[v.ID()] = volCut{
+			snapPend: v.TakePendingSnapshots(),
+			restPend: v.TakePendingRestores(),
+			bind:     v.ClonePending(),
 		}
 	}
 	// The freeze itself fans out per volume. Client writes interleave with
@@ -319,22 +347,12 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// safe because replay is idempotent. Under fan-out each volume's freeze
 	// additionally excludes that volume's client ops (Stripes are
 	// descendants of Volume), making the per-volume cut atomic.
-	frozenSlots := make([][]*fs.File, len(vols))
-	e.scatterVolumes(t, "freeze", vols, func(wt *sim.Thread, v *aggregate.Volume, i int) {
+	e.scatterVolumes(t, "freeze", vols, func(wt *sim.Thread, v *aggregate.Volume) {
 		files := v.FreezeAll()
-		if len(files) > 0 {
-			frozenSlots[i] = files
-			wt.Consume(sim.Duration(len(files)) * e.costs.CPPerInode)
-		}
+		cuts[v.ID()].frozen = files
+		wt.Consume(sim.Duration(len(files)) * e.costs.CPPerInode)
 	})
-	var dirtyVols []*aggregate.Volume
-	frozen := make(map[int][]*fs.File)
-	for i, v := range vols {
-		if len(frozenSlots[i]) > 0 {
-			dirtyVols = append(dirtyVols, v)
-			frozen[v.ID()] = frozenSlots[i]
-		}
-	}
+	dirtyVols := picked(func(c *volCut) bool { return len(c.frozen) > 0 })
 
 	// Phase 1b: zombie processing — deleted files' on-disk blocks are
 	// reclaimed through the same free-commit machinery, and their inode
@@ -342,42 +360,38 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// walks are independent (all state is per-volume; free commits are
 	// asynchronous messages), so the walks fan out per volume.
 	e.in.StartCP(dirtyVols)
-	snapZSlots := make([][]*snap.Snapshot, len(vols))
-	reapedSlots := make([]map[uint64]bool, len(vols))
-	redriveSlots := make([]bool, len(vols))
-	e.scatterVolumes(t, "zombies", vols, func(wt *sim.Thread, v *aggregate.Volume, i int) {
+	e.scatterVolumes(t, "zombies", vols, func(wt *sim.Thread, v *aggregate.Volume) {
+		cut := &cuts[v.ID()]
 		// SnapRestores taken at the freeze cut apply first: the restored
 		// image supersedes everything else queued on the volume (zombies and
 		// dirty state were already discarded at request time, and clients
 		// have been gated since). The active map converges on the snapmap by
 		// a word-wise diff and the inode file becomes the inocopy image —
 		// O(metadata), never data blocks.
-		if ids := restPend[v.ID()]; len(ids) > 0 {
-			for n, id := range ids {
-				s := v.SnapshotByID(id)
-				if s == nil {
-					// Created and restored within one NVRAM window: the
-					// target materializes later in this very CP (phase 2b).
-					// Re-queue — the volume stays gated — and drive a
-					// follow-up CP to apply it.
-					v.DeferRestore(ids[n:])
-					redriveSlots[i] = true
-					break
-				}
-				pvbns, freedAlloc, walked := v.ApplyRestore(s)
-				wt.Consume(sim.Duration(walked) * e.costs.CommitPerBlock)
-				e.in.CommitFrees(wt, -1, pvbns)
-				e.in.Counters.Add(e.in.AggrFreeID(), int64(len(pvbns)))
-				e.in.Counters.Add(e.in.VolFreeID(v.ID()), int64(freedAlloc))
-				e.stats.Restores++
-				e.stats.RestoreFreed += uint64(len(pvbns))
-				e.stats.RestoreBlocks += uint64(walked)
-				if e.onRestore != nil {
-					e.onRestore(v.ID())
-				}
-				if wtr := wt.Tracer(); wtr != nil {
-					wtr.InstantArg(obs.PidCP, e.snapTrack(wtr), "snap", "snap-restore", int64(wt.Now()), int64(id))
-				}
+		for n, id := range cut.restPend {
+			s := v.SnapshotByID(id)
+			if s == nil {
+				// Created and restored within one NVRAM window: the
+				// target materializes later in this very CP (phase 2b).
+				// Re-queue — the volume stays gated — and drive a
+				// follow-up CP to apply it.
+				v.DeferRestore(cut.restPend[n:])
+				cut.redrive = true
+				break
+			}
+			pvbns, freedAlloc, walked := v.ApplyRestore(s)
+			wt.Consume(sim.Duration(walked) * e.costs.CommitPerBlock)
+			e.in.CommitFrees(wt, -1, pvbns)
+			e.in.Counters.Add(e.in.AggrFreeID(), int64(len(pvbns)))
+			e.in.Counters.Add(e.in.VolFreeID(v.ID()), int64(freedAlloc))
+			e.stats.Restores++
+			e.stats.RestoreFreed += uint64(len(pvbns))
+			e.stats.RestoreBlocks += uint64(walked)
+			if e.onRestore != nil {
+				e.onRestore(v.ID())
+			}
+			if wtr := wt.Tracer(); wtr != nil {
+				wtr.InstantArg(obs.PidCP, e.snapTrack(wtr), "snap", "snap-restore", int64(wt.Now()), int64(id))
 			}
 		}
 		// Clone binds queued before the freeze cut materialize next: the
@@ -385,11 +399,11 @@ func (e *Engine) runCP(t *sim.Thread) {
 		// frozen image, the shared set is recorded in the base map and
 		// summary-held. A bind whose parent snapshot is pending in this same
 		// CP waits one more (same NVRAM-window reasoning as restores).
-		if bindPend[v.ID()] {
+		if cut.bind {
 			pv, ps := v.ClonePendingInfo()
 			p := e.a.Volume(pv)
 			if p.SnapshotByID(ps) == nil {
-				redriveSlots[i] = true
+				cut.redrive = true
 			} else {
 				activated, copied := v.MaterializeClone(p)
 				wt.Consume(sim.Duration(copied) * e.costs.CommitPerBlock)
@@ -436,28 +450,15 @@ func (e *Engine) runCP(t *sim.Thread) {
 			// zombie phases — both yield), phase 3 must not re-write its
 			// record over the clear, or the deleted file is resurrected on
 			// disk.
-			if reapedSlots[i] == nil {
-				reapedSlots[i] = make(map[uint64]bool)
+			if cut.reaped == nil {
+				cut.reaped = make(map[uint64]bool)
 			}
-			reapedSlots[i][z.Ino()] = true
+			cut.reaped[z.Ino()] = true
 			e.stats.ZombiesReaped++
 		}
-		snapZSlots[i] = v.TakeSnapZombies()
+		cut.snapZ = v.TakeSnapZombies()
 	})
-	reaped := make(map[int]map[uint64]bool)
-	for i, v := range vols {
-		if reapedSlots[i] != nil {
-			reaped[v.ID()] = reapedSlots[i]
-		}
-	}
-	var zvols []*aggregate.Volume
-	var zlists [][]*snap.Snapshot
-	for i, v := range vols {
-		if len(snapZSlots[i]) > 0 {
-			zvols = append(zvols, v)
-			zlists = append(zlists, snapZSlots[i])
-		}
-	}
+	zvols := picked(func(c *volCut) bool { return len(c.snapZ) > 0 })
 	// Splitting clones do their bounded block-copy step (or complete) after
 	// the zombie walks; computed here because a bind materialized above may
 	// have started a replay-queued split.
@@ -486,8 +487,9 @@ func (e *Engine) runCP(t *sim.Thread) {
 		// and return exclusively-held blocks (plus the snapshot's own
 		// metafile trees) to the aggregate. Same-CP physical reuse is fenced
 		// by the pending-free set, exactly like file zombie frees.
-		e.scatterVolumes(t, "snapreclaim", zvols, func(wt *sim.Thread, v *aggregate.Volume, i int) {
-			zombies := zlists[i]
+		e.scatterVolumes(t, "snapreclaim", zvols, func(wt *sim.Thread, v *aggregate.Volume) {
+			cut := &cuts[v.ID()]
+			zombies := cut.snapZ
 			for zi, z := range zombies {
 				pvbns, freedVVBNs, walked := v.ReclaimSnapshot(z, zombies[zi+1:])
 				wt.Consume(sim.Duration(walked) * e.costs.CommitPerBit)
@@ -500,7 +502,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 				e.in.Counters.Add(e.in.VolFreeID(v.ID()), int64(freedVVBNs))
 				e.stats.SnapsDeleted++
 				e.stats.SnapReclaimed += uint64(len(pvbns))
-				snapSetChanged[v.ID()] = true
+				cut.snapSet = true
 				if wtr := wt.Tracer(); wtr != nil {
 					wtr.InstantArg(obs.PidCP, e.snapTrack(wtr), "snap", "snap-delete", int64(wt.Now()), int64(z.ID))
 					wtr.Observe("snap.reclaimed", int64(len(pvbns)))
@@ -516,13 +518,13 @@ func (e *Engine) runCP(t *sim.Thread) {
 		// base block is live, completion clears the summary/base holds not
 		// owned by clone-local snapshots and (when fully drained) frees the
 		// base map metafile and drops the parent-snapshot delete guard.
-		e.scatterVolumes(t, "clonesplit", splitVols, func(wt *sim.Thread, v *aggregate.Volume, i int) {
+		e.scatterVolumes(t, "clonesplit", splitVols, func(wt *sim.Thread, v *aggregate.Volume) {
 			st := v.CloneState()
 			if live := v.CloneLiveBase(); live > 0 {
-				copied, walked := v.SplitStep(e.opts.CloneSplitBatch)
+				copied, walked := v.SplitStep(cloneSplitBatch)
 				wt.Consume(sim.Duration(walked) * e.costs.CommitPerBit)
 				e.stats.SplitCopied += uint64(copied)
-				redriveSlots[i] = true
+				cuts[v.ID()].redrive = true
 				return
 			}
 			pv, ps := st.ParentVol, st.ParentSnap
@@ -540,17 +542,14 @@ func (e *Engine) runCP(t *sim.Thread) {
 			}
 		})
 	}
-	for _, r := range redriveSlots {
-		if r {
-			e.RequestCP()
-			break
-		}
+	if slices.ContainsFunc(cuts, func(c volCut) bool { return c.redrive }) {
+		e.RequestCP()
 	}
 
 	// Phase 2: inode cleaning through the White Alligator API.
 	var jobs []*core.Job
 	for _, v := range dirtyVols {
-		jobs = append(jobs, e.pool.BuildJobs(v, frozen[v.ID()], true)...)
+		jobs = append(jobs, e.pool.BuildJobs(v, cuts[v.ID()].frozen, true)...)
 	}
 	cleanStart := t.Now()
 	phase("freeze+zombies")
@@ -571,39 +570,29 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// pending snapshot's snapmap from the live amap content and fold it into
 	// the summary map, per volume. (The inode-file half of the image is
 	// captured after phase 3, once records are written.)
-	var pvols []*aggregate.Volume
-	for _, v := range vols {
-		if len(snapPend[v.ID()]) > 0 {
-			pvols = append(pvols, v)
-		}
-	}
-	snapSlots := make([][]*snap.Snapshot, len(pvols))
-	e.scatterVolumes(t, "snapcapture", pvols, func(wt *sim.Thread, v *aggregate.Volume, i int) {
-		ids := snapPend[v.ID()]
-		out := make([]*snap.Snapshot, 0, len(ids))
-		for _, id := range ids {
+	pvols := picked(func(c *volCut) bool { return len(c.snapPend) > 0 })
+	e.scatterVolumes(t, "snapcapture", pvols, func(wt *sim.Thread, v *aggregate.Volume) {
+		cut := &cuts[v.ID()]
+		for _, id := range cut.snapPend {
 			s, copied := v.MaterializeSnapshot(id, e.a.CPCount()+1)
 			wt.Consume(sim.Duration(copied) * e.costs.CommitPerBlock)
-			out = append(out, s)
+			cut.snaps = append(cut.snaps, s)
 			if wtr := wt.Tracer(); wtr != nil {
 				wtr.InstantArg(obs.PidCP, e.snapTrack(wtr), "snap", "snap-create", int64(wt.Now()), int64(id))
 			}
 		}
-		snapSlots[i] = out
+		cut.snapSet = true
+		e.stats.SnapsCreated += uint64(len(cut.snaps))
 	})
-	for i, v := range pvols {
-		snapSetChanged[v.ID()] = true
-		e.stats.SnapsCreated += uint64(len(snapSlots[i]))
-	}
 
 	// Phase 3: inode records. Roots are final; serialize the records into
 	// the inode files, per volume.
 	metaStart := t.Now()
-	e.scatterVolumes(t, "records", dirtyVols, func(wt *sim.Thread, v *aggregate.Volume, i int) {
-		files := frozen[v.ID()]
+	e.scatterVolumes(t, "records", dirtyVols, func(wt *sim.Thread, v *aggregate.Volume) {
+		cut := &cuts[v.ID()]
 		written := 0
-		for _, f := range files {
-			if r := reaped[v.ID()]; r != nil && r[f.Ino()] {
+		for _, f := range cut.frozen {
+			if cut.reaped[f.Ino()] {
 				// Deleted after the freeze and already reaped by phase 1b
 				// (possible only for a buffer-less record-only freeze):
 				// writing the stale record would resurrect the file.
@@ -614,7 +603,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 			written++
 		}
 		e.stats.RecordsWritten += uint64(written)
-		e.stats.InodesCleaned += uint64(len(files))
+		e.stats.InodesCleaned += uint64(len(cut.frozen))
 	})
 
 	phase("records")
@@ -624,15 +613,15 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// (records written, deleted records cleared): copy it into each new
 	// snapshot's inocopy metafile, per volume. Both snapshot metafiles are
 	// then cleaned alongside the volume metafiles in phase 4.
-	e.scatterVolumes(t, "inocopy", pvols, func(wt *sim.Thread, v *aggregate.Volume, i int) {
-		for _, s := range snapSlots[i] {
+	e.scatterVolumes(t, "inocopy", pvols, func(wt *sim.Thread, v *aggregate.Volume) {
+		for _, s := range cuts[v.ID()].snaps {
 			copied := snap.CopyContent(s.InoCopy, v.InoFile())
 			wt.Consume(sim.Duration(copied) * e.costs.CommitPerBlock)
 		}
 	})
 	var snapJobs []*core.Job
-	for i, v := range pvols {
-		for _, s := range snapSlots[i] {
+	for _, v := range pvols {
+		for _, s := range cuts[v.ID()].snaps {
 			snapJobs = append(snapJobs,
 				&core.Job{Vol: v, Files: []*fs.File{s.Snapmap}, Mode: core.JobFull},
 				&core.Job{Vol: v, Files: []*fs.File{s.InoCopy}, Mode: core.JobFull})
@@ -660,13 +649,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// are final after phase 4 — per volume; the snapdir is cleaned before
 	// the volume-table entries (which hold its root) are serialized. The
 	// volume table itself is aggregate state: it stays on the engine thread.
-	var svols []*aggregate.Volume
-	for _, v := range vols {
-		if snapSetChanged[v.ID()] {
-			svols = append(svols, v)
-		}
-	}
-	e.scatterVolumes(t, "snapdir", svols, func(wt *sim.Thread, v *aggregate.Volume, i int) {
+	svols := picked(func(c *volCut) bool { return c.snapSet })
+	e.scatterVolumes(t, "snapdir", svols, func(wt *sim.Thread, v *aggregate.Volume) {
 		v.WriteSnapdirEntries()
 		wt.Consume(e.costs.RecordWrite)
 	})
@@ -719,8 +703,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// The applied restores are durable: reopen the client gates. Deferred
 	// restores re-queued at phase 1b keep their volumes gated through
 	// pendRestores until the follow-up CP applies them.
-	for vid := range restPend {
-		e.a.Volume(vid).FinishRestore()
+	for _, v := range picked(func(c *volCut) bool { return len(c.restPend) > 0 }) {
+		v.FinishRestore()
 	}
 	e.boundary(t, "done")
 

@@ -326,53 +326,75 @@ func (m *Member) crash() {
 // replay reapplies logged operations in sequence order against the mounted
 // member file system. Record coordinates (Vol, Ino) are member-local.
 func (m *Member) replay(records []nvlog.Record) {
-	for _, rec := range records {
-		v := m.a.Volume(int(rec.Vol))
-		switch rec.Kind {
-		case nvlog.OpCreate:
-			v.CreateFileAt(rec.Ino, rec.MaxBlocks)
-		case nvlog.OpDelete:
-			v.DeleteFile(rec.Ino) // idempotent
-
-		case nvlog.OpSnapCreate:
-			// Idempotent: a no-op if the snapshot was materialized by a CP
-			// that committed before the crash; otherwise it is re-queued and
-			// the recovery CP materializes it.
-			v.RequestSnapshotAt(rec.Ino)
-		case nvlog.OpSnapDelete:
-			v.DeleteSnapshot(rec.Ino) // idempotent
-
-		case nvlog.OpSnapRestore:
-			// Re-queue the restore: the volume is gated again and the
-			// recovery CP applies it. A surviving restore record implies the
-			// volume was gated from the request on, so no later record in
-			// this log touches the volume — the replayed DiscardVolatile
-			// cannot erase replayed-and-acked state.
-			v.RequestRestoreAt(rec.Ino)
-		case nvlog.OpCloneCreate:
-			// Ino carries the parent snapshot ID, FBN the parent's local
-			// volume. A bind the crash interrupted is re-queued; one a
-			// committed CP already materialized is a no-op — its delete
-			// guard was rebuilt by the mount, so only a fresh queueing takes
-			// a new reference.
-			if !v.IsClone() && v.RequestCloneBind(int(rec.FBN), rec.Ino) {
-				m.a.Volume(int(rec.FBN)).AddCloneRef(rec.Ino)
-			}
-		case nvlog.OpCloneSplit:
-			v.StartSplit() // idempotent; no-op after a completed split
-
-		case nvlog.OpWrite:
-			f := v.LookupFile(rec.Ino)
-			if f == nil {
-				panic(fmt.Sprintf("wafl: replay write to unknown ino %d", rec.Ino))
-			}
-			// Install the block's existing location (if any) so the
-			// replayed overwrite frees it at the next CP.
-			v.EnsureL0Resident(f, rec.FBN)
-			f.WriteBlock(rec.FBN, rec.Data)
-			v.MarkDirty(f)
-		}
+	for i := range records {
+		m.apply(&records[i])
 	}
+}
+
+// apply performs the operation rec describes on the member's file system. It
+// is the one implementation of every namespace operation: the timed client
+// op (ClientCtx.logged), its untimed *Direct entry and NVRAM replay all come
+// through here, so what is replayed is what was performed. Identifiers come
+// from the record; where the live path has one to choose (a new inode, a new
+// snapshot ID, a clone slot) the record arrives with it zero and apply fills
+// it in, so the record the caller then logs replays exactly. Idempotent: a
+// record applied on top of a CP that already holds its effect (a crash
+// between the commit and the freeing of the log half) or twice (a crash
+// during recovery) changes nothing. Reports whether the operation took
+// effect; a refused one (no such file, snapshot or clone, no free slot) is
+// not logged.
+func (m *Member) apply(rec *nvlog.Record) bool {
+	v := m.a.Volume(int(rec.Vol))
+	switch rec.Kind {
+	case nvlog.OpWrite:
+		f := v.LookupFile(rec.Ino)
+		if f == nil {
+			// Its delete follows in this log: the CP that reaped the file
+			// committed, and the crash came before the log half was freed.
+			return false
+		}
+		// Install the block's existing location (if any) so the replayed
+		// overwrite frees it at the next CP.
+		v.EnsureL0Resident(f, rec.FBN)
+		f.WriteBlock(rec.FBN, rec.Data)
+		v.MarkDirty(f)
+	case nvlog.OpCreate:
+		rec.Ino = v.CreateFileAt(rec.Ino, rec.MaxBlocks).Ino()
+	case nvlog.OpDelete:
+		return v.DeleteFile(rec.Ino)
+	case nvlog.OpSnapCreate:
+		// Ino carries the snapshot ID here and below. A create a committed CP
+		// already materialized is a no-op; otherwise it is (re-)queued and
+		// the next CP materializes it.
+		rec.Ino = v.RequestSnapshot(rec.Ino)
+	case nvlog.OpSnapDelete:
+		return v.DeleteSnapshot(rec.Ino)
+	case nvlog.OpSnapRestore:
+		// The volume is gated from here until the applying CP commits, so no
+		// later record in the log touches it: a replayed DiscardVolatile
+		// cannot erase replayed-and-acked state.
+		return v.RequestRestore(rec.Ino)
+	case nvlog.OpCloneCreate:
+		// FBN carries the parent's local volume and Vol the clone slot: 0,
+		// never a slot (client volumes come first), asks for the lowest free
+		// one. Only a fresh queueing takes the parent delete guard — a bind
+		// already pending holds it, and the mount rebuilt a materialized one's.
+		pv := m.a.Volume(int(rec.FBN))
+		if rec.Vol == 0 {
+			slot := m.freeCloneSlot()
+			if slot < 0 || !pv.SnapshotExists(rec.Ino) {
+				return false
+			}
+			rec.Vol = uint32(slot)
+			v = m.a.Volume(slot)
+		}
+		if v.RequestCloneBind(int(rec.FBN), rec.Ino) {
+			pv.AddCloneRef(rec.Ino)
+		}
+	case nvlog.OpCloneSplit:
+		return v.StartSplit() // false once a split has completed
+	}
+	return true
 }
 
 // volAffs is the single member-resolution point for the Waffinity
@@ -438,9 +460,12 @@ func (sys *System) m0() *Member { return sys.members[0] }
 // slot s of member m is Members*Volumes + m*CloneSlots + s, mapping to
 // member-local volume Volumes + s. A clone is always placed on its parent's
 // member (the base blocks are physically there), so the routing stays
-// stateless.
+// stateless. An index outside both ranges is a caller bug and panics.
 func (sys *System) volMember(vol int) (*Member, int) {
 	base := sys.cfg.Volumes * len(sys.members)
+	if n := base + sys.cfg.CloneSlots*len(sys.members); vol < 0 || vol >= n {
+		panic(fmt.Sprintf("wafl: volume %d out of range [0, %d)", vol, n))
+	}
 	if vol >= base {
 		cs := vol - base
 		return sys.members[cs/sys.cfg.CloneSlots], sys.cfg.Volumes + cs%sys.cfg.CloneSlots

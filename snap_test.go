@@ -433,7 +433,7 @@ func TestSnapshotReclaimWithSameCPFileDelete(t *testing.T) {
 	}
 
 	v := sys.m0().a.Volume(0)
-	snapID := v.RequestSnapshot()
+	snapID := v.RequestSnapshot(0)
 	if err := sys.Flush(); err != nil { // materialize: snapshot holds ino's blocks
 		t.Fatal(err)
 	}

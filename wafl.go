@@ -43,6 +43,7 @@ import (
 	"wafl/internal/core"
 	"wafl/internal/cp"
 	"wafl/internal/faultinject"
+	"wafl/internal/nvlog"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
 	"wafl/internal/storage"
@@ -746,14 +747,16 @@ func (sys *System) AgeOverwrite(vol int, ino uint64, n int, span uint64) {
 // (benchmark setup); the next CP — e.g. a Flush — materializes it.
 func (sys *System) SnapCreateDirect(vol int) uint64 {
 	m, lv := sys.volMember(vol)
-	return m.a.Volume(lv).RequestSnapshot()
+	rec := nvlog.Record{Kind: nvlog.OpSnapCreate, Vol: uint32(lv)}
+	m.apply(&rec)
+	return rec.Ino
 }
 
 // SnapDeleteDirect removes a snapshot without logging or timing (benchmark
 // setup); the next CP reclaims its exclusively-held blocks.
 func (sys *System) SnapDeleteDirect(vol int, id uint64) bool {
 	m, lv := sys.volMember(vol)
-	return m.a.Volume(lv).DeleteSnapshot(id)
+	return m.apply(&nvlog.Record{Kind: nvlog.OpSnapDelete, Vol: uint32(lv), Ino: id})
 }
 
 // SnapRestoreDirect queues reverting the volume to snapshot id without
@@ -761,7 +764,7 @@ func (sys *System) SnapDeleteDirect(vol int, id uint64) bool {
 // applies it. Returns false if the snapshot does not exist (nor is pending).
 func (sys *System) SnapRestoreDirect(vol int, id uint64) bool {
 	m, lv := sys.volMember(vol)
-	return m.a.Volume(lv).RequestRestore(id)
+	return m.apply(&nvlog.Record{Kind: nvlog.OpSnapRestore, Vol: uint32(lv), Ino: id})
 }
 
 // CloneCreateDirect binds a free clone slot on the parent's member as a
@@ -770,17 +773,11 @@ func (sys *System) SnapRestoreDirect(vol int, id uint64) bool {
 // volume index, or -1 if the snapshot does not exist or no slot is free.
 func (sys *System) CloneCreateDirect(parentVol int, snapID uint64) int {
 	m, plv := sys.volMember(parentVol)
-	pv := m.a.Volume(plv)
-	if !pv.SnapshotExists(snapID) {
+	rec := nvlog.Record{Kind: nvlog.OpCloneCreate, Ino: snapID, FBN: FBN(plv)}
+	if !m.apply(&rec) {
 		return -1
 	}
-	s := m.freeCloneSlot()
-	if s < 0 {
-		return -1
-	}
-	m.a.Volume(s).RequestCloneBind(plv, snapID)
-	pv.AddCloneRef(snapID)
-	return sys.globalVol(m.id, s)
+	return sys.globalVol(m.id, int(rec.Vol))
 }
 
 // CloneSplitDirect starts splitting the clone from its parent without
@@ -788,7 +785,7 @@ func (sys *System) CloneCreateDirect(parentVol int, snapID uint64) int {
 // block copies. Returns false if the volume is not a clone.
 func (sys *System) CloneSplitDirect(vol int) bool {
 	m, lv := sys.volMember(vol)
-	return m.a.Volume(lv).StartSplit()
+	return m.apply(&nvlog.Record{Kind: nvlog.OpCloneSplit, Vol: uint32(lv)})
 }
 
 // CloneBound reports whether the (globally addressed) volume is a bound
@@ -943,38 +940,30 @@ func (sys *System) SuperblockBytes() []byte {
 
 // Flush drives consistency points until all dirty state is persisted on
 // every member, without stopping client threads.
-func (sys *System) Flush() error {
-	for i := 0; i < 8; i++ {
-		for _, m := range sys.members {
-			m.engine.RequestCP()
-		}
-		sys.Run(2 * Second)
-		if sys.allClean() {
-			return nil
-		}
-	}
-	m := sys.dirtiest()
-	return fmt.Errorf("wafl: system did not flush (member %d: log ops=%d, frozen=%v)",
-		m.id, m.log.ActiveOps(), m.log.HasFrozen())
-}
+func (sys *System) Flush() error { return sys.drive("flush") }
 
 // Quiesce stops accepting new client work (clients see Alive() == false)
 // and drives consistency points until every dirty buffer and logged
 // operation on every member has reached persistent storage.
 func (sys *System) Quiesce() error {
 	sys.stopped = true
+	return sys.drive("quiesce")
+}
+
+// drive requests consistency points on every member, a bounded number of
+// rounds, until the whole system is clean; verb names the caller in the
+// error.
+func (sys *System) drive(verb string) error {
 	for i := 0; i < 8; i++ {
-		for _, m := range sys.members {
-			m.engine.RequestCP()
-		}
+		sys.ForceCP()
 		sys.Run(2 * Second)
 		if sys.allClean() {
 			return nil
 		}
 	}
 	m := sys.dirtiest()
-	return fmt.Errorf("wafl: system did not quiesce (member %d: log ops=%d, frozen=%v)",
-		m.id, m.log.ActiveOps(), m.log.HasFrozen())
+	return fmt.Errorf("wafl: system did not %s (member %d: log ops=%d, frozen=%v)",
+		verb, m.id, m.log.ActiveOps(), m.log.HasFrozen())
 }
 
 // allClean reports whether every member has no logged ops, no frozen log
