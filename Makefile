@@ -2,18 +2,20 @@ GO ?= go
 
 # The gates of the harness registry (harness.Experiments, Gate set), one make
 # stage each, named as waflbench names them:
-#   crashsweep    crash at 69 reproducible points (event indices + CP phase
+#   crashsweep    crash at 101 reproducible points (event indices + CP phase
 #                 boundaries, both CP engines, one mid-shed overload point, 18
-#                 boundaries of the clone/split/SnapRestore script), recover,
-#                 fsck, verify every acknowledged op - twice, via double crash
+#                 boundaries of the clone/split/SnapRestore script, and 32
+#                 event indices of three-client all-kinds random histories),
+#                 recover, fsck, verify against the reference model
+#                 (internal/nsmodel) - twice, via double crash - then quiesced
 #   clustersweep  crash one member of a two-member cluster at 12 event
 #                 indices while the survivor serves; recover in place, double
-#                 crash, per-member fsck and oracle
+#                 crash, quiesce; per-member fsck and the model on each leg
 #   overloadcheck open-loop burst, admission off vs on: off must blow the
 #                 latency-sensitive p99.9 up, on must shed bulk and bound it
 GATES = crashsweep clustersweep overloadcheck
 
-.PHONY: all build test vet race racecp benchsmoke expsmoke affcheck opcheck $(GATES) ci clean
+.PHONY: all build test vet race racecp benchsmoke expsmoke affcheck opcheck modelcheck $(GATES) ci clean
 
 all: build
 
@@ -83,12 +85,25 @@ opcheck:
 	done; \
 	echo "opcheck OK: each volume request method called once, in member.go"
 
+# modelcheck enforces one oracle: the content and existence probes belong to
+# the reference model (internal/nsmodel.Verify), so no non-test file under
+# harness/ may call one — a second oracle cannot grow back unnoticed.
+modelcheck:
+	@pat='\.(VerifyAgainst|SnapVerifyAgainst|VerifyRead|FileExists|SnapshotExists)\('; \
+	bad=$$(grep -lE "$$pat" $$(ls harness/*.go | grep -v '_test\.go$$') || true); \
+	if [ -n "$$bad" ]; then \
+		echo "modelcheck: oracle probe called under harness/ (use nsmodel.Verify):"; \
+		grep -nHE "$$pat" $$bad; \
+		exit 1; \
+	fi; \
+	echo "modelcheck OK: harness/ probes the file system only through nsmodel.Verify"
+
 $(GATES):
 	$(GO) run ./cmd/waflbench -exp $@
 
 # ci is the gate run before merging, and all that .github/workflows/ci.yml
 # runs: every stage once.
-ci: vet build affcheck opcheck race benchsmoke expsmoke $(GATES)
+ci: vet build affcheck opcheck modelcheck race benchsmoke expsmoke $(GATES)
 
 clean:
 	rm -f wafltop waflbench *.test

@@ -2,41 +2,31 @@ package wafl
 
 import (
 	"fmt"
-	"maps"
-	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
+	"wafl/internal/nsmodel"
 	"wafl/internal/nvlog"
 )
 
 // The replay contract (§II-C), pinned at the unit level: every namespace
 // operation is Member.apply of its log record, so (a) applying a history
 // again changes nothing and (b) what the ClientCtx methods did is what a
-// crash replays. Both tests drive one seeded generator through nsOps.
-
-// nsOps is the logged-operation surface of ClientCtx; applyOps implements it
-// straight over Member.apply.
-type nsOps interface {
-	Create(vol int, maxBlocks uint64) uint64
-	Delete(vol int, ino uint64) bool
-	Write(vol int, ino uint64, fbn FBN, nblocks int) Duration
-	SnapCreate(vol int) uint64
-	SnapDelete(vol int, id uint64) bool
-	SnapRestore(vol int, id uint64) bool
-	CloneCreate(parentVol int, snapID uint64) (int, bool)
-	CloneSplit(vol int) bool
-}
+// crash replays. Both tests drive the one seeded generator (nsmodel.Client)
+// through nsmodel.Ops: the ClientCtx methods, or applyOps straight over
+// Member.apply.
 
 // applyFn is Member.apply or a deliberately broken stand-in for it.
 type applyFn func(*Member, *nvlog.Record) bool
 
 // applyOps performs operations through apply alone — no client, no NVRAM, no
 // simulated time — and keeps the record of each one that took effect, with
-// the identifiers apply assigned: the log a crash would replay.
+// the identifiers apply assigned: the log a crash would replay. No CP runs
+// under it, so it refuses what a live system's log could not hold: anything
+// after a SnapRestore on its volume (the gate), and anything but the split of
+// a clone, which never binds.
 type applyOps struct {
 	sys   *System
 	apply applyFn
@@ -45,6 +35,9 @@ type applyOps struct {
 
 func (a *applyOps) do(vol int, rec nvlog.Record) (nvlog.Record, bool) {
 	m, lv := a.sys.volMember(vol)
+	if rec.Kind != nvlog.OpSnapRestore && m.a.Volume(lv).RestorePending() || rec.Kind != nvlog.OpCloneSplit && lv >= a.sys.cfg.Volumes {
+		return rec, false
+	}
 	if rec.Kind == nvlog.OpCloneCreate {
 		rec.FBN = FBN(lv) // Vol stays 0: apply picks the slot
 	} else {
@@ -56,6 +49,12 @@ func (a *applyOps) do(vol int, rec nvlog.Record) (nvlog.Record, bool) {
 	}
 	return rec, ok
 }
+
+func (a *applyOps) Alive() bool { return true }
+
+// The history mixes draw neither of these.
+func (a *applyOps) Getattr(int, uint64) Duration                     { return 0 }
+func (a *applyOps) WriteBulk(int, uint64, FBN, int) (Duration, bool) { return 0, false }
 
 func (a *applyOps) Create(vol int, maxBlocks uint64) uint64 {
 	rec, _ := a.do(vol, nvlog.Record{Kind: nvlog.OpCreate, MaxBlocks: maxBlocks})
@@ -103,39 +102,16 @@ func (a *applyOps) CloneSplit(vol int) bool {
 	return ok
 }
 
-// volImage is the model of one volume (or one snapshot of it): the blocks
-// written, per file.
-type volImage map[uint64]map[FBN]bool
-
-func (im volImage) clone() volImage {
-	out := make(volImage, len(im))
-	for ino, fbns := range im {
-		out[ino] = maps.Clone(fbns)
-	}
-	return out
-}
-
-// nsModel is what a correct system must hold after a history: per volume the
-// live files and their written blocks, the snapshot images, every handle
-// ever returned, and which volumes a requested SnapRestore has closed.
-type nsModel struct {
-	live  map[int]volImage
-	snaps map[int]map[uint64]volImage
-	seen  map[int]map[uint64]bool
-	gated map[int]bool
-	kinds map[nvlog.OpKind]int // operations that took effect, by kind
-}
-
 const (
-	historyFileBlocks = 64 // FBN span the generator writes within
+	historyFileBlocks = 64 // FBN span of every file of a history
 	historySetupFiles = 3
 )
 
 // newHistorySystem builds a two-volume, two-clone-slot system holding what a
 // history needs to already be on media: a few written files per volume and,
 // on volume 0, a materialized snapshot clones can bind to. It returns the
-// matching model and that snapshot's ID.
-func newHistorySystem(t *testing.T, nvramHalf uint64) (*System, *nsModel, uint64) {
+// matching model with one client over both volumes.
+func newHistorySystem(t *testing.T, nvramHalf uint64, seed int64) (*System, *nsmodel.Model, *nsmodel.Client) {
 	t.Helper()
 	cfg := cloneConfig()
 	cfg.NVRAMHalfBytes = nvramHalf
@@ -143,145 +119,33 @@ func newHistorySystem(t *testing.T, nvramHalf uint64) (*System, *nsModel, uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	mo := &nsModel{
-		live:  map[int]volImage{0: {}, 1: {}},
-		snaps: map[int]map[uint64]volImage{0: {}, 1: {}},
-		seen:  map[int]map[uint64]bool{0: {}, 1: {}},
-		gated: map[int]bool{},
-		kinds: map[nvlog.OpKind]int{},
+	mo := nsmodel.New()
+	did := func(op nsmodel.Op, res uint64) {
+		mo.Begin(-1, op)
+		mo.Ack(-1, res, true)
 	}
 	for vol := 0; vol < 2; vol++ {
 		for i := 0; i < historySetupFiles; i++ {
 			ino := sys.CreateFileDirect(vol, historyFileBlocks)
 			sys.Prewrite(vol, ino, 16, false)
-			mo.live[vol][ino] = map[FBN]bool{}
-			mo.seen[vol][ino] = true
-			for fbn := FBN(0); fbn < 16; fbn++ {
-				mo.live[vol][ino][fbn] = true
-			}
+			did(nsmodel.Op{Kind: nsmodel.Create, Vol: vol, N: historyFileBlocks}, ino)
+			did(nsmodel.Op{Kind: nsmodel.Write, Vol: vol, Ino: ino, N: 16}, 0)
 		}
 	}
-	base := sys.SnapCreateDirect(0)
-	mo.snaps[0][base] = mo.live[0].clone()
+	did(nsmodel.Op{Kind: nsmodel.SnapCreate}, sys.SnapCreateDirect(0))
 	if err := sys.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return sys, mo, base
+	return sys, mo, mo.Client(0, seed, []int{0, 1})
 }
 
-// pick returns a pseudo-random key of m (sorted first: map order must not
-// leak into the history), or false when m is empty.
-func pick[V any](rng *rand.Rand, m map[uint64]V) (uint64, bool) {
-	if len(m) == 0 {
-		return 0, false
+// without returns the all-kinds mix minus the given kinds.
+func without(kinds ...nsmodel.Kind) nsmodel.Mix {
+	mix := nsmodel.AllKinds
+	for _, k := range kinds {
+		mix.Weights[k] = 0
 	}
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys[rng.Intn(len(keys))], true
-}
-
-// historyShape sizes a generated history.
-type historyShape struct {
-	steps       int
-	restoreFrom int // first step that may issue a SnapRestore
-	quiet       int // trailing steps that avoid the operations which request a CP
-}
-
-// runHistory issues seeded-random operations of every logged kind through
-// ops, updating mo as each takes effect. It obeys what the live system
-// enforces on any log it writes: nothing follows a SnapRestore on its volume
-// until a CP has applied it (the gate) — so where no CP runs, restores come
-// late or the history is short — and a clone is only written once bound. A
-// quiet tail leaves a live run with records still in NVRAM.
-func runHistory(sys *System, ops nsOps, mo *nsModel, seed int64, shape historyShape) {
-	rng := rand.New(rand.NewSource(seed))
-	took := func(k nvlog.OpKind) { mo.kinds[k]++ }
-	for i := 0; i < shape.steps; i++ {
-		var vols []int
-		for v := 0; v < sys.cfg.Volumes+sys.cfg.CloneSlots; v++ {
-			if mo.live[v] != nil && !mo.gated[v] {
-				vols = append(vols, v)
-			}
-		}
-		if len(vols) == 0 {
-			return
-		}
-		vol := vols[rng.Intn(len(vols))]
-		bound := vol < sys.cfg.Volumes || sys.CloneBound(vol)
-		op := rng.Intn(40)
-		if (i >= shape.steps-shape.quiet && op >= 28 && op < 38) || (i < shape.restoreFrom && op >= 31 && op < 33) {
-			op = 0
-		}
-		switch {
-		case op < 18: // write
-			ino, ok := pick(rng, mo.live[vol])
-			if !ok || !bound {
-				continue
-			}
-			fbn, n := FBN(rng.Intn(historyFileBlocks-2)), 1+rng.Intn(2)
-			ops.Write(vol, ino, fbn, n)
-			for b := FBN(0); b < FBN(n); b++ {
-				mo.live[vol][ino][fbn+b] = true
-			}
-			took(nvlog.OpWrite)
-		case op < 24: // create
-			if !bound {
-				continue
-			}
-			ino := ops.Create(vol, historyFileBlocks)
-			mo.live[vol][ino] = map[FBN]bool{}
-			mo.seen[vol][ino] = true
-			took(nvlog.OpCreate)
-		case op < 28: // delete
-			ino, ok := pick(rng, mo.live[vol])
-			if ok && bound && ops.Delete(vol, ino) {
-				delete(mo.live[vol], ino)
-				took(nvlog.OpDelete)
-			}
-		case op < 31: // snapshot create
-			if bound {
-				mo.snaps[vol][ops.SnapCreate(vol)] = mo.live[vol].clone()
-				took(nvlog.OpSnapCreate)
-			}
-		case op < 33: // restore
-			// Not of a clone mid-split: that pairing double-frees a VVBN a few
-			// CPs later (ROADMAP item 3), here and at the parent commit alike.
-			m, lv := sys.volMember(vol)
-			v := m.a.Volume(lv)
-			if id, ok := pick(rng, mo.snaps[vol]); ok && !v.CloneSplitting() && ops.SnapRestore(vol, id) {
-				mo.live[vol] = mo.snaps[vol][id].clone()
-				mo.gated[vol] = v.RestorePending()
-				took(nvlog.OpSnapRestore)
-			}
-		case op < 35: // clone create, from a client volume
-			if vol >= sys.cfg.Volumes {
-				continue
-			}
-			if id, ok := pick(rng, mo.snaps[vol]); ok {
-				if cv, ok := ops.CloneCreate(vol, id); ok {
-					mo.live[cv] = mo.snaps[vol][id].clone()
-					mo.snaps[cv] = map[uint64]volImage{}
-					mo.seen[cv] = map[uint64]bool{}
-					for ino := range mo.live[cv] {
-						mo.seen[cv][ino] = true
-					}
-					took(nvlog.OpCloneCreate)
-				}
-			}
-		case op < 38: // clone split
-			if vol >= sys.cfg.Volumes && ops.CloneSplit(vol) {
-				took(nvlog.OpCloneSplit)
-			}
-		default: // snapshot delete (refused while a clone or restore holds it)
-			if id, ok := pick(rng, mo.snaps[vol]); ok && ops.SnapDelete(vol, id) {
-				delete(mo.snaps[vol], id)
-				took(nvlog.OpSnapDelete)
-			}
-		}
-	}
+	return mix
 }
 
 // committedState renders what a flushed system holds: the superblock (where
@@ -323,12 +187,23 @@ func checkReplayIdempotent(t *testing.T, seed int64, apply applyFn) (err error) 
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	live, mo, _ := newHistorySystem(t, 64<<20)
+	live, _, client := newHistorySystem(t, 64<<20, seed)
 	defer live.Shutdown()
+	// No CP runs here, so only the set-up snapshot can be cloned — it is,
+	// first, or the snapshots queued behind it make that draw unlikely — and
+	// a SnapRestore closes its volume for good: the restores come late, and
+	// one of each volume last.
 	hist := &applyOps{sys: live, apply: apply}
-	runHistory(live, hist, mo, seed, historyShape{steps: 400, restoreFrom: 300})
+	client.Run(hist, nsmodel.Mix{Script: []nsmodel.Op{{Kind: nsmodel.CloneCreate}}}, 0)
+	client.Run(hist, without(nsmodel.SnapRestore), 300)
+	client.Run(hist, nsmodel.AllKinds, 100)
+	client.Run(hist, nsmodel.Mix{Script: []nsmodel.Op{{Kind: nsmodel.SnapRestore, Vol: 0}, {Kind: nsmodel.SnapRestore, Vol: 1}}}, 0)
+	took := map[nvlog.OpKind]bool{}
+	for _, rec := range hist.recs {
+		took[rec.Kind] = true
+	}
 	for k := nvlog.OpWrite; k <= nvlog.OpCloneSplit; k++ {
-		if mo.kinds[k] == 0 {
+		if !took[k] {
 			t.Fatalf("seed %d: history has no operation of kind %d; pick another seed", seed, k)
 		}
 	}
@@ -346,7 +221,7 @@ func checkReplayIdempotent(t *testing.T, seed int64, apply applyFn) (err error) 
 		return err
 	}
 	for passes := 1; passes <= 2; passes++ {
-		sys, _, _ := newHistorySystem(t, 64<<20)
+		sys, _, _ := newHistorySystem(t, 64<<20, seed)
 		defer sys.Shutdown()
 		for p := 0; p < passes; p++ {
 			for _, rec := range hist.recs {
@@ -385,17 +260,37 @@ func TestApplyIdempotent(t *testing.T) {
 	}
 }
 
+// midSplit counts the SnapRestores a history issues on a clone whose split is
+// in progress.
+type midSplit struct {
+	*ClientCtx
+	n *int
+}
+
+func (c midSplit) SnapRestore(vol int, id uint64) bool {
+	if m, lv := c.sys.volMember(vol); m.a.Volume(lv).CloneSplitting() {
+		*c.n++
+	}
+	return c.ClientCtx.SnapRestore(vol, id)
+}
+
 // TestLiveEqualsReplay is contract (b): the same kind of history through the
 // ClientCtx methods, with a log too large to trigger a CP on fullness, then
 // crash, recover, quiesce. Every file handle, snapshot ID and clone volume
 // index the live path returned must resolve, and every acknowledged block
-// must read back — from the live volumes and from the snapshot images.
+// must read back — from the live volumes and from the snapshot images. The
+// histories restore clones mid-split; seed 45's lands one inside the window
+// in which the split step used to ignore the restore gate (a double free).
 func TestLiveEqualsReplay(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		sys, mo, _ := newHistorySystem(t, 64<<20)
+	restoresMidSplit := 0
+	for _, seed := range []int64{1, 2, 3, 45} {
+		sys, mo, client := newHistorySystem(t, 64<<20, seed)
 		done := false
 		sys.ClientThread("history", func(c *ClientCtx) {
-			runHistory(sys, c, mo, seed, historyShape{steps: 300, quiet: 60})
+			// A quiet tail — none of the operations that request a CP —
+			// leaves records in NVRAM for the crash to replay.
+			client.Run(midSplit{c, &restoresMidSplit}, nsmodel.AllKinds, 240)
+			client.Run(c, without(nsmodel.SnapCreate, nsmodel.SnapRestore, nsmodel.CloneCreate, nsmodel.CloneSplit), 60)
 			done = true
 		})
 		for i := 0; i < 100 && !done; i++ {
@@ -415,56 +310,17 @@ func TestLiveEqualsReplay(t *testing.T) {
 		if err := rec.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
-		if err := mo.verify(rec); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		if errs := mo.Verify(rec, true); len(errs) > 0 {
+			t.Fatalf("seed %d: model mismatch:\n  %s\n%s", seed, strings.Join(errs, "\n  "), mo.Trail())
 		}
 		if rep := rec.Fsck(); !rep.OK() {
 			t.Fatalf("seed %d: fsck after replay: %s", seed, rep)
 		}
 		rec.Shutdown()
 	}
-}
-
-// verify checks sys against the model.
-func (mo *nsModel) verify(sys *System) error {
-	var errs []string
-	for vol, live := range mo.live {
-		if vol >= sys.cfg.Volumes && !sys.CloneBound(vol) && !sys.CloneSplitDone(vol) {
-			errs = append(errs, fmt.Sprintf("clone volume %d is neither bound nor split", vol))
-		}
-		for ino := range mo.seen[vol] {
-			if _, want := live[ino]; sys.FileExists(vol, ino) != want {
-				errs = append(errs, fmt.Sprintf("vol %d ino %d: exists=%v, want %v", vol, ino, !want, want))
-			}
-		}
-		for ino, fbns := range live {
-			for fbn := range fbns {
-				if err := sys.VerifyAgainst(vol, ino, fbn); err != nil {
-					errs = append(errs, err.Error())
-				}
-			}
-		}
-		for id, image := range mo.snaps[vol] {
-			if !sys.SnapshotExists(vol, id) {
-				errs = append(errs, fmt.Sprintf("vol %d: snapshot %d lost", vol, id))
-				continue
-			}
-			for ino, fbns := range image {
-				for fbn := range fbns {
-					if err := sys.SnapVerifyAgainst(vol, id, ino, fbn, true); err != nil {
-						errs = append(errs, err.Error())
-					}
-				}
-			}
-		}
+	if restoresMidSplit == 0 {
+		t.Fatal("no history issued a SnapRestore on a clone mid-split")
 	}
-	if len(errs) > 0 {
-		if len(errs) > 8 {
-			errs = append(errs[:8], fmt.Sprintf("... and %d more", len(errs)-8))
-		}
-		return fmt.Errorf("model mismatch:\n  %s", strings.Join(errs, "\n  "))
-	}
-	return nil
 }
 
 // TestReplayWriteToReapedFile: a write and then the delete of the same

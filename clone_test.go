@@ -573,3 +573,48 @@ func TestCloneFreeRunBitIdenticalToBaseline(t *testing.T) {
 		t.Errorf("event count drifted with CloneSlots=0: got %d want %d", events, goldenEvents)
 	}
 }
+
+// TestSnapRestoreOfSplittingClone: the split step is a writer and must obey
+// the restore gate. A SnapRestore of a clone to a clone-local snapshot that
+// lands while a split CP is between its freeze cut and its split step used to
+// let that step reload the files the request had just discarded and dirty
+// their base blocks a second time; the CP applying the restore then cleaned
+// the stale buffers and died with "bitmap: double free". The request is swept
+// across the split's consistency points; delays of 80-304 us land in that
+// window.
+func TestSnapRestoreOfSplittingClone(t *testing.T) {
+	const n = 64
+	for delay := Duration(0); delay <= 400*Microsecond; delay += 40 * Microsecond {
+		sys, ino := newCrashSystem(t, cloneConfig())
+		var cloneVol int
+		var restored bool
+		sys.ClientThread("w", func(c *ClientCtx) {
+			c.WriteTag(0, ino, 0, n, 'A')
+			cloneVol, _ = c.CloneCreate(0, c.SnapCreate(0))
+			c.WriteTag(cloneVol, ino, 0, n/2, 'D')
+			cloneSnap := c.SnapCreate(cloneVol)
+			c.WriteTag(cloneVol, ino, n/4, n/2, 'E')
+			c.CloneSplit(cloneVol)
+			c.Think(delay)
+			restored = c.SnapRestore(cloneVol, cloneSnap)
+		})
+		sys.Run(20 * Second)
+		if err := sys.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !restored {
+			t.Fatalf("delay %v: restore refused", delay)
+		}
+		for fbn := FBN(0); fbn < n; fbn++ {
+			tag := 'A'
+			if fbn < n/2 {
+				tag = 'D'
+			}
+			expectBlock(t, sys, cloneVol, ino, fbn, int(tag), fmt.Sprintf("delay %v: restored clone", delay))
+		}
+		if rep := sys.Fsck(); !rep.OK() {
+			t.Fatalf("delay %v: fsck: %s", delay, rep)
+		}
+		sys.Shutdown()
+	}
+}

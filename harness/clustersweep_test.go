@@ -20,8 +20,8 @@ func TestClusterSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PointsRun != 3 {
-		t.Fatalf("ran %d points, want 3", res.PointsRun)
+	if res.PointsRun != 3 || res.Requested != 3 {
+		t.Fatalf("ran %d of %d points, want 3 of 3", res.PointsRun, res.Requested)
 	}
 	if !res.OK() {
 		t.Fatalf("sweep failed:\n%s", tab.String())

@@ -2,18 +2,21 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"wafl"
+	"wafl/internal/nsmodel"
 )
 
 // CrashSweepConfig parameterizes a crash-schedule sweep: a seeded workload
 // is run to completion once to learn its event-index span, then re-run and
 // crashed at evenly spaced event indices (and, optionally, at CP phase
 // boundaries). After every crash the system is recovered, checked with
-// Fsck, and every acknowledged operation is verified against the data
-// oracle; then the *recovered* system is crashed again before it can run —
-// the double-crash that catches NVRAM-protection bugs — and re-verified.
+// Fsck, and verified against the reference model (internal/nsmodel) of
+// everything its clients were acknowledged; then the *recovered* system is
+// crashed again before it can run — the double-crash that catches
+// NVRAM-protection bugs — and re-verified, and once more after it quiesces.
 type CrashSweepConfig struct {
 	// Base is the system configuration, including the fault plan
 	// (Base.Faults). Base.Seed is overridden by Seeds.
@@ -22,7 +25,7 @@ type CrashSweepConfig struct {
 	// crash points.
 	Seeds []int64
 	// Points is how many evenly spaced event-index crash points to sweep
-	// per seed.
+	// per seed (once per workload: files and snapshots, and the history one).
 	Points int
 	// Phases, when > 0, additionally crashes at the first Phases CP
 	// phase-boundary hits of the first seed's run (a CP has nine
@@ -31,9 +34,8 @@ type CrashSweepConfig struct {
 	// Clients and OpsPerClient bound the workload.
 	Clients      int
 	OpsPerClient int
-	// SnapEvery, when > 0, makes each client run a snapshot op every
-	// SnapEvery ops: a create when the client holds no snapshot of its own,
-	// otherwise a delete of the one it holds (each client keeps at most one).
+	// SnapEvery, when > 0, makes one op in SnapEvery a snapshot op: creates
+	// and deletes (of any snapshot of the volume) in equal parts.
 	SnapEvery int
 	// BaseBlocks is the size of each client's preallocated base file.
 	BaseBlocks int64
@@ -52,11 +54,10 @@ type CrashSweepConfig struct {
 	// ClonePoints, when > 0, adds that many consecutive CP phase-boundary
 	// crash points (18 = two full CPs) taken inside a scripted clone window
 	// (snapshot → parent churn → clone create → clone writes → clone split
-	// → SnapRestore → post-restore writes), each verified against a
-	// dedicated oracle: an acked clone serves the frozen parent image plus
-	// its own acked writes, an acked restore is all-or-nothing and
-	// supersedes the parent's post-snapshot churn, and fsck must hold zero
-	// leaked/missing blocks on every recovery leg.
+	// → SnapRestore → post-restore writes): an acked clone serves the frozen
+	// parent image plus its own acked writes, an acked restore is
+	// all-or-nothing and supersedes the parent's post-snapshot churn, and
+	// fsck must hold zero leaked/missing blocks on every recovery leg.
 	ClonePoints int
 }
 
@@ -104,798 +105,349 @@ func DefaultCrashSweep() CrashSweepConfig {
 // CrashSweepResult is the machine-readable sweep outcome.
 type CrashSweepResult struct {
 	PointsRun int      // crash points actually exercised (incl. phase points)
+	Requested int      // crash points the schedules asked for; more than PointsRun when one ran short
 	Failures  []string // verification/fsck failures, capped
 }
 
 // OK reports whether every swept crash point passed.
 func (r CrashSweepResult) OK() bool { return len(r.Failures) == 0 }
 
-// ackOp is one acknowledged client operation, recorded host-side the
-// instant the simulated call returns (so it is exactly the set of ops the
-// crash contract §II-C covers). Kind 'D' is a delete *intent*, recorded
-// before the delete is issued: a crash can land after the delete applied
-// and logged but before the client saw the ack, in which case the op may
-// legitimately have survived — the contract only binds acknowledged ops.
-type ackOp struct {
-	kind byte // 'w' write, 'c' create, 'd' delete, 'D' delete intent
-	vol  int
-	ino  uint64
-	fbn  wafl.FBN
-	n    int
+// schedule is one row of a sweep: a system, its clients, and the crash points
+// to take — each a coordinate that reproduces, the simulation being
+// deterministic. Every sweep is a list of these over one runner, crashPoint.
+type schedule struct {
+	name   string      // the table's mode column
+	repro  string      // the waflbench arguments that run this schedule again
+	cfg    wafl.Config // seed and CP mode included
+	maxRun wafl.Duration
+
+	// Per member, clients clients each take steps operations of mix (zero:
+	// until it stops) on its volumes, one empty span-block file per client.
+	mix                  nsmodel.Mix
+	clients, steps, span int
+
+	// Crash at events evenly spaced event indices of a baseline run, at each
+	// of the first bounds CP phase boundaries hit once after holds (nil: from
+	// the start), or the first time when holds, polled every 2 ms.
+	events, bounds int
+	after, when    func(*run) bool
+	victims        int // fail member i mod victims at point i while the rest serve; zero fails the whole system
 }
 
-// snapKey identifies one snapshot across the sweep's bookkeeping maps.
-type snapKey struct {
-	vol int
-	id  uint64
+// point is a crash point: halt once event index event is dispatched, at CP
+// phase boundary number boundary, or (both zero) when the schedule's
+// predicate holds; then fail member victim, or the whole system (-1).
+type point struct {
+	event    uint64
+	boundary int
+	victim   int
 }
 
-// ackSnap is one acknowledged snapshot create. SnapCreate acks only after
-// the materializing CP commits, so an acked snapshot must survive any later
-// crash. image is the set of base-file blocks the owning client had written
-// (and been acked for) when the create returned: only that client writes its
-// base file and it blocks for the whole create, so the frozen image holds
-// exactly those blocks — written ones as the oracle payload, the rest holes.
-type ackSnap struct {
-	vol     int
-	id      uint64
-	baseIno uint64
-	image   map[wafl.FBN]bool
+// run is one built system, its model and its clients.
+type run struct {
+	sys     *wafl.System
+	model   *nsmodel.Model
+	clients []*nsmodel.Client
+	handles []*wafl.ClientCtx // by client, for CrashMember
 }
 
-// ackLog collects acknowledged operations and workload progress. The
-// simulation serializes client threads, so no locking is needed.
-type ackLog struct {
-	ops        []ackOp
-	snaps      []ackSnap        // acked snapshot creates ('s')
-	delIntent  map[snapKey]bool // snapshot delete issued, maybe unacked ('T')
-	delAcked   map[snapKey]bool // snapshot delete acknowledged ('t')
-	baseBlocks int64            // base-file span, for hole probing
-	done       int              // clients finished
-}
-
-func newAckLog() *ackLog {
-	return &ackLog{delIntent: map[snapKey]bool{}, delAcked: map[snapKey]bool{}}
-}
-
-// freeze returns an immutable copy of the ack state for post-crash checks.
-func (a *ackLog) freeze() *ackLog {
-	c := newAckLog()
-	c.baseBlocks = a.baseBlocks
-	c.ops = append([]ackOp(nil), a.ops...)
-	c.snaps = append([]ackSnap(nil), a.snaps...)
-	for k := range a.delIntent {
-		c.delIntent[k] = true
-	}
-	for k := range a.delAcked {
-		c.delAcked[k] = true
-	}
-	return c
-}
-
-// sweepWorkload attaches the oracle workload: per client, a mix of writes
-// to a preallocated base file, creates (immediately written), deletes of
-// the client's own earlier creates, and getattrs. Inodes are never reused
-// and base files are never deleted, so replay verification is exact.
-func sweepWorkload(sys *wafl.System, cfg CrashSweepConfig, base []uint64, ack *ackLog) {
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		vol := i % cfg.Base.Volumes
-		ino := base[i]
-		sys.ClientThread(fmt.Sprintf("sweep-%d", i), func(c *wafl.ClientCtx) {
-			var mine []uint64 // own created files, oldest first
-			var ownSnap uint64
-			written := map[wafl.FBN]bool{} // acked base-file blocks
-			for op := 0; op < cfg.OpsPerClient && c.Alive(); op++ {
-				if cfg.SnapEvery > 0 && op%cfg.SnapEvery == cfg.SnapEvery-1 {
-					if ownSnap != 0 {
-						k := snapKey{vol, ownSnap}
-						ack.delIntent[k] = true
-						if c.SnapDelete(vol, ownSnap) {
-							ack.delAcked[k] = true
-						}
-						ownSnap = 0
-					} else {
-						id := c.SnapCreate(vol)
-						img := make(map[wafl.FBN]bool, len(written))
-						for k := range written {
-							img[k] = true
-						}
-						ack.snaps = append(ack.snaps, ackSnap{vol, id, ino, img})
-						ownSnap = id
-					}
-					continue
-				}
-				r := c.Rand(10)
-				switch {
-				case r < 7:
-					fbn := wafl.FBN(c.Rand(cfg.BaseBlocks - 4))
-					n := 1 + int(c.Rand(4))
-					c.Write(vol, ino, fbn, n)
-					ack.ops = append(ack.ops, ackOp{'w', vol, ino, fbn, n})
-					for b := 0; b < n; b++ {
-						written[fbn+wafl.FBN(b)] = true
-					}
-				case r == 7:
-					f := c.Create(vol, 64)
-					ack.ops = append(ack.ops, ackOp{'c', vol, f, 0, 0})
-					c.Write(vol, f, 0, 1)
-					ack.ops = append(ack.ops, ackOp{'w', vol, f, 0, 1})
-					mine = append(mine, f)
-				case r == 8 && len(mine) > 0:
-					f := mine[0]
-					mine = mine[1:]
-					ack.ops = append(ack.ops, ackOp{'D', vol, f, 0, 0})
-					if c.Delete(vol, f) {
-						ack.ops = append(ack.ops, ackOp{'d', vol, f, 0, 0})
-					}
-				default:
-					c.Getattr(vol, ino)
-				}
-			}
-			ack.done++
-		})
-	}
-}
-
-// buildSweepSystem constructs a system for one sweep run: base files are
-// created and committed (so their inode records are on media before any
-// logged write references them), then the workload clients attach. The
-// returned event index marks the start of the crashable region.
-func buildSweepSystem(cfg CrashSweepConfig, seed int64) (*wafl.System, *ackLog, uint64, error) {
-	c := cfg.Base
-	c.Seed = seed
-	sys, err := wafl.NewSystem(c)
+// build constructs the schedule's system: the files are created and committed
+// (their inode records are on media before a logged write names them), then
+// the clients attach, pinned to their member's volumes — a member crash takes
+// down exactly its own, client IDs member*s.clients and up.
+func (s *schedule) build() (*run, error) {
+	sys, err := wafl.NewSystem(s.cfg)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	base := make([]uint64, cfg.Clients)
-	for i := range base {
-		base[i] = sys.CreateFileDirect(i%c.Volumes, uint64(cfg.BaseBlocks))
+	r := &run{sys: sys, model: nsmodel.New()}
+	for id := 0; id < sys.Members()*s.clients; id++ {
+		var vols []int
+		for v := 0; v < s.cfg.Volumes; v++ {
+			vols = append(vols, id/s.clients*s.cfg.Volumes+v)
+		}
+		vol := vols[id%len(vols)]
+		r.model.Begin(-1, nsmodel.Op{Kind: nsmodel.Create, Vol: vol, N: s.span})
+		r.model.Ack(-1, sys.CreateFileDirect(vol, uint64(s.span)), true)
+		r.clients = append(r.clients, r.model.Client(id, s.cfg.Seed<<8+int64(id), vols))
 	}
 	if err := sys.Flush(); err != nil {
 		sys.Shutdown()
-		return nil, nil, 0, fmt.Errorf("setup flush: %w", err)
+		return nil, fmt.Errorf("%s: setup flush: %w", s.name, err)
 	}
-	ack := newAckLog()
-	ack.baseBlocks = cfg.BaseBlocks
-	sweepWorkload(sys, cfg, base, ack)
-	return sys, ack, sys.Events(), nil
+	for id, cl := range r.clients {
+		r.handles = append(r.handles, sys.ClientThread(fmt.Sprintf("sweep-%d", id),
+			func(c *wafl.ClientCtx) { cl.Run(c, s.mix, s.steps) }))
+	}
+	return r, nil
 }
 
-// verifyAcked checks every acknowledged operation against the system: a
-// created-and-not-deleted file exists, a deleted file does not, every write
-// to a live file reads back as the oracle payload, and every acknowledged
-// snapshot still serves its exact frozen image (acked deletes stay deleted).
-func verifyAcked(sys *wafl.System, ack *ackLog, label string, fails []string) []string {
-	ops := ack.ops
-	type fileKey struct {
-		vol int
-		ino uint64
-	}
-	// intent covers inos whose delete was issued but possibly unacked at
-	// the crash: those may or may not survive, so only the acked-delete
-	// direction is checked for them.
-	intent := make(map[fileKey]bool)
-	deleted := make(map[fileKey]bool)
-	for _, op := range ops {
-		switch op.kind {
-		case 'D':
-			intent[fileKey{op.vol, op.ino}] = true
-		case 'd':
-			deleted[fileKey{op.vol, op.ino}] = true
+// finished reports whether every client outside member skip has.
+func (r *run) finished(s *schedule, skip int) bool {
+	for id, cl := range r.clients {
+		if id/s.clients != skip && !cl.Finished {
+			return false
 		}
 	}
-	add := func(msg string) []string {
-		if len(fails) < 40 {
-			fails = append(fails, msg)
-		}
-		return fails
-	}
-	for _, op := range ops {
-		k := fileKey{op.vol, op.ino}
-		switch op.kind {
-		case 'c':
-			if !intent[k] && !sys.FileExists(op.vol, op.ino) {
-				fails = add(fmt.Sprintf("%s: acked create vol%d ino%d lost", label, op.vol, op.ino))
-			}
-		case 'd':
-			if sys.FileExists(op.vol, op.ino) {
-				fails = add(fmt.Sprintf("%s: acked delete vol%d ino%d resurrected", label, op.vol, op.ino))
-			}
-		case 'w':
-			if intent[k] {
-				continue
-			}
-			for b := 0; b < op.n; b++ {
-				if err := sys.VerifyAgainst(op.vol, op.ino, op.fbn+wafl.FBN(b)); err != nil {
-					fails = add(fmt.Sprintf("%s: acked write lost: %v", label, err))
-					break
-				}
-			}
-		}
-	}
-	// Snapshot images: an acked create must exist (unless its delete was at
-	// least issued) and serve exactly the frozen base-file image — the
-	// oracle payload where the owner had written, holes everywhere else. An
-	// acked delete must stay deleted across recovery.
-	for _, s := range ack.snaps {
-		k := snapKey{s.vol, s.id}
-		if ack.delAcked[k] {
-			if sys.SnapshotExists(s.vol, s.id) {
-				fails = add(fmt.Sprintf("%s: acked snap delete vol%d id%d resurrected", label, s.vol, s.id))
-			}
-			continue
-		}
-		if !sys.SnapshotExists(s.vol, s.id) {
-			if !ack.delIntent[k] {
-				fails = add(fmt.Sprintf("%s: acked snapshot vol%d id%d lost", label, s.vol, s.id))
-			}
-			continue
-		}
-		bad := false
-		for fbn := range s.image {
-			if err := sys.SnapVerifyAgainst(s.vol, s.id, s.baseIno, fbn, true); err != nil {
-				fails = add(fmt.Sprintf("%s: snap image: %v", label, err))
-				bad = true
-				break
-			}
-		}
-		if bad {
-			continue
-		}
-		// Hole direction: probe a few unwritten blocks inside the base
-		// file's span.
-		probed := 0
-		for fbn := wafl.FBN(0); probed < sampleHoles && fbn < wafl.FBN(ack.baseBlocks); fbn++ {
-			if s.image[fbn] {
-				continue
-			}
-			if err := sys.SnapVerifyAgainst(s.vol, s.id, s.baseIno, fbn, false); err != nil {
-				fails = add(fmt.Sprintf("%s: snap image: %v", label, err))
-				break
-			}
-			probed++
-		}
-	}
-	return fails
+	return true
 }
 
-// sampleHoles is how many unwritten base-file blocks each snapshot-image
-// verification probes for the hole direction.
-const sampleHoles = 8
-
-// verifyFn checks one recovery leg against an oracle, appending failures.
-type verifyFn func(sys *wafl.System, label string, fails []string) []string
-
-// ackedVerifier adapts a frozen ackLog to the pluggable verifier shape.
-func ackedVerifier(acked *ackLog) verifyFn {
-	return func(sys *wafl.System, label string, fails []string) []string {
-		return verifyAcked(sys, acked, label, fails)
+// runUntil runs the system a segment at a time until stop holds, and reports
+// whether it did within n segments.
+func (r *run) runUntil(seg wafl.Duration, n int, stop func() bool) bool {
+	for i := 0; i < n && !stop(); i++ {
+		r.sys.Run(seg)
 	}
+	return stop()
 }
 
-// crashCycle performs the full per-crash-point check on a halted system:
-// crash → recover → verify + fsck, immediately crash the recovered system
-// again (double crash, before it runs) → recover → verify + fsck, then let
-// it quiesce and verify the final committed image. Returns the surviving
-// failure list and the final system (for Shutdown), which may be nil if
-// recovery itself failed.
-func crashCycle(sys *wafl.System, verify verifyFn, label string, fails []string) ([]string, *wafl.System) {
-	sys.Crash()
-	rec, err := sys.Recover()
+// runTo advances the system to the point's halt, if it gets there: not to a
+// boundary the workload, and the four segments its tail CPs get, end before.
+func (r *run) runTo(s *schedule, p point) bool {
+	switch {
+	case p.event > 0:
+		return r.sys.RunToEvent(p.event, 128*s.maxRun)
+	case p.boundary == 0:
+		return r.runUntil(2*wafl.Millisecond, 256, func() bool { return s.when(r) })
+	}
+	hits := 0
+	r.sys.SetCPPhaseHook(func(string) bool {
+		if s.after != nil && !s.after(r) {
+			return false
+		}
+		if hits++; hits == p.boundary {
+			r.sys.RequestHalt()
+		}
+		return hits == p.boundary
+	})
+	r.runUntil(s.maxRun, 64, func() bool { return r.sys.Halted() || r.finished(s, -1) })
+	return r.runUntil(s.maxRun, 4, r.sys.Halted)
+}
+
+// crashPoint builds the schedule's system, runs it to the point's halt, and
+// takes it through the full cycle: fail the point's domain → recover →
+// verify, fail it again before it runs (the double crash: everything
+// acknowledged must still be NVRAM-protected) → recover → verify, quiesce →
+// verify the committed image; verify is the model plus every member's fsck.
+// A victim member's survivors keep serving through its first outage and must
+// make progress. It returns what failed, and whether the halt was reached.
+func (s *schedule) crashPoint(p point) (fails []string, reached bool) {
+	r, err := s.build()
 	if err != nil {
-		return append(fails, fmt.Sprintf("%s: recovery failed: %v", label, err)), nil
+		return []string{"build: " + err.Error()}, true
 	}
-	fails = verify(rec, label+"/recover", fails)
-	if r := rec.Fsck(); !r.OK() {
-		fails = append(fails, fmt.Sprintf("%s/recover: %s", label, r))
+	defer func() { r.sys.Shutdown() }() // whichever system survived
+	if !r.runTo(s, p) {
+		return nil, false
 	}
-
-	// Double crash: the recovered system loses power again before a single
-	// event runs. Everything acknowledged before the first crash must
-	// still be protected by the recovered NVRAM log.
-	rec.Crash()
-	rec2, err := rec.Recover()
-	if err != nil {
-		return append(fails, fmt.Sprintf("%s: double-crash recovery failed: %v", label, err)), nil
+	for _, leg := range []string{"recover", "double", "quiesced"} {
+		switch {
+		case leg == "quiesced":
+			err = r.sys.Quiesce()
+		case p.victim < 0:
+			r.sys.Crash()
+			var rec *wafl.System
+			if rec, err = r.sys.Recover(); err == nil {
+				r.sys = rec
+			}
+		case leg == "recover":
+			idle, before := r.finished(s, p.victim), r.model.Acked // (idle: their bounded workload was over already)
+			r.sys.CrashMember(p.victim, r.handles[p.victim*s.clients:(p.victim+1)*s.clients]...)
+			if !r.runUntil(s.maxRun, 64, func() bool { return r.finished(s, p.victim) }) {
+				fails = append(fails, "survivors did not finish")
+			} else if !idle && r.model.Acked == before {
+				fails = append(fails, "survivors made no progress during the outage")
+			}
+			err = r.sys.RecoverMember(p.victim)
+		default:
+			r.sys.CrashMember(p.victim)
+			err = r.sys.RecoverMember(p.victim)
+		}
+		if err != nil {
+			if fails = append(fails, fmt.Sprintf("%s: %v", leg, err)); leg != "quiesced" {
+				return fails, true // nothing mounted to verify
+			}
+		}
+		for _, e := range r.model.Verify(r.sys, leg == "quiesced") {
+			fails = append(fails, leg+": "+e)
+		}
+		if rep := r.sys.Fsck(); !rep.OK() {
+			fails = append(fails, fmt.Sprintf("%s: %s", leg, rep))
+		}
 	}
-	fails = verify(rec2, label+"/double", fails)
-	if r := rec2.Fsck(); !r.OK() {
-		fails = append(fails, fmt.Sprintf("%s/double: %s", label, r))
+	if len(fails) > 0 {
+		fails = append(fails, r.model.Trail())
 	}
-
-	// Drain the replayed state to disk and check the committed image.
-	if err := rec2.Quiesce(); err != nil {
-		fails = append(fails, fmt.Sprintf("%s: quiesce: %v", label, err))
-	}
-	fails = verify(rec2, label+"/quiesced", fails)
-	if r := rec2.Fsck(); !r.OK() {
-		fails = append(fails, fmt.Sprintf("%s/quiesced: %s", label, r))
-	}
-	return fails, rec2
+	return fails, true
 }
 
-// runWorkload advances sys until every client finished (or the segment
-// budget runs out). Returns false on timeout.
-func runWorkload(sys *wafl.System, cfg CrashSweepConfig, ack *ackLog) bool {
-	for i := 0; i < 64 && ack.done < cfg.Clients; i++ {
-		sys.Run(cfg.MaxRun)
+// sweep takes every crash point of the schedule and adds its row to tab.
+func (s *schedule) sweep(tab *Table, res *CrashSweepResult) error {
+	var pts []point
+	acked := "-"
+	if s.events > 0 {
+		// Baseline: learn the crashable event-index span (e0, e1).
+		r, err := s.build()
+		if err != nil {
+			return err
+		}
+		e0 := r.sys.Events()
+		finished := r.runUntil(s.maxRun, 64, func() bool { return r.finished(s, -1) })
+		e1 := r.sys.Events()
+		acked = fmt.Sprint(r.model.Acked)
+		r.sys.Shutdown()
+		if !finished || e1 <= e0+1 {
+			return fmt.Errorf("%s seed %d: baseline workload did not finish, or is empty [%d,%d]", s.name, s.cfg.Seed, e0, e1)
+		}
+		for i := 0; i < s.events; i++ {
+			p := point{event: e0 + uint64(i+1)*(e1-e0)/uint64(s.events+1), victim: -1}
+			if s.victims > 0 {
+				p.victim = i % s.victims
+			}
+			pts = append(pts, p)
+		}
 	}
-	return ack.done >= cfg.Clients
+	for j := 1; j <= s.bounds; j++ {
+		pts = append(pts, point{boundary: j, victim: -1})
+	}
+	if s.when != nil {
+		pts = append(pts, point{victim: -1})
+	}
+	ran, failed := 0, 0
+	for _, p := range pts {
+		fails, reached := s.crashPoint(p)
+		if !reached && p.boundary > 0 {
+			break // every later boundary is out of reach too
+		} else if !reached {
+			fails = []string{"halt not reached"}
+		} else {
+			ran++
+		}
+		if len(fails) > 0 {
+			failed++
+			res.Failures = append(res.Failures, fmt.Sprintf("%s, seed %d, at %+v: %s (reproduce: waflbench -exp %s)",
+				s.name, s.cfg.Seed, p, strings.Join(fails, "; "), s.repro))
+		}
+	}
+	res.PointsRun += ran
+	res.Requested += len(pts)
+	points := fmt.Sprint(ran)
+	if ran < len(pts) && failed == 0 {
+		points = fmt.Sprintf("ran %d of %d: boundary space exhausted", ran, len(pts))
+	}
+	tab.Rows = append(tab.Rows, []string{fmt.Sprint(s.cfg.Seed), s.name, points, acked, fmt.Sprint(failed)})
+	return nil
 }
 
-// CrashSweep runs the crash-schedule sweep described by cfg — once per
-// entry of cfg.Modes (ParallelCP on/off) — and returns a rendered table
-// plus the machine-readable result.
-func CrashSweep(cfg CrashSweepConfig) (Table, CrashSweepResult, error) {
+// runSchedules sweeps each schedule into a row of the sweep's table, closed
+// with the FAIL notes or the count of verified points.
+func runSchedules(id, title string, scheds []schedule, verified string) (Table, CrashSweepResult, error) {
+	tab := Table{ID: id, Title: title, Headers: []string{"seed", "mode", "points", "acked ops", "failures"}}
 	var res CrashSweepResult
-	tab := Table{
-		ID:      "crashsweep",
-		Title:   "systematic crash/recovery verification (§II-C contract)",
-		Headers: []string{"seed", "mode", "points", "acked ops", "failures"},
-	}
-	modes := cfg.Modes
-	if len(modes) == 0 {
-		modes = []bool{cfg.Base.Allocator.ParallelCP}
-	}
-	if cfg.Points == 0 && cfg.Phases == 0 {
-		modes = nil // clone-ops/overload-only invocation: skip the baselines
-	}
-	for _, parallel := range modes {
-		cfg := cfg
-		cfg.Base.Allocator.ParallelCP = parallel
-		modeTag := "serial-cp"
-		if parallel {
-			modeTag = "parallel-cp"
-		}
-		if err := crashSweepMode(cfg, modeTag, &tab, &res); err != nil {
+	for i := range scheds {
+		if err := scheds[i].sweep(&tab, &res); err != nil {
 			return tab, res, err
 		}
 	}
-	if cfg.Overload {
-		if err := overloadCrashPoint(cfg, &tab, &res); err != nil {
-			return tab, res, err
-		}
-	}
-	if cfg.ClonePoints > 0 {
-		if err := cloneCrashPoints(cfg, &tab, &res); err != nil {
-			return tab, res, err
-		}
-	}
-
 	for _, f := range res.Failures {
 		tab.Notes = append(tab.Notes, "FAIL "+f)
 	}
 	if res.OK() {
-		tab.Notes = append(tab.Notes,
-			fmt.Sprintf("%d crash points: recovery + double-crash recovery all verified", res.PointsRun))
+		tab.Notes = append(tab.Notes, fmt.Sprintf("%d %s", res.PointsRun, verified))
 	}
 	return tab, res, nil
 }
 
-// overloadCrashPoint builds a system with a small NVRAM log and admission
-// control tuned to shed readily, drives it with hammering bulk writers
-// (plus occasional latency-sensitive writes), runs until the controller is
-// observed actively shedding, and crashes it right there. The ack log
-// records a bulk write only when WriteBulk admitted it, so verification
-// proves the shed-load crash contract: every admitted write replays, and
-// nothing that was shed leaks into the recovered image.
-func overloadCrashPoint(cfg CrashSweepConfig, tab *Table, res *CrashSweepResult) error {
-	c := cfg.Base
+// filesMix is the sweeps' base workload: writes, creates, deletes and
+// getattrs 7:1:1:1, with one op in snapEvery a snapshot create or delete.
+func filesMix(snapEvery int) nsmodel.Mix {
+	n, snaps := 1, 0
+	if snapEvery > 1 {
+		n, snaps = snapEvery-1, 5
+	}
+	return nsmodel.Mix{Weights: [nsmodel.NumKinds]int{nsmodel.Write: 7 * n, nsmodel.Create: n, nsmodel.Delete: n, nsmodel.Getattr: n,
+		nsmodel.SnapCreate: snaps, nsmodel.SnapDelete: snaps}}
+}
+
+// cloneScript is the clone window's fixed history, on four disjoint spans of
+// volume 0's one file so every block is attributable to a step: the frozen
+// image, parent churn the SnapRestore must revert, clone-side divergence, and
+// writes after the restore. Its CloneCreate is step cloneWindow.
+func cloneScript() []nsmodel.Op {
+	writes := func(vol, from, n int) (ops []nsmodel.Op) {
+		for b := 0; b < n; b++ {
+			ops = append(ops, nsmodel.Op{Kind: nsmodel.Write, Vol: vol, FBN: wafl.FBN(from + b), N: 1})
+		}
+		return ops
+	}
+	return slices.Concat(
+		[]nsmodel.Op{{Kind: nsmodel.Write, N: 64}, {Kind: nsmodel.SnapCreate}}, writes(0, 64, 32),
+		[]nsmodel.Op{{Kind: nsmodel.CloneCreate}}, writes(nsmodel.LastClone, 96, 16),
+		[]nsmodel.Op{{Kind: nsmodel.CloneSplit, Vol: nsmodel.LastClone}, {Kind: nsmodel.SnapRestore}}, writes(0, 128, 8))
+}
+
+const cloneWindow = 2 + 32
+
+// CrashSweep runs the crash-schedule sweep described by cfg — the
+// event-index, history (three clients drawing every logged operation kind,
+// nsmodel.AllKinds) and phase-boundary schedules once per entry of cfg.Modes
+// (ParallelCP on/off) — and returns a rendered table plus the
+// machine-readable result.
+func CrashSweep(cfg CrashSweepConfig) (Table, CrashSweepResult, error) {
+	modes, first := cfg.Modes, cfg.Base.Seed // first: the seed of the single-seed schedules
+	if len(modes) == 0 {
+		modes = []bool{cfg.Base.Allocator.ParallelCP}
+	}
 	if len(cfg.Seeds) > 0 {
-		c.Seed = cfg.Seeds[0]
+		first = cfg.Seeds[0]
 	}
-	c.NVRAMHalfBytes = 256 << 10
-	c.Admission = wafl.DefaultAdmission()
-	// Shed after two delay rounds: the point exists to crash mid-shed, so
-	// the controller must reach the shed tier quickly and repeatedly.
-	c.Admission.MaxDelay = 2 * c.Admission.DelayStep
-	sys, err := wafl.NewSystem(c)
-	if err != nil {
-		return err
+	// The sweeps' base load, on seed in CP mode parallel.
+	sched := func(name string, seed int64, parallel bool) schedule {
+		s := schedule{name: name, cfg: cfg.Base, maxRun: cfg.MaxRun,
+			repro: fmt.Sprintf("crashsweep -seeds %d -points %d", seed, cfg.Points),
+			mix:   filesMix(cfg.SnapEvery), clients: cfg.Clients, steps: cfg.OpsPerClient, span: int(cfg.BaseBlocks)}
+		s.cfg.Seed, s.cfg.Allocator.ParallelCP = seed, parallel
+		return s
 	}
-	base := make([]uint64, cfg.Clients)
-	for i := range base {
-		base[i] = sys.CreateFileDirect(i%c.Volumes, uint64(cfg.BaseBlocks))
-	}
-	if err := sys.Flush(); err != nil {
-		sys.Shutdown()
-		return fmt.Errorf("overload setup flush: %w", err)
-	}
-	ack := newAckLog()
-	ack.baseBlocks = cfg.BaseBlocks
-	for i := 0; i < cfg.Clients; i++ {
-		vol := i % c.Volumes
-		ino := base[i]
-		sys.ClientThread(fmt.Sprintf("overload-%d", i), func(cc *wafl.ClientCtx) {
-			for cc.Alive() {
-				fbn := wafl.FBN(cc.Rand(cfg.BaseBlocks - 16))
-				if cc.Rand(4) == 0 {
-					cc.Write(vol, ino, fbn, 2)
-					ack.ops = append(ack.ops, ackOp{'w', vol, ino, fbn, 2})
-				} else if _, ok := cc.WriteBulk(vol, ino, fbn, 16); ok {
-					ack.ops = append(ack.ops, ackOp{'w', vol, ino, fbn, 16})
-				}
+	var scheds []schedule
+	for _, parallel := range modes {
+		tag := map[bool]string{true: "/parallel-cp", false: "/serial-cp"}[parallel]
+		for _, seed := range cfg.Seeds {
+			s, h := sched("event-index"+tag, seed, parallel), sched("history"+tag, seed, parallel)
+			s.events, h.events = cfg.Points, cfg.Points
+			h.mix, h.clients, h.span, h.cfg.CloneSlots = nsmodel.AllKinds, 3, 64, 2
+			if cfg.Points > 0 {
+				scheds = append(scheds, s, h)
 			}
-		})
-	}
-	const label = "overload@shed"
-	shedding := false
-	for i := 0; i < 256 && !shedding; i++ {
-		sys.Run(2 * wafl.Millisecond)
-		if shed, _ := sys.AdmissionStats(); shed > 0 {
-			shedding = true
+		}
+		if cfg.Phases > 0 { // CP phase boundaries, on the first seed
+			s := sched("cp-phase"+tag, first, parallel)
+			s.bounds = cfg.Phases
+			scheds = append(scheds, s)
 		}
 	}
-	if shedding {
-		// Run deeper into the shed regime so the crash lands with a real
-		// mix of admitted-during-shedding and refused ops in flight.
-		sys.Run(10 * wafl.Millisecond)
+	if cfg.Overload {
+		// A small log and admission tuned to shed after two delay rounds,
+		// under hammering bulk writers; the crash lands well into the shed
+		// regime. The model hears of a bulk write what WriteBulk reported, so
+		// verification proves the shed-load contract: every admitted write
+		// replays, and nothing shed leaks into the recovered image.
+		s := sched("overload-shed", first, cfg.Base.Allocator.ParallelCP)
+		s.mix, s.steps = nsmodel.Mix{Weights: [nsmodel.NumKinds]int{nsmodel.Write: 1, nsmodel.WriteBulk: 3}}, 0
+		s.cfg.NVRAMHalfBytes = 256 << 10
+		s.cfg.Admission = wafl.DefaultAdmission()
+		s.cfg.Admission.MaxDelay = 2 * s.cfg.Admission.DelayStep
+		s.when = func(r *run) bool { shed, _ := r.sys.AdmissionStats(); return shed >= 64 }
+		scheds = append(scheds, s)
 	}
-	failsBefore := len(res.Failures)
-	if !shedding {
-		res.Failures = append(res.Failures, label+": admission never shed; crash point not reached")
-		sys.Shutdown()
-	} else {
-		var final *wafl.System
-		res.Failures, final = crashCycle(sys, ackedVerifier(ack.freeze()), label, res.Failures)
-		res.PointsRun++
-		if final != nil {
-			final.Shutdown()
-		} else {
-			sys.Shutdown()
-		}
+	if cfg.ClonePoints > 0 {
+		s := sched("clone-ops", first, cfg.Base.Allocator.ParallelCP)
+		s.repro = fmt.Sprintf("clonesweep -seeds %d -points %d", first, cfg.ClonePoints)
+		s.mix, s.clients, s.span = nsmodel.Mix{Script: cloneScript()}, 1, 256
+		s.cfg.CloneSlots, s.bounds = 2, cfg.ClonePoints
+		s.after = func(r *run) bool { return r.model.Acked > cloneWindow } // (the set-up's create is the one more)
+		scheds = append(scheds, s)
 	}
-	tab.Rows = append(tab.Rows, []string{
-		fmt.Sprintf("%d", c.Seed), "overload-shed", "1",
-		fmt.Sprintf("%d", len(ack.ops)), fmt.Sprintf("%d", len(res.Failures)-failsBefore),
-	})
-	return nil
-}
-
-// crashSweepMode runs the full event-index + phase-boundary schedule for
-// one ParallelCP mode, appending rows to tab and failures to res.
-func crashSweepMode(cfg CrashSweepConfig, modeTag string, tab *Table, res *CrashSweepResult) error {
-	for _, seed := range cfg.Seeds {
-		// Baseline: learn the crashable event-index span [e0, e1].
-		sys, ack, e0, err := buildSweepSystem(cfg, seed)
-		if err != nil {
-			return err
-		}
-		if !runWorkload(sys, cfg, ack) {
-			sys.Shutdown()
-			return fmt.Errorf("seed %d (%s): baseline workload did not finish", seed, modeTag)
-		}
-		e1 := sys.Events()
-		totalOps := len(ack.ops)
-		sys.Shutdown()
-		if e1 <= e0+1 {
-			return fmt.Errorf("seed %d (%s): empty crashable region [%d,%d]", seed, modeTag, e0, e1)
-		}
-
-		// Event-index sweep: evenly spaced points strictly inside (e0, e1).
-		failsBefore := len(res.Failures)
-		for i := 0; i < cfg.Points; i++ {
-			k := e0 + uint64(i+1)*(e1-e0)/uint64(cfg.Points+1)
-			label := fmt.Sprintf("seed%d@event%d/%s", seed, k, modeTag)
-			sys, ack, _, err := buildSweepSystem(cfg, seed)
-			if err != nil {
-				return err
-			}
-			if !sys.RunToEvent(k, 128*cfg.MaxRun) {
-				sys.Shutdown()
-				res.Failures = append(res.Failures, fmt.Sprintf("%s: halt not reached", label))
-				continue
-			}
-			var final *wafl.System
-			res.Failures, final = crashCycle(sys, ackedVerifier(ack.freeze()), label, res.Failures)
-			res.PointsRun++
-			if final != nil {
-				final.Shutdown()
-			} else {
-				sys.Shutdown()
-			}
-		}
-		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%d", seed), "event-index/" + modeTag, fmt.Sprintf("%d", cfg.Points),
-			fmt.Sprintf("%d", totalOps), fmt.Sprintf("%d", len(res.Failures)-failsBefore),
-		})
-	}
-
-	// CP phase-boundary sweep on the first seed: crash exactly at the j-th
-	// phase boundary hit, for j = 1..Phases.
-	if cfg.Phases > 0 && len(cfg.Seeds) > 0 {
-		seed := cfg.Seeds[0]
-		failsBefore := len(res.Failures)
-		points := 0
-		for j := 1; j <= cfg.Phases; j++ {
-			sys, ack, _, err := buildSweepSystem(cfg, seed)
-			if err != nil {
-				return err
-			}
-			hits, target := 0, j
-			var phaseName string
-			sys.SetCPPhaseHook(func(phase string) bool {
-				hits++
-				if hits == target {
-					phaseName = phase
-					sys.RequestHalt()
-					return true
-				}
-				return false
-			})
-			halted := false
-			for i := 0; i < 64 && ack.done < cfg.Clients; i++ {
-				sys.Run(cfg.MaxRun)
-				if sys.Halted() {
-					halted = true
-					break
-				}
-			}
-			if !halted {
-				// The workload finished before its j-th boundary: the
-				// phase space is exhausted.
-				sys.Shutdown()
-				break
-			}
-			label := fmt.Sprintf("seed%d@phase%d(%s)/%s", seed, j, phaseName, modeTag)
-			var final *wafl.System
-			res.Failures, final = crashCycle(sys, ackedVerifier(ack.freeze()), label, res.Failures)
-			res.PointsRun++
-			points++
-			if final != nil {
-				final.Shutdown()
-			} else {
-				sys.Shutdown()
-			}
-		}
-		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%d", seed), "cp-phase/" + modeTag, fmt.Sprintf("%d", points),
-			"-", fmt.Sprintf("%d", len(res.Failures)-failsBefore),
-		})
-	}
-	return nil
-}
-
-// The clone-ops crash script writes four disjoint FBN spans of one base
-// file so every recovery leg can attribute each block to a script step:
-// the frozen image (pre-snapshot), parent churn (post-snapshot, reverted
-// by SnapRestore), clone-side divergence, and post-restore writes.
-const (
-	cloneImgBlocks  = 64 // fbn 0..63: pre-snapshot writes, the frozen image
-	cloneChurnBase  = 64 // fbn 64..95: post-snapshot parent churn
-	cloneChurnSpan  = 32 //   (block 64 doubles as the restore-leg probe)
-	cloneWriteBase  = 96 // fbn 96..111: clone-side divergence after the bind
-	cloneWriteSpan  = 16
-	clonePostBase   = 128 // fbn 128..135: parent writes after the restore ack
-	clonePostSpan   = 8
-	cloneSampleStep = 8 // image sampling stride for per-leg verification
-)
-
-// cloneAckState is the clone-window script's acknowledged progress, copied
-// by value at the instant of the crash so verification sees exactly the
-// contract the crashed system had acknowledged.
-type cloneAckState struct {
-	vol, cloneVol           int
-	ino, snapID             uint64
-	churnAcked              int // churn blocks acked before the crash
-	cloneAcked              int // clone-divergence blocks acked
-	postAcked               int // post-restore blocks acked
-	cloneIssued, splitAcked bool
-	restoreIssued, restored bool
-	done                    bool
-}
-
-// cloneVerifier builds the per-leg oracle for one clone-ops crash point.
-func cloneVerifier(st cloneAckState) verifyFn {
-	return func(sys *wafl.System, label string, fails []string) []string {
-		add := func(msg string) {
-			if len(fails) < 40 {
-				fails = append(fails, fmt.Sprintf("%s: %s", label, msg))
-			}
-		}
-		quiesced := strings.HasSuffix(label, "/quiesced")
-
-		// The snapshot was acked before the window opened: it must exist on
-		// every leg and still serve its exact frozen image (data inside the
-		// image span, a hole where only post-snapshot churn wrote).
-		if !sys.SnapshotExists(st.vol, st.snapID) {
-			add(fmt.Sprintf("acked snapshot %d lost", st.snapID))
-		} else {
-			for fbn := wafl.FBN(0); fbn < cloneImgBlocks; fbn += cloneSampleStep {
-				if err := sys.SnapVerifyAgainst(st.vol, st.snapID, st.ino, fbn, true); err != nil {
-					add(fmt.Sprintf("snapshot image: %v", err))
-					break
-				}
-			}
-			if err := sys.SnapVerifyAgainst(st.vol, st.snapID, st.ino, cloneChurnBase, false); err != nil {
-				add(fmt.Sprintf("snapshot image: %v", err))
-			}
-		}
-
-		// Parent, image span: in the snapshot and never deleted, so it is
-		// data whether or not the revert committed.
-		for fbn := wafl.FBN(0); fbn < cloneImgBlocks; fbn += cloneSampleStep {
-			if err := sys.VerifyAgainst(st.vol, st.ino, fbn); err != nil {
-				add(fmt.Sprintf("parent image span: %v", err))
-				break
-			}
-		}
-
-		// Parent, churn span: the probe block decides which restore leg this
-		// recovery landed on — a hole iff the revert committed. An acked
-		// restore must have committed, and whichever leg holds, the whole
-		// churn span must agree with the probe: that is the all-or-nothing
-		// check on SnapRestore.
-		restored := sys.VerifyRead(st.vol, st.ino, cloneChurnBase) == nil
-		if st.restored && !restored {
-			add("acked SnapRestore lost")
-		}
-		if !st.restoreIssued && restored {
-			add("restore applied but never issued")
-		}
-		for b := 0; b < st.churnAcked; b++ {
-			fbn := wafl.FBN(cloneChurnBase + b)
-			if restored {
-				if sys.VerifyRead(st.vol, st.ino, fbn) != nil {
-					add(fmt.Sprintf("torn restore: churn fbn %d survived the revert", fbn))
-					break
-				}
-			} else if err := sys.VerifyAgainst(st.vol, st.ino, fbn); err != nil {
-				add(fmt.Sprintf("torn restore: %v", err))
-				break
-			}
-		}
-		for b := 0; b < st.postAcked; b++ {
-			if err := sys.VerifyAgainst(st.vol, st.ino, wafl.FBN(clonePostBase+b)); err != nil {
-				add(fmt.Sprintf("acked post-restore write lost: %v", err))
-				break
-			}
-		}
-
-		// Clone content: the frozen image plus the acked divergence writes,
-		// and none of the parent's post-snapshot churn. Holds at the same
-		// address whether the clone is still summary-held or a completed
-		// split already promoted it to a normal volume.
-		checkClone := func(cv, cloneWrites int) {
-			for fbn := wafl.FBN(0); fbn < cloneImgBlocks; fbn += cloneSampleStep {
-				if err := sys.VerifyAgainst(cv, st.ino, fbn); err != nil {
-					add(fmt.Sprintf("clone base image: %v", err))
-					return
-				}
-			}
-			if sys.VerifyRead(cv, st.ino, cloneChurnBase) != nil {
-				add("clone leaked post-snapshot parent churn")
-			}
-			for b := 0; b < cloneWrites; b++ {
-				if err := sys.VerifyAgainst(cv, st.ino, wafl.FBN(cloneWriteBase+b)); err != nil {
-					add(fmt.Sprintf("acked clone write lost: %v", err))
-					return
-				}
-			}
-		}
-		if st.cloneVol >= 0 {
-			// The create acked, so the bind had committed: the clone serves
-			// its contract on every leg, including after the parent restore.
-			checkClone(st.cloneVol, st.cloneAcked)
-		} else if st.cloneIssued {
-			// Issued but unacked: the logged intent may have replayed. Any
-			// clone recovery surfaces must be pending or bound — and once
-			// bound (mandatory after quiesce) it serves exactly the frozen
-			// image, since no divergence write was issued before the ack.
-			for _, cv := range sys.CloneVolumes() {
-				if !sys.CloneBound(cv) {
-					if quiesced {
-						add(fmt.Sprintf("replayed clone %d still unbound after quiesce", cv))
-					}
-					continue
-				}
-				checkClone(cv, 0)
-			}
-		}
-		return fails
-	}
-}
-
-// cloneCrashPoints runs the scripted clone window once per boundary index
-// j = 1..ClonePoints, crashing at the j-th CP phase boundary hit after the
-// window opens and driving the full crash → double-crash → quiesce cycle
-// against the clone oracle.
-func cloneCrashPoints(cfg CrashSweepConfig, tab *Table, res *CrashSweepResult) error {
-	c := cfg.Base
-	if len(cfg.Seeds) > 0 {
-		c.Seed = cfg.Seeds[0]
-	}
-	c.CloneSlots = 2
-	failsBefore := len(res.Failures)
-	ran := 0
-	for j := 1; j <= cfg.ClonePoints; j++ {
-		sys, err := wafl.NewSystem(c)
-		if err != nil {
-			return err
-		}
-		ino := sys.CreateFileDirect(0, 256)
-		if err := sys.Flush(); err != nil {
-			sys.Shutdown()
-			return fmt.Errorf("cloneops setup flush: %w", err)
-		}
-		st := &cloneAckState{vol: 0, cloneVol: -1, ino: ino}
-		window := false
-		sys.ClientThread("cloneops", func(cc *wafl.ClientCtx) {
-			cc.Write(st.vol, ino, 0, cloneImgBlocks)
-			st.snapID = cc.SnapCreate(st.vol)
-			for b := 0; b < cloneChurnSpan; b++ {
-				cc.Write(st.vol, ino, wafl.FBN(cloneChurnBase+b), 1)
-				st.churnAcked++
-			}
-			window = true
-			st.cloneIssued = true
-			if cv, ok := cc.CloneCreate(st.vol, st.snapID); ok {
-				st.cloneVol = cv
-				for b := 0; b < cloneWriteSpan; b++ {
-					cc.Write(cv, ino, wafl.FBN(cloneWriteBase+b), 1)
-					st.cloneAcked++
-				}
-				if cc.CloneSplit(cv) {
-					st.splitAcked = true
-				}
-			}
-			st.restoreIssued = true
-			if cc.SnapRestore(st.vol, st.snapID) {
-				st.restored = true
-				for b := 0; b < clonePostSpan; b++ {
-					cc.Write(st.vol, ino, wafl.FBN(clonePostBase+b), 1)
-					st.postAcked++
-				}
-			}
-			st.done = true
-		})
-		hits, target := 0, j
-		sys.SetCPPhaseHook(func(phase string) bool {
-			if !window {
-				return false
-			}
-			hits++
-			if hits == target {
-				sys.RequestHalt()
-				return true
-			}
-			return false
-		})
-		halted := false
-		for i := 0; i < 64 && !halted; i++ {
-			sys.Run(cfg.MaxRun)
-			halted = sys.Halted()
-			if st.done && !halted {
-				// The script finished; give the tail CPs (split completion,
-				// final commits) a few more segments to reach boundary j,
-				// then treat the window's boundary space as exhausted.
-				for k := 0; k < 4 && !halted; k++ {
-					sys.Run(cfg.MaxRun)
-					halted = sys.Halted()
-				}
-				break
-			}
-		}
-		if !halted {
-			sys.Shutdown()
-			break
-		}
-		label := fmt.Sprintf("cloneops@boundary%d", j)
-		var final *wafl.System
-		res.Failures, final = crashCycle(sys, cloneVerifier(*st), label, res.Failures)
-		res.PointsRun++
-		ran++
-		if final != nil {
-			final.Shutdown()
-		} else {
-			sys.Shutdown()
-		}
-	}
-	tab.Rows = append(tab.Rows, []string{
-		fmt.Sprintf("%d", c.Seed), "clone-ops", fmt.Sprintf("%d", ran),
-		"-", fmt.Sprintf("%d", len(res.Failures)-failsBefore),
-	})
-	return nil
+	return runSchedules("crashsweep", "systematic crash/recovery verification (§II-C contract)", scheds,
+		"crash points: recovery + double-crash recovery all verified")
 }

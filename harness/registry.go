@@ -33,7 +33,7 @@ var Experiments = []struct {
 	{Name: "crashsweep", Gate: true, Run: func(rc RunConfig) (Table, error) {
 		cfg := DefaultCrashSweep()
 		rc.deepen(&cfg.Points, &cfg.Seeds)
-		return verdict(CrashSweep(cfg))
+		return rc.verdict(CrashSweep(cfg))
 	}},
 	{Name: "clustersweep", Gate: true, Run: func(rc RunConfig) (Table, error) {
 		cfg := DefaultClusterSweep()
@@ -41,7 +41,7 @@ var Experiments = []struct {
 			cfg.Base.Members = rc.Base.Members
 		}
 		rc.deepen(&cfg.Points, &cfg.Seeds)
-		return verdict(ClusterSweep(cfg))
+		return rc.verdict(ClusterSweep(cfg))
 	}},
 	// clonesweep is crashsweep's clone-ops schedule on its own, for going
 	// deeper than the 18 boundaries the default sweep already covers.
@@ -49,7 +49,7 @@ var Experiments = []struct {
 		cfg := DefaultCrashSweep()
 		cfg.Points, cfg.Phases, cfg.Overload, cfg.Seeds = 0, 0, false, []int64{1}
 		rc.deepen(&cfg.ClonePoints, &cfg.Seeds)
-		return verdict(CrashSweep(cfg))
+		return rc.verdict(CrashSweep(cfg))
 	}},
 	{Name: "overloadcheck", Gate: true, Run: OverloadCheck},
 }
@@ -81,10 +81,15 @@ func (rc RunConfig) deepen(points *int, seeds *[]int64) {
 }
 
 // verdict turns a sweep's outcome into a registry result: the table, and an
-// error unless every crash point passed.
-func verdict(tab Table, res CrashSweepResult, err error) (Table, error) {
+// error unless every crash point passed — and, at the default depth (no
+// -points), every requested point ran: all of those are reachable, so a
+// schedule that stopped short has silently lost coverage.
+func (rc RunConfig) verdict(tab Table, res CrashSweepResult, err error) (Table, error) {
 	if err == nil && !res.OK() {
 		err = fmt.Errorf("%d failure(s) over %d crash points", len(res.Failures), res.PointsRun)
+	}
+	if err == nil && rc.Points == 0 && res.PointsRun < res.Requested {
+		err = fmt.Errorf("ran %d of %d crash points: a schedule's boundary space was exhausted", res.PointsRun, res.Requested)
 	}
 	return tab, err
 }

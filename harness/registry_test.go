@@ -6,18 +6,27 @@ import (
 )
 
 // TestVerdict checks how a sweep's outcome becomes a registry result: a
-// failed point is an error (so `make ci` stops), a clean sweep is not, and
-// an error from the sweep itself wins.
+// failed point is an error (so `make ci` stops), a clean sweep is not, an
+// error from the sweep itself wins, and so is a silent under-run.
 func TestVerdict(t *testing.T) {
-	if _, err := verdict(Table{}, CrashSweepResult{PointsRun: 3}, nil); err != nil {
+	var rc RunConfig
+	if _, err := rc.verdict(Table{}, CrashSweepResult{PointsRun: 3, Requested: 3}, nil); err != nil {
 		t.Fatalf("clean sweep: %v", err)
 	}
-	if _, err := verdict(Table{}, CrashSweepResult{PointsRun: 3, Failures: []string{"x"}}, nil); err == nil {
+	if _, err := rc.verdict(Table{}, CrashSweepResult{PointsRun: 3, Failures: []string{"x"}}, nil); err == nil {
 		t.Fatal("a failed crash point produced no error")
 	}
 	boom := errors.New("boom")
-	if _, err := verdict(Table{}, CrashSweepResult{Failures: []string{"x"}}, boom); !errors.Is(err, boom) {
+	if _, err := rc.verdict(Table{}, CrashSweepResult{Failures: []string{"x"}}, boom); !errors.Is(err, boom) {
 		t.Fatalf("sweep error replaced by %v", err)
+	}
+	// A schedule that ran short fails the gate at the default depth only.
+	short := CrashSweepResult{PointsRun: 14, Requested: 18}
+	if _, err := rc.verdict(Table{}, short, nil); err == nil {
+		t.Fatal("a short schedule at the default depth produced no error")
+	}
+	if _, err := (RunConfig{Points: 40}).verdict(Table{}, short, nil); err != nil {
+		t.Fatalf("a short schedule at a requested depth: %v", err)
 	}
 }
 

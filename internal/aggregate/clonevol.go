@@ -276,6 +276,10 @@ func (v *Volume) RequestRestore(id uint64) bool {
 // log free of records straddling an unapplied restore.
 func (v *Volume) RestorePending() bool { return len(v.pendRestores) > 0 || v.restoring }
 
+// RestoreQueued reports whether a restore request awaits the next CP freeze:
+// volatile state is already discarded, the image not yet replaced.
+func (v *Volume) RestoreQueued() bool { return len(v.pendRestores) > 0 }
+
 // TakePendingRestores returns and clears the pending restore list (CP
 // freeze). Order is request order. The gate stays closed (RestorePending
 // remains true) until FinishRestore, called by the engine after the

@@ -112,8 +112,8 @@ func TestEqualProgressWindowInsertion(t *testing.T) {
 			t.Fatalf("window %v has %d buckets, want %d (equal progress)", win, n, e.a.Geometry().DataDrives)
 		}
 	}
-	if len(perWindow) != e.opts.WindowsAhead*e.a.Groups() {
-		t.Fatalf("windows in cache = %d, want %d", len(perWindow), e.opts.WindowsAhead*e.a.Groups())
+	if len(perWindow) != windowsAhead*e.a.Groups() {
+		t.Fatalf("windows in cache = %d, want %d", len(perWindow), windowsAhead*e.a.Groups())
 	}
 }
 

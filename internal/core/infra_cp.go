@@ -9,7 +9,7 @@ import (
 )
 
 // StartCP prepares the infrastructure for a consistency point: it begins
-// filling WindowsAhead tetris windows per RAID group and pre-fills virtual
+// filling windowsAhead tetris windows per RAID group and pre-fills virtual
 // buckets for every volume with frozen work.
 func (in *Infra) StartCP(dirtyVols []*aggregate.Volume) {
 	in.inCP = true
@@ -18,7 +18,7 @@ func (in *Infra) StartCP(dirtyVols []*aggregate.Volume) {
 		return // serial mode fills inline on demand
 	}
 	for gi := 0; gi < in.a.Groups(); gi++ {
-		for k := 0; k < in.opts.WindowsAhead; k++ {
+		for k := 0; k < windowsAhead; k++ {
 			in.requestWindow(gi)
 		}
 	}

@@ -70,10 +70,6 @@ type Options struct {
 	SplitThreshold  int // minimum frozen L0 count to split
 	SplitJobs       int
 
-	// WindowsAhead is how many tetris windows per RAID group the
-	// infrastructure keeps filled in the bucket cache.
-	WindowsAhead int
-
 	// AASelection picks the Allocation Area policy.
 	AASelection AAPolicy
 
@@ -113,6 +109,9 @@ const (
 	// stageSize is the free-stage capacity before a commit message is sent
 	// (in blocks).
 	stageSize = 64
+	// windowsAhead is how many tetris windows per RAID group the
+	// infrastructure keeps filled in the bucket cache.
+	windowsAhead = 8
 )
 
 // DefaultOptions returns the standard White Alligator configuration.
@@ -129,7 +128,6 @@ func DefaultOptions() Options {
 		SplitLargeFiles:  true,
 		SplitThreshold:   2048,
 		SplitJobs:        4,
-		WindowsAhead:     8,
 		AASelection:      AAMostFree,
 		EqualProgress:    true,
 		LooseAccounting:  true,

@@ -519,6 +519,17 @@ func (e *Engine) runCP(t *sim.Thread) {
 		// owned by clone-local snapshots and (when fully drained) frees the
 		// base map metafile and drops the parent-snapshot delete guard.
 		e.scatterVolumes(t, "clonesplit", splitVols, func(wt *sim.Thread, v *aggregate.Volume) {
+			if v.RestoreQueued() {
+				// The split is a writer and obeys the restore gate: a request
+				// that landed after this CP's freeze cut discarded the open
+				// files, and a step now would reload them from records the
+				// restore is about to replace and dirty blocks the running
+				// CP's cleaner is already moving — freed twice. Checked here,
+				// not where splitVols is chosen: the request can arrive during
+				// the DrainFrees yield in between.
+				cuts[v.ID()].redrive = true
+				return
+			}
 			st := v.CloneState()
 			if live := v.CloneLiveBase(); live > 0 {
 				copied, walked := v.SplitStep(cloneSplitBatch)
