@@ -15,7 +15,7 @@ GO ?= go
 #                 latency-sensitive p99.9 up, on must shed bulk and bound it
 GATES = crashsweep clustersweep overloadcheck
 
-.PHONY: all build test vet race racecp benchsmoke expsmoke affcheck opcheck modelcheck $(GATES) ci clean
+.PHONY: all build test vet race racecp benchsmoke expsmoke affcheck opcheck modelcheck statcheck $(GATES) ci clean
 
 all: build
 
@@ -98,12 +98,42 @@ modelcheck:
 	fi; \
 	echo "modelcheck OK: harness/ probes the file system only through nsmodel.Verify"
 
+# statcheck enforces one stats spine (wafl.Stats, stats.go): (a) the four
+# views of it kept for bench/child.go are called by no non-test file under
+# harness/, cmd/, examples/ or workload/, so a hand-taken before/after pair
+# cannot grow back — a window's deltas are Results.Stats; (b) System has
+# exactly the stats accessors listed, so a new counter is a field of its
+# layer's struct and not one more accessor with its own roll-up; (c) among the
+# non-test facade sources only stats.go imports reflect — the fold runs twice
+# per window and never on a path a simulated event takes.
+STATVIEWS = Counters|CPStats|BCacheStats|AdmissionStats
+STATMETHODS = AdmissionStats BCacheStats CPPhaseReport CPStats CloneStats Counters MemberStats Stats TraceReport
+statcheck:
+	@pat='\.($(STATVIEWS))\('; \
+	bad=$$(grep -rlE "$$pat" --include='*.go' harness cmd examples workload | grep -v '_test\.go$$' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "statcheck: bench-only view of Stats called (read Results.Stats or System.Stats):"; \
+		grep -nHE "$$pat" $$bad; \
+		exit 1; \
+	fi; \
+	facade=$$(ls *.go | grep -v '_test\.go$$'); \
+	got=$$(grep -ohE '^func \([a-z]+ \*System\) [A-Za-z]*(Stats|Counters|Report)\(' $$facade | \
+		sed -E 's/.*\) ([A-Za-z]*)\($$/\1/' | LC_ALL=C sort | tr '\n' ' '); \
+	if [ "$$got" != "$(STATMETHODS) " ]; then \
+		echo "statcheck: System's stats accessors are $$got"; \
+		echo "statcheck: want exactly $(STATMETHODS) — publish a counter as a field of its layer's struct"; \
+		exit 1; \
+	fi; \
+	bad=$$(grep -l '"reflect"' $$facade | grep -v '^stats\.go$$' || true); \
+	if [ -n "$$bad" ]; then echo "statcheck: reflect imported outside stats.go: $$bad"; exit 1; fi; \
+	echo "statcheck OK: one Stats, no hand-bracketed window, reflect only in stats.go"
+
 $(GATES):
 	$(GO) run ./cmd/waflbench -exp $@
 
 # ci is the gate run before merging, and all that .github/workflows/ci.yml
 # runs: every stage once.
-ci: vet build affcheck opcheck modelcheck race benchsmoke expsmoke $(GATES)
+ci: vet build affcheck opcheck modelcheck statcheck race benchsmoke expsmoke $(GATES)
 
 clean:
 	rm -f wafltop waflbench *.test

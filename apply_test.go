@@ -370,7 +370,7 @@ func TestReplayWriteToReapedFile(t *testing.T) {
 func TestRefusedOpsAreCounted(t *testing.T) {
 	sys, ino := newCrashSystem(t, cloneConfig())
 	defer sys.Shutdown()
-	before := sys.snap()
+	before := sys.Stats()
 	cl := sys.ClientThread("refused", func(c *ClientCtx) {
 		for _, ok := range []bool{
 			c.Delete(0, ino+100),
@@ -393,10 +393,10 @@ func TestRefusedOpsAreCounted(t *testing.T) {
 		}
 	})
 	sys.Run(Second)
-	r := sys.memberDiffs(before, sys.snap())[0]
+	r := sys.Stats().Sub(before)
 	// Five refusals above, SnapCreate, CloneSlots binds and one more refusal.
-	if want := uint64(7 + sys.cfg.CloneSlots); cl.Ops != want || r.Ops != want || r.lat.Count != want {
-		t.Fatalf("client issued %d ops (want %d): window Ops = %d, latency samples = %d", cl.Ops, want, r.Ops, r.lat.Count)
+	if want := uint64(7 + sys.cfg.CloneSlots); cl.Ops != want || r.Client.Ops != want || r.Lat.Count != want {
+		t.Fatalf("client issued %d ops (want %d): window Ops = %d, latency samples = %d", cl.Ops, want, r.Client.Ops, r.Lat.Count)
 	}
 }
 

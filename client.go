@@ -108,7 +108,7 @@ func (c *ClientCtx) reserveLog(m *Member, bytes uint64) (*nvlog.Reservation, Dur
 		// Back-to-back CP: both halves occupied. Wait for the running CP.
 		start := c.t.Now()
 		c.Stalled++
-		m.stalls++
+		m.client.Stalls++
 		m.engine.RequestCP()
 		m.engine.WaitCPDone(c.t)
 		stalled += Duration(c.t.Now() - start)
@@ -126,7 +126,7 @@ func (c *ClientCtx) reserveLog(m *Member, bytes uint64) (*nvlog.Reservation, Dur
 // reopens when the CP applying the restore commits) and wait it out.
 func (c *ClientCtx) stallRestore(m *Member) {
 	c.Stalled++
-	m.stalls++
+	m.client.Stalls++
 	m.engine.RequestCP()
 	m.engine.WaitCPDone(c.t)
 }
@@ -194,7 +194,7 @@ func (c *ClientCtx) ack(m *Member, start Time, cost Duration, span, hist string,
 		}
 	}
 	c.Ops++
-	m.opsDone++
+	m.client.Ops++
 	m.lat.Observe(int64(lat))
 	return lat
 }
@@ -303,8 +303,8 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 	m.consumePlacement(lv, li, int64(nblocks))
 	m.maybeTriggerCP()
 	c.Blocks += uint64(nblocks)
-	m.blocksW += uint64(nblocks)
-	m.stallTime += stalled
+	m.client.BlocksWritten += uint64(nblocks)
+	m.client.StallTime += stalled
 	return c.ack(m, start, 0, "write", "client.write", int64(nblocks))
 }
 
@@ -335,7 +335,7 @@ func (c *ClientCtx) admitBulk(m *Member) bool {
 		}
 		if full >= ac.BulkShedAt || (ac.MaxDelay > 0 && delayed >= ac.MaxDelay) {
 			c.Shed++
-			m.shedOps++
+			m.admission.Shed++
 			m.maybeTriggerCP()
 			if tr := c.t.Tracer(); tr != nil {
 				tr.Instant(obs.PidThreads, c.t.TrackID(), "client", "bulk shed", int64(c.t.Now()))
@@ -349,7 +349,7 @@ func (c *ClientCtx) admitBulk(m *Member) bool {
 		d := Duration(c.t.Now() - start)
 		delayed += d
 		c.AdmitDelay += d
-		m.admitDelay += d
+		m.admission.Delay += d
 		if tr := c.t.Tracer(); tr != nil {
 			tr.Span(obs.PidThreads, c.t.TrackID(), "client", "admission delay",
 				int64(start), int64(c.t.Now()))
@@ -420,7 +420,7 @@ func (c *ClientCtx) Read(vol int, ino uint64, fbn FBN, nblocks int) Duration {
 			}
 		})
 	}
-	m.blocksR += uint64(nblocks)
+	m.client.BlocksRead += uint64(nblocks)
 	return c.ack(m, start, sys.cfg.Costs.ClientOp, "read", "client.read", int64(nblocks))
 }
 
@@ -606,7 +606,7 @@ func (c *ClientCtx) SnapRead(vol int, snapID, ino uint64, fbn FBN, nblocks int) 
 			}
 		})
 	}
-	m.blocksR += uint64(nblocks)
+	m.client.BlocksRead += uint64(nblocks)
 	return c.ack(m, start, sys.cfg.Costs.ClientOp, "snap-read", "", int64(nblocks)), ok
 }
 

@@ -63,11 +63,11 @@ func TestClusterBasic(t *testing.T) {
 
 	// Both members must have taken ops and committed CPs of their own.
 	for i := 0; i < sys.Members(); i++ {
-		info := sys.MemberInfo(i)
-		if info.Ops == 0 {
+		info := sys.MemberStats(i)
+		if info.Client.Ops == 0 {
 			t.Errorf("member %d served no ops", i)
 		}
-		if info.CPs == 0 {
+		if info.CPCount == 0 {
 			t.Errorf("member %d committed no CPs", i)
 		}
 		if rep := sys.FsckMember(i); !rep.OK() {
@@ -170,6 +170,7 @@ func TestMemberCrashIndependence(t *testing.T) {
 		t.Fatalf("workload did not start (acked=%d surv=%d)", acked, survOps)
 	}
 
+	statsAtCrash := sys.MemberStats(1) // a window opens here and spans the outage
 	sys.CrashMember(1, c1)
 	ackedAtCrash := acked
 	survAtCrash := survOps
@@ -188,6 +189,20 @@ func TestMemberCrashIndependence(t *testing.T) {
 	}
 	// Let the recovery CP drain the replayed log, survivor still running.
 	sys.Run(50 * Millisecond)
+
+	// The window spanning the crash: the remount rebuilt the allocator, cleaner
+	// pool, CP engine, Waffinity scheduler and mounted a new aggregate, all
+	// counting from zero again, so without the carried base every one of
+	// their counters would run backwards here and the delta would wrap.
+	after := leafMap(sys.MemberStats(1))
+	sys.MemberStats(1).Sub(statsAtCrash).Each(func(name string, v int64) {
+		if v < 0 || v > after[name] {
+			t.Errorf("window across RecoverMember: %s = %d, cumulative after = %d", name, v, after[name])
+		}
+	})
+	if cps := statsAtCrash.CP.CPs; cps == 0 || after["CP.CPs"] <= int64(cps) {
+		t.Errorf("CP.CPs went %d -> %d across the crash; want it to continue", cps, after["CP.CPs"])
+	}
 
 	// Every write acknowledged before the crash must be present.
 	checked := 0

@@ -1,8 +1,10 @@
 // Command wafltop is the introspection tool: it runs a short workload and
-// renders the Hierarchical Waffinity affinity tree (paper Fig 1) with
-// per-affinity message counts, the White Alligator allocator counters
-// (bucket/tetris/stage lifecycle, Fig 2-3), the consistency-point phase
-// breakdown, and the per-component core usage.
+// renders the window's results and per-component core usage, every layer's
+// non-zero counters over that window (wafl.Stats: client, admission, the
+// White Alligator bucket/tetris/stage lifecycle of Fig 2-3, cleaner pool,
+// CP engine, buffer cache, RAID, drives, Waffinity), the consistency-point
+// phase breakdown, and the Hierarchical Waffinity affinity tree (paper
+// Fig 1) with per-affinity message counts.
 //
 // Usage:
 //
@@ -106,46 +108,36 @@ func main() {
 		fmt.Println("=== cluster members (measurement window + point-in-time state) ===")
 		fmt.Printf("%-6s  %10s  %6s  %10s  %12s  %8s  %9s  %6s  %9s\n",
 			"member", "ops/s", "cps", "nvlog-fill", "free-blocks", "cleaners", "reserved", "shed", "bc-hit%")
-		for i := 0; i < sys.Members(); i++ {
-			mi := sys.MemberInfo(i)
+		for i, p := range parts {
+			mi, st := sys.MemberInfo(i), p.Stats
 			bcHit := 0.0
-			if lookups := mi.BCacheHits + mi.BCacheMisses; lookups > 0 {
-				bcHit = 100 * float64(mi.BCacheHits) / float64(lookups)
+			if lookups := st.BCache.Hits + st.BCache.Misses; lookups > 0 {
+				bcHit = 100 * float64(st.BCache.Hits) / float64(lookups)
 			}
 			fmt.Printf("%-6d  %10.0f  %6d  %9.0f%%  %12d  %8d  %9d  %6d  %8.1f%%\n",
-				mi.ID, parts[i].OpsPerSec, parts[i].CPs, 100*mi.NVLogFullness, mi.FreeBlocks, mi.Cleaners,
-				mi.Reserved, mi.ShedOps, bcHit)
+				mi.ID, p.OpsPerSec, p.CPs, 100*mi.NVLogFullness, st.VolFree, st.Cleaners,
+				st.Reserved, st.Admission.Shed, bcHit)
 		}
 		fmt.Println()
 	}
-	if shed, delay := sys.AdmissionStats(); shed > 0 || delay > 0 {
-		fmt.Printf("=== admission control ===\nshed %d bulk ops, %.1fms total delay applied\n\n",
-			shed, delay.Millis())
-	}
-	if bc := sys.BCacheStats(); bc.Hits+bc.Misses > 0 {
-		fmt.Printf("=== buffer cache ===\n%d hits / %d misses (%.1f%% hit rate), %d evictions, %d resident\n\n",
-			bc.Hits, bc.Misses, 100*float64(bc.Hits)/float64(bc.Hits+bc.Misses), bc.Evictions, bc.Resident)
-	}
-	fmt.Println("=== allocator (buckets / tetris / stages; Fig 2-3 lifecycle) ===")
-	fmt.Println(sys.InfraStats())
-	fmt.Println()
-	fmt.Println("=== consistency points ===")
-	fmt.Println(sys.CPReport())
+	fmt.Println("=== counters over the window (non-zero; one layer per line) ===")
+	fmt.Println(res.Stats)
 	fmt.Println()
 	fmt.Println("=== CP phase durations (always on; no trace needed) ===")
 	fmt.Println(sys.CPPhaseReport())
 	fmt.Println()
 	fmt.Println("=== volumes (snapshots & free-space split) ===")
-	created, deleted, reclaimed := sys.SnapStats()
+	cum := sys.Stats().CP // since format, not over the window
 	fmt.Printf("%-4s  %6s  %10s  %10s  %10s\n", "vol", "snaps", "active", "snap-held", "free")
 	for v := 0; v < sys.TotalVolumes(); v++ {
 		fs := sys.FreeSpaceBreakdown(v)
 		fmt.Printf("%-4d  %6d  %10d  %10d  %10d\n",
 			v, len(sys.SnapshotIDs(v)), fs.Active, fs.SnapOnly, fs.Free)
 	}
-	fmt.Printf("snapshot ops: %d created, %d deleted, %d blocks reclaimed\n", created, deleted, reclaimed)
+	fmt.Printf("snapshot ops: %d created, %d deleted, %d blocks reclaimed\n",
+		cum.SnapsCreated, cum.SnapsDeleted, cum.SnapReclaimed)
 	fmt.Println()
-	if cs := sys.CloneStats(); cs.Binds > 0 || cs.Restores > 0 || cs.Bound > 0 {
+	if cs := sys.CloneStats(); cum.CloneBinds > 0 || cum.Restores > 0 || cs.Bound > 0 {
 		fmt.Println("=== clones & restores ===")
 		fmt.Printf("%-6s  %-6s  %-6s  %10s  %12s\n", "clone", "parent", "snap", "base-held", "split-pend")
 		for _, cv := range sys.CloneVolumes() {
@@ -154,9 +146,9 @@ func main() {
 			fmt.Printf("%-6d  %-6d  %-6d  %10d  %12d\n", cv, pv, ps, fs.CloneHeld, fs.SplitPending)
 		}
 		fmt.Printf("clone ops: %d bound (%d live, %d splitting), %d splits done (%d blocks copied)\n",
-			cs.Binds, cs.Bound, cs.Splitting, cs.SplitsDone, cs.SplitCopied)
+			cum.CloneBinds, cs.Bound, cs.Splitting, cum.SplitsDone, cum.SplitCopied)
 		fmt.Printf("restore ops: %d restores, %d blocks freed, %d metadata blocks rewritten\n",
-			cs.Restores, cs.RestoreFreed, cs.RestoreBlocks)
+			cum.Restores, cum.RestoreFreed, cum.RestoreBlocks)
 		fmt.Println()
 	}
 	fmt.Println("=== affinity hierarchy (Fig 1), messages executed ===")

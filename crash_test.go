@@ -296,7 +296,7 @@ func TestPersistentReadErrorReconstructed(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatal("reconstructed content differs from original")
 	}
-	if rs := sys.RepairStats(); rs.Reconstructs == 0 {
+	if rs := sys.Stats().Repairs; rs.Reconstructs == 0 {
 		t.Fatalf("no reconstruction recorded: %+v", rs)
 	}
 	// Fsck reads every block through the same path; it must stay clean
@@ -351,7 +351,7 @@ func TestTrimmedImagesReconstructed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rs := rec.RepairStats(); rs.Reconstructs < nblocks {
+	if rs := rec.Stats().Repairs; rs.Reconstructs < nblocks {
 		t.Fatalf("%d reconstructions for %d unreadable blocks", rs.Reconstructs, nblocks)
 	}
 	if rep := rec.Fsck(); !rep.OK() {

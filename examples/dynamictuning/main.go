@@ -25,14 +25,14 @@ func main() {
 	w.Clients = 4
 	w.Attach(sys)
 	sys.Run(300 * wafl.Millisecond)
-	fmt.Printf("light load (4 clients): %d active cleaner threads\n", sys.ActiveCleaners())
+	fmt.Printf("light load (4 clients): %d active cleaner threads\n", sys.Stats().Cleaners)
 
 	// Phase 2: heavy burst — more clients pile on.
 	burst := workload.DefaultSeqWrite()
 	burst.Clients = 32
 	burst.Attach(sys)
 	sys.Run(400 * wafl.Millisecond)
-	fmt.Printf("heavy burst (36 clients): %d active cleaner threads\n", sys.ActiveCleaners())
+	fmt.Printf("heavy burst (36 clients): %d active cleaner threads\n", sys.Stats().Cleaners)
 
 	// Print the tuner's decision trace.
 	fmt.Println("\ntuner trace (50ms optimization period, activate >90%, park <50%):")

@@ -37,6 +37,7 @@ func main() {
 		res.Cores.WriteAllocation(), res.Cores.Cleaner, res.Cores.Infra)
 	fmt.Printf("%d consistency points committed, %.0f%% full-stripe writes\n",
 		res.CPs, res.FullStripe*100)
+	fmt.Printf("every layer's counters over the window:\n%v\n", res.Stats)
 
 	// The committed image is a real file system: check it.
 	if err := sys.Quiesce(); err != nil {

@@ -288,7 +288,7 @@ func TestDynamicTunerSamplesExposed(t *testing.T) {
 	if len(sys.TunerSamples()) == 0 {
 		t.Fatal("no tuner samples recorded")
 	}
-	if sys.ActiveCleaners() < 1 {
+	if sys.Stats().Cleaners < 1 {
 		t.Fatal("tuner must keep at least one thread")
 	}
 }
@@ -310,7 +310,7 @@ func TestLooseAccountingMatchesGroundTruth(t *testing.T) {
 	}
 	// After quiesce every token has flushed: the loose counter equals the
 	// activemap's ground truth.
-	if got, want := sys.AggrFreeBlocks(), int64(sys.m0().a.TotalFree()); got != want {
+	if got, want := sys.Stats().AggrFree, int64(sys.m0().a.TotalFree()); got != want {
 		t.Fatalf("loose counter %d != ground truth %d", got, want)
 	}
 }

@@ -44,17 +44,14 @@ func AgedVolume(rc RunConfig) (Table, error) {
 			return t, err
 		}
 		w.Attach(sys) // prefill + age in simulated time
-		sys.Run(rc.Warmup)
-		c0 := sys.Counters()
-		res := sys.Measure(0, rc.Window)
-		c1 := sys.Counters()
+		res := sys.Measure(rc.Warmup, rc.Window)
 		sys.Shutdown()
-		perVB[i] = wordsPerVBucket(c0, c1)
+		in := res.Stats.Infra
+		perVB[i] = wordsPerVBucket(in)
 		t.Rows = append(t.Rows, []string{
 			m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
-			fmt.Sprintf("%d", c1.VFillWords-c0.VFillWords),
-			fmt.Sprintf("%d", c1.VBucketsFilled-c0.VBucketsFilled),
-			f2(perVB[i]), f2(res.Cores.Infra), fmt.Sprintf("%d", c1.GetWaits-c0.GetWaits),
+			fmt.Sprintf("%d", in.VFillWords), fmt.Sprintf("%d", in.VBucketsFilled),
+			f2(perVB[i]), f2(res.Cores.Infra), fmt.Sprintf("%d", in.GetWaits),
 		})
 	}
 	if perVB[1] > 0 {
@@ -68,11 +65,10 @@ func AgedVolume(rc RunConfig) (Table, error) {
 }
 
 // wordsPerVBucket is the volume fill words charged per installed virtual
-// bucket between two counter snapshots (0 when none was installed).
-func wordsPerVBucket(c0, c1 wafl.InfraCounters) float64 {
-	n := c1.VBucketsFilled - c0.VBucketsFilled
-	if n == 0 {
+// bucket over a window's counters (0 when none was installed).
+func wordsPerVBucket(in wafl.InfraCounters) float64 {
+	if in.VBucketsFilled == 0 {
 		return 0
 	}
-	return float64(c1.VFillWords-c0.VFillWords) / float64(n)
+	return float64(in.VFillWords) / float64(in.VBucketsFilled)
 }

@@ -25,7 +25,8 @@ func CloneFleet(rc RunConfig) (Table, error) {
 			"words/vbucket", "clone-held", "restores", "meta-blk/restore", "splits", "infra cores"},
 	}
 	var perVB [2]float64   // fill words per installed vbucket, by mode
-	var cs wafl.CloneStats // the last (hierarchical) mode's
+	var cs wafl.CloneStats // the last (hierarchical) mode's block debt and
+	var cp wafl.CPStats    // its clone and restore counters since format
 
 	const volBlocks = 1 << 18
 	w := workload.DefaultCloneFleet()
@@ -48,18 +49,15 @@ func CloneFleet(rc RunConfig) (Table, error) {
 			return t, err
 		}
 		w.Attach(sys) // prefill + fan-out + divergence aging in simulated time
-		sys.Run(rc.Warmup)
-		c0 := sys.Counters()
-		res := sys.Measure(0, rc.Window)
-		c1 := sys.Counters()
-		cs = sys.CloneStats()
+		res := sys.Measure(rc.Warmup, rc.Window)
+		cs, cp = sys.CloneStats(), sys.Stats().CP
 		sys.Shutdown()
-		perVB[i] = wordsPerVBucket(c0, c1)
+		perVB[i] = wordsPerVBucket(res.Stats.Infra)
 		t.Rows = append(t.Rows, []string{
 			m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
 			f2(perVB[i]), fmt.Sprintf("%d", cs.CloneHeld),
-			fmt.Sprintf("%d", cs.Restores), f0(restoreMetaPerOp(cs)),
-			fmt.Sprintf("%d", cs.SplitsDone), f2(res.Cores.Infra),
+			fmt.Sprintf("%d", cp.Restores), f0(restoreMetaPerOp(cp)),
+			fmt.Sprintf("%d", cp.SplitsDone), f2(res.Cores.Infra),
 		})
 	}
 	if perVB[1] > 0 {
@@ -67,8 +65,8 @@ func CloneFleet(rc RunConfig) (Table, error) {
 			"fill words per installed vbucket under clone holds: %.1f -> %.1f (%.1fx reduction)",
 			perVB[0], perVB[1], perVB[0]/perVB[1]))
 	}
-	if cs.Restores > 0 {
-		perOp := restoreMetaPerOp(cs)
+	if cp.Restores > 0 {
+		perOp := restoreMetaPerOp(cp)
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"SnapRestore is O(metadata): %.0f blocks rewritten per revert of a %d-block volume (%.2f%%), zero data copies",
 			perOp, volBlocks, 100*perOp/volBlocks))
@@ -81,9 +79,9 @@ func CloneFleet(rc RunConfig) (Table, error) {
 
 // restoreMetaPerOp is the metadata blocks rewritten per SnapRestore (0 when
 // none ran).
-func restoreMetaPerOp(cs wafl.CloneStats) float64 {
-	if cs.Restores == 0 {
+func restoreMetaPerOp(cp wafl.CPStats) float64 {
+	if cp.Restores == 0 {
 		return 0
 	}
-	return float64(cs.RestoreBlocks) / float64(cs.Restores)
+	return float64(cp.RestoreBlocks) / float64(cp.Restores)
 }

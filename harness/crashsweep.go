@@ -437,7 +437,7 @@ func CrashSweep(cfg CrashSweepConfig) (Table, CrashSweepResult, error) {
 		s.cfg.NVRAMHalfBytes = 256 << 10
 		s.cfg.Admission = wafl.DefaultAdmission()
 		s.cfg.Admission.MaxDelay = 2 * s.cfg.Admission.DelayStep
-		s.when = func(r *run) bool { shed, _ := r.sys.AdmissionStats(); return shed >= 64 }
+		s.when = func(r *run) bool { return r.sys.Stats().Admission.Shed >= 64 }
 		scheds = append(scheds, s)
 	}
 	if cfg.ClonePoints > 0 {

@@ -111,9 +111,6 @@ func EnableTracing(prefix string, events int) {
 	tracing.seq = 0
 }
 
-// DisableTracing turns the Measure trace hook back off.
-func DisableTracing() { tracing.prefix = "" }
-
 // Measure builds a system with cfg, attaches the workload, measures, and
 // tears the system down (the returned *System is only good for reading
 // statistics). With EnableTracing active, the run is traced and its
@@ -144,24 +141,6 @@ func Measure(cfg wafl.Config, w Attacher, warmup, window wafl.Duration) (wafl.Re
 	}
 	sys.Shutdown()
 	return res, sys, nil
-}
-
-// Knee finds the knee of a load/latency curve by the half-latency rule
-// (Patel, SIGMETRICS PER 2015, the paper's reference [11]): the highest
-// load whose latency does not exceed twice the low-load base latency.
-// Returns the index of the knee point.
-func Knee(latencies []wafl.Duration) int {
-	if len(latencies) == 0 {
-		return -1
-	}
-	base := latencies[0]
-	knee := 0
-	for i, l := range latencies {
-		if l <= 2*base {
-			knee = i
-		}
-	}
-	return knee
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -8,23 +8,6 @@ import (
 	"wafl/workload"
 )
 
-func TestKneeHalfLatencyRule(t *testing.T) {
-	lats := []wafl.Duration{100, 120, 150, 199, 210, 500}
-	if k := Knee(lats); k != 3 {
-		t.Fatalf("knee = %d, want 3 (last point <= 2x base)", k)
-	}
-	if k := Knee([]wafl.Duration{100}); k != 0 {
-		t.Fatalf("single-point knee = %d", k)
-	}
-	if k := Knee(nil); k != -1 {
-		t.Fatalf("empty knee = %d", k)
-	}
-	// Monotone low latencies: knee is the last point.
-	if k := Knee([]wafl.Duration{100, 110, 120}); k != 2 {
-		t.Fatalf("knee = %d, want 2", k)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := Table{
 		ID:      "T1",

@@ -51,17 +51,14 @@ func runOverload(cfg wafl.Config, warmup, window wafl.Duration, mode string) (Ov
 	w.Attach(sys)
 	sys.Run(warmup)
 
-	// Window baselines: histograms and counters accumulate from t=0, so
-	// snapshot at the window edge and diff.
+	// Window baselines for what the workload itself keeps: its histograms
+	// and shed count accumulate from t=0, so snapshot at the window edge and
+	// diff. The system's own deltas come with the Results.
 	ls0, bulk0 := w.LSLat.Clone(), w.BulkLat.Clone()
 	shed0 := w.Shed
-	_, delay0 := sys.AdmissionStats()
-	bc0 := sys.BCacheStats()
 	res := sys.Measure(0, window)
 	ls := w.LSLat.Delta(ls0)
 	bulk := w.BulkLat.Delta(bulk0)
-	_, delay1 := sys.AdmissionStats()
-	bc1 := sys.BCacheStats()
 	p := OverloadPoint{
 		Mode:         mode,
 		LSP50:        wafl.Duration(ls.Quantile(0.50)),
@@ -71,10 +68,10 @@ func runOverload(cfg wafl.Config, warmup, window wafl.Duration, mode string) (Ov
 		Shed:         w.Shed - shed0,
 		Stalls:       res.Stalls,
 		StallTime:    res.StallTime,
-		AdmitDelay:   delay1 - delay0,
+		AdmitDelay:   res.Stats.Admission.Delay,
 		CPs:          res.CPs,
-		BCacheHits:   bc1.Hits - bc0.Hits,
-		BCacheMisses: bc1.Misses - bc0.Misses,
+		BCacheHits:   res.Stats.BCache.Hits,
+		BCacheMisses: res.Stats.BCache.Misses,
 	}
 	sys.Shutdown()
 	return p, nil

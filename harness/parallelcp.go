@@ -62,16 +62,13 @@ func ParallelCP(rc RunConfig) (Table, error) {
 				return t, err
 			}
 			attach(sys)
-			sys.Run(rc.Warmup)
-			s0 := sys.CPStats()
-			res := sys.Measure(0, rc.Window)
-			s1 := sys.CPStats()
+			res := sys.Measure(rc.Warmup, rc.Window)
 			sys.Shutdown()
-			if cps := s1.CPs - s0.CPs; cps > 0 {
-				cpAvgUs[i] = wafl.Duration(s1.TotalDuration-s0.TotalDuration).Micros() / float64(cps)
+			if cp := res.Stats.CP; cp.CPs > 0 {
+				cpAvgUs[i] = cp.TotalDuration.Micros() / float64(cp.CPs)
 			}
 			stallMs[i] = res.StallTime.Micros() / 1000
-			b2b[i] = s1.BackToBack - s0.BackToBack
+			b2b[i] = res.Stats.CP.BackToBack
 			t.Rows = append(t.Rows, []string{
 				w.name, m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP99),
 				fmt.Sprintf("%d", res.CPs), fmt.Sprintf("%.0fus", cpAvgUs[i]),

@@ -42,7 +42,7 @@ func SnapshotChurn(rc RunConfig) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		created, deleted, reclaimed := sys.SnapStats()
+		cp := sys.Stats().CP // cumulative snapshot activity
 		var active, held, free uint64
 		for v := 0; v < cfg.Volumes; v++ {
 			fs := sys.FreeSpaceBreakdown(v)
@@ -53,8 +53,8 @@ func SnapshotChurn(rc RunConfig) (Table, error) {
 		t.Rows = append(t.Rows, []string{
 			m.name, f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
 			fmt.Sprintf("%d", res.CPs),
-			fmt.Sprintf("%d/%d", created, deleted),
-			fmt.Sprintf("%d", reclaimed),
+			fmt.Sprintf("%d/%d", cp.SnapsCreated, cp.SnapsDeleted),
+			fmt.Sprintf("%d", cp.SnapReclaimed),
 			fmt.Sprintf("%d", active), fmt.Sprintf("%d", held), fmt.Sprintf("%d", free),
 		})
 	}

@@ -166,7 +166,7 @@ func TestDeterministicRuns(t *testing.T) {
 			}
 		})
 		sys.Run(300 * Millisecond)
-		return sys.m0().opsDone, sys.CPCount(), sys.Now()
+		return sys.m0().client.Ops, sys.CPCount(), sys.Now()
 	}
 	ops1, cps1, _ := run()
 	ops2, cps2, _ := run()

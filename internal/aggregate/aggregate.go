@@ -154,34 +154,6 @@ func (a *Aggregate) Volume(vi int) *Volume { return a.vols[vi] }
 // AAFree returns the free-block count of (group, aa).
 func (a *Aggregate) AAFree(group, aa int) int64 { return a.aaFree[group][aa] }
 
-// SelectAA returns the Allocation Area in group with the most free blocks —
-// the paper's AA selection policy (§IV-D). exclude (-1 for none) skips the
-// currently-in-use AA so a refill moves on rather than re-picking a
-// just-exhausted area.
-func (a *Aggregate) SelectAA(group, exclude int) int {
-	best, bestFree := -1, int64(-1)
-	for aa, free := range a.aaFree[group] {
-		if aa == exclude {
-			continue
-		}
-		if free > bestFree {
-			best, bestFree = aa, free
-		}
-	}
-	return best
-}
-
-// SelectAAFirstFit returns the lowest-numbered AA with any free block — the
-// alternative policy used by the AA-selection ablation.
-func (a *Aggregate) SelectAAFirstFit(group, exclude int) int {
-	for aa, free := range a.aaFree[group] {
-		if aa != exclude && free > 0 {
-			return aa
-		}
-	}
-	return -1
-}
-
 // SetInjector wires a drive-fault plan into every drive (data and parity)
 // of every RAID group. Pass nil to disable injection.
 func (a *Aggregate) SetInjector(in storage.Injector) {

@@ -97,30 +97,6 @@ func TestAAFreeTracking(t *testing.T) {
 	}
 }
 
-func TestSelectAAMostFree(t *testing.T) {
-	_, a := newTestAggr(t)
-	// Consume blocks in AA 0..6 of group 0, leaving AA 7 fullest.
-	for aa := 0; aa < 7; aa++ {
-		start, _ := testGeo.AARange(aa)
-		for i := block.DBN(0); i < block.DBN(10*(aa+1)); i++ {
-			dbn := start + i + 1 // skip reserved stripe 0
-			a.Activemap.Set(uint64(testGeo.VBNOf(0, 0, dbn)))
-		}
-	}
-	if got := a.SelectAA(0, -1); got != 7 {
-		t.Fatalf("SelectAA = %d, want 7", got)
-	}
-	if got := a.SelectAA(0, 7); got == 7 {
-		t.Fatal("exclude ignored")
-	}
-	if got := a.SelectAAFirstFit(0, -1); got != 0 {
-		t.Fatalf("first fit = %d, want 0", got)
-	}
-	if got := a.SelectAAFirstFit(0, 0); got != 1 {
-		t.Fatalf("first fit excluding 0 = %d, want 1", got)
-	}
-}
-
 func TestAAFreeMatchesBitmapRecount(t *testing.T) {
 	_, a := newTestAggr(t)
 	rng := a.Sched().Rand()

@@ -132,9 +132,6 @@ func (v *Volume) DropCloneRef(id uint64) {
 	v.cloneRefs[id]--
 }
 
-// CloneRefs returns the number of clones guarding snapshot id.
-func (v *Volume) CloneRefs(id uint64) int { return v.cloneRefs[id] }
-
 // StartSplit (idempotently) begins splitting the clone from its parent:
 // each CP rewrites a bounded batch of still-live base blocks through the
 // normal COW write path until none remain, then the base holds and the

@@ -54,9 +54,6 @@ func (v *Volume) Snapshots() []*snap.Snapshot {
 	return out
 }
 
-// SnapshotCount returns the number of materialized snapshots.
-func (v *Volume) SnapshotCount() int { return len(v.snapOrder) }
-
 // SnapshotIDs returns the materialized snapshot IDs in ascending order.
 func (v *Volume) SnapshotIDs() []uint64 {
 	return append([]uint64(nil), v.snapOrder...)

@@ -232,12 +232,6 @@ func (v *Volume) CreateFileAt(ino uint64, maxBlocks uint64) *fs.File {
 	return f
 }
 
-// MarkRecordDirty forces the file's inode record to be rewritten in the
-// next CP (attribute-only changes).
-func (v *Volume) MarkRecordDirty(f *fs.File) {
-	v.recordDirty[f.Ino()] = f
-}
-
 // DeleteFile removes a file: it disappears from the namespace immediately,
 // its un-persisted dirty state is dropped, and the file becomes a zombie
 // whose on-disk blocks are reclaimed by the next consistency point —

@@ -33,12 +33,13 @@ type entry struct {
 	prev, next *entry
 }
 
-// Stats is a snapshot of the cache counters.
+// Stats is a snapshot of the cache counters (the `stat` tag is read by
+// wafl.Stats).
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Resident  int // blocks currently resident
+	Resident  int `stat:"gauge"` // blocks currently resident
 }
 
 // Cache is an LRU block-residency cache. Not safe for host-level

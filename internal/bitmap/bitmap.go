@@ -70,9 +70,6 @@ func Rebind(file *fs.File, nbits uint64) *Activemap {
 // File returns the backing metafile.
 func (a *Activemap) File() *fs.File { return a.file }
 
-// Bits returns the size of the tracked address space.
-func (a *Activemap) Bits() uint64 { return a.nbits }
-
 // Free returns the number of free (clear) bits.
 func (a *Activemap) Free() uint64 { return a.free }
 

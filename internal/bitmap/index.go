@@ -82,9 +82,6 @@ func NewIndex(active, mask *Activemap, regionBits uint64) *Index {
 // Regions returns the number of regions tracked.
 func (x *Index) Regions() int { return len(x.regionFree) }
 
-// RegionBits returns the region size in bits.
-func (x *Index) RegionBits() uint64 { return x.regionBits }
-
 // RegionFree returns region r's allocatable-bit count.
 func (x *Index) RegionFree(r int) int64 { return x.regionFree[r] }
 

@@ -165,17 +165,6 @@ func (p *Pool) SetActive(n int) {
 	p.cond.Broadcast()
 }
 
-// CleanerBusy returns each thread's cumulative CPU time.
-func (p *Pool) CleanerBusy() []sim.Duration {
-	out := make([]sim.Duration, len(p.threads))
-	for i, cs := range p.threads {
-		if cs.t != nil {
-			out[i] = cs.t.Busy()
-		}
-	}
-	return out
-}
-
 // CleanerEngaged returns each thread's cumulative engaged wall time — time
 // spent processing cleaning jobs, including waits for buckets. This is the
 // utilization signal the dynamic tuner thresholds against: a cleaner that

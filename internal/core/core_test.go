@@ -50,6 +50,13 @@ func newEnv(t *testing.T, mutate func(*Options)) *env {
 	return &env{s: s, w: w, h: h, a: a, in: in, pool: pool, opts: opts}
 }
 
+// drain quiesces the infrastructure the way a CP does: messages first, then
+// the storage I/O they issued.
+func (e *env) drain(th *sim.Thread) {
+	e.in.DrainOps(th)
+	e.in.DrainIO(th)
+}
+
 // runThread runs fn on a fresh simulated thread and drives the simulation
 // until it completes (or the deadline hits).
 func (e *env) runThread(t *testing.T, fn func(th *sim.Thread)) {
@@ -282,7 +289,7 @@ func TestPendingFreeBlocksReuseUntilEndCP(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatal("same-CP-freed block offered for reuse")
 	}
-	e.runThread(t, func(th *sim.Thread) { e.in.Drain(th) })
+	e.runThread(t, func(th *sim.Thread) { e.drain(th) })
 	e.in.EndCP()
 	got, _ = e.in.findFreePhys(bn, bn+1, 1)
 	if len(got) != 1 {
@@ -334,7 +341,7 @@ func TestPoolCleansFileCompletely(t *testing.T) {
 	jobs := e.pool.BuildJobs(vol, []*fs.File{f}, true)
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, jobs)
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	if f.FrozenCount() != 0 {
 		t.Fatalf("%d frozen buffers left", f.FrozenCount())
@@ -370,7 +377,7 @@ func TestOverwriteStagesFrees(t *testing.T) {
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	e.in.EndCP()
 	oldVBN := f.Buffer(0, 0).VBN()
@@ -385,7 +392,7 @@ func TestOverwriteStagesFrees(t *testing.T) {
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	e.in.EndCP()
 	if e.a.Activemap.IsSet(uint64(oldVBN)) {
@@ -410,7 +417,7 @@ func TestLooseAccountingConverges(t *testing.T) {
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	e.in.EndCP()
 	// After all tokens flush, the loose counter equals ground truth minus
@@ -444,7 +451,7 @@ func TestBatchedCleaningTakesMultipleSmallJobs(t *testing.T) {
 	jobs := e.pool.BuildJobs(vol, files, true)
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, jobs)
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	st := e.pool.Stats()
 	if st.JobsRun != 8 {
@@ -470,7 +477,7 @@ func TestSplitLargeFile(t *testing.T) {
 	}
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, jobs)
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	if f.FrozenCount() != 0 {
 		t.Fatalf("split cleaning left %d frozen buffers", f.FrozenCount())
@@ -487,7 +494,7 @@ func TestSerialAffinityCleaning(t *testing.T) {
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	if f.FrozenCount() != 0 {
 		t.Fatal("serial-affinity cleaning incomplete")
@@ -523,6 +530,36 @@ func TestTunerActivatesAndParks(t *testing.T) {
 	tu.Stop()
 }
 
+// TestSelectAAMostFree pins what each AA policy picks and that an AA already
+// used this CP is not picked again.
+func TestSelectAAMostFree(t *testing.T) {
+	e := newEnv(t, nil)
+	geo := e.a.Geometry()
+	// Consume blocks in AA 0..6 of group 0, leaving AA 7 fullest.
+	for aa := 0; aa < 7; aa++ {
+		start, _ := geo.AARange(aa)
+		for i := block.DBN(0); i < block.DBN(10*(aa+1)); i++ {
+			dbn := start + i + 1 // skip reserved stripe 0
+			e.a.Activemap.Set(uint64(geo.VBNOf(0, 0, dbn)))
+		}
+	}
+	if got := e.in.selectAA(0); got != 7 {
+		t.Fatalf("most free = %d, want 7", got)
+	}
+	e.in.usedAAs[0][7] = true
+	if got := e.in.selectAA(0); got == 7 {
+		t.Fatal("used AA picked again")
+	}
+	e.in.opts.AASelection = AAFirstFit
+	if got := e.in.selectAA(0); got != 0 {
+		t.Fatalf("first fit = %d, want 0", got)
+	}
+	e.in.usedAAs[0][0] = true
+	if got := e.in.selectAA(0); got != 1 {
+		t.Fatalf("first fit with 0 used = %d, want 1", got)
+	}
+}
+
 func TestAAPolicies(t *testing.T) {
 	for _, pol := range []AAPolicy{AAMostFree, AAFirstFit, AARoundRobin} {
 		e := newEnv(t, func(o *Options) { o.AASelection = pol })
@@ -543,7 +580,7 @@ func TestChunkSizeOne(t *testing.T) {
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	if f.FrozenCount() != 0 {
 		t.Fatal("chunk-1 cleaning incomplete")
@@ -557,7 +594,7 @@ func TestDrainLeavesNoReservations(t *testing.T) {
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
-		e.in.Drain(th)
+		e.drain(th)
 	})
 	e.in.EndCP()
 	for i, w := range e.in.reserved.words {

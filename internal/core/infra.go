@@ -552,7 +552,7 @@ func (in *Infra) commitBucket(t *sim.Thread) {
 // commitBucketBody applies one bucket's allocations to the activemap.
 func (in *Infra) commitBucketBody(t *sim.Thread, b *Bucket) {
 	used := b.Used()
-	blocks := distinctAmapBlocks(used)
+	blocks := distinctBlocks(used, bitmap.BitsPerBlock)
 	t.ConsumeAs(sim.CatInfra, sim.Duration(blocks)*in.costs.CommitPerBlock+sim.Duration(len(used))*in.costs.CommitPerBit)
 	tr := in.s.Tracer()
 	for _, vbn := range used {
@@ -578,16 +578,16 @@ func (in *Infra) commitBucketBody(t *sim.Thread, b *Bucket) {
 
 func cap0(te *Tetris) int { return te.initialBuckets }
 
-// distinctAmapBlocks counts the distinct activemap blocks covering a VBN
-// set — the number of metafile blocks a commit dirties.
-func distinctAmapBlocks(vbns []block.VBN) int {
+// distinctBlocks counts the metafile blocks a commit of bns dirties, where
+// one metafile block covers per consecutive block numbers. A bucket's numbers
+// arrive in order, so a block is counted when the run on it begins.
+func distinctBlocks[T ~uint64](bns []T, per uint64) int {
 	n := 0
-	last := block.FBN(^uint64(0))
-	for _, v := range vbns {
-		fbn := bitmap.BlockOf(uint64(v))
-		if fbn != last {
+	last := ^uint64(0)
+	for _, bn := range bns {
+		if blk := uint64(bn) / per; blk != last {
 			n++
-			last = fbn
+			last = blk
 		}
 	}
 	return n

@@ -43,46 +43,14 @@ func (in *Infra) Prefill() {
 	}
 }
 
-// Drain quiesces the infrastructure: it stops refills, discards unused
+// DrainOps quiesces the infrastructure: it stops refills, discards unused
 // buckets (releasing their reservations and force-completing their
-// tetrises), and blocks until every outstanding infrastructure message and
-// storage I/O has finished. Cleaner threads must already be idle (all
-// buckets returned, all stages committed).
-func (in *Infra) Drain(t *sim.Thread) {
-	in.draining = true
-	// Discard the physical bucket cache.
-	in.cacheMu.Lock(t)
-	cache := in.cache.TakeAll()
-	in.cacheMu.Unlock(t)
-	for _, b := range cache {
-		for _, vbn := range b.vbns {
-			in.reserved.clear(uint64(vbn))
-		}
-		te := b.tetris
-		te.outstanding--
-		te.initialBuckets-- // it will never be committed either
-		if te.outstanding == 0 && te.blocks > 0 {
-			in.sendTetris(t, te)
-		}
-	}
-	// Discard virtual bucket caches.
-	for _, vs := range in.vols {
-		for _, vb := range vs.cache.TakeAll() {
-			for _, vv := range vb.vvbns {
-				vs.reserved.clear(uint64(vv))
-			}
-		}
-	}
-	for in.pendingOps > 0 || in.pendingIO > 0 {
-		in.drainCond.Wait(t)
-	}
-}
-
-// DrainOps is like Drain but only waits for outstanding infrastructure
-// messages (fills, commits, free stages) — the point at which the
-// allocation-bitmap state is final. Storage I/O keeps flowing; the CP
-// engine overlaps it with the metafile phases and only waits for it (via
-// DrainIO) before the superblock commit.
+// tetrises), and blocks until every outstanding infrastructure message
+// (fills, commits, free stages) has finished — the point at which the
+// allocation-bitmap state is final. Cleaner threads must already be idle
+// (all buckets returned, all stages committed). Storage I/O keeps flowing;
+// the CP engine overlaps it with the metafile phases and only waits for it
+// (via DrainIO) before the superblock commit.
 func (in *Infra) DrainOps(t *sim.Thread) {
 	in.draining = true
 	in.cacheMu.Lock(t)
@@ -94,7 +62,7 @@ func (in *Infra) DrainOps(t *sim.Thread) {
 		}
 		te := b.tetris
 		te.outstanding--
-		te.initialBuckets--
+		te.initialBuckets-- // it will never be committed either
 		if te.outstanding == 0 && te.blocks > 0 {
 			in.sendTetris(t, te)
 		}

@@ -236,8 +236,8 @@ func (in *Infra) PutVBucket(t *sim.Thread, vb *VBucket) {
 // container entries.
 func (in *Infra) commitVBucketBody(wt *sim.Thread, vs *volState, vb *VBucket) {
 	used := vb.vvbns[:vb.next]
-	amapBlocks := distinctVmapBlocks(used)
-	contBlocks := distinctContainerBlocks(used)
+	amapBlocks := distinctBlocks(used, bitmap.BitsPerBlock)
+	contBlocks := distinctBlocks(used, aggregate.ContainerEntriesPerBlock)
 	wt.ConsumeAs(sim.CatInfra,
 		sim.Duration(amapBlocks+contBlocks)*in.costs.CommitPerBlock+
 			sim.Duration(len(used))*in.costs.CommitPerBit+
@@ -253,34 +253,4 @@ func (in *Infra) commitVBucketBody(wt *sim.Thread, vs *volState, vb *VBucket) {
 		vs.reserved.clear(uint64(vv))
 	}
 	in.stats.VBucketsCommitted++
-}
-
-// distinctVmapBlocks counts distinct volume-activemap blocks covering a
-// VVBN set.
-func distinctVmapBlocks(vvbns []block.VVBN) int {
-	n := 0
-	last := block.FBN(^uint64(0))
-	for _, v := range vvbns {
-		fbn := bitmap.BlockOf(uint64(v))
-		if fbn != last {
-			n++
-			last = fbn
-		}
-	}
-	return n
-}
-
-// distinctContainerBlocks counts distinct container-map blocks for a VVBN
-// set.
-func distinctContainerBlocks(vvbns []block.VVBN) int {
-	n := 0
-	last := block.FBN(^uint64(0))
-	for _, v := range vvbns {
-		fbn := block.FBN(uint64(v) / aggregate.ContainerEntriesPerBlock)
-		if fbn != last {
-			n++
-			last = fbn
-		}
-	}
-	return n
 }

@@ -30,7 +30,8 @@ import (
 // NVRAM-stall exposure — fixed.
 const cloneSplitBatch = 2048
 
-// Stats holds cumulative CP engine counters.
+// Stats holds cumulative CP engine counters. The facade's wafl.Stats folds
+// these by reflection: a `stat` tag marks a field that is not a plain counter.
 type Stats struct {
 	CPs             uint64
 	InodesCleaned   uint64
@@ -48,11 +49,11 @@ type Stats struct {
 	SplitsDone      uint64 // clone splits fully completed (guard released)
 	AmapWrites      uint64
 	TotalDuration   sim.Duration
-	LastDuration    sim.Duration
+	LastDuration    sim.Duration `stat:"max"`
 	CleanDuration   sim.Duration // user-file cleaning phase (cumulative)
 	MetaDuration    sim.Duration // metafile flush phases (cumulative)
 	BackToBack      uint64       // CPs that started with another already requested
-	LongestDuration sim.Duration
+	LongestDuration sim.Duration `stat:"max"`
 }
 
 // Engine orchestrates consistency points on its own simulated thread.
@@ -141,10 +142,6 @@ func (e *Engine) observePhase(name string, d int64) {
 	}
 	h.Observe(d)
 }
-
-// PhaseHistogram returns the duration histogram of one CP phase by name
-// ("clean", "records", ...), or nil if that phase has never completed.
-func (e *Engine) PhaseHistogram(name string) *obs.Histogram { return e.phaseHist[name] }
 
 // PhaseReport renders the per-phase CP duration breakdown (count, mean,
 // p50/p95/p99, max) in execution order, so the serial-vs-parallel CP split

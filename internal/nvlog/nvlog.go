@@ -170,9 +170,6 @@ func (l *Log) Fullness() float64 {
 	return float64(l.halves[l.active].bytes) / float64(l.halfCap)
 }
 
-// HalfCap returns the capacity of each half in bytes.
-func (l *Log) HalfCap() uint64 { return l.halfCap }
-
 // HasFrozen reports whether a CP is currently draining a frozen half.
 func (l *Log) HasFrozen() bool { return l.frozen >= 0 }
 

@@ -65,13 +65,3 @@ func (s CPUStats) Cores(prev CPUStats, c Category) float64 {
 	}
 	return float64(s.Busy[c]-prev.Busy[c]) / float64(wall)
 }
-
-// TotalCores converts total busy time over the window since prev into an
-// average number of occupied cores.
-func (s CPUStats) TotalCores(prev CPUStats) float64 {
-	wall := s.Wall - prev.Wall
-	if wall <= 0 {
-		return 0
-	}
-	return float64(s.TotalBusy()-prev.TotalBusy()) / float64(wall)
-}

@@ -125,11 +125,11 @@ type message struct {
 	done     func() // optional completion callback (scheduler context)
 }
 
-// Stats summarizes scheduler activity.
+// Stats summarizes scheduler activity (the `stat` tag is read by wafl.Stats).
 type Stats struct {
 	Sent      uint64
 	Executed  uint64
-	MaxQueued int
+	MaxQueued int `stat:"max"`
 }
 
 // Scheduler dispatches affinity messages onto a pool of simulated worker

@@ -73,17 +73,17 @@ type Member struct {
 	// draining — the hysteresis that stops admission flapping across CP
 	// half-switches (fullness drops to ~0 the instant the halves switch,
 	// long before the CP has actually freed anything).
-	bulkHeld   bool
-	shedOps    uint64       // bulk writes refused admission
-	admitDelay sim.Duration // cumulative bulk admission delay
+	bulkHeld bool
 
-	// Per-member cumulative client statistics; Results windows diff these.
-	opsDone   uint64
-	blocksW   uint64
-	blocksR   uint64
-	stalls    uint64
-	stallTime sim.Duration
-	lat       *obs.Histogram // client op latency, log-linear buckets
+	// Cumulative client and admission totals and the client latency
+	// histogram, incremented in place by the client ops; stats() publishes
+	// them with every layer's counters. They outlive a remount (copied
+	// wholesale to the new incarnation), and base continues the layers a
+	// remount rebuilds — see rebuilt.
+	client    ClientStats
+	admission AdmissionStats
+	lat       *obs.Histogram
+	base      Stats
 }
 
 // placeKey identifies a placed file's reservation: member-local volume and
@@ -158,29 +158,20 @@ func spawnPrefix(id int) string {
 // single-member system the resulting event stream is bit-identical.
 func buildMember(sys *System, id int) (*Member, error) {
 	cfg := sys.cfg
-	s := sys.s
-	s.SetSpawnPrefix(spawnPrefix(id))
-	defer s.SetSpawnPrefix("")
 	// Clone slots are pre-provisioned member-local volumes after the client
 	// volumes: indices [Volumes, Volumes+CloneSlots). With CloneSlots == 0
 	// the layout (and every event) is identical to the pre-clone code.
 	localVols := cfg.Volumes + cfg.CloneSlots
-	m := &Member{sys: sys, id: id, threadLo: s.ThreadMark(), lat: obs.NewHistogram("client.lat"),
+	m := &Member{sys: sys, id: id, lat: obs.NewHistogram("client.lat"),
 		reserved:     make([]int64, localVols),
 		pendingPlace: make([][]int64, localVols),
 		placements:   make(map[placeKey]int64)}
-	if cfg.BCacheBlocks > 0 {
-		m.bc = bcache.New(cfg.BCacheBlocks)
-	}
-	m.w = waffinity.New(s, cfg.Cores, cfg.Costs.MsgDispatch)
-	m.h = waffinity.NewHierarchy(m.w, waffinity.HierarchyConfig{
-		Aggregates:    1,
-		VolumesPerAgg: localVols,
-		StripesPerVol: cfg.StripesPerVolume,
-		RangesPerVBN:  cfg.RangesPerVBN,
-		FirstAggr:     id,
-	})
-	a, err := aggregate.New(s, aggregate.Config{
+	// The scheduler comes up before the aggregate is formatted. The aggregate
+	// spawns no thread and posts no event until its first I/O, so formatting
+	// it first would leave every digest as it is — but not the heap layout:
+	// that order moved overload_burst's host metrics (CHANGES.md, PR 19).
+	m.startScheduler()
+	a, err := aggregate.New(sys.s, aggregate.Config{
 		Geometry: aggregate.Geometry{
 			NumGroups:  cfg.RAIDGroups,
 			DataDrives: cfg.DataDrives,
@@ -192,10 +183,44 @@ func buildMember(sys *System, id int) (*Member, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.a = a
 	for i := 0; i < localVols; i++ {
 		a.AddVolume(cfg.VolumeBlocks)
 	}
+	m.startAllocator(a)
+	return m, nil
+}
+
+// startScheduler and startAllocator build the member's volatile stack, in
+// the one order the event stream depends on; format and remount both come
+// through them, and every service thread is spawned inside them, which is
+// what makes [threadLo, threadHi) the member's crash domain. startScheduler
+// is the half that needs no aggregate: the cold buffer cache and the
+// Waffinity scheduler with its worker threads and hierarchy.
+func (m *Member) startScheduler() {
+	cfg, s := m.sys.cfg, m.sys.s
+	s.SetSpawnPrefix(spawnPrefix(m.id))
+	defer s.SetSpawnPrefix("")
+	m.threadLo = s.ThreadMark()
+	if cfg.BCacheBlocks > 0 {
+		m.bc = bcache.New(cfg.BCacheBlocks)
+	}
+	m.w = waffinity.New(s, cfg.Cores, cfg.Costs.MsgDispatch)
+	m.h = waffinity.NewHierarchy(m.w, waffinity.HierarchyConfig{
+		Aggregates:    1,
+		VolumesPerAgg: cfg.Volumes + cfg.CloneSlots,
+		StripesPerVol: cfg.StripesPerVolume,
+		RangesPerVBN:  cfg.RangesPerVBN,
+		FirstAggr:     m.id,
+	})
+}
+
+// startAllocator is the half on top of aggregate a: the allocation
+// infrastructure, cleaner pool, NVRAM log, CP engine and tuner.
+func (m *Member) startAllocator(a *aggregate.Aggregate) {
+	cfg, s := m.sys.cfg, m.sys.s
+	s.SetSpawnPrefix(spawnPrefix(m.id))
+	defer s.SetSpawnPrefix("")
+	m.a = a
 	m.in = core.NewInfra(m.w, m.h, a, cfg.Allocator, cfg.Costs)
 	m.pool = core.NewPool(m.in, cfg.Allocator, cfg.Costs)
 	m.log = nvlog.New(cfg.NVRAMHalfBytes)
@@ -205,7 +230,48 @@ func buildMember(sys *System, id int) (*Member, error) {
 		m.tuner = core.StartTuner(m.pool, cfg.Tuner)
 	}
 	m.threadHi = s.ThreadMark()
-	return m, nil
+}
+
+// rebuilt returns the cumulative counters of the layers a remount builds anew
+// (the volatile stack, and the mounted aggregate's repair path): this incarnation's, continued
+// from base — the same value the incarnation a crash destroyed last reported —
+// so no counter runs backwards across RecoverMember.
+func (m *Member) rebuilt() Stats {
+	st := Stats{Infra: m.in.Stats(), Pool: m.pool.Stats(), CP: m.engine.Stats(),
+		Waffinity: m.w.Stats(), Repairs: m.a.Repairs()}
+	if m.bc != nil {
+		st.BCache = m.bc.Stats()
+	}
+	foldInto(opCarry, &st, m.base)
+	return st
+}
+
+// stats returns the member's cumulative Stats: what each layer counts today,
+// read where the layer keeps it. Drives, RAID groups and the fault injector
+// are the same objects across a remount and need no carrying.
+func (m *Member) stats() Stats {
+	st := m.rebuilt()
+	st.Client, st.Admission, st.Lat = m.client, m.admission, m.lat.Clone()
+	for gi := 0; gi < m.a.Groups(); gi++ {
+		g := m.a.Group(gi)
+		foldInto(opAdd, &st.RAID, g.Stats())
+		foldInto(opAdd, &st.Drives, g.ParityDrive().Stats())
+		for di := 0; di < g.DataDrives(); di++ {
+			foldInto(opAdd, &st.Drives, g.Drive(di).Stats())
+		}
+	}
+	if m.inj != nil {
+		st.Faults = m.inj.Stats()
+	}
+	st.CPCount = m.a.CPCount()
+	st.Cleaners, st.AggrFree = m.pool.Active(), m.in.AggrFree()
+	for v := 0; v < m.sys.cfg.Volumes; v++ {
+		st.VolFree += m.in.VolFree(v)
+	}
+	for _, r := range m.reserved {
+		st.Reserved += r
+	}
+	return st
 }
 
 // onRestore is the CP engine's post-SnapRestore-apply callback: the restored
@@ -236,22 +302,17 @@ func (m *Member) onRestore(lv int) {
 // mounts the last committed consistency point from the member's drives and
 // replays the member's NVRAM log partition, leaving the replayed
 // operations dirty for the next CP. The rebuilt member runs on the same
-// scheduler and drives; cumulative client statistics carry over so
-// measurement windows spanning the crash stay meaningful.
+// scheduler and drives; cumulative statistics carry over — the facade's own
+// totals wholesale, the rebuilt layers' as base — so measurement windows
+// spanning the crash stay meaningful.
 func (sys *System) remountMember(om *Member) (*Member, error) {
 	a, err := aggregate.MountFrom(om.a)
 	if err != nil {
 		return nil, fmt.Errorf("wafl: recovery mount of member %d failed: %w", om.id, err)
 	}
-	cfg := sys.cfg
-	s := sys.s
-	s.SetSpawnPrefix(spawnPrefix(om.id))
-	defer s.SetSpawnPrefix("")
 	m := &Member{
-		sys: sys, id: om.id, a: a, threadLo: s.ThreadMark(),
-		opsDone: om.opsDone, blocksW: om.blocksW, blocksR: om.blocksR,
-		stalls: om.stalls, stallTime: om.stallTime, lat: om.lat,
-		shedOps: om.shedOps, admitDelay: om.admitDelay,
+		sys: sys, id: om.id,
+		client: om.client, admission: om.admission, lat: om.lat, base: om.rebuilt(),
 		// Deep-copy the placement state: sharing om.reserved's backing array
 		// (the old `reserved: om.reserved`) let post-recovery reservation
 		// mutations be observed through stale references to the dead member
@@ -259,6 +320,9 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 		reserved:     append([]int64(nil), om.reserved...),
 		pendingPlace: make([][]int64, len(om.pendingPlace)),
 		placements:   make(map[placeKey]int64, len(om.placements)),
+		// Fault injection outlives the crash: the drives are the same objects
+		// (media persists), so the plan wired into them keeps applying.
+		inj: om.inj,
 	}
 	for v, q := range om.pendingPlace {
 		m.pendingPlace[v] = append([]int64(nil), q...)
@@ -266,28 +330,11 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 	for k, rem := range om.placements {
 		m.placements[k] = rem
 	}
-	// The buffer cache is volatile: a recovered member restarts cold.
-	if cfg.BCacheBlocks > 0 {
-		m.bc = bcache.New(cfg.BCacheBlocks)
-	}
 	// Everything volatile is rebuilt from scratch — including the Waffinity
-	// scheduler and its worker threads (the crash destroyed the old ones).
-	m.w = waffinity.New(s, cfg.Cores, cfg.Costs.MsgDispatch)
-	m.h = waffinity.NewHierarchy(m.w, waffinity.HierarchyConfig{
-		Aggregates:    1,
-		VolumesPerAgg: cfg.Volumes + cfg.CloneSlots,
-		StripesPerVol: cfg.StripesPerVolume,
-		RangesPerVBN:  cfg.RangesPerVBN,
-		FirstAggr:     om.id,
-	})
-	m.in = core.NewInfra(m.w, m.h, a, cfg.Allocator, cfg.Costs)
-	m.pool = core.NewPool(m.in, cfg.Allocator, cfg.Costs)
-	m.log = nvlog.New(cfg.NVRAMHalfBytes)
-	m.engine = cp.New(m.w, m.h, a, m.in, m.pool, m.log, cfg.Allocator, cfg.Costs)
-	m.engine.SetRestoreHook(m.onRestore)
-	if cfg.Allocator.Dynamic {
-		m.tuner = core.StartTuner(m.pool, cfg.Tuner)
-	}
+	// scheduler and its worker threads (the crash destroyed the old ones) and
+	// the buffer cache, which restarts cold.
+	m.startScheduler()
+	m.startAllocator(a)
 	// Replay the surviving NVRAM records, then re-log them into the new
 	// log with their original sequence numbers. Replayed operations were
 	// acknowledged to clients, so until a CP commits them they must stay
@@ -304,10 +351,6 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 		// frees the log) promptly once the scheduler runs again.
 		m.engine.RequestCP()
 	}
-	// Fault injection outlives the crash: the drives are the same objects
-	// (media persists), so the plan wired into them keeps applying.
-	m.inj = om.inj
-	m.threadHi = s.ThreadMark()
 	return m, nil
 }
 

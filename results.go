@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"wafl/internal/obs"
 	"wafl/internal/sim"
 )
 
@@ -60,10 +59,12 @@ type Results struct {
 	FullStripe float64 // fraction of stripes written full (no parity reads)
 	Cleaners   int     // active cleaner threads at window end
 
-	// lat is the window's latency histogram, kept so windows can be merged
-	// (MergeResults) without losing distribution information. Nil on a
-	// zero Results.
-	lat *obs.Histogram
+	// Stats is every layer's counters over the window (gauges and high-water
+	// marks at its end): the fields above are read off it, and any other
+	// delta a caller wants is here too. Stats.Lat is the window's latency
+	// histogram, kept so windows can be merged (MergeResults) without losing
+	// distribution information; nil on a zero Results.
+	Stats Stats
 }
 
 // String renders the results as a compact report.
@@ -77,120 +78,74 @@ func (r Results) String() string {
 	return b.String()
 }
 
-// memberSnap captures one member's counters at a snapshot instant.
-type memberSnap struct {
-	ops         uint64
-	blocks      uint64
-	stalls      uint64
-	stallT      Duration
-	lat         *obs.Histogram // clone of the member's cumulative histogram
-	cps         uint64
-	fullStripes uint64
-	partStripes uint64
-}
-
-// snapshot captures the counters Measure diffs.
-type snapshot struct {
-	at      Time
-	cpu     sim.CPUStats
-	members []memberSnap
-}
-
-func (sys *System) snap() snapshot {
-	sn := snapshot{at: sys.s.Now(), cpu: sys.s.CPU()}
-	for _, m := range sys.members {
-		var full, part uint64
-		for gi := 0; gi < m.a.Groups(); gi++ {
-			st := m.a.Group(gi).Stats()
-			full += st.FullStripeWrites
-			part += st.PartialStripeWrites
-		}
-		sn.members = append(sn.members, memberSnap{
-			ops:         m.opsDone,
-			blocks:      m.blocksW,
-			stalls:      m.stalls,
-			stallT:      m.stallTime,
-			lat:         m.lat.Clone(),
-			cps:         m.a.CPCount(),
-			fullStripes: full,
-			partStripes: part,
-		})
-	}
-	return sn
-}
-
 // Measure runs the simulation for warmup, then for window, and returns the
 // cluster-wide metrics over the window.
 func (sys *System) Measure(warmup, window Duration) Results {
-	sys.Run(warmup)
-	start := sys.snap()
-	sys.Run(window)
-	end := sys.snap()
-	return MergeResults(sys.memberDiffs(start, end))
+	return MergeResults(sys.MeasureMembers(warmup, window))
 }
 
 // MeasureMembers runs the simulation for warmup, then for window, and
 // returns one Results per member over the window. MergeResults combines
-// them into the cluster-wide view Measure would have returned.
+// them into the cluster-wide view Measure would have returned. Core usage
+// is cluster-wide (the CPU pool is shared; per-member attribution is not
+// available), so every part carries the same CoreUsage and MergeResults'
+// event-weighted average recovers it.
 func (sys *System) MeasureMembers(warmup, window Duration) []Results {
 	sys.Run(warmup)
-	start := sys.snap()
+	start := make([]Stats, len(sys.members))
+	for i, m := range sys.members {
+		start[i] = m.stats()
+	}
+	t0, cpu0 := sys.s.Now(), sys.s.CPU()
 	sys.Run(window)
-	end := sys.snap()
-	return sys.memberDiffs(start, end)
-}
-
-// memberDiffs converts a pair of snapshots into per-member window Results.
-// Core usage is cluster-wide (the CPU pool is shared; per-member
-// attribution is not available), so every part carries the same CoreUsage
-// and MergeResults' event-weighted average recovers it.
-func (sys *System) memberDiffs(start, end snapshot) []Results {
-	wall := Duration(end.at - start.at)
+	cpu := sys.s.CPU()
 	cores := CoreUsage{
-		Client:    end.cpu.Cores(start.cpu, sim.CatClient),
-		Waffinity: end.cpu.Cores(start.cpu, sim.CatWaffinity),
-		Cleaner:   end.cpu.Cores(start.cpu, sim.CatCleaner),
-		Infra:     end.cpu.Cores(start.cpu, sim.CatInfra),
-		CP:        end.cpu.Cores(start.cpu, sim.CatCP),
-		RAID:      end.cpu.Cores(start.cpu, sim.CatRAID),
-		Other:     end.cpu.Cores(start.cpu, sim.CatOther),
+		Client:    cpu.Cores(cpu0, sim.CatClient),
+		Waffinity: cpu.Cores(cpu0, sim.CatWaffinity),
+		Cleaner:   cpu.Cores(cpu0, sim.CatCleaner),
+		Infra:     cpu.Cores(cpu0, sim.CatInfra),
+		CP:        cpu.Cores(cpu0, sim.CatCP),
+		RAID:      cpu.Cores(cpu0, sim.CatRAID),
+		Other:     cpu.Cores(cpu0, sim.CatOther),
 	}
 	out := make([]Results, len(sys.members))
 	for i, m := range sys.members {
-		ms, me := start.members[i], end.members[i]
+		st := m.stats().Sub(start[i])
 		r := Results{
-			Window:    wall,
-			Ops:       me.ops - ms.ops,
-			Blocks:    me.blocks - ms.blocks,
-			CPs:       me.cps - ms.cps,
-			Stalls:    me.stalls - ms.stalls,
-			StallTime: me.stallT - ms.stallT,
+			Window:    Duration(sys.s.Now() - t0),
+			Ops:       st.Client.Ops,
+			Blocks:    st.Client.BlocksWritten,
+			CPs:       st.CPCount,
+			Stalls:    st.Client.Stalls,
+			StallTime: st.Client.StallTime,
 			Cores:     cores,
-			Cleaners:  m.pool.Active(),
+			Cleaners:  st.Cleaners,
+			Stats:     st,
 		}
-		secs := wall.Seconds()
-		if secs > 0 {
-			r.OpsPerSec = float64(r.Ops) / secs
-			r.MBPerSec = float64(r.Blocks) * 4096 / (1 << 20) / secs
+		if n := st.RAID.FullStripeWrites + st.RAID.PartialStripeWrites; n > 0 {
+			r.FullStripe = float64(st.RAID.FullStripeWrites) / float64(n)
 		}
-		d := me.lat.Delta(ms.lat)
-		r.lat = d
-		if d.Count > 0 {
-			r.LatAvg = Duration(d.Mean())
-			r.LatP50 = Duration(d.Quantile(0.50))
-			r.LatP90 = Duration(d.Quantile(0.90))
-			r.LatP99 = Duration(d.Quantile(0.99))
-			r.LatP999 = Duration(d.Quantile(0.999))
-			r.LatMax = Duration(d.Max)
-		}
-		dFull := me.fullStripes - ms.fullStripes
-		dPart := me.partStripes - ms.partStripes
-		if dFull+dPart > 0 {
-			r.FullStripe = float64(dFull) / float64(dFull+dPart)
-		}
+		r.derive()
 		out[i] = r
 	}
 	return out
+}
+
+// derive fills in what follows from the window's totals and histogram: the
+// rates and the latency statistics.
+func (r *Results) derive() {
+	if secs := r.Window.Seconds(); secs > 0 {
+		r.OpsPerSec = float64(r.Ops) / secs
+		r.MBPerSec = float64(r.Blocks) * 4096 / (1 << 20) / secs
+	}
+	if lat := r.Stats.Lat; lat != nil && lat.Count > 0 {
+		r.LatAvg = Duration(lat.Mean())
+		r.LatP50 = Duration(lat.Quantile(0.50))
+		r.LatP90 = Duration(lat.Quantile(0.90))
+		r.LatP99 = Duration(lat.Quantile(0.99))
+		r.LatP999 = Duration(lat.Quantile(0.999))
+		r.LatMax = Duration(lat.Max)
+	}
 }
 
 // MergeResults combines per-member window Results into one cluster-wide
@@ -200,13 +155,13 @@ func (sys *System) memberDiffs(start, end snapshot) []Results {
 // the same value, and empty windows carry no weight); FullStripe is
 // Blocks-weighted; latency statistics come from the merged histograms.
 // Rates (OpsPerSec, MBPerSec) are recomputed from the summed totals over
-// the merged window. An empty slice merges to the zero Results.
+// the merged window; Stats is the parts' rolled up. An empty slice merges
+// to the zero Results.
 func MergeResults(parts []Results) Results {
 	var r Results
 	if len(parts) == 0 {
 		return r
 	}
-	lat := obs.NewHistogram("client.lat")
 	var coreW float64
 	var cores [7]float64
 	var stripeW float64
@@ -229,7 +184,7 @@ func MergeResults(parts []Results) Results {
 		}
 		stripeW += float64(p.Blocks)
 		fullFrac += float64(p.Blocks) * p.FullStripe
-		lat.Merge(p.lat)
+		foldInto(opAdd, &r.Stats, p.Stats)
 	}
 	if coreW > 0 {
 		r.Cores = CoreUsage{
@@ -253,73 +208,22 @@ func MergeResults(parts []Results) Results {
 	if stripeW > 0 {
 		r.FullStripe = fullFrac / stripeW
 	}
-	secs := r.Window.Seconds()
-	if secs > 0 {
-		r.OpsPerSec = float64(r.Ops) / secs
-		r.MBPerSec = float64(r.Blocks) * 4096 / (1 << 20) / secs
-	}
-	r.lat = lat
-	if lat.Count > 0 {
-		r.LatAvg = Duration(lat.Mean())
-		r.LatP50 = Duration(lat.Quantile(0.50))
-		r.LatP90 = Duration(lat.Quantile(0.90))
-		r.LatP99 = Duration(lat.Quantile(0.99))
-		r.LatP999 = Duration(lat.Quantile(0.999))
-		r.LatMax = Duration(lat.Max)
-	}
+	r.derive()
 	return r
 }
 
-// CPReport summarizes consistency-point engine activity: counts, average
-// duration, and the split between the cleaning phase and the metafile
-// phases (the CP "tail" that no cleaner parallelism can hide).
-func (sys *System) CPReport() string {
-	st := sys.CPStats()
-	if st.CPs == 0 {
-		return "no CPs"
-	}
-	avg := st.TotalDuration / Duration(st.CPs)
-	return fmt.Sprintf("cps=%d avg=%v clean=%v meta=%v longest=%v back2back=%d inodes=%d amapwrites=%d",
-		st.CPs, avg,
-		st.CleanDuration/Duration(st.CPs), st.MetaDuration/Duration(st.CPs),
-		st.LongestDuration, st.BackToBack, st.InodesCleaned, st.AmapWrites)
-}
-
-// SnapStats returns cumulative snapshot activity: images materialized,
-// snapshots reclaimed, and physical blocks returned to the aggregate free
-// pool by snapshot deletes.
-func (sys *System) SnapStats() (created, deleted, reclaimedBlocks uint64) {
-	st := sys.CPStats()
-	return st.SnapsCreated, st.SnapsDeleted, st.SnapReclaimed
-}
-
-// CloneStats is the cumulative clone/restore activity rollup plus the
-// point-in-time block debt the clone fleet still owes its parents.
+// CloneStats is the point-in-time block debt the clone fleet still owes its
+// parents; the cumulative clone and restore counters are in Stats.CP.
 type CloneStats struct {
-	Binds         uint64 // clones materialized at a CP
-	SplitsDone    uint64 // clone splits driven to completion
-	SplitCopied   uint64 // blocks rewritten by background split copy
-	Restores      uint64 // SnapRestore reverts committed
-	RestoreFreed  uint64 // blocks freed by reverting past the snapshot
-	RestoreBlocks uint64 // metadata blocks rewritten during restores
-	CloneHeld     uint64 // live base blocks still shared with parents
-	SplitPending  uint64 // of CloneHeld, blocks a running split has left
-	Bound         int    // clone volumes currently bound
-	Splitting     int    // of Bound, clones with a split in flight
+	CloneHeld    uint64 // live base blocks still shared with parents
+	SplitPending uint64 // of CloneHeld, blocks a running split has left
+	Bound        int    // clone volumes currently bound
+	Splitting    int    // of Bound, clones with a split in flight
 }
 
-// CloneStats aggregates the clone/restore counters across members and
-// walks the bound clone volumes for their live summary-hold debt.
+// CloneStats walks the bound clone volumes for their live summary-hold debt.
 func (sys *System) CloneStats() CloneStats {
-	st := sys.CPStats()
-	cs := CloneStats{
-		Binds:         st.CloneBinds,
-		SplitsDone:    st.SplitsDone,
-		SplitCopied:   st.SplitCopied,
-		Restores:      st.Restores,
-		RestoreFreed:  st.RestoreFreed,
-		RestoreBlocks: st.RestoreBlocks,
-	}
+	var cs CloneStats
 	for _, cv := range sys.CloneVolumes() {
 		fs := sys.FreeSpaceBreakdown(cv)
 		cs.CloneHeld += fs.CloneHeld
@@ -330,40 +234,4 @@ func (sys *System) CloneStats() CloneStats {
 		}
 	}
 	return cs
-}
-
-// CleanerJobStats returns the cleaner pools' cumulative job and batch
-// counts (equal unless batched inode cleaning merged jobs).
-func (sys *System) CleanerJobStats() (jobs, batches uint64) {
-	for _, m := range sys.members {
-		st := m.pool.Stats()
-		jobs += st.JobsRun
-		batches += st.BatchesRun
-	}
-	return jobs, batches
-}
-
-// InfraStats exposes the allocator infrastructure counters.
-func (sys *System) InfraStats() interface{ String() string } {
-	return infraStatsView{sys}
-}
-
-type infraStatsView struct{ sys *System }
-
-func (v infraStatsView) String() string {
-	st := v.sys.Counters()
-	var ps struct{ JobsRun, BatchesRun, BuffersCleaned, FilesSplit uint64 }
-	for _, m := range v.sys.members {
-		s := m.pool.Stats()
-		ps.JobsRun += s.JobsRun
-		ps.BatchesRun += s.BatchesRun
-		ps.BuffersCleaned += s.BuffersCleaned
-		ps.FilesSplit += s.FilesSplit
-	}
-	return fmt.Sprintf(
-		"buckets filled=%d committed=%d vbuckets=%d/%d tetris=%d (%d blk) stagemsgs=%d frees=%d fillwords=%d vfillwords=%d getwaits=%d | jobs=%d batches=%d buffers=%d splits=%d",
-		st.BucketsFilled, st.BucketsCommitted, st.VBucketsFilled, st.VBucketsCommitted,
-		st.TetrisesSent, st.TetrisBlocks, st.StageCommitMsgs, st.FreesCommitted,
-		st.FillWords, st.VFillWords, st.GetWaits,
-		ps.JobsRun, ps.BatchesRun, ps.BuffersCleaned, ps.FilesSplit)
 }

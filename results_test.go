@@ -10,7 +10,7 @@ import (
 )
 
 // synthPart builds one synthetic per-member window Results with a real
-// latency histogram, the way memberDiffs would.
+// latency histogram, the way MeasureMembers would.
 func synthPart(rng *rand.Rand, window Duration, cores CoreUsage) (Results, []int64) {
 	n := int(rng.Int63n(400))
 	lat := obs.NewHistogram("client.lat")
@@ -32,7 +32,7 @@ func synthPart(rng *rand.Rand, window Duration, cores CoreUsage) (Results, []int
 		Cores:      cores,
 		FullStripe: rng.Float64(),
 		Cleaners:   int(rng.Int63n(8)),
-		lat:        lat,
+		Stats:      Stats{Lat: lat},
 	}
 	if lat.Count > 0 {
 		r.LatAvg = Duration(lat.Mean())
@@ -118,7 +118,7 @@ func TestMergeResultsProperties(t *testing.T) {
 			ref.Observe(v)
 		}
 		for _, q := range []float64{0.50, 0.90, 0.99} {
-			if got, want := m.lat.Quantile(q), ref.Quantile(q); got != want {
+			if got, want := m.Stats.Lat.Quantile(q), ref.Quantile(q); got != want {
 				t.Fatalf("trial %d: merged q%.2f = %d, reference %d", trial, q, got, want)
 			}
 		}
@@ -149,7 +149,7 @@ func TestMergeResultsEmptyWindows(t *testing.T) {
 
 	busyLat := obs.NewHistogram("client.lat")
 	busyLat.Observe(int64(5 * Millisecond))
-	busy := Results{Window: Second, Ops: 1, Cores: CoreUsage{Client: 6}, lat: busyLat}
+	busy := Results{Window: Second, Ops: 1, Cores: CoreUsage{Client: 6}, Stats: Stats{Lat: busyLat}}
 	r = MergeResults([]Results{idleA, busy})
 	if math.Abs(r.Cores.Client-6) > 1e-9 {
 		t.Fatalf("empty window carried weight: cores = %v, want 6", r.Cores.Client)
@@ -231,13 +231,13 @@ func TestMeasureMembersMidCP(t *testing.T) {
 	cp0 := sys.CPCount()
 	var ops0 uint64
 	for i := 0; i < sys.Members(); i++ {
-		ops0 += sys.MemberInfo(i).Ops
+		ops0 += sys.MemberStats(i).Client.Ops
 	}
 	parts := sys.MeasureMembers(0, 50*Millisecond)
 	cp1 := sys.CPCount()
 	var ops1 uint64
 	for i := 0; i < sys.Members(); i++ {
-		ops1 += sys.MemberInfo(i).Ops
+		ops1 += sys.MemberStats(i).Client.Ops
 	}
 
 	m := MergeResults(parts)

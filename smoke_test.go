@@ -37,7 +37,7 @@ func TestSmokeSequentialWrites(t *testing.T) {
 	})
 	res := sys.Measure(50*Millisecond, 200*Millisecond)
 	t.Logf("results: %s", res)
-	t.Logf("infra: %s", sys.InfraStats())
+	t.Logf("window counters:\n%s", res.Stats)
 	if res.Ops == 0 {
 		t.Fatal("no operations completed")
 	}

@@ -3,6 +3,7 @@ package wafl
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,9 +42,8 @@ func TestTracingDeterminism(t *testing.T) {
 	evOn := sysOn.s.Events()
 	defer sysOn.Shutdown()
 
-	// Results carries its window histogram as a pointer; compare values.
-	resOff.lat, resOn.lat = nil, nil
-	if resOff != resOn {
+	// Every layer's window counters and the latency buckets, by value.
+	if !reflect.DeepEqual(resOff, resOn) {
 		t.Fatalf("tracing changed results:\noff: %+v\non:  %+v", resOff, resOn)
 	}
 	if evOff != evOn {

@@ -76,11 +76,11 @@ func TestSnapChurnRotatesSnapshots(t *testing.T) {
 	if res.Ops == 0 {
 		t.Fatal("no load produced")
 	}
-	created, deleted, _ := sys.SnapStats()
-	if created == 0 {
+	cp := sys.Stats().CP
+	if cp.SnapsCreated == 0 {
 		t.Fatal("churn created no snapshots")
 	}
-	if deleted == 0 {
+	if cp.SnapsDeleted == 0 {
 		t.Fatal("ring never rotated: no snapshot deletes")
 	}
 	held := uint64(0)
@@ -110,13 +110,13 @@ func TestRandWritePrefillAges(t *testing.T) {
 	if sys.CPCount() == 0 {
 		t.Fatal("prefill flush should have committed CPs")
 	}
-	free0 := sys.AggrFreeBlocks()
+	free0 := sys.Stats().AggrFree
 	res := sys.Measure(50*wafl.Millisecond, 150*wafl.Millisecond)
 	if res.Ops == 0 {
 		t.Fatal("no random writes")
 	}
 	// Steady-state overwrites: net space use stays near flat.
-	drift := free0 - sys.AggrFreeBlocks()
+	drift := free0 - sys.Stats().AggrFree
 	if drift > 2000 || drift < -2000 {
 		t.Fatalf("space drifted by %d blocks during pure overwrites", drift)
 	}
