@@ -24,9 +24,6 @@ func (b *Bucket) Remaining() int { return len(b.vbns) - b.next }
 // Used returns the VBNs consumed so far.
 func (b *Bucket) Used() []block.VBN { return b.vbns[:b.next] }
 
-// Unused returns the VBNs never handed out (released at PUT).
-func (b *Bucket) Unused() []block.VBN { return b.vbns[b.next:] }
-
 // Tetris accumulates the write I/O for one chunk-deep stripe window of a
 // RAID group (§IV-E): its width is the group's data-drive count and its
 // depth the chunk size. Each USE enqueues the cleaned buffer onto the
@@ -59,9 +56,6 @@ func (t *Tetris) add(drive int, dbn block.DBN, data []byte) {
 	t.perDrive[drive] = append(t.perDrive[drive], storage.WriteReq{DBN: dbn, Data: data})
 	t.blocks++
 }
-
-// Blocks returns the number of blocks enqueued so far.
-func (t *Tetris) Blocks() int { return t.blocks }
 
 // VBucket is the virtual-space analogue of a Bucket: a chunk of free VVBNs
 // of one volume, plus the (vvbn → pvbn) assignments recorded by USE so the

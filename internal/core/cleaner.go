@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
@@ -67,13 +66,13 @@ type cleanerState struct {
 	t    *sim.Thread
 	tok  *counters.Token
 	phys *Bucket
-	virt map[int]*VBucket
-	// free stages (§IV-A last paragraph): old block numbers accumulate
-	// here and are committed to the infrastructure when full.
-	stagePhys []uint64
-	stageVirt map[int][]uint64
-	holding   bool
-	engaged   sim.Duration // wall time spent processing jobs (tuner input)
+	virt []*VBucket // by volume ID
+	// free stages (§IV-A last paragraph), one per space by space.idx: old
+	// block numbers accumulate here and are committed to the
+	// infrastructure when full.
+	stages  [][]uint64
+	holding bool
+	engaged sim.Duration // wall time spent processing jobs (tuner input)
 }
 
 // Pool is the set of inode-cleaner threads consuming the White Alligator
@@ -125,10 +124,10 @@ func NewPool(in *Infra, opts Options, costs CostModel) *Pool {
 	}
 	for i := 0; i < opts.MaxCleaners; i++ {
 		cs := &cleanerState{
-			id:        i,
-			tok:       in.Counters.NewToken(),
-			virt:      make(map[int]*VBucket),
-			stageVirt: make(map[int][]uint64),
+			id:     i,
+			tok:    in.global.NewToken(),
+			virt:   make([]*VBucket, len(in.vols)),
+			stages: make([][]uint64, len(in.spaces)),
 		}
 		p.threads = append(p.threads, cs)
 		if !opts.CleanInSerialAffinity {
@@ -368,6 +367,10 @@ func (p *Pool) runJob(cs *cleanerState, job *Job) {
 func (p *Pool) cleanFile(cs *cleanerState, job *Job, f *fs.File) {
 	t := cs.t
 	geo := p.in.a.Geometry()
+	var vs *volState // the volume's space, for dual-addressed files
+	if job.Dual {
+		vs = p.in.vols[job.Vol.ID()]
+	}
 	loLevel, hiLevel := 0, f.Height()
 	switch job.Mode {
 	case JobL0Range:
@@ -420,9 +423,9 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job, f *fs.File) {
 			p.stats.BuffersCleaned++
 
 			// Loose accounting: allocation consumed a free block.
-			p.in.CleanerCounterAdd(t, cs.tok, p.in.AggrFreeID(), -1)
+			p.in.CleanerCounterAdd(t, cs.tok, p.in.phys.counter, -1)
 			if job.Dual {
-				p.in.CleanerCounterAdd(t, cs.tok, p.in.VolFreeID(job.Vol.ID()), -1)
+				p.in.CleanerCounterAdd(t, cs.tok, vs.counter, -1)
 			}
 
 			// Stage the frees of the overwritten locations. A snapshot-held
@@ -432,77 +435,61 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job, f *fs.File) {
 			snapHeld := job.Dual && oldVVBN != block.InvalidVVBN &&
 				job.Vol.Summary.IsSet(uint64(oldVVBN))
 			if oldVBN != block.InvalidVBN && oldVBN != 0 && !snapHeld {
-				t.Consume(p.costs.StagePush)
-				cs.stagePhys = append(cs.stagePhys, uint64(oldVBN))
-				p.in.CleanerCounterAdd(t, cs.tok, p.in.AggrFreeID(), 1)
-				if len(cs.stagePhys) >= stageSize {
-					p.commitStagePhys(cs)
-				}
+				p.stage(cs, p.in.phys, uint64(oldVBN), true)
 			}
 			if job.Dual && oldVVBN != block.InvalidVVBN {
-				t.Consume(p.costs.StagePush)
-				vid := job.Vol.ID()
-				cs.stageVirt[vid] = append(cs.stageVirt[vid], uint64(oldVVBN))
 				// The volume counter tracks allocatable VVBNs (!active &&
 				// !summary): a snapshot-held overwrite leaves the active
 				// map but stays pinned by its summary bit, so it is not
 				// yet allocatable — its credit comes from the snapshot
 				// reclaim that drops the last holder.
-				if !snapHeld {
-					p.in.CleanerCounterAdd(t, cs.tok, p.in.VolFreeID(vid), 1)
-				}
-				if len(cs.stageVirt[vid]) >= stageSize {
-					p.commitStageVirt(cs, vid)
-				}
+				p.stage(cs, vs.space, uint64(oldVVBN), !snapHeld)
 			}
 		}
 	}
 }
 
-func (p *Pool) commitStagePhys(cs *cleanerState) {
-	if len(cs.stagePhys) == 0 {
-		return
+// stage pushes one freed block number onto the thread's stage for sp,
+// crediting the space's loose free counter if the block became allocatable,
+// and commits the stage from inside the push that fills it.
+func (p *Pool) stage(cs *cleanerState, sp *space, bn uint64, credit bool) {
+	cs.t.Consume(p.costs.StagePush)
+	cs.stages[sp.idx] = append(cs.stages[sp.idx], bn)
+	if credit {
+		p.in.CleanerCounterAdd(cs.t, cs.tok, sp.counter, 1)
 	}
-	p.in.CommitFrees(cs.t, -1, cs.stagePhys)
-	cs.stagePhys = nil
-	p.stats.StageCommits++
+	if len(cs.stages[sp.idx]) >= stageSize {
+		p.commitStage(cs, sp)
+	}
 }
 
-func (p *Pool) commitStageVirt(cs *cleanerState, vid int) {
-	if len(cs.stageVirt[vid]) == 0 {
+// commitStage hands the thread's stage for sp to the infrastructure.
+func (p *Pool) commitStage(cs *cleanerState, sp *space) {
+	if len(cs.stages[sp.idx]) == 0 {
 		return
 	}
-	p.in.CommitFrees(cs.t, vid, cs.stageVirt[vid])
-	delete(cs.stageVirt, vid)
+	p.in.free(cs.t, sp, cs.stages[sp.idx])
+	cs.stages[sp.idx] = nil
 	p.stats.StageCommits++
 }
 
 // release returns every resource the thread holds: buckets go back via
-// PUT, stages commit, and the counter token flushes.
+// PUT (physical, then virtual by volume), stages commit in space order, and
+// the counter token flushes.
 func (p *Pool) release(cs *cleanerState) {
 	t := cs.t
 	if cs.phys != nil {
 		p.in.PutBucket(t, cs.phys)
 		cs.phys = nil
 	}
-	for _, vid := range sortedKeys(cs.virt) {
-		p.in.PutVBucket(t, cs.virt[vid])
-		delete(cs.virt, vid)
+	for vid, vb := range cs.virt {
+		if vb != nil {
+			p.in.PutVBucket(t, vb)
+			cs.virt[vid] = nil
+		}
 	}
-	p.commitStagePhys(cs)
-	for _, vid := range sortedKeys(cs.stageVirt) {
-		p.commitStageVirt(cs, vid)
+	for _, sp := range p.in.spaces {
+		p.commitStage(cs, sp)
 	}
 	p.in.FlushToken(t, cs.tok)
-}
-
-// sortedKeys returns map keys in ascending order, keeping event generation
-// deterministic.
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

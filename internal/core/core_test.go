@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 
 	"wafl/internal/aggregate"
@@ -89,7 +90,7 @@ func TestGetBucketReturnsValidChunk(t *testing.T) {
 			if dbn < b.window || dbn >= b.window+block.DBN(e.opts.ChunkBlocks) {
 				t.Errorf("vbn %v outside window %d", vbn, b.window)
 			}
-			if !e.in.reserved.test(uint64(vbn)) {
+			if !e.in.phys.reserved.test(uint64(vbn)) {
 				t.Errorf("vbn %v not reserved after fill", vbn)
 			}
 			if e.a.Activemap.IsSet(uint64(vbn)) {
@@ -140,7 +141,7 @@ func TestPutBucketCommitsUsedOnly(t *testing.T) {
 			b.tetris.add(d, dbn, block.New())
 		}
 		used = append([]block.VBN(nil), b.Used()...)
-		unused = append([]block.VBN(nil), b.Unused()...)
+		unused = append([]block.VBN(nil), b.vbns[b.next:]...)
 		e.in.PutBucket(th, b)
 		th.Sleep(100 * sim.Millisecond) // let the commit message run
 	})
@@ -153,7 +154,7 @@ func TestPutBucketCommitsUsedOnly(t *testing.T) {
 		if e.a.Activemap.IsSet(uint64(vbn)) {
 			t.Fatalf("unused vbn %v wrongly committed", vbn)
 		}
-		if e.in.reserved.test(uint64(vbn)) {
+		if e.in.phys.reserved.test(uint64(vbn)) {
 			t.Fatalf("unused vbn %v still reserved after commit", vbn)
 		}
 	}
@@ -255,14 +256,14 @@ func TestCommitFreesScatteredVsSequential(t *testing.T) {
 		e.a.Activemap.Set(bn)
 	}
 	before := e.in.Stats().StageCommitMsgs
-	e.runThread(t, func(th *sim.Thread) { e.in.CommitFrees(th, -1, seq) })
+	e.runThread(t, func(th *sim.Thread) { e.in.free(th, e.in.phys, seq) })
 	e.s.RunFor(100 * sim.Millisecond)
 	seqMsgs := e.in.Stats().StageCommitMsgs - before
 	if seqMsgs != 1 {
 		t.Fatalf("sequential frees produced %d messages, want 1", seqMsgs)
 	}
 	before = e.in.Stats().StageCommitMsgs
-	e.runThread(t, func(th *sim.Thread) { e.in.CommitFrees(th, -1, scattered) })
+	e.runThread(t, func(th *sim.Thread) { e.in.free(th, e.in.phys, scattered) })
 	e.s.RunFor(100 * sim.Millisecond)
 	scatMsgs := e.in.Stats().StageCommitMsgs - before
 	if scatMsgs != 2 {
@@ -272,29 +273,52 @@ func TestCommitFreesScatteredVsSequential(t *testing.T) {
 		if e.a.Activemap.IsSet(bn) {
 			t.Fatal("free not applied")
 		}
-		if !e.in.pendingFree.test(bn) {
+		if !e.in.phys.pendingFree.test(bn) {
 			t.Fatal("freed block not in pendingFree")
 		}
 	}
 }
 
+// eachSpace runs fn once per kind of space, each on a fresh env: the
+// aggregate's physical space and volume 0's virtual one.
+func eachSpace(t *testing.T, fn func(t *testing.T, e *env, sp *space)) {
+	for _, tc := range []struct {
+		name string
+		pick func(*Infra) *space
+	}{
+		{"aggregate", func(in *Infra) *space { return in.phys }},
+		{"volume0", func(in *Infra) *space { return in.vols[0].space }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, nil)
+			fn(t, e, tc.pick(e.in))
+		})
+	}
+}
+
+// TestPendingFreeBlocksReuseUntilEndCP is the same-CP-reuse fence, once per
+// space: a bit freed inside a CP is not offered again until EndCP.
 func TestPendingFreeBlocksReuseUntilEndCP(t *testing.T) {
-	e := newEnv(t, nil)
-	e.in.StartCP(nil)
-	bn := uint64(5000)
-	e.a.Activemap.Set(bn)
-	e.runThread(t, func(th *sim.Thread) { e.in.CommitFrees(th, -1, []uint64{bn}) })
-	e.s.RunFor(50 * sim.Millisecond)
-	got, _ := e.in.findFreePhys(bn, bn+1, 1)
-	if len(got) != 0 {
-		t.Fatal("same-CP-freed block offered for reuse")
-	}
-	e.runThread(t, func(th *sim.Thread) { e.drain(th) })
-	e.in.EndCP()
-	got, _ = e.in.findFreePhys(bn, bn+1, 1)
-	if len(got) != 1 {
-		t.Fatal("freed block not reusable after EndCP")
-	}
+	eachSpace(t, func(t *testing.T, e *env, sp *space) {
+		e.in.StartCP(nil)
+		bn := uint64(5000)
+		sp.amap.Set(bn)
+		e.runThread(t, func(th *sim.Thread) { e.in.free(th, sp, []uint64{bn}) })
+		e.s.RunFor(50 * sim.Millisecond)
+		if sp.amap.IsSet(bn) {
+			t.Fatal("free not applied")
+		}
+		got, _ := findFree[uint64](sp, bn, bn+1, 1)
+		if len(got) != 0 {
+			t.Fatal("same-CP-freed block offered for reuse")
+		}
+		e.runThread(t, func(th *sim.Thread) { e.drain(th) })
+		e.in.EndCP()
+		got, _ = findFree[uint64](sp, bn, bn+1, 1)
+		if len(got) != 1 {
+			t.Fatal("freed block not reusable after EndCP")
+		}
+	})
 }
 
 func TestFindMetaVBNSkipsReservedAndPending(t *testing.T) {
@@ -309,7 +333,7 @@ func TestFindMetaVBNSkipsReservedAndPending(t *testing.T) {
 				t.Fatal("FindMetaVBN returned a block twice without Set")
 			}
 			seen[vbn] = true
-			if e.in.reserved.test(uint64(vbn)) || e.in.pendingFree.test(uint64(vbn)) {
+			if e.in.phys.reserved.test(uint64(vbn)) || e.in.phys.pendingFree.test(uint64(vbn)) {
 				t.Fatal("FindMetaVBN returned a reserved/pending block")
 			}
 			e.a.Activemap.Set(uint64(vbn))
@@ -587,26 +611,49 @@ func TestChunkSizeOne(t *testing.T) {
 	}
 }
 
-func TestDrainLeavesNoReservations(t *testing.T) {
-	e := newEnv(t, nil)
-	vol := e.a.Volume(0)
-	f := buildDirtyFile(vol, 60)
-	e.in.StartCP([]*aggregate.Volume{vol})
-	e.runThread(t, func(th *sim.Thread) {
-		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
-		e.drain(th)
-	})
-	e.in.EndCP()
-	for i, w := range e.in.reserved.words {
-		if w != 0 {
-			t.Fatalf("reservation leak in word %d: %x", i, w)
-		}
-	}
-	for _, vs := range e.in.vols {
-		for i, w := range vs.reserved.words {
+// noReservations fails the test if any space still fences a block off.
+func noReservations(t *testing.T, in *Infra) {
+	t.Helper()
+	for _, sp := range in.spaces {
+		for i, w := range sp.reserved.words {
 			if w != 0 {
-				t.Fatalf("vvbn reservation leak in word %d: %x", i, w)
+				t.Fatalf("space %d: reservation leak in word %d: %x", sp.idx, i, w)
 			}
 		}
 	}
+}
+
+// TestDrainLeavesNoReservations checks the drain itself — before EndCP's
+// blanket reset could hide a leak — in every space, after a cleaning phase
+// and after a drain that had to drop unused buckets of both kinds.
+func TestDrainLeavesNoReservations(t *testing.T) {
+	t.Run("cleaned", func(t *testing.T) {
+		e := newEnv(t, nil)
+		vol := e.a.Volume(0)
+		f := buildDirtyFile(vol, 60)
+		e.in.StartCP([]*aggregate.Volume{vol})
+		e.runThread(t, func(th *sim.Thread) {
+			e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
+			e.drain(th)
+		})
+		noReservations(t, e.in)
+	})
+	t.Run("dropped", func(t *testing.T) {
+		e := newEnv(t, nil)
+		e.in.StartCP(e.a.Volumes())
+		e.s.RunFor(100 * sim.Millisecond) // fills land and reserve
+		reserved := func(sp *space) (n int) {
+			for _, w := range sp.reserved.words {
+				n += bits.OnesCount64(w)
+			}
+			return n
+		}
+		for _, sp := range e.in.spaces {
+			if reserved(sp) == 0 {
+				t.Fatalf("space %d: no bucket filled before the drain", sp.idx)
+			}
+		}
+		e.runThread(t, func(th *sim.Thread) { e.drain(th) })
+		noReservations(t, e.in)
+	})
 }

@@ -43,8 +43,11 @@ type windowFill struct {
 	pending int
 }
 
-// volState is the per-volume virtual allocation state.
+// volState is the per-volume virtual allocation state: the volume's VVBN
+// space plus what only the virtual side has — vregion selection and the
+// per-volume top-up cache.
 type volState struct {
+	*space
 	vol          *aggregate.Volume
 	cache        fifo.Queue[*VBucket]
 	cond         *sim.WaitQueue
@@ -52,15 +55,6 @@ type volState struct {
 	cursor       uint64 // next vvbn to scan within the region
 	usedRegions  map[int]bool
 	pendingFills int
-	pendingFree  *bitset
-	reserved     *bitset
-	freeCounter  counters.ID
-
-	// scanBuf is the reusable FindFree scratch buffer for this volume's
-	// fills. Safe to share across fill messages: the cooperative scheduler
-	// never switches threads inside a scan, and the raw candidates are
-	// copied out before the next one starts.
-	scanBuf []uint64
 }
 
 // Infra is the White Alligator infrastructure: it owns the bucket cache and
@@ -84,28 +78,27 @@ type Infra struct {
 	// message that commits them runs.
 	usedQueue fifo.Queue[*Bucket]
 
-	// scanBuf is the reusable FindFree scratch for physical fills (see
-	// volState.scanBuf).
-	scanBuf []uint64
-
 	win         []windowState
 	usedAAs     []map[int]bool
 	rrNext      []int
-	serialGroup int     // round-robin group cursor for inline (serial-mode) fills
-	pendingFree *bitset // physical blocks freed in the running CP
-	reserved    *bitset // physical blocks in filled, uncommitted buckets
+	serialGroup int // round-robin group cursor for inline (serial-mode) fills
 
-	vols map[int]*volState
+	// One space per block-number space: phys is the aggregate's, vols[id]
+	// embeds volume id's, and spaces lists them all — aggregate first, then
+	// volumes by ID, the order a cleaner releases its free stages in.
+	phys   *space
+	vols   []*volState
+	spaces []*space
 
 	metaCursor uint64 // physical scan cursor for metafile allocations
 
 	// Global counters with loose accounting (§III-C).
-	Counters    *counters.Global
-	counterMu   *sim.Mutex // the lock the LooseAccounting=false ablation contends on
-	aggrFreeCtr counters.ID
+	global    *counters.Global
+	counterMu *sim.Mutex // the lock the LooseAccounting=false ablation contends on
 
-	pendingOps int // outstanding infra messages (fills + commits)
-	pendingIO  int // outstanding storage I/Os (tetris + metafile writes)
+	pendingOps int    // outstanding infra messages (fills + commits)
+	done       func() // opDone, bound once: the completion callback of every send
+	pendingIO  int    // outstanding storage I/Os (tetris + metafile writes)
 	drainCond  *sim.WaitQueue
 	draining   bool
 	inCP       bool
@@ -133,63 +126,40 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 	s := a.Sched()
 	in := &Infra{
 		s: s, w: w, h: h, a: a, opts: opts, costs: costs,
-		cacheMu:     sim.NewMutex(s, "bucket-cache"),
-		cacheCond:   sim.NewWaitQueue(s, "bucket-cache-cond"),
-		pendingFree: newBitset(a.Geometry().TotalBlocks()),
-		reserved:    newBitset(a.Geometry().TotalBlocks()),
-		vols:        make(map[int]*volState),
-		counterMu:   sim.NewMutex(s, "global-counters"),
-		drainCond:   sim.NewWaitQueue(s, "infra-drain"),
-		Counters:    counters.NewGlobal(),
+		cacheMu:   sim.NewMutex(s, "bucket-cache"),
+		cacheCond: sim.NewWaitQueue(s, "bucket-cache-cond"),
+		counterMu: sim.NewMutex(s, "global-counters"),
+		drainCond: sim.NewWaitQueue(s, "infra-drain"),
+		global:    counters.NewGlobal(),
 	}
-	in.aggrFreeCtr = in.Counters.Register("aggr.free")
-	in.Counters.Add(in.aggrFreeCtr, int64(a.TotalFree()))
+	in.done = in.opDone
+	ag := h.Aggrs[0]
+	in.phys = in.newSpace("aggr.free", a.Activemap, a.Geometry().TotalBlocks(), a.TotalFree(), ag.AggrVBN, ag.Ranges)
 	for gi := 0; gi < a.Groups(); gi++ {
 		in.win = append(in.win, windowState{aa: -1})
 		in.usedAAs = append(in.usedAAs, make(map[int]bool))
 		in.rrNext = append(in.rrNext, 0)
 	}
 	for _, v := range a.Volumes() {
+		// The volume counter tracks *allocatable* VVBNs — free means
+		// !active && !summary, the same predicate findFree obeys — so
+		// snapshot-held blocks are excluded from the initial count just as
+		// they are from every later credit.
+		free, _ := v.Activemap.CountFreeNotIn(v.Summary, 0, v.VVBNBlocks())
+		hv := ag.Volumes[v.ID()]
 		vs := &volState{
+			space:       in.newSpace(fmt.Sprintf("vol%d.free", v.ID()), v.Activemap, v.VVBNBlocks(), free, hv.VolVBN, hv.Ranges),
 			vol:         v,
 			cond:        sim.NewWaitQueue(s, fmt.Sprintf("vol%d-vbucket-cond", v.ID())),
 			region:      -1,
 			usedRegions: make(map[int]bool),
-			pendingFree: newBitset(v.VVBNBlocks()),
-			reserved:    newBitset(v.VVBNBlocks()),
 		}
-		vs.freeCounter = in.Counters.Register(fmt.Sprintf("vol%d.free", v.ID()))
-		// The volume counter tracks *allocatable* VVBNs — free means
-		// !active && !summary, the same predicate the allocator's
-		// findFreeVirt obeys — so snapshot-held blocks are excluded from
-		// the initial count just as they are from every later credit.
-		free, _ := v.Activemap.CountFreeNotIn(v.Summary, 0, v.VVBNBlocks())
-		in.Counters.Add(vs.freeCounter, int64(free))
-		in.vols[v.ID()] = vs
-	}
-	// Observe every physical free so same-CP reuse is blocked.
-	prev := a.Activemap.OnChange
-	a.Activemap.OnChange = func(bn uint64, used bool) {
-		if prev != nil {
-			prev(bn, used)
+		if opts.HierarchicalFree {
+			vs.find = v.FreeIdx.FindFree
+		} else {
+			vs.held = v.Summary.IsSet
 		}
-		if !used && in.inCP {
-			in.pendingFree.set(bn)
-		}
-	}
-	for _, vs := range in.vols {
-		vs := vs
-		// Chain, don't clobber: the volume's free-space index is already
-		// hooked here and must keep seeing every transition.
-		vprev := vs.vol.Activemap.OnChange
-		vs.vol.Activemap.OnChange = func(bn uint64, used bool) {
-			if vprev != nil {
-				vprev(bn, used)
-			}
-			if !used && in.inCP {
-				vs.pendingFree.set(bn)
-			}
-		}
+		in.vols = append(in.vols, vs)
 	}
 	return in
 }
@@ -198,65 +168,11 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 func (in *Infra) Stats() InfraStats { return in.stats }
 
 // AggrFree returns the loosely-accounted global free-block counter.
-func (in *Infra) AggrFree() int64 { return in.Counters.Get(in.aggrFreeCtr) }
+func (in *Infra) AggrFree() int64 { return in.global.Get(in.phys.counter) }
 
 // VolFree returns the loosely-accounted allocatable-VVBN counter of volID
 // (free = !active && !summary; snapshot-held blocks excluded).
-func (in *Infra) VolFree(volID int) int64 { return in.Counters.Get(in.vols[volID].freeCounter) }
-
-// aggrRangeAff returns the affinity for aggregate-metafile work on block
-// fbn: a Range affinity when the infrastructure is parallelized. When
-// serialized (the §V-A instrumented baseline, modelling the pre-White-
-// Alligator design where one thread owned all metafile access), every
-// infrastructure message — aggregate and volume alike — funnels through
-// the single AggrVBN affinity.
-func (in *Infra) aggrRangeAff(fbn block.FBN) *waffinity.Affinity {
-	ag := in.h.Aggrs[0]
-	if !in.opts.InfraParallel || len(ag.Ranges) == 0 {
-		return ag.AggrVBN
-	}
-	return ag.Ranges[int(fbn)%len(ag.Ranges)]
-}
-
-// volRangeAff is the volume-metafile analogue of aggrRangeAff.
-func (in *Infra) volRangeAff(volID int, fbn block.FBN) *waffinity.Affinity {
-	if !in.opts.InfraParallel {
-		return in.h.Aggrs[0].AggrVBN // global metafile serialization
-	}
-	vol := in.h.Aggrs[0].Volumes[volID]
-	if len(vol.Ranges) == 0 {
-		return vol.VolVBN
-	}
-	return vol.Ranges[int(fbn)%len(vol.Ranges)]
-}
-
-// findFreePhys scans the activemap over [lo, hi) for up to max allocatable
-// VBNs: free on disk, not freed in this CP, not reserved by another bucket.
-// It keeps scanning until it has max candidates or the range is exhausted,
-// and returns the candidates and the number of bitmap words scanned.
-func (in *Infra) findFreePhys(lo, hi uint64, max int) ([]block.VBN, int) {
-	out := make([]block.VBN, 0, max)
-	words := 0
-	for lo < hi && len(out) < max {
-		raw, w := in.a.Activemap.FindFree(in.scanBuf[:0], lo, hi, max)
-		in.scanBuf = raw // retain grown capacity for the next scan
-		words += w
-		if len(raw) == 0 {
-			break
-		}
-		for _, bn := range raw {
-			if len(out) == max {
-				break
-			}
-			if in.pendingFree.test(bn) || in.reserved.test(bn) {
-				continue
-			}
-			out = append(out, block.VBN(bn))
-		}
-		lo = raw[len(raw)-1] + 1
-	}
-	return out, words
-}
+func (in *Infra) VolFree(volID int) int64 { return in.global.Get(in.vols[volID].counter) }
 
 // selectAA picks the next Allocation Area for a group according to the
 // configured policy, excluding AAs already used in this CP.
@@ -333,16 +249,14 @@ func (in *Infra) fillBucket(t *sim.Thread, group, drive int, start, depth block.
 	lo := uint64(geo.VBNOf(group, drive, start))
 	hi := lo + uint64(depth)
 	fillStart := t.Now()
-	vbns, words := in.findFreePhys(lo, hi, int(depth))
+	vbns, words := findFree[block.VBN](in.phys, lo, hi, int(depth))
 	in.stats.FillWords += uint64(words)
 	t.ConsumeAs(sim.CatInfra, in.costs.FillFixed+sim.Duration(words)*in.costs.FillPerWord)
 	if tr := t.Tracer(); tr != nil {
 		tr.SpanArg(obs.PidThreads, t.TrackID(), "infra", "fill bucket",
 			int64(fillStart), int64(t.Now()), int64(len(vbns)))
 	}
-	for _, vbn := range vbns {
-		in.reserved.set(uint64(vbn))
-	}
+	reserve(in.phys, vbns)
 	return &Bucket{group: group, drive: drive, window: start, vbns: vbns, tetris: te}
 }
 
@@ -389,8 +303,7 @@ func (in *Infra) requestWindow(group int) {
 	for d := 0; d < drives; d++ {
 		d := d
 		fbn := bitmap.BlockOf(uint64(geo.VBNOf(group, d, start)))
-		in.pendingOps++
-		in.w.Send(in.aggrRangeAff(fbn), sim.CatInfra, func(t *sim.Thread) {
+		in.send(in.phys.aff(fbn), func(t *sim.Thread) {
 			b := in.fillBucket(t, group, d, start, depth, wf.tetris)
 			wf.buckets[d] = b
 			wf.pending--
@@ -404,7 +317,7 @@ func (in *Infra) requestWindow(group int) {
 			if wf.pending == 0 {
 				in.installWindow(t, wf)
 			}
-		}, func() { in.opDone() })
+		})
 	}
 }
 
@@ -414,9 +327,7 @@ func (in *Infra) requestWindow(group int) {
 // drive's fill has landed (or been dropped).
 func (in *Infra) installBucketEarly(t *sim.Thread, wf *windowFill, b *Bucket) {
 	if in.draining || !in.inCP {
-		for _, vbn := range b.vbns {
-			in.reserved.clear(uint64(vbn))
-		}
+		release(in.phys, b.vbns)
 		return
 	}
 	if len(b.vbns) > 0 {
@@ -443,11 +354,8 @@ func (in *Infra) installWindow(t *sim.Thread, wf *windowFill) {
 		// reservation reset at EndCP and collide with the next CP's
 		// fills. Release the reservations and drop the window.
 		for _, b := range wf.buckets {
-			if b == nil {
-				continue
-			}
-			for _, vbn := range b.vbns {
-				in.reserved.clear(uint64(vbn))
+			if b != nil {
+				release(in.phys, b.vbns)
 			}
 		}
 		return
@@ -527,30 +435,15 @@ func (in *Infra) PutBucket(t *sim.Thread, b *Bucket) {
 	if te.outstanding == 0 && te.blocks > 0 {
 		in.sendTetris(t, te)
 	}
-	if in.opts.CleanInSerialAffinity {
-		// Exclusive-access mode: apply the commit inline.
-		in.commitBucketBody(t, b)
-		return
-	}
 	in.usedQueue.Push(b)
-	in.pendingOps++
 	fbn := bitmap.BlockOf(uint64(in.a.Geometry().VBNOf(b.group, b.drive, b.window)))
-	in.w.Send(in.aggrRangeAff(fbn), sim.CatInfra, func(wt *sim.Thread) {
-		in.commitBucket(wt)
-	}, func() { in.opDone() })
+	in.post(t, in.phys.aff(fbn), in.commitBucket)
 }
 
-// commitBucket pops the oldest used bucket and applies its allocations to
-// the activemap.
+// commitBucket pops the oldest used bucket — every PUT pushed one and posted
+// one commit — and applies its allocations to the activemap.
 func (in *Infra) commitBucket(t *sim.Thread) {
-	if in.usedQueue.Len() == 0 {
-		return
-	}
-	in.commitBucketBody(t, in.usedQueue.Pop())
-}
-
-// commitBucketBody applies one bucket's allocations to the activemap.
-func (in *Infra) commitBucketBody(t *sim.Thread, b *Bucket) {
+	b := in.usedQueue.Pop()
 	used := b.Used()
 	blocks := distinctBlocks(used, bitmap.BitsPerBlock)
 	t.ConsumeAs(sim.CatInfra, sim.Duration(blocks)*in.costs.CommitPerBlock+sim.Duration(len(used))*in.costs.CommitPerBit)
@@ -558,25 +451,21 @@ func (in *Infra) commitBucketBody(t *sim.Thread, b *Bucket) {
 	for _, vbn := range used {
 		if in.a.Activemap.IsSet(uint64(vbn)) {
 			panic(fmt.Sprintf("core: double allocation of %v committing bucket group=%d drive=%d window=%d (reserved=%v pendingFree=%v) last setter: %s",
-				vbn, b.group, b.drive, b.window, in.reserved.test(uint64(vbn)), in.pendingFree.test(uint64(vbn)), tr.BlockNote(uint64(vbn))))
+				vbn, b.group, b.drive, b.window, in.phys.reserved.test(uint64(vbn)), in.phys.pendingFree.test(uint64(vbn)), tr.BlockNote(uint64(vbn))))
 		}
 		tr.NoteBlock(uint64(vbn), "commitBucket g=%d d=%d win=%d cp=%d", b.group, b.drive, b.window, in.a.CPCount())
 		in.a.Activemap.Set(uint64(vbn))
 	}
-	for _, vbn := range b.vbns {
-		in.reserved.clear(uint64(vbn))
-	}
+	release(in.phys, b.vbns)
 	in.stats.BucketsCommitted++
 
 	// Refill: when the whole window has been committed, fill the next one.
 	te := b.tetris
 	te.committedBuckets++
-	if te.committedBuckets == cap0(te) && !in.draining && in.inCP {
+	if te.committedBuckets == te.initialBuckets && !in.draining && in.inCP {
 		in.requestWindow(te.group)
 	}
 }
-
-func cap0(te *Tetris) int { return te.initialBuckets }
 
 // distinctBlocks counts the metafile blocks a commit of bns dirties, where
 // one metafile block covers per consecutive block numbers. A bucket's numbers

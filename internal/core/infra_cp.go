@@ -2,7 +2,6 @@ package core
 
 import (
 	"wafl/internal/aggregate"
-	"wafl/internal/bitmap"
 	"wafl/internal/block"
 	"wafl/internal/counters"
 	"wafl/internal/sim"
@@ -57,9 +56,7 @@ func (in *Infra) DrainOps(t *sim.Thread) {
 	cache := in.cache.TakeAll()
 	in.cacheMu.Unlock(t)
 	for _, b := range cache {
-		for _, vbn := range b.vbns {
-			in.reserved.clear(uint64(vbn))
-		}
+		release(in.phys, b.vbns)
 		te := b.tetris
 		te.outstanding--
 		te.initialBuckets-- // it will never be committed either
@@ -69,9 +66,7 @@ func (in *Infra) DrainOps(t *sim.Thread) {
 	}
 	for _, vs := range in.vols {
 		for _, vb := range vs.cache.TakeAll() {
-			for _, vv := range vb.vvbns {
-				vs.reserved.clear(uint64(vv))
-			}
+			release(vs.space, vb.vvbns)
 		}
 	}
 	for in.pendingOps > 0 {
@@ -101,75 +96,43 @@ func (in *Infra) DrainIO(t *sim.Thread) {
 // during the CP become allocatable and AA/region exclusions lift.
 func (in *Infra) EndCP() {
 	in.inCP = false
-	in.pendingFree.reset()
-	in.reserved.reset()
+	for _, sp := range in.spaces {
+		sp.endCP()
+	}
 	for gi := range in.usedAAs {
 		in.usedAAs[gi] = make(map[int]bool)
 		in.win[gi] = windowState{aa: -1}
 	}
 	for _, vs := range in.vols {
-		vs.pendingFree.reset()
-		vs.reserved.reset()
 		vs.usedRegions = make(map[int]bool)
 		vs.region = -1
 	}
 }
 
-// CommitFrees sends free-commit messages for a stage of old block numbers:
-// physical VBNs when volID < 0, VVBNs of the given volume otherwise. The
-// numbers are grouped by owning metafile block, and one message per block
-// goes to that block's Range affinity — this is where a random overwrite
-// workload, whose frees scatter across the VBN space, generates many more
-// metafile-block updates (and messages) than a sequential one (§V-A2).
-func (in *Infra) CommitFrees(t *sim.Thread, volID int, bns []uint64) {
-	if len(bns) == 0 {
-		return
-	}
-	// Group by metafile block, preserving first-touch order.
-	order := make([]block.FBN, 0, 4)
-	groups := make(map[block.FBN][]uint64)
-	for _, bn := range bns {
-		fbn := bitmap.BlockOf(bn)
-		if _, ok := groups[fbn]; !ok {
-			order = append(order, fbn)
-		}
-		groups[fbn] = append(groups[fbn], bn)
-	}
-	for _, fbn := range order {
-		batch := groups[fbn]
-		in.stats.StageCommitMsgs++
-		if in.opts.CleanInSerialAffinity {
-			// Exclusive-access mode: apply inline.
-			in.commitFreesBody(t, volID, batch)
-			continue
-		}
-		in.pendingOps++
-		var aff = in.aggrRangeAff(fbn)
-		if volID >= 0 {
-			aff = in.volRangeAff(volID, fbn)
-		}
-		volID := volID
-		in.w.Send(aff, sim.CatInfra, func(wt *sim.Thread) {
-			in.commitFreesBody(wt, volID, batch)
-		}, func() { in.opDone() })
-	}
+// Reclaim returns blocks freed outside any cleaner thread — a reaped zombie
+// file, an applied SnapRestore, a deleted snapshot, a completed clone split —
+// to the allocator: pvbns leave the aggregate's space and vvbns volume v's, as
+// free-commit messages (physical first), and both loose free counters are
+// credited directly, no cleaner token being in play. It is the only way the
+// CP engine frees, so a new caller cannot forget a credit.
+//
+// allocatable is the change in v's allocatable VVBNs (free = !active &&
+// !summary), which is not len(vvbns): a block a snapshot still summary-holds
+// leaves the active map without becoming allocatable, a reclaim that drops a
+// block's last holder makes it allocatable without clearing an active bit,
+// and a clone bind — negative — activates blocks the counter had as free.
+func (in *Infra) Reclaim(t *sim.Thread, v *aggregate.Volume, pvbns, vvbns []uint64, allocatable int) {
+	vs := in.vols[v.ID()]
+	in.free(t, in.phys, pvbns)
+	in.free(t, vs.space, vvbns)
+	in.global.Add(in.phys.counter, int64(len(pvbns)))
+	in.global.Add(vs.counter, int64(allocatable))
 }
 
-// commitFreesBody clears one metafile block's worth of bits.
-func (in *Infra) commitFreesBody(t *sim.Thread, volID int, batch []uint64) {
-	t.ConsumeAs(sim.CatInfra, in.costs.CommitPerBlock+sim.Duration(len(batch))*in.costs.CommitPerBit)
-	if volID < 0 {
-		for _, bn := range batch {
-			in.a.Activemap.Clear(bn)
-		}
-	} else {
-		vs := in.vols[volID]
-		for _, bn := range batch {
-			vs.vol.Activemap.Clear(bn)
-		}
-	}
-	in.stats.FreesCommitted += uint64(len(batch))
-}
+// AdjustAggrFree corrects the loose aggregate free counter by delta: the
+// activemap flush planner allocates and frees directly, and the CP engine
+// reconciles the counter with the net change (§III-C's audit-and-correct).
+func (in *Infra) AdjustAggrFree(delta int64) { in.global.Add(in.phys.counter, delta) }
 
 // FindMetaVBN returns a free physical block for metafile placement (the
 // activemap flush planner's allocation source), scanning from a persistent
@@ -181,7 +144,7 @@ func (in *Infra) FindMetaVBN(t *sim.Thread) block.VBN {
 		in.metaCursor = 1
 	}
 	for wrap := 0; wrap < 2; wrap++ {
-		vbns, words := in.findFreePhys(in.metaCursor, total, 1)
+		vbns, words := findFree[block.VBN](in.phys, in.metaCursor, total, 1)
 		if t != nil {
 			t.ConsumeAs(sim.CatInfra, sim.Duration(words)*in.costs.FillPerWord)
 		}
@@ -193,12 +156,6 @@ func (in *Infra) FindMetaVBN(t *sim.Thread) block.VBN {
 	}
 	panic("core: no free block for metafile allocation (aggregate full?)")
 }
-
-// AggrFreeID returns the aggregate free-block counter ID.
-func (in *Infra) AggrFreeID() counters.ID { return in.aggrFreeCtr }
-
-// VolFreeID returns the volume's free-block counter ID.
-func (in *Infra) VolFreeID(volID int) counters.ID { return in.vols[volID].freeCounter }
 
 // CleanerCounterAdd applies a counter update from a cleaner thread. With
 // loose accounting the delta is staged in the thread's token at zero
@@ -212,7 +169,7 @@ func (in *Infra) CleanerCounterAdd(t *sim.Thread, tok *counters.Token, id counte
 	}
 	in.counterMu.Lock(t)
 	t.Consume(in.costs.CounterDirect)
-	in.Counters.Add(id, delta)
+	in.global.Add(id, delta)
 	in.counterMu.Unlock(t)
 }
 

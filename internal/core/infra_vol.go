@@ -56,51 +56,6 @@ func (in *Infra) selectVRegion(vs *volState) (int, int) {
 	return best, words
 }
 
-// findFreeVirt is findFreePhys for a volume's VVBN space. The indexed path
-// asks the free-space index, which skips exhausted words via its free-words
-// summary bitmap and already excludes summary-held VVBNs; the legacy path
-// grinds through the activemap word-by-word and rejects summary-held bits
-// one at a time.
-func (in *Infra) findFreeVirt(vs *volState, lo, hi uint64, max int) ([]block.VVBN, int) {
-	out := make([]block.VVBN, 0, max)
-	words := 0
-	for lo < hi && len(out) < max {
-		var raw []uint64
-		var w int
-		if in.opts.HierarchicalFree {
-			raw, w = vs.vol.FreeIdx.FindFree(vs.scanBuf[:0], lo, hi, max)
-		} else {
-			raw, w = vs.vol.Activemap.FindFree(vs.scanBuf[:0], lo, hi, max)
-		}
-		vs.scanBuf = raw // retain grown capacity for the next scan
-		words += w
-		if len(raw) == 0 {
-			break
-		}
-		for _, bn := range raw {
-			if len(out) == max {
-				break
-			}
-			if vs.pendingFree.test(bn) || vs.reserved.test(bn) {
-				continue
-			}
-			// free = !active && !summary: a clear activemap bit whose VVBN a
-			// snapshot still holds is not allocatable. The index excludes
-			// such bits already; the legacy path examines a summary-map word
-			// per candidate to find out, and is charged for it.
-			if !in.opts.HierarchicalFree {
-				words++
-				if vs.vol.Summary.IsSet(bn) {
-					continue
-				}
-			}
-			out = append(out, block.VVBN(bn))
-		}
-		lo = raw[len(raw)-1] + 1
-	}
-	return out, words
-}
-
 // scanVBucket finds the next chunk of free VVBNs for the volume, charging
 // the scan to the executing thread.
 func (in *Infra) scanVBucket(t *sim.Thread, vs *volState) []block.VVBN {
@@ -135,7 +90,7 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState) []block.VVBN {
 			hi = limit
 		}
 		var words int
-		vvbns, words = in.findFreeVirt(vs, vs.cursor, hi, int(chunk))
+		vvbns, words = findFree[block.VVBN](vs.space, vs.cursor, hi, int(chunk))
 		fillWords += words
 		vs.cursor = hi
 	}
@@ -148,9 +103,7 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState) []block.VVBN {
 // installVBucket reserves the scanned VVBNs and adds the bucket to the
 // volume's cache.
 func (in *Infra) installVBucket(vs *volState, vvbns []block.VVBN) {
-	for _, vv := range vvbns {
-		vs.reserved.set(uint64(vv))
-	}
+	reserve(vs.space, vvbns)
 	vs.cache.Push(&VBucket{vol: vs.vol, vvbns: vvbns})
 	in.stats.VBucketsFilled++
 	vs.cond.Signal()
@@ -160,16 +113,14 @@ func (in *Infra) installVBucket(vs *volState, vvbns []block.VVBN) {
 // the volume.
 func (in *Infra) requestVBucket(vs *volState) {
 	vs.pendingFills++
-	in.pendingOps++
-	fbn := bitmap.BlockOf(vs.cursor)
-	in.w.Send(in.volRangeAff(vs.vol.ID(), fbn), sim.CatInfra, func(t *sim.Thread) {
+	in.send(vs.aff(bitmap.BlockOf(vs.cursor)), func(t *sim.Thread) {
 		vvbns := in.scanVBucket(t, vs)
 		vs.pendingFills--
 		if in.draining || !in.inCP {
 			return // quiescing: drop the fill (nothing was reserved yet)
 		}
 		in.installVBucket(vs, vvbns)
-	}, func() { in.opDone() })
+	})
 }
 
 // GetVBucket returns a virtual bucket for the volume, blocking until one is
@@ -216,25 +167,17 @@ func (in *Infra) PutVBucket(t *sim.Thread, vb *VBucket) {
 	vs := in.vols[vb.vol.ID()]
 	if vb.next == 0 {
 		// Nothing used: release reservations directly.
-		for _, vv := range vb.vvbns {
-			vs.reserved.clear(uint64(vv))
-		}
+		release(vs.space, vb.vvbns)
 		return
 	}
-	if in.opts.CleanInSerialAffinity {
-		in.commitVBucketBody(t, vs, vb)
-		return
-	}
-	in.pendingOps++
-	fbn := bitmap.BlockOf(uint64(vb.vvbns[0]))
-	in.w.Send(in.volRangeAff(vb.vol.ID(), fbn), sim.CatInfra, func(wt *sim.Thread) {
-		in.commitVBucketBody(wt, vs, vb)
-	}, func() { in.opDone() })
+	in.post(t, vs.aff(bitmap.BlockOf(uint64(vb.vvbns[0]))), func(wt *sim.Thread) {
+		in.commitVBucket(wt, vs, vb)
+	})
 }
 
-// commitVBucketBody applies a used virtual bucket's allocations and
-// container entries.
-func (in *Infra) commitVBucketBody(wt *sim.Thread, vs *volState, vb *VBucket) {
+// commitVBucket applies a used virtual bucket's allocations and container
+// entries.
+func (in *Infra) commitVBucket(wt *sim.Thread, vs *volState, vb *VBucket) {
 	used := vb.vvbns[:vb.next]
 	amapBlocks := distinctBlocks(used, bitmap.BitsPerBlock)
 	contBlocks := distinctBlocks(used, aggregate.ContainerEntriesPerBlock)
@@ -249,8 +192,6 @@ func (in *Infra) commitVBucketBody(wt *sim.Thread, vs *volState, vb *VBucket) {
 		vb.vol.Activemap.Set(uint64(vv))
 		vb.vol.SetContainer(vv, vb.pvbns[i])
 	}
-	for _, vv := range vb.vvbns {
-		vs.reserved.clear(uint64(vv))
-	}
+	release(vs.space, vb.vvbns)
 	in.stats.VBucketsCommitted++
 }

@@ -378,9 +378,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 			}
 			pvbns, freedAlloc, walked := v.ApplyRestore(s)
 			wt.Consume(sim.Duration(walked) * e.costs.CommitPerBlock)
-			e.in.CommitFrees(wt, -1, pvbns)
-			e.in.Counters.Add(e.in.AggrFreeID(), int64(len(pvbns)))
-			e.in.Counters.Add(e.in.VolFreeID(v.ID()), int64(freedAlloc))
+			e.in.Reclaim(wt, v, pvbns, nil, freedAlloc)
 			e.stats.Restores++
 			e.stats.RestoreFreed += uint64(len(pvbns))
 			e.stats.RestoreBlocks += uint64(walked)
@@ -407,7 +405,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 				// The newly active VVBNs were allocatable before the bind
 				// (the slot map was empty and nothing summary-held them):
 				// debit the loose volume free counter to match the index.
-				e.in.Counters.Add(e.in.VolFreeID(v.ID()), -int64(activated))
+				e.in.Reclaim(wt, v, nil, nil, -int(activated))
 				e.stats.CloneBinds++
 				e.stats.CloneCopied += uint64(copied)
 				if wtr := wt.Tracer(); wtr != nil {
@@ -425,22 +423,18 @@ func (e *Engine) runCP(t *sim.Thread) {
 			}
 			pvbns, vvbns, walked := v.ZombieBlocks(z)
 			wt.Consume(sim.Duration(walked) * e.costs.CommitPerBit)
-			e.in.CommitFrees(wt, -1, pvbns)
-			e.in.CommitFrees(wt, v.ID(), vvbns)
-			// Zombie frees happen outside any cleaner token: account them
-			// directly. The volume counter tracks *allocatable* VVBNs
-			// (free = !active && !summary), so a block whose active bit
-			// clears here but which a snapshot still summary-holds does
-			// not credit it — its credit comes later, from the snapshot
-			// reclaim that drops the last holder.
+			// The volume counter tracks *allocatable* VVBNs (free = !active
+			// && !summary), so a block whose active bit clears here but
+			// which a snapshot still summary-holds does not credit it — its
+			// credit comes later, from the snapshot reclaim that drops the
+			// last holder.
 			alloc := 0
 			for _, vv := range vvbns {
 				if !v.SummaryHeld(vv) {
 					alloc++
 				}
 			}
-			e.in.Counters.Add(e.in.AggrFreeID(), int64(len(pvbns)))
-			e.in.Counters.Add(e.in.VolFreeID(v.ID()), int64(alloc))
+			e.in.Reclaim(wt, v, pvbns, vvbns, alloc)
 			v.ClearRecord(z.Ino())
 			// Remember the reap: if the file was also in this CP's frozen
 			// list (a record-only freeze deleted between the freeze and
@@ -490,13 +484,10 @@ func (e *Engine) runCP(t *sim.Thread) {
 			for zi, z := range zombies {
 				pvbns, freedVVBNs, walked := v.ReclaimSnapshot(z, zombies[zi+1:])
 				wt.Consume(sim.Duration(walked) * e.costs.CommitPerBit)
-				e.in.CommitFrees(wt, -1, pvbns)
-				e.in.Counters.Add(e.in.AggrFreeID(), int64(len(pvbns)))
 				// The reclaimed VVBNs' active bits were already clear and
 				// their last summary holder is gone: they re-enter the
-				// volume's allocatable pool, so credit the volume free
-				// counter — the twin of the file-zombie credit above.
-				e.in.Counters.Add(e.in.VolFreeID(v.ID()), int64(freedVVBNs))
+				// volume's allocatable pool without a bit to free.
+				e.in.Reclaim(wt, v, pvbns, nil, freedVVBNs)
 				e.stats.SnapsDeleted++
 				e.stats.SnapReclaimed += uint64(len(pvbns))
 				cut.snapSet = true
@@ -538,9 +529,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 			pv, ps := st.ParentVol, st.ParentSnap
 			basePvbns, freedAlloc, walked, done := v.CompleteSplit()
 			wt.Consume(sim.Duration(walked) * e.costs.CommitPerBit)
-			e.in.CommitFrees(wt, -1, basePvbns)
-			e.in.Counters.Add(e.in.AggrFreeID(), int64(len(basePvbns)))
-			e.in.Counters.Add(e.in.VolFreeID(v.ID()), int64(freedAlloc))
+			e.in.Reclaim(wt, v, basePvbns, nil, freedAlloc)
 			if done {
 				e.a.Volume(pv).DropCloneRef(ps)
 				e.stats.SplitsDone++
@@ -687,7 +676,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// The flush planner allocates and frees directly; reconcile the loose
 	// global counter with the net change — the per-CP "audit and correct"
 	// step loose accounting requires (§III-C).
-	e.in.Counters.Add(e.in.AggrFreeID(), int64(e.a.TotalFree())-freeBefore)
+	e.in.AdjustAggrFree(int64(e.a.TotalFree()) - freeBefore)
 	e.stats.AmapWrites += uint64(len(writes))
 	t.ConsumeAs(sim.CatInfra, sim.Duration(len(writes))*e.costs.CommitPerBlock)
 	e.issueAmapWrites(t, writes)

@@ -37,7 +37,7 @@ func expectSnapBlock(t *testing.T, sys *System, snapID, ino uint64, fbn FBN, tag
 // snapshot-held blocks; fsck stays clean with the snapshots present; and
 // deleting both returns every exclusively-held block to the free pool.
 // The allocator invariant (never hand out a summary-held VVBN) is enforced
-// throughout by the panic in commitVBucketBody.
+// throughout by the panic in commitVBucket.
 func TestSnapshotEndToEnd(t *testing.T) {
 	sys, ino := newCrashSystem(t, crashConfig())
 	const n = 64
