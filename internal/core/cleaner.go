@@ -246,6 +246,8 @@ func (p *Pool) runPhaseSerial(t *sim.Thread, jobs []*Job) {
 			p.runJob(cs, job)
 			cs.t = old
 		})
+		p.stats.BatchesRun++
+		p.stats.JobsRun++
 	}
 	// Release resources from the CP thread's context.
 	cs.t = t

@@ -525,6 +525,40 @@ func TestSerialAffinityCleaning(t *testing.T) {
 	}
 }
 
+// TestSerialAffinitySendsNoInfraMessage pins what "exclusive access" means:
+// the one cleaner fills, commits and frees inline, so over a whole CP —
+// enough cleaning to commit full windows and drain the vbucket cache, both
+// of which ask for a refill in the message-passing design — no message runs
+// in any affinity but Serial.
+func TestSerialAffinitySendsNoInfraMessage(t *testing.T) {
+	e := newEnv(t, func(o *Options) { o.CleanInSerialAffinity = true })
+	vol := e.a.Volume(0)
+	f := buildDirtyFile(vol, 600)
+	jobs := e.pool.BuildJobs(vol, []*fs.File{f}, true)
+	e.in.StartCP([]*aggregate.Volume{vol})
+	e.runThread(t, func(th *sim.Thread) {
+		e.pool.RunPhase(th, jobs)
+		e.in.DrainOps(th)
+		e.in.Prefill()
+		e.drain(th)
+	})
+	e.in.EndCP()
+	if f.FrozenCount() != 0 {
+		t.Fatal("serial-affinity cleaning incomplete")
+	}
+	if got := e.in.Stats().BucketsCommitted; got < 6 {
+		t.Fatalf("only %d buckets committed: no window was exhausted, the refill path not exercised", got)
+	}
+	e.w.Walk(func(a *waffinity.Affinity) {
+		if a != e.h.Serial && a.Executed != 0 {
+			t.Errorf("affinity %s ran %d messages in exclusive-access mode", a.Name(), a.Executed)
+		}
+	})
+	if st := e.pool.Stats(); st.JobsRun != uint64(len(jobs)) || st.BatchesRun != uint64(len(jobs)) {
+		t.Errorf("pool counted %d jobs in %d batches, want %d each", st.JobsRun, st.BatchesRun, len(jobs))
+	}
+}
+
 func TestTunerActivatesAndParks(t *testing.T) {
 	e := newEnv(t, func(o *Options) {
 		o.MaxCleaners = 4

@@ -286,8 +286,12 @@ func (in *Infra) fillWindowInline(t *sim.Thread, group int) {
 
 // requestWindow begins filling the next window of a group, sending one fill
 // message per data drive into the Range affinity covering that drive's
-// bitmap region.
+// bitmap region. Exclusive-access mode has no fill messages: its cleaner
+// fills inline when GET finds the cache empty.
 func (in *Infra) requestWindow(group int) {
+	if in.opts.CleanInSerialAffinity {
+		return
+	}
 	geo := in.a.Geometry()
 	start, depth := in.nextWindow(group)
 	drives := geo.DataDrives

@@ -34,9 +34,6 @@ func (in *Infra) StartCP(dirtyVols []*aggregate.Volume) {
 // drain).
 func (in *Infra) Prefill() {
 	in.draining = false
-	if in.opts.CleanInSerialAffinity {
-		return
-	}
 	for gi := 0; gi < in.a.Groups(); gi++ {
 		in.requestWindow(gi)
 	}

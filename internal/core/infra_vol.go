@@ -110,8 +110,11 @@ func (in *Infra) installVBucket(vs *volState, vvbns []block.VVBN) {
 }
 
 // requestVBucket sends a fill message that builds one virtual bucket for
-// the volume.
+// the volume (never in exclusive-access mode, which fills inline).
 func (in *Infra) requestVBucket(vs *volState) {
+	if in.opts.CleanInSerialAffinity {
+		return
+	}
 	vs.pendingFills++
 	in.send(vs.aff(bitmap.BlockOf(vs.cursor)), func(t *sim.Thread) {
 		vvbns := in.scanVBucket(t, vs)
