@@ -180,16 +180,12 @@ func Ablations(rc RunConfig) (Table, error) {
 		cfg := rc.Base
 		cfg.Allocator.InfraParallel = true
 		mut(&cfg)
-		sys, err := wafl.NewSystem(cfg)
+		res, _, err := Measure(cfg, workload.DefaultSeqWrite(), rc.Warmup, rc.Window)
 		if err != nil {
 			return err
 		}
-		w := workload.DefaultSeqWrite()
-		w.Attach(sys)
-		res := sys.Measure(rc.Warmup, rc.Window)
-		sys.Shutdown()
 		t.Rows = append(t.Rows, []string{
-			name, setting, f0(res.OpsPerSec), f0(res.FullStripe * 100), "-",
+			name, setting, f0(res.OpsPerSec), f0(res.FullStripe * 100), fmt.Sprint(res.Stats.Infra.GetWaits),
 		})
 		return nil
 	}
