@@ -104,18 +104,21 @@ func (mem *Member) fsck() FsckReport {
 		}
 	}
 
-	// walkSkip traverses a buffer tree on media. skip (nil for most trees)
-	// suppresses the physical reference for blocks whose VVBN it reports
-	// true for: a clone's base blocks are physically owned — and referenced
-	// — by the parent snapshot, so counting the clone's pointer too would
-	// read as a double reference.
-	var walkSkip func(f *fs.File, tag string, skip func(block.VVBN) bool, onL0 func(idx block.FBN, vvbn block.VVBN, vbn block.VBN))
-	walkSkip = func(f *fs.File, tag string, skip func(block.VVBN) bool, onL0 func(block.FBN, block.VVBN, block.VBN)) {
+	// walkSkip traverses a buffer tree on media, handing visit (nil for
+	// metafile trees) every block of it — the root and each pointer, with
+	// its level and index. skip (nil for most trees) suppresses the physical
+	// reference for blocks whose VVBN it reports true for: a clone's base
+	// blocks are physically owned — and referenced — by the parent snapshot,
+	// so counting the clone's pointer too would read as a double reference.
+	walkSkip := func(f *fs.File, tag string, skip func(block.VVBN) bool, visit func(level int, idx block.FBN, vvbn block.VVBN, vbn block.VBN)) {
 		if f.RootVBN == block.InvalidVBN {
 			return
 		}
 		if skip == nil || f.RootVVBN == block.InvalidVVBN || !skip(f.RootVVBN) {
 			ref(f.RootVBN, tag+" root")
+		}
+		if visit != nil {
+			visit(f.Height(), 0, f.RootVVBN, f.RootVBN)
 		}
 		var rec func(level int, idx block.FBN, vbn block.VBN)
 		rec = func(level int, idx block.FBN, vbn block.VBN) {
@@ -137,27 +140,25 @@ func (mem *Member) fsck() FsckReport {
 				if skip == nil || cvv == block.InvalidVVBN || !skip(cvv) {
 					ref(cvbn, fmt.Sprintf("%s L%d", tag, level-1))
 				}
-				if level-1 == 0 && onL0 != nil {
-					onL0(childIdx, cvv, cvbn)
+				if visit != nil {
+					visit(level-1, childIdx, cvv, cvbn)
 				}
 				rec(level-1, childIdx, cvbn)
 			}
 		}
 		rec(f.Height(), 0, f.RootVBN)
 	}
-	walk := func(f *fs.File, tag string, onL0 func(block.FBN, block.VVBN, block.VBN)) {
-		walkSkip(f, tag, nil, onL0)
-	}
+	walk := func(f *fs.File, tag string) { walkSkip(f, tag, nil, nil) }
 
-	walk(m.AmapFile(), "aggr-amap", nil)
-	walk(m.VolTableFile(), "voltable", nil)
+	walk(m.AmapFile(), "aggr-amap")
+	walk(m.VolTableFile(), "voltable")
 	for _, v := range m.Volumes() {
 		vvbnUsed := make(map[block.VVBN]bool)
-		walk(v.InoFile(), fmt.Sprintf("vol%d-inofile", v.ID()), nil)
-		walk(v.ContainerFile(), fmt.Sprintf("vol%d-container", v.ID()), nil)
-		walk(v.AmapFile(), fmt.Sprintf("vol%d-amap", v.ID()), nil)
-		walk(v.SnapdirFile(), fmt.Sprintf("vol%d-snapdir", v.ID()), nil)
-		walk(v.SummaryFile(), fmt.Sprintf("vol%d-summary", v.ID()), nil)
+		walk(v.InoFile(), fmt.Sprintf("vol%d-inofile", v.ID()))
+		walk(v.ContainerFile(), fmt.Sprintf("vol%d-container", v.ID()))
+		walk(v.AmapFile(), fmt.Sprintf("vol%d-amap", v.ID()))
+		walk(v.SnapdirFile(), fmt.Sprintf("vol%d-snapdir", v.ID()))
+		walk(v.SummaryFile(), fmt.Sprintf("vol%d-summary", v.ID()))
 		// Clone state: the base map metafile is an ordinary clone-owned
 		// metafile; base-marked VVBNs resolve to parent-owned physical
 		// blocks the parent snapshot references, so the clone's own tree
@@ -166,7 +167,7 @@ func (mem *Member) fsck() FsckReport {
 		var inBase func(block.VVBN) bool
 		var parent *aggregate.Volume
 		if st != nil {
-			walk(st.BaseFile, fmt.Sprintf("vol%d-basemap", v.ID()), nil)
+			walk(st.BaseFile, fmt.Sprintf("vol%d-basemap", v.ID()))
 			inBase = func(vv block.VVBN) bool { return st.Base.IsSet(uint64(vv)) }
 			parent = m.Volume(st.ParentVol)
 			if !parent.SnapshotExists(st.ParentSnap) {
@@ -179,8 +180,8 @@ func (mem *Member) fsck() FsckReport {
 		snaps := v.Snapshots()
 		r.Snapshots += uint64(len(snaps))
 		for _, s := range snaps {
-			walk(s.Snapmap, fmt.Sprintf("vol%d-snap%d-snapmap", v.ID(), s.ID), nil)
-			walk(s.InoCopy, fmt.Sprintf("vol%d-snap%d-inocopy", v.ID(), s.ID), nil)
+			walk(s.Snapmap, fmt.Sprintf("vol%d-snap%d-snapmap", v.ID(), s.ID))
+			walk(s.InoCopy, fmt.Sprintf("vol%d-snap%d-inocopy", v.ID(), s.ID))
 		}
 		// User files, from inode records.
 		for ino := uint64(aggregate.FirstUserIno); ino < v.NextIno(); ino++ {
@@ -190,18 +191,20 @@ func (mem *Member) fsck() FsckReport {
 			}
 			r.Files++
 			tag := fmt.Sprintf("vol%d-ino%d", v.ID(), ino)
-			walkSkip(f, tag, inBase, func(idx block.FBN, vvbn block.VVBN, vbn block.VBN) {
+			walkSkip(f, tag, inBase, func(level int, idx block.FBN, vvbn block.VVBN, vbn block.VBN) {
 				if vvbn == block.InvalidVVBN {
+					return
+				}
+				// Dual-addressed indirect blocks occupy VVBNs like L0s do.
+				vvbnUsed[vvbn] = true
+				if level > 0 {
 					return
 				}
 				if got := v.Container(vvbn); got != vbn {
 					r.ContainerErrs++
 					r.Errors = appendCapped(r.Errors, fmt.Sprintf("%s fbn %d: container[%v]=%v want %v", tag, idx, vvbn, got, vbn))
 				}
-				vvbnUsed[vvbn] = true
 			})
-			// Dual-addressed indirect blocks also occupy VVBNs.
-			collectIndirectVVBNs(m, f, vvbnUsed)
 		}
 		// Snapshot cross-checks, bit by bit over the VVBN space. The
 		// persisted summary map must equal the OR of the persisted
@@ -307,38 +310,6 @@ func (mem *Member) fsck() FsckReport {
 		}
 	}
 	return r
-}
-
-// collectIndirectVVBNs walks a file's indirect blocks on media recording
-// their VVBNs.
-func collectIndirectVVBNs(m *aggregate.Aggregate, f *fs.File, out map[block.VVBN]bool) {
-	if f.RootVBN == block.InvalidVBN {
-		return
-	}
-	if f.RootVVBN != block.InvalidVVBN {
-		out[f.RootVVBN] = true
-	}
-	var rec func(level int, vbn block.VBN)
-	rec = func(level int, vbn block.VBN) {
-		if level <= 1 {
-			return
-		}
-		data := m.ReadVBNRaw(vbn)
-		if data == nil {
-			return
-		}
-		for i := 0; i < block.PtrsPerBlock; i++ {
-			cvv, cvbn := block.GetPtr(data, i)
-			if cvbn == 0 || cvbn == block.InvalidVBN {
-				continue
-			}
-			if cvv != block.InvalidVVBN {
-				out[cvv] = true
-			}
-			rec(level-1, cvbn)
-		}
-	}
-	rec(f.Height(), f.RootVBN)
 }
 
 // VerifyAgainst recomputes the expected payload for (ino, fbn) and checks
