@@ -95,12 +95,13 @@ func (a *Activemap) IsSet(bn uint64) bool {
 	return buf.Data()[byteOff]&mask != 0
 }
 
-// wordAt returns the 64-bit word starting at bit wordStart (which must be
-// 64-aligned) without creating the backing metafile block: an absent block
-// reads as all-clear. The read path for the free-space index, which must
-// not perturb the file's buffer population.
-func (a *Activemap) wordAt(wordStart uint64) uint64 {
-	buf := a.file.Buffer(0, BlockOf(wordStart))
+// Word returns the 64-bit word starting at bit wordStart (which must be
+// 64-aligned) of a bitmap metafile's content without creating the backing
+// block: an absent block reads as all-clear. The read path for everything
+// that must not perturb a file's buffer population — the free-space index,
+// the word-wise diffs, snapshot reclaim.
+func Word(f *fs.File, wordStart uint64) uint64 {
+	buf := f.Buffer(0, BlockOf(wordStart))
 	if buf == nil {
 		return 0
 	}
@@ -278,11 +279,8 @@ func (a *Activemap) OrFrom(src *fs.File) uint64 {
 // CountFreeNotIn returns the number of bits in [start, end) clear in both
 // this map and mask — the allocatable population when mask is a snapshot
 // summary map holding blocks out of the free pool — plus the words scanned.
-// A nil mask degenerates to CountFree.
+// A nil mask holds nothing out.
 func (a *Activemap) CountFreeNotIn(mask *Activemap, start, end uint64) (uint64, int) {
-	if mask == nil {
-		return a.CountFree(start, end)
-	}
 	if end > a.nbits {
 		end = a.nbits
 	}
@@ -292,8 +290,10 @@ func (a *Activemap) CountFreeNotIn(mask *Activemap, start, end uint64) (uint64, 
 		buf := a.file.GetOrCreateL0(BlockOf(bn))
 		data := buf.Data()
 		var mdata []byte
-		if mbuf := mask.file.Buffer(0, BlockOf(bn)); mbuf != nil {
-			mdata = mbuf.Data()
+		if mask != nil {
+			if mbuf := mask.file.Buffer(0, BlockOf(bn)); mbuf != nil {
+				mdata = mbuf.Data()
+			}
 		}
 		blockEnd := (uint64(BlockOf(bn)) + 1) * BitsPerBlock
 		if blockEnd > end {
@@ -321,43 +321,7 @@ func (a *Activemap) CountFreeNotIn(mask *Activemap, start, end uint64) (uint64, 
 // CountFree returns the number of free bits in [start, end) and the number
 // of words scanned.
 func (a *Activemap) CountFree(start, end uint64) (uint64, int) {
-	if end > a.nbits {
-		end = a.nbits
-	}
-	n := uint64(0)
-	words := 0
-	for bn := start; bn < end; {
-		buf := a.file.GetOrCreateL0(BlockOf(bn))
-		data := buf.Data()
-		blockEnd := (uint64(BlockOf(bn)) + 1) * BitsPerBlock
-		if blockEnd > end {
-			blockEnd = end
-		}
-		for bn < blockEnd {
-			wordStart := bn &^ 63
-			byteOff := (wordStart % BitsPerBlock) / 8
-			w := binary.LittleEndian.Uint64(data[byteOff:])
-			words++
-			w |= (1 << (bn - wordStart)) - 1
-			if wordEnd := wordStart + 64; wordEnd > blockEnd {
-				w |= ^uint64(0) << (blockEnd - wordStart)
-			}
-			n += uint64(bits.OnesCount64(^w))
-			bn = wordStart + 64
-		}
-	}
-	return n, words
-}
-
-// fileWord returns the 64-bit word at bit offset wordStart (64-aligned) of a
-// bitmap metafile's content, treating absent blocks as all-clear.
-func fileWord(f *fs.File, wordStart uint64) uint64 {
-	buf := f.Buffer(0, block.FBN(wordStart/BitsPerBlock))
-	if buf == nil {
-		return 0
-	}
-	byteOff := (wordStart % BitsPerBlock) / 8
-	return binary.LittleEndian.Uint64(buf.Data()[byteOff:])
+	return a.CountFreeNotIn(nil, start, end)
 }
 
 // ForEachDiff walks this map against src (a bitmap metafile over the same
@@ -371,8 +335,8 @@ func fileWord(f *fs.File, wordStart uint64) uint64 {
 func (a *Activemap) ForEachDiff(src *fs.File, fn func(bn uint64, inSrc bool)) int {
 	words := 0
 	for wordStart := uint64(0); wordStart < a.nbits; wordStart += 64 {
-		cur := a.wordAt(wordStart)
-		sw := fileWord(src, wordStart)
+		cur := Word(a.file, wordStart)
+		sw := Word(src, wordStart)
 		words++
 		diff := cur ^ sw
 		if diff == 0 {
@@ -395,7 +359,7 @@ func (a *Activemap) ForEachDiff(src *fs.File, fn func(bn uint64, inSrc bool)) in
 func AndPopcount(x, y *fs.File, nbits uint64) uint64 {
 	n := uint64(0)
 	for wordStart := uint64(0); wordStart < nbits; wordStart += 64 {
-		w := fileWord(x, wordStart) & fileWord(y, wordStart)
+		w := Word(x, wordStart) & Word(y, wordStart)
 		if w == 0 {
 			continue
 		}

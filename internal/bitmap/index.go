@@ -89,9 +89,9 @@ func (x *Index) RegionFree(r int) int64 { return x.regionFree[r] }
 // (64-aligned), with bits past the end of the address space forced to 1 —
 // so ^uint64(0) means "no allocatable bit in this word".
 func (x *Index) wordUsed(wordStart uint64) uint64 {
-	w := x.active.wordAt(wordStart)
+	w := Word(x.active.file, wordStart)
 	if x.mask != nil {
-		w |= x.mask.wordAt(wordStart)
+		w |= Word(x.mask.file, wordStart)
 	}
 	if wordStart+64 > x.nbits {
 		w |= ^uint64(0) << (x.nbits - wordStart)
@@ -103,7 +103,7 @@ func (x *Index) wordUsed(wordStart uint64) uint64 {
 // other is the map that did NOT transition: if it holds the bit, the bit
 // was not allocatable before and is not after, so nothing changes.
 func (x *Index) observe(bn uint64, nowUsed bool, other *Activemap) {
-	if other != nil && other.wordAt(bn&^63)&(1<<(bn&63)) != 0 {
+	if other != nil && Word(other.file, bn&^63)&(1<<(bn&63)) != 0 {
 		return
 	}
 	r := bn / x.regionBits

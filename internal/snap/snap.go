@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 
+	"wafl/internal/bitmap"
 	"wafl/internal/block"
 	"wafl/internal/fs"
 )
@@ -121,22 +122,10 @@ func ReplaceContent(dst, src *fs.File) int {
 	return n
 }
 
-// wordAt returns the 64-bit bitmap word at bit offset wordStart (a multiple
-// of 64) of a bitmap metafile, treating absent blocks as all-zero.
-func wordAt(f *fs.File, wordStart uint64) uint64 {
-	fbn := block.FBN(wordStart / (block.Size * 8))
-	buf := f.Buffer(0, fbn)
-	if buf == nil {
-		return 0
-	}
-	byteOff := (wordStart % (block.Size * 8)) / 8
-	return binary.LittleEndian.Uint64(buf.Data()[byteOff:])
-}
-
 // BitSet reports whether bit bn is set in a bitmap metafile (snapmap
 // content), treating absent blocks as all-zero.
 func BitSet(f *fs.File, bn uint64) bool {
-	return wordAt(f, bn&^63)&(1<<(bn%64)) != 0
+	return bitmap.Word(f, bn&^63)&(1<<(bn%64)) != 0
 }
 
 // ReclaimSets computes the two bit sets a snapshot delete must process,
@@ -152,13 +141,13 @@ func BitSet(f *fs.File, bn uint64) bool {
 // The scan cost in 64-bit words is returned for CPU charging.
 func ReclaimSets(victim *fs.File, survivors []*fs.File, active *fs.File, nbits uint64) (summaryClear, fullFree []uint64, words int) {
 	for wordStart := uint64(0); wordStart < nbits; wordStart += 64 {
-		w := wordAt(victim, wordStart)
+		w := bitmap.Word(victim, wordStart)
 		words++
 		if w == 0 {
 			continue
 		}
 		for _, s := range survivors {
-			w &^= wordAt(s, wordStart)
+			w &^= bitmap.Word(s, wordStart)
 			words++
 			if w == 0 {
 				break
@@ -170,7 +159,7 @@ func ReclaimSets(victim *fs.File, survivors []*fs.File, active *fs.File, nbits u
 		if wordEnd := wordStart + 64; wordEnd > nbits {
 			w &^= ^uint64(0) << (nbits - wordStart)
 		}
-		act := wordAt(active, wordStart)
+		act := bitmap.Word(active, wordStart)
 		words++
 		for rem := w; rem != 0; {
 			i := uint64(bits.TrailingZeros64(rem))
