@@ -437,19 +437,27 @@ func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
 		return
 	}
 	v.EnsurePathResident(f, fbn)
-	if f.Height() < 1 {
+	vvbn, vbn, ok := l0Ptr(f, fbn)
+	if !ok {
 		return
-	}
-	parent := f.Buffer(1, fbn>>8)
-	if parent == nil {
-		return
-	}
-	vvbn, vbn := fs.PtrAt(parent, int(fbn&(block.PtrsPerBlock-1)))
-	if vbn == 0 || vbn == block.InvalidVBN {
-		return // hole
 	}
 	data := v.aggr.ReadVBNRaw(vbn)
 	f.InstallBuffer(0, fbn, data, vvbn, vbn)
+}
+
+// l0Ptr returns the committed (vvbn, vbn) of f's block fbn, read from its L1
+// parent, which EnsurePathResident has made resident if it exists on disk.
+// ok is false for a hole: no parent, or a pointer never persisted.
+func l0Ptr(f *fs.File, fbn block.FBN) (vvbn block.VVBN, vbn block.VBN, ok bool) {
+	if f.Height() < 1 {
+		return 0, 0, false
+	}
+	parent := f.Buffer(1, fbn>>8)
+	if parent == nil {
+		return 0, 0, false
+	}
+	vvbn, vbn = fs.PtrAt(parent, int(fbn&(block.PtrsPerBlock-1)))
+	return vvbn, vbn, vbn != 0 && vbn != block.InvalidVBN
 }
 
 // ReadFileBlock returns the content of f's block fbn, demand-loading from
@@ -460,29 +468,21 @@ func (v *Volume) ReadFileBlock(t *sim.Thread, f *fs.File, fbn block.FBN) []byte 
 		return data
 	}
 	v.EnsurePathResident(f, fbn)
-	// The L1 parent now resident (if it exists on disk); read the L0.
-	if f.Height() >= 1 {
-		parent := f.Buffer(1, fbn>>8)
-		if parent == nil {
-			return nil // hole
-		}
-		vvbn, vbn := fs.PtrAt(parent, int(fbn&(block.PtrsPerBlock-1)))
-		if vbn == 0 || vbn == block.InvalidVBN {
-			return nil // hole
-		}
-		var data []byte
-		if t != nil {
-			data = v.aggr.ReadVBN(t, vbn)
-		} else {
-			data = v.aggr.ReadVBNRaw(vbn)
-		}
-		if data == nil {
-			panic(fmt.Sprintf("volume %d: ino %d L0 fbn %d at %v unreadable", v.id, f.Ino(), fbn, vbn))
-		}
-		f.InstallBuffer(0, fbn, data, vvbn, vbn)
-		return data
+	vvbn, vbn, ok := l0Ptr(f, fbn)
+	if !ok {
+		return nil
 	}
-	return nil
+	var data []byte
+	if t != nil {
+		data = v.aggr.ReadVBN(t, vbn)
+	} else {
+		data = v.aggr.ReadVBNRaw(vbn)
+	}
+	if data == nil {
+		panic(fmt.Sprintf("volume %d: ino %d L0 fbn %d at %v unreadable", v.id, f.Ino(), fbn, vbn))
+	}
+	f.InstallBuffer(0, fbn, data, vvbn, vbn)
+	return data
 }
 
 // ReadMediaBlock charges a timed drive read for f's block fbn without
@@ -495,15 +495,8 @@ func (v *Volume) ReadFileBlock(t *sim.Thread, f *fs.File, fbn block.FBN) []byte 
 // location (dirty-only data, which lives in memory by definition).
 func (v *Volume) ReadMediaBlock(t *sim.Thread, f *fs.File, fbn block.FBN) bool {
 	v.EnsurePathResident(f, fbn)
-	if f.Height() < 1 {
-		return false
-	}
-	parent := f.Buffer(1, fbn>>8)
-	if parent == nil {
-		return false // hole
-	}
-	_, vbn := fs.PtrAt(parent, int(fbn&(block.PtrsPerBlock-1)))
-	if vbn == 0 || vbn == block.InvalidVBN {
+	_, vbn, ok := l0Ptr(f, fbn)
+	if !ok {
 		return false // hole or never persisted
 	}
 	if v.aggr.ReadVBN(t, vbn) == nil {
