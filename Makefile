@@ -15,7 +15,7 @@ GO ?= go
 #                 latency-sensitive p99.9 up, on must shed bulk and bound it
 GATES = crashsweep clustersweep overloadcheck
 
-.PHONY: all build test vet race racecp benchsmoke expsmoke affcheck opcheck modelcheck statcheck $(GATES) ci clean
+.PHONY: all build test vet race racecp benchsmoke expsmoke affcheck opcheck modelcheck statcheck spacecheck $(GATES) ci clean
 
 all: build
 
@@ -128,12 +128,34 @@ statcheck:
 	if [ -n "$$bad" ]; then echo "statcheck: reflect imported outside stats.go: $$bad"; exit 1; fi; \
 	echo "statcheck OK: one Stats, no hand-bracketed window, reflect only in stats.go"
 
+# spacecheck enforces one allocation space (internal/core/space.go): among
+# the non-test sources, (a) the allocator's only Waffinity send is space.go's
+# send, so every infrastructure message is counted for the drains in one
+# place; (b) the per-CP fences (pendingFree, reserved) are mutated only in
+# space.go, so the no-double-allocation / no-same-CP-reuse logic cannot be
+# open-coded again; (c) the CP engine frees and credits only through
+# Infra.Reclaim/AdjustAggrFree — cp.go names no counter and no free-commit
+# call; (d) no call in core or cp passes a literal -1 ahead of another
+# argument, the old "volume -1 means the aggregate" sentinel.
+spacecheck:
+	@core=$$(ls internal/core/*.go | grep -v '_test\.go$$'); \
+	bad=$$(grep -l 'w\.Send(' $$core | grep -v '/space\.go$$' || true); \
+	if [ -n "$$bad" ]; then echo "spacecheck: w.Send outside space.go (use in.send / in.post):"; grep -n 'w\.Send(' $$bad; exit 1; fi; \
+	pat='(pendingFree|reserved)\.(set|clear|reset)\('; \
+	bad=$$(grep -lE "$$pat" $$core | grep -v '/space\.go$$' || true); \
+	if [ -n "$$bad" ]; then echo "spacecheck: fence mutated outside space.go (use reserve / release / endCP):"; grep -nE "$$pat" $$bad; exit 1; fi; \
+	if grep -nE 'Counters|AggrFreeID|VolFreeID|CommitFrees' internal/cp/cp.go; then \
+		echo "spacecheck: cp.go frees or credits by hand (use Infra.Reclaim / AdjustAggrFree)"; exit 1; fi; \
+	if grep -nE '\(([^()]*[ ,(])?-1, ' $$core internal/cp/cp.go; then \
+		echo "spacecheck: literal -1 passed as a leading argument (select the space, not a sentinel volume)"; exit 1; fi; \
+	echo "spacecheck OK: one send point, fences only in space.go, cp frees through Reclaim"
+
 $(GATES):
 	$(GO) run ./cmd/waflbench -exp $@
 
 # ci is the gate run before merging, and all that .github/workflows/ci.yml
 # runs: every stage once.
-ci: vet build affcheck opcheck modelcheck statcheck race benchsmoke expsmoke $(GATES)
+ci: vet build affcheck opcheck modelcheck statcheck spacecheck race benchsmoke expsmoke $(GATES)
 
 clean:
 	rm -f wafltop waflbench *.test

@@ -279,9 +279,9 @@ func TestCommitFreesScatteredVsSequential(t *testing.T) {
 	}
 }
 
-// eachSpace runs fn once per kind of space, each on a fresh env: the
-// aggregate's physical space and volume 0's virtual one.
-func eachSpace(t *testing.T, fn func(t *testing.T, e *env, sp *space)) {
+// TestPendingFreeBlocksReuseUntilEndCP is the same-CP-reuse fence, once per
+// kind of space: a bit freed inside a CP is not offered again until EndCP.
+func TestPendingFreeBlocksReuseUntilEndCP(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pick func(*Infra) *space
@@ -291,34 +291,27 @@ func eachSpace(t *testing.T, fn func(t *testing.T, e *env, sp *space)) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, nil)
-			fn(t, e, tc.pick(e.in))
+			sp := tc.pick(e.in)
+			e.in.StartCP(nil)
+			bn := uint64(5000)
+			sp.amap.Set(bn)
+			e.runThread(t, func(th *sim.Thread) { e.in.free(th, sp, []uint64{bn}) })
+			e.s.RunFor(50 * sim.Millisecond)
+			if sp.amap.IsSet(bn) {
+				t.Fatal("free not applied")
+			}
+			got, _ := findFree[uint64](sp, bn, bn+1, 1)
+			if len(got) != 0 {
+				t.Fatal("same-CP-freed block offered for reuse")
+			}
+			e.runThread(t, func(th *sim.Thread) { e.drain(th) })
+			e.in.EndCP()
+			got, _ = findFree[uint64](sp, bn, bn+1, 1)
+			if len(got) != 1 {
+				t.Fatal("freed block not reusable after EndCP")
+			}
 		})
 	}
-}
-
-// TestPendingFreeBlocksReuseUntilEndCP is the same-CP-reuse fence, once per
-// space: a bit freed inside a CP is not offered again until EndCP.
-func TestPendingFreeBlocksReuseUntilEndCP(t *testing.T) {
-	eachSpace(t, func(t *testing.T, e *env, sp *space) {
-		e.in.StartCP(nil)
-		bn := uint64(5000)
-		sp.amap.Set(bn)
-		e.runThread(t, func(th *sim.Thread) { e.in.free(th, sp, []uint64{bn}) })
-		e.s.RunFor(50 * sim.Millisecond)
-		if sp.amap.IsSet(bn) {
-			t.Fatal("free not applied")
-		}
-		got, _ := findFree[uint64](sp, bn, bn+1, 1)
-		if len(got) != 0 {
-			t.Fatal("same-CP-freed block offered for reuse")
-		}
-		e.runThread(t, func(th *sim.Thread) { e.drain(th) })
-		e.in.EndCP()
-		got, _ = findFree[uint64](sp, bn, bn+1, 1)
-		if len(got) != 1 {
-			t.Fatal("freed block not reusable after EndCP")
-		}
-	})
 }
 
 func TestFindMetaVBNSkipsReservedAndPending(t *testing.T) {
@@ -645,14 +638,20 @@ func TestChunkSizeOne(t *testing.T) {
 	}
 }
 
+// reservedBits counts the block numbers sp currently fences off.
+func reservedBits(sp *space) (n int) {
+	for _, w := range sp.reserved.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // noReservations fails the test if any space still fences a block off.
 func noReservations(t *testing.T, in *Infra) {
 	t.Helper()
 	for _, sp := range in.spaces {
-		for i, w := range sp.reserved.words {
-			if w != 0 {
-				t.Fatalf("space %d: reservation leak in word %d: %x", sp.idx, i, w)
-			}
+		if n := reservedBits(sp); n != 0 {
+			t.Fatalf("space %d: %d reservations leaked", sp.idx, n)
 		}
 	}
 }
@@ -676,14 +675,8 @@ func TestDrainLeavesNoReservations(t *testing.T) {
 		e := newEnv(t, nil)
 		e.in.StartCP(e.a.Volumes())
 		e.s.RunFor(100 * sim.Millisecond) // fills land and reserve
-		reserved := func(sp *space) (n int) {
-			for _, w := range sp.reserved.words {
-				n += bits.OnesCount64(w)
-			}
-			return n
-		}
 		for _, sp := range e.in.spaces {
-			if reserved(sp) == 0 {
+			if reservedBits(sp) == 0 {
 				t.Fatalf("space %d: no bucket filled before the drain", sp.idx)
 			}
 		}

@@ -24,9 +24,9 @@ type InfraStats struct {
 	FreesCommitted    uint64
 	TetrisesSent      uint64
 	TetrisBlocks      uint64
-	FillWords         uint64 // bitmap words scanned (physical fills)
-	VFillWords        uint64 // bitmap words scanned (volume fills)
-	GetWaits          uint64 // GET calls that blocked on an empty cache
+	FillWords         uint64 // bitmap words scanned by fills of both spaces (the total)
+	VFillWords        uint64 // the volume fills' share of FillWords
+	GetWaits          uint64 // times a GET, of either space, blocked on an empty cache
 	WindowsSkipped    uint64 // windows with no free blocks at all
 }
 

@@ -14,7 +14,7 @@ func (in *Infra) StartCP(dirtyVols []*aggregate.Volume) {
 	in.inCP = true
 	in.draining = false
 	if in.opts.CleanInSerialAffinity {
-		return // serial mode fills inline on demand
+		return // exclusive-access mode fills inline on demand: nothing to request
 	}
 	for gi := 0; gi < in.a.Groups(); gi++ {
 		for k := 0; k < windowsAhead; k++ {
