@@ -212,36 +212,6 @@ func TestPostRecoveryColdReadIsTimed(t *testing.T) {
 	}
 }
 
-func TestHistoricalSerialAffinityMode(t *testing.T) {
-	// The pre-2008 design: inode cleaning inside the Serial affinity.
-	cfg := smallConfig()
-	cfg.Allocator.CleanInSerialAffinity = true
-	cfg.Allocator.MaxCleaners = 1
-	cfg.Allocator.InitialCleaners = 1
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ino := sys.CreateFileDirect(0, 4096)
-	sys.ClientThread("w", func(c *ClientCtx) {
-		i := 0
-		for c.Alive() {
-			c.Write(0, ino, FBN((i*4)%2048), 4)
-			i++
-		}
-	})
-	res := sys.Measure(50*Millisecond, 200*Millisecond)
-	if res.Ops == 0 || res.CPs == 0 {
-		t.Fatalf("serial-affinity mode made no progress: %s", res)
-	}
-	if err := sys.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	if !sys.Fsck().OK() {
-		t.Fatal("fsck failed in serial-affinity mode")
-	}
-}
-
 func TestStallAccountingUnderOverload(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NVRAMHalfBytes = 256 << 10 // tiny log: constant back-to-back CPs

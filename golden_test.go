@@ -123,9 +123,7 @@ func TestMembers1BitIdenticalToSeed(t *testing.T) {
 // captured at the parent of the PR that folded the physical and virtual
 // allocation spaces into one type. A refactor of the allocator must leave
 // every row unchanged; a deliberate behaviour change re-captures exactly the
-// rows it owns and says so: the serial-affinity row was re-captured once, by
-// the fix that stopped exclusive-access mode from posting Range-affinity fill
-// messages (same superblock, 307 fewer events).
+// rows it owns and says so.
 var allocatorModes = []struct {
 	name         string
 	mutate       func(*Config)
@@ -147,9 +145,6 @@ var allocatorModes = []struct {
 	{"hier-off", func(c *Config) { c.Allocator.HierarchicalFree = false },
 		"738a1d30506744024767acaae2e0a80ea5bbba0b1a291b793bfd781da853e86d",
 		"37c0b700898ad2ae29c3ffd27af0162009aa90f3cb7090a71009fbd0be8fd2f2", 9707},
-	{"serial-affinity", func(c *Config) { c.Allocator.CleanInSerialAffinity = true },
-		"119aa07d71630c03eff9a5de1ad25edd6011f4eaa72abad5972db361289dd1c1",
-		"5272b0677e4f77216c228c5db31082b900852c161bf55b91d740eeb8dea9ec0c", 5386},
 	{"parallelcp-off", func(c *Config) { c.Allocator.ParallelCP = false },
 		"738a1d30506744024767acaae2e0a80ea5bbba0b1a291b793bfd781da853e86d",
 		"ea258d5e9f2ce3cb70c54f4a714abf98b0e8944ccf1768f6cfff1d2e6326f837", 9032},

@@ -9,7 +9,6 @@ import (
 	"wafl/internal/fs"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
-	"wafl/internal/waffinity"
 )
 
 // JobMode selects which part of a file a cleaning job covers.
@@ -27,11 +26,11 @@ const (
 	JobFinalize
 )
 
-// Job is one unit of work for the cleaner pool: one or more inodes to
-// clean (more than one only with batched inode cleaning, §V-C).
+// Job is one unit of work for the cleaner pool: one inode to clean, whole
+// or in part (batched inode cleaning, §V-C, hands a thread several jobs).
 type Job struct {
 	Vol   *aggregate.Volume // nil for aggregate-level metafiles
-	Files []*fs.File
+	File  *fs.File
 	Dual  bool // assign VVBNs as well as VBNs (user files)
 	Mode  JobMode
 	Lo    block.FBN
@@ -80,8 +79,6 @@ type cleanerState struct {
 // adjusts the active count every 50ms.
 type Pool struct {
 	s     *sim.Scheduler
-	w     *waffinity.Scheduler
-	h     *waffinity.Hierarchy
 	in    *Infra
 	opts  Options
 	costs CostModel
@@ -110,7 +107,7 @@ type Pool struct {
 // spawned immediately; the active count governs who works).
 func NewPool(in *Infra, opts Options, costs CostModel) *Pool {
 	p := &Pool{
-		s: in.s, w: in.w, h: in.h, in: in, opts: opts, costs: costs,
+		s: in.s, in: in, opts: opts, costs: costs,
 		queueMu:  sim.NewMutex(in.s, "cleaner-queue"),
 		cond:     sim.NewWaitQueue(in.s, "cleaner-queue-cond"),
 		idleCond: sim.NewWaitQueue(in.s, "cleaner-idle"),
@@ -130,12 +127,10 @@ func NewPool(in *Infra, opts Options, costs CostModel) *Pool {
 			stages: make([][]uint64, len(in.spaces)),
 		}
 		p.threads = append(p.threads, cs)
-		if !opts.CleanInSerialAffinity {
-			cs.t = in.s.Go(fmt.Sprintf("cleaner-%d", i), sim.CatCleaner, func(t *sim.Thread) {
-				cs.t = t
-				p.threadLoop(cs)
-			})
-		}
+		cs.t = in.s.Go(fmt.Sprintf("cleaner-%d", i), sim.CatCleaner, func(t *sim.Thread) {
+			cs.t = t
+			p.threadLoop(cs)
+		})
 	}
 	return p
 }
@@ -183,21 +178,21 @@ func (p *Pool) BuildJobs(vol *aggregate.Volume, files []*fs.File, dual bool) []*
 	var jobs []*Job
 	for _, f := range files {
 		l0 := f.FrozenLevelCount(0)
-		if p.opts.SplitLargeFiles && l0 >= p.opts.SplitThreshold && p.opts.SplitJobs > 1 {
+		if p.opts.SplitLargeFiles && l0 >= splitThreshold {
 			p.stats.FilesSplit++
-			g := &splitGroup{remaining: p.opts.SplitJobs, vol: vol, file: f, dual: dual}
-			span := (f.Size() + block.FBN(p.opts.SplitJobs) - 1) / block.FBN(p.opts.SplitJobs)
-			for j := 0; j < p.opts.SplitJobs; j++ {
+			g := &splitGroup{remaining: splitJobs, vol: vol, file: f, dual: dual}
+			span := (f.Size() + splitJobs - 1) / splitJobs
+			for j := 0; j < splitJobs; j++ {
 				lo := block.FBN(j) * span
 				hi := lo + span
 				jobs = append(jobs, &Job{
-					Vol: vol, Files: []*fs.File{f}, Dual: dual,
+					Vol: vol, File: f, Dual: dual,
 					Mode: JobL0Range, Lo: lo, Hi: hi, group: g,
 				})
 			}
 			continue
 		}
-		jobs = append(jobs, &Job{Vol: vol, Files: []*fs.File{f}, Dual: dual, Mode: JobFull})
+		jobs = append(jobs, &Job{Vol: vol, File: f, Dual: dual, Mode: JobFull})
 	}
 	return jobs
 }
@@ -207,10 +202,6 @@ func (p *Pool) BuildJobs(vol *aggregate.Volume, files []*fs.File, dual bool) []*
 // buckets, committed its stages, and flushed its token.
 func (p *Pool) RunPhase(t *sim.Thread, jobs []*Job) {
 	if len(jobs) == 0 {
-		return
-	}
-	if p.opts.CleanInSerialAffinity {
-		p.runPhaseSerial(t, jobs)
 		return
 	}
 	p.queueMu.Lock(t)
@@ -232,28 +223,6 @@ func (p *Pool) RunPhase(t *sim.Thread, jobs []*Job) {
 
 // PhaseTime returns cumulative wall time spent in cleaning phases.
 func (p *Pool) PhaseTime() sim.Duration { return p.phaseTime }
-
-// runPhaseSerial reproduces the pre-2008 design: each cleaning job runs as
-// a message in the Serial affinity, excluding all other file system work.
-func (p *Pool) runPhaseSerial(t *sim.Thread, jobs []*Job) {
-	cs := p.threads[0]
-	for _, job := range jobs {
-		job := job
-		p.w.Call(t, p.h.Serial, sim.CatCleaner, func(wt *sim.Thread) {
-			old := cs.t
-			cs.t = wt
-			wt.Consume(p.costs.CleanerJob)
-			p.runJob(cs, job)
-			cs.t = old
-		})
-		p.stats.BatchesRun++
-		p.stats.JobsRun++
-	}
-	// Release resources from the CP thread's context.
-	cs.t = t
-	p.release(cs)
-	cs.t = nil
-}
 
 // threadLoop is the body of one cleaner thread.
 func (p *Pool) threadLoop(cs *cleanerState) {
@@ -319,14 +288,14 @@ func (p *Pool) threadLoop(cs *cleanerState) {
 }
 
 // takeBatch pops the next job — and, with batched inode cleaning, up to
-// BatchSize-1 further small jobs — from the queue. Caller holds queueMu.
+// batchSize-1 further small jobs — from the queue. Caller holds queueMu.
 func (p *Pool) takeBatch() []*Job {
 	batch := []*Job{p.queue[0]}
 	p.queue = p.queue[1:]
 	if !p.opts.BatchedCleaning || !p.smallJob(batch[0]) {
 		return batch
 	}
-	for len(batch) < p.opts.BatchSize && len(p.queue) > 0 && p.smallJob(p.queue[0]) {
+	for len(batch) < batchSize && len(p.queue) > 0 && p.smallJob(p.queue[0]) {
 		batch = append(batch, p.queue[0])
 		p.queue = p.queue[1:]
 	}
@@ -336,24 +305,17 @@ func (p *Pool) takeBatch() []*Job {
 // smallJob reports whether a job qualifies for batching: a full-file job
 // with few frozen buffers.
 func (p *Pool) smallJob(j *Job) bool {
-	if j.Mode != JobFull || len(j.Files) != 1 {
-		return false
-	}
-	return j.Files[0].FrozenCount() <= p.opts.BatchBufferLimit
+	return j.Mode == JobFull && j.File.FrozenCount() <= batchBufferLimit
 }
 
-// runJob cleans one job's files.
+// runJob cleans one job's file and, after a split file's last range job,
+// enqueues the finalize job.
 func (p *Pool) runJob(cs *cleanerState, job *Job) {
-	for _, f := range job.Files {
-		p.cleanFile(cs, job, f)
-	}
+	p.cleanFile(cs, job)
 	if job.group != nil {
 		job.group.remaining--
 		if job.group.remaining == 0 {
-			fin := &Job{
-				Vol: job.group.vol, Files: []*fs.File{job.group.file},
-				Dual: job.group.dual, Mode: JobFinalize,
-			}
+			fin := &Job{Vol: job.group.vol, File: job.group.file, Dual: job.group.dual, Mode: JobFinalize}
 			p.queueMu.Lock(cs.t)
 			p.queue = append(p.queue, fin)
 			p.pendingJobs++
@@ -366,8 +328,8 @@ func (p *Pool) runJob(cs *cleanerState, job *Job) {
 // cleanFile assigns locations to a file's frozen buffers bottom-up,
 // enqueues their CP images to tetrises, and stages the freed old locations
 // — the USE step of Fig 2, repeated per dirty buffer.
-func (p *Pool) cleanFile(cs *cleanerState, job *Job, f *fs.File) {
-	t := cs.t
+func (p *Pool) cleanFile(cs *cleanerState, job *Job) {
+	t, f := cs.t, job.File
 	geo := p.in.a.Geometry()
 	var vs *volState // the volume's space, for dual-addressed files
 	if job.Dual {
@@ -470,7 +432,7 @@ func (p *Pool) commitStage(cs *cleanerState, sp *space) {
 	if len(cs.stages[sp.idx]) == 0 {
 		return
 	}
-	p.in.free(cs.t, sp, cs.stages[sp.idx])
+	p.in.free(sp, cs.stages[sp.idx])
 	cs.stages[sp.idx] = nil
 	p.stats.StageCommits++
 }

@@ -112,7 +112,7 @@ func TestEqualProgressWindowInsertion(t *testing.T) {
 		window block.DBN
 	}
 	perWindow := make(map[winKey]int)
-	for _, b := range e.in.cache.All() {
+	for _, b := range e.in.cache.TakeAll() {
 		perWindow[winKey{b.group, b.window}]++
 	}
 	for win, n := range perWindow {
@@ -256,14 +256,14 @@ func TestCommitFreesScatteredVsSequential(t *testing.T) {
 		e.a.Activemap.Set(bn)
 	}
 	before := e.in.Stats().StageCommitMsgs
-	e.runThread(t, func(th *sim.Thread) { e.in.free(th, e.in.phys, seq) })
+	e.in.free(e.in.phys, seq)
 	e.s.RunFor(100 * sim.Millisecond)
 	seqMsgs := e.in.Stats().StageCommitMsgs - before
 	if seqMsgs != 1 {
 		t.Fatalf("sequential frees produced %d messages, want 1", seqMsgs)
 	}
 	before = e.in.Stats().StageCommitMsgs
-	e.runThread(t, func(th *sim.Thread) { e.in.free(th, e.in.phys, scattered) })
+	e.in.free(e.in.phys, scattered)
 	e.s.RunFor(100 * sim.Millisecond)
 	scatMsgs := e.in.Stats().StageCommitMsgs - before
 	if scatMsgs != 2 {
@@ -295,7 +295,7 @@ func TestPendingFreeBlocksReuseUntilEndCP(t *testing.T) {
 			e.in.StartCP(nil)
 			bn := uint64(5000)
 			sp.amap.Set(bn)
-			e.runThread(t, func(th *sim.Thread) { e.in.free(th, sp, []uint64{bn}) })
+			e.in.free(sp, []uint64{bn})
 			e.s.RunFor(50 * sim.Millisecond)
 			if sp.amap.IsSet(bn) {
 				t.Fatal("free not applied")
@@ -447,17 +447,18 @@ func TestLooseAccountingConverges(t *testing.T) {
 	}
 }
 
+// TestBatchedCleaningTakesMultipleSmallJobs: eight one-buffer files are each
+// far under batchBufferLimit, so one cleaner takes all batchSize of them as
+// one batch.
 func TestBatchedCleaningTakesMultipleSmallJobs(t *testing.T) {
 	e := newEnv(t, func(o *Options) {
 		o.BatchedCleaning = true
-		o.BatchSize = 4
-		o.BatchBufferLimit = 8
 		o.MaxCleaners = 1
 		o.InitialCleaners = 1
 	})
 	vol := e.a.Volume(0)
 	var files []*fs.File
-	for i := 0; i < 8; i++ {
+	for i := 0; i < batchSize; i++ {
 		f := vol.CreateFile(64)
 		f.WriteBlock(0, []byte{byte(i)})
 		vol.MarkDirty(f)
@@ -470,27 +471,23 @@ func TestBatchedCleaningTakesMultipleSmallJobs(t *testing.T) {
 		e.pool.RunPhase(th, jobs)
 		e.drain(th)
 	})
-	st := e.pool.Stats()
-	if st.JobsRun != 8 {
-		t.Fatalf("jobs = %d", st.JobsRun)
-	}
-	if st.BatchesRun >= st.JobsRun {
-		t.Fatalf("batching ineffective: %d batches for %d jobs", st.BatchesRun, st.JobsRun)
+	if st := e.pool.Stats(); st.JobsRun != batchSize || st.BatchesRun != 1 {
+		t.Fatalf("%d jobs in %d batches, want %d in 1", st.JobsRun, st.BatchesRun, batchSize)
 	}
 }
 
+// TestSplitLargeFile: a file with more than splitThreshold frozen L0s becomes
+// splitJobs range jobs, and the last of them to finish queues the finalize
+// job that cleans the indirect levels — RunPhase returns only once that has
+// run too, so nothing stays frozen.
 func TestSplitLargeFile(t *testing.T) {
-	e := newEnv(t, func(o *Options) {
-		o.SplitLargeFiles = true
-		o.SplitThreshold = 64
-		o.SplitJobs = 3
-	})
+	e := newEnv(t, nil)
 	vol := e.a.Volume(0)
-	f := buildDirtyFile(vol, 300)
+	f := buildDirtyFile(vol, splitThreshold+100)
 	e.in.StartCP([]*aggregate.Volume{vol})
 	jobs := e.pool.BuildJobs(vol, []*fs.File{f}, true)
-	if len(jobs) != 3 {
-		t.Fatalf("split produced %d jobs, want 3", len(jobs))
+	if len(jobs) != splitJobs {
+		t.Fatalf("split produced %d jobs, want %d", len(jobs), splitJobs)
 	}
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, jobs)
@@ -499,56 +496,9 @@ func TestSplitLargeFile(t *testing.T) {
 	if f.FrozenCount() != 0 {
 		t.Fatalf("split cleaning left %d frozen buffers", f.FrozenCount())
 	}
-	if e.pool.Stats().FilesSplit != 1 {
-		t.Fatal("split not recorded")
-	}
-}
-
-func TestSerialAffinityCleaning(t *testing.T) {
-	e := newEnv(t, func(o *Options) { o.CleanInSerialAffinity = true })
-	vol := e.a.Volume(0)
-	f := buildDirtyFile(vol, 40)
-	e.in.StartCP([]*aggregate.Volume{vol})
-	e.runThread(t, func(th *sim.Thread) {
-		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
-		e.drain(th)
-	})
-	if f.FrozenCount() != 0 {
-		t.Fatal("serial-affinity cleaning incomplete")
-	}
-}
-
-// TestSerialAffinitySendsNoInfraMessage pins what "exclusive access" means:
-// the one cleaner fills, commits and frees inline, so over a whole CP —
-// enough cleaning to commit full windows and drain the vbucket cache, both
-// of which ask for a refill in the message-passing design — no message runs
-// in any affinity but Serial.
-func TestSerialAffinitySendsNoInfraMessage(t *testing.T) {
-	e := newEnv(t, func(o *Options) { o.CleanInSerialAffinity = true })
-	vol := e.a.Volume(0)
-	f := buildDirtyFile(vol, 600)
-	jobs := e.pool.BuildJobs(vol, []*fs.File{f}, true)
-	e.in.StartCP([]*aggregate.Volume{vol})
-	e.runThread(t, func(th *sim.Thread) {
-		e.pool.RunPhase(th, jobs)
-		e.in.DrainOps(th)
-		e.in.Prefill()
-		e.drain(th)
-	})
-	e.in.EndCP()
-	if f.FrozenCount() != 0 {
-		t.Fatal("serial-affinity cleaning incomplete")
-	}
-	if got := e.in.Stats().BucketsCommitted; got < 6 {
-		t.Fatalf("only %d buckets committed: no window was exhausted, the refill path not exercised", got)
-	}
-	e.w.Walk(func(a *waffinity.Affinity) {
-		if a != e.h.Serial && a.Executed != 0 {
-			t.Errorf("affinity %s ran %d messages in exclusive-access mode", a.Name(), a.Executed)
-		}
-	})
-	if st := e.pool.Stats(); st.JobsRun != uint64(len(jobs)) || st.BatchesRun != uint64(len(jobs)) {
-		t.Errorf("pool counted %d jobs in %d batches, want %d each", st.JobsRun, st.BatchesRun, len(jobs))
+	if st := e.pool.Stats(); st.FilesSplit != 1 || st.JobsRun != splitJobs+1 {
+		t.Fatalf("%d files split, %d jobs run; want 1 and %d (the range jobs plus the finalize job)",
+			st.FilesSplit, st.JobsRun, splitJobs+1)
 	}
 }
 

@@ -78,10 +78,9 @@ type Infra struct {
 	// message that commits them runs.
 	usedQueue fifo.Queue[*Bucket]
 
-	win         []windowState
-	usedAAs     []map[int]bool
-	rrNext      []int
-	serialGroup int // round-robin group cursor for inline (serial-mode) fills
+	win     []windowState
+	usedAAs []map[int]bool
+	rrNext  []int
 
 	// One space per block-number space: phys is the aggregate's, vols[id]
 	// embeds volume id's, and spaces lists them all — aggregate first, then
@@ -260,38 +259,10 @@ func (in *Infra) fillBucket(t *sim.Thread, group, drive int, start, depth block.
 	return &Bucket{group: group, drive: drive, window: start, vbns: vbns, tetris: te}
 }
 
-// fillWindowInline fills a whole window synchronously on the calling
-// thread — the pre-White-Alligator mode where the (single, Serial-affinity)
-// cleaner reads the allocation bitmaps itself with exclusive access.
-func (in *Infra) fillWindowInline(t *sim.Thread, group int) {
-	start, depth := in.nextWindow(group)
-	drives := in.a.Geometry().DataDrives
-	te := newTetris(group, start, drives)
-	nonEmpty := 0
-	for d := 0; d < drives; d++ {
-		b := in.fillBucket(t, group, d, start, depth, te)
-		if len(b.vbns) > 0 {
-			in.cache.Push(b)
-			in.stats.BucketsFilled++
-			nonEmpty++
-		}
-	}
-	if nonEmpty == 0 {
-		in.stats.WindowsSkipped++
-		return
-	}
-	te.outstanding = nonEmpty
-	te.initialBuckets = nonEmpty
-}
-
 // requestWindow begins filling the next window of a group, sending one fill
 // message per data drive into the Range affinity covering that drive's
-// bitmap region. Exclusive-access mode has no fill messages: its cleaner
-// fills inline when GET finds the cache empty.
+// bitmap region.
 func (in *Infra) requestWindow(group int) {
-	if in.opts.CleanInSerialAffinity {
-		return
-	}
 	geo := in.a.Geometry()
 	start, depth := in.nextWindow(group)
 	drives := geo.DataDrives
@@ -395,18 +366,11 @@ func (in *Infra) installWindow(t *sim.Thread, wf *windowFill) {
 }
 
 // GetBucket removes and returns the next available bucket, blocking on the
-// bucket cache until the infrastructure has one ready. In the pre-White-
-// Alligator serial mode the caller fills the cache itself, inline.
+// bucket cache until the infrastructure has one ready.
 func (in *Infra) GetBucket(t *sim.Thread) *Bucket {
 	t.Consume(in.costs.BucketOp)
 	getStart := t.Now()
 	in.cacheMu.Lock(t)
-	if in.opts.CleanInSerialAffinity {
-		for in.cache.Len() == 0 {
-			in.fillWindowInline(t, in.serialGroup)
-			in.serialGroup = (in.serialGroup + 1) % in.a.Groups()
-		}
-	}
 	waited := false
 	for in.cache.Len() == 0 {
 		in.stats.GetWaits++
@@ -441,10 +405,10 @@ func (in *Infra) PutBucket(t *sim.Thread, b *Bucket) {
 	}
 	in.usedQueue.Push(b)
 	fbn := bitmap.BlockOf(uint64(in.a.Geometry().VBNOf(b.group, b.drive, b.window)))
-	in.post(t, in.phys.aff(fbn), in.commitBucket)
+	in.send(in.phys.aff(fbn), in.commitBucket)
 }
 
-// commitBucket pops the oldest used bucket — every PUT pushed one and posted
+// commitBucket pops the oldest used bucket — every PUT pushed one and sent
 // one commit — and applies its allocations to the activemap.
 func (in *Infra) commitBucket(t *sim.Thread) {
 	b := in.usedQueue.Pop()

@@ -13,9 +13,6 @@ import (
 func (in *Infra) StartCP(dirtyVols []*aggregate.Volume) {
 	in.inCP = true
 	in.draining = false
-	if in.opts.CleanInSerialAffinity {
-		return // exclusive-access mode fills inline on demand: nothing to request
-	}
 	for gi := 0; gi < in.a.Groups(); gi++ {
 		for k := 0; k < windowsAhead; k++ {
 			in.requestWindow(gi)
@@ -118,10 +115,10 @@ func (in *Infra) EndCP() {
 // leaves the active map without becoming allocatable, a reclaim that drops a
 // block's last holder makes it allocatable without clearing an active bit,
 // and a clone bind — negative — activates blocks the counter had as free.
-func (in *Infra) Reclaim(t *sim.Thread, v *aggregate.Volume, pvbns, vvbns []uint64, allocatable int) {
+func (in *Infra) Reclaim(v *aggregate.Volume, pvbns, vvbns []uint64, allocatable int) {
 	vs := in.vols[v.ID()]
-	in.free(t, in.phys, pvbns)
-	in.free(t, vs.space, vvbns)
+	in.free(in.phys, pvbns)
+	in.free(vs.space, vvbns)
 	in.global.Add(in.phys.counter, int64(len(pvbns)))
 	in.global.Add(vs.counter, int64(allocatable))
 }

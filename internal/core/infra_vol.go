@@ -100,21 +100,10 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState) []block.VVBN {
 	return vvbns
 }
 
-// installVBucket reserves the scanned VVBNs and adds the bucket to the
-// volume's cache.
-func (in *Infra) installVBucket(vs *volState, vvbns []block.VVBN) {
-	reserve(vs.space, vvbns)
-	vs.cache.Push(&VBucket{vol: vs.vol, vvbns: vvbns})
-	in.stats.VBucketsFilled++
-	vs.cond.Signal()
-}
-
 // requestVBucket sends a fill message that builds one virtual bucket for
-// the volume (never in exclusive-access mode, which fills inline).
+// the volume: it reserves the scanned VVBNs and adds the bucket to the
+// volume's cache.
 func (in *Infra) requestVBucket(vs *volState) {
-	if in.opts.CleanInSerialAffinity {
-		return
-	}
 	vs.pendingFills++
 	in.send(vs.aff(bitmap.BlockOf(vs.cursor)), func(t *sim.Thread) {
 		vvbns := in.scanVBucket(t, vs)
@@ -122,7 +111,10 @@ func (in *Infra) requestVBucket(vs *volState) {
 		if in.draining || !in.inCP {
 			return // quiescing: drop the fill (nothing was reserved yet)
 		}
-		in.installVBucket(vs, vvbns)
+		reserve(vs.space, vvbns)
+		vs.cache.Push(&VBucket{vol: vs.vol, vvbns: vvbns})
+		in.stats.VBucketsFilled++
+		vs.cond.Signal()
 	})
 }
 
@@ -132,11 +124,6 @@ func (in *Infra) GetVBucket(t *sim.Thread, vol *aggregate.Volume) *VBucket {
 	t.Consume(in.costs.BucketOp)
 	getStart := t.Now()
 	vs := in.vols[vol.ID()]
-	if in.opts.CleanInSerialAffinity {
-		for vs.cache.Len() == 0 {
-			in.installVBucket(vs, in.scanVBucket(t, vs))
-		}
-	}
 	waited := false
 	for vs.cache.Len() == 0 {
 		if vs.pendingFills == 0 && in.inCP && !in.draining {
@@ -173,7 +160,7 @@ func (in *Infra) PutVBucket(t *sim.Thread, vb *VBucket) {
 		release(vs.space, vb.vvbns)
 		return
 	}
-	in.post(t, vs.aff(bitmap.BlockOf(uint64(vb.vvbns[0]))), func(wt *sim.Thread) {
+	in.send(vs.aff(bitmap.BlockOf(uint64(vb.vvbns[0]))), func(wt *sim.Thread) {
 		in.commitVBucket(wt, vs, vb)
 	})
 }

@@ -50,25 +50,15 @@ type Options struct {
 	// Dynamic enables the 50ms utilization-driven tuner of §V-B.
 	Dynamic bool
 
-	// CleanInSerialAffinity reproduces the pre-2008 design: inode cleaning
-	// runs as messages in the Serial affinity, excluding all client work
-	// (§III-C history). Used by the history example, not the main benches.
-	CleanInSerialAffinity bool
-
-	// BatchedCleaning packs up to BatchSize small inodes (few dirty
-	// buffers each) into one cleaning job to amortize per-message
-	// overhead (§V-C).
+	// BatchedCleaning packs up to batchSize small inodes (at most
+	// batchBufferLimit frozen buffers each) into one cleaning job to
+	// amortize per-message overhead (§V-C).
 	BatchedCleaning bool
-	BatchSize       int
-	// BatchBufferLimit: only inodes with at most this many frozen buffers
-	// are eligible for batching.
-	BatchBufferLimit int
 
 	// SplitLargeFiles lets multiple cleaner threads work on one inode by
-	// carving its L0 range into SplitJobs jobs (§V-C, last paragraph).
+	// carving the L0 range of a file with at least splitThreshold frozen
+	// L0s into splitJobs jobs (§V-C, last paragraph).
 	SplitLargeFiles bool
-	SplitThreshold  int // minimum frozen L0 count to split
-	SplitJobs       int
 
 	// AASelection picks the Allocation Area policy.
 	AASelection AAPolicy
@@ -96,9 +86,7 @@ type Options struct {
 	// the Waffinity Volume affinities instead of running them inline on the
 	// cp-engine thread, shrinking the serial section that back-to-back
 	// stalls wait on. When false (ablation / pre-change baseline), every
-	// phase runs serially on the engine thread. Ignored (forced serial)
-	// under CleanInSerialAffinity, whose whole point is the pre-2008
-	// exclusive-CP design.
+	// phase runs serially on the engine thread.
 	ParallelCP bool
 }
 
@@ -112,6 +100,15 @@ const (
 	// windowsAhead is how many tetris windows per RAID group the
 	// infrastructure keeps filled in the bucket cache.
 	windowsAhead = 8
+	// batchSize is the most small inodes one batched cleaning job takes.
+	batchSize = 8
+	// batchBufferLimit is the most frozen buffers an inode may have and
+	// still be eligible for batching.
+	batchBufferLimit = 16
+	// splitThreshold is the minimum frozen L0 count at which a file is split.
+	splitThreshold = 2048
+	// splitJobs is the number of range jobs a split file is carved into.
+	splitJobs = 4
 )
 
 // DefaultOptions returns the standard White Alligator configuration.
@@ -123,11 +120,7 @@ func DefaultOptions() Options {
 		InitialCleaners:  4,
 		Dynamic:          false,
 		BatchedCleaning:  false,
-		BatchSize:        8,
-		BatchBufferLimit: 16,
 		SplitLargeFiles:  true,
-		SplitThreshold:   2048,
-		SplitJobs:        4,
 		AASelection:      AAMostFree,
 		EqualProgress:    true,
 		LooseAccounting:  true,

@@ -153,23 +153,12 @@ func (in *Infra) send(aff *waffinity.Affinity, fn func(*sim.Thread)) {
 	in.w.Send(aff, sim.CatInfra, fn, in.done)
 }
 
-// post applies a commit body to the allocation metafiles: as a message in
-// aff, or — exclusive-access mode, where the one cleaner owns the Serial
-// affinity and with it every metafile — inline on the calling thread.
-func (in *Infra) post(t *sim.Thread, aff *waffinity.Affinity, fn func(*sim.Thread)) {
-	if in.opts.CleanInSerialAffinity {
-		fn(t)
-		return
-	}
-	in.send(aff, fn)
-}
-
 // free returns block numbers to sp. They are grouped by owning metafile
 // block, and one free-commit message per block goes to that block's Range
 // affinity — this is where a random overwrite workload, whose frees scatter
 // across the space, generates many more metafile-block updates (and
 // messages) than a sequential one (§V-A2).
-func (in *Infra) free(t *sim.Thread, sp *space, bns []uint64) {
+func (in *Infra) free(sp *space, bns []uint64) {
 	if len(bns) == 0 {
 		return
 	}
@@ -186,7 +175,7 @@ func (in *Infra) free(t *sim.Thread, sp *space, bns []uint64) {
 	for _, fbn := range order {
 		batch := groups[fbn]
 		in.stats.StageCommitMsgs++
-		in.post(t, sp.aff(fbn), func(wt *sim.Thread) {
+		in.send(sp.aff(fbn), func(wt *sim.Thread) {
 			wt.ConsumeAs(sim.CatInfra, in.costs.CommitPerBlock+sim.Duration(len(batch))*in.costs.CommitPerBit)
 			for _, bn := range batch {
 				sp.amap.Clear(bn)

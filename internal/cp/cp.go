@@ -170,13 +170,8 @@ func New(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggregate,
 	return e
 }
 
-// parallel reports whether per-volume CP phases fan out across the Volume
-// affinities. CleanInSerialAffinity forces the serial path: that mode
-// models the pre-2008 design in which CP work owns the Serial affinity.
-func (e *Engine) parallel() bool { return e.opts.ParallelCP && !e.opts.CleanInSerialAffinity }
-
 // scatterVolumes runs fn once per volume of vols, in slice (sorted-ID)
-// order. Serial mode runs the units inline on the engine thread; parallel
+// order. ParallelCP=false runs the units inline on the engine thread; parallel
 // mode dispatches each as a message in that volume's Volume affinity and
 // joins before returning, so volumes proceed concurrently under the same
 // exclusion rules client operations obey. Determinism: units are enqueued
@@ -187,7 +182,7 @@ func (e *Engine) parallel() bool { return e.opts.ParallelCP && !e.opts.CleanInSe
 // only order-independent effects: writes to its own volume's volCut, counter
 // adds, stat increments.
 func (e *Engine) scatterVolumes(t *sim.Thread, name string, vols []*aggregate.Volume, fn func(wt *sim.Thread, v *aggregate.Volume)) {
-	if !e.parallel() {
+	if !e.opts.ParallelCP {
 		for _, v := range vols {
 			fn(t, v)
 		}
@@ -378,7 +373,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 			}
 			pvbns, freedAlloc, walked := v.ApplyRestore(s)
 			wt.Consume(sim.Duration(walked) * e.costs.CommitPerBlock)
-			e.in.Reclaim(wt, v, pvbns, nil, freedAlloc)
+			e.in.Reclaim(v, pvbns, nil, freedAlloc)
 			e.stats.Restores++
 			e.stats.RestoreFreed += uint64(len(pvbns))
 			e.stats.RestoreBlocks += uint64(walked)
@@ -405,7 +400,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 				// The newly active VVBNs were allocatable before the bind
 				// (the slot map was empty and nothing summary-held them):
 				// debit the loose volume free counter to match the index.
-				e.in.Reclaim(wt, v, nil, nil, -int(activated))
+				e.in.Reclaim(v, nil, nil, -int(activated))
 				e.stats.CloneBinds++
 				e.stats.CloneCopied += uint64(copied)
 				if wtr := wt.Tracer(); wtr != nil {
@@ -434,7 +429,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 					alloc++
 				}
 			}
-			e.in.Reclaim(wt, v, pvbns, vvbns, alloc)
+			e.in.Reclaim(v, pvbns, vvbns, alloc)
 			v.ClearRecord(z.Ino())
 			// Remember the reap: if the file was also in this CP's frozen
 			// list (a record-only freeze deleted between the freeze and
@@ -487,7 +482,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 				// The reclaimed VVBNs' active bits were already clear and
 				// their last summary holder is gone: they re-enter the
 				// volume's allocatable pool without a bit to free.
-				e.in.Reclaim(wt, v, pvbns, nil, freedVVBNs)
+				e.in.Reclaim(v, pvbns, nil, freedVVBNs)
 				e.stats.SnapsDeleted++
 				e.stats.SnapReclaimed += uint64(len(pvbns))
 				cut.snapSet = true
@@ -529,7 +524,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 			pv, ps := st.ParentVol, st.ParentSnap
 			basePvbns, freedAlloc, walked, done := v.CompleteSplit()
 			wt.Consume(sim.Duration(walked) * e.costs.CommitPerBit)
-			e.in.Reclaim(wt, v, basePvbns, nil, freedAlloc)
+			e.in.Reclaim(v, basePvbns, nil, freedAlloc)
 			if done {
 				e.a.Volume(pv).DropCloneRef(ps)
 				e.stats.SplitsDone++
@@ -620,8 +615,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 	for _, v := range pvols {
 		for _, s := range cuts[v.ID()].snaps {
 			snapJobs = append(snapJobs,
-				&core.Job{Vol: v, Files: []*fs.File{s.Snapmap}, Mode: core.JobFull},
-				&core.Job{Vol: v, Files: []*fs.File{s.InoCopy}, Mode: core.JobFull})
+				&core.Job{Vol: v, File: s.Snapmap, Mode: core.JobFull},
+				&core.Job{Vol: v, File: s.InoCopy, Mode: core.JobFull})
 		}
 	}
 
@@ -633,7 +628,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 	for _, v := range e.a.Volumes() {
 		for _, mf := range v.Metafiles() {
 			if mf.FrozenCount() > 0 {
-				metaJobs = append(metaJobs, &core.Job{Vol: v, Files: []*fs.File{mf}, Mode: core.JobFull})
+				metaJobs = append(metaJobs, &core.Job{Vol: v, File: mf, Mode: core.JobFull})
 			}
 		}
 	}
@@ -654,7 +649,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 	var sdJobs []*core.Job
 	for _, v := range svols {
 		if v.SnapdirFile().FrozenCount() > 0 {
-			sdJobs = append(sdJobs, &core.Job{Vol: v, Files: []*fs.File{v.SnapdirFile()}, Mode: core.JobFull})
+			sdJobs = append(sdJobs, &core.Job{Vol: v, File: v.SnapdirFile(), Mode: core.JobFull})
 		}
 	}
 	if len(sdJobs) > 0 {
@@ -662,7 +657,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 	}
 	e.a.WriteVolumeEntries()
 	if e.a.VolTableFile().FrozenCount() > 0 {
-		e.pool.RunPhase(t, []*core.Job{{Files: []*fs.File{e.a.VolTableFile()}, Mode: core.JobFull}})
+		e.pool.RunPhase(t, []*core.Job{{File: e.a.VolTableFile(), Mode: core.JobFull}})
 	}
 	e.in.DrainOps(t)
 	phase("voltable")
@@ -749,30 +744,4 @@ func (e *Engine) issueAmapWrites(t *sim.Thread, writes []aggregate.AmapWrite) {
 			t.ConsumeAs(sim.CatRAID, res.ParityCPU)
 		}
 	}
-}
-
-// VerifyClean panics if any file still has frozen buffers after a CP — a
-// development invariant check used by tests.
-func (e *Engine) VerifyClean() error {
-	var bad []string
-	check := func(f *fs.File, tag string) {
-		if f.FrozenCount() > 0 {
-			bad = append(bad, fmt.Sprintf("%s ino %d: %d frozen", tag, f.Ino(), f.FrozenCount()))
-		}
-	}
-	check(e.a.AmapFile(), "aggr amap")
-	check(e.a.VolTableFile(), "voltable")
-	for _, v := range e.a.Volumes() {
-		for _, mf := range v.Metafiles() {
-			check(mf, fmt.Sprintf("vol%d metafile", v.ID()))
-		}
-		for _, s := range v.Snapshots() {
-			check(s.Snapmap, fmt.Sprintf("vol%d snap%d snapmap", v.ID(), s.ID))
-			check(s.InoCopy, fmt.Sprintf("vol%d snap%d inocopy", v.ID(), s.ID))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("cp: uncleaned state after CP: %v", bad)
-	}
-	return nil
 }

@@ -41,9 +41,6 @@ func (q *Queue[T]) Pop() T {
 	return v
 }
 
-// All returns the live elements in queue order without consuming them.
-func (q *Queue[T]) All() []T { return q.buf[q.head:] }
-
 // TakeAll removes and returns every queued element. The returned slice is
 // detached from the queue's storage.
 func (q *Queue[T]) TakeAll() []T {

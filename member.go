@@ -227,7 +227,7 @@ func (m *Member) startAllocator(a *aggregate.Aggregate) {
 	m.engine = cp.New(m.w, m.h, a, m.in, m.pool, m.log, cfg.Allocator, cfg.Costs)
 	m.engine.SetRestoreHook(m.onRestore)
 	if cfg.Allocator.Dynamic {
-		m.tuner = core.StartTuner(m.pool, cfg.Tuner)
+		m.tuner = core.StartTuner(m.pool, core.DefaultTuner())
 	}
 	m.threadHi = s.ThreadMark()
 }
@@ -448,11 +448,21 @@ func (m *Member) volAffs(localVol int) *waffinity.VolAffinities {
 	return m.h.Aggrs[0].Volumes[localVol]
 }
 
+// Values every configuration uses unchanged.
+const (
+	// stripeWidthBlocks is the contiguous FBN range mapped to one stripe
+	// affinity.
+	stripeWidthBlocks = 2048
+	// cpTriggerFullness starts a CP when the active NVRAM half passes this
+	// fraction.
+	cpTriggerFullness = 0.5
+)
+
 // stripeAff maps (local volume, fbn) to the stripe affinity owning that
 // file region.
 func (m *Member) stripeAff(localVol int, fbn FBN) *waffinity.Affinity {
 	stripes := m.volAffs(localVol).Stripes
-	idx := int(uint64(fbn)/m.sys.cfg.StripeWidthBlocks) % len(stripes)
+	idx := int(uint64(fbn)/stripeWidthBlocks) % len(stripes)
 	return stripes[idx]
 }
 
@@ -469,9 +479,9 @@ func (m *Member) call(t *sim.Thread, aff *waffinity.Affinity, cat sim.Category, 
 }
 
 // maybeTriggerCP starts a CP when the member's active NVRAM half passes
-// the configured threshold.
+// cpTriggerFullness.
 func (m *Member) maybeTriggerCP() {
-	if m.log.Fullness() >= m.sys.cfg.CPTriggerFullness && !m.log.HasFrozen() {
+	if m.log.Fullness() >= cpTriggerFullness && !m.log.HasFrozen() {
 		m.engine.RequestCP()
 	}
 }

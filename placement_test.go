@@ -77,7 +77,7 @@ func TestPlacementReservationsDrain(t *testing.T) {
 	// fails here with rounds*size blocks still reserved.
 	var reserved int64
 	for i := 0; i < sys.Members(); i++ {
-		reserved += sys.ReservedBlocks(i)
+		reserved += sys.MemberStats(i).Reserved
 	}
 	if reserved != 0 {
 		t.Fatalf("reservations leaked: %d blocks still reserved after churn (pre-fix bug)", reserved)
@@ -109,8 +109,8 @@ func TestRemountPreservesReservations(t *testing.T) {
 	// Charge a reservation and leave it outstanding (no writes land).
 	vol := sys.PlaceFile(128)
 	member := vol / cfg.Volumes
-	if got := sys.ReservedBlocks(member); got != 128 {
-		t.Fatalf("ReservedBlocks(%d) = %d, want 128", member, got)
+	if got := sys.MemberStats(member).Reserved; got != 128 {
+		t.Fatalf("member %d reserves %d, want 128", member, got)
 	}
 
 	sys.Crash()
@@ -119,16 +119,16 @@ func TestRemountPreservesReservations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Shutdown()
-	if got := rec.ReservedBlocks(member); got != 128 {
-		t.Fatalf("reservation lost across remount: ReservedBlocks(%d) = %d, want 128", member, got)
+	if got := rec.MemberStats(member).Reserved; got != 128 {
+		t.Fatalf("reservation lost across remount: member %d reserves %d, want 128", member, got)
 	}
 	// Mutating the recovered member's reservations must not write through
 	// to the crashed system's state.
 	rec.PlaceFile(64)
 	var old, now int64
 	for i := 0; i < 2; i++ {
-		old += sys.ReservedBlocks(i)
-		now += rec.ReservedBlocks(i)
+		old += sys.MemberStats(i).Reserved
+		now += rec.MemberStats(i).Reserved
 	}
 	if old != 128 {
 		t.Fatalf("recovered-system mutation aliased into old member state: old total = %d, want 128", old)

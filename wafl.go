@@ -65,8 +65,6 @@ type (
 	AllocatorOptions = core.Options
 	// CostModel holds the simulated CPU service demands.
 	CostModel = core.CostModel
-	// TunerConfig parameterizes the dynamic cleaner-thread tuner.
-	TunerConfig = core.TunerConfig
 	// AAPolicy selects the Allocation Area selection policy.
 	AAPolicy = core.AAPolicy
 	// Tracer is the observability spine: trace events, latency histograms,
@@ -184,16 +182,10 @@ type Config struct {
 	// NVRAMHalfBytes sizes each NVRAM log half (per member); the CP
 	// cadence follows from it.
 	NVRAMHalfBytes uint64
-	// CPTriggerFullness starts a CP when the active half passes this
-	// fraction.
-	CPTriggerFullness float64
 
 	// StripesPerVolume and RangesPerVBN size the Waffinity hierarchy.
 	StripesPerVolume int
 	RangesPerVBN     int
-	// StripeWidthBlocks is the contiguous FBN range mapped to one stripe
-	// affinity.
-	StripeWidthBlocks uint64
 
 	// PayloadBytes is how many bytes of real pattern data each 4 KiB
 	// block write carries; the rest of the block reads as zeros and is
@@ -237,7 +229,6 @@ type Config struct {
 
 	Allocator AllocatorOptions
 	Costs     CostModel
-	Tuner     TunerConfig
 }
 
 // AdmissionConfig is the per-class QoS policy: latency-sensitive writes are
@@ -266,9 +257,9 @@ type AdmissionConfig struct {
 }
 
 // DefaultAdmission returns an enabled admission policy with watermarks
-// placed around the default CP trigger (0.5): bulk delays once the active
-// half is 70% full, sheds at 92%, and resumes below 55% after the CP
-// commits.
+// placed around the CP trigger (cpTriggerFullness, 0.5): bulk delays once
+// the active half is 70% full, sheds at 92%, and resumes below 55% after
+// the CP commits.
 func DefaultAdmission() AdmissionConfig {
 	return AdmissionConfig{
 		Enabled:     true,
@@ -285,25 +276,22 @@ func DefaultAdmission() AdmissionConfig {
 // one member.
 func DefaultConfig() Config {
 	return Config{
-		Cores:             20,
-		Seed:              1,
-		Members:           1,
-		Drives:            SSD,
-		RAIDGroups:        2,
-		DataDrives:        4,
-		DriveBlocks:       65536,
-		AAStripes:         2048,
-		Volumes:           4,
-		VolumeBlocks:      1 << 17,
-		NVRAMHalfBytes:    24 << 20,
-		CPTriggerFullness: 0.5,
-		StripesPerVolume:  16,
-		RangesPerVBN:      8,
-		StripeWidthBlocks: 2048,
-		PayloadBytes:      64,
-		Allocator:         core.DefaultOptions(),
-		Costs:             core.DefaultCosts(),
-		Tuner:             core.DefaultTuner(),
+		Cores:            20,
+		Seed:             1,
+		Members:          1,
+		Drives:           SSD,
+		RAIDGroups:       2,
+		DataDrives:       4,
+		DriveBlocks:      65536,
+		AAStripes:        2048,
+		Volumes:          4,
+		VolumeBlocks:     1 << 17,
+		NVRAMHalfBytes:   24 << 20,
+		StripesPerVolume: 16,
+		RangesPerVBN:     8,
+		PayloadBytes:     64,
+		Allocator:        core.DefaultOptions(),
+		Costs:            core.DefaultCosts(),
 	}
 }
 
@@ -494,12 +482,6 @@ func (sys *System) PlaceFile(sizeBlocks uint64) int {
 	m.pendingPlace[bestVol] = append(m.pendingPlace[bestVol], int64(sizeBlocks))
 	return best*sys.cfg.Volumes + bestVol
 }
-
-// ReservedBlocks returns member i's outstanding ingest reservations, summed
-// across its volumes: blocks charged by PlaceFile not yet written (as
-// consumption) or refunded (by delete). On an idle cluster after churn this
-// returns to ~0 — only charges never bound to a create linger.
-func (sys *System) ReservedBlocks(i int) int64 { return sys.MemberStats(i).Reserved }
 
 // Run advances the simulation by d.
 func (sys *System) Run(d Duration) { sys.s.RunFor(d) }
