@@ -90,8 +90,8 @@ func New(s *sim.Scheduler, cfg Config) (*Aggregate, error) {
 
 	// Reserve DBN 0 on every data drive: (group 0, drive 0, 0) holds the
 	// superblock; the rest are reserved for symmetry so that stripe 0 is
-	// never allocated. Set (not SetRaw) so the covering activemap blocks
-	// are dirtied and the reservations persist in the first CP.
+	// never allocated. Set dirties the covering activemap blocks, so the
+	// reservations persist in the first CP.
 	for gi := 0; gi < cfg.NumGroups; gi++ {
 		for di := 0; di < cfg.DataDrives; di++ {
 			a.Activemap.Set(uint64(a.geo.VBNOf(gi, di, 0)))

@@ -144,15 +144,6 @@ func (c *Cache) Insert(k Key) {
 	c.pushFront(e)
 }
 
-// Remove evicts k if resident (write-path invalidation when the caller
-// wants deleted or truncated blocks out of the resident set).
-func (c *Cache) Remove(k Key) {
-	if e, ok := c.m[k]; ok {
-		c.unlink(e)
-		delete(c.m, k)
-	}
-}
-
 // InvalidateFile evicts every resident block of (vol, ino) — the delete
 // path's coherence hook. Walks the LRU list (never the map), so eviction
 // order and the surviving list are deterministic. Returns blocks evicted.

@@ -50,11 +50,11 @@ func TestTouchMissDoesNotInsert(t *testing.T) {
 
 func TestRemoveAndReinsert(t *testing.T) {
 	c := New(2)
-	c.Insert(k(1))
+	other := Key{Vol: 0, Ino: 2, FBN: 1}
+	c.Insert(other)
 	c.Insert(k(2))
-	c.Remove(k(1))
-	if c.Contains(k(1)) || c.Len() != 1 {
-		t.Fatal("Remove did not evict")
+	if n := c.InvalidateFile(0, 2); n != 1 || c.Contains(other) || c.Len() != 1 {
+		t.Fatalf("InvalidateFile evicted %d, Len = %d", n, c.Len())
 	}
 	c.Insert(k(3))
 	c.Insert(k(4)) // evicts 2 (LRU), not 3

@@ -167,21 +167,6 @@ func (a *Activemap) Clear(bn uint64) {
 	}
 }
 
-// SetRaw marks bn in use without CP dirtying — used only while formatting a
-// fresh file system (reserved blocks) before any CP machinery exists.
-func (a *Activemap) SetRaw(bn uint64) {
-	buf, byteOff, mask := a.locate(bn)
-	d := buf.CPMutableData()
-	if d[byteOff]&mask != 0 {
-		return
-	}
-	d[byteOff] |= mask
-	a.free--
-	if a.OnChange != nil {
-		a.OnChange(bn, true)
-	}
-}
-
 // FindFree appends up to max free block numbers in [start, end) to dst,
 // scanning 64 bits at a time, and returns the extended slice together with
 // the number of 64-bit words examined (the caller charges CPU proportional

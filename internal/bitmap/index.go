@@ -79,9 +79,6 @@ func NewIndex(active, mask *Activemap, regionBits uint64) *Index {
 	return x
 }
 
-// Regions returns the number of regions tracked.
-func (x *Index) Regions() int { return len(x.regionFree) }
-
 // RegionFree returns region r's allocatable-bit count.
 func (x *Index) RegionFree(r int) int64 { return x.regionFree[r] }
 

@@ -25,8 +25,8 @@ func verifyEmpty(t *testing.T, x *Index, when string) {
 
 func TestIndexTracksSetClear(t *testing.T) {
 	active, _, x := testIndex(1024, 256)
-	if x.Regions() != 4 || x.RegionFree(0) != 256 {
-		t.Fatalf("regions=%d free0=%d", x.Regions(), x.RegionFree(0))
+	if len(x.regionFree) != 4 || x.RegionFree(0) != 256 {
+		t.Fatalf("regions=%d free0=%d", len(x.regionFree), x.RegionFree(0))
 	}
 	active.Set(5)
 	active.Set(300)
@@ -198,7 +198,7 @@ func TestIndexRebuildMatchesIncremental(t *testing.T) {
 		sm.SetRaw(uint64(rng.Intn(4096)))
 	}
 	summary.OrFrom(sm.File())
-	before := make([]int64, x.Regions())
+	before := make([]int64, len(x.regionFree))
 	for r := range before {
 		before[r] = x.RegionFree(r)
 	}

@@ -77,14 +77,6 @@ func (t *Token) Add(id ID, delta int64) {
 // Staged returns the number of updates staged since the last flush.
 func (t *Token) Staged() uint64 { return t.staged }
 
-// Pending returns the staged delta for id.
-func (t *Token) Pending(id ID) int64 {
-	if int(id) >= len(t.deltas) {
-		return 0
-	}
-	return t.deltas[id]
-}
-
 // Flush applies all staged deltas to the globals in one batch and resets
 // the token. In the full system this runs inside a Waffinity message, so it
 // needs no locking of its own.

@@ -31,14 +31,14 @@ func TestTokenStagesWithoutGlobalEffect(t *testing.T) {
 	if g.Get(free) != 0 {
 		t.Fatal("staged updates must not touch globals")
 	}
-	if tok.Staged() != 2 || tok.Pending(free) != -10 {
-		t.Fatalf("staged=%d pending=%d", tok.Staged(), tok.Pending(free))
+	if tok.Staged() != 2 || tok.deltas[free] != -10 {
+		t.Fatalf("staged=%d pending=%d", tok.Staged(), tok.deltas[free])
 	}
 	tok.Flush()
 	if g.Get(free) != -10 {
 		t.Fatalf("after flush = %d", g.Get(free))
 	}
-	if tok.Staged() != 0 || tok.Pending(free) != 0 {
+	if tok.Staged() != 0 || tok.deltas[free] != 0 {
 		t.Fatal("token not reset by flush")
 	}
 	if g.Flushes != 1 {

@@ -148,7 +148,7 @@ func (in *Injector) PeekFault(drive string, dbn block.DBN) bool {
 
 // FailBlock installs a persistent read error for (drive, dbn) on the OS
 // read path — the model of a latent sector error that forces RAID
-// reconstruction. HealBlock removes it.
+// reconstruction.
 func (in *Injector) FailBlock(drive string, dbn block.DBN) {
 	m := in.failed[drive]
 	if m == nil {
@@ -156,13 +156,6 @@ func (in *Injector) FailBlock(drive string, dbn block.DBN) {
 		in.failed[drive] = m
 	}
 	m[dbn] = true
-}
-
-// HealBlock removes a persistent read error installed by FailBlock.
-func (in *Injector) HealBlock(drive string, dbn block.DBN) {
-	if m := in.failed[drive]; m != nil {
-		delete(m, dbn)
-	}
 }
 
 // Stats returns a snapshot of injector decisions so far.

@@ -87,10 +87,6 @@ func TestFailBlockPersists(t *testing.T) {
 	if in.PeekFault("d0", 41) || in.PeekFault("d1", 42) {
 		t.Fatal("failure leaked to another block/drive")
 	}
-	in.HealBlock("d0", 42)
-	if in.PeekFault("d0", 42) {
-		t.Fatal("healed block still failing")
-	}
 }
 
 func TestEnabled(t *testing.T) {

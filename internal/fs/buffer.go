@@ -75,9 +75,6 @@ func (b *Buffer) VVBN() block.VVBN { return b.vvbn }
 // VBN returns the buffer's current on-disk physical address.
 func (b *Buffer) VBN() block.VBN { return b.vbn }
 
-// InCP reports whether the buffer is frozen into the running CP.
-func (b *Buffer) InCP() bool { return b.inCP }
-
 // DirtyCurr reports whether the buffer is dirty in the open generation.
 func (b *Buffer) DirtyCurr() bool { return b.dirtyCurr }
 

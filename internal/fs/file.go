@@ -406,6 +406,3 @@ func PtrAt(b *Buffer, childIdx int) (block.VVBN, block.VBN) {
 	}
 	return block.GetPtr(b.Data(), childIdx)
 }
-
-// ResidentBuffers returns the total number of cached buffers (all levels).
-func (f *File) ResidentBuffers() int { return f.resident }

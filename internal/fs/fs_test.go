@@ -73,7 +73,7 @@ func TestFreezeMovesDirtySet(t *testing.T) {
 		t.Fatalf("frozen level 0 = %v", l0)
 	}
 	for _, b := range l0 {
-		if !b.InCP() {
+		if !b.inCP {
 			t.Fatal("frozen buffer not marked inCP")
 		}
 	}

@@ -159,9 +159,6 @@ func (r *Reservation) Release() {
 	r.remaining = 0
 }
 
-// ActiveBytes returns the bytes used in the active half.
-func (l *Log) ActiveBytes() uint64 { return l.halves[l.active].bytes }
-
 // ActiveOps returns the number of records in the active half.
 func (l *Log) ActiveOps() int { return len(l.halves[l.active].recs) }
 

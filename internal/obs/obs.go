@@ -149,18 +149,6 @@ func (tr *Tracer) Track(pid int32, name string) int32 {
 	return id
 }
 
-// TrackName returns the registered name of (pid, tid), or "".
-func (tr *Tracer) TrackName(pid int32, tid int32) string {
-	if tr == nil {
-		return ""
-	}
-	ts := tr.tracks[pid]
-	if ts == nil || int(tid) >= len(ts.names) {
-		return ""
-	}
-	return ts.names[tid]
-}
-
 // push appends an event, overwriting the oldest when the ring is full.
 func (tr *Tracer) push(e Event) {
 	if !tr.full && len(tr.ring) < cap(tr.ring) {
@@ -229,14 +217,6 @@ func (tr *Tracer) Observe(metric string, v int64) {
 		tr.histOrder = append(tr.histOrder, metric)
 	}
 	h.Observe(v)
-}
-
-// Hist returns the named histogram, or nil if nothing was observed.
-func (tr *Tracer) Hist(metric string) *Histogram {
-	if tr == nil {
-		return nil
-	}
-	return tr.hists[metric]
 }
 
 // Histograms returns every histogram in first-observation order.

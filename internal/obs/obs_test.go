@@ -61,7 +61,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Track(PidCores, "x") != 0 || tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer accessors not inert")
 	}
-	if tr.Hist("m") != nil || tr.Histograms() != nil {
+	if tr.Histograms() != nil {
 		t.Fatal("nil tracer returned histograms")
 	}
 	var buf bytes.Buffer
@@ -88,11 +88,8 @@ func TestTrackInterning(t *testing.T) {
 	if other := tr.Track(PidStorage, "alpha"); other != 0 {
 		t.Fatalf("first track under PidStorage = %d, want 0", other)
 	}
-	if got := tr.TrackName(PidThreads, b); got != "beta" {
-		t.Fatalf("TrackName = %q, want beta", got)
-	}
-	if got := tr.TrackName(PidThreads, 99); got != "" {
-		t.Fatalf("TrackName out of range = %q, want empty", got)
+	if got := tr.tracks[PidThreads].names[b]; got != "beta" {
+		t.Fatalf("track %d is named %q, want beta", b, got)
 	}
 }
 

@@ -47,15 +47,6 @@ type CPUStats struct {
 	Wall Time                    // simulated time of the snapshot
 }
 
-// TotalBusy returns the cumulative busy time across all categories.
-func (s CPUStats) TotalBusy() Duration {
-	var total Duration
-	for _, b := range s.Busy {
-		total += b
-	}
-	return total
-}
-
 // Cores converts the busy time of category c over the window since prev into
 // an average number of occupied cores.
 func (s CPUStats) Cores(prev CPUStats, c Category) float64 {

@@ -46,16 +46,6 @@ func (m *Mutex) Lock(t *Thread) {
 	}
 }
 
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock(t *Thread) bool {
-	if m.holder != nil {
-		return false
-	}
-	m.Acquisitions++
-	m.holder = t
-	return true
-}
-
 // Unlock releases the mutex, handing it directly to the oldest waiter if any.
 func (m *Mutex) Unlock(t *Thread) {
 	if m.holder != t {
@@ -68,9 +58,6 @@ func (m *Mutex) Unlock(t *Thread) {
 	m.holder = m.waiters.Pop()
 	m.s.post(m.s.now, action{t: m.holder})
 }
-
-// Held reports whether the mutex is currently held (by any thread).
-func (m *Mutex) Held() bool { return m.holder != nil }
 
 // WaitQueue is a condition-variable-like parking lot for simulated threads.
 type WaitQueue struct {

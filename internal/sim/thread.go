@@ -81,11 +81,6 @@ func (s *Scheduler) Go(name string, cat Category, fn func(*Thread)) *Thread {
 	return s.spawn(s.now, name, cat, fn)
 }
 
-// GoAt is like Go but delays the thread's start until time at.
-func (s *Scheduler) GoAt(at Time, name string, cat Category, fn func(*Thread)) *Thread {
-	return s.spawn(at, name, cat, fn)
-}
-
 // Name returns the thread's debug name.
 func (t *Thread) Name() string { return t.name }
 

@@ -161,12 +161,8 @@ func (d *Drive) Stats() Stats { return d.stats }
 // SetInjector attaches a fault injector (nil disables fault injection).
 func (d *Drive) SetInjector(in Injector) { d.inj = in }
 
-// InflightWrites returns the number of write I/Os submitted but not yet
-// completed (or lost) — the population a crash would tear.
-func (d *Drive) InflightWrites() int { return len(d.inflight) }
-
-// InflightMultiBlock returns how many of those in-flight writes span two or
-// more blocks — the ones a crash-time torn-write fault can actually tear.
+// InflightMultiBlock returns how many of the writes submitted but not yet
+// completed (or lost) span two or more blocks — the ones a crash-time torn-write fault can actually tear.
 func (d *Drive) InflightMultiBlock() int {
 	n := 0
 	for _, e := range d.inflight {

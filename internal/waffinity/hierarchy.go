@@ -87,22 +87,6 @@ func NewHierarchy(w *Scheduler, cfg HierarchyConfig) *Hierarchy {
 	return h
 }
 
-// NewClassicalHierarchy builds the Classical Waffinity model of §III-B: a
-// Serial affinity and a flat set of Stripe affinities. All metadata work
-// must go to Serial; only user-file stripe operations parallelize.
-func NewClassicalHierarchy(w *Scheduler, stripes int) *Hierarchy {
-	h := &Hierarchy{Sched: w, Serial: w.Root()}
-	aggr := &AggrAffinities{Aggr: w.Root(), AggrVBN: w.Root()}
-	vol := &VolAffinities{Volume: w.Root(), Logical: w.Root(), VolVBN: w.Root()}
-	for si := 0; si < stripes; si++ {
-		vol.Stripes = append(vol.Stripes,
-			w.AddChild(h.Serial, KindStripe, fmt.Sprintf("stripe%d", si)))
-	}
-	aggr.Volumes = []*VolAffinities{vol}
-	h.Aggrs = []*AggrAffinities{aggr}
-	return h
-}
-
 // String renders the hierarchy as an indented tree with per-affinity message
 // counts, for wafltop and debugging.
 func (h *Hierarchy) String() string {

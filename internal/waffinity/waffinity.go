@@ -14,7 +14,7 @@
 //
 // Classical Waffinity (§III-B) is the degenerate hierarchy consisting of the
 // Serial affinity and a flat set of Stripe affinities; it can be built with
-// the same primitives (see NewClassicalHierarchy in hierarchy.go).
+// the same primitives (TestClassicalHierarchy does).
 package waffinity
 
 import (
@@ -109,9 +109,6 @@ func (a *Affinity) Name() string { return a.name }
 
 // Kind returns the affinity's kind.
 func (a *Affinity) Kind() Kind { return a.kind }
-
-// Parent returns the affinity's parent (nil for the Serial root).
-func (a *Affinity) Parent() *Affinity { return a.parent }
 
 // Children returns the affinity's children.
 func (a *Affinity) Children() []*Affinity { return a.children }

@@ -270,17 +270,15 @@ func TestExclusionPropertyRandomized(t *testing.T) {
 func TestClassicalHierarchy(t *testing.T) {
 	s := sim.New(4, 1)
 	w := New(s, 4, 0)
-	h := NewClassicalHierarchy(w, 8)
-	if len(h.Aggrs[0].Volumes[0].Stripes) != 8 {
-		t.Fatal("classical hierarchy should have 8 stripes")
-	}
-	// Metafile work targets Serial (same node as Volume/VBN handles).
-	if h.Aggrs[0].AggrVBN != w.Root() {
-		t.Fatal("classical AggrVBN must alias Serial")
+	// Classical Waffinity (§III-B) from the same primitives: Serial, where
+	// all metadata work goes, and a flat set of Stripe affinities under it.
+	var stripes []*Affinity
+	for i := 0; i < 8; i++ {
+		stripes = append(stripes, w.AddChild(w.Root(), KindStripe, fmt.Sprintf("stripe%d", i)))
 	}
 	var ends []sim.Time
 	for i := 0; i < 4; i++ {
-		w.Send(h.Aggrs[0].Volumes[0].Stripes[i], sim.CatClient, func(th *sim.Thread) {
+		w.Send(stripes[i], sim.CatClient, func(th *sim.Thread) {
 			th.Consume(50 * sim.Microsecond)
 		}, func() { ends = append(ends, s.Now()) })
 	}
