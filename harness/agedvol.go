@@ -39,13 +39,10 @@ func AgedVolume(rc RunConfig) (Table, error) {
 		cfg.VolumeBlocks = 1 << 18 // 8 vregions; aged to ~84% occupancy
 		cfg.DriveBlocks = 131072   // physical headroom for the aged image
 		cfg.Allocator.HierarchicalFree = m.hier
-		sys, err := wafl.NewSystem(cfg)
+		res, _, err := Measure(cfg, w, rc.Warmup, rc.Window) // Attach prefills and ages in simulated time
 		if err != nil {
 			return t, err
 		}
-		w.Attach(sys) // prefill + age in simulated time
-		res := sys.Measure(rc.Warmup, rc.Window)
-		sys.Shutdown()
 		in := res.Stats.Infra
 		perVB[i] = wordsPerVBucket(in)
 		t.Rows = append(t.Rows, []string{

@@ -44,14 +44,12 @@ func CloneFleet(rc RunConfig) (Table, error) {
 		cfg.VolumeBlocks = volBlocks // same aged shape as agedvol
 		cfg.DriveBlocks = 131072
 		cfg.Allocator.HierarchicalFree = m.hier
-		sys, err := wafl.NewSystem(cfg)
+		// Attach prefills, fans out and ages by divergence in simulated time.
+		res, sys, err := Measure(cfg, w, rc.Warmup, rc.Window)
 		if err != nil {
 			return t, err
 		}
-		w.Attach(sys) // prefill + fan-out + divergence aging in simulated time
-		res := sys.Measure(rc.Warmup, rc.Window)
 		cs, cp = sys.CloneStats(), sys.Stats().CP
-		sys.Shutdown()
 		perVB[i] = wordsPerVBucket(res.Stats.Infra)
 		t.Rows = append(t.Rows, []string{
 			m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),

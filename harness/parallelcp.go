@@ -22,24 +22,24 @@ func ParallelCP(rc RunConfig) (Table, error) {
 	}
 	workloads := []struct {
 		name   string
-		attach func(cfg *wafl.Config) func(*wafl.System)
+		attach func(cfg *wafl.Config) Attacher // sizes cfg for the workload it returns
 	}{
-		{"manyfile", func(cfg *wafl.Config) func(*wafl.System) {
+		{"manyfile", func(cfg *wafl.Config) Attacher {
 			w := workload.DefaultManyFile()
 			cfg.Volumes = w.Volumes
-			return w.Attach
+			return w
 		}},
-		{"randwrite", func(cfg *wafl.Config) func(*wafl.System) {
+		{"randwrite", func(cfg *wafl.Config) Attacher {
 			w := workload.DefaultRandWrite()
 			cfg.Volumes = w.Volumes
-			return w.Attach
+			return w
 		}},
-		{"agedvol", func(cfg *wafl.Config) func(*wafl.System) {
+		{"agedvol", func(cfg *wafl.Config) Attacher {
 			w := workload.DefaultAgedVol()
 			cfg.Volumes = w.Volumes
 			cfg.VolumeBlocks = 1 << 18 // 8 vregions; aged to ~84% occupancy
 			cfg.DriveBlocks = 131072   // physical headroom for the aged image
-			return w.Attach
+			return w
 		}},
 	}
 	modes := []struct {
@@ -56,14 +56,11 @@ func ParallelCP(rc RunConfig) (Table, error) {
 			cfg := rc.Base
 			cfg.NVRAMHalfBytes = 2 << 20 // CP-bound: the log half fills fast
 			cfg.Allocator.ParallelCP = m.parallel
-			attach := w.attach(&cfg)
-			sys, err := wafl.NewSystem(cfg)
+			attacher := w.attach(&cfg) // before cfg is passed on: it mutates it
+			res, _, err := Measure(cfg, attacher, rc.Warmup, rc.Window)
 			if err != nil {
 				return t, err
 			}
-			attach(sys)
-			res := sys.Measure(rc.Warmup, rc.Window)
-			sys.Shutdown()
 			if cp := res.Stats.CP; cp.CPs > 0 {
 				cpAvgUs[i] = cp.TotalDuration.Micros() / float64(cp.CPs)
 			}
