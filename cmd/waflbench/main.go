@@ -31,10 +31,11 @@ import (
 )
 
 func main() {
+	rc := harness.DefaultRun()
 	exp := flag.String("exp", "all", "registry entry to run: "+names()+", or all (every entry that is not a CI gate)")
 	window := flag.Duration("window", 400*time.Millisecond, "measurement window (simulated)")
 	warmup := flag.Duration("warmup", 200*time.Millisecond, "warmup (simulated)")
-	cleaners := flag.Int("cleaners", 4, "parallel cleaner-thread count for the permutation experiments")
+	cleaners := flag.Int("cleaners", rc.Cleaners, "parallel cleaner-thread count for the permutation experiments")
 	members := flag.Int("members", 1, "cluster width: flexgroup sweeps 1..members (doubling); other entries run at this width")
 	trace := flag.String("trace", "", "dump one Chrome trace JSON per measurement as <prefix>-NNN.json")
 	traceEvents := flag.Int("trace-events", 0, "trace ring-buffer capacity in events (0 = default)")
@@ -44,7 +45,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write the host allocation profile (pprof \"allocs\") of the -exp run to this file")
 	flag.Parse()
 
-	rc := harness.DefaultRun()
 	rc.Window = wafl.Duration(window.Nanoseconds())
 	rc.Warmup = wafl.Duration(warmup.Nanoseconds())
 	rc.Cleaners = *cleaners
