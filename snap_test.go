@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wafl/internal/block"
+	"wafl/internal/storage"
 )
 
 // expectSnapBlock checks one block of a snapshot's frozen image against the
@@ -457,5 +458,50 @@ func TestSnapshotReclaimWithSameCPFileDelete(t *testing.T) {
 	}
 	if rep := sys.Fsck(); !rep.OK() {
 		t.Fatalf("fsck after same-CP file+snapshot delete: %s", rep)
+	}
+}
+
+// TestSnapRead covers the client op nothing else calls, the timed read of a
+// snapshot's frozen image: the old range stays readable after the live file
+// moved on, the read pays for its media walk (snapshot trees live only on
+// media) and is counted, and an unknown snapshot or inode reports false.
+func TestSnapRead(t *testing.T) {
+	sys, ino := newCrashSystem(t, crashConfig())
+	const n = 8
+	var snapID uint64
+	var lat Duration
+	var ok bool
+	sys.ClientThread("reader", func(c *ClientCtx) {
+		for fbn := FBN(0); fbn < n; fbn++ {
+			c.WriteTag(0, ino, fbn, 1, 'A')
+		}
+		snapID = c.SnapCreate(0)
+		for fbn := FBN(0); fbn < n; fbn++ {
+			c.WriteTag(0, ino, fbn, 1, 'B')
+		}
+		lat, ok = c.SnapRead(0, snapID, ino, 0, n)
+	})
+	sys.Run(10 * Second)
+	if snapID == 0 || !ok {
+		t.Fatalf("SnapRead of snapshot %d: ok = %v", snapID, ok)
+	}
+	if mediaRead := storage.SSD.PerIO + storage.SSD.PerBlock; lat < mediaRead {
+		t.Fatalf("SnapRead of %d blocks took %v, less than one media read (%v)", n, lat, mediaRead)
+	}
+	if got := sys.Stats().Client.BlocksRead; got != n {
+		t.Fatalf("BlocksRead = %d after a %d-block SnapRead", got, n)
+	}
+	for fbn := FBN(0); fbn < n; fbn++ {
+		expectSnapBlock(t, sys, snapID, ino, fbn, 'A', "after overwrite")
+	}
+
+	okSnap, okIno := true, true
+	sys.ClientThread("prober", func(c *ClientCtx) {
+		_, okSnap = c.SnapRead(0, snapID+100, ino, 0, 1)
+		_, okIno = c.SnapRead(0, snapID, ino+100, 0, 1)
+	})
+	sys.Run(Second)
+	if okSnap || okIno {
+		t.Fatalf("SnapRead of an unknown snapshot: ok = %v; of an unknown inode: ok = %v", okSnap, okIno)
 	}
 }
