@@ -443,7 +443,7 @@ func (m *Member) apply(rec *nvlog.Record) bool {
 // volAffs is the single member-resolution point for the Waffinity
 // hierarchy: every call site that needs a volume's affinity instances goes
 // through here (and the helpers below) rather than indexing h.Aggrs
-// directly — `make affcheck` enforces it.
+// directly — arch_test.go's aff rule enforces it.
 func (m *Member) volAffs(localVol int) *waffinity.VolAffinities {
 	return m.h.Aggrs[0].Volumes[localVol]
 }

@@ -403,7 +403,7 @@ func (sys *System) MemberStats(i int) Stats { return sys.members[i].stats() }
 
 // The five accessors below are views of Stats kept, with their signatures,
 // for bench/child.go; they go when a benchmark PR lets it read Stats (Each)
-// instead. `make statcheck` keeps every other caller on Stats.
+// instead. arch_test.go's stat rule keeps every other caller on Stats.
 
 // BCacheStats returns the buffer-cache counters summed across members
 // (all zero when Config.BCacheBlocks is 0).
