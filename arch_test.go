@@ -17,7 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,11 +30,14 @@ type tree struct {
 	files map[string]*ast.File
 }
 
-// parseTree parses sources (path → content) into a tree.
+// parseTree parses sources (path → content) into a tree, test files apart.
 func parseTree(t *testing.T, sources map[string]string) *tree {
 	t.Helper()
 	tr := &tree{fset: token.NewFileSet(), files: map[string]*ast.File{}}
 	for p, src := range sources {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
 		f, err := parser.ParseFile(tr.fset, p, src, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
@@ -44,7 +47,7 @@ func parseTree(t *testing.T, sources map[string]string) *tree {
 	return tr
 }
 
-// loadTree reads every non-test .go file under root, skipping dot directories.
+// loadTree reads every .go file under root, skipping dot directories.
 func loadTree(t *testing.T, root string) *tree {
 	t.Helper()
 	sources := map[string]string{}
@@ -58,7 +61,7 @@ func loadTree(t *testing.T, root string) *tree {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		data, err := os.ReadFile(p)
@@ -88,7 +91,7 @@ func (tr *tree) in(scan ...string) []string {
 			}
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -137,12 +140,8 @@ type badTree struct {
 func (r archRule) check(tr *tree) []string {
 	var out []string
 	for _, c := range r.clauses {
-		exempt := map[string]bool{}
-		for _, p := range c.except {
-			exempt[p] = true
-		}
 		each(tr, c.scan, func(file string, n ast.Node) {
-			if !exempt[file] && c.forbid(n) {
+			if !slices.Contains(c.except, file) && c.forbid(n) {
 				out = append(out, tr.at(n, "%s", c.msg))
 			}
 		})
@@ -165,15 +164,6 @@ func lastName(e ast.Expr) string {
 	return ""
 }
 
-func oneOf(s string, set []string) bool {
-	for _, v := range set {
-		if s == v {
-			return true
-		}
-	}
-	return false
-}
-
 // callOn matches a method call recv.name(...) with name in names and, when
 // recvs is non-nil, recv's last name in recvs.
 func callOn(recvs []string, names ...string) func(ast.Node) bool {
@@ -183,7 +173,7 @@ func callOn(recvs []string, names ...string) func(ast.Node) bool {
 			return false
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		return ok && oneOf(sel.Sel.Name, names) && (recvs == nil || oneOf(lastName(sel.X), recvs))
+		return ok && slices.Contains(names, sel.Sel.Name) && (recvs == nil || slices.Contains(recvs, lastName(sel.X)))
 	}
 }
 
@@ -236,11 +226,14 @@ func leadingMinusOne(n ast.Node) bool {
 var volOps = []string{"CreateFileAt", "DeleteFile", "RequestSnapshot", "DeleteSnapshot",
 	"RequestRestore", "RequestCloneBind", "AddCloneRef", "StartSplit"}
 
-// System's stats accessors: Stats and MemberStats are the spine, CloneStats
-// and the two reports are not counters, and the rest are the views
-// bench/child.go still reads.
-var statMethods = []string{"AdmissionStats", "BCacheStats", "CPPhaseReport", "CPStats",
-	"CloneStats", "Counters", "MemberStats", "Stats", "TraceReport"}
+// System's stats accessors, by name pattern and in full: Stats and MemberStats
+// are the spine, CloneStats and the two reports are not counters, and the rest
+// are the views bench/child.go still reads.
+var (
+	statAccessor = regexp.MustCompile(`(Stats|Counters|Report)$`)
+	statMethods  = []string{"AdmissionStats", "BCacheStats", "CPPhaseReport", "CPStats",
+		"CloneStats", "Counters", "MemberStats", "Stats", "TraceReport"}
+)
 
 // traffic is where configurations are made: the experiment registry, the
 // repository benchmark, the commands and the workload generators.
@@ -345,11 +338,11 @@ var archRules = []archRule{
 		require: func(tr *tree) []string {
 			var got []string
 			each(tr, []string{"."}, func(_ string, fn *ast.FuncDecl) {
-				if recvName(fn) == "System" && regexp.MustCompile(`(Stats|Counters|Report)$`).MatchString(fn.Name.Name) {
+				if recvName(fn) == "System" && statAccessor.MatchString(fn.Name.Name) {
 					got = append(got, fn.Name.Name)
 				}
 			})
-			sort.Strings(got)
+			slices.Sort(got)
 			if fmt.Sprint(got) != fmt.Sprint(statMethods) {
 				return []string{fmt.Sprintf("System's stats accessors are %v, want exactly %v: publish a counter as a field of its layer's struct", got, statMethods)}
 			}
@@ -439,7 +432,7 @@ var archRules = []archRule{
 					out = append(out, fmt.Sprintf("knobAllow entry %s is stale (assigned by the traffic now, or no longer a field)", f))
 				}
 			}
-			sort.Strings(out)
+			slices.Sort(out)
 			return out
 		},
 		bad: []badTree{{
@@ -447,7 +440,7 @@ var archRules = []archRule{
 				"internal/core/options.go": `package core; type Options struct { ChunkBlocks, BatchSize int; Dynamic bool }`,
 				"wafl.go":                  `package wafl; type Config struct { Seed int64 }`,
 				"harness/fig.go":           `package harness; func f(c *C) { c.Allocator.ChunkBlocks, c.Seed = 8, 1; _ = O{Dynamic: true} }`,
-				"golden_test.go":           `package wafl; func f(c *Config) { c.Allocator.BatchSize = 4 }`,
+				"harness/harness_test.go":  `package harness; func f(c *C) { c.Allocator.BatchSize = 4 }`,
 			},
 			want: "Options.BatchSize is assigned by no file under",
 		}},
@@ -487,7 +480,7 @@ var archRules = []archRule{
 					out = append(out, fmt.Sprintf("exportAllow entry %s is stale (a non-test file names it now, or it is gone)", key))
 				}
 			}
-			sort.Strings(out)
+			slices.Sort(out)
 			return out
 		},
 		bad: []badTree{{

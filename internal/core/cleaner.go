@@ -292,10 +292,10 @@ func (p *Pool) threadLoop(cs *cleanerState) {
 func (p *Pool) takeBatch() []*Job {
 	batch := []*Job{p.queue[0]}
 	p.queue = p.queue[1:]
-	if !p.opts.BatchedCleaning || !p.smallJob(batch[0]) {
+	if !p.opts.BatchedCleaning || !smallJob(batch[0]) {
 		return batch
 	}
-	for len(batch) < batchSize && len(p.queue) > 0 && p.smallJob(p.queue[0]) {
+	for len(batch) < batchSize && len(p.queue) > 0 && smallJob(p.queue[0]) {
 		batch = append(batch, p.queue[0])
 		p.queue = p.queue[1:]
 	}
@@ -304,7 +304,7 @@ func (p *Pool) takeBatch() []*Job {
 
 // smallJob reports whether a job qualifies for batching: a full-file job
 // with few frozen buffers.
-func (p *Pool) smallJob(j *Job) bool {
+func smallJob(j *Job) bool {
 	return j.Mode == JobFull && j.File.FrozenCount() <= batchBufferLimit
 }
 
