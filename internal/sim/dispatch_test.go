@@ -235,31 +235,129 @@ func TestEventPathAllocs(t *testing.T) {
 	}
 }
 
-// panicChildArg, as the test binary's first positional argument, turns
-// TestCallbackPanicKillsProcess into the process that is meant to die.
-const panicChildArg = "sim-callback-panic-child"
+// panicChildArg, as the test binary's first positional argument, turns the
+// test that calls dieOfBoom into the process that is meant to die.
+const panicChildArg = "sim-panic-child"
 
-// TestCallbackPanicKillsProcess: a callback dispatched by a parking thread
-// panics on that thread's goroutine, under the recover that swallows
-// killSentinel. The original value must come out the other side and kill the
-// process, as it did when callbacks ran on the scheduler goroutine.
-func TestCallbackPanicKillsProcess(t *testing.T) {
+func boom() string { return fmt.Sprintf("boom-%d", 6*7) }
+
+// dieOfBoom runs body — which must panic with boom() — in a child process,
+// the test binary re-run on the calling test alone, and returns everything
+// the child printed. The child must die of that value, whatever goroutine the
+// panic started on.
+func dieOfBoom(t *testing.T, body func()) string {
 	if flag.Arg(0) == panicChildArg {
-		s := New(1, 1)
-		s.Go("dispatcher", CatOther, func(th *Thread) { th.Sleep(Second) })
-		s.After(Microsecond, func() { panic(fmt.Sprintf("boom-%d", 6*7)) })
-		s.Run(Time(Second))
+		body()
 		fmt.Println("survived the panic")
 		os.Exit(0)
 	}
-	out, err := exec.Command(os.Args[0], "-test.run=^TestCallbackPanicKillsProcess$", panicChildArg).CombinedOutput()
+	out, err := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", panicChildArg).CombinedOutput()
 	if _, ok := err.(*exec.ExitError); !ok {
 		t.Fatalf("child did not die: err=%v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "panic: boom-42") || strings.Contains(string(out), "survived") {
-		t.Fatalf("child did not die of the callback's panic value:\n%s", out)
+		t.Fatalf("child did not die of the panic value:\n%s", out)
 	}
-	if !strings.Contains(string(out), "sim.(*Scheduler).dispatch") {
-		t.Fatalf("panic did not unwind through a dispatching thread:\n%s", out)
+	return string(out)
+}
+
+// TestCallbackPanicKillsProcess: a callback dispatched by a parking thread
+// panics inside that thread's coroutine, under the recover that swallows
+// killSentinel, and iter.Pull rethrows it in the caller of Run. The original
+// value must come out the other side and kill the process, and the stack of
+// the thread that was dispatching must be printed on the way.
+func TestCallbackPanicKillsProcess(t *testing.T) {
+	out := dieOfBoom(t, func() {
+		s := New(1, 1)
+		s.Go("dispatcher", CatOther, func(th *Thread) { th.Sleep(Second) })
+		s.After(Microsecond, func() { panic(boom()) })
+		s.Run(Time(Second))
+	})
+	if !strings.Contains(out, "sim.(*Scheduler).dispatch") {
+		t.Fatalf("the dispatching thread's stack was not printed:\n%s", out)
+	}
+}
+
+//go:noinline
+func deepOne(th *Thread) { th.Sleep(Microsecond); deepTwo() }
+
+//go:noinline
+func deepTwo() { deepThree() }
+
+//go:noinline
+func deepThree() { panic(boom()) }
+
+// TestBodyPanicKillsProcess is the twin for a panic in a thread's own body,
+// three calls down: the process dies of the value and the print names the
+// frame that threw it, which the stack of Run's caller cannot.
+func TestBodyPanicKillsProcess(t *testing.T) {
+	out := dieOfBoom(t, func() {
+		s := New(1, 1)
+		s.Go("bystander", CatOther, func(th *Thread) { th.Sleep(Second) })
+		s.Go("thrower", CatOther, deepOne)
+		s.Run(Time(Second))
+	})
+	if !strings.Contains(out, "thread thrower panicked") || !strings.Contains(out, "sim.deepThree") {
+		t.Fatalf("the throwing thread's stack was not printed:\n%s", out)
+	}
+}
+
+// TestBodyPanicSurfacesInRun: a body's panic comes out of Run, in Run's
+// caller, as the value the body threw, so a caller that expects failures can
+// recover it — and can then still shut the scheduler down.
+func TestBodyPanicSurfacesInRun(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := New(1, 1)
+	s.Go("bystander", CatOther, func(th *Thread) { th.Sleep(Second) })
+	s.Go("thrower", CatOther, deepOne)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run(Time(Second))
+		return nil
+	}()
+	if got != boom() {
+		t.Fatalf("recovered %v around Run, want the body's %q", got, boom())
+	}
+	if s.Live() != 1 {
+		t.Fatalf("live = %d after the panic, want the bystander only", s.Live())
+	}
+	s.Shutdown()
+	if s.Live() != 0 || runtime.NumGoroutine() != baseline {
+		t.Fatalf("after Shutdown: live=%d goroutines=%d, want 0 and %d", s.Live(), runtime.NumGoroutine(), baseline)
+	}
+}
+
+// TestSwitchesCountsCrossThreadResumes: Switches is one per event that
+// resumed a thread other than the one that dispatched it. A thread yielding to
+// itself and plain callbacks cost none; two threads waking each other cost one
+// per event.
+func TestSwitchesCountsCrossThreadResumes(t *testing.T) {
+	s := New(1, 1)
+	defer s.Shutdown()
+	yields := 0
+	s.Go("yielder", CatOther, func(th *Thread) {
+		for ; yields < 1000; yields++ {
+			s.After(0, func() {})
+			th.Yield()
+		}
+	})
+	s.Run(Time(Second))
+	if yields != 1000 || s.Events() != 2001 || s.Switches() != 1 {
+		t.Fatalf("yields=%d events=%d switches=%d, want 1000, 2001 and the one switch that started the thread",
+			yields, s.Events(), s.Switches())
+	}
+	q := [2]*WaitQueue{NewWaitQueue(s, "ping"), NewWaitQueue(s, "pong")}
+	for i := range q {
+		s.Go("player", CatOther, func(th *Thread) {
+			for {
+				q[1-i].Signal()
+				q[i].Wait(th)
+			}
+		})
+	}
+	s.HaltAtEvent(s.Events() + 100)
+	s.Run(Time(2 * Second))
+	if !s.Halted() || s.Switches() != 101 {
+		t.Fatalf("halted=%v switches=%d, want 100 more, one per event", s.Halted(), s.Switches())
 	}
 }

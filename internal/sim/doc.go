@@ -2,26 +2,28 @@
 // used to model a many-core storage server on an arbitrary host.
 //
 // The kernel provides simulated time, a fixed number of simulated CPU cores,
-// and simulated threads. Each simulated thread is backed by a goroutine, but
-// at most one goroutine executes at any real instant: the one holding the
-// execution token. Every hand-over of the token is an unbuffered channel
-// operation, so all simulation state is data-race free by construction and
-// runs, deterministically, even with GOMAXPROCS=1.
+// and simulated threads. Each simulated thread is a coroutine (iter.Pull), and
+// only the holder of the execution token — one of them, or the caller of Run —
+// executes at any real instant. The token moves by coroutine switch alone,
+// which never enters the Go scheduler, so all simulation state is data-race
+// free by construction and every run is the same at any GOMAXPROCS.
 //
-// There is no scheduler goroutine. Whoever holds the token runs the event
-// loop: Run and Drain start it on the caller's goroutine, and a thread that
-// parks in a primitive (or whose body returns) carries it on from where it
-// stands — it pops events, runs After callbacks in place, and on a
-// thread-resume event either simply returns (the event resumes the parking
-// thread itself: no goroutine switch) or sends on the target's resume channel
-// and blocks on its own (one switch, where a round trip through a scheduler
-// goroutine cost two). The goroutine inside Run/Drain takes part as a
-// pseudo-thread, main, with a resume channel of its own (what used to be the
-// yield channel): it is resumed, and so gets the token back, only when nothing
-// more is due or a halt is pending.
-// Which goroutine runs the loop never affects what the loop does: events are
+// There is no scheduler thread. Whoever holds the token runs the event loop:
+// Run and Drain start it in their caller, and a thread that parks in a
+// primitive (or whose body returns) carries it on from where it stands — it
+// pops events, runs After callbacks in place, and on a thread-resume event
+// either simply returns (the event resumes the parking thread itself: no
+// switch at all) or names the thread to resume and yields. Every yield lands
+// in Run/Drain, the trampoline, which switches into the thread named (two
+// switches per cross-thread resume; Switches counts the pairs) or, when none
+// was named because nothing more is due or a halt is pending, returns.
+// Who runs the loop never affects what the loop does: events are
 // dispatched strictly in (time, posting order), so Events(), halt points and
 // every simulated result are the same as with a central scheduler.
+//
+// A panic in a thread body, or in a callback a thread was dispatching, is
+// rethrown by iter.Pull in the caller of Run; the thread prints its own stack
+// first, which that caller's traceback lacks.
 //
 // Events are values — an After callback, or a thread to resume (flagged when
 // the resume is also the end of its CPU burst) — kept in a binary heap; posting
@@ -31,10 +33,10 @@
 // order: a heap entry due now was posted at an earlier instant, so before
 // anything in the lane, and nothing posted later can be due sooner.
 //
-// Shutdown and KillRange run outside Run. They resume each victim
-// synchronously with its kill flag set; the victim panics out of whatever it
-// was blocked in — a primitive, or the event loop after a hand-off — and
-// resumes main directly, dispatching nothing on its way out.
+// Shutdown and KillRange run outside Run. They resume each victim with its
+// kill flag set; the victim panics out of the event loop it yielded from and
+// the primitive that parked it (or skips its body, if it never started),
+// dispatches nothing on its way out, and keeps no handle on its coroutine.
 //
 // Threads interact with the kernel through blocking primitives:
 //

@@ -142,3 +142,65 @@ func TestKilledThreadStaleEventsAreNoOps(t *testing.T) {
 		t.Fatalf("live = %d", s.Live())
 	}
 }
+
+// TestKillEveryThreadState holds two sets of threads, one thread per state a
+// kill can find it in: never started, body returned, mid-burst on the only
+// core, queued for it, parked in a WaitQueue and parked in Sleep. Every one
+// that parked did so by dispatching the next one's start, so all but the last
+// are also blocked after handing the token to another thread, and the last
+// after handing it back to Run. KillRange takes the first set and Shutdown the
+// second. Neither may dispatch an event or let a body run on, and each must
+// leave the dead threads without a coroutine — no goroutine, and no handle
+// through which Scheduler.threads would pin the body's closure.
+func TestKillEveryThreadState(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := New(1, 1)
+	q := NewWaitQueue(s, "never")
+	ranOn := 0
+	var threads []*Thread
+	spawnSet := func() {
+		for _, th := range []struct {
+			name string
+			body func(*Thread)
+		}{
+			{"returned", func(*Thread) {}},
+			{"bursting", func(th *Thread) { th.Consume(Second) }}, // the second set's queues behind the first's
+			{"queued", func(th *Thread) { th.Consume(Second) }},
+			{"waiting", func(th *Thread) { q.Wait(th) }},
+			{"sleeping", func(th *Thread) { th.Sleep(Second) }},
+		} {
+			threads = append(threads, s.Go(th.name, CatOther, func(t *Thread) { th.body(t); ranOn++ }))
+		}
+		threads = append(threads, s.GoAt(Time(Second), "unstarted", CatOther, func(*Thread) { ranOn++ }))
+	}
+	spawnSet()
+	half := s.ThreadMark()
+	spawnSet()
+	s.Run(Time(Millisecond))
+
+	check := func(when string, live int, dead []*Thread) {
+		t.Helper()
+		if s.Live() != live || ranOn != 2 || s.Events() != 10 {
+			t.Fatalf("%s: live=%d ranOn=%d events=%d, want %d, the 2 bodies that returned and the 10 start events",
+				when, s.Live(), ranOn, s.Events(), live)
+		}
+		for _, th := range dead {
+			if !th.done || th.next != nil || th.yield != nil {
+				t.Fatalf("%s: %s: done=%v, coroutine kept=%v", when, th.name, th.done, th.next != nil || th.yield != nil)
+			}
+		}
+	}
+	check("after Run", 10, []*Thread{threads[0], threads[half]})
+	s.KillRange(0, half)
+	check("after KillRange", 5, threads[:half+1])
+	for _, th := range threads[half+1:] {
+		if th.done || th.next == nil {
+			t.Fatalf("KillRange reached %s of the surviving set", th.name)
+		}
+	}
+	s.Shutdown()
+	check("after Shutdown", 0, threads)
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Fatalf("goroutines: %d before New, %d after Shutdown", baseline, n)
+	}
+}

@@ -142,17 +142,15 @@ type Scheduler struct {
 
 	busy       [NumCategories]Duration
 	dispatched uint64 // events processed
+	switches   uint64 // thread coroutines resumed by loop
 
-	// main stands for the goroutine outside the simulation — the caller of
-	// Run/Drain or of Shutdown/KillRange — as a pseudo-thread: resuming it is
-	// how the token is yielded back once the event loop has nothing more to
-	// dispatch, or a killed thread has unwound.
-	main        *Thread
+	// target is the thread to switch into next, named by whoever yields to
+	// loop; nil once nothing more is due, which ends the Run/Drain.
+	target      *Thread
 	rng         *rand.Rand
 	running     bool
 	live        int       // live (not yet finished) threads
-	threads     []*Thread // every thread ever spawned (for Shutdown)
-	poisoned    bool      // Shutdown in progress: resumed threads unwind
+	threads     []*Thread // every thread ever spawned (for KillRange)
 	spawnPrefix string    // prepended to every spawned thread's name
 
 	// Halt state: crash-schedule fault injection stops the event loop at a
@@ -198,19 +196,10 @@ func (s *Scheduler) SetTracer(tr *obs.Tracer) {
 func (s *Scheduler) Tracer() *obs.Tracer { return s.tr }
 
 // Shutdown terminates every simulated thread so the scheduler and all state
-// reachable from thread goroutines become garbage-collectable. The
-// scheduler is unusable afterwards. Must not be called while Run is active.
+// reachable from thread bodies become garbage-collectable. The scheduler is
+// unusable afterwards. Must not be called while Run is active.
 func (s *Scheduler) Shutdown() {
-	if s.running {
-		panic("sim: Shutdown during Run")
-	}
-	if s.poisoned {
-		return
-	}
-	s.poisoned = true
-	for _, t := range s.threads {
-		s.unwind(t)
-	}
+	s.KillRange(0, len(s.threads))
 	s.threads = nil
 	s.heap = nil
 	s.lane = fifo.Queue[action]{}
@@ -262,8 +251,12 @@ func (s *Scheduler) KillRange(lo, hi int) {
 			s.readyQ.Push(t)
 		}
 	}
+	// Resumed with its kill flag set, a victim panics out of whatever primitive
+	// it is parked in, or never starts its body, and dispatches nothing.
 	for _, t := range s.threads[lo:hi] {
-		s.unwind(t)
+		if !t.done {
+			t.next()
+		}
 	}
 }
 
@@ -273,13 +266,11 @@ func New(cores int, seed int64) *Scheduler {
 	if cores < 1 {
 		panic("sim: scheduler needs at least one core")
 	}
-	s := &Scheduler{
+	return &Scheduler{
 		cores:     cores,
 		freeCores: cores,
 		rng:       rand.New(rand.NewSource(seed)),
 	}
-	s.main = &Thread{s: s, name: "main", resume: make(chan struct{})}
-	return s
 }
 
 // Now returns the current simulated time.
@@ -298,6 +289,12 @@ func (s *Scheduler) Live() int { return s.live }
 // Events returns the number of events processed so far (a cheap progress and
 // determinism fingerprint).
 func (s *Scheduler) Events() uint64 { return s.dispatched }
+
+// Switches returns how many times Run/Drain has switched into a thread's
+// coroutine so far: one per event that resumed a thread other than the one
+// that dispatched it. Callbacks and self-resumes switch nothing. As repeatable
+// as Events, given the same sequence of Run/Drain calls and halts.
+func (s *Scheduler) Switches() uint64 { return s.switches }
 
 // HaltAtEvent arranges for Run/Drain to stop — between events, without
 // advancing the clock further — once the dispatched-event count reaches n.
@@ -380,19 +377,23 @@ func (s *Scheduler) Drain(limit Time) int {
 }
 
 // loop dispatches every event due by until, or up to a pending halt, and
-// returns how many it dispatched. The calling goroutine starts the event loop
-// as s.main and is resumed once whichever goroutine the loop has moved to
-// finds nothing more to dispatch.
+// returns how many it dispatched. Once an event resumes a thread, loop is the
+// trampoline: it switches into s.target, which carries the event loop on and
+// yields back having named the next target, until one names none.
 func (s *Scheduler) loop(until Time) int {
 	if s.running {
 		panic("sim: Run/Drain called reentrantly")
 	}
 	s.running = true
-	defer func() { s.running = false }()
+	defer func() { s.running, s.target = false, nil }() // a thread's panic leaves through here too
 	s.halted = false
 	s.until = until
 	start := s.dispatched
-	s.dispatch(s.main)
+	s.dispatch(nil)
+	for s.target != nil {
+		s.switches++
+		s.target.next()
+	}
 	return int(s.dispatched - start)
 }
 
@@ -418,22 +419,21 @@ func (s *Scheduler) next() (action, bool) {
 	return s.lane.Pop(), true
 }
 
-// dispatch runs the event loop on the calling goroutine, which holds the
-// execution token: self is the calling thread — parking, or done and on its
-// way out — or s.main inside Run/Drain. Callbacks run in place. An event that
-// resumes self ends the loop with no goroutine switch; one that resumes
-// another thread hands it the token directly, and that thread carries the loop
-// on when it next parks. When nothing more is due the thread to resume is
-// s.main, which takes the token back to Run/Drain. dispatch returns when self
-// has the token again (a live thread), or at once after giving it away (a
-// dying thread, which must not touch simulation state afterwards).
+// dispatch runs the event loop on the caller, which holds the execution token:
+// self is the calling thread — parking, or done and on its way out — or nil
+// in loop. Callbacks run in place. An event that resumes self ends the loop
+// with no switch at all; one that resumes another thread names it as s.target
+// and yields to loop, and that thread carries the event loop on when it next
+// parks. When nothing more is due the target is nil, which ends loop. dispatch
+// returns when self has the token again (a live thread), or at once after
+// naming the target (loop, and a dying thread, which must not touch simulation
+// state afterwards).
 func (s *Scheduler) dispatch(self *Thread) {
 	for {
 		a, ok := s.next()
-		t := a.t
+		t := a.t // nil when nothing is due
 		switch {
 		case !ok:
-			t = s.main
 		case a.fn != nil:
 			a.fn()
 			continue
@@ -446,24 +446,13 @@ func (s *Scheduler) dispatch(self *Thread) {
 			}
 		}
 		if t != self {
-			t.resume <- struct{}{}
-			if !self.done {
+			s.target = t
+			if self != nil && !self.done {
 				self.await()
 			}
 		}
 		return
 	}
-}
-
-// unwind terminates t from outside Run: resumed with the kill or poison flag
-// set, t panics out of whatever primitive or hand-off it is blocked in and
-// gives the token straight back to s.main without dispatching anything.
-func (s *Scheduler) unwind(t *Thread) {
-	if t.done {
-		return
-	}
-	t.resume <- struct{}{}
-	<-s.main.resume
 }
 
 // startBurst begins t's pending CPU burst now; completion is an event.

@@ -300,7 +300,7 @@ func runFingerprint(seed int64) string {
 		})
 	}
 	s.Run(Time(100 * Millisecond))
-	return fmt.Sprintf("%v|%d|%d", trace, shared, s.Events())
+	return fmt.Sprintf("%v|%d|%d|%d", trace, shared, s.Events(), s.Switches())
 }
 
 func TestDeterminism(t *testing.T) {

@@ -1,11 +1,17 @@
 package sim
 
-import "wafl/internal/obs"
+import (
+	"iter"
+	"os"
+	"runtime/debug"
 
-// Thread is a simulated thread of execution. It is backed by a goroutine,
-// but the kernel guarantees at most one simulated thread executes at any
-// real instant, so thread bodies may freely read and write shared simulation
-// state without host-level synchronization.
+	"wafl/internal/obs"
+)
+
+// Thread is a simulated thread of execution. It is backed by a coroutine
+// (iter.Pull), so at most one simulated thread executes at any real instant
+// and thread bodies may freely read and write shared simulation state without
+// host-level synchronization.
 //
 // All Thread methods must be called from the thread's own body function.
 type Thread struct {
@@ -13,7 +19,11 @@ type Thread struct {
 	name string
 	cat  Category // default CPU accounting category
 
-	resume chan struct{}
+	// The coroutine: loop, or a kill, switches into it with next and the body
+	// back out with yield. Nil once finished: Scheduler.threads holds every
+	// thread for good and must not hold a dead body's closure with it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// pending CPU burst
 	burstCat   Category
@@ -22,7 +32,7 @@ type Thread struct {
 
 	busy   Duration // cumulative CPU consumed by this thread
 	done   bool
-	killed bool // KillFrom: unwind at next resume
+	killed bool // KillRange, Shutdown: unwind at next resume
 
 	// tracing bookkeeping (inert unless a tracer is attached)
 	burstCore int32 // core lane of the burst in flight, -1 if unassigned
@@ -30,46 +40,48 @@ type Thread struct {
 	obsTid    int32 // interned obs track id + 1; 0 means not yet interned
 }
 
-// killSentinel is the panic value used to unwind poisoned or killed threads
-// during Shutdown/KillRange.
+// killSentinel is the panic value that unwinds a killed thread.
 type killSentinel struct{}
 
-// spawn builds a thread and its goroutine, scheduled to start at time at.
+// spawn builds a thread and its coroutine, scheduled to start at time at.
 func (s *Scheduler) spawn(at Time, name string, cat Category, fn func(*Thread)) *Thread {
 	name = s.spawnPrefix + name
 	t := &Thread{
 		s:         s,
 		name:      name,
 		cat:       cat,
-		resume:    make(chan struct{}),
 		burstCore: -1,
 		queuedAt:  -1,
 	}
 	s.live++
 	s.threads = append(s.threads, t)
-	go func() {
+	// No stop: a kill resumes the thread to unwind itself, so all run to the end.
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					// Real failure — in the body, or in a callback this
-					// thread was dispatching: crash loudly rather than hang
-					// the scheduler.
-					panic(r)
-				}
-			}
+			r := recover()
 			t.done = true
 			s.live--
-			if s.poisoned || t.killed {
-				s.main.resume <- struct{}{} // unwind is waiting; dispatch nothing
-				return
+			t.next, t.yield = nil, nil
+			if _, kill := r.(killSentinel); r != nil && !kill {
+				// Real failure, in the body or in a callback this thread was
+				// dispatching. Pull rethrows r in the caller of Run, whose
+				// traceback cannot show this stack: print it while it exists.
+				os.Stderr.WriteString("sim: thread " + t.name + " panicked in:\n")
+				debug.PrintStack()
+				panic(r)
+			}
+			if t.killed {
+				return // KillRange is waiting; dispatch nothing
 			}
 			// The body returned mid-Run holding the token: carry the event
 			// loop on until it can be handed to someone else.
 			s.dispatch(t)
 		}()
-		t.await()
-		fn(t)
-	}()
+		if !t.killed { // else killed before its start event
+			fn(t)
+		}
+	})
 	s.post(at, action{t: t})
 	return t
 }
@@ -121,11 +133,11 @@ func (t *Thread) SetCat(cat Category) Category {
 // execution token, so it runs the event loop itself until then.
 func (t *Thread) park() { t.s.dispatch(t) }
 
-// await blocks until t is handed the execution token. A resume by
+// await yields to loop until it switches back into t. A resume by
 // Shutdown/KillRange unwinds the thread instead.
 func (t *Thread) await() {
-	<-t.resume
-	if t.s.poisoned || t.killed {
+	t.yield(struct{}{})
+	if t.killed {
 		panic(killSentinel{})
 	}
 }

@@ -36,18 +36,18 @@ func runTraced(t *testing.T, trace bool) (*System, Results) {
 // results in any way — same event count, same throughput, same latencies.
 func TestTracingDeterminism(t *testing.T) {
 	sysOff, resOff := runTraced(t, false)
-	evOff := sysOff.s.Events()
+	evOff, swOff := sysOff.Events(), sysOff.Switches()
 	sysOff.Shutdown()
 	sysOn, resOn := runTraced(t, true)
-	evOn := sysOn.s.Events()
+	evOn, swOn := sysOn.Events(), sysOn.Switches()
 	defer sysOn.Shutdown()
 
 	// Every layer's window counters and the latency buckets, by value.
 	if !reflect.DeepEqual(resOff, resOn) {
 		t.Fatalf("tracing changed results:\noff: %+v\non:  %+v", resOff, resOn)
 	}
-	if evOff != evOn {
-		t.Fatalf("tracing changed simulation event count: off=%d on=%d", evOff, evOn)
+	if evOff != evOn || swOff != swOn {
+		t.Fatalf("tracing changed the simulation's event or thread-switch count: off=%d/%d on=%d/%d", evOff, swOff, evOn, swOn)
 	}
 	if sysOff.Tracer() != nil {
 		t.Fatal("tracing off but Tracer() non-nil")

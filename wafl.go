@@ -491,6 +491,11 @@ func (sys *System) Run(d Duration) { sys.s.RunFor(d) }
 // Seed), event index k names the same instant in every run.
 func (sys *System) Events() uint64 { return sys.s.Events() }
 
+// Switches returns how many of those events resumed a simulated thread other
+// than the one that dispatched them — the part of the simulation's host cost
+// that is switching coroutines. As reproducible as Events.
+func (sys *System) Switches() uint64 { return sys.s.Switches() }
+
 // RunToEvent advances the simulation until event index n has been
 // dispatched, running at most max simulated time. It reports whether the
 // halt was reached (false means the run drained or hit max first). The
