@@ -104,8 +104,10 @@ func main() {
 	fmt.Println("=== results ===")
 	fmt.Println(res)
 	// The kernel's work since format (warm-up included), per client op since then.
-	ev, sw, ops := sys.Events(), sys.Switches(), float64(max(sys.Stats().Client.Ops, 1))
-	fmt.Printf("events %d (%.1f/op)  thread switches %d (%.1f/op)\n", ev, float64(ev)/ops, sw, float64(sw)/ops)
+	st := sys.Stats()
+	ev, sw, ew, ops := sys.Events(), sys.Switches(), st.Waffinity.EmptyWakes, float64(max(st.Client.Ops, 1))
+	fmt.Printf("events %d (%.1f/op)  thread switches %d (%.1f/op)  empty worker wakes %d (%.1f/op)\n",
+		ev, float64(ev)/ops, sw, float64(sw)/ops, ew, float64(ew)/ops)
 	fmt.Println()
 	if sys.Members() > 1 {
 		fmt.Println("=== cluster members (measurement window + point-in-time state) ===")

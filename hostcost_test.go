@@ -37,3 +37,34 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 		t.Fatalf("seqwrite allocates %.1f KiB of host heap per op, budget %d KiB/op", perOp, budgetKiB)
 	}
 }
+
+// TestNFSMixSwitchBudget guards the other host cost, thread switches, the same
+// way: on the benchmark's nfsmix (a cache far smaller than the working set, so
+// read misses sleep inside their Stripe message) at most 10 coroutine switches
+// per client op. Switches is a count, exact for the seed: 7.0 while a wake-up
+// of an idle Waffinity worker that finds every queued message excluded is
+// refused by the dispatcher (sim.WaitQueue.WaitUntil), 24.0 when the worker is
+// switched into to find that out for itself.
+func TestNFSMixSwitchBudget(t *testing.T) {
+	const budget = 10
+	cfg := wafl.DefaultConfig()
+	cfg.BCacheBlocks = 8192
+	sys, err := wafl.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	workload.DefaultNFSMix().Attach(sys)
+	sys.Run(50 * wafl.Millisecond)
+	before := sys.Switches()
+	res := sys.Measure(0, 50*wafl.Millisecond)
+	if res.Ops == 0 {
+		t.Fatal("no ops completed in the window")
+	}
+	perOp := float64(sys.Switches()-before) / float64(res.Ops)
+	t.Logf("%.2f switches/op, %.2f empty worker wakes/op over %d ops",
+		perOp, float64(res.Stats.Waffinity.EmptyWakes)/float64(res.Ops), res.Ops)
+	if perOp > budget {
+		t.Fatalf("nfsmix switches threads %.1f times per op, budget %d/op", perOp, budget)
+	}
+}

@@ -3,18 +3,19 @@ package sim
 import "testing"
 
 // Package benchmarks for what one dispatched event costs the host, by who
-// runs next: another thread, the caller of Drain, or the parking thread
-// itself. `make benchsmoke` runs each once so they cannot rot; for numbers use
+// runs next: another thread, the caller of Drain, the parking thread itself,
+// or nobody (a wake-up WaitUntil's condition refuses). `make benchsmoke` runs
+// each once so they cannot rot; for numbers use
 //
 //	go test -run '^$' -bench . -benchmem -count 10 ./internal/sim
 
-// runEvents dispatches exactly b.N events under the timer (the first one or
-// two start the threads). The thread bodies that use it never let simulated
+// runEvents dispatches exactly perOp*b.N events under the timer (the first few
+// start the threads). The thread bodies that use it never let simulated
 // time advance, so only the event budget ends the run.
-func runEvents(b *testing.B, s *Scheduler) {
+func runEvents(b *testing.B, s *Scheduler, perOp int) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	s.HaltAtEvent(s.Events() + uint64(b.N))
+	s.HaltAtEvent(s.Events() + uint64(perOp*b.N))
 	s.RunFor(Second)
 	b.StopTimer()
 	s.HaltAtEvent(0)
@@ -23,7 +24,9 @@ func runEvents(b *testing.B, s *Scheduler) {
 
 // BenchmarkPingPong is one op = one cross-thread hand-off: two threads wake
 // each other over a pair of WaitQueues, so every event resumes the thread that
-// is not running — the case 97 % of a workload's events are.
+// is not running — the case 27 % (nfsmix, agedrand) to 42 % (seqwrite) of a
+// workload's events are, and 97 % were before idle Waffinity workers waited
+// with WaitUntil.
 func BenchmarkPingPong(b *testing.B) {
 	s := New(2, 1)
 	q := [2]*WaitQueue{NewWaitQueue(s, "ping"), NewWaitQueue(s, "pong")}
@@ -35,7 +38,7 @@ func BenchmarkPingPong(b *testing.B) {
 			}
 		})
 	}
-	runEvents(b, s)
+	runEvents(b, s, 1)
 }
 
 // BenchmarkDrainRoundTrip is one op = main -> worker -> main: Signal from
@@ -70,5 +73,42 @@ func BenchmarkYieldSelf(b *testing.B) {
 			th.Yield()
 		}
 	})
-	runEvents(b, s)
+	runEvents(b, s, 1)
+}
+
+// BenchmarkRefusedWake is one op = one Signal to a waiter whose condition says
+// no, plus the signaller's own Yield (two events): with WaitUntil the
+// dispatcher asks the condition and switches into nobody; written as the loop
+// WaitUntil is defined as, the waiter is switched into to ask it, and the
+// signaller back. The first is what most of a workload's events are (53 % on
+// overload_burst to 71 % on agedrand: idle Waffinity workers woken behind a
+// running affinity); the second is what each cost before.
+func BenchmarkRefusedWake(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		wait func(q *WaitQueue, th *Thread, ready func() bool)
+	}{
+		{"WaitUntil", (*WaitQueue).WaitUntil},
+		{"Loop", func(q *WaitQueue, th *Thread, ready func() bool) {
+			for {
+				q.Wait(th)
+				if ready() {
+					return
+				}
+			}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := New(2, 1)
+			q := NewWaitQueue(s, "never")
+			s.Go("waiter", CatOther, func(th *Thread) { c.wait(q, th, func() bool { return false }) })
+			s.Go("signaller", CatOther, func(th *Thread) {
+				for {
+					q.Signal()
+					th.Yield()
+				}
+			})
+			runEvents(b, s, 2)
+		})
+	}
 }

@@ -192,13 +192,13 @@ func TestThreadReturnMidRunKeepsDispatching(t *testing.T) {
 }
 
 // TestEventPathAllocs: posting and dispatching an event allocates nothing —
-// events are values in the heap or the zero-delay lane, and thread resumes
-// carry no closure.
+// events are values in the heap or the zero-delay lane, thread resumes carry
+// no closure, and a WaitUntil keeps its condition in the Thread.
 func TestEventPathAllocs(t *testing.T) {
 	s := New(2, 1)
 	defer s.Shutdown()
 	nop := func() {}
-	q := NewWaitQueue(s, "q")
+	q, never := NewWaitQueue(s, "q"), NewWaitQueue(s, "never")
 	m := NewMutex(s, "m")
 	for i := 0; i < 2; i++ {
 		s.Go("sleeper", CatOther, func(th *Thread) {
@@ -217,6 +217,10 @@ func TestEventPathAllocs(t *testing.T) {
 			woken++
 		}
 	})
+	refused := 0
+	s.Go("refused", CatOther, func(th *Thread) {
+		never.WaitUntil(th, func() bool { refused++; return false })
+	})
 	s.RunFor(10 * Microsecond)
 	for _, c := range []struct {
 		name string
@@ -225,13 +229,14 @@ func TestEventPathAllocs(t *testing.T) {
 		{"After+RunFor", func() { s.After(1, nop); s.RunFor(1) }},
 		{"Sleep round trip", func() { s.RunFor(Microsecond) }},
 		{"Signal->Wait", func() { q.Signal(); s.Run(s.Now()) }},
+		{"Signal->WaitUntil, refused", func() { never.Signal(); s.Run(s.Now()) }},
 	} {
 		if a := testing.AllocsPerRun(200, c.fn); a != 0 {
 			t.Errorf("%s: %.1f allocs per run, want 0", c.name, a)
 		}
 	}
-	if woken < 200 {
-		t.Fatalf("waiter woke %d times: the Signal case did not exercise the wake-up", woken)
+	if woken < 200 || refused < 200 {
+		t.Fatalf("waiter woke %d times, %d wake-ups refused: the Signal cases did not exercise the wake-up", woken, refused)
 	}
 }
 
@@ -329,8 +334,8 @@ func TestBodyPanicSurfacesInRun(t *testing.T) {
 
 // TestSwitchesCountsCrossThreadResumes: Switches is one per event that
 // resumed a thread other than the one that dispatched it. A thread yielding to
-// itself and plain callbacks cost none; two threads waking each other cost one
-// per event.
+// itself, plain callbacks and wake-ups that WaitUntil's condition refuses cost
+// none; two threads waking each other cost one per event.
 func TestSwitchesCountsCrossThreadResumes(t *testing.T) {
 	s := New(1, 1)
 	defer s.Shutdown()
@@ -346,6 +351,22 @@ func TestSwitchesCountsCrossThreadResumes(t *testing.T) {
 		t.Fatalf("yields=%d events=%d switches=%d, want 1000, 2001 and the one switch that started the thread",
 			yields, s.Events(), s.Switches())
 	}
+	never := NewWaitQueue(s, "never")
+	refused := 0
+	s.Go("refused", CatOther, func(th *Thread) {
+		never.WaitUntil(th, func() bool { refused++; return false })
+	})
+	s.Go("signaller", CatOther, func(th *Thread) {
+		for i := 0; i < 1000; i++ {
+			never.Signal()
+			th.Yield()
+		}
+	})
+	s.Run(Time(Second))
+	if refused != 1000 || never.Waits != 1001 || s.Events() != 4003 || s.Switches() != 3 {
+		t.Fatalf("refused=%d waits=%d events=%d switches=%d, want 1000, 1001, 2002 more events and the two switches that started the threads",
+			refused, never.Waits, s.Events(), s.Switches())
+	}
 	q := [2]*WaitQueue{NewWaitQueue(s, "ping"), NewWaitQueue(s, "pong")}
 	for i := range q {
 		s.Go("player", CatOther, func(th *Thread) {
@@ -357,7 +378,7 @@ func TestSwitchesCountsCrossThreadResumes(t *testing.T) {
 	}
 	s.HaltAtEvent(s.Events() + 100)
 	s.Run(Time(2 * Second))
-	if !s.Halted() || s.Switches() != 101 {
+	if !s.Halted() || s.Switches() != 103 {
 		t.Fatalf("halted=%v switches=%d, want 100 more, one per event", s.Halted(), s.Switches())
 	}
 }

@@ -16,7 +16,10 @@
 // switch at all) or names the thread to resume and yields. Every yield lands
 // in Run/Drain, the trampoline, which switches into the thread named (two
 // switches per cross-thread resume; Switches counts the pairs) or, when none
-// was named because nothing more is due or a halt is pending, returns.
+// was named because nothing more is due or a halt is pending, returns. A
+// thread parked in WaitQueue.WaitUntil is named only if the condition it left
+// says so: the dispatcher runs it, as it would a callback, and a wake-up it
+// refuses is an event like any other that switched into nobody.
 // Who runs the loop never affects what the loop does: events are
 // dispatched strictly in (time, posting order), so Events(), halt points and
 // every simulated result are the same as with a central scheduler.
@@ -45,7 +48,8 @@
 //   - Sleep: advance simulated time without occupying a core (I/O, timers).
 //   - Mutex: a simulated lock with FIFO waiters and contention accounting.
 //   - WaitQueue: a condition-variable-like queue for building channels,
-//     message queues, and caches.
+//     message queues, and caches. WaitUntil is Wait in a loop on a condition,
+//     for a waiter most of whose wake-ups find it false (idle Waffinity workers).
 //
 // CPU time is attributed to named categories (client, cleaner, infrastructure,
 // ...) so experiments can report per-component core usage exactly like the

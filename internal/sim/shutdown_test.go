@@ -134,29 +134,36 @@ func TestKilledThreadStaleEventsAreNoOps(t *testing.T) {
 	s.Go("sleeper", CatOther, func(th *Thread) {
 		th.Sleep(500 * Microsecond) // wakeup event remains in the heap
 	})
+	q := NewWaitQueue(s, "q")
+	s.Go("waiter", CatOther, func(th *Thread) {
+		q.WaitUntil(th, func() bool { t.Error("ready ran for a dead thread"); return true })
+	})
 	s.Run(Time(100 * Microsecond))
+	q.Signal() // wakeup event remains in the lane
 	s.KillFrom(mark)
-	// Run past the stale wakeup: must not hang or panic.
+	// Run past the stale wakeups: must not hang, panic or consult the waiter's
+	// condition.
 	s.Run(Time(2 * Millisecond))
-	if s.Live() != 0 {
-		t.Fatalf("live = %d", s.Live())
+	if s.Live() != 0 || s.Events() != 4 {
+		t.Fatalf("live = %d, events = %d, want 0 and two starts and two stale wake-ups", s.Live(), s.Events())
 	}
 }
 
 // TestKillEveryThreadState holds two sets of threads, one thread per state a
 // kill can find it in: never started, body returned, mid-burst on the only
-// core, queued for it, parked in a WaitQueue and parked in Sleep. Every one
-// that parked did so by dispatching the next one's start, so all but the last
-// are also blocked after handing the token to another thread, and the last
-// after handing it back to Run. KillRange takes the first set and Shutdown the
-// second. Neither may dispatch an event or let a body run on, and each must
-// leave the dead threads without a coroutine — no goroutine, and no handle
-// through which Scheduler.threads would pin the body's closure.
+// core, queued for it, parked in a WaitQueue, parked in WaitUntil with one
+// wake-up refused, and parked in Sleep. Every one that parked did so by
+// dispatching the next one's start, so all but the last are also blocked
+// after handing the token to another thread, and the last after handing it
+// back to Run. KillRange takes the first set and Shutdown the second. Neither
+// may dispatch an event or let a body run on, and each must leave the dead
+// threads without a coroutine — no goroutine, and no handle through which
+// Scheduler.threads would pin the body's closure or its WaitUntil condition.
 func TestKillEveryThreadState(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := New(1, 1)
 	q := NewWaitQueue(s, "never")
-	ranOn := 0
+	ranOn, refusals := 0, 0
 	var threads []*Thread
 	spawnSet := func() {
 		for _, th := range []struct {
@@ -167,6 +174,11 @@ func TestKillEveryThreadState(t *testing.T) {
 			{"bursting", func(th *Thread) { th.Consume(Second) }}, // the second set's queues behind the first's
 			{"queued", func(th *Thread) { th.Consume(Second) }},
 			{"waiting", func(th *Thread) { q.Wait(th) }},
+			{"refused", func(th *Thread) {
+				gate := NewWaitQueue(s, "gate")
+				s.After(0, func() { gate.Signal() })
+				gate.WaitUntil(th, func() bool { refusals++; return false })
+			}},
 			{"sleeping", func(th *Thread) { th.Sleep(Second) }},
 		} {
 			threads = append(threads, s.Go(th.name, CatOther, func(t *Thread) { th.body(t); ranOn++ }))
@@ -180,19 +192,20 @@ func TestKillEveryThreadState(t *testing.T) {
 
 	check := func(when string, live int, dead []*Thread) {
 		t.Helper()
-		if s.Live() != live || ranOn != 2 || s.Events() != 10 {
-			t.Fatalf("%s: live=%d ranOn=%d events=%d, want %d, the 2 bodies that returned and the 10 start events",
-				when, s.Live(), ranOn, s.Events(), live)
+		if s.Live() != live || ranOn != 2 || refusals != 2 || s.Events() != 16 {
+			t.Fatalf("%s: live=%d ranOn=%d refusals=%d events=%d, want %d, the 2 bodies that returned, the 2 wake-ups refused, and 16 events (12 starts, those 2 and their callbacks)",
+				when, s.Live(), ranOn, refusals, s.Events(), live)
 		}
 		for _, th := range dead {
-			if !th.done || th.next != nil || th.yield != nil {
-				t.Fatalf("%s: %s: done=%v, coroutine kept=%v", when, th.name, th.done, th.next != nil || th.yield != nil)
+			if !th.done || th.next != nil || th.yield != nil || th.ready != nil {
+				t.Fatalf("%s: %s: done=%v, coroutine kept=%v, WaitUntil condition kept=%v",
+					when, th.name, th.done, th.next != nil || th.yield != nil, th.ready != nil)
 			}
 		}
 	}
-	check("after Run", 10, []*Thread{threads[0], threads[half]})
+	check("after Run", 12, []*Thread{threads[0], threads[half]})
 	s.KillRange(0, half)
-	check("after KillRange", 5, threads[:half+1])
+	check("after KillRange", 6, threads[:half+1])
 	for _, th := range threads[half+1:] {
 		if th.done || th.next == nil {
 			t.Fatalf("KillRange reached %s of the surviving set", th.name)

@@ -421,13 +421,14 @@ func (s *Scheduler) next() (action, bool) {
 
 // dispatch runs the event loop on the caller, which holds the execution token:
 // self is the calling thread — parking, or done and on its way out — or nil
-// in loop. Callbacks run in place. An event that resumes self ends the loop
-// with no switch at all; one that resumes another thread names it as s.target
-// and yields to loop, and that thread carries the event loop on when it next
-// parks. When nothing more is due the target is nil, which ends loop. dispatch
-// returns when self has the token again (a live thread), or at once after
-// naming the target (loop, and a dying thread, which must not touch simulation
-// state afterwards).
+// in loop. Callbacks run in place, as does the condition of a thread parked in
+// WaitUntil, whose refusal ends the event. An event that resumes self ends the
+// loop with no switch at all; one that resumes another thread names it as
+// s.target and yields to loop, and that thread carries the event loop on when
+// it next parks. When nothing more is due the target is nil, which ends loop.
+// dispatch returns when self has the token again (a live thread), or at once
+// after naming the target (loop, and a dying thread, which must not touch
+// simulation state afterwards).
 func (s *Scheduler) dispatch(self *Thread) {
 	for {
 		a, ok := s.next()
@@ -443,6 +444,9 @@ func (s *Scheduler) dispatch(self *Thread) {
 			}
 			if t.done {
 				continue // stale event of a killed thread
+			}
+			if t.ready != nil && !t.waitQ.admit(t) {
+				continue // parked in WaitUntil and not ready: nobody to switch into
 			}
 		}
 		if t != self {

@@ -76,14 +76,49 @@ func NewWaitQueue(s *Scheduler, name string) *WaitQueue {
 
 // Wait parks t on the queue until a Signal or Broadcast wakes it.
 func (q *WaitQueue) Wait(t *Thread) {
-	q.Waits++
-	start := q.s.now
-	q.waiters.Push(t)
+	q.enter(t)
 	t.park()
+	q.leave(t)
+}
+
+// enter and leave are the halves of Wait on either side of the park.
+func (q *WaitQueue) enter(t *Thread) {
+	q.Waits++
+	t.waitStart = q.s.now
+	q.waiters.Push(t)
+}
+
+func (q *WaitQueue) leave(t *Thread) {
 	if tr := q.s.tr; tr != nil {
-		tr.Span(obs.PidThreads, t.TrackID(), "sync", "wait:"+q.name, int64(start), int64(q.s.now))
-		tr.Observe("waitq.block:"+q.name, int64(q.s.now-start))
+		tr.Span(obs.PidThreads, t.TrackID(), "sync", "wait:"+q.name, int64(t.waitStart), int64(q.s.now))
+		tr.Observe("waitq.block:"+q.name, int64(q.s.now-t.waitStart))
 	}
+}
+
+// WaitUntil is exactly
+//
+//	for { q.Wait(t); if ready() { break } }
+//
+// except that ready runs on whoever dispatches each wake-up, so one it refuses
+// switches into nobody: events, their order, Waits, Signals and the trace are
+// the loop's, and only Switches is lower. Like an After callback, ready must
+// not block.
+func (q *WaitQueue) WaitUntil(t *Thread, ready func() bool) {
+	t.waitQ, t.ready = q, ready
+	q.enter(t)
+	t.park() // dispatch resumes t only once admit has said yes
+}
+
+// admit is the dispatcher's half of WaitUntil. t's wake-up is due, which ends
+// this wait; if ready refuses, t begins the next one without having run.
+func (q *WaitQueue) admit(t *Thread) bool {
+	q.leave(t)
+	if t.ready() {
+		t.waitQ, t.ready = nil, nil
+		return true
+	}
+	q.enter(t)
+	return false
 }
 
 // WaitWith atomically releases m, parks t, and re-acquires m before

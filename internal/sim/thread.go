@@ -20,8 +20,8 @@ type Thread struct {
 	cat  Category // default CPU accounting category
 
 	// The coroutine: loop, or a kill, switches into it with next and the body
-	// back out with yield. Nil once finished: Scheduler.threads holds every
-	// thread for good and must not hold a dead body's closure with it.
+	// back out with yield. Nil once finished, like ready: Scheduler.threads holds
+	// every thread for good and must not hold a dead body's closures with it.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
@@ -33,6 +33,11 @@ type Thread struct {
 	busy   Duration // cumulative CPU consumed by this thread
 	done   bool
 	killed bool // KillRange, Shutdown: unwind at next resume
+
+	// The WaitQueue wait in progress; in WaitUntil, also what dispatch consults.
+	waitStart Time
+	waitQ     *WaitQueue
+	ready     func() bool
 
 	// tracing bookkeeping (inert unless a tracer is attached)
 	burstCore int32 // core lane of the burst in flight, -1 if unassigned
@@ -62,7 +67,7 @@ func (s *Scheduler) spawn(at Time, name string, cat Category, fn func(*Thread)) 
 			r := recover()
 			t.done = true
 			s.live--
-			t.next, t.yield = nil, nil
+			t.next, t.yield, t.waitQ, t.ready = nil, nil, nil, nil
 			if _, kill := r.(killSentinel); r != nil && !kill {
 				// Real failure, in the body or in a callback this thread was
 				// dispatching. Pull rethrows r in the caller of Run, whose

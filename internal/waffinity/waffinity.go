@@ -124,9 +124,10 @@ type message struct {
 
 // Stats summarizes scheduler activity (the `stat` tag is read by wafl.Stats).
 type Stats struct {
-	Sent      uint64
-	Executed  uint64
-	MaxQueued int `stat:"max"`
+	Sent       uint64
+	Executed   uint64
+	EmptyWakes uint64 // idle-worker wake-ups that found every queued message excluded
+	MaxQueued  int    `stat:"max"`
 }
 
 // Scheduler dispatches affinity messages onto a pool of simulated worker
@@ -138,6 +139,10 @@ type Scheduler struct {
 	// affinities that currently have pending messages, in first-pending
 	// order; scanned for the dispatchable message with the oldest head.
 	pendingAffs []*Affinity
+	// blocked: the last scan of pendingAffs found nothing dispatchable and
+	// nothing it read has changed since. Send and finish clear it; a pop and a
+	// start only follow a scan that found something, which leaves it clear.
+	blocked bool
 
 	idle      *sim.WaitQueue
 	nworkers  int
@@ -187,6 +192,7 @@ func (w *Scheduler) Send(aff *Affinity, cat sim.Category, fn func(*sim.Thread), 
 		w.pendingAffs = append(w.pendingAffs, aff)
 	}
 	aff.pending.Push(m)
+	w.blocked = false
 	w.stats.Sent++
 	w.queued++
 	if w.queued > w.stats.MaxQueued {
@@ -257,8 +263,12 @@ func finish(aff *Affinity) {
 }
 
 // pickMessage removes and returns the dispatchable message whose head has
-// waited longest, or nil if nothing can run.
+// waited longest, or nil if nothing can run — from memory, when w.blocked: of
+// the workers wakeIdle signals at one instant only the first scans.
 func (w *Scheduler) pickMessage() *message {
+	if w.blocked {
+		return nil
+	}
 	bestIdx := -1
 	var best *message
 	for i, aff := range w.pendingAffs {
@@ -274,6 +284,7 @@ func (w *Scheduler) pickMessage() *message {
 		}
 	}
 	if best == nil {
+		w.blocked = true
 		return nil
 	}
 	aff := w.pendingAffs[bestIdx]
@@ -287,11 +298,19 @@ func (w *Scheduler) pickMessage() *message {
 
 // workerLoop is the body of each pool thread.
 func (w *Scheduler) workerLoop(t *sim.Thread) {
+	var m *message
+	// admitted runs on whichever thread dispatches this worker's wake-up
+	// (sim.WaitQueue.WaitUntil) and leaves what it picked in m: a wake-up that
+	// finds every queued message excluded — most do — switches into nobody.
+	admitted := func() bool {
+		if m = w.pickMessage(); m == nil {
+			w.stats.EmptyWakes++
+		}
+		return m != nil
+	}
 	for {
-		m := w.pickMessage()
-		if m == nil {
-			w.idle.Wait(t)
-			continue
+		if m = w.pickMessage(); m == nil {
+			w.idle.WaitUntil(t, admitted)
 		}
 		start(m.aff)
 		dispatchAt := w.s.Now()
@@ -303,6 +322,7 @@ func (w *Scheduler) workerLoop(t *sim.Thread) {
 		m.fn(t)
 		t.SetCat(prev)
 		finish(m.aff)
+		w.blocked = false
 		m.aff.Executed++
 		w.stats.Executed++
 		if tr := w.s.Tracer(); tr != nil {

@@ -459,3 +459,84 @@ func TestRangeAffinityParallelismUnderVBN(t *testing.T) {
 		t.Fatalf("parent at %v, ranges at %v: exclusion shape wrong", parentDone, ends[0])
 	}
 }
+
+// TestBlockedMemoAgreesWithScan drives a seeded random history through three
+// levels of one subtree — a Volume, its Logical child and four Stripes, so
+// that descendants block ancestors, ancestors block descendants, and an
+// ancestor's older head holds younger Stripe messages back (canRun's
+// starvation rule) — on fewer workers than runnable affinities, and after
+// every change to what pickMessage reads (a Send, a message picked and
+// started, a message finished) and at every instant in between checks its
+// memo against the scan the memo replaces. Messages sleep as well as compute:
+// a sleeping message is what leaves workers idle behind a blocked queue.
+func TestBlockedMemoAgreesWithScan(t *testing.T) {
+	s := sim.New(4, 7)
+	w := New(s, 3, sim.Microsecond)
+	h := NewHierarchy(w, HierarchyConfig{Aggregates: 1, VolumesPerAgg: 1, StripesPerVol: 4, RangesPerVBN: 1})
+	vol := h.Aggrs[0].Volumes[0]
+	affs := append([]*Affinity{vol.Volume, vol.Logical, vol.Logical}, vol.Stripes...)
+	checks := 0
+	check := func(when string) {
+		checks++
+		if !w.MemoSound() && !t.Failed() { // on a simulated thread: Errorf, once
+			t.Errorf("%s at %v: pickMessage remembers that nothing can run, and a scan finds a message that can", when, s.Now())
+		}
+	}
+	rng := s.Rand()
+	const n = 1500
+	var last sim.Duration
+	for i := 0; i < n; i++ {
+		aff := affs[rng.Intn(len(affs))]
+		last += sim.Duration(rng.Intn(4)) * sim.Microsecond // bursts of sends at one instant
+		cpu := sim.Duration(rng.Intn(3)) * sim.Microsecond
+		io := sim.Duration(rng.Intn(3)) * 3 * sim.Microsecond
+		s.After(last, func() {
+			w.Send(aff, sim.CatOther, func(th *sim.Thread) {
+				check("start")
+				th.Consume(cpu)
+				th.Sleep(io)
+				check("before finish")
+			}, func() { check("finish") })
+			check("send")
+		})
+	}
+	for at := sim.Duration(0); at < last; at += 500 * sim.Nanosecond {
+		s.After(at, func() { check("tick") })
+	}
+	s.Run(sim.Time(sim.Second))
+	st := w.Stats()
+	if st.Executed != n || st.EmptyWakes < n/10 || st.MaxQueued < 10 {
+		t.Fatalf("%+v after %d checks: want all %d executed through a queue that backed up behind running affinities", st, checks, n)
+	}
+}
+
+// TestHerdBehindSleepingMessage: ten messages sent to a Stripe whose running
+// message sleeps, with every other worker idle. Each Send wakes a worker that
+// finds the one queued affinity excluded: counted, and nobody is switched into
+// — the callbacks that send and the wake-ups they cause all run on the caller
+// of Run. When the sleeper finishes the ten run in the order sent.
+func TestHerdBehindSleepingMessage(t *testing.T) {
+	s, w, h := testEnv(4)
+	stripe := h.Aggrs[0].Volumes[0].Stripes[0]
+	var order []int
+	w.Send(stripe, sim.CatClient, func(th *sim.Thread) { th.Sleep(200 * sim.Microsecond) }, nil)
+	s.Run(sim.Time(10 * sim.Microsecond))
+	before, switches := w.Stats(), s.Switches()
+	for i := 1; i <= 10; i++ {
+		s.After(sim.Duration(i)*sim.Microsecond, func() {
+			w.Send(stripe, sim.CatClient, func(th *sim.Thread) {
+				order = append(order, i)
+				th.Consume(sim.Microsecond)
+			}, nil)
+		})
+	}
+	s.Run(sim.Time(100 * sim.Microsecond))
+	if st := w.Stats(); st.EmptyWakes-before.EmptyWakes != 10 || st.Executed != 0 || s.Switches() != switches {
+		t.Fatalf("behind the sleeper: %d empty wakes, %d executed, %d switches; want 10, 0, 0",
+			st.EmptyWakes-before.EmptyWakes, st.Executed, s.Switches()-switches)
+	}
+	s.Run(sim.Time(sim.Second))
+	if got, want := fmt.Sprint(order), fmt.Sprint([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}); got != want || w.Stats().Executed != 11 {
+		t.Fatalf("order %s, executed %d; want %s and 11", got, w.Stats().Executed, want)
+	}
+}
