@@ -15,7 +15,7 @@ GO ?= go
 #                 latency-sensitive p99.9 up, on must shed bulk and bound it
 GATES = crashsweep clustersweep overloadcheck
 
-.PHONY: all build test vet race racecp benchsmoke expsmoke $(GATES) ci clean
+.PHONY: all build test vet race racecp benchsmoke fuzzsmoke expsmoke $(GATES) ci clean
 
 all: build
 
@@ -50,6 +50,12 @@ racecp:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
+# fuzzsmoke runs the fuzz target for 10 s past its seed corpus (plain `go test`
+# runs only the seeds). Minimising each new input is capped at 1 s: at the
+# default 60 s, shrinking one 4 KiB image takes the whole budget.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzGetPtrPrefix$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/block
+
 # expsmoke runs every table of the registry (`-exp all`) at a few-ms window:
 # an experiment that no longer builds, runs or finishes fails the gate. The
 # numbers it prints mean nothing; the tracked ones are `go run ./bench`.
@@ -63,7 +69,7 @@ $(GATES):
 # runs: every stage once. The architecture rules (one apply path, one oracle,
 # one stats spine, one allocation space, no unused knob or export) are rows of
 # arch_test.go and run with the tests.
-ci: vet build race benchsmoke expsmoke $(GATES)
+ci: vet build race benchsmoke fuzzsmoke expsmoke $(GATES)
 
 clean:
 	rm -f wafltop waflbench *.test

@@ -92,10 +92,24 @@ func (sys *System) payload(ino uint64, fbn FBN, tag byte) []byte {
 		n = block.Size
 	}
 	p := make([]byte, n)
-	for i := range p {
-		p[i] = byte(ino) ^ byte(uint64(fbn)>>(uint(i)%24)) ^ tag ^ byte(i)
-	}
+	fillPayload(p, ino, fbn, tag)
 	return p
+}
+
+// fillPayload writes the pattern into p: byte i is
+// byte(ino) ^ byte(fbn>>(i%24)) ^ tag ^ byte(i). The first three terms
+// repeat every 24 bytes, so they come from a table built once per block.
+func fillPayload(p []byte, ino uint64, fbn FBN, tag byte) {
+	var t [24]byte
+	for j := range t {
+		t[j] = byte(uint64(fbn)>>j) ^ byte(ino) ^ tag
+	}
+	for off := 0; off < len(p); off += len(t) {
+		chunk := p[off:min(off+len(t), len(p))]
+		for j := range chunk {
+			chunk[j] = t[j] ^ byte(off+j)
+		}
+	}
 }
 
 // reserveLog reserves NVRAM space on member m for an op's records, stalling

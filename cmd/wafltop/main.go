@@ -108,6 +108,9 @@ func main() {
 	ev, sw, ew, ops := sys.Events(), sys.Switches(), st.Waffinity.EmptyWakes, float64(max(st.Client.Ops, 1))
 	fmt.Printf("events %d (%.1f/op)  thread switches %d (%.1f/op)  empty worker wakes %d (%.1f/op)\n",
 		ev, float64(ev)/ops, sw, float64(sw)/ops, ew, float64(ew)/ops)
+	dr := res.Stats.Drives
+	fmt.Printf("media bytes per block written %.0f over the window (%d blocks, data and parity)\n",
+		float64(dr.BytesWritten)/float64(max(dr.BlocksWritten, 1)), dr.BlocksWritten)
 	fmt.Println()
 	if sys.Members() > 1 {
 		fmt.Println("=== cluster members (measurement window + point-in-time state) ===")

@@ -306,6 +306,83 @@ func TestPersistentReadErrorReconstructed(t *testing.T) {
 	}
 }
 
+// TestSparseIndirectsSurviveRemount writes a few blocks into small files,
+// whose L1s the media keeps trimmed, and mounts from that image: the
+// recovered tree must read every block, and overwriting a block of each
+// file (which installs its short L1 padded, then updates it in place) must
+// leave a clean image that reads back the same after another remount.
+func TestSparseIndirectsSurviveRemount(t *testing.T) {
+	sys, _ := newCrashSystem(t, crashConfig())
+	var inos []uint64
+	for i := 0; i < 4; i++ {
+		inos = append(inos, sys.CreateFileDirect(0, block.PtrsPerBlock))
+	}
+	fbns := []FBN{0, 5, 77}
+	sys.ClientThread("w", func(c *ClientCtx) {
+		for _, ino := range inos {
+			for _, fbn := range fbns {
+				c.Write(0, ino, fbn, 1)
+			}
+		}
+	})
+	sys.Run(50 * Millisecond)
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rootLen := func(sys *System, ino uint64) int {
+		f := sys.m0().a.Volume(0).LookupFile(ino)
+		if f.Height() != 1 {
+			t.Fatalf("ino %d has height %d; want its root to be the L1", ino, f.Height())
+		}
+		return len(sys.m0().a.ReadVBNRaw(f.RootVBN))
+	}
+	if n := rootLen(sys, inos[0]); n >= block.Size {
+		t.Fatalf("the L1 of a 3-block file is %d bytes on the media; want it trimmed", n)
+	}
+	check := func(sys *System, label string) {
+		t.Helper()
+		if rep := sys.Fsck(); !rep.OK() {
+			t.Fatalf("%s: fsck: %s", label, rep)
+		}
+		for _, ino := range inos {
+			for _, fbn := range fbns {
+				if err := sys.VerifyAgainst(0, ino, fbn); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+		}
+	}
+
+	sys.Crash()
+	rec, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(rec, "after remount")
+
+	fbns = append(fbns, 20)
+	rec.ClientThread("w2", func(c *ClientCtx) {
+		for _, ino := range inos {
+			c.Write(0, ino, 5, 1)
+			c.Write(0, ino, 20, 1)
+		}
+	})
+	rec.Run(50 * Millisecond)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := rootLen(rec, inos[0]); n >= block.Size {
+		t.Fatalf("the rewritten L1 is %d bytes on the media; want it trimmed", n)
+	}
+	check(rec, "after overwriting through the padded L1")
+	rec.Crash()
+	rec2, err := rec.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(rec2, "after a second remount")
+}
+
 // TestTrimmedImagesReconstructed runs the default 64-byte payload, so user
 // data and most parity sit on the media as length-trimmed images, then makes
 // every trimmed data block unreadable: a freshly mounted system must serve

@@ -12,9 +12,10 @@ import (
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
 // an 8-block sequential write may allocate at most 8 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 7 KiB/op while block images stay trimmed and
-// the buffer index stays map-free; materialising the zero tail of the eight
-// L0 images alone adds 32 KiB.
+// — and the figure sits near 5.4 KiB/op while block images stay trimmed,
+// sparse indirects go to the media trimmed (6.3 when each one was cloned to a
+// full array every CP) and the buffer index stays map-free; materialising the
+// zero tail of the eight L0 images alone adds 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
 	const budgetKiB = 8
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
@@ -35,6 +36,35 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 	t.Logf("%.2f KiB/op over %d ops", perOp, res.Ops)
 	if perOp > budgetKiB {
 		t.Fatalf("seqwrite allocates %.1f KiB of host heap per op, budget %d KiB/op", perOp, budgetKiB)
+	}
+}
+
+// TestNFSMixMediaBytesBudget guards the host memory the simulated media
+// holds: on the benchmark's nfsmix at most 800 image bytes per block
+// written, data and parity. Drives.BytesWritten is a count, exact for the
+// seed: 419 while a sparse indirect block (one that trims to half a block or
+// less) goes to storage trimmed, 1,605 when every indirect image is a full
+// 4 KiB array.
+func TestNFSMixMediaBytesBudget(t *testing.T) {
+	const budget = 800
+	cfg := wafl.DefaultConfig()
+	cfg.BCacheBlocks = 8192
+	sys, err := wafl.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	workload.DefaultNFSMix().Attach(sys)
+	sys.Run(50 * wafl.Millisecond)
+	res := sys.Measure(0, 50*wafl.Millisecond)
+	dr := res.Stats.Drives
+	if dr.BlocksWritten == 0 {
+		t.Fatal("no blocks written in the window")
+	}
+	perBlock := float64(dr.BytesWritten) / float64(dr.BlocksWritten)
+	t.Logf("%.1f media bytes per block written over %d blocks", perBlock, dr.BlocksWritten)
+	if perBlock > budget {
+		t.Fatalf("nfsmix writes %.0f media bytes per block, budget %d", perBlock, budget)
 	}
 }
 

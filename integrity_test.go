@@ -153,6 +153,27 @@ func TestCrashRecoveryWithCreates(t *testing.T) {
 	}
 }
 
+// The table-driven payload generator writes exactly the bytes of the
+// pattern's formula, the one bench's aged-payload oracle mirrors.
+func TestPayloadMatchesFormula(t *testing.T) {
+	for _, n := range []int{0, 1, 23, 24, 25, 64, 512, 4096} {
+		for _, tag := range []byte{0, 1, 255} {
+			for _, h := range []struct {
+				ino uint64
+				fbn FBN
+			}{{0, 0}, {1, 1}, {7, 300}, {1<<16 | 42, 1<<40 + 12345}, {^uint64(0), ^FBN(0)}} {
+				got := make([]byte, n)
+				fillPayload(got, h.ino, h.fbn, tag)
+				for i := range got {
+					if want := byte(h.ino) ^ byte(uint64(h.fbn)>>(uint(i)%24)) ^ tag ^ byte(i); got[i] != want {
+						t.Fatalf("len %d tag %d ino %d fbn %d: byte %d = %#x, want %#x", n, tag, h.ino, h.fbn, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, uint64, Time) {
 		sys, err := NewSystem(smallConfig())

@@ -200,8 +200,7 @@ func (c *testCheckpoint) cleanFile(th *sim.Thread, f *fs.File, dual bool, v *Vol
 					}
 				}
 				vbn := c.allocVBN()
-				img := b.CPImage()
-				f.CleanChild(b, vvbn, vbn)
+				img, _, _ := f.CleanChild(b, vvbn, vbn)
 				c.writeVBN(th, vbn, img)
 				if dual && v != nil {
 					v.SetContainer(vvbn, vbn)

@@ -125,8 +125,7 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 			if !ok {
 				panic(fmt.Sprintf("aggregate: frozen activemap buffer (level %d, fbn %d) missing from flush plan", b.Level(), b.FBN()))
 			}
-			img := b.CPImage()
-			f.CleanChild(b, block.InvalidVVBN, vbn) // old location already freed
+			img, _, _ := f.CleanChild(b, block.InvalidVVBN, vbn) // old location already freed
 			writes = append(writes, AmapWrite{VBN: vbn, Data: img})
 		}
 	}

@@ -5,8 +5,8 @@
 // 4 KiB blocks with checksums.
 //
 // A block image is a []byte of len <= Size whose missing tail reads as
-// zero; nil is the all-zero block. Checksum, Equal and XOR treat an image
-// and its Size-padded twin alike; Clone materialises the tail.
+// zero; nil is the all-zero block. Checksum, Equal, XOR and GetPtr treat an
+// image and its Size-padded twin alike; Clone materialises the tail.
 package block
 
 import (
@@ -63,9 +63,19 @@ const PtrSize = 16
 // PtrsPerBlock is the fan-out of an indirect block.
 const PtrsPerBlock = Size / PtrSize // 256
 
-// trim returns image p without its trailing zero bytes: the one form every
-// image of the same block content shares.
-func trim(p []byte) []byte {
+// zeros is the chunk Trim compares a zero tail against.
+var zeros [256]byte
+
+// Trim returns image p without its trailing zero bytes: the one form every
+// image of the same block content shares. It cuts the tail 256 bytes at a
+// time while it can, then a word, then a byte at a time.
+func Trim(p []byte) []byte {
+	for len(p) >= len(zeros) && bytes.Equal(p[len(p)-len(zeros):], zeros[:]) {
+		p = p[:len(p)-len(zeros)]
+	}
+	for len(p) >= 8 && binary.LittleEndian.Uint64(p[len(p)-8:]) == 0 {
+		p = p[:len(p)-8]
+	}
 	for len(p) > 0 && p[len(p)-1] == 0 {
 		p = p[:len(p)-1]
 	}
@@ -73,7 +83,7 @@ func trim(p []byte) []byte {
 }
 
 // Equal reports whether images a and b hold the same block content.
-func Equal(a, b []byte) bool { return bytes.Equal(trim(a), trim(b)) }
+func Equal(a, b []byte) bool { return bytes.Equal(Trim(a), Trim(b)) }
 
 // Checksum returns a 64-bit FNV-1a checksum of block image p (of its
 // trimmed form, so the zero tail never counts). It stands in for the
@@ -85,7 +95,7 @@ func Checksum(p []byte) uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, b := range trim(p) {
+	for _, b := range Trim(p) {
 		h ^= uint64(b)
 		h *= prime64
 	}
@@ -111,12 +121,15 @@ func PutPtr(b []byte, i int, vvbn VVBN, vbn VBN) {
 	binary.LittleEndian.PutUint64(b[off+8:], uint64(vbn))
 }
 
-// GetPtr decodes the pointer pair at entry index i of indirect block b.
+// GetPtr decodes the pointer pair at entry index i of indirect block image
+// b. Like every image, b may be short: the bytes of an entry past its end
+// read as zero, so an entry wholly past it is a hole.
 func GetPtr(b []byte, i int) (VVBN, VBN) {
-	off := i * PtrSize
-	vvbn := VVBN(binary.LittleEndian.Uint64(b[off:]))
-	vbn := VBN(binary.LittleEndian.Uint64(b[off+8:]))
-	return vvbn, vbn
+	var e [PtrSize]byte
+	if off := i * PtrSize; off < len(b) {
+		copy(e[:], b[off:])
+	}
+	return VVBN(binary.LittleEndian.Uint64(e[:])), VBN(binary.LittleEndian.Uint64(e[8:]))
 }
 
 // XOR accumulates image src into dst (dst ^= src), used for RAID parity.

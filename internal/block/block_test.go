@@ -142,3 +142,88 @@ func TestTrimmedImageMatchesPaddedTwin(t *testing.T) {
 		t.Fatal("nil must be the all-zero block")
 	}
 }
+
+// trimBytes is the byte-at-a-time loop Trim must agree with.
+func trimBytes(p []byte) []byte {
+	for len(p) > 0 && p[len(p)-1] == 0 {
+		p = p[:len(p)-1]
+	}
+	return p
+}
+
+// Trim's chunked cut lands exactly where the byte loop does, whatever the
+// lengths of the image and of its zero tail: on dense bodies, and on lone
+// bytes in long zero runs, many of them near the end.
+func TestTrimMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 2000; i++ {
+		p := make([]byte, rng.Intn(Size+1))
+		switch {
+		case len(p) == 0:
+		case i%2 == 0:
+			rng.Read(p)
+			clear(p[rng.Intn(len(p)+1):])
+		default:
+			for k := rng.Intn(4); k >= 0; k-- {
+				p[rng.Intn(len(p))] = byte(1 + rng.Intn(255))
+			}
+			p[len(p)-1-rng.Intn(min(len(p), 300))] = byte(1 + rng.Intn(255))
+		}
+		if got, want := Trim(p), trimBytes(p); len(got) != len(want) {
+			t.Fatalf("image of %d bytes: Trim keeps %d, the byte loop %d", len(p), len(got), len(want))
+		}
+	}
+}
+
+// l1With returns an indirect block holding n pointers in its first entries.
+func l1With(n int) []byte {
+	b := New()
+	for i := 0; i < n; i++ {
+		PutPtr(b, i, VVBN(1<<20+i), VBN(3<<24+i))
+	}
+	return b
+}
+
+// FuzzGetPtrPrefix checks the short-image rule for indirect blocks: any
+// prefix of an image decodes, entry by entry, as its zero-padded twin.
+func FuzzGetPtrPrefix(f *testing.F) {
+	for _, n := range []int{0, 1, 64, 255, 256} {
+		img := l1With(n)
+		f.Add(img, len(Trim(img)))            // as the media keeps it
+		f.Add(img, max(len(Trim(img))-11, 0)) // cut inside an entry
+	}
+	f.Fuzz(func(t *testing.T, img []byte, n int) {
+		if len(img) > Size {
+			img = img[:Size]
+		}
+		if n < 0 || n > len(img) {
+			return
+		}
+		prefix := img[:n]
+		padded := Clone(prefix)
+		for i := 0; i < PtrsPerBlock; i++ {
+			gv, gp := GetPtr(prefix, i)
+			wv, wp := GetPtr(padded, i)
+			if gv != wv || gp != wp {
+				t.Fatalf("prefix of %d bytes, entry %d: (%v,%v), padded (%v,%v)", n, i, gv, gp, wv, wp)
+			}
+		}
+	})
+}
+
+// BenchmarkTrim cuts the zero tail of a sparse L1 (40 pointers, 3.4 KiB of
+// zeros) and of a dense one (a few bytes).
+func BenchmarkTrim(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		img  []byte
+	}{{"sparse", l1With(40)}, {"dense", l1With(PtrsPerBlock)}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				trimSink = Trim(c.img)
+			}
+		})
+	}
+}
+
+var trimSink []byte

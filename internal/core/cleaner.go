@@ -380,8 +380,7 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job) {
 				vvbn = vb.use(vbn)
 			}
 
-			img := b.CPImage()
-			oldVVBN, oldVBN := f.CleanChild(b, vvbn, vbn)
+			img, oldVVBN, oldVBN := f.CleanChild(b, vvbn, vbn)
 			_, drive, dbn := geo.Locate(vbn)
 			cs.phys.tetris.add(drive, dbn, img)
 			p.stats.BuffersCleaned++

@@ -34,9 +34,11 @@ import (
 // buffer while it is inCP and not yet cleaned, the pre-overwrite image is
 // preserved as the CP image (cpData) and the live image (data) becomes a
 // fresh array; the change lands in the *next* CP. Once the cleaner has
-// submitted the buffer's CP image for writing, the buffer is sealed: the
-// submitted array is referenced by the drive media and must never be
-// mutated, so the next modification goes to a new array.
+// submitted the buffer's CP image for writing, the buffer is sealed if the
+// submitted array is its own: the drive media references it and it must
+// never be mutated, so the next modification goes to a new array. A sparse
+// indirect block is submitted as a trimmed copy instead (MarkCleaned) and
+// stays unsealed.
 type Buffer struct {
 	fbn   block.FBN
 	level int
@@ -44,7 +46,7 @@ type Buffer struct {
 	data   []byte // live image
 	cpData []byte // frozen CP image, set only if modified while inCP
 	inCP   bool   // frozen into the running CP, not yet cleaned
-	sealed bool   // live image was submitted to storage; never mutate it
+	sealed bool   // live image is aliased by storage; never mutate it
 
 	dirtyCurr   bool // dirty in the open (accepting) generation
 	dirtyFrozen bool // dirty in the freezing CP's set
@@ -52,6 +54,12 @@ type Buffer struct {
 	vvbn block.VVBN // current on-disk virtual location (InvalidVVBN if none)
 	vbn  block.VBN  // current on-disk physical location (InvalidVBN if none)
 }
+
+// sparseMax is the longest trimmed image, in bytes, with which an indirect
+// block goes to storage as a private copy rather than as its buffer's array.
+// Every indirect has some zero tail (the high bytes of a VBN are zero), and
+// copying a dense one would duplicate the array its buffer keeps anyway.
+const sparseMax = block.Size / 2
 
 func newBuffer(fbn block.FBN, level int) *Buffer {
 	return &Buffer{
@@ -91,10 +99,10 @@ func (b *Buffer) Data() []byte {
 	return b.data
 }
 
-// CPImage returns the image that belongs to the running CP: the preserved
+// cpImage returns the image that belongs to the running CP: the preserved
 // pre-overwrite image if the buffer was overwritten while frozen, otherwise
 // the live image.
-func (b *Buffer) CPImage() []byte {
+func (b *Buffer) cpImage() []byte {
 	if b.cpData != nil {
 		return b.cpData
 	}
@@ -132,8 +140,8 @@ func (b *Buffer) replace(data []byte) (cowed bool) {
 //
 // Indirect and metafile buffers are mutated only by CP-side code, so their
 // CP image and live image are the same array and updates are visible to
-// both; the method clones if the live image was already submitted to
-// storage in an earlier CP, or is shorter than a block.
+// both; the method clones if storage aliases the live image (sealed), or if
+// it is shorter than a block.
 func (b *Buffer) CPMutableData() []byte {
 	if b.cpData != nil {
 		return b.cpData
@@ -152,18 +160,31 @@ func (b *Buffer) freeze() {
 	b.dirtyCurr = false
 }
 
-// MarkCleaned records that the cleaner submitted the CP image at the new
-// location (vvbn, vbn) and returns the previous location for freeing.
-// After cleaning, the buffer leaves the CP: if the CP image was the live
-// image, the buffer is sealed (the media now references that array).
-func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (oldVVBN block.VVBN, oldVBN block.VBN) {
+// MarkCleaned records that the cleaner is submitting the CP image at the new
+// location (vvbn, vbn). It returns the image to write, which storage keeps,
+// and the previous location for freeing; the buffer leaves the CP.
+//
+// This is where sealing is decided. An indirect block whose image trims to
+// sparseMax bytes or fewer is handed out as a trimmed private copy, and the
+// buffer stays unsealed: the next CP updates it in place. Any other image is
+// handed out as is, and if it is the live image the buffer is sealed (the
+// media now references that array).
+func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
-	if b.cpData == nil {
+	img = b.cpImage()
+	var trimmed []byte
+	if b.level > 0 {
+		trimmed = block.Trim(img)
+	}
+	switch {
+	case b.level > 0 && len(trimmed) <= sparseMax:
+		img = append([]byte{}, trimmed...) // never nil: nil media is a block never written
+	case b.cpData == nil:
 		b.sealed = true
 	}
 	b.cpData = nil
 	b.inCP = false
 	b.dirtyFrozen = false
-	return oldVVBN, oldVBN
+	return img, oldVVBN, oldVBN
 }

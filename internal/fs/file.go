@@ -215,11 +215,17 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 // InstallBuffer populates the cache with a block loaded from persistent
 // storage (the mount/read path). data is adopted, not copied, and the
 // buffer is sealed: it aliases the media image until first modification.
+// The exception is a short indirect image (a sparse indirect, which the
+// media keeps trimmed): it is padded into a private full block, unsealed,
+// because PtrAt and CPMutableData work on whole blocks.
 func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
-	if data != nil {
-		b.data = data
-		b.sealed = true
+	switch {
+	case data == nil:
+	case level > 0 && len(data) < block.Size:
+		b.data, b.sealed = block.Clone(data), false
+	default:
+		b.data, b.sealed = data, true
 	}
 	b.vvbn, b.vbn = vvbn, vbn
 	if level == 0 && b.fbn >= f.size {
@@ -328,17 +334,17 @@ func (f *File) FrozenRange(lo, hi block.FBN) []*Buffer {
 }
 
 // CleanChild records that the cleaner assigned (vvbn, vbn) to frozen buffer
-// b and submitted its CP image: it updates the parent indirect's CP image
-// with the child's new dual address (dirtying the parent into the same CP),
-// or the file's root pointer if b is the root. It returns b's previous
-// location, to be freed.
-func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (oldVVBN block.VVBN, oldVBN block.VBN) {
+// b: it updates the parent indirect's CP image with the child's new dual
+// address (dirtying the parent into the same CP), or the file's root pointer
+// if b is the root. It returns the image to write at vbn (Buffer.MarkCleaned)
+// and b's previous location, to be freed.
+func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVBN block.VVBN, oldVBN block.VBN) {
 	if !b.dirtyFrozen {
 		panic("fs: CleanChild on buffer not in frozen set")
 	}
 	f.frozen[b.level].live--
 	f.frozenCount--
-	oldVVBN, oldVBN = b.MarkCleaned(vvbn, vbn)
+	img, oldVVBN, oldVBN = b.MarkCleaned(vvbn, vbn)
 
 	if b.level == f.height {
 		f.RootVVBN, f.RootVBN = vvbn, vbn
@@ -351,14 +357,14 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (oldVVBN bl
 				f.frozen[l] = dirtyList{bufs: f.frozen[l].bufs[:0]}
 			}
 		}
-		return oldVVBN, oldVBN
+		return img, oldVVBN, oldVBN
 	}
 	idx := index(b)
 	parent := f.getOrCreate(b.level+1, idx>>radixBits)
 	pd := parent.CPMutableData()
 	block.PutPtr(pd, int(idx&(block.PtrsPerBlock-1)), vvbn, vbn)
 	f.DirtyIntoCP(parent)
-	return oldVVBN, oldVBN
+	return img, oldVVBN, oldVBN
 }
 
 // DirtyIntoCP marks a buffer dirty directly into the frozen set — used for

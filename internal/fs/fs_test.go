@@ -86,7 +86,7 @@ func TestCOWDuringCP(t *testing.T) {
 	b := f.Buffer(0, 3)
 	// Client overwrites during the CP: the CP image must keep pattern(1).
 	f.WriteBlock(3, pattern(9))
-	if !bytes.Equal(b.CPImage(), pattern(1)) {
+	if !bytes.Equal(b.cpImage(), pattern(1)) {
 		t.Fatal("CP image lost pre-modification content")
 	}
 	if !bytes.Equal(b.Data(), pattern(9)) {
@@ -111,7 +111,7 @@ func TestCleanChildUpdatesParentAndRoot(t *testing.T) {
 	f.Freeze()
 
 	b := f.FrozenLevel(0)[0]
-	oldVVBN, oldVBN := f.CleanChild(b, 100, 200)
+	_, oldVVBN, oldVBN := f.CleanChild(b, 100, 200)
 	if oldVVBN != block.InvalidVVBN || oldVBN != block.InvalidVBN {
 		t.Fatal("new block should have no old location")
 	}
@@ -164,7 +164,7 @@ func TestRecleanReportsOldLocation(t *testing.T) {
 	if b2 != b {
 		t.Fatal("same FBN should reuse the buffer")
 	}
-	oldVVBN, oldVBN := f.CleanChild(b2, 30, 40)
+	_, oldVVBN, oldVBN := f.CleanChild(b2, 30, 40)
 	if oldVVBN != 10 || oldVBN != 20 {
 		t.Fatalf("old location = (%v,%v), want (10,20)", oldVVBN, oldVBN)
 	}
@@ -175,14 +175,97 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 	f.WriteBlock(0, pattern(1))
 	f.Freeze()
 	b := f.FrozenLevel(0)[0]
-	submitted := b.CPImage()
-	f.CleanChild(b, 10, 20)
+	submitted, _, _ := f.CleanChild(b, 10, 20)
 	f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
 	// After cleaning, the submitted array is owned by the media; a new
 	// client write must not mutate it.
 	f.WriteBlock(0, pattern(2))
 	if !bytes.Equal(submitted, pattern(1)) {
 		t.Fatal("post-clean write mutated the submitted (persisted) image")
+	}
+}
+
+// CleanChild hands storage the image to keep. A sparse indirect goes out as
+// a trimmed private copy and its buffer stays unsealed, so the next CP
+// updates the live array in place; a dense indirect and any L0 go out as
+// the buffer's own array, which seals the buffer.
+func TestCleanChildHandsOutImage(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		level  int
+		blocks int // L0 blocks written: the L1's pointer count
+		sparse bool
+	}{
+		{"sparse L1", 1, 3, true},
+		{"dense L1", 1, block.PtrsPerBlock, false},
+		{"L0", 0, 1, false},
+	} {
+		f := NewFile(1, 1)
+		for fbn := 0; fbn < c.blocks; fbn++ {
+			f.WriteBlock(block.FBN(fbn), pattern(byte(fbn))[:64])
+		}
+		f.Freeze()
+		loc := uint64(100)
+		var b *Buffer
+		var img []byte
+		for level := 0; level <= c.level; level++ {
+			for _, fb := range f.FrozenLevel(level) {
+				b = fb
+				live := b.cpImage()
+				img, _, _ = f.CleanChild(b, block.VVBN(loc), block.VBN(loc))
+				loc++
+				if !block.Equal(img, live) {
+					t.Fatalf("%s: handed-out image differs from the CP image", c.name)
+				}
+			}
+		}
+		if c.sparse {
+			if len(img) > block.Size/2 || &img[0] == &b.data[0] || b.sealed {
+				t.Fatalf("%s: image of %d bytes, aliased %v, sealed %v; want a private copy of at most half a block, unsealed",
+					c.name, len(img), &img[0] == &b.data[0], b.sealed)
+			}
+		} else if &img[0] != &b.data[0] || !b.sealed {
+			t.Fatalf("%s: want the buffer's own array, sealed", c.name)
+		}
+		if c.level == 0 {
+			continue // client overwrites: TestSealedBufferCloneOnWrite
+		}
+		want := bytes.Clone(img)
+		live := b.data
+		f.DirtyIntoCP(b)
+		d := b.CPMutableData()
+		if (&d[0] == &live[0]) != c.sparse {
+			t.Fatalf("%s: next CPMutableData in place = %v, want %v", c.name, &d[0] == &live[0], c.sparse)
+		}
+		block.PutPtr(d, 0, 7, 7)
+		if !bytes.Equal(img, want) {
+			t.Fatalf("%s: a CP-side update reached the image storage holds", c.name)
+		}
+	}
+}
+
+// A short indirect image from the media is padded into a private full
+// block: unsealed, and every entry past the image's end reads as a hole.
+func TestInstallBufferPadsShortIndirect(t *testing.T) {
+	l1 := block.New()
+	block.PutPtr(l1, 0, 11, 12)
+	block.PutPtr(l1, 1, 13, 14)
+	media := block.Trim(l1)
+	f := NewFile(1, 1)
+	b := f.InstallBuffer(1, 0, media, 50, 60)
+	if len(b.Data()) != block.Size || b.sealed {
+		t.Fatalf("installed %d bytes, sealed %v; want a full private block", len(b.Data()), b.sealed)
+	}
+	if vv, v := PtrAt(b, 1); vv != 13 || v != 14 {
+		t.Fatalf("entry 1 = (%v,%v)", vv, v)
+	}
+	if vv, v := PtrAt(b, block.PtrsPerBlock-1); vv != 0 || v != 0 {
+		t.Fatalf("entry 255 = (%v,%v), want a hole", vv, v)
+	}
+	f.DirtyIntoCP(b)
+	block.PutPtr(b.CPMutableData(), 1, 0, 0)
+	if !bytes.Equal(media, block.Trim(l1)) {
+		t.Fatal("a CP-side update reached the media's array")
 	}
 }
 
@@ -381,10 +464,10 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 		f.WriteBlock(0, c.old)
 		f.Freeze()
 		b := f.Buffer(0, 0)
-		frozen := b.CPImage()
+		frozen := b.cpImage()
 		f.WriteBlock(0, c.next)
 		f.WriteBlock(0, c.next) // second overwrite lands in the private live image
-		if &b.CPImage()[0] != &frozen[0] || !bytes.Equal(frozen, c.old) {
+		if &b.cpImage()[0] != &frozen[0] || !bytes.Equal(frozen, c.old) {
 			t.Fatalf("%s: overwrite while inCP disturbed the CP image", c.name)
 		}
 		if !bytes.Equal(b.Data(), c.next) || f.CoWCopies != 1 {
@@ -395,8 +478,7 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 		f.CleanChild(b, 10, 20)
 		f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
 		f.Freeze()
-		submitted := b.CPImage()
-		f.CleanChild(b, 12, 22)
+		submitted, _, _ := f.CleanChild(b, 12, 22)
 		f.WriteBlock(0, c.old)
 		f.WriteBlock(0, c.next)
 		if !bytes.Equal(submitted, c.next) || &b.Data()[0] == &submitted[0] {

@@ -416,8 +416,7 @@ func TestCleanLocationsNeverRepeatWithinCycle(t *testing.T) {
 			for _, b := range f.FrozenLevel(level) {
 				newVBN := block.VBN(loc)
 				loc++
-				oldVVBN, oldVBN := f.CleanChild(b, block.VVBN(loc)<<32, newVBN)
-				_ = oldVVBN
+				_, _, oldVBN := f.CleanChild(b, block.VVBN(loc)<<32, newVBN)
 				if seen[newVBN] {
 					t.Fatal("location assigned twice")
 				}

@@ -87,6 +87,7 @@ type Stats struct {
 	WriteIOs      uint64
 	BlocksRead    uint64
 	BlocksWritten uint64
+	BytesWritten  uint64       // image bytes submitted in write I/Os, at their stored length
 	BusyTime      sim.Duration // total time the drive was servicing I/O
 
 	// Fault-injection outcomes.
@@ -215,6 +216,7 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 		if r.DBN >= d.nblocks {
 			panic(fmt.Sprintf("storage: write beyond device %s: dbn %d >= %d", d.name, r.DBN, d.nblocks))
 		}
+		d.stats.BytesWritten += uint64(len(r.Data))
 	}
 	var wf WriteFault
 	if d.inj != nil {
