@@ -236,12 +236,8 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 	m, lv, li := sys.resolve(vol, ino)
 	start := c.t.Now()
 	c.t.Consume(sys.cfg.Costs.ClientOp)
-	blocks := make([][]byte, nblocks)
-	recBytes := uint64(0)
-	for b := 0; b < nblocks; b++ {
-		blocks[b] = sys.payload(ino, fbn+FBN(b), tag)
-		recBytes += nvlog.Record{Data: blocks[b], LogicalBytes: block.Size}.Size()
-	}
+	// A payload is at most one block, so every record has the same size.
+	recBytes := uint64(nblocks) * nvlog.Record{LogicalBytes: block.Size}.Size()
 	// Reserve NVRAM space up front (this is where overload stalls the op);
 	// the records themselves are appended inside the stripe messages,
 	// immediately adjacent to dirtying each buffer, so a record and its
@@ -285,16 +281,18 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 					v.EnsureL0Resident(f, fbn+FBN(b))
 					// Log + dirty with no simulation primitive in between:
 					// atomic with respect to CP freezes. Records carry
-					// member-local coordinates. The payload array belongs
-					// to the log record from here on; WriteBlock copies it
-					// once (PayloadBytes bytes) into the buffer's own image,
-					// which later overwrites reuse in place — sharing the
-					// array would let them rewrite a record awaiting replay.
+					// member-local coordinates. The payload array is built
+					// here and belongs to the log record from here on;
+					// WriteBlock copies it once (PayloadBytes bytes) into the
+					// buffer's own image, which later overwrites reuse in
+					// place — sharing the array would let them rewrite a
+					// record awaiting replay.
+					data := sys.payload(ino, fbn+FBN(b), tag)
 					res.Append(nvlog.Record{
 						Kind: nvlog.OpWrite, Vol: uint32(lv), Ino: li,
-						FBN: fbn + FBN(b), Data: blocks[b], LogicalBytes: block.Size,
+						FBN: fbn + FBN(b), Data: data, LogicalBytes: block.Size,
 					})
-					f.WriteBlock(fbn+FBN(b), blocks[b])
+					f.WriteBlock(fbn+FBN(b), data)
 					if m.bc != nil {
 						// A freshly written block is buffer-cache resident.
 						m.bc.Insert(bcache.Key{Vol: lv, Ino: li, FBN: fbn + FBN(b)})

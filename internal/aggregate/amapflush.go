@@ -95,7 +95,9 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 			if vbn == block.InvalidVBN {
 				panic("aggregate: no space for activemap flush")
 			}
-			a.Sched().Tracer().NoteBlock(uint64(vbn), "amap flush plan")
+			if tr := a.Sched().Tracer(); tr != nil {
+				tr.NoteBlock(uint64(vbn), "amap flush plan")
+			}
 			a.Activemap.Set(uint64(vbn))
 			assigned[k] = vbn
 			changed = true

@@ -3,6 +3,7 @@ package core
 import (
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
+	"wafl/internal/fifo"
 	"wafl/internal/storage"
 )
 
@@ -33,9 +34,14 @@ func (b *Bucket) Used() []block.VBN { return b.vbns[:b.next] }
 // exclusive access to that drive's list, so no locking is needed on the
 // enqueue path — the paper's lock-free tetris insertion.
 type Tetris struct {
-	group    int
-	window   block.DBN
+	group  int
+	window block.DBN
+	drives int
+	// perDrive is taken from spare by the first add after the window opens
+	// (or after a send), and goes back to spare, emptied, once RAID reports
+	// every drive I/O built from it complete.
 	perDrive [][]storage.WriteReq
+	spare    *fifo.Queue[[][]storage.WriteReq]
 	// outstanding counts buckets not yet returned via PUT (or exhausted);
 	// when it reaches zero the I/O is sent. initialBuckets is the number
 	// of non-empty buckets the window produced, and committedBuckets
@@ -47,12 +53,15 @@ type Tetris struct {
 	blocks           int
 }
 
-func newTetris(group int, window block.DBN, drives int) *Tetris {
-	return &Tetris{group: group, window: window, perDrive: make([][]storage.WriteReq, drives)}
-}
-
 // add enqueues a cleaned block's payload at its assigned location.
 func (t *Tetris) add(drive int, dbn block.DBN, data []byte) {
+	if t.perDrive == nil {
+		if t.spare.Len() > 0 {
+			t.perDrive = t.spare.Pop()
+		} else {
+			t.perDrive = make([][]storage.WriteReq, t.drives)
+		}
+	}
 	t.perDrive[drive] = append(t.perDrive[drive], storage.WriteReq{DBN: dbn, Data: data})
 	t.blocks++
 }
@@ -97,4 +106,23 @@ func (s *bitset) reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
+}
+
+// recycleBucket ends a bucket's lifetime — its allocations committed, or its
+// reservation released unused — and keeps its VBN slice for the next fill.
+func (in *Infra) recycleBucket(b *Bucket) {
+	*b = Bucket{vbns: b.vbns[:0]}
+	in.spareBuckets.Push(b)
+}
+
+// dropBucket releases an unused bucket's reservation and recycles it.
+func (in *Infra) dropBucket(b *Bucket) {
+	release(in.phys, b.vbns)
+	in.recycleBucket(b)
+}
+
+// recycleVBucket is recycleBucket for the virtual side.
+func (in *Infra) recycleVBucket(vb *VBucket) {
+	*vb = VBucket{vvbns: vb.vvbns[:0], pvbns: vb.pvbns[:0]}
+	in.spareVBuckets.Push(vb)
 }

@@ -24,7 +24,7 @@ type env struct {
 	opts Options
 }
 
-func newEnv(t *testing.T, mutate func(*Options)) *env {
+func newEnv(t testing.TB, mutate func(*Options)) *env {
 	t.Helper()
 	s := sim.New(8, 1)
 	w := waffinity.New(s, 8, 0)
@@ -60,7 +60,7 @@ func (e *env) drain(th *sim.Thread) {
 
 // runThread runs fn on a fresh simulated thread and drives the simulation
 // until it completes (or the deadline hits).
-func (e *env) runThread(t *testing.T, fn func(th *sim.Thread)) {
+func (e *env) runThread(t testing.TB, fn func(th *sim.Thread)) {
 	t.Helper()
 	done := false
 	e.s.Go("test", sim.CatCP, func(th *sim.Thread) {
@@ -300,13 +300,13 @@ func TestPendingFreeBlocksReuseUntilEndCP(t *testing.T) {
 			if sp.amap.IsSet(bn) {
 				t.Fatal("free not applied")
 			}
-			got, _ := findFree[uint64](sp, bn, bn+1, 1)
+			got, _ := findFree(sp, []uint64(nil), bn, bn+1, 1)
 			if len(got) != 0 {
 				t.Fatal("same-CP-freed block offered for reuse")
 			}
 			e.runThread(t, func(th *sim.Thread) { e.drain(th) })
 			e.in.EndCP()
-			got, _ = findFree[uint64](sp, bn, bn+1, 1)
+			got, _ = findFree(sp, []uint64(nil), bn, bn+1, 1)
 			if len(got) != 1 {
 				t.Fatal("freed block not reusable after EndCP")
 			}
@@ -632,5 +632,31 @@ func TestDrainLeavesNoReservations(t *testing.T) {
 		}
 		e.runThread(t, func(th *sim.Thread) { e.drain(th) })
 		noReservations(t, e.in)
+		// A dropped bucket ends its lifetime like a committed one.
+		geo := e.a.Geometry()
+		if got, want := e.in.spareBuckets.Len(), windowsAhead*geo.NumGroups*geo.DataDrives; got != want {
+			t.Fatalf("%d buckets recycled by the drain, want %d", got, want)
+		}
+		if got, want := e.in.spareVBuckets.Len(), volBucketsReady*len(e.in.vols); got != want {
+			t.Fatalf("%d vbuckets recycled by the drain, want %d", got, want)
+		}
 	})
+}
+
+// TestFindFreeWarmDstAllocatesNothing pins what recycling a bucket buys: a
+// fill that scans into a slice with the capacity of a previous fill
+// allocates nothing.
+func TestFindFreeWarmDstAllocatesNothing(t *testing.T) {
+	e := newEnv(t, nil)
+	chunk := e.opts.ChunkBlocks
+	lo, hi := uint64(1), uint64(1+chunk)
+	dst, _ := findFree(e.in.phys, []block.VBN(nil), lo, hi, chunk)
+	if len(dst) != chunk {
+		t.Fatalf("found %d free blocks in a fresh window, want %d", len(dst), chunk)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst, _ = findFree(e.in.phys, dst, lo, hi, chunk)
+	}); allocs != 0 {
+		t.Fatalf("findFree into a warm dst allocates %.1f times, want 0", allocs)
+	}
 }

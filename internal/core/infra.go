@@ -104,6 +104,14 @@ type Infra struct {
 
 	obsGroupTid []int32 // interned per-group trace track id + 1; 0 = unset
 
+	// Recycled window state (DESIGN §9): buckets and vbuckets come back when
+	// committed or dropped, a tetris's per-drive lists when RAID completes
+	// their I/O; metaScan is FindMetaVBN's one-candidate scratch.
+	spareBuckets  fifo.Queue[*Bucket]
+	spareVBuckets fifo.Queue[*VBucket]
+	spareLists    fifo.Queue[[][]storage.WriteReq]
+	metaScan      []block.VBN
+
 	stats InfraStats
 }
 
@@ -248,7 +256,13 @@ func (in *Infra) fillBucket(t *sim.Thread, group, drive int, start, depth block.
 	lo := uint64(geo.VBNOf(group, drive, start))
 	hi := lo + uint64(depth)
 	fillStart := t.Now()
-	vbns, words := findFree[block.VBN](in.phys, lo, hi, int(depth))
+	var b *Bucket
+	if in.spareBuckets.Len() > 0 {
+		b = in.spareBuckets.Pop()
+	} else {
+		b = new(Bucket)
+	}
+	vbns, words := findFree(in.phys, b.vbns, lo, hi, int(depth))
 	in.stats.FillWords += uint64(words)
 	t.ConsumeAs(sim.CatInfra, in.costs.FillFixed+sim.Duration(words)*in.costs.FillPerWord)
 	if tr := t.Tracer(); tr != nil {
@@ -256,7 +270,8 @@ func (in *Infra) fillBucket(t *sim.Thread, group, drive int, start, depth block.
 			int64(fillStart), int64(t.Now()), int64(len(vbns)))
 	}
 	reserve(in.phys, vbns)
-	return &Bucket{group: group, drive: drive, window: start, vbns: vbns, tetris: te}
+	*b = Bucket{group: group, drive: drive, window: start, vbns: vbns, tetris: te}
+	return b
 }
 
 // requestWindow begins filling the next window of a group, sending one fill
@@ -271,7 +286,7 @@ func (in *Infra) requestWindow(group int) {
 			int64(in.s.Now()), int64(start))
 	}
 	wf := &windowFill{
-		tetris:  newTetris(group, start, drives),
+		tetris:  &Tetris{group: group, window: start, drives: drives, spare: &in.spareLists},
 		buckets: make([]*Bucket, drives),
 		pending: drives,
 	}
@@ -302,7 +317,7 @@ func (in *Infra) requestWindow(group int) {
 // drive's fill has landed (or been dropped).
 func (in *Infra) installBucketEarly(t *sim.Thread, wf *windowFill, b *Bucket) {
 	if in.draining || !in.inCP {
-		release(in.phys, b.vbns)
+		in.dropBucket(b)
 		return
 	}
 	if len(b.vbns) > 0 {
@@ -313,6 +328,8 @@ func (in *Infra) installBucketEarly(t *sim.Thread, wf *windowFill, b *Bucket) {
 		in.cacheMu.Unlock(t)
 		in.stats.BucketsFilled++
 		in.cacheCond.Signal()
+	} else {
+		in.recycleBucket(b)
 	}
 	if wf.pending == 0 && wf.tetris.initialBuckets == 0 {
 		in.stats.WindowsSkipped++
@@ -329,19 +346,20 @@ func (in *Infra) installWindow(t *sim.Thread, wf *windowFill) {
 		// reservation reset at EndCP and collide with the next CP's
 		// fills. Release the reservations and drop the window.
 		for _, b := range wf.buckets {
-			if b != nil {
-				release(in.phys, b.vbns)
-			}
+			in.dropBucket(b)
 		}
 		return
 	}
 	nonEmpty := 0
 	for _, b := range wf.buckets {
-		if b != nil && len(b.vbns) > 0 {
+		if len(b.vbns) > 0 {
 			nonEmpty++
 		}
 	}
 	if nonEmpty == 0 {
+		for _, b := range wf.buckets {
+			in.recycleBucket(b)
+		}
 		in.stats.WindowsSkipped++
 		in.requestWindow(wf.tetris.group)
 		return
@@ -354,9 +372,11 @@ func (in *Infra) installWindow(t *sim.Thread, wf *windowFill) {
 	}
 	in.cacheMu.Lock(t)
 	for _, b := range wf.buckets {
-		if b != nil && len(b.vbns) > 0 {
+		if len(b.vbns) > 0 {
 			in.cache.Push(b)
 			in.stats.BucketsFilled++
+		} else {
+			in.recycleBucket(b)
 		}
 	}
 	in.cacheMu.Unlock(t)
@@ -409,7 +429,7 @@ func (in *Infra) PutBucket(t *sim.Thread, b *Bucket) {
 }
 
 // commitBucket pops the oldest used bucket — every PUT pushed one and sent
-// one commit — and applies its allocations to the activemap.
+// one commit — applies its allocations to the activemap and recycles it.
 func (in *Infra) commitBucket(t *sim.Thread) {
 	b := in.usedQueue.Pop()
 	used := b.Used()
@@ -421,14 +441,17 @@ func (in *Infra) commitBucket(t *sim.Thread) {
 			panic(fmt.Sprintf("core: double allocation of %v committing bucket group=%d drive=%d window=%d (reserved=%v pendingFree=%v) last setter: %s",
 				vbn, b.group, b.drive, b.window, in.phys.reserved.test(uint64(vbn)), in.phys.pendingFree.test(uint64(vbn)), tr.BlockNote(uint64(vbn))))
 		}
-		tr.NoteBlock(uint64(vbn), "commitBucket g=%d d=%d win=%d cp=%d", b.group, b.drive, b.window, in.a.CPCount())
+		if tr != nil { // NoteBlock's arguments are boxed before its own nil check
+			tr.NoteBlock(uint64(vbn), "commitBucket g=%d d=%d win=%d cp=%d", b.group, b.drive, b.window, in.a.CPCount())
+		}
 		in.a.Activemap.Set(uint64(vbn))
 	}
 	release(in.phys, b.vbns)
 	in.stats.BucketsCommitted++
+	te := b.tetris
+	in.recycleBucket(b)
 
 	// Refill: when the whole window has been committed, fill the next one.
-	te := b.tetris
 	te.committedBuckets++
 	if te.committedBuckets == te.initialBuckets && !in.draining && in.inCP {
 		in.requestWindow(te.group)
@@ -451,7 +474,8 @@ func distinctBlocks[T ~uint64](bns []T, per uint64) int {
 }
 
 // sendTetris builds the window's write I/O and submits it to RAID,
-// charging parity XOR to the RAID category.
+// charging parity XOR to the RAID category. The per-drive lists go back to
+// the free list, emptied, when RAID reports every drive I/O complete.
 func (in *Infra) sendTetris(t *sim.Thread, te *Tetris) {
 	t.Consume(in.costs.TetrisSend)
 	in.stats.TetrisesSent++
@@ -463,12 +487,16 @@ func (in *Infra) sendTetris(t *sim.Thread, te *Tetris) {
 	}
 	in.pendingIO++
 	writes := te.perDrive
-	// Reset so a bucket inserted into this window later (the
+	// Detach so a bucket inserted into this window later (the
 	// EqualProgress=false ablation) accumulates a fresh, smaller I/O
 	// instead of resending these blocks.
-	te.perDrive = make([][]storage.WriteReq, len(writes))
-	te.blocks = 0
+	te.perDrive, te.blocks = nil, 0
 	res := in.a.Group(te.group).Write(writes, in.costs.ParityPerBlock, func() {
+		for d := range writes {
+			clear(writes[d])
+			writes[d] = writes[d][:0]
+		}
+		in.spareLists.Push(writes)
 		in.ioDone()
 	})
 	if res.ParityCPU > 0 {

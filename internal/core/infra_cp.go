@@ -50,8 +50,8 @@ func (in *Infra) DrainOps(t *sim.Thread) {
 	cache := in.cache.TakeAll()
 	in.cacheMu.Unlock(t)
 	for _, b := range cache {
-		release(in.phys, b.vbns)
 		te := b.tetris
+		in.dropBucket(b)
 		te.outstanding--
 		te.initialBuckets-- // it will never be committed either
 		if te.outstanding == 0 && te.blocks > 0 {
@@ -61,6 +61,7 @@ func (in *Infra) DrainOps(t *sim.Thread) {
 	for _, vs := range in.vols {
 		for _, vb := range vs.cache.TakeAll() {
 			release(vs.space, vb.vvbns)
+			in.recycleVBucket(vb)
 		}
 	}
 	for in.pendingOps > 0 {
@@ -138,7 +139,8 @@ func (in *Infra) FindMetaVBN(t *sim.Thread) block.VBN {
 		in.metaCursor = 1
 	}
 	for wrap := 0; wrap < 2; wrap++ {
-		vbns, words := findFree[block.VBN](in.phys, in.metaCursor, total, 1)
+		vbns, words := findFree(in.phys, in.metaScan, in.metaCursor, total, 1)
+		in.metaScan = vbns
 		if t != nil {
 			t.ConsumeAs(sim.CatInfra, sim.Duration(words)*in.costs.FillPerWord)
 		}

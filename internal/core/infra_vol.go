@@ -56,11 +56,11 @@ func (in *Infra) selectVRegion(vs *volState) (int, int) {
 	return best, words
 }
 
-// scanVBucket finds the next chunk of free VVBNs for the volume, charging
-// the scan to the executing thread.
-func (in *Infra) scanVBucket(t *sim.Thread, vs *volState) []block.VVBN {
+// scanVBucket finds the next chunk of free VVBNs for the volume, appending
+// them to dst[:0] and charging the scan to the executing thread.
+func (in *Infra) scanVBucket(t *sim.Thread, vs *volState, dst []block.VVBN) []block.VVBN {
 	chunk := uint64(in.opts.ChunkBlocks)
-	var vvbns []block.VVBN
+	vvbns := dst[:0]
 	fillWords := 0
 	for len(vvbns) == 0 {
 		if vs.region < 0 || vs.cursor >= uint64(vs.region+1)*vRegionBits {
@@ -90,7 +90,7 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState) []block.VVBN {
 			hi = limit
 		}
 		var words int
-		vvbns, words = findFree[block.VVBN](vs.space, vs.cursor, hi, int(chunk))
+		vvbns, words = findFree(vs.space, vvbns, vs.cursor, hi, int(chunk))
 		fillWords += words
 		vs.cursor = hi
 	}
@@ -106,13 +106,22 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState) []block.VVBN {
 func (in *Infra) requestVBucket(vs *volState) {
 	vs.pendingFills++
 	in.send(vs.aff(bitmap.BlockOf(vs.cursor)), func(t *sim.Thread) {
-		vvbns := in.scanVBucket(t, vs)
+		var vb *VBucket
+		if in.spareVBuckets.Len() > 0 {
+			vb = in.spareVBuckets.Pop()
+		} else {
+			vb = new(VBucket)
+		}
+		vb.vvbns = in.scanVBucket(t, vs, vb.vvbns)
 		vs.pendingFills--
 		if in.draining || !in.inCP {
-			return // quiescing: drop the fill (nothing was reserved yet)
+			// Quiescing: drop the fill (nothing was reserved yet).
+			in.recycleVBucket(vb)
+			return
 		}
-		reserve(vs.space, vvbns)
-		vs.cache.Push(&VBucket{vol: vs.vol, vvbns: vvbns})
+		reserve(vs.space, vb.vvbns)
+		vb.vol = vs.vol
+		vs.cache.Push(vb)
 		in.stats.VBucketsFilled++
 		vs.cond.Signal()
 	})
@@ -158,6 +167,7 @@ func (in *Infra) PutVBucket(t *sim.Thread, vb *VBucket) {
 	if vb.next == 0 {
 		// Nothing used: release reservations directly.
 		release(vs.space, vb.vvbns)
+		in.recycleVBucket(vb)
 		return
 	}
 	in.send(vs.aff(bitmap.BlockOf(uint64(vb.vvbns[0]))), func(wt *sim.Thread) {
@@ -166,7 +176,7 @@ func (in *Infra) PutVBucket(t *sim.Thread, vb *VBucket) {
 }
 
 // commitVBucket applies a used virtual bucket's allocations and container
-// entries.
+// entries, and recycles it.
 func (in *Infra) commitVBucket(wt *sim.Thread, vs *volState, vb *VBucket) {
 	used := vb.vvbns[:vb.next]
 	amapBlocks := distinctBlocks(used, bitmap.BitsPerBlock)
@@ -183,5 +193,6 @@ func (in *Infra) commitVBucket(wt *sim.Thread, vs *volState, vb *VBucket) {
 		vb.vol.SetContainer(vv, vb.pvbns[i])
 	}
 	release(vs.space, vb.vvbns)
+	in.recycleVBucket(vb)
 	in.stats.VBucketsCommitted++
 }

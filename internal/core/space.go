@@ -91,10 +91,10 @@ func (sp *space) aff(fbn block.FBN) *waffinity.Affinity {
 // findFree scans [lo, hi) for up to max allocatable block numbers: free on
 // disk, not freed in this CP, not reserved by another bucket, not
 // snapshot-held. It keeps scanning until it has max candidates or the range
-// is exhausted, and returns the candidates and the number of bitmap words
-// examined.
-func findFree[T ~uint64](sp *space, lo, hi uint64, max int) ([]T, int) {
-	out := make([]T, 0, max)
+// is exhausted, and returns the candidates, appended to dst[:0], and the
+// number of bitmap words examined.
+func findFree[T ~uint64](sp *space, dst []T, lo, hi uint64, max int) ([]T, int) {
+	out := dst[:0]
 	words := 0
 	for lo < hi && len(out) < max {
 		raw, w := sp.find(sp.scanBuf[:0], lo, hi, max)

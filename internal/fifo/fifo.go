@@ -1,5 +1,6 @@
 // Package fifo provides the one slice-backed queue the simulator's run
-// queues, waiter lists, message queues and bucket caches share.
+// queues, waiter lists, message queues, bucket caches and the allocation
+// window's free lists share.
 package fifo
 
 // Queue is a slice-backed FIFO that pops in O(1) and does not leak its

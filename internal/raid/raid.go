@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"wafl/internal/block"
+	"wafl/internal/fifo"
 	"wafl/internal/sim"
 	"wafl/internal/storage"
 )
@@ -35,7 +36,53 @@ type Group struct {
 	parity *storage.Drive
 	depth  block.DBN // blocks per drive
 
+	// spare holds stripe scratch no write uses any more; several writes can
+	// be in flight on one group, each holding its own.
+	spare fifo.Queue[*stripeScratch]
+
 	stats Stats
+}
+
+// stripeScratch is one Write's planning state: the touched stripes' DBNs,
+// their rows (stripe k is rows[k*nd:(k+1)*nd]: per data drive the new image
+// where fresh, else the old image phase A reads for parity), the per-drive
+// reconstruction reads and the parity requests. It goes back to the group
+// once issueWrites has submitted every drive write — drives copy their
+// requests — so nothing in it outlives the submission. The parity arrays
+// themselves go to the media and are never reused.
+type stripeScratch struct {
+	dbns       []block.DBN
+	rows       [][]byte
+	fresh      []bool
+	readPlan   [][]block.DBN
+	parityReqs []storage.WriteReq
+}
+
+// rowOf returns the index in rows of stripe dbn's first data drive.
+func (sc *stripeScratch) rowOf(dbn block.DBN, nd int) int {
+	k, _ := slices.BinarySearch(sc.dbns, dbn)
+	return k * nd
+}
+
+// takeScratch returns empty stripe scratch, recycled when the group has
+// some.
+func (g *Group) takeScratch() *stripeScratch {
+	if g.spare.Len() > 0 {
+		return g.spare.Pop()
+	}
+	return &stripeScratch{readPlan: make([][]block.DBN, len(g.data))}
+}
+
+// recycle empties sc, dropping its references to block images, and returns
+// it to the group.
+func (g *Group) recycle(sc *stripeScratch) {
+	clear(sc.rows)
+	clear(sc.parityReqs)
+	sc.dbns, sc.rows, sc.fresh, sc.parityReqs = sc.dbns[:0], sc.rows[:0], sc.fresh[:0], sc.parityReqs[:0]
+	for di := range sc.readPlan {
+		sc.readPlan[di] = sc.readPlan[di][:0]
+	}
+	g.spare.Push(sc)
 }
 
 // NewGroup builds a RAID group with ndata data drives and one parity drive,
@@ -93,48 +140,40 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 	}
 	g.stats.StripeWriteIOs++
 
-	// The touched stripes, DBN-sorted. Stripe k's row is
-	// rows[k*nd:(k+1)*nd]: per data drive the new image where fresh, else
-	// the old image phase A reads for parity.
+	// The touched stripes, DBN-sorted, and their rows.
 	nd := len(g.data)
-	n := 0
-	for _, reqs := range writes {
-		n += len(reqs)
-	}
-	dbns := make([]block.DBN, 0, n)
+	sc := g.takeScratch()
 	for _, reqs := range writes {
 		for _, r := range reqs {
-			dbns = append(dbns, r.DBN)
+			sc.dbns = append(sc.dbns, r.DBN)
 		}
 	}
-	if len(dbns) == 0 {
+	if len(sc.dbns) == 0 {
+		g.recycle(sc)
 		if done != nil {
 			g.s.After(0, done)
 		}
 		return res
 	}
-	slices.Sort(dbns)
-	dbns = slices.Compact(dbns)
-	rowOf := func(dbn block.DBN) int {
-		k, _ := slices.BinarySearch(dbns, dbn)
-		return k * nd
-	}
-	rows := make([][]byte, len(dbns)*nd)
-	fresh := make([]bool, len(rows))
+	slices.Sort(sc.dbns)
+	sc.dbns = slices.Compact(sc.dbns)
+	n := len(sc.dbns) * nd
+	sc.rows = slices.Grow(sc.rows, n)[:n]
+	sc.fresh = slices.Grow(sc.fresh, n)[:n]
+	clear(sc.fresh)
 	for di, reqs := range writes {
 		for _, r := range reqs {
-			i := rowOf(r.DBN) + di
-			rows[i], fresh[i] = r.Data, true
+			i := sc.rowOf(r.DBN, nd) + di
+			sc.rows[i], sc.fresh[i] = r.Data, true
 		}
 	}
 
 	// Classify stripes and plan reconstruction reads for partial ones.
-	readPlan := make([][]block.DBN, nd)
-	for k, dbn := range dbns {
+	for k, dbn := range sc.dbns {
 		missing := 0
-		for di := range readPlan {
-			if !fresh[k*nd+di] {
-				readPlan[di] = append(readPlan[di], dbn)
+		for di := range sc.readPlan {
+			if !sc.fresh[k*nd+di] {
+				sc.readPlan[di] = append(sc.readPlan[di], dbn)
 				missing++
 			}
 		}
@@ -145,7 +184,7 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 			res.ParityReads += missing
 		}
 	}
-	res.ParityCPU = sim.Duration(len(rows)) * parityCPUPerBlock
+	res.ParityCPU = sim.Duration(n) * parityCPUPerBlock
 
 	g.stats.FullStripeWrites += uint64(res.FullStripes)
 	g.stats.PartialStripeWrites += uint64(res.PartialStripes)
@@ -154,8 +193,7 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 	// Phase A: issue reconstruction reads. When all complete, compute
 	// parity and issue the data + parity writes (phase B).
 	pendingReads := 0
-	issueB := func() { g.issueWrites(writes, dbns, rows, done) }
-	for di, plan := range readPlan {
+	for di, plan := range sc.readPlan {
 		if len(plan) == 0 {
 			continue
 		}
@@ -163,16 +201,16 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 		di, plan := di, plan
 		g.data[di].Read(plan, func(bs [][]byte) {
 			for i, dbn := range plan {
-				rows[rowOf(dbn)+di] = bs[i]
+				sc.rows[sc.rowOf(dbn, nd)+di] = bs[i]
 			}
 			pendingReads--
 			if pendingReads == 0 {
-				issueB()
+				g.issueWrites(writes, sc, done)
 			}
 		})
 	}
 	if pendingReads == 0 {
-		issueB()
+		g.issueWrites(writes, sc, done)
 	}
 	return res
 }
@@ -190,18 +228,17 @@ func xorAll(imgs [][]byte) []byte {
 	return out
 }
 
-// issueWrites computes parity for each touched stripe (rows as in Write) and
-// submits one I/O per data drive plus one parity-drive I/O, invoking done
-// when all complete.
-func (g *Group) issueWrites(writes [][]storage.WriteReq, dbns []block.DBN, rows [][]byte, done func()) {
+// issueWrites computes parity for each touched stripe of sc and submits one
+// I/O per data drive plus one parity-drive I/O, invoking done when all
+// complete. sc goes back to the group once every I/O is submitted.
+func (g *Group) issueWrites(writes [][]storage.WriteReq, sc *stripeScratch, done func()) {
 	nd := len(g.data)
-	parityReqs := make([]storage.WriteReq, len(dbns))
-	for k, dbn := range dbns {
+	for k, dbn := range sc.dbns {
 		// One array per stripe, not one slab per write: a slab would stay
 		// on the media until the last of its stripes is rewritten.
-		parityReqs[k] = storage.WriteReq{DBN: dbn, Data: xorAll(rows[k*nd : (k+1)*nd])}
+		sc.parityReqs = append(sc.parityReqs, storage.WriteReq{DBN: dbn, Data: xorAll(sc.rows[k*nd : (k+1)*nd])})
 	}
-	g.stats.ParityBlocksWritten += uint64(len(parityReqs))
+	g.stats.ParityBlocksWritten += uint64(len(sc.parityReqs))
 
 	pending := 1 // parity I/O
 	for _, reqs := range writes {
@@ -220,7 +257,8 @@ func (g *Group) issueWrites(writes [][]storage.WriteReq, dbns []block.DBN, rows 
 			g.data[di].Write(reqs, complete)
 		}
 	}
-	g.parity.Write(parityReqs, complete)
+	g.parity.Write(sc.parityReqs, complete)
+	g.recycle(sc)
 }
 
 // stripe returns the committed images of stripe dbn: every data drive's

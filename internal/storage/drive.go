@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"wafl/internal/block"
+	"wafl/internal/fifo"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
 )
@@ -121,9 +122,14 @@ type Drive struct {
 	// inflight tracks submitted-but-incomplete write I/Os in submission
 	// order, so a crash can tear them (land a prefix) deterministically.
 	inflight []*inflightWrite
+	// spare holds records whose I/O completed and landed, for the next
+	// Write to copy its requests into. A record a crash dropped, or a Drop
+	// fault lost, never comes back here.
+	spare fifo.Queue[*inflightWrite]
 }
 
-// inflightWrite is one submitted write I/O awaiting completion.
+// inflightWrite is one submitted write I/O awaiting completion: the drive's
+// own copy of the caller's requests.
 type inflightWrite struct {
 	reqs []WriteReq
 }
@@ -225,9 +231,15 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 	completion := d.service(len(reqs), "write")
 	d.stats.WriteIOs++
 	d.stats.BlocksWritten += uint64(len(reqs))
-	// Capture the request slice; payloads are immutable by contract.
-	rs := append([]WriteReq(nil), reqs...)
-	entry := &inflightWrite{reqs: rs}
+	// Copy the requests into a recycled record; payloads are immutable by
+	// contract, so the caller may reuse its slice once Write returns.
+	var entry *inflightWrite
+	if d.spare.Len() > 0 {
+		entry = d.spare.Pop()
+	} else {
+		entry = new(inflightWrite)
+	}
+	entry.reqs = append(entry.reqs[:0], reqs...)
 	d.inflight = append(d.inflight, entry)
 	if wf.Drop {
 		// Lost I/O: no completion ever fires; the entry stays in flight so
@@ -244,9 +256,11 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 			return // lost to a crash before completing
 		}
 		d.removeInflight(entry)
-		for _, r := range rs {
+		for _, r := range entry.reqs {
 			d.media[r.DBN] = r.Data
 		}
+		clear(entry.reqs)
+		d.spare.Push(entry)
 		if done != nil {
 			done()
 		}

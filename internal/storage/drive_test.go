@@ -259,3 +259,65 @@ func TestPeekCheckedFaults(t *testing.T) {
 		t.Fatal("raw Peek must bypass faults")
 	}
 }
+
+// TestSteadyStateWriteAllocatesOnlyItsCompletion pins the in-flight record's
+// lifetime: once a completed write has returned its record, the next Write
+// copies its requests into that record, and the only allocation left is the
+// completion closure.
+func TestSteadyStateWriteAllocatesOnlyItsCompletion(t *testing.T) {
+	s := sim.New(1, 1)
+	d := NewDrive(s, "d0", SSD, 1024)
+	reqs := []WriteReq{{DBN: 1, Data: testBlock(1)}, {DBN: 2, Data: testBlock(2)}}
+	done := func() {}
+	write := func() {
+		d.Write(reqs, done)
+		s.RunFor(sim.Millisecond)
+	}
+	write()
+	if d.SpareRecords() != 1 {
+		t.Fatalf("%d spare records after one completed write, want 1", d.SpareRecords())
+	}
+	if allocs := testing.AllocsPerRun(100, write); allocs != 1 {
+		t.Fatalf("steady-state Write allocates %.1f times, want 1 (its completion)", allocs)
+	}
+}
+
+// TestCrashNeverRecyclesInFlightRecords: a record a crash tore is dropped,
+// not reused. Writes after the crash land exactly what they name, the torn
+// write's stale completion returns nothing to the free list, and its suffix
+// never reaches the media.
+func TestCrashNeverRecyclesInFlightRecords(t *testing.T) {
+	s := sim.New(1, 1)
+	d := NewDrive(s, "d0", SSD, 64)
+	d.SetInjector(&stubInjector{crashPrefix: 1})
+	want := map[block.DBN][]byte{}
+	write := func(reqs ...WriteReq) {
+		d.Write(reqs, nil)
+		for _, r := range reqs {
+			want[r.DBN] = r.Data
+		}
+	}
+	write(WriteReq{DBN: 10, Data: testBlock(1)}, WriteReq{DBN: 11, Data: testBlock(2)})
+	s.RunFor(sim.Millisecond)
+	// The torn write reuses the first write's record.
+	write(WriteReq{DBN: 20, Data: testBlock(3)}, WriteReq{DBN: 21, Data: testBlock(4)})
+	if d.SpareRecords() != 0 {
+		t.Fatal("in-flight write did not take the spare record")
+	}
+	d.DropInFlight()
+	delete(want, 21) // the torn suffix
+	write(WriteReq{DBN: 30, Data: testBlock(5)})
+	write(WriteReq{DBN: 31, Data: testBlock(6)}, WriteReq{DBN: 32, Data: testBlock(7)})
+	s.RunFor(sim.Millisecond) // the torn write's stale completion fires here too
+	if got := d.SpareRecords(); got != 2 {
+		t.Fatalf("%d spare records after two post-crash writes, want 2 (the torn one dropped)", got)
+	}
+	write(WriteReq{DBN: 40, Data: testBlock(8)})
+	write(WriteReq{DBN: 41, Data: testBlock(9)}, WriteReq{DBN: 42, Data: testBlock(10)})
+	s.RunFor(sim.Millisecond)
+	for dbn := block.DBN(0); dbn < d.Blocks(); dbn++ {
+		if got := d.Peek(dbn); !bytes.Equal(got, want[dbn]) || (got == nil) != (want[dbn] == nil) {
+			t.Fatalf("dbn %d holds %v, want %v", dbn, got[:min(len(got), 1)], want[dbn][:min(len(want[dbn]), 1)])
+		}
+	}
+}

@@ -3,3 +3,6 @@ package storage
 // InflightWrites returns the number of write I/Os submitted but not yet
 // completed (or lost) — the population a crash would tear.
 func (d *Drive) InflightWrites() int { return len(d.inflight) }
+
+// SpareRecords returns the number of in-flight records waiting to be reused.
+func (d *Drive) SpareRecords() int { return d.spare.Len() }
