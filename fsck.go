@@ -104,49 +104,31 @@ func (mem *Member) fsck() FsckReport {
 		}
 	}
 
-	// walkSkip traverses a buffer tree on media, handing visit (nil for
-	// metafile trees) every block of it — the root and each pointer, with
+	// walkSkip reads every block of a tree on media (fs.File.Walk),
+	// referencing each and handing it to visit (nil for metafile trees) with
 	// its level and index. skip (nil for most trees) suppresses the physical
 	// reference for blocks whose VVBN it reports true for: a clone's base
 	// blocks are physically owned — and referenced — by the parent snapshot,
 	// so counting the clone's pointer too would read as a double reference.
 	walkSkip := func(f *fs.File, tag string, skip func(block.VVBN) bool, visit func(level int, idx block.FBN, vvbn block.VVBN, vbn block.VBN)) {
-		if f.RootVBN == block.InvalidVBN {
-			return
-		}
-		if skip == nil || f.RootVVBN == block.InvalidVVBN || !skip(f.RootVVBN) {
-			ref(f.RootVBN, tag+" root")
-		}
-		if visit != nil {
-			visit(f.Height(), 0, f.RootVVBN, f.RootVBN)
-		}
-		var rec func(level int, idx block.FBN, vbn block.VBN)
-		rec = func(level int, idx block.FBN, vbn block.VBN) {
+		f.Walk(func(level int, idx block.FBN, vvbn block.VVBN, vbn block.VBN) []byte {
+			if skip == nil || vvbn == block.InvalidVVBN || !skip(vvbn) {
+				what := fmt.Sprintf("%s L%d", tag, level)
+				if level == f.Height() {
+					what = tag + " root"
+				}
+				ref(vbn, what)
+			}
+			if visit != nil {
+				visit(level, idx, vvbn, vbn)
+			}
 			data := m.ReadVBNRaw(vbn)
 			if data == nil {
 				r.Missing++
 				r.Errors = appendCapped(r.Errors, fmt.Sprintf("%s: unreadable block at %v", tag, vbn))
-				return
 			}
-			if level == 0 {
-				return
-			}
-			for i := 0; i < block.PtrsPerBlock; i++ {
-				cvv, cvbn := block.GetPtr(data, i)
-				if cvbn == 0 || cvbn == block.InvalidVBN {
-					continue
-				}
-				childIdx := idx*block.PtrsPerBlock + block.FBN(i)
-				if skip == nil || cvv == block.InvalidVVBN || !skip(cvv) {
-					ref(cvbn, fmt.Sprintf("%s L%d", tag, level-1))
-				}
-				if visit != nil {
-					visit(level-1, childIdx, cvv, cvbn)
-				}
-				rec(level-1, childIdx, cvbn)
-			}
-		}
-		rec(f.Height(), 0, f.RootVBN)
+			return data
+		})
 	}
 	walk := func(f *fs.File, tag string) { walkSkip(f, tag, nil, nil) }
 

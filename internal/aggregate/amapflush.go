@@ -43,9 +43,7 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 		level int
 		idx   block.FBN
 	}
-	keyOf := func(b *fs.Buffer) key {
-		return key{b.Level(), b.FBN() >> (8 * uint(b.Level()))}
-	}
+	keyOf := func(b *fs.Buffer) key { return key{b.Level(), b.Index()} }
 
 	assigned := make(map[key]block.VBN)
 	member := make(map[key]*fs.Buffer)

@@ -251,7 +251,7 @@ func (v *Volume) SnapReadBlock(t *sim.Thread, snapID, ino uint64, fbn block.FBN)
 		}
 		return v.aggr.ReadVBNRaw(vbn)
 	}
-	return snap.ReadTree(read, rec, fbn), true
+	return fs.ReadTree(read, rec, fbn), true
 }
 
 // SummaryHeld reports whether vvbn is held by at least one snapshot.

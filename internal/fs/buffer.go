@@ -77,6 +77,10 @@ func (b *Buffer) FBN() block.FBN { return b.fbn }
 // Level returns the buffer's tree level (0 = data).
 func (b *Buffer) Level() int { return b.level }
 
+// Index returns the buffer's position within its level (its FBN for an L0):
+// (Level, Index) names the block in the tree.
+func (b *Buffer) Index() block.FBN { return b.fbn >> (radixBits * uint(b.level)) }
+
 // VVBN returns the buffer's current on-disk virtual address.
 func (b *Buffer) VVBN() block.VVBN { return b.vvbn }
 

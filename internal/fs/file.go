@@ -145,9 +145,6 @@ func (f *File) Size() block.FBN { return f.size }
 // MaxBlocks returns the file's addressable capacity in blocks.
 func (f *File) MaxBlocks() uint64 { return 1 << (radixBits * uint(f.height)) }
 
-// index returns b's position within its level (fbn >> (8*level)).
-func index(b *Buffer) block.FBN { return b.fbn >> (radixBits * uint(b.level)) }
-
 // digit returns the slot, within the index node at level l, on the path to
 // the buffer at (level, idx).
 func digit(level int, idx block.FBN, l int) int {
@@ -359,7 +356,7 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte
 		}
 		return img, oldVVBN, oldVBN
 	}
-	idx := index(b)
+	idx := b.Index()
 	parent := f.getOrCreate(b.level+1, idx>>radixBits)
 	pd := parent.CPMutableData()
 	block.PutPtr(pd, int(idx&(block.PtrsPerBlock-1)), vvbn, vbn)
@@ -397,7 +394,7 @@ func (f *File) GetOrCreateL0(fbn block.FBN) *Buffer {
 // before committing to bit changes.
 func (f *File) AncestorPath(b *Buffer) []*Buffer {
 	var out []*Buffer
-	idx := index(b)
+	idx := b.Index()
 	for level := b.level + 1; level <= f.height; level++ {
 		idx >>= radixBits
 		out = append(out, f.getOrCreate(level, idx))

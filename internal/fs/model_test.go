@@ -16,7 +16,7 @@ type pos struct {
 	idx   block.FBN
 }
 
-func posOf(b *Buffer) pos { return pos{b.level, index(b)} }
+func posOf(b *Buffer) pos { return pos{b.level, b.Index()} }
 
 // sparseFBN draws an FBN for a tree of the given height: mostly near the
 // bottom of the file, sometimes around an indirect-block boundary or at the

@@ -11,9 +11,10 @@
 // reclaims exclusively-held blocks back to the aggregate.
 //
 // The package holds the snapshot data types, the on-disk snapdir entry
-// format, and the pure bitmap/tree algorithms (content capture, delete
-// diffing, media-image reads). Wiring into volumes, the CP engine, the
-// allocator, and the NVRAM log lives in the owning packages.
+// format, and the pure bitmap algorithms (content capture, delete diffing).
+// Reading a frozen tree off the media is fs.ReadTree. Wiring into volumes,
+// the CP engine, the allocator, and the NVRAM log lives in the owning
+// packages.
 package snap
 
 import (
@@ -187,29 +188,4 @@ func RecordAt(inoCopy *fs.File, ino uint64) (fs.Record, bool) {
 		return fs.Record{}, false
 	}
 	return rec, true
-}
-
-// ReadTree reads FBN fbn of the frozen file described by rec, walking the
-// committed media image through the read callback (typically an untimed or
-// timed aggregate block read). Snapshot trees are never resident in buffer
-// caches — the walk touches media at every level. A nil return means a hole
-// in the snapshot image.
-func ReadTree(read func(block.VBN) []byte, rec fs.Record, fbn block.FBN) []byte {
-	if rec.RootVBN == block.InvalidVBN {
-		return nil
-	}
-	vbn := rec.RootVBN
-	for level := int(rec.Height); level > 0; level-- {
-		data := read(vbn)
-		if data == nil {
-			return nil
-		}
-		childIdx := int((fbn >> (8 * uint(level-1))) & (block.PtrsPerBlock - 1))
-		_, cvbn := block.GetPtr(data, childIdx)
-		if cvbn == 0 || cvbn == block.InvalidVBN {
-			return nil // hole
-		}
-		vbn = cvbn
-	}
-	return read(vbn)
 }
