@@ -2,9 +2,11 @@ package wafl
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"wafl/internal/block"
+	"wafl/internal/storage"
 )
 
 // crashConfig is fullPayloadConfig with a small NVRAM (frequent CPs) so a
@@ -303,6 +305,30 @@ func TestPersistentReadErrorReconstructed(t *testing.T) {
 	// with the bad block still failing.
 	if rep := sys.Fsck(); !rep.OK() {
 		t.Fatalf("fsck with persistent read error: %s", rep)
+	}
+}
+
+// TestDamagedImageIsAnError overwrites the committed root of volume 0's inode
+// file with a never-written image: the superblock is intact, but the tree
+// points at a block the media does not hold. Mounting that image is an
+// error, which Fsck reports and Recover returns, not a panic.
+func TestDamagedImageIsAnError(t *testing.T) {
+	sys, _ := newCrashSystem(t, crashConfig())
+	a := sys.m0().a
+	root := a.Volume(0).InoFile().RootVBN
+	g, d, dbn := a.Geometry().Locate(root)
+	a.Group(g).Drive(d).Write([]storage.WriteReq{{DBN: dbn, Data: nil}}, nil)
+	sys.Run(Millisecond)
+	if a.ReadVBNRaw(root) != nil {
+		t.Fatal("the damaging write has not landed")
+	}
+	want := fmt.Sprintf("aggregate: volume 0: metafile 1 block (level 2, index 0) at %v unreadable", root)
+	if rep := sys.Fsck(); rep.OK() || len(rep.Errors) != 1 || rep.Errors[0] != want {
+		t.Fatalf("fsck of the damaged image: %s %q, want the error %q", rep, rep.Errors, want)
+	}
+	sys.Crash()
+	if _, err := sys.Recover(); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("recovery from the damaged image: %v, want an error ending %q", err, want)
 	}
 }
 
