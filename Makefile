@@ -50,11 +50,13 @@ racecp:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-# fuzzsmoke runs the fuzz target for 10 s past its seed corpus (plain `go test`
-# runs only the seeds). Minimising each new input is capped at 1 s: at the
+# fuzzsmoke runs each fuzz target for 10 s past its seed corpus (plain `go test`
+# runs only the seeds): the short-image rule of block.GetPtr, and the tree
+# walkers of fs.File. Minimising each new input is capped at 1 s: at the
 # default 60 s, shrinking one 4 KiB image takes the whole budget.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGetPtrPrefix$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/block
+	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs
 
 # expsmoke runs every table of the registry (`-exp all`) at a few-ms window:
 # an experiment that no longer builds, runs or finishes fails the gate. The
@@ -67,8 +69,8 @@ $(GATES):
 
 # ci is the gate run before merging, and all that .github/workflows/ci.yml
 # runs: every stage once. The architecture rules (one apply path, one oracle,
-# one stats spine, one allocation space, no unused knob or export) are rows of
-# arch_test.go and run with the tests.
+# one stats spine, one allocation space, one owner of the on-media tree, no
+# unused knob or export) are rows of arch_test.go and run with the tests.
 ci: vet build race benchsmoke fuzzsmoke expsmoke $(GATES)
 
 clean:

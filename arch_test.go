@@ -2,7 +2,8 @@ package wafl
 
 // The architecture rules: what the tree must keep true that no unit test of
 // behaviour would notice — one path per operation, one oracle, one stats
-// spine, one allocation space, and no option or export that nothing uses.
+// spine, one allocation space, one owner of the on-media tree, and no option
+// or export that nothing uses.
 // They are rows of one table (archRules), checked over the parsed source
 // (go/parser, no type information: every match is by name), and every row
 // carries the small violating trees that prove it still bites. The next rule
@@ -113,7 +114,8 @@ func (tr *tree) at(n ast.Node, format string, args ...any) string {
 	return fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, fmt.Sprintf(format, args...))
 }
 
-// clause forbids a kind of node in the files it scans, the exempt ones apart.
+// clause forbids a kind of node in the files it scans, the exempt ones apart;
+// both are scan lists (see in).
 type clause struct {
 	scan   []string
 	except []string
@@ -140,8 +142,9 @@ type badTree struct {
 func (r archRule) check(tr *tree) []string {
 	var out []string
 	for _, c := range r.clauses {
+		exempt := tr.in(c.except...)
 		each(tr, c.scan, func(file string, n ast.Node) {
-			if !slices.Contains(c.except, file) && c.forbid(n) {
+			if !slices.Contains(exempt, file) && c.forbid(n) {
 				out = append(out, tr.at(n, "%s", c.msg))
 			}
 		})
@@ -392,6 +395,25 @@ var archRules = []archRule{
 		}, {
 			files: map[string]string{"internal/cp/cp.go": `package cp; func (e *Engine) f() { e.in.Free(-1, nil) }`},
 			want:  "internal/cp/cp.go:1: literal -1 passed as a leading argument",
+		}},
+	},
+	{
+		// One owner for the on-media tree: the radix, the hole rule and the
+		// slot arithmetic live in internal/fs (File.Walk, File.Resolve,
+		// ReadTree) over internal/block's pointer encoding, and everything
+		// else reads a tree through them.
+		name: "tree",
+		clauses: []clause{{
+			scan: []string{"..."}, except: []string{"internal/fs", "internal/block"},
+			forbid: callOn([]string{"block", "fs"}, "GetPtr", "PtrAt"),
+			msg:    "pointer decoded outside internal/fs: read the tree with fs.File.Walk or Resolve",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"fsck.go": `package wafl; func f(d []byte) { _, _ = block.GetPtr(d, 0) }`},
+			want:  "fsck.go:1: pointer decoded outside internal/fs",
+		}, {
+			files: map[string]string{"internal/aggregate/volume.go": `package aggregate; func f(b *fs.Buffer) { _, _ = fs.PtrAt(b, 0) }`},
+			want:  "internal/aggregate/volume.go:1: pointer decoded outside internal/fs",
 		}},
 	},
 	{
