@@ -3,6 +3,7 @@ package wafl
 import (
 	"fmt"
 
+	"wafl/internal/aggregate"
 	"wafl/internal/bcache"
 	"wafl/internal/block"
 	"wafl/internal/nvlog"
@@ -25,6 +26,10 @@ type ClientCtx struct {
 	// (CrashMember(i, clients...)).
 	threadIdx int
 
+	// op is the body of the client's in-flight message for Write, Read and
+	// Getattr.
+	op clientOp
+
 	// per-client statistics
 	Ops        uint64
 	Blocks     uint64
@@ -37,6 +42,8 @@ type ClientCtx struct {
 // Measure.
 func (sys *System) ClientThread(name string, fn func(*ClientCtx)) *ClientCtx {
 	c := &ClientCtx{sys: sys, id: len(sys.clients), threadIdx: sys.s.ThreadMark()}
+	c.op.sys = sys
+	c.op.write, c.op.read, c.op.stat = c.op.writeBlocks, c.op.readBlock, c.op.lookup
 	sys.clients = append(sys.clients, c)
 	sys.s.Go(name, sim.CatClient, func(t *sim.Thread) {
 		c.t = t
@@ -82,7 +89,9 @@ func (c *ClientCtx) Wait(q *WaitQueue) { q.Wait(c.t) }
 
 // payload builds the pattern content for a block write. The pattern is
 // derived from the file handle as the client holds it (member tag
-// included), so content checks work with the handle alone.
+// included), so content checks work with the handle alone. The array is the
+// one allocation a client write makes per block, and its only copy: the
+// NVLog record logs it and the buffer adopts it (fs.File.WriteBlock).
 func (sys *System) payload(ino uint64, fbn FBN, tag byte) []byte {
 	n := sys.cfg.PayloadBytes
 	if n <= 0 {
@@ -115,7 +124,7 @@ func fillPayload(p []byte, ino uint64, fbn FBN, tag byte) {
 // reserveLog reserves NVRAM space on member m for an op's records, stalling
 // the client (and requesting CPs) until space frees up. Returns the op's
 // reservation and the stall time.
-func (c *ClientCtx) reserveLog(m *Member, bytes uint64) (*nvlog.Reservation, Duration) {
+func (c *ClientCtx) reserveLog(m *Member, bytes uint64) (nvlog.Reservation, Duration) {
 	var stalled Duration
 	res, ok := m.log.Reserve(bytes)
 	for !ok {
@@ -213,6 +222,104 @@ func (c *ClientCtx) ack(m *Member, start Time, cost Duration, span, hist string,
 	return lat
 }
 
+// clientOp is the message body of a client's Write, Read or Getattr, kept in
+// its ClientCtx. Call blocks, so a client has at most one message in flight
+// and one record serves them all: the op fills in what its body reads and
+// sends one of write, read and stat, method values ClientThread bound once.
+type clientOp struct {
+	sys   *System
+	m     *Member
+	v     *aggregate.Volume
+	lv    int
+	li    uint64 // member-local inode
+	ino   uint64 // the handle as the client holds it: the payload pattern's
+	fbn   FBN    // the message's first block
+	n     int    // blocks the message writes
+	tag   byte
+	res   nvlog.Reservation
+	gated bool // the write found the volume's SnapRestore gate closed
+	write func(*sim.Thread)
+	read  func(*sim.Thread)
+	stat  func(*sim.Thread)
+}
+
+// writeBlocks logs and dirties blocks [fbn, fbn+n) inside their stripe
+// affinity. Gate check and appends share the message: no yield between them,
+// so no write record can follow an unapplied restore record.
+func (op *clientOp) writeBlocks(wt *sim.Thread) {
+	sys, m, v := op.sys, op.m, op.v
+	if v.RestorePending() {
+		op.gated = true
+		return
+	}
+	wt.Consume(sim.Duration(op.n) * sys.cfg.Costs.ClientPerBlock)
+	f := v.LookupFile(op.li)
+	if f == nil {
+		panic(fmt.Sprintf("wafl: write to nonexistent ino %d", op.ino))
+	}
+	for fbn := op.fbn; fbn < op.fbn+FBN(op.n); fbn++ {
+		// Post-recovery write path: install the block's existing location
+		// (and the indirect path) so the overwrite frees the old block
+		// instead of leaking it.
+		v.EnsureL0Resident(f, fbn)
+		// Log + dirty with no simulation primitive in between: atomic with
+		// respect to CP freezes. Records carry member-local coordinates. The
+		// record and the buffer share the one payload array, and nothing
+		// writes into it again (fs.File.WriteBlock).
+		data := sys.payload(op.ino, fbn, op.tag)
+		op.res.Append(nvlog.Record{
+			Kind: nvlog.OpWrite, Vol: uint32(op.lv), Ino: op.li,
+			FBN: fbn, Data: data, LogicalBytes: block.Size,
+		})
+		f.WriteBlock(fbn, data)
+		if m.bc != nil {
+			// A freshly written block is buffer-cache resident.
+			m.bc.Insert(bcache.Key{Vol: op.lv, Ino: op.li, FBN: fbn})
+		}
+	}
+	v.MarkDirty(f)
+}
+
+// readBlock reads block fbn inside its stripe affinity.
+func (op *clientOp) readBlock(wt *sim.Thread) {
+	m, v := op.m, op.v
+	wt.Consume(op.sys.cfg.Costs.ClientPerBlock)
+	f := v.LookupFile(op.li)
+	if f == nil {
+		return
+	}
+	if m.bc == nil {
+		// Pre-cache behavior: demand-load installs into the in-memory tree
+		// forever, so a block read once never pays media again.
+		v.ReadFileBlock(wt, f, op.fbn)
+		return
+	}
+	// Buffer-cache read path: residency decides whether the read pays media
+	// latency; the in-memory trees stay the content authority but no longer
+	// model an unbounded cache.
+	key := bcache.Key{Vol: op.lv, Ino: op.li, FBN: op.fbn}
+	if m.bc.Touch(key) {
+		if tr := wt.Tracer(); tr != nil {
+			tr.Instant(obs.PidThreads, wt.TrackID(), "client", "bcache hit", int64(wt.Now()))
+		}
+		return // memory hit: no media I/O
+	}
+	miss := wt.Now()
+	v.ReadMediaBlock(wt, f, op.fbn)
+	m.bc.Insert(key)
+	if tr := wt.Tracer(); tr != nil {
+		tr.Span(obs.PidThreads, wt.TrackID(), "client", "bcache miss",
+			int64(miss), int64(wt.Now()))
+		tr.Observe("client.bcache.miss", int64(wt.Now()-miss))
+	}
+}
+
+// lookup is Getattr's metadata read inside the volume's Logical affinity.
+func (op *clientOp) lookup(wt *sim.Thread) {
+	wt.Consume(op.sys.cfg.Costs.ClientOp / 2)
+	op.v.LookupFile(op.li)
+}
+
 // Write performs one client write of nblocks 4 KiB blocks at fbn: it logs
 // to NVRAM, then dirties the buffers inside the owning stripe affinities
 // (one message per stripe touched), and returns when the (logged) operation
@@ -248,62 +355,26 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 	// (same content), and the pre-restore records are discarded identically
 	// in the live and replay legs.
 	var stalled Duration
-	v := m.a.Volume(lv)
+	op := &c.op
+	op.m, op.v, op.lv, op.li, op.ino, op.tag = m, m.a.Volume(lv), lv, li, ino, tag
 	for {
-		res, st := c.reserveLog(m, recBytes)
+		var st Duration
+		op.res, st = c.reserveLog(m, recBytes)
 		stalled += st
-		gated := false
+		op.gated = false
 		// Group contiguous blocks by owning stripe affinity: one message each.
-		for lo := 0; lo < nblocks && !gated; {
+		for lo := 0; lo < nblocks && !op.gated; {
 			aff := m.stripeAff(lv, fbn+FBN(lo))
 			hi := lo + 1
 			for hi < nblocks && m.stripeAff(lv, fbn+FBN(hi)) == aff {
 				hi++
 			}
-			lo0, hi0 := lo, hi
-			m.call(c.t, aff, sim.CatClient, func(wt *sim.Thread) {
-				// Gate check and appends share the message: no yield between
-				// them, so no write record can follow an unapplied restore
-				// record.
-				if v.RestorePending() {
-					gated = true
-					return
-				}
-				wt.Consume(sim.Duration(hi0-lo0) * sys.cfg.Costs.ClientPerBlock)
-				f := v.LookupFile(li)
-				if f == nil {
-					panic(fmt.Sprintf("wafl: write to nonexistent ino %d", ino))
-				}
-				for b := lo0; b < hi0; b++ {
-					// Post-recovery write path: install the block's existing
-					// location (and the indirect path) so the overwrite frees
-					// the old block instead of leaking it.
-					v.EnsureL0Resident(f, fbn+FBN(b))
-					// Log + dirty with no simulation primitive in between:
-					// atomic with respect to CP freezes. Records carry
-					// member-local coordinates. The payload array is built
-					// here and belongs to the log record from here on;
-					// WriteBlock copies it once (PayloadBytes bytes) into the
-					// buffer's own image, which later overwrites reuse in
-					// place — sharing the array would let them rewrite a
-					// record awaiting replay.
-					data := sys.payload(ino, fbn+FBN(b), tag)
-					res.Append(nvlog.Record{
-						Kind: nvlog.OpWrite, Vol: uint32(lv), Ino: li,
-						FBN: fbn + FBN(b), Data: data, LogicalBytes: block.Size,
-					})
-					f.WriteBlock(fbn+FBN(b), data)
-					if m.bc != nil {
-						// A freshly written block is buffer-cache resident.
-						m.bc.Insert(bcache.Key{Vol: lv, Ino: li, FBN: fbn + FBN(b)})
-					}
-				}
-				v.MarkDirty(f)
-			})
+			op.fbn, op.n = fbn+FBN(lo), hi-lo
+			m.call(c.t, aff, sim.CatClient, op.write)
 			lo = hi
 		}
-		res.Release()
-		if !gated {
+		op.res.Release()
+		if !op.gated {
 			break
 		}
 		rst := c.t.Now()
@@ -396,41 +467,11 @@ func (c *ClientCtx) Read(vol int, ino uint64, fbn FBN, nblocks int) Duration {
 	sys := c.sys
 	m, lv, li := sys.resolve(vol, ino)
 	start := c.t.Now()
-	v := m.a.Volume(lv)
+	op := &c.op
+	op.m, op.v, op.lv, op.li = m, m.a.Volume(lv), lv, li
 	for b := 0; b < nblocks; b++ {
-		fbn := fbn + FBN(b)
-		m.call(c.t, m.stripeAff(lv, fbn), sim.CatClient, func(wt *sim.Thread) {
-			wt.Consume(sys.cfg.Costs.ClientPerBlock)
-			f := v.LookupFile(li)
-			if f == nil {
-				return
-			}
-			if m.bc == nil {
-				// Pre-cache behavior: demand-load installs into the
-				// in-memory tree forever, so a block read once never pays
-				// media again.
-				v.ReadFileBlock(wt, f, fbn)
-				return
-			}
-			// Buffer-cache read path: residency decides whether the read
-			// pays media latency; the in-memory trees stay the content
-			// authority but no longer model an unbounded cache.
-			key := bcache.Key{Vol: lv, Ino: li, FBN: fbn}
-			if m.bc.Touch(key) {
-				if tr := wt.Tracer(); tr != nil {
-					tr.Instant(obs.PidThreads, wt.TrackID(), "client", "bcache hit", int64(wt.Now()))
-				}
-				return // memory hit: no media I/O
-			}
-			miss := wt.Now()
-			v.ReadMediaBlock(wt, f, fbn)
-			m.bc.Insert(key)
-			if tr := wt.Tracer(); tr != nil {
-				tr.Span(obs.PidThreads, wt.TrackID(), "client", "bcache miss",
-					int64(miss), int64(wt.Now()))
-				tr.Observe("client.bcache.miss", int64(wt.Now()-miss))
-			}
-		})
+		op.fbn = fbn + FBN(b)
+		m.call(c.t, m.stripeAff(lv, op.fbn), sim.CatClient, op.read)
 	}
 	m.client.BlocksRead += uint64(nblocks)
 	return c.ack(m, start, sys.cfg.Costs.ClientOp, "read", "client.read", int64(nblocks))
@@ -494,11 +535,9 @@ func (c *ClientCtx) Getattr(vol int, ino uint64) Duration {
 	sys := c.sys
 	m, lv, li := sys.resolve(vol, ino)
 	start := c.t.Now()
-	v := m.a.Volume(lv)
-	m.call(c.t, m.logicalAff(lv), sim.CatClient, func(wt *sim.Thread) {
-		wt.Consume(sys.cfg.Costs.ClientOp / 2)
-		v.LookupFile(li)
-	})
+	op := &c.op
+	op.v, op.li = m.a.Volume(lv), li
+	m.call(c.t, m.logicalAff(lv), sim.CatClient, op.stat)
 	return c.ack(m, start, sys.cfg.Costs.ClientOp/2, "", "", 0)
 }
 

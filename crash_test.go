@@ -1,11 +1,14 @@
 package wafl
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"wafl/internal/block"
+	"wafl/internal/fs"
+	"wafl/internal/nvlog"
 	"wafl/internal/storage"
 )
 
@@ -459,5 +462,64 @@ func TestTrimmedImagesReconstructed(t *testing.T) {
 	}
 	if rep := rec.Fsck(); !rep.OK() {
 		t.Fatalf("fsck over reconstructed trimmed images: %s", rep)
+	}
+}
+
+// TestLoggedPayloadIsTheBufferImage: with full-block payloads a write's NVLog
+// record and its buffer's live image are one array, and nothing writes into
+// it — not the CP that cleans the block (after which the media holds it too),
+// not the replay that reapplies the record after a crash.
+func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
+	sys, ino := newCrashSystem(t, crashConfig())
+	write := func(sys *System, fbn FBN, tag byte) {
+		t.Helper()
+		done := false
+		sys.ClientThread("w", func(c *ClientCtx) {
+			c.WriteTag(0, ino, fbn, 1, tag)
+			done = true
+		})
+		sys.Run(Millisecond)
+		if !done {
+			t.Fatalf("write of fbn %d not acknowledged", fbn)
+		}
+	}
+	logged := func(sys *System, fbn FBN) []byte {
+		t.Helper()
+		for _, r := range sys.m0().log.Replay() {
+			if r.Kind == nvlog.OpWrite && r.FBN == fbn {
+				return r.Data
+			}
+		}
+		t.Fatalf("no logged write of fbn %d", fbn)
+		return nil
+	}
+	buffer := func(sys *System, fbn FBN) *fs.Buffer {
+		return sys.m0().a.Volume(0).LookupFile(ino).Buffer(0, fbn)
+	}
+
+	write(sys, 5, 1)
+	data := logged(sys, 5)
+	if len(data) != block.Size || &buffer(sys, 5).Data()[0] != &data[0] {
+		t.Fatal("the buffer's live image is not the logged payload's array")
+	}
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b := buffer(sys, 5)
+	if &b.Data()[0] != &data[0] || &sys.m0().a.ReadVBNRaw(b.VBN())[0] != &data[0] ||
+		!bytes.Equal(data, sys.payload(ino, 5, 1)) {
+		t.Fatal("the CP copied the logged payload or wrote into it")
+	}
+
+	write(sys, 9, 2)
+	data = logged(sys, 9)
+	sys.Crash()
+	rec, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &logged(rec, 9)[0] != &data[0] || &buffer(rec, 9).Data()[0] != &data[0] ||
+		!bytes.Equal(data, sys.payload(ino, 9, 2)) {
+		t.Fatal("replay copied the logged payload or wrote into it")
 	}
 }

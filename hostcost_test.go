@@ -10,16 +10,17 @@ import (
 
 // TestSeqWriteHostAllocBudget guards the host cost of the data path where
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
-// an 8-block sequential write may allocate at most 5 KiB of host heap.
+// an 8-block sequential write may allocate at most 3 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 3.3 KiB/op (38 mallocs/op) while the
-// allocation window's state is recycled (DESIGN §9; 5.4 KiB and 51 mallocs
-// when every bucket, tetris list, drive in-flight record and stripe's scratch
-// was garbage), block images stay trimmed, sparse indirects go to the media
-// trimmed and the buffer index stays map-free; materialising the zero tail
-// of the eight L0 images alone adds 32 KiB.
+// — and the figure sits near 2.5 KiB/op (20.5 mallocs/op) while the
+// allocation window's state and the op's own state are recycled (DESIGN §9;
+// 3.3 KiB and 38 mallocs when messages, call completions, op bodies and free
+// commits were garbage and every payload was copied into its buffer), block
+// images stay trimmed, sparse indirects go to the media trimmed and the
+// buffer index stays map-free; materialising the zero tail of the eight L0
+// images alone adds 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
-	const budgetKiB = 5
+	const budgetKiB = 3
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +40,73 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 		perOp, float64(after.Mallocs-before.Mallocs)/float64(res.Ops), res.Ops)
 	if perOp > budgetKiB {
 		t.Fatalf("seqwrite allocates %.1f KiB of host heap per op, budget %d KiB/op", perOp, budgetKiB)
+	}
+}
+
+// TestNFSMixHostAllocBudget guards the host cost of the op path on the
+// benchmark's nfsmix: at most 0.8 KiB and 5 mallocs of host heap per client
+// op. The figures sit near 0.63 KiB and 2.5 mallocs/op while a client op
+// allocates only its payloads and first-touch buffers (the message, its call
+// completion, the op's body, the NVRAM reservation, the bcache entry and the
+// free commits all come back from free lists; DESIGN §9), 0.98 KiB and 11.3
+// when each was garbage and the buffer copied its payload.
+func TestNFSMixHostAllocBudget(t *testing.T) {
+	const budgetKiB, budgetMallocs = 0.8, 5
+	cfg := wafl.DefaultConfig()
+	cfg.BCacheBlocks = 8192
+	sys, err := wafl.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	workload.DefaultNFSMix().Attach(sys)
+	sys.Run(50 * wafl.Millisecond)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := sys.Measure(0, 50*wafl.Millisecond)
+	runtime.ReadMemStats(&after)
+	if res.Ops == 0 {
+		t.Fatal("no ops completed in the window")
+	}
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(res.Ops)
+	mallocs := float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
+	t.Logf("%.3f KiB/op, %.2f mallocs/op over %d ops", perOp, mallocs, res.Ops)
+	if perOp > budgetKiB || mallocs > budgetMallocs {
+		t.Fatalf("nfsmix allocates %.2f KiB and %.1f mallocs of host heap per op, budget %.1f KiB and %d", perOp, mallocs, budgetKiB, budgetMallocs)
+	}
+}
+
+// TestClientOpAllocations pins what a warm client op allocates on the host:
+// a Write exactly its payload, a Read that hits the buffer cache and a
+// Getattr nothing. Everything else an op uses is recycled (DESIGN §9).
+func TestClientOpAllocations(t *testing.T) {
+	cfg := wafl.DefaultConfig()
+	cfg.BCacheBlocks = 64
+	sys, err := wafl.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	ino := sys.CreateFileDirect(0, 1024)
+	got := map[string]float64{}
+	sys.ClientThread("probe", func(c *wafl.ClientCtx) {
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"write", func() { c.Write(0, ino, 7, 1) }},
+			{"read", func() { c.Read(0, ino, 7, 1) }},
+			{"getattr", func() { c.Getattr(0, ino) }},
+		} {
+			op.fn()
+			got[op.name] = testing.AllocsPerRun(50, op.fn)
+		}
+	})
+	sys.Run(50 * wafl.Millisecond)
+	for name, want := range map[string]float64{"write": 1, "read": 0, "getattr": 0} {
+		if got[name] != want {
+			t.Errorf("a warm one-block %s allocates %v objects, want %v", name, got[name], want)
+		}
 	}
 }
 

@@ -124,7 +124,8 @@ func (c *Cache) Contains(k Key) bool {
 }
 
 // Insert makes k resident (refreshing it if already resident), evicting the
-// least recently used block if the cache is full.
+// least recently used block if the cache is full; the evicted entry becomes
+// k's.
 func (c *Cache) Insert(k Key) {
 	if e, ok := c.m[k]; ok {
 		if c.head != e {
@@ -133,13 +134,16 @@ func (c *Cache) Insert(k Key) {
 		}
 		return
 	}
+	var e *entry
 	if len(c.m) >= c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.m, lru.key)
+		e = c.tail
+		c.unlink(e)
+		delete(c.m, e.key)
 		c.evictions++
+		e.key = k
+	} else {
+		e = &entry{key: k}
 	}
-	e := &entry{key: k}
 	c.m[k] = e
 	c.pushFront(e)
 }

@@ -72,6 +72,23 @@ func TestRemoveAndReinsert(t *testing.T) {
 	}
 }
 
+// TestInsertThatEvictsAllocatesNothing: in a full cache the evicted entry
+// becomes the inserted key's, and the LRU order is what it was.
+func TestInsertThatEvictsAllocatesNothing(t *testing.T) {
+	const n = 64
+	c := New(n)
+	for i := 0; i < n; i++ {
+		c.Insert(k(i))
+	}
+	i := n
+	if got := testing.AllocsPerRun(1000, func() { c.Insert(k(i)); i++ }); got != 0 {
+		t.Errorf("an Insert that evicts allocates %v objects, want 0", got)
+	}
+	if c.Len() != n || c.Contains(k(i-n-1)) || !c.Contains(k(i-n)) || !c.Contains(k(i-1)) {
+		t.Fatalf("after %d inserts: Len %d; want the last %d keys resident", i, c.Len(), n)
+	}
+}
+
 func TestKeysDistinguishFiles(t *testing.T) {
 	c := New(4)
 	c.Insert(Key{Vol: 0, Ino: 1, FBN: 5})

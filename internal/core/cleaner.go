@@ -432,7 +432,7 @@ func (p *Pool) commitStage(cs *cleanerState, sp *space) {
 		return
 	}
 	p.in.free(sp, cs.stages[sp.idx])
-	cs.stages[sp.idx] = nil
+	cs.stages[sp.idx] = cs.stages[sp.idx][:0]
 	p.stats.StageCommits++
 }
 

@@ -279,6 +279,33 @@ func TestCommitFreesScatteredVsSequential(t *testing.T) {
 	}
 }
 
+// TestWarmFreeAllocatesNothing: a free of one bucket's worth of block numbers
+// groups them into a recycled commit record and sends its bound body, so once
+// the previous commit has come back neither the grouping nor the message
+// allocates.
+func TestWarmFreeAllocatesNothing(t *testing.T) {
+	e := newEnv(t, nil)
+	e.in.StartCP(nil)
+	bns := make([]uint64, stageSize)
+	for i := range bns {
+		bns[i] = uint64(2000 + i)
+	}
+	free := func() {
+		for _, bn := range bns {
+			e.a.Activemap.Set(bn)
+		}
+		e.in.free(e.in.phys, bns)
+		e.s.RunFor(sim.Millisecond)
+	}
+	free()
+	if got := testing.AllocsPerRun(100, free); got != 0 {
+		t.Errorf("a warm free of %d block numbers allocates %v objects, want 0", len(bns), got)
+	}
+	if n := e.in.spareCommits.Len(); n != 1 || e.a.Activemap.IsSet(bns[0]) {
+		t.Fatalf("%d commit records spare, first bit set %v; want 1 and the frees applied", n, e.a.Activemap.IsSet(bns[0]))
+	}
+}
+
 // TestPendingFreeBlocksReuseUntilEndCP is the same-CP-reuse fence, once per
 // kind of space: a bit freed inside a CP is not offered again until EndCP.
 func TestPendingFreeBlocksReuseUntilEndCP(t *testing.T) {

@@ -111,6 +111,10 @@ type Infra struct {
 	spareVBuckets fifo.Queue[*VBucket]
 	spareLists    fifo.Queue[[][]storage.WriteReq]
 	metaScan      []block.VBN
+	// Free-commit records come back when their message has applied them;
+	// freeOrder is free's send-order scratch.
+	spareCommits fifo.Queue[*freeCommit]
+	freeOrder    []*freeCommit
 
 	stats InfraStats
 }

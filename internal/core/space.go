@@ -43,6 +43,10 @@ type space struct {
 
 	whole  *waffinity.Affinity   // the whole-metafile affinity (AggrVBN, VolVBN)
 	ranges []*waffinity.Affinity // its Range partitions, by metafile block
+
+	// open is free's grouping scratch, indexed by metafile block: the commit
+	// record the running free call fills for that block, nil between calls.
+	open []*freeCommit
 }
 
 // newSpace registers the next space: its counter (aggregate first, then
@@ -53,6 +57,7 @@ func (in *Infra) newSpace(name string, amap *bitmap.Activemap, nbits, free uint6
 		idx: len(in.spaces), amap: amap, find: amap.FindFree,
 		pendingFree: newBitset(nbits), reserved: newBitset(nbits),
 		counter: in.global.Register(name), whole: whole, ranges: ranges,
+		open: make([]*freeCommit, bitmap.BlockOf(nbits-1)+1),
 	}
 	in.global.Add(sp.counter, int64(free))
 	if !in.opts.InfraParallel {
@@ -157,30 +162,54 @@ func (in *Infra) send(aff *waffinity.Affinity, fn func(*sim.Thread)) {
 // block, and one free-commit message per block goes to that block's Range
 // affinity — this is where a random overwrite workload, whose frees scatter
 // across the space, generates many more metafile-block updates (and
-// messages) than a sequential one (§V-A2).
+// messages) than a sequential one (§V-A2). bns is not retained.
 func (in *Infra) free(sp *space, bns []uint64) {
-	if len(bns) == 0 {
-		return
-	}
-	// Group by metafile block, preserving first-touch order.
-	order := make([]block.FBN, 0, 4)
-	groups := make(map[block.FBN][]uint64)
+	// Group by metafile block, sending in first-touch order.
+	order := in.freeOrder[:0]
 	for _, bn := range bns {
 		fbn := bitmap.BlockOf(bn)
-		if _, ok := groups[fbn]; !ok {
-			order = append(order, fbn)
-		}
-		groups[fbn] = append(groups[fbn], bn)
-	}
-	for _, fbn := range order {
-		batch := groups[fbn]
-		in.stats.StageCommitMsgs++
-		in.send(sp.aff(fbn), func(wt *sim.Thread) {
-			wt.ConsumeAs(sim.CatInfra, in.costs.CommitPerBlock+sim.Duration(len(batch))*in.costs.CommitPerBit)
-			for _, bn := range batch {
-				sp.amap.Clear(bn)
+		fc := sp.open[fbn]
+		if fc == nil {
+			if in.spareCommits.Len() > 0 {
+				fc = in.spareCommits.Pop()
+			} else {
+				fc = &freeCommit{in: in}
+				fc.run = fc.commit
 			}
-			in.stats.FreesCommitted += uint64(len(batch))
-		})
+			fc.sp, fc.fbn = sp, fbn
+			sp.open[fbn] = fc
+			order = append(order, fc)
+		}
+		fc.bns = append(fc.bns, bn)
 	}
+	for _, fc := range order {
+		sp.open[fc.fbn] = nil
+		in.stats.StageCommitMsgs++
+		in.send(sp.aff(fc.fbn), fc.run)
+	}
+	clear(order)
+	in.freeOrder = order[:0]
+}
+
+// freeCommit is one free-commit message: the frees of one space on one of
+// its metafile blocks, with its body, the method value commit, bound once.
+// It goes back to Infra.spareCommits when the body has applied the frees; a
+// worker killed mid-message never returns it.
+type freeCommit struct {
+	in  *Infra
+	sp  *space
+	fbn block.FBN
+	bns []uint64
+	run func(*sim.Thread)
+}
+
+func (fc *freeCommit) commit(wt *sim.Thread) {
+	in := fc.in
+	wt.ConsumeAs(sim.CatInfra, in.costs.CommitPerBlock+sim.Duration(len(fc.bns))*in.costs.CommitPerBit)
+	for _, bn := range fc.bns {
+		fc.sp.amap.Clear(bn)
+	}
+	in.stats.FreesCommitted += uint64(len(fc.bns))
+	fc.sp, fc.bns = nil, fc.bns[:0]
+	in.spareCommits.Push(fc)
 }

@@ -24,16 +24,17 @@ import (
 // (level 0 = user/metafile data, higher levels = indirect blocks).
 //
 // Images follow the internal/block rule: a []byte of len <= block.Size
-// whose missing tail reads as zero. User L0 buffers hold whatever length
-// the client wrote; nothing is allocated until a buffer is first read
-// (Data) or mutated CP-side (CPMutableData), and both of those hand
-// metafile and indirect code a full-length array.
+// whose missing tail reads as zero. A user L0 buffer holds the very array
+// the client wrote (WriteBlock adopts it; the NVLog record shares it), at
+// whatever length it was written; nothing is allocated until a buffer is
+// first read (Data) or mutated CP-side (CPMutableData), and both of those
+// hand metafile and indirect code a full-length array.
 //
 // CoW semantics during a consistency point (paper §II-C): when a CP freezes
 // a dirty buffer, the buffer is marked inCP. If a client overwrites the
 // buffer while it is inCP and not yet cleaned, the pre-overwrite image is
-// preserved as the CP image (cpData) and the live image (data) becomes a
-// fresh array; the change lands in the *next* CP. Once the cleaner has
+// preserved as the CP image (cpData) and the live image (data) becomes the
+// overwrite's array; the change lands in the *next* CP. Once the cleaner has
 // submitted the buffer's CP image for writing, the buffer is sealed if the
 // submitted array is its own: the drive media references it and it must
 // never be mutated, so the next modification goes to a new array. A sparse
@@ -43,10 +44,11 @@ type Buffer struct {
 	fbn   block.FBN
 	level int
 
-	data   []byte // live image
-	cpData []byte // frozen CP image, set only if modified while inCP
-	inCP   bool   // frozen into the running CP, not yet cleaned
-	sealed bool   // live image is aliased by storage; never mutate it
+	data    []byte // live image
+	cpData  []byte // frozen CP image, set only if modified while inCP
+	inCP    bool   // frozen into the running CP, not yet cleaned
+	sealed  bool   // live image is aliased by storage; never mutate it
+	adopted bool   // live image is the array WriteBlock was given; never mutate it
 
 	dirtyCurr   bool // dirty in the open (accepting) generation
 	dirtyFrozen bool // dirty in the freezing CP's set
@@ -113,25 +115,18 @@ func (b *Buffer) cpImage() []byte {
 	return b.Data()
 }
 
-// replace makes a private copy of data the live image — a client's
-// whole-block overwrite in the open generation — and reports whether the
-// old image had to be left behind: to the running CP if the buffer is
-// frozen and not yet preserved, to the media if it is sealed. Only a
-// private image of the same length is overwritten in place.
+// replace adopts data as the live image — a client's whole-block overwrite
+// in the open generation — and reports whether the old image had to be left
+// behind: to the running CP if the buffer is frozen and not yet preserved,
+// to the media if it is sealed. No image is ever overwritten in place.
 func (b *Buffer) replace(data []byte) (cowed bool) {
-	switch {
-	case b.inCP && b.cpData == nil:
+	if b.inCP && b.cpData == nil {
 		b.cpData = b.Data()
 		cowed = true
-	case b.sealed:
+	} else if b.sealed {
 		cowed = true
-	case len(b.data) == len(data):
-		copy(b.data, data)
-		return false
 	}
-	b.data = make([]byte, len(data))
-	copy(b.data, data)
-	b.sealed = false
+	b.data, b.sealed, b.adopted = data, false, true
 	return cowed
 }
 
@@ -144,15 +139,16 @@ func (b *Buffer) replace(data []byte) (cowed bool) {
 //
 // Indirect and metafile buffers are mutated only by CP-side code, so their
 // CP image and live image are the same array and updates are visible to
-// both; the method clones if storage aliases the live image (sealed), or if
-// it is shorter than a block.
+// both; the method clones if storage aliases the live image (sealed), if a
+// client write gave it (adopted: the NVLog record holds it too), or if it is
+// shorter than a block.
 func (b *Buffer) CPMutableData() []byte {
 	if b.cpData != nil {
 		return b.cpData
 	}
-	if b.sealed || len(b.data) < block.Size {
+	if b.sealed || b.adopted || len(b.data) < block.Size {
 		b.data = block.Clone(b.data)
-		b.sealed = false
+		b.sealed, b.adopted = false, false
 	}
 	return b.data
 }

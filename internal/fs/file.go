@@ -233,8 +233,10 @@ func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.V
 
 // WriteBlock replaces FBN fbn with the block image data (up to one block;
 // bytes past len(data) read as zero) in the open generation, applying CP
-// copy-on-write as needed, and marks the buffer dirty. data is copied, never
-// retained. It returns the buffer.
+// copy-on-write as needed, and marks the buffer dirty. data is adopted, not
+// copied: the caller gives the array up, and from here on nobody writes into
+// it — the buffer, the NVLog record that logged it and later the media share
+// it. It returns the buffer.
 func (f *File) WriteBlock(fbn block.FBN, data []byte) *Buffer {
 	b := f.getOrCreate(0, fbn)
 	if b.replace(data) {

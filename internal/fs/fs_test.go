@@ -439,38 +439,39 @@ func TestPropertyFreezeCleanCycle(t *testing.T) {
 }
 
 // WriteBlock replaces the whole block with an image of the length written,
-// whatever state the buffer is in and whatever length it held before.
+// whatever state the buffer is in and whatever length it held before. Each
+// write hands over a fresh array, as the client does: WriteBlock adopts it.
 func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 	short := func(tag byte) []byte { return pattern(tag)[:64] }
 	for _, c := range []struct {
 		name      string
-		old, next []byte
+		old, next func() []byte
 	}{
-		{"full then trimmed", pattern(1), short(2)},
-		{"trimmed then full", short(1), pattern(2)},
-		{"trimmed then trimmed", short(1), short(2)},
+		{"full then trimmed", func() []byte { return pattern(1) }, func() []byte { return short(2) }},
+		{"trimmed then full", func() []byte { return short(1) }, func() []byte { return pattern(2) }},
+		{"trimmed then trimmed", func() []byte { return short(1) }, func() []byte { return short(2) }},
 	} {
 		// Private, dirty buffer: the old tail must not survive (a prefix
 		// merge would leave pattern(1)[64:] behind).
 		f := NewFile(1, 1)
-		f.WriteBlock(0, c.old)
-		f.WriteBlock(0, c.next)
-		if got := f.ReadBlock(0); !block.Equal(got, c.next) || len(got) != len(c.next) {
-			t.Fatalf("%s: read back %d bytes, not the %d-byte image written", c.name, len(got), len(c.next))
+		f.WriteBlock(0, c.old())
+		f.WriteBlock(0, c.next())
+		if got := f.ReadBlock(0); !block.Equal(got, c.next()) || len(got) != len(c.next()) {
+			t.Fatalf("%s: read back %d bytes, not the %d-byte image written", c.name, len(got), len(c.next()))
 		}
 
 		// Frozen buffer: the CP keeps the very array it froze.
 		f = NewFile(1, 1)
-		f.WriteBlock(0, c.old)
+		f.WriteBlock(0, c.old())
 		f.Freeze()
 		b := f.Buffer(0, 0)
 		frozen := b.cpImage()
-		f.WriteBlock(0, c.next)
-		f.WriteBlock(0, c.next) // second overwrite lands in the private live image
-		if &b.cpImage()[0] != &frozen[0] || !bytes.Equal(frozen, c.old) {
+		f.WriteBlock(0, c.next())
+		f.WriteBlock(0, c.next()) // the second overwrite is adopted too
+		if &b.cpImage()[0] != &frozen[0] || !bytes.Equal(frozen, c.old()) {
 			t.Fatalf("%s: overwrite while inCP disturbed the CP image", c.name)
 		}
-		if !bytes.Equal(b.Data(), c.next) || f.CoWCopies != 1 {
+		if !bytes.Equal(b.Data(), c.next()) || f.CoWCopies != 1 {
 			t.Fatalf("%s: live image wrong or CoWCopies = %d, want 1", c.name, f.CoWCopies)
 		}
 
@@ -479,10 +480,64 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 		f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
 		f.Freeze()
 		submitted, _, _ := f.CleanChild(b, 12, 22)
-		f.WriteBlock(0, c.old)
-		f.WriteBlock(0, c.next)
-		if !bytes.Equal(submitted, c.next) || &b.Data()[0] == &submitted[0] {
-			t.Fatalf("%s: overwrite of a sealed buffer touched the submitted array", c.name)
+		f.WriteBlock(0, c.old())
+		next := c.next()
+		f.WriteBlock(0, next)
+		if !bytes.Equal(submitted, c.next()) || &b.Data()[0] == &submitted[0] || &b.Data()[0] != &next[0] {
+			t.Fatalf("%s: overwrite of a sealed buffer touched the submitted array or did not adopt its own", c.name)
+		}
+	}
+}
+
+// WriteBlock adopts the caller's array: the buffer's live image is that
+// array, nothing writes into it afterwards — not a later overwrite, not
+// CP-side code — and adopting counts copy-on-writes exactly as copying did.
+func TestWriteBlockAdoptsCallerArray(t *testing.T) {
+	for _, n := range []int{64, block.Size} {
+		f := NewFile(1, 1)
+		first := pattern(1)[:n]
+		b := f.WriteBlock(0, first)
+		if &b.Data()[0] != &first[0] {
+			t.Fatalf("%d bytes: WriteBlock copied the caller's array", n)
+		}
+		// A same-length overwrite adopts its own array and leaves the first.
+		second := pattern(2)[:n]
+		f.WriteBlock(0, second)
+		if !bytes.Equal(first, pattern(1)[:n]) || &b.Data()[0] != &second[0] {
+			t.Fatalf("%d bytes: a later WriteBlock wrote into the earlier array", n)
+		}
+		// CP-side code gets a private full-length array, never the adopted one.
+		d := b.CPMutableData()
+		if &d[0] == &second[0] || len(d) != block.Size {
+			t.Fatalf("%d bytes: CPMutableData handed out the adopted array", n)
+		}
+		d[0] ^= 0xFF
+		if !bytes.Equal(second, pattern(2)[:n]) {
+			t.Fatalf("%d bytes: a CP-side update reached the adopted array", n)
+		}
+	}
+
+	// CoWCopies: an overwrite leaves nothing behind for a private buffer, the
+	// CP image for a frozen one (once), the media's array for a sealed one.
+	private := NewFile(1, 1)
+	private.WriteBlock(0, pattern(1))
+	private.WriteBlock(0, pattern(2))
+	frozen := NewFile(1, 1)
+	frozen.WriteBlock(0, pattern(1))
+	frozen.Freeze()
+	frozen.WriteBlock(0, pattern(2))
+	frozen.WriteBlock(0, pattern(3))
+	sealed := NewFile(1, 1)
+	sealed.InstallBuffer(0, 0, pattern(1), 5, 6)
+	sealed.WriteBlock(0, pattern(2))
+	sealed.WriteBlock(0, pattern(3))
+	for _, c := range []struct {
+		name string
+		f    *File
+		want uint64
+	}{{"private", private, 0}, {"frozen", frozen, 1}, {"sealed", sealed, 1}} {
+		if c.f.CoWCopies != c.want {
+			t.Errorf("%s: CoWCopies = %d, want %d", c.name, c.f.CoWCopies, c.want)
 		}
 	}
 }

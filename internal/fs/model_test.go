@@ -380,14 +380,14 @@ func TestDataPathAllocations(t *testing.T) {
 		t.Errorf("FrozenLevel/FrozenRange of an in-order list allocate %v objects, want 0", got)
 	}
 
-	// WriteBlock to a resident private buffer of the same length.
+	// WriteBlock to a resident buffer: it adopts the array it is given.
 	g := NewFile(99, 2)
 	for fbn := block.FBN(0); fbn < n; fbn++ {
 		g.WriteBlock(fbn, payload)
 	}
 	i := block.FBN(0)
 	if got := testing.AllocsPerRun(1000, func() { g.WriteBlock(i%n, payload); i += 389 }); got != 0 {
-		t.Errorf("WriteBlock to a resident private buffer allocates %v objects, want 0", got)
+		t.Errorf("WriteBlock to a resident buffer allocates %v objects, want 0", got)
 	}
 	if got := testing.AllocsPerRun(1000, func() {
 		if g.Buffer(0, i%n) == nil || g.Buffer(0, n+i%n) != nil || g.Buffer(1, 200) != nil || g.Buffer(0, 1<<20) != nil {

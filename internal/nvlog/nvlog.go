@@ -41,7 +41,10 @@ type Record struct {
 	Vol  uint32
 	Ino  uint64
 	FBN  block.FBN
-	Data []byte // payload for OpWrite (owned by the log)
+	// Data is OpWrite's payload. It is immutable: the buffer the write
+	// dirtied adopts this very array (fs.File.WriteBlock), and the media
+	// later holds it, so nobody writes into it once it is logged.
+	Data []byte
 	// LogicalBytes, when nonzero, is the NVRAM space the record occupies
 	// regardless of how much pattern data the simulation stores (payload
 	// compression is a simulation-speed knob, not a semantic one).
@@ -120,18 +123,19 @@ type Reservation struct {
 // write path reserves in the (stallable) client context, then appends each
 // record *atomically adjacent* to dirtying its buffer inside the stripe
 // affinity — guaranteeing a record and its dirty buffer land on the same
-// side of any CP freeze. Returns (nil, false) when the half cannot hold the
-// reservation yet.
-func (l *Log) Reserve(n uint64) (*Reservation, bool) {
+// side of any CP freeze. The Reservation is a value the op keeps (the client
+// keeps it in its op record); it returns the zero Reservation and false when
+// the half cannot hold the reservation yet.
+func (l *Log) Reserve(n uint64) (Reservation, bool) {
 	if n > l.halfCap {
 		panic("nvlog: reservation exceeds half capacity")
 	}
 	if l.halves[l.active].bytes+l.reserved+n > l.halfCap {
 		l.Stalls++
-		return nil, false
+		return Reservation{}, false
 	}
 	l.reserved += n
-	return &Reservation{l: l, remaining: n}, true
+	return Reservation{l: l, remaining: n}, true
 }
 
 // Append logs rec against this reservation; it cannot stall. If a half

@@ -126,12 +126,87 @@ type Drive struct {
 	// Write to copy its requests into. A record a crash dropped, or a Drop
 	// fault lost, never comes back here.
 	spare fifo.Queue[*inflightWrite]
+	// spareReads, readWaits and writeWaits are the same for read I/Os and for
+	// the waits of ReadSync and WriteSync, whose queue names are built once.
+	spareReads            fifo.Queue[*readIO]
+	readWaits, writeWaits fifo.Queue[*syncWait]
+	readName, writeName   string
 }
 
 // inflightWrite is one submitted write I/O awaiting completion: the drive's
 // own copy of the caller's requests.
 type inflightWrite struct {
 	reqs []WriteReq
+}
+
+// readIO is one submitted read I/O: the drive's copy of the DBNs, the images
+// they hold at completion and the caller's callback, with the completion
+// event's callback, the method value complete, bound once. It goes back to
+// Drive.spareReads once done has returned; a read a crash dropped never does.
+type readIO struct {
+	d     *Drive
+	epoch uint64
+	dbns  []block.DBN
+	out   [][]byte
+	done  func([][]byte)
+	fire  func()
+}
+
+func (r *readIO) complete() {
+	d := r.d
+	if d.epoch != r.epoch {
+		return // lost to a crash before completing
+	}
+	for _, dbn := range r.dbns {
+		r.out = append(r.out, d.media[dbn])
+	}
+	if r.done != nil {
+		r.done(r.out)
+	}
+	clear(r.out)
+	r.dbns, r.out, r.done = r.dbns[:0], r.out[:0], nil
+	d.spareReads.Push(r)
+}
+
+// syncWait is one thread's wait in ReadSync or WriteSync, with the I/O's
+// completion callbacks bound once. It goes back to the drive's free list when
+// the waiting thread has seen its I/O complete; a thread killed while waiting
+// never returns it.
+type syncWait struct {
+	wq     *sim.WaitQueue
+	landed bool
+	out    [][]byte
+	read   func([][]byte) // readLanded
+	write  func()         // land
+}
+
+func (w *syncWait) readLanded(bs [][]byte) {
+	w.out = append(w.out[:0], bs...)
+	w.land()
+}
+
+func (w *syncWait) land() {
+	w.landed = true
+	w.wq.Signal()
+}
+
+// takeWait returns a wait from spare, or a new one on a queue named name.
+func (d *Drive) takeWait(spare *fifo.Queue[*syncWait], name string) *syncWait {
+	if spare.Len() > 0 {
+		return spare.Pop()
+	}
+	w := &syncWait{wq: sim.NewWaitQueue(d.s, name)}
+	w.read, w.write = w.readLanded, w.land
+	return w
+}
+
+// wait blocks t until the I/O w waits for completes, leaving w ready for its
+// next wait.
+func (w *syncWait) wait(t *sim.Thread) {
+	if !w.landed {
+		w.wq.Wait(t)
+	}
+	w.landed = false
 }
 
 // track returns the drive's trace track id, interning it on first use.
@@ -145,11 +220,13 @@ func (d *Drive) track(tr *obs.Tracer) int32 {
 // NewDrive creates a drive of nblocks blocks with the given service profile.
 func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
 	return &Drive{
-		s:       s,
-		name:    name,
-		profile: profile,
-		nblocks: nblocks,
-		media:   make([][]byte, nblocks),
+		s:         s,
+		name:      name,
+		profile:   profile,
+		nblocks:   nblocks,
+		media:     make([][]byte, nblocks),
+		readName:  name + ".readsync",
+		writeName: name + ".writesync",
 	}
 }
 
@@ -269,7 +346,9 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 
 // Read submits one read I/O for the given blocks and calls done with the
 // block contents when it completes. Missing (never-written) blocks read as
-// nil; callers treat nil as a zero block.
+// nil; callers treat nil as a zero block. The slice done receives is the
+// drive's and valid only during the call; the images in it are the media's.
+// dbns is copied, so the caller may reuse it once Read returns.
 func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
 	if len(dbns) == 0 {
 		if done != nil {
@@ -287,51 +366,35 @@ func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
 	completion := d.service(len(dbns), "read")
 	d.stats.ReadIOs++
 	d.stats.BlocksRead += uint64(len(dbns))
-	ds := append([]block.DBN(nil), dbns...)
-	epoch := d.epoch
-	d.s.After(sim.Duration(completion-d.s.Now())+rf.Delay, func() {
-		if d.epoch != epoch {
-			return
-		}
-		out := make([][]byte, len(ds))
-		for i, dbn := range ds {
-			out[i] = d.media[dbn]
-		}
-		if done != nil {
-			done(out)
-		}
-	})
+	var r *readIO
+	if d.spareReads.Len() > 0 {
+		r = d.spareReads.Pop()
+	} else {
+		r = &readIO{d: d}
+		r.fire = r.complete
+	}
+	r.epoch, r.dbns, r.done = d.epoch, append(r.dbns, dbns...), done
+	d.s.After(sim.Duration(completion-d.s.Now())+rf.Delay, r.fire)
 }
 
 // ReadSync performs a read I/O and blocks the calling simulated thread until
-// it completes.
+// it completes. The result is the drive's and valid until the thread next
+// blocks; the images in it are the media's.
 func (d *Drive) ReadSync(t *sim.Thread, dbns []block.DBN) [][]byte {
-	var result [][]byte
-	wq := sim.NewWaitQueue(d.s, d.name+".readsync")
-	donefired := false
-	d.Read(dbns, func(bs [][]byte) {
-		result = bs
-		donefired = true
-		wq.Signal()
-	})
-	if !donefired {
-		wq.Wait(t)
-	}
-	return result
+	w := d.takeWait(&d.readWaits, d.readName)
+	d.Read(dbns, w.read)
+	w.wait(t)
+	d.readWaits.Push(w)
+	return w.out
 }
 
 // WriteSync performs a write I/O and blocks the calling simulated thread
 // until it completes.
 func (d *Drive) WriteSync(t *sim.Thread, reqs []WriteReq) {
-	wq := sim.NewWaitQueue(d.s, d.name+".writesync")
-	donefired := false
-	d.Write(reqs, func() {
-		donefired = true
-		wq.Signal()
-	})
-	if !donefired {
-		wq.Wait(t)
-	}
+	w := d.takeWait(&d.writeWaits, d.writeName)
+	d.Write(reqs, w.write)
+	w.wait(t)
+	d.writeWaits.Push(w)
 }
 
 // Peek returns the committed media content of dbn without timing effects —

@@ -282,6 +282,51 @@ func TestSteadyStateWriteAllocatesOnlyItsCompletion(t *testing.T) {
 	}
 }
 
+// TestReadRecordLifetime: a completed read returns its record, so a warm Read
+// and a warm ReadSync allocate nothing; a read a crash dropped keeps its
+// record, and its stale completion neither calls back nor returns it.
+func TestReadRecordLifetime(t *testing.T) {
+	s := sim.New(1, 1)
+	d := NewDrive(s, "d0", SSD, 64)
+	d.Write([]WriteReq{{DBN: 1, Data: testBlock(1)}, {DBN: 2, Data: testBlock(2)}}, nil)
+	s.RunFor(sim.Millisecond)
+	var got [][]byte
+	calls := 0
+	done := func(bs [][]byte) { got = append(got[:0], bs...); calls++ }
+	dbns := []block.DBN{1, 2}
+	read := func() {
+		d.Read(dbns, done)
+		s.RunFor(sim.Millisecond)
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("a warm Read allocates %.1f times, want 0", allocs)
+	}
+	syncAllocs := -1.0
+	s.Go("reader", sim.CatOther, func(th *sim.Thread) {
+		d.ReadSync(th, dbns)
+		syncAllocs = testing.AllocsPerRun(100, func() { d.ReadSync(th, dbns) })
+	})
+	s.RunFor(sim.Second)
+	if syncAllocs != 0 {
+		t.Fatalf("a warm ReadSync allocates %.1f times, want 0", syncAllocs)
+	}
+
+	calls = 0
+	d.Read([]block.DBN{2}, done)
+	if d.SpareReads() != 0 {
+		t.Fatal("the read in flight did not take the spare record")
+	}
+	d.DropInFlight()
+	read() // the dropped read's stale completion fires here too
+	if calls != 1 || d.SpareReads() != 1 {
+		t.Fatalf("%d callbacks, %d spare records; want the post-crash read's 1 and its record alone", calls, d.SpareReads())
+	}
+	if len(got) != 2 || !bytes.Equal(got[0], testBlock(1)) || !bytes.Equal(got[1], testBlock(2)) {
+		t.Fatal("the post-crash read did not see what it named")
+	}
+}
+
 // TestCrashNeverRecyclesInFlightRecords: a record a crash tore is dropped,
 // not reused. Writes after the crash land exactly what they name, the torn
 // write's stale completion returns nothing to the free list, and its suffix

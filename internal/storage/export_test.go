@@ -6,3 +6,6 @@ func (d *Drive) InflightWrites() int { return len(d.inflight) }
 
 // SpareRecords returns the number of in-flight records waiting to be reused.
 func (d *Drive) SpareRecords() int { return d.spare.Len() }
+
+// SpareReads returns the number of read records waiting to be reused.
+func (d *Drive) SpareReads() int { return d.spareReads.Len() }

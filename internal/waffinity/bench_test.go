@@ -33,3 +33,30 @@ func BenchmarkSendBehindBlockedAffinity(b *testing.B) {
 	}
 	s.Shutdown()
 }
+
+// BenchmarkCallRoundTrip is one op = one Call from a simulated thread, the
+// way every client op reaches its affinity: Send takes a recycled message, a
+// worker runs it and its completion wakes the caller, which returns the call
+// record. Both records come back from their free lists, so allocs/op is 0.
+func BenchmarkCallRoundTrip(b *testing.B) {
+	s := sim.New(2, 1)
+	w := New(s, 2, 0)
+	stripe := w.AddChild(w.Root(), KindStripe, "stripe")
+	nop := func(*sim.Thread) {}
+	done := false
+	s.Go("caller", sim.CatClient, func(th *sim.Thread) {
+		w.Call(th, stripe, sim.CatClient, nop)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.Call(th, stripe, sim.CatClient, nop)
+		}
+		b.StopTimer()
+		done = true
+	})
+	s.Run(sim.Time(sim.Second)) // every Call completes at instant 0
+	if !done || w.Stats().Executed != uint64(b.N)+1 {
+		b.Fatalf("caller done %v after %d messages, want %d", done, w.Stats().Executed, b.N+1)
+	}
+	s.Shutdown()
+}

@@ -113,13 +113,31 @@ func (a *Affinity) Kind() Kind { return a.kind }
 // Children returns the affinity's children.
 func (a *Affinity) Children() []*Affinity { return a.children }
 
-// message is one unit of Waffinity work.
+// message is one unit of Waffinity work. Send takes it from the scheduler's
+// free list and the worker that ran it returns it, zeroed, once done has
+// returned; a worker killed mid-message unwinds past that and never does.
 type message struct {
 	aff      *Affinity
 	cat      sim.Category
 	fn       func(*sim.Thread)
 	enqueued sim.Time
 	done     func() // optional completion callback (scheduler context)
+}
+
+// call is one Call's completion: the caller waits on wq until done, the
+// method value complete bound once, marks the message completed. Call takes
+// it from the scheduler's free list and returns it once it has seen its
+// message complete; a caller killed while waiting never returns it, so a
+// late completion of its message can never wake the record's next owner.
+type call struct {
+	wq        *sim.WaitQueue
+	completed bool
+	done      func()
+}
+
+func (c *call) complete() {
+	c.completed = true
+	c.wq.Signal()
 }
 
 // Stats summarizes scheduler activity (the `stat` tag is read by wafl.Stats).
@@ -150,6 +168,12 @@ type Scheduler struct {
 	queued    int
 	dispatch  sim.Duration // per-message scheduler CPU overhead
 	announced bool
+
+	// Recycled op state (DESIGN §9): messages come back when their worker has
+	// run them and their completion, call records when their caller has seen
+	// that completion.
+	spareMsgs  fifo.Queue[*message]
+	spareCalls fifo.Queue[*call]
 }
 
 // New creates a Waffinity scheduler with the given worker-pool size and a
@@ -187,7 +211,13 @@ func (w *Scheduler) AddChild(parent *Affinity, kind Kind, name string) *Affinity
 // thread with its CPU attributed to cat. done, if non-nil, fires in
 // scheduler context when the message completes.
 func (w *Scheduler) Send(aff *Affinity, cat sim.Category, fn func(*sim.Thread), done func()) {
-	m := &message{aff: aff, cat: cat, fn: fn, enqueued: w.s.Now(), done: done}
+	var m *message
+	if w.spareMsgs.Len() > 0 {
+		m = w.spareMsgs.Pop()
+	} else {
+		m = new(message)
+	}
+	*m = message{aff: aff, cat: cat, fn: fn, enqueued: w.s.Now(), done: done}
 	if aff.pending.Len() == 0 {
 		w.pendingAffs = append(w.pendingAffs, aff)
 	}
@@ -210,15 +240,19 @@ func (w *Scheduler) Send(aff *Affinity, cat sim.Category, fn func(*sim.Thread), 
 // message completes. t must not be a Waffinity worker (a worker waiting on
 // another message could deadlock the pool).
 func (w *Scheduler) Call(t *sim.Thread, aff *Affinity, cat sim.Category, fn func(*sim.Thread)) {
-	wq := sim.NewWaitQueue(w.s, "waffinity.call")
-	completed := false
-	w.Send(aff, cat, fn, func() {
-		completed = true
-		wq.Signal()
-	})
-	for !completed {
-		wq.Wait(t)
+	var c *call
+	if w.spareCalls.Len() > 0 {
+		c = w.spareCalls.Pop()
+	} else {
+		c = &call{wq: sim.NewWaitQueue(w.s, "waffinity.call")}
+		c.done = c.complete
 	}
+	w.Send(aff, cat, fn, c.done)
+	for !c.completed {
+		c.wq.Wait(t)
+	}
+	c.completed = false
+	w.spareCalls.Push(c)
 }
 
 // canRun reports whether the head message of aff may start now: the
@@ -335,6 +369,8 @@ func (w *Scheduler) workerLoop(t *sim.Thread) {
 		if m.done != nil {
 			m.done()
 		}
+		*m = message{}
+		w.spareMsgs.Push(m)
 		// Completing this message may have unblocked ancestors or
 		// descendants; wake idle workers to re-scan.
 		w.wakeIdle()

@@ -238,6 +238,78 @@ func TestCallBlocksUntilDone(t *testing.T) {
 	}
 }
 
+// TestWarmMessagesAllocateNothing: once a message and a call record have
+// come back to their free lists, a Send with its done and a Call round trip
+// take them again and allocate nothing.
+func TestWarmMessagesAllocateNothing(t *testing.T) {
+	s, w, h := testEnv(2)
+	stripe := h.Aggrs[0].Volumes[0].Stripes[0]
+	nop := func(*sim.Thread) {}
+	done := func() {}
+	send := func() {
+		w.Send(stripe, sim.CatClient, nop, done)
+		s.Drain(s.Now())
+	}
+	send()
+	if got := testing.AllocsPerRun(100, send); got != 0 {
+		t.Errorf("a warm Send with its done allocates %v objects, want 0", got)
+	}
+	call := -1.0
+	s.Go("caller", sim.CatClient, func(th *sim.Thread) {
+		roundTrip := func() { w.Call(th, stripe, sim.CatClient, nop) }
+		roundTrip()
+		call = testing.AllocsPerRun(100, roundTrip)
+	})
+	s.Run(s.Now() + sim.Time(sim.Second))
+	if call != 0 {
+		t.Errorf("a warm Call round trip allocates %v objects, want 0", call)
+	}
+}
+
+// TestCrashNeverRecyclesInFlightMessages: a record whose owner a crash killed
+// is dropped, not reused. A caller killed while its message sleeps keeps its
+// call record, so the message's late completion cannot mark the next caller's
+// Call complete before that caller's own message has run; a worker killed
+// mid-message keeps the message.
+func TestCrashNeverRecyclesInFlightMessages(t *testing.T) {
+	s, w, h := testEnv(2)
+	stripes := h.Aggrs[0].Volumes[0].Stripes
+	victim := s.ThreadMark()
+	s.Go("victim", sim.CatClient, func(th *sim.Thread) {
+		w.Call(th, stripes[0], sim.CatClient, func(wt *sim.Thread) { wt.Sleep(100 * sim.Microsecond) })
+	})
+	s.Run(sim.Time(10 * sim.Microsecond))
+	s.KillRange(victim, victim+1)
+	if n := w.SpareCalls(); n != 0 {
+		t.Fatalf("%d call records spare after the caller was killed mid-Call, want 0", n)
+	}
+	s.Run(sim.Time(150 * sim.Microsecond)) // the orphaned message completes
+	ran, early := false, false
+	s.Go("next", sim.CatClient, func(th *sim.Thread) {
+		w.Call(th, stripes[1], sim.CatClient, func(wt *sim.Thread) {
+			wt.Sleep(200 * sim.Microsecond)
+			ran = true
+		})
+		early = !ran
+	})
+	s.Run(sim.Time(sim.Second))
+	if !ran || early {
+		t.Fatalf("next caller's message ran %v, Call returned before it %v", ran, early)
+	}
+	if n := w.SpareCalls(); n != 1 {
+		t.Fatalf("%d call records spare, want the next caller's 1", n)
+	}
+
+	// Workers are the scheduler's first threads.
+	spare := w.SpareMessages()
+	w.Send(stripes[2], sim.CatClient, func(wt *sim.Thread) { wt.Sleep(sim.Millisecond) }, nil)
+	s.Run(s.Now() + sim.Time(10*sim.Microsecond))
+	s.KillRange(0, 2)
+	if n := w.SpareMessages(); n != spare-1 {
+		t.Fatalf("%d messages spare after a worker was killed mid-message, want %d", n, spare-1)
+	}
+}
+
 func TestExclusionPropertyRandomized(t *testing.T) {
 	// Fire a few hundred messages at random affinities and verify, via the
 	// tracker, that the exclusion invariant holds throughout.
