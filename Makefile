@@ -50,13 +50,21 @@ racecp:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-# fuzzsmoke runs each fuzz target for 10 s past its seed corpus (plain `go test`
-# runs only the seeds): the short-image rule of block.GetPtr, and the tree
-# walkers of fs.File. Minimising each new input is capped at 1 s: at the
-# default 60 s, shrinking one 4 KiB image takes the whole budget.
+# fuzzsmoke runs each fuzz target for 5 s past its seed corpus (plain `go test`
+# runs only the seeds): the short-image rule of block.GetPtr and of every
+# metafile decoder (inode records, bitmap recount, volume-table and snapdir
+# entries, clone state), and the tree walkers of fs.File. Minimising each new
+# input is capped at 1 s: at the default 60 s, shrinking one 4 KiB image takes
+# the whole budget.
+FUZZ = -run '^$$' -fuzztime 5s -fuzzminimizetime 1s
 fuzzsmoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzGetPtrPrefix$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/block
-	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs
+	$(GO) test $(FUZZ) -fuzz '^FuzzGetPtrPrefix$$' ./internal/block
+	$(GO) test $(FUZZ) -fuzz '^FuzzWalk$$' ./internal/fs
+	$(GO) test $(FUZZ) -fuzz '^FuzzDecodeRecordPrefix$$' ./internal/fs
+	$(GO) test $(FUZZ) -fuzz '^FuzzRebindPrefix$$' ./internal/bitmap
+	$(GO) test $(FUZZ) -fuzz '^FuzzDecodeVolumePrefix$$' ./internal/aggregate
+	$(GO) test $(FUZZ) -fuzz '^FuzzDecodeEntryPrefix$$' ./internal/snap
+	$(GO) test $(FUZZ) -fuzz '^FuzzDecodePrefix$$' ./internal/clone
 
 # expsmoke runs every table of the registry (`-exp all`) at a few-ms window:
 # an experiment that no longer builds, runs or finishes fails the gate. The

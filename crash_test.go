@@ -413,9 +413,10 @@ func TestSparseIndirectsSurviveRemount(t *testing.T) {
 }
 
 // TestTrimmedImagesReconstructed runs the default 64-byte payload, so user
-// data and most parity sit on the media as length-trimmed images, then makes
-// every trimmed data block unreadable: a freshly mounted system must serve
-// all of them through XOR reconstruction, content intact and fsck clean.
+// data, sparse metafile blocks and most parity sit on the media as
+// length-trimmed images, then makes every trimmed data block unreadable: a
+// freshly mounted system must load the metafiles and serve the user blocks
+// through XOR reconstruction, content intact and fsck clean.
 func TestTrimmedImagesReconstructed(t *testing.T) {
 	cfg := crashConfig()
 	cfg.PayloadBytes = DefaultConfig().PayloadBytes
@@ -432,7 +433,20 @@ func TestTrimmedImagesReconstructed(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := sys.m0().a
-	failed := 0
+	// The VBNs of the metafile L0s, all resident.
+	meta := map[block.VBN]bool{}
+	metafiles := []*fs.File{a.AmapFile(), a.VolTableFile()}
+	for _, v := range a.Volumes() {
+		metafiles = append(metafiles, v.Metafiles()...)
+	}
+	for _, f := range metafiles {
+		for fbn := FBN(0); fbn < f.Size(); fbn++ {
+			if b := f.Buffer(0, fbn); b != nil {
+				meta[b.VBN()] = true
+			}
+		}
+	}
+	failed, failedMeta := 0, 0
 	for g := 0; g < cfg.RAIDGroups; g++ {
 		for d := 0; d < cfg.DataDrives; d++ {
 			drive := a.Group(g).Drive(d)
@@ -440,12 +454,17 @@ func TestTrimmedImagesReconstructed(t *testing.T) {
 				if img := drive.Peek(dbn); img != nil && len(img) < block.Size {
 					sys.Injector().FailBlock(drive.Name(), dbn)
 					failed++
+					if meta[a.Geometry().VBNOf(g, d, dbn)] {
+						failedMeta++
+					}
 				}
 			}
 		}
 	}
-	if failed < nblocks {
-		t.Fatalf("only %d trimmed images on the media, want at least the file's %d blocks", failed, nblocks)
+	t.Logf("%d trimmed images failed, %d of them metafile blocks", failed, failedMeta)
+	if failed-failedMeta < nblocks || failedMeta == 0 {
+		t.Fatalf("%d trimmed images on the media, %d of them metafile blocks; want at least the file's %d blocks and some metafile blocks",
+			failed, failedMeta, nblocks)
 	}
 	sys.Crash()
 	rec, err := sys.Recover()
@@ -457,8 +476,8 @@ func TestTrimmedImagesReconstructed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rs := rec.Stats().Repairs; rs.Reconstructs < nblocks {
-		t.Fatalf("%d reconstructions for %d unreadable blocks", rs.Reconstructs, nblocks)
+	if rs := rec.Stats().Repairs; rs.Reconstructs < uint64(nblocks+failedMeta) {
+		t.Fatalf("%d reconstructions for %d unreadable user and %d metafile blocks", rs.Reconstructs, nblocks, failedMeta)
 	}
 	if rep := rec.Fsck(); !rep.OK() {
 		t.Fatalf("fsck over reconstructed trimmed images: %s", rep)

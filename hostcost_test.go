@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wafl"
+	"wafl/harness"
 	"wafl/workload"
 )
 
@@ -113,9 +114,9 @@ func TestClientOpAllocations(t *testing.T) {
 // TestNFSMixMediaBytesBudget guards the host memory the simulated media
 // holds: on the benchmark's nfsmix at most 800 image bytes per block
 // written, data and parity. Drives.BytesWritten is a count, exact for the
-// seed: 419 while a sparse indirect block (one that trims to half a block or
-// less) goes to storage trimmed, 1,605 when every indirect image is a full
-// 4 KiB array.
+// seed: 386 while a sparse indirect or metafile block (one that trims to half
+// a block or less) goes to storage trimmed, 419 with sparse indirects alone
+// trimmed, 1,605 when every indirect image is a full 4 KiB array.
 func TestNFSMixMediaBytesBudget(t *testing.T) {
 	const budget = 800
 	cfg := wafl.DefaultConfig()
@@ -136,6 +137,68 @@ func TestNFSMixMediaBytesBudget(t *testing.T) {
 	t.Logf("%.1f media bytes per block written over %d blocks", perBlock, dr.BlocksWritten)
 	if perBlock > budget {
 		t.Fatalf("nfsmix writes %.0f media bytes per block, budget %d", perBlock, budget)
+	}
+}
+
+// overloadBurst is the benchmark's overload_burst system (NVLog admission on)
+// with its open-loop load attached, run through the base phase and the 4x
+// burst (200 ms): the window that follows is the recover phase, whose CPs
+// rewrite metafile blocks and stripes the earlier CPs wrote.
+func overloadBurst(t *testing.T) *wafl.System {
+	cfg := harness.OverloadConfig(wafl.DefaultConfig())
+	cfg.Admission.Enabled = true
+	sys, err := wafl.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Shutdown)
+	w := workload.DefaultOpenLoop()
+	w.Attach(sys)
+	sys.Run(200 * wafl.Millisecond)
+	return sys
+}
+
+// TestOverloadHostAllocBudget guards the host cost of the CP's write path on
+// the benchmark's costliest workload: over overload_burst's 100 ms recover
+// phase at most 6.5 KiB of host heap per client op. The figure sits near
+// 6.16 KiB/op while a sparse metafile L0 goes to the media trimmed (its
+// buffer then updated in place, not cloned) and parity arrays displaced from
+// the media are reused (DESIGN §9, §14): 6.79 without the reuse, 7.79 when
+// every sparse metafile L0 and every parity block the CP wrote was a fresh
+// array.
+func TestOverloadHostAllocBudget(t *testing.T) {
+	const budgetKiB = 6.5
+	sys := overloadBurst(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := sys.Measure(0, 100*wafl.Millisecond)
+	runtime.ReadMemStats(&after)
+	if res.Ops == 0 {
+		t.Fatal("no ops completed in the window")
+	}
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(res.Ops)
+	t.Logf("%.2f KiB/op, %.1f mallocs/op over %d ops",
+		perOp, float64(after.Mallocs-before.Mallocs)/float64(res.Ops), res.Ops)
+	if perOp > budgetKiB {
+		t.Fatalf("overload_burst allocates %.2f KiB of host heap per op, budget %v KiB/op", perOp, budgetKiB)
+	}
+}
+
+// TestOverloadMediaBytesBudget guards the host memory the simulated media
+// holds on overload_burst, over the same window: at most 1,200 image bytes
+// per block written, data and parity. A count, exact for the seed: 1,110
+// while a sparse metafile L0 (one that trims to half a block or less) goes
+// to storage trimmed, 1,293 when each is a full 4 KiB array.
+func TestOverloadMediaBytesBudget(t *testing.T) {
+	const budget = 1200
+	dr := overloadBurst(t).Measure(0, 100*wafl.Millisecond).Stats.Drives
+	if dr.BlocksWritten == 0 {
+		t.Fatal("no blocks written in the window")
+	}
+	perBlock := float64(dr.BytesWritten) / float64(dr.BlocksWritten)
+	t.Logf("%.1f media bytes per block written over %d blocks", perBlock, dr.BlocksWritten)
+	if perBlock > budget {
+		t.Fatalf("overload_burst writes %.0f media bytes per block, budget %d", perBlock, budget)
 	}
 }
 

@@ -218,8 +218,9 @@ func (a *Aggregate) CrashAll() {
 }
 
 // loadAll eagerly installs every block of each file's committed tree from
-// the media (untimed; mount path). A block the tree points at that was never
-// written is a damaged image: reading stops and the error says where.
+// the media (untimed; mount path). A block the tree points at outside the
+// aggregate or never written is a damaged image: reading stops and the error
+// says where.
 func (a *Aggregate) loadAll(files ...*fs.File) error {
 	for _, f := range files {
 		var err error
@@ -227,7 +228,10 @@ func (a *Aggregate) loadAll(files ...*fs.File) error {
 			if err != nil {
 				return nil
 			}
-			data := a.ReadVBNRaw(vbn)
+			var data []byte
+			if uint64(vbn) < a.geo.TotalBlocks() {
+				data = a.ReadVBNRaw(vbn)
+			}
 			if data == nil {
 				err = fmt.Errorf("metafile %d block (level %d, index %d) at %v unreadable", f.Ino(), level, idx, vbn)
 				return nil
@@ -240,4 +244,13 @@ func (a *Aggregate) loadAll(files ...*fs.File) error {
 		}
 	}
 	return nil
+}
+
+// rebind rebuilds the activemap of nbits bits a mounted bitmap metafile
+// holds; a metafile too small for the space is a damaged image.
+func rebind(f *fs.File, nbits uint64) (*bitmap.Activemap, error) {
+	if f.MaxBlocks()*bitmap.BitsPerBlock < nbits {
+		return nil, fmt.Errorf("bitmap metafile %d of %d blocks cannot hold %d bits", f.Ino(), f.MaxBlocks(), nbits)
+	}
+	return bitmap.Rebind(f, nbits), nil
 }

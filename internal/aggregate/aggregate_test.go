@@ -2,11 +2,13 @@ package aggregate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
 
 	"wafl/internal/block"
+	"wafl/internal/clone"
 	"wafl/internal/fs"
 	"wafl/internal/sim"
 	"wafl/internal/storage"
@@ -14,7 +16,7 @@ import (
 
 var testGeo = Geometry{NumGroups: 2, DataDrives: 3, Depth: 8192, AAStripes: 1024}
 
-func newTestAggr(t *testing.T) (*sim.Scheduler, *Aggregate) {
+func newTestAggr(t testing.TB) (*sim.Scheduler, *Aggregate) {
 	t.Helper()
 	s := sim.New(4, 1)
 	a, err := New(s, Config{Geometry: testGeo, Profile: storage.SSD})
@@ -150,7 +152,7 @@ func TestVolumeCreateAndContainer(t *testing.T) {
 // drives (synchronously, bypassing tetris batching), and skips frees
 // (leaking old blocks, which mount does not care about).
 type testCheckpoint struct {
-	t      *testing.T
+	t      testing.TB
 	s      *sim.Scheduler
 	a      *Aggregate
 	cursor uint64
@@ -493,4 +495,69 @@ func TestRequestSnapshotForms(t *testing.T) {
 	if id := v.RequestSnapshot(0); id != 9 {
 		t.Fatalf("assigned ID = %d, want 9", id)
 	}
+}
+
+// maxFuzzVVBNs bounds the VVBN space FuzzDecodeVolumePrefix decodes: a larger
+// one decodes the same way, at a host cost linear in its size (the free-space
+// index is rebuilt word by word).
+const maxFuzzVVBNs = 1 << 24
+
+// FuzzDecodeVolumePrefix checks the short-image rule for volume-table
+// entries: any prefix (up to a block) of an entry decodes as its zero-padded
+// twin — the same volume, or an error for both — and never panics, whatever
+// the bytes. The seeds are committed entries of a checkpointed aggregate (a
+// volume with a file and a snapshot) and the same entry as a bound clone's;
+// decoding reads that aggregate's media.
+func FuzzDecodeVolumePrefix(f *testing.F) {
+	s, a := newTestAggr(f)
+	v := a.AddVolume(1 << 16)
+	file := v.CreateFile(1 << 12)
+	file.WriteBlock(3, pattern(1))
+	v.MarkDirty(file)
+	v.RequestSnapshot(0)
+	cp := &testCheckpoint{t: f, s: s, a: a}
+	s.Go("cp", sim.CatCP, func(th *sim.Thread) {
+		for _, id := range v.TakePendingSnapshots() {
+			sn, _ := v.MaterializeSnapshot(id, 1)
+			cp.cleanFile(th, sn.Snapmap, false, nil)
+			cp.cleanFile(th, sn.InoCopy, false, nil)
+		}
+		v.WriteSnapdirEntries()
+		cp.run(th)
+	})
+	s.Run(sim.Time(10 * sim.Second))
+	cp.check()
+
+	entry := bytes.Clone(a.VolTableFile().Buffer(0, 0).Data()[:VolEntrySize])
+	bound := bytes.Clone(entry)
+	(&clone.State{ParentVol: 0, ParentSnap: 1, BaseFile: fs.NewFile(inoVolBasemap, v.amapFile.Height())}).Encode(bound)
+	for _, e := range [][]byte{entry, bound} {
+		for _, n := range []int{len(block.Trim(e)), 30, 100, 200, 400} {
+			f.Add(e, n)
+		}
+	}
+	f.Fuzz(func(t *testing.T, img []byte, n int) {
+		img = img[:min(len(img), block.Size)]
+		if n < 0 || n > len(img) {
+			return
+		}
+		padded := block.Clone(img[:n])
+		if binary.LittleEndian.Uint64(padded[8:]) > maxFuzzVVBNs {
+			t.Skip("VVBN space beyond the fuzzing bound")
+		}
+		got, gerr := a.decodeVolume(img[:n])
+		want, werr := a.decodeVolume(padded)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("prefix of %d bytes: error %v, padded %v", n, gerr, werr)
+		}
+		if gerr != nil {
+			return
+		}
+		g, w := make([]byte, VolEntrySize), make([]byte, VolEntrySize)
+		got.encodeEntry(g)
+		want.encodeEntry(w)
+		if !bytes.Equal(g, w) || got.Activemap.Free() != want.Activemap.Free() || got.Summary.Free() != want.Summary.Free() {
+			t.Fatalf("prefix of %d bytes decodes to a different volume than its padded twin", n)
+		}
+	})
 }

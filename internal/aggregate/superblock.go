@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"wafl/internal/bitmap"
 	"wafl/internal/block"
 	"wafl/internal/fs"
 	"wafl/internal/sim"
@@ -90,13 +89,19 @@ func MountFrom(old *Aggregate) (*Aggregate, error) {
 	a.cpCount = binary.LittleEndian.Uint64(sb[8:])
 	nvols := binary.LittleEndian.Uint64(sb[16:])
 
-	a.amapFile = fs.FileFromRecord(fs.DecodeRecord(sb[24:]))
-	a.volTable = fs.FileFromRecord(fs.DecodeRecord(sb[88:]))
-	if err := a.loadAll(a.amapFile, a.volTable); err != nil {
+	var err error
+	if a.amapFile, err = fs.FileFromRecord(fs.DecodeRecord(sb[24:])); err != nil {
+		return nil, fmt.Errorf("aggregate: activemap: %w", err)
+	}
+	if a.volTable, err = fs.FileFromRecord(fs.DecodeRecord(sb[88:])); err != nil {
+		return nil, fmt.Errorf("aggregate: volume table: %w", err)
+	}
+	if err = a.loadAll(a.amapFile, a.volTable); err != nil {
 		return nil, fmt.Errorf("aggregate: %w", err)
 	}
-
-	a.Activemap = bitmap.Rebind(a.amapFile, a.geo.TotalBlocks())
+	if a.Activemap, err = rebind(a.amapFile, a.geo.TotalBlocks()); err != nil {
+		return nil, fmt.Errorf("aggregate: %w", err)
+	}
 	a.initAAFree()
 	// Recompute per-AA free counts from the rebound bitmap, word-wise —
 	// a per-bit IsSet loop would pay TotalBlocks buffer lookups.

@@ -322,7 +322,10 @@ func (v *Volume) LookupFile(ino uint64) *fs.File {
 	if rec.Flags&fs.FlagInUse == 0 || rec.Ino != ino {
 		return nil
 	}
-	f := fs.FileFromRecord(rec)
+	f, err := fs.FileFromRecord(rec)
+	if err != nil {
+		return nil // a record that describes no file is no inode
+	}
 	v.files[ino] = f
 	return f
 }
@@ -470,34 +473,43 @@ func (a *Aggregate) WriteVolumeEntries() {
 }
 
 // decodeVolume rebuilds a volume skeleton from its table entry (mount
-// path), eagerly loading its metafiles and rebinding the activemap.
+// path), eagerly loading its metafiles and rebinding the activemap. src may
+// be short: bytes past its end read as zero. A damaged entry is an error.
 func (a *Aggregate) decodeVolume(src []byte) (*Volume, error) {
-	if binary.LittleEndian.Uint32(src[24:]) == 0 {
+	var e [VolEntrySize]byte
+	copy(e[:], src)
+	if binary.LittleEndian.Uint32(e[24:]) == 0 {
 		return nil, fmt.Errorf("entry not in use")
 	}
 	v := &Volume{
-		id:          int(binary.LittleEndian.Uint64(src[0:])),
+		id:          int(binary.LittleEndian.Uint64(e[0:])),
 		aggr:        a,
-		vvbnBlocks:  binary.LittleEndian.Uint64(src[8:]),
-		nextIno:     binary.LittleEndian.Uint64(src[16:]),
+		vvbnBlocks:  binary.LittleEndian.Uint64(e[8:]),
+		nextIno:     binary.LittleEndian.Uint64(e[16:]),
 		files:       make(map[uint64]*fs.File),
 		dirty:       make(map[uint64]*fs.File),
 		recordDirty: make(map[uint64]*fs.File),
 		deleted:     make(map[uint64]bool),
 		snaps:       make(map[uint64]*snap.Snapshot),
-		nextSnapID:  binary.LittleEndian.Uint64(src[32:]),
+		nextSnapID:  binary.LittleEndian.Uint64(e[32:]),
 	}
-	snapCount := int(binary.LittleEndian.Uint32(src[40:]))
-	v.inofile = fs.FileFromRecord(fs.DecodeRecord(src[64:]))
-	v.container = fs.FileFromRecord(fs.DecodeRecord(src[128:]))
-	v.amapFile = fs.FileFromRecord(fs.DecodeRecord(src[192:]))
-	v.snapdir = fs.FileFromRecord(fs.DecodeRecord(src[256:]))
-	v.summaryFile = fs.FileFromRecord(fs.DecodeRecord(src[320:]))
+	snapCount := int(binary.LittleEndian.Uint32(e[40:]))
+	// The five metafile records, at encodeEntry's 64-byte stride.
+	var err error
+	for i, f := range []**fs.File{&v.inofile, &v.container, &v.amapFile, &v.snapdir, &v.summaryFile} {
+		if *f, err = fs.FileFromRecord(fs.DecodeRecord(e[64*(i+1):])); err != nil {
+			return nil, err
+		}
+	}
 	if err := a.loadAll(v.inofile, v.container, v.amapFile, v.snapdir, v.summaryFile); err != nil {
 		return nil, err
 	}
-	v.Activemap = bitmap.Rebind(v.amapFile, v.vvbnBlocks)
-	v.Summary = bitmap.Rebind(v.summaryFile, v.vvbnBlocks)
+	if v.Activemap, err = rebind(v.amapFile, v.vvbnBlocks); err != nil {
+		return nil, err
+	}
+	if v.Summary, err = rebind(v.summaryFile, v.vvbnBlocks); err != nil {
+		return nil, err
+	}
 	v.FreeIdx = bitmap.NewIndex(v.Activemap, v.Summary, bitmap.BitsPerBlock)
 	// Rebuild the snapshot set from the snapdir content.
 	for slot := 0; slot < snapCount; slot++ {
@@ -505,7 +517,10 @@ func (a *Aggregate) decodeVolume(src []byte) (*Volume, error) {
 		if buf == nil {
 			return nil, fmt.Errorf("snapdir slot %d not on media", slot)
 		}
-		s := snap.DecodeEntry(buf.Data()[(slot%snap.EntriesPerBlock)*snap.EntrySize:])
+		s, err := snap.DecodeEntry(buf.Data()[(slot%snap.EntriesPerBlock)*snap.EntrySize:])
+		if err != nil {
+			return nil, fmt.Errorf("snapdir slot %d: %w", slot, err)
+		}
 		if s == nil {
 			return nil, fmt.Errorf("snapdir slot %d empty, want %d snapshots", slot, snapCount)
 		}
@@ -526,11 +541,17 @@ func (a *Aggregate) decodeVolume(src []byte) (*Volume, error) {
 	if v.nextSnapID == 0 {
 		v.nextSnapID = 1
 	}
-	if st := clone.Decode(src); st != nil {
+	st, err := clone.Decode(e[:])
+	if err != nil {
+		return nil, fmt.Errorf("clone base map: %w", err)
+	}
+	if st != nil {
 		if err := a.loadAll(st.BaseFile); err != nil {
 			return nil, err
 		}
-		st.Base = bitmap.Rebind(st.BaseFile, v.vvbnBlocks)
+		if st.Base, err = rebind(st.BaseFile, v.vvbnBlocks); err != nil {
+			return nil, err
+		}
 		if st.Splitting {
 			st.SplitIno = FirstUserIno
 		}

@@ -46,7 +46,8 @@ func New(file *fs.File, nbits uint64) *Activemap {
 // Rebind attaches the activemap to a (re-mounted) metafile and recomputes
 // the free count from its contents — the mount-time rebuild path. The
 // recount is word-wise over resident metafile blocks (absent blocks are
-// all-clear), not a per-bit IsSet loop.
+// all-clear), not a per-bit IsSet loop, and a short image counts as its
+// zero-padded twin.
 func Rebind(file *fs.File, nbits uint64) *Activemap {
 	a := New(file, nbits)
 	used := uint64(0)
@@ -59,8 +60,12 @@ func Rebind(file *fs.File, nbits uint64) *Activemap {
 		d := buf.Data()
 		// Bits at/after nbits in the last block are unused and must be zero
 		// (Set panics past nbits), so counting whole words is safe.
-		for off := 0; off < block.Size; off += 8 {
+		words := len(d) &^ 7
+		for off := 0; off < words; off += 8 {
 			used += uint64(bits.OnesCount64(binary.LittleEndian.Uint64(d[off:])))
+		}
+		for _, b := range d[words:] {
+			used += uint64(bits.OnesCount8(b))
 		}
 	}
 	a.free = nbits - used

@@ -171,6 +171,36 @@ func TestRebindRecomputesFree(t *testing.T) {
 	}
 }
 
+// FuzzRebindPrefix checks the short-image rule for Rebind's word count: a
+// bitmap block installed as any prefix (up to a block) of an image counts
+// the same used bits as its zero-padded twin. The file is a user file, so
+// InstallBuffer keeps the prefix short.
+func FuzzRebindPrefix(f *testing.F) {
+	src := fs.NewFile(1, 1)
+	a := New(src, BitsPerBlock)
+	for _, bn := range []uint64{0, 63, 64, 1000, 8191, BitsPerBlock - 1} {
+		a.Set(bn)
+	}
+	d := src.Buffer(0, 0).Data()
+	for _, n := range []int{len(block.Trim(d)), 0, 7, 9, 125, 1023} {
+		f.Add(d, n)
+	}
+	f.Fuzz(func(t *testing.T, img []byte, n int) {
+		img = img[:min(len(img), block.Size)]
+		if n < 0 || n > len(img) {
+			return
+		}
+		free := func(data []byte) uint64 {
+			file := fs.NewFile(1, 1)
+			file.InstallBuffer(0, 0, data, 1, 1)
+			return Rebind(file, BitsPerBlock).Free()
+		}
+		if got, want := free(img[:n]), free(block.Clone(img[:n])); got != want {
+			t.Fatalf("prefix of %d bytes: %d free, padded %d", n, got, want)
+		}
+	})
+}
+
 func TestPropertyFreeCountConsistency(t *testing.T) {
 	// Property: after arbitrary set/clear sequences, Free() equals a full
 	// recount, and FindFree never returns a set bit.

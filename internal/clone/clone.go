@@ -83,20 +83,26 @@ func (st *State) Encode(entry []byte) {
 }
 
 // Decode rebuilds the clone state skeleton from a volume-table entry, or
-// returns nil for a non-clone volume. The caller loads the base map
-// metafile from media and rebinds Base.
-func Decode(entry []byte) *State {
-	flags := binary.LittleEndian.Uint32(entry[flagsOff:])
+// returns nil for a non-clone volume, and an error for a base map record no
+// file can have. entry may be short: bytes past its end read as zero. The
+// caller loads the base map metafile from media and rebinds Base.
+func Decode(entry []byte) (*State, error) {
+	var e [baseRecordOff + fs.RecordSize]byte
+	copy(e[:], entry)
+	flags := binary.LittleEndian.Uint32(e[flagsOff:])
 	if flags&flagClone == 0 {
-		return nil
+		return nil, nil
+	}
+	base, err := fs.FileFromRecord(fs.DecodeRecord(e[baseRecordOff:]))
+	if err != nil {
+		return nil, err
 	}
 	return &State{
-		ParentVol:  int(binary.LittleEndian.Uint64(entry[parentVolOff:])),
-		ParentSnap: binary.LittleEndian.Uint64(entry[parentSnapOff:]),
+		ParentVol:  int(binary.LittleEndian.Uint64(e[parentVolOff:])),
+		ParentSnap: binary.LittleEndian.Uint64(e[parentSnapOff:]),
 		Splitting:  flags&flagSplitting != 0,
-		BaseFile:   fs.FileFromRecord(fs.DecodeRecord(entry[baseRecordOff:])),
-		SplitIno:   0,
-	}
+		BaseFile:   base,
+	}, nil
 }
 
 // Held returns the number of VVBNs still held by the parent snapshot on the

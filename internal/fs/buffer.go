@@ -38,8 +38,8 @@ import (
 // submitted the buffer's CP image for writing, the buffer is sealed if the
 // submitted array is its own: the drive media references it and it must
 // never be mutated, so the next modification goes to a new array. A sparse
-// indirect block is submitted as a trimmed copy instead (MarkCleaned) and
-// stays unsealed.
+// CP-owned image (an indirect block or a metafile L0) is submitted as a
+// trimmed copy instead (MarkCleaned) and stays unsealed.
 type Buffer struct {
 	fbn   block.FBN
 	level int
@@ -57,10 +57,12 @@ type Buffer struct {
 	vbn  block.VBN  // current on-disk physical location (InvalidVBN if none)
 }
 
-// sparseMax is the longest trimmed image, in bytes, with which an indirect
-// block goes to storage as a private copy rather than as its buffer's array.
-// Every indirect has some zero tail (the high bytes of a VBN are zero), and
-// copying a dense one would duplicate the array its buffer keeps anyway.
+// sparseMax is the longest trimmed image, in bytes, with which a CP-owned
+// image — an indirect block or a metafile L0, never a client's adopted
+// array — goes to storage as a private copy rather than as its buffer's
+// array. Every indirect has some zero tail (the high bytes of a VBN are
+// zero), and copying a dense image would duplicate the array its buffer
+// keeps anyway.
 const sparseMax = block.Size / 2
 
 func newBuffer(fbn block.FBN, level int) *Buffer {
@@ -164,21 +166,22 @@ func (b *Buffer) freeze() {
 // location (vvbn, vbn). It returns the image to write, which storage keeps,
 // and the previous location for freeing; the buffer leaves the CP.
 //
-// This is where sealing is decided. An indirect block whose image trims to
-// sparseMax bytes or fewer is handed out as a trimmed private copy, and the
-// buffer stays unsealed: the next CP updates it in place. Any other image is
-// handed out as is, and if it is the live image the buffer is sealed (the
-// media now references that array).
+// This is where sealing is decided. A CP-owned image (not adopted: an
+// indirect block or a metafile L0) that trims to sparseMax bytes or fewer is
+// handed out as a trimmed private copy, and the buffer stays unsealed: the
+// next CP updates it in place. Any other image, a client's adopted L0 among
+// them, is handed out as is, and if it is the live image the buffer is
+// sealed (the media now references that array).
 func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
 	img = b.cpImage()
 	var trimmed []byte
-	if b.level > 0 {
+	if !b.adopted {
 		trimmed = block.Trim(img)
 	}
 	switch {
-	case b.level > 0 && len(trimmed) <= sparseMax:
+	case !b.adopted && len(trimmed) <= sparseMax:
 		img = append([]byte{}, trimmed...) // never nil: nil media is a block never written
 	case b.cpData == nil:
 		b.sealed = true

@@ -92,9 +92,10 @@ func (dl *dirtyList) sort() {
 // blocks. Both user files and metafiles (allocation bitmaps, inode files,
 // container maps) are Files — "WAFL stores all metadata in files".
 type File struct {
-	ino    uint64
-	height int
-	size   block.FBN // one past the highest FBN ever written
+	ino      uint64
+	height   int
+	size     block.FBN // one past the highest FBN ever written
+	metafile bool      // mounted from a FlagMetafile record: L0s are CP-owned images
 
 	root     node // index position of the root indirect block (level height)
 	resident int  // buffers in the index, all levels
@@ -212,14 +213,16 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 // InstallBuffer populates the cache with a block loaded from persistent
 // storage (the mount/read path). data is adopted, not copied, and the
 // buffer is sealed: it aliases the media image until first modification.
-// The exception is a short indirect image (a sparse indirect, which the
-// media keeps trimmed): it is padded into a private full block, unsealed,
-// because PtrAt and CPMutableData work on whole blocks.
+// The exception is a short CP-owned image (a sparse indirect or metafile L0,
+// which the media keeps trimmed): it is padded into a private full block,
+// unsealed, because PtrAt, CPMutableData and the metafile decoders work on
+// whole blocks. A short user L0 is adopted as it is, so a read miss
+// allocates nothing.
 func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
 	switch {
 	case data == nil:
-	case level > 0 && len(data) < block.Size:
+	case (level > 0 || f.metafile) && len(data) < block.Size:
 		b.data, b.sealed = block.Clone(data), false
 	default:
 		b.data, b.sealed = data, true

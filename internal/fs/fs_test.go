@@ -185,26 +185,43 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 	}
 }
 
-// CleanChild hands storage the image to keep. A sparse indirect goes out as
-// a trimmed private copy and its buffer stays unsealed, so the next CP
-// updates the live array in place; a dense indirect and any L0 go out as
-// the buffer's own array, which seals the buffer.
+// CleanChild hands storage the image to keep. A sparse CP-owned image (an
+// indirect or a metafile L0) goes out as a trimmed private copy and its
+// buffer stays unsealed, so the next CP updates the live array in place; a
+// dense one, and a client's adopted L0 however short, go out as the
+// buffer's own array, which seals the buffer.
 func TestCleanChildHandsOutImage(t *testing.T) {
+	// clientWrites writes n 64-byte L0s, as a client does, and freezes them.
+	clientWrites := func(n int) func(*File) {
+		return func(f *File) {
+			for fbn := 0; fbn < n; fbn++ {
+				f.WriteBlock(block.FBN(fbn), pattern(byte(fbn))[:64])
+			}
+			f.Freeze()
+		}
+	}
+	// metaWrite sets byte n-1 of metafile L0 0, as CP-side code does.
+	metaWrite := func(n int) func(*File) {
+		return func(f *File) {
+			b := f.GetOrCreateL0(0)
+			b.CPMutableData()[n-1] = 1
+			f.DirtyIntoCP(b)
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		level  int
-		blocks int // L0 blocks written: the L1's pointer count
+		write  func(*File)
 		sparse bool
 	}{
-		{"sparse L1", 1, 3, true},
-		{"dense L1", 1, block.PtrsPerBlock, false},
-		{"L0", 0, 1, false},
+		{"sparse L1", 1, clientWrites(3), true},
+		{"dense L1", 1, clientWrites(block.PtrsPerBlock), false},
+		{"adopted L0", 0, clientWrites(1), false},
+		{"sparse metafile L0", 0, metaWrite(block.Size / 2), true},
+		{"dense metafile L0", 0, metaWrite(block.Size/2 + 1), false},
 	} {
 		f := NewFile(1, 1)
-		for fbn := 0; fbn < c.blocks; fbn++ {
-			f.WriteBlock(block.FBN(fbn), pattern(byte(fbn))[:64])
-		}
-		f.Freeze()
+		c.write(f)
 		loc := uint64(100)
 		var b *Buffer
 		var img []byte
@@ -227,7 +244,7 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		} else if &img[0] != &b.data[0] || !b.sealed {
 			t.Fatalf("%s: want the buffer's own array, sealed", c.name)
 		}
-		if c.level == 0 {
+		if b.adopted {
 			continue // client overwrites: TestSealedBufferCloneOnWrite
 		}
 		want := bytes.Clone(img)
@@ -267,6 +284,65 @@ func TestInstallBufferPadsShortIndirect(t *testing.T) {
 	if !bytes.Equal(media, block.Trim(l1)) {
 		t.Fatal("a CP-side update reached the media's array")
 	}
+}
+
+// A short L0 image from the media is padded into a private full block when
+// the file is a metafile (its record says so), because the metafile
+// decoders index whole blocks; a user file's short L0 is adopted as it is,
+// so a read miss allocates nothing.
+func TestInstallBufferShortL0(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		flags uint32
+		pad   bool
+	}{
+		{"metafile", FlagInUse | FlagMetafile, true},
+		{"user file", FlagInUse, false},
+	} {
+		f, err := FileFromRecord(Record{Ino: 1, Height: 1, Flags: c.flags})
+		if err != nil {
+			t.Fatal(err)
+		}
+		media := pattern(3)[:100]
+		b := f.InstallBuffer(0, 2, media, 50, 60)
+		if padded := &b.Data()[0] != &media[0]; padded != c.pad || !block.Equal(b.Data(), media) {
+			t.Fatalf("%s: installed %d bytes, padded %v; want padded %v, same content", c.name, len(b.Data()), padded, c.pad)
+		}
+		if c.pad && (len(b.Data()) != block.Size || b.sealed) {
+			t.Fatalf("%s: installed %d bytes, sealed %v; want a full private block", c.name, len(b.Data()), b.sealed)
+		}
+		if !c.pad && !b.sealed {
+			t.Fatalf("%s: the adopted media image is not sealed", c.name)
+		}
+	}
+}
+
+// FileFromRecord refuses a record of a tree height no file can have.
+func TestFileFromRecordRejectsDamage(t *testing.T) {
+	for _, r := range []Record{{Ino: 1, Height: 0}, {Ino: 1, Height: MaxHeight + 1}} {
+		if f, err := FileFromRecord(r); err == nil {
+			t.Fatalf("record %+v gave a file of height %d", r, f.Height())
+		}
+	}
+}
+
+// FuzzDecodeRecordPrefix checks the short-image rule for inode records: any
+// prefix (up to a block) decodes exactly as its zero-padded twin.
+func FuzzDecodeRecordPrefix(f *testing.F) {
+	rec := make([]byte, RecordSize)
+	EncodeRecord(rec, Record{Ino: 1 << 40, SizeBlocks: 300, Height: 2, Flags: FlagInUse | FlagMetafile, RootVVBN: 1 << 33, RootVBN: 77, Gen: 5})
+	for _, n := range []int{len(block.Trim(rec)), 0, 20, 37} {
+		f.Add(rec, n)
+	}
+	f.Fuzz(func(t *testing.T, img []byte, n int) {
+		img = img[:min(len(img), block.Size)]
+		if n < 0 || n > len(img) {
+			return
+		}
+		if got, want := DecodeRecord(img[:n]), DecodeRecord(block.Clone(img[:n])); got != want {
+			t.Fatalf("prefix of %d bytes: %+v, padded %+v", n, got, want)
+		}
+	})
 }
 
 func TestDirtyIntoCPAndCPMutableData(t *testing.T) {
@@ -349,7 +425,10 @@ func TestFileFromRecordRoundTrip(t *testing.T) {
 	f.Freeze()
 	f.CleanChildAll(t)
 	rec := f.RecordOf(0)
-	g := FileFromRecord(rec)
+	g, err := FileFromRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.Ino() != 9 || g.Height() != 2 || g.Size() != 101 || g.RootVVBN != f.RootVVBN || g.RootVBN != f.RootVBN {
 		t.Fatalf("rebuilt file mismatch: %+v vs %+v", g, f)
 	}

@@ -298,7 +298,10 @@ func indexFootprint(n *node) (nodes, slots int) {
 // the slots touched, one short path per touched block.
 func TestIndexNeverSizedFromRecord(t *testing.T) {
 	rec := Record{Ino: 9, SizeBlocks: 1 << 40, Height: 4, Flags: FlagInUse, RootVVBN: 5, RootVBN: 6}
-	f := FileFromRecord(rec)
+	f, err := FileFromRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if nodes, slots := indexFootprint(&f.root); nodes != 0 || slots != 0 || f.ResidentBuffers() != 0 {
 		t.Fatalf("fresh file from a %d-block record holds %d nodes, %d slots, %d buffers", rec.SizeBlocks, nodes, slots, f.ResidentBuffers())
 	}

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"wafl/internal/block"
 )
@@ -43,16 +44,19 @@ func EncodeRecord(dst []byte, r Record) {
 	}
 }
 
-// DecodeRecord deserializes a record from src.
+// DecodeRecord deserializes a record from src. Like every image, src may be
+// short: bytes past its end read as zero.
 func DecodeRecord(src []byte) Record {
+	var r [RecordSize]byte
+	copy(r[:], src)
 	return Record{
-		Ino:        binary.LittleEndian.Uint64(src[0:]),
-		SizeBlocks: binary.LittleEndian.Uint64(src[8:]),
-		Height:     binary.LittleEndian.Uint32(src[16:]),
-		Flags:      binary.LittleEndian.Uint32(src[20:]),
-		RootVVBN:   block.VVBN(binary.LittleEndian.Uint64(src[24:])),
-		RootVBN:    block.VBN(binary.LittleEndian.Uint64(src[32:])),
-		Gen:        binary.LittleEndian.Uint64(src[40:]),
+		Ino:        binary.LittleEndian.Uint64(r[0:]),
+		SizeBlocks: binary.LittleEndian.Uint64(r[8:]),
+		Height:     binary.LittleEndian.Uint32(r[16:]),
+		Flags:      binary.LittleEndian.Uint32(r[20:]),
+		RootVVBN:   block.VVBN(binary.LittleEndian.Uint64(r[24:])),
+		RootVBN:    block.VBN(binary.LittleEndian.Uint64(r[32:])),
+		Gen:        binary.LittleEndian.Uint64(r[40:]),
 	}
 }
 
@@ -76,12 +80,18 @@ func (f *File) RecordOf(flags uint32) Record {
 }
 
 // FileFromRecord reconstructs a file's skeleton from its record (mount
-// path); buffers are demand-loaded later.
-func FileFromRecord(r Record) *File {
+// path); buffers are demand-loaded later. A record of a tree height no file
+// can have is an error: the record came off the media. FlagMetafile marks
+// the file's L0s as CP-owned images (File.InstallBuffer).
+func FileFromRecord(r Record) (*File, error) {
+	if r.Height < 1 || r.Height > MaxHeight {
+		return nil, fmt.Errorf("ino %d: record of tree height %d", r.Ino, r.Height)
+	}
 	f := NewFile(r.Ino, int(r.Height))
 	f.size = block.FBN(r.SizeBlocks)
+	f.metafile = r.Flags&FlagMetafile != 0
 	f.RootVVBN = r.RootVVBN
 	f.RootVBN = r.RootVBN
 	f.Gen = r.Gen
-	return f
+	return f, nil
 }

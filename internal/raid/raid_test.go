@@ -212,3 +212,105 @@ func TestMixedLengthImages(t *testing.T) {
 		t.Fatal("corrupt parity verified")
 	}
 }
+
+// rewrite writes stripe dbn on the given data drives with fresh images of n
+// bytes, as the allocator does: a new array per block.
+func rewrite(g *Group, dbn block.DBN, n int, tag byte, drives ...int) {
+	writes := make([][]storage.WriteReq, g.DataDrives())
+	for _, di := range drives {
+		writes[di] = []storage.WriteReq{{DBN: dbn, Data: fill(tag + byte(di))[:n]}}
+	}
+	g.Write(writes, 0, nil)
+}
+
+// TestParityArraysReused: rewriting the same stripes over and over, full and
+// partial, long and short images, the parity arrays completed writes
+// displace come back for the next parity longer than half a block — far
+// fewer arrays than parity writes — and every stripe still verifies.
+func TestParityArraysReused(t *testing.T) {
+	s, g := newTestGroup(2)
+	const stripes, rounds = 16, 30
+	arrays := map[*byte]bool{}
+	writes := 0
+	for r := 0; r < rounds; r++ {
+		for dbn := block.DBN(1); dbn <= stripes; dbn++ {
+			switch (r + int(dbn)) % 3 {
+			case 0:
+				rewrite(g, dbn, block.Size, byte(r), 0, 1, 2, 3)
+			case 1:
+				rewrite(g, dbn, block.Size, byte(r), 1, 2) // partial: drives 0 and 3 are read
+			default:
+				rewrite(g, dbn, 64, byte(r), 0, 1, 2, 3)
+			}
+			writes++
+		}
+		s.RunFor(10 * sim.Millisecond)
+		for dbn := block.DBN(1); dbn <= stripes; dbn++ {
+			if !g.VerifyStripe(dbn) {
+				t.Fatalf("round %d: parity mismatch at stripe %d", r, dbn)
+			}
+			if p := g.ParityDrive().Peek(dbn); len(p) > block.Size/2 {
+				arrays[&p[0]] = true
+			}
+		}
+	}
+	t.Logf("%d parity writes, %d distinct long parity arrays", writes, len(arrays))
+	if len(arrays) > 3*stripes {
+		t.Fatalf("%d parity writes left %d distinct long parity arrays on the media; want them reused", writes, len(arrays))
+	}
+}
+
+// parityFaults tears every in-flight write at a crash down to its first block.
+type parityFaults struct{}
+
+func (parityFaults) WriteFault(string, int) storage.WriteFault { return storage.WriteFault{} }
+func (parityFaults) ReadFault(string, int) storage.ReadFault   { return storage.ReadFault{} }
+func (parityFaults) PeekFault(string, block.DBN) bool          { return false }
+func (parityFaults) CrashPrefix(string, int) int               { return 1 }
+
+// TestCrashNeverRecyclesParity: a parity array displaced by a crash's torn
+// landing is never reused — a crash path returns nothing to a free list —
+// while one a completed write displaces is.
+func TestCrashNeverRecyclesParity(t *testing.T) {
+	s, g := newTestGroup(2)
+	g.ParityDrive().SetInjector(parityFaults{})
+	rewrite(g, 7, block.Size, 1, 0, 1, 2, 3)
+	s.RunFor(10 * sim.Millisecond)
+	torn := g.ParityDrive().Peek(7)
+	want := bytes.Clone(torn)
+
+	// The rewrite's parity lands torn on top of the committed one.
+	rewrite(g, 7, block.Size, 2, 0, 1, 2, 3)
+	for i := range g.DataDrives() {
+		g.Drive(i).DropInFlight()
+	}
+	g.ParityDrive().DropInFlight()
+	s.RunFor(10 * sim.Millisecond)
+	if &g.ParityDrive().Peek(7)[0] == &torn[0] {
+		t.Fatal("the torn parity write did not land")
+	}
+
+	// New stripes take parity arrays from the free list if it has any.
+	for dbn := block.DBN(20); dbn < 30; dbn++ {
+		rewrite(g, dbn, block.Size, 3, 0, 1, 2, 3)
+	}
+	s.RunFor(10 * sim.Millisecond)
+	for dbn := block.DBN(20); dbn < 30; dbn++ {
+		if &g.ParityDrive().Peek(dbn)[0] == &torn[0] {
+			t.Fatalf("stripe %d's parity reuses the array a torn landing displaced", dbn)
+		}
+	}
+	if !bytes.Equal(torn, want) {
+		t.Fatal("the array a torn landing displaced was written into")
+	}
+
+	// A completed write's displaced parity is reused by the next stripe.
+	done := g.ParityDrive().Peek(20)
+	rewrite(g, 20, block.Size, 4, 0, 1, 2, 3)
+	s.RunFor(10 * sim.Millisecond)
+	rewrite(g, 40, block.Size, 5, 0, 1, 2, 3)
+	s.RunFor(10 * sim.Millisecond)
+	if &g.ParityDrive().Peek(40)[0] != &done[0] || !g.VerifyStripe(40) {
+		t.Fatal("the parity array a completed write displaced was not reused, or reused wrong")
+	}
+}

@@ -58,18 +58,29 @@ func (s *Snapshot) EncodeEntry(dst []byte) {
 }
 
 // DecodeEntry rebuilds a snapshot skeleton from a snapdir entry (mount
-// path). Returns nil for an unused slot. The caller loads the metafile
-// trees from media.
-func DecodeEntry(src []byte) *Snapshot {
-	if binary.LittleEndian.Uint32(src[16:]) == 0 {
-		return nil
+// path). Returns nil for an unused slot, and an error for a metafile record
+// no file can have. src may be short: bytes past its end read as zero. The
+// caller loads the metafile trees from media.
+func DecodeEntry(src []byte) (*Snapshot, error) {
+	var e [EntrySize]byte
+	copy(e[:], src)
+	if binary.LittleEndian.Uint32(e[16:]) == 0 {
+		return nil, nil
+	}
+	snapmap, err := fs.FileFromRecord(fs.DecodeRecord(e[64:]))
+	if err != nil {
+		return nil, err
+	}
+	inoCopy, err := fs.FileFromRecord(fs.DecodeRecord(e[128:]))
+	if err != nil {
+		return nil, err
 	}
 	return &Snapshot{
-		ID:       binary.LittleEndian.Uint64(src[0:]),
-		CreateCP: binary.LittleEndian.Uint64(src[8:]),
-		Snapmap:  fs.FileFromRecord(fs.DecodeRecord(src[64:])),
-		InoCopy:  fs.FileFromRecord(fs.DecodeRecord(src[128:])),
-	}
+		ID:       binary.LittleEndian.Uint64(e[0:]),
+		CreateCP: binary.LittleEndian.Uint64(e[8:]),
+		Snapmap:  snapmap,
+		InoCopy:  inoCopy,
+	}, nil
 }
 
 // CopyContent copies every resident L0 block of src into dst, dirtying the

@@ -119,6 +119,9 @@ type Drive struct {
 
 	// inj is the optional fault-injection hook; nil means no faults.
 	inj Injector
+	// displaced, when set, is handed every image a completed write lands on
+	// top of: the owner of the drive's images may reuse it (SetDisplaced).
+	displaced func(img []byte)
 	// inflight tracks submitted-but-incomplete write I/Os in submission
 	// order, so a crash can tear them (land a prefix) deterministically.
 	inflight []*inflightWrite
@@ -134,9 +137,38 @@ type Drive struct {
 }
 
 // inflightWrite is one submitted write I/O awaiting completion: the drive's
-// own copy of the caller's requests.
+// own copy of the caller's requests and callback, with the completion
+// event's callback, the method value complete, bound once.
 type inflightWrite struct {
-	reqs []WriteReq
+	d     *Drive
+	epoch uint64
+	reqs  []WriteReq
+	done  func()
+	fire  func()
+}
+
+// complete lands the write's images on the media, returns the record to
+// Drive.spare and calls done — unless a crash changed the drive's epoch
+// while the write was in flight, in which case nothing happens.
+func (e *inflightWrite) complete() {
+	d := e.d
+	if d.epoch != e.epoch {
+		return // lost to a crash before completing
+	}
+	d.removeInflight(e)
+	for _, r := range e.reqs {
+		if old := d.media[r.DBN]; old != nil && d.displaced != nil {
+			d.displaced(old)
+		}
+		d.media[r.DBN] = r.Data
+	}
+	done := e.done
+	clear(e.reqs)
+	e.done = nil
+	d.spare.Push(e)
+	if done != nil {
+		done()
+	}
 }
 
 // readIO is one submitted read I/O: the drive's copy of the DBNs, the images
@@ -245,6 +277,13 @@ func (d *Drive) Stats() Stats { return d.stats }
 // SetInjector attaches a fault injector (nil disables fault injection).
 func (d *Drive) SetInjector(in Injector) { d.inj = in }
 
+// SetDisplaced hands fn every image a completed write displaces from the
+// media, at the completion, before the write's own callback. The drive no
+// longer references it; whether anything else does is the owner's business
+// (RAID parity arrays are referenced by nothing else). A crash's torn
+// landing displaces images too and hands none of them over.
+func (d *Drive) SetDisplaced(fn func(img []byte)) { d.displaced = fn }
+
 // InflightMultiBlock returns how many of the writes submitted but not yet
 // completed (or lost) span two or more blocks — the ones a crash-time torn-write fault can actually tear.
 func (d *Drive) InflightMultiBlock() int {
@@ -314,9 +353,10 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 	if d.spare.Len() > 0 {
 		entry = d.spare.Pop()
 	} else {
-		entry = new(inflightWrite)
+		entry = &inflightWrite{d: d}
+		entry.fire = entry.complete
 	}
-	entry.reqs = append(entry.reqs[:0], reqs...)
+	entry.epoch, entry.reqs, entry.done = d.epoch, append(entry.reqs[:0], reqs...), done
 	d.inflight = append(d.inflight, entry)
 	if wf.Drop {
 		// Lost I/O: no completion ever fires; the entry stays in flight so
@@ -327,21 +367,7 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 	if wf.Delay > 0 {
 		d.stats.DelayedIOs++
 	}
-	epoch := d.epoch
-	d.s.After(sim.Duration(completion-d.s.Now())+wf.Delay, func() {
-		if d.epoch != epoch {
-			return // lost to a crash before completing
-		}
-		d.removeInflight(entry)
-		for _, r := range entry.reqs {
-			d.media[r.DBN] = r.Data
-		}
-		clear(entry.reqs)
-		d.spare.Push(entry)
-		if done != nil {
-			done()
-		}
-	})
+	d.s.After(sim.Duration(completion-d.s.Now())+wf.Delay, entry.fire)
 }
 
 // Read submits one read I/O for the given blocks and calls done with the
@@ -434,6 +460,8 @@ func (d *Drive) DropInFlight() {
 			p = len(e.reqs)
 		}
 		if p > 0 {
+			// A torn landing is a crash path: what it displaces is dropped,
+			// never handed to the owner (SetDisplaced).
 			for _, r := range e.reqs[:p] {
 				d.media[r.DBN] = r.Data
 			}

@@ -262,8 +262,8 @@ func TestPeekCheckedFaults(t *testing.T) {
 
 // TestSteadyStateWriteAllocatesOnlyItsCompletion pins the in-flight record's
 // lifetime: once a completed write has returned its record, the next Write
-// copies its requests into that record, and the only allocation left is the
-// completion closure.
+// copies its requests and callback into that record, whose completion is a
+// method bound once, so a steady-state Write allocates nothing.
 func TestSteadyStateWriteAllocatesOnlyItsCompletion(t *testing.T) {
 	s := sim.New(1, 1)
 	d := NewDrive(s, "d0", SSD, 1024)
@@ -277,8 +277,30 @@ func TestSteadyStateWriteAllocatesOnlyItsCompletion(t *testing.T) {
 	if d.SpareRecords() != 1 {
 		t.Fatalf("%d spare records after one completed write, want 1", d.SpareRecords())
 	}
-	if allocs := testing.AllocsPerRun(100, write); allocs != 1 {
-		t.Fatalf("steady-state Write allocates %.1f times, want 1 (its completion)", allocs)
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Fatalf("steady-state Write allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCompletedWriteHandsBackDisplacedImages: a completed write hands the
+// owner every image it lands on top of, before its own callback, and nothing
+// for a block the media never held.
+func TestCompletedWriteHandsBackDisplacedImages(t *testing.T) {
+	s := sim.New(1, 1)
+	d := NewDrive(s, "d0", SSD, 64)
+	var back [][]byte
+	d.SetDisplaced(func(img []byte) { back = append(back, img) })
+	first, second := testBlock(1), testBlock(2)
+	d.Write([]WriteReq{{DBN: 3, Data: first}}, nil)
+	s.RunFor(sim.Millisecond)
+	if len(back) != 0 {
+		t.Fatalf("a write to a never-written block handed back %d images", len(back))
+	}
+	seen := -1
+	d.Write([]WriteReq{{DBN: 3, Data: second}, {DBN: 4, Data: testBlock(3)}}, func() { seen = len(back) })
+	s.RunFor(sim.Millisecond)
+	if seen != 1 || len(back) != 1 || &back[0][0] != &first[0] {
+		t.Fatalf("handed back %d images (%d before the callback), want the first write's array once", len(back), seen)
 	}
 }
 

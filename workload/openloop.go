@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"wafl"
+	"wafl/internal/fifo"
 )
 
 // Phase is one segment of an open-loop arrival schedule: for Dur, arrivals
@@ -114,7 +115,7 @@ func (w *OpenLoop) Attach(sys *wafl.System) {
 		inos[i] = sys.CreateFileDirect(vols[i], w.FileBlocks)
 	}
 
-	var lsQueue, bulkQueue []openOp
+	var lsQueue, bulkQueue fifo.Queue[openOp]
 	lsReady := sys.NewWaitQueue("openloop-ls")
 	bulkReady := sys.NewWaitQueue("openloop-bulk")
 
@@ -171,24 +172,20 @@ func (w *OpenLoop) Attach(sys *wafl.System) {
 			}
 			w.Arrivals++
 			if op.bulk {
-				if w.QueueCap > 0 && len(bulkQueue) >= w.QueueCap {
+				if w.QueueCap > 0 && bulkQueue.Len() >= w.QueueCap {
 					w.Dropped++
 					continue
 				}
-				bulkQueue = append(bulkQueue, op)
-				if len(bulkQueue) > w.BulkQueueMax {
-					w.BulkQueueMax = len(bulkQueue)
-				}
+				bulkQueue.Push(op)
+				w.BulkQueueMax = max(w.BulkQueueMax, bulkQueue.Len())
 				bulkReady.Signal()
 			} else {
-				if w.QueueCap > 0 && len(lsQueue) >= w.QueueCap {
+				if w.QueueCap > 0 && lsQueue.Len() >= w.QueueCap {
 					w.Dropped++
 					continue
 				}
-				lsQueue = append(lsQueue, op)
-				if len(lsQueue) > w.LSQueueMax {
-					w.LSQueueMax = len(lsQueue)
-				}
+				lsQueue.Push(op)
+				w.LSQueueMax = max(w.LSQueueMax, lsQueue.Len())
 				lsReady.Signal()
 			}
 		}
@@ -196,17 +193,16 @@ func (w *OpenLoop) Attach(sys *wafl.System) {
 		bulkReady.Broadcast()
 	})
 
-	worker := func(queue *[]openOp, ready *wafl.WaitQueue) func(*wafl.ClientCtx) {
+	worker := func(queue *fifo.Queue[openOp], ready *wafl.WaitQueue) func(*wafl.ClientCtx) {
 		return func(c *wafl.ClientCtx) {
 			for c.Alive() {
-				for len(*queue) == 0 {
+				for queue.Len() == 0 {
 					if !c.Alive() {
 						return
 					}
 					c.Wait(ready)
 				}
-				op := (*queue)[0]
-				*queue = (*queue)[1:]
+				op := queue.Pop()
 				vol, ino := vols[op.stream], inos[op.stream]
 				admitted := true
 				switch {
