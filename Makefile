@@ -53,7 +53,8 @@ benchsmoke:
 # fuzzsmoke runs each fuzz target for 5 s past its seed corpus (plain `go test`
 # runs only the seeds): the short-image rule of block.GetPtr and of every
 # metafile decoder (inode records, bitmap recount, volume-table and snapdir
-# entries, clone state), and the tree walkers of fs.File. Minimising each new
+# entries, clone state), the tree walkers of fs.File, and aggregate.MountFrom
+# over a damaged metafile block (an error, never a panic). Minimising each new
 # input is capped at 1 s: at the default 60 s, shrinking one 4 KiB image takes
 # the whole budget.
 FUZZ = -run '^$$' -fuzztime 5s -fuzzminimizetime 1s
@@ -63,6 +64,7 @@ fuzzsmoke:
 	$(GO) test $(FUZZ) -fuzz '^FuzzDecodeRecordPrefix$$' ./internal/fs
 	$(GO) test $(FUZZ) -fuzz '^FuzzRebindPrefix$$' ./internal/bitmap
 	$(GO) test $(FUZZ) -fuzz '^FuzzDecodeVolumePrefix$$' ./internal/aggregate
+	$(GO) test $(FUZZ) -fuzz '^FuzzMountFrom$$' ./internal/aggregate
 	$(GO) test $(FUZZ) -fuzz '^FuzzDecodeEntryPrefix$$' ./internal/snap
 	$(GO) test $(FUZZ) -fuzz '^FuzzDecodePrefix$$' ./internal/clone
 

@@ -258,7 +258,7 @@ var exportAllow = map[string]string{
 	"bitmap.Index.CorruptFreeWord":      "freeindex_test.go proves fsck catches a bad summary bit",
 	"bitmap.Index.CorruptRegionCounter": "freeindex_test.go proves fsck catches a bad region counter",
 	"faultinject.Injector.FailBlock":    "crash_test.go forces RAID reconstruction of one block",
-	"storage.Drive.InflightMultiBlock":  "crash_test.go waits for a tearable write before crashing",
+	"storage.Device.InflightMultiBlock": "crash_test.go waits for a tearable write before crashing",
 	"sim.Scheduler.Live":                "internal/cp tests check the engine thread survives",
 	"wafl.Stats.Each":                   "stats_test.go and cluster_test.go enumerate every leaf; ROADMAP item 4(c)'s wafltop -json is its first caller",
 	"wafl.System.MemberStats":           "cluster, placement, results and stats tests read one member's Stats",

@@ -11,17 +11,18 @@ import (
 
 // TestSeqWriteHostAllocBudget guards the host cost of the data path where
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
-// an 8-block sequential write may allocate at most 3 KiB of host heap.
+// an 8-block sequential write may allocate at most 2.5 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 2.5 KiB/op (20.5 mallocs/op) while the
-// allocation window's state and the op's own state are recycled (DESIGN §9;
-// 3.3 KiB and 38 mallocs when messages, call completions, op bodies and free
-// commits were garbage and every payload was copied into its buffer), block
-// images stay trimmed, sparse indirects go to the media trimmed and the
-// buffer index stays map-free; materialising the zero tail of the eight L0
-// images alone adds 32 KiB.
+// — and the figure sits near 2.12 KiB/op (20.2 mallocs/op) while parity is
+// kept as rows of data images (DESIGN §4; 2.40 when each stripe's parity was
+// XORed into an array), the allocation window's state and the op's own state
+// are recycled (DESIGN §9; 3.3 KiB and 38 mallocs when messages, call
+// completions, op bodies and free commits were garbage and every payload was
+// copied into its buffer), block images stay trimmed, sparse indirects go to
+// the media trimmed and the buffer index stays map-free; materialising the
+// zero tail of the eight L0 images alone adds 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
-	const budgetKiB = 3
+	const budgetKiB = 2.5
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -40,19 +41,21 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 	t.Logf("%.2f KiB/op, %.1f mallocs/op over %d ops",
 		perOp, float64(after.Mallocs-before.Mallocs)/float64(res.Ops), res.Ops)
 	if perOp > budgetKiB {
-		t.Fatalf("seqwrite allocates %.1f KiB of host heap per op, budget %d KiB/op", perOp, budgetKiB)
+		t.Fatalf("seqwrite allocates %.2f KiB of host heap per op, budget %v KiB/op", perOp, budgetKiB)
 	}
 }
 
 // TestNFSMixHostAllocBudget guards the host cost of the op path on the
-// benchmark's nfsmix: at most 0.8 KiB and 5 mallocs of host heap per client
-// op. The figures sit near 0.63 KiB and 2.5 mallocs/op while a client op
-// allocates only its payloads and first-touch buffers (the message, its call
-// completion, the op's body, the NVRAM reservation, the bcache entry and the
-// free commits all come back from free lists; DESIGN §9), 0.98 KiB and 11.3
-// when each was garbage and the buffer copied its payload.
+// benchmark's nfsmix: at most 0.6 KiB and 5 mallocs of host heap per client
+// op. The figures sit near 0.475 KiB and 2.5 mallocs/op while parity is kept
+// as rows of data images (DESIGN §4; 0.609 KiB when each stripe's parity was
+// XORed into an array) and a client op allocates only its payloads and
+// first-touch buffers (the message, its call completion, the op's body, the
+// NVRAM reservation, the bcache entry and the free commits all come back from
+// free lists; DESIGN §9), 0.98 KiB and 11.3 when each was garbage and the
+// buffer copied its payload.
 func TestNFSMixHostAllocBudget(t *testing.T) {
-	const budgetKiB, budgetMallocs = 0.8, 5
+	const budgetKiB, budgetMallocs = 0.6, 5
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 8192
 	sys, err := wafl.NewSystem(cfg)
@@ -112,13 +115,16 @@ func TestClientOpAllocations(t *testing.T) {
 }
 
 // TestNFSMixMediaBytesBudget guards the host memory the simulated media
-// holds: on the benchmark's nfsmix at most 800 image bytes per block
+// holds: on the benchmark's nfsmix at most 300 image bytes per block
 // written, data and parity. Drives.BytesWritten is a count, exact for the
-// seed: 386 while a sparse indirect or metafile block (one that trims to half
-// a block or less) goes to storage trimmed, 419 with sparse indirects alone
-// trimmed, 1,605 when every indirect image is a full 4 KiB array.
+// seed, in which a parity row counts one per image it references: 247 while
+// parity is kept as rows and a sparse indirect or metafile block (one that
+// trims to half a block or less) goes to storage trimmed; 386 when each
+// stripe's parity was an array as long as its longest image, 419 with sparse
+// indirects alone trimmed, 1,605 when every indirect image was also a full
+// 4 KiB array.
 func TestNFSMixMediaBytesBudget(t *testing.T) {
-	const budget = 800
+	const budget = 300
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 8192
 	sys, err := wafl.NewSystem(cfg)
@@ -160,14 +166,14 @@ func overloadBurst(t *testing.T) *wafl.System {
 
 // TestOverloadHostAllocBudget guards the host cost of the CP's write path on
 // the benchmark's costliest workload: over overload_burst's 100 ms recover
-// phase at most 6.5 KiB of host heap per client op. The figure sits near
-// 6.16 KiB/op while a sparse metafile L0 goes to the media trimmed (its
-// buffer then updated in place, not cloned) and parity arrays displaced from
-// the media are reused (DESIGN §9, §14): 6.79 without the reuse, 7.79 when
-// every sparse metafile L0 and every parity block the CP wrote was a fresh
-// array.
+// phase at most 5.2 KiB of host heap per client op. The figure sits near
+// 4.67 KiB/op while parity is kept as rows of data images (DESIGN §4) and a
+// sparse metafile L0 goes to the media trimmed (its buffer then updated in
+// place, not cloned; DESIGN §14): 6.16 when each stripe's parity was XORed
+// into an array (displaced full-block ones reused), 6.79 without the reuse,
+// 7.79 when every sparse metafile L0 was a fresh array too.
 func TestOverloadHostAllocBudget(t *testing.T) {
-	const budgetKiB = 6.5
+	const budgetKiB = 5.2
 	sys := overloadBurst(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -185,12 +191,14 @@ func TestOverloadHostAllocBudget(t *testing.T) {
 }
 
 // TestOverloadMediaBytesBudget guards the host memory the simulated media
-// holds on overload_burst, over the same window: at most 1,200 image bytes
-// per block written, data and parity. A count, exact for the seed: 1,110
-// while a sparse metafile L0 (one that trims to half a block or less) goes
-// to storage trimmed, 1,293 when each is a full 4 KiB array.
+// holds on overload_burst, over the same window: at most 800 image bytes
+// per block written, data and parity. A count, exact for the seed, in which a
+// parity row counts one per image it references: 694 while parity is kept as
+// rows and a sparse metafile L0 (one that trims to half a block or less)
+// goes to storage trimmed; 1,110 when each stripe's parity was an array,
+// 1,293 when each sparse metafile L0 was also a full 4 KiB array.
 func TestOverloadMediaBytesBudget(t *testing.T) {
-	const budget = 1200
+	const budget = 800
 	dr := overloadBurst(t).Measure(0, 100*wafl.Millisecond).Stats.Drives
 	if dr.BlocksWritten == 0 {
 		t.Fatal("no blocks written in the window")

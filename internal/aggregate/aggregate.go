@@ -247,10 +247,19 @@ func (a *Aggregate) loadAll(files ...*fs.File) error {
 }
 
 // rebind rebuilds the activemap of nbits bits a mounted bitmap metafile
-// holds; a metafile too small for the space is a damaged image.
+// holds; a metafile too small for the space, or with a bit set past its end,
+// is a damaged image.
 func rebind(f *fs.File, nbits uint64) (*bitmap.Activemap, error) {
 	if f.MaxBlocks()*bitmap.BitsPerBlock < nbits {
 		return nil, fmt.Errorf("bitmap metafile %d of %d blocks cannot hold %d bits", f.Ino(), f.MaxBlocks(), nbits)
+	}
+	if r := nbits % bitmap.BitsPerBlock; r != 0 {
+		if buf := f.Buffer(0, bitmap.BlockOf(nbits)); buf != nil {
+			d, i := buf.Data(), int(r/8)
+			if len(block.Trim(d)) > i+1 || i < len(d) && d[i]>>(r%8) != 0 {
+				return nil, fmt.Errorf("bitmap metafile %d has bits set past its %d", f.Ino(), nbits)
+			}
+		}
 	}
 	return bitmap.Rebind(f, nbits), nil
 }

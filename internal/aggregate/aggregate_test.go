@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"wafl/internal/bitmap"
 	"wafl/internal/block"
 	"wafl/internal/clone"
 	"wafl/internal/fs"
@@ -157,6 +159,7 @@ type testCheckpoint struct {
 	a      *Aggregate
 	cursor uint64
 	err    string
+	meta   []block.VBN // the metafile blocks written, in order
 }
 
 // findVBN returns the next free VBN at the cursor without claiming it.
@@ -204,6 +207,9 @@ func (c *testCheckpoint) cleanFile(th *sim.Thread, f *fs.File, dual bool, v *Vol
 				vbn := c.allocVBN()
 				img, _, _ := f.CleanChild(b, vvbn, vbn)
 				c.writeVBN(th, vbn, img)
+				if !dual {
+					c.meta = append(c.meta, vbn)
+				}
 				if dual && v != nil {
 					v.SetContainer(vvbn, vbn)
 				}
@@ -234,6 +240,7 @@ func (c *testCheckpoint) run(th *sim.Thread) {
 	writes := a.PlanAmapFlush(c.findVBN)
 	for _, w := range writes {
 		c.writeVBN(th, w.VBN, w.Data)
+		c.meta = append(c.meta, w.VBN)
 	}
 	a.SetCPCount(a.CPCount() + 1)
 	a.WriteSuperblock(th)
@@ -502,6 +509,133 @@ func TestRequestSnapshotForms(t *testing.T) {
 // index is rebuilt word by word).
 const maxFuzzVVBNs = 1 << 24
 
+// checkpointed returns an aggregate whose media hold one committed mini-CP:
+// volume 0 with a file and snapshot 1, and volume 1, a clone bound to that
+// snapshot.
+func checkpointed(tb testing.TB) (*sim.Scheduler, *Aggregate, *testCheckpoint) {
+	s, a := newTestAggr(tb)
+	v := a.AddVolume(1 << 16)
+	cl := a.AddVolume(1 << 16)
+	file := v.CreateFile(1 << 12)
+	file.WriteBlock(3, pattern(1))
+	v.MarkDirty(file)
+	v.RequestSnapshot(0)
+	cp := &testCheckpoint{t: tb, s: s, a: a}
+	s.Go("cp", sim.CatCP, func(th *sim.Thread) {
+		for _, id := range v.TakePendingSnapshots() {
+			sn, _ := v.MaterializeSnapshot(id, 1)
+			cp.cleanFile(th, sn.Snapmap, false, nil)
+			cp.cleanFile(th, sn.InoCopy, false, nil)
+			cl.RequestCloneBind(v.ID(), id)
+			v.AddCloneRef(id)
+			cl.MaterializeClone(v)
+		}
+		v.WriteSnapdirEntries()
+		cp.run(th)
+	})
+	s.Run(sim.Time(10 * sim.Second))
+	cp.check()
+	return s, a, cp
+}
+
+// patchVBN overwrites committed block vbn with a copy of its image that fn
+// has modified, through WriteSync, and returns the undo. The media's own
+// image is never written into: buffers and parity rows alias it.
+func patchVBN(s *sim.Scheduler, a *Aggregate, vbn block.VBN, fn func(img []byte)) (undo func()) {
+	orig := a.ReadVBNRaw(vbn)
+	img := block.Clone(orig)
+	fn(img)
+	write := func(data []byte) {
+		g, d, dbn := a.geo.Locate(vbn)
+		s.Go("patch", sim.CatOther, func(th *sim.Thread) {
+			a.Group(g).Drive(d).WriteSync(th, []storage.WriteReq{{DBN: dbn, Data: data}})
+		})
+		s.RunFor(sim.Second)
+	}
+	write(img)
+	return func() { write(orig) }
+}
+
+// TestMountRejectsDamage: each damage FuzzMountFrom found panicked mount;
+// now it fails it with an error, and the undamaged image mounts again.
+func TestMountRejectsDamage(t *testing.T) {
+	s, a, _ := checkpointed(t)
+	if m, err := MountFrom(a); err != nil || !m.Volume(1).IsClone() {
+		t.Fatalf("the undamaged image mounts with error %v, or without its clone", err)
+	}
+	cl := a.Volume(1)
+	cloneOf := func(parent int) func([]byte) {
+		return func(img []byte) {
+			st := *cl.CloneState()
+			st.ParentVol = parent
+			st.Encode(img[cl.ID()*VolEntrySize:])
+		}
+	}
+	past := a.geo.TotalBlocks() % bitmap.BitsPerBlock
+	for _, c := range []struct {
+		name  string
+		vbn   block.VBN
+		patch func([]byte)
+	}{
+		{"clone of volume 2 of 2", a.volTable.Buffer(0, 0).VBN(), cloneOf(2)},
+		{"clone of volume -1", a.volTable.Buffer(0, 0).VBN(), cloneOf(-1)},
+		{"clone of volume 2^40", a.volTable.Buffer(0, 0).VBN(), cloneOf(1 << 40)},
+		{"volume activemap record without FlagMetafile", a.volTable.Buffer(0, 0).VBN(),
+			func(img []byte) { img[192+20] = byte(fs.FlagInUse) }}, // the flags of volume 0's third record
+		{"activemap bit past the aggregate", a.amapFile.Buffer(0, bitmap.BlockOf(a.geo.TotalBlocks())).VBN(),
+			func(img []byte) { img[past/8] |= 1 << (past % 8) }},
+	} {
+		undo := patchVBN(s, a, c.vbn, c.patch)
+		if m, err := MountFrom(a); err == nil || m != nil {
+			t.Errorf("%s: mounted", c.name)
+		} else {
+			t.Logf("%s: %v", c.name, err)
+		}
+		undo()
+	}
+	if _, err := MountFrom(a); err != nil {
+		t.Fatalf("the restored image does not mount: %v", err)
+	}
+}
+
+// FuzzMountFrom checks that mount survives a damaged metafile: with any
+// bytes written over any committed metafile block of the checkpointed
+// aggregate, MountFrom returns an aggregate or an error, never panics. The
+// fuzzer picks the block (pick-th the CP wrote), the offset and the bytes;
+// each damage is undone after its mount. A seed moves the clone's parent
+// link out of the volume table.
+func FuzzMountFrom(f *testing.F) {
+	s, a, cp := checkpointed(f)
+	vt := a.VolTableFile().Buffer(0, 0).VBN()
+	cl := a.Volume(1)
+	entry := block.Clone(a.ReadVBNRaw(vt))[cl.ID()*VolEntrySize:][:VolEntrySize]
+	st := *cl.CloneState()
+	st.ParentVol = 7
+	st.Encode(entry)
+	f.Add(uint16(slices.Index(cp.meta, vt)), uint16(cl.ID()*VolEntrySize), entry)
+	for i := range cp.meta {
+		f.Add(uint16(i), uint16(i*24), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	}
+	f.Fuzz(func(t *testing.T, pick, off uint16, patch []byte) {
+		vbn := cp.meta[int(pick)%len(cp.meta)]
+		undo := patchVBN(s, a, vbn, func(img []byte) {
+			copy(img[int(off)%block.Size:], patch)
+			if vbn != vt {
+				return
+			}
+			for e := img; len(e) >= VolEntrySize; e = e[VolEntrySize:] {
+				if binary.LittleEndian.Uint64(e[8:]) > maxFuzzVVBNs {
+					t.Skip("VVBN space beyond the fuzzing bound")
+				}
+			}
+		})
+		defer undo()
+		if m, err := MountFrom(a); (m == nil) == (err == nil) {
+			t.Fatalf("MountFrom returned aggregate %p and error %v", m, err)
+		}
+	})
+}
+
 // FuzzDecodeVolumePrefix checks the short-image rule for volume-table
 // entries: any prefix (up to a block) of an entry decodes as its zero-padded
 // twin — the same volume, or an error for both — and never panics, whatever
@@ -509,25 +643,8 @@ const maxFuzzVVBNs = 1 << 24
 // volume with a file and a snapshot) and the same entry as a bound clone's;
 // decoding reads that aggregate's media.
 func FuzzDecodeVolumePrefix(f *testing.F) {
-	s, a := newTestAggr(f)
-	v := a.AddVolume(1 << 16)
-	file := v.CreateFile(1 << 12)
-	file.WriteBlock(3, pattern(1))
-	v.MarkDirty(file)
-	v.RequestSnapshot(0)
-	cp := &testCheckpoint{t: f, s: s, a: a}
-	s.Go("cp", sim.CatCP, func(th *sim.Thread) {
-		for _, id := range v.TakePendingSnapshots() {
-			sn, _ := v.MaterializeSnapshot(id, 1)
-			cp.cleanFile(th, sn.Snapmap, false, nil)
-			cp.cleanFile(th, sn.InoCopy, false, nil)
-		}
-		v.WriteSnapdirEntries()
-		cp.run(th)
-	})
-	s.Run(sim.Time(10 * sim.Second))
-	cp.check()
-
+	_, a, _ := checkpointed(f)
+	v := a.Volume(0)
 	entry := bytes.Clone(a.VolTableFile().Buffer(0, 0).Data()[:VolEntrySize])
 	bound := bytes.Clone(entry)
 	(&clone.State{ParentVol: 0, ParentSnap: 1, BaseFile: fs.NewFile(inoVolBasemap, v.amapFile.Height())}).Encode(bound)

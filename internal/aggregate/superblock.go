@@ -65,7 +65,8 @@ func (a *Aggregate) WriteSuperblock(t *sim.Thread) {
 // every volume with its metafiles. User files are demand-loaded from inode
 // records on first access. A damaged image — a bad superblock, a metafile
 // block the tree points at but the media never held, a missing snapshot
-// entry — is an error, not a panic.
+// entry, a clone whose parent volume the table does not hold — is an error,
+// not a panic.
 //
 // Mount-time reads are untimed: recovery time is not part of any measured
 // experiment.
@@ -90,10 +91,10 @@ func MountFrom(old *Aggregate) (*Aggregate, error) {
 	nvols := binary.LittleEndian.Uint64(sb[16:])
 
 	var err error
-	if a.amapFile, err = fs.FileFromRecord(fs.DecodeRecord(sb[24:])); err != nil {
+	if a.amapFile, err = fs.DecodeMetafile(sb[24:]); err != nil {
 		return nil, fmt.Errorf("aggregate: activemap: %w", err)
 	}
-	if a.volTable, err = fs.FileFromRecord(fs.DecodeRecord(sb[88:])); err != nil {
+	if a.volTable, err = fs.DecodeMetafile(sb[88:]); err != nil {
 		return nil, fmt.Errorf("aggregate: volume table: %w", err)
 	}
 	if err = a.loadAll(a.amapFile, a.volTable); err != nil {
@@ -121,6 +122,8 @@ func MountFrom(old *Aggregate) (*Aggregate, error) {
 		}
 		a.vols = append(a.vols, v)
 	}
-	a.rebuildCloneGuards()
+	if err = a.rebuildCloneGuards(); err != nil {
+		return nil, fmt.Errorf("aggregate: %w", err)
+	}
 	return a, nil
 }

@@ -497,7 +497,7 @@ func (a *Aggregate) decodeVolume(src []byte) (*Volume, error) {
 	// The five metafile records, at encodeEntry's 64-byte stride.
 	var err error
 	for i, f := range []**fs.File{&v.inofile, &v.container, &v.amapFile, &v.snapdir, &v.summaryFile} {
-		if *f, err = fs.FileFromRecord(fs.DecodeRecord(e[64*(i+1):])); err != nil {
+		if *f, err = fs.DecodeMetafile(e[64*(i+1):]); err != nil {
 			return nil, err
 		}
 	}
@@ -561,11 +561,17 @@ func (a *Aggregate) decodeVolume(src []byte) (*Volume, error) {
 }
 
 // rebuildCloneGuards recomputes every volume's parent-snapshot delete
-// guard from the bound clones' persisted parent links (mount path).
-func (a *Aggregate) rebuildCloneGuards() {
-	for _, v := range a.vols {
-		if v.cl != nil {
-			a.vols[v.cl.ParentVol].AddCloneRef(v.cl.ParentSnap)
+// guard from the bound clones' persisted parent links (mount path). A link
+// to a volume the table does not hold is damage, an error.
+func (a *Aggregate) rebuildCloneGuards() error {
+	for vi, v := range a.vols {
+		if v.cl == nil {
+			continue
 		}
+		if p := v.cl.ParentVol; p < 0 || p >= len(a.vols) {
+			return fmt.Errorf("volume %d: clone parent volume %d outside the table of %d", vi, p, len(a.vols))
+		}
+		a.vols[v.cl.ParentVol].AddCloneRef(v.cl.ParentSnap)
 	}
+	return nil
 }

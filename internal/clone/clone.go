@@ -93,7 +93,7 @@ func Decode(entry []byte) (*State, error) {
 	if flags&flagClone == 0 {
 		return nil, nil
 	}
-	base, err := fs.FileFromRecord(fs.DecodeRecord(e[baseRecordOff:]))
+	base, err := fs.DecodeMetafile(e[baseRecordOff:])
 	if err != nil {
 		return nil, err
 	}

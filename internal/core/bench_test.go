@@ -13,11 +13,11 @@ import (
 // sends the tetris to RAID and fills the next window. Every 16 windows a CP
 // boundary drains, lifts the fences and frees what the windows used, so the
 // aggregate never fills. With ReportAllocs, allocs/op is what a window still
-// allocates: the fill and commit message bodies, the tetris header and the
-// parity arrays that go to the media. Buckets, tetris lists, Waffinity
-// messages, drive in-flight records and stripe scratch come back from their
-// free lists; a pool that leaks or hands out live state shows up here, and
-// under `make benchsmoke`.
+// allocates: the fill and commit message bodies, the tetris header and one
+// parity row per stripe, which goes to the media. Buckets, tetris lists,
+// Waffinity messages, drive in-flight records and stripe scratch come back
+// from their free lists; a pool that leaks or hands out live state shows up
+// here, and under `make benchsmoke`.
 func BenchmarkWindowRoundTrip(b *testing.B) {
 	e := newEnv(b, nil)
 	geo := e.a.Geometry()

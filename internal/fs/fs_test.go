@@ -317,11 +317,22 @@ func TestInstallBufferShortL0(t *testing.T) {
 	}
 }
 
-// FileFromRecord refuses a record of a tree height no file can have.
+// FileFromRecord refuses a record of a tree height no file can have, and
+// DecodeMetafile a record without FlagMetafile too.
 func TestFileFromRecordRejectsDamage(t *testing.T) {
 	for _, r := range []Record{{Ino: 1, Height: 0}, {Ino: 1, Height: MaxHeight + 1}} {
 		if f, err := FileFromRecord(r); err == nil {
 			t.Fatalf("record %+v gave a file of height %d", r, f.Height())
+		}
+	}
+	rec := make([]byte, RecordSize)
+	for _, c := range []struct {
+		flags uint32
+		ok    bool
+	}{{FlagInUse | FlagMetafile, true}, {FlagInUse, false}} {
+		EncodeRecord(rec, Record{Ino: 1, Height: 1, Flags: c.flags})
+		if f, err := DecodeMetafile(rec); (err == nil) != c.ok || c.ok && !f.metafile {
+			t.Fatalf("flags %#x: DecodeMetafile error %v, want ok %v", c.flags, err, c.ok)
 		}
 	}
 }

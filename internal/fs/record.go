@@ -95,3 +95,15 @@ func FileFromRecord(r Record) (*File, error) {
 	f.Gen = r.Gen
 	return f, nil
 }
+
+// DecodeMetafile decodes src as a metafile's record and reconstructs the
+// file (DecodeRecord, then FileFromRecord). A record without FlagMetafile is
+// damage, an error: the file's short L0s would be adopted unpadded, and the
+// metafile decoders index whole blocks.
+func DecodeMetafile(src []byte) (*File, error) {
+	r := DecodeRecord(src)
+	if r.Flags&FlagMetafile == 0 {
+		return nil, fmt.Errorf("ino %d: metafile record without FlagMetafile", r.Ino)
+	}
+	return FileFromRecord(r)
+}

@@ -28,45 +28,36 @@ type Stats struct {
 
 // Group is one RAID group: N data drives and one parity drive of equal
 // geometry. Block (d, dbn) on each data drive d shares the parity block at
-// dbn on the parity drive.
+// dbn on the parity drive. The parity drive keeps, per stripe, the row of
+// data images its last landed parity write covered; the parity is their XOR,
+// computed when it is read.
 type Group struct {
 	s      *sim.Scheduler
 	id     int
 	data   []*storage.Drive
-	parity *storage.Drive
+	parity *storage.Device[[][]byte]
 	depth  block.DBN // blocks per drive
 
 	// spare holds stripe scratch no write uses any more; several writes can
 	// be in flight on one group, each holding its own.
 	spare fifo.Queue[*stripeScratch]
-	// spareParity holds full-block parity arrays a completed parity write
-	// displaced from the media, at most maxSpareParity of them.
-	spareParity fifo.Queue[[]byte]
 
 	stats Stats
 }
-
-// maxSpareParity bounds Group.spareParity, so a run that displaces long
-// parity faster than it computes it holds at most 1 MiB per group; past
-// the bound a displaced array is left to the GC. The list is drained as
-// fast as it fills: over 150 + 250 ms its peak was 136 arrays on seqwrite,
-// 58 on overload_burst, 14 on agedrand and 0 on nfsmix.
-const maxSpareParity = 256
 
 // stripeScratch is one Write's planning state: the touched stripes' DBNs,
 // their rows (stripe k is rows[k*nd:(k+1)*nd]: per data drive the new image
 // where fresh, else the old image phase A reads for parity), the per-drive
 // reconstruction reads and the parity requests. It goes back to the group
 // once issueWrites has submitted every drive write — drives copy their
-// requests — so nothing in it outlives the submission. The parity arrays
-// themselves go to the media; one comes back to Group.spareParity when a
-// completed write displaces it (keepParity).
+// requests, and each parity request carries its own copy of its row — so
+// nothing in it outlives the submission.
 type stripeScratch struct {
 	dbns       []block.DBN
 	rows       [][]byte
 	fresh      []bool
 	readPlan   [][]block.DBN
-	parityReqs []storage.WriteReq
+	parityReqs []storage.Req[[][]byte]
 }
 
 // rowOf returns the index in rows of stripe dbn's first data drive.
@@ -103,31 +94,8 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 	for i := 0; i < ndata; i++ {
 		g.data = append(g.data, storage.NewDrive(s, fmt.Sprintf("rg%d.d%d", id, i), profile, depth))
 	}
-	g.parity = storage.NewDrive(s, fmt.Sprintf("rg%d.parity", id), profile, depth)
-	g.parity.SetDisplaced(g.keepParity)
+	g.parity = storage.NewDevice[[][]byte](s, fmt.Sprintf("rg%d.parity", id), profile, depth)
 	return g
-}
-
-// keepParity takes back a parity array a completed write displaced from the
-// parity drive. A parity array is referenced only by its write and then by
-// the media, so once displaced it is dead. Data-drive images are never taken
-// back: a buffer or an NVLog record may still alias them.
-func (g *Group) keepParity(img []byte) {
-	if cap(img) == block.Size && g.spareParity.Len() < maxSpareParity {
-		g.spareParity.Push(img[:block.Size])
-	}
-}
-
-// newParity returns a zeroed parity array of n bytes: a recycled full-block
-// one when n is more than half a block and the group has one, else a new
-// array of exactly n.
-func (g *Group) newParity(n int) []byte {
-	if n > block.Size/2 && g.spareParity.Len() > 0 {
-		p := g.spareParity.Pop()[:n]
-		clear(p)
-		return p
-	}
-	return make([]byte, n)
 }
 
 // Stats returns a snapshot of the group's parity statistics.
@@ -145,8 +113,8 @@ func (g *Group) Depth() block.DBN { return g.depth }
 // Drive returns data drive i.
 func (g *Group) Drive(i int) *storage.Drive { return g.data[i] }
 
-// ParityDrive returns the group's parity drive.
-func (g *Group) ParityDrive() *storage.Drive { return g.parity }
+// ParityDrive returns the group's parity drive, whose DBNs hold rows.
+func (g *Group) ParityDrive() *storage.Device[[][]byte] { return g.parity }
 
 // WriteResult describes the parity work a stripe write required.
 type WriteResult struct {
@@ -157,9 +125,10 @@ type WriteResult struct {
 }
 
 // Write submits a multi-stripe write: writes[i] is the set of single-block
-// writes destined for data drive i. Parity is computed per touched stripe —
+// writes destined for data drive i. Parity is written per touched stripe —
 // from new data alone when the stripe is fully covered, otherwise after
-// reading the stripe's missing blocks — and written to the parity drive.
+// reading the stripe's missing blocks — as the stripe's row of images, whose
+// XOR the parity drive's readers compute; its cost is charged here.
 // done (optional) fires in scheduler context when every drive I/O, parity
 // included, has completed. The returned WriteResult is populated
 // immediately with the parity work required; callers charge ParityCPU to
@@ -249,32 +218,29 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 	return res
 }
 
-// xorAll returns the XOR of the given block images, sized to the longest,
-// in an array from alloc.
-func xorAll(imgs [][]byte, alloc func(n int) []byte) []byte {
+// xorAll returns the XOR of the given block images, sized to the longest.
+func xorAll(imgs [][]byte) []byte {
 	n := 0
 	for _, img := range imgs {
 		n = max(n, len(img))
 	}
-	out := alloc(n)
+	out := make([]byte, n)
 	for _, img := range imgs {
 		block.XOR(out, img)
 	}
 	return out
 }
 
-// newArray is xorAll's allocator for a result nothing keeps.
-func newArray(n int) []byte { return make([]byte, n) }
-
-// issueWrites computes parity for each touched stripe of sc and submits one
-// I/O per data drive plus one parity-drive I/O, invoking done when all
-// complete. sc goes back to the group once every I/O is submitted.
+// issueWrites submits one I/O per data drive plus one parity-drive I/O of
+// each touched stripe's row, invoking done when all complete. sc goes back to
+// the group once every I/O is submitted.
 func (g *Group) issueWrites(writes [][]storage.WriteReq, sc *stripeScratch, done func()) {
 	nd := len(g.data)
 	for k, dbn := range sc.dbns {
-		// One array per stripe, not one slab per write: a slab would stay
-		// on the media until the last of its stripes is rewritten.
-		sc.parityReqs = append(sc.parityReqs, storage.WriteReq{DBN: dbn, Data: xorAll(sc.rows[k*nd:(k+1)*nd], g.newParity)})
+		// A copy of the row per stripe: the scratch rows are recycled, and a
+		// slab per write would keep a rewritten stripe's displaced images
+		// alive until the last of its stripes is rewritten.
+		sc.parityReqs = append(sc.parityReqs, storage.Req[[][]byte]{DBN: dbn, Data: slices.Clone(sc.rows[k*nd : (k+1)*nd])})
 	}
 	g.stats.ParityBlocksWritten += uint64(len(sc.parityReqs))
 
@@ -300,27 +266,28 @@ func (g *Group) issueWrites(writes [][]storage.WriteReq, sc *stripeScratch, done
 }
 
 // stripe returns the committed images of stripe dbn: every data drive's
-// except skip's (-1 for none), then the parity drive's.
+// except skip's (-1 for none), then those of the parity drive's row.
 func (g *Group) stripe(dbn block.DBN, skip int) [][]byte {
-	out := make([][]byte, 0, len(g.data)+1)
+	row := g.parity.Peek(dbn)
+	out := make([][]byte, 0, len(g.data)+len(row))
 	for di, d := range g.data {
 		if di != skip {
 			out = append(out, d.Peek(dbn))
 		}
 	}
-	return append(out, g.parity.Peek(dbn))
+	return append(out, row...)
 }
 
 // VerifyStripe recomputes parity for stripe dbn from the committed media and
-// reports whether it matches the committed parity block exactly. Tests and
-// the scrub tool use it to validate RAID consistency.
+// reports whether it matches the committed parity exactly. Only tests call
+// it, to validate RAID consistency.
 func (g *Group) VerifyStripe(dbn block.DBN) bool {
 	imgs := g.stripe(dbn, -1)
-	return block.Equal(xorAll(imgs[:len(g.data)], newArray), imgs[len(g.data)])
+	return block.Equal(xorAll(imgs[:len(g.data)]), xorAll(imgs[len(g.data):]))
 }
 
 // ReconstructBlock rebuilds the committed content of (driveIdx, dbn) from
 // the other drives and parity, as a RAID recovery would.
 func (g *Group) ReconstructBlock(driveIdx int, dbn block.DBN) []byte {
-	return xorAll(g.stripe(dbn, driveIdx), newArray)
+	return xorAll(g.stripe(dbn, driveIdx))
 }

@@ -2,6 +2,9 @@ package raid
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"wafl/internal/block"
@@ -190,7 +193,7 @@ func TestMixedLengthImages(t *testing.T) {
 	g.Write(writes, 0, nil)
 	s.Run(sim.Time(100 * sim.Millisecond))
 	check("full-stripe write")
-	if n := len(g.ParityDrive().Peek(4)); n != 100 {
+	if n := len(xorAll(g.ParityDrive().Peek(4))); n != 100 {
 		t.Fatalf("parity of a trimmed-only stripe is %d bytes, want 100 (its longest member)", n)
 	}
 
@@ -206,111 +209,225 @@ func TestMixedLengthImages(t *testing.T) {
 	s.Run(sim.Time(sim.Second))
 	check("partial-stripe rewrite")
 
-	// Verification is exact: one flipped tail byte fails it.
-	g.ParityDrive().Peek(4)[block.Size-1] ^= 1
+	// Verification is exact: a parity row whose XOR differs in one tail byte
+	// fails it.
+	flip := block.New()
+	flip[block.Size-1] = 1
+	g.ParityDrive().Write([]storage.Req[[][]byte]{{DBN: 4, Data: append(slices.Clone(g.ParityDrive().Peek(4)), flip)}}, nil)
+	s.RunFor(10 * sim.Millisecond)
 	if g.VerifyStripe(4) {
 		t.Fatal("corrupt parity verified")
 	}
 }
 
-// rewrite writes stripe dbn on the given data drives with fresh images of n
-// bytes, as the allocator does: a new array per block.
-func rewrite(g *Group, dbn block.DBN, n int, tag byte, drives ...int) {
+// tornFaults tears each write in flight at a crash to a prefix drawn from rng.
+type tornFaults struct{ rng *rand.Rand }
+
+func (tornFaults) WriteFault(string, int) storage.WriteFault { return storage.WriteFault{} }
+func (tornFaults) ReadFault(string, int) storage.ReadFault   { return storage.ReadFault{} }
+func (tornFaults) PeekFault(string, block.DBN) bool          { return false }
+func (f tornFaults) CrashPrefix(_ string, n int) int         { return f.rng.Intn(n + 1) }
+
+// eagerXOR is the reference parity: the images XORed into a fresh array as
+// long as the longest.
+func eagerXOR(imgs ...[]byte) []byte {
+	n := 0
+	for _, img := range imgs {
+		n = max(n, len(img))
+	}
+	out := make([]byte, n)
+	for _, img := range imgs {
+		block.XOR(out, img)
+	}
+	return out
+}
+
+// sameImage reports whether a and b hold the same bytes at the same length.
+func sameImage(a, b []byte) bool { return len(a) == len(b) && bytes.Equal(a, b) }
+
+// TestParityByReference pins the parity drive's contract against an eager
+// reference. A seeded mix of full, partial and short rewrites runs one Write
+// at a time, and a quarter of them crash mid-flight, tearing data and parity
+// writes. The test knows the row each Write's parity covers: the images it
+// wrote and, for a partial stripe, the committed ones phase A reads. When a
+// stripe's parity write lands (the parity drive holds a new row for it), the
+// reference XORs the images the test knows it covered, at once. After every
+// Write, xorAll of the landed row, VerifyStripe and ReconstructBlock must
+// match what the reference implies byte for byte, length included. At the
+// end every image submitted still equals the clone taken at its submission:
+// the immutability the lazy XOR relies on.
+func TestParityByReference(t *testing.T) {
+	const stripes, steps = 12, 400
+	s := sim.New(2, 1)
+	g := NewGroup(s, 0, 4, stripes, storage.SSD)
+	nd := g.DataDrives()
+	rng := rand.New(rand.NewSource(7))
+	for di := range nd {
+		g.Drive(di).SetInjector(tornFaults{rng})
+	}
+	g.ParityDrive().SetInjector(tornFaults{rng})
+
+	ref := make([][]byte, stripes)     // eager parity of each stripe's landed row
+	landed := make([]*[]byte, stripes) // identity of that row
+	var submitted, clones [][]byte
+	inconsistent := 0
+	for step := range steps {
+		writes := make([][]storage.WriteReq, nd)
+		rows := map[block.DBN][][]byte{}
+		for _, k := range rng.Perm(stripes)[:1+rng.Intn(4)] {
+			dbn := block.DBN(k)
+			row := make([][]byte, nd)
+			for di := range row {
+				row[di] = g.Drive(di).Peek(dbn)
+			}
+			// Full by default: every drive, full-length images.
+			drives, length := rng.Perm(nd), func() int { return block.Size }
+			switch rng.Intn(3) {
+			case 1: // partial, of any lengths: the rest is read back
+				drives = drives[:1+rng.Intn(nd-1)]
+				length = func() int { return rng.Intn(block.Size + 1) }
+			case 2: // short: every drive, at most half a block, some nil
+				length = func() int { return rng.Intn(block.Size/2 + 1) }
+			}
+			for _, di := range drives {
+				n := length()
+				var img []byte
+				if n > 0 {
+					img = make([]byte, n)
+					rng.Read(img)
+				}
+				row[di] = img
+				writes[di] = append(writes[di], storage.WriteReq{DBN: dbn, Data: img})
+				submitted, clones = append(submitted, img), append(clones, bytes.Clone(img))
+			}
+			rows[dbn] = row
+		}
+		g.Write(writes, 0, nil)
+		if rng.Intn(4) == 0 {
+			s.RunFor(sim.Duration(rng.Intn(250)) * sim.Microsecond)
+			for di := range nd {
+				g.Drive(di).DropInFlight()
+			}
+			g.ParityDrive().DropInFlight()
+		}
+		s.RunFor(sim.Millisecond)
+		for dbn, row := range rows {
+			if p := g.ParityDrive().Peek(dbn); p != nil && &p[0] != landed[dbn] {
+				landed[dbn], ref[dbn] = &p[0], eagerXOR(row...)
+			}
+		}
+
+		for k := range stripes {
+			dbn := block.DBN(k)
+			if got := xorAll(g.ParityDrive().Peek(dbn)); !sameImage(got, ref[dbn]) {
+				t.Fatalf("step %d: stripe %d's parity reads %d bytes unlike the %d-byte reference", step, dbn, len(got), len(ref[dbn]))
+			}
+			data := make([][]byte, nd)
+			for di := range data {
+				data[di] = g.Drive(di).Peek(dbn)
+			}
+			consistent := block.Equal(eagerXOR(data...), ref[dbn])
+			if g.VerifyStripe(dbn) != consistent {
+				t.Fatalf("step %d: VerifyStripe(%d) = %v, the reference says %v", step, dbn, !consistent, consistent)
+			}
+			if !consistent {
+				inconsistent++
+			}
+			for di := range nd {
+				others := append(slices.Delete(slices.Clone(data), di, di+1), ref[dbn])
+				if got := g.ReconstructBlock(di, dbn); !sameImage(got, eagerXOR(others...)) {
+					t.Fatalf("step %d: ReconstructBlock(%d, %d) differs from the reference", step, di, dbn)
+				}
+			}
+		}
+	}
+	for i, img := range submitted {
+		if !sameImage(img, clones[i]) {
+			t.Fatalf("submitted image %d was written into after submission", i)
+		}
+	}
+	st := g.Stats()
+	torn := g.ParityDrive().Stats().TornWrites
+	t.Logf("%d full and %d partial stripe writes, %d torn parity writes, %d inconsistent stripe checks",
+		st.FullStripeWrites, st.PartialStripeWrites, torn, inconsistent)
+	if st.FullStripeWrites == 0 || st.PartialStripeWrites == 0 || torn == 0 || inconsistent == 0 {
+		t.Fatal("the mix did not cover full and partial stripes, torn parity and the write hole")
+	}
+}
+
+// TestWarmWriteAllocatesRowsOnly: a warm Write of fresh full stripes
+// allocates one row of image references per stripe, beyond what every Write
+// costs, and no image bytes. An eager parity would be a 4 KiB array each.
+func TestWarmWriteAllocatesRowsOnly(t *testing.T) {
+	s := sim.New(2, 1)
+	g := NewGroup(s, 0, 4, 1<<14, storage.SSD)
+	img := fill(1)
+	next := block.DBN(1)
+	writer := func(k int) func() {
+		writes := make([][]storage.WriteReq, g.DataDrives())
+		return func() {
+			for di := range writes {
+				writes[di] = writes[di][:0]
+				for j := range k {
+					writes[di] = append(writes[di], storage.WriteReq{DBN: next + block.DBN(j), Data: img})
+				}
+			}
+			next += block.DBN(k)
+			g.Write(writes, 0, nil)
+			s.RunFor(sim.Millisecond)
+		}
+	}
+	measure := func(k int) (allocs, bytes float64) {
+		const runs = 50
+		w := writer(k)
+		allocs = testing.AllocsPerRun(runs, w)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			w()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	const k1, k2 = 4, 12
+	a1, b1 := measure(k1)
+	a2, b2 := measure(k2)
+	perStripe := (b2 - b1) / (k2 - k1)
+	t.Logf("%v allocs for %d stripes, %v for %d; %.0f bytes per stripe", a1, k1, a2, k2, perStripe)
+	if a2-a1 != k2-k1 {
+		t.Fatalf("%d more stripes allocate %v more times, want one row each", k2-k1, a2-a1)
+	}
+	// A row of four 24-byte slice headers is 96 bytes.
+	if perStripe > 128 {
+		t.Fatalf("a fresh full stripe allocates %.0f bytes, want its row alone", perStripe)
+	}
+}
+
+// BenchmarkGroupWrite is a Group.Write of 64 full stripes of 4 KiB images
+// across 4 data drives, run to completion (five drive I/Os and their
+// completion events): the per-layer raid.write_* numbers, per block written.
+func BenchmarkGroupWrite(b *testing.B) {
+	const stripes = 64
+	s := sim.New(2, 1)
+	g := NewGroup(s, 0, 4, 1<<16, storage.SSD)
 	writes := make([][]storage.WriteReq, g.DataDrives())
-	for _, di := range drives {
-		writes[di] = []storage.WriteReq{{DBN: dbn, Data: fill(tag + byte(di))[:n]}}
-	}
-	g.Write(writes, 0, nil)
-}
-
-// TestParityArraysReused: rewriting the same stripes over and over, full and
-// partial, long and short images, the parity arrays completed writes
-// displace come back for the next parity longer than half a block — far
-// fewer arrays than parity writes — and every stripe still verifies.
-func TestParityArraysReused(t *testing.T) {
-	s, g := newTestGroup(2)
-	const stripes, rounds = 16, 30
-	arrays := map[*byte]bool{}
-	writes := 0
-	for r := 0; r < rounds; r++ {
-		for dbn := block.DBN(1); dbn <= stripes; dbn++ {
-			switch (r + int(dbn)) % 3 {
-			case 0:
-				rewrite(g, dbn, block.Size, byte(r), 0, 1, 2, 3)
-			case 1:
-				rewrite(g, dbn, block.Size, byte(r), 1, 2) // partial: drives 0 and 3 are read
-			default:
-				rewrite(g, dbn, 64, byte(r), 0, 1, 2, 3)
-			}
-			writes++
-		}
-		s.RunFor(10 * sim.Millisecond)
-		for dbn := block.DBN(1); dbn <= stripes; dbn++ {
-			if !g.VerifyStripe(dbn) {
-				t.Fatalf("round %d: parity mismatch at stripe %d", r, dbn)
-			}
-			if p := g.ParityDrive().Peek(dbn); len(p) > block.Size/2 {
-				arrays[&p[0]] = true
-			}
+	for di := range writes {
+		img := fill(byte(di + 1))
+		for range stripes {
+			writes[di] = append(writes[di], storage.WriteReq{Data: img})
 		}
 	}
-	t.Logf("%d parity writes, %d distinct long parity arrays", writes, len(arrays))
-	if len(arrays) > 3*stripes {
-		t.Fatalf("%d parity writes left %d distinct long parity arrays on the media; want them reused", writes, len(arrays))
-	}
-}
-
-// parityFaults tears every in-flight write at a crash down to its first block.
-type parityFaults struct{}
-
-func (parityFaults) WriteFault(string, int) storage.WriteFault { return storage.WriteFault{} }
-func (parityFaults) ReadFault(string, int) storage.ReadFault   { return storage.ReadFault{} }
-func (parityFaults) PeekFault(string, block.DBN) bool          { return false }
-func (parityFaults) CrashPrefix(string, int) int               { return 1 }
-
-// TestCrashNeverRecyclesParity: a parity array displaced by a crash's torn
-// landing is never reused — a crash path returns nothing to a free list —
-// while one a completed write displaces is.
-func TestCrashNeverRecyclesParity(t *testing.T) {
-	s, g := newTestGroup(2)
-	g.ParityDrive().SetInjector(parityFaults{})
-	rewrite(g, 7, block.Size, 1, 0, 1, 2, 3)
-	s.RunFor(10 * sim.Millisecond)
-	torn := g.ParityDrive().Peek(7)
-	want := bytes.Clone(torn)
-
-	// The rewrite's parity lands torn on top of the committed one.
-	rewrite(g, 7, block.Size, 2, 0, 1, 2, 3)
-	for i := range g.DataDrives() {
-		g.Drive(i).DropInFlight()
-	}
-	g.ParityDrive().DropInFlight()
-	s.RunFor(10 * sim.Millisecond)
-	if &g.ParityDrive().Peek(7)[0] == &torn[0] {
-		t.Fatal("the torn parity write did not land")
-	}
-
-	// New stripes take parity arrays from the free list if it has any.
-	for dbn := block.DBN(20); dbn < 30; dbn++ {
-		rewrite(g, dbn, block.Size, 3, 0, 1, 2, 3)
-	}
-	s.RunFor(10 * sim.Millisecond)
-	for dbn := block.DBN(20); dbn < 30; dbn++ {
-		if &g.ParityDrive().Peek(dbn)[0] == &torn[0] {
-			t.Fatalf("stripe %d's parity reuses the array a torn landing displaced", dbn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := block.DBN(i * stripes % (1<<16 - stripes))
+		for di := range writes {
+			for k := range writes[di] {
+				writes[di][k].DBN = base + block.DBN(k)
+			}
 		}
+		g.Write(writes, 0, nil)
+		s.Drain(s.Now() + sim.Time(sim.Second))
 	}
-	if !bytes.Equal(torn, want) {
-		t.Fatal("the array a torn landing displaced was written into")
-	}
-
-	// A completed write's displaced parity is reused by the next stripe.
-	done := g.ParityDrive().Peek(20)
-	rewrite(g, 20, block.Size, 4, 0, 1, 2, 3)
-	s.RunFor(10 * sim.Millisecond)
-	rewrite(g, 40, block.Size, 5, 0, 1, 2, 3)
-	s.RunFor(10 * sim.Millisecond)
-	if &g.ParityDrive().Peek(40)[0] != &done[0] || !g.VerifyStripe(40) {
-		t.Fatal("the parity array a completed write displaced was not reused, or reused wrong")
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stripes*len(writes)), "ns/block")
 }

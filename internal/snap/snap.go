@@ -58,20 +58,20 @@ func (s *Snapshot) EncodeEntry(dst []byte) {
 }
 
 // DecodeEntry rebuilds a snapshot skeleton from a snapdir entry (mount
-// path). Returns nil for an unused slot, and an error for a metafile record
-// no file can have. src may be short: bytes past its end read as zero. The
-// caller loads the metafile trees from media.
+// path). Returns nil for an unused slot, and an error for a damaged
+// metafile record (fs.DecodeMetafile). src may be short: bytes past its end
+// read as zero. The caller loads the metafile trees from media.
 func DecodeEntry(src []byte) (*Snapshot, error) {
 	var e [EntrySize]byte
 	copy(e[:], src)
 	if binary.LittleEndian.Uint32(e[16:]) == 0 {
 		return nil, nil
 	}
-	snapmap, err := fs.FileFromRecord(fs.DecodeRecord(e[64:]))
+	snapmap, err := fs.DecodeMetafile(e[64:])
 	if err != nil {
 		return nil, err
 	}
-	inoCopy, err := fs.FileFromRecord(fs.DecodeRecord(e[128:]))
+	inoCopy, err := fs.DecodeMetafile(e[128:])
 	if err != nil {
 		return nil, err
 	}

@@ -38,11 +38,18 @@ var (
 	FlashPool = Profile{Name: "flashpool", PerIO: 500 * sim.Microsecond, PerBlock: 6 * sim.Microsecond}
 )
 
-// WriteReq is a single-block write within a multi-block drive I/O.
-type WriteReq struct {
+// Image is what one DBN of a Device holds: a block image, or a row of block
+// images (a RAID parity drive keeps the data images its parity covers).
+type Image interface{ ~[]byte | ~[][]byte }
+
+// Req is a single-block write within a multi-block device I/O.
+type Req[I Image] struct {
 	DBN  block.DBN
-	Data []byte // must remain immutable once submitted (CoW guarantees this)
+	Data I // must remain immutable once submitted (CoW guarantees this)
 }
+
+// WriteReq is a single-block write to a Drive.
+type WriteReq = Req[[]byte]
 
 // WriteFault describes how an injector perturbs one write I/O.
 type WriteFault struct {
@@ -88,7 +95,7 @@ type Stats struct {
 	WriteIOs      uint64
 	BlocksRead    uint64
 	BlocksWritten uint64
-	BytesWritten  uint64       // image bytes submitted in write I/Os, at their stored length
+	BytesWritten  uint64       // len of each submitted image: a block image's bytes, a parity row's images
 	BusyTime      sim.Duration // total time the drive was servicing I/O
 
 	// Fault-injection outcomes.
@@ -99,8 +106,9 @@ type Stats struct {
 	PeekErrors     uint64 // media read attempts failed by injection
 }
 
-// Drive is a simulated drive: an array of blocks plus a service queue.
-type Drive struct {
+// Device is a simulated drive: an array of blocks, each holding an I, plus a
+// service queue.
+type Device[I Image] struct {
 	s       *sim.Scheduler
 	name    string
 	profile Profile
@@ -110,7 +118,7 @@ type Drive struct {
 	// written. Writes land at I/O completion time, never earlier, so a
 	// simulated crash (dropping all in-memory state and pending I/O)
 	// leaves exactly the committed image.
-	media [][]byte
+	media []I
 
 	busyUntil sim.Time
 	epoch     uint64 // bumped by DropInFlight; stale completions are discarded
@@ -119,30 +127,30 @@ type Drive struct {
 
 	// inj is the optional fault-injection hook; nil means no faults.
 	inj Injector
-	// displaced, when set, is handed every image a completed write lands on
-	// top of: the owner of the drive's images may reuse it (SetDisplaced).
-	displaced func(img []byte)
 	// inflight tracks submitted-but-incomplete write I/Os in submission
 	// order, so a crash can tear them (land a prefix) deterministically.
-	inflight []*inflightWrite
+	inflight []*inflightWrite[I]
 	// spare holds records whose I/O completed and landed, for the next
 	// Write to copy its requests into. A record a crash dropped, or a Drop
 	// fault lost, never comes back here.
-	spare fifo.Queue[*inflightWrite]
+	spare fifo.Queue[*inflightWrite[I]]
 	// spareReads, readWaits and writeWaits are the same for read I/Os and for
 	// the waits of ReadSync and WriteSync, whose queue names are built once.
-	spareReads            fifo.Queue[*readIO]
-	readWaits, writeWaits fifo.Queue[*syncWait]
+	spareReads            fifo.Queue[*readIO[I]]
+	readWaits, writeWaits fifo.Queue[*syncWait[I]]
 	readName, writeName   string
 }
+
+// Drive is a device of block images: a data drive.
+type Drive = Device[[]byte]
 
 // inflightWrite is one submitted write I/O awaiting completion: the drive's
 // own copy of the caller's requests and callback, with the completion
 // event's callback, the method value complete, bound once.
-type inflightWrite struct {
-	d     *Drive
+type inflightWrite[I Image] struct {
+	d     *Device[I]
 	epoch uint64
-	reqs  []WriteReq
+	reqs  []Req[I]
 	done  func()
 	fire  func()
 }
@@ -150,16 +158,13 @@ type inflightWrite struct {
 // complete lands the write's images on the media, returns the record to
 // Drive.spare and calls done — unless a crash changed the drive's epoch
 // while the write was in flight, in which case nothing happens.
-func (e *inflightWrite) complete() {
+func (e *inflightWrite[I]) complete() {
 	d := e.d
 	if d.epoch != e.epoch {
 		return // lost to a crash before completing
 	}
 	d.removeInflight(e)
 	for _, r := range e.reqs {
-		if old := d.media[r.DBN]; old != nil && d.displaced != nil {
-			d.displaced(old)
-		}
 		d.media[r.DBN] = r.Data
 	}
 	done := e.done
@@ -175,16 +180,16 @@ func (e *inflightWrite) complete() {
 // they hold at completion and the caller's callback, with the completion
 // event's callback, the method value complete, bound once. It goes back to
 // Drive.spareReads once done has returned; a read a crash dropped never does.
-type readIO struct {
-	d     *Drive
+type readIO[I Image] struct {
+	d     *Device[I]
 	epoch uint64
 	dbns  []block.DBN
-	out   [][]byte
-	done  func([][]byte)
+	out   []I
+	done  func([]I)
 	fire  func()
 }
 
-func (r *readIO) complete() {
+func (r *readIO[I]) complete() {
 	d := r.d
 	if d.epoch != r.epoch {
 		return // lost to a crash before completing
@@ -204,37 +209,37 @@ func (r *readIO) complete() {
 // completion callbacks bound once. It goes back to the drive's free list when
 // the waiting thread has seen its I/O complete; a thread killed while waiting
 // never returns it.
-type syncWait struct {
+type syncWait[I Image] struct {
 	wq     *sim.WaitQueue
 	landed bool
-	out    [][]byte
-	read   func([][]byte) // readLanded
-	write  func()         // land
+	out    []I
+	read   func([]I) // readLanded
+	write  func()    // land
 }
 
-func (w *syncWait) readLanded(bs [][]byte) {
+func (w *syncWait[I]) readLanded(bs []I) {
 	w.out = append(w.out[:0], bs...)
 	w.land()
 }
 
-func (w *syncWait) land() {
+func (w *syncWait[I]) land() {
 	w.landed = true
 	w.wq.Signal()
 }
 
 // takeWait returns a wait from spare, or a new one on a queue named name.
-func (d *Drive) takeWait(spare *fifo.Queue[*syncWait], name string) *syncWait {
+func (d *Device[I]) takeWait(spare *fifo.Queue[*syncWait[I]], name string) *syncWait[I] {
 	if spare.Len() > 0 {
 		return spare.Pop()
 	}
-	w := &syncWait{wq: sim.NewWaitQueue(d.s, name)}
+	w := &syncWait[I]{wq: sim.NewWaitQueue(d.s, name)}
 	w.read, w.write = w.readLanded, w.land
 	return w
 }
 
 // wait blocks t until the I/O w waits for completes, leaving w ready for its
 // next wait.
-func (w *syncWait) wait(t *sim.Thread) {
+func (w *syncWait[I]) wait(t *sim.Thread) {
 	if !w.landed {
 		w.wq.Wait(t)
 	}
@@ -242,51 +247,50 @@ func (w *syncWait) wait(t *sim.Thread) {
 }
 
 // track returns the drive's trace track id, interning it on first use.
-func (d *Drive) track(tr *obs.Tracer) int32 {
+func (d *Device[I]) track(tr *obs.Tracer) int32 {
 	if d.obsTid == 0 {
 		d.obsTid = tr.Track(obs.PidStorage, d.name) + 1
 	}
 	return d.obsTid - 1
 }
 
-// NewDrive creates a drive of nblocks blocks with the given service profile.
-func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
-	return &Drive{
+// NewDevice creates a device of nblocks blocks with the given service
+// profile.
+func NewDevice[I Image](s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Device[I] {
+	return &Device[I]{
 		s:         s,
 		name:      name,
 		profile:   profile,
 		nblocks:   nblocks,
-		media:     make([][]byte, nblocks),
+		media:     make([]I, nblocks),
 		readName:  name + ".readsync",
 		writeName: name + ".writesync",
 	}
 }
 
+// NewDrive creates a drive of block images.
+func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
+	return NewDevice[[]byte](s, name, profile, nblocks)
+}
+
 // Name returns the drive's debug name.
-func (d *Drive) Name() string { return d.name }
+func (d *Device[I]) Name() string { return d.name }
 
 // Blocks returns the drive capacity in blocks.
-func (d *Drive) Blocks() block.DBN { return d.nblocks }
+func (d *Device[I]) Blocks() block.DBN { return d.nblocks }
 
 // Profile returns the drive's service-time profile.
-func (d *Drive) Profile() Profile { return d.profile }
+func (d *Device[I]) Profile() Profile { return d.profile }
 
 // Stats returns a snapshot of the drive's I/O statistics.
-func (d *Drive) Stats() Stats { return d.stats }
+func (d *Device[I]) Stats() Stats { return d.stats }
 
 // SetInjector attaches a fault injector (nil disables fault injection).
-func (d *Drive) SetInjector(in Injector) { d.inj = in }
-
-// SetDisplaced hands fn every image a completed write displaces from the
-// media, at the completion, before the write's own callback. The drive no
-// longer references it; whether anything else does is the owner's business
-// (RAID parity arrays are referenced by nothing else). A crash's torn
-// landing displaces images too and hands none of them over.
-func (d *Drive) SetDisplaced(fn func(img []byte)) { d.displaced = fn }
+func (d *Device[I]) SetInjector(in Injector) { d.inj = in }
 
 // InflightMultiBlock returns how many of the writes submitted but not yet
 // completed (or lost) span two or more blocks — the ones a crash-time torn-write fault can actually tear.
-func (d *Drive) InflightMultiBlock() int {
+func (d *Device[I]) InflightMultiBlock() int {
 	n := 0
 	for _, e := range d.inflight {
 		if len(e.reqs) >= 2 {
@@ -298,7 +302,7 @@ func (d *Drive) InflightMultiBlock() int {
 
 // removeInflight drops one completed entry; in-flight counts are small
 // (drive queue depth), so a linear scan is fine.
-func (d *Drive) removeInflight(e *inflightWrite) {
+func (d *Device[I]) removeInflight(e *inflightWrite[I]) {
 	for i, x := range d.inflight {
 		if x == e {
 			d.inflight = append(d.inflight[:i], d.inflight[i+1:]...)
@@ -309,7 +313,7 @@ func (d *Drive) removeInflight(e *inflightWrite) {
 
 // service reserves the drive for an I/O of n blocks and returns its
 // completion time. kind labels the trace span ("read"/"write").
-func (d *Drive) service(n int, kind string) sim.Time {
+func (d *Device[I]) service(n int, kind string) sim.Time {
 	start := d.s.Now()
 	if d.busyUntil > start {
 		start = d.busyUntil
@@ -327,7 +331,7 @@ func (d *Drive) service(n int, kind string) sim.Time {
 
 // Write submits one write I/O covering reqs and calls done (in scheduler
 // context) when it completes. The data lands on the media at completion.
-func (d *Drive) Write(reqs []WriteReq, done func()) {
+func (d *Device[I]) Write(reqs []Req[I], done func()) {
 	if len(reqs) == 0 {
 		if done != nil {
 			d.s.After(0, done)
@@ -349,11 +353,11 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 	d.stats.BlocksWritten += uint64(len(reqs))
 	// Copy the requests into a recycled record; payloads are immutable by
 	// contract, so the caller may reuse its slice once Write returns.
-	var entry *inflightWrite
+	var entry *inflightWrite[I]
 	if d.spare.Len() > 0 {
 		entry = d.spare.Pop()
 	} else {
-		entry = &inflightWrite{d: d}
+		entry = &inflightWrite[I]{d: d}
 		entry.fire = entry.complete
 	}
 	entry.epoch, entry.reqs, entry.done = d.epoch, append(entry.reqs[:0], reqs...), done
@@ -375,7 +379,7 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 // nil; callers treat nil as a zero block. The slice done receives is the
 // drive's and valid only during the call; the images in it are the media's.
 // dbns is copied, so the caller may reuse it once Read returns.
-func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
+func (d *Device[I]) Read(dbns []block.DBN, done func([]I)) {
 	if len(dbns) == 0 {
 		if done != nil {
 			d.s.After(0, func() { done(nil) })
@@ -392,11 +396,11 @@ func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
 	completion := d.service(len(dbns), "read")
 	d.stats.ReadIOs++
 	d.stats.BlocksRead += uint64(len(dbns))
-	var r *readIO
+	var r *readIO[I]
 	if d.spareReads.Len() > 0 {
 		r = d.spareReads.Pop()
 	} else {
-		r = &readIO{d: d}
+		r = &readIO[I]{d: d}
 		r.fire = r.complete
 	}
 	r.epoch, r.dbns, r.done = d.epoch, append(r.dbns, dbns...), done
@@ -406,7 +410,7 @@ func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
 // ReadSync performs a read I/O and blocks the calling simulated thread until
 // it completes. The result is the drive's and valid until the thread next
 // blocks; the images in it are the media's.
-func (d *Drive) ReadSync(t *sim.Thread, dbns []block.DBN) [][]byte {
+func (d *Device[I]) ReadSync(t *sim.Thread, dbns []block.DBN) []I {
 	w := d.takeWait(&d.readWaits, d.readName)
 	d.Read(dbns, w.read)
 	w.wait(t)
@@ -416,7 +420,7 @@ func (d *Drive) ReadSync(t *sim.Thread, dbns []block.DBN) [][]byte {
 
 // WriteSync performs a write I/O and blocks the calling simulated thread
 // until it completes.
-func (d *Drive) WriteSync(t *sim.Thread, reqs []WriteReq) {
+func (d *Device[I]) WriteSync(t *sim.Thread, reqs []Req[I]) {
 	w := d.takeWait(&d.writeWaits, d.writeName)
 	d.Write(reqs, w.write)
 	w.wait(t)
@@ -426,14 +430,14 @@ func (d *Drive) WriteSync(t *sim.Thread, reqs []WriteReq) {
 // Peek returns the committed media content of dbn without timing effects —
 // the simulator's god view of the stable image, never subject to fault
 // injection. RAID reconstruction and test assertions use it.
-func (d *Drive) Peek(dbn block.DBN) []byte { return d.media[dbn] }
+func (d *Device[I]) Peek(dbn block.DBN) I { return d.media[dbn] }
 
 // PeekChecked is the fallible media read the file system's mount and
 // verification paths use: it returns the committed content of dbn, or
 // ok=false when the injector fails this attempt (a media/checksum error).
 // Transient faults succeed on retry; persistent faults force the caller to
 // RAID reconstruction.
-func (d *Drive) PeekChecked(dbn block.DBN) ([]byte, bool) {
+func (d *Device[I]) PeekChecked(dbn block.DBN) (I, bool) {
 	if d.inj != nil && d.inj.PeekFault(d.name, dbn) {
 		d.stats.PeekErrors++
 		return nil, false
@@ -448,7 +452,7 @@ func (d *Drive) PeekChecked(dbn block.DBN) ([]byte, bool) {
 // injector's CrashPrefix decides, in submission order). The stable image
 // is otherwise exactly the set of writes that had completed before the
 // crash.
-func (d *Drive) DropInFlight() {
+func (d *Device[I]) DropInFlight() {
 	d.epoch++
 	d.busyUntil = d.s.Now()
 	for _, e := range d.inflight {
@@ -460,8 +464,6 @@ func (d *Drive) DropInFlight() {
 			p = len(e.reqs)
 		}
 		if p > 0 {
-			// A torn landing is a crash path: what it displaces is dropped,
-			// never handed to the owner (SetDisplaced).
 			for _, r := range e.reqs[:p] {
 				d.media[r.DBN] = r.Data
 			}

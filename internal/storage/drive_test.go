@@ -282,25 +282,23 @@ func TestSteadyStateWriteAllocatesOnlyItsCompletion(t *testing.T) {
 	}
 }
 
-// TestCompletedWriteHandsBackDisplacedImages: a completed write hands the
-// owner every image it lands on top of, before its own callback, and nothing
-// for a block the media never held.
-func TestCompletedWriteHandsBackDisplacedImages(t *testing.T) {
+// TestRowDevice: a device of rows (a RAID parity drive) lands and reads the
+// caller's row itself, and counts one written byte per image the row holds.
+func TestRowDevice(t *testing.T) {
 	s := sim.New(1, 1)
-	d := NewDrive(s, "d0", SSD, 64)
-	var back [][]byte
-	d.SetDisplaced(func(img []byte) { back = append(back, img) })
-	first, second := testBlock(1), testBlock(2)
-	d.Write([]WriteReq{{DBN: 3, Data: first}}, nil)
-	s.RunFor(sim.Millisecond)
-	if len(back) != 0 {
-		t.Fatalf("a write to a never-written block handed back %d images", len(back))
+	d := NewDevice[[][]byte](s, "p", SSD, 64)
+	row := [][]byte{testBlock(1), nil, testBlock(2)[:64]}
+	var got [][][]byte
+	s.Go("io", sim.CatOther, func(th *sim.Thread) {
+		d.WriteSync(th, []Req[[][]byte]{{DBN: 3, Data: row}})
+		got = d.ReadSync(th, []block.DBN{3, 4})
+	})
+	s.Run(sim.Time(sim.Second))
+	if len(got) != 2 || len(got[0]) != len(row) || &got[0][0] != &row[0] || got[1] != nil {
+		t.Fatal("a read did not return the landed row, or a never-written DBN read non-nil")
 	}
-	seen := -1
-	d.Write([]WriteReq{{DBN: 3, Data: second}, {DBN: 4, Data: testBlock(3)}}, func() { seen = len(back) })
-	s.RunFor(sim.Millisecond)
-	if seen != 1 || len(back) != 1 || &back[0][0] != &first[0] {
-		t.Fatalf("handed back %d images (%d before the callback), want the first write's array once", len(back), seen)
+	if st := d.Stats(); st.BlocksWritten != 1 || st.BytesWritten != uint64(len(row)) {
+		t.Fatalf("stats = %+v, want 1 block and %d bytes written", st, len(row))
 	}
 }
 
