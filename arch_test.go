@@ -205,6 +205,37 @@ func identLike(re string) func(ast.Node) bool {
 	}
 }
 
+// getOrNew matches a hand-rolled free list's get: a fifo.Queue popped when it
+// is not empty, and otherwise something new built — `if q.Len() > 0 { v =
+// q.Pop() } else { ... }`, or `if q.Len() > 0 { return q.Pop() }` with the
+// new one after it.
+func getOrNew(n ast.Node) bool {
+	is, ok := n.(*ast.IfStmt)
+	if !ok || len(is.Body.List) != 1 {
+		return false
+	}
+	cond, ok := is.Cond.(*ast.BinaryExpr)
+	if !ok || !callOn(nil, "Len")(cond.X) {
+		return false
+	}
+	var pop ast.Expr
+	switch s := is.Body.List[0].(type) {
+	case *ast.ReturnStmt:
+		if len(s.Results) == 1 {
+			pop = s.Results[0]
+		}
+	case *ast.AssignStmt:
+		if len(s.Rhs) == 1 && is.Else != nil {
+			pop = s.Rhs[0]
+		}
+	}
+	if pop == nil || !callOn(nil, "Pop")(pop) {
+		return false
+	}
+	queue := func(call ast.Expr) string { return lastName(call.(*ast.CallExpr).Fun.(*ast.SelectorExpr).X) }
+	return queue(pop) == queue(cond.X)
+}
+
 // leadingMinusOne matches a call passing a literal -1 ahead of another
 // argument.
 func leadingMinusOne(n ast.Node) bool {
@@ -266,6 +297,7 @@ var exportAllow = map[string]string{
 	"wafl.System.VolFreeBlocks":         "parallelcp_test.go compares the loose counter with the bitmap",
 	"wafl.ClientCtx.CreatePlaced":       "placement_test.go and cluster_test.go drive capacity-aware placement",
 	"wafl.ClientCtx.SnapRead":           "snap_test.go; ROADMAP item 3(f) makes it the model's ninth op kind",
+	"wafl.System.TunerSamples":          "example_test.go's Example_dynamicTuning prints the tuner's decision trace",
 }
 
 var archRules = []archRule{
@@ -331,7 +363,7 @@ var archRules = []archRule{
 		// the reflective fold never runs on a path a simulated event takes.
 		name: "stat",
 		clauses: []clause{{
-			scan:   []string{"harness", "cmd", "examples", "workload"},
+			scan:   []string{"harness", "cmd", "workload"},
 			forbid: callOn(nil, "Counters", "CPStats", "BCacheStats", "AdmissionStats"),
 			msg:    "bench-only view of Stats called: read Results.Stats or System.Stats",
 		}, {
@@ -414,6 +446,22 @@ var archRules = []archRule{
 		}, {
 			files: map[string]string{"internal/aggregate/volume.go": `package aggregate; func f(b *fs.Buffer) { _, _ = fs.PtrAt(b, 0) }`},
 			want:  "internal/aggregate/volume.go:1: pointer decoded outside internal/fs",
+		}},
+	},
+	{
+		// One recycling primitive: a free list of host state is a fifo.Pool,
+		// whose counts Quiesce checks, never a queue with its own get-or-new.
+		name: "pool",
+		clauses: []clause{{
+			scan: []string{"..."}, except: []string{"internal/fifo"}, forbid: getOrNew,
+			msg: "fifo.Queue used as a get-or-new free list: use fifo.Pool",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"internal/raid/raid.go": `package raid; func (g *Group) f() *S { if g.spare.Len() > 0 { return g.spare.Pop() }; return &S{} }`},
+			want:  "internal/raid/raid.go:1: fifo.Queue used as a get-or-new free list",
+		}, {
+			files: map[string]string{"internal/core/infra.go": `package core; func (in *Infra) f() (b *Bucket) { if in.spare.Len() > 0 { b = in.spare.Pop() } else { b = new(Bucket) }; return }`},
+			want:  "internal/core/infra.go:1: fifo.Queue used as a get-or-new free list",
 		}},
 	},
 	{

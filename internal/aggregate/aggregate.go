@@ -210,10 +210,7 @@ func (a *Aggregate) TotalFree() uint64 { return a.Activemap.Free() }
 // CrashAll drops in-flight I/O on every drive, modelling power loss.
 func (a *Aggregate) CrashAll() {
 	for _, g := range a.groups {
-		for i := 0; i < g.DataDrives(); i++ {
-			g.Drive(i).DropInFlight()
-		}
-		g.ParityDrive().DropInFlight()
+		g.DropInFlight()
 	}
 }
 

@@ -36,7 +36,7 @@ func BenchmarkWindowRoundTrip(b *testing.B) {
 					vbn := bk.vbns[bk.next]
 					bk.next++
 					_, drive, dbn := geo.Locate(vbn)
-					bk.tetris.add(drive, dbn, img)
+					e.in.addToTetris(bk.tetris, drive, dbn, img)
 					used = append(used, vbn)
 				}
 				e.in.PutBucket(th, bk)

@@ -3,7 +3,6 @@ package core
 import (
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
-	"wafl/internal/fifo"
 	"wafl/internal/storage"
 )
 
@@ -36,12 +35,10 @@ func (b *Bucket) Used() []block.VBN { return b.vbns[:b.next] }
 type Tetris struct {
 	group  int
 	window block.DBN
-	drives int
-	// perDrive is taken from spare by the first add after the window opens
-	// (or after a send), and goes back to spare, emptied, once RAID reports
-	// every drive I/O built from it complete.
+	// perDrive is taken from Infra.listPool by the first addToTetris after the
+	// window opens (or after a send), and goes back, emptied, once RAID
+	// reports every drive I/O built from it complete.
 	perDrive [][]storage.WriteReq
-	spare    *fifo.Queue[[][]storage.WriteReq]
 	// outstanding counts buckets not yet returned via PUT (or exhausted);
 	// when it reaches zero the I/O is sent. initialBuckets is the number
 	// of non-empty buckets the window produced, and committedBuckets
@@ -53,17 +50,14 @@ type Tetris struct {
 	blocks           int
 }
 
-// add enqueues a cleaned block's payload at its assigned location.
-func (t *Tetris) add(drive int, dbn block.DBN, data []byte) {
-	if t.perDrive == nil {
-		if t.spare.Len() > 0 {
-			t.perDrive = t.spare.Pop()
-		} else {
-			t.perDrive = make([][]storage.WriteReq, t.drives)
-		}
+// addToTetris enqueues a cleaned block's payload on te at its assigned
+// location.
+func (in *Infra) addToTetris(te *Tetris, drive int, dbn block.DBN, data []byte) {
+	if te.perDrive == nil {
+		te.perDrive = in.listPool.Get()
 	}
-	t.perDrive[drive] = append(t.perDrive[drive], storage.WriteReq{DBN: dbn, Data: data})
-	t.blocks++
+	te.perDrive[drive] = append(te.perDrive[drive], storage.WriteReq{DBN: dbn, Data: data})
+	te.blocks++
 }
 
 // VBucket is the virtual-space analogue of a Bucket: a chunk of free VVBNs
@@ -112,7 +106,7 @@ func (s *bitset) reset() {
 // reservation released unused — and keeps its VBN slice for the next fill.
 func (in *Infra) recycleBucket(b *Bucket) {
 	*b = Bucket{vbns: b.vbns[:0]}
-	in.spareBuckets.Push(b)
+	in.bucketPool.Put(b)
 }
 
 // dropBucket releases an unused bucket's reservation and recycles it.
@@ -124,5 +118,5 @@ func (in *Infra) dropBucket(b *Bucket) {
 // recycleVBucket is recycleBucket for the virtual side.
 func (in *Infra) recycleVBucket(vb *VBucket) {
 	*vb = VBucket{vvbns: vb.vvbns[:0], pvbns: vb.pvbns[:0]}
-	in.spareVBuckets.Push(vb)
+	in.vbucketPool.Put(vb)
 }

@@ -382,7 +382,7 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job) {
 
 			img, oldVVBN, oldVBN := f.CleanChild(b, vvbn, vbn)
 			_, drive, dbn := geo.Locate(vbn)
-			cs.phys.tetris.add(drive, dbn, img)
+			p.in.addToTetris(cs.phys.tetris, drive, dbn, img)
 			p.stats.BuffersCleaned++
 
 			// Loose accounting: allocation consumed a free block.

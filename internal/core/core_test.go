@@ -6,6 +6,7 @@ import (
 
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
+	"wafl/internal/fifo"
 	"wafl/internal/fs"
 	"wafl/internal/sim"
 	"wafl/internal/storage"
@@ -138,7 +139,7 @@ func TestPutBucketCommitsUsedOnly(t *testing.T) {
 			b.next++
 			g, d, dbn := e.a.Geometry().Locate(vbn)
 			_ = g
-			b.tetris.add(d, dbn, block.New())
+			e.in.addToTetris(b.tetris, d, dbn, block.New())
 		}
 		used = append([]block.VBN(nil), b.Used()...)
 		unused = append([]block.VBN(nil), b.vbns[b.next:]...)
@@ -182,7 +183,7 @@ func TestTetrisSentWhenAllBucketsReturned(t *testing.T) {
 			_, d, dbn := e.a.Geometry().Locate(vbn)
 			data := block.New()
 			data[0] = byte(d + 1)
-			te.add(d, dbn, data)
+			e.in.addToTetris(te, d, dbn, data)
 		}
 		before := e.in.Stats().TetrisesSent
 		for i, b := range buckets {
@@ -301,7 +302,7 @@ func TestWarmFreeAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(100, free); got != 0 {
 		t.Errorf("a warm free of %d block numbers allocates %v objects, want 0", len(bns), got)
 	}
-	if n := e.in.spareCommits.Len(); n != 1 || e.a.Activemap.IsSet(bns[0]) {
+	if n := idle(e.in.stats.CommitPool); n != 1 || e.a.Activemap.IsSet(bns[0]) {
 		t.Fatalf("%d commit records spare, first bit set %v; want 1 and the frees applied", n, e.a.Activemap.IsSet(bns[0]))
 	}
 }
@@ -615,6 +616,9 @@ func TestChunkSizeOne(t *testing.T) {
 	}
 }
 
+// idle returns the records a pool holds for its next Gets.
+func idle(st fifo.PoolStats) uint64 { return st.New + st.Returned - st.Taken }
+
 // reservedBits counts the block numbers sp currently fences off.
 func reservedBits(sp *space) (n int) {
 	for _, w := range sp.reserved.words {
@@ -661,11 +665,14 @@ func TestDrainLeavesNoReservations(t *testing.T) {
 		noReservations(t, e.in)
 		// A dropped bucket ends its lifetime like a committed one.
 		geo := e.a.Geometry()
-		if got, want := e.in.spareBuckets.Len(), windowsAhead*geo.NumGroups*geo.DataDrives; got != want {
+		if got, want := idle(e.in.stats.BucketPool), windowsAhead*geo.NumGroups*geo.DataDrives; got != uint64(want) {
 			t.Fatalf("%d buckets recycled by the drain, want %d", got, want)
 		}
-		if got, want := e.in.spareVBuckets.Len(), volBucketsReady*len(e.in.vols); got != want {
+		if got, want := idle(e.in.stats.VBucketPool), volBucketsReady*len(e.in.vols); got != uint64(want) {
 			t.Fatalf("%d vbuckets recycled by the drain, want %d", got, want)
+		}
+		if st := e.in.stats; st.BucketPool.Outstanding() != 0 || st.VBucketPool.Outstanding() != 0 {
+			t.Fatalf("buckets %+v, vbuckets %+v outstanding after the drain", st.BucketPool, st.VBucketPool)
 		}
 	})
 }

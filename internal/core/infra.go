@@ -28,6 +28,9 @@ type InfraStats struct {
 	VFillWords        uint64 // the volume fills' share of FillWords
 	GetWaits          uint64 // times a GET, of either space, blocked on an empty cache
 	WindowsSkipped    uint64 // windows with no free blocks at all
+
+	// The recycled window state's pools (DESIGN §9).
+	BucketPool, VBucketPool, ListPool, CommitPool fifo.PoolStats
 }
 
 // windowState tracks a RAID group's fill cursor.
@@ -104,17 +107,17 @@ type Infra struct {
 
 	obsGroupTid []int32 // interned per-group trace track id + 1; 0 = unset
 
-	// Recycled window state (DESIGN §9): buckets and vbuckets come back when
+	// Recycled state (DESIGN §9): buckets and vbuckets come back when
 	// committed or dropped, a tetris's per-drive lists when RAID completes
-	// their I/O; metaScan is FindMetaVBN's one-candidate scratch.
-	spareBuckets  fifo.Queue[*Bucket]
-	spareVBuckets fifo.Queue[*VBucket]
-	spareLists    fifo.Queue[[][]storage.WriteReq]
-	metaScan      []block.VBN
-	// Free-commit records come back when their message has applied them;
-	// freeOrder is free's send-order scratch.
-	spareCommits fifo.Queue[*freeCommit]
-	freeOrder    []*freeCommit
+	// their I/O, free-commit records when their message has applied them.
+	bucketPool  fifo.Pool[*Bucket]
+	vbucketPool fifo.Pool[*VBucket]
+	listPool    fifo.Pool[[][]storage.WriteReq]
+	commitPool  fifo.Pool[*freeCommit]
+	// metaScan is FindMetaVBN's one-candidate scratch, freeOrder free's
+	// send-order scratch.
+	metaScan  []block.VBN
+	freeOrder []*freeCommit
 
 	stats InfraStats
 }
@@ -144,6 +147,15 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		global:    counters.NewGlobal(),
 	}
 	in.done = in.opDone
+	in.bucketPool = fifo.NewPool(&in.stats.BucketPool, func() *Bucket { return new(Bucket) })
+	in.vbucketPool = fifo.NewPool(&in.stats.VBucketPool, func() *VBucket { return new(VBucket) })
+	drives := a.Geometry().DataDrives
+	in.listPool = fifo.NewPool(&in.stats.ListPool, func() [][]storage.WriteReq { return make([][]storage.WriteReq, drives) })
+	in.commitPool = fifo.NewPool(&in.stats.CommitPool, func() *freeCommit {
+		fc := &freeCommit{in: in}
+		fc.run = fc.commit
+		return fc
+	})
 	ag := h.Aggrs[0]
 	in.phys = in.newSpace("aggr.free", a.Activemap, a.Geometry().TotalBlocks(), a.TotalFree(), ag.AggrVBN, ag.Ranges)
 	for gi := 0; gi < a.Groups(); gi++ {
@@ -260,12 +272,7 @@ func (in *Infra) fillBucket(t *sim.Thread, group, drive int, start, depth block.
 	lo := uint64(geo.VBNOf(group, drive, start))
 	hi := lo + uint64(depth)
 	fillStart := t.Now()
-	var b *Bucket
-	if in.spareBuckets.Len() > 0 {
-		b = in.spareBuckets.Pop()
-	} else {
-		b = new(Bucket)
-	}
+	b := in.bucketPool.Get()
 	vbns, words := findFree(in.phys, b.vbns, lo, hi, int(depth))
 	in.stats.FillWords += uint64(words)
 	t.ConsumeAs(sim.CatInfra, in.costs.FillFixed+sim.Duration(words)*in.costs.FillPerWord)
@@ -290,7 +297,7 @@ func (in *Infra) requestWindow(group int) {
 			int64(in.s.Now()), int64(start))
 	}
 	wf := &windowFill{
-		tetris:  &Tetris{group: group, window: start, drives: drives, spare: &in.spareLists},
+		tetris:  &Tetris{group: group, window: start},
 		buckets: make([]*Bucket, drives),
 		pending: drives,
 	}
@@ -500,7 +507,7 @@ func (in *Infra) sendTetris(t *sim.Thread, te *Tetris) {
 			clear(writes[d])
 			writes[d] = writes[d][:0]
 		}
-		in.spareLists.Push(writes)
+		in.listPool.Put(writes)
 		in.ioDone()
 	})
 	if res.ParityCPU > 0 {

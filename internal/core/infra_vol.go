@@ -106,12 +106,7 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState, dst []block.VVBN) []bl
 func (in *Infra) requestVBucket(vs *volState) {
 	vs.pendingFills++
 	in.send(vs.aff(bitmap.BlockOf(vs.cursor)), func(t *sim.Thread) {
-		var vb *VBucket
-		if in.spareVBuckets.Len() > 0 {
-			vb = in.spareVBuckets.Pop()
-		} else {
-			vb = new(VBucket)
-		}
+		vb := in.vbucketPool.Get()
 		vb.vvbns = in.scanVBucket(t, vs, vb.vvbns)
 		vs.pendingFills--
 		if in.draining || !in.inCP {

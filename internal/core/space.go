@@ -170,12 +170,7 @@ func (in *Infra) free(sp *space, bns []uint64) {
 		fbn := bitmap.BlockOf(bn)
 		fc := sp.open[fbn]
 		if fc == nil {
-			if in.spareCommits.Len() > 0 {
-				fc = in.spareCommits.Pop()
-			} else {
-				fc = &freeCommit{in: in}
-				fc.run = fc.commit
-			}
+			fc = in.commitPool.Get()
 			fc.sp, fc.fbn = sp, fbn
 			sp.open[fbn] = fc
 			order = append(order, fc)
@@ -193,7 +188,7 @@ func (in *Infra) free(sp *space, bns []uint64) {
 
 // freeCommit is one free-commit message: the frees of one space on one of
 // its metafile blocks, with its body, the method value commit, bound once.
-// It goes back to Infra.spareCommits when the body has applied the frees; a
+// It goes back to Infra.commitPool when the body has applied the frees; a
 // worker killed mid-message never returns it.
 type freeCommit struct {
 	in  *Infra
@@ -211,5 +206,5 @@ func (fc *freeCommit) commit(wt *sim.Thread) {
 	}
 	in.stats.FreesCommitted += uint64(len(fc.bns))
 	fc.sp, fc.bns = nil, fc.bns[:0]
-	in.spareCommits.Push(fc)
+	in.commitPool.Put(fc)
 }

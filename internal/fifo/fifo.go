@@ -1,6 +1,7 @@
 // Package fifo provides the one slice-backed queue the simulator's run
-// queues, waiter lists, message queues, bucket caches and the allocation
-// window's free lists share.
+// queues, waiter lists, message queues and bucket caches share, and the one
+// recycling primitive built on it, Pool, that every free list of host state
+// is (DESIGN §9).
 package fifo
 
 // Queue is a slice-backed FIFO that pops in O(1) and does not leak its
@@ -50,3 +51,54 @@ func (q *Queue[T]) TakeAll() []T {
 	q.head = 0
 	return out
 }
+
+// Pool is a free list of records: Get takes the oldest returned record, or a
+// new one, and Put gives one back at the event that ends its lifetime. Its
+// owner resets a record before the Put, as only it knows what a record
+// holds. No sync.Pool: that empties at every GC, so allocation counts would
+// depend on GC timing. The pool counts into a PoolStats its owner publishes,
+// so a path that forgets its Put shows there as a record outstanding.
+type Pool[T any] struct {
+	free  Queue[T]
+	new   func() T
+	stats *PoolStats
+}
+
+// PoolStats counts a Pool's records. A record is outstanding from its Get to
+// its Put; abandoned ones were outstanding when a crash dropped whatever held
+// them, and never come back.
+type PoolStats struct {
+	New       uint64 // records built
+	Taken     uint64 // Gets, New included
+	Returned  uint64 // Puts
+	Abandoned uint64
+}
+
+// Outstanding returns the records taken and neither returned nor abandoned.
+func (s PoolStats) Outstanding() int64 { return int64(s.Taken - s.Returned - s.Abandoned) }
+
+// NewPool returns an empty pool that counts into stats and whose Get builds a
+// record with newFn when no returned one is waiting.
+func NewPool[T any](stats *PoolStats, newFn func() T) Pool[T] {
+	return Pool[T]{new: newFn, stats: stats}
+}
+
+// Get returns a returned record, the oldest first, or a new one.
+func (p *Pool[T]) Get() T {
+	p.stats.Taken++
+	if p.free.Len() > 0 {
+		return p.free.Pop()
+	}
+	p.stats.New++
+	return p.new()
+}
+
+// Put returns v, which its owner has reset, for a later Get.
+func (p *Pool[T]) Put(v T) {
+	p.stats.Returned++
+	p.free.Push(v)
+}
+
+// Abandon writes off every outstanding record: a crash dropped what held
+// them, and whatever still refers to one must never return it.
+func (p *Pool[T]) Abandon() { p.stats.Abandoned = p.stats.Taken - p.stats.Returned }

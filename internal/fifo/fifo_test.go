@@ -53,3 +53,27 @@ func TestQueueOrderAndRelease(t *testing.T) {
 		t.Fatal("queue still shares storage with the slice TakeAll returned")
 	}
 }
+
+// TestPoolCounts: Get builds only when nothing is returned and hands returned
+// records out oldest first; the counts say what is outstanding, before and
+// after a crash abandons it.
+func TestPoolCounts(t *testing.T) {
+	next := 0
+	var st PoolStats
+	p := NewPool(&st, func() *int { next++; v := next; return &v })
+	a, b := p.Get(), p.Get()
+	p.Put(b)
+	p.Put(a)
+	if got := *p.Get(); got != 2 {
+		t.Fatalf("Get = %d, want the oldest returned, 2", got)
+	}
+	if st.Outstanding() != 1 {
+		t.Fatalf("%+v: want 1 outstanding", st)
+	}
+	p.Get() // the last returned record
+	p.Abandon()
+	c := p.Get()
+	if *c != 3 || st != (PoolStats{New: 3, Taken: 5, Returned: 2, Abandoned: 2}) || st.Outstanding() != 1 {
+		t.Fatalf("after a crash and a Get: record %d, stats %+v", *c, st)
+	}
+}

@@ -24,6 +24,8 @@ type Stats struct {
 	ParityReadBlocks    uint64 // data blocks read to compute parity
 	ParityBlocksWritten uint64
 	StripeWriteIOs      uint64 // multi-stripe write operations submitted
+
+	ScratchPool fifo.PoolStats // recycled stripe scratch (DESIGN §9)
 }
 
 // Group is one RAID group: N data drives and one parity drive of equal
@@ -38,9 +40,9 @@ type Group struct {
 	parity *storage.Device[[][]byte]
 	depth  block.DBN // blocks per drive
 
-	// spare holds stripe scratch no write uses any more; several writes can
-	// be in flight on one group, each holding its own.
-	spare fifo.Queue[*stripeScratch]
+	// scratchPool recycles stripe scratch; several writes can be in flight
+	// on one group, each holding its own.
+	scratchPool fifo.Pool[*stripeScratch]
 
 	stats Stats
 }
@@ -51,7 +53,8 @@ type Group struct {
 // reconstruction reads and the parity requests. It goes back to the group
 // once issueWrites has submitted every drive write — drives copy their
 // requests, and each parity request carries its own copy of its row — so
-// nothing in it outlives the submission.
+// nothing in it outlives the submission. A crash that drops phase A's reads
+// leaves it outstanding for good (DropInFlight).
 type stripeScratch struct {
 	dbns       []block.DBN
 	rows       [][]byte
@@ -66,15 +69,6 @@ func (sc *stripeScratch) rowOf(dbn block.DBN, nd int) int {
 	return k * nd
 }
 
-// takeScratch returns empty stripe scratch, recycled when the group has
-// some.
-func (g *Group) takeScratch() *stripeScratch {
-	if g.spare.Len() > 0 {
-		return g.spare.Pop()
-	}
-	return &stripeScratch{readPlan: make([][]block.DBN, len(g.data))}
-}
-
 // recycle empties sc, dropping its references to block images, and returns
 // it to the group.
 func (g *Group) recycle(sc *stripeScratch) {
@@ -84,13 +78,16 @@ func (g *Group) recycle(sc *stripeScratch) {
 	for di := range sc.readPlan {
 		sc.readPlan[di] = sc.readPlan[di][:0]
 	}
-	g.spare.Push(sc)
+	g.scratchPool.Put(sc)
 }
 
 // NewGroup builds a RAID group with ndata data drives and one parity drive,
 // each of depth blocks, using the given drive profile.
 func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile storage.Profile) *Group {
 	g := &Group{s: s, id: id, depth: depth}
+	g.scratchPool = fifo.NewPool(&g.stats.ScratchPool, func() *stripeScratch {
+		return &stripeScratch{readPlan: make([][]block.DBN, len(g.data))}
+	})
 	for i := 0; i < ndata; i++ {
 		g.data = append(g.data, storage.NewDrive(s, fmt.Sprintf("rg%d.d%d", id, i), profile, depth))
 	}
@@ -100,6 +97,17 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 
 // Stats returns a snapshot of the group's parity statistics.
 func (g *Group) Stats() Stats { return g.stats }
+
+// DropInFlight models a power loss on the group: every drive drops its
+// in-flight I/O, and the scratch of writes whose reconstruction reads that
+// dropped is abandoned.
+func (g *Group) DropInFlight() {
+	for _, d := range g.data {
+		d.DropInFlight()
+	}
+	g.parity.DropInFlight()
+	g.scratchPool.Abandon()
+}
 
 // ID returns the group's index within its aggregate.
 func (g *Group) ID() int { return g.id }
@@ -145,7 +153,7 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 
 	// The touched stripes, DBN-sorted, and their rows.
 	nd := len(g.data)
-	sc := g.takeScratch()
+	sc := g.scratchPool.Get()
 	for _, reqs := range writes {
 		for _, r := range reqs {
 			sc.dbns = append(sc.dbns, r.DBN)

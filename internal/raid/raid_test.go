@@ -305,12 +305,12 @@ func TestParityByReference(t *testing.T) {
 		g.Write(writes, 0, nil)
 		if rng.Intn(4) == 0 {
 			s.RunFor(sim.Duration(rng.Intn(250)) * sim.Microsecond)
-			for di := range nd {
-				g.Drive(di).DropInFlight()
-			}
-			g.ParityDrive().DropInFlight()
+			g.DropInFlight()
 		}
 		s.RunFor(sim.Millisecond)
+		if n := g.Stats().ScratchPool.Outstanding(); n != 0 {
+			t.Fatalf("step %d: %d stripe scratch outstanding after every write landed or was dropped", step, n)
+		}
 		for dbn, row := range rows {
 			if p := g.ParityDrive().Peek(dbn); p != nil && &p[0] != landed[dbn] {
 				landed[dbn], ref[dbn] = &p[0], eagerXOR(row...)

@@ -104,6 +104,10 @@ type Stats struct {
 	TornWrites     uint64 // in-flight writes torn by a crash (prefix landed)
 	TornBlocksLost uint64 // blocks of torn writes that did not land
 	PeekErrors     uint64 // media read attempts failed by injection
+
+	// Recycled records (DESIGN §9): write and read I/Os, and the waits of
+	// WriteSync and ReadSync.
+	WritePool, ReadPool, WriteWaitPool, ReadWaitPool fifo.PoolStats
 }
 
 // Device is a simulated drive: an array of blocks, each holding an I, plus a
@@ -130,15 +134,12 @@ type Device[I Image] struct {
 	// inflight tracks submitted-but-incomplete write I/Os in submission
 	// order, so a crash can tear them (land a prefix) deterministically.
 	inflight []*inflightWrite[I]
-	// spare holds records whose I/O completed and landed, for the next
-	// Write to copy its requests into. A record a crash dropped, or a Drop
-	// fault lost, never comes back here.
-	spare fifo.Queue[*inflightWrite[I]]
-	// spareReads, readWaits and writeWaits are the same for read I/Os and for
-	// the waits of ReadSync and WriteSync, whose queue names are built once.
-	spareReads            fifo.Queue[*readIO[I]]
-	readWaits, writeWaits fifo.Queue[*syncWait[I]]
-	readName, writeName   string
+	// The recycled records (DESIGN §9). A record a crash dropped, or a Drop
+	// fault lost, never comes back: DropInFlight abandons every outstanding
+	// one.
+	writePool                   fifo.Pool[*inflightWrite[I]]
+	readPool                    fifo.Pool[*readIO[I]]
+	writeWaitPool, readWaitPool fifo.Pool[*syncWait[I]]
 }
 
 // Drive is a device of block images: a data drive.
@@ -156,7 +157,7 @@ type inflightWrite[I Image] struct {
 }
 
 // complete lands the write's images on the media, returns the record to
-// Drive.spare and calls done — unless a crash changed the drive's epoch
+// Device.writePool and calls done — unless a crash changed the drive's epoch
 // while the write was in flight, in which case nothing happens.
 func (e *inflightWrite[I]) complete() {
 	d := e.d
@@ -170,7 +171,7 @@ func (e *inflightWrite[I]) complete() {
 	done := e.done
 	clear(e.reqs)
 	e.done = nil
-	d.spare.Push(e)
+	d.writePool.Put(e)
 	if done != nil {
 		done()
 	}
@@ -179,7 +180,7 @@ func (e *inflightWrite[I]) complete() {
 // readIO is one submitted read I/O: the drive's copy of the DBNs, the images
 // they hold at completion and the caller's callback, with the completion
 // event's callback, the method value complete, bound once. It goes back to
-// Drive.spareReads once done has returned; a read a crash dropped never does.
+// Device.readPool once done has returned; a read a crash dropped never does.
 type readIO[I Image] struct {
 	d     *Device[I]
 	epoch uint64
@@ -202,13 +203,13 @@ func (r *readIO[I]) complete() {
 	}
 	clear(r.out)
 	r.dbns, r.out, r.done = r.dbns[:0], r.out[:0], nil
-	d.spareReads.Push(r)
+	d.readPool.Put(r)
 }
 
 // syncWait is one thread's wait in ReadSync or WriteSync, with the I/O's
-// completion callbacks bound once. It goes back to the drive's free list when
-// the waiting thread has seen its I/O complete; a thread killed while waiting
-// never returns it.
+// completion callbacks bound once. It goes back to its pool when the waiting
+// thread has seen its I/O complete; a thread killed while waiting never
+// returns it.
 type syncWait[I Image] struct {
 	wq     *sim.WaitQueue
 	landed bool
@@ -227,12 +228,9 @@ func (w *syncWait[I]) land() {
 	w.wq.Signal()
 }
 
-// takeWait returns a wait from spare, or a new one on a queue named name.
-func (d *Device[I]) takeWait(spare *fifo.Queue[*syncWait[I]], name string) *syncWait[I] {
-	if spare.Len() > 0 {
-		return spare.Pop()
-	}
-	w := &syncWait[I]{wq: sim.NewWaitQueue(d.s, name)}
+// newWait returns a wait on a queue named name.
+func newWait[I Image](s *sim.Scheduler, name string) *syncWait[I] {
+	w := &syncWait[I]{wq: sim.NewWaitQueue(s, name)}
 	w.read, w.write = w.readLanded, w.land
 	return w
 }
@@ -257,15 +255,20 @@ func (d *Device[I]) track(tr *obs.Tracer) int32 {
 // NewDevice creates a device of nblocks blocks with the given service
 // profile.
 func NewDevice[I Image](s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Device[I] {
-	return &Device[I]{
-		s:         s,
-		name:      name,
-		profile:   profile,
-		nblocks:   nblocks,
-		media:     make([]I, nblocks),
-		readName:  name + ".readsync",
-		writeName: name + ".writesync",
-	}
+	d := &Device[I]{s: s, name: name, profile: profile, nblocks: nblocks, media: make([]I, nblocks)}
+	d.writePool = fifo.NewPool(&d.stats.WritePool, func() *inflightWrite[I] {
+		e := &inflightWrite[I]{d: d}
+		e.fire = e.complete
+		return e
+	})
+	d.readPool = fifo.NewPool(&d.stats.ReadPool, func() *readIO[I] {
+		r := &readIO[I]{d: d}
+		r.fire = r.complete
+		return r
+	})
+	d.writeWaitPool = fifo.NewPool(&d.stats.WriteWaitPool, func() *syncWait[I] { return newWait[I](s, name+".writesync") })
+	d.readWaitPool = fifo.NewPool(&d.stats.ReadWaitPool, func() *syncWait[I] { return newWait[I](s, name+".readsync") })
+	return d
 }
 
 // NewDrive creates a drive of block images.
@@ -353,13 +356,7 @@ func (d *Device[I]) Write(reqs []Req[I], done func()) {
 	d.stats.BlocksWritten += uint64(len(reqs))
 	// Copy the requests into a recycled record; payloads are immutable by
 	// contract, so the caller may reuse its slice once Write returns.
-	var entry *inflightWrite[I]
-	if d.spare.Len() > 0 {
-		entry = d.spare.Pop()
-	} else {
-		entry = &inflightWrite[I]{d: d}
-		entry.fire = entry.complete
-	}
+	entry := d.writePool.Get()
 	entry.epoch, entry.reqs, entry.done = d.epoch, append(entry.reqs[:0], reqs...), done
 	d.inflight = append(d.inflight, entry)
 	if wf.Drop {
@@ -396,13 +393,7 @@ func (d *Device[I]) Read(dbns []block.DBN, done func([]I)) {
 	completion := d.service(len(dbns), "read")
 	d.stats.ReadIOs++
 	d.stats.BlocksRead += uint64(len(dbns))
-	var r *readIO[I]
-	if d.spareReads.Len() > 0 {
-		r = d.spareReads.Pop()
-	} else {
-		r = &readIO[I]{d: d}
-		r.fire = r.complete
-	}
+	r := d.readPool.Get()
 	r.epoch, r.dbns, r.done = d.epoch, append(r.dbns, dbns...), done
 	d.s.After(sim.Duration(completion-d.s.Now())+rf.Delay, r.fire)
 }
@@ -411,20 +402,20 @@ func (d *Device[I]) Read(dbns []block.DBN, done func([]I)) {
 // it completes. The result is the drive's and valid until the thread next
 // blocks; the images in it are the media's.
 func (d *Device[I]) ReadSync(t *sim.Thread, dbns []block.DBN) []I {
-	w := d.takeWait(&d.readWaits, d.readName)
+	w := d.readWaitPool.Get()
 	d.Read(dbns, w.read)
 	w.wait(t)
-	d.readWaits.Push(w)
+	d.readWaitPool.Put(w)
 	return w.out
 }
 
 // WriteSync performs a write I/O and blocks the calling simulated thread
 // until it completes.
 func (d *Device[I]) WriteSync(t *sim.Thread, reqs []Req[I]) {
-	w := d.takeWait(&d.writeWaits, d.writeName)
+	w := d.writeWaitPool.Get()
 	d.Write(reqs, w.write)
 	w.wait(t)
-	d.writeWaits.Push(w)
+	d.writeWaitPool.Put(w)
 }
 
 // Peek returns the committed media content of dbn without timing effects —
@@ -451,6 +442,8 @@ func (d *Device[I]) PeekChecked(dbn block.DBN) (I, bool) {
 // in-flight write may be torn, landing only a prefix of its blocks (the
 // injector's CrashPrefix decides, in submission order). The stable image
 // is otherwise exactly the set of writes that had completed before the
+// crash. Every record outstanding — a write or read in flight, a thread's
+// wait — is abandoned: its completion is stale, and its waiter dies with the
 // crash.
 func (d *Device[I]) DropInFlight() {
 	d.epoch++
@@ -472,4 +465,8 @@ func (d *Device[I]) DropInFlight() {
 		}
 	}
 	d.inflight = nil
+	d.writePool.Abandon()
+	d.readPool.Abandon()
+	d.writeWaitPool.Abandon()
+	d.readWaitPool.Abandon()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wafl/internal/block"
+	"wafl/internal/fifo"
 	"wafl/internal/sim"
 )
 
@@ -274,13 +275,16 @@ func TestSteadyStateWriteAllocatesOnlyItsCompletion(t *testing.T) {
 		s.RunFor(sim.Millisecond)
 	}
 	write()
-	if d.SpareRecords() != 1 {
-		t.Fatalf("%d spare records after one completed write, want 1", d.SpareRecords())
+	if n := idle(d.Stats().WritePool); n != 1 {
+		t.Fatalf("%d spare records after one completed write, want 1", n)
 	}
 	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
 		t.Fatalf("steady-state Write allocates %.1f times, want 0", allocs)
 	}
 }
+
+// idle returns the records a pool holds for its next Gets.
+func idle(st fifo.PoolStats) uint64 { return st.New + st.Returned - st.Taken }
 
 // TestRowDevice: a device of rows (a RAID parity drive) lands and reads the
 // caller's row itself, and counts one written byte per image the row holds.
@@ -334,13 +338,17 @@ func TestReadRecordLifetime(t *testing.T) {
 
 	calls = 0
 	d.Read([]block.DBN{2}, done)
-	if d.SpareReads() != 0 {
+	if idle(d.Stats().ReadPool) != 0 {
 		t.Fatal("the read in flight did not take the spare record")
 	}
 	d.DropInFlight()
 	read() // the dropped read's stale completion fires here too
-	if calls != 1 || d.SpareReads() != 1 {
-		t.Fatalf("%d callbacks, %d spare records; want the post-crash read's 1 and its record alone", calls, d.SpareReads())
+	st := d.Stats().ReadPool
+	if calls != 1 || idle(st) != 1 {
+		t.Fatalf("%d callbacks, %d spare records; want the post-crash read's 1 and its record alone", calls, idle(st))
+	}
+	if st.Abandoned != 1 || st.Outstanding() != 0 {
+		t.Fatalf("read pool %+v: want the dropped read abandoned and nothing outstanding", st)
 	}
 	if len(got) != 2 || !bytes.Equal(got[0], testBlock(1)) || !bytes.Equal(got[1], testBlock(2)) {
 		t.Fatal("the post-crash read did not see what it named")
@@ -366,7 +374,7 @@ func TestCrashNeverRecyclesInFlightRecords(t *testing.T) {
 	s.RunFor(sim.Millisecond)
 	// The torn write reuses the first write's record.
 	write(WriteReq{DBN: 20, Data: testBlock(3)}, WriteReq{DBN: 21, Data: testBlock(4)})
-	if d.SpareRecords() != 0 {
+	if idle(d.Stats().WritePool) != 0 {
 		t.Fatal("in-flight write did not take the spare record")
 	}
 	d.DropInFlight()
@@ -374,8 +382,8 @@ func TestCrashNeverRecyclesInFlightRecords(t *testing.T) {
 	write(WriteReq{DBN: 30, Data: testBlock(5)})
 	write(WriteReq{DBN: 31, Data: testBlock(6)}, WriteReq{DBN: 32, Data: testBlock(7)})
 	s.RunFor(sim.Millisecond) // the torn write's stale completion fires here too
-	if got := d.SpareRecords(); got != 2 {
-		t.Fatalf("%d spare records after two post-crash writes, want 2 (the torn one dropped)", got)
+	if st := d.Stats().WritePool; idle(st) != 2 || st.Abandoned != 1 {
+		t.Fatalf("%d spare records, %d abandoned after two post-crash writes, want 2 and the torn one", idle(st), st.Abandoned)
 	}
 	write(WriteReq{DBN: 40, Data: testBlock(8)})
 	write(WriteReq{DBN: 41, Data: testBlock(9)}, WriteReq{DBN: 42, Data: testBlock(10)})

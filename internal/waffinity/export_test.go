@@ -12,11 +12,6 @@ func (w *Scheduler) Walk(visit func(*Affinity)) {
 	rec(w.root)
 }
 
-// SpareMessages and SpareCalls return the number of recycled records waiting
-// to be reused.
-func (w *Scheduler) SpareMessages() int { return w.spareMsgs.Len() }
-func (w *Scheduler) SpareCalls() int    { return w.spareCalls.Len() }
-
 // MemoSound reports whether the "nothing can run" that pickMessage would now
 // answer from memory, if it would, is what the scan it stands in for finds.
 func (w *Scheduler) MemoSound() bool {

@@ -114,7 +114,7 @@ func (a *Affinity) Kind() Kind { return a.kind }
 func (a *Affinity) Children() []*Affinity { return a.children }
 
 // message is one unit of Waffinity work. Send takes it from the scheduler's
-// free list and the worker that ran it returns it, zeroed, once done has
+// pool and the worker that ran it returns it, zeroed, once done has
 // returned; a worker killed mid-message unwinds past that and never does.
 type message struct {
 	aff      *Affinity
@@ -126,7 +126,7 @@ type message struct {
 
 // call is one Call's completion: the caller waits on wq until done, the
 // method value complete bound once, marks the message completed. Call takes
-// it from the scheduler's free list and returns it once it has seen its
+// it from the scheduler's pool and returns it once it has seen its
 // message complete; a caller killed while waiting never returns it, so a
 // late completion of its message can never wake the record's next owner.
 type call struct {
@@ -146,6 +146,9 @@ type Stats struct {
 	Executed   uint64
 	EmptyWakes uint64 // idle-worker wake-ups that found every queued message excluded
 	MaxQueued  int    `stat:"max"`
+
+	// The recycled op state's pools (DESIGN §9): messages, Call's completions.
+	MsgPool, CallPool fifo.PoolStats
 }
 
 // Scheduler dispatches affinity messages onto a pool of simulated worker
@@ -169,11 +172,11 @@ type Scheduler struct {
 	dispatch  sim.Duration // per-message scheduler CPU overhead
 	announced bool
 
-	// Recycled op state (DESIGN §9): messages come back when their worker has
+	// Recycled state (DESIGN §9): messages come back when their worker has
 	// run them and their completion, call records when their caller has seen
 	// that completion.
-	spareMsgs  fifo.Queue[*message]
-	spareCalls fifo.Queue[*call]
+	msgPool  fifo.Pool[*message]
+	callPool fifo.Pool[*call]
 }
 
 // New creates a Waffinity scheduler with the given worker-pool size and a
@@ -187,6 +190,12 @@ func New(s *sim.Scheduler, workers int, dispatchCost sim.Duration) *Scheduler {
 		nworkers: workers,
 		dispatch: dispatchCost,
 	}
+	ws.msgPool = fifo.NewPool(&ws.stats.MsgPool, func() *message { return new(message) })
+	ws.callPool = fifo.NewPool(&ws.stats.CallPool, func() *call {
+		c := &call{wq: sim.NewWaitQueue(s, "waffinity.call")}
+		c.done = c.complete
+		return c
+	})
 	for i := 0; i < workers; i++ {
 		name := fmt.Sprintf("waff-worker-%d", i)
 		s.Go(name, sim.CatWaffinity, func(t *sim.Thread) { ws.workerLoop(t) })
@@ -211,12 +220,7 @@ func (w *Scheduler) AddChild(parent *Affinity, kind Kind, name string) *Affinity
 // thread with its CPU attributed to cat. done, if non-nil, fires in
 // scheduler context when the message completes.
 func (w *Scheduler) Send(aff *Affinity, cat sim.Category, fn func(*sim.Thread), done func()) {
-	var m *message
-	if w.spareMsgs.Len() > 0 {
-		m = w.spareMsgs.Pop()
-	} else {
-		m = new(message)
-	}
+	m := w.msgPool.Get()
 	*m = message{aff: aff, cat: cat, fn: fn, enqueued: w.s.Now(), done: done}
 	if aff.pending.Len() == 0 {
 		w.pendingAffs = append(w.pendingAffs, aff)
@@ -240,19 +244,13 @@ func (w *Scheduler) Send(aff *Affinity, cat sim.Category, fn func(*sim.Thread), 
 // message completes. t must not be a Waffinity worker (a worker waiting on
 // another message could deadlock the pool).
 func (w *Scheduler) Call(t *sim.Thread, aff *Affinity, cat sim.Category, fn func(*sim.Thread)) {
-	var c *call
-	if w.spareCalls.Len() > 0 {
-		c = w.spareCalls.Pop()
-	} else {
-		c = &call{wq: sim.NewWaitQueue(w.s, "waffinity.call")}
-		c.done = c.complete
-	}
+	c := w.callPool.Get()
 	w.Send(aff, cat, fn, c.done)
 	for !c.completed {
 		c.wq.Wait(t)
 	}
 	c.completed = false
-	w.spareCalls.Push(c)
+	w.callPool.Put(c)
 }
 
 // canRun reports whether the head message of aff may start now: the
@@ -370,7 +368,7 @@ func (w *Scheduler) workerLoop(t *sim.Thread) {
 			m.done()
 		}
 		*m = message{}
-		w.spareMsgs.Push(m)
+		w.msgPool.Put(m)
 		// Completing this message may have unblocked ancestors or
 		// descendants; wake idle workers to re-scan.
 		w.wakeIdle()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"wafl/internal/fifo"
 	"wafl/internal/sim"
 )
 
@@ -280,7 +281,7 @@ func TestCrashNeverRecyclesInFlightMessages(t *testing.T) {
 	})
 	s.Run(sim.Time(10 * sim.Microsecond))
 	s.KillRange(victim, victim+1)
-	if n := w.SpareCalls(); n != 0 {
+	if n := idle(w.Stats().CallPool); n != 0 {
 		t.Fatalf("%d call records spare after the caller was killed mid-Call, want 0", n)
 	}
 	s.Run(sim.Time(150 * sim.Microsecond)) // the orphaned message completes
@@ -296,19 +297,27 @@ func TestCrashNeverRecyclesInFlightMessages(t *testing.T) {
 	if !ran || early {
 		t.Fatalf("next caller's message ran %v, Call returned before it %v", ran, early)
 	}
-	if n := w.SpareCalls(); n != 1 {
+	if n := idle(w.Stats().CallPool); n != 1 {
 		t.Fatalf("%d call records spare, want the next caller's 1", n)
 	}
 
 	// Workers are the scheduler's first threads.
-	spare := w.SpareMessages()
+	spare := idle(w.Stats().MsgPool)
 	w.Send(stripes[2], sim.CatClient, func(wt *sim.Thread) { wt.Sleep(sim.Millisecond) }, nil)
 	s.Run(s.Now() + sim.Time(10*sim.Microsecond))
 	s.KillRange(0, 2)
-	if n := w.SpareMessages(); n != spare-1 {
+	if n := idle(w.Stats().MsgPool); n != spare-1 {
 		t.Fatalf("%d messages spare after a worker was killed mid-message, want %d", n, spare-1)
 	}
+	// The counts show both records outstanding: the killed caller's and the
+	// killed worker's.
+	if st := w.Stats(); st.CallPool.Outstanding() != 1 || st.MsgPool.Outstanding() != 1 {
+		t.Fatalf("call pool %+v, message pool %+v: want one record outstanding in each", st.CallPool, st.MsgPool)
+	}
 }
+
+// idle returns the records a pool holds for its next Gets.
+func idle(st fifo.PoolStats) uint64 { return st.New + st.Returned - st.Taken }
 
 func TestExclusionPropertyRandomized(t *testing.T) {
 	// Fire a few hundred messages at random affinities and verify, via the

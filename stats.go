@@ -1,10 +1,12 @@
 package wafl
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 
+	"wafl/internal/fifo"
 	"wafl/internal/obs"
 )
 
@@ -176,6 +178,28 @@ func eachLeaf(v reflect.Value, prefix string, fn func(name string, v reflect.Val
 			fn(name, f)
 		}
 	}
+}
+
+// leaks returns an error naming every pool of st (a fifo.PoolStats) with
+// records outstanding: taken, and neither returned nor abandoned.
+func (st Stats) leaks() error {
+	var errs []error
+	var walk func(v reflect.Value, prefix string)
+	walk = func(v reflect.Value, prefix string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), prefix+v.Type().Field(i).Name
+			if p, ok := f.Interface().(fifo.PoolStats); ok {
+				if n := p.Outstanding(); n != 0 {
+					errs = append(errs, fmt.Errorf("%s: %d records outstanding (taken %d, returned %d, abandoned %d)",
+						name, n, p.Taken, p.Returned, p.Abandoned))
+				}
+			} else if f.Kind() == reflect.Struct {
+				walk(f, name+".")
+			}
+		}
+	}
+	walk(reflect.ValueOf(st), "")
+	return errors.Join(errs...)
 }
 
 // String renders the non-zero leaves, one layer per line

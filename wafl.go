@@ -33,6 +33,7 @@
 package wafl
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -771,10 +772,26 @@ func (sys *System) Flush() error { return sys.drive("flush") }
 
 // Quiesce stops accepting new client work (clients see Alive() == false)
 // and drives consistency points until every dirty buffer and logged
-// operation on every member has reached persistent storage.
+// operation on every member has reached persistent storage. A quiesced
+// member holds no recycled record, so every one its pools handed out must be
+// back, or abandoned by the crash that dropped it (DESIGN §9); otherwise
+// Quiesce names the pool that leaked. The counts are the running
+// incarnation's: the pools a remount rebuilds died with the old one.
 func (sys *System) Quiesce() error {
 	sys.stopped = true
-	return sys.drive("quiesce")
+	if err := sys.drive("quiesce"); err != nil {
+		return err
+	}
+	var errs []error
+	for _, m := range sys.members {
+		if m.crashed {
+			continue
+		}
+		if err := m.stats().Sub(m.base).leaks(); err != nil {
+			errs = append(errs, fmt.Errorf("wafl: member %d leaks recycled records: %w", m.id, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // drive requests consistency points on every member, a bounded number of
