@@ -16,7 +16,7 @@ type FsckReport struct {
 	UsedBits         uint64 // bits set in the persisted activemap
 	Leaked           uint64 // used but unreachable (space leak)
 	DoubleRefs       uint64 // blocks referenced by two pointers
-	Missing          uint64 // referenced but not marked used (corruption)
+	Missing          uint64 // referenced but not marked used or not on the media, or used but not on the media (corruption)
 	ContainerErrs    uint64 // container-map entries disagreeing with trees
 	VVBNErrs         uint64 // volume activemap bits disagreeing with trees
 	SnapErrs         uint64 // summary/snapmap disagreements, ownerless bits
@@ -278,7 +278,11 @@ func (mem *Member) fsck() FsckReport {
 	r.UsedBits = m.Activemap.Used()
 	// Same per-bit cross-check for the aggregate activemap: leaks and
 	// missing references must be counted independently, not derived from
-	// the difference of two totals (where they cancel pairwise).
+	// the difference of two totals (where they cancel pairwise). And every
+	// used block but the reserved stripe 0 must be on the media, read through
+	// the god view (no fault plan, no reconstruction): the CP engine forgets
+	// a freed block's image, and one forgotten too early is a lost block,
+	// whether or not a walk above reads it.
 	for bn := uint64(0); bn < geo.TotalBlocks(); bn++ {
 		set := m.Activemap.IsSet(bn)
 		refd := refs[block.VBN(bn)] > 0
@@ -289,6 +293,13 @@ func (mem *Member) fsck() FsckReport {
 		case !set && refd:
 			r.Missing++
 			r.Errors = appendCapped(r.Errors, fmt.Sprintf("referenced vbn %d not marked used", bn))
+		}
+		if !set {
+			continue
+		}
+		if g, d, dbn := geo.Locate(block.VBN(bn)); dbn != 0 && m.Group(g).Drive(d).Peek(dbn) == nil {
+			r.Missing++
+			r.Errors = appendCapped(r.Errors, fmt.Sprintf("used vbn %d has no media image", bn))
 		}
 	}
 	return r

@@ -210,6 +210,32 @@ func TestOverloadMediaBytesBudget(t *testing.T) {
 	}
 }
 
+// TestOverloadLiveHeapBudget guards the host memory a system keeps, where
+// the budgets above guard what it allocates: at the end of overload_burst's
+// recover phase the live heap the system holds (HeapAlloc after a
+// collection, less what it was before the system was built: systems earlier
+// tests left running stay live) is under 45 MiB. It sits near 33.7 MiB while
+// the media drop a freed block's image once its free commits (DESIGN §14); it
+// was 56.2 MiB when every image landed stayed until its DBN was written again.
+func TestOverloadLiveHeapBudget(t *testing.T) {
+	const budgetMiB = 45
+	heap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	base := heap()
+	sys := overloadBurst(t)
+	sys.Measure(0, 100*wafl.Millisecond)
+	live := heap() - base
+	runtime.KeepAlive(sys)
+	t.Logf("%.1f MiB live heap", live)
+	if live > budgetMiB {
+		t.Fatalf("overload_burst keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
+	}
+}
+
 // TestNFSMixSwitchBudget guards the other host cost, thread switches, the same
 // way: on the benchmark's nfsmix (a cache far smaller than the working set, so
 // read misses sleep inside their Stripe message) at most 10 coroutine switches

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wafl/internal/bitmap"
 	"wafl/internal/block"
@@ -54,6 +55,12 @@ type Aggregate struct {
 
 	vols    []*Volume
 	cpCount uint64
+
+	// freed lists the VBNs cleared since the running CP started, cut those
+	// cleared before it: the cut's images are forgotten when the running CP
+	// commits (ForgetFreed). inCP is true from the cut to that commit.
+	freed, cut []block.VBN
+	inCP       bool
 
 	// inj, when set, is the drive-fault plan wired into every drive; the
 	// aggregate keeps it to survive MountFrom and to report repair stats.
@@ -118,6 +125,49 @@ func (a *Aggregate) onBitChange(bn uint64, used bool) {
 		a.aaFree[g][aa]--
 	} else {
 		a.aaFree[g][aa]++
+		a.freed = append(a.freed, block.VBN(bn))
+	}
+}
+
+// StartCP cuts the freed list as a consistency point starts: the VBNs
+// cleared so far are free in the tree this CP commits.
+func (a *Aggregate) StartCP() {
+	a.cut, a.freed = a.freed, a.cut[:0]
+	a.inCP = true
+}
+
+// ForgetFreed drops from the media, once the running CP's superblock has
+// landed, the image of every VBN its StartCP cut that is still clear. No
+// committed tree reaches one any more (paper §II-C: the committed tree is the
+// only reader, and free = !active && !summary): it was free in the previous
+// CP's tree and is in this one. The VBNs this CP cleared wait for the next
+// commit, so the previous superblock's tree stays whole one CP longer.
+func (a *Aggregate) ForgetFreed() {
+	for _, vbn := range a.cut {
+		if !a.Activemap.IsSet(uint64(vbn)) {
+			g, d, dbn := a.geo.Locate(vbn)
+			a.groups[g].Forget(d, dbn)
+		}
+	}
+	a.cut = a.cut[:0]
+	a.inCP = false
+}
+
+// ForgetUnreachable drops from the media the image of every VBN clear in the
+// activemap, so a recovery starts from media holding only what the mounted
+// tree reaches. Only for an aggregate just mounted from crashed media: on a
+// live one, a clear VBN may hold a landed write of the running CP.
+func (a *Aggregate) ForgetUnreachable() {
+	total := a.geo.TotalBlocks()
+	for ws := uint64(0); ws < total; ws += 64 {
+		free := ^bitmap.Word(a.amapFile, ws)
+		if n := total - ws; n < 64 {
+			free &= 1<<n - 1
+		}
+		for ; free != 0; free &= free - 1 {
+			g, d, dbn := a.geo.Locate(block.VBN(ws + uint64(bits.TrailingZeros64(free))))
+			a.groups[g].Forget(d, dbn)
+		}
 	}
 }
 

@@ -416,15 +416,28 @@ func (v *Volume) ReadFileBlock(t *sim.Thread, f *fs.File, fbn block.FBN) []byte 
 // metadata, cheap and shared); only the data block stays uninstalled.
 // Returns false for holes and for blocks with no committed on-media
 // location (dirty-only data, which lives in memory by definition).
+//
+// The tree names a block's new location as soon as the running CP cleans
+// it, so the read may find nothing there yet: the write has not landed. The
+// resident buffer holds the content then, and the read is charged all the
+// same. Nothing at a committed location is a lost block.
 func (v *Volume) ReadMediaBlock(t *sim.Thread, f *fs.File, fbn block.FBN) bool {
 	_, vbn, ok := f.Resolve(fbn, v.aggr)
 	if !ok {
 		return false // hole or never persisted
 	}
-	if v.aggr.ReadVBN(t, vbn) == nil {
+	if v.aggr.ReadVBN(t, vbn) == nil && !v.landing(f, fbn, vbn) {
 		panic(fmt.Sprintf("volume %d: ino %d L0 fbn %d at %v unreadable", v.id, f.Ino(), fbn, vbn))
 	}
 	return true
+}
+
+// landing reports whether vbn may be a location the running CP gave f's
+// block fbn, its write still in flight: a CP is between its start and its
+// commit, and the block's buffer is resident at vbn.
+func (v *Volume) landing(f *fs.File, fbn block.FBN, vbn block.VBN) bool {
+	b := f.Buffer(0, fbn)
+	return v.aggr.inCP && b != nil && b.VBN() == vbn
 }
 
 // NextIno returns the next inode number to be assigned (persisted in the

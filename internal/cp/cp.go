@@ -302,6 +302,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 	}
 
 	e.boundary(t, "start")
+	e.a.StartCP()
 	// Phase 1: freeze. Atomically capture the dirty state: switch NVRAM
 	// halves and move every dirty inode's buffers into its frozen set.
 	// Pending snapshot creates are taken in the same atomic cut (no yield
@@ -685,10 +686,12 @@ func (e *Engine) runCP(t *sim.Thread) {
 
 	// Phase 7: commit. The superblock overwrite is the atomic transition
 	// to the new file system tree; afterwards the NVRAM half that fed
-	// this CP is freed and same-CP-freed blocks become allocatable.
+	// this CP is freed and same-CP-freed blocks become allocatable; the
+	// images of blocks the previous CP freed leave the media.
 	e.boundary(t, "commit")
 	e.a.SetCPCount(e.a.CPCount() + 1)
 	e.a.WriteSuperblock(t)
+	e.a.ForgetFreed()
 	e.boundary(t, "post-commit")
 	e.log.FreeFrozen()
 	e.in.EndCP()

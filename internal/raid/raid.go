@@ -273,6 +273,35 @@ func (g *Group) issueWrites(writes [][]storage.WriteReq, sc *stripeScratch, done
 	g.recycle(sc)
 }
 
+// Forget drops data drive di's image at dbn together with the parity row's
+// entry for it, and reports whether it did. It does only when the row holds
+// that very array: then both sides of the stripe's XOR lose the same image,
+// so VerifyStripe and every other block's ReconstructBlock read what they
+// read before. A row left with no image is dropped too. Untimed, like
+// storage.Device.Forget; its caller knows no committed tree reaches the
+// block and no write of the stripe is in flight.
+func (g *Group) Forget(di int, dbn block.DBN) bool {
+	img, row := g.data[di].Peek(dbn), g.parity.Peek(dbn)
+	if img == nil || row == nil || row[di] == nil || !sameArray(row[di], img) {
+		return false
+	}
+	g.data[di].Forget(dbn)
+	// The row is the parity media's own: a landed write's requests are
+	// cleared, and a read hands its images out only for the call.
+	row[di] = nil
+	if !slices.ContainsFunc(row, func(b []byte) bool { return b != nil }) {
+		g.parity.Forget(dbn)
+	}
+	return true
+}
+
+// sameArray reports whether a and b are one image: the same bytes of the
+// same array, not merely equal ones. Two empty images are one: both are the
+// zero block.
+func sameArray(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // stripe returns the committed images of stripe dbn: every data drive's
 // except skip's (-1 for none), then those of the parity drive's row.
 func (g *Group) stripe(dbn block.DBN, skip int) [][]byte {

@@ -245,33 +245,23 @@ func eagerXOR(imgs ...[]byte) []byte {
 // sameImage reports whether a and b hold the same bytes at the same length.
 func sameImage(a, b []byte) bool { return len(a) == len(b) && bytes.Equal(a, b) }
 
-// TestParityByReference pins the parity drive's contract against an eager
-// reference. A seeded mix of full, partial and short rewrites runs one Write
-// at a time, and a quarter of them crash mid-flight, tearing data and parity
-// writes. The test knows the row each Write's parity covers: the images it
-// wrote and, for a partial stripe, the committed ones phase A reads. When a
-// stripe's parity write lands (the parity drive holds a new row for it), the
-// reference XORs the images the test knows it covered, at once. After every
-// Write, xorAll of the landed row, VerifyStripe and ReconstructBlock must
-// match what the reference implies byte for byte, length included. At the
-// end every image submitted still equals the clone taken at its submission:
-// the immutability the lazy XOR relies on.
-func TestParityByReference(t *testing.T) {
-	const stripes, steps = 12, 400
+// history runs a seeded mix of full, partial and short rewrites on a group of
+// tornFaults drives over rng, one Write at a time, and crashes a quarter of
+// them mid-flight, tearing data and parity writes. After each Write has
+// landed or been dropped it calls step with the rows the Write's parity
+// covers: the images it wrote and, for a partial stripe, the committed ones
+// phase A reads. It returns the group, every image submitted and a clone of
+// each, taken at its submission.
+func history(t *testing.T, steps int, rng *rand.Rand, step func(n int, g *Group, rows map[block.DBN][][]byte)) (g *Group, submitted, clones [][]byte) {
+	const stripes = 12
 	s := sim.New(2, 1)
-	g := NewGroup(s, 0, 4, stripes, storage.SSD)
+	g = NewGroup(s, 0, 4, stripes, storage.SSD)
 	nd := g.DataDrives()
-	rng := rand.New(rand.NewSource(7))
 	for di := range nd {
 		g.Drive(di).SetInjector(tornFaults{rng})
 	}
 	g.ParityDrive().SetInjector(tornFaults{rng})
-
-	ref := make([][]byte, stripes)     // eager parity of each stripe's landed row
-	landed := make([]*[]byte, stripes) // identity of that row
-	var submitted, clones [][]byte
-	inconsistent := 0
-	for step := range steps {
+	for n := range steps {
 		writes := make([][]storage.WriteReq, nd)
 		rows := map[block.DBN][][]byte{}
 		for _, k := range rng.Perm(stripes)[:1+rng.Intn(4)] {
@@ -290,10 +280,10 @@ func TestParityByReference(t *testing.T) {
 				length = func() int { return rng.Intn(block.Size/2 + 1) }
 			}
 			for _, di := range drives {
-				n := length()
+				size := length()
 				var img []byte
-				if n > 0 {
-					img = make([]byte, n)
+				if size > 0 {
+					img = make([]byte, size)
 					rng.Read(img)
 				}
 				row[di] = img
@@ -308,9 +298,29 @@ func TestParityByReference(t *testing.T) {
 			g.DropInFlight()
 		}
 		s.RunFor(sim.Millisecond)
-		if n := g.Stats().ScratchPool.Outstanding(); n != 0 {
-			t.Fatalf("step %d: %d stripe scratch outstanding after every write landed or was dropped", step, n)
+		if k := g.Stats().ScratchPool.Outstanding(); k != 0 {
+			t.Fatalf("step %d: %d stripe scratch outstanding after every write landed or was dropped", n, k)
 		}
+		step(n, g, rows)
+	}
+	return g, submitted, clones
+}
+
+// TestParityByReference pins the parity drive's contract against an eager
+// reference, over history. When a stripe's parity write lands (the parity
+// drive holds a new row for it), the reference XORs the images the test
+// knows it covered, at once. After every Write, xorAll of the landed row,
+// VerifyStripe and ReconstructBlock must match what the reference implies
+// byte for byte, length included. At the end every image submitted still
+// equals the clone taken at its submission: the immutability the lazy XOR
+// relies on.
+func TestParityByReference(t *testing.T) {
+	const stripes = 12
+	ref := make([][]byte, stripes)     // eager parity of each stripe's landed row
+	landed := make([]*[]byte, stripes) // identity of that row
+	inconsistent := 0
+	g, submitted, clones := history(t, 400, rand.New(rand.NewSource(7)), func(step int, g *Group, rows map[block.DBN][][]byte) {
+		nd := g.DataDrives()
 		for dbn, row := range rows {
 			if p := g.ParityDrive().Peek(dbn); p != nil && &p[0] != landed[dbn] {
 				landed[dbn], ref[dbn] = &p[0], eagerXOR(row...)
@@ -340,7 +350,7 @@ func TestParityByReference(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	for i, img := range submitted {
 		if !sameImage(img, clones[i]) {
 			t.Fatalf("submitted image %d was written into after submission", i)
@@ -352,6 +362,82 @@ func TestParityByReference(t *testing.T) {
 		st.FullStripeWrites, st.PartialStripeWrites, torn, inconsistent)
 	if st.FullStripeWrites == 0 || st.PartialStripeWrites == 0 || torn == 0 || inconsistent == 0 {
 		t.Fatal("the mix did not cover full and partial stripes, torn parity and the write hole")
+	}
+}
+
+// TestForgetIsExact forgets random blocks between the Writes of history, torn
+// crashes included, and snapshots every VerifyStripe and ReconstructBlock
+// before each round. Forget must drop a block, data image and row entry,
+// exactly when the parity row holds that very image, and otherwise drop
+// nothing. Every VerifyStripe and every reconstruction of a block not
+// forgotten must then read as before — as the same block: a reconstruction
+// loses zero tail when the stripe's longest image goes.
+func TestForgetIsExact(t *testing.T) {
+	type loc struct {
+		di  int
+		dbn block.DBN
+	}
+	rng := rand.New(rand.NewSource(11))
+	var forgot, refused, rowsDropped int
+	history(t, 400, rng, func(step int, g *Group, _ map[block.DBN][][]byte) {
+		nd, stripes := g.DataDrives(), int(g.Depth())
+		verify := make([]bool, stripes)
+		recon := map[loc][]byte{}
+		for k := range stripes {
+			dbn := block.DBN(k)
+			verify[k] = g.VerifyStripe(dbn)
+			for di := range nd {
+				recon[loc{di, dbn}] = g.ReconstructBlock(di, dbn)
+			}
+		}
+		gone := map[loc]bool{}
+		for range rng.Intn(nd) {
+			b := loc{rng.Intn(nd), block.DBN(rng.Intn(stripes))}
+			img, row := g.Drive(b.di).Peek(b.dbn), slices.Clone(g.ParityDrive().Peek(b.dbn))
+			// history's images are nil or non-empty.
+			want := img != nil && row != nil && len(row[b.di]) == len(img) && &row[b.di][0] == &img[0]
+			got := g.Forget(b.di, b.dbn)
+			after, afterRow := g.Drive(b.di).Peek(b.dbn), g.ParityDrive().Peek(b.dbn)
+			switch {
+			case got != want:
+				t.Fatalf("step %d: Forget%v = %v, want %v", step, b, got, want)
+			case !got && (!sameArray(after, img) || len(afterRow) != len(row)):
+				t.Fatalf("step %d: a refused Forget%v dropped the image or the row", step, b)
+			case got && after != nil:
+				t.Fatalf("step %d: Forget%v left the data image", step, b)
+			}
+			if got {
+				row[b.di] = nil
+				gone[b] = true
+				forgot++
+			} else if img != nil {
+				refused++
+			}
+			if afterRow == nil && row != nil {
+				rowsDropped++
+				afterRow = make([][]byte, nd)
+			}
+			for di := range row {
+				if !sameArray(afterRow[di], row[di]) || (afterRow[di] == nil) != (row[di] == nil) {
+					t.Fatalf("step %d: Forget%v left row entry %d other than it was", step, b, di)
+				}
+			}
+		}
+		for k := range stripes {
+			dbn := block.DBN(k)
+			if g.VerifyStripe(dbn) != verify[k] {
+				t.Fatalf("step %d: VerifyStripe(%d) moved from %v", step, dbn, verify[k])
+			}
+			for di := range nd {
+				if b := (loc{di, dbn}); !gone[b] && !block.Equal(g.ReconstructBlock(di, dbn), recon[b]) {
+					t.Fatalf("step %d: ReconstructBlock%v moved", step, b)
+				}
+			}
+		}
+	})
+	t.Logf("%d blocks forgotten, %d refused, %d rows dropped", forgot, refused, rowsDropped)
+	if forgot == 0 || refused == 0 || rowsDropped == 0 {
+		t.Fatal("the rounds did not cover a forget, a refused one and a dropped row")
 	}
 }
 

@@ -105,6 +105,9 @@ type Stats struct {
 	TornBlocksLost uint64 // blocks of torn writes that did not land
 	PeekErrors     uint64 // media read attempts failed by injection
 
+	// Images dropped by Forget, and their len counted like BytesWritten.
+	Forgotten, ForgottenBytes uint64
+
 	// Recycled records (DESIGN §9): write and read I/Os, and the waits of
 	// WriteSync and ReadSync.
 	WritePool, ReadPool, WriteWaitPool, ReadWaitPool fifo.PoolStats
@@ -434,6 +437,17 @@ func (d *Device[I]) PeekChecked(dbn block.DBN) (I, bool) {
 		return nil, false
 	}
 	return d.media[dbn], true
+}
+
+// Forget drops the image at dbn, which then reads as never written: the god
+// view's other half, untimed like Peek. Its caller knows that nothing can
+// reach the block any more — no committed tree, no parity row.
+func (d *Device[I]) Forget(dbn block.DBN) {
+	if img := d.media[dbn]; img != nil {
+		d.stats.Forgotten++
+		d.stats.ForgottenBytes += uint64(len(img))
+		d.media[dbn] = nil
+	}
 }
 
 // DropInFlight models a power loss: every write I/O submitted but not yet

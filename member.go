@@ -299,8 +299,10 @@ func (m *Member) onRestore(lv int) {
 }
 
 // remountMember rebuilds a crashed member from its persistent state: it
-// mounts the last committed consistency point from the member's drives and
-// replays the member's NVRAM log partition, leaving the replayed
+// mounts the last committed consistency point from the member's drives, drops
+// every image that CP's tree does not reach (the crashed CP's landed writes,
+// the blocks freed since the last forget) and replays the member's NVRAM log
+// partition, leaving the replayed
 // operations dirty for the next CP. The rebuilt member runs on the same
 // scheduler and drives; cumulative statistics carry over — the facade's own
 // totals wholesale, the rebuilt layers' as base — so measurement windows
@@ -310,6 +312,7 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wafl: recovery mount of member %d failed: %w", om.id, err)
 	}
+	a.ForgetUnreachable()
 	m := &Member{
 		sys: sys, id: om.id,
 		client: om.client, admission: om.admission, lat: om.lat, base: om.rebuilt(),
