@@ -2,8 +2,8 @@ package wafl
 
 // The architecture rules: what the tree must keep true that no unit test of
 // behaviour would notice — one path per operation, one oracle, one stats
-// spine, one allocation space, one owner of the on-media tree, and no option
-// or export that nothing uses.
+// spine, one allocation space, one owner of the on-media tree, no option or
+// export that nothing uses, and no document naming a setting that is gone.
 // They are rows of one table (archRules), checked over the parsed source
 // (go/parser, no type information: every match is by name), and every row
 // carries the small violating trees that prove it still bites. The next rule
@@ -24,18 +24,28 @@ import (
 	"testing"
 )
 
-// tree is the non-test Go source of a repository, parsed: slash-separated
-// path relative to the root → file.
+// tree is the non-test Go source of a repository, parsed, and the documents
+// of docFiles, as text: slash-separated path relative to the root → content.
 type tree struct {
 	fset  *token.FileSet
 	files map[string]*ast.File
+	docs  map[string]string
 }
 
-// parseTree parses sources (path → content) into a tree, test files apart.
+// docFiles are the documents that describe the tree as it is. CHANGES.md and
+// ROADMAP.md record its history and plans, and are not among them.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+// parseTree parses sources (path → content) into a tree, test files apart;
+// a .md source is a document.
 func parseTree(t *testing.T, sources map[string]string) *tree {
 	t.Helper()
-	tr := &tree{fset: token.NewFileSet(), files: map[string]*ast.File{}}
+	tr := &tree{fset: token.NewFileSet(), files: map[string]*ast.File{}, docs: map[string]string{}}
 	for p, src := range sources {
+		if strings.HasSuffix(p, ".md") {
+			tr.docs[p] = src
+			continue
+		}
 		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
@@ -48,7 +58,8 @@ func parseTree(t *testing.T, sources map[string]string) *tree {
 	return tr
 }
 
-// loadTree reads every .go file under root, skipping dot directories.
+// loadTree reads every .go file under root, skipping dot directories, and
+// the documents of docFiles.
 func loadTree(t *testing.T, root string) *tree {
 	t.Helper()
 	sources := map[string]string{}
@@ -75,6 +86,13 @@ func loadTree(t *testing.T, root string) *tree {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range docFiles {
+		data, err := os.ReadFile(filepath.Join(root, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[p] = string(data)
 	}
 	return parseTree(t, sources)
 }
@@ -272,6 +290,61 @@ var (
 // traffic is where configurations are made: the experiment registry, the
 // repository benchmark, the commands and the workload generators.
 var traffic = []string{"harness", "bench", "cmd", "workload"}
+
+// configStruct is a configuration struct, by package, file and name.
+type configStruct struct{ pkg, file, name string }
+
+// knobStructs are the structs whose every field the traffic must set;
+// docStructs are those whose fields a document may name as a setting.
+var (
+	knobStructs = []configStruct{
+		{"core", "internal/core/options.go", "Options"},
+		{"wafl", "wafl.go", "Config"},
+		{"faultinject", "internal/faultinject/faultinject.go", "Config"},
+	}
+	docStructs = append([]configStruct{{"wafl", "wafl.go", "AdmissionConfig"}}, knobStructs...)
+)
+
+// A setting a document names: a backticked span that starts with a
+// (qualified) `Allocator.X`, `Options.X` or `Config.X`, or is `X=literal`.
+var (
+	docSpan    = regexp.MustCompile("`([^`]+)`")
+	docSetting = []*regexp.Regexp{
+		regexp.MustCompile(`^(?:\w+\.)*(?:Allocator|Options|Config)\.(\w+)`),
+		regexp.MustCompile(`^([A-Za-z]\w*)=(?:true|false|[-+]?[0-9]\S*)$`),
+	}
+)
+
+// docRef is a setting a document names: the line, the field and the span.
+type docRef struct {
+	line        int
+	field, span string
+}
+
+// docRefs returns every setting doc names outside fenced code blocks.
+func docRefs(doc string) []docRef {
+	text := strings.Split(doc, "\n")
+	fenced := false
+	for i, l := range text {
+		if strings.HasPrefix(strings.TrimSpace(l), "```") {
+			fenced, text[i] = !fenced, ""
+		} else if fenced {
+			text[i] = ""
+		}
+	}
+	prose := strings.Join(text, "\n")
+	var refs []docRef
+	for _, m := range docSpan.FindAllStringSubmatchIndex(prose, -1) {
+		span := strings.Join(strings.Fields(prose[m[2]:m[3]]), " ")
+		for _, rx := range docSetting {
+			if f := rx.FindStringSubmatch(span); f != nil {
+				refs = append(refs, docRef{1 + strings.Count(prose[:m[0]], "\n"), f[1], span})
+				break
+			}
+		}
+	}
+	return refs
+}
 
 // knobAllow lists the configuration fields no traffic file assigns, with why
 // each stays a field.
@@ -485,7 +558,7 @@ var archRules = []archRule{
 			})
 			var out []string
 			fields := map[string]bool{}
-			for _, s := range []struct{ file, name string }{{"internal/core/options.go", "Options"}, {"wafl.go", "Config"}} {
+			for _, s := range knobStructs {
 				names := structFields(tr, s.file, s.name)
 				if len(names) == 0 {
 					out = append(out, fmt.Sprintf("%s declares no struct %s", s.file, s.name))
@@ -493,7 +566,7 @@ var archRules = []archRule{
 				for _, f := range names {
 					fields[f] = true
 					if !set[f] && knobAllow[f] == "" {
-						out = append(out, fmt.Sprintf("%s.%s is assigned by no file under %v: make it a constant", s.name, f, traffic))
+						out = append(out, fmt.Sprintf("%s.%s.%s is assigned by no file under %v: make it a constant", s.pkg, s.name, f, traffic))
 					}
 				}
 			}
@@ -512,7 +585,45 @@ var archRules = []archRule{
 				"harness/fig.go":           `package harness; func f(c *C) { c.Allocator.ChunkBlocks, c.Seed = 8, 1; _ = O{Dynamic: true} }`,
 				"harness/harness_test.go":  `package harness; func f(c *C) { c.Allocator.BatchSize = 4 }`,
 			},
-			want: "Options.BatchSize is assigned by no file under",
+			want: "core.Options.BatchSize is assigned by no file under",
+		}, {
+			files: map[string]string{
+				"internal/faultinject/faultinject.go":      `package faultinject; type Config struct { TornWriteEvery, LoseWriteEvery uint64 }`,
+				"harness/crashsweep.go":                    `package harness; var f = faultinject.Config{TornWriteEvery: 3}`,
+				"internal/faultinject/faultinject_test.go": `package faultinject; var c = Config{LoseWriteEvery: 3}`,
+			},
+			want: "faultinject.Config.LoseWriteEvery is assigned by no file under",
+		}},
+	},
+	{
+		// Docs describe the tree as it is: a setting README, DESIGN,
+		// EXPERIMENTS or the verify skill names in backticks is a field of a
+		// configuration struct today, so deleting an option deletes its
+		// mentions too.
+		name: "doc",
+		require: func(tr *tree) []string {
+			fields := map[string]bool{}
+			for _, s := range docStructs {
+				for _, f := range structFields(tr, s.file, s.name) {
+					fields[f] = true
+				}
+			}
+			var out []string
+			for _, p := range docFiles {
+				for _, r := range docRefs(tr.docs[p]) {
+					if !fields[r.field] {
+						out = append(out, fmt.Sprintf("%s:%d: `%s` names no field of core.Options, wafl.Config, wafl.AdmissionConfig or faultinject.Config", p, r.line, r.span))
+					}
+				}
+			}
+			return out
+		},
+		bad: []badTree{{
+			files: map[string]string{
+				"wafl.go":   `package wafl; type Config struct { Seed int64; Allocator AllocatorOptions }`,
+				"README.md": "Set `Config.Seed`.\n\n```\n`Ghost=1`\n```\nThe old scan (`Allocator.LegacyScan=false`).",
+			},
+			want: "README.md:6: `Allocator.LegacyScan=false` names no field",
 		}},
 	},
 	{

@@ -729,7 +729,7 @@ func (sys *System) FreeSpaceBreakdown(vol int) FreeSpace {
 	m, lv := sys.volMember(vol)
 	v := m.a.Volume(lv)
 	total := v.VVBNBlocks()
-	free, _ := v.Activemap.CountFreeNotIn(v.Summary, 0, total)
+	free := v.Activemap.CountFreeNotIn(v.Summary, 0, total)
 	active := v.Activemap.Used()
 	fsb := FreeSpace{
 		Total:    total,

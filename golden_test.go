@@ -142,9 +142,6 @@ var allocatorModes = []struct {
 	{"loose-off", func(c *Config) { c.Allocator.LooseAccounting = false },
 		"738a1d30506744024767acaae2e0a80ea5bbba0b1a291b793bfd781da853e86d",
 		"e03309d2a928b36d0f3193e9ac52ca43253edaaada272373c8720f648deceac6", 11267},
-	{"hier-off", func(c *Config) { c.Allocator.HierarchicalFree = false },
-		"738a1d30506744024767acaae2e0a80ea5bbba0b1a291b793bfd781da853e86d",
-		"37c0b700898ad2ae29c3ffd27af0162009aa90f3cb7090a71009fbd0be8fd2f2", 9707},
 	{"parallelcp-off", func(c *Config) { c.Allocator.ParallelCP = false },
 		"738a1d30506744024767acaae2e0a80ea5bbba0b1a291b793bfd781da853e86d",
 		"ea258d5e9f2ce3cb70c54f4a714abf98b0e8944ccf1768f6cfff1d2e6326f837", 9032},

@@ -14,59 +14,40 @@ import (
 // off. Every clone write is a COW against a summary-held base block and
 // every parent map is pinned by both the base snapshot and the fleet's
 // holds, so bucket fills face the worst free-index shape the subsystem can
-// produce — compared, like agedvol, between the legacy bitmap scan and
-// hierarchical free accounting. The restore columns are the O(metadata)
-// evidence: blocks rewritten per revert against the volume's block count.
+// produce; words/vbucket is agedvol's fill cost under that shape. The
+// restore columns are the O(metadata) evidence: blocks rewritten per revert
+// against the volume's block count.
 func CloneFleet(rc RunConfig) (Table, error) {
 	t := Table{
 		ID:    "clonefleet",
-		Title: "Aged clone fleet: COW divergence + instant restore churn vs free-index mode",
-		Headers: []string{"mode", "ops/s", "MB/s", "lat p50", "lat p99",
+		Title: "Aged clone fleet: fill cost under COW divergence and instant-restore churn",
+		Headers: []string{"ops/s", "MB/s", "lat p50", "lat p99",
 			"words/vbucket", "clone-held", "restores", "meta-blk/restore", "splits", "infra cores"},
 	}
-	var perVB [2]float64   // fill words per installed vbucket, by mode
-	var cs wafl.CloneStats // the last (hierarchical) mode's block debt and
-	var cp wafl.CPStats    // its clone and restore counters since format
-
 	const volBlocks = 1 << 18
 	w := workload.DefaultCloneFleet()
-	modes := []struct {
-		name string
-		hier bool
-	}{
-		{"legacy scan", false},
-		{"hierarchical", true},
+	cfg := rc.Base
+	cfg.Volumes = w.Volumes
+	cfg.CloneSlots = w.Slots()
+	cfg.VolumeBlocks = volBlocks // same aged shape as agedvol
+	cfg.DriveBlocks = 131072
+	// Attach prefills, fans out and ages by divergence in simulated time.
+	res, sys, err := Measure(cfg, w, rc.Warmup, rc.Window)
+	if err != nil {
+		return t, err
 	}
-	for i, m := range modes {
-		cfg := rc.Base
-		cfg.Volumes = w.Volumes
-		cfg.CloneSlots = w.Slots()
-		cfg.VolumeBlocks = volBlocks // same aged shape as agedvol
-		cfg.DriveBlocks = 131072
-		cfg.Allocator.HierarchicalFree = m.hier
-		// Attach prefills, fans out and ages by divergence in simulated time.
-		res, sys, err := Measure(cfg, w, rc.Warmup, rc.Window)
-		if err != nil {
-			return t, err
-		}
-		cs, cp = sys.CloneStats(), sys.Stats().CP
-		perVB[i] = wordsPerVBucket(res.Stats.Infra)
-		t.Rows = append(t.Rows, []string{
-			m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
-			f2(perVB[i]), fmt.Sprintf("%d", cs.CloneHeld),
-			fmt.Sprintf("%d", cp.Restores), f0(restoreMetaPerOp(cp)),
-			fmt.Sprintf("%d", cp.SplitsDone), f2(res.Cores.Infra),
-		})
-	}
-	if perVB[1] > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"fill words per installed vbucket under clone holds: %.1f -> %.1f (%.1fx reduction)",
-			perVB[0], perVB[1], perVB[0]/perVB[1]))
-	}
+	// The clone and restore counters are the run's since format.
+	cs, cp := sys.CloneStats(), sys.Stats().CP
+	t.Rows = append(t.Rows, []string{
+		f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
+		f2(wordsPerVBucket(res.Stats.Infra)), fmt.Sprintf("%d", cs.CloneHeld),
+		fmt.Sprintf("%d", cp.Restores), f0(restoreMetaPerOp(cp)),
+		fmt.Sprintf("%d", cp.SplitsDone), f2(res.Cores.Infra),
+	})
 	if cp.Restores > 0 {
 		perOp := restoreMetaPerOp(cp)
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SnapRestore is O(metadata): %.0f blocks rewritten per revert of a %d-block volume (%.2f%%), zero data copies",
+			"SnapRestore is O(metadata): %.0f blocks rewritten per revert of a %d-block volume (%.3f%%), zero data copies",
 			perOp, volBlocks, 100*perOp/volBlocks))
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(

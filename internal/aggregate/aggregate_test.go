@@ -118,7 +118,7 @@ func TestAAFreeMatchesBitmapRecount(t *testing.T) {
 			for di := 0; di < testGeo.DataDrives; di++ {
 				lo := uint64(testGeo.VBNOf(gi, di, s))
 				hi := uint64(testGeo.VBNOf(gi, di, e-1)) + 1
-				n, _ := a.Activemap.CountFree(lo, hi)
+				n := a.Activemap.CountFreeNotIn(nil, lo, hi)
 				want += int64(n)
 			}
 			if got := a.AAFree(gi, aa); got != want {

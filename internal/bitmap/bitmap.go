@@ -268,14 +268,13 @@ func (a *Activemap) OrFrom(src *fs.File) uint64 {
 
 // CountFreeNotIn returns the number of bits in [start, end) clear in both
 // this map and mask — the allocatable population when mask is a snapshot
-// summary map holding blocks out of the free pool — plus the words scanned.
-// A nil mask holds nothing out.
-func (a *Activemap) CountFreeNotIn(mask *Activemap, start, end uint64) (uint64, int) {
+// summary map holding blocks out of the free pool. A nil mask holds nothing
+// out.
+func (a *Activemap) CountFreeNotIn(mask *Activemap, start, end uint64) uint64 {
 	if end > a.nbits {
 		end = a.nbits
 	}
 	n := uint64(0)
-	words := 0
 	for bn := start; bn < end; {
 		buf := a.file.GetOrCreateL0(BlockOf(bn))
 		data := buf.Data()
@@ -296,7 +295,6 @@ func (a *Activemap) CountFreeNotIn(mask *Activemap, start, end uint64) (uint64, 
 			if mdata != nil {
 				w |= binary.LittleEndian.Uint64(mdata[byteOff:])
 			}
-			words++
 			w |= (1 << (bn - wordStart)) - 1
 			if wordEnd := wordStart + 64; wordEnd > blockEnd {
 				w |= ^uint64(0) << (blockEnd - wordStart)
@@ -305,13 +303,7 @@ func (a *Activemap) CountFreeNotIn(mask *Activemap, start, end uint64) (uint64, 
 			bn = wordStart + 64
 		}
 	}
-	return n, words
-}
-
-// CountFree returns the number of free bits in [start, end) and the number
-// of words scanned.
-func (a *Activemap) CountFree(start, end uint64) (uint64, int) {
-	return a.CountFreeNotIn(nil, start, end)
+	return n
 }
 
 // ForEachDiff walks this map against src (a bitmap metafile over the same

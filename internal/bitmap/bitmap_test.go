@@ -130,11 +130,11 @@ func TestCountFree(t *testing.T) {
 	for bn := uint64(100); bn < 200; bn++ {
 		a.Set(bn)
 	}
-	n, _ := a.CountFree(0, BitsPerBlock)
+	n := a.CountFreeNotIn(nil, 0, BitsPerBlock)
 	if n != BitsPerBlock-100 {
 		t.Fatalf("count = %d", n)
 	}
-	n, _ = a.CountFree(150, 250)
+	n = a.CountFreeNotIn(nil, 150, 250)
 	if n != 50 {
 		t.Fatalf("count = %d, want 50", n)
 	}
@@ -217,7 +217,7 @@ func TestPropertyFreeCountConsistency(t *testing.T) {
 				state[bn] = true
 			}
 		}
-		n, _ := a.CountFree(0, 4096)
+		n := a.CountFreeNotIn(nil, 0, 4096)
 		if n != a.Free() {
 			return false
 		}

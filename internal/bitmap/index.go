@@ -209,13 +209,7 @@ func (x *Index) Verify() []string {
 		if hi > x.nbits {
 			hi = x.nbits
 		}
-		var want uint64
-		if x.mask != nil {
-			want, _ = x.active.CountFreeNotIn(x.mask, lo, hi)
-		} else {
-			want, _ = x.active.CountFree(lo, hi)
-		}
-		if got := x.regionFree[r]; got != int64(want) {
+		if got, want := x.regionFree[r], x.active.CountFreeNotIn(x.mask, lo, hi); got != int64(want) {
 			add(fmt.Sprintf("free-index region %d: counter %d != recount %d", r, got, want))
 		}
 	}

@@ -178,7 +178,7 @@ func TestIndexPropertyRandomTransitions(t *testing.T) {
 	}
 	verifyEmpty(t, x, "after random transitions")
 	// Spot-check one region against the oracle directly.
-	want, _ := active.CountFreeNotIn(summary, 512, 1024)
+	want := active.CountFreeNotIn(summary, 512, 1024)
 	if got := x.RegionFree(1); got != int64(want) {
 		t.Fatalf("region 1: counter %d != recount %d", got, want)
 	}

@@ -168,7 +168,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		// !active && !summary, the same predicate findFree obeys — so
 		// snapshot-held blocks are excluded from the initial count just as
 		// they are from every later credit.
-		free, _ := v.Activemap.CountFreeNotIn(v.Summary, 0, v.VVBNBlocks())
+		free := v.Activemap.CountFreeNotIn(v.Summary, 0, v.VVBNBlocks())
 		hv := ag.Volumes[v.ID()]
 		vs := &volState{
 			space:       in.newSpace(fmt.Sprintf("vol%d.free", v.ID()), v.Activemap, v.VVBNBlocks(), free, hv.VolVBN, hv.Ranges),
@@ -177,11 +177,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 			region:      -1,
 			usedRegions: make(map[int]bool),
 		}
-		if opts.HierarchicalFree {
-			vs.find = v.FreeIdx.FindFree
-		} else {
-			vs.held = v.Summary.IsSet
-		}
+		vs.find = v.FreeIdx.FindFree
 		in.vols = append(in.vols, vs)
 	}
 	return in

@@ -17,43 +17,23 @@ const vRegionBits = bitmap.BitsPerBlock
 
 // selectVRegion picks the virtual region with the most allocatable VVBNs —
 // free meaning clear in both the activemap and the snapshot summary map
-// (free = !active && !summary) — excluding regions already used this CP.
-// The scan cost is charged by the caller via the returned word count.
-//
-// With HierarchicalFree this is an O(regions) lookup of the incrementally
-// maintained per-vregion counters (the volume analogue of AAFree, which
-// likewise charges no bitmap-word cost). The legacy path recounts every
-// candidate region's full span.
-func (in *Infra) selectVRegion(vs *volState) (int, int) {
+// (free = !active && !summary) — excluding regions already used this CP, or
+// -1 when every region is excluded or full. It is an O(regions) lookup of
+// the free-space index's per-vregion counters (the volume analogue of
+// AAFree, which likewise charges no bitmap-word cost).
+func (in *Infra) selectVRegion(vs *volState) int {
 	nRegions := int((vs.vol.VVBNBlocks() + vRegionBits - 1) / vRegionBits)
-	if in.opts.HierarchicalFree {
-		best := -1
-		var bestFree int64
-		for r := 0; r < nRegions; r++ {
-			if vs.usedRegions[r] {
-				continue
-			}
-			if f := vs.vol.FreeIdx.RegionFree(r); f > bestFree {
-				best, bestFree = r, f
-			}
-		}
-		return best, 0
-	}
-	best, words := -1, 0
-	var bestFree uint64
+	best := -1
+	var bestFree int64
 	for r := 0; r < nRegions; r++ {
 		if vs.usedRegions[r] {
 			continue
 		}
-		lo := uint64(r) * vRegionBits
-		hi := lo + vRegionBits
-		n, w := vs.vol.Activemap.CountFreeNotIn(vs.vol.Summary, lo, hi)
-		words += w
-		if n > bestFree {
-			best, bestFree = r, n
+		if f := vs.vol.FreeIdx.RegionFree(r); f > bestFree {
+			best, bestFree = r, f
 		}
 	}
-	return best, words
+	return best
 }
 
 // scanVBucket finds the next chunk of free VVBNs for the volume, appending
@@ -64,16 +44,14 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState, dst []block.VVBN) []bl
 	fillWords := 0
 	for len(vvbns) == 0 {
 		if vs.region < 0 || vs.cursor >= uint64(vs.region+1)*vRegionBits {
-			r, words := in.selectVRegion(vs)
-			fillWords += words
+			r := in.selectVRegion(vs)
 			if r < 0 {
 				// Every region was already used this CP: lift the
 				// exclusion and re-pick (reservation and pending-free
 				// filtering keep reuse safe; this only costs layout
 				// locality).
 				vs.usedRegions = make(map[int]bool)
-				r, words = in.selectVRegion(vs)
-				fillWords += words
+				r = in.selectVRegion(vs)
 			}
 			if r < 0 {
 				panic("core: volume out of virtual space (volume full)")

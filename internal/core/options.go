@@ -73,14 +73,6 @@ type Options struct {
 	// global counter lock.
 	LooseAccounting bool
 
-	// HierarchicalFree drives volume region selection and bucket fills from
-	// the incrementally maintained free-space index (per-vregion allocatable
-	// counts plus the free-words summary bitmap), so fill cost scales with
-	// blocks found instead of address space scanned. When false (ablation /
-	// pre-change baseline), region selection recounts each region's full
-	// span and fills grind word-by-word through activemap and summary.
-	HierarchicalFree bool
-
 	// ParallelCP fans the per-volume CP phases (freeze, zombie block walks,
 	// snapshot capture, inode-record writes, snapdir rewrites) out across
 	// the Waffinity Volume affinities instead of running them inline on the
@@ -114,17 +106,16 @@ const (
 // DefaultOptions returns the standard White Alligator configuration.
 func DefaultOptions() Options {
 	return Options{
-		ChunkBlocks:      64,
-		InfraParallel:    true,
-		MaxCleaners:      6,
-		InitialCleaners:  4,
-		Dynamic:          false,
-		BatchedCleaning:  false,
-		SplitLargeFiles:  true,
-		AASelection:      AAMostFree,
-		EqualProgress:    true,
-		LooseAccounting:  true,
-		HierarchicalFree: true,
-		ParallelCP:       true,
+		ChunkBlocks:     64,
+		InfraParallel:   true,
+		MaxCleaners:     6,
+		InitialCleaners: 4,
+		Dynamic:         false,
+		BatchedCleaning: false,
+		SplitLargeFiles: true,
+		AASelection:     AAMostFree,
+		EqualProgress:   true,
+		LooseAccounting: true,
+		ParallelCP:      true,
 	}
 }

@@ -22,14 +22,10 @@ type space struct {
 	idx  int // position in Infra.spaces: 0 the aggregate, 1+ID a volume
 	amap *bitmap.Activemap
 
-	// find yields raw free candidates: amap.FindFree, or the free-space
-	// index's FindFree for an indexed volume (which skips exhausted words
-	// and already excludes summary-held VVBNs). held, when set, is the
-	// legacy per-candidate check (HierarchicalFree=false): a clear bit a
-	// snapshot still holds is not allocatable, and finding out examines —
-	// and is charged — one summary-map word per candidate.
+	// find yields raw free candidates: amap.FindFree for the aggregate, the
+	// free-space index's FindFree for a volume (which skips exhausted words
+	// and already excludes summary-held VVBNs).
 	find func(dst []uint64, lo, hi uint64, max int) ([]uint64, int)
-	held func(bn uint64) bool
 
 	pendingFree *bitset // freed in the running CP: not reusable until it commits
 	reserved    *bitset // in filled, uncommitted buckets
@@ -114,12 +110,6 @@ func findFree[T ~uint64](sp *space, dst []T, lo, hi uint64, max int) ([]T, int) 
 			}
 			if sp.pendingFree.test(bn) || sp.reserved.test(bn) {
 				continue
-			}
-			if sp.held != nil {
-				words++
-				if sp.held(bn) {
-					continue
-				}
 			}
 			out = append(out, T(bn))
 		}

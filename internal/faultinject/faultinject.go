@@ -1,6 +1,6 @@
 // Package faultinject provides a deterministic drive-fault plan for the
 // crash-schedule sweep. An Injector implements storage.Injector and decides,
-// per I/O, whether to tear, drop, or delay it, and whether an OS-path read
+// per I/O, whether to tear or delay it, and whether an OS-path read
 // (PeekChecked) fails. Decisions are pure functions of per-arm counters —
 // "every Nth I/O" — so a run with the same seed and the same fault Config
 // produces the same event stream every time. The injector allocates no
@@ -26,10 +26,6 @@ type Config struct {
 	// TornWritePrefix is how many blocks of a torn write land at crash.
 	// -1 means half the request (rounded down).
 	TornWritePrefix int
-	// DropWriteEvery silently loses every Nth write: the completion never
-	// fires. Only a crash (DropInFlight) clears the stuck I/O, so this arm
-	// is for targeted tests, not the default sweep.
-	DropWriteEvery uint64
 	// DelayWriteEvery / DelayReadEvery add Delay to every Nth completion.
 	DelayWriteEvery uint64
 	DelayReadEvery  uint64
@@ -40,8 +36,8 @@ type Config struct {
 
 // Enabled reports whether any fault arm is active.
 func (c Config) Enabled() bool {
-	return c.TornWriteEvery != 0 || c.DropWriteEvery != 0 ||
-		c.DelayWriteEvery != 0 || c.DelayReadEvery != 0 || c.ReadErrEvery != 0
+	return c.TornWriteEvery != 0 || c.DelayWriteEvery != 0 ||
+		c.DelayReadEvery != 0 || c.ReadErrEvery != 0
 }
 
 // Stats is a snapshot of injector decisions.
@@ -50,7 +46,6 @@ type Stats struct {
 	ReadsSeen   uint64
 	PeeksSeen   uint64
 	TornPlanned uint64
-	Dropped     uint64
 	Delayed     uint64
 	PeekErrs    uint64
 }
@@ -75,16 +70,11 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, failed: make(map[string]map[block.DBN]bool)}
 }
 
-// WriteFault decides drop/delay for one write I/O.
+// WriteFault decides delay for one write I/O.
 func (in *Injector) WriteFault(drive string, nblocks int) storage.WriteFault {
 	in.writeN++
 	in.stats.WritesSeen++
 	var f storage.WriteFault
-	if in.cfg.DropWriteEvery != 0 && in.writeN%in.cfg.DropWriteEvery == 0 {
-		f.Drop = true
-		in.stats.Dropped++
-		return f
-	}
 	if in.cfg.DelayWriteEvery != 0 && in.writeN%in.cfg.DelayWriteEvery == 0 {
 		f.Delay = in.cfg.Delay
 		in.stats.Delayed++

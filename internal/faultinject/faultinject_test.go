@@ -8,29 +8,27 @@ import (
 
 func TestEveryNthArms(t *testing.T) {
 	in := New(Config{
-		DropWriteEvery:  3,
 		DelayWriteEvery: 2,
+		DelayReadEvery:  3,
 		Delay:           100 * sim.Microsecond,
 	})
-	var drops, delays int
+	var writeDelays, readDelays int
 	for i := 0; i < 12; i++ {
-		f := in.WriteFault("d0", 4)
-		if f.Drop {
-			drops++
-			if f.Delay != 0 {
-				t.Fatal("dropped I/O should not also be delayed")
-			}
+		if f := in.WriteFault("d0", 4); f.Delay == 100*sim.Microsecond {
+			writeDelays++
 		} else if f.Delay != 0 {
-			delays++
+			t.Fatalf("write %d delayed by %v", i+1, f.Delay)
+		}
+		if f := in.ReadFault("d0", 4); f.Delay != 0 {
+			readDelays++
 		}
 	}
-	if drops != 4 {
-		t.Fatalf("drops = %d, want 4", drops)
+	// Every 2nd write and every 3rd read: writes 2,4,...,12, reads 3,6,9,12.
+	if writeDelays != 6 || readDelays != 4 {
+		t.Fatalf("delays = %d writes, %d reads, want 6 and 4", writeDelays, readDelays)
 	}
-	// Every 2nd write is delayed except where the drop arm already claimed
-	// it (multiples of 6): writes 2,4,8,10 delayed; 6,12 dropped.
-	if delays != 4 {
-		t.Fatalf("delays = %d, want 4", delays)
+	if st := in.Stats(); st.WritesSeen != 12 || st.ReadsSeen != 12 || st.Delayed != 10 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -63,7 +61,7 @@ func TestDeterministicReplay(t *testing.T) {
 		var seq []bool
 		for i := 0; i < 50; i++ {
 			f := in.WriteFault("d0", 4)
-			seq = append(seq, f.Drop, f.Delay != 0)
+			seq = append(seq, f.Delay != 0)
 			seq = append(seq, in.PeekFault("d0", 9), in.CrashPrefix("d1", 4) > 0)
 		}
 		return seq

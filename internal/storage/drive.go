@@ -53,10 +53,6 @@ type WriteReq = Req[[]byte]
 
 // WriteFault describes how an injector perturbs one write I/O.
 type WriteFault struct {
-	// Drop loses the I/O entirely: its completion never fires and its data
-	// lands only if a later crash tears a prefix onto the media. The drive
-	// still spends the service time (the controller accepted the I/O).
-	Drop bool
 	// Delay postpones the completion callback (and the media update) by the
 	// given simulated time without occupying the drive — a controller or
 	// interrupt hiccup.
@@ -99,7 +95,6 @@ type Stats struct {
 	BusyTime      sim.Duration // total time the drive was servicing I/O
 
 	// Fault-injection outcomes.
-	DroppedIOs     uint64 // write I/Os lost (completion never fired)
 	DelayedIOs     uint64 // I/Os whose completion was delayed
 	TornWrites     uint64 // in-flight writes torn by a crash (prefix landed)
 	TornBlocksLost uint64 // blocks of torn writes that did not land
@@ -137,9 +132,8 @@ type Device[I Image] struct {
 	// inflight tracks submitted-but-incomplete write I/Os in submission
 	// order, so a crash can tear them (land a prefix) deterministically.
 	inflight []*inflightWrite[I]
-	// The recycled records (DESIGN §9). A record a crash dropped, or a Drop
-	// fault lost, never comes back: DropInFlight abandons every outstanding
-	// one.
+	// The recycled records (DESIGN §9). A record a crash dropped never comes
+	// back: DropInFlight abandons every outstanding one.
 	writePool                   fifo.Pool[*inflightWrite[I]]
 	readPool                    fifo.Pool[*readIO[I]]
 	writeWaitPool, readWaitPool fifo.Pool[*syncWait[I]]
@@ -362,12 +356,6 @@ func (d *Device[I]) Write(reqs []Req[I], done func()) {
 	entry := d.writePool.Get()
 	entry.epoch, entry.reqs, entry.done = d.epoch, append(entry.reqs[:0], reqs...), done
 	d.inflight = append(d.inflight, entry)
-	if wf.Drop {
-		// Lost I/O: no completion ever fires; the entry stays in flight so
-		// a later crash tears it like any other outstanding write.
-		d.stats.DroppedIOs++
-		return
-	}
 	if wf.Delay > 0 {
 		d.stats.DelayedIOs++
 	}

@@ -194,30 +194,6 @@ func TestUntornCrashLandsNothing(t *testing.T) {
 	}
 }
 
-func TestDroppedWriteCompletionNeverFires(t *testing.T) {
-	s := sim.New(1, 1)
-	d := NewDrive(s, "d0", SSD, 1024)
-	d.SetInjector(&stubInjector{writeFault: WriteFault{Drop: true}})
-	fired := false
-	d.Write([]WriteReq{{DBN: 7, Data: testBlock(4)}}, func() { fired = true })
-	s.Run(sim.Time(sim.Second))
-	if fired {
-		t.Fatal("dropped I/O completed")
-	}
-	if d.Peek(7) != nil {
-		t.Fatal("dropped I/O landed")
-	}
-	if d.Stats().DroppedIOs != 1 || d.InflightWrites() != 1 {
-		t.Fatalf("stats = %+v inflight=%d", d.Stats(), d.InflightWrites())
-	}
-	// A later crash can still tear the lost I/O's prefix onto the media.
-	d.inj = &stubInjector{crashPrefix: 1}
-	d.DropInFlight()
-	if d.Peek(7) == nil {
-		t.Fatal("crash prefix of lost I/O did not land")
-	}
-}
-
 func TestDelayedWriteCompletion(t *testing.T) {
 	s := sim.New(1, 1)
 	plain := NewDrive(s, "p", SSD, 64)

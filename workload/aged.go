@@ -10,13 +10,14 @@ import (
 // cost pathological: the volume is prefilled dense (≥75% of the VVBN space),
 // a base snapshot pins the whole prefill image for the life of the run, and
 // overwrite rounds under a rotating snapshot ring scatter summary-held bits
-// (clear in the activemap, set in the summary — candidates a legacy
-// activemap scan keeps returning and rejecting) and true-free bits (holes
-// reclaimed when a ring snapshot is deleted) through the dense regions.
-// Measurement then runs random overwrites with one snapshot-manager per
-// volume keeping the ring churning, so steady-state bucket fills face
+// (clear in the activemap, set in the summary — candidates a plain
+// activemap scan would keep returning and rejecting) and true-free bits
+// (holes reclaimed when a ring snapshot is deleted) through the dense
+// regions. Measurement then runs random overwrites with one snapshot-manager
+// per volume keeping the ring churning, so steady-state bucket fills face
 // mostly-full fragmented maps — the paper's scan-cost-grows-with-occupancy
-// regime, and the setting where hierarchical free-space accounting pays.
+// regime, in which the volumes' free-space index keeps a fill's cost
+// proportional to the blocks it finds.
 type AgedVol struct {
 	Clients    int
 	OpBlocks   int
