@@ -15,7 +15,7 @@ GO ?= go
 #                 latency-sensitive p99.9 up, on must shed bulk and bound it
 GATES = crashsweep clustersweep overloadcheck
 
-.PHONY: all build test vet race racecp benchsmoke fuzzsmoke expsmoke $(GATES) ci clean
+.PHONY: all build test vet fmt race racecp benchsmoke fuzzsmoke expsmoke $(GATES) ci clean
 
 all: build
 
@@ -27,6 +27,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would rewrite any file, and names the files.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needs to rewrite:"; echo "$$files"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -81,7 +85,7 @@ $(GATES):
 # runs: every stage once. The architecture rules (one apply path, one oracle,
 # one stats spine, one allocation space, one owner of the on-media tree, no
 # unused knob or export) are rows of arch_test.go and run with the tests.
-ci: vet build race benchsmoke fuzzsmoke expsmoke $(GATES)
+ci: vet fmt build race benchsmoke fuzzsmoke expsmoke $(GATES)
 
 clean:
 	rm -f wafltop waflbench *.test

@@ -2,6 +2,9 @@ package wafl
 
 import (
 	"testing"
+
+	"wafl/internal/block"
+	"wafl/internal/nvlog"
 )
 
 // admissionLoad drives one member with hammering bulk writers per volume
@@ -12,7 +15,6 @@ func admissionLoad(t *testing.T, enabled bool) (*TraceHistogram, Results, uint64
 	t.Helper()
 	cfg := smallConfig()
 	cfg.NVRAMHalfBytes = 256 << 10
-	cfg.Admission = DefaultAdmission()
 	cfg.Admission.Enabled = enabled
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -85,46 +87,34 @@ func TestAdmissionShedsBulkUnderPressure(t *testing.T) {
 	}
 }
 
-// TestAdmissionHysteresis checks the back-to-back guard: once bulk is held,
-// it stays held until fullness falls below ResumeAt AND the frozen half has
-// drained — the fullness drop at a CP half-switch alone must not release
-// the gate (that is the flapping the hysteresis exists to prevent).
+// TestAdmissionHysteresis checks the back-to-back guard on the latch itself:
+// once bulk is held, it stays held until fullness falls below admitResumeAt
+// AND the frozen half has drained — the fullness drop at a CP half-switch
+// alone must not release the gate (that is the flapping the hysteresis
+// exists to prevent).
 func TestAdmissionHysteresis(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NVRAMHalfBytes = 256 << 10
-	cfg.Admission = DefaultAdmission()
-	// Raise ResumeAt to the delay watermark: even with this degenerate
-	// band, the frozen-half condition alone must prevent immediate resume
-	// during back-to-back CPs. A tight delay budget makes held ops fall
-	// through to the shed tier whenever the CP outlasts two delay rounds.
-	cfg.Admission.ResumeAt = cfg.Admission.BulkDelayAt
-	cfg.Admission.MaxDelay = 2 * cfg.Admission.DelayStep
+	cfg.Admission.Enabled = true
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	admitted, refused := 0, 0
-	for b := 0; b < 4; b++ {
-		ino := sys.CreateFileDirect(0, 4096)
-		sys.ClientThread("bulk", func(c *ClientCtx) {
-			var fbn FBN
-			for c.Alive() {
-				_, ok := c.WriteBulk(0, ino, fbn%4000, 16)
-				if ok {
-					admitted++
-				} else {
-					refused++
-				}
-				fbn += 16
-			}
-		})
+	defer sys.Shutdown()
+	m := sys.m0()
+	gate := func(step string, want bool) {
+		t.Helper()
+		if held, full := m.bulkGate(); held != want {
+			t.Fatalf("%s: gate held = %v at fullness %.2f, want %v", step, held, full, want)
+		}
 	}
-	sys.Run(300 * Millisecond)
-	sys.Shutdown()
-	if admitted == 0 {
-		t.Fatal("no bulk writes admitted at all")
+	gate("empty log", false)
+	for m.log.Fullness() < admitDelayAt {
+		m.log.Append(nvlog.Record{Kind: nvlog.OpWrite, LogicalBytes: block.Size})
 	}
-	if refused == 0 {
-		t.Fatal("hammering bulk writer never refused: watermarks not enforced")
-	}
+	gate("past the delay watermark", true)
+	m.log.Switch()
+	gate("half-switch, frozen half draining", true)
+	m.log.FreeFrozen()
+	gate("frozen half freed", false)
 }

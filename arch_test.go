@@ -24,8 +24,9 @@ import (
 	"testing"
 )
 
-// tree is the non-test Go source of a repository, parsed, and the documents
-// of docFiles, as text: slash-separated path relative to the root → content.
+// tree is the non-test Go source of a repository, parsed with its comments,
+// and the documents of docFiles, as text: slash-separated path relative to
+// the root → content.
 type tree struct {
 	fset  *token.FileSet
 	files map[string]*ast.File
@@ -49,7 +50,7 @@ func parseTree(t *testing.T, sources map[string]string) *tree {
 		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(tr.fset, p, src, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(tr.fset, p, src, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,16 +295,14 @@ var traffic = []string{"harness", "bench", "cmd", "workload"}
 // configStruct is a configuration struct, by package, file and name.
 type configStruct struct{ pkg, file, name string }
 
-// knobStructs are the structs whose every field the traffic must set;
-// docStructs are those whose fields a document may name as a setting.
-var (
-	knobStructs = []configStruct{
-		{"core", "internal/core/options.go", "Options"},
-		{"wafl", "wafl.go", "Config"},
-		{"faultinject", "internal/faultinject/faultinject.go", "Config"},
-	}
-	docStructs = append([]configStruct{{"wafl", "wafl.go", "AdmissionConfig"}}, knobStructs...)
-)
+// knobStructs are the structs whose every field the traffic must set, and
+// whose fields a document may name as a setting.
+var knobStructs = []configStruct{
+	{"core", "internal/core/options.go", "Options"},
+	{"wafl", "wafl.go", "Config"},
+	{"wafl", "wafl.go", "AdmissionConfig"},
+	{"faultinject", "internal/faultinject/faultinject.go", "Config"},
+}
 
 // A setting a document names: a backticked span that starts with a
 // (qualified) `Allocator.X`, `Options.X` or `Config.X`, or is `X=literal`.
@@ -314,6 +313,10 @@ var (
 		regexp.MustCompile(`^([A-Za-z]\w*)=(?:true|false|[-+]?[0-9]\S*)$`),
 	}
 )
+
+// roadmapCite matches a citation of a roadmap item by number ("ROADMAP
+// 1(c)", "ROADMAP.md item 3"), across a line break too.
+var roadmapCite = regexp.MustCompile(`\bROADMAP(?:\.md)?\s+(?:items?\s+)?\d`)
 
 // docRef is a setting a document names: the line, the field and the span.
 type docRef struct {
@@ -349,8 +352,7 @@ func docRefs(doc string) []docRef {
 // knobAllow lists the configuration fields no traffic file assigns, with why
 // each stays a field.
 var knobAllow = map[string]string{
-	"Allocator": "set field-wise (cfg.Allocator.X = ...), never as a whole",
-	"Costs":     "the calibration table of DESIGN.md §5, which explaining §V-C (ROADMAP item 1(c)) may need to vary",
+	"Costs": "the calibration table of DESIGN.md §5, which explaining §V-C's batching shortfall may need to vary",
 }
 
 // exportAllow lists the exported functions no non-test file names, with the
@@ -364,12 +366,12 @@ var exportAllow = map[string]string{
 	"faultinject.Injector.FailBlock":    "crash_test.go forces RAID reconstruction of one block",
 	"storage.Device.InflightMultiBlock": "crash_test.go waits for a tearable write before crashing",
 	"sim.Scheduler.Live":                "internal/cp tests check the engine thread survives",
-	"wafl.Stats.Each":                   "stats_test.go and cluster_test.go enumerate every leaf; ROADMAP item 4(c)'s wafltop -json is its first caller",
+	"wafl.Stats.Each":                   "stats_test.go and cluster_test.go enumerate every leaf; a wafltop -json dump would be its first caller",
 	"wafl.System.MemberStats":           "cluster, placement, results and stats tests read one member's Stats",
 	"wafl.System.FsckMember":            "cluster_test.go checks one member of a cluster",
 	"wafl.System.VolFreeBlocks":         "parallelcp_test.go compares the loose counter with the bitmap",
 	"wafl.ClientCtx.CreatePlaced":       "placement_test.go and cluster_test.go drive capacity-aware placement",
-	"wafl.ClientCtx.SnapRead":           "snap_test.go; ROADMAP item 3(f) makes it the model's ninth op kind",
+	"wafl.ClientCtx.SnapRead":           "snap_test.go; making it an op kind of the reference model gives it a non-test caller",
 	"wafl.System.TunerSamples":          "example_test.go's Example_dynamicTuning prints the tuner's decision trace",
 }
 
@@ -379,12 +381,12 @@ var archRules = []archRule{
 		// Member helpers (volAffs, stripeAff, logicalAff).
 		name: "aff",
 		clauses: []clause{{
-			scan: []string{"."}, except: []string{"member.go"}, forbid: indexOf("Aggrs"),
-			msg: "h.Aggrs[...] indexed outside member.go: use the Member helpers",
+			scan: []string{"."}, except: []string{"member.go"}, forbid: indexOf("Volumes"),
+			msg: "h.Volumes[...] indexed outside member.go: use the Member helpers",
 		}},
 		bad: []badTree{{
-			files: map[string]string{"client.go": `package wafl; func f(m *Member) { _ = m.h.Aggrs[0] }`},
-			want:  "client.go:1: h.Aggrs[...] indexed outside member.go",
+			files: map[string]string{"client.go": `package wafl; func f(m *Member) { _ = m.h.Volumes[0] }`},
+			want:  "client.go:1: h.Volumes[...] indexed outside member.go",
 		}},
 	},
 	{
@@ -547,8 +549,9 @@ var archRules = []archRule{
 			each(tr, traffic, func(_ string, n ast.Node) {
 				switch v := n.(type) {
 				case *ast.AssignStmt:
+					// cfg.X.Y = ... sets Y, and X field-wise.
 					for _, lhs := range v.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						for sel, ok := lhs.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
 							set[sel.Sel.Name] = true
 						}
 					}
@@ -593,29 +596,69 @@ var archRules = []archRule{
 				"internal/faultinject/faultinject_test.go": `package faultinject; var c = Config{LoseWriteEvery: 3}`,
 			},
 			want: "faultinject.Config.LoseWriteEvery is assigned by no file under",
+		}, {
+			files: map[string]string{
+				"wafl.go":             `package wafl; type Config struct { Admission AdmissionConfig }; type AdmissionConfig struct { Enabled bool; Watermark float64 }`,
+				"harness/overload.go": `package harness; func f(c *C) { c.Admission.Enabled = true }`,
+			},
+			want: "wafl.AdmissionConfig.Watermark is assigned by no file under",
+		}, {
+			// A field-wise assignment sets the field it selects through.
+			files: map[string]string{
+				"wafl.go":        `package wafl; type Config struct { Costs CostModel }`,
+				"harness/fig.go": `package harness; func f(c *C) { c.Costs.ClientOp = 1 }`,
+			},
+			want: "knobAllow entry Costs is stale",
 		}},
 	},
 	{
 		// Docs describe the tree as it is: a setting README, DESIGN,
 		// EXPERIMENTS or the verify skill names in backticks is a field of a
 		// configuration struct today, so deleting an option deletes its
-		// mentions too.
+		// mentions too. Neither they, nor a Go comment outside bench/, nor an
+		// allow-list reason cites a roadmap item by number: every re-anchor
+		// renumbers the items, so a citation says in words what it waits for.
 		name: "doc",
 		require: func(tr *tree) []string {
 			fields := map[string]bool{}
-			for _, s := range docStructs {
+			for _, s := range knobStructs {
 				for _, f := range structFields(tr, s.file, s.name) {
 					fields[f] = true
 				}
 			}
 			var out []string
+			cites := func(where string, line int, text string) {
+				for _, m := range roadmapCite.FindAllStringIndex(text, -1) {
+					out = append(out, fmt.Sprintf("%s:%d: `%s` cites a roadmap item by number: say what it waits for in words",
+						where, line+strings.Count(text[:m[0]], "\n"), strings.Join(strings.Fields(text[m[0]:m[1]]), " ")))
+				}
+			}
 			for _, p := range docFiles {
 				for _, r := range docRefs(tr.docs[p]) {
 					if !fields[r.field] {
 						out = append(out, fmt.Sprintf("%s:%d: `%s` names no field of core.Options, wafl.Config, wafl.AdmissionConfig or faultinject.Config", p, r.line, r.span))
 					}
 				}
+				cites(p, 1, tr.docs[p])
 			}
+			for _, p := range tr.in("...") {
+				if strings.HasPrefix(p, "bench/") {
+					continue
+				}
+				for _, cg := range tr.files[p].Comments {
+					var text strings.Builder
+					for _, c := range cg.List {
+						text.WriteString(c.Text[2:] + "\n") // past the // or /*
+					}
+					cites(p, tr.fset.Position(cg.Pos()).Line, text.String())
+				}
+			}
+			for _, allow := range []map[string]string{knobAllow, exportAllow} {
+				for key, why := range allow {
+					cites("arch_test.go allow-list reason of "+key, 1, why)
+				}
+			}
+			slices.Sort(out)
 			return out
 		},
 		bad: []badTree{{
@@ -624,6 +667,12 @@ var archRules = []archRule{
 				"README.md": "Set `Config.Seed`.\n\n```\n`Ghost=1`\n```\nThe old scan (`Allocator.LegacyScan=false`).",
 			},
 			want: "README.md:6: `Allocator.LegacyScan=false` names no field",
+		}, {
+			files: map[string]string{"DESIGN.md": "# Design\n\nNo tracked number until ROADMAP\nitem 2(f) gives it a workload."},
+			want:  "DESIGN.md:3: `ROADMAP item 2` cites a roadmap item by number",
+		}, {
+			files: map[string]string{"internal/cp/cp.go": "package cp\n\n// The engine waits for the ROADMAP\n// 5(c) payoff.\nfunc f() {}"},
+			want:  "internal/cp/cp.go:3: `ROADMAP 5` cites a roadmap item by number",
 		}},
 	},
 	{

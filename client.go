@@ -29,13 +29,6 @@ type ClientCtx struct {
 	// op is the body of the client's in-flight message for Write, Read and
 	// Getattr.
 	op clientOp
-
-	// per-client statistics
-	Ops        uint64
-	Blocks     uint64
-	Stalled    uint64
-	Shed       uint64   // bulk writes refused by admission control
-	AdmitDelay Duration // cumulative bulk admission delay
 }
 
 // ClientThread spawns a closed-loop client running fn. Call before Run /
@@ -130,7 +123,6 @@ func (c *ClientCtx) reserveLog(m *Member, bytes uint64) (nvlog.Reservation, Dura
 	for !ok {
 		// Back-to-back CP: both halves occupied. Wait for the running CP.
 		start := c.t.Now()
-		c.Stalled++
 		m.client.Stalls++
 		m.engine.RequestCP()
 		m.engine.WaitCPDone(c.t)
@@ -148,7 +140,6 @@ func (c *ClientCtx) reserveLog(m *Member, bytes uint64) (nvlog.Reservation, Dura
 // stallRestore charges one restore-gate stall round: request a CP (the gate
 // reopens when the CP applying the restore commits) and wait it out.
 func (c *ClientCtx) stallRestore(m *Member) {
-	c.Stalled++
 	m.client.Stalls++
 	m.engine.RequestCP()
 	m.engine.WaitCPDone(c.t)
@@ -216,7 +207,6 @@ func (c *ClientCtx) ack(m *Member, start Time, cost Duration, span, hist string,
 			tr.Observe(hist, int64(lat))
 		}
 	}
-	c.Ops++
 	m.client.Ops++
 	m.lat.Observe(int64(lat))
 	return lat
@@ -385,7 +375,6 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 	// placed) into consumption the free-space counters now carry.
 	m.consumePlacement(lv, li, int64(nblocks))
 	m.maybeTriggerCP()
-	c.Blocks += uint64(nblocks)
 	m.client.BlocksWritten += uint64(nblocks)
 	m.client.StallTime += stalled
 	return c.ack(m, start, 0, "write", "client.write", int64(nblocks))
@@ -394,30 +383,18 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 // admitBulk runs the bulk-class admission gate against member m's NVRAM
 // watermarks: it returns true when the op may proceed (possibly after
 // delaying), false when the op is shed. Latency-sensitive ops never pass
-// through here. The bulkHeld latch provides back-to-back-CP hysteresis:
-// once bulk is held it stays held until the active half is below ResumeAt
-// AND no frozen half is draining, so the fullness cliff at a half-switch
-// does not reopen the gate while the CP is still paying down the log.
+// through here.
 func (c *ClientCtx) admitBulk(m *Member) bool {
-	ac := &c.sys.cfg.Admission
-	if !ac.Enabled {
+	if !c.sys.cfg.Admission.Enabled {
 		return true
 	}
 	var delayed Duration
 	for {
-		full := m.log.Fullness()
-		if m.bulkHeld {
-			if full < ac.ResumeAt && !m.log.HasFrozen() {
-				m.bulkHeld = false
-			}
-		} else if full >= ac.BulkDelayAt {
-			m.bulkHeld = true
-		}
-		if !m.bulkHeld {
+		held, full := m.bulkGate()
+		if !held {
 			return true
 		}
-		if full >= ac.BulkShedAt || (ac.MaxDelay > 0 && delayed >= ac.MaxDelay) {
-			c.Shed++
+		if full >= admitShedAt || delayed >= admitMaxDelay {
 			m.admission.Shed++
 			m.maybeTriggerCP()
 			if tr := c.t.Tracer(); tr != nil {
@@ -428,10 +405,9 @@ func (c *ClientCtx) admitBulk(m *Member) bool {
 		// Delay round: nudge a CP if none is draining, sleep, re-check.
 		start := c.t.Now()
 		m.maybeTriggerCP()
-		c.t.Sleep(ac.DelayStep)
+		c.t.Sleep(admitDelayStep)
 		d := Duration(c.t.Now() - start)
 		delayed += d
-		c.AdmitDelay += d
 		m.admission.Delay += d
 		if tr := c.t.Tracer(); tr != nil {
 			tr.Span(obs.PidThreads, c.t.TrackID(), "client", "admission delay",

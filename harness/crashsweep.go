@@ -427,16 +427,15 @@ func CrashSweep(cfg CrashSweepConfig) (Table, CrashSweepResult, error) {
 		}
 	}
 	if cfg.Overload {
-		// A small log and admission tuned to shed after two delay rounds,
-		// under hammering bulk writers; the crash lands well into the shed
+		// A small log and admission on, under hammering bulk writers that
+		// fill it past the shed watermark; the crash lands well into the shed
 		// regime. The model hears of a bulk write what WriteBulk reported, so
 		// verification proves the shed-load contract: every admitted write
 		// replays, and nothing shed leaks into the recovered image.
 		s := sched("overload-shed", first, cfg.Base.Allocator.ParallelCP)
 		s.mix, s.steps = nsmodel.Mix{Weights: [nsmodel.NumKinds]int{nsmodel.Write: 1, nsmodel.WriteBulk: 3}}, 0
 		s.cfg.NVRAMHalfBytes = 256 << 10
-		s.cfg.Admission = wafl.DefaultAdmission()
-		s.cfg.Admission.MaxDelay = 2 * s.cfg.Admission.DelayStep
+		s.cfg.Admission.Enabled = true
 		s.when = func(r *run) bool { return r.sys.Stats().Admission.Shed >= 64 }
 		scheds = append(scheds, s)
 	}

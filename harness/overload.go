@@ -31,13 +31,11 @@ type OverloadPoint struct {
 // small NVRAM log (so the burst phase actually pressures it), the buffer
 // cache enabled at well under the streams' working set (reads mix cache
 // hits with timed media reads, as in CAWL's capacity regimes), and
-// admission control parameters tuned for the burst.
+// admission control off: each mode sets Admission.Enabled explicitly.
 func OverloadConfig(base wafl.Config) wafl.Config {
 	cfg := base
 	cfg.NVRAMHalfBytes = 1 << 20 // 1 MiB halves: burst writes cross watermarks
 	cfg.BCacheBlocks = 8192      // working set is 2000 streams x 64 blocks = 128k
-	cfg.Admission = wafl.DefaultAdmission()
-	cfg.Admission.Enabled = false // each mode sets this explicitly
 	return cfg
 }
 

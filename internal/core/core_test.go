@@ -29,9 +29,7 @@ func newEnv(t testing.TB, mutate func(*Options)) *env {
 	t.Helper()
 	s := sim.New(8, 1)
 	w := waffinity.New(s, 8, 0)
-	h := waffinity.NewHierarchy(w, waffinity.HierarchyConfig{
-		Aggregates: 1, VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 4,
-	})
+	h := waffinity.NewHierarchy(w, waffinity.HierarchyConfig{VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 4})
 	a, err := aggregate.New(s, aggregate.Config{
 		Geometry: aggregate.Geometry{NumGroups: 2, DataDrives: 3, Depth: 8192, AAStripes: 1024},
 		Profile:  storage.SSD,
@@ -535,7 +533,7 @@ func TestTunerActivatesAndParks(t *testing.T) {
 		o.MaxCleaners = 4
 		o.InitialCleaners = 1
 	})
-	tu := StartTuner(e.pool, TunerConfig{Interval: 10 * sim.Millisecond, ActivateAt: 0.9, ParkAt: 0.5})
+	tu := StartTuner(e.pool)
 	// Saturate the single active cleaner with a busy-loop job stream.
 	vol := e.a.Volume(0)
 	e.in.StartCP([]*aggregate.Volume{vol})

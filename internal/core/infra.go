@@ -156,8 +156,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		fc.run = fc.commit
 		return fc
 	})
-	ag := h.Aggrs[0]
-	in.phys = in.newSpace("aggr.free", a.Activemap, a.Geometry().TotalBlocks(), a.TotalFree(), ag.AggrVBN, ag.Ranges)
+	in.phys = in.newSpace("aggr.free", a.Activemap, a.Geometry().TotalBlocks(), a.TotalFree(), h.AggrVBN, h.Ranges)
 	for gi := 0; gi < a.Groups(); gi++ {
 		in.win = append(in.win, windowState{aa: -1})
 		in.usedAAs = append(in.usedAAs, make(map[int]bool))
@@ -169,7 +168,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		// snapshot-held blocks are excluded from the initial count just as
 		// they are from every later credit.
 		free := v.Activemap.CountFreeNotIn(v.Summary, 0, v.VVBNBlocks())
-		hv := ag.Volumes[v.ID()]
+		hv := h.Volumes[v.ID()]
 		vs := &volState{
 			space:       in.newSpace(fmt.Sprintf("vol%d.free", v.ID()), v.Activemap, v.VVBNBlocks(), free, hv.VolVBN, hv.Ranges),
 			vol:         v,

@@ -61,7 +61,7 @@ func (in *Infra) newSpace(name string, amap *bitmap.Activemap, nbits, free uint6
 		// White-Alligator design where one thread owned all metafile
 		// access): every infrastructure message — aggregate and volume
 		// alike — funnels through the single AggrVBN affinity.
-		sp.whole, sp.ranges = in.h.Aggrs[0].AggrVBN, nil
+		sp.whole, sp.ranges = in.h.AggrVBN, nil
 	}
 	// Observe every free so same-CP reuse is blocked. Chain, don't clobber:
 	// the aggregate's AA counters and a volume's free-space index are already

@@ -4,21 +4,12 @@ import (
 	"wafl/internal/sim"
 )
 
-// TunerConfig parameterizes the dynamic cleaner-thread tuner of §V-B.
-type TunerConfig struct {
-	Interval   sim.Duration // optimization period ("every 50ms")
-	ActivateAt float64      // add a thread above this utilization (0.9)
-	ParkAt     float64      // remove a thread below this utilization (0.5)
-}
-
-// DefaultTuner matches the paper's parameters.
-func DefaultTuner() TunerConfig {
-	return TunerConfig{
-		Interval:   50 * sim.Millisecond,
-		ActivateAt: 0.90,
-		ParkAt:     0.50,
-	}
-}
+// The dynamic cleaner-thread tuner's parameters, the paper's (§V-B).
+const (
+	tunerInterval   = 50 * sim.Millisecond // optimization period ("every 50ms")
+	tunerActivateAt = 0.90                 // add a thread above this utilization
+	tunerParkAt     = 0.50                 // remove a thread below this utilization
+)
 
 // TunerSample records one tuning decision, for the Fig 9 style traces.
 type TunerSample struct {
@@ -33,7 +24,6 @@ type TunerSample struct {
 // overhead, and CPU stolen from other work (§V-B).
 type Tuner struct {
 	pool *Pool
-	cfg  TunerConfig
 
 	prevBusy  []sim.Duration
 	prevAt    sim.Time
@@ -45,14 +35,14 @@ type Tuner struct {
 }
 
 // StartTuner launches the tuner loop as a simulated thread.
-func StartTuner(pool *Pool, cfg TunerConfig) *Tuner {
-	tu := &Tuner{pool: pool, cfg: cfg}
+func StartTuner(pool *Pool) *Tuner {
+	tu := &Tuner{pool: pool}
 	tu.prevBusy = pool.CleanerEngaged()
 	tu.prevPhase = pool.PhaseTime()
 	pool.s.Go("cleaner-tuner", sim.CatOther, func(t *sim.Thread) {
 		tu.prevAt = t.Now()
 		for !tu.stopped {
-			t.Sleep(cfg.Interval)
+			t.Sleep(tunerInterval)
 			tu.tick(t.Now())
 		}
 	})
@@ -98,9 +88,9 @@ func (tu *Tuner) tick(now sim.Time) {
 		util = 1
 	}
 	switch {
-	case util > tu.cfg.ActivateAt:
+	case util > tunerActivateAt:
 		tu.pool.SetActive(active + 1)
-	case util < tu.cfg.ParkAt:
+	case util < tunerParkAt:
 		tu.pool.SetActive(active - 1)
 	}
 	tu.sample(now, util)

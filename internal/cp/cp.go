@@ -192,7 +192,7 @@ func (e *Engine) scatterVolumes(t *sim.Thread, name string, vols []*aggregate.Vo
 	for i, v := range vols {
 		v := v
 		units[i] = waffinity.Unit{
-			Aff: e.h.Aggrs[0].Volumes[v.ID()].Volume,
+			Aff: e.h.Volumes[v.ID()].Volume,
 			Cat: sim.CatCP,
 			Fn: func(wt *sim.Thread) {
 				start := wt.Now()

@@ -28,7 +28,7 @@ func newEnv(t *testing.T) *env {
 	s := sim.New(8, 1)
 	w := waffinity.New(s, 8, 0)
 	h := waffinity.NewHierarchy(w, waffinity.HierarchyConfig{
-		Aggregates: 1, VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 4,
+		VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 4,
 	})
 	a, err := aggregate.New(s, aggregate.Config{
 		Geometry: aggregate.Geometry{NumGroups: 2, DataDrives: 3, Depth: 8192, AAStripes: 1024},

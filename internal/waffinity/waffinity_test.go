@@ -12,7 +12,7 @@ import (
 func testEnv(cores int) (*sim.Scheduler, *Scheduler, *Hierarchy) {
 	s := sim.New(cores, 1)
 	w := New(s, cores, 0)
-	h := NewHierarchy(w, HierarchyConfig{Aggregates: 1, VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 4})
+	h := NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 4})
 	return s, w, h
 }
 
@@ -62,7 +62,7 @@ func (tr *exclusionTracker) exit(a *Affinity) {
 
 func TestSiblingsRunInParallel(t *testing.T) {
 	s, w, h := testEnv(4)
-	vol := h.Aggrs[0].Volumes[0]
+	vol := h.Volumes[0]
 	var ends []sim.Time
 	for i := 0; i < 4; i++ {
 		aff := vol.Stripes[i]
@@ -83,7 +83,7 @@ func TestSiblingsRunInParallel(t *testing.T) {
 
 func TestSameAffinitySerializes(t *testing.T) {
 	s, w, h := testEnv(4)
-	aff := h.Aggrs[0].Volumes[0].Stripes[0]
+	aff := h.Volumes[0].Stripes[0]
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
 		w.Send(aff, sim.CatClient, func(th *sim.Thread) {
@@ -102,7 +102,7 @@ func TestSameAffinitySerializes(t *testing.T) {
 func TestParentExcludesChildren(t *testing.T) {
 	s, w, h := testEnv(4)
 	tr := newTracker(t)
-	vol := h.Aggrs[0].Volumes[0]
+	vol := h.Volumes[0]
 	mk := func(aff *Affinity, d sim.Duration) {
 		w.Send(aff, sim.CatClient, func(th *sim.Thread) {
 			tr.enter(aff)
@@ -126,7 +126,7 @@ func TestCousinsRunInParallel(t *testing.T) {
 	// run in parallel (paper §IV-B2, third mechanism); stripe work under
 	// logical runs in parallel with range work under VBN.
 	s, w, h := testEnv(4)
-	vol := h.Aggrs[0].Volumes[0]
+	vol := h.Volumes[0]
 	var ends []sim.Time
 	send := func(aff *Affinity) {
 		w.Send(aff, sim.CatClient, func(th *sim.Thread) {
@@ -148,7 +148,7 @@ func TestSerialExcludesEverything(t *testing.T) {
 	s, w, h := testEnv(8)
 	tr := newTracker(t)
 	inSerial := false
-	vol := h.Aggrs[0].Volumes[0]
+	vol := h.Volumes[0]
 	for i := 0; i < 4; i++ {
 		aff := vol.Stripes[i%len(vol.Stripes)]
 		w.Send(aff, sim.CatClient, func(th *sim.Thread) {
@@ -168,7 +168,7 @@ func TestSerialExcludesEverything(t *testing.T) {
 		tr.exit(h.Serial)
 	}, nil)
 	for i := 0; i < 4; i++ {
-		aff := h.Aggrs[0].Volumes[1].Stripes[i%4]
+		aff := h.Volumes[1].Stripes[i%4]
 		w.Send(aff, sim.CatClient, func(th *sim.Thread) {
 			tr.enter(aff)
 			if inSerial {
@@ -188,7 +188,7 @@ func TestSerialMessageNotStarved(t *testing.T) {
 	// A continuous stream of stripe messages must not starve a pending
 	// Serial message.
 	s, w, h := testEnv(4)
-	vol := h.Aggrs[0].Volumes[0]
+	vol := h.Volumes[0]
 	var serialDone sim.Time
 	stop := false
 	var pump func(i int)
@@ -224,7 +224,7 @@ func TestCallBlocksUntilDone(t *testing.T) {
 	s, w, h := testEnv(2)
 	var callerResumed, msgRan sim.Time
 	s.Go("caller", sim.CatOther, func(th *sim.Thread) {
-		w.Call(th, h.Aggrs[0].Volumes[0].Stripes[0], sim.CatClient, func(worker *sim.Thread) {
+		w.Call(th, h.Volumes[0].Stripes[0], sim.CatClient, func(worker *sim.Thread) {
 			worker.Consume(40 * sim.Microsecond)
 			msgRan = s.Now()
 		})
@@ -244,7 +244,7 @@ func TestCallBlocksUntilDone(t *testing.T) {
 // take them again and allocate nothing.
 func TestWarmMessagesAllocateNothing(t *testing.T) {
 	s, w, h := testEnv(2)
-	stripe := h.Aggrs[0].Volumes[0].Stripes[0]
+	stripe := h.Volumes[0].Stripes[0]
 	nop := func(*sim.Thread) {}
 	done := func() {}
 	send := func() {
@@ -274,7 +274,7 @@ func TestWarmMessagesAllocateNothing(t *testing.T) {
 // mid-message keeps the message.
 func TestCrashNeverRecyclesInFlightMessages(t *testing.T) {
 	s, w, h := testEnv(2)
-	stripes := h.Aggrs[0].Volumes[0].Stripes
+	stripes := h.Volumes[0].Stripes
 	victim := s.ThreadMark()
 	s.Go("victim", sim.CatClient, func(th *sim.Thread) {
 		w.Call(th, stripes[0], sim.CatClient, func(wt *sim.Thread) { wt.Sleep(100 * sim.Microsecond) })
@@ -324,7 +324,9 @@ func TestExclusionPropertyRandomized(t *testing.T) {
 	// tracker, that the exclusion invariant holds throughout.
 	s := sim.New(8, 99)
 	w := New(s, 8, sim.Microsecond)
-	NewHierarchy(w, HierarchyConfig{Aggregates: 2, VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 4})
+	for ai := 0; ai < 2; ai++ { // two aggregates' trees under one Serial
+		NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 4, FirstAggr: ai})
+	}
 	tr := newTracker(t)
 	var all []*Affinity
 	w.Walk(func(a *Affinity) { all = append(all, a) })
@@ -393,9 +395,9 @@ func contains(s, sub string) bool {
 func TestDispatchCostAccounted(t *testing.T) {
 	s := sim.New(2, 1)
 	w := New(s, 2, 5*sim.Microsecond)
-	hier := NewHierarchy(w, HierarchyConfig{Aggregates: 1, VolumesPerAgg: 1, StripesPerVol: 2, RangesPerVBN: 1})
+	hier := NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 1, StripesPerVol: 2, RangesPerVBN: 1})
 	for i := 0; i < 10; i++ {
-		w.Send(hier.Aggrs[0].Volumes[0].Stripes[i%2], sim.CatClient, func(th *sim.Thread) {
+		w.Send(hier.Volumes[0].Stripes[i%2], sim.CatClient, func(th *sim.Thread) {
 			th.Consume(sim.Microsecond)
 		}, nil)
 	}
@@ -407,7 +409,7 @@ func TestDispatchCostAccounted(t *testing.T) {
 
 func TestQueueWaitAccounting(t *testing.T) {
 	s, w, h := testEnv(1)
-	aff := h.Aggrs[0].Volumes[0].Stripes[0]
+	aff := h.Volumes[0].Stripes[0]
 	for i := 0; i < 3; i++ {
 		w.Send(aff, sim.CatClient, func(th *sim.Thread) { th.Consume(10 * sim.Microsecond) }, nil)
 	}
@@ -422,7 +424,7 @@ func TestManyMessagesThroughput(t *testing.T) {
 	// Smoke test: thousands of messages across the whole tree complete.
 	s := sim.New(16, 3)
 	w := New(s, 16, 0)
-	NewHierarchy(w, DefaultHierarchy)
+	NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 4, StripesPerVol: 16, RangesPerVBN: 8})
 	var affs []*Affinity
 	w.Walk(func(a *Affinity) {
 		if a.Kind() == KindStripe || a.Kind() == KindRange {
@@ -444,7 +446,7 @@ func TestManyMessagesThroughput(t *testing.T) {
 func ExampleHierarchy_String() {
 	s := sim.New(1, 1)
 	w := New(s, 1, 0)
-	h := NewHierarchy(w, HierarchyConfig{Aggregates: 1, VolumesPerAgg: 1, StripesPerVol: 1, RangesPerVBN: 1})
+	h := NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 1, StripesPerVol: 1, RangesPerVBN: 1})
 	fmt.Print(h.String())
 	// Output:
 	// Serial [Serial] executed=0
@@ -463,8 +465,8 @@ func TestFIFOWithinAffinity(t *testing.T) {
 	// worker pool.
 	s := sim.New(4, 1)
 	w := New(s, 4, 0)
-	h := NewHierarchy(w, HierarchyConfig{Aggregates: 1, VolumesPerAgg: 1, StripesPerVol: 2, RangesPerVBN: 1})
-	aff := h.Aggrs[0].Volumes[0].Stripes[0]
+	h := NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 1, StripesPerVol: 2, RangesPerVBN: 1})
+	aff := h.Volumes[0].Stripes[0]
 	var order []int
 	for i := 0; i < 8; i++ {
 		i := i
@@ -485,13 +487,13 @@ func TestConcurrentCallers(t *testing.T) {
 	// Many client threads Call into disjoint affinities concurrently.
 	s := sim.New(8, 1)
 	w := New(s, 8, 0)
-	h := NewHierarchy(w, HierarchyConfig{Aggregates: 1, VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 2})
+	h := NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 2, StripesPerVol: 4, RangesPerVBN: 2})
 	done := 0
 	for i := 0; i < 16; i++ {
 		i := i
 		s.Go(fmt.Sprintf("caller-%d", i), sim.CatClient, func(th *sim.Thread) {
 			for k := 0; k < 10; k++ {
-				vol := h.Aggrs[0].Volumes[i%2]
+				vol := h.Volumes[i%2]
 				w.Call(th, vol.Stripes[(i+k)%4], sim.CatClient, func(wt *sim.Thread) {
 					wt.Consume(3 * sim.Microsecond)
 				})
@@ -513,8 +515,8 @@ func TestRangeAffinityParallelismUnderVBN(t *testing.T) {
 	// but serialize against their parent.
 	s := sim.New(8, 1)
 	w := New(s, 8, 0)
-	h := NewHierarchy(w, HierarchyConfig{Aggregates: 1, VolumesPerAgg: 1, StripesPerVol: 1, RangesPerVBN: 4})
-	vol := h.Aggrs[0].Volumes[0]
+	h := NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 1, StripesPerVol: 1, RangesPerVBN: 4})
+	vol := h.Volumes[0]
 	var ends []sim.Time
 	for i := 0; i < 4; i++ {
 		w.Send(vol.Ranges[i], sim.CatInfra, func(th *sim.Thread) {
@@ -553,8 +555,8 @@ func TestRangeAffinityParallelismUnderVBN(t *testing.T) {
 func TestBlockedMemoAgreesWithScan(t *testing.T) {
 	s := sim.New(4, 7)
 	w := New(s, 3, sim.Microsecond)
-	h := NewHierarchy(w, HierarchyConfig{Aggregates: 1, VolumesPerAgg: 1, StripesPerVol: 4, RangesPerVBN: 1})
-	vol := h.Aggrs[0].Volumes[0]
+	h := NewHierarchy(w, HierarchyConfig{VolumesPerAgg: 1, StripesPerVol: 4, RangesPerVBN: 1})
+	vol := h.Volumes[0]
 	affs := append([]*Affinity{vol.Volume, vol.Logical, vol.Logical}, vol.Stripes...)
 	checks := 0
 	check := func(when string) {
@@ -598,7 +600,7 @@ func TestBlockedMemoAgreesWithScan(t *testing.T) {
 // of Run. When the sleeper finishes the ten run in the order sent.
 func TestHerdBehindSleepingMessage(t *testing.T) {
 	s, w, h := testEnv(4)
-	stripe := h.Aggrs[0].Volumes[0].Stripes[0]
+	stripe := h.Volumes[0].Stripes[0]
 	var order []int
 	w.Send(stripe, sim.CatClient, func(th *sim.Thread) { th.Sleep(200 * sim.Microsecond) }, nil)
 	s.Run(sim.Time(10 * sim.Microsecond))

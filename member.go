@@ -67,12 +67,8 @@ type Member struct {
 	// recovery.
 	bc *bcache.Cache
 
-	// Admission-control state (Config.Admission). bulkHeld latches when the
-	// NVRAM active half crosses the bulk delay watermark and releases only
-	// once fullness drops below the resume watermark with no frozen half
-	// draining — the hysteresis that stops admission flapping across CP
-	// half-switches (fullness drops to ~0 the instant the halves switch,
-	// long before the CP has actually freed anything).
+	// bulkHeld is the bulk admission latch (Config.Admission); bulkGate
+	// sets and releases it.
 	bulkHeld bool
 
 	// Cumulative client and admission totals and the client latency
@@ -206,7 +202,6 @@ func (m *Member) startScheduler() {
 	}
 	m.w = waffinity.New(s, cfg.Cores, cfg.Costs.MsgDispatch)
 	m.h = waffinity.NewHierarchy(m.w, waffinity.HierarchyConfig{
-		Aggregates:    1,
 		VolumesPerAgg: cfg.Volumes + cfg.CloneSlots,
 		StripesPerVol: cfg.StripesPerVolume,
 		RangesPerVBN:  cfg.RangesPerVBN,
@@ -227,7 +222,7 @@ func (m *Member) startAllocator(a *aggregate.Aggregate) {
 	m.engine = cp.New(m.w, m.h, a, m.in, m.pool, m.log, cfg.Allocator, cfg.Costs)
 	m.engine.SetRestoreHook(m.onRestore)
 	if cfg.Allocator.Dynamic {
-		m.tuner = core.StartTuner(m.pool, core.DefaultTuner())
+		m.tuner = core.StartTuner(m.pool)
 	}
 	m.threadHi = s.ThreadMark()
 }
@@ -445,10 +440,10 @@ func (m *Member) apply(rec *nvlog.Record) bool {
 
 // volAffs is the single member-resolution point for the Waffinity
 // hierarchy: every call site that needs a volume's affinity instances goes
-// through here (and the helpers below) rather than indexing h.Aggrs
+// through here (and the helpers below) rather than indexing h.Volumes
 // directly — arch_test.go's aff rule enforces it.
 func (m *Member) volAffs(localVol int) *waffinity.VolAffinities {
-	return m.h.Aggrs[0].Volumes[localVol]
+	return m.h.Volumes[localVol]
 }
 
 // Values every configuration uses unchanged.
@@ -459,6 +454,17 @@ const (
 	// cpTriggerFullness starts a CP when the active NVRAM half passes this
 	// fraction.
 	cpTriggerFullness = 0.5
+
+	// The bulk admission watermarks (Config.Admission), placed around the CP
+	// trigger, as active-half fullness: the gate closes at admitDelayAt and
+	// opens below admitResumeAt (bulkGate). A held write sleeps
+	// admitDelayStep rounds, and is shed at admitShedAt or once it has
+	// waited admitMaxDelay in all (ClientCtx.admitBulk).
+	admitDelayAt   = 0.70
+	admitShedAt    = 0.92
+	admitResumeAt  = 0.55
+	admitDelayStep = 200 * Microsecond
+	admitMaxDelay  = 20 * Millisecond
 )
 
 // stripeAff maps (local volume, fbn) to the stripe affinity owning that
@@ -487,6 +493,23 @@ func (m *Member) maybeTriggerCP() {
 	if m.log.Fullness() >= cpTriggerFullness && !m.log.HasFrozen() {
 		m.engine.RequestCP()
 	}
+}
+
+// bulkGate updates the bulkHeld latch against the active NVRAM half's
+// fullness and reports it, with that fullness. The latch holds from
+// admitDelayAt until the half is below admitResumeAt and no frozen half is
+// draining: fullness drops to ~0 the instant the halves switch, long before
+// the CP has freed anything, and that cliff must not flap the gate open.
+func (m *Member) bulkGate() (held bool, full float64) {
+	full = m.log.Fullness()
+	if m.bulkHeld {
+		if full < admitResumeAt && !m.log.HasFrozen() {
+			m.bulkHeld = false
+		}
+	} else if full >= admitDelayAt {
+		m.bulkHeld = true
+	}
+	return m.bulkHeld, full
 }
 
 // Handle encoding: a file handle returned by Create/CreateFileDirect

@@ -234,42 +234,11 @@ type Config struct {
 
 // AdmissionConfig is the per-class QoS policy: latency-sensitive writes are
 // always admitted, while bulk writes are delayed and eventually shed as the
-// NVRAM active half fills. Hysteresis: once bulk is held, it stays held
-// until fullness drops below ResumeAt with no frozen half draining, so
-// admission does not flap across CP half-switches.
+// NVRAM active half fills, at the watermarks of member.go (admitDelayAt and
+// the constants beside it).
 type AdmissionConfig struct {
-	// Enabled turns the gate on; all other fields are ignored when false.
+	// Enabled turns the gate on.
 	Enabled bool
-	// BulkDelayAt is the active-half fullness fraction at which bulk writes
-	// start being delayed.
-	BulkDelayAt float64
-	// BulkShedAt is the fullness at which delayed bulk writes are refused
-	// outright (shed) instead of waiting.
-	BulkShedAt float64
-	// ResumeAt is the hysteresis release point: bulk resumes only below this
-	// fullness and only once no frozen half is draining.
-	ResumeAt float64
-	// DelayStep is the per-round delay a held bulk write sleeps before
-	// re-checking the watermarks.
-	DelayStep Duration
-	// MaxDelay bounds one op's cumulative admission delay; past it the op is
-	// shed even below the shed watermark.
-	MaxDelay Duration
-}
-
-// DefaultAdmission returns an enabled admission policy with watermarks
-// placed around the CP trigger (cpTriggerFullness, 0.5): bulk delays once
-// the active half is 70% full, sheds at 92%, and resumes below 55% after
-// the CP commits.
-func DefaultAdmission() AdmissionConfig {
-	return AdmissionConfig{
-		Enabled:     true,
-		BulkDelayAt: 0.70,
-		BulkShedAt:  0.92,
-		ResumeAt:    0.55,
-		DelayStep:   200 * Microsecond,
-		MaxDelay:    20 * Millisecond,
-	}
 }
 
 // DefaultConfig returns a configuration modelling the paper's mid-range
