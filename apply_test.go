@@ -437,3 +437,30 @@ func TestVolMemberRange(t *testing.T) {
 		}
 	}
 }
+
+// TestPrewriteOverCommittedBlocks prewrites a file whose blocks a remount
+// left on media only: like any write, each must install the block it
+// overwrites, so the next CP frees it instead of leaking it.
+func TestPrewriteOverCommittedBlocks(t *testing.T) {
+	sys, err := NewSystem(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino := sys.CreateFileDirect(0, 64)
+	sys.Prewrite(0, ino, 64, false)
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Crash()
+	if sys, err = sys.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	sys.Prewrite(0, ino, 64, true)
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := sys.Fsck(); !rep.OK() {
+		t.Fatal(rep, rep.Errors)
+	}
+}

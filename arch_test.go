@@ -24,12 +24,14 @@ import (
 	"testing"
 )
 
-// tree is the non-test Go source of a repository, parsed with its comments,
-// and the documents of docFiles, as text: slash-separated path relative to
-// the root → content.
+// tree is the Go source of a repository, parsed with its comments — the rules
+// check the non-test files, and the test files only name what a document may
+// cite — and the documents of docFiles, as text: slash-separated path
+// relative to the root → content.
 type tree struct {
 	fset  *token.FileSet
 	files map[string]*ast.File
+	tests map[string]*ast.File
 	docs  map[string]string
 }
 
@@ -41,20 +43,21 @@ var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/ski
 // a .md source is a document.
 func parseTree(t *testing.T, sources map[string]string) *tree {
 	t.Helper()
-	tr := &tree{fset: token.NewFileSet(), files: map[string]*ast.File{}, docs: map[string]string{}}
+	tr := &tree{fset: token.NewFileSet(), files: map[string]*ast.File{}, tests: map[string]*ast.File{}, docs: map[string]string{}}
 	for p, src := range sources {
 		if strings.HasSuffix(p, ".md") {
 			tr.docs[p] = src
-			continue
-		}
-		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(tr.fset, p, src, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.files[p] = f
+		if strings.HasSuffix(p, "_test.go") {
+			tr.tests[p] = f
+		} else {
+			tr.files[p] = f
+		}
 	}
 	return tr
 }
@@ -274,10 +277,11 @@ func leadingMinusOne(n ast.Node) bool {
 	return false
 }
 
-// The volume request methods: the whole mutating surface of
-// aggregate.Volume that a namespace operation goes through.
+// The volume request methods, the whole mutating surface of aggregate.Volume
+// that a namespace operation goes through, and the block write's
+// (Volume.EnsureL0Resident, fs.File.WriteBlock).
 var volOps = []string{"CreateFileAt", "DeleteFile", "RequestSnapshot", "DeleteSnapshot",
-	"RequestRestore", "RequestCloneBind", "AddCloneRef", "StartSplit"}
+	"RequestRestore", "RequestCloneBind", "AddCloneRef", "StartSplit", "EnsureL0Resident", "WriteBlock"}
 
 // System's stats accessors, by name pattern and in full: Stats and MemberStats
 // are the spine, CloneStats and the two reports are not counters, and the rest
@@ -304,28 +308,36 @@ var knobStructs = []configStruct{
 	{"faultinject", "internal/faultinject/faultinject.go", "Config"},
 }
 
-// A setting a document names: a backticked span that starts with a
-// (qualified) `Allocator.X`, `Options.X` or `Config.X`, or is `X=literal`.
+// What a document's backticked span may name. A setting: a span that starts
+// with a (qualified) `Allocator.X`, `Options.X` or `Config.X`, or is
+// `X=literal`. A function: a test, benchmark, fuzz target or example anywhere
+// in the span, a trailing * a prefix glob. A declaration: a span that is a
+// selector chain (`Pkg.Name`, `Type.Member`, `Type.Field.Member`), perhaps
+// called, and not a file name.
 var (
-	docSpan    = regexp.MustCompile("`([^`]+)`")
+	backticked = regexp.MustCompile("`([^`]+)`")
 	docSetting = []*regexp.Regexp{
 		regexp.MustCompile(`^(?:\w+\.)*(?:Allocator|Options|Config)\.(\w+)`),
 		regexp.MustCompile(`^([A-Za-z]\w*)=(?:true|false|[-+]?[0-9]\S*)$`),
 	}
+	docFunc     = regexp.MustCompile(`\b(?:(?:Test|Benchmark|Fuzz)[A-Z0-9_]|Example_)\w*\*?`)
+	docSelector = regexp.MustCompile(`^\*?(\w+(?:\.\w+)+)(?:\(.*\))?$`)
+	docFileName = regexp.MustCompile(`\.(?:go|md|json|mod|txt|sh)$`)
 )
 
 // roadmapCite matches a citation of a roadmap item by number ("ROADMAP
 // 1(c)", "ROADMAP.md item 3"), across a line break too.
 var roadmapCite = regexp.MustCompile(`\bROADMAP(?:\.md)?\s+(?:items?\s+)?\d`)
 
-// docRef is a setting a document names: the line, the field and the span.
-type docRef struct {
-	line        int
-	field, span string
+// docSpan is a backticked span of a document: its line and its text, runs of
+// white space folded to one space.
+type docSpan struct {
+	line int
+	text string
 }
 
-// docRefs returns every setting doc names outside fenced code blocks.
-func docRefs(doc string) []docRef {
+// docSpans returns doc's backticked spans outside fenced code blocks.
+func docSpans(doc string) []docSpan {
 	text := strings.Split(doc, "\n")
 	fenced := false
 	for i, l := range text {
@@ -336,17 +348,165 @@ func docRefs(doc string) []docRef {
 		}
 	}
 	prose := strings.Join(text, "\n")
-	var refs []docRef
-	for _, m := range docSpan.FindAllStringSubmatchIndex(prose, -1) {
-		span := strings.Join(strings.Fields(prose[m[2]:m[3]]), " ")
-		for _, rx := range docSetting {
-			if f := rx.FindStringSubmatch(span); f != nil {
-				refs = append(refs, docRef{1 + strings.Count(prose[:m[0]], "\n"), f[1], span})
-				break
+	var spans []docSpan
+	for _, m := range backticked.FindAllStringSubmatchIndex(prose, -1) {
+		spans = append(spans, docSpan{1 + strings.Count(prose[:m[0]], "\n"), strings.Join(strings.Fields(prose[m[2]:m[3]]), " ")})
+	}
+	return spans
+}
+
+// decls indexes what the tree, test files included, declares — by name
+// alone, so a name two packages declare is one entry: every function, each
+// package's top-level names, and each type's fields and methods.
+type decls struct {
+	funcs   map[string]bool
+	pkgs    map[string]map[string]bool
+	members map[string]map[string]string // type → field or method → the type a field holds ("" for a method); every type has an entry
+	embeds  map[string][]string          // type → the types it embeds or, as an alias, names
+}
+
+// decls builds the index of tr's declarations.
+func (tr *tree) decls() decls {
+	d := decls{funcs: map[string]bool{}, pkgs: map[string]map[string]bool{},
+		members: map[string]map[string]string{}, embeds: map[string][]string{}}
+	member := func(typ, name, holds string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]string{}
+		}
+		d.members[typ][name] = holds
+	}
+	for _, files := range []map[string]*ast.File{tr.files, tr.tests} {
+		for _, f := range files {
+			pkg := d.pkgs[f.Name.Name]
+			if pkg == nil {
+				pkg = map[string]bool{}
+				d.pkgs[f.Name.Name] = pkg
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if r := recvName(n); r != "" {
+						member(r, n.Name.Name, "")
+					} else {
+						pkg[n.Name.Name], d.funcs[n.Name.Name] = true, true
+					}
+					return false
+				case *ast.ValueSpec:
+					for _, id := range n.Names {
+						pkg[id.Name] = true
+					}
+				case *ast.TypeSpec:
+					pkg[n.Name.Name] = true
+					if d.members[n.Name.Name] == nil {
+						d.members[n.Name.Name] = map[string]string{}
+					}
+					if n.Assign != 0 {
+						d.embeds[n.Name.Name] = append(d.embeds[n.Name.Name], typeName(n.Type))
+					}
+					switch t := n.Type.(type) {
+					case *ast.StructType:
+						for _, fld := range t.Fields.List {
+							if len(fld.Names) == 0 {
+								d.embeds[n.Name.Name] = append(d.embeds[n.Name.Name], typeName(fld.Type))
+								member(n.Name.Name, typeName(fld.Type), typeName(fld.Type))
+							}
+							for _, id := range fld.Names {
+								member(n.Name.Name, id.Name, typeName(fld.Type))
+							}
+						}
+					case *ast.InterfaceType:
+						for _, m := range t.Methods.List {
+							for _, id := range m.Names {
+								member(n.Name.Name, id.Name, "")
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return d
+}
+
+// typeName is the name of the type e spells, with pointers, slices, maps (to
+// the value) and type arguments stripped: *obs.Histogram → Histogram.
+func typeName(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.ArrayType:
+			e = t.Elt
+		case *ast.MapType:
+			e = t.Value
+		case *ast.IndexExpr:
+			e = t.X
+		default:
+			return lastName(e)
+		}
+	}
+}
+
+// function reports whether name, a trailing * a prefix glob, names a function.
+func (d decls) function(name string) bool {
+	prefix, glob := strings.CutSuffix(name, "*")
+	if !glob {
+		return d.funcs[name]
+	}
+	for f := range d.funcs {
+		if strings.HasPrefix(f, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// member returns what type typ's field or method name holds, looking through
+// embedded types and aliases.
+func (d decls) member(typ, name string, depth int) (holds string, ok bool) {
+	if holds, ok := d.members[typ][name]; ok {
+		return holds, true
+	}
+	if depth < 4 {
+		for _, e := range d.embeds[typ] {
+			if holds, ok := d.member(e, name, depth+1); ok {
+				return holds, true
 			}
 		}
 	}
-	return refs
+	return "", false
+}
+
+// resolve reports, for a selector chain, whether it cites the tree — its
+// first part a package and its second an exported name (so not a metric such
+// as `sim.events`), or its first part a type — and, if so, whether it names a
+// declaration: the second part a top-level name of the package or a member of
+// the type, and each later part a member of the type the part before it holds
+// (a method or a field of a type the tree does not declare ends the walk).
+func (d decls) resolve(parts []string) (cited, ok bool) {
+	walk := func(typ string, rest []string) bool {
+		for _, p := range rest {
+			if typ == "" {
+				return true
+			}
+			var found bool
+			if typ, found = d.member(typ, p, 0); !found {
+				return false
+			}
+		}
+		return true
+	}
+	if pkg := d.pkgs[parts[0]]; pkg != nil && ast.IsExported(parts[1]) {
+		if pkg[parts[1]] && walk(parts[1], parts[2:]) {
+			return true, true
+		}
+		cited = true
+	}
+	if _, isType := d.members[parts[0]]; isType {
+		return true, walk(parts[0], parts[1:])
+	}
+	return cited, false
 }
 
 // knobAllow lists the configuration fields no traffic file assigns, with why
@@ -390,8 +550,9 @@ var archRules = []archRule{
 		}},
 	},
 	{
-		// One path per namespace operation: Member.apply, which the client
-		// ops, their *Direct entries and NVRAM replay all go through.
+		// One path per namespace operation and block write: Member.apply,
+		// which the client ops, their untimed entries and NVRAM replay all go
+		// through.
 		name: "op",
 		clauses: []clause{{
 			scan: []string{"."}, except: []string{"member.go"}, forbid: callOn(nil, append([]string{"CreateFile"}, volOps...)...),
@@ -416,6 +577,10 @@ var archRules = []archRule{
 		}, {
 			files: map[string]string{"member.go": `package wafl; func f(v *V) { v.StartSplit(); v.StartSplit() }`},
 			want:  "member.go calls StartSplit 2 times",
+		}, {
+			// A block written beside apply, as an untimed setup path might.
+			files: map[string]string{"wafl.go": `package wafl; func f(v *V, f *F) { v.EnsureL0Resident(f, 0); f.WriteBlock(0, nil) }`},
+			want:  "wafl.go:1: volume request method called outside member.go",
 		}},
 	},
 	{
@@ -614,7 +779,8 @@ var archRules = []archRule{
 	{
 		// Docs describe the tree as it is: a setting README, DESIGN,
 		// EXPERIMENTS or the verify skill names in backticks is a field of a
-		// configuration struct today, so deleting an option deletes its
+		// configuration struct today, and a test, package member or type
+		// member they name is declared today, so deleting code deletes its
 		// mentions too. Neither they, nor a Go comment outside bench/, nor an
 		// allow-list reason cites a roadmap item by number: every re-anchor
 		// renumbers the items, so a citation says in words what it waits for.
@@ -626,6 +792,7 @@ var archRules = []archRule{
 					fields[f] = true
 				}
 			}
+			d := tr.decls()
 			var out []string
 			cites := func(where string, line int, text string) {
 				for _, m := range roadmapCite.FindAllStringIndex(text, -1) {
@@ -634,9 +801,24 @@ var archRules = []archRule{
 				}
 			}
 			for _, p := range docFiles {
-				for _, r := range docRefs(tr.docs[p]) {
-					if !fields[r.field] {
-						out = append(out, fmt.Sprintf("%s:%d: `%s` names no field of core.Options, wafl.Config, wafl.AdmissionConfig or faultinject.Config", p, r.line, r.span))
+				for _, s := range docSpans(tr.docs[p]) {
+					for _, rx := range docSetting {
+						if f := rx.FindStringSubmatch(s.text); f != nil {
+							if !fields[f[1]] {
+								out = append(out, fmt.Sprintf("%s:%d: `%s` names no field of core.Options, wafl.Config, wafl.AdmissionConfig or faultinject.Config", p, s.line, s.text))
+							}
+							break
+						}
+					}
+					for _, fn := range docFunc.FindAllString(s.text, -1) {
+						if !d.function(fn) {
+							out = append(out, fmt.Sprintf("%s:%d: `%s` names no function in the tree", p, s.line, fn))
+						}
+					}
+					if m := docSelector.FindStringSubmatch(s.text); m != nil && !docFileName.MatchString(s.text) {
+						if cited, ok := d.resolve(strings.Split(m[1], ".")); cited && !ok {
+							out = append(out, fmt.Sprintf("%s:%d: `%s` names no declared func, method, type, field, const or var", p, s.line, s.text))
+						}
 					}
 				}
 				cites(p, 1, tr.docs[p])
@@ -673,6 +855,19 @@ var archRules = []archRule{
 		}, {
 			files: map[string]string{"internal/cp/cp.go": "package cp\n\n// The engine waits for the ROADMAP\n// 5(c) payoff.\nfunc f() {}"},
 			want:  "internal/cp/cp.go:3: `ROADMAP 5` cites a roadmap item by number",
+		}, {
+			// A doc citing a test deleted with the behaviour it pinned.
+			files: map[string]string{
+				"results_test.go": `package wafl; func TestMeasureMembersMidCP(t *testing.T) {}`,
+				"EXPERIMENTS.md":  "Pinned by `TestMeasureMembers*`\nand `go test -run 'TestMergeResultsProperties' .`.",
+			},
+			want: "EXPERIMENTS.md:2: `TestMergeResultsProperties` names no function in the tree",
+		}, {
+			files: map[string]string{
+				"results.go": `package wafl; type Results struct { Stats Stats }; type Stats struct { Client ClientStats }; type ClientStats struct { Ops uint64 }`,
+				"DESIGN.md":  "`Results.Stats.Client.Ops` counts ops; `wafl.MergeResults(parts)` sums them.",
+			},
+			want: "DESIGN.md:1: `wafl.MergeResults(parts)` names no declared func, method, type, field, const or var",
 		}},
 	},
 	{

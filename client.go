@@ -237,37 +237,30 @@ type clientOp struct {
 // affinity. Gate check and appends share the message: no yield between them,
 // so no write record can follow an unapplied restore record.
 func (op *clientOp) writeBlocks(wt *sim.Thread) {
-	sys, m, v := op.sys, op.m, op.v
-	if v.RestorePending() {
+	sys, m := op.sys, op.m
+	if op.v.RestorePending() {
 		op.gated = true
 		return
 	}
 	wt.Consume(sim.Duration(op.n) * sys.cfg.Costs.ClientPerBlock)
-	f := v.LookupFile(op.li)
-	if f == nil {
-		panic(fmt.Sprintf("wafl: write to nonexistent ino %d", op.ino))
-	}
 	for fbn := op.fbn; fbn < op.fbn+FBN(op.n); fbn++ {
-		// Post-recovery write path: install the block's existing location
-		// (and the indirect path) so the overwrite frees the old block
-		// instead of leaking it.
-		v.EnsureL0Resident(f, fbn)
-		// Log + dirty with no simulation primitive in between: atomic with
+		// Apply + log with no simulation primitive in between: atomic with
 		// respect to CP freezes. Records carry member-local coordinates. The
 		// record and the buffer share the one payload array, and nothing
 		// writes into it again (fs.File.WriteBlock).
-		data := sys.payload(op.ino, fbn, op.tag)
-		op.res.Append(nvlog.Record{
+		rec := nvlog.Record{
 			Kind: nvlog.OpWrite, Vol: uint32(op.lv), Ino: op.li,
-			FBN: fbn, Data: data, LogicalBytes: block.Size,
-		})
-		f.WriteBlock(fbn, data)
+			FBN: fbn, Data: sys.payload(op.ino, fbn, op.tag), LogicalBytes: block.Size,
+		}
+		if !m.apply(&rec) {
+			panic(fmt.Sprintf("wafl: write to nonexistent ino %d", op.ino))
+		}
+		op.res.Append(rec)
 		if m.bc != nil {
 			// A freshly written block is buffer-cache resident.
 			m.bc.Insert(bcache.Key{Vol: op.lv, Ino: op.li, FBN: fbn})
 		}
 	}
-	v.MarkDirty(f)
 }
 
 // readBlock reads block fbn inside its stripe affinity.

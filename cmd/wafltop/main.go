@@ -98,8 +98,7 @@ func main() {
 		w.Volumes = sys.TotalVolumes()
 		w.Attach(sys)
 	}
-	parts := sys.MeasureMembers(50*wafl.Millisecond, wafl.Duration(runFor.Nanoseconds()))
-	res := wafl.MergeResults(parts)
+	res, parts := sys.MeasureMembers(50*wafl.Millisecond, wafl.Duration(runFor.Nanoseconds()))
 
 	fmt.Println("=== results ===")
 	fmt.Println(res)

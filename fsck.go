@@ -40,48 +40,41 @@ func (r FsckReport) String() string {
 		r.ContainerErrs, r.VVBNErrs, r.SnapErrs, r.IdxErrs, r.Files, r.Snapshots, len(r.Errors))
 }
 
-// Fsck checks every member's committed media image and merges the
-// reports: counters sum, errors concatenate (member-prefixed on a
-// cluster). It never touches the running system's in-memory state.
+// Fsck checks every member's committed media image and folds the reports
+// into one: counters sum, errors concatenate in member order (member-labelled
+// on a cluster). It never touches the running system's in-memory state.
 func (sys *System) Fsck() FsckReport {
-	if len(sys.members) == 1 {
-		return sys.members[0].fsck()
-	}
 	var r FsckReport
 	for _, mem := range sys.members {
-		mr := mem.fsck()
-		r.ReferencedBlocks += mr.ReferencedBlocks
-		r.UsedBits += mr.UsedBits
-		r.Leaked += mr.Leaked
-		r.DoubleRefs += mr.DoubleRefs
-		r.Missing += mr.Missing
-		r.ContainerErrs += mr.ContainerErrs
-		r.VVBNErrs += mr.VVBNErrs
-		r.SnapErrs += mr.SnapErrs
-		r.IdxErrs += mr.IdxErrs
-		r.Files += mr.Files
-		r.Snapshots += mr.Snapshots
-		for _, e := range mr.Errors {
-			r.Errors = appendCapped(r.Errors, fmt.Sprintf("member %d: %s", mem.id, e))
-		}
+		mem.fsck(&r, sys.label(mem, " "))
 	}
 	return r
 }
 
 // FsckMember checks the committed media image of one member.
-func (sys *System) FsckMember(i int) FsckReport { return sys.members[i].fsck() }
+func (sys *System) FsckMember(i int) FsckReport {
+	var r FsckReport
+	sys.members[i].fsck(&r, "")
+	return r
+}
 
 // fsck mounts the member's committed media image and cross-checks it:
 // every block reachable from the superblock must be marked used in the
 // persisted activemap, every used bit must be reachable (no leaks), no
 // block may be referenced twice, and for user files the container map and
-// volume activemaps must agree with the buffer trees.
-func (mem *Member) fsck() FsckReport {
-	var r FsckReport
+// volume activemaps must agree with the buffer trees. It adds its counts to
+// r, and its errors, each after prefix, to r.Errors while it holds fewer
+// than 50.
+func (mem *Member) fsck(r *FsckReport, prefix string) {
+	fail := func(format string, args ...any) {
+		if len(r.Errors) < 50 {
+			r.Errors = append(r.Errors, prefix+fmt.Sprintf(format, args...))
+		}
+	}
 	m, err := aggregate.MountFrom(mem.a)
 	if err != nil {
-		r.Errors = append(r.Errors, err.Error())
-		return r
+		fail("%v", err)
+		return
 	}
 	geo := m.Geometry()
 	refs := make(map[block.VBN]int)
@@ -92,7 +85,7 @@ func (mem *Member) fsck() FsckReport {
 		refs[vbn]++
 		if refs[vbn] == 2 {
 			r.DoubleRefs++
-			r.Errors = appendCapped(r.Errors, fmt.Sprintf("double reference to %v (%s)", vbn, what))
+			fail("double reference to %v (%s)", vbn, what)
 		}
 	}
 
@@ -125,7 +118,7 @@ func (mem *Member) fsck() FsckReport {
 			data := m.ReadVBNRaw(vbn)
 			if data == nil {
 				r.Missing++
-				r.Errors = appendCapped(r.Errors, fmt.Sprintf("%s: unreadable block at %v", tag, vbn))
+				fail("%s: unreadable block at %v", tag, vbn)
 			}
 			return data
 		})
@@ -154,9 +147,8 @@ func (mem *Member) fsck() FsckReport {
 			parent = m.Volume(st.ParentVol)
 			if !parent.SnapshotExists(st.ParentSnap) {
 				r.SnapErrs++
-				r.Errors = appendCapped(r.Errors, fmt.Sprintf(
-					"vol%d: clone of vol%d snap %d but the snapshot is gone (delete guard breached)",
-					v.ID(), st.ParentVol, st.ParentSnap))
+				fail("vol%d: clone of vol%d snap %d but the snapshot is gone (delete guard breached)",
+					v.ID(), st.ParentVol, st.ParentSnap)
 			}
 		}
 		snaps := v.Snapshots()
@@ -184,7 +176,7 @@ func (mem *Member) fsck() FsckReport {
 				}
 				if got := v.Container(vvbn); got != vbn {
 					r.ContainerErrs++
-					r.Errors = appendCapped(r.Errors, fmt.Sprintf("%s fbn %d: container[%v]=%v want %v", tag, idx, vvbn, got, vbn))
+					fail("%s fbn %d: container[%v]=%v want %v", tag, idx, vvbn, got, vbn)
 				}
 			})
 		}
@@ -214,19 +206,19 @@ func (mem *Member) fsck() FsckReport {
 			if sum := v.Summary.IsSet(bn); sum != (held || baseHeld) {
 				r.SnapErrs++
 				if sum {
-					r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d: summary bit %d set but no snapshot or base holds it", v.ID(), bn))
+					fail("vol%d: summary bit %d set but no snapshot or base holds it", v.ID(), bn)
 				} else {
-					r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d: vvbn %d held by a snapmap or the base map but clear in summary", v.ID(), bn))
+					fail("vol%d: vvbn %d held by a snapmap or the base map but clear in summary", v.ID(), bn)
 				}
 			}
 			if baseHeld {
 				pvbn := v.Container(block.VVBN(bn))
 				if pvbn == 0 || pvbn == block.InvalidVBN {
 					r.SnapErrs++
-					r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d: base-held vvbn %d has no container entry", v.ID(), bn))
+					fail("vol%d: base-held vvbn %d has no container entry", v.ID(), bn)
 				} else if pp := parent.Container(block.VVBN(bn)); pp != pvbn {
 					r.SnapErrs++
-					r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d: base vvbn %d container=%v but parent vol%d has %v", v.ID(), bn, pvbn, st.ParentVol, pp))
+					fail("vol%d: base vvbn %d container=%v but parent vol%d has %v", v.ID(), bn, pvbn, st.ParentVol, pp)
 				}
 				continue
 			}
@@ -234,7 +226,7 @@ func (mem *Member) fsck() FsckReport {
 				pvbn := v.Container(block.VVBN(bn))
 				if pvbn == 0 || pvbn == block.InvalidVBN {
 					r.SnapErrs++
-					r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d: snapshot-held vvbn %d has no container entry", v.ID(), bn))
+					fail("vol%d: snapshot-held vvbn %d has no container entry", v.ID(), bn)
 				} else {
 					ref(pvbn, fmt.Sprintf("vol%d snap-held vvbn %d", v.ID(), bn))
 				}
@@ -251,10 +243,10 @@ func (mem *Member) fsck() FsckReport {
 			switch {
 			case set && !refd:
 				r.VVBNErrs++
-				r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d: vvbn %d marked used but unreferenced", v.ID(), bn))
+				fail("vol%d: vvbn %d marked used but unreferenced", v.ID(), bn)
 			case !set && refd:
 				r.VVBNErrs++
-				r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d: vvbn %d referenced but not marked used", v.ID(), bn))
+				fail("vol%d: vvbn %d referenced but not marked used", v.ID(), bn)
 			}
 		}
 		// The free-space index must match a full recount of the maps it
@@ -264,18 +256,18 @@ func (mem *Member) fsck() FsckReport {
 		// OnChange hooks).
 		for _, e := range v.FreeIdx.Verify() {
 			r.IdxErrs++
-			r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d (mounted): %s", v.ID(), e))
+			fail("vol%d (mounted): %s", v.ID(), e)
 		}
 	}
 	for _, v := range mem.a.Volumes() {
 		for _, e := range v.FreeIdx.Verify() {
 			r.IdxErrs++
-			r.Errors = appendCapped(r.Errors, fmt.Sprintf("vol%d (live): %s", v.ID(), e))
+			fail("vol%d (live): %s", v.ID(), e)
 		}
 	}
 
-	r.ReferencedBlocks = uint64(len(refs))
-	r.UsedBits = m.Activemap.Used()
+	r.ReferencedBlocks += uint64(len(refs))
+	r.UsedBits += m.Activemap.Used()
 	// Same per-bit cross-check for the aggregate activemap: leaks and
 	// missing references must be counted independently, not derived from
 	// the difference of two totals (where they cancel pairwise). And every
@@ -289,20 +281,19 @@ func (mem *Member) fsck() FsckReport {
 		switch {
 		case set && !refd:
 			r.Leaked++
-			r.Errors = appendCapped(r.Errors, fmt.Sprintf("vbn %d marked used but unreachable", bn))
+			fail("vbn %d marked used but unreachable", bn)
 		case !set && refd:
 			r.Missing++
-			r.Errors = appendCapped(r.Errors, fmt.Sprintf("referenced vbn %d not marked used", bn))
+			fail("referenced vbn %d not marked used", bn)
 		}
 		if !set {
 			continue
 		}
 		if g, d, dbn := geo.Locate(block.VBN(bn)); dbn != 0 && m.Group(g).Drive(d).Peek(dbn) == nil {
 			r.Missing++
-			r.Errors = appendCapped(r.Errors, fmt.Sprintf("used vbn %d has no media image", bn))
+			fail("used vbn %d has no media image", bn)
 		}
 	}
-	return r
 }
 
 // VerifyAgainst recomputes the expected payload for (ino, fbn) and checks
@@ -341,11 +332,4 @@ func (sys *System) SnapVerifyAgainst(vol int, snapID, ino uint64, fbn FBN, expec
 		return fmt.Errorf("vol %d snap %d ino %d fbn %d: frozen content mismatch", vol, snapID, ino, fbn)
 	}
 	return nil
-}
-
-func appendCapped(errs []string, msg string) []string {
-	if len(errs) < 50 {
-		errs = append(errs, msg)
-	}
-	return errs
 }

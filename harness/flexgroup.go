@@ -46,7 +46,7 @@ func DefaultFlexgroup() FlexgroupConfig {
 // FlexgroupResult is one cluster width's measurement.
 type FlexgroupResult struct {
 	Members   int
-	Res       wafl.Results   // cluster-wide window (merge of PerMember)
+	Res       wafl.Results   // cluster-wide window: PerMember's Stats folded
 	PerMember []wafl.Results // one window per member
 	Speedup   float64        // ops/s relative to the first (baseline) width
 }
@@ -81,8 +81,7 @@ func Flexgroup(cfg FlexgroupConfig) (Table, []FlexgroupResult, error) {
 		}
 		w.Attach(sys)
 		sys.Run(cfg.Warmup)
-		parts := sys.MeasureMembers(0, cfg.Window)
-		res := wafl.MergeResults(parts)
+		res, parts := sys.MeasureMembers(0, cfg.Window)
 		sys.Shutdown()
 
 		if base == 0 {

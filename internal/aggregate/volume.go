@@ -375,7 +375,7 @@ func (v *Volume) WriteRecord(f *fs.File) {
 // cleaning the overwrite frees the old location instead of leaking it.
 // No-op for holes and already-resident blocks.
 func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
-	if f.Buffer(0, fbn) != nil || f.RootVBN == block.InvalidVBN {
+	if f.RootVBN == block.InvalidVBN || f.Buffer(0, fbn) != nil {
 		return
 	}
 	if vvbn, vbn, ok := f.Resolve(fbn, v.aggr); ok {

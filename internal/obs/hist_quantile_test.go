@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -76,5 +78,38 @@ func TestQuantileBucketUpperDrift(t *testing.T) {
 	}
 	if got := h.Quantile(1); got != 9 {
 		t.Errorf("p100 of {1,5,9} = %d, want 9", got)
+	}
+}
+
+// TestMergeEqualsOneHistogram is Merge's exactness property over randomized
+// part sets, empty parts included: merging k histograms gives what one
+// histogram fed every sample gives — Count, Sum, Min, Max, Mean, every
+// bucket, and so every quantile. A cluster's window latency is its members'
+// window histograms merged, so its tail is only as right as this.
+func TestMergeEqualsOneHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		merged, ref := NewHistogram("merged"), NewHistogram("ref")
+		for k := 1 + rng.Intn(8); k > 0; k-- {
+			part := NewHistogram("part")
+			for n := rng.Intn(400); n > 0; n-- {
+				// Spread over many octaves like op latencies (µs to tens of ms).
+				v := int64(1000) << rng.Intn(14)
+				v += rng.Int63n(v)
+				part.Observe(v)
+				ref.Observe(v)
+			}
+			merged.Merge(part)
+		}
+		if merged.Count != ref.Count || merged.Sum != ref.Sum || merged.Min != ref.Min ||
+			merged.Max != ref.Max || merged.Mean() != ref.Mean() || !slices.Equal(merged.buckets, ref.buckets) {
+			t.Fatalf("trial %d: merged n=%d sum=%d [%d, %d], one histogram n=%d sum=%d [%d, %d]",
+				trial, merged.Count, merged.Sum, merged.Min, merged.Max, ref.Count, ref.Sum, ref.Min, ref.Max)
+		}
+		for _, q := range []float64{0.50, 0.90, 0.99, 0.999} {
+			if got, want := merged.Quantile(q), ref.Quantile(q); got != want {
+				t.Fatalf("trial %d: merged q%g = %d, one histogram %d", trial, q, got, want)
+			}
+		}
 	}
 }

@@ -29,17 +29,15 @@ func (c CoreUsage) Total() float64 {
 // threads plus infrastructure (the paper's "write allocation core usage").
 func (c CoreUsage) WriteAllocation() float64 { return c.Cleaner + c.Infra }
 
-// Results summarizes one measurement window. Latency percentiles come from
-// a log-linear histogram (16 sub-buckets per octave), so they are exact to
-// within one bucket — and the window's memory cost is O(1) regardless of
-// how many operations it covers.
-//
-// A cluster measurement is the merge of per-member windows (MergeResults):
-// op, block, CP, and stall totals are exact sums; core usage is the
-// event-weighted average of the per-window values (CPU is a shared
-// cluster-wide resource, so each per-member window reports the cluster's
-// core usage and the weighted average recovers it); latency percentiles
-// come from the merged histograms.
+// Results summarizes one measurement window. Every field is read off the
+// window's Stats, its length and the cluster-wide core usage (windowResults),
+// so a cluster measurement is its members' window Stats folded and read the
+// same way: op, block, CP and stall totals are exact sums, FullStripe is the
+// fraction of the cluster's stripes written full, and latency statistics come
+// from the merged histogram. Latency percentiles come from a log-linear
+// histogram (16 sub-buckets per octave), so they are exact to within one
+// bucket — and the window's memory cost is O(1) regardless of how many
+// operations it covers.
 type Results struct {
 	Window     Duration
 	Ops        uint64
@@ -52,7 +50,7 @@ type Results struct {
 	LatP99     Duration
 	LatP999    Duration // p99.9 — the overload-study tail metric
 	LatMax     Duration
-	Cores      CoreUsage
+	Cores      CoreUsage // cluster-wide: the CPU pool is shared
 	CPs        uint64
 	Stalls     uint64
 	StallTime  Duration
@@ -62,8 +60,7 @@ type Results struct {
 	// Stats is every layer's counters over the window (gauges and high-water
 	// marks at its end): the fields above are read off it, and any other
 	// delta a caller wants is here too. Stats.Lat is the window's latency
-	// histogram, kept so windows can be merged (MergeResults) without losing
-	// distribution information; nil on a zero Results.
+	// histogram; nil on a zero Results.
 	Stats Stats
 }
 
@@ -81,16 +78,16 @@ func (r Results) String() string {
 // Measure runs the simulation for warmup, then for window, and returns the
 // cluster-wide metrics over the window.
 func (sys *System) Measure(warmup, window Duration) Results {
-	return MergeResults(sys.MeasureMembers(warmup, window))
+	r, _ := sys.MeasureMembers(warmup, window)
+	return r
 }
 
 // MeasureMembers runs the simulation for warmup, then for window, and
-// returns one Results per member over the window. MergeResults combines
-// them into the cluster-wide view Measure would have returned. Core usage
-// is cluster-wide (the CPU pool is shared; per-member attribution is not
-// available), so every part carries the same CoreUsage and MergeResults'
-// event-weighted average recovers it.
-func (sys *System) MeasureMembers(warmup, window Duration) []Results {
+// returns the cluster-wide metrics over the window and one Results per
+// member. The cluster value is read off the fold of the members' window
+// Stats. Core usage is measured once, cluster-wide (the CPU pool is shared;
+// per-member attribution is not available), and every value carries it.
+func (sys *System) MeasureMembers(warmup, window Duration) (Results, []Results) {
 	sys.Run(warmup)
 	start := make([]Stats, len(sys.members))
 	for i, m := range sys.members {
@@ -108,27 +105,37 @@ func (sys *System) MeasureMembers(warmup, window Duration) []Results {
 		RAID:      cpu.Cores(cpu0, sim.CatRAID),
 		Other:     cpu.Cores(cpu0, sim.CatOther),
 	}
-	out := make([]Results, len(sys.members))
+	win := Duration(sys.s.Now() - t0)
+	var cluster Stats
+	parts := make([]Results, len(sys.members))
 	for i, m := range sys.members {
 		st := m.stats().Sub(start[i])
-		r := Results{
-			Window:    Duration(sys.s.Now() - t0),
-			Ops:       st.Client.Ops,
-			Blocks:    st.Client.BlocksWritten,
-			CPs:       st.CPCount,
-			Stalls:    st.Client.Stalls,
-			StallTime: st.Client.StallTime,
-			Cores:     cores,
-			Cleaners:  st.Cleaners,
-			Stats:     st,
-		}
-		if n := st.RAID.FullStripeWrites + st.RAID.PartialStripeWrites; n > 0 {
-			r.FullStripe = float64(st.RAID.FullStripeWrites) / float64(n)
-		}
-		r.derive()
-		out[i] = r
+		foldInto(opAdd, &cluster, st)
+		parts[i] = windowResults(st, win, cores)
 	}
-	return out
+	return windowResults(cluster, win, cores), parts
+}
+
+// windowResults fills every Results field from the window's Stats, its
+// length and the cluster-wide core usage. It is the one place a Results
+// field is computed.
+func windowResults(st Stats, window Duration, cores CoreUsage) Results {
+	r := Results{
+		Window:    window,
+		Ops:       st.Client.Ops,
+		Blocks:    st.Client.BlocksWritten,
+		CPs:       st.CPCount,
+		Stalls:    st.Client.Stalls,
+		StallTime: st.Client.StallTime,
+		Cores:     cores,
+		Cleaners:  st.Cleaners,
+		Stats:     st,
+	}
+	if n := st.RAID.FullStripeWrites + st.RAID.PartialStripeWrites; n > 0 {
+		r.FullStripe = float64(st.RAID.FullStripeWrites) / float64(n)
+	}
+	r.derive()
+	return r
 }
 
 // derive fills in what follows from the window's totals and histogram: the
@@ -146,70 +153,6 @@ func (r *Results) derive() {
 		r.LatP999 = Duration(lat.Quantile(0.999))
 		r.LatMax = Duration(lat.Max)
 	}
-}
-
-// MergeResults combines per-member window Results into one cluster-wide
-// Results. Ops, Blocks, CPs, Stalls, StallTime, and Cleaners sum exactly;
-// Window is the widest part; core usage is the Ops-weighted average of the
-// parts (each part reports cluster-wide usage, so identical parts merge to
-// the same value, and empty windows carry no weight); FullStripe is
-// Blocks-weighted; latency statistics come from the merged histograms.
-// Rates (OpsPerSec, MBPerSec) are recomputed from the summed totals over
-// the merged window; Stats is the parts' rolled up. An empty slice merges
-// to the zero Results.
-func MergeResults(parts []Results) Results {
-	var r Results
-	if len(parts) == 0 {
-		return r
-	}
-	var coreW float64
-	var cores [7]float64
-	var stripeW float64
-	var fullFrac float64
-	for _, p := range parts {
-		r.Ops += p.Ops
-		r.Blocks += p.Blocks
-		r.CPs += p.CPs
-		r.Stalls += p.Stalls
-		r.StallTime += p.StallTime
-		r.Cleaners += p.Cleaners
-		if p.Window > r.Window {
-			r.Window = p.Window
-		}
-		w := float64(p.Ops)
-		coreW += w
-		for i, v := range [7]float64{p.Cores.Client, p.Cores.Waffinity, p.Cores.Cleaner,
-			p.Cores.Infra, p.Cores.CP, p.Cores.RAID, p.Cores.Other} {
-			cores[i] += w * v
-		}
-		stripeW += float64(p.Blocks)
-		fullFrac += float64(p.Blocks) * p.FullStripe
-		foldInto(opAdd, &r.Stats, p.Stats)
-	}
-	if coreW > 0 {
-		r.Cores = CoreUsage{
-			Client: cores[0] / coreW, Waffinity: cores[1] / coreW,
-			Cleaner: cores[2] / coreW, Infra: cores[3] / coreW,
-			CP: cores[4] / coreW, RAID: cores[5] / coreW, Other: cores[6] / coreW,
-		}
-	} else {
-		// No events anywhere: fall back to the unweighted average so a
-		// fully idle cluster still reports its (shared) core usage.
-		for _, p := range parts {
-			r.Cores.Client += p.Cores.Client / float64(len(parts))
-			r.Cores.Waffinity += p.Cores.Waffinity / float64(len(parts))
-			r.Cores.Cleaner += p.Cores.Cleaner / float64(len(parts))
-			r.Cores.Infra += p.Cores.Infra / float64(len(parts))
-			r.Cores.CP += p.Cores.CP / float64(len(parts))
-			r.Cores.RAID += p.Cores.RAID / float64(len(parts))
-			r.Cores.Other += p.Cores.Other / float64(len(parts))
-		}
-	}
-	if stripeW > 0 {
-		r.FullStripe = fullFrac / stripeW
-	}
-	r.derive()
-	return r
 }
 
 // CloneStats is the point-in-time block debt the clone fleet still owes its

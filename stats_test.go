@@ -217,7 +217,8 @@ func TestStatsMembers2(t *testing.T) {
 		}
 	}
 
-	merged := MergeResults(sys.MeasureMembers(0, 40*Millisecond)).Stats
+	res, _ := sys.MeasureMembers(0, 40*Millisecond)
+	merged := res.Stats
 	want := sys.Stats().Sub(before)
 	if got, want := leafMap(merged), leafMap(want); !reflect.DeepEqual(got, want) {
 		for name, v := range want {

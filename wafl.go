@@ -557,14 +557,26 @@ func (sys *System) TunerSamples() []core.TunerSample {
 
 // Hierarchy renders the Waffinity affinity trees of all members.
 func (sys *System) Hierarchy() string {
-	if len(sys.members) == 1 {
-		return sys.members[0].h.String()
-	}
+	return sys.perMember(func(m *Member) string { return m.h.String() })
+}
+
+// perMember concatenates text of every member, each after its label.
+func (sys *System) perMember(text func(*Member) string) string {
 	var b strings.Builder
 	for _, m := range sys.members {
-		fmt.Fprintf(&b, "member %d:\n%s", m.id, m.h.String())
+		b.WriteString(sys.label(m, "\n") + text(m))
 	}
 	return b.String()
+}
+
+// label is how reports name member m ahead of its part, sep after the name:
+// nothing in a single-member system, whose reports read as they did before
+// clusters.
+func (sys *System) label(m *Member, sep string) string {
+	if len(sys.members) == 1 {
+		return ""
+	}
+	return fmt.Sprintf("member %d:%s", m.id, sep)
 }
 
 // ForceCP requests a consistency point on every member and returns
@@ -582,12 +594,6 @@ func (sys *System) ForceCP() {
 // (the aged state a long-running random-write workload converges to).
 // Call Flush afterwards to push the blocks to storage.
 func (sys *System) Prewrite(vol int, ino uint64, blocks uint64, shuffle bool) {
-	m, lv, li := sys.resolve(vol, ino)
-	v := m.a.Volume(lv)
-	f := v.LookupFile(li)
-	if f == nil {
-		panic(fmt.Sprintf("wafl: Prewrite of unknown ino %d", ino))
-	}
 	order := make([]uint64, blocks)
 	for i := range order {
 		order[i] = uint64(i)
@@ -595,10 +601,7 @@ func (sys *System) Prewrite(vol int, ino uint64, blocks uint64, shuffle bool) {
 	if shuffle {
 		sys.s.Rand().Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	for _, fbn := range order {
-		f.WriteBlock(FBN(fbn), sys.payload(ino, FBN(fbn), 0))
-	}
-	v.MarkDirty(f)
+	sys.writeDirect(vol, ino, order, 0)
 }
 
 // AgeOverwrite dirties n random distinct blocks of the file's first span
@@ -607,25 +610,24 @@ func (sys *System) Prewrite(vol int, ino uint64, blocks uint64, shuffle bool) {
 // way months of production churn would. Call Flush between rounds so each
 // round's frees land before the next scatters more.
 func (sys *System) AgeOverwrite(vol int, ino uint64, n int, span uint64) {
-	m, lv, li := sys.resolve(vol, ino)
-	v := m.a.Volume(lv)
-	f := v.LookupFile(li)
-	if f == nil {
-		panic(fmt.Sprintf("wafl: AgeOverwrite of unknown ino %d", ino))
-	}
 	order := make([]uint64, span)
 	for i := range order {
 		order[i] = uint64(i)
 	}
 	sys.s.Rand().Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	if n > len(order) {
-		n = len(order)
+	sys.writeDirect(vol, ino, order[:min(n, len(order))], 1)
+}
+
+// writeDirect writes the blocks fbns of a file, in that order, without
+// logging or timing: each is an OpWrite record applied like a replayed one.
+func (sys *System) writeDirect(vol int, ino uint64, fbns []uint64, tag byte) {
+	m, lv, li := sys.resolve(vol, ino)
+	for _, fbn := range fbns {
+		rec := nvlog.Record{Kind: nvlog.OpWrite, Vol: uint32(lv), Ino: li, FBN: FBN(fbn), Data: sys.payload(ino, FBN(fbn), tag)}
+		if !m.apply(&rec) {
+			panic(fmt.Sprintf("wafl: direct write to nonexistent ino %d", ino))
+		}
 	}
-	for _, fbn := range order[:n] {
-		v.EnsureL0Resident(f, FBN(fbn))
-		f.WriteBlock(FBN(fbn), sys.payload(ino, FBN(fbn), 1))
-	}
-	v.MarkDirty(f)
 }
 
 // SnapCreateDirect queues a snapshot create without logging or timing
@@ -702,14 +704,7 @@ func (sys *System) CloneVolumes() []int {
 // CPPhaseReport renders the per-phase CP duration breakdown (p50/p99 per
 // phase) from the engines' always-on histograms.
 func (sys *System) CPPhaseReport() string {
-	if len(sys.members) == 1 {
-		return sys.members[0].engine.PhaseReport()
-	}
-	var b strings.Builder
-	for _, m := range sys.members {
-		fmt.Fprintf(&b, "member %d:\n%s", m.id, m.engine.PhaseReport())
-	}
-	return b.String()
+	return sys.perMember(func(m *Member) string { return m.engine.PhaseReport() })
 }
 
 // VolFreeBlocks returns the loosely-accounted allocatable-VVBN counter of
@@ -725,9 +720,6 @@ func (sys *System) VolFreeBlocks(vol int) int64 {
 // concatenated in member order. Determinism tests compare it across runs
 // as a compact digest of the committed trees.
 func (sys *System) SuperblockBytes() []byte {
-	if len(sys.members) == 1 {
-		return sys.members[0].a.SuperblockBytes()
-	}
 	var out []byte
 	for _, m := range sys.members {
 		out = append(out, m.a.SuperblockBytes()...)
