@@ -705,6 +705,19 @@ var archRules = []archRule{
 		}},
 	},
 	{
+		// One unsafe file: the media's pointer-and-length table (DESIGN §14)
+		// is the only place an image is taken apart and rebuilt.
+		name: "unsafe",
+		clauses: []clause{{
+			scan: []string{"..."}, except: []string{"internal/storage/drive.go"}, forbid: imports("unsafe"),
+			msg: "unsafe imported outside internal/storage/drive.go: keep images whole slices",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"internal/raid/raid.go": `package raid; import "unsafe"; var _ = unsafe.Sizeof(0)`},
+			want:  "internal/raid/raid.go:1: unsafe imported outside internal/storage/drive.go",
+		}},
+	},
+	{
 		// Every knob earns a row: an option survives iff a registered
 		// experiment, study, sweep, bench workload or command sets it —
 		// otherwise it is a regime nobody validated, and a constant.

@@ -195,18 +195,39 @@ func TestTornWriteRecovery(t *testing.T) {
 	sys, ino := newCrashSystem(t, cfg)
 	var acked []FBN
 	attachTrackedWriter(sys, ino, &acked)
-	// Halt at every CP phase boundary and crash at the first one where a
-	// multi-block write is still in flight — the population the crash-time
-	// torn-write fault actually tears. Whether the first boundary qualifies
-	// depends on drive timing, so probe until one does.
+	crashTearing(t, sys)
+	rec, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyAckedWrites(t, rec, ino, acked, "recovery")
+	if rep := rec.Fsck(); !rep.OK() {
+		t.Fatalf("fsck after torn-write crash: %s", rep)
+	}
+	if err := rec.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := rec.Fsck(); !rep.OK() {
+		t.Fatalf("fsck after quiesce: %s", rep)
+	}
+}
+
+// crashTearing runs sys, halting at every CP phase boundary, and crashes it
+// at the first one where a multi-block write is still in flight — the
+// population the crash-time torn-write fault actually tears. Whether the
+// first boundary qualifies depends on drive timing, so it probes until one
+// does. It fails t unless the crash tore a write.
+func crashTearing(t *testing.T, sys *System) {
+	t.Helper()
 	sys.SetCPPhaseHook(func(phase string) bool {
 		sys.RequestHalt()
 		return true
 	})
+	a := sys.m0().a
 	inflight := func() int {
 		n := 0
-		for g := 0; g < sys.m0().a.Groups(); g++ {
-			grp := sys.m0().a.Group(g)
+		for g := 0; g < a.Groups(); g++ {
+			grp := a.Group(g)
 			for d := 0; d < grp.DataDrives(); d++ {
 				n += grp.Drive(d).InflightMultiBlock()
 			}
@@ -230,8 +251,8 @@ func TestTornWriteRecovery(t *testing.T) {
 	}
 	sys.Crash()
 	torn := uint64(0)
-	for g := 0; g < sys.m0().a.Groups(); g++ {
-		grp := sys.m0().a.Group(g)
+	for g := 0; g < a.Groups(); g++ {
+		grp := a.Group(g)
 		for d := 0; d < grp.DataDrives(); d++ {
 			torn += grp.Drive(d).Stats().TornWrites
 		}
@@ -239,20 +260,6 @@ func TestTornWriteRecovery(t *testing.T) {
 	}
 	if torn == 0 {
 		t.Fatal("crash tore no writes; the fault plan did not engage")
-	}
-	rec, err := sys.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyAckedWrites(t, rec, ino, acked, "recovery")
-	if rep := rec.Fsck(); !rep.OK() {
-		t.Fatalf("fsck after torn-write crash: %s", rep)
-	}
-	if err := rec.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	if rep := rec.Fsck(); !rep.OK() {
-		t.Fatalf("fsck after quiesce: %s", rep)
 	}
 }
 
@@ -481,6 +488,82 @@ func TestTrimmedImagesReconstructed(t *testing.T) {
 	}
 	if rep := rec.Fsck(); !rep.OK() {
 		t.Fatalf("fsck over reconstructed trimmed images: %s", rep)
+	}
+}
+
+// TestUsedBlocksReconstruct: once quiesced, every used block outside the
+// reserved stripe 0 reconstructs from the rest of its stripe — the other data
+// drives' images and the parity row the media hands back — to exactly its own
+// image, with trimmed and full payloads, and again after a crash that tore
+// every write in flight, its recovery and a quiesce.
+func TestUsedBlocksReconstruct(t *testing.T) {
+	check := func(t *testing.T, sys *System, when string) {
+		t.Helper()
+		a := sys.m0().a
+		geo := a.Geometry()
+		checked := 0
+		for bn := uint64(0); bn < geo.TotalBlocks(); bn++ {
+			g, d, dbn := geo.Locate(block.VBN(bn))
+			if dbn == 0 || !a.Activemap.IsSet(bn) {
+				continue
+			}
+			checked++
+			if img, got := a.Group(g).Drive(d).Peek(dbn), a.Group(g).ReconstructBlock(d, dbn); !block.Equal(got, img) {
+				t.Fatalf("%s: vbn %d reconstructs to %d trimmed bytes unlike its %d-byte image", when, bn, len(block.Trim(got)), len(block.Trim(img)))
+			}
+		}
+		t.Logf("%s: %d used blocks reconstruct", when, checked)
+		if checked == 0 {
+			t.Fatalf("%s: no used block to reconstruct", when)
+		}
+	}
+	for _, payload := range []int{64, block.Size} {
+		t.Run(fmt.Sprint(payload), func(t *testing.T) {
+			start := func() *System {
+				cfg := smallConfig()
+				cfg.PayloadBytes = payload
+				cfg.Faults = FaultConfig{TornWriteEvery: 1, TornWritePrefix: -1}
+				sys, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const span = 4096
+				inos := make([]uint64, cfg.Volumes)
+				for vol := range inos {
+					inos[vol] = sys.CreateFileDirect(vol, span)
+				}
+				if err := sys.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				for vol, ino := range inos {
+					sys.ClientThread(fmt.Sprint("w", vol), func(c *ClientCtx) {
+						for c.Alive() {
+							c.Write(vol, ino, FBN(c.Rand(span)), 2)
+						}
+					})
+				}
+				sys.Run(100 * Millisecond)
+				return sys
+			}
+			sys := start()
+			if err := sys.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, sys, "quiesced")
+			sys.Shutdown()
+
+			sys = start()
+			crashTearing(t, sys)
+			rec, err := sys.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, rec, "recovered from a torn crash")
+			rec.Shutdown()
+		})
 	}
 }
 

@@ -214,11 +214,12 @@ func TestOverloadMediaBytesBudget(t *testing.T) {
 // the budgets above guard what it allocates: at the end of overload_burst's
 // recover phase the live heap the system holds (HeapAlloc after a
 // collection, less what it was before the system was built: systems earlier
-// tests left running stay live) is under 45 MiB. It sits near 33.7 MiB while
-// the media drop a freed block's image once its free commits (DESIGN §14); it
-// was 56.2 MiB when every image landed stayed until its DBN was written again.
+// tests left running stay live) is under 30 MiB. It sits near 24.9 MiB while
+// a drive keeps each DBN in a pointer and a 16-bit length (DESIGN §14); it was
+// 33.7 MiB when every DBN held a 24-byte slice header, and 56.2 MiB before
+// the media dropped a freed block's image once its free commits.
 func TestOverloadLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 45
+	const budgetMiB = 30
 	heap := func() float64 {
 		runtime.GC()
 		var ms runtime.MemStats

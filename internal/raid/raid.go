@@ -37,7 +37,7 @@ type Group struct {
 	s      *sim.Scheduler
 	id     int
 	data   []*storage.Drive
-	parity *storage.Device[[][]byte]
+	parity *storage.Device[[]byte]
 	depth  block.DBN // blocks per drive
 
 	// scratchPool recycles stripe scratch; several writes can be in flight
@@ -60,7 +60,7 @@ type stripeScratch struct {
 	rows       [][]byte
 	fresh      []bool
 	readPlan   [][]block.DBN
-	parityReqs []storage.Req[[][]byte]
+	parityReqs []storage.Req[[]byte]
 }
 
 // rowOf returns the index in rows of stripe dbn's first data drive.
@@ -91,7 +91,7 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 	for i := 0; i < ndata; i++ {
 		g.data = append(g.data, storage.NewDrive(s, fmt.Sprintf("rg%d.d%d", id, i), profile, depth))
 	}
-	g.parity = storage.NewDevice[[][]byte](s, fmt.Sprintf("rg%d.parity", id), profile, depth)
+	g.parity = storage.NewDevice[[]byte](s, fmt.Sprintf("rg%d.parity", id), profile, depth)
 	return g
 }
 
@@ -122,7 +122,7 @@ func (g *Group) Depth() block.DBN { return g.depth }
 func (g *Group) Drive(i int) *storage.Drive { return g.data[i] }
 
 // ParityDrive returns the group's parity drive, whose DBNs hold rows.
-func (g *Group) ParityDrive() *storage.Device[[][]byte] { return g.parity }
+func (g *Group) ParityDrive() *storage.Device[[]byte] { return g.parity }
 
 // WriteResult describes the parity work a stripe write required.
 type WriteResult struct {
@@ -248,7 +248,7 @@ func (g *Group) issueWrites(writes [][]storage.WriteReq, sc *stripeScratch, done
 		// A copy of the row per stripe: the scratch rows are recycled, and a
 		// slab per write would keep a rewritten stripe's displaced images
 		// alive until the last of its stripes is rewritten.
-		sc.parityReqs = append(sc.parityReqs, storage.Req[[][]byte]{DBN: dbn, Data: slices.Clone(sc.rows[k*nd : (k+1)*nd])})
+		sc.parityReqs = append(sc.parityReqs, storage.Req[[]byte]{DBN: dbn, Data: slices.Clone(sc.rows[k*nd : (k+1)*nd])})
 	}
 	g.stats.ParityBlocksWritten += uint64(len(sc.parityReqs))
 

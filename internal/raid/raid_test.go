@@ -213,7 +213,7 @@ func TestMixedLengthImages(t *testing.T) {
 	// fails it.
 	flip := block.New()
 	flip[block.Size-1] = 1
-	g.ParityDrive().Write([]storage.Req[[][]byte]{{DBN: 4, Data: append(slices.Clone(g.ParityDrive().Peek(4)), flip)}}, nil)
+	g.ParityDrive().Write([]storage.Req[[]byte]{{DBN: 4, Data: append(slices.Clone(g.ParityDrive().Peek(4)), flip)}}, nil)
 	s.RunFor(10 * sim.Millisecond)
 	if g.VerifyStripe(4) {
 		t.Fatal("corrupt parity verified")

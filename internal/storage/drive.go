@@ -7,6 +7,8 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"wafl/internal/block"
 	"wafl/internal/fifo"
@@ -38,18 +40,22 @@ var (
 	FlashPool = Profile{Name: "flashpool", PerIO: 500 * sim.Microsecond, PerBlock: 6 * sim.Microsecond}
 )
 
-// Image is what one DBN of a Device holds: a block image, or a row of block
-// images (a RAID parity drive keeps the data images its parity covers).
-type Image interface{ ~[]byte | ~[][]byte }
+// Elem is what one DBN's image is a slice of: bytes for a block image, block
+// images for a row (a RAID parity drive keeps the data images its parity
+// covers).
+type Elem interface{ byte | []byte }
 
 // Req is a single-block write within a multi-block device I/O.
-type Req[I Image] struct {
+type Req[E Elem] struct {
 	DBN  block.DBN
-	Data I // must remain immutable once submitted (CoW guarantees this)
+	Data []E // must remain immutable once submitted (CoW guarantees this)
 }
 
 // WriteReq is a single-block write to a Drive.
-type WriteReq = Req[[]byte]
+type WriteReq = Req[byte]
+
+// maxImage is the longest image a DBN holds: its length is kept in 16 bits.
+const maxImage = math.MaxUint16
 
 // WriteFault describes how an injector perturbs one write I/O.
 type WriteFault struct {
@@ -108,19 +114,22 @@ type Stats struct {
 	WritePool, ReadPool, WriteWaitPool, ReadWaitPool fifo.PoolStats
 }
 
-// Device is a simulated drive: an array of blocks, each holding an I, plus a
-// service queue.
-type Device[I Image] struct {
+// Device is a simulated drive: an array of blocks, each holding an image []E,
+// plus a service queue.
+type Device[E Elem] struct {
 	s       *sim.Scheduler
 	name    string
 	profile Profile
 	nblocks block.DBN
 
-	// media is the stable storage image; entries are nil until first
+	// ptr and n are the stable storage image: DBN i holds the image whose
+	// array starts at ptr[i] and whose length is n[i] — 10 bytes a DBN, not
+	// a 24-byte slice header (DESIGN §14). Entries are nil until first
 	// written. Writes land at I/O completion time, never earlier, so a
-	// simulated crash (dropping all in-memory state and pending I/O)
-	// leaves exactly the committed image.
-	media []I
+	// simulated crash (dropping all in-memory state and pending I/O) leaves
+	// exactly the committed image.
+	ptr []*E
+	n   []uint16
 
 	busyUntil sim.Time
 	epoch     uint64 // bumped by DropInFlight; stale completions are discarded
@@ -131,24 +140,24 @@ type Device[I Image] struct {
 	inj Injector
 	// inflight tracks submitted-but-incomplete write I/Os in submission
 	// order, so a crash can tear them (land a prefix) deterministically.
-	inflight []*inflightWrite[I]
+	inflight []*inflightWrite[E]
 	// The recycled records (DESIGN §9). A record a crash dropped never comes
 	// back: DropInFlight abandons every outstanding one.
-	writePool                   fifo.Pool[*inflightWrite[I]]
-	readPool                    fifo.Pool[*readIO[I]]
-	writeWaitPool, readWaitPool fifo.Pool[*syncWait[I]]
+	writePool                   fifo.Pool[*inflightWrite[E]]
+	readPool                    fifo.Pool[*readIO[E]]
+	writeWaitPool, readWaitPool fifo.Pool[*syncWait[E]]
 }
 
 // Drive is a device of block images: a data drive.
-type Drive = Device[[]byte]
+type Drive = Device[byte]
 
 // inflightWrite is one submitted write I/O awaiting completion: the drive's
 // own copy of the caller's requests and callback, with the completion
 // event's callback, the method value complete, bound once.
-type inflightWrite[I Image] struct {
-	d     *Device[I]
+type inflightWrite[E Elem] struct {
+	d     *Device[E]
 	epoch uint64
-	reqs  []Req[I]
+	reqs  []Req[E]
 	done  func()
 	fire  func()
 }
@@ -156,14 +165,14 @@ type inflightWrite[I Image] struct {
 // complete lands the write's images on the media, returns the record to
 // Device.writePool and calls done — unless a crash changed the drive's epoch
 // while the write was in flight, in which case nothing happens.
-func (e *inflightWrite[I]) complete() {
+func (e *inflightWrite[E]) complete() {
 	d := e.d
 	if d.epoch != e.epoch {
 		return // lost to a crash before completing
 	}
 	d.removeInflight(e)
 	for _, r := range e.reqs {
-		d.media[r.DBN] = r.Data
+		d.land(r.DBN, r.Data)
 	}
 	done := e.done
 	clear(e.reqs)
@@ -178,22 +187,22 @@ func (e *inflightWrite[I]) complete() {
 // they hold at completion and the caller's callback, with the completion
 // event's callback, the method value complete, bound once. It goes back to
 // Device.readPool once done has returned; a read a crash dropped never does.
-type readIO[I Image] struct {
-	d     *Device[I]
+type readIO[E Elem] struct {
+	d     *Device[E]
 	epoch uint64
 	dbns  []block.DBN
-	out   []I
-	done  func([]I)
+	out   [][]E
+	done  func([][]E)
 	fire  func()
 }
 
-func (r *readIO[I]) complete() {
+func (r *readIO[E]) complete() {
 	d := r.d
 	if d.epoch != r.epoch {
 		return // lost to a crash before completing
 	}
 	for _, dbn := range r.dbns {
-		r.out = append(r.out, d.media[dbn])
+		r.out = append(r.out, d.Peek(dbn))
 	}
 	if r.done != nil {
 		r.done(r.out)
@@ -207,34 +216,34 @@ func (r *readIO[I]) complete() {
 // completion callbacks bound once. It goes back to its pool when the waiting
 // thread has seen its I/O complete; a thread killed while waiting never
 // returns it.
-type syncWait[I Image] struct {
+type syncWait[E Elem] struct {
 	wq     *sim.WaitQueue
 	landed bool
-	out    []I
-	read   func([]I) // readLanded
-	write  func()    // land
+	out    [][]E
+	read   func([][]E) // readLanded
+	write  func()      // land
 }
 
-func (w *syncWait[I]) readLanded(bs []I) {
+func (w *syncWait[E]) readLanded(bs [][]E) {
 	w.out = append(w.out[:0], bs...)
 	w.land()
 }
 
-func (w *syncWait[I]) land() {
+func (w *syncWait[E]) land() {
 	w.landed = true
 	w.wq.Signal()
 }
 
 // newWait returns a wait on a queue named name.
-func newWait[I Image](s *sim.Scheduler, name string) *syncWait[I] {
-	w := &syncWait[I]{wq: sim.NewWaitQueue(s, name)}
+func newWait[E Elem](s *sim.Scheduler, name string) *syncWait[E] {
+	w := &syncWait[E]{wq: sim.NewWaitQueue(s, name)}
 	w.read, w.write = w.readLanded, w.land
 	return w
 }
 
 // wait blocks t until the I/O w waits for completes, leaving w ready for its
 // next wait.
-func (w *syncWait[I]) wait(t *sim.Thread) {
+func (w *syncWait[E]) wait(t *sim.Thread) {
 	if !w.landed {
 		w.wq.Wait(t)
 	}
@@ -242,7 +251,7 @@ func (w *syncWait[I]) wait(t *sim.Thread) {
 }
 
 // track returns the drive's trace track id, interning it on first use.
-func (d *Device[I]) track(tr *obs.Tracer) int32 {
+func (d *Device[E]) track(tr *obs.Tracer) int32 {
 	if d.obsTid == 0 {
 		d.obsTid = tr.Track(obs.PidStorage, d.name) + 1
 	}
@@ -251,46 +260,46 @@ func (d *Device[I]) track(tr *obs.Tracer) int32 {
 
 // NewDevice creates a device of nblocks blocks with the given service
 // profile.
-func NewDevice[I Image](s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Device[I] {
-	d := &Device[I]{s: s, name: name, profile: profile, nblocks: nblocks, media: make([]I, nblocks)}
-	d.writePool = fifo.NewPool(&d.stats.WritePool, func() *inflightWrite[I] {
-		e := &inflightWrite[I]{d: d}
+func NewDevice[E Elem](s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Device[E] {
+	d := &Device[E]{s: s, name: name, profile: profile, nblocks: nblocks, ptr: make([]*E, nblocks), n: make([]uint16, nblocks)}
+	d.writePool = fifo.NewPool(&d.stats.WritePool, func() *inflightWrite[E] {
+		e := &inflightWrite[E]{d: d}
 		e.fire = e.complete
 		return e
 	})
-	d.readPool = fifo.NewPool(&d.stats.ReadPool, func() *readIO[I] {
-		r := &readIO[I]{d: d}
+	d.readPool = fifo.NewPool(&d.stats.ReadPool, func() *readIO[E] {
+		r := &readIO[E]{d: d}
 		r.fire = r.complete
 		return r
 	})
-	d.writeWaitPool = fifo.NewPool(&d.stats.WriteWaitPool, func() *syncWait[I] { return newWait[I](s, name+".writesync") })
-	d.readWaitPool = fifo.NewPool(&d.stats.ReadWaitPool, func() *syncWait[I] { return newWait[I](s, name+".readsync") })
+	d.writeWaitPool = fifo.NewPool(&d.stats.WriteWaitPool, func() *syncWait[E] { return newWait[E](s, name+".writesync") })
+	d.readWaitPool = fifo.NewPool(&d.stats.ReadWaitPool, func() *syncWait[E] { return newWait[E](s, name+".readsync") })
 	return d
 }
 
 // NewDrive creates a drive of block images.
 func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
-	return NewDevice[[]byte](s, name, profile, nblocks)
+	return NewDevice[byte](s, name, profile, nblocks)
 }
 
 // Name returns the drive's debug name.
-func (d *Device[I]) Name() string { return d.name }
+func (d *Device[E]) Name() string { return d.name }
 
 // Blocks returns the drive capacity in blocks.
-func (d *Device[I]) Blocks() block.DBN { return d.nblocks }
+func (d *Device[E]) Blocks() block.DBN { return d.nblocks }
 
 // Profile returns the drive's service-time profile.
-func (d *Device[I]) Profile() Profile { return d.profile }
+func (d *Device[E]) Profile() Profile { return d.profile }
 
 // Stats returns a snapshot of the drive's I/O statistics.
-func (d *Device[I]) Stats() Stats { return d.stats }
+func (d *Device[E]) Stats() Stats { return d.stats }
 
 // SetInjector attaches a fault injector (nil disables fault injection).
-func (d *Device[I]) SetInjector(in Injector) { d.inj = in }
+func (d *Device[E]) SetInjector(in Injector) { d.inj = in }
 
 // InflightMultiBlock returns how many of the writes submitted but not yet
 // completed (or lost) span two or more blocks — the ones a crash-time torn-write fault can actually tear.
-func (d *Device[I]) InflightMultiBlock() int {
+func (d *Device[E]) InflightMultiBlock() int {
 	n := 0
 	for _, e := range d.inflight {
 		if len(e.reqs) >= 2 {
@@ -302,7 +311,7 @@ func (d *Device[I]) InflightMultiBlock() int {
 
 // removeInflight drops one completed entry; in-flight counts are small
 // (drive queue depth), so a linear scan is fine.
-func (d *Device[I]) removeInflight(e *inflightWrite[I]) {
+func (d *Device[E]) removeInflight(e *inflightWrite[E]) {
 	for i, x := range d.inflight {
 		if x == e {
 			d.inflight = append(d.inflight[:i], d.inflight[i+1:]...)
@@ -313,7 +322,7 @@ func (d *Device[I]) removeInflight(e *inflightWrite[I]) {
 
 // service reserves the drive for an I/O of n blocks and returns its
 // completion time. kind labels the trace span ("read"/"write").
-func (d *Device[I]) service(n int, kind string) sim.Time {
+func (d *Device[E]) service(n int, kind string) sim.Time {
 	start := d.s.Now()
 	if d.busyUntil > start {
 		start = d.busyUntil
@@ -331,7 +340,7 @@ func (d *Device[I]) service(n int, kind string) sim.Time {
 
 // Write submits one write I/O covering reqs and calls done (in scheduler
 // context) when it completes. The data lands on the media at completion.
-func (d *Device[I]) Write(reqs []Req[I], done func()) {
+func (d *Device[E]) Write(reqs []Req[E], done func()) {
 	if len(reqs) == 0 {
 		if done != nil {
 			d.s.After(0, done)
@@ -339,8 +348,8 @@ func (d *Device[I]) Write(reqs []Req[I], done func()) {
 		return
 	}
 	for _, r := range reqs {
-		if r.DBN >= d.nblocks {
-			panic(fmt.Sprintf("storage: write beyond device %s: dbn %d >= %d", d.name, r.DBN, d.nblocks))
+		if r.DBN >= d.nblocks || len(r.Data) > maxImage {
+			panic(fmt.Sprintf("storage: write beyond device %s: dbn %d >= %d or image of %d > %d", d.name, r.DBN, d.nblocks, len(r.Data), maxImage))
 		}
 		d.stats.BytesWritten += uint64(len(r.Data))
 	}
@@ -367,7 +376,7 @@ func (d *Device[I]) Write(reqs []Req[I], done func()) {
 // nil; callers treat nil as a zero block. The slice done receives is the
 // drive's and valid only during the call; the images in it are the media's.
 // dbns is copied, so the caller may reuse it once Read returns.
-func (d *Device[I]) Read(dbns []block.DBN, done func([]I)) {
+func (d *Device[E]) Read(dbns []block.DBN, done func([][]E)) {
 	if len(dbns) == 0 {
 		if done != nil {
 			d.s.After(0, func() { done(nil) })
@@ -392,7 +401,7 @@ func (d *Device[I]) Read(dbns []block.DBN, done func([]I)) {
 // ReadSync performs a read I/O and blocks the calling simulated thread until
 // it completes. The result is the drive's and valid until the thread next
 // blocks; the images in it are the media's.
-func (d *Device[I]) ReadSync(t *sim.Thread, dbns []block.DBN) []I {
+func (d *Device[E]) ReadSync(t *sim.Thread, dbns []block.DBN) [][]E {
 	w := d.readWaitPool.Get()
 	d.Read(dbns, w.read)
 	w.wait(t)
@@ -402,7 +411,7 @@ func (d *Device[I]) ReadSync(t *sim.Thread, dbns []block.DBN) []I {
 
 // WriteSync performs a write I/O and blocks the calling simulated thread
 // until it completes.
-func (d *Device[I]) WriteSync(t *sim.Thread, reqs []Req[I]) {
+func (d *Device[E]) WriteSync(t *sim.Thread, reqs []Req[E]) {
 	w := d.writeWaitPool.Get()
 	d.Write(reqs, w.write)
 	w.wait(t)
@@ -411,30 +420,38 @@ func (d *Device[I]) WriteSync(t *sim.Thread, reqs []Req[I]) {
 
 // Peek returns the committed media content of dbn without timing effects —
 // the simulator's god view of the stable image, never subject to fault
-// injection. RAID reconstruction and test assertions use it.
-func (d *Device[I]) Peek(dbn block.DBN) I { return d.media[dbn] }
+// injection. RAID reconstruction and test assertions use it. The image is
+// the array written, not a copy, with its capacity cut to its length.
+func (d *Device[E]) Peek(dbn block.DBN) []E { return unsafe.Slice(d.ptr[dbn], d.n[dbn]) }
+
+// land makes img the committed image of dbn. The media keeps img's own array,
+// so Peek hands back the very array written; a nil image stays nil (a nil
+// pointer of length 0) and a non-nil empty one non-nil.
+func (d *Device[E]) land(dbn block.DBN, img []E) {
+	d.ptr[dbn], d.n[dbn] = unsafe.SliceData(img), uint16(len(img))
+}
 
 // PeekChecked is the fallible media read the file system's mount and
 // verification paths use: it returns the committed content of dbn, or
 // ok=false when the injector fails this attempt (a media/checksum error).
 // Transient faults succeed on retry; persistent faults force the caller to
 // RAID reconstruction.
-func (d *Device[I]) PeekChecked(dbn block.DBN) (I, bool) {
+func (d *Device[E]) PeekChecked(dbn block.DBN) ([]E, bool) {
 	if d.inj != nil && d.inj.PeekFault(d.name, dbn) {
 		d.stats.PeekErrors++
 		return nil, false
 	}
-	return d.media[dbn], true
+	return d.Peek(dbn), true
 }
 
 // Forget drops the image at dbn, which then reads as never written: the god
 // view's other half, untimed like Peek. Its caller knows that nothing can
 // reach the block any more — no committed tree, no parity row.
-func (d *Device[I]) Forget(dbn block.DBN) {
-	if img := d.media[dbn]; img != nil {
+func (d *Device[E]) Forget(dbn block.DBN) {
+	if d.ptr[dbn] != nil {
 		d.stats.Forgotten++
-		d.stats.ForgottenBytes += uint64(len(img))
-		d.media[dbn] = nil
+		d.stats.ForgottenBytes += uint64(d.n[dbn])
+		d.land(dbn, nil)
 	}
 }
 
@@ -447,7 +464,7 @@ func (d *Device[I]) Forget(dbn block.DBN) {
 // crash. Every record outstanding — a write or read in flight, a thread's
 // wait — is abandoned: its completion is stale, and its waiter dies with the
 // crash.
-func (d *Device[I]) DropInFlight() {
+func (d *Device[E]) DropInFlight() {
 	d.epoch++
 	d.busyUntil = d.s.Now()
 	for _, e := range d.inflight {
@@ -460,7 +477,7 @@ func (d *Device[I]) DropInFlight() {
 		}
 		if p > 0 {
 			for _, r := range e.reqs[:p] {
-				d.media[r.DBN] = r.Data
+				d.land(r.DBN, r.Data)
 			}
 			d.stats.TornWrites++
 			d.stats.TornBlocksLost += uint64(len(e.reqs) - p)

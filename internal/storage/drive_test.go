@@ -108,15 +108,22 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeWritePanics: a write to a DBN beyond the device, or of an
+// image longer than the media table's 16-bit length holds, is refused at
+// submission.
 func TestOutOfRangeWritePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range write")
-		}
-	}()
-	s := sim.New(1, 1)
-	d := NewDrive(s, "d0", SSD, 10)
-	d.Write([]WriteReq{{DBN: 10, Data: testBlock(1)}}, nil)
+	for _, r := range []WriteReq{{DBN: 10, Data: testBlock(1)}, {DBN: 1, Data: make([]byte, maxImage+1)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic on a write to dbn %d of %d bytes", r.DBN, len(r.Data))
+				}
+			}()
+			s := sim.New(1, 1)
+			d := NewDrive(s, "d0", SSD, 10)
+			d.Write([]WriteReq{r}, nil)
+		}()
+	}
 }
 
 func TestEmptyIO(t *testing.T) {
@@ -266,11 +273,11 @@ func idle(st fifo.PoolStats) uint64 { return st.New + st.Returned - st.Taken }
 // caller's row itself, and counts one written byte per image the row holds.
 func TestRowDevice(t *testing.T) {
 	s := sim.New(1, 1)
-	d := NewDevice[[][]byte](s, "p", SSD, 64)
+	d := NewDevice[[]byte](s, "p", SSD, 64)
 	row := [][]byte{testBlock(1), nil, testBlock(2)[:64]}
 	var got [][][]byte
 	s.Go("io", sim.CatOther, func(th *sim.Thread) {
-		d.WriteSync(th, []Req[[][]byte]{{DBN: 3, Data: row}})
+		d.WriteSync(th, []Req[[]byte]{{DBN: 3, Data: row}})
 		got = d.ReadSync(th, []block.DBN{3, 4})
 	})
 	s.Run(sim.Time(sim.Second))
