@@ -227,6 +227,28 @@ func identLike(re string) func(ast.Node) bool {
 	}
 }
 
+// makesImage matches a call that makes a block image array: block.Clone,
+// block.New, make([]byte, ...) and append([]byte{}, ...).
+func makesImage(n ast.Node) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	if callOn([]string{"block"}, "Clone", "New")(call) {
+		return true
+	}
+	fn, ok := call.Fun.(*ast.Ident)
+	if !ok || len(call.Args) == 0 || (fn.Name != "make" && fn.Name != "append") {
+		return false
+	}
+	arg := call.Args[0]
+	if lit, ok := arg.(*ast.CompositeLit); ok && fn.Name == "append" {
+		arg = lit.Type
+	}
+	at, ok := arg.(*ast.ArrayType)
+	return ok && at.Len == nil && lastName(at.Elt) == "byte"
+}
+
 // getOrNew matches a hand-rolled free list's get: a fifo.Queue popped when it
 // is not empty, and otherwise something new built — `if q.Len() > 0 { v =
 // q.Pop() } else { ... }`, or `if q.Len() > 0 { return q.Pop() }` with the
@@ -519,7 +541,6 @@ var knobAllow = map[string]string{
 // cross-package test that needs each exported.
 var exportAllow = map[string]string{
 	"aggregate.Volume.CreateFile":       "internal/core and internal/cp tests create files without choosing an inode number",
-	"raid.Group.VerifyStripe":           "internal/core tests check parity of the stripes a tetris wrote",
 	"fs.File.DirtyCount":                "internal/cp tests check a file is clean after a CP",
 	"bitmap.Index.CorruptFreeWord":      "freeindex_test.go proves fsck catches a bad summary bit",
 	"bitmap.Index.CorruptRegionCounter": "freeindex_test.go proves fsck catches a bad region counter",
@@ -702,6 +723,29 @@ var archRules = []archRule{
 		}, {
 			files: map[string]string{"internal/core/infra.go": `package core; func (in *Infra) f() (b *Bucket) { if in.spare.Len() > 0 { b = in.spare.Pop() } else { b = new(Bucket) }; return }`},
 			want:  "internal/core/infra.go:1: fifo.Queue used as a get-or-new free list",
+		}},
+	},
+	{
+		// One maker of image arrays in internal/fs: the image pool, where a
+		// CP-owned array comes from and goes back to when the media drops it
+		// (DESIGN §14). block.Clone stays for callers outside internal/fs.
+		name: "images",
+		clauses: []clause{{
+			scan: []string{"internal/fs"}, except: []string{"internal/fs/images.go"}, forbid: makesImage,
+			msg: "image array made outside internal/fs/images.go: take it from the ImagePool",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"internal/fs/buffer.go": `package fs; func (b *Buffer) f() { b.data = block.Clone(b.data) }`},
+			want:  "internal/fs/buffer.go:1: image array made outside internal/fs/images.go",
+		}, {
+			files: map[string]string{"internal/fs/file.go": `package fs; func f() []byte { return block.New() }`},
+			want:  "internal/fs/file.go:1: image array made outside internal/fs/images.go",
+		}, {
+			files: map[string]string{"internal/fs/buffer.go": `package fs; func f(p []byte) []byte { return append([]byte{}, p...) }`},
+			want:  "internal/fs/buffer.go:1: image array made outside internal/fs/images.go",
+		}, {
+			files: map[string]string{"internal/fs/walk.go": `package fs; func f() []byte { return make([]byte, 4096) }`},
+			want:  "internal/fs/walk.go:1: image array made outside internal/fs/images.go",
 		}},
 	},
 	{

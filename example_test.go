@@ -47,7 +47,7 @@ func Example_quickstart() {
 	// Output:
 	// window=60.000ms ops=3220 (53667 ops/s, 1677.1 MB/s) lat avg=74.500us p50=74.500us p99=74.500us cores total=6.36 (client=3.97 cleaner=1.21 infra=0.78 cp=0.00 raid=0.33 waff=0.05) cps=8 stalls=0 fullstripe=85%
 	// write allocation used 1.99 cores (1.21 cleaner + 0.78 infrastructure)
-	// fsck: refs=32267 used=32267 leaked=0 double=0 missing=0 containerErrs=0 vvbnErrs=0 snapErrs=0 idxErrs=0 files=4 snaps=0 errs=0
+	// fsck: refs=32267 used=32267 leaked=0 double=0 missing=0 containerErrs=0 vvbnErrs=0 snapErrs=0 idxErrs=0 parityErrs=0 files=4 snaps=0 errs=0
 }
 
 // The paper's headline result: the same sequential-write workload under the
@@ -146,7 +146,7 @@ func Example_crashRecovery() {
 	// crashing at t=130.000ms: 1678 ops acknowledged, 2 CPs committed
 	// mounted CP 2 and replayed the NVRAM log
 	// content check: 0 mismatches
-	// post-recovery fsck: refs=1718 used=1718 leaked=0 double=0 missing=0 containerErrs=0 vvbnErrs=0 snapErrs=0 idxErrs=0 files=1 snaps=0 errs=0
+	// post-recovery fsck: refs=1718 used=1718 leaked=0 double=0 missing=0 containerErrs=0 vvbnErrs=0 snapErrs=0 idxErrs=0 parityErrs=0 files=1 snaps=0 errs=0
 }
 
 // The §V-B dynamic cleaner-thread tuner reacting to a changing workload:

@@ -21,6 +21,7 @@ type FsckReport struct {
 	VVBNErrs         uint64 // volume activemap bits disagreeing with trees
 	SnapErrs         uint64 // summary/snapmap disagreements, ownerless bits
 	IdxErrs          uint64 // free-space index counters/summary vs recount
+	ParityErrs       uint64 // used blocks that do not reconstruct from the rest of their stripe
 	Files            uint64
 	Snapshots        uint64 // materialized snapshots found on media
 	Errors           []string
@@ -31,13 +32,13 @@ type FsckReport struct {
 func (r FsckReport) OK() bool {
 	return r.Missing == 0 && r.DoubleRefs == 0 && r.Leaked == 0 &&
 		r.ContainerErrs == 0 && r.VVBNErrs == 0 && r.SnapErrs == 0 &&
-		r.IdxErrs == 0 && len(r.Errors) == 0
+		r.IdxErrs == 0 && r.ParityErrs == 0 && len(r.Errors) == 0
 }
 
 func (r FsckReport) String() string {
-	return fmt.Sprintf("fsck: refs=%d used=%d leaked=%d double=%d missing=%d containerErrs=%d vvbnErrs=%d snapErrs=%d idxErrs=%d files=%d snaps=%d errs=%d",
+	return fmt.Sprintf("fsck: refs=%d used=%d leaked=%d double=%d missing=%d containerErrs=%d vvbnErrs=%d snapErrs=%d idxErrs=%d parityErrs=%d files=%d snaps=%d errs=%d",
 		r.ReferencedBlocks, r.UsedBits, r.Leaked, r.DoubleRefs, r.Missing,
-		r.ContainerErrs, r.VVBNErrs, r.SnapErrs, r.IdxErrs, r.Files, r.Snapshots, len(r.Errors))
+		r.ContainerErrs, r.VVBNErrs, r.SnapErrs, r.IdxErrs, r.ParityErrs, r.Files, r.Snapshots, len(r.Errors))
 }
 
 // Fsck checks every member's committed media image and folds the reports
@@ -274,7 +275,9 @@ func (mem *Member) fsck(r *FsckReport, prefix string) {
 	// used block but the reserved stripe 0 must be on the media, read through
 	// the god view (no fault plan, no reconstruction): the CP engine forgets
 	// a freed block's image, and one forgotten too early is a lost block,
-	// whether or not a walk above reads it.
+	// whether or not a walk above reads it. usedIn counts a stripe's used
+	// blocks, for the parity check below.
+	usedIn := make([]uint16, geo.NumGroups*int(geo.Depth))
 	for bn := uint64(0); bn < geo.TotalBlocks(); bn++ {
 		set := m.Activemap.IsSet(bn)
 		refd := refs[block.VBN(bn)] > 0
@@ -289,9 +292,28 @@ func (mem *Member) fsck(r *FsckReport, prefix string) {
 		if !set {
 			continue
 		}
-		if g, d, dbn := geo.Locate(block.VBN(bn)); dbn != 0 && m.Group(g).Drive(d).Peek(dbn) == nil {
+		g, d, dbn := geo.Locate(block.VBN(bn))
+		if dbn == 0 {
+			continue
+		}
+		usedIn[g*int(geo.Depth)+int(dbn)]++
+		if m.Group(g).Drive(d).Peek(dbn) == nil {
 			r.Missing++
 			fail("used vbn %d has no media image", bn)
+		}
+	}
+	// Every used block but the reserved stripe 0 must reconstruct from the
+	// rest of its stripe, as a drive failure would need it to. A block
+	// reconstructs to its image exactly when the stripe's data images XOR to
+	// its parity row's, so one check a stripe covers every used block in it.
+	for i, n := range usedIn {
+		if n == 0 {
+			continue
+		}
+		g, dbn := i/int(geo.Depth), block.DBN(i%int(geo.Depth))
+		if !m.Group(g).VerifyStripe(dbn) {
+			r.ParityErrs += uint64(n)
+			fail("group %d stripe %d: %d used blocks do not reconstruct from the stripe", g, dbn, n)
 		}
 	}
 }

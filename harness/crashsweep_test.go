@@ -66,7 +66,7 @@ func TestMediaReadSequencePinned(t *testing.T) {
 	got := fmt.Sprintf("peeks %d errs %d repairs %+v events %d\n%s",
 		st.Faults.PeeksSeen, st.Faults.PeekErrs, st.Repairs, rec.Events(), rep)
 	const want = "peeks 9058 errs 1006 repairs {Retries:521 Reconstructs:0} events 245537\n" +
-		"fsck: refs=3986 used=3986 leaked=0 double=0 missing=0 containerErrs=0 vvbnErrs=0 snapErrs=0 idxErrs=0 files=2 snaps=4 errs=0"
+		"fsck: refs=3986 used=3986 leaked=0 double=0 missing=0 containerErrs=0 vvbnErrs=0 snapErrs=0 idxErrs=0 parityErrs=0 files=2 snaps=4 errs=0"
 	if got != want {
 		t.Errorf("media read sequence moved:\n got %s\nwant %s", got, want)
 	}

@@ -11,18 +11,21 @@ import (
 
 // TestSeqWriteHostAllocBudget guards the host cost of the data path where
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
-// an 8-block sequential write may allocate at most 2.5 KiB of host heap.
+// an 8-block sequential write may allocate at most 2.0 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 2.12 KiB/op (20.2 mallocs/op) while parity is
-// kept as rows of data images (DESIGN §4; 2.40 when each stripe's parity was
-// XORed into an array), the allocation window's state and the op's own state
-// are recycled (DESIGN §9; 3.3 KiB and 38 mallocs when messages, call
-// completions, op bodies and free commits were garbage and every payload was
-// copied into its buffer), block images stay trimmed, sparse indirects go to
-// the media trimmed and the buffer index stays map-free; materialising the
-// zero tail of the eight L0 images alone adds 32 KiB.
+// — and the figure sits near 1.90 KiB/op (20.2 mallocs/op) while CP-owned
+// images come from the aggregate's image pool and go back to it when the
+// media drops them (DESIGN §14; 2.12 when every CP-side copy was a fresh
+// array), parity is kept as rows of data images (DESIGN §4; 2.40 when each
+// stripe's parity was XORed into an array), the allocation window's state
+// and the op's own state are recycled (DESIGN §9; 3.3 KiB and 38 mallocs
+// when messages, call completions, op bodies and free commits were garbage
+// and every payload was copied into its buffer), block images stay trimmed,
+// sparse indirects go to the media trimmed and the buffer index stays
+// map-free; materialising the zero tail of the eight L0 images alone adds
+// 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
-	const budgetKiB = 2.5
+	const budgetKiB = 2.0
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -166,14 +169,16 @@ func overloadBurst(t *testing.T) *wafl.System {
 
 // TestOverloadHostAllocBudget guards the host cost of the CP's write path on
 // the benchmark's costliest workload: over overload_burst's 100 ms recover
-// phase at most 5.2 KiB of host heap per client op. The figure sits near
-// 4.67 KiB/op while parity is kept as rows of data images (DESIGN §4) and a
-// sparse metafile L0 goes to the media trimmed (its buffer then updated in
-// place, not cloned; DESIGN §14): 6.16 when each stripe's parity was XORed
-// into an array (displaced full-block ones reused), 6.79 without the reuse,
-// 7.79 when every sparse metafile L0 was a fresh array too.
+// phase at most 2.0 KiB of host heap per client op. The figure sits near
+// 1.17 KiB/op while the CP's copies of indirect and metafile blocks (a
+// sealed buffer's clone, a sparse block's trimmed copy for the media) come
+// from the aggregate's image pool and go back to it when the media drops
+// them (DESIGN §14): 4.67 when each was a fresh array for the garbage
+// collector. With fresh arrays, 6.16 when each stripe's parity was also
+// XORed into an array (displaced full-block ones reused), 6.79 without the
+// reuse, 7.79 when every sparse metafile L0 was a fresh full block too.
 func TestOverloadHostAllocBudget(t *testing.T) {
-	const budgetKiB = 5.2
+	const budgetKiB = 2.0
 	sys := overloadBurst(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -214,8 +219,9 @@ func TestOverloadMediaBytesBudget(t *testing.T) {
 // the budgets above guard what it allocates: at the end of overload_burst's
 // recover phase the live heap the system holds (HeapAlloc after a
 // collection, less what it was before the system was built: systems earlier
-// tests left running stay live) is under 30 MiB. It sits near 24.9 MiB while
-// a drive keeps each DBN in a pointer and a 16-bit length (DESIGN §14); it was
+// tests left running stay live) is under 30 MiB. It sits near 25.9 MiB while
+// a drive keeps each DBN in a pointer and a 16-bit length and the image pool
+// holds its returned arrays (DESIGN §14; 24.9 MiB before the pool); it was
 // 33.7 MiB when every DBN held a 24-byte slice header, and 56.2 MiB before
 // the media dropped a freed block's image once its free commits.
 func TestOverloadLiveHeapBudget(t *testing.T) {

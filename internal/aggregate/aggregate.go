@@ -56,6 +56,11 @@ type Aggregate struct {
 	vols    []*Volume
 	cpCount uint64
 
+	// images is where every file's CP-owned arrays come from, and where the
+	// media-only ones go back when the RAID groups let go of them (DESIGN
+	// §14). A mounted aggregate starts with an empty one.
+	images *fs.ImagePool
+
 	// freed lists the VBNs cleared since the running CP started, cut those
 	// cleared before it: the cut's images are forgotten when the running CP
 	// commits (ForgetFreed). inCP is true from the cut to that commit.
@@ -81,15 +86,16 @@ func New(s *sim.Scheduler, cfg Config) (*Aggregate, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Aggregate{s: s, geo: cfg.Geometry, profile: cfg.Profile}
+	a := &Aggregate{s: s, geo: cfg.Geometry, profile: cfg.Profile, images: fs.NewImagePool()}
 	for gi := 0; gi < cfg.NumGroups; gi++ {
 		a.groups = append(a.groups, raid.NewGroup(s, gi, cfg.DataDrives, cfg.Depth, cfg.Profile))
 	}
+	a.ownMedia()
 
 	total := cfg.TotalBlocks()
 	amapBlocks := (total + bitmap.BitsPerBlock - 1) / bitmap.BitsPerBlock
-	a.amapFile = fs.NewFile(InoAggrActivemap, fs.HeightFor(amapBlocks+1))
-	a.volTable = fs.NewFile(InoAggrVolTable, fs.HeightFor(64))
+	a.amapFile = a.newMetafile(InoAggrActivemap, fs.HeightFor(amapBlocks+1))
+	a.volTable = a.newMetafile(InoAggrVolTable, fs.HeightFor(64))
 	a.Activemap = bitmap.New(a.amapFile, total)
 
 	a.initAAFree()
@@ -105,6 +111,56 @@ func New(s *sim.Scheduler, cfg Config) (*Aggregate, error) {
 		}
 	}
 	return a, nil
+}
+
+// ownMedia makes a's image pool the owner of its RAID groups' media-only
+// images.
+func (a *Aggregate) ownMedia() {
+	for _, g := range a.groups {
+		g.SetImages(a.images)
+	}
+}
+
+// own gives f the aggregate's image pool and returns it.
+func (a *Aggregate) own(f *fs.File) *fs.File {
+	f.SetImagePool(a.images)
+	return f
+}
+
+// newMetafile creates a metafile whose arrays come from the aggregate's
+// image pool.
+func (a *Aggregate) newMetafile(ino uint64, height int) *fs.File {
+	return a.own(fs.NewMetafile(ino, height))
+}
+
+// ImageStats returns the image pool's counts.
+func (a *Aggregate) ImageStats() fs.ImageStats { return a.images.Stats() }
+
+// CheckImages audits the image pool against the data drives
+// (fs.ImagePool.Audit). Only when no write is in flight: at Quiesce.
+func (a *Aggregate) CheckImages() error {
+	files := []*fs.File{a.amapFile, a.volTable}
+	for _, v := range a.vols {
+		files = append(files, v.Metafiles()...)
+		for _, id := range v.snapOrder {
+			files = append(files, v.snaps[id].Snapmap, v.snaps[id].InoCopy)
+		}
+		for _, f := range v.files {
+			files = append(files, f)
+		}
+	}
+	return a.images.Audit(files, func(visit func(block.VBN, []byte)) {
+		for gi, g := range a.groups {
+			for di := 0; di < g.DataDrives(); di++ {
+				d := g.Drive(di)
+				for dbn := block.DBN(0); dbn < d.Blocks(); dbn++ {
+					if img := d.Peek(dbn); len(img) > 0 {
+						visit(a.geo.VBNOf(gi, di, dbn), img)
+					}
+				}
+			}
+		}
+	})
 }
 
 func (a *Aggregate) initAAFree() {
@@ -153,11 +209,15 @@ func (a *Aggregate) ForgetFreed() {
 	a.inCP = false
 }
 
-// ForgetUnreachable drops from the media the image of every VBN clear in the
-// activemap, so a recovery starts from media holding only what the mounted
-// tree reaches. Only for an aggregate just mounted from crashed media: on a
-// live one, a clear VBN may hold a landed write of the running CP.
+// ForgetUnreachable takes the media over for an aggregate just mounted from
+// crashed media: a's image pool becomes the owner of the RAID groups'
+// media-only images, so the crashed aggregate's arrays are the garbage
+// collector's. Then it drops from the media the image of every VBN clear in
+// the activemap, so a recovery starts from media holding only what the
+// mounted tree reaches. Not for a live aggregate: there a clear VBN may hold
+// a landed write of the running CP.
 func (a *Aggregate) ForgetUnreachable() {
+	a.ownMedia()
 	total := a.geo.TotalBlocks()
 	for ws := uint64(0); ws < total; ws += 64 {
 		free := ^bitmap.Word(a.amapFile, ws)
@@ -264,12 +324,13 @@ func (a *Aggregate) CrashAll() {
 	}
 }
 
-// loadAll eagerly installs every block of each file's committed tree from
-// the media (untimed; mount path). A block the tree points at outside the
-// aggregate or never written is a damaged image: reading stops and the error
-// says where.
+// loadAll mounts metafiles: it gives each the aggregate's image pool and
+// eagerly installs every block of its committed tree from the media
+// (untimed). A block the tree points at outside the aggregate or never
+// written is a damaged image: reading stops and the error says where.
 func (a *Aggregate) loadAll(files ...*fs.File) error {
 	for _, f := range files {
+		a.own(f)
 		var err error
 		f.Walk(func(level int, idx block.FBN, vvbn block.VVBN, vbn block.VBN) []byte {
 			if err != nil {

@@ -77,7 +77,7 @@ func (v *Volume) MaterializeClone(p *Volume) (activated uint64, copied int) {
 	// the empty slot map and fires OnChange per bit, keeping the free-space
 	// index and the infrastructure's pending-free observers honest.
 	activated = v.Activemap.OrFrom(s.Snapmap)
-	bf := fs.NewFile(inoVolBasemap, v.amapFile.Height())
+	bf := v.aggr.newMetafile(inoVolBasemap, v.amapFile.Height())
 	copied = snap.CopyContent(bf, s.Snapmap)
 	base := bitmap.Rebind(bf, v.vvbnBlocks)
 	// Summary hold: base VVBNs must never have their (parent-owned)

@@ -123,8 +123,8 @@ func (v *Volume) SnapshotsQuiescent() bool {
 // committing CP's image. The snapmap is folded into the summary map. Returns
 // the new snapshot and the number of metafile blocks copied (CPU charging).
 func (v *Volume) MaterializeSnapshot(id, cpCount uint64) (*snap.Snapshot, int) {
-	sm := fs.NewFile(snapMetaIno(id, 0), v.amapFile.Height())
-	ic := fs.NewFile(snapMetaIno(id, 1), v.inofile.Height())
+	sm := v.aggr.newMetafile(snapMetaIno(id, 0), v.amapFile.Height())
+	ic := v.aggr.newMetafile(snapMetaIno(id, 1), v.inofile.Height())
 	copied := snap.CopyContent(sm, v.amapFile)
 	copied += snap.CopyContent(ic, v.inofile)
 	s := &snap.Snapshot{ID: id, CreateCP: cpCount, Snapmap: sm, InoCopy: ic}

@@ -76,6 +76,7 @@ func MountFrom(old *Aggregate) (*Aggregate, error) {
 		geo:     old.geo,
 		profile: old.profile,
 		groups:  old.groups,
+		images:  fs.NewImagePool(),
 	}
 	sb := a.ReadVBNRaw(a.geo.VBNOf(0, 0, 0))
 	if sb == nil {

@@ -135,14 +135,14 @@ func (a *Aggregate) AddVolume(vvbnBlocks uint64) *Volume {
 		nextSnapID:  1,
 	}
 	amapBlocks := (vvbnBlocks + bitmap.BitsPerBlock - 1) / bitmap.BitsPerBlock
-	v.amapFile = fs.NewFile(inoVolActivemap, fs.HeightFor(amapBlocks+1))
+	v.amapFile = a.newMetafile(inoVolActivemap, fs.HeightFor(amapBlocks+1))
 	contBlocks := (vvbnBlocks + ContainerEntriesPerBlock - 1) / ContainerEntriesPerBlock
-	v.container = fs.NewFile(inoVolContainer, fs.HeightFor(contBlocks+1))
-	v.inofile = fs.NewFile(inoVolInofile, fs.HeightFor(1<<16))
+	v.container = a.newMetafile(inoVolContainer, fs.HeightFor(contBlocks+1))
+	v.inofile = a.newMetafile(inoVolInofile, fs.HeightFor(1<<16))
 	v.Activemap = bitmap.New(v.amapFile, vvbnBlocks)
-	v.summaryFile = fs.NewFile(inoVolSummary, fs.HeightFor(amapBlocks+1))
+	v.summaryFile = a.newMetafile(inoVolSummary, fs.HeightFor(amapBlocks+1))
 	v.Summary = bitmap.New(v.summaryFile, vvbnBlocks)
-	v.snapdir = fs.NewFile(inoVolSnapdir, fs.HeightFor(64))
+	v.snapdir = a.newMetafile(inoVolSnapdir, fs.HeightFor(64))
 	v.FreeIdx = bitmap.NewIndex(v.Activemap, v.Summary, bitmap.BitsPerBlock)
 	a.vols = append(a.vols, v)
 	return v
@@ -226,7 +226,7 @@ func (v *Volume) CreateFileAt(ino uint64, maxBlocks uint64) *fs.File {
 	if f := v.LookupFile(ino); f != nil {
 		return f
 	}
-	f := fs.NewFile(ino, fs.HeightFor(maxBlocks))
+	f := v.aggr.own(fs.NewFile(ino, fs.HeightFor(maxBlocks)))
 	v.files[ino] = f
 	v.recordDirty[ino] = f
 	return f
@@ -326,7 +326,7 @@ func (v *Volume) LookupFile(ino uint64) *fs.File {
 	if err != nil {
 		return nil // a record that describes no file is no inode
 	}
-	v.files[ino] = f
+	v.files[ino] = v.aggr.own(f)
 	return f
 }
 

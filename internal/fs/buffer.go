@@ -28,7 +28,9 @@ import (
 // the client wrote (WriteBlock adopts it; the NVLog record shares it), at
 // whatever length it was written; nothing is allocated until a buffer is
 // first read (Data) or mutated CP-side (CPMutableData), and both of those
-// hand metafile and indirect code a full-length array.
+// hand metafile and indirect code a full-length array. A CP-owned buffer —
+// an indirect block or a metafile L0 (cpOwned) — takes its arrays from its
+// file's ImagePool.
 //
 // CoW semantics during a consistency point (paper §II-C): when a CP freezes
 // a dirty buffer, the buffer is marked inCP. If a client overwrites the
@@ -38,9 +40,12 @@ import (
 // submitted the buffer's CP image for writing, the buffer is sealed if the
 // submitted array is its own: the drive media references it and it must
 // never be mutated, so the next modification goes to a new array. A sparse
-// CP-owned image (an indirect block or a metafile L0) is submitted as a
-// trimmed copy instead (MarkCleaned) and stays unsealed.
+// CP-owned image is submitted as a trimmed copy instead (MarkCleaned) and
+// stays unsealed. A CP-owned array the buffer leaves while the media still
+// holds it becomes media-only, and goes back to the pool when the media
+// drops it.
 type Buffer struct {
+	f     *File // the file whose tree holds the buffer
 	fbn   block.FBN
 	level int
 
@@ -58,15 +63,15 @@ type Buffer struct {
 }
 
 // sparseMax is the longest trimmed image, in bytes, with which a CP-owned
-// image — an indirect block or a metafile L0, never a client's adopted
-// array — goes to storage as a private copy rather than as its buffer's
+// image goes to storage as a private copy rather than as its buffer's
 // array. Every indirect has some zero tail (the high bytes of a VBN are
 // zero), and copying a dense image would duplicate the array its buffer
 // keeps anyway.
 const sparseMax = block.Size / 2
 
-func newBuffer(fbn block.FBN, level int) *Buffer {
+func newBuffer(f *File, fbn block.FBN, level int) *Buffer {
 	return &Buffer{
+		f:     f,
 		fbn:   fbn,
 		level: level,
 		vvbn:  block.InvalidVVBN,
@@ -102,9 +107,23 @@ func (b *Buffer) DirtyFrozen() bool { return b.dirtyFrozen }
 // overwrite through File.WriteBlock, CP-side code through CPMutableData.
 func (b *Buffer) Data() []byte {
 	if b.data == nil {
-		b.data = block.New()
+		b.data = b.pool().full(nil)
 	}
 	return b.data
+}
+
+// cpOwned reports whether the buffer's image is CP-owned: an indirect block
+// or a metafile L0, which only CP-side code writes. Only such an image is
+// ever trimmed for the media, padded on install or recycled.
+func (b *Buffer) cpOwned() bool { return b.level > 0 || b.f.metafile }
+
+// pool returns the pool the buffer's arrays come from: its file's for a
+// CP-owned buffer, none (plain allocation) for a user L0.
+func (b *Buffer) pool() *ImagePool {
+	if b.cpOwned() {
+		return b.f.pool
+	}
+	return nil
 }
 
 // cpImage returns the image that belongs to the running CP: the preserved
@@ -141,15 +160,20 @@ func (b *Buffer) replace(data []byte) (cowed bool) {
 //
 // Indirect and metafile buffers are mutated only by CP-side code, so their
 // CP image and live image are the same array and updates are visible to
-// both; the method clones if storage aliases the live image (sealed), if a
+// both; the method copies if storage aliases the live image (sealed), if a
 // client write gave it (adopted: the NVLog record holds it too), or if it is
-// shorter than a block.
+// shorter than a block. A sealed CP-owned array it leaves is media-only from
+// then on.
 func (b *Buffer) CPMutableData() []byte {
 	if b.cpData != nil {
 		return b.cpData
 	}
 	if b.sealed || b.adopted || len(b.data) < block.Size {
-		b.data = block.Clone(b.data)
+		old, left := b.data, b.sealed && !b.adopted && b.cpOwned()
+		b.data = b.pool().full(old)
+		if left {
+			b.pool().leave(old)
+		}
 		b.sealed, b.adopted = false, false
 	}
 	return b.data
@@ -166,23 +190,32 @@ func (b *Buffer) freeze() {
 // location (vvbn, vbn). It returns the image to write, which storage keeps,
 // and the previous location for freeing; the buffer leaves the CP.
 //
-// This is where sealing is decided. A CP-owned image (not adopted: an
-// indirect block or a metafile L0) that trims to sparseMax bytes or fewer is
-// handed out as a trimmed private copy, and the buffer stays unsealed: the
-// next CP updates it in place. Any other image, a client's adopted L0 among
-// them, is handed out as is, and if it is the live image the buffer is
-// sealed (the media now references that array).
+// This is where sealing is decided. A CP-owned image (cpOwned, and not a
+// client's adopted array) that trims to sparseMax bytes or fewer is handed
+// out as a trimmed private copy, media-only from birth, and the buffer stays
+// unsealed: the next CP updates it in place. A dense CP-owned image is
+// handed out as the buffer's array, which seals the buffer; if the buffer
+// was still sealed, its old array stays at the old DBN, media-only, and the
+// buffer first moves to a fresh one, so no array sits at two DBNs. Any other
+// image, a client's adopted L0 among them, is handed out as is, and if it
+// is the live image the buffer is sealed.
 func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
 	img = b.cpImage()
+	owned := b.cpOwned() && !b.adopted
 	var trimmed []byte
-	if !b.adopted {
+	if owned {
 		trimmed = block.Trim(img)
 	}
 	switch {
-	case !b.adopted && len(trimmed) <= sparseMax:
-		img = append([]byte{}, trimmed...) // never nil: nil media is a block never written
+	case owned && len(trimmed) <= sparseMax:
+		img = b.pool().mediaCopy(trimmed)
+	case owned && b.sealed:
+		// Re-cleaned unchanged: the old DBN keeps the array, alone.
+		b.data = b.pool().full(img)
+		b.pool().leave(img)
+		img = b.data
 	case b.cpData == nil:
 		b.sealed = true
 	}

@@ -94,8 +94,9 @@ func (dl *dirtyList) sort() {
 type File struct {
 	ino      uint64
 	height   int
-	size     block.FBN // one past the highest FBN ever written
-	metafile bool      // mounted from a FlagMetafile record: L0s are CP-owned images
+	size     block.FBN  // one past the highest FBN ever written
+	metafile bool       // a metafile (NewMetafile, or a FlagMetafile record): L0s are CP-owned images
+	pool     *ImagePool // where CP-owned arrays come from and go back to; nil allocates
 
 	root     node // index position of the root indirect block (level height)
 	resident int  // buffers in the index, all levels
@@ -133,6 +134,19 @@ func NewFile(ino uint64, height int) *File {
 		RootVBN:  block.InvalidVBN,
 	}
 }
+
+// NewMetafile creates an empty metafile of the given tree height: a file
+// whose L0s, like every indirect block, are CP-owned images.
+func NewMetafile(ino uint64, height int) *File {
+	f := NewFile(ino, height)
+	f.metafile = true
+	return f
+}
+
+// SetImagePool makes p the pool the file's CP-owned arrays come from. The
+// owner of the media sets it on every file it creates or mounts, before the
+// file holds a buffer.
+func (f *File) SetImagePool(p *ImagePool) { f.pool = p }
 
 // Ino returns the file's inode number.
 func (f *File) Ino() uint64 { return f.ino }
@@ -204,26 +218,26 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 		slot = &n.leaves[d]
 	}
 	if *slot == nil {
-		*slot = newBuffer(idx<<(radixBits*uint(level)), level)
+		*slot = newBuffer(f, idx<<(radixBits*uint(level)), level)
 		f.resident++
 	}
 	return *slot
 }
 
 // InstallBuffer populates the cache with a block loaded from persistent
-// storage (the mount/read path). data is adopted, not copied, and the
-// buffer is sealed: it aliases the media image until first modification.
-// The exception is a short CP-owned image (a sparse indirect or metafile L0,
-// which the media keeps trimmed): it is padded into a private full block,
-// unsealed, because PtrAt, CPMutableData and the metafile decoders work on
-// whole blocks. A short user L0 is adopted as it is, so a read miss
-// allocates nothing.
+// storage (the mount/read path). A user L0's data is adopted, not copied, and
+// the buffer is sealed: it aliases the media image until first modification,
+// and a read miss allocates nothing, however short the image. A CP-owned
+// image (an indirect, or a metafile L0) is copied into a private full block
+// from the pool, unsealed: PtrAt, CPMutableData and the metafile decoders
+// work on whole blocks, and no buffer ever holds a media array the pool may
+// take back.
 func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
 	switch {
 	case data == nil:
-	case (level > 0 || f.metafile) && len(data) < block.Size:
-		b.data, b.sealed = block.Clone(data), false
+	case b.cpOwned():
+		b.data, b.sealed = f.pool.full(data), false
 	default:
 		b.data, b.sealed = data, true
 	}
@@ -405,6 +419,27 @@ func (f *File) AncestorPath(b *Buffer) []*Buffer {
 		out = append(out, f.getOrCreate(level, idx))
 	}
 	return out
+}
+
+// eachBuffer calls fn for every resident buffer, indirect and L0.
+func (f *File) eachBuffer(fn func(*Buffer)) {
+	var visit func(n *node)
+	visit = func(n *node) {
+		if n.buf != nil {
+			fn(n.buf)
+		}
+		for _, k := range n.kids {
+			if k != nil {
+				visit(k)
+			}
+		}
+		for _, b := range n.leaves {
+			if b != nil {
+				fn(b)
+			}
+		}
+	}
+	visit(&f.root)
 }
 
 // PtrAt reads entry childIdx of indirect buffer b.

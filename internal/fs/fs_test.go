@@ -210,17 +210,18 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name   string
+		newf   func(ino uint64, height int) *File
 		level  int
 		write  func(*File)
 		sparse bool
 	}{
-		{"sparse L1", 1, clientWrites(3), true},
-		{"dense L1", 1, clientWrites(block.PtrsPerBlock), false},
-		{"adopted L0", 0, clientWrites(1), false},
-		{"sparse metafile L0", 0, metaWrite(block.Size / 2), true},
-		{"dense metafile L0", 0, metaWrite(block.Size/2 + 1), false},
+		{"sparse L1", NewFile, 1, clientWrites(3), true},
+		{"dense L1", NewFile, 1, clientWrites(block.PtrsPerBlock), false},
+		{"adopted L0", NewFile, 0, clientWrites(1), false},
+		{"sparse metafile L0", NewMetafile, 0, metaWrite(block.Size / 2), true},
+		{"dense metafile L0", NewMetafile, 0, metaWrite(block.Size/2 + 1), false},
 	} {
-		f := NewFile(1, 1)
+		f := c.newf(1, 1)
 		c.write(f)
 		loc := uint64(100)
 		var b *Buffer

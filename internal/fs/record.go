@@ -81,8 +81,8 @@ func (f *File) RecordOf(flags uint32) Record {
 
 // FileFromRecord reconstructs a file's skeleton from its record (mount
 // path); buffers are demand-loaded later. A record of a tree height no file
-// can have is an error: the record came off the media. FlagMetafile marks
-// the file's L0s as CP-owned images (File.InstallBuffer).
+// can have is an error: the record came off the media. FlagMetafile makes
+// the file a metafile, as NewMetafile does: its L0s are CP-owned images.
 func FileFromRecord(r Record) (*File, error) {
 	if r.Height < 1 || r.Height > MaxHeight {
 		return nil, fmt.Errorf("ino %d: record of tree height %d", r.Ino, r.Height)

@@ -44,7 +44,28 @@ type Group struct {
 	// on one group, each holding its own.
 	scratchPool fifo.Pool[*stripeScratch]
 
+	// images takes back the media-only images the group's media let go of;
+	// nil keeps none.
+	images Images
+
 	stats Stats
+}
+
+// Images is the owner of the images only the media holds (fs.ImagePool). A
+// data image that its data drive and its stripe's parity row have both let
+// go of goes back to it: at Forget, or when a write that displaced it has
+// landed, parity included.
+type Images interface {
+	MediaOnly(img []byte) bool
+	Release(img []byte)
+}
+
+// displaced is a media-only image a write in flight replaces at data drive
+// di's dbn.
+type displaced struct {
+	di  int
+	dbn block.DBN
+	img []byte
 }
 
 // stripeScratch is one Write's planning state: the touched stripes' DBNs,
@@ -94,6 +115,11 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 	g.parity = storage.NewDevice[[]byte](s, fmt.Sprintf("rg%d.parity", id), profile, depth)
 	return g
 }
+
+// SetImages makes im the owner of the group's media-only images. The owner
+// of the media sets it, and a recovered one takes it over: the images its
+// predecessor registered are the garbage collector's.
+func (g *Group) SetImages(im Images) { g.images = im }
 
 // Stats returns a snapshot of the group's parity statistics.
 func (g *Group) Stats() Stats { return g.stats }
@@ -253,14 +279,31 @@ func (g *Group) issueWrites(writes [][]storage.WriteReq, sc *stripeScratch, done
 	g.stats.ParityBlocksWritten += uint64(len(sc.parityReqs))
 
 	pending := 1 // parity I/O
-	for _, reqs := range writes {
+	var gone []displaced
+	for di, reqs := range writes {
 		if len(reqs) > 0 {
 			pending++
+		}
+		if g.images == nil {
+			continue
+		}
+		for _, r := range reqs {
+			if img := g.data[di].Peek(r.DBN); g.images.MediaOnly(img) {
+				gone = append(gone, displaced{di, r.DBN, img})
+			}
 		}
 	}
 	complete := func() {
 		pending--
-		if pending == 0 && done != nil {
+		if pending > 0 {
+			return
+		}
+		for _, d := range gone {
+			if !sameArray(g.data[d.di].Peek(d.dbn), d.img) && !g.rowHolds(d.dbn, d.di, d.img) {
+				g.images.Release(d.img)
+			}
+		}
+		if done != nil {
 			done()
 		}
 	}
@@ -277,7 +320,8 @@ func (g *Group) issueWrites(writes [][]storage.WriteReq, sc *stripeScratch, done
 // entry for it, and reports whether it did. It does only when the row holds
 // that very array: then both sides of the stripe's XOR lose the same image,
 // so VerifyStripe and every other block's ReconstructBlock read what they
-// read before. A row left with no image is dropped too. Untimed, like
+// read before. A row left with no image is dropped too, and a media-only
+// image goes back to its owner (SetImages). Untimed, like
 // storage.Device.Forget; its caller knows no committed tree reaches the
 // block and no write of the stripe is in flight.
 func (g *Group) Forget(di int, dbn block.DBN) bool {
@@ -292,7 +336,17 @@ func (g *Group) Forget(di int, dbn block.DBN) bool {
 	if !slices.ContainsFunc(row, func(b []byte) bool { return b != nil }) {
 		g.parity.Forget(dbn)
 	}
+	if g.images != nil {
+		g.images.Release(img)
+	}
 	return true
+}
+
+// rowHolds reports whether the parity row at dbn holds img as data drive
+// di's image.
+func (g *Group) rowHolds(dbn block.DBN, di int, img []byte) bool {
+	row := g.parity.Peek(dbn)
+	return di < len(row) && sameArray(row[di], img)
 }
 
 // sameArray reports whether a and b are one image: the same bytes of the
@@ -316,8 +370,9 @@ func (g *Group) stripe(dbn block.DBN, skip int) [][]byte {
 }
 
 // VerifyStripe recomputes parity for stripe dbn from the committed media and
-// reports whether it matches the committed parity exactly. Only tests call
-// it, to validate RAID consistency.
+// reports whether it matches the committed parity exactly: then every block
+// of the stripe reconstructs to its own image (ReconstructBlock). Fsck checks
+// every stripe holding a used block.
 func (g *Group) VerifyStripe(dbn block.DBN) bool {
 	imgs := g.stripe(dbn, -1)
 	return block.Equal(xorAll(imgs[:len(g.data)]), xorAll(imgs[len(g.data):]))

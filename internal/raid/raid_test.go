@@ -441,6 +441,64 @@ func TestForgetIsExact(t *testing.T) {
 	}
 }
 
+// mediaOnly is an Images that registers the images it is told to and
+// records what comes back.
+type mediaOnly struct {
+	reg      map[*byte]bool
+	released [][]byte
+}
+
+func (m *mediaOnly) MediaOnly(img []byte) bool { return len(img) > 0 && m.reg[&img[0]] }
+
+func (m *mediaOnly) Release(img []byte) {
+	if m.MediaOnly(img) {
+		delete(m.reg, &img[0])
+		m.released = append(m.released, img)
+	}
+}
+
+// TestMediaOnlyImagesGoBack: a media-only image goes back to its owner once
+// its data drive and its parity row have both let go of it — when a write
+// that displaced it has landed, parity included, or at Forget — and no
+// other image does.
+func TestMediaOnlyImagesGoBack(t *testing.T) {
+	s, g := newTestGroup(2)
+	im := &mediaOnly{reg: map[*byte]bool{}}
+	g.SetImages(im)
+	old := make([][]storage.WriteReq, 4)
+	for di := range old {
+		old[di] = []storage.WriteReq{{DBN: 5, Data: fill(byte(di + 1))}}
+	}
+	g.Write(old, 0, nil)
+	s.Run(sim.Time(100 * sim.Millisecond))
+	displaced, forgotten, shared := old[0][0].Data, old[1][0].Data, old[2][0].Data
+	im.reg[&displaced[0]], im.reg[&forgotten[0]] = true, true
+
+	// A partial-stripe write over drives 0 and 2: the row keeps drive 1's
+	// image, which stays on its drive too.
+	over := make([][]storage.WriteReq, 4)
+	over[0] = []storage.WriteReq{{DBN: 5, Data: fill(0xE0)}}
+	over[2] = []storage.WriteReq{{DBN: 5, Data: fill(0xE2)}}
+	landed := false
+	g.Write(over, 0, func() { landed = true })
+	if len(im.released) != 0 {
+		t.Fatal("an image went back before the write that displaced it landed")
+	}
+	s.Run(sim.Time(200 * sim.Millisecond))
+	if !landed || len(im.released) != 1 || !sameArray(im.released[0], displaced) {
+		t.Fatalf("after the write landed: %d images back, want the displaced one", len(im.released))
+	}
+	if !g.VerifyStripe(5) || !bytes.Equal(shared, fill(3)) {
+		t.Fatal("the stripe's parity or an unregistered displaced image changed")
+	}
+	if !g.Forget(1, 5) || len(im.released) != 2 || !sameArray(im.released[1], forgotten) {
+		t.Fatalf("after Forget: %d images back, want the forgotten one too", len(im.released))
+	}
+	if !g.Forget(0, 5) || len(im.released) != 2 {
+		t.Fatal("Forget of an unregistered image gave it back")
+	}
+}
+
 // TestWarmWriteAllocatesRowsOnly: a warm Write of fresh full stripes
 // allocates one row of image references per stripe, beyond what every Write
 // costs, and no image bytes. An eager parity would be a 4 KiB array each.

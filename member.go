@@ -228,12 +228,13 @@ func (m *Member) startAllocator(a *aggregate.Aggregate) {
 }
 
 // rebuilt returns the cumulative counters of the layers a remount builds anew
-// (the volatile stack, and the mounted aggregate's repair path): this incarnation's, continued
-// from base — the same value the incarnation a crash destroyed last reported —
-// so no counter runs backwards across RecoverMember.
+// (the volatile stack, and the mounted aggregate's repair path and image
+// pool): this incarnation's, continued from base — the same value the
+// incarnation a crash destroyed last reported — so no counter runs backwards
+// across RecoverMember.
 func (m *Member) rebuilt() Stats {
 	st := Stats{Infra: m.in.Stats(), Pool: m.pool.Stats(), CP: m.engine.Stats(),
-		Waffinity: m.w.Stats(), Repairs: m.a.Repairs()}
+		Waffinity: m.w.Stats(), Repairs: m.a.Repairs(), Images: m.a.ImageStats()}
 	if m.bc != nil {
 		st.BCache = m.bc.Stats()
 	}

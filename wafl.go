@@ -44,6 +44,7 @@ import (
 	"wafl/internal/core"
 	"wafl/internal/cp"
 	"wafl/internal/faultinject"
+	"wafl/internal/fs"
 	"wafl/internal/nvlog"
 	"wafl/internal/obs"
 	"wafl/internal/raid"
@@ -101,6 +102,8 @@ type (
 	DriveStats = storage.Stats
 	// WaffinityStats counts affinity messages sent and executed.
 	WaffinityStats = waffinity.Stats
+	// ImageStats counts the aggregate's recycled CP-owned block images.
+	ImageStats = fs.ImageStats
 )
 
 // NewHistogram creates a standalone log-linear latency histogram for
@@ -737,7 +740,9 @@ func (sys *System) Flush() error { return sys.drive("flush") }
 // member holds no recycled record, so every one its pools handed out must be
 // back, or abandoned by the crash that dropped it (DESIGN §9); otherwise
 // Quiesce names the pool that leaked. The counts are the running
-// incarnation's: the pools a remount rebuilds died with the old one.
+// incarnation's: the pools a remount rebuilds died with the old one. The
+// image pool, whose arrays a buffer or the media hold by design, is audited
+// against the media instead (Aggregate.CheckImages).
 func (sys *System) Quiesce() error {
 	sys.stopped = true
 	if err := sys.drive("quiesce"); err != nil {
@@ -750,6 +755,9 @@ func (sys *System) Quiesce() error {
 		}
 		if err := m.stats().Sub(m.base).leaks(); err != nil {
 			errs = append(errs, fmt.Errorf("wafl: member %d leaks recycled records: %w", m.id, err))
+		}
+		if err := m.a.CheckImages(); err != nil {
+			errs = append(errs, fmt.Errorf("wafl: member %d misplaces block images: %w", m.id, err))
 		}
 	}
 	return errors.Join(errs...)
