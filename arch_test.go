@@ -710,6 +710,20 @@ var archRules = []archRule{
 		}},
 	},
 	{
+		// One writer of indirect images: File.CleanChild puts every child
+		// pointer, so it is the one place a sparse indirect's short array
+		// grows (DESIGN §14).
+		name: "putptr",
+		clauses: []clause{{
+			scan: []string{"..."}, except: []string{"internal/fs/file.go"}, forbid: callOn([]string{"block"}, "PutPtr"),
+			msg: "pointer encoded outside internal/fs/file.go: File.CleanChild writes indirects",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"internal/aggregate/volume.go": `package aggregate; func f(d []byte) { block.PutPtr(d, 0, 1, 1) }`},
+			want:  "internal/aggregate/volume.go:1: pointer encoded outside internal/fs/file.go",
+		}},
+	},
+	{
 		// One recycling primitive: a free list of host state is a fifo.Pool,
 		// whose counts Quiesce checks, never a queue with its own get-or-new.
 		name: "pool",

@@ -215,31 +215,63 @@ func TestOverloadMediaBytesBudget(t *testing.T) {
 	}
 }
 
+// liveHeap returns the live host heap in MiB: HeapAlloc after a collection.
+func liveHeap() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
+}
+
 // TestOverloadLiveHeapBudget guards the host memory a system keeps, where
 // the budgets above guard what it allocates: at the end of overload_burst's
 // recover phase the live heap the system holds (HeapAlloc after a
 // collection, less what it was before the system was built: systems earlier
-// tests left running stay live) is under 30 MiB. It sits near 25.9 MiB while
-// a drive keeps each DBN in a pointer and a 16-bit length and the image pool
-// holds its returned arrays (DESIGN §14; 24.9 MiB before the pool); it was
-// 33.7 MiB when every DBN held a 24-byte slice header, and 56.2 MiB before
-// the media dropped a freed block's image once its free commits.
+// tests left running stay live) is under 22 MiB. It sits near 18.6 MiB while
+// a sparse indirect keeps an array only as long as its pointers need and
+// shares it with the media sealed (DESIGN §14; 25.9 MiB when every indirect
+// kept a full block and the media got a trimmed copy), a drive keeps each DBN
+// in a pointer and a 16-bit length and the image pool holds its returned
+// arrays (24.9 MiB before the pool); it was 33.7 MiB when every DBN held a
+// 24-byte slice header, and 56.2 MiB before the media dropped a freed
+// block's image once its free commits.
 func TestOverloadLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 30
-	heap := func() float64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc) / (1 << 20)
-	}
-	base := heap()
+	const budgetMiB = 22
+	base := liveHeap()
 	sys := overloadBurst(t)
 	sys.Measure(0, 100*wafl.Millisecond)
-	live := heap() - base
+	live := liveHeap() - base
 	runtime.KeepAlive(sys)
 	t.Logf("%.1f MiB live heap", live)
 	if live > budgetMiB {
 		t.Fatalf("overload_burst keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
+	}
+}
+
+// TestNFSMixLiveHeapBudget guards the same on the benchmark's nfsmix, whose
+// 1,600 small files hold one sparse L1 each: after a 150 ms warm-up and a
+// 250 ms window the live heap the system holds is under 29 MiB. It sits near
+// 26.2 MiB while a sparse indirect keeps an array only as long as its
+// pointers need and shares it with the media sealed (DESIGN §14); 31.6 MiB
+// when every indirect kept a full block and the media got a trimmed copy.
+func TestNFSMixLiveHeapBudget(t *testing.T) {
+	const budgetMiB = 29
+	base := liveHeap()
+	cfg := wafl.DefaultConfig()
+	cfg.BCacheBlocks = 8192
+	sys, err := wafl.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	workload.DefaultNFSMix().Attach(sys)
+	sys.Run(150 * wafl.Millisecond)
+	sys.Measure(0, 250*wafl.Millisecond)
+	live := liveHeap() - base
+	runtime.KeepAlive(sys)
+	t.Logf("%.1f MiB live heap", live)
+	if live > budgetMiB {
+		t.Fatalf("nfsmix keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
 	}
 }
 

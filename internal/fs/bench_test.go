@@ -6,9 +6,9 @@ import (
 	"wafl/internal/block"
 )
 
-// Package benchmarks for the three things the data path asks of a File:
-// create-and-dirty on first write, find a resident buffer, and carry a dirty
-// set through one consistency point. `make benchsmoke` runs each once so
+// Package benchmarks for the four things the data path asks of a File:
+// create-and-dirty on first write, find a resident buffer, carry a dirty set
+// through one consistency point, and re-clean a small file's sparse L1. `make benchsmoke` runs each once so
 // they cannot rot; for numbers use
 //
 //	go test -run '^$' -bench . -benchmem -count 10 ./internal/fs
@@ -75,6 +75,39 @@ func BenchmarkFreezeCleanRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// BenchmarkCleanSparseIndirect is one op = one CP over a 64-block file whose
+// L1 comes from the media, as after a mount: install the L1's 64-pointer
+// image, overwrite the 64 L0s, Freeze, then clean them and the L1. The file
+// has no image pool, so -benchmem's B/op is every array the L1 takes: ~1 KiB
+// while a sparse indirect keeps an array of its image's length and hands it
+// to the media sealed, a 4 KiB block plus a trimmed copy when it kept a full
+// block.
+func BenchmarkCleanSparseIndirect(b *testing.B) {
+	const ptrs = 64
+	payload := make([]byte, 64)
+	f := NewFile(1, 1)
+	var img []byte
+	round := func() {
+		for fbn := block.FBN(0); fbn < ptrs; fbn++ {
+			f.WriteBlock(fbn, payload)
+		}
+		f.Freeze()
+		loc := uint64(1)
+		for _, buf := range f.FrozenLevel(0) {
+			f.CleanChild(buf, block.VVBN(loc), block.VBN(loc))
+			loc++
+		}
+		img, _, _ = f.CleanChild(f.FrozenLevel(1)[0], block.VVBN(loc), block.VBN(loc))
+	}
+	round() // make every buffer and list resident
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.InstallBuffer(1, 0, img, block.VVBN(ptrs+1), block.VBN(ptrs+1))
 		round()
 	}
 }

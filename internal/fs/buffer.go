@@ -26,11 +26,13 @@ import (
 // Images follow the internal/block rule: a []byte of len <= block.Size
 // whose missing tail reads as zero. A user L0 buffer holds the very array
 // the client wrote (WriteBlock adopts it; the NVLog record shares it), at
-// whatever length it was written; nothing is allocated until a buffer is
+// whatever length it was written; nothing is allocated until an L0 is
 // first read (Data) or mutated CP-side (CPMutableData), and both of those
-// hand metafile and indirect code a full-length array. A CP-owned buffer —
-// an indirect block or a metafile L0 (cpOwned) — takes its arrays from its
-// file's ImagePool.
+// hand metafile code a full-length array. An indirect's array is only as
+// long as its pointers need (nil with none): CleanChild, its one writer,
+// grows it by doubling, and past sparseMax it is a full block. A CP-owned
+// buffer — an indirect block or a metafile L0 (cpOwned) — takes its arrays
+// from its file's ImagePool.
 //
 // CoW semantics during a consistency point (paper §II-C): when a CP freezes
 // a dirty buffer, the buffer is marked inCP. If a client overwrites the
@@ -39,11 +41,12 @@ import (
 // overwrite's array; the change lands in the *next* CP. Once the cleaner has
 // submitted the buffer's CP image for writing, the buffer is sealed if the
 // submitted array is its own: the drive media references it and it must
-// never be mutated, so the next modification goes to a new array. A sparse
-// CP-owned image is submitted as a trimmed copy instead (MarkCleaned) and
-// stays unsealed. A CP-owned array the buffer leaves while the media still
-// holds it becomes media-only, and goes back to the pool when the media
-// drops it.
+// never be mutated, so the next modification goes to a new array. An
+// indirect is always submitted as its own array (a sparse one cut to its
+// trimmed length) and sealed; a sparse metafile L0 is submitted as a trimmed
+// copy instead (MarkCleaned) and stays unsealed. A CP-owned array the buffer
+// leaves while the media still holds it becomes media-only, and goes back to
+// the pool when the media drops it.
 type Buffer struct {
 	f     *File // the file whose tree holds the buffer
 	fbn   block.FBN
@@ -63,10 +66,11 @@ type Buffer struct {
 }
 
 // sparseMax is the longest trimmed image, in bytes, with which a CP-owned
-// image goes to storage as a private copy rather than as its buffer's
-// array. Every indirect has some zero tail (the high bytes of a VBN are
-// zero), and copying a dense image would duplicate the array its buffer
-// keeps anyway.
+// image goes to storage short: a sparse indirect as its buffer's array cut
+// to its trimmed length, a sparse metafile L0 as a private trimmed copy. It
+// is also the longest short array an indirect keeps. Every indirect has
+// some zero tail (the high bytes of a VBN are zero), and a short copy of a
+// dense image would duplicate the array its buffer keeps anyway.
 const sparseMax = block.Size / 2
 
 func newBuffer(f *File, fbn block.FBN, level int) *Buffer {
@@ -103,10 +107,12 @@ func (b *Buffer) DirtyCurr() bool { return b.dirtyCurr }
 func (b *Buffer) DirtyFrozen() bool { return b.dirtyFrozen }
 
 // Data returns the live image for reading, materialising the zero block of
-// a buffer nobody has written yet. Callers must not mutate it; clients
-// overwrite through File.WriteBlock, CP-side code through CPMutableData.
+// an L0 nobody has written yet. An indirect's image is as long as its
+// pointers need, nil with none; PtrAt reads it as its padded twin. Callers
+// must not mutate it; clients overwrite through File.WriteBlock, CP-side
+// code through CPMutableData and CleanChild.
 func (b *Buffer) Data() []byte {
-	if b.data == nil {
+	if b.data == nil && b.level == 0 {
 		b.data = b.pool().full(nil)
 	}
 	return b.data
@@ -151,17 +157,17 @@ func (b *Buffer) replace(data []byte) (cowed bool) {
 	return cowed
 }
 
-// CPMutableData returns the running CP's image for mutation by CP-side code
-// (the cleaner updating a parent indirect's child pointers, the
-// infrastructure updating allocation-metafile bits, inode-record
-// serialization). Unlike a client overwrite, a modification through this
-// method belongs to the *current* CP. The returned array is always
-// full-length.
+// CPMutableData returns the running CP's image of an L0 for mutation by
+// CP-side code (the infrastructure updating allocation-metafile bits,
+// inode-record serialization). Unlike a client overwrite, a modification
+// through this method belongs to the *current* CP. The returned array is
+// always full-length. An indirect is written by CleanChild alone, through
+// ptrs, never through this method.
 //
-// Indirect and metafile buffers are mutated only by CP-side code, so their
-// CP image and live image are the same array and updates are visible to
-// both; the method copies if storage aliases the live image (sealed), if a
-// client write gave it (adopted: the NVLog record holds it too), or if it is
+// Metafile buffers are mutated only by CP-side code, so their CP image and
+// live image are the same array and updates are visible to both; the
+// method copies if storage aliases the live image (sealed), if a client
+// write gave it (adopted: the NVLog record holds it too), or if it is
 // shorter than a block. A sealed CP-owned array it leaves is media-only from
 // then on.
 func (b *Buffer) CPMutableData() []byte {
@@ -190,32 +196,35 @@ func (b *Buffer) freeze() {
 // location (vvbn, vbn). It returns the image to write, which storage keeps,
 // and the previous location for freeing; the buffer leaves the CP.
 //
-// This is where sealing is decided. A CP-owned image (cpOwned, and not a
-// client's adopted array) that trims to sparseMax bytes or fewer is handed
-// out as a trimmed private copy, media-only from birth, and the buffer stays
-// unsealed: the next CP updates it in place. A dense CP-owned image is
-// handed out as the buffer's array, which seals the buffer; if the buffer
-// was still sealed, its old array stays at the old DBN, media-only, and the
-// buffer first moves to a fresh one, so no array sits at two DBNs. Any other
+// This is where sealing is decided. An indirect is handed out as the
+// buffer's own array — cut to its trimmed length if that is sparseMax bytes
+// or fewer, whole otherwise — which seals the buffer: the next CP's ptrs
+// copies it. If the buffer was still sealed, its old array stays at the old
+// DBN, media-only, and the buffer first moves to a fresh one, so no array
+// sits at two DBNs. An indirect without pointers goes out empty and holds
+// no array on the media. A metafile L0 that trims to sparseMax bytes or
+// fewer is handed out as a trimmed private copy, media-only from birth, and
+// the buffer stays unsealed: the next CP updates it in place; a dense one
+// goes out as the buffer's array, the same way as an indirect. Any other
 // image, a client's adopted L0 among them, is handed out as is, and if it
 // is the live image the buffer is sealed.
 func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
 	img = b.cpImage()
-	owned := b.cpOwned() && !b.adopted
-	var trimmed []byte
-	if owned {
-		trimmed = block.Trim(img)
-	}
 	switch {
-	case owned && len(trimmed) <= sparseMax:
-		img = b.pool().mediaCopy(trimmed)
-	case owned && b.sealed:
-		// Re-cleaned unchanged: the old DBN keeps the array, alone.
-		b.data = b.pool().full(img)
-		b.pool().leave(img)
-		img = b.data
+	case b.level > 0:
+		img = b.sharePtrs()
+	case b.cpOwned() && !b.adopted:
+		trimmed := block.Trim(img)
+		switch {
+		case len(trimmed) <= sparseMax:
+			img = b.pool().mediaCopy(trimmed)
+		case b.sealed:
+			img = b.reseal()
+		default:
+			b.sealed = true
+		}
 	case b.cpData == nil:
 		b.sealed = true
 	}
@@ -223,4 +232,62 @@ func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVB
 	b.inCP = false
 	b.dirtyFrozen = false
 	return img, oldVVBN, oldVBN
+}
+
+// ptrs returns indirect b's image for CleanChild to write a pointer into,
+// at least need bytes long. While the array is the buffer's alone it writes
+// in place, extending the array up to its capacity (its size class; the
+// bytes past its length are garbage until then). Otherwise it moves to a
+// fresh array from the pool: as long as it needs when storage aliases the
+// old one (sealed), the copy-on-seal that the next CP's first pointer pays,
+// and grown by ptrsLen past the old one's capacity. A sealed array it leaves
+// is media-only from then on; a private one goes straight back to the pool.
+func (b *Buffer) ptrs(need int) []byte {
+	n := len(b.data)
+	if !b.sealed && need <= cap(b.data) {
+		if need > n {
+			b.data = b.data[:need]
+			clear(b.data[n:])
+		}
+		return b.data
+	}
+	size := max(n, need)
+	if size > cap(b.data) {
+		size = ptrsLen(cap(b.data), size)
+	}
+	old := b.data
+	b.data = b.pool().copyOf(old, size)
+	if b.sealed {
+		b.pool().leave(old)
+	} else {
+		b.pool().recycle(old)
+	}
+	b.sealed = false
+	return b.data
+}
+
+// sharePtrs returns indirect b's image for the media, sealing b: its own
+// array, cut to its trimmed length when that is sparseMax or less.
+func (b *Buffer) sharePtrs() []byte {
+	t := len(block.Trim(b.data))
+	switch {
+	case t == 0:
+		return []byte{}
+	case b.sealed:
+		b.reseal()
+	}
+	b.sealed = true
+	if t <= sparseMax {
+		return b.data[:t:t]
+	}
+	return b.data
+}
+
+// reseal moves sealed buffer b, re-cleaned unchanged, to a fresh copy of its
+// array and returns it: the old DBN keeps the old array, alone.
+func (b *Buffer) reseal() []byte {
+	old := b.data
+	b.data = b.pool().copyOf(old, len(old))
+	b.pool().leave(old)
+	return b.data
 }

@@ -228,14 +228,18 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 // storage (the mount/read path). A user L0's data is adopted, not copied, and
 // the buffer is sealed: it aliases the media image until first modification,
 // and a read miss allocates nothing, however short the image. A CP-owned
-// image (an indirect, or a metafile L0) is copied into a private full block
-// from the pool, unsealed: PtrAt, CPMutableData and the metafile decoders
-// work on whole blocks, and no buffer ever holds a media array the pool may
-// take back.
+// image is copied from the pool, unsealed, so no buffer ever holds a media
+// array the pool may take back: a sparse indirect (sparseMax bytes or
+// fewer) into an array of the image's own length, nil if it is empty, as
+// CleanChild would have grown it; a dense indirect and a metafile L0 into a
+// private full block, because CPMutableData and the metafile decoders work
+// on whole blocks.
 func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
 	switch {
 	case data == nil:
+	case level > 0 && len(data) <= sparseMax:
+		b.data, b.sealed = f.pool.copyOf(data, len(data)), false
 	case b.cpOwned():
 		b.data, b.sealed = f.pool.full(data), false
 	default:
@@ -353,7 +357,8 @@ func (f *File) FrozenRange(lo, hi block.FBN) []*Buffer {
 // b: it updates the parent indirect's CP image with the child's new dual
 // address (dirtying the parent into the same CP), or the file's root pointer
 // if b is the root. It returns the image to write at vbn (Buffer.MarkCleaned)
-// and b's previous location, to be freed.
+// and b's previous location, to be freed. It is the one writer of indirect
+// images, and the one place an indirect's array grows (Buffer.ptrs).
 func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVBN block.VVBN, oldVBN block.VBN) {
 	if !b.dirtyFrozen {
 		panic("fs: CleanChild on buffer not in frozen set")
@@ -377,8 +382,8 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte
 	}
 	idx := b.Index()
 	parent := f.getOrCreate(b.level+1, idx>>radixBits)
-	pd := parent.CPMutableData()
-	block.PutPtr(pd, int(idx&(block.PtrsPerBlock-1)), vvbn, vbn)
+	slot := int(idx & (block.PtrsPerBlock - 1))
+	block.PutPtr(parent.ptrs((slot+1)*block.PtrSize), slot, vvbn, vbn)
 	f.DirtyIntoCP(parent)
 	return img, oldVVBN, oldVBN
 }
@@ -442,7 +447,8 @@ func (f *File) eachBuffer(fn func(*Buffer)) {
 	visit(&f.root)
 }
 
-// PtrAt reads entry childIdx of indirect buffer b.
+// PtrAt reads entry childIdx of indirect buffer b; an entry past the end of
+// its short array is a hole.
 func PtrAt(b *Buffer, childIdx int) (block.VVBN, block.VBN) {
 	if b.level == 0 {
 		panic("fs: PtrAt on data buffer")

@@ -185,11 +185,13 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 	}
 }
 
-// CleanChild hands storage the image to keep. A sparse CP-owned image (an
-// indirect or a metafile L0) goes out as a trimmed private copy and its
-// buffer stays unsealed, so the next CP updates the live array in place; a
-// dense one, and a client's adopted L0 however short, go out as the
-// buffer's own array, which seals the buffer.
+// CleanChild hands storage the image to keep. An indirect goes out as the
+// buffer's own array, which seals the buffer: a sparse one (trimmed to half a
+// block or less) cut to its trimmed length from an array that is itself
+// short, a dense one whole. A sparse metafile L0 goes out as a trimmed
+// private copy and its buffer stays unsealed, so the next CP updates the live
+// array in place; a dense one, and a client's adopted L0 however short, go
+// out as the buffer's own array, which seals the buffer.
 func TestCleanChildHandsOutImage(t *testing.T) {
 	// clientWrites writes n 64-byte L0s, as a client does, and freezes them.
 	clientWrites := func(n int) func(*File) {
@@ -213,13 +215,14 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		newf   func(ino uint64, height int) *File
 		level  int
 		write  func(*File)
-		sparse bool
+		copied bool // a private copy, not the buffer's array
+		short  bool // the buffer's array, cut to its trimmed length
 	}{
-		{"sparse L1", NewFile, 1, clientWrites(3), true},
-		{"dense L1", NewFile, 1, clientWrites(block.PtrsPerBlock), false},
-		{"adopted L0", NewFile, 0, clientWrites(1), false},
-		{"sparse metafile L0", NewMetafile, 0, metaWrite(block.Size / 2), true},
-		{"dense metafile L0", NewMetafile, 0, metaWrite(block.Size/2 + 1), false},
+		{"sparse L1", NewFile, 1, clientWrites(3), false, true},
+		{"dense L1", NewFile, 1, clientWrites(block.PtrsPerBlock), false, false},
+		{"adopted L0", NewFile, 0, clientWrites(1), false, false},
+		{"sparse metafile L0", NewMetafile, 0, metaWrite(block.Size / 2), true, false},
+		{"dense metafile L0", NewMetafile, 0, metaWrite(block.Size/2 + 1), false, false},
 	} {
 		f := c.newf(1, 1)
 		c.write(f)
@@ -237,13 +240,21 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 				}
 			}
 		}
-		if c.sparse {
+		switch {
+		case c.copied:
 			if len(img) > block.Size/2 || &img[0] == &b.data[0] || b.sealed {
 				t.Fatalf("%s: image of %d bytes, aliased %v, sealed %v; want a private copy of at most half a block, unsealed",
 					c.name, len(img), &img[0] == &b.data[0], b.sealed)
 			}
-		} else if &img[0] != &b.data[0] || !b.sealed {
+		case &img[0] != &b.data[0] || !b.sealed:
 			t.Fatalf("%s: want the buffer's own array, sealed", c.name)
+		case c.short:
+			if n := len(block.Trim(b.data)); len(img) != n || cap(img) != n || n > sparseMax || len(b.data) > sparseMax {
+				t.Fatalf("%s: image of %d bytes (capacity %d) from an array of %d, trimmed %d; want the short array cut to its trimmed length",
+					c.name, len(img), cap(img), len(b.data), n)
+			}
+		case len(img) != len(b.data):
+			t.Fatalf("%s: image of %d bytes from an array of %d; want it whole", c.name, len(img), len(b.data))
 		}
 		if b.adopted {
 			continue // client overwrites: TestSealedBufferCloneOnWrite
@@ -251,9 +262,14 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		want := bytes.Clone(img)
 		live := b.data
 		f.DirtyIntoCP(b)
-		d := b.CPMutableData()
-		if (&d[0] == &live[0]) != c.sparse {
-			t.Fatalf("%s: next CPMutableData in place = %v, want %v", c.name, &d[0] == &live[0], c.sparse)
+		var d []byte
+		if b.level > 0 {
+			d = b.ptrs(block.PtrSize)
+		} else {
+			d = b.CPMutableData()
+		}
+		if (&d[0] == &live[0]) != c.copied {
+			t.Fatalf("%s: next CP-side write in place = %v, want %v", c.name, &d[0] == &live[0], c.copied)
 		}
 		block.PutPtr(d, 0, 7, 7)
 		if !bytes.Equal(img, want) {
@@ -262,17 +278,19 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 	}
 }
 
-// A short indirect image from the media is padded into a private full
-// block: unsealed, and every entry past the image's end reads as a hole.
-func TestInstallBufferPadsShortIndirect(t *testing.T) {
+// A sparse indirect image from the media is copied into a private array of
+// the image's own length, unsealed and not the media's: every entry past
+// its end reads as a hole, and the next pointer grows the copy.
+func TestInstallBufferKeepsSparseIndirectShort(t *testing.T) {
 	l1 := block.New()
 	block.PutPtr(l1, 0, 11, 12)
 	block.PutPtr(l1, 1, 13, 14)
 	media := block.Trim(l1)
 	f := NewFile(1, 1)
 	b := f.InstallBuffer(1, 0, media, 50, 60)
-	if len(b.Data()) != block.Size || b.sealed {
-		t.Fatalf("installed %d bytes, sealed %v; want a full private block", len(b.Data()), b.sealed)
+	if len(b.Data()) != len(media) || b.sealed || &b.Data()[0] == &media[0] {
+		t.Fatalf("installed %d bytes of the media's %d, sealed %v, aliased %v; want a private array of the image's length",
+			len(b.Data()), len(media), b.sealed, &b.Data()[0] == &media[0])
 	}
 	if vv, v := PtrAt(b, 1); vv != 13 || v != 14 {
 		t.Fatalf("entry 1 = (%v,%v)", vv, v)
@@ -281,9 +299,13 @@ func TestInstallBufferPadsShortIndirect(t *testing.T) {
 		t.Fatalf("entry 255 = (%v,%v), want a hole", vv, v)
 	}
 	f.DirtyIntoCP(b)
-	block.PutPtr(b.CPMutableData(), 1, 0, 0)
-	if !bytes.Equal(media, block.Trim(l1)) {
-		t.Fatal("a CP-side update reached the media's array")
+	block.PutPtr(b.ptrs(3*block.PtrSize), 2, 15, 16)
+	block.PutPtr(l1, 2, 15, 16)
+	if !bytes.Equal(media, block.Trim(l1)[:len(media)]) || !block.Equal(b.Data(), l1) {
+		t.Fatal("a CP-side update reached the media's array, or lost an entry")
+	}
+	if e := f.InstallBuffer(1, 0, []byte{}, 50, 60); e.data != nil {
+		t.Fatalf("an empty image installed an array of %d bytes; want none", len(e.data))
 	}
 }
 

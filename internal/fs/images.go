@@ -13,19 +13,22 @@ import (
 // ImagePool recycles the arrays of CP-owned images — indirect blocks and
 // metafile L0s, the blocks only CP-side code writes (DESIGN §14, *Who holds
 // a CP-owned array*). It is the one place in this package that makes an
-// image array: a buffer's full-block copy (CPMutableData, InstallBuffer,
-// Data) and MarkCleaned's trimmed copy for the media come from it, one
-// fifo.Pool per size class.
+// image array: a metafile L0's full-block copy (CPMutableData,
+// InstallBuffer, Data), an indirect's array sized to its pointers
+// (CleanChild, InstallBuffer) and MarkCleaned's trimmed copy of a sparse
+// metafile L0 for the media come from it, one fifo.Pool per size class.
 //
-// An array comes back only from the media. The pool registers the arrays
-// that the media alone holds ("media-only"): a trimmed copy from birth, and
-// a buffer's array once the buffer leaves it for a fresh one while the media
-// still holds it. When the data drive and the parity row have both let go
-// of a media-only array (raid.Group's Forget, or a completed write that
-// displaced it), Release poisons it and puts it back. No other array is
-// ever put back: a buffer's array is never registered while the buffer
-// holds it, and a user L0 is not the pool's. A nil pool allocates every
-// array and registers none.
+// An array comes back from the media, or from a buffer that outgrew it. The
+// pool registers the arrays that the media alone holds ("media-only"): a
+// trimmed copy from birth, and a buffer's array once the buffer leaves it
+// for a fresh one while the media still holds it. When the data drive and
+// the parity row have both let go of a media-only array (raid.Group's
+// Forget, or a completed write that displaced it), Release poisons it and
+// puts it back. An indirect that grows past its array leaves a private one,
+// which nothing else holds, and it goes back at once (recycle). No other
+// array is ever put back: a buffer's array is never registered while the
+// buffer holds it, and a user L0 is not the pool's. A nil pool allocates
+// every array and registers none.
 type ImagePool struct {
 	classes [nClasses]fifo.Pool[[]byte]
 	// mediaOnly maps a media-only array's first byte to the array at its
@@ -33,6 +36,7 @@ type ImagePool struct {
 	// their length.
 	mediaOnly map[*byte][]byte
 	stats     fifo.PoolStats
+	recycled  uint64 // of stats.Returned, the arrays a growing indirect left
 }
 
 // ImageStats counts an ImagePool's arrays. Unlike a fifo.PoolStats record,
@@ -43,6 +47,7 @@ type ImageStats struct {
 	New       uint64 // arrays built
 	Taken     uint64 // arrays handed out, New included
 	Returned  uint64 // media-only arrays back from the media
+	Recycled  uint64 // private arrays back from an indirect that outgrew them
 	MediaOnly int64  `stat:"gauge"` // arrays the media alone holds
 }
 
@@ -84,23 +89,44 @@ func NewImagePool() *ImagePool {
 
 // Stats returns the pool's counts.
 func (p *ImagePool) Stats() ImageStats {
-	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned, MediaOnly: int64(len(p.mediaOnly))}
+	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled,
+		Recycled: p.recycled, MediaOnly: int64(len(p.mediaOnly))}
 }
 
-// get returns an array of n bytes, 0 < n <= block.Size, holding garbage.
+// get returns an array of n bytes, 0 < n <= block.Size, holding garbage,
+// whose capacity is its size class.
 func (p *ImagePool) get(n int) []byte {
+	c, size := classOf(n)
 	if p == nil {
-		return make([]byte, n)
+		return make([]byte, n, size)
 	}
-	c, _ := classOf(n)
 	return p.classes[c].Get()[:n]
 }
 
-// full returns a full-block copy of image src; nil gives the zero block.
-func (p *ImagePool) full(src []byte) []byte {
-	b := p.get(block.Size)
+// copyOf returns an n-byte copy of image src, len(src) <= n, zero past
+// src's end; n == 0 gives nil.
+func (p *ImagePool) copyOf(src []byte, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	b := p.get(n)
 	clear(b[copy(b, src):])
 	return b
+}
+
+// full returns a full-block copy of image src; nil gives the zero block.
+func (p *ImagePool) full(src []byte) []byte { return p.copyOf(src, block.Size) }
+
+// ptrsLen is the length an indirect's array of capacity cur grows to so
+// that it holds need: the size class of twice cur, or of need if that is
+// longer, up to sparseMax, so a sequential fill copies the array about log2
+// times; a full block once need is past sparseMax.
+func ptrsLen(cur, need int) int {
+	if need > sparseMax {
+		return block.Size
+	}
+	_, size := classOf(min(max(need, 2*cur), sparseMax))
+	return size
 }
 
 // mediaCopy returns a private copy of image src that only the media will
@@ -147,6 +173,20 @@ func (p *ImagePool) Release(img []byte) {
 		return
 	}
 	delete(p.mediaOnly, &img[0])
+	p.put(a)
+}
+
+// recycle takes back img, one of the pool's arrays that its buffer left and
+// nothing else holds: never on the media, so it goes back at once.
+func (p *ImagePool) recycle(img []byte) {
+	if p != nil && cap(img) > 0 {
+		p.recycled++
+		p.put(img[:cap(img)])
+	}
+}
+
+// put poisons a, an array at its full capacity, and returns it to its class.
+func (p *ImagePool) put(a []byte) {
 	a[0] = poison
 	for n := 1; n < len(a); n *= 2 {
 		copy(a[n:], a[:n])

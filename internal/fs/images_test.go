@@ -121,14 +121,45 @@ func TestImagePoolOwnership(t *testing.T) {
 			t.Fatal("a dense L1 was not sealed, or was registered while its buffer holds it")
 		}
 		f.DirtyIntoCP(l1)
-		d := l1.CPMutableData()
-		if &d[0] == &img[0] || !p.MediaOnly(img) {
-			t.Fatalf("CPMutableData of a sealed L1: in place %v, old array media-only %v", &d[0] == &img[0], p.MediaOnly(img))
+		recycled := p.Stats().Recycled
+		d := l1.ptrs(block.PtrSize)
+		if &d[0] == &img[0] || !p.MediaOnly(img) || p.Stats().Recycled != recycled {
+			t.Fatalf("next pointer into a sealed L1: in place %v, old array media-only %v, %d recycled",
+				&d[0] == &img[0], p.MediaOnly(img), p.Stats().Recycled-recycled)
 		}
 		want := bytes.Clone(d)
 		p.Release(img)
 		if !bytes.Equal(l1.Data(), want) || p.Stats().Returned != 1 {
 			t.Fatal("releasing the left array did not return it, or touched the buffer's new one")
+		}
+	})
+	t.Run("a growing indirect recycles the private array it leaves", func(t *testing.T) {
+		p := NewImagePool()
+		f := pooled(p, false)
+		for fbn := range 3 {
+			f.WriteBlock(block.FBN(fbn), pattern(byte(fbn))[:64])
+		}
+		f.Freeze()
+		var left [][]byte
+		for i, l0 := range f.FrozenLevel(0) {
+			clean(f, l0, block.VBN(1000+i))
+			left = append(left, f.Buffer(1, 0).data)
+		}
+		// 16, 32 and 64 bytes: the first two were left, poisoned and counted
+		// apart from the media's returns.
+		st := p.Stats()
+		if len(left[2]) != 3*block.PtrSize+block.PtrSize || st.Recycled != 2 || st.Returned != 0 || st.MediaOnly != 0 {
+			t.Fatalf("after three pointers: an array of %d bytes, stats %+v; want 64 bytes, 2 recycled, none returned", len(left[2]), st)
+		}
+		for _, a := range left[:2] {
+			if bytes.Count(a, []byte{poison}) != len(a) {
+				t.Fatalf("a left %d-byte array is not poisoned: % x", len(a), a)
+			}
+		}
+		for i := range 3 {
+			if vv, v := PtrAt(f.Buffer(1, 0), i); vv != block.VVBN(1000+i) || v != block.VBN(1000+i) {
+				t.Fatalf("entry %d = (%v,%v) after growing", i, vv, v)
+			}
 		}
 	})
 	t.Run("re-cleaning a sealed buffer moves it to a fresh array", func(t *testing.T) {
@@ -161,6 +192,8 @@ func TestImagePoolOwnership(t *testing.T) {
 
 // InstallBuffer never aliases a CP-owned image, dense or sparse, so no buffer
 // holds an array the pool may take back from the media; a user L0 is adopted.
+// A sparse indirect's copy is as long as the media's image, every other
+// CP-owned copy a full block.
 func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -168,12 +201,13 @@ func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 		level int
 		n     int
 		alias bool
+		want  int // length of the installed array
 	}{
-		{"dense indirect", false, 1, block.Size, false},
-		{"sparse indirect", false, 1, 40, false},
-		{"dense metafile L0", true, 0, block.Size, false},
-		{"sparse metafile L0", true, 0, 40, false},
-		{"dense user L0", false, 0, block.Size, true},
+		{"dense indirect", false, 1, block.Size, false, block.Size},
+		{"sparse indirect", false, 1, 40, false, 40},
+		{"dense metafile L0", true, 0, block.Size, false, block.Size},
+		{"sparse metafile L0", true, 0, 40, false, block.Size},
+		{"dense user L0", false, 0, block.Size, true, block.Size},
 	} {
 		p := NewImagePool()
 		f := pooled(p, c.meta)
@@ -182,7 +216,7 @@ func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 		if aliased := &b.Data()[0] == &media[0]; aliased != c.alias || aliased != b.sealed {
 			t.Fatalf("%s: aliased %v, sealed %v; want aliased %v", c.name, aliased, b.sealed, c.alias)
 		}
-		if !block.Equal(b.Data(), media) || (!c.alias && len(b.Data()) != block.Size) {
+		if !block.Equal(b.Data(), media) || len(b.Data()) != c.want {
 			t.Fatalf("%s: installed %d bytes unlike the media's", c.name, len(b.Data()))
 		}
 	}

@@ -434,3 +434,100 @@ func TestCleanLocationsNeverRepeatWithinCycle(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseIndirectMatchesFullBlock drives one L1 through seeded CleanChild
+// slot sequences — ascending, descending or random, up to all 256 slots a
+// CP — with CPs, re-cleans of a sealed buffer and media releases in between,
+// against a reference that keeps a full block and trims it. PtrAt agrees
+// with the reference on every slot, every image handed out is the trimmed
+// reference byte for byte and in length (the whole block when that is
+// longer than sparseMax) and keeps its bytes until the media releases it, the array stays within sparseMax while the trimmed reference
+// does, and a CP copies the array at most once per doubling.
+func TestSparseIndirectMatchesFullBlock(t *testing.T) {
+	const maxCopies = 9 // one copy-on-seal, then 16 B doubled up to a block
+	orders := []func(s []int){
+		slices.Sort[[]int],
+		func(s []int) { slices.Sort(s); slices.Reverse(s) },
+		func([]int) {},
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewImagePool()
+		f := pooled(p, false)
+		ref := block.New()
+		type onMedia struct{ img, want []byte }
+		var media []onMedia // handed out and not yet released, oldest first
+		loc := uint64(1000)
+		check := func(when string) {
+			l1 := f.Buffer(1, 0)
+			for i := range block.PtrsPerBlock {
+				gvv, gv := PtrAt(l1, i)
+				if wvv, wv := block.GetPtr(ref, i); gvv != wvv || gv != wv {
+					t.Fatalf("seed %d, %s: entry %d = (%v,%v), reference (%v,%v)", seed, when, i, gvv, gv, wvv, wv)
+				}
+			}
+			if len(block.Trim(ref)) <= sparseMax && len(l1.data) > sparseMax {
+				t.Fatalf("seed %d, %s: array of %d bytes for %d trimmed", seed, when, len(l1.data), len(block.Trim(ref)))
+			}
+			for _, m := range media {
+				if !bytes.Equal(m.img, m.want) {
+					t.Fatalf("seed %d, %s: an image the media holds changed", seed, when)
+				}
+			}
+		}
+		cleanL1 := func(when string) {
+			img := clean(f, f.Buffer(1, 0), block.VBN(loc))
+			loc++
+			want := block.Trim(ref)
+			if len(want) > sparseMax {
+				want = ref // a dense image goes out whole
+			}
+			if len(img) != len(want) || !bytes.Equal(img, want) {
+				t.Fatalf("seed %d, %s: handed out %d bytes, want the reference's %d", seed, when, len(img), len(want))
+			}
+			media = append(media, onMedia{img, bytes.Clone(img)})
+		}
+		for cp := range 10 {
+			var n int
+			switch rng.Intn(4) {
+			case 0:
+				n = 1 + rng.Intn(8)
+			case 1:
+				n = 1 + rng.Intn(64)
+			case 2:
+				n = 1 + rng.Intn(block.PtrsPerBlock)
+			default:
+				n = block.PtrsPerBlock
+			}
+			slots := rng.Perm(block.PtrsPerBlock)[:n]
+			orders[rng.Intn(len(orders))](slots)
+			for _, s := range slots {
+				f.WriteBlock(block.FBN(s), pattern(byte(s))[:64])
+			}
+			f.Freeze()
+			taken := p.Stats().Taken
+			for _, s := range slots {
+				f.CleanChild(f.Buffer(0, block.FBN(s)), block.VVBN(loc), block.VBN(loc+1))
+				block.PutPtr(ref, s, block.VVBN(loc), block.VBN(loc+1))
+				loc += 2
+				check("cleaning")
+			}
+			if copies := p.Stats().Taken - taken; copies > maxCopies {
+				t.Fatalf("seed %d, CP %d: %d pointers copied the array %d times, want at most %d", seed, cp, n, copies, maxCopies)
+			}
+			cleanL1("the CP's clean")
+			if rng.Intn(3) == 0 {
+				f.DirtyIntoCP(f.Buffer(1, 0))
+				cleanL1("a re-clean")
+			}
+			// The media lets go of some images the buffer has left.
+			for i := len(media) - 2; i >= 0; i-- {
+				if rng.Intn(2) == 0 {
+					p.Release(media[i].img)
+					media = slices.Delete(media, i, i+1)
+				}
+			}
+			check("releases")
+		}
+	}
+}
