@@ -763,6 +763,20 @@ var archRules = []archRule{
 		}},
 	},
 	{
+		// One keeper of untimed landings: the media changes when a write lands,
+		// except where a RAID group pins or drops an explicit parity row
+		// (DESIGN §14).
+		name: "place",
+		clauses: []clause{{
+			scan: []string{"..."}, except: []string{"internal/raid"}, forbid: callOn(nil, "Place"),
+			msg: "storage.Device.Place called outside internal/raid: land an image with a write",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"internal/aggregate/aggregate.go": `package aggregate; func (a *Aggregate) f() { a.groups[0].Drive(0).Place(0, nil) }`},
+			want:  "internal/aggregate/aggregate.go:1: storage.Device.Place called outside internal/raid",
+		}},
+	},
+	{
 		// One unsafe file: the media's pointer-and-length table (DESIGN §14)
 		// is the only place an image is taken apart and rebuilt.
 		name: "unsafe",

@@ -110,6 +110,7 @@ func main() {
 	dr := res.Stats.Drives
 	fmt.Printf("media bytes per block written %.0f over the window (%d blocks, data and parity)\n",
 		float64(dr.BytesWritten)/float64(max(dr.BlocksWritten, 1)), dr.BlocksWritten)
+	fmt.Printf("explicit parity rows %d at the window's end (stripes with a write in flight or torn by a crash)\n", res.Stats.RAID.Rows)
 	fmt.Println()
 	if sys.Members() > 1 {
 		fmt.Println("=== cluster members (measurement window + point-in-time state) ===")

@@ -11,13 +11,15 @@ import (
 
 // TestSeqWriteHostAllocBudget guards the host cost of the data path where
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
-// an 8-block sequential write may allocate at most 2.0 KiB of host heap.
+// an 8-block sequential write may allocate at most 1.8 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 1.90 KiB/op (20.2 mallocs/op) while CP-owned
+// — and the figure sits near 1.68 KiB/op (17.8 mallocs/op) while CP-owned
 // images come from the aggregate's image pool and go back to it when the
 // media drops them (DESIGN §14; 2.12 when every CP-side copy was a fresh
-// array), parity is kept as rows of data images (DESIGN §4; 2.40 when each
-// stripe's parity was XORed into an array), the allocation window's state
+// array), a stripe's parity is the XOR of its data images and a stripe
+// write's explicit rows and record are recycled (DESIGN §4; 1.89 when each
+// stripe write cloned a row of data images, 2.40 when each stripe's parity
+// was XORed into an array), the allocation window's state
 // and the op's own state are recycled (DESIGN §9; 3.3 KiB and 38 mallocs
 // when messages, call completions, op bodies and free commits were garbage
 // and every payload was copied into its buffer), block images stay trimmed,
@@ -25,7 +27,7 @@ import (
 // map-free; materialising the zero tail of the eight L0 images alone adds
 // 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
-	const budgetKiB = 2.0
+	const budgetKiB = 1.8
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +52,10 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 
 // TestNFSMixHostAllocBudget guards the host cost of the op path on the
 // benchmark's nfsmix: at most 0.6 KiB and 5 mallocs of host heap per client
-// op. The figures sit near 0.475 KiB and 2.5 mallocs/op while parity is kept
-// as rows of data images (DESIGN §4; 0.609 KiB when each stripe's parity was
-// XORed into an array) and a client op allocates only its payloads and
+// op. The figures sit near 0.434 KiB and 2.2 mallocs/op while a stripe's
+// parity is the XOR of its data images (DESIGN §4; 0.455 KiB when each
+// stripe write cloned a row of data images, 0.609 KiB when each stripe's
+// parity was XORed into an array) and a client op allocates only its payloads and
 // first-touch buffers (the message, its call completion, the op's body, the
 // NVRAM reservation, the bcache entry and the free commits all come back from
 // free lists; DESIGN §9), 0.98 KiB and 11.3 when each was garbage and the
@@ -120,8 +123,8 @@ func TestClientOpAllocations(t *testing.T) {
 // TestNFSMixMediaBytesBudget guards the host memory the simulated media
 // holds: on the benchmark's nfsmix at most 300 image bytes per block
 // written, data and parity. Drives.BytesWritten is a count, exact for the
-// seed, in which a parity row counts one per image it references: 247 while
-// parity is kept as rows and a sparse indirect or metafile block (one that
+// seed, in which a parity write counts one per image its row references: 247
+// while parity is written as rows and a sparse indirect or metafile block (one that
 // trims to half a block or less) goes to storage trimmed; 386 when each
 // stripe's parity was an array as long as its longest image, 419 with sparse
 // indirects alone trimmed, 1,605 when every indirect image was also a full
@@ -170,7 +173,8 @@ func overloadBurst(t *testing.T) *wafl.System {
 // TestOverloadHostAllocBudget guards the host cost of the CP's write path on
 // the benchmark's costliest workload: over overload_burst's 100 ms recover
 // phase at most 2.0 KiB of host heap per client op. The figure sits near
-// 1.17 KiB/op while the CP's copies of indirect and metafile blocks (a
+// 0.99 KiB/op (1.17 when each stripe write cloned a row of data images,
+// DESIGN §4) while the CP's copies of indirect and metafile blocks (a
 // sealed buffer's clone, a sparse block's trimmed copy for the media) come
 // from the aggregate's image pool and go back to it when the media drops
 // them (DESIGN §14): 4.67 when each was a fresh array for the garbage
@@ -198,8 +202,8 @@ func TestOverloadHostAllocBudget(t *testing.T) {
 // TestOverloadMediaBytesBudget guards the host memory the simulated media
 // holds on overload_burst, over the same window: at most 800 image bytes
 // per block written, data and parity. A count, exact for the seed, in which a
-// parity row counts one per image it references: 694 while parity is kept as
-// rows and a sparse metafile L0 (one that trims to half a block or less)
+// parity write counts one per image its row references: 694 while parity is
+// written as rows and a sparse metafile L0 (one that trims to half a block or less)
 // goes to storage trimmed; 1,110 when each stripe's parity was an array,
 // 1,293 when each sparse metafile L0 was also a full 4 KiB array.
 func TestOverloadMediaBytesBudget(t *testing.T) {
@@ -227,7 +231,8 @@ func liveHeap() float64 {
 // the budgets above guard what it allocates: at the end of overload_burst's
 // recover phase the live heap the system holds (HeapAlloc after a
 // collection, less what it was before the system was built: systems earlier
-// tests left running stay live) is under 22 MiB. It sits near 18.6 MiB while
+// tests left running stay live) is under 22 MiB. It sits near 18.0 MiB (18.6
+// when the parity drive kept every stripe's row, DESIGN §4) while
 // a sparse indirect keeps an array only as long as its pointers need and
 // shares it with the media sealed (DESIGN §14; 25.9 MiB when every indirect
 // kept a full block and the media got a trimmed copy), a drive keeps each DBN
@@ -251,7 +256,8 @@ func TestOverloadLiveHeapBudget(t *testing.T) {
 // TestNFSMixLiveHeapBudget guards the same on the benchmark's nfsmix, whose
 // 1,600 small files hold one sparse L1 each: after a 150 ms warm-up and a
 // 250 ms window the live heap the system holds is under 29 MiB. It sits near
-// 26.2 MiB while a sparse indirect keeps an array only as long as its
+// 24.7 MiB (26.2 when the parity drive kept every stripe's row, DESIGN §4)
+// while a sparse indirect keeps an array only as long as its
 // pointers need and shares it with the media sealed (DESIGN §14); 31.6 MiB
 // when every indirect kept a full block and the media got a trimmed copy.
 func TestNFSMixLiveHeapBudget(t *testing.T) {

@@ -8,6 +8,7 @@
 package raid
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -25,14 +26,20 @@ type Stats struct {
 	ParityBlocksWritten uint64
 	StripeWriteIOs      uint64 // multi-stripe write operations submitted
 
+	// Rows counts the stripes whose parity drive holds an explicit row: those
+	// with a write in flight, and the write hole a crash tore.
+	Rows int64 `stat:"gauge"`
+
 	ScratchPool fifo.PoolStats // recycled stripe scratch (DESIGN §9)
+	WritePool   fifo.PoolStats // recycled stripe-write records (DESIGN §9)
 }
 
 // Group is one RAID group: N data drives and one parity drive of equal
 // geometry. Block (d, dbn) on each data drive d shares the parity block at
-// dbn on the parity drive. The parity drive keeps, per stripe, the row of
-// data images its last landed parity write covered; the parity is their XOR,
-// computed when it is read.
+// dbn on the parity drive. A stripe's parity is the XOR of its covered row,
+// computed when it is read (row): the explicit row the parity drive holds at
+// dbn, if any — the data images its last landed parity write covered — or
+// else, for a derived stripe, the images its data drives hold.
 type Group struct {
 	s      *sim.Scheduler
 	id     int
@@ -40,9 +47,20 @@ type Group struct {
 	parity *storage.Device[[]byte]
 	depth  block.DBN // blocks per drive
 
-	// scratchPool recycles stripe scratch; several writes can be in flight
-	// on one group, each holding its own.
+	// scratchPool recycles stripe scratch and writePool stripe-write
+	// records; several writes can be in flight on one group, each holding
+	// its own.
 	scratchPool fifo.Pool[*stripeScratch]
+	writePool   fifo.Pool[*stripeWrite]
+	// rowPool recycles explicit rows: one is outstanding for each row on the
+	// parity drive's table (Stats.Rows) and each parity request in flight.
+	rowPool  fifo.Pool[[][]byte]
+	rowStats fifo.PoolStats
+	// inflight is the submitted writes whose last I/O has not completed, in
+	// submission order.
+	inflight []*stripeWrite
+	// derived is row's buffer for a derived stripe.
+	derived [][]byte
 
 	// images takes back the media-only images the group's media let go of;
 	// nil keeps none.
@@ -52,7 +70,7 @@ type Group struct {
 }
 
 // Images is the owner of the images only the media holds (fs.ImagePool). A
-// data image that its data drive and its stripe's parity row have both let
+// data image that its data drive and its stripe's covered row have both let
 // go of goes back to it: at Forget, or when a write that displaced it has
 // landed, parity included.
 type Images interface {
@@ -70,18 +88,16 @@ type displaced struct {
 
 // stripeScratch is one Write's planning state: the touched stripes' DBNs,
 // their rows (stripe k is rows[k*nd:(k+1)*nd]: per data drive the new image
-// where fresh, else the old image phase A reads for parity), the per-drive
-// reconstruction reads and the parity requests. It goes back to the group
-// once issueWrites has submitted every drive write — drives copy their
-// requests, and each parity request carries its own copy of its row — so
-// nothing in it outlives the submission. A crash that drops phase A's reads
-// leaves it outstanding for good (DropInFlight).
+// where fresh, else the old image phase A reads for parity) and the
+// per-drive reconstruction reads. It goes back to the group once the write
+// is submitted — each parity request carries its own row — so nothing in it
+// outlives the submission. A crash that drops phase A's reads leaves it
+// outstanding for good (DropInFlight).
 type stripeScratch struct {
-	dbns       []block.DBN
-	rows       [][]byte
-	fresh      []bool
-	readPlan   [][]block.DBN
-	parityReqs []storage.Req[[]byte]
+	dbns     []block.DBN
+	rows     [][]byte
+	fresh    []bool
+	readPlan [][]block.DBN
 }
 
 // rowOf returns the index in rows of stripe dbn's first data drive.
@@ -94,12 +110,37 @@ func (sc *stripeScratch) rowOf(dbn block.DBN, nd int) int {
 // it to the group.
 func (g *Group) recycle(sc *stripeScratch) {
 	clear(sc.rows)
-	clear(sc.parityReqs)
-	sc.dbns, sc.rows, sc.fresh, sc.parityReqs = sc.dbns[:0], sc.rows[:0], sc.fresh[:0], sc.parityReqs[:0]
+	sc.dbns, sc.rows, sc.fresh = sc.dbns[:0], sc.rows[:0], sc.fresh[:0]
 	for di := range sc.readPlan {
 		sc.readPlan[di] = sc.readPlan[di][:0]
 	}
 	g.scratchPool.Put(sc)
+}
+
+// stripeWrite is one Write from its call to its last I/O's completion, with
+// phase A's per-drive read callbacks and its I/Os' completion callbacks
+// bound once (DESIGN §9). It goes back to the group when its last I/O
+// completes; a crash abandons every one outstanding (DropInFlight).
+type stripeWrite struct {
+	g      *Group
+	writes [][]storage.WriteReq // until submitted
+	sc     *stripeScratch       // until submitted
+	done   func()
+
+	pendingReads, pending int
+
+	// parity is the parity I/O, one request a stripe in DBN order, each
+	// carrying a row from rowPool; prev[k] is the row on the table at
+	// parity[k].DBN, which that request's landing displaces. Every write in
+	// flight over a stripe sees the same prev.
+	parity []storage.Req[[]byte]
+	prev   [][][]byte
+	landed bool // the parity I/O has landed
+	shared bool // another write in flight may cover one of its stripes
+	gone   []displaced
+
+	reads              []func([][]byte) // phase A's, by data drive
+	onIODone, onParity func()
 }
 
 // NewGroup builds a RAID group with ndata data drives and one parity drive,
@@ -109,6 +150,15 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 	g.scratchPool = fifo.NewPool(&g.stats.ScratchPool, func() *stripeScratch {
 		return &stripeScratch{readPlan: make([][]block.DBN, len(g.data))}
 	})
+	g.writePool = fifo.NewPool(&g.stats.WritePool, func() *stripeWrite {
+		w := &stripeWrite{g: g, reads: make([]func([][]byte), len(g.data))}
+		w.onIODone, w.onParity = w.ioDone, w.parityLanded
+		for di := range w.reads {
+			w.reads[di] = func(bs [][]byte) { w.readLanded(di, bs) }
+		}
+		return w
+	})
+	g.rowPool = fifo.NewPool(&g.rowStats, func() [][]byte { return make([][]byte, 0, len(g.data)) })
 	for i := 0; i < ndata; i++ {
 		g.data = append(g.data, storage.NewDrive(s, fmt.Sprintf("rg%d.d%d", id, i), profile, depth))
 	}
@@ -125,14 +175,46 @@ func (g *Group) SetImages(im Images) { g.images = im }
 func (g *Group) Stats() Stats { return g.stats }
 
 // DropInFlight models a power loss on the group: every drive drops its
-// in-flight I/O, and the scratch of writes whose reconstruction reads that
-// dropped is abandoned.
+// in-flight I/O, tearing what its injector says, and the records of the
+// writes that dropped are abandoned. The explicit rows then settle: each
+// that no longer differs from its data drives is dropped, so the rows left
+// are the torn stripes, whose parity disagrees with their data.
 func (g *Group) DropInFlight() {
 	for _, d := range g.data {
 		d.DropInFlight()
 	}
 	g.parity.DropInFlight()
+	g.settle()
 	g.scratchPool.Abandon()
+	g.writePool.Abandon()
+}
+
+// settle returns to rowPool each row of the writes a crash dropped that is
+// no longer on the table — the row their prev holds, once a stripe, and the
+// rows of parity I/Os that had not landed — and then drops each touched
+// stripe's row that its data drives now hold.
+func (g *Group) settle() {
+	for i, w := range g.inflight {
+		for k, r := range w.parity {
+			table := g.parity.Peek(r.DBN)
+			first := !w.shared || !slices.ContainsFunc(g.inflight[:i], func(o *stripeWrite) bool { return o.covers(r.DBN) >= 0 })
+			if first && !isRow(w.prev[k], table) {
+				g.putRow(w.prev[k])
+			}
+			if !w.landed && !isRow(r.Data, table) {
+				g.putRow(r.Data)
+			}
+		}
+	}
+	for _, w := range g.inflight {
+		for _, r := range w.parity {
+			if table := g.parity.Peek(r.DBN); g.matches(r.DBN, table) {
+				g.dropRow(r.DBN, table)
+			}
+		}
+	}
+	clear(g.inflight)
+	g.inflight = g.inflight[:0]
 }
 
 // ID returns the group's index within its aggregate.
@@ -147,7 +229,8 @@ func (g *Group) Depth() block.DBN { return g.depth }
 // Drive returns data drive i.
 func (g *Group) Drive(i int) *storage.Drive { return g.data[i] }
 
-// ParityDrive returns the group's parity drive, whose DBNs hold rows.
+// ParityDrive returns the group's parity drive, whose DBNs hold the
+// explicit rows.
 func (g *Group) ParityDrive() *storage.Device[[]byte] { return g.parity }
 
 // WriteResult describes the parity work a stripe write required.
@@ -229,27 +312,31 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 
 	// Phase A: issue reconstruction reads. When all complete, compute
 	// parity and issue the data + parity writes (phase B).
-	pendingReads := 0
+	w := g.writePool.Get()
+	w.writes, w.sc, w.done = writes, sc, done
 	for di, plan := range sc.readPlan {
-		if len(plan) == 0 {
-			continue
+		if len(plan) > 0 {
+			w.pendingReads++
+			g.data[di].Read(plan, w.reads[di])
 		}
-		pendingReads++
-		di, plan := di, plan
-		g.data[di].Read(plan, func(bs [][]byte) {
-			for i, dbn := range plan {
-				sc.rows[sc.rowOf(dbn, nd)+di] = bs[i]
-			}
-			pendingReads--
-			if pendingReads == 0 {
-				g.issueWrites(writes, sc, done)
-			}
-		})
 	}
-	if pendingReads == 0 {
-		g.issueWrites(writes, sc, done)
+	if w.pendingReads == 0 {
+		w.issue()
 	}
 	return res
+}
+
+// readLanded puts the images phase A read from data drive di into their
+// stripes' rows, and submits the write once every read has landed.
+func (w *stripeWrite) readLanded(di int, bs [][]byte) {
+	sc, nd := w.sc, len(w.g.data)
+	for i, dbn := range sc.readPlan[di] {
+		sc.rows[sc.rowOf(dbn, nd)+di] = bs[i]
+	}
+	w.pendingReads--
+	if w.pendingReads == 0 {
+		w.issue()
+	}
 }
 
 // xorAll returns the XOR of the given block images, sized to the longest.
@@ -265,76 +352,207 @@ func xorAll(imgs [][]byte) []byte {
 	return out
 }
 
-// issueWrites submits one I/O per data drive plus one parity-drive I/O of
-// each touched stripe's row, invoking done when all complete. sc goes back to
-// the group once every I/O is submitted.
-func (g *Group) issueWrites(writes [][]storage.WriteReq, sc *stripeScratch, done func()) {
+// issue submits one I/O per data drive plus one parity-drive I/O of each
+// touched stripe's row. A derived stripe is pinned first: its data images
+// become an explicit row, the parity landed so far, until the write has
+// landed. The scratch goes back to the group once every I/O is submitted.
+func (w *stripeWrite) issue() {
+	g, sc := w.g, w.sc
 	nd := len(g.data)
 	for k, dbn := range sc.dbns {
-		// A copy of the row per stripe: the scratch rows are recycled, and a
-		// slab per write would keep a rewritten stripe's displaced images
-		// alive until the last of its stripes is rewritten.
-		sc.parityReqs = append(sc.parityReqs, storage.Req[[]byte]{DBN: dbn, Data: slices.Clone(sc.rows[k*nd : (k+1)*nd])})
+		prev := g.parity.Peek(dbn)
+		if prev == nil {
+			prev = g.pin(dbn)
+		}
+		w.prev = append(w.prev, prev)
+		w.parity = append(w.parity, storage.Req[[]byte]{DBN: dbn, Data: append(g.rowPool.Get(), sc.rows[k*nd:(k+1)*nd]...)})
 	}
-	g.stats.ParityBlocksWritten += uint64(len(sc.parityReqs))
+	g.stats.ParityBlocksWritten += uint64(len(w.parity))
+	lo, hi := sc.dbns[0], sc.dbns[len(sc.dbns)-1]
+	for _, o := range g.inflight {
+		if o.parity[0].DBN <= hi && lo <= o.parity[len(o.parity)-1].DBN {
+			o.shared, w.shared = true, true
+		}
+	}
+	g.inflight = append(g.inflight, w)
 
-	pending := 1 // parity I/O
-	var gone []displaced
-	for di, reqs := range writes {
+	w.pending = 1 // parity I/O
+	for di, reqs := range w.writes {
 		if len(reqs) > 0 {
-			pending++
+			w.pending++
 		}
 		if g.images == nil {
 			continue
 		}
 		for _, r := range reqs {
 			if img := g.data[di].Peek(r.DBN); g.images.MediaOnly(img) {
-				gone = append(gone, displaced{di, r.DBN, img})
+				w.gone = append(w.gone, displaced{di, r.DBN, img})
 			}
 		}
 	}
-	complete := func() {
-		pending--
-		if pending > 0 {
-			return
-		}
-		for _, d := range gone {
-			if !sameArray(g.data[d.di].Peek(d.dbn), d.img) && !g.rowHolds(d.dbn, d.di, d.img) {
-				g.images.Release(d.img)
-			}
-		}
-		if done != nil {
-			done()
-		}
-	}
-	for di, reqs := range writes {
+	for di, reqs := range w.writes {
 		if len(reqs) > 0 {
-			g.data[di].Write(reqs, complete)
+			g.data[di].Write(reqs, w.onIODone)
 		}
 	}
-	g.parity.Write(sc.parityReqs, complete)
+	g.parity.Write(w.parity, w.onParity)
+	w.writes, w.sc = nil, nil
 	g.recycle(sc)
 }
 
-// Forget drops data drive di's image at dbn together with the parity row's
+// covers returns the index in w.parity of stripe dbn, or -1.
+func (w *stripeWrite) covers(dbn block.DBN) int {
+	k, ok := slices.BinarySearchFunc(w.parity, dbn, func(r storage.Req[[]byte], dbn block.DBN) int { return cmp.Compare(r.DBN, dbn) })
+	if !ok {
+		return -1
+	}
+	return k
+}
+
+// parityLanded runs as the parity I/O lands: each of its rows has displaced
+// the row on its stripe's table, which nothing holds any more.
+func (w *stripeWrite) parityLanded() {
+	g := w.g
+	w.landed = true
+	for k, r := range w.parity {
+		g.putRow(w.prev[k])
+		w.prev[k] = r.Data
+		if !w.shared {
+			continue
+		}
+		for _, o := range g.inflight {
+			if j := o.covers(r.DBN); j >= 0 {
+				o.prev[j] = r.Data
+			}
+		}
+	}
+	w.ioDone()
+}
+
+// ioDone counts one I/O of the write complete. At the last, each stripe no
+// other write in flight covers drops its row if its data drives hold that
+// row, the media-only images the write displaced go back to their owner,
+// and done runs.
+func (w *stripeWrite) ioDone() {
+	w.pending--
+	if w.pending > 0 {
+		return
+	}
+	g := w.g
+	g.inflight = slices.DeleteFunc(g.inflight, func(o *stripeWrite) bool { return o == w })
+	for _, r := range w.parity {
+		if w.shared && slices.ContainsFunc(g.inflight, func(o *stripeWrite) bool { return o.covers(r.DBN) >= 0 }) {
+			continue
+		}
+		if row := g.parity.Peek(r.DBN); g.matches(r.DBN, row) {
+			g.dropRow(r.DBN, row)
+		}
+	}
+	for _, d := range w.gone {
+		if !sameArray(g.data[d.di].Peek(d.dbn), d.img) && !g.rowHolds(d.dbn, d.di, d.img) {
+			g.images.Release(d.img)
+		}
+	}
+	done := w.done
+	clear(w.parity)
+	clear(w.prev)
+	clear(w.gone)
+	w.parity, w.prev, w.gone = w.parity[:0], w.prev[:0], w.gone[:0]
+	w.landed, w.shared, w.done = false, false, nil
+	g.writePool.Put(w)
+	if done != nil {
+		done()
+	}
+}
+
+// pin makes derived stripe dbn's data images an explicit row, and returns
+// it.
+func (g *Group) pin(dbn block.DBN) [][]byte {
+	row := g.rowPool.Get()
+	for _, d := range g.data {
+		row = append(row, d.Peek(dbn))
+	}
+	g.parity.Place(dbn, row)
+	g.stats.Rows++
+	return row
+}
+
+// dropRow drops stripe dbn's explicit row, which its data drives hold: the
+// stripe is derived again.
+func (g *Group) dropRow(dbn block.DBN, row [][]byte) {
+	g.parity.Place(dbn, nil)
+	g.stats.Rows--
+	g.putRow(row)
+}
+
+// putRow returns a row that neither the table nor a parity I/O in flight
+// holds.
+func (g *Group) putRow(row [][]byte) {
+	clear(row)
+	g.rowPool.Put(row[:0])
+}
+
+// matches reports whether row is, entry for entry, the images stripe dbn's
+// data drives hold — nil where they hold nil — so that the row's stripe
+// reads the same derived.
+func (g *Group) matches(dbn block.DBN, row [][]byte) bool {
+	if len(row) != len(g.data) {
+		return false
+	}
+	for di, d := range g.data {
+		img := d.Peek(dbn)
+		if (row[di] == nil) != (img == nil) || !sameArray(row[di], img) {
+			return false
+		}
+	}
+	return true
+}
+
+// isRow reports whether a and b are one row array.
+func isRow(a, b [][]byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// CheckRows audits the explicit rows while no write is in flight (at
+// Quiesce): each differs from its stripe's data images, and they are all the
+// rows the group has outstanding and counts (Stats.Rows).
+func (g *Group) CheckRows() error {
+	if len(g.inflight) > 0 {
+		return fmt.Errorf("raid group %d: %d writes in flight", g.id, len(g.inflight))
+	}
+	var n int64
+	for dbn := range g.depth {
+		row := g.parity.Peek(dbn)
+		if row == nil {
+			continue
+		}
+		n++
+		if g.matches(dbn, row) {
+			return fmt.Errorf("raid group %d: stripe %d keeps the row its data drives hold", g.id, dbn)
+		}
+	}
+	if n != g.stats.Rows || n != g.rowStats.Outstanding() {
+		return fmt.Errorf("raid group %d: %d explicit rows, %d counted, %d outstanding", g.id, n, g.stats.Rows, g.rowStats.Outstanding())
+	}
+	return nil
+}
+
+// Forget drops data drive di's image at dbn together with the covered row's
 // entry for it, and reports whether it did. It does only when the row holds
 // that very array: then both sides of the stripe's XOR lose the same image,
 // so VerifyStripe and every other block's ReconstructBlock read what they
-// read before. A row left with no image is dropped too, and a media-only
-// image goes back to its owner (SetImages). Untimed, like
-// storage.Device.Forget; its caller knows no committed tree reaches the
-// block and no write of the stripe is in flight.
+// read before. A derived stripe's row is its data images, so the drive's
+// image alone goes; an explicit row keeps its emptied entry, as it still
+// differs from the data. A media-only image goes back to its owner
+// (SetImages). Untimed, like storage.Device.Forget; its caller knows no
+// committed tree reaches the block and no write of the stripe is in flight.
 func (g *Group) Forget(di int, dbn block.DBN) bool {
-	img, row := g.data[di].Peek(dbn), g.parity.Peek(dbn)
-	if img == nil || row == nil || row[di] == nil || !sameArray(row[di], img) {
+	img := g.data[di].Peek(dbn)
+	row, explicit := g.row(dbn)
+	if img == nil || row[di] == nil || !sameArray(row[di], img) {
 		return false
 	}
 	g.data[di].Forget(dbn)
-	// The row is the parity media's own: a landed write's requests are
-	// cleared, and a read hands its images out only for the call.
-	row[di] = nil
-	if !slices.ContainsFunc(row, func(b []byte) bool { return b != nil }) {
-		g.parity.Forget(dbn)
+	if explicit {
+		row[di] = nil // the row is the group's own, from rowPool
 	}
 	if g.images != nil {
 		g.images.Release(img)
@@ -342,10 +560,24 @@ func (g *Group) Forget(di int, dbn block.DBN) bool {
 	return true
 }
 
-// rowHolds reports whether the parity row at dbn holds img as data drive
+// row returns stripe dbn's covered row and whether it is explicit: the
+// parity drive's row, or else the images the data drives hold, in a buffer
+// valid until the next call.
+func (g *Group) row(dbn block.DBN) (row [][]byte, explicit bool) {
+	if row := g.parity.Peek(dbn); row != nil {
+		return row, true
+	}
+	g.derived = g.derived[:0]
+	for _, d := range g.data {
+		g.derived = append(g.derived, d.Peek(dbn))
+	}
+	return g.derived, false
+}
+
+// rowHolds reports whether the covered row at dbn holds img as data drive
 // di's image.
 func (g *Group) rowHolds(dbn block.DBN, di int, img []byte) bool {
-	row := g.parity.Peek(dbn)
+	row, _ := g.row(dbn)
 	return di < len(row) && sameArray(row[di], img)
 }
 
@@ -357,9 +589,9 @@ func sameArray(a, b []byte) bool {
 }
 
 // stripe returns the committed images of stripe dbn: every data drive's
-// except skip's (-1 for none), then those of the parity drive's row.
+// except skip's (-1 for none), then those of its covered row.
 func (g *Group) stripe(dbn block.DBN, skip int) [][]byte {
-	row := g.parity.Peek(dbn)
+	row, _ := g.row(dbn)
 	out := make([][]byte, 0, len(g.data)+len(row))
 	for di, d := range g.data {
 		if di != skip {

@@ -455,6 +455,17 @@ func (d *Device[E]) Forget(dbn block.DBN) {
 	}
 }
 
+// Place makes img the committed image of dbn at once, nil dropping it: Forget's
+// twin, untimed like Peek and counted by no statistic. A RAID group keeps its
+// explicit parity rows with it; nothing else may, since the media otherwise
+// changes only when a write lands.
+func (d *Device[E]) Place(dbn block.DBN, img []E) {
+	if len(img) > maxImage {
+		panic(fmt.Sprintf("storage: image of %d > %d placed on %s", len(img), maxImage, d.name))
+	}
+	d.land(dbn, img)
+}
+
 // DropInFlight models a power loss: every write I/O submitted but not yet
 // completed is discarded — its completion callback never fires. Without an
 // injector nothing of a dropped I/O lands on the media; with one, each

@@ -50,11 +50,12 @@ func (m *mediaModel[E]) land(reqs []Req[E]) {
 	}
 }
 
-// step takes one random action: a completed write, a forget, or a crash with
-// one to three writes in flight.
+// step takes one random action: a completed write, a forget, a crash with
+// one to three writes in flight, or a place — an image, or nil a third of
+// the time — which lands at once and counts as no forget.
 func (m *mediaModel[E]) step() {
 	rng := m.inj.rng
-	switch rng.IntN(3) {
+	switch rng.IntN(4) {
 	case 0:
 		reqs := m.reqs()
 		m.d.Write(reqs, nil)
@@ -81,6 +82,14 @@ func (m *mediaModel[E]) step() {
 			m.land(reqs[:m.inj.prefixes[i]])
 		}
 		m.s.RunFor(sim.Millisecond) // the dropped writes' stale completions
+	case 3:
+		dbn := block.DBN(rng.IntN(int(m.d.Blocks())))
+		var img []E
+		if rng.IntN(3) > 0 {
+			img = m.image()
+		}
+		m.d.Place(dbn, img)
+		m.want[dbn] = img
 	}
 }
 
@@ -147,10 +156,10 @@ func blockImage(rng *rand.Rand) []byte {
 	return block.New()
 }
 
-// TestMediaTableKeepsImages: through seeded writes, forgets and torn crashes,
-// every DBN of a data drive and of a row device reads back the very image
-// last landed there — nil as nil, empty as non-nil empty, trimmed at its
-// length, and the media's array, never a copy.
+// TestMediaTableKeepsImages: through seeded writes, places, forgets and torn
+// crashes, every DBN of a data drive and of a row device reads back the very
+// image last landed or placed there — nil as nil, empty as non-nil empty,
+// trimmed at its length, and the media's array, never a copy.
 func TestMediaTableKeepsImages(t *testing.T) {
 	for seed := range uint64(4) {
 		runMediaModel(t, seed, blockImage)

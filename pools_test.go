@@ -72,6 +72,7 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 		{"Infra.ListPool", func(m *Member) any { return m.in }, "listPool"},
 		{"Infra.CommitPool", func(m *Member) any { return m.in }, "commitPool"},
 		{"RAID.ScratchPool", func(m *Member) any { return m.a.Group(1) }, "scratchPool"},
+		{"RAID.WritePool", func(m *Member) any { return m.a.Group(0) }, "writePool"},
 		{"Drives.WritePool", func(m *Member) any { return m.a.Group(0).Drive(2) }, "writePool"},
 		{"Drives.ReadPool", func(m *Member) any { return m.a.Group(1).Drive(0) }, "readPool"},
 		{"Drives.WriteWaitPool", func(m *Member) any { return m.a.Group(0).ParityDrive() }, "writeWaitPool"},
@@ -120,7 +121,7 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 			sys.Run(10 * Microsecond)
 		}
 		pools := func(st Stats) map[string]fifo.PoolStats {
-			return map[string]fifo.PoolStats{"RAID.ScratchPool": st.RAID.ScratchPool,
+			return map[string]fifo.PoolStats{"RAID.ScratchPool": st.RAID.ScratchPool, "RAID.WritePool": st.RAID.WritePool,
 				"Drives.WritePool": st.Drives.WritePool, "Drives.ReadPool": st.Drives.ReadPool,
 				"Drives.WriteWaitPool": st.Drives.WriteWaitPool, "Drives.ReadWaitPool": st.Drives.ReadWaitPool}
 		}

@@ -742,7 +742,8 @@ func (sys *System) Flush() error { return sys.drive("flush") }
 // Quiesce names the pool that leaked. The counts are the running
 // incarnation's: the pools a remount rebuilds died with the old one. The
 // image pool, whose arrays a buffer or the media hold by design, is audited
-// against the media instead (Aggregate.CheckImages).
+// against the media instead (Aggregate.CheckImages), and so are the RAID
+// groups' explicit parity rows (raid.Group.CheckRows).
 func (sys *System) Quiesce() error {
 	sys.stopped = true
 	if err := sys.drive("quiesce"); err != nil {
@@ -758,6 +759,11 @@ func (sys *System) Quiesce() error {
 		}
 		if err := m.a.CheckImages(); err != nil {
 			errs = append(errs, fmt.Errorf("wafl: member %d misplaces block images: %w", m.id, err))
+		}
+		for gi := 0; gi < m.a.Groups(); gi++ {
+			if err := m.a.Group(gi).CheckRows(); err != nil {
+				errs = append(errs, fmt.Errorf("wafl: member %d keeps parity rows amiss: %w", m.id, err))
+			}
 		}
 	}
 	return errors.Join(errs...)
