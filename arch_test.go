@@ -202,6 +202,18 @@ func callOn(recvs []string, names ...string) func(ast.Node) bool {
 	}
 }
 
+// callsFunc matches a call of the unqualified function name.
+func callsFunc(name string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == name
+	}
+}
+
 // indexOf matches x.name[...] and name[...].
 func indexOf(name string) func(ast.Node) bool {
 	return func(n ast.Node) bool {
@@ -346,6 +358,20 @@ var (
 	docSelector = regexp.MustCompile(`^\*?(\w+(?:\.\w+)+)(?:\(.*\))?$`)
 	docFileName = regexp.MustCompile(`\.(?:go|md|json|mod|txt|sh)$`)
 )
+
+// globalsAllow names the package-level variables outside main, each a table
+// nothing writes after initialisation, and why it is one.
+var globalsAllow = map[string]string{
+	"Experiments":     "harness's experiment registry",
+	"DefaultGeometry": "the paper testbed's aggregate shape",
+	"AllKinds":        "the history generator's full operation mix",
+	"SSD":             "a drive profile",
+	"HDD":             "a drive profile",
+	"FlashPool":       "a drive profile",
+	"msgNames":        "span names, filled once by init",
+	"processNames":    "the trace's process names",
+	"zeros":           "the zero block's bytes",
+}
 
 // roadmapCite matches a citation of a roadmap item by number ("ROADMAP
 // 1(c)", "ROADMAP.md item 3"), across a line break too.
@@ -760,6 +786,51 @@ var archRules = []archRule{
 		}, {
 			files: map[string]string{"internal/fs/walk.go": `package fs; func f() []byte { return make([]byte, 4096) }`},
 			want:  "internal/fs/walk.go:1: image array made outside internal/fs/images.go",
+		}},
+	},
+	{
+		// One maker of buffers: the image pool, whose free list every user L0
+		// buffer comes from and goes back to when its CP commits (DESIGN
+		// §15), and which makes the buffers that stay in their trees.
+		name: "buffers",
+		clauses: []clause{{
+			scan: []string{"..."}, except: []string{"internal/fs/images.go"}, forbid: callsFunc("newBuffer"),
+			msg: "newBuffer called outside internal/fs/images.go: take the buffer from the ImagePool",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"internal/fs/file.go": `package fs; func (f *File) f() *Buffer { return newBuffer(new(Buffer), f, 0, 0) }`},
+			want:  "internal/fs/file.go:1: newBuffer called outside internal/fs/images.go",
+		}},
+	},
+	{
+		// No shared state: independent simulations may run side by side, so
+		// a package-level variable outside a command and the tests is a
+		// read-only table, named here with why.
+		name: "globals",
+		require: func(tr *tree) []string {
+			var out []string
+			for _, p := range tr.in("...") {
+				f := tr.files[p]
+				if f.Name.Name == "main" {
+					continue
+				}
+				for _, d := range f.Decls {
+					if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.VAR {
+						for _, spec := range g.Specs {
+							for _, id := range spec.(*ast.ValueSpec).Names {
+								if id.Name != "_" && globalsAllow[id.Name] == "" {
+									out = append(out, tr.at(id, "package-level var %s: pass it in, or make it a read-only table on globalsAllow", id.Name))
+								}
+							}
+						}
+					}
+				}
+			}
+			return out
+		},
+		bad: []badTree{{
+			files: map[string]string{"harness/harness.go": `package harness; var tracing struct{ prefix string }`},
+			want:  "harness/harness.go:1: package-level var tracing",
 		}},
 	},
 	{

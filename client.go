@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wafl/internal/aggregate"
-	"wafl/internal/bcache"
 	"wafl/internal/block"
 	"wafl/internal/nvlog"
 	"wafl/internal/obs"
@@ -256,45 +255,23 @@ func (op *clientOp) writeBlocks(wt *sim.Thread) {
 			panic(fmt.Sprintf("wafl: write to nonexistent ino %d", op.ino))
 		}
 		op.res.Append(rec)
-		if m.bc != nil {
-			// A freshly written block is buffer-cache resident.
-			m.bc.Insert(bcache.Key{Vol: op.lv, Ino: op.li, FBN: fbn})
-		}
+		m.wrote(op.lv, op.li, fbn)
 	}
 }
 
-// readBlock reads block fbn inside its stripe affinity.
+// readBlock reads block fbn inside its stripe affinity: a block in the
+// member's residency set costs no media I/O, any other pays a timed drive
+// read and joins the set.
 func (op *clientOp) readBlock(wt *sim.Thread) {
 	m, v := op.m, op.v
 	wt.Consume(op.sys.cfg.Costs.ClientPerBlock)
 	f := v.LookupFile(op.li)
-	if f == nil {
+	if f == nil || m.touch(wt, op.lv, f, op.fbn) {
 		return
-	}
-	if m.bc == nil {
-		// Pre-cache behavior: demand-load installs into the in-memory tree
-		// forever, so a block read once never pays media again.
-		v.ReadFileBlock(wt, f, op.fbn)
-		return
-	}
-	// Buffer-cache read path: residency decides whether the read pays media
-	// latency; the in-memory trees stay the content authority but no longer
-	// model an unbounded cache.
-	key := bcache.Key{Vol: op.lv, Ino: op.li, FBN: op.fbn}
-	if m.bc.Touch(key) {
-		if tr := wt.Tracer(); tr != nil {
-			tr.Instant(obs.PidThreads, wt.TrackID(), "client", "bcache hit", int64(wt.Now()))
-		}
-		return // memory hit: no media I/O
 	}
 	miss := wt.Now()
-	v.ReadMediaBlock(wt, f, op.fbn)
-	m.bc.Insert(key)
-	if tr := wt.Tracer(); tr != nil {
-		tr.Span(obs.PidThreads, wt.TrackID(), "client", "bcache miss",
-			int64(miss), int64(wt.Now()))
-		tr.Observe("client.bcache.miss", int64(wt.Now()-miss))
-	}
+	v.ReadBlock(wt, f, op.fbn)
+	m.load(wt, op.lv, f, op.fbn, miss)
 }
 
 // lookup is Getattr's metadata read inside the volume's Logical affinity.
@@ -489,7 +466,8 @@ func (c *ClientCtx) Delete(vol int, ino uint64) bool {
 		m.refundPlacement(lv, li)
 		if m.bc != nil {
 			// Coherence: a later create can reuse this inode number; stale
-			// resident blocks must not satisfy its reads.
+			// resident blocks must not satisfy its reads. The tree's own
+			// bits went with the file.
 			m.bc.InvalidateFile(lv, li)
 		}
 		m.maybeTriggerCP()
@@ -630,8 +608,10 @@ func (c *ClientCtx) SnapRead(vol int, snapID, ino uint64, fbn FBN, nblocks int) 
 	return c.ack(m, start, sys.cfg.Costs.ClientOp, "snap-read", "", int64(nblocks)), ok
 }
 
-// VerifyRead returns the committed-or-cached content of a block without
-// timing effects (nil for holes) — the test/validation path.
+// VerifyRead returns the live content of a block without timing effects
+// (nil for holes) — the test/validation path. It leaves the residency set
+// as it found it: the next client read of the block pays what it would
+// have.
 func (sys *System) VerifyRead(vol int, ino uint64, fbn FBN) []byte {
 	m, lv, li := sys.resolve(vol, ino)
 	v := m.a.Volume(lv)
@@ -639,7 +619,7 @@ func (sys *System) VerifyRead(vol int, ino uint64, fbn FBN) []byte {
 	if f == nil {
 		return nil
 	}
-	return v.ReadFileBlock(nil, f, fbn)
+	return v.ReadBlock(nil, f, fbn)
 }
 
 // CreateFileDirect makes a file without logging or timing (test setup) and

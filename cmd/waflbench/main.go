@@ -66,7 +66,7 @@ func main() {
 	}
 
 	if *trace != "" {
-		harness.EnableTracing(*trace, *traceEvents)
+		rc.Trace = &harness.TraceOut{Prefix: *trace, Events: *traceEvents}
 	}
 	stopProfiles := startProfiles(*cpuprofile, *memprofile)
 	for _, e := range harness.Experiments {

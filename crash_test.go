@@ -607,9 +607,11 @@ func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 	if err := sys.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	b := buffer(sys, 5)
-	if &b.Data()[0] != &data[0] || &sys.m0().a.ReadVBNRaw(b.VBN())[0] != &data[0] ||
-		!bytes.Equal(data, sys.payload(ino, 5, 1)) {
+	// The committed block's buffer has left the tree: the media holds the
+	// array, and a verification read returns it.
+	_, vbn, _ := sys.m0().a.Volume(0).LookupFile(ino).Resolve(5, sys.m0().a)
+	if buffer(sys, 5) != nil || &sys.VerifyRead(0, ino, 5)[0] != &data[0] ||
+		&sys.m0().a.ReadVBNRaw(vbn)[0] != &data[0] || !bytes.Equal(data, sys.payload(ino, 5, 1)) {
 		t.Fatal("the CP copied the logged payload or wrote into it")
 	}
 
@@ -620,7 +622,7 @@ func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &logged(rec, 9)[0] != &data[0] || &buffer(rec, 9).Data()[0] != &data[0] ||
+	if &logged(rec, 9)[0] != &data[0] || &rec.VerifyRead(0, ino, 9)[0] != &data[0] ||
 		!bytes.Equal(data, sys.payload(ino, 9, 2)) {
 		t.Fatal("replay copied the logged payload or wrote into it")
 	}

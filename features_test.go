@@ -145,8 +145,8 @@ func TestFsckDetectsCorruption(t *testing.T) {
 	// and persist it via another CP — the block becomes referenced but
 	// not marked used.
 	f := sys.m0().a.Volume(0).LookupFile(ino)
-	b := f.Buffer(0, 0)
-	sys.m0().a.Activemap.Clear(uint64(b.VBN()))
+	_, vbn, _ := f.Resolve(0, sys.m0().a)
+	sys.m0().a.Activemap.Clear(uint64(vbn))
 	if err := sys.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestAgedVolumeFillWordsBudget(t *testing.T) {
 	cfg.Volumes = w.Volumes
 	cfg.VolumeBlocks = 1 << 17 // 4 vregions; 75% prefilled, aged to ~86%
 	cfg.DriveBlocks = 65536
-	res, sys, err := harness.Measure(cfg, w, 20*wafl.Millisecond, 50*wafl.Millisecond)
+	res, sys, err := harness.RunConfig{Warmup: 20 * wafl.Millisecond, Window: 50 * wafl.Millisecond}.Measure(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

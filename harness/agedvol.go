@@ -27,7 +27,7 @@ func AgedVolume(rc RunConfig) (Table, error) {
 	cfg.VolumeBlocks = 1 << 18 // 8 vregions; aged to ~84% occupancy
 	cfg.DriveBlocks = 131072   // physical headroom for the aged image
 	// Attach prefills and ages in simulated time.
-	res, _, err := Measure(cfg, w, rc.Warmup, rc.Window)
+	res, _, err := rc.Measure(cfg, w)
 	if err != nil {
 		return t, err
 	}

@@ -32,7 +32,7 @@ func CloneFleet(rc RunConfig) (Table, error) {
 	cfg.VolumeBlocks = volBlocks // same aged shape as agedvol
 	cfg.DriveBlocks = 131072
 	// Attach prefills, fans out and ages by divergence in simulated time.
-	res, sys, err := Measure(cfg, w, rc.Warmup, rc.Window)
+	res, sys, err := rc.Measure(cfg, w)
 	if err != nil {
 		return t, err
 	}

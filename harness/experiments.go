@@ -41,7 +41,7 @@ func RunPermutations(rc RunConfig, mk func() Attacher, parallelCleaners int) ([]
 		cfg.Allocator.InitialCleaners = p.Cleaners
 		cfg.Allocator.MaxCleaners = p.Cleaners
 		cfg.Allocator.Dynamic = false
-		res, _, err := Measure(cfg, mk(), rc.Warmup, rc.Window)
+		res, _, err := rc.Measure(cfg, mk())
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ func Fig5(rc RunConfig) (Table, error) {
 		cfg.Allocator.InitialCleaners = n
 		cfg.Allocator.MaxCleaners = n
 		cfg.Allocator.Dynamic = false
-		res, _, err := Measure(cfg, workload.DefaultSeqWrite(), rc.Warmup, rc.Window)
+		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
 		if err != nil {
 			return Table{}, err
 		}
@@ -147,7 +147,7 @@ func Fig6(rc RunConfig) (Table, error) {
 		cfg.Allocator.InitialCleaners = rc.Cleaners
 		cfg.Allocator.MaxCleaners = rc.Cleaners
 		cfg.Allocator.Dynamic = false
-		res, _, err := Measure(cfg, workload.DefaultSeqWrite(), rc.Warmup, rc.Window)
+		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
 		if err != nil {
 			return Table{}, err
 		}

@@ -66,14 +66,14 @@ func Fig8(rc RunConfig) (Table, error) {
 		// count (2): per-inode splitting is not in play (§V-C's feature
 		// targets single-file hotspots, not steady OLTP).
 		cfgPeak.Allocator.SplitLargeFiles = false
-		resPeak, _, err := Measure(cfgPeak, peak, rc.Warmup, rc.Window)
+		resPeak, _, err := rc.Measure(cfgPeak, peak)
 		if err != nil {
 			return Table{}, err
 		}
 		cfgKnee := base
 		cc.apply(&cfgKnee)
 		cfgKnee.Allocator.SplitLargeFiles = false
-		resKnee, _, err := Measure(cfgKnee, knee, rc.Warmup, rc.Window)
+		resKnee, _, err := rc.Measure(cfgKnee, knee)
 		if err != nil {
 			return Table{}, err
 		}
@@ -107,7 +107,7 @@ func Fig9(rc RunConfig) (Table, error) {
 			cc.apply(&cfg)
 			w := workload.DefaultSeqWrite()
 			w.Clients = clients
-			res, _, err := Measure(cfg, w, rc.Warmup, rc.Window)
+			res, _, err := rc.Measure(cfg, w)
 			if err != nil {
 				return Table{}, err
 			}
@@ -144,7 +144,7 @@ func BatchedCleaning(rc RunConfig) (Table, error) {
 		w := workload.DefaultNFSMix()
 		w.Think = 0
 		w.FilesPerV = 800
-		res, sys, err := Measure(cfg, w, rc.Warmup, rc.Window)
+		res, sys, err := rc.Measure(cfg, w)
 		if err != nil {
 			return Table{}, err
 		}
@@ -180,7 +180,7 @@ func Ablations(rc RunConfig) (Table, error) {
 		cfg := rc.Base
 		cfg.Allocator.InfraParallel = true
 		mut(&cfg)
-		res, _, err := Measure(cfg, workload.DefaultSeqWrite(), rc.Warmup, rc.Window)
+		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
 		if err != nil {
 			return err
 		}

@@ -81,6 +81,8 @@ type RunConfig struct {
 	// sweep's CI-sized default.
 	Points int
 	Seeds  []int64
+	// Trace, when set, traces every Measure of the run (TraceOut).
+	Trace *TraceOut
 }
 
 // DefaultRun returns the standard measurement setup, the one EXPERIMENTS.md's
@@ -95,41 +97,35 @@ func DefaultRun() RunConfig {
 	}
 }
 
-// tracing holds the package-level trace hook state set by EnableTracing.
-var tracing struct {
-	prefix string
-	events int
-	seq    int
-}
-
-// EnableTracing makes every subsequent Measure run with the observability
-// spine on, dumping one Chrome trace-event JSON timeline per measurement to
-// <prefix>-NNN.json (numbered in run order). events bounds the trace ring
+// TraceOut asks every Measure of a run for a Chrome trace-event JSON timeline:
+// the run has the observability spine on, and its timeline goes to
+// <Prefix>-NNN.json, numbered in run order. Events bounds the trace ring
 // buffer; 0 selects the default. Tracing never changes measured results.
-func EnableTracing(prefix string, events int) {
-	tracing.prefix = prefix
-	tracing.events = events
-	tracing.seq = 0
+type TraceOut struct {
+	Prefix string
+	Events int
+	seq    int // timelines written so far
 }
 
-// Measure builds a system with cfg, attaches the workload, measures, and
-// tears the system down (the returned *System is only good for reading
-// statistics). With EnableTracing active, the run is traced and its
-// timeline written before teardown.
-func Measure(cfg wafl.Config, w Attacher, warmup, window wafl.Duration) (wafl.Results, *wafl.System, error) {
-	if tracing.prefix != "" {
+// Measure builds a system with cfg, attaches the workload, measures it over
+// rc's warm-up and window, and tears the system down (the returned *System
+// is only good for reading statistics). With rc.Trace set, the run is traced
+// and its timeline written before teardown.
+func (rc RunConfig) Measure(cfg wafl.Config, w Attacher) (wafl.Results, *wafl.System, error) {
+	tr := rc.Trace
+	if tr != nil {
 		cfg.Trace = true
-		cfg.TraceEvents = tracing.events
+		cfg.TraceEvents = tr.Events
 	}
 	sys, err := wafl.NewSystem(cfg)
 	if err != nil {
 		return wafl.Results{}, nil, err
 	}
 	w.Attach(sys)
-	res := sys.Measure(warmup, window)
-	if tracing.prefix != "" {
-		name := fmt.Sprintf("%s-%03d.json", tracing.prefix, tracing.seq)
-		tracing.seq++
+	res := sys.Measure(rc.Warmup, rc.Window)
+	if tr != nil {
+		name := fmt.Sprintf("%s-%03d.json", tr.Prefix, tr.seq)
+		tr.seq++
 		if f, err := os.Create(name); err != nil {
 			fmt.Fprintln(os.Stderr, "harness: trace:", err)
 		} else {

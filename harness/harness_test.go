@@ -60,7 +60,7 @@ func TestMeasureRunsAndTearsDown(t *testing.T) {
 	w.Clients = 4
 	w.Volumes = 2
 	w.FileBlocks = 2048
-	res, sys, err := Measure(rc.Base, w, rc.Warmup, rc.Window)
+	res, sys, err := rc.Measure(rc.Base, w)
 	if err != nil {
 		t.Fatal(err)
 	}

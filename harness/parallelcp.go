@@ -57,7 +57,7 @@ func ParallelCP(rc RunConfig) (Table, error) {
 			cfg.NVRAMHalfBytes = 2 << 20 // CP-bound: the log half fills fast
 			cfg.Allocator.ParallelCP = m.parallel
 			attacher := w.attach(&cfg) // before cfg is passed on: it mutates it
-			res, _, err := Measure(cfg, attacher, rc.Warmup, rc.Window)
+			res, _, err := rc.Measure(cfg, attacher)
 			if err != nil {
 				return t, err
 			}

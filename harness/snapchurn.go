@@ -38,7 +38,7 @@ func SnapshotChurn(rc RunConfig) (Table, error) {
 	}
 	for _, m := range modes {
 		cfg := rc.Base
-		res, sys, err := Measure(cfg, m.mk(), rc.Warmup, rc.Window)
+		res, sys, err := rc.Measure(cfg, m.mk())
 		if err != nil {
 			return t, err
 		}

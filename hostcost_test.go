@@ -11,9 +11,12 @@ import (
 
 // TestSeqWriteHostAllocBudget guards the host cost of the data path where
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
-// an 8-block sequential write may allocate at most 1.8 KiB of host heap.
+// an 8-block sequential write may allocate at most 1.1 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 1.68 KiB/op (17.8 mallocs/op) while CP-owned
+// — and the figure sits near 0.94 KiB/op (9.8 mallocs/op) while a new
+// block's user L0 buffer comes from the free list its committed
+// predecessors went back to (DESIGN §15; 1.68 KiB and 17.8 mallocs when
+// every block ever written kept its buffer), while CP-owned
 // images come from the aggregate's image pool and go back to it when the
 // media drops them (DESIGN §14; 2.12 when every CP-side copy was a fresh
 // array), a stripe's parity is the XOR of its data images and a stripe
@@ -27,7 +30,7 @@ import (
 // map-free; materialising the zero tail of the eight L0 images alone adds
 // 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
-	const budgetKiB = 1.8
+	const budgetKiB = 1.1
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +234,10 @@ func liveHeap() float64 {
 // the budgets above guard what it allocates: at the end of overload_burst's
 // recover phase the live heap the system holds (HeapAlloc after a
 // collection, less what it was before the system was built: systems earlier
-// tests left running stay live) is under 22 MiB. It sits near 18.0 MiB (18.6
-// when the parity drive kept every stripe's row, DESIGN §4) while
+// tests left running stay live) is under 17 MiB. It sits near 16.0 MiB while
+// a clean user block keeps no buffer (DESIGN §15; 18.0 when every block
+// written or read kept one, 18.6 when the parity drive also kept every
+// stripe's row, DESIGN §4), while
 // a sparse indirect keeps an array only as long as its pointers need and
 // shares it with the media sealed (DESIGN §14; 25.9 MiB when every indirect
 // kept a full block and the media got a trimmed copy), a drive keeps each DBN
@@ -241,7 +246,7 @@ func liveHeap() float64 {
 // 24-byte slice header, and 56.2 MiB before the media dropped a freed
 // block's image once its free commits.
 func TestOverloadLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 22
+	const budgetMiB = 17
 	base := liveHeap()
 	sys := overloadBurst(t)
 	sys.Measure(0, 100*wafl.Millisecond)
@@ -255,13 +260,14 @@ func TestOverloadLiveHeapBudget(t *testing.T) {
 
 // TestNFSMixLiveHeapBudget guards the same on the benchmark's nfsmix, whose
 // 1,600 small files hold one sparse L1 each: after a 150 ms warm-up and a
-// 250 ms window the live heap the system holds is under 29 MiB. It sits near
-// 24.7 MiB (26.2 when the parity drive kept every stripe's row, DESIGN §4)
-// while a sparse indirect keeps an array only as long as its
+// 250 ms window the live heap the system holds is under 23 MiB. It sits near
+// 21.6 MiB while a clean user block keeps no buffer (DESIGN §15; 24.7 when
+// every block written kept one, 26.2 when the parity drive also kept every
+// stripe's row, DESIGN §4) and a sparse indirect keeps an array only as long as its
 // pointers need and shares it with the media sealed (DESIGN §14); 31.6 MiB
 // when every indirect kept a full block and the media got a trimmed copy.
 func TestNFSMixLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 29
+	const budgetMiB = 23
 	base := liveHeap()
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 8192
@@ -278,6 +284,57 @@ func TestNFSMixLiveHeapBudget(t *testing.T) {
 	t.Logf("%.1f MiB live heap", live)
 	if live > budgetMiB {
 		t.Fatalf("nfsmix keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
+	}
+}
+
+// liveAfterWindow builds a system with cfg, attaches w, runs the bench's
+// 150 ms warm-up and 250 ms window and returns the live heap it holds then.
+func liveAfterWindow(t *testing.T, cfg wafl.Config, w harness.Attacher) float64 {
+	t.Helper()
+	base := liveHeap()
+	sys, err := wafl.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	w.Attach(sys)
+	sys.Run(150 * wafl.Millisecond)
+	sys.Measure(0, 250*wafl.Millisecond)
+	live := liveHeap() - base
+	runtime.KeepAlive(sys)
+	return live
+}
+
+// TestSeqWriteLiveHeapBudget guards the live heap of the benchmark's
+// seqwrite: after a 150 ms warm-up and a 250 ms window the system holds
+// under 45 MiB. It sits near 38.3 MiB while a user L0 buffer lives only
+// while its block is dirty or in a CP, and a clean block's content is its
+// media image (DESIGN §15); 63.6 MiB when every block ever written kept its
+// 96-byte buffer.
+func TestSeqWriteLiveHeapBudget(t *testing.T) {
+	const budgetMiB = 45
+	live := liveAfterWindow(t, wafl.DefaultConfig(), workload.DefaultSeqWrite())
+	t.Logf("%.1f MiB live heap", live)
+	if live > budgetMiB {
+		t.Fatalf("seqwrite keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
+	}
+}
+
+// TestAgedRandLiveHeapBudget is its twin on the benchmark's agedrand, whose
+// set-up dirties a 393,216-block prefill in one CP: under 75 MiB after the
+// window. It sits near 63.8 MiB while that burst's buffers go to the garbage
+// collector instead of the free list (ImagePool.TrimBuffers); 98.8 MiB when
+// every block kept its buffer.
+func TestAgedRandLiveHeapBudget(t *testing.T) {
+	const budgetMiB = 75
+	cfg := wafl.DefaultConfig()
+	cfg.Volumes = workload.DefaultAgedVol().Volumes
+	cfg.VolumeBlocks = 1 << 18
+	cfg.DriveBlocks = 131072
+	live := liveAfterWindow(t, cfg, workload.DefaultAgedVol())
+	t.Logf("%.1f MiB live heap", live)
+	if live > budgetMiB {
+		t.Fatalf("agedrand keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
 	}
 }
 

@@ -207,6 +207,7 @@ func (a *Aggregate) ForgetFreed() {
 	}
 	a.cut = a.cut[:0]
 	a.inCP = false
+	a.images.TrimBuffers()
 }
 
 // ForgetUnreachable takes the media over for an aggregate just mounted from
@@ -317,11 +318,13 @@ func (a *Aggregate) ReadVBN(t *sim.Thread, vbn block.VBN) []byte {
 // from the activemap; the loosely-accounted global counter shadows this).
 func (a *Aggregate) TotalFree() uint64 { return a.Activemap.Free() }
 
-// CrashAll drops in-flight I/O on every drive, modelling power loss.
+// CrashAll drops in-flight I/O on every drive, modelling power loss, and
+// writes off the user L0 buffers that went down with the trees.
 func (a *Aggregate) CrashAll() {
 	for _, g := range a.groups {
 		g.DropInFlight()
 	}
+	a.images.Abandon()
 }
 
 // loadAll mounts metafiles: it gives each the aggregate's image pool and

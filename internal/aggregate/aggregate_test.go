@@ -295,12 +295,12 @@ func TestCheckpointMountRoundTrip(t *testing.T) {
 		t.Fatal("file lost")
 	}
 	for fbn, want := range map[block.FBN][]byte{0: pattern(1), 5: pattern(2), 300: pattern(3)} {
-		got := mv.ReadFileBlock(nil, mf, fbn)
+		got := mv.ReadBlock(nil, mf, fbn)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("fbn %d content mismatch after mount", fbn)
 		}
 	}
-	if mv.ReadFileBlock(nil, mf, 7) != nil {
+	if mv.ReadBlock(nil, mf, 7) != nil {
 		t.Fatal("hole should read nil")
 	}
 	me := mv.LookupFile(empty.Ino())
@@ -311,8 +311,8 @@ func TestCheckpointMountRoundTrip(t *testing.T) {
 		t.Fatal("nonexistent ino should return nil")
 	}
 	// Container map must agree with the file's pointers.
-	b0 := mf.Buffer(0, 0)
-	if b0 == nil || mv.Container(b0.VVBN()) != b0.VBN() {
+	vvbn0, vbn0, ok := mf.Resolve(0, m)
+	if !ok || mv.Container(vvbn0) != vbn0 {
 		t.Fatal("container map inconsistent with file pointer")
 	}
 }
@@ -424,7 +424,7 @@ func TestCreateFileAtForms(t *testing.T) {
 
 	// Explicit, persisted: the file on media, not a fresh empty one.
 	got := v.CreateFileAt(persisted.Ino(), 1<<12)
-	if got.Ino() != persisted.Ino() || !bytes.Equal(v.ReadFileBlock(nil, got, 5), pattern(1)) {
+	if got.Ino() != persisted.Ino() || !bytes.Equal(v.ReadBlock(nil, got, 5), pattern(1)) {
 		t.Fatal("re-creating a persisted inode did not return the file on media")
 	}
 	if v.DirtyFiles() != 0 || len(v.FreezeAll()) != 0 {

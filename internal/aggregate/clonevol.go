@@ -180,20 +180,19 @@ func (v *Volume) SplitStep(batch int) (copied, walked int) {
 			fbn := st.SplitFBN
 			st.SplitFBN++
 			walked++
-			v.EnsureL0Resident(f, fbn)
-			b := f.Buffer(0, fbn)
-			if b == nil {
+			if b := f.Buffer(0, fbn); b != nil {
+				continue // dirty: already diverging through a pending clean
+			}
+			data, vvbn, _ := v.readL0(nil, f, fbn)
+			if data == nil {
 				continue // hole
 			}
-			if b.DirtyCurr() || b.DirtyFrozen() {
-				continue // already diverging through a pending clean
-			}
-			vvbn := b.VVBN()
+			f.Hold(fbn)
 			if vvbn == block.InvalidVVBN || !st.Base.IsSet(uint64(vvbn)) ||
 				!v.Activemap.IsSet(uint64(vvbn)) {
 				continue // clone-owned or already diverged
 			}
-			f.WriteBlock(fbn, b.Data())
+			f.WriteBlock(fbn, data)
 			v.MarkDirty(f)
 			copied++
 		}
@@ -308,6 +307,9 @@ func (v *Volume) DeferRestore(ids []uint64) {
 // diff (their active bits are still set), and dropped inode records are
 // wiped wholesale when the inocopy image replaces the inode file.
 func (v *Volume) DiscardVolatile() {
+	for _, f := range v.files {
+		v.dropped = append(v.dropped, f)
+	}
 	v.files = make(map[uint64]*fs.File)
 	v.dirty = make(map[uint64]*fs.File)
 	v.recordDirty = make(map[uint64]*fs.File)

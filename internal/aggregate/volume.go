@@ -98,6 +98,10 @@ type Volume struct {
 	// record between the delete and the CP that clears it.
 	zombies []*fs.File
 	deleted map[uint64]bool
+	// dropped are files whose trees left the namespace (deleted, or a
+	// discarded present); the next CP's freeze releases their buffers
+	// (File.Release), once the CP that may still clean them has committed.
+	dropped []*fs.File
 
 	// Clone/restore state (see internal/clone). cl is non-nil while the
 	// volume is a bound writable clone; pendClone is a requested bind and
@@ -247,6 +251,7 @@ func (v *Volume) DeleteFile(ino uint64) bool {
 	delete(v.recordDirty, ino)
 	v.deleted[ino] = true
 	v.zombies = append(v.zombies, f)
+	v.dropped = append(v.dropped, f)
 	return true
 }
 
@@ -340,8 +345,14 @@ func (v *Volume) DirtyFiles() int { return len(v.dirty) }
 
 // FreezeAll freezes every dirty user file for the starting CP and returns
 // the frozen inode list (sorted by ino for determinism). Files with only a
-// record change (fresh creates) are included with zero frozen buffers.
+// record change (fresh creates) are included with zero frozen buffers. It
+// first releases the dropped files' buffers: the CP that froze them last has
+// committed.
 func (v *Volume) FreezeAll() []*fs.File {
+	for _, f := range v.dropped {
+		f.Release()
+	}
+	v.dropped = v.dropped[:0]
 	out := make([]*fs.File, 0, len(v.dirty)+len(v.recordDirty))
 	for _, f := range v.dirty {
 		f.Freeze()
@@ -369,75 +380,64 @@ func (v *Volume) WriteRecord(f *fs.File) {
 	v.inofile.DirtyIntoCP(buf)
 }
 
-// EnsureL0Resident makes f's L0 buffer for fbn resident ahead of an
-// overwrite: if the block exists on committed media, its content and —
-// critically — its current (vvbn, vbn) addresses are installed, so that
-// cleaning the overwrite frees the old location instead of leaking it.
-// No-op for holes and already-resident blocks.
+// EnsureL0Resident loads f's L0 fbn ahead of an overwrite if the tree does
+// not hold it (File.Resident): a block on committed media gets a buffer at
+// its committed (vvbn, vbn), so cleaning the overwrite frees the old
+// location instead of leaking it, holding the content read untimed through
+// the fault plan. A held block needs nothing: its buffer, or the resident
+// L1 its next buffer takes the address from, already knows. No-op for a
+// hole. The caller dirties the buffer at once: a clean user L0 buffer stays
+// in the tree only until its CP commits (DESIGN §15).
 func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
-	if f.RootVBN == block.InvalidVBN || f.Buffer(0, fbn) != nil {
+	if f.RootVBN == block.InvalidVBN || f.Resident(fbn) {
 		return
 	}
-	if vvbn, vbn, ok := f.Resolve(fbn, v.aggr); ok {
-		f.InstallBuffer(0, fbn, v.aggr.ReadVBNRaw(vbn), vvbn, vbn)
+	if data, vvbn, vbn := v.readL0(nil, f, fbn); data != nil {
+		f.InstallBuffer(0, fbn, data, vvbn, vbn)
 	}
 }
 
-// ReadFileBlock returns the content of f's block fbn, demand-loading from
-// media. The indirect blocks of its path load untimed (File.Resolve); the
-// L0 is a timed drive read if t is non-nil, else untimed (verification
-// path). A nil return means a hole.
-func (v *Volume) ReadFileBlock(t *sim.Thread, f *fs.File, fbn block.FBN) []byte {
-	if data := f.ReadBlock(fbn); data != nil {
-		return data
-	}
-	vvbn, vbn, ok := f.Resolve(fbn, v.aggr)
-	if !ok {
-		return nil
-	}
-	var data []byte
-	if t != nil {
-		data = v.aggr.ReadVBN(t, vbn)
-	} else {
-		data = v.aggr.ReadVBNRaw(vbn)
-	}
-	if data == nil {
-		panic(fmt.Sprintf("volume %d: ino %d L0 fbn %d at %v unreadable", v.id, f.Ino(), fbn, vbn))
-	}
-	f.InstallBuffer(0, fbn, data, vvbn, vbn)
+// ReadBlock returns the content of f's block fbn, nil for a hole, and makes
+// nothing resident: the member's residency set decides what a client read
+// pays, and its caller keeps it. The indirect blocks of the path load
+// untimed (File.Resolve). With t, the read is a client's that missed the
+// set: a timed drive read at the block's committed address. Without, it is
+// untimed: a block with a buffer reads the buffer; one the tree holds
+// (File.Resident) reads its media image through its resident L1, past the
+// fault plan, as memory would; any other passes the fault plan's read path
+// (ReadVBNRaw).
+//
+// The tree names a block's new location as soon as the running CP cleans
+// it, so a timed read may find nothing there yet: its write has not landed.
+// The buffer, in the tree until that CP commits, holds the content then.
+// Nothing at a committed location is a lost block.
+func (v *Volume) ReadBlock(t *sim.Thread, f *fs.File, fbn block.FBN) []byte {
+	data, _, _ := v.readL0(t, f, fbn)
 	return data
 }
 
-// ReadMediaBlock charges a timed drive read for f's block fbn without
-// installing the L0 buffer into the file's in-memory tree — the
-// buffer-cache read path, where residency (and thus whether a re-read pays
-// media latency again) is owned by the caller's sized cache rather than by
-// permanent tree installation. Indirect blocks still install (they are
-// metadata, cheap and shared); only the data block stays uninstalled.
-// Returns false for holes and for blocks with no committed on-media
-// location (dirty-only data, which lives in memory by definition).
-//
-// The tree names a block's new location as soon as the running CP cleans
-// it, so the read may find nothing there yet: the write has not landed. The
-// resident buffer holds the content then, and the read is charged all the
-// same. Nothing at a committed location is a lost block.
-func (v *Volume) ReadMediaBlock(t *sim.Thread, f *fs.File, fbn block.FBN) bool {
-	_, vbn, ok := f.Resolve(fbn, v.aggr)
-	if !ok {
-		return false // hole or never persisted
+// readL0 is ReadBlock, with the address the content was read at.
+func (v *Volume) readL0(t *sim.Thread, f *fs.File, fbn block.FBN) (data []byte, vvbn block.VVBN, vbn block.VBN) {
+	b := f.Buffer(0, fbn)
+	if b != nil && t == nil {
+		return b.Data(), b.VVBN(), b.VBN()
 	}
-	if v.aggr.ReadVBN(t, vbn) == nil && !v.landing(f, fbn, vbn) {
+	vvbn, vbn, ok := f.Resolve(fbn, v.aggr)
+	switch {
+	case !ok:
+		return nil, vvbn, vbn
+	case t != nil:
+		data = v.aggr.ReadVBN(t, vbn)
+	case f.Resident(fbn):
+		g, d, dbn := v.aggr.geo.Locate(vbn)
+		data = v.aggr.groups[g].Drive(d).Peek(dbn)
+	default:
+		data = v.aggr.ReadVBNRaw(vbn)
+	}
+	if data == nil && (b == nil || b.VBN() != vbn || !v.aggr.inCP) {
 		panic(fmt.Sprintf("volume %d: ino %d L0 fbn %d at %v unreadable", v.id, f.Ino(), fbn, vbn))
 	}
-	return true
-}
-
-// landing reports whether vbn may be a location the running CP gave f's
-// block fbn, its write still in flight: a CP is between its start and its
-// commit, and the block's buffer is resident at vbn.
-func (v *Volume) landing(f *fs.File, fbn block.FBN, vbn block.VBN) bool {
-	b := f.Buffer(0, fbn)
-	return v.aggr.inCP && b != nil && b.VBN() == vbn
+	return data, vvbn, vbn
 }
 
 // NextIno returns the next inode number to be assigned (persisted in the

@@ -1,17 +1,17 @@
 // Package bcache is the sized buffer cache on the client read path: an LRU
 // residency set over (volume, inode, file block) keys, capacity-bounded in
-// 4 KiB blocks.
+// 4 KiB blocks. With one configured it is its member's only residency set.
 //
-// The simulator keeps block *content* authoritative in the per-file
-// in-memory trees (they are what consistency points clean and what
-// verification reads), so the cache tracks residency rather than bytes: a
-// key present in the cache means the block is memory-resident and a client
-// read of it pays no media I/O; a key absent means the read is charged a
-// timed drive read and then inserted. Writes insert their blocks too — a
-// freshly written block is the hottest thing in a real buffer cache — so
-// the working-set-vs-capacity regimes of CAWL fall out naturally: while the
-// working set fits, everything hits after first touch; once it exceeds
-// capacity, LRU eviction makes re-reads pay media latency again.
+// The cache tracks residency, not bytes: a block's content is its buffer
+// while it is dirty or in a consistency point, and its media image once the
+// CP that wrote it commits (DESIGN §15). A key present in the cache means
+// the block is memory-resident and a client read of it pays no media I/O; a
+// key absent means the read is charged a timed drive read and then inserted.
+// Writes insert their blocks too — a freshly written block is the hottest
+// thing in a real buffer cache — so the working-set-vs-capacity regimes of
+// CAWL fall out naturally: while the working set fits, everything hits after
+// first touch; once it exceeds capacity, LRU eviction makes re-reads pay
+// media latency again.
 //
 // All operations are O(1) (map plus intrusive doubly-linked LRU list) and
 // deterministic: the map is only ever probed by key, never iterated —

@@ -691,6 +691,13 @@ func (e *Engine) runCP(t *sim.Thread) {
 	e.boundary(t, "commit")
 	e.a.SetCPCount(e.a.CPCount() + 1)
 	e.a.WriteSuperblock(t)
+	// The cleaned user L0s have landed and are committed: the clean ones
+	// leave their trees, and the media is their content from here on.
+	for _, c := range cuts {
+		for _, f := range c.frozen {
+			f.DropClean()
+		}
+	}
 	e.a.ForgetFreed()
 	e.boundary(t, "post-commit")
 	e.log.FreeFrozen()

@@ -90,8 +90,8 @@ func TestCPFlushesDirtyFile(t *testing.T) {
 	}
 	// The data must be on committed media at the recorded locations.
 	for i := 0; i < 50; i++ {
-		b := f.Buffer(0, block.FBN(i))
-		got := e.a.ReadVBNRaw(b.VBN())
+		_, vbn, _ := f.Resolve(block.FBN(i), e.a)
+		got := e.a.ReadVBNRaw(vbn)
 		if !bytes.Equal(got, payload(byte(i))) {
 			t.Fatalf("block %d content mismatch on media", i)
 		}
@@ -120,7 +120,7 @@ func TestCPCommitsSuperblockAndMounts(t *testing.T) {
 	if mf == nil {
 		t.Fatal("file lost across mount")
 	}
-	got := m.Volume(0).ReadFileBlock(nil, mf, 7)
+	got := m.Volume(0).ReadBlock(nil, mf, 7)
 	if !bytes.Equal(got, payload(0xAB)) {
 		t.Fatal("mounted content mismatch")
 	}
@@ -220,7 +220,7 @@ func TestCrashMidCPKeepsPreviousImage(t *testing.T) {
 		t.Fatalf("mounted cp = %d, want 1 (previous image)", m.CPCount())
 	}
 	mf := m.Volume(0).LookupFile(f.Ino())
-	got := m.Volume(0).ReadFileBlock(nil, mf, 0)
+	got := m.Volume(0).ReadBlock(nil, mf, 0)
 	if !bytes.Equal(got, payload(1)) {
 		t.Fatal("previous CP's content corrupted by crashed CP")
 	}
@@ -243,8 +243,8 @@ func TestMultiVolumeCP(t *testing.T) {
 		if f.FrozenCount() != 0 {
 			t.Fatalf("vol %d file not cleaned", vi)
 		}
-		b := f.Buffer(0, 3)
-		if vol := e.a.Volume(vi); vol.Container(b.VVBN()) != b.VBN() {
+		vvbn, vbn, _ := f.Resolve(3, e.a)
+		if vol := e.a.Volume(vi); vol.Container(vvbn) != vbn {
 			t.Fatalf("vol %d container entry missing", vi)
 		}
 	}

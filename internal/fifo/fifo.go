@@ -59,9 +59,11 @@ func (q *Queue[T]) TakeAll() []T {
 // depend on GC timing. The pool counts into a PoolStats its owner publishes,
 // so a path that forgets its Put shows there as a record outstanding.
 type Pool[T any] struct {
-	free  Queue[T]
-	new   func() T
-	stats *PoolStats
+	free    Queue[T]
+	new     func() T
+	stats   *PoolStats
+	max     int  // waiting records kept, once limited
+	limited bool // Limit was called
 }
 
 // PoolStats counts a Pool's records. A record is outstanding from its Get to
@@ -93,10 +95,25 @@ func (p *Pool[T]) Get() T {
 	return p.new()
 }
 
-// Put returns v, which its owner has reset, for a later Get.
+// Put returns v, which its owner has reset, for a later Get — or, past the
+// pool's limit, to the garbage collector.
 func (p *Pool[T]) Put(v T) {
 	p.stats.Returned++
-	p.free.Push(v)
+	if !p.limited || p.free.Len() < p.max {
+		p.free.Push(v)
+	}
+}
+
+// Limit makes the pool keep at most n waiting records, the n oldest: the
+// rest go to the garbage collector now, and so does every record Put beyond
+// them from now on. A free list a burst would fill does not keep the burst
+// live.
+func (p *Pool[T]) Limit(n int) {
+	p.max, p.limited = n, true
+	if q := &p.free; q.Len() > n {
+		clear(q.buf[q.head+n:])
+		q.buf = q.buf[:q.head+n]
+	}
 }
 
 // Abandon writes off every outstanding record: a crash dropped what held

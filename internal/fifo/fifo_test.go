@@ -77,3 +77,35 @@ func TestPoolCounts(t *testing.T) {
 		t.Fatalf("after a crash and a Get: record %d, stats %+v", *c, st)
 	}
 }
+
+// TestPoolLimit: a limited pool keeps at most its limit of waiting records,
+// the oldest; a Put beyond it still counts as returned, and Get then builds
+// new records.
+func TestPoolLimit(t *testing.T) {
+	var st PoolStats
+	made := 0
+	p := NewPool(&st, func() *int { made++; return new(int) })
+	recs := make([]*int, 5)
+	for i := range recs {
+		recs[i] = p.Get()
+	}
+	for _, r := range recs {
+		p.Put(r)
+	}
+	p.Limit(2)
+	if got := p.free.Len(); got != 2 || p.Get() != recs[0] || p.Get() != recs[1] {
+		t.Fatalf("limit 2 kept %d records, or not the oldest", got)
+	}
+	third := p.Get() // the pool is empty: a new record
+	p.Put(recs[0])
+	p.Put(recs[1])
+	p.Put(third) // beyond the limit: to the garbage collector
+	if p.free.Len() != 2 || st.Returned != 8 || st.Outstanding() != 0 {
+		t.Fatalf("%d waiting, stats %+v; want 2 waiting and nothing outstanding", p.free.Len(), st)
+	}
+	p.Get()
+	p.Get()
+	if p.Get(); made != 7 {
+		t.Fatalf("built %d records, want a new one once the kept ones are taken", made)
+	}
+}

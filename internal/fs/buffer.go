@@ -23,6 +23,13 @@ import (
 // Buffer is the in-memory image of one block of a file, at any tree level
 // (level 0 = user/metafile data, higher levels = indirect blocks).
 //
+// Indirect and metafile buffers stay in their tree. A user L0 buffer lives
+// only while its block is dirty or in a CP: it comes from its aggregate's
+// free list (ImagePool) when a write or a load creates it, and goes back
+// when the CP that cleaned it commits (File.DropClean). The block stays
+// resident after that — its residency bit (node.held) says so — and its
+// content is its media image, read through its resident L1.
+//
 // Images follow the internal/block rule: a []byte of len <= block.Size
 // whose missing tail reads as zero. A user L0 buffer holds the very array
 // the client wrote (WriteBlock adopts it; the NVLog record shares it), at
@@ -73,14 +80,11 @@ type Buffer struct {
 // dense image would duplicate the array its buffer keeps anyway.
 const sparseMax = block.Size / 2
 
-func newBuffer(f *File, fbn block.FBN, level int) *Buffer {
-	return &Buffer{
-		f:     f,
-		fbn:   fbn,
-		level: level,
-		vvbn:  block.InvalidVVBN,
-		vbn:   block.InvalidVBN,
-	}
+// newBuffer makes b the empty buffer at (level, fbn) of f and returns it.
+// The image pool is its one caller (ImagePool.buffer).
+func newBuffer(b *Buffer, f *File, fbn block.FBN, level int) *Buffer {
+	*b = Buffer{f: f, fbn: fbn, level: level, vvbn: block.InvalidVVBN, vbn: block.InvalidVBN}
+	return b
 }
 
 // FBN returns the buffer's file block number (for level > 0, the lowest FBN
@@ -99,12 +103,6 @@ func (b *Buffer) VVBN() block.VVBN { return b.vvbn }
 
 // VBN returns the buffer's current on-disk physical address.
 func (b *Buffer) VBN() block.VBN { return b.vbn }
-
-// DirtyCurr reports whether the buffer is dirty in the open generation.
-func (b *Buffer) DirtyCurr() bool { return b.dirtyCurr }
-
-// DirtyFrozen reports whether the buffer is dirty in the freezing CP's set.
-func (b *Buffer) DirtyFrozen() bool { return b.dirtyFrozen }
 
 // Data returns the live image for reading, materialising the zero block of
 // an L0 nobody has written yet. An indirect's image is as long as its

@@ -37,14 +37,22 @@ func HeightFor(maxBlocks uint64) int {
 // loaded — residency of the block is buf != nil, and the demand-load path
 // branches on exactly that.
 //
+// A level-1 node also keeps its L0s' residency bits (held): a bit is set
+// when an L0 buffer is created and when Hold marks a block read, and it
+// stays after the buffer leaves the tree at its CP's commit (DropClean). A
+// user L0's buffer lives only while the block is dirty or in a CP; the bit
+// is what says the block is still in memory (DESIGN §15). Bits go with the
+// tree: a deleted, restored or crashed file starts over with none.
+//
 // Slot arrays are allocated on first touch and sized to the highest slot
 // touched (rounded up to a power of two), so small and sparse files do not
 // pay for 256 pointers per node, and nothing is ever sized from the file's
-// capacity or its on-media record.
+// capacity or its on-media record. They stay when their buffers leave.
 type node struct {
 	buf    *Buffer   // the indirect buffer at this position; nil if not resident
 	kids   []*node   // level >= 2: child positions
 	leaves []*Buffer // level 1: L0 buffers
+	held   [block.PtrsPerBlock / 64]uint64
 }
 
 // growSlots returns s extended to hold slot d.
@@ -77,6 +85,14 @@ func (dl *dirtyList) add(b *Buffer) {
 	}
 	dl.bufs = append(dl.bufs, b)
 	dl.live++
+}
+
+// reset empties the list for reuse, clearing its entries: a user L0 leaves
+// for the free list at its CP's commit, and a spent list must not keep it
+// reachable.
+func (dl *dirtyList) reset() {
+	clear(dl.bufs)
+	*dl = dirtyList{bufs: dl.bufs[:0]}
 }
 
 // sort puts the list in FBN order — the cleaning order. Sequential writers
@@ -166,6 +182,30 @@ func digit(level int, idx block.FBN, l int) int {
 	return int(idx>>(radixBits*uint(l-1-level))) & (block.PtrsPerBlock - 1)
 }
 
+// find returns the index node that holds the buffer at (level, idx) — the
+// node at that level, the level-1 node for an L0 — creating the nodes on its
+// path if create is set, or nil if one is missing.
+func (f *File) find(level int, idx block.FBN, create bool) *node {
+	n := &f.root
+	for l := f.height; l > level && l > 1; l-- {
+		d := digit(level, idx, l)
+		if d >= len(n.kids) {
+			if !create {
+				return nil
+			}
+			n.kids = growSlots(n.kids, d)
+		}
+		if n.kids[d] == nil {
+			if !create {
+				return nil
+			}
+			n.kids[d] = new(node)
+		}
+		n = n.kids[d]
+	}
+	return n
+}
+
 // Buffer returns the cached buffer at (level, idx), or nil.
 func (f *File) Buffer(level int, idx block.FBN) *Buffer {
 	if uint(level) > uint(f.height) {
@@ -174,15 +214,11 @@ func (f *File) Buffer(level int, idx block.FBN) *Buffer {
 	if idx>>(radixBits*uint(f.height-level)) != 0 {
 		return nil
 	}
-	n := &f.root
-	for l := f.height; l > level && l > 1; l-- {
-		d := digit(level, idx, l)
-		if d >= len(n.kids) || n.kids[d] == nil {
-			return nil
-		}
-		n = n.kids[d]
-	}
-	if level > 0 {
+	n := f.find(level, idx, false)
+	switch {
+	case n == nil:
+		return nil
+	case level > 0:
 		return n.buf
 	}
 	if d := digit(0, idx, 1); d < len(n.leaves) {
@@ -191,37 +227,60 @@ func (f *File) Buffer(level int, idx block.FBN) *Buffer {
 	return nil
 }
 
+// Resident reports whether L0 fbn is in the tree's residency bits: it has
+// had a buffer, or Hold marked it, since the tree was built.
+func (f *File) Resident(fbn block.FBN) bool {
+	if fbn>>(radixBits*uint(f.height)) != 0 {
+		return false
+	}
+	n, d := f.find(0, fbn, false), digit(0, fbn, 1)
+	return n != nil && n.held[d/64]>>(d%64)&1 != 0
+}
+
+// Hold sets L0 fbn's residency bit without a buffer: a read brought the
+// block into memory. A block past the file's capacity is a hole, and has
+// no bit.
+func (f *File) Hold(fbn block.FBN) {
+	if fbn>>(radixBits*uint(f.height)) == 0 {
+		d := digit(0, fbn, 1)
+		f.find(0, fbn, true).held[d/64] |= 1 << (d % 64)
+	}
+}
+
 // getOrCreate returns the buffer at (level, idx), creating it zeroed if
 // absent. Only the index nodes on its path are created with it — never the
-// indirect buffers above it.
+// indirect buffers above it. An L0's residency bit is set. An L0 that had a
+// buffer until its CP committed comes back at the address its resident L1
+// names, sealed: the media holds its image there, and an overwrite frees
+// it.
 func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 	if uint(level) > uint(f.height) || idx>>(radixBits*uint(f.height-level)) != 0 {
 		panic(fmt.Sprintf("fs: buffer (level %d, index %d) outside tree of height %d (ino %d)", level, idx, f.height, f.ino))
 	}
-	n := &f.root
-	for l := f.height; l > level && l > 1; l-- {
-		d := digit(level, idx, l)
-		if d >= len(n.kids) {
-			n.kids = growSlots(n.kids, d)
+	n := f.find(level, idx, true)
+	if level > 0 {
+		if n.buf == nil {
+			n.buf = f.pool.buffer(f, idx<<(radixBits*uint(level)), level)
+			f.resident++
 		}
-		if n.kids[d] == nil {
-			n.kids[d] = new(node)
-		}
-		n = n.kids[d]
+		return n.buf
 	}
-	slot := &n.buf
-	if level == 0 {
-		d := digit(0, idx, 1)
-		if d >= len(n.leaves) {
-			n.leaves = growSlots(n.leaves, d)
-		}
-		slot = &n.leaves[d]
+	d := digit(0, idx, 1)
+	if d >= len(n.leaves) {
+		n.leaves = growSlots(n.leaves, d)
 	}
-	if *slot == nil {
-		*slot = newBuffer(f, idx<<(radixBits*uint(level)), level)
+	if n.leaves[d] == nil {
+		b := f.pool.buffer(f, idx, 0)
+		if n.held[d/64]>>(d%64)&1 != 0 && n.buf != nil {
+			if vvbn, vbn := block.GetPtr(n.buf.Data(), d); !hole(vbn) {
+				b.vvbn, b.vbn, b.sealed = vvbn, vbn, true
+			}
+		}
+		n.leaves[d] = b
+		n.held[d/64] |= 1 << (d % 64)
 		f.resident++
 	}
-	return *slot
+	return n.leaves[d]
 }
 
 // InstallBuffer populates the cache with a block loaded from persistent
@@ -373,9 +432,13 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte
 		if f.frozenCount == 0 {
 			// Nothing is left to clean, so nobody is iterating: drop the
 			// cleaned entries. This, not Freeze, is what bounds the lists
-			// of metafiles that are only ever dirtied into the CP.
+			// of metafiles that are only ever dirtied into the CP. A user
+			// file's L0 list waits for the commit, where DropClean walks
+			// it.
 			for l := range f.frozen {
-				f.frozen[l] = dirtyList{bufs: f.frozen[l].bufs[:0]}
+				if l > 0 || f.metafile {
+					f.frozen[l].reset()
+				}
 			}
 		}
 		return img, oldVVBN, oldVBN
@@ -399,6 +462,36 @@ func (f *File) DirtyIntoCP(b *Buffer) {
 		f.frozen[b.level].add(b)
 		f.frozenCount++
 	}
+}
+
+// DropClean ends the running CP for user file f once it has committed: every
+// L0 the CP froze that is clean now leaves the tree for the free list. Its
+// write has landed, so the media holds its image, and its residency bit
+// stays. Not at MarkCleaned: until the commit the write may be in flight,
+// and the buffer is what holds the content. An L0 a client dirtied again
+// stays.
+func (f *File) DropClean() {
+	for _, b := range f.frozen[0].bufs {
+		if !b.dirtyCurr && !b.inCP {
+			n := f.find(0, b.fbn, false)
+			n.leaves[digit(0, b.fbn, 1)] = nil
+			f.resident--
+			f.pool.putBuffer(b)
+		}
+	}
+	f.frozen[0].reset()
+}
+
+// Release puts every user L0 buffer left in f's tree back on the free list.
+// Its owner calls it once the tree is dropped — a deleted file, a volume's
+// discarded present — and no CP will clean it again.
+func (f *File) Release() {
+	f.eachBuffer(func(b *Buffer) {
+		if !b.cpOwned() {
+			f.pool.putBuffer(b)
+		}
+	})
+	f.root, f.resident = node{}, 0
 }
 
 // GetOrCreateL0 returns the L0 buffer for fbn, creating it if needed,

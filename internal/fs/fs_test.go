@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -669,5 +670,50 @@ func TestBufferImageMaterialisation(t *testing.T) {
 	f.WriteBlock(4, pattern(1)[:64])
 	if d := f.Buffer(0, 4).CPMutableData(); len(d) != block.Size || !block.Equal(d, pattern(1)[:64]) {
 		t.Fatal("CPMutableData must pad a trimmed image to a full block")
+	}
+}
+
+// TestDropCleanKeepsResidency: when its CP commits, a clean user L0 leaves
+// the tree for the free list and its residency bit stays; the next write
+// creates it again at the address its L1 names, sealed, so the overwrite
+// frees that address and the media keeps the old array. An L0 overwritten
+// during the CP stays. Release takes back what the tree still holds.
+func TestDropCleanKeepsResidency(t *testing.T) {
+	p := NewImagePool()
+	f := NewFile(1, 2)
+	f.SetImagePool(p)
+	f.WriteBlock(3, pattern(1))
+	f.WriteBlock(300, pattern(2))
+	f.Freeze()
+	f.CleanChildAll(t)
+	f.WriteBlock(300, pattern(3)) // dirty again before the commit
+	at := f.Buffer(0, 3).VBN()
+	noMedia := func(func(block.VBN, []byte)) {}
+	if err := p.Audit([]*File{f}, noMedia); err == nil || !strings.Contains(err.Error(), "clean user L0 buffer (ino 1, fbn 3)") {
+		t.Fatalf("audit before the commit: %v, want the clean L0 3 named", err)
+	}
+	f.DropClean()
+	if err := p.Audit([]*File{f}, noMedia); err != nil {
+		t.Fatalf("audit after the commit: %v", err)
+	}
+	if f.Buffer(0, 3) != nil || !f.Resident(3) || f.Buffer(0, 300) == nil || f.Resident(4) {
+		t.Fatalf("after the commit: buffer 3 %v resident %v, buffer 300 %v, resident 4 %v",
+			f.Buffer(0, 3) != nil, f.Resident(3), f.Buffer(0, 300) != nil, f.Resident(4))
+	}
+	if st := p.Stats().Buffers; st.Taken != 2 || st.Returned != 1 {
+		t.Fatalf("buffer pool %+v, want 2 taken and 1 returned", st)
+	}
+	cow := f.CoWCopies
+	b := f.WriteBlock(3, pattern(4))
+	if b.VBN() != at || f.CoWCopies != cow+1 {
+		t.Fatalf("rewritten L0 3 at %v (CoW copies %d), want %v and a CoW copy of its sealed image", b.VBN(), f.CoWCopies-cow, at)
+	}
+	f.Hold(7)
+	if !f.Resident(7) || f.Buffer(0, 7) != nil {
+		t.Fatal("Hold made a buffer, or no bit")
+	}
+	f.Release()
+	if st := p.Stats().Buffers; st.Outstanding() != 0 || f.ResidentBuffers() != 0 || f.Resident(3) {
+		t.Fatalf("after Release: pool %+v, %d buffers, resident 3 %v", st, f.ResidentBuffers(), f.Resident(3))
 	}
 }

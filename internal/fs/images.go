@@ -31,6 +31,12 @@ import (
 // every array and registers none.
 type ImagePool struct {
 	classes [nClasses]fifo.Pool[[]byte]
+	// buffers is the free list of user L0 buffers: a clean one leaves its
+	// tree when its CP commits (File.DropClean), and the next L0 a write
+	// or a load creates is drawn from here.
+	buffers  fifo.Pool[*Buffer]
+	bufStats fifo.PoolStats
+	bufTaken uint64 // bufStats.Taken at the last TrimBuffers
 	// mediaOnly maps a media-only array's first byte to the array at its
 	// full capacity: the media hands images back with their capacity cut to
 	// their length.
@@ -49,6 +55,10 @@ type ImageStats struct {
 	Returned  uint64 // media-only arrays back from the media
 	Recycled  uint64 // private arrays back from an indirect that outgrew them
 	MediaOnly int64  `stat:"gauge"` // arrays the media alone holds
+
+	// Buffers counts the user L0 buffer free list. Unlike the arrays it is
+	// under the leak rule: a quiesced member's user files hold no buffer.
+	Buffers fifo.PoolStats
 }
 
 // poison fills an array on its way back to the pool, so a premature recycle
@@ -80,6 +90,8 @@ func classSize(c int) int {
 // NewImagePool returns an empty pool.
 func NewImagePool() *ImagePool {
 	p := &ImagePool{mediaOnly: make(map[*byte][]byte)}
+	p.buffers = fifo.NewPool(&p.bufStats, func() *Buffer { return new(Buffer) })
+	p.buffers.Limit(0) // until a commit has seen what a CP interval takes
 	for c := range p.classes {
 		size := classSize(c)
 		p.classes[c] = fifo.NewPool(&p.stats, func() []byte { return make([]byte, size) })
@@ -90,8 +102,39 @@ func NewImagePool() *ImagePool {
 // Stats returns the pool's counts.
 func (p *ImagePool) Stats() ImageStats {
 	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled,
-		Recycled: p.recycled, MediaOnly: int64(len(p.mediaOnly))}
+		Recycled: p.recycled, MediaOnly: int64(len(p.mediaOnly)), Buffers: p.bufStats}
 }
+
+// buffer returns the empty buffer at (level, fbn) of f: a user L0 from the
+// free list, any other buffer — an indirect or a metafile L0, which stay in
+// their trees — new.
+func (p *ImagePool) buffer(f *File, fbn block.FBN, level int) *Buffer {
+	if p == nil || level > 0 || f.metafile {
+		return newBuffer(new(Buffer), f, fbn, level)
+	}
+	return newBuffer(p.buffers.Get(), f, fbn, level)
+}
+
+// putBuffer takes back user L0 b, which its tree no longer holds.
+func (p *ImagePool) putBuffer(b *Buffer) {
+	if p != nil {
+		*b = Buffer{}
+		p.buffers.Put(b)
+	}
+}
+
+// TrimBuffers, at a CP's commit, limits the free list to twice the buffers
+// taken since the last commit: what the next CP interval is likely to take
+// again, with room to take more. The next commit's clean buffers beyond it
+// go to the garbage collector, so a burst — a prefill dirtied in one CP —
+// neither stays live nor grows the list.
+func (p *ImagePool) TrimBuffers() {
+	p.buffers.Limit(2 * int(p.bufStats.Taken-p.bufTaken))
+	p.bufTaken = p.bufStats.Taken
+}
+
+// Abandon writes off the buffers a crash dropped with their trees.
+func (p *ImagePool) Abandon() { p.buffers.Abandon() }
 
 // get returns an array of n bytes, 0 < n <= block.Size, holding garbage,
 // whose capacity is its size class.
@@ -196,27 +239,31 @@ func (p *ImagePool) put(a []byte) {
 }
 
 // Audit checks where the pool's arrays sit once no write is in flight (at
-// Quiesce). media calls its argument with every data-drive image and the VBN
-// it sits at; files are every file whose buffers may hold the pool's arrays.
+// Quiesce), and that no user L0 buffer outlived its CP's commit clean. media
+// calls its argument with every data-drive image and the VBN it sits at;
+// files are every file whose buffers may hold the pool's arrays.
 // Every media-only array must sit at exactly one DBN, and in no buffer. A
 // CP-owned buffer's array, which the pool issued, may sit on the media only
 // if the buffer is sealed, and then exactly at the buffer's VBN: an array
 // the pool issued is on the media either registered or sealed into its
 // buffer.
 func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte))) error {
-	held := map[*byte]*Buffer{}
-	for _, f := range files {
-		f.eachBuffer(func(b *Buffer) {
-			if b.cpOwned() && len(b.data) > 0 {
-				held[&b.data[0]] = b
-			}
-		})
-	}
 	var errs []error
 	fail := func(format string, args ...any) {
 		if len(errs) < 8 {
 			errs = append(errs, fmt.Errorf(format, args...))
 		}
+	}
+	held := map[*byte]*Buffer{}
+	for _, f := range files {
+		f.eachBuffer(func(b *Buffer) {
+			switch {
+			case b.cpOwned() && len(b.data) > 0:
+				held[&b.data[0]] = b
+			case !b.cpOwned() && !b.dirtyCurr && !b.inCP:
+				fail("clean user L0 buffer (ino %d, fbn %d) left in its tree after its CP committed", f.ino, b.fbn)
+			}
+		})
 	}
 	at := map[*byte][]block.VBN{}
 	media(func(vbn block.VBN, img []byte) {

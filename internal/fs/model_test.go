@@ -122,7 +122,7 @@ func TestModelRandomOps(t *testing.T) {
 						seed, step, level, len(got), f.FrozenLevelCount(level), want)
 				}
 				for i, b := range got {
-					if !b.DirtyFrozen() || !frozen[posOf(b)] || (i > 0 && got[i-1].FBN() >= b.FBN()) {
+					if !b.dirtyFrozen || !frozen[posOf(b)] || (i > 0 && got[i-1].FBN() >= b.FBN()) {
 						t.Fatalf("seed %d step %d: level %d entry %d (fbn %d) cleaned, unknown or out of order", seed, step, level, i, b.FBN())
 					}
 				}
@@ -213,7 +213,7 @@ func TestRedirtyAfterCleanAppearsOnce(t *testing.T) {
 // the CP, never Freeze()d, so its lists must be emptied by the clean that
 // takes the frozen count back to zero.
 func TestUnfrozenMetafileListsStayBounded(t *testing.T) {
-	f := NewFile(1, 2)
+	f := NewMetafile(1, 2)
 	for round := 0; round < 1000; round++ {
 		for _, fbn := range []block.FBN{700, 2, 300} {
 			f.DirtyIntoCP(f.GetOrCreateL0(fbn))

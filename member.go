@@ -9,6 +9,7 @@ import (
 	"wafl/internal/core"
 	"wafl/internal/cp"
 	"wafl/internal/faultinject"
+	"wafl/internal/fs"
 	"wafl/internal/nvlog"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
@@ -61,10 +62,12 @@ type Member struct {
 	// only — never iterated — so determinism is safe.
 	placements map[placeKey]int64
 
-	// bc is the member's sized buffer cache on the client read path, nil
-	// when Config.BCacheBlocks is 0 (reads then always install into the
-	// in-memory trees, the pre-cache behavior). Volatile: rebuilt cold on
-	// recovery.
+	// bc is the member's residency set when Config.BCacheBlocks sizes one:
+	// an LRU cache of user blocks that decides what a client read pays.
+	// Nil otherwise, and the set is the trees' own residency bits
+	// (fs.File.Resident), unbounded. Either way a block's content is its
+	// buffer while it is dirty or in a CP, else its media image. Volatile:
+	// rebuilt cold on recovery.
 	bc *bcache.Cache
 
 	// bulkHeld is the bulk admission latch (Config.Admission); bulkGate
@@ -80,6 +83,42 @@ type Member struct {
 	admission AdmissionStats
 	lat       *obs.Histogram
 	base      Stats
+}
+
+// touch asks the member's residency set whether user block fbn of f, on
+// local volume lv, is in memory, for client read t: a sized cache counts a
+// hit or a miss and refreshes the block's recency.
+func (m *Member) touch(t *sim.Thread, lv int, f *fs.File, fbn FBN) bool {
+	if m.bc == nil {
+		return f.Resident(fbn)
+	}
+	hit := m.bc.Touch(bcache.Key{Vol: lv, Ino: f.Ino(), FBN: fbn})
+	if tr := t.Tracer(); tr != nil && hit {
+		tr.Instant(obs.PidThreads, t.TrackID(), "client", "bcache hit", int64(t.Now()))
+	}
+	return hit
+}
+
+// load makes block fbn of f resident after client read t missed the set
+// and paid its drive read, which started at miss.
+func (m *Member) load(t *sim.Thread, lv int, f *fs.File, fbn FBN, miss Time) {
+	if m.bc == nil {
+		f.Hold(fbn)
+		return
+	}
+	m.bc.Insert(bcache.Key{Vol: lv, Ino: f.Ino(), FBN: fbn})
+	if tr := t.Tracer(); tr != nil {
+		tr.Span(obs.PidThreads, t.TrackID(), "client", "bcache miss", int64(miss), int64(t.Now()))
+		tr.Observe("client.bcache.miss", int64(t.Now()-miss))
+	}
+}
+
+// wrote makes a freshly written block resident. The write's buffer set the
+// tree's bit; a sized cache inserts it, as the hottest block there is.
+func (m *Member) wrote(lv int, li uint64, fbn FBN) {
+	if m.bc != nil {
+		m.bc.Insert(bcache.Key{Vol: lv, Ino: li, FBN: fbn})
+	}
 }
 
 // placeKey identifies a placed file's reservation: member-local volume and

@@ -25,6 +25,13 @@ func withhold(t *testing.T, owner any, field string) {
 	get.Call(nil)
 }
 
+// unexported returns the value of owner's unexported field name, which a
+// test cannot otherwise reach across packages.
+func unexported(owner any, name string) any {
+	f := reflect.ValueOf(owner).Elem().FieldByName(name)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
+}
+
 // leakLoad builds a small system whose every pool has turned over: writes,
 // demand reads through a small buffer cache, and a few CPs.
 func leakLoad(t *testing.T, cfg Config) *System {
@@ -58,8 +65,8 @@ func leakLoad(t *testing.T, cfg Config) *System {
 // TestQuiesceFindsLeakedRecord withholds one Put from each pool in turn, on a
 // live system, and requires Quiesce to fail naming that pool and no other;
 // with nothing withheld it passes. Then a crash: what the drives and RAID
-// groups had outstanding is abandoned, no more, and the recovered system
-// quiesces clean.
+// groups had outstanding, and the user L0 buffers the trees held, is
+// abandoned, no more, and the recovered system quiesces clean.
 func TestQuiesceFindsLeakedRecord(t *testing.T) {
 	for _, row := range []struct {
 		pool  string // as Quiesce names it; "" withholds nothing
@@ -79,6 +86,7 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 		{"Drives.ReadWaitPool", func(m *Member) any { return m.a.Group(0).Drive(0) }, "readWaitPool"},
 		{"Waffinity.MsgPool", func(m *Member) any { return m.w }, "msgPool"},
 		{"Waffinity.CallPool", func(m *Member) any { return m.w }, "callPool"},
+		{"Images.Buffers", func(m *Member) any { return unexported(m.a, "images") }, "buffers"},
 	} {
 		name := row.pool
 		if name == "" {
@@ -123,7 +131,8 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 		pools := func(st Stats) map[string]fifo.PoolStats {
 			return map[string]fifo.PoolStats{"RAID.ScratchPool": st.RAID.ScratchPool, "RAID.WritePool": st.RAID.WritePool,
 				"Drives.WritePool": st.Drives.WritePool, "Drives.ReadPool": st.Drives.ReadPool,
-				"Drives.WriteWaitPool": st.Drives.WriteWaitPool, "Drives.ReadWaitPool": st.Drives.ReadWaitPool}
+				"Drives.WriteWaitPool": st.Drives.WriteWaitPool, "Drives.ReadWaitPool": st.Drives.ReadWaitPool,
+				"Images.Buffers": st.Images.Buffers}
 		}
 		before := pools(sys.Stats())
 		sys.Crash()

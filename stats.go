@@ -39,7 +39,7 @@ type Stats struct {
 	Waffinity WaffinityStats // affinity message scheduler
 	Faults    FaultStats     // injection decisions (zero when Config.Faults is)
 	Repairs   RepairStats    // raw-read-path retries and reconstructions
-	Images    ImageStats     // recycled CP-owned block images (not a fifo.PoolStats: audited, not leak-checked)
+	Images    ImageStats     // recycled CP-owned block images (audited, not leak-checked) and the user L0 buffer free list
 
 	// CPCount is the aggregate's committed consistency-point generation. It
 	// is persistent — a recovered system reports the generation it mounted —

@@ -217,14 +217,16 @@ type Config struct {
 	// Each member gets its own injector wired to its own drives.
 	Faults FaultConfig
 
-	// BCacheBlocks sizes each member's buffer cache on the client read path,
-	// in 4 KiB blocks. 0 disables the cache: reads then install demand-loaded
-	// blocks into the in-memory trees forever (the pre-cache behavior, kept
-	// bit-identical for existing configurations). With a cache, client reads
-	// and writes occupy cache residency with LRU eviction; a read outside the
-	// resident set pays a timed media I/O — the CAWL-style regime split
+	// BCacheBlocks sizes each member's buffer cache, in 4 KiB blocks: its
+	// residency set, which alone decides what a client read pays (DESIGN
+	// §15). 0 leaves the set unbounded: a block stays resident from its
+	// first write or read until its file is deleted or restored or the
+	// member crashes, at a bit per block in its file's tree. With a cache,
+	// client reads and writes occupy it with LRU eviction. Either way a read
+	// outside the set pays a timed media I/O — the CAWL-style regime split
 	// between below-cache-capacity fast paths and eviction-limited steady
-	// state.
+	// state — and a resident block's content is its buffer while it is dirty
+	// or in a CP, else its media image.
 	BCacheBlocks int
 
 	// Admission configures NVLog watermark-based admission control for
@@ -741,9 +743,10 @@ func (sys *System) Flush() error { return sys.drive("flush") }
 // back, or abandoned by the crash that dropped it (DESIGN §9); otherwise
 // Quiesce names the pool that leaked. The counts are the running
 // incarnation's: the pools a remount rebuilds died with the old one. The
-// image pool, whose arrays a buffer or the media hold by design, is audited
-// against the media instead (Aggregate.CheckImages), and so are the RAID
-// groups' explicit parity rows (raid.Group.CheckRows).
+// image pool's arrays, which a buffer or the media hold by design, are
+// audited against the media instead (Aggregate.CheckImages), which also
+// fails on a clean user L0 buffer left in a tree after its CP committed, and
+// so are the RAID groups' explicit parity rows (raid.Group.CheckRows).
 func (sys *System) Quiesce() error {
 	sys.stopped = true
 	if err := sys.drive("quiesce"); err != nil {
