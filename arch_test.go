@@ -26,8 +26,8 @@ import (
 
 // tree is the Go source of a repository, parsed with its comments — the rules
 // check the non-test files, and the test files only name what a document may
-// cite — and the documents of docFiles, as text: slash-separated path
-// relative to the root → content.
+// cite — and the documents of docFiles and the Makefile, as text:
+// slash-separated path relative to the root → content.
 type tree struct {
 	fset  *token.FileSet
 	files map[string]*ast.File
@@ -40,12 +40,12 @@ type tree struct {
 var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 // parseTree parses sources (path → content) into a tree, test files apart;
-// a .md source is a document.
+// a .md source or the Makefile is a document.
 func parseTree(t *testing.T, sources map[string]string) *tree {
 	t.Helper()
 	tr := &tree{fset: token.NewFileSet(), files: map[string]*ast.File{}, tests: map[string]*ast.File{}, docs: map[string]string{}}
 	for p, src := range sources {
-		if strings.HasSuffix(p, ".md") {
+		if strings.HasSuffix(p, ".md") || p == "Makefile" {
 			tr.docs[p] = src
 			continue
 		}
@@ -62,8 +62,8 @@ func parseTree(t *testing.T, sources map[string]string) *tree {
 	return tr
 }
 
-// loadTree reads every .go file under root, skipping dot directories, and
-// the documents of docFiles.
+// loadTree reads every .go file under root, skipping dot directories, the
+// documents of docFiles and the Makefile.
 func loadTree(t *testing.T, root string) *tree {
 	t.Helper()
 	sources := map[string]string{}
@@ -91,7 +91,7 @@ func loadTree(t *testing.T, root string) *tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range docFiles {
+	for _, p := range append(docFiles, "Makefile") {
 		data, err := os.ReadFile(filepath.Join(root, p))
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +347,8 @@ var knobStructs = []configStruct{
 // `X=literal`. A function: a test, benchmark, fuzz target or example anywhere
 // in the span, a trailing * a prefix glob. A declaration: a span that is a
 // selector chain (`Pkg.Name`, `Type.Member`, `Type.Field.Member`), perhaps
-// called, and not a file name.
+// called, and not a file name. A make invocation: a span that is `make`
+// and the targets it runs.
 var (
 	backticked = regexp.MustCompile("`([^`]+)`")
 	docSetting = []*regexp.Regexp{
@@ -357,7 +358,28 @@ var (
 	docFunc     = regexp.MustCompile(`\b(?:(?:Test|Benchmark|Fuzz)[A-Z0-9_]|Example_)\w*\*?`)
 	docSelector = regexp.MustCompile(`^\*?(\w+(?:\.\w+)+)(?:\(.*\))?$`)
 	docFileName = regexp.MustCompile(`\.(?:go|md|json|mod|txt|sh)$`)
+	docMake     = regexp.MustCompile(`^make((?: [\w-]+)+)$`)
 )
+
+// makeTargets returns the targets a Makefile's rules name, each $(VAR) in a
+// rule's target list expanded to the variable's value.
+func makeTargets(makefile string) map[string]bool {
+	vars, targets := map[string]string{}, map[string]bool{}
+	assign := regexp.MustCompile(`^(\w+)\s*[?:]?=\s*(.*)$`)
+	rule := regexp.MustCompile(`^([^\s#.][^:=]*):(?:[^=]|$)`)
+	ref := regexp.MustCompile(`\$\((\w+)\)`)
+	for _, l := range strings.Split(makefile, "\n") {
+		if m := assign.FindStringSubmatch(l); m != nil {
+			vars[m[1]] = m[2]
+		} else if m := rule.FindStringSubmatch(l); m != nil {
+			names := ref.ReplaceAllStringFunc(m[1], func(v string) string { return vars[v[2:len(v)-1]] })
+			for _, n := range strings.Fields(names) {
+				targets[n] = true
+			}
+		}
+	}
+	return targets
+}
 
 // globalsAllow names the package-level variables outside main, each a table
 // nothing writes after initialisation, and why it is one.
@@ -571,7 +593,7 @@ var exportAllow = map[string]string{
 	"bitmap.Index.CorruptFreeWord":      "freeindex_test.go proves fsck catches a bad summary bit",
 	"bitmap.Index.CorruptRegionCounter": "freeindex_test.go proves fsck catches a bad region counter",
 	"faultinject.Injector.FailBlock":    "crash_test.go forces RAID reconstruction of one block",
-	"storage.Device.InflightMultiBlock": "crash_test.go waits for a tearable write before crashing",
+	"storage.Drive.InflightMultiBlock":  "crash_test.go waits for a tearable write before crashing",
 	"sim.Scheduler.Live":                "internal/cp tests check the engine thread survives",
 	"wafl.Stats.Each":                   "stats_test.go and cluster_test.go enumerate every leaf; a wafltop -json dump would be its first caller",
 	"wafl.System.MemberStats":           "cluster, placement, results and stats tests read one member's Stats",
@@ -834,20 +856,6 @@ var archRules = []archRule{
 		}},
 	},
 	{
-		// One keeper of untimed landings: the media changes when a write lands,
-		// except where a RAID group pins or drops an explicit parity row
-		// (DESIGN §14).
-		name: "place",
-		clauses: []clause{{
-			scan: []string{"..."}, except: []string{"internal/raid"}, forbid: callOn(nil, "Place"),
-			msg: "storage.Device.Place called outside internal/raid: land an image with a write",
-		}},
-		bad: []badTree{{
-			files: map[string]string{"internal/aggregate/aggregate.go": `package aggregate; func (a *Aggregate) f() { a.groups[0].Drive(0).Place(0, nil) }`},
-			want:  "internal/aggregate/aggregate.go:1: storage.Device.Place called outside internal/raid",
-		}},
-	},
-	{
 		// One unsafe file: the media's pointer-and-length table (DESIGN §14)
 		// is the only place an image is taken apart and rebuilt.
 		name: "unsafe",
@@ -935,11 +943,12 @@ var archRules = []archRule{
 	{
 		// Docs describe the tree as it is: a setting README, DESIGN,
 		// EXPERIMENTS or the verify skill names in backticks is a field of a
-		// configuration struct today, and a test, package member or type
-		// member they name is declared today, so deleting code deletes its
-		// mentions too. Neither they, nor a Go comment outside bench/, nor an
-		// allow-list reason cites a roadmap item by number: every re-anchor
-		// renumbers the items, so a citation says in words what it waits for.
+		// configuration struct today, a test, package member or type member
+		// they name is declared today, and a `make X` names Makefile targets,
+		// so deleting code deletes its mentions too. Neither they, nor a Go
+		// comment outside bench/, nor an allow-list reason cites a roadmap
+		// item by number: every re-anchor renumbers the items, so a citation
+		// says in words what it waits for.
 		name: "doc",
 		require: func(tr *tree) []string {
 			fields := map[string]bool{}
@@ -948,7 +957,7 @@ var archRules = []archRule{
 					fields[f] = true
 				}
 			}
-			d := tr.decls()
+			d, targets := tr.decls(), makeTargets(tr.docs["Makefile"])
 			var out []string
 			cites := func(where string, line int, text string) {
 				for _, m := range roadmapCite.FindAllStringIndex(text, -1) {
@@ -975,6 +984,9 @@ var archRules = []archRule{
 						if cited, ok := d.resolve(strings.Split(m[1], ".")); cited && !ok {
 							out = append(out, fmt.Sprintf("%s:%d: `%s` names no declared func, method, type, field, const or var", p, s.line, s.text))
 						}
+					}
+					if m := docMake.FindStringSubmatch(s.text); m != nil && slices.ContainsFunc(strings.Fields(m[1]), func(t string) bool { return !targets[t] }) {
+						out = append(out, fmt.Sprintf("%s:%d: `%s` names no Makefile target", p, s.line, s.text))
 					}
 				}
 				cites(p, 1, tr.docs[p])
@@ -1024,6 +1036,12 @@ var archRules = []archRule{
 				"DESIGN.md":  "`Results.Stats.Client.Ops` counts ops; `wafl.MergeResults(parts)` sums them.",
 			},
 			want: "DESIGN.md:1: `wafl.MergeResults(parts)` names no declared func, method, type, field, const or var",
+		}, {
+			files: map[string]string{
+				"Makefile":  "GATES = crashsweep clustersweep\n\n.PHONY: build $(GATES)\n\nbuild:\n\tgo build ./...\n\n$(GATES):\n\tgo run ./cmd/waflbench -exp $@\n",
+				"README.md": "Run `make build`, `make crashsweep clustersweep`\nand `make crashsweep bench`.",
+			},
+			want: "README.md:2: `make crashsweep bench` names no Makefile target",
 		}},
 	},
 	{

@@ -126,9 +126,10 @@ func TestClientOpAllocations(t *testing.T) {
 // TestNFSMixMediaBytesBudget guards the host memory the simulated media
 // holds: on the benchmark's nfsmix at most 300 image bytes per block
 // written, data and parity. Drives.BytesWritten is a count, exact for the
-// seed, in which a parity write counts one per image its row references: 247
-// while parity is written as rows and a sparse indirect or metafile block (one that
-// trims to half a block or less) goes to storage trimmed; 386 when each
+// seed, of data images alone: a parity write's blocks count as written, but
+// it carries no image. 246 while a sparse indirect or metafile block (one
+// that trims to half a block or less) goes to storage trimmed; 247 when a
+// parity write counted one per image its row referenced, 386 when each
 // stripe's parity was an array as long as its longest image, 419 with sparse
 // indirects alone trimmed, 1,605 when every indirect image was also a full
 // 4 KiB array.
@@ -204,11 +205,12 @@ func TestOverloadHostAllocBudget(t *testing.T) {
 
 // TestOverloadMediaBytesBudget guards the host memory the simulated media
 // holds on overload_burst, over the same window: at most 800 image bytes
-// per block written, data and parity. A count, exact for the seed, in which a
-// parity write counts one per image its row references: 694 while parity is
-// written as rows and a sparse metafile L0 (one that trims to half a block or less)
-// goes to storage trimmed; 1,110 when each stripe's parity was an array,
-// 1,293 when each sparse metafile L0 was also a full 4 KiB array.
+// per block written, data and parity. A count, exact for the seed, of data
+// images alone, as above: 692 while a sparse metafile L0 (one that trims to
+// half a block or less) goes to storage trimmed; 694 when a parity write
+// counted one per image its row referenced, 1,110 when each stripe's parity
+// was an array, 1,293 when each sparse metafile L0 was also a full 4 KiB
+// array.
 func TestOverloadMediaBytesBudget(t *testing.T) {
 	const budget = 800
 	dr := overloadBurst(t).Measure(0, 100*wafl.Millisecond).Stats.Drives

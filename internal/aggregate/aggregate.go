@@ -289,8 +289,11 @@ func (a *Aggregate) Repairs() RepairStats { return a.repair }
 // This is the OS-visible read path, so it is subject to injected read
 // errors: a failed read is retried once (transient errors clear), and a
 // persistent failure is repaired by XOR reconstruction from the rest of the
-// RAID stripe — valid because this path only ever reads committed blocks,
-// whose stripes have consistent parity.
+// RAID stripe. That is valid for a committed block whose stripe's parity
+// agrees with its data, not for one of a stripe a crash tore: such a stripe
+// keeps an explicit row of the images its last landed parity write covered
+// (raid.Group), so a block of it may reconstruct to other bytes than its own.
+// Nothing repairs a torn stripe's parity yet.
 func (a *Aggregate) ReadVBNRaw(vbn block.VBN) []byte {
 	g, d, dbn := a.geo.Locate(vbn)
 	drive := a.groups[g].Drive(d)

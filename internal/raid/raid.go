@@ -10,6 +10,7 @@ package raid
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"wafl/internal/block"
@@ -26,8 +27,8 @@ type Stats struct {
 	ParityBlocksWritten uint64
 	StripeWriteIOs      uint64 // multi-stripe write operations submitted
 
-	// Rows counts the stripes whose parity drive holds an explicit row: those
-	// with a write in flight, and the write hole a crash tore.
+	// Rows counts the stripes the group keeps an explicit row for: those with
+	// a write in flight, and the write hole a crash tore.
 	Rows int64 `stat:"gauge"`
 
 	ScratchPool fifo.PoolStats // recycled stripe scratch (DESIGN §9)
@@ -37,14 +38,15 @@ type Stats struct {
 // Group is one RAID group: N data drives and one parity drive of equal
 // geometry. Block (d, dbn) on each data drive d shares the parity block at
 // dbn on the parity drive. A stripe's parity is the XOR of its covered row,
-// computed when it is read (row): the explicit row the parity drive holds at
-// dbn, if any — the data images its last landed parity write covered — or
-// else, for a derived stripe, the images its data drives hold.
+// computed when it is read (row): the explicit row the group keeps for dbn,
+// if any — the data images its last landed parity write covered — or else,
+// for a derived stripe, the images its data drives hold. The parity drive
+// times, counts and fault-injects the parity I/O; its requests carry no image.
 type Group struct {
 	s      *sim.Scheduler
 	id     int
 	data   []*storage.Drive
-	parity *storage.Device[[]byte]
+	parity *storage.Drive
 	depth  block.DBN // blocks per drive
 
 	// scratchPool recycles stripe scratch and writePool stripe-write
@@ -52,8 +54,9 @@ type Group struct {
 	// its own.
 	scratchPool fifo.Pool[*stripeScratch]
 	writePool   fifo.Pool[*stripeWrite]
-	// rowPool recycles explicit rows: one is outstanding for each row on the
-	// parity drive's table (Stats.Rows) and each parity request in flight.
+	// rows holds the explicit rows by stripe DBN; rowPool recycles them: one
+	// is outstanding for each row in rows and each parity request in flight.
+	rows     map[block.DBN][][]byte
 	rowPool  fifo.Pool[[][]byte]
 	rowStats fifo.PoolStats
 	// inflight is the submitted writes whose last I/O has not completed, in
@@ -129,15 +132,15 @@ type stripeWrite struct {
 
 	pendingReads, pending int
 
-	// parity is the parity I/O, one request a stripe in DBN order, each
-	// carrying a row from rowPool; prev[k] is the row on the table at
-	// parity[k].DBN, which that request's landing displaces. Every write in
-	// flight over a stripe sees the same prev.
-	parity []storage.Req[[]byte]
-	prev   [][][]byte
-	landed bool // the parity I/O has landed
-	shared bool // another write in flight may cover one of its stripes
-	gone   []displaced
+	// parity is the parity I/O, one request a stripe in DBN order; rows[k]
+	// is the row from rowPool that parity[k] lands, until it has, and
+	// pins[k] the stripe's explicit row it lands into: one array from the
+	// first write of the stripe in flight to the last.
+	parity     []storage.WriteReq
+	rows, pins [][][]byte
+	landed     bool // the parity I/O has landed
+	shared     bool // another write in flight may cover one of its stripes
+	gone       []displaced
 
 	reads              []func([][]byte) // phase A's, by data drive
 	onIODone, onParity func()
@@ -146,7 +149,7 @@ type stripeWrite struct {
 // NewGroup builds a RAID group with ndata data drives and one parity drive,
 // each of depth blocks, using the given drive profile.
 func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile storage.Profile) *Group {
-	g := &Group{s: s, id: id, depth: depth}
+	g := &Group{s: s, id: id, depth: depth, rows: map[block.DBN][][]byte{}}
 	g.scratchPool = fifo.NewPool(&g.stats.ScratchPool, func() *stripeScratch {
 		return &stripeScratch{readPlan: make([][]block.DBN, len(g.data))}
 	})
@@ -162,7 +165,7 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 	for i := 0; i < ndata; i++ {
 		g.data = append(g.data, storage.NewDrive(s, fmt.Sprintf("rg%d.d%d", id, i), profile, depth))
 	}
-	g.parity = storage.NewDevice[[]byte](s, fmt.Sprintf("rg%d.parity", id), profile, depth)
+	g.parity = storage.NewDrive(s, fmt.Sprintf("rg%d.parity", id), profile, depth)
 	return g
 }
 
@@ -172,44 +175,40 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 func (g *Group) SetImages(im Images) { g.images = im }
 
 // Stats returns a snapshot of the group's parity statistics.
-func (g *Group) Stats() Stats { return g.stats }
+func (g *Group) Stats() Stats {
+	st := g.stats
+	st.Rows = int64(len(g.rows))
+	return st
+}
 
 // DropInFlight models a power loss on the group: every drive drops its
 // in-flight I/O, tearing what its injector says, and the records of the
-// writes that dropped are abandoned. The explicit rows then settle: each
-// that no longer differs from its data drives is dropped, so the rows left
-// are the torn stripes, whose parity disagrees with their data.
+// writes that dropped are abandoned. The explicit rows then settle.
 func (g *Group) DropInFlight() {
 	for _, d := range g.data {
 		d.DropInFlight()
 	}
-	g.parity.DropInFlight()
-	g.settle()
+	g.settle(g.parity.DropInFlight())
 	g.scratchPool.Abandon()
 	g.writePool.Abandon()
 }
 
-// settle returns to rowPool each row of the writes a crash dropped that is
-// no longer on the table — the row their prev holds, once a stripe, and the
-// rows of parity I/Os that had not landed — and then drops each touched
-// stripe's row that its data drives now hold.
-func (g *Group) settle() {
-	for i, w := range g.inflight {
-		for k, r := range w.parity {
-			table := g.parity.Peek(r.DBN)
-			first := !w.shared || !slices.ContainsFunc(g.inflight[:i], func(o *stripeWrite) bool { return o.covers(r.DBN) >= 0 })
-			if first && !isRow(w.prev[k], table) {
-				g.putRow(w.prev[k])
-			}
-			if !w.landed && !isRow(r.Data, table) {
-				g.putRow(r.Data)
-			}
+// settle lands, in submission order, the prefix a crash tore of each parity
+// I/O in flight (landed, the parity drive's report) and returns the rest of
+// its rows to rowPool. Then each touched stripe whose data drives hold its
+// row is derived again, so the rows left are the torn stripes, whose parity
+// disagrees with their data.
+func (g *Group) settle(landed []int) {
+	for _, w := range g.inflight {
+		if !w.landed {
+			w.land(landed[0])
+			landed = landed[1:]
 		}
 	}
 	for _, w := range g.inflight {
 		for _, r := range w.parity {
-			if table := g.parity.Peek(r.DBN); g.matches(r.DBN, table) {
-				g.dropRow(r.DBN, table)
+			if row, ok := g.rows[r.DBN]; ok {
+				g.unpin(r.DBN, row)
 			}
 		}
 	}
@@ -229,9 +228,8 @@ func (g *Group) Depth() block.DBN { return g.depth }
 // Drive returns data drive i.
 func (g *Group) Drive(i int) *storage.Drive { return g.data[i] }
 
-// ParityDrive returns the group's parity drive, whose DBNs hold the
-// explicit rows.
-func (g *Group) ParityDrive() *storage.Device[[]byte] { return g.parity }
+// ParityDrive returns the group's parity drive.
+func (g *Group) ParityDrive() *storage.Drive { return g.parity }
 
 // WriteResult describes the parity work a stripe write required.
 type WriteResult struct {
@@ -245,7 +243,7 @@ type WriteResult struct {
 // writes destined for data drive i. Parity is written per touched stripe —
 // from new data alone when the stripe is fully covered, otherwise after
 // reading the stripe's missing blocks — as the stripe's row of images, whose
-// XOR the parity drive's readers compute; its cost is charged here.
+// XOR the stripe's readers compute; its cost is charged here.
 // done (optional) fires in scheduler context when every drive I/O, parity
 // included, has completed. The returned WriteResult is populated
 // immediately with the parity work required; callers charge ParityCPU to
@@ -352,20 +350,21 @@ func xorAll(imgs [][]byte) []byte {
 	return out
 }
 
-// issue submits one I/O per data drive plus one parity-drive I/O of each
-// touched stripe's row. A derived stripe is pinned first: its data images
-// become an explicit row, the parity landed so far, until the write has
-// landed. The scratch goes back to the group once every I/O is submitted.
+// issue submits one I/O per data drive plus one parity-drive I/O that lands
+// each touched stripe's row. A derived stripe is pinned first: its data
+// images become an explicit row, the parity landed so far, until the write
+// has landed. The scratch goes back to the group once every I/O is submitted.
 func (w *stripeWrite) issue() {
 	g, sc := w.g, w.sc
 	nd := len(g.data)
 	for k, dbn := range sc.dbns {
-		prev := g.parity.Peek(dbn)
-		if prev == nil {
-			prev = g.pin(dbn)
+		pin, ok := g.rows[dbn]
+		if !ok {
+			pin = g.pin(dbn)
 		}
-		w.prev = append(w.prev, prev)
-		w.parity = append(w.parity, storage.Req[[]byte]{DBN: dbn, Data: append(g.rowPool.Get(), sc.rows[k*nd:(k+1)*nd]...)})
+		w.pins = append(w.pins, pin)
+		w.parity = append(w.parity, storage.WriteReq{DBN: dbn})
+		w.rows = append(w.rows, append(g.rowPool.Get(), sc.rows[k*nd:(k+1)*nd]...))
 	}
 	g.stats.ParityBlocksWritten += uint64(len(w.parity))
 	lo, hi := sc.dbns[0], sc.dbns[len(sc.dbns)-1]
@@ -402,31 +401,32 @@ func (w *stripeWrite) issue() {
 
 // covers returns the index in w.parity of stripe dbn, or -1.
 func (w *stripeWrite) covers(dbn block.DBN) int {
-	k, ok := slices.BinarySearchFunc(w.parity, dbn, func(r storage.Req[[]byte], dbn block.DBN) int { return cmp.Compare(r.DBN, dbn) })
+	k, ok := slices.BinarySearchFunc(w.parity, dbn, func(r storage.WriteReq, dbn block.DBN) int { return cmp.Compare(r.DBN, dbn) })
 	if !ok {
 		return -1
 	}
 	return k
 }
 
-// parityLanded runs as the parity I/O lands: each of its rows has displaced
-// the row on its stripe's table, which nothing holds any more.
+// parityLanded runs as the parity I/O lands.
 func (w *stripeWrite) parityLanded() {
-	g := w.g
 	w.landed = true
-	for k, r := range w.parity {
-		g.putRow(w.prev[k])
-		w.prev[k] = r.Data
-		if !w.shared {
-			continue
-		}
-		for _, o := range g.inflight {
-			if j := o.covers(r.DBN); j >= 0 {
-				o.prev[j] = r.Data
-			}
-		}
-	}
+	w.land(len(w.rows))
 	w.ioDone()
+}
+
+// land copies the first n of the write's rows into their stripes' explicit
+// rows, each displacing what its stripe's row held, and returns every row of
+// the write to rowPool.
+func (w *stripeWrite) land(n int) {
+	for k, row := range w.rows {
+		if k < n {
+			copy(w.pins[k], row)
+		}
+		w.g.putRow(row)
+	}
+	clear(w.rows)
+	w.rows = w.rows[:0]
 }
 
 // ioDone counts one I/O of the write complete. At the last, each stripe no
@@ -440,12 +440,9 @@ func (w *stripeWrite) ioDone() {
 	}
 	g := w.g
 	g.inflight = slices.DeleteFunc(g.inflight, func(o *stripeWrite) bool { return o == w })
-	for _, r := range w.parity {
-		if w.shared && slices.ContainsFunc(g.inflight, func(o *stripeWrite) bool { return o.covers(r.DBN) >= 0 }) {
-			continue
-		}
-		if row := g.parity.Peek(r.DBN); g.matches(r.DBN, row) {
-			g.dropRow(r.DBN, row)
+	for k, r := range w.parity {
+		if !w.shared || !slices.ContainsFunc(g.inflight, func(o *stripeWrite) bool { return o.covers(r.DBN) >= 0 }) {
+			g.unpin(r.DBN, w.pins[k])
 		}
 	}
 	for _, d := range w.gone {
@@ -454,10 +451,9 @@ func (w *stripeWrite) ioDone() {
 		}
 	}
 	done := w.done
-	clear(w.parity)
-	clear(w.prev)
+	clear(w.pins)
 	clear(w.gone)
-	w.parity, w.prev, w.gone = w.parity[:0], w.prev[:0], w.gone[:0]
+	w.parity, w.pins, w.gone = w.parity[:0], w.pins[:0], w.gone[:0]
 	w.landed, w.shared, w.done = false, false, nil
 	g.writePool.Put(w)
 	if done != nil {
@@ -465,28 +461,27 @@ func (w *stripeWrite) ioDone() {
 	}
 }
 
-// pin makes derived stripe dbn's data images an explicit row, and returns
+// pin makes derived stripe dbn's data images its explicit row, and returns
 // it.
 func (g *Group) pin(dbn block.DBN) [][]byte {
 	row := g.rowPool.Get()
 	for _, d := range g.data {
 		row = append(row, d.Peek(dbn))
 	}
-	g.parity.Place(dbn, row)
-	g.stats.Rows++
+	g.rows[dbn] = row
 	return row
 }
 
-// dropRow drops stripe dbn's explicit row, which its data drives hold: the
+// unpin drops stripe dbn's explicit row if its data drives hold it: the
 // stripe is derived again.
-func (g *Group) dropRow(dbn block.DBN, row [][]byte) {
-	g.parity.Place(dbn, nil)
-	g.stats.Rows--
-	g.putRow(row)
+func (g *Group) unpin(dbn block.DBN, row [][]byte) {
+	if g.matches(dbn, row) {
+		delete(g.rows, dbn)
+		g.putRow(row)
+	}
 }
 
-// putRow returns a row that neither the table nor a parity I/O in flight
-// holds.
+// putRow returns a row that neither rows nor a parity I/O in flight holds.
 func (g *Group) putRow(row [][]byte) {
 	clear(row)
 	g.rowPool.Put(row[:0])
@@ -496,9 +491,6 @@ func (g *Group) putRow(row [][]byte) {
 // data drives hold — nil where they hold nil — so that the row's stripe
 // reads the same derived.
 func (g *Group) matches(dbn block.DBN, row [][]byte) bool {
-	if len(row) != len(g.data) {
-		return false
-	}
 	for di, d := range g.data {
 		img := d.Peek(dbn)
 		if (row[di] == nil) != (img == nil) || !sameArray(row[di], img) {
@@ -508,29 +500,20 @@ func (g *Group) matches(dbn block.DBN, row [][]byte) bool {
 	return true
 }
 
-// isRow reports whether a and b are one row array.
-func isRow(a, b [][]byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
-
 // CheckRows audits the explicit rows while no write is in flight (at
 // Quiesce): each differs from its stripe's data images, and they are all the
-// rows the group has outstanding and counts (Stats.Rows).
+// rows the group has outstanding.
 func (g *Group) CheckRows() error {
 	if len(g.inflight) > 0 {
 		return fmt.Errorf("raid group %d: %d writes in flight", g.id, len(g.inflight))
 	}
-	var n int64
-	for dbn := range g.depth {
-		row := g.parity.Peek(dbn)
-		if row == nil {
-			continue
-		}
-		n++
-		if g.matches(dbn, row) {
+	for _, dbn := range slices.Sorted(maps.Keys(g.rows)) {
+		if g.matches(dbn, g.rows[dbn]) {
 			return fmt.Errorf("raid group %d: stripe %d keeps the row its data drives hold", g.id, dbn)
 		}
 	}
-	if n != g.stats.Rows || n != g.rowStats.Outstanding() {
-		return fmt.Errorf("raid group %d: %d explicit rows, %d counted, %d outstanding", g.id, n, g.stats.Rows, g.rowStats.Outstanding())
+	if n := int64(len(g.rows)); n != g.rowStats.Outstanding() {
+		return fmt.Errorf("raid group %d: %d explicit rows, %d outstanding", g.id, n, g.rowStats.Outstanding())
 	}
 	return nil
 }
@@ -542,7 +525,7 @@ func (g *Group) CheckRows() error {
 // read before. A derived stripe's row is its data images, so the drive's
 // image alone goes; an explicit row keeps its emptied entry, as it still
 // differs from the data. A media-only image goes back to its owner
-// (SetImages). Untimed, like storage.Device.Forget; its caller knows no
+// (SetImages). Untimed, like storage.Drive.Forget; its caller knows no
 // committed tree reaches the block and no write of the stripe is in flight.
 func (g *Group) Forget(di int, dbn block.DBN) bool {
 	img := g.data[di].Peek(dbn)
@@ -561,10 +544,10 @@ func (g *Group) Forget(di int, dbn block.DBN) bool {
 }
 
 // row returns stripe dbn's covered row and whether it is explicit: the
-// parity drive's row, or else the images the data drives hold, in a buffer
-// valid until the next call.
+// group's row, or else the images the data drives hold, in a buffer valid
+// until the next call.
 func (g *Group) row(dbn block.DBN) (row [][]byte, explicit bool) {
-	if row := g.parity.Peek(dbn); row != nil {
+	if row, ok := g.rows[dbn]; ok {
 		return row, true
 	}
 	g.derived = g.derived[:0]

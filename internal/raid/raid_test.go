@@ -216,8 +216,7 @@ func TestMixedLengthImages(t *testing.T) {
 	flip := block.New()
 	flip[block.Size-1] = 1
 	row, _ := g.row(4)
-	g.ParityDrive().Write([]storage.Req[[]byte]{{DBN: 4, Data: append(slices.Clone(row), flip)}}, nil)
-	s.RunFor(10 * sim.Millisecond)
+	g.rows[4] = append(slices.Clone(row), flip)
 	if g.VerifyStripe(4) {
 		t.Fatal("corrupt parity verified")
 	}
@@ -364,7 +363,7 @@ func history(t *testing.T, steps int, rng *rand.Rand, step func(n int, g *Group,
 	return g, submitted, clones
 }
 
-// TestParityByReference pins the parity drive's contract against an eager
+// TestParityByReference pins the group's parity contract against an eager
 // reference, over history. When a stripe's parity write lands, the reference
 // XORs the images the test knows it covered, at once. After every Write,
 // xorAll of the covered row (explicit or derived), VerifyStripe and
@@ -531,18 +530,16 @@ func (f *delayFaults) WriteFault(string, int) storage.WriteFault {
 }
 
 // trackedWrite is a write of the group whose parity I/O is submitted: its
-// stripes and their rows as submitted (clones; the images are the same),
-// and the rows themselves, whose identity tells its landing.
+// stripes and their rows as submitted (clones; the images are the same).
 type trackedWrite struct {
 	rec    *stripeWrite
 	dbns   []block.DBN
 	rows   [][][]byte
-	orig   [][][]byte
 	landed bool
 }
 
 // rowModel runs one group against a shadow of the rule before derived
-// parity: the parity drive keeps every row that landed, and a stripe's
+// parity: every row that landed is kept, and a stripe's
 // parity is its row's XOR.
 type rowModel struct {
 	t       *testing.T
@@ -593,14 +590,14 @@ func (m *rowModel) land(tw *trackedWrite, n int) {
 }
 
 // observe brings the shadow up to the group's state after an event: a write
-// that completed, or whose row is now on the table, landed its parity
-// (a parity I/O lands whole, and at most one lands an event); a write newly
-// submitted is tracked.
+// that completed, or whose parity I/O has landed, landed its parity (a parity
+// I/O lands whole, and at most one lands an event); a write newly submitted
+// is tracked.
 func (m *rowModel) observe() {
 	kept := m.tracked[:0]
 	for _, tw := range m.tracked {
 		inFlight := slices.Contains(m.g.inflight, tw.rec)
-		if !tw.landed && (!inFlight || isRow(m.g.parity.Peek(tw.dbns[0]), tw.orig[0])) {
+		if !tw.landed && (!inFlight || tw.rec.landed) {
 			// The data landed first if the write completed with this landing,
 			// or if every image it covers is on its drive already.
 			ahead := true
@@ -626,8 +623,8 @@ func (m *rowModel) observe() {
 			continue
 		}
 		tw := &trackedWrite{rec: w}
-		for _, r := range w.parity {
-			tw.dbns, tw.rows, tw.orig = append(tw.dbns, r.DBN), append(tw.rows, slices.Clone(r.Data)), append(tw.orig, r.Data)
+		for k, r := range w.parity {
+			tw.dbns, tw.rows = append(tw.dbns, r.DBN), append(tw.rows, slices.Clone(w.rows[k]))
 		}
 		m.tracked = append(m.tracked, tw)
 	}
@@ -705,7 +702,6 @@ func (m *rowModel) forget(step int) {
 func (m *rowModel) check(step int, after string) {
 	m.t.Helper()
 	nd := m.g.DataDrives()
-	rows := int64(0)
 	for dbn := range m.g.Depth() {
 		data := make([][]byte, nd)
 		for di := range data {
@@ -721,15 +717,9 @@ func (m *rowModel) check(step int, after string) {
 				m.t.Fatalf("step %d, after %s: ReconstructBlock(%d, %d) reads %d bytes unlike the shadow's %d", step, after, di, dbn, len(got), len(want))
 			}
 		}
-		if row := m.g.parity.Peek(dbn); row != nil {
-			rows++
-			if !m.busy(dbn) && sameRow(row, data) {
-				m.t.Fatalf("step %d, after %s: stripe %d keeps an explicit row its data drives hold, with no write in flight", step, after, dbn)
-			}
+		if row, ok := m.g.rows[dbn]; ok && !m.busy(dbn) && sameRow(row, data) {
+			m.t.Fatalf("step %d, after %s: stripe %d keeps an explicit row its data drives hold, with no write in flight", step, after, dbn)
 		}
-	}
-	if st := m.g.Stats(); st.Rows != rows {
-		m.t.Fatalf("step %d, after %s: Stats.Rows = %d, the table holds %d", step, after, st.Rows, rows)
 	}
 	if len(m.writing) == 0 {
 		if err := m.g.CheckRows(); err != nil {

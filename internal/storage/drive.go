@@ -40,19 +40,11 @@ var (
 	FlashPool = Profile{Name: "flashpool", PerIO: 500 * sim.Microsecond, PerBlock: 6 * sim.Microsecond}
 )
 
-// Elem is what one DBN's image is a slice of: bytes for a block image, block
-// images for a row (a RAID parity drive keeps the data images its parity
-// covers).
-type Elem interface{ byte | []byte }
-
-// Req is a single-block write within a multi-block device I/O.
-type Req[E Elem] struct {
+// WriteReq is a single-block write within a multi-block drive I/O.
+type WriteReq struct {
 	DBN  block.DBN
-	Data []E // must remain immutable once submitted (CoW guarantees this)
+	Data []byte // must remain immutable once submitted (CoW guarantees this)
 }
-
-// WriteReq is a single-block write to a Drive.
-type WriteReq = Req[byte]
 
 // maxImage is the longest image a DBN holds: its length is kept in 16 bits.
 const maxImage = math.MaxUint16
@@ -97,7 +89,7 @@ type Stats struct {
 	WriteIOs      uint64
 	BlocksRead    uint64
 	BlocksWritten uint64
-	BytesWritten  uint64       // len of each submitted image: a block image's bytes, a parity row's images
+	BytesWritten  uint64       // len of each submitted image; a RAID parity write's requests carry none
 	BusyTime      sim.Duration // total time the drive was servicing I/O
 
 	// Fault-injection outcomes.
@@ -114,9 +106,9 @@ type Stats struct {
 	WritePool, ReadPool, WriteWaitPool, ReadWaitPool fifo.PoolStats
 }
 
-// Device is a simulated drive: an array of blocks, each holding an image []E,
+// Drive is a simulated drive: an array of blocks, each holding a block image,
 // plus a service queue.
-type Device[E Elem] struct {
+type Drive struct {
 	s       *sim.Scheduler
 	name    string
 	profile Profile
@@ -128,7 +120,7 @@ type Device[E Elem] struct {
 	// written. Writes land at I/O completion time, never earlier, so a
 	// simulated crash (dropping all in-memory state and pending I/O) leaves
 	// exactly the committed image.
-	ptr []*E
+	ptr []*byte
 	n   []uint16
 
 	busyUntil sim.Time
@@ -140,32 +132,29 @@ type Device[E Elem] struct {
 	inj Injector
 	// inflight tracks submitted-but-incomplete write I/Os in submission
 	// order, so a crash can tear them (land a prefix) deterministically.
-	inflight []*inflightWrite[E]
+	inflight []*inflightWrite
 	// The recycled records (DESIGN §9). A record a crash dropped never comes
 	// back: DropInFlight abandons every outstanding one.
-	writePool                   fifo.Pool[*inflightWrite[E]]
-	readPool                    fifo.Pool[*readIO[E]]
-	writeWaitPool, readWaitPool fifo.Pool[*syncWait[E]]
+	writePool                   fifo.Pool[*inflightWrite]
+	readPool                    fifo.Pool[*readIO]
+	writeWaitPool, readWaitPool fifo.Pool[*syncWait]
 }
-
-// Drive is a device of block images: a data drive.
-type Drive = Device[byte]
 
 // inflightWrite is one submitted write I/O awaiting completion: the drive's
 // own copy of the caller's requests and callback, with the completion
 // event's callback, the method value complete, bound once.
-type inflightWrite[E Elem] struct {
-	d     *Device[E]
+type inflightWrite struct {
+	d     *Drive
 	epoch uint64
-	reqs  []Req[E]
+	reqs  []WriteReq
 	done  func()
 	fire  func()
 }
 
 // complete lands the write's images on the media, returns the record to
-// Device.writePool and calls done — unless a crash changed the drive's epoch
+// Drive.writePool and calls done — unless a crash changed the drive's epoch
 // while the write was in flight, in which case nothing happens.
-func (e *inflightWrite[E]) complete() {
+func (e *inflightWrite) complete() {
 	d := e.d
 	if d.epoch != e.epoch {
 		return // lost to a crash before completing
@@ -186,17 +175,17 @@ func (e *inflightWrite[E]) complete() {
 // readIO is one submitted read I/O: the drive's copy of the DBNs, the images
 // they hold at completion and the caller's callback, with the completion
 // event's callback, the method value complete, bound once. It goes back to
-// Device.readPool once done has returned; a read a crash dropped never does.
-type readIO[E Elem] struct {
-	d     *Device[E]
+// Drive.readPool once done has returned; a read a crash dropped never does.
+type readIO struct {
+	d     *Drive
 	epoch uint64
 	dbns  []block.DBN
-	out   [][]E
-	done  func([][]E)
+	out   [][]byte
+	done  func([][]byte)
 	fire  func()
 }
 
-func (r *readIO[E]) complete() {
+func (r *readIO) complete() {
 	d := r.d
 	if d.epoch != r.epoch {
 		return // lost to a crash before completing
@@ -216,34 +205,34 @@ func (r *readIO[E]) complete() {
 // completion callbacks bound once. It goes back to its pool when the waiting
 // thread has seen its I/O complete; a thread killed while waiting never
 // returns it.
-type syncWait[E Elem] struct {
+type syncWait struct {
 	wq     *sim.WaitQueue
 	landed bool
-	out    [][]E
-	read   func([][]E) // readLanded
-	write  func()      // land
+	out    [][]byte
+	read   func([][]byte) // readLanded
+	write  func()         // land
 }
 
-func (w *syncWait[E]) readLanded(bs [][]E) {
+func (w *syncWait) readLanded(bs [][]byte) {
 	w.out = append(w.out[:0], bs...)
 	w.land()
 }
 
-func (w *syncWait[E]) land() {
+func (w *syncWait) land() {
 	w.landed = true
 	w.wq.Signal()
 }
 
 // newWait returns a wait on a queue named name.
-func newWait[E Elem](s *sim.Scheduler, name string) *syncWait[E] {
-	w := &syncWait[E]{wq: sim.NewWaitQueue(s, name)}
+func newWait(s *sim.Scheduler, name string) *syncWait {
+	w := &syncWait{wq: sim.NewWaitQueue(s, name)}
 	w.read, w.write = w.readLanded, w.land
 	return w
 }
 
 // wait blocks t until the I/O w waits for completes, leaving w ready for its
 // next wait.
-func (w *syncWait[E]) wait(t *sim.Thread) {
+func (w *syncWait) wait(t *sim.Thread) {
 	if !w.landed {
 		w.wq.Wait(t)
 	}
@@ -251,55 +240,49 @@ func (w *syncWait[E]) wait(t *sim.Thread) {
 }
 
 // track returns the drive's trace track id, interning it on first use.
-func (d *Device[E]) track(tr *obs.Tracer) int32 {
+func (d *Drive) track(tr *obs.Tracer) int32 {
 	if d.obsTid == 0 {
 		d.obsTid = tr.Track(obs.PidStorage, d.name) + 1
 	}
 	return d.obsTid - 1
 }
 
-// NewDevice creates a device of nblocks blocks with the given service
-// profile.
-func NewDevice[E Elem](s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Device[E] {
-	d := &Device[E]{s: s, name: name, profile: profile, nblocks: nblocks, ptr: make([]*E, nblocks), n: make([]uint16, nblocks)}
-	d.writePool = fifo.NewPool(&d.stats.WritePool, func() *inflightWrite[E] {
-		e := &inflightWrite[E]{d: d}
+// NewDrive creates a drive of nblocks blocks with the given service profile.
+func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
+	d := &Drive{s: s, name: name, profile: profile, nblocks: nblocks, ptr: make([]*byte, nblocks), n: make([]uint16, nblocks)}
+	d.writePool = fifo.NewPool(&d.stats.WritePool, func() *inflightWrite {
+		e := &inflightWrite{d: d}
 		e.fire = e.complete
 		return e
 	})
-	d.readPool = fifo.NewPool(&d.stats.ReadPool, func() *readIO[E] {
-		r := &readIO[E]{d: d}
+	d.readPool = fifo.NewPool(&d.stats.ReadPool, func() *readIO {
+		r := &readIO{d: d}
 		r.fire = r.complete
 		return r
 	})
-	d.writeWaitPool = fifo.NewPool(&d.stats.WriteWaitPool, func() *syncWait[E] { return newWait[E](s, name+".writesync") })
-	d.readWaitPool = fifo.NewPool(&d.stats.ReadWaitPool, func() *syncWait[E] { return newWait[E](s, name+".readsync") })
+	d.writeWaitPool = fifo.NewPool(&d.stats.WriteWaitPool, func() *syncWait { return newWait(s, name+".writesync") })
+	d.readWaitPool = fifo.NewPool(&d.stats.ReadWaitPool, func() *syncWait { return newWait(s, name+".readsync") })
 	return d
 }
 
-// NewDrive creates a drive of block images.
-func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
-	return NewDevice[byte](s, name, profile, nblocks)
-}
-
 // Name returns the drive's debug name.
-func (d *Device[E]) Name() string { return d.name }
+func (d *Drive) Name() string { return d.name }
 
 // Blocks returns the drive capacity in blocks.
-func (d *Device[E]) Blocks() block.DBN { return d.nblocks }
+func (d *Drive) Blocks() block.DBN { return d.nblocks }
 
 // Profile returns the drive's service-time profile.
-func (d *Device[E]) Profile() Profile { return d.profile }
+func (d *Drive) Profile() Profile { return d.profile }
 
 // Stats returns a snapshot of the drive's I/O statistics.
-func (d *Device[E]) Stats() Stats { return d.stats }
+func (d *Drive) Stats() Stats { return d.stats }
 
 // SetInjector attaches a fault injector (nil disables fault injection).
-func (d *Device[E]) SetInjector(in Injector) { d.inj = in }
+func (d *Drive) SetInjector(in Injector) { d.inj = in }
 
 // InflightMultiBlock returns how many of the writes submitted but not yet
 // completed (or lost) span two or more blocks — the ones a crash-time torn-write fault can actually tear.
-func (d *Device[E]) InflightMultiBlock() int {
+func (d *Drive) InflightMultiBlock() int {
 	n := 0
 	for _, e := range d.inflight {
 		if len(e.reqs) >= 2 {
@@ -311,7 +294,7 @@ func (d *Device[E]) InflightMultiBlock() int {
 
 // removeInflight drops one completed entry; in-flight counts are small
 // (drive queue depth), so a linear scan is fine.
-func (d *Device[E]) removeInflight(e *inflightWrite[E]) {
+func (d *Drive) removeInflight(e *inflightWrite) {
 	for i, x := range d.inflight {
 		if x == e {
 			d.inflight = append(d.inflight[:i], d.inflight[i+1:]...)
@@ -322,7 +305,7 @@ func (d *Device[E]) removeInflight(e *inflightWrite[E]) {
 
 // service reserves the drive for an I/O of n blocks and returns its
 // completion time. kind labels the trace span ("read"/"write").
-func (d *Device[E]) service(n int, kind string) sim.Time {
+func (d *Drive) service(n int, kind string) sim.Time {
 	start := d.s.Now()
 	if d.busyUntil > start {
 		start = d.busyUntil
@@ -340,7 +323,7 @@ func (d *Device[E]) service(n int, kind string) sim.Time {
 
 // Write submits one write I/O covering reqs and calls done (in scheduler
 // context) when it completes. The data lands on the media at completion.
-func (d *Device[E]) Write(reqs []Req[E], done func()) {
+func (d *Drive) Write(reqs []WriteReq, done func()) {
 	if len(reqs) == 0 {
 		if done != nil {
 			d.s.After(0, done)
@@ -349,7 +332,7 @@ func (d *Device[E]) Write(reqs []Req[E], done func()) {
 	}
 	for _, r := range reqs {
 		if r.DBN >= d.nblocks || len(r.Data) > maxImage {
-			panic(fmt.Sprintf("storage: write beyond device %s: dbn %d >= %d or image of %d > %d", d.name, r.DBN, d.nblocks, len(r.Data), maxImage))
+			panic(fmt.Sprintf("storage: write beyond drive %s: dbn %d >= %d or image of %d > %d", d.name, r.DBN, d.nblocks, len(r.Data), maxImage))
 		}
 		d.stats.BytesWritten += uint64(len(r.Data))
 	}
@@ -376,7 +359,7 @@ func (d *Device[E]) Write(reqs []Req[E], done func()) {
 // nil; callers treat nil as a zero block. The slice done receives is the
 // drive's and valid only during the call; the images in it are the media's.
 // dbns is copied, so the caller may reuse it once Read returns.
-func (d *Device[E]) Read(dbns []block.DBN, done func([][]E)) {
+func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
 	if len(dbns) == 0 {
 		if done != nil {
 			d.s.After(0, func() { done(nil) })
@@ -401,7 +384,7 @@ func (d *Device[E]) Read(dbns []block.DBN, done func([][]E)) {
 // ReadSync performs a read I/O and blocks the calling simulated thread until
 // it completes. The result is the drive's and valid until the thread next
 // blocks; the images in it are the media's.
-func (d *Device[E]) ReadSync(t *sim.Thread, dbns []block.DBN) [][]E {
+func (d *Drive) ReadSync(t *sim.Thread, dbns []block.DBN) [][]byte {
 	w := d.readWaitPool.Get()
 	d.Read(dbns, w.read)
 	w.wait(t)
@@ -411,7 +394,7 @@ func (d *Device[E]) ReadSync(t *sim.Thread, dbns []block.DBN) [][]E {
 
 // WriteSync performs a write I/O and blocks the calling simulated thread
 // until it completes.
-func (d *Device[E]) WriteSync(t *sim.Thread, reqs []Req[E]) {
+func (d *Drive) WriteSync(t *sim.Thread, reqs []WriteReq) {
 	w := d.writeWaitPool.Get()
 	d.Write(reqs, w.write)
 	w.wait(t)
@@ -422,12 +405,12 @@ func (d *Device[E]) WriteSync(t *sim.Thread, reqs []Req[E]) {
 // the simulator's god view of the stable image, never subject to fault
 // injection. RAID reconstruction and test assertions use it. The image is
 // the array written, not a copy, with its capacity cut to its length.
-func (d *Device[E]) Peek(dbn block.DBN) []E { return unsafe.Slice(d.ptr[dbn], d.n[dbn]) }
+func (d *Drive) Peek(dbn block.DBN) []byte { return unsafe.Slice(d.ptr[dbn], d.n[dbn]) }
 
 // land makes img the committed image of dbn. The media keeps img's own array,
 // so Peek hands back the very array written; a nil image stays nil (a nil
 // pointer of length 0) and a non-nil empty one non-nil.
-func (d *Device[E]) land(dbn block.DBN, img []E) {
+func (d *Drive) land(dbn block.DBN, img []byte) {
 	d.ptr[dbn], d.n[dbn] = unsafe.SliceData(img), uint16(len(img))
 }
 
@@ -436,7 +419,7 @@ func (d *Device[E]) land(dbn block.DBN, img []E) {
 // ok=false when the injector fails this attempt (a media/checksum error).
 // Transient faults succeed on retry; persistent faults force the caller to
 // RAID reconstruction.
-func (d *Device[E]) PeekChecked(dbn block.DBN) ([]E, bool) {
+func (d *Drive) PeekChecked(dbn block.DBN) ([]byte, bool) {
 	if d.inj != nil && d.inj.PeekFault(d.name, dbn) {
 		d.stats.PeekErrors++
 		return nil, false
@@ -446,24 +429,13 @@ func (d *Device[E]) PeekChecked(dbn block.DBN) ([]E, bool) {
 
 // Forget drops the image at dbn, which then reads as never written: the god
 // view's other half, untimed like Peek. Its caller knows that nothing can
-// reach the block any more — no committed tree, no parity row.
-func (d *Device[E]) Forget(dbn block.DBN) {
+// reach the block any more — no committed tree, no explicit parity row.
+func (d *Drive) Forget(dbn block.DBN) {
 	if d.ptr[dbn] != nil {
 		d.stats.Forgotten++
 		d.stats.ForgottenBytes += uint64(d.n[dbn])
 		d.land(dbn, nil)
 	}
-}
-
-// Place makes img the committed image of dbn at once, nil dropping it: Forget's
-// twin, untimed like Peek and counted by no statistic. A RAID group keeps its
-// explicit parity rows with it; nothing else may, since the media otherwise
-// changes only when a write lands.
-func (d *Device[E]) Place(dbn block.DBN, img []E) {
-	if len(img) > maxImage {
-		panic(fmt.Sprintf("storage: image of %d > %d placed on %s", len(img), maxImage, d.name))
-	}
-	d.land(dbn, img)
 }
 
 // DropInFlight models a power loss: every write I/O submitted but not yet
@@ -474,18 +446,18 @@ func (d *Device[E]) Place(dbn block.DBN, img []E) {
 // is otherwise exactly the set of writes that had completed before the
 // crash. Every record outstanding — a write or read in flight, a thread's
 // wait — is abandoned: its completion is stale, and its waiter dies with the
-// crash.
-func (d *Device[E]) DropInFlight() {
+// crash. It returns how many blocks of each dropped write landed, in
+// submission order.
+func (d *Drive) DropInFlight() []int {
 	d.epoch++
 	d.busyUntil = d.s.Now()
-	for _, e := range d.inflight {
+	prefixes := make([]int, len(d.inflight))
+	for i, e := range d.inflight {
 		p := 0
 		if d.inj != nil {
-			p = d.inj.CrashPrefix(d.name, len(e.reqs))
+			p = min(d.inj.CrashPrefix(d.name, len(e.reqs)), len(e.reqs))
 		}
-		if p > len(e.reqs) {
-			p = len(e.reqs)
-		}
+		prefixes[i] = p
 		if p > 0 {
 			for _, r := range e.reqs[:p] {
 				d.land(r.DBN, r.Data)
@@ -499,4 +471,5 @@ func (d *Device[E]) DropInFlight() {
 	d.readPool.Abandon()
 	d.writeWaitPool.Abandon()
 	d.readWaitPool.Abandon()
+	return prefixes
 }

@@ -269,26 +269,6 @@ func TestSteadyStateWriteAllocatesOnlyItsCompletion(t *testing.T) {
 // idle returns the records a pool holds for its next Gets.
 func idle(st fifo.PoolStats) uint64 { return st.New + st.Returned - st.Taken }
 
-// TestRowDevice: a device of rows (a RAID parity drive) lands and reads the
-// caller's row itself, and counts one written byte per image the row holds.
-func TestRowDevice(t *testing.T) {
-	s := sim.New(1, 1)
-	d := NewDevice[[]byte](s, "p", SSD, 64)
-	row := [][]byte{testBlock(1), nil, testBlock(2)[:64]}
-	var got [][][]byte
-	s.Go("io", sim.CatOther, func(th *sim.Thread) {
-		d.WriteSync(th, []Req[[]byte]{{DBN: 3, Data: row}})
-		got = d.ReadSync(th, []block.DBN{3, 4})
-	})
-	s.Run(sim.Time(sim.Second))
-	if len(got) != 2 || len(got[0]) != len(row) || &got[0][0] != &row[0] || got[1] != nil {
-		t.Fatal("a read did not return the landed row, or a never-written DBN read non-nil")
-	}
-	if st := d.Stats(); st.BlocksWritten != 1 || st.BytesWritten != uint64(len(row)) {
-		t.Fatalf("stats = %+v, want 1 block and %d bytes written", st, len(row))
-	}
-}
-
 // TestReadRecordLifetime: a completed read returns its record, so a warm Read
 // and a warm ReadSync allocate nothing; a read a crash dropped keeps its
 // record, and its stale completion neither calls back nor returns it.

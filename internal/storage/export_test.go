@@ -2,4 +2,4 @@ package storage
 
 // InflightWrites returns the number of write I/Os submitted but not yet
 // completed (or lost) — the population a crash would tear.
-func (d *Device[E]) InflightWrites() int { return len(d.inflight) }
+func (d *Drive) InflightWrites() int { return len(d.inflight) }

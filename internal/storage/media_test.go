@@ -3,14 +3,16 @@ package storage
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wafl/internal/block"
 	"wafl/internal/sim"
 )
 
-// tornInjector tears every in-flight write at a random prefix and records
-// each prefix it chose, in the order DropInFlight asked.
+// tornInjector tears every in-flight write at a random prefix — one block
+// past its end now and then, which the drive clamps — and records each
+// prefix it chose, in the order DropInFlight asked.
 type tornInjector struct {
 	stubInjector
 	rng      *rand.Rand
@@ -18,44 +20,43 @@ type tornInjector struct {
 }
 
 func (in *tornInjector) CrashPrefix(_ string, n int) int {
-	p := in.rng.IntN(n + 1)
+	p := in.rng.IntN(n + 2)
 	in.prefixes = append(in.prefixes, p)
 	return p
 }
 
-// mediaModel drives one device through seeded writes, forgets and torn
+// mediaModel drives one drive through seeded writes, forgets and torn
 // crashes, and keeps the reference of what each DBN must hold.
-type mediaModel[E Elem] struct {
-	t     *testing.T
-	s     *sim.Scheduler
-	d     *Device[E]
-	inj   *tornInjector
-	want  map[block.DBN][]E
-	image func() []E
+type mediaModel struct {
+	t    *testing.T
+	s    *sim.Scheduler
+	d    *Drive
+	inj  *tornInjector
+	want map[block.DBN][]byte
 	// forgotten counts the images Forget dropped, and their length.
 	forgotten, forgottenLen uint64
 }
 
-func (m *mediaModel[E]) reqs() []Req[E] {
-	reqs := make([]Req[E], 1+m.inj.rng.IntN(4))
+func (m *mediaModel) reqs() []WriteReq {
+	reqs := make([]WriteReq, 1+m.inj.rng.IntN(4))
 	for i := range reqs {
-		reqs[i] = Req[E]{DBN: block.DBN(m.inj.rng.IntN(int(m.d.Blocks()))), Data: m.image()}
+		reqs[i] = WriteReq{DBN: block.DBN(m.inj.rng.IntN(int(m.d.Blocks()))), Data: blockImage(m.inj.rng)}
 	}
 	return reqs
 }
 
-func (m *mediaModel[E]) land(reqs []Req[E]) {
+func (m *mediaModel) land(reqs []WriteReq) {
 	for _, r := range reqs {
 		m.want[r.DBN] = r.Data
 	}
 }
 
-// step takes one random action: a completed write, a forget, a crash with
-// one to three writes in flight, or a place — an image, or nil a third of
-// the time — which lands at once and counts as no forget.
-func (m *mediaModel[E]) step() {
+// step takes one random action: a completed write, a forget, or a crash with
+// one to three writes in flight, which must report the prefix of each that
+// landed, as the injector chose it and clamped to the write.
+func (m *mediaModel) step(step int) {
 	rng := m.inj.rng
-	switch rng.IntN(4) {
+	switch rng.IntN(3) {
 	case 0:
 		reqs := m.reqs()
 		m.d.Write(reqs, nil)
@@ -70,37 +71,34 @@ func (m *mediaModel[E]) step() {
 		m.d.Forget(dbn)
 		delete(m.want, dbn)
 	case 2:
-		var writes [][]Req[E]
+		var writes [][]WriteReq
 		for range 1 + rng.IntN(3) {
 			reqs := m.reqs()
 			m.d.Write(reqs, nil)
 			writes = append(writes, reqs)
 		}
 		m.inj.prefixes = m.inj.prefixes[:0]
-		m.d.DropInFlight()
+		landed := m.d.DropInFlight()
+		want := make([]int, len(writes))
 		for i, reqs := range writes {
-			m.land(reqs[:m.inj.prefixes[i]])
+			want[i] = min(m.inj.prefixes[i], len(reqs))
+			m.land(reqs[:want[i]])
+		}
+		if !slices.Equal(landed, want) {
+			m.t.Fatalf("step %d: the crash reports prefixes %v landed, the injector chose %v", step, landed, want)
 		}
 		m.s.RunFor(sim.Millisecond) // the dropped writes' stale completions
-	case 3:
-		dbn := block.DBN(rng.IntN(int(m.d.Blocks())))
-		var img []E
-		if rng.IntN(3) > 0 {
-			img = m.image()
-		}
-		m.d.Place(dbn, img)
-		m.want[dbn] = img
 	}
 }
 
 // sameImage reports whether got is want itself: equally nil, equally long,
-// and, when not empty, starting at the same element.
-func sameImage[E Elem](got, want []E) bool {
+// and, when not empty, starting at the same byte.
+func sameImage(got, want []byte) bool {
 	return (got == nil) == (want == nil) && len(got) == len(want) && (len(got) == 0 || &got[0] == &want[0])
 }
 
 // check compares Peek, PeekChecked and Read of every DBN with the reference.
-func (m *mediaModel[E]) check(step int) {
+func (m *mediaModel) check(step int) {
 	m.t.Helper()
 	dbns := make([]block.DBN, m.d.Blocks())
 	for i := range dbns {
@@ -113,7 +111,7 @@ func (m *mediaModel[E]) check(step int) {
 		}
 	}
 	read := false
-	m.d.Read(dbns, func(got [][]E) {
+	m.d.Read(dbns, func(got [][]byte) {
 		read = true
 		for i, img := range got {
 			if !sameImage(img, m.want[dbns[i]]) {
@@ -127,18 +125,6 @@ func (m *mediaModel[E]) check(step int) {
 	}
 	if st := m.d.Stats(); st.Forgotten != m.forgotten || st.ForgottenBytes != m.forgottenLen {
 		m.t.Fatalf("step %d: forgot %d images of %d, want %d of %d", step, st.Forgotten, st.ForgottenBytes, m.forgotten, m.forgottenLen)
-	}
-}
-
-func runMediaModel[E Elem](t *testing.T, seed uint64, image func(*rand.Rand) []E) {
-	s := sim.New(1, 1)
-	m := &mediaModel[E]{t: t, s: s, d: NewDevice[E](s, "d", SSD, 32), want: map[block.DBN][]E{}}
-	m.inj = &tornInjector{rng: rand.New(rand.NewPCG(seed, 0))}
-	m.image = func() []E { return image(m.inj.rng) }
-	m.d.SetInjector(m.inj)
-	for step := range 400 {
-		m.step()
-		m.check(step)
 	}
 }
 
@@ -156,23 +142,21 @@ func blockImage(rng *rand.Rand) []byte {
 	return block.New()
 }
 
-// TestMediaTableKeepsImages: through seeded writes, places, forgets and torn
-// crashes, every DBN of a data drive and of a row device reads back the very
-// image last landed or placed there — nil as nil, empty as non-nil empty,
-// trimmed at its length, and the media's array, never a copy.
+// TestMediaTableKeepsImages: through seeded writes, forgets and torn crashes,
+// every DBN of a drive reads back the very image last landed there — nil as
+// nil, empty as non-nil empty, trimmed at its length, and the media's array,
+// never a copy — and each crash reports the prefix of each dropped write that
+// landed.
 func TestMediaTableKeepsImages(t *testing.T) {
 	for seed := range uint64(4) {
-		runMediaModel(t, seed, blockImage)
-		runMediaModel(t, seed, func(rng *rand.Rand) [][]byte {
-			if rng.IntN(6) == 0 {
-				return nil
-			}
-			row := make([][]byte, rng.IntN(5))
-			for i := range row {
-				row[i] = blockImage(rng)
-			}
-			return row
-		})
+		s := sim.New(1, 1)
+		m := &mediaModel{t: t, s: s, d: NewDrive(s, "d", SSD, 32), want: map[block.DBN][]byte{}}
+		m.inj = &tornInjector{rng: rand.New(rand.NewPCG(seed, 0))}
+		m.d.SetInjector(m.inj)
+		for step := range 400 {
+			m.step(step)
+			m.check(step)
+		}
 	}
 }
 
