@@ -16,6 +16,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -359,7 +360,33 @@ var (
 	docSelector = regexp.MustCompile(`^\*?(\w+(?:\.\w+)+)(?:\(.*\))?$`)
 	docFileName = regexp.MustCompile(`\.(?:go|md|json|mod|txt|sh)$`)
 	docMake     = regexp.MustCompile(`^make((?: [\w-]+)+)$`)
+	docIdent    = regexp.MustCompile(`^([a-z]+[A-Z]\w*)(?:\(\))?$`)
+	docCommand  = regexp.MustCompile(`\b(waflbench|wafltop)\b([^|;&]*)`)
+	docFlag     = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
 )
+
+// cmdFlags returns, by command (the directory under cmd/), the flags its
+// non-test files define: the name each flag.X or flag.XVar call passes.
+func cmdFlags(tr *tree) map[string]map[string]bool {
+	flags := map[string]map[string]bool{}
+	each(tr, []string{"cmd"}, func(file string, call *ast.CallExpr) {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || lastName(sel.X) != "flag" {
+			return
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				cmd := path.Base(path.Dir(file))
+				if flags[cmd] == nil {
+					flags[cmd] = map[string]bool{}
+				}
+				name, _ := strconv.Unquote(lit.Value)
+				flags[cmd][name] = true
+				return
+			}
+		}
+	})
+	return flags
+}
 
 // makeTargets returns the targets a Makefile's rules name, each $(VAR) in a
 // rule's target list expanded to the variable's value.
@@ -430,6 +457,7 @@ func docSpans(doc string) []docSpan {
 // package's top-level names, and each type's fields and methods.
 type decls struct {
 	funcs   map[string]bool
+	params  map[string]bool // every function's parameter and result names
 	pkgs    map[string]map[string]bool
 	members map[string]map[string]string // type → field or method → the type a field holds ("" for a method); every type has an entry
 	embeds  map[string][]string          // type → the types it embeds or, as an alias, names
@@ -437,7 +465,7 @@ type decls struct {
 
 // decls builds the index of tr's declarations.
 func (tr *tree) decls() decls {
-	d := decls{funcs: map[string]bool{}, pkgs: map[string]map[string]bool{},
+	d := decls{funcs: map[string]bool{}, params: map[string]bool{}, pkgs: map[string]map[string]bool{},
 		members: map[string]map[string]string{}, embeds: map[string][]string{}}
 	member := func(typ, name, holds string) {
 		if d.members[typ] == nil {
@@ -459,6 +487,16 @@ func (tr *tree) decls() decls {
 						member(r, n.Name.Name, "")
 					} else {
 						pkg[n.Name.Name], d.funcs[n.Name.Name] = true, true
+					}
+					for _, fl := range []*ast.FieldList{n.Type.Params, n.Type.Results} {
+						if fl == nil {
+							continue
+						}
+						for _, fld := range fl.List {
+							for _, id := range fld.Names {
+								d.params[id.Name] = true
+							}
+						}
 					}
 					return false
 				case *ast.ValueSpec:
@@ -526,6 +564,25 @@ func (d decls) function(name string) bool {
 	}
 	for f := range d.funcs {
 		if strings.HasPrefix(f, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// named reports whether any declaration — a package's top-level name, a
+// function's parameter, a type's field or method — is called name.
+func (d decls) named(name string) bool {
+	if d.params[name] {
+		return true
+	}
+	for _, pkg := range d.pkgs {
+		if pkg[name] {
+			return true
+		}
+	}
+	for _, m := range d.members {
+		if _, ok := m[name]; ok {
 			return true
 		}
 	}
@@ -943,12 +1000,13 @@ var archRules = []archRule{
 	{
 		// Docs describe the tree as it is: a setting README, DESIGN,
 		// EXPERIMENTS or the verify skill names in backticks is a field of a
-		// configuration struct today, a test, package member or type member
-		// they name is declared today, and a `make X` names Makefile targets,
-		// so deleting code deletes its mentions too. Neither they, nor a Go
-		// comment outside bench/, nor an allow-list reason cites a roadmap
-		// item by number: every re-anchor renumbers the items, so a citation
-		// says in words what it waits for.
+		// configuration struct today, a test, package member, type member or
+		// lowerCamel identifier they name is declared today, a `make X` names
+		// Makefile targets and a `waflbench -x` or `wafltop -x` flags its
+		// command defines, so deleting code deletes its mentions too.
+		// Neither they, nor a Go comment outside bench/, nor an allow-list
+		// reason cites a roadmap item by number: every re-anchor renumbers
+		// the items, so a citation says in words what it waits for.
 		name: "doc",
 		require: func(tr *tree) []string {
 			fields := map[string]bool{}
@@ -957,7 +1015,7 @@ var archRules = []archRule{
 					fields[f] = true
 				}
 			}
-			d, targets := tr.decls(), makeTargets(tr.docs["Makefile"])
+			d, targets, flags := tr.decls(), makeTargets(tr.docs["Makefile"]), cmdFlags(tr)
 			var out []string
 			cites := func(where string, line int, text string) {
 				for _, m := range roadmapCite.FindAllStringIndex(text, -1) {
@@ -984,6 +1042,16 @@ var archRules = []archRule{
 						if cited, ok := d.resolve(strings.Split(m[1], ".")); cited && !ok {
 							out = append(out, fmt.Sprintf("%s:%d: `%s` names no declared func, method, type, field, const or var", p, s.line, s.text))
 						}
+					}
+					for _, m := range docCommand.FindAllStringSubmatch(s.text, -1) {
+						for _, arg := range strings.Fields(m[2]) {
+							if f := docFlag.FindStringSubmatch(arg); f != nil && !flags[m[1]][f[1]] {
+								out = append(out, fmt.Sprintf("%s:%d: `%s` passes %s a flag cmd/%s does not define: -%s", p, s.line, s.text, m[1], m[1], f[1]))
+							}
+						}
+					}
+					if m := docIdent.FindStringSubmatch(s.text); m != nil && !d.named(m[1]) {
+						out = append(out, fmt.Sprintf("%s:%d: `%s` names no declared func, method, type, field, const or var", p, s.line, s.text))
 					}
 					if m := docMake.FindStringSubmatch(s.text); m != nil && slices.ContainsFunc(strings.Fields(m[1]), func(t string) bool { return !targets[t] }) {
 						out = append(out, fmt.Sprintf("%s:%d: `%s` names no Makefile target", p, s.line, s.text))
@@ -1042,6 +1110,19 @@ var archRules = []archRule{
 				"README.md": "Run `make build`, `make crashsweep clustersweep`\nand `make crashsweep bench`.",
 			},
 			want: "README.md:2: `make crashsweep bench` names no Makefile target",
+		}, {
+			// A vregion picker deleted when the volumes' argmax became the AAs'.
+			files: map[string]string{
+				"internal/core/space.go": `package core; func mostFree(used []bool, free func(int) int64) int { return -1 }`,
+				"DESIGN.md":              "`mostFree` picks an AA;\n`selectVRegion` a vregion.",
+			},
+			want: "DESIGN.md:2: `selectVRegion` names no declared func",
+		}, {
+			files: map[string]string{
+				"cmd/waflbench/main.go": `package main; import "flag"; func main() { flag.String("exp", "all", ""); flag.Duration("window", 0, ""); flag.Parse() }`,
+				"EXPERIMENTS.md":        "Run `go run ./cmd/waflbench -exp fig4 -window 40ms`\nor `waflbench -exp fig4 -cleaners=4`.",
+			},
+			want: "EXPERIMENTS.md:2: `waflbench -exp fig4 -cleaners=4` passes waflbench a flag cmd/waflbench does not define: -cleaners",
 		}},
 	},
 	{

@@ -4,11 +4,15 @@ import (
 	"testing"
 )
 
-// verifyFreeIndexes checks every live volume's free-space index against a
-// full recount of its activemap and summary map.
+// verifyFreeIndexes checks the live aggregate's free-space index and every
+// live volume's against a full recount of their maps.
 func verifyFreeIndexes(t *testing.T, sys *System, label string) {
 	t.Helper()
-	for _, v := range sys.m0().a.Volumes() {
+	a := sys.m0().a
+	if errs := a.FreeIdx.Verify(); len(errs) != 0 {
+		t.Fatalf("%s: aggregate free-space index inconsistent: %v", label, errs)
+	}
+	for _, v := range a.Volumes() {
 		if errs := v.FreeIdx.Verify(); len(errs) != 0 {
 			t.Fatalf("%s: vol %d free-space index inconsistent: %v", label, v.ID(), errs)
 		}
@@ -74,7 +78,8 @@ func TestFreeIndexConsistentUnderChurn(t *testing.T) {
 }
 
 // TestFsckCatchesFreeIndexCorruption injects drift into both levels of a
-// live volume's free-space index and requires Fsck to flag each as IdxErrs.
+// live volume's free-space index, and into a region counter of the live
+// aggregate's, and requires Fsck to flag each as IdxErrs.
 func TestFsckCatchesFreeIndexCorruption(t *testing.T) {
 	sys, ino := newCrashSystem(t, crashConfig())
 	sys.ClientThread("writer", func(c *ClientCtx) {
@@ -102,6 +107,13 @@ func TestFsckCatchesFreeIndexCorruption(t *testing.T) {
 		t.Fatalf("fsck missed corrupted free-words bit: %s", rep)
 	}
 	idx.CorruptFreeWord(3)
+
+	aggr := sys.m0().a.FreeIdx
+	aggr.CorruptRegionCounter(5, 3)
+	if rep := sys.Fsck(); rep.IdxErrs == 0 || rep.OK() {
+		t.Fatalf("fsck missed corrupted aggregate AA counter: %s", rep)
+	}
+	aggr.CorruptRegionCounter(5, -3)
 
 	if rep := sys.Fsck(); !rep.OK() {
 		t.Fatalf("fsck after restoring corruption: %s", rep)

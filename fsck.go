@@ -266,6 +266,15 @@ func (mem *Member) fsck(r *FsckReport, prefix string) {
 			fail("vol%d (live): %s", v.ID(), e)
 		}
 	}
+	// The aggregate's index (per-AA free counts) likewise, both ways.
+	for _, e := range m.FreeIdx.Verify() {
+		r.IdxErrs++
+		fail("aggregate (mounted): %s", e)
+	}
+	for _, e := range mem.a.FreeIdx.Verify() {
+		r.IdxErrs++
+		fail("aggregate (live): %s", e)
+	}
 
 	r.ReferencedBlocks += uint64(len(refs))
 	r.UsedBits += m.Activemap.Used()

@@ -48,10 +48,11 @@ type Aggregate struct {
 	amapFile  *fs.File
 	volTable  *fs.File
 
-	// aaFree[group][aa] is the count of free data blocks in each
-	// Allocation Area, maintained incrementally from activemap changes
-	// and used by the infrastructure's AA selection (most-free wins).
-	aaFree [][]int64
+	// FreeIdx counts the free VBNs of every (group, drive, AA) region — a
+	// region is one AA's run of DBNs on one data drive, AAStripes VBNs —
+	// for the infrastructure's AA selection (AAFree). The volumes' indexes
+	// are the same type; physical fills scan the activemap itself.
+	FreeIdx *bitmap.Index
 
 	vols    []*Volume
 	cpCount uint64
@@ -97,9 +98,7 @@ func New(s *sim.Scheduler, cfg Config) (*Aggregate, error) {
 	a.amapFile = a.newMetafile(InoAggrActivemap, fs.HeightFor(amapBlocks+1))
 	a.volTable = a.newMetafile(InoAggrVolTable, fs.HeightFor(64))
 	a.Activemap = bitmap.New(a.amapFile, total)
-
-	a.initAAFree()
-	a.Activemap.OnChange = a.onBitChange
+	a.indexActivemap()
 
 	// Reserve DBN 0 on every data drive: (group 0, drive 0, 0) holds the
 	// superblock; the rest are reserved for symmetry so that stripe 0 is
@@ -163,26 +162,16 @@ func (a *Aggregate) CheckImages() error {
 	})
 }
 
-func (a *Aggregate) initAAFree() {
-	a.aaFree = make([][]int64, a.geo.NumGroups)
-	per := int64(a.geo.BlocksPerAA())
-	for gi := range a.aaFree {
-		a.aaFree[gi] = make([]int64, a.geo.AAsPerGroup())
-		for aa := range a.aaFree[gi] {
-			a.aaFree[gi][aa] = per
+// indexActivemap hooks the activemap: every cleared VBN joins the freed
+// list, and FreeIdx, built word-wise from the map's content, counts every
+// transition.
+func (a *Aggregate) indexActivemap() {
+	a.Activemap.OnChange = func(bn uint64, used bool) {
+		if !used {
+			a.freed = append(a.freed, block.VBN(bn))
 		}
 	}
-}
-
-func (a *Aggregate) onBitChange(bn uint64, used bool) {
-	g, _, dbn := a.geo.Locate(block.VBN(bn))
-	aa := a.geo.AAOf(dbn)
-	if used {
-		a.aaFree[g][aa]--
-	} else {
-		a.aaFree[g][aa]++
-		a.freed = append(a.freed, block.VBN(bn))
-	}
+	a.FreeIdx = bitmap.NewIndex(a.Activemap, nil, uint64(a.geo.AAStripes))
 }
 
 // StartCP cuts the freed list as a consistency point starts: the VBNs
@@ -262,8 +251,18 @@ func (a *Aggregate) Volumes() []*Volume { return a.vols }
 // Volume returns volume vi.
 func (a *Aggregate) Volume(vi int) *Volume { return a.vols[vi] }
 
-// AAFree returns the free-block count of (group, aa).
-func (a *Aggregate) AAFree(group, aa int) int64 { return a.aaFree[group][aa] }
+// AAFree returns the free-block count of (group, aa): the sum of its data
+// drives' FreeIdx regions. VBNs run drive-major within a group, so drive d's
+// run of AA aa is region (group·DataDrives + d)·AAsPerGroup + aa.
+func (a *Aggregate) AAFree(group, aa int) int64 {
+	per := a.geo.AAsPerGroup()
+	r := group*a.geo.DataDrives*per + aa
+	var free int64
+	for d := 0; d < a.geo.DataDrives; d++ {
+		free += a.FreeIdx.RegionFree(r + d*per)
+	}
+	return free
+}
 
 // SetInjector wires a drive-fault plan into every drive (data and parity)
 // of every RAID group. Pass nil to disable injection.

@@ -43,15 +43,9 @@ func TestGeometryAAMath(t *testing.T) {
 	if testGeo.AAsPerGroup() != 8 {
 		t.Fatalf("AAs per group = %d", testGeo.AAsPerGroup())
 	}
-	if testGeo.AAOf(0) != 0 || testGeo.AAOf(1023) != 0 || testGeo.AAOf(1024) != 1 {
-		t.Fatal("AAOf wrong")
-	}
 	s, e := testGeo.AARange(2)
 	if s != 2048 || e != 3072 {
 		t.Fatalf("AARange = [%d,%d)", s, e)
-	}
-	if testGeo.BlocksPerAA() != 3*1024 {
-		t.Fatal("BlocksPerAA wrong")
 	}
 }
 
@@ -59,6 +53,9 @@ func TestGeometryValidate(t *testing.T) {
 	bad := Geometry{NumGroups: 1, DataDrives: 2, Depth: 1000, AAStripes: 512}
 	if bad.Validate() == nil {
 		t.Fatal("depth not multiple of AA stripes must fail")
+	}
+	if (Geometry{NumGroups: 1, DataDrives: 2, Depth: 960, AAStripes: 96}).Validate() == nil {
+		t.Fatal("AA stripes not a multiple of 64 must fail: a free-space index region is whole words")
 	}
 	if (Geometry{}).Validate() == nil {
 		t.Fatal("zero geometry must fail")
@@ -85,7 +82,7 @@ func TestFormatReservesSuperblockStripe(t *testing.T) {
 
 func TestAAFreeTracking(t *testing.T) {
 	_, a := newTestAggr(t)
-	per := int64(testGeo.BlocksPerAA())
+	per := int64(testGeo.DataDrives) * int64(testGeo.AAStripes)
 	// AA 0 of each group lost the reserved stripe-0 blocks.
 	if a.AAFree(0, 0) != per-3 || a.AAFree(1, 0) != per-3 {
 		t.Fatalf("AA0 free = %d,%d", a.AAFree(0, 0), a.AAFree(1, 0))

@@ -31,6 +31,9 @@ func (g Geometry) Validate() error {
 	if g.Depth%g.AAStripes != 0 {
 		return fmt.Errorf("aggregate: depth %d not a multiple of AA stripes %d", g.Depth, g.AAStripes)
 	}
+	if g.AAStripes%64 != 0 {
+		return fmt.Errorf("aggregate: AA stripes %d not a multiple of 64 (a free-space index region is whole bitmap words)", g.AAStripes)
+	}
 	return nil
 }
 
@@ -64,17 +67,8 @@ func (g Geometry) VBNOf(group, drive int, dbn block.DBN) block.VBN {
 	return block.VBN(uint64(group)*g.groupSpan() + uint64(drive)*uint64(g.Depth) + uint64(dbn))
 }
 
-// AAOf returns the Allocation Area index (within its group) containing dbn.
-func (g Geometry) AAOf(dbn block.DBN) int { return int(dbn / g.AAStripes) }
-
 // AARange returns the DBN range [start, end) of Allocation Area aa.
 func (g Geometry) AARange(aa int) (start, end block.DBN) {
 	start = block.DBN(aa) * g.AAStripes
 	return start, start + g.AAStripes
-}
-
-// BlocksPerAA returns the number of data blocks in one AA across all data
-// drives of a group.
-func (g Geometry) BlocksPerAA() uint64 {
-	return uint64(g.DataDrives) * uint64(g.AAStripes)
 }

@@ -61,12 +61,12 @@ func (a *Aggregate) WriteSuperblock(t *sim.Thread) {
 // MountFrom rebuilds an aggregate's in-memory state from committed media
 // after a crash or restart, reusing the old aggregate's RAID groups (the
 // media): it reads the superblock, eagerly loads the aggregate metafiles,
-// rebinds the activemap (recomputing free and per-AA counts), and rebuilds
-// every volume with its metafiles. User files are demand-loaded from inode
-// records on first access. A damaged image — a bad superblock, a metafile
-// block the tree points at but the media never held, a missing snapshot
-// entry, a clone whose parent volume the table does not hold — is an error,
-// not a panic.
+// rebinds the activemap (recomputing its free count and FreeIdx), and
+// rebuilds every volume with its metafiles. User files are demand-loaded
+// from inode records on first access. A damaged image — a bad superblock, a
+// metafile block the tree points at but the media never held, a missing
+// snapshot entry, a clone whose parent volume the table does not hold — is
+// an error, not a panic.
 //
 // Mount-time reads are untimed: recovery time is not part of any measured
 // experiment.
@@ -104,11 +104,7 @@ func MountFrom(old *Aggregate) (*Aggregate, error) {
 	if a.Activemap, err = rebind(a.amapFile, a.geo.TotalBlocks()); err != nil {
 		return nil, fmt.Errorf("aggregate: %w", err)
 	}
-	a.initAAFree()
-	// Recompute per-AA free counts from the rebound bitmap, word-wise —
-	// a per-bit IsSet loop would pay TotalBlocks buffer lookups.
-	a.Activemap.ForEachSet(func(bn uint64) { a.onBitChange(bn, true) })
-	a.Activemap.OnChange = a.onBitChange
+	a.indexActivemap()
 
 	for vi := uint64(0); vi < nvols; vi++ {
 		fbn := block.FBN(vi / VolEntriesPerBlock)

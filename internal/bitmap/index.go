@@ -7,23 +7,26 @@ import (
 
 // Index is the hierarchical free-space accounting over an activemap and an
 // optional mask map (a volume activemap and its snapshot summary map): a
-// bit is allocatable iff it is clear in both. Two levels are maintained
-// incrementally from the maps' OnChange streams:
+// bit is allocatable iff it is clear in both. One index serves every block
+// space — the aggregate's VBNs (no mask, one region per drive and AA) and
+// each volume's VVBNs. Two levels are maintained incrementally from the
+// maps' OnChange streams:
 //
 //   - regionFree[r]: the allocatable-bit count of each regionBits-sized
 //     region, so region selection is an O(regions) counter lookup instead
-//     of an O(address-space/64) recount (the volume-side analogue of the
-//     aggregate's per-AA free counters).
+//     of an O(address-space/64) recount.
 //   - freeWords: one bit per 64-bit data word of the maps, set iff the
 //     word holds at least one allocatable bit, so fills skip exhausted
 //     words entirely and cost is proportional to blocks found, not to the
-//     occupancy of the space scanned.
+//     occupancy of the space scanned. It is built by the first FindFree
+//     and maintained from then on: an index nobody searches (the
+//     aggregate's, whose fills scan the activemap) never pays for it.
 //
 // Counters track the maps' on-disk bit state, exactly like a full
 // CountFreeNotIn recount would: per-CP overlays (pending frees, bucket
 // reservations) stay with the caller. Every transition path must feed the
 // index — Set, Clear, bulk OrFrom (snapshot summary fold), and snapshot
-// reclaim's Clears all fire OnChange — and Rebuild recomputes both levels
+// reclaim's Clears all fire OnChange — and Rebuild recomputes the counters
 // word-wise on mount/Rebind.
 //
 // The index reads map words without creating metafile buffers (absent
@@ -36,7 +39,7 @@ type Index struct {
 	regionBits uint64
 
 	regionFree []int64
-	freeWords  []uint64 // bit w set => data word w has >=1 allocatable bit
+	freeWords  []uint64 // bit w set => data word w has >=1 allocatable bit; nil until the first FindFree
 }
 
 // NewIndex builds the index over active (and mask, which may be nil),
@@ -52,10 +55,7 @@ func NewIndex(active, mask *Activemap, regionBits uint64) *Index {
 		nbits:      active.nbits,
 		regionBits: regionBits,
 	}
-	nRegions := (x.nbits + regionBits - 1) / regionBits
-	nWords := (x.nbits + 63) / 64
-	x.regionFree = make([]int64, nRegions)
-	x.freeWords = make([]uint64, (nWords+63)/64)
+	x.regionFree = make([]int64, (x.nbits+regionBits-1)/regionBits)
 	prevA := active.OnChange
 	active.OnChange = func(bn uint64, used bool) {
 		if prevA != nil {
@@ -110,33 +110,41 @@ func (x *Index) observe(bn uint64, nowUsed bool, other *Activemap) {
 		if x.regionFree[r] < 0 {
 			panic(fmt.Sprintf("bitmap: free-space index region %d count negative after alloc of bit %d", r, bn))
 		}
-		if x.wordUsed(bn&^63) == ^uint64(0) {
+		if x.freeWords != nil && x.wordUsed(bn&^63) == ^uint64(0) {
 			x.freeWords[wi>>6] &^= 1 << (wi & 63)
 		}
 	} else {
 		x.regionFree[r]++
-		x.freeWords[wi>>6] |= 1 << (wi & 63)
-	}
-}
-
-// Rebuild recomputes both levels word-wise from the maps' current content —
-// the mount/Rebind path. Cost is one pass over the maps' words, not a
-// per-bit loop.
-func (x *Index) Rebuild() {
-	for i := range x.regionFree {
-		x.regionFree[i] = 0
-	}
-	for i := range x.freeWords {
-		x.freeWords[i] = 0
-	}
-	nWords := (x.nbits + 63) / 64
-	for wi := uint64(0); wi < nWords; wi++ {
-		w := x.wordUsed(wi << 6)
-		if free := 64 - bits.OnesCount64(w); free > 0 {
-			x.regionFree[(wi<<6)/x.regionBits] += int64(free)
+		if x.freeWords != nil {
 			x.freeWords[wi>>6] |= 1 << (wi & 63)
 		}
 	}
+}
+
+// Rebuild recomputes the region counters word-wise from the maps' current
+// content — the mount/Rebind path — and drops the free-words level for the
+// next FindFree to rebuild. Cost is one pass over the maps' words, not a
+// per-bit loop.
+func (x *Index) Rebuild() {
+	clear(x.regionFree)
+	x.freeWords = nil
+	for ws := uint64(0); ws < x.nbits; ws += 64 {
+		x.regionFree[ws/x.regionBits] += int64(64 - bits.OnesCount64(x.wordUsed(ws)))
+	}
+}
+
+// words returns the free-words level, building it word-wise on first use.
+func (x *Index) words() []uint64 {
+	if x.freeWords == nil {
+		nWords := (x.nbits + 63) / 64
+		x.freeWords = make([]uint64, (nWords+63)/64)
+		for wi := uint64(0); wi < nWords; wi++ {
+			if x.wordUsed(wi<<6) != ^uint64(0) {
+				x.freeWords[wi>>6] |= 1 << (wi & 63)
+			}
+		}
+	}
+	return x.freeWords
 }
 
 // FindFree appends up to max allocatable bit numbers in [start, end) to dst
@@ -153,6 +161,7 @@ func (x *Index) FindFree(dst []uint64, start, end uint64, max int) ([]uint64, in
 	if start >= end || max <= 0 {
 		return dst, 0
 	}
+	freeWords := x.words()
 	words := 0
 	endW := (end + 63) >> 6
 	wi := start >> 6
@@ -163,7 +172,7 @@ func (x *Index) FindFree(dst []uint64, start, end uint64, max int) ([]uint64, in
 			words++ // one free-words bitset word consulted
 			lastSlot = slot
 		}
-		sw := x.freeWords[slot] &^ ((1 << (wi & 63)) - 1)
+		sw := freeWords[slot] &^ ((1 << (wi & 63)) - 1)
 		if sw == 0 {
 			wi = (slot + 1) << 6
 			continue
@@ -192,10 +201,11 @@ func (x *Index) FindFree(dst []uint64, start, end uint64, max int) ([]uint64, in
 	return dst, words
 }
 
-// Verify cross-checks both index levels against a full recount of the maps
-// and returns a description of every mismatch (capped): per-region counters
-// against CountFreeNotIn, and every free-words bit against its data word.
-// The fsck invariant for the incremental maintenance.
+// Verify cross-checks the index against a full recount of the maps and
+// returns a description of every mismatch (capped): per-region counters
+// against CountFreeNotIn, and, once FindFree has built it, every free-words
+// bit against its data word. The fsck invariant for the incremental
+// maintenance.
 func (x *Index) Verify() []string {
 	var errs []string
 	add := func(s string) {
@@ -213,8 +223,7 @@ func (x *Index) Verify() []string {
 			add(fmt.Sprintf("free-index region %d: counter %d != recount %d", r, got, want))
 		}
 	}
-	nWords := (x.nbits + 63) / 64
-	for wi := uint64(0); wi < nWords; wi++ {
+	for wi := uint64(0); x.freeWords != nil && wi < (x.nbits+63)/64; wi++ {
 		has := x.wordUsed(wi<<6) != ^uint64(0)
 		bit := x.freeWords[wi>>6]&(1<<(wi&63)) != 0
 		if bit != has {
@@ -228,6 +237,6 @@ func (x *Index) Verify() []string {
 // hook for exercising the fsck invariant in tests.
 func (x *Index) CorruptRegionCounter(r int, delta int64) { x.regionFree[r] += delta }
 
-// CorruptFreeWord flips the free-words summary bit covering data word wi —
-// the second fault-injection hook.
-func (x *Index) CorruptFreeWord(wi uint64) { x.freeWords[wi>>6] ^= 1 << (wi & 63) }
+// CorruptFreeWord flips the free-words summary bit covering data word wi,
+// building the level first — the second fault-injection hook.
+func (x *Index) CorruptFreeWord(wi uint64) { x.words()[wi>>6] ^= 1 << (wi & 63) }

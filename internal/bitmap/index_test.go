@@ -8,11 +8,14 @@ import (
 )
 
 // testIndex builds an active+summary pair with an index over them, using a
-// small region size so multi-region behavior is exercised.
+// small region size so multi-region behavior is exercised, and builds the
+// free-words level at once so every transition maintains both levels.
 func testIndex(nbits, regionBits uint64) (*Activemap, *Activemap, *Index) {
 	active := New(fs.NewFile(1, 2), nbits)
 	summary := New(fs.NewFile(2, 2), nbits)
-	return active, summary, NewIndex(active, summary, regionBits)
+	x := NewIndex(active, summary, regionBits)
+	x.words()
+	return active, summary, x
 }
 
 // verifyEmpty fails the test if the index disagrees with a full recount.
@@ -227,6 +230,32 @@ func TestIndexVerifyCatchesCorruption(t *testing.T) {
 	if errs := x.Verify(); len(errs) == 0 {
 		t.Fatal("Verify missed corrupted free-words bit")
 	}
+}
+
+// TestIndexBuildsFreeWordsOnFirstFind: an index nobody searches keeps only
+// its region counters, and the first FindFree builds the free-words level
+// the incremental maintenance would have kept.
+func TestIndexBuildsFreeWordsOnFirstFind(t *testing.T) {
+	active := New(fs.NewFile(1, 2), 4096)
+	x := NewIndex(active, nil, 1024)
+	for bn := uint64(0); bn < 1100; bn++ {
+		active.Set(bn)
+	}
+	active.Clear(70)
+	if x.freeWords != nil {
+		t.Fatal("free-words level built before any FindFree")
+	}
+	got, words := x.FindFree(nil, 0, 4096, 2)
+	if len(got) != 2 || got[0] != 70 || got[1] != 1100 || words > 4 {
+		t.Fatalf("first FindFree = %v in %d words", got, words)
+	}
+	verifyEmpty(t, x, "after first FindFree")
+	active.Set(70)
+	active.Clear(5)
+	if got, _ := x.FindFree(nil, 0, 4096, 2); got[0] != 5 || got[1] != 1100 {
+		t.Fatalf("free-words level not maintained after build: %v", got)
+	}
+	verifyEmpty(t, x, "after maintenance")
 }
 
 func TestIndexRegionSizeMustBeWordMultiple(t *testing.T) {

@@ -47,7 +47,7 @@ type windowFill struct {
 }
 
 // volState is the per-volume virtual allocation state: the volume's VVBN
-// space plus what only the virtual side has — vregion selection and the
+// space plus what only the virtual side has — its vregion cursor and the
 // per-volume top-up cache.
 type volState struct {
 	*space
@@ -56,7 +56,7 @@ type volState struct {
 	cond         *sim.WaitQueue
 	region       int    // current vAA (one activemap block of VVBNs), -1 initially
 	cursor       uint64 // next vvbn to scan within the region
-	usedRegions  map[int]bool
+	usedRegions  []bool // vregions used this CP, by index
 	pendingFills int
 }
 
@@ -82,7 +82,7 @@ type Infra struct {
 	usedQueue fifo.Queue[*Bucket]
 
 	win     []windowState
-	usedAAs []map[int]bool
+	usedAAs [][]bool // per group, the AAs used this CP
 	rrNext  []int
 
 	// One space per block-number space: phys is the aggregate's, vols[id]
@@ -159,7 +159,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 	in.phys = in.newSpace("aggr.free", a.Activemap, a.Geometry().TotalBlocks(), a.TotalFree(), h.AggrVBN, h.Ranges)
 	for gi := 0; gi < a.Groups(); gi++ {
 		in.win = append(in.win, windowState{aa: -1})
-		in.usedAAs = append(in.usedAAs, make(map[int]bool))
+		in.usedAAs = append(in.usedAAs, make([]bool, a.Geometry().AAsPerGroup()))
 		in.rrNext = append(in.rrNext, 0)
 	}
 	for _, v := range a.Volumes() {
@@ -174,7 +174,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 			vol:         v,
 			cond:        sim.NewWaitQueue(s, fmt.Sprintf("vol%d-vbucket-cond", v.ID())),
 			region:      -1,
-			usedRegions: make(map[int]bool),
+			usedRegions: make([]bool, (v.VVBNBlocks()+vRegionBits-1)/vRegionBits),
 		}
 		vs.find = v.FreeIdx.FindFree
 		in.vols = append(in.vols, vs)
@@ -193,19 +193,18 @@ func (in *Infra) AggrFree() int64 { return in.global.Get(in.phys.counter) }
 func (in *Infra) VolFree(volID int) int64 { return in.global.Get(in.vols[volID].counter) }
 
 // selectAA picks the next Allocation Area for a group according to the
-// configured policy, excluding AAs already used in this CP.
+// configured policy, excluding AAs already used in this CP, or -1.
 func (in *Infra) selectAA(group int) int {
-	geo := in.a.Geometry()
 	used := in.usedAAs[group]
 	switch in.opts.AASelection {
 	case AAFirstFit:
-		for aa := 0; aa < geo.AAsPerGroup(); aa++ {
+		for aa := range used {
 			if !used[aa] && in.a.AAFree(group, aa) > 0 {
 				return aa
 			}
 		}
 	case AARoundRobin:
-		n := geo.AAsPerGroup()
+		n := len(used)
 		for k := 0; k < n; k++ {
 			aa := (in.rrNext[group] + k) % n
 			if !used[aa] && in.a.AAFree(group, aa) > 0 {
@@ -214,16 +213,7 @@ func (in *Infra) selectAA(group int) int {
 			}
 		}
 	default: // AAMostFree
-		best, bestFree := -1, int64(0)
-		for aa := 0; aa < geo.AAsPerGroup(); aa++ {
-			if used[aa] {
-				continue
-			}
-			if f := in.a.AAFree(group, aa); f > bestFree {
-				best, bestFree = aa, f
-			}
-		}
-		return best
+		return mostFree(used, func(aa int) int64 { return in.a.AAFree(group, aa) })
 	}
 	return -1
 }
@@ -234,18 +224,11 @@ func (in *Infra) nextWindow(group int) (start, depth block.DBN) {
 	geo := in.a.Geometry()
 	ws := &in.win[group]
 	if ws.aa < 0 || ws.cursor >= block.DBN(ws.aa+1)*geo.AAStripes {
-		aa := in.selectAA(group)
-		if aa < 0 {
-			// All AAs used this CP: lift the exclusion and re-pick
-			// (reservation and pending-free filtering keep reuse safe).
-			in.usedAAs[group] = make(map[int]bool)
-			aa = in.selectAA(group)
-		}
+		aa := claim(in.usedAAs[group], func() int { return in.selectAA(group) })
 		if aa < 0 {
 			panic(fmt.Sprintf("core: group %d out of space", group))
 		}
 		ws.aa = aa
-		in.usedAAs[group][aa] = true
 		ws.cursor, _ = geo.AARange(aa)
 		if ws.cursor == 0 {
 			ws.cursor = 1 // stripe 0 is reserved for the superblock

@@ -95,11 +95,11 @@ func (in *Infra) EndCP() {
 		sp.endCP()
 	}
 	for gi := range in.usedAAs {
-		in.usedAAs[gi] = make(map[int]bool)
+		clear(in.usedAAs[gi])
 		in.win[gi] = windowState{aa: -1}
 	}
 	for _, vs := range in.vols {
-		vs.usedRegions = make(map[int]bool)
+		clear(vs.usedRegions)
 		vs.region = -1
 	}
 }

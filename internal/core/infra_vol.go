@@ -15,27 +15,6 @@ import (
 // block (and one Range affinity).
 const vRegionBits = bitmap.BitsPerBlock
 
-// selectVRegion picks the virtual region with the most allocatable VVBNs —
-// free meaning clear in both the activemap and the snapshot summary map
-// (free = !active && !summary) — excluding regions already used this CP, or
-// -1 when every region is excluded or full. It is an O(regions) lookup of
-// the free-space index's per-vregion counters (the volume analogue of
-// AAFree, which likewise charges no bitmap-word cost).
-func (in *Infra) selectVRegion(vs *volState) int {
-	nRegions := int((vs.vol.VVBNBlocks() + vRegionBits - 1) / vRegionBits)
-	best := -1
-	var bestFree int64
-	for r := 0; r < nRegions; r++ {
-		if vs.usedRegions[r] {
-			continue
-		}
-		if f := vs.vol.FreeIdx.RegionFree(r); f > bestFree {
-			best, bestFree = r, f
-		}
-	}
-	return best
-}
-
 // scanVBucket finds the next chunk of free VVBNs for the volume, appending
 // them to dst[:0] and charging the scan to the executing thread.
 func (in *Infra) scanVBucket(t *sim.Thread, vs *volState, dst []block.VVBN) []block.VVBN {
@@ -44,20 +23,15 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState, dst []block.VVBN) []bl
 	fillWords := 0
 	for len(vvbns) == 0 {
 		if vs.region < 0 || vs.cursor >= uint64(vs.region+1)*vRegionBits {
-			r := in.selectVRegion(vs)
-			if r < 0 {
-				// Every region was already used this CP: lift the
-				// exclusion and re-pick (reservation and pending-free
-				// filtering keep reuse safe; this only costs layout
-				// locality).
-				vs.usedRegions = make(map[int]bool)
-				r = in.selectVRegion(vs)
-			}
+			// The vregion with the most allocatable VVBNs (free =
+			// !active && !summary, which the index counts).
+			r := claim(vs.usedRegions, func() int {
+				return mostFree(vs.usedRegions, vs.vol.FreeIdx.RegionFree)
+			})
 			if r < 0 {
 				panic("core: volume out of virtual space (volume full)")
 			}
 			vs.region = r
-			vs.usedRegions[r] = true
 			vs.cursor = uint64(r) * vRegionBits
 		}
 		hi := vs.cursor + chunk

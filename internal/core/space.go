@@ -198,3 +198,35 @@ func (fc *freeCommit) commit(wt *sim.Thread) {
 	fc.sp, fc.bns = nil, fc.bns[:0]
 	in.commitPool.Put(fc)
 }
+
+// mostFree returns the area with the most free blocks among those used does
+// not exclude — the first on a tie — or -1 when all of them are full. It is
+// an argmax over counters (the aggregate's AAs, a volume's vregions), so it
+// charges no bitmap words.
+func mostFree(used []bool, free func(area int) int64) int {
+	best, bestFree := -1, int64(0)
+	for a, u := range used {
+		if !u {
+			if f := free(a); f > bestFree {
+				best, bestFree = a, f
+			}
+		}
+	}
+	return best
+}
+
+// claim picks an area with pick and excludes it for the rest of the CP. When
+// pick finds none, every area with free blocks was used this CP: claim lifts
+// the exclusions and picks again (reservation and pending-free filtering keep
+// reuse safe; this only costs layout locality). -1 means the space is full.
+func claim(used []bool, pick func() int) int {
+	a := pick()
+	if a < 0 {
+		clear(used)
+		a = pick()
+	}
+	if a >= 0 {
+		used[a] = true
+	}
+	return a
+}

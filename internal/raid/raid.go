@@ -165,7 +165,7 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 	for i := 0; i < ndata; i++ {
 		g.data = append(g.data, storage.NewDrive(s, fmt.Sprintf("rg%d.d%d", id, i), profile, depth))
 	}
-	g.parity = storage.NewDrive(s, fmt.Sprintf("rg%d.parity", id), profile, depth)
+	g.parity = storage.NewParityDrive(s, fmt.Sprintf("rg%d.parity", id), profile, depth)
 	return g
 }
 

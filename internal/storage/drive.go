@@ -117,9 +117,10 @@ type Drive struct {
 	// ptr and n are the stable storage image: DBN i holds the image whose
 	// array starts at ptr[i] and whose length is n[i] — 10 bytes a DBN, not
 	// a 24-byte slice header (DESIGN §14). Entries are nil until first
-	// written. Writes land at I/O completion time, never earlier, so a
-	// simulated crash (dropping all in-memory state and pending I/O) leaves
-	// exactly the committed image.
+	// written; a parity drive (NewParityDrive) has no tables. Writes land at
+	// I/O completion time, never earlier, so a simulated crash (dropping
+	// all in-memory state and pending I/O) leaves exactly the committed
+	// image.
 	ptr []*byte
 	n   []uint16
 
@@ -249,7 +250,16 @@ func (d *Drive) track(tr *obs.Tracer) int32 {
 
 // NewDrive creates a drive of nblocks blocks with the given service profile.
 func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
-	d := &Drive{s: s, name: name, profile: profile, nblocks: nblocks, ptr: make([]*byte, nblocks), n: make([]uint16, nblocks)}
+	d := NewParityDrive(s, name, profile, nblocks)
+	d.ptr, d.n = make([]*byte, nblocks), make([]uint16, nblocks)
+	return d
+}
+
+// NewParityDrive creates a drive whose writes carry no image, as a RAID
+// group's parity drive, whose rows the group keeps: it times, counts and
+// fault-injects its I/O, reads as never written and has no media table.
+func NewParityDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
+	d := &Drive{s: s, name: name, profile: profile, nblocks: nblocks}
 	d.writePool = fifo.NewPool(&d.stats.WritePool, func() *inflightWrite {
 		e := &inflightWrite{d: d}
 		e.fire = e.complete
@@ -404,13 +414,26 @@ func (d *Drive) WriteSync(t *sim.Thread, reqs []WriteReq) {
 // Peek returns the committed media content of dbn without timing effects —
 // the simulator's god view of the stable image, never subject to fault
 // injection. RAID reconstruction and test assertions use it. The image is
-// the array written, not a copy, with its capacity cut to its length.
-func (d *Drive) Peek(dbn block.DBN) []byte { return unsafe.Slice(d.ptr[dbn], d.n[dbn]) }
+// the array written, not a copy, with its capacity cut to its length; a
+// parity drive's DBNs read nil.
+func (d *Drive) Peek(dbn block.DBN) []byte {
+	if d.ptr == nil {
+		return nil
+	}
+	return unsafe.Slice(d.ptr[dbn], d.n[dbn])
+}
 
 // land makes img the committed image of dbn. The media keeps img's own array,
 // so Peek hands back the very array written; a nil image stays nil (a nil
-// pointer of length 0) and a non-nil empty one non-nil.
+// pointer of length 0) and a non-nil empty one non-nil. A parity drive
+// lands nothing.
 func (d *Drive) land(dbn block.DBN, img []byte) {
+	if d.ptr == nil {
+		if img != nil {
+			panic(fmt.Sprintf("storage: image written to parity drive %s", d.name))
+		}
+		return
+	}
 	d.ptr[dbn], d.n[dbn] = unsafe.SliceData(img), uint16(len(img))
 }
 
@@ -431,7 +454,7 @@ func (d *Drive) PeekChecked(dbn block.DBN) ([]byte, bool) {
 // view's other half, untimed like Peek. Its caller knows that nothing can
 // reach the block any more — no committed tree, no explicit parity row.
 func (d *Drive) Forget(dbn block.DBN) {
-	if d.ptr[dbn] != nil {
+	if d.ptr != nil && d.ptr[dbn] != nil {
 		d.stats.Forgotten++
 		d.stats.ForgottenBytes += uint64(d.n[dbn])
 		d.land(dbn, nil)

@@ -161,18 +161,25 @@ func TestMediaTableKeepsImages(t *testing.T) {
 }
 
 // TestMediaTableBudget: a drive's media table costs 10 bytes a DBN — a
-// pointer and a 16-bit length — not a 24-byte slice header.
+// pointer and a 16-bit length — not a 24-byte slice header; and a parity
+// drive, whose writes carry no image, has no table at all.
 func TestMediaTableBudget(t *testing.T) {
 	const nblocks = 1 << 16
-	s := sim.New(1, 1)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	d := NewDrive(s, "d", SSD, nblocks)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(d)
-	if perDBN := float64(after.HeapAlloc-before.HeapAlloc) / nblocks; perDBN > 10.5 {
+	retained := func(newDrive func(*sim.Scheduler, string, Profile, block.DBN) *Drive) float64 {
+		s := sim.New(1, 1)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		d := newDrive(s, "d", SSD, nblocks)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(d)
+		return float64(after.HeapAlloc-before.HeapAlloc) / nblocks
+	}
+	if perDBN := retained(NewDrive); perDBN > 10.5 {
 		t.Fatalf("a drive of %d DBNs retains %.2f heap bytes a DBN, want <= 10.5", nblocks, perDBN)
+	}
+	if perDBN := retained(NewParityDrive); perDBN >= 1 {
+		t.Fatalf("a parity drive of %d DBNs retains %.2f heap bytes a DBN, want < 1", nblocks, perDBN)
 	}
 }
