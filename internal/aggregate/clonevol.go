@@ -230,7 +230,8 @@ func (v *Volume) CompleteSplit() (basePvbns []uint64, freedAlloc int, walked int
 	for _, z := range v.snapZombies {
 		survivors = append(survivors, z.Snapmap)
 	}
-	sumClear, fullFree, words := snap.ReclaimSets(st.BaseFile, survivors, v.amapFile, v.vvbnBlocks)
+	sumClear, fullFree, words := snap.ReclaimSets(v.sumClear[:0], v.fullFree[:0], st.BaseFile, survivors, v.amapFile, v.vvbnBlocks)
+	v.sumClear, v.fullFree = sumClear, fullFree
 	if len(sumClear) != len(fullFree) {
 		panic(fmt.Sprintf("volume %d: split completion with live base blocks", v.id))
 	}

@@ -151,7 +151,7 @@ func (v *Volume) MaterializeSnapshot(id, cpCount uint64) (*snap.Snapshot, int) {
 // laterZombies are same-batch victims the caller has not processed yet: when
 // one CP reclaims several snapshots, a block shared between two victims must
 // be kept by the earlier pass and freed exactly once by the last holder, or
-// the shared bits double-free.
+// the shared bits double-free. pvbns is valid until the next ReclaimSnapshot.
 func (v *Volume) ReclaimSnapshot(s *snap.Snapshot, laterZombies []*snap.Snapshot) (pvbns []uint64, freedVVBNs int, walked int) {
 	survivors := make([]*fs.File, 0, len(v.snapOrder)+len(laterZombies)+len(v.snapZombies))
 	for _, id := range v.snapOrder {
@@ -173,7 +173,8 @@ func (v *Volume) ReclaimSnapshot(s *snap.Snapshot, laterZombies []*snap.Snapshot
 		// parent, so a clone-local snapshot delete must never free them.
 		survivors = append(survivors, v.cl.BaseFile)
 	}
-	sumClear, fullFree, words := snap.ReclaimSets(s.Snapmap, survivors, v.amapFile, v.vvbnBlocks)
+	sumClear, fullFree, words := snap.ReclaimSets(v.sumClear[:0], v.fullFree[:0], s.Snapmap, survivors, v.amapFile, v.vvbnBlocks)
+	v.sumClear, v.fullFree, pvbns = sumClear, fullFree, v.reclaimed[:0]
 	// Capture physical homes before clearing summary bits: a cleared bit
 	// makes its VVBN allocatable again, after which the container entry may
 	// be overwritten by a new binding.
@@ -189,6 +190,7 @@ func (v *Volume) ReclaimSnapshot(s *snap.Snapshot, laterZombies []*snap.Snapshot
 	p2, _, w2 := v.ZombieBlocks(s.InoCopy)
 	pvbns = append(pvbns, p1...)
 	pvbns = append(pvbns, p2...)
+	v.reclaimed = pvbns
 	return pvbns, len(fullFree), words/512 + w1 + w2
 }
 

@@ -122,6 +122,10 @@ type Volume struct {
 	pendRestores []uint64
 	restoring    bool
 	cloneRefs    map[uint64]int
+
+	// Snapshot reclamation's arrays (ReclaimSnapshot, CompleteSplit), reused
+	// from one delete to the next rather than allocated anew every CP.
+	sumClear, fullFree, reclaimed []uint64
 }
 
 // AddVolume creates and formats a new volume of vvbnBlocks virtual blocks.

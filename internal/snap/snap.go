@@ -150,8 +150,11 @@ func BitSet(f *fs.File, bn uint64) bool {
 //	  block is now referenced by nothing, so its physical home (via the
 //	  container map) returns to the aggregate's free pool.
 //
-// The scan cost in 64-bit words is returned for CPU charging.
-func ReclaimSets(victim *fs.File, survivors []*fs.File, active *fs.File, nbits uint64) (summaryClear, fullFree []uint64, words int) {
+// Both sets are appended to the slices passed in, so that a caller can
+// reuse their arrays from one delete to the next. The scan cost in 64-bit
+// words is returned for CPU charging.
+func ReclaimSets(summaryClear, fullFree []uint64, victim *fs.File, survivors []*fs.File, active *fs.File, nbits uint64) ([]uint64, []uint64, int) {
+	words := 0
 	for wordStart := uint64(0); wordStart < nbits; wordStart += 64 {
 		w := bitmap.Word(victim, wordStart)
 		words++
