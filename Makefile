@@ -72,11 +72,16 @@ fuzzsmoke:
 	$(GO) test $(FUZZ) -fuzz '^FuzzDecodeEntryPrefix$$' ./internal/snap
 	$(GO) test $(FUZZ) -fuzz '^FuzzDecodePrefix$$' ./internal/clone
 
-# expsmoke runs every table of the registry (`-exp all`) at a few-ms window:
-# an experiment that no longer builds, runs or finishes fails the gate. The
-# numbers it prints mean nothing; the tracked ones are `go run ./bench`.
+# expsmoke runs every table of the registry (`-exp all`) at a few-ms window,
+# then wafltop for 5 ms on each of its workloads (reports discarded, errors
+# shown): an experiment or workload set-up that no longer builds, runs or
+# finishes fails the gate. The numbers mean nothing; the tracked ones are
+# `go run ./bench`.
+WAFLTOP_WORKLOADS = seq random oltp nfs snapchurn clonefleet
 expsmoke:
 	$(GO) run ./cmd/waflbench -exp all -window 4ms -warmup 2ms
+	$(GO) build -o wafltop ./cmd/wafltop
+	for w in $(WAFLTOP_WORKLOADS); do ./wafltop -run 5ms -workload $$w > /dev/null || exit 1; done
 
 $(GATES):
 	$(GO) run ./cmd/waflbench -exp $@

@@ -335,12 +335,89 @@ var traffic = []string{"harness", "bench", "cmd", "workload"}
 type configStruct struct{ pkg, file, name string }
 
 // knobStructs are the structs whose every field the traffic must set, and
-// whose fields a document may name as a setting.
+// whose fields a document may name as a setting: the system's settings, the
+// workload generators' and the experiments'.
 var knobStructs = []configStruct{
 	{"core", "internal/core/options.go", "Options"},
 	{"wafl", "wafl.go", "Config"},
 	{"wafl", "wafl.go", "AdmissionConfig"},
 	{"faultinject", "internal/faultinject/faultinject.go", "Config"},
+	{"workload", "workload/workload.go", "SeqWrite"},
+	{"workload", "workload/workload.go", "RandWrite"},
+	{"workload", "workload/workload.go", "ManyFile"},
+	{"workload", "workload/workload.go", "OLTP"},
+	{"workload", "workload/workload.go", "SnapChurn"},
+	{"workload", "workload/workload.go", "NFSMix"},
+	{"workload", "workload/aged.go", "AgedVol"},
+	{"workload", "workload/clonefleet.go", "CloneFleet"},
+	{"workload", "workload/openloop.go", "OpenLoop"},
+	{"harness", "harness/harness.go", "RunConfig"},
+	{"harness", "harness/harness.go", "TraceOut"},
+	{"harness", "harness/crashsweep.go", "CrashSweepConfig"},
+	{"harness", "harness/clustersweep.go", "ClusterSweepConfig"},
+}
+
+// knobSets is what the traffic sets, each with the type whose Default*
+// constructor sets it there ("" elsewhere): by field name, the fields an
+// assignment or ++/-- selects through (cfg.X.Y = ... sets Y, and X
+// field-wise), and by type and field, a keyed literal's keys (an alias's
+// literal sets the type it names).
+type knobSets struct {
+	sel map[string][]string    // field → constructors
+	lit map[[2]string][]string // {type, field} → constructors
+}
+
+// setsOf collects what tr's traffic sets.
+func setsOf(tr *tree) knobSets {
+	ks := knobSets{sel: map[string][]string{}, lit: map[[2]string][]string{}}
+	aliases := map[string]string{}
+	each(tr, []string{"..."}, func(_ string, ts *ast.TypeSpec) {
+		if ts.Assign != 0 {
+			aliases[ts.Name.Name] = typeName(ts.Type)
+		}
+	})
+	for _, p := range tr.in(traffic...) {
+		for _, d := range tr.files[p].Decls {
+			ctor := ""
+			if fn, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fn.Name.Name, "Default") && fn.Type.Results.NumFields() == 1 {
+				ctor = typeName(fn.Type.Results.List[0].Type)
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch v := n.(type) {
+				case *ast.AssignStmt:
+					lhs = v.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{v.X}
+				case *ast.CompositeLit:
+					typ := typeName(v.Type)
+					if t, ok := aliases[typ]; ok {
+						typ = t
+					}
+					for _, e := range v.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							key := [2]string{typ, lastName(kv.Key)}
+							ks.lit[key] = append(ks.lit[key], ctor)
+						}
+					}
+				}
+				for _, e := range lhs {
+					for sel, ok := e.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+						ks.sel[sel.Sel.Name] = append(ks.sel[sel.Sel.Name], ctor)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return ks
+}
+
+// sets reports whether the traffic sets field of typ outside typ's Default*
+// constructor.
+func (ks knobSets) sets(typ, field string) bool {
+	other := func(ctor string) bool { return ctor != typ }
+	return slices.ContainsFunc(ks.sel[field], other) || slices.ContainsFunc(ks.lit[[2]string{typ, field}], other)
 }
 
 // What a document's backticked span may name. A setting: a span that starts
@@ -639,7 +716,14 @@ func (d decls) resolve(parts []string) (cited, ok bool) {
 // knobAllow lists the configuration fields no traffic file assigns, with why
 // each stays a field.
 var knobAllow = map[string]string{
-	"Costs": "the calibration table of DESIGN.md §5, which explaining §V-C's batching shortfall may need to vary",
+	"Costs":        "the calibration table of DESIGN.md §5, which explaining §V-C's batching shortfall may need to vary",
+	"Dropped":      "an OpenLoop result, always 0 (its queues are unbounded), that bench/ still reads",
+	"Workers":      "bench/ladder.go reads OpenLoop's worker pools into its backlog bound; openloop_test.go shrinks them",
+	"BulkWorkers":  "bench/ladder.go reads OpenLoop's worker pools into its backlog bound; openloop_test.go shrinks them",
+	"MaxSnaps":     "workload_test.go's TestSnapChurnRotatesSnapshots shrinks SnapChurn's ring to see it rotate within its window",
+	"SnapEvery":    "TestSnapChurnRotatesSnapshots paces SnapChurn's ring faster, and crashsweep_test.go's TestSweepRunsShort snapshots every 5th op of its short history",
+	"OpsPerClient": "TestCrashSweepSmall and TestSweepRunsShort shorten the crash sweep's histories; the latter needs one that ends before its 40 boundaries",
+	"Modes":        "crashsweep_test.go's TestSweepRunsShort sweeps one CP mode so that one row counts its boundaries",
 }
 
 // exportAllow lists the exported functions no non-test file names, with the
@@ -926,41 +1010,34 @@ var archRules = []archRule{
 		}},
 	},
 	{
-		// Every knob earns a row: an option survives iff a registered
-		// experiment, study, sweep, bench workload or command sets it —
-		// otherwise it is a regime nobody validated, and a constant.
+		// Every knob earns a row: a setting — of the system, a workload
+		// generator or an experiment — survives iff a registered experiment,
+		// study, sweep, bench workload or command sets it, other than its
+		// type's Default* constructor — otherwise it is a regime nobody
+		// validated, and a constant.
 		name: "knob",
 		require: func(tr *tree) []string {
-			set := map[string]bool{}
-			each(tr, traffic, func(_ string, n ast.Node) {
-				switch v := n.(type) {
-				case *ast.AssignStmt:
-					// cfg.X.Y = ... sets Y, and X field-wise.
-					for _, lhs := range v.Lhs {
-						for sel, ok := lhs.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
-							set[sel.Sel.Name] = true
-						}
-					}
-				case *ast.KeyValueExpr:
-					set[lastName(v.Key)] = true
-				}
-			})
+			ks := setsOf(tr)
 			var out []string
-			fields := map[string]bool{}
+			fields, unset := map[string]bool{}, map[string]bool{}
 			for _, s := range knobStructs {
-				names := structFields(tr, s.file, s.name)
-				if len(names) == 0 {
+				names, ok := structFields(tr, s.file, s.name)
+				if !ok {
 					out = append(out, fmt.Sprintf("%s declares no struct %s", s.file, s.name))
 				}
 				for _, f := range names {
 					fields[f] = true
-					if !set[f] && knobAllow[f] == "" {
-						out = append(out, fmt.Sprintf("%s.%s.%s is assigned by no file under %v: make it a constant", s.pkg, s.name, f, traffic))
+					if ks.sets(s.name, f) {
+						continue
+					}
+					unset[f] = true
+					if knobAllow[f] == "" {
+						out = append(out, fmt.Sprintf("%s.%s.%s is assigned by no file under %v outside Default*: make it a constant", s.pkg, s.name, f, traffic))
 					}
 				}
 			}
 			for f := range knobAllow {
-				if set[f] || !fields[f] {
+				if !unset[f] {
 					out = append(out, fmt.Sprintf("knobAllow entry %s is stale (assigned by the traffic now, or no longer a field)", f))
 				}
 			}
@@ -995,6 +1072,22 @@ var archRules = []archRule{
 				"harness/fig.go": `package harness; func f(c *C) { c.Costs.ClientOp = 1 }`,
 			},
 			want: "knobAllow entry Costs is stale",
+		}, {
+			// A workload field only its constructor and a test set; a
+			// literal of another type with the same key sets nothing.
+			files: map[string]string{
+				"workload/workload.go":      `package workload; type SeqWrite struct { Clients, OpBlocks int }; func DefaultSeqWrite() SeqWrite { return SeqWrite{Clients: 56, OpBlocks: 8} }`,
+				"cmd/wafltop/main.go":       `package main; func f() { w := workload.DefaultSeqWrite(); w.Clients = 4; _ = workload.OpenLoop{OpBlocks: 2} }`,
+				"workload/workload_test.go": `package workload; func f(w SeqWrite) { w.OpBlocks = 2 }`,
+			},
+			want: "workload.SeqWrite.OpBlocks is assigned by no file under",
+		}, {
+			// A harness config field its constructor assigns after building it.
+			files: map[string]string{
+				"harness/crashsweep.go": `package harness; type CrashSweepConfig struct { Seeds []int64; MaxRun int64 }; func DefaultCrashSweep() CrashSweepConfig { c := CrashSweepConfig{Seeds: []int64{1}}; c.MaxRun = 2; return c }`,
+				"harness/registry.go":   `package harness; func f(c CrashSweepConfig) { c.Seeds = nil }`,
+			},
+			want: "harness.CrashSweepConfig.MaxRun is assigned by no file under",
 		}},
 	},
 	{
@@ -1011,7 +1104,8 @@ var archRules = []archRule{
 		require: func(tr *tree) []string {
 			fields := map[string]bool{}
 			for _, s := range knobStructs {
-				for _, f := range structFields(tr, s.file, s.name) {
+				names, _ := structFields(tr, s.file, s.name)
+				for _, f := range names {
 					fields[f] = true
 				}
 			}
@@ -1028,7 +1122,7 @@ var archRules = []archRule{
 					for _, rx := range docSetting {
 						if f := rx.FindStringSubmatch(s.text); f != nil {
 							if !fields[f[1]] {
-								out = append(out, fmt.Sprintf("%s:%d: `%s` names no field of core.Options, wafl.Config, wafl.AdmissionConfig or faultinject.Config", p, s.line, s.text))
+								out = append(out, fmt.Sprintf("%s:%d: `%s` names no field of a configuration struct (knobStructs)", p, s.line, s.text))
 							}
 							break
 						}
@@ -1189,21 +1283,22 @@ func recvName(fn *ast.FuncDecl) string {
 	return lastName(e)
 }
 
-// structFields returns the field names of struct type name declared in file.
-func structFields(tr *tree, file, name string) []string {
-	var out []string
+// structFields returns the field names of struct type name declared in file,
+// and whether file declares it.
+func structFields(tr *tree, file, name string) (out []string, found bool) {
 	each(tr, []string{file}, func(_ string, ts *ast.TypeSpec) {
 		st, ok := ts.Type.(*ast.StructType)
 		if !ok || ts.Name.Name != name {
 			return
 		}
+		found = true
 		for _, f := range st.Fields.List {
 			for _, id := range f.Names {
 				out = append(out, id.Name)
 			}
 		}
 	})
-	return out
+	return out, found
 }
 
 // TestArchitecture checks every rule against the repository.

@@ -240,6 +240,72 @@ func TestSnapRestoreEndToEnd(t *testing.T) {
 	if rep := sys.Fsck(); !rep.OK() {
 		t.Fatalf("fsck after restore: %s", rep)
 	}
+
+	// A restore that shrinks the inode file: the snapshot's holds one block
+	// of 64 records (user inodes 16..63), and files created after it reach
+	// inode 64, whose record a CP writes to a second block before the
+	// restore, which must zero it.
+	t.Run("shrinks the inode file", func(t *testing.T) {
+		sys, ino := newCrashSystem(t, cloneConfig())
+		const blocks = 4
+		files, later := []uint64{ino}, []uint64(nil)
+		var snapID uint64
+		var restored bool
+		run := func(name string, fn func(*ClientCtx)) {
+			sys.ClientThread(name, fn)
+			sys.Run(20 * Second)
+			if err := sys.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run("writer", func(c *ClientCtx) {
+			for len(files) < 8 {
+				files = append(files, c.Create(0, blocks))
+			}
+			for _, f := range files {
+				for fbn := FBN(0); fbn < blocks; fbn++ {
+					c.WriteTag(0, f, fbn, 1, 'A')
+				}
+			}
+			snapID = c.SnapCreate(0)
+			for len(later) == 0 || later[len(later)-1] < 64 {
+				f := c.Create(0, blocks)
+				c.WriteTag(0, f, 0, 1, 'B')
+				later = append(later, f)
+			}
+			for _, f := range files {
+				c.WriteTag(0, f, 0, 1, 'B')
+			}
+		})
+		run("restorer", func(c *ClientCtx) { restored = c.SnapRestore(0, snapID) })
+		if !restored {
+			t.Fatal("SnapRestore failed")
+		}
+		check := func(sys *System, label string) {
+			t.Helper()
+			for _, f := range later {
+				if sys.FileExists(0, f) {
+					t.Fatalf("%s: inode %d, created after the snapshot, survived the restore", label, f)
+				}
+			}
+			for _, f := range files {
+				for fbn := FBN(0); fbn < blocks; fbn++ {
+					expectBlock(t, sys, 0, f, fbn, 'A', label)
+				}
+			}
+			if rep := sys.Fsck(); !rep.OK() {
+				t.Fatalf("fsck %s: %s", label, rep)
+			}
+		}
+		check(sys, "after restore")
+		sys.Crash()
+		rec, err := sys.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Shutdown()
+		check(rec, "after recovery")
+	})
 }
 
 // TestSnapRestoreOfClone restores a clone volume to its own snapshot: the

@@ -44,11 +44,7 @@ func main() {
 	// clone slots the fan-out binds into.
 	var fleet workload.CloneFleet
 	if *wl == "clonefleet" {
-		fleet = workload.DefaultCloneFleet()
-		cfg.Volumes = fleet.Volumes
-		cfg.CloneSlots = fleet.Slots()
-		cfg.VolumeBlocks = 1 << 18
-		cfg.DriveBlocks = 131072
+		fleet.Configure(&cfg)
 	}
 	if *traceOut != "" {
 		cfg.Trace = true

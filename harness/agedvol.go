@@ -23,9 +23,7 @@ func AgedVolume(rc RunConfig) (Table, error) {
 	}
 	w := workload.DefaultAgedVol()
 	cfg := rc.Base
-	cfg.Volumes = w.Volumes
-	cfg.VolumeBlocks = 1 << 18 // 8 vregions; aged to ~84% occupancy
-	cfg.DriveBlocks = 131072   // physical headroom for the aged image
+	w.Configure(&cfg)
 	// Attach prefills and ages in simulated time.
 	res, _, err := rc.Measure(cfg, w)
 	if err != nil {

@@ -24,13 +24,9 @@ func CloneFleet(rc RunConfig) (Table, error) {
 		Headers: []string{"ops/s", "MB/s", "lat p50", "lat p99",
 			"words/vbucket", "clone-held", "restores", "meta-blk/restore", "splits", "infra cores"},
 	}
-	const volBlocks = 1 << 18
-	w := workload.DefaultCloneFleet()
+	var w workload.CloneFleet
 	cfg := rc.Base
-	cfg.Volumes = w.Volumes
-	cfg.CloneSlots = w.Slots()
-	cfg.VolumeBlocks = volBlocks // same aged shape as agedvol
-	cfg.DriveBlocks = 131072
+	w.Configure(&cfg)
 	// Attach prefills, fans out and ages by divergence in simulated time.
 	res, sys, err := rc.Measure(cfg, w)
 	if err != nil {
@@ -48,11 +44,9 @@ func CloneFleet(rc RunConfig) (Table, error) {
 		perOp := restoreMetaPerOp(cp)
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"SnapRestore is O(metadata): %.0f blocks rewritten per revert of a %d-block volume (%.3f%%), zero data copies",
-			perOp, volBlocks, 100*perOp/volBlocks))
+			perOp, cfg.VolumeBlocks, 100*perOp/float64(cfg.VolumeBlocks)))
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"%d clones per run (%d parents x %d), aged %d divergence rounds; %d background split(s)",
-		w.Slots(), w.Volumes, w.ClonesPerVol, w.AgeRounds, w.SplitClones))
+	t.Notes = append(t.Notes, w.String())
 	return t, nil
 }
 

@@ -23,16 +23,15 @@ type ClusterSweepConfig struct {
 	// Points is how many evenly spaced event-index crash points to sweep
 	// per seed.
 	Points int
-	// ClientsPerMember and OpsPerClient bound the workload. Clients are
-	// pinned to their member's volumes, so a member crash takes down
-	// exactly its own clients.
-	ClientsPerMember int
-	OpsPerClient     int
-	// BaseBlocks is the size of each client's preallocated base file.
-	BaseBlocks int64
-	// MaxRun bounds one simulated run segment.
-	MaxRun wafl.Duration
 }
+
+// Each member runs clusterClients clients of clusterOps operations each.
+// Clients are pinned to their member's volumes, so a member crash takes down
+// exactly its own clients.
+const (
+	clusterClients = 3
+	clusterOps     = 150
+)
 
 // DefaultClusterSweep returns a bounded two-member sweep sized for CI,
 // with the crash-sweep fault plan (torn writes, delays, read errors) live
@@ -40,15 +39,7 @@ type ClusterSweepConfig struct {
 func DefaultClusterSweep() ClusterSweepConfig {
 	base := DefaultCrashSweep().Base
 	base.Members = 2
-	return ClusterSweepConfig{
-		Base:             base,
-		Seeds:            []int64{1, 2},
-		Points:           6,
-		ClientsPerMember: 3,
-		OpsPerClient:     150,
-		BaseBlocks:       512,
-		MaxRun:           2 * wafl.Second,
-	}
+	return ClusterSweepConfig{Base: base, Seeds: []int64{1, 2}, Points: 6}
 }
 
 // ClusterSweep runs the member-crash sweep and returns a rendered table
@@ -56,9 +47,9 @@ func DefaultClusterSweep() ClusterSweepConfig {
 func ClusterSweep(cfg ClusterSweepConfig) (Table, CrashSweepResult, error) {
 	var scheds []schedule
 	for _, seed := range cfg.Seeds {
-		s := schedule{name: "member-crash", cfg: cfg.Base, maxRun: cfg.MaxRun, events: cfg.Points, victims: cfg.Base.Members,
+		s := schedule{name: "member-crash", cfg: cfg.Base, events: cfg.Points, victims: cfg.Base.Members,
 			repro: fmt.Sprintf("clustersweep -seeds %d -points %d", seed, cfg.Points),
-			mix:   filesMix(0), clients: cfg.ClientsPerMember, steps: cfg.OpsPerClient, span: int(cfg.BaseBlocks)}
+			mix:   filesMix(0), clients: clusterClients, steps: clusterOps, span: sweepSpan}
 		s.cfg.Seed = seed
 		scheds = append(scheds, s)
 	}

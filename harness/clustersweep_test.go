@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wafl"
+	"wafl/workload"
 )
 
 // TestClusterSweepSmall runs a miniature member-crash sweep — one seed, a
@@ -14,8 +15,6 @@ func TestClusterSweepSmall(t *testing.T) {
 	cfg := DefaultClusterSweep()
 	cfg.Seeds = []int64{1}
 	cfg.Points = 3
-	cfg.ClientsPerMember = 2
-	cfg.OpsPerClient = 60
 	tab, res, err := ClusterSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,20 +31,13 @@ func TestClusterSweepSmall(t *testing.T) {
 // checks that two members beat one by a clear margin (the full 1/2/4 curve
 // with the paper-shaped config is `waflbench -exp flexgroup`).
 func TestFlexgroupSmall(t *testing.T) {
-	base := DefaultCrashSweep().Base // small, fast server shape
-	base.Faults = wafl.FaultConfig{} // no fault injection in a perf sweep
-	base.NVRAMHalfBytes = 2 << 20
-	cfg := FlexgroupConfig{
-		Base:             base,
-		MemberCounts:     []int{1, 2},
-		ClientsPerMember: 8,
-		FilesPerClient:   4,
-		FileBlocks:       64,
-		OpBlocks:         1,
-		Warmup:           20 * wafl.Millisecond,
-		Window:           80 * wafl.Millisecond,
-	}
-	tab, res, err := Flexgroup(cfg)
+	rc := RunConfig{Base: DefaultCrashSweep().Base, Warmup: 20 * wafl.Millisecond, Window: 80 * wafl.Millisecond}
+	rc.Base.Faults = wafl.FaultConfig{} // no fault injection in a perf sweep
+	rc.Base.NVRAMHalfBytes = 2 << 20
+	rc.Base.Members = 2 // widths 1 and 2
+	w := workload.DefaultManyFile()
+	w.Clients = 8
+	tab, res, err := Flexgroup(rc, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,6 @@ type CrashSweepConfig struct {
 	// SnapEvery, when > 0, makes one op in SnapEvery a snapshot op: creates
 	// and deletes (of any snapshot of the volume) in equal parts.
 	SnapEvery int
-	// BaseBlocks is the size of each client's preallocated base file.
-	BaseBlocks int64
-	// MaxRun bounds one simulated run segment.
-	MaxRun wafl.Duration
 	// Modes lists the ParallelCP settings to sweep; every mode repeats the
 	// full event-index and phase-boundary schedule, so each CP boundary is
 	// crash-tested both under fan-out and on the serial ablation. Empty
@@ -94,8 +90,6 @@ func DefaultCrashSweep() CrashSweepConfig {
 		Clients:      4,
 		OpsPerClient: 200,
 		SnapEvery:    25,
-		BaseBlocks:   512,
-		MaxRun:       2 * wafl.Second,
 		Modes:        []bool{true, false},
 		Overload:     true,
 		ClonePoints:  18,
@@ -116,13 +110,13 @@ func (r CrashSweepResult) OK() bool { return len(r.Failures) == 0 }
 // to take — each a coordinate that reproduces, the simulation being
 // deterministic. Every sweep is a list of these over one runner, crashPoint.
 type schedule struct {
-	name   string      // the table's mode column
-	repro  string      // the waflbench arguments that run this schedule again
-	cfg    wafl.Config // seed and CP mode included
-	maxRun wafl.Duration
+	name  string      // the table's mode column
+	repro string      // the waflbench arguments that run this schedule again
+	cfg   wafl.Config // seed and CP mode included
 
 	// Per member, clients clients each take steps operations of mix (zero:
-	// until it stops) on its volumes, one empty span-block file per client.
+	// until it stops) on its volumes, one empty span-block file per client
+	// (sweepSpan unless the schedule's script needs another size).
 	mix                  nsmodel.Mix
 	clients, steps, span int
 
@@ -133,6 +127,13 @@ type schedule struct {
 	after, when    func(*run) bool
 	victims        int // fail member i mod victims at point i while the rest serve; zero fails the whole system
 }
+
+// Every sweep's clients start from a sweepSpan-block file each, and a
+// simulated run segment lasts at most sweepMaxRun.
+const (
+	sweepSpan   = 512
+	sweepMaxRun = 2 * wafl.Second
+)
 
 // point is a crash point: halt once event index event is dispatched, at CP
 // phase boundary number boundary, or (both zero) when the schedule's
@@ -206,7 +207,7 @@ func (r *run) runUntil(seg wafl.Duration, n int, stop func() bool) bool {
 func (r *run) runTo(s *schedule, p point) bool {
 	switch {
 	case p.event > 0:
-		return r.sys.RunToEvent(p.event, 128*s.maxRun)
+		return r.sys.RunToEvent(p.event, 128*sweepMaxRun)
 	case p.boundary == 0:
 		return r.runUntil(2*wafl.Millisecond, 256, func() bool { return s.when(r) })
 	}
@@ -220,8 +221,8 @@ func (r *run) runTo(s *schedule, p point) bool {
 		}
 		return hits == p.boundary
 	})
-	r.runUntil(s.maxRun, 64, func() bool { return r.sys.Halted() || r.finished(s, -1) })
-	return r.runUntil(s.maxRun, 4, r.sys.Halted)
+	r.runUntil(sweepMaxRun, 64, func() bool { return r.sys.Halted() || r.finished(s, -1) })
+	return r.runUntil(sweepMaxRun, 4, r.sys.Halted)
 }
 
 // crashPoint builds the schedule's system, runs it to the point's halt, and
@@ -253,7 +254,7 @@ func (s *schedule) crashPoint(p point) (fails []string, reached bool) {
 		case leg == "recover":
 			idle, before := r.finished(s, p.victim), r.model.Acked // (idle: their bounded workload was over already)
 			r.sys.CrashMember(p.victim, r.handles[p.victim*s.clients:(p.victim+1)*s.clients]...)
-			if !r.runUntil(s.maxRun, 64, func() bool { return r.finished(s, p.victim) }) {
+			if !r.runUntil(sweepMaxRun, 64, func() bool { return r.finished(s, p.victim) }) {
 				fails = append(fails, "survivors did not finish")
 			} else if !idle && r.model.Acked == before {
 				fails = append(fails, "survivors made no progress during the outage")
@@ -292,7 +293,7 @@ func (s *schedule) sweep(tab *Table, res *CrashSweepResult) error {
 			return err
 		}
 		e0 := r.sys.Events()
-		finished := r.runUntil(s.maxRun, 64, func() bool { return r.finished(s, -1) })
+		finished := r.runUntil(sweepMaxRun, 64, func() bool { return r.finished(s, -1) })
 		e1 := r.sys.Events()
 		acked = fmt.Sprint(r.model.Acked)
 		r.sys.Shutdown()
@@ -403,9 +404,9 @@ func CrashSweep(cfg CrashSweepConfig) (Table, CrashSweepResult, error) {
 	}
 	// The sweeps' base load, on seed in CP mode parallel.
 	sched := func(name string, seed int64, parallel bool) schedule {
-		s := schedule{name: name, cfg: cfg.Base, maxRun: cfg.MaxRun,
+		s := schedule{name: name, cfg: cfg.Base,
 			repro: fmt.Sprintf("crashsweep -seeds %d -points %d", seed, cfg.Points),
-			mix:   filesMix(cfg.SnapEvery), clients: cfg.Clients, steps: cfg.OpsPerClient, span: int(cfg.BaseBlocks)}
+			mix:   filesMix(cfg.SnapEvery), clients: cfg.Clients, steps: cfg.OpsPerClient, span: sweepSpan}
 		s.cfg.Seed, s.cfg.Allocator.ParallelCP = seed, parallel
 		return s
 	}

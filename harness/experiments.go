@@ -40,7 +40,6 @@ func RunPermutations(rc RunConfig, mk func() Attacher, parallelCleaners int) ([]
 		cfg.Allocator.InfraParallel = p.InfraParallel
 		cfg.Allocator.InitialCleaners = p.Cleaners
 		cfg.Allocator.MaxCleaners = p.Cleaners
-		cfg.Allocator.Dynamic = false
 		res, _, err := rc.Measure(cfg, mk())
 		if err != nil {
 			return nil, err
@@ -112,10 +111,8 @@ func Fig5(rc RunConfig) (Table, error) {
 	var base float64
 	for n := 1; n <= 6; n++ {
 		cfg := rc.Base
-		cfg.Allocator.InfraParallel = true
 		cfg.Allocator.InitialCleaners = n
 		cfg.Allocator.MaxCleaners = n
-		cfg.Allocator.Dynamic = false
 		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
 		if err != nil {
 			return Table{}, err
@@ -146,7 +143,6 @@ func Fig6(rc RunConfig) (Table, error) {
 		cfg.Allocator.InfraParallel = par
 		cfg.Allocator.InitialCleaners = rc.Cleaners
 		cfg.Allocator.MaxCleaners = rc.Cleaners
-		cfg.Allocator.Dynamic = false
 		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
 		if err != nil {
 			return Table{}, err

@@ -26,7 +26,6 @@ func cleanerConfigs(max int) []cleanerConfig {
 }
 
 func (cc cleanerConfig) apply(cfg *wafl.Config) {
-	cfg.Allocator.InfraParallel = true
 	cfg.Allocator.Dynamic = cc.Dynamic
 	cfg.Allocator.MaxCleaners = cc.Max
 	if cc.Dynamic {
@@ -137,7 +136,6 @@ func BatchedCleaning(rc RunConfig) (Table, error) {
 	var baseLat wafl.Duration
 	for _, batching := range []bool{false, true} {
 		cfg := base
-		cfg.Allocator.InfraParallel = true
 		cfg.Allocator.BatchedCleaning = batching
 		// Measure at saturation (no think time): throughput is CP-drain
 		// bound, which is where per-inode message overhead shows.
@@ -178,7 +176,6 @@ func Ablations(rc RunConfig) (Table, error) {
 	}
 	run := func(name, setting string, mut func(*wafl.Config)) error {
 		cfg := rc.Base
-		cfg.Allocator.InfraParallel = true
 		mut(&cfg)
 		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
 		if err != nil {

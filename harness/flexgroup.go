@@ -7,42 +7,6 @@ import (
 	"wafl/workload"
 )
 
-// FlexgroupConfig parameterizes the cluster scaling experiment: the same
-// per-member manyfile load is applied at each cluster width, so ideal
-// scaling is ops/s proportional to the member count.
-type FlexgroupConfig struct {
-	// Base is the per-member system configuration; Base.Members is
-	// overridden by each entry of MemberCounts.
-	Base wafl.Config
-	// MemberCounts lists the cluster widths swept (first entry is the
-	// scaling baseline, conventionally 1).
-	MemberCounts []int
-	// ClientsPerMember, FilesPerClient, FileBlocks, OpBlocks shape the
-	// manyfile load; the client count is ClientsPerMember x members, and
-	// files are spread by the cluster's placement policy.
-	ClientsPerMember int
-	FilesPerClient   int
-	FileBlocks       uint64
-	OpBlocks         int
-	Warmup, Window   wafl.Duration
-}
-
-// DefaultFlexgroup sizes the sweep for CI: 1/2/4 members under the
-// metadata-heavy manyfile load (the workload whose CPs are dominated by
-// per-volume metadata phases — the hardest one to scale).
-func DefaultFlexgroup() FlexgroupConfig {
-	return FlexgroupConfig{
-		Base:             wafl.DefaultConfig(),
-		MemberCounts:     []int{1, 2, 4},
-		ClientsPerMember: 56,
-		FilesPerClient:   16,
-		FileBlocks:       64,
-		OpBlocks:         1,
-		Warmup:           100 * wafl.Millisecond,
-		Window:           300 * wafl.Millisecond,
-	}
-}
-
 // FlexgroupResult is one cluster width's measurement.
 type FlexgroupResult struct {
 	Members   int
@@ -51,37 +15,40 @@ type FlexgroupResult struct {
 	Speedup   float64        // ops/s relative to the first (baseline) width
 }
 
-// Flexgroup runs the cluster scaling sweep: for each member count it builds
-// a cluster, applies members x ClientsPerMember manyfile clients placed by
-// the capacity-aware policy, and measures per-member and cluster-wide
-// throughput. Returns the rendered table and the per-width results.
-func Flexgroup(cfg FlexgroupConfig) (Table, []FlexgroupResult, error) {
+// Flexgroup runs the cluster scaling sweep: the same per-member manyfile
+// load w at each cluster width, so ideal scaling is ops/s proportional to
+// the member count. The widths are 1, 2, 4, ... up to rc.Base.Members (1, 2
+// and 4 when that is below 2), every member an rc.Base box. At each it builds
+// a cluster, applies members x w.Clients clients over all its volumes,
+// their files placed by the capacity-aware policy, and measures
+// per-member and cluster-wide throughput over rc's warm-up and window.
+// Returns the rendered table and the per-width results.
+func Flexgroup(rc RunConfig, w workload.ManyFile) (Table, []FlexgroupResult, error) {
 	tab := Table{
 		ID:    "flexgroup",
 		Title: "FlexGroup cluster scaling: manyfile ops/s vs member count",
 		Headers: []string{"members", "ops/s", "speedup", "MB/s", "lat-p50", "lat-p99",
 			"cps", "member-min-ops/s", "member-max-ops/s"},
 	}
+	widths := []int{1, 2, 4}
+	if rc.Base.Members >= 2 {
+		widths = nil
+		for n := 1; n <= rc.Base.Members; n *= 2 {
+			widths = append(widths, n)
+		}
+	}
 	var out []FlexgroupResult
 	var base float64
-	for _, n := range cfg.MemberCounts {
-		c := cfg.Base
+	for _, n := range widths {
+		c := rc.Base
 		c.Members = n
 		sys, err := wafl.NewSystem(c)
 		if err != nil {
 			return tab, nil, fmt.Errorf("flexgroup members=%d: %w", n, err)
 		}
-		w := workload.ManyFile{
-			Clients:    cfg.ClientsPerMember * n,
-			FilesPer:   cfg.FilesPerClient,
-			OpBlocks:   cfg.OpBlocks,
-			FileBlocks: cfg.FileBlocks,
-			Volumes:    c.Volumes * n,
-			Placed:     n > 1,
-		}
-		w.Attach(sys)
-		sys.Run(cfg.Warmup)
-		res, parts := sys.MeasureMembers(0, cfg.Window)
+		workload.ManyFile{Clients: w.Clients * n, Volumes: c.Volumes * n, Placed: n > 1}.Attach(sys)
+		sys.Run(rc.Warmup)
+		res, parts := sys.MeasureMembers(0, rc.Window)
 		sys.Shutdown()
 
 		if base == 0 {

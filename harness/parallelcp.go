@@ -36,9 +36,7 @@ func ParallelCP(rc RunConfig) (Table, error) {
 		}},
 		{"agedvol", func(cfg *wafl.Config) Attacher {
 			w := workload.DefaultAgedVol()
-			cfg.Volumes = w.Volumes
-			cfg.VolumeBlocks = 1 << 18 // 8 vregions; aged to ~84% occupancy
-			cfg.DriveBlocks = 131072   // physical headroom for the aged image
+			w.Configure(cfg)
 			return w
 		}},
 	}

@@ -1,6 +1,11 @@
 package harness
 
-import "fmt"
+import (
+	"fmt"
+
+	"wafl"
+	"wafl/workload"
+)
 
 // Experiments is the ordered registry of everything the harness runs by
 // name: the paper's figures and the later studies (tables), then the gates
@@ -32,7 +37,7 @@ var Experiments = []struct {
 	{Name: "flexgroup", Run: runFlexgroup},
 	{Name: "crashsweep", Gate: true, Run: func(rc RunConfig) (Table, error) {
 		cfg := DefaultCrashSweep()
-		rc.deepen(&cfg.Points, &cfg.Seeds)
+		cfg.Points, cfg.Seeds = rc.deepen(cfg.Points, cfg.Seeds)
 		return rc.verdict(CrashSweep(cfg))
 	}},
 	{Name: "clustersweep", Gate: true, Run: func(rc RunConfig) (Table, error) {
@@ -40,7 +45,7 @@ var Experiments = []struct {
 		if rc.Base.Members > 1 {
 			cfg.Base.Members = rc.Base.Members
 		}
-		rc.deepen(&cfg.Points, &cfg.Seeds)
+		cfg.Points, cfg.Seeds = rc.deepen(cfg.Points, cfg.Seeds)
 		return rc.verdict(ClusterSweep(cfg))
 	}},
 	// clonesweep is crashsweep's clone-ops schedule on its own, for going
@@ -48,36 +53,39 @@ var Experiments = []struct {
 	{Name: "clonesweep", Gate: true, Run: func(rc RunConfig) (Table, error) {
 		cfg := DefaultCrashSweep()
 		cfg.Points, cfg.Phases, cfg.Overload, cfg.Seeds = 0, 0, false, []int64{1}
-		rc.deepen(&cfg.ClonePoints, &cfg.Seeds)
+		cfg.ClonePoints, cfg.Seeds = rc.deepen(cfg.ClonePoints, cfg.Seeds)
 		return rc.verdict(CrashSweep(cfg))
 	}},
 	{Name: "overloadcheck", Gate: true, Run: OverloadCheck},
 }
 
-// runFlexgroup is the registry's cluster scaling entry: widths 1, 2, 4, ...
-// up to rc.Base.Members (1/2/4 when that is below 2), every member the
-// default box. The sweep keeps DefaultFlexgroup's own warm-up and window.
+// The cluster scaling sweep keeps its own warm-up and window, whatever the
+// run's.
+const (
+	flexWarmup = 100 * wafl.Millisecond
+	flexWindow = 300 * wafl.Millisecond
+)
+
+// runFlexgroup is the registry's cluster scaling entry: the default manyfile
+// load per member (the metadata-heavy workload whose CPs are dominated by
+// per-volume metadata phases, the hardest one to scale), every member the
+// run's box.
 func runFlexgroup(rc RunConfig) (Table, error) {
-	fc := DefaultFlexgroup()
-	if rc.Base.Members >= 2 {
-		fc.MemberCounts = nil
-		for n := 1; n <= rc.Base.Members; n *= 2 {
-			fc.MemberCounts = append(fc.MemberCounts, n)
-		}
-	}
-	t, _, err := Flexgroup(fc)
+	rc.Warmup, rc.Window = flexWarmup, flexWindow
+	t, _, err := Flexgroup(rc, workload.DefaultManyFile())
 	return t, err
 }
 
-// deepen applies the run's sweep-depth overrides, when given, to a sweep's
-// defaults.
-func (rc RunConfig) deepen(points *int, seeds *[]int64) {
+// deepen returns a sweep's default depth with the run's overrides, when
+// given, applied.
+func (rc RunConfig) deepen(points int, seeds []int64) (int, []int64) {
 	if rc.Points > 0 {
-		*points = rc.Points
+		points = rc.Points
 	}
 	if len(rc.Seeds) > 0 {
-		*seeds = rc.Seeds
+		seeds = rc.Seeds
 	}
+	return points, seeds
 }
 
 // verdict turns a sweep's outcome into a registry result: the table, and an

@@ -20,25 +20,17 @@ func SnapshotChurn(rc RunConfig) (Table, error) {
 		Headers: []string{"mode", "MB/s", "lat p50", "lat p99", "CPs",
 			"snaps +/-", "reclaimed blks", "active", "snap-held", "free"},
 	}
-	type mode struct {
-		name string
-		mk   func() Attacher
-	}
 	churn := workload.DefaultSnapChurn()
-	modes := []mode{
-		{"no snapshots", func() Attacher {
-			w := workload.DefaultRandWrite()
-			w.Clients = churn.Clients
-			w.OpBlocks = churn.OpBlocks
-			w.FileBlocks = churn.FileBlocks
-			w.Volumes = churn.Volumes
-			return w
-		}},
-		{"snapshot churn", func() Attacher { return churn }},
+	modes := []struct {
+		name string
+		w    Attacher
+	}{
+		{"no snapshots", workload.RandWrite{Clients: churn.Clients, FileBlocks: churn.FileBlocks, Volumes: churn.Volumes}},
+		{"snapshot churn", churn},
 	}
 	for _, m := range modes {
 		cfg := rc.Base
-		res, sys, err := rc.Measure(cfg, m.mk())
+		res, sys, err := rc.Measure(cfg, m.w)
 		if err != nil {
 			return t, err
 		}

@@ -335,9 +335,7 @@ func TestAgedRandLiveHeapBudget(t *testing.T) {
 	const budgetMiB, budgetKiB = 75, 0.22
 	base := liveHeap()
 	cfg := wafl.DefaultConfig()
-	cfg.Volumes = workload.DefaultAgedVol().Volumes
-	cfg.VolumeBlocks = 1 << 18
-	cfg.DriveBlocks = 131072
+	workload.DefaultAgedVol().Configure(&cfg)
 	sys, err := wafl.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

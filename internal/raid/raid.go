@@ -431,8 +431,9 @@ func (w *stripeWrite) land(n int) {
 
 // ioDone counts one I/O of the write complete. At the last, each stripe no
 // other write in flight covers drops its row if its data drives hold that
-// row, the media-only images the write displaced go back to their owner,
-// and done runs.
+// row, the media-only images the write displaced go back to their owner —
+// each one its drive no longer holds, unless a stale stripe's explicit row
+// still does — and done runs.
 func (w *stripeWrite) ioDone() {
 	w.pending--
 	if w.pending > 0 {
@@ -446,7 +447,10 @@ func (w *stripeWrite) ioDone() {
 		}
 	}
 	for _, d := range w.gone {
-		if !sameArray(g.data[d.di].Peek(d.dbn), d.img) && !g.rowHolds(d.dbn, d.di, d.img) {
+		if sameArray(g.data[d.di].Peek(d.dbn), d.img) {
+			continue
+		}
+		if row, stale := g.rows[d.dbn]; !stale || !sameArray(row[d.di], d.img) {
 			g.images.Release(d.img)
 		}
 	}
@@ -523,20 +527,23 @@ func (g *Group) CheckRows() error {
 // that very array: then both sides of the stripe's XOR lose the same image,
 // so VerifyStripe and every other block's ReconstructBlock read what they
 // read before. A derived stripe's row is its data images, so the drive's
-// image alone goes; an explicit row keeps its emptied entry, as it still
-// differs from the data. A media-only image goes back to its owner
-// (SetImages). Untimed, like storage.Drive.Forget; its caller knows no
-// committed tree reaches the block and no write of the stripe is in flight.
+// image alone goes; a stale stripe's explicit row must hold the image too,
+// and keeps its emptied entry, as it still differs from the data. A
+// media-only image goes back to its owner (SetImages). Untimed, like
+// storage.Drive.Forget; its caller knows no committed tree reaches the block
+// and no write of the stripe is in flight.
 func (g *Group) Forget(di int, dbn block.DBN) bool {
 	img := g.data[di].Peek(dbn)
-	row, explicit := g.row(dbn)
-	if img == nil || row[di] == nil || !sameArray(row[di], img) {
+	if img == nil {
 		return false
 	}
-	g.data[di].Forget(dbn)
-	if explicit {
+	if row, stale := g.rows[dbn]; stale {
+		if row[di] == nil || !sameArray(row[di], img) {
+			return false
+		}
 		row[di] = nil // the row is the group's own, from rowPool
 	}
+	g.data[di].Forget(dbn)
 	if g.images != nil {
 		g.images.Release(img)
 	}
@@ -555,13 +562,6 @@ func (g *Group) row(dbn block.DBN) (row [][]byte, explicit bool) {
 		g.derived = append(g.derived, d.Peek(dbn))
 	}
 	return g.derived, false
-}
-
-// rowHolds reports whether the covered row at dbn holds img as data drive
-// di's image.
-func (g *Group) rowHolds(dbn block.DBN, di int, img []byte) bool {
-	row, _ := g.row(dbn)
-	return di < len(row) && sameArray(row[di], img)
 }
 
 // sameArray reports whether a and b are one image: the same bytes of the

@@ -20,7 +20,6 @@ import (
 // proportional to the blocks it finds.
 type AgedVol struct {
 	Clients    int
-	OpBlocks   int
 	FileBlocks uint64 // per-file size
 	FilesPerV  int
 	Volumes    int
@@ -28,10 +27,16 @@ type AgedVol struct {
 	AgeRounds   int    // aging passes before measurement
 	AgePerRound int    // random blocks overwritten per file per pass
 	AgeSpan     uint64 // fbns per file eligible for overwrite (aging + steady state)
-
-	MaxSnaps int           // ring snapshots per volume (besides the base)
-	Think    wafl.Duration // manager pause between snapshot rotations
 }
+
+// At steady state an aged-volume client writes 2 blocks at a time, and each
+// volume's manager rotates a ring of 2 snapshots (besides the base) every
+// 2 ms.
+const (
+	agedOpBlocks = 2
+	agedMaxSnaps = 2
+	agedThink    = 2 * wafl.Millisecond
+)
 
 // DefaultAgedVol fills two volumes to 75% and ages them to ~82% occupancy
 // (active + snapshot-held) with one pinned base snapshot each. Overwrites —
@@ -41,9 +46,17 @@ type AgedVol struct {
 // fbns ever rewritten, and an unbounded span would eat the volume's entire
 // free space mid-run.
 func DefaultAgedVol() AgedVol {
-	return AgedVol{Clients: 48, OpBlocks: 2, FileBlocks: 24576, FilesPerV: 8,
-		Volumes: 2, AgeRounds: 3, AgePerRound: 1024, AgeSpan: 2560,
-		MaxSnaps: 2, Think: 2 * wafl.Millisecond}
+	return AgedVol{Clients: 48, FileBlocks: 24576, FilesPerV: 8,
+		Volumes: 2, AgeRounds: 3, AgePerRound: 1024, AgeSpan: 2560}
+}
+
+// Configure gives cfg the system shape the aged volumes need: Volumes
+// volumes of 2^18 blocks (8 vregions, aged to ~84 % occupancy), on drives
+// with physical headroom for the aged image.
+func (w AgedVol) Configure(cfg *wafl.Config) {
+	cfg.Volumes = w.Volumes
+	cfg.VolumeBlocks = 1 << 18
+	cfg.DriveBlocks = 131072
 }
 
 // Attach prefills, snapshots, and ages the volumes, then spawns the writer
@@ -98,16 +111,16 @@ func (w AgedVol) Attach(sys *wafl.System) {
 	flush("age cleanup")
 
 	// Steady state: random overwrites plus a per-volume manager rotating a
-	// MaxSnaps-deep ring. The base snapshot is never deleted, so at least
+	// ring of agedMaxSnaps. The base snapshot is never deleted, so at least
 	// one live snapshot holds the aged fragmentation in place throughout.
 	for i := 0; i < w.Clients; i++ {
 		vol := i % w.Volumes
 		ino := inos[vol][i%w.FilesPerV]
 		i := i
 		sys.ClientThread(fmt.Sprintf("aged-client-%d", i), func(c *wafl.ClientCtx) {
-			span := int64(w.AgeSpan) - int64(w.OpBlocks)
+			span := int64(w.AgeSpan) - agedOpBlocks
 			for c.Alive() {
-				c.Write(vol, ino, wafl.FBN(c.Rand(span)), w.OpBlocks)
+				c.Write(vol, ino, wafl.FBN(c.Rand(span)), agedOpBlocks)
 			}
 		})
 	}
@@ -116,12 +129,12 @@ func (w AgedVol) Attach(sys *wafl.System) {
 		sys.ClientThread(fmt.Sprintf("aged-snap-manager-%d", v), func(c *wafl.ClientCtx) {
 			var ring []uint64
 			for c.Alive() {
-				if len(ring) >= w.MaxSnaps {
+				if len(ring) >= agedMaxSnaps {
 					c.SnapDelete(v, ring[0])
 					ring = ring[1:]
 				}
 				ring = append(ring, c.SnapCreate(v))
-				c.Think(w.Think)
+				c.Think(agedThink)
 			}
 		})
 	}

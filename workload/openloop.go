@@ -50,18 +50,14 @@ type OpenLoop struct {
 	BulkWorkers int     // worker threads draining the bulk queue
 	RatePerSec  float64 // base aggregate arrival rate (merged Poisson)
 	Phases      []Phase // rate-multiplier schedule; empty = constant rate
-	OpBlocks    int     // blocks per write op
 	FileBlocks  uint64  // per-stream file size
 	Volumes     int     // stripe streams over this many (global) volumes
-	ReadPct     int     // percentage of arrivals that are reads
-	BulkPct     int     // percentage of write arrivals that are bulk-class
-	QueueCap    int     // per-queue pending-op bound; beyond it drop (0 = unbounded)
 
 	// Results, populated while the workload runs.
 	LSLat        *wafl.TraceHistogram // sojourn time of latency-sensitive ops
 	BulkLat      *wafl.TraceHistogram // sojourn time of admitted bulk ops
 	Arrivals     uint64               // ops generated
-	Dropped      uint64               // arrivals dropped at QueueCap
+	Dropped      uint64               // always 0: the queues are unbounded and drop no arrival
 	Shed         uint64               // bulk writes refused by admission
 	Completed    uint64               // ops finished by workers
 	LSQueueMax   int                  // high-water LS pending-op count
@@ -81,14 +77,18 @@ func DefaultOpenLoop() OpenLoop {
 			{Name: "burst", Dur: 120 * wafl.Millisecond, RateMul: 4.0},
 			{Name: "recover", Dur: 100 * wafl.Millisecond, RateMul: 0.5},
 		},
-		OpBlocks:   2,
 		FileBlocks: 64,
 		Volumes:    4,
-		ReadPct:    30,
-		BulkPct:    60,
-		QueueCap:   0,
 	}
 }
+
+// An arrival is a read 30 % of the time, else a write, bulk-class 60 % of the
+// time; either moves 2 blocks.
+const (
+	openReadPct  = 30
+	openBulkPct  = 60
+	openOpBlocks = 2
+)
 
 // openOp is one arrived-but-not-yet-served operation.
 type openOp struct {
@@ -164,26 +164,18 @@ func (w *OpenLoop) Attach(sys *wafl.System) {
 			op := openOp{
 				stream:  int(c.Rand(int64(w.Streams))),
 				arrival: c.Now(),
-				read:    int(c.Rand(100)) < w.ReadPct,
+				read:    int(c.Rand(100)) < openReadPct,
 			}
-			op.fbn = wafl.FBN(c.Rand(int64(w.FileBlocks) - int64(w.OpBlocks) + 1))
+			op.fbn = wafl.FBN(c.Rand(int64(w.FileBlocks) - openOpBlocks + 1))
 			if !op.read {
-				op.bulk = int(c.Rand(100)) < w.BulkPct
+				op.bulk = int(c.Rand(100)) < openBulkPct
 			}
 			w.Arrivals++
 			if op.bulk {
-				if w.QueueCap > 0 && bulkQueue.Len() >= w.QueueCap {
-					w.Dropped++
-					continue
-				}
 				bulkQueue.Push(op)
 				w.BulkQueueMax = max(w.BulkQueueMax, bulkQueue.Len())
 				bulkReady.Signal()
 			} else {
-				if w.QueueCap > 0 && lsQueue.Len() >= w.QueueCap {
-					w.Dropped++
-					continue
-				}
 				lsQueue.Push(op)
 				w.LSQueueMax = max(w.LSQueueMax, lsQueue.Len())
 				lsReady.Signal()
@@ -207,11 +199,11 @@ func (w *OpenLoop) Attach(sys *wafl.System) {
 				admitted := true
 				switch {
 				case op.read:
-					c.Read(vol, ino, op.fbn, w.OpBlocks)
+					c.Read(vol, ino, op.fbn, openOpBlocks)
 				case op.bulk:
-					_, admitted = c.WriteBulk(vol, ino, op.fbn, w.OpBlocks)
+					_, admitted = c.WriteBulk(vol, ino, op.fbn, openOpBlocks)
 				default:
-					c.Write(vol, ino, op.fbn, w.OpBlocks)
+					c.Write(vol, ino, op.fbn, openOpBlocks)
 				}
 				// Sojourn time = completion - arrival: queue wait included.
 				// That is the open-loop latency a client stream experiences.

@@ -18,14 +18,16 @@ import (
 // allocates new blocks and frees the overwritten ones.
 type SeqWrite struct {
 	Clients    int
-	OpBlocks   int    // blocks per write op (8 = 32 KiB)
 	FileBlocks uint64 // per-client file size
 	Volumes    int    // spread clients over this many volumes
 }
 
+// seqOpBlocks is a sequential write's size: 32 KiB.
+const seqOpBlocks = 8
+
 // DefaultSeqWrite matches the mid-range FC testbed shape.
 func DefaultSeqWrite() SeqWrite {
-	return SeqWrite{Clients: 56, OpBlocks: 8, FileBlocks: 8192, Volumes: 4}
+	return SeqWrite{Clients: 56, FileBlocks: 8192, Volumes: 4}
 }
 
 // Attach creates the files and spawns the client threads.
@@ -37,9 +39,9 @@ func (w SeqWrite) Attach(sys *wafl.System) {
 		sys.ClientThread(fmt.Sprintf("seq-client-%d", i), func(c *wafl.ClientCtx) {
 			fbn := wafl.FBN(0)
 			for c.Alive() {
-				c.Write(vol, ino, fbn, w.OpBlocks)
-				fbn += wafl.FBN(w.OpBlocks)
-				if uint64(fbn)+uint64(w.OpBlocks) > w.FileBlocks {
+				c.Write(vol, ino, fbn, seqOpBlocks)
+				fbn += seqOpBlocks
+				if uint64(fbn)+seqOpBlocks > w.FileBlocks {
 					fbn = 0
 				}
 			}
@@ -52,41 +54,39 @@ func (w SeqWrite) Attach(sys *wafl.System) {
 // space, multiplying allocation-metafile block updates.
 type RandWrite struct {
 	Clients    int
-	OpBlocks   int // blocks per op (2 = 8 KiB)
 	FileBlocks uint64
 	Volumes    int
-	Prefill    bool // write the file once first so every op frees blocks
 }
+
+// randOpBlocks is a random write's size: 8 KiB.
+const randOpBlocks = 2
 
 // DefaultRandWrite matches the paper's random-write setup.
 func DefaultRandWrite() RandWrite {
-	return RandWrite{Clients: 56, OpBlocks: 2, FileBlocks: 8192, Volumes: 4, Prefill: true}
+	return RandWrite{Clients: 56, FileBlocks: 8192, Volumes: 4}
 }
 
-// Attach creates the files — pre-aged with a shuffled prewrite so frees
-// scatter from the first overwrite — and spawns the client threads.
+// Attach creates the files — pre-aged with a shuffled prewrite, so every op
+// frees blocks and the frees scatter from the first overwrite — and spawns
+// the client threads.
 func (w RandWrite) Attach(sys *wafl.System) {
 	inos := make([]uint64, w.Clients)
 	vols := make([]int, w.Clients)
 	for i := 0; i < w.Clients; i++ {
 		vols[i] = i % w.Volumes
 		inos[i] = sys.CreateFileDirect(vols[i], w.FileBlocks)
-		if w.Prefill {
-			sys.Prewrite(vols[i], inos[i], w.FileBlocks, true)
-		}
+		sys.Prewrite(vols[i], inos[i], w.FileBlocks, true)
 	}
-	if w.Prefill {
-		if err := sys.Flush(); err != nil {
-			panic(err)
-		}
+	if err := sys.Flush(); err != nil {
+		panic(err)
 	}
 	for i := 0; i < w.Clients; i++ {
 		vol, ino, i := vols[i], inos[i], i
 		sys.ClientThread(fmt.Sprintf("rand-client-%d", i), func(c *wafl.ClientCtx) {
-			span := int64(w.FileBlocks) - int64(w.OpBlocks)
+			span := int64(w.FileBlocks) - randOpBlocks
 			for c.Alive() {
 				fbn := wafl.FBN(c.Rand(span))
-				c.Write(vol, ino, fbn, w.OpBlocks)
+				c.Write(vol, ino, fbn, randOpBlocks)
 			}
 		})
 	}
@@ -99,11 +99,8 @@ func (w RandWrite) Attach(sys *wafl.System) {
 // record writes) rather than by buffer cleaning — the phases the parallel
 // CP engine fans out across Volume affinities.
 type ManyFile struct {
-	Clients    int
-	FilesPer   int // files per client
-	OpBlocks   int
-	FileBlocks uint64
-	Volumes    int
+	Clients int
+	Volumes int
 	// Placed selects cluster-aware placement: instead of striping files
 	// round-robin over the first Volumes volumes, every file is placed on
 	// the volume chosen by the system's capacity- and load-aware policy
@@ -112,31 +109,39 @@ type ManyFile struct {
 	Placed bool
 }
 
+// A manyfile client writes one block at a time across its own 16 files of
+// 64 blocks.
+const (
+	manyFilesPer   = 16
+	manyFileBlocks = 64
+	manyOpBlocks   = 1
+)
+
 // DefaultManyFile gives every CP a few hundred dirty inodes per volume.
 func DefaultManyFile() ManyFile {
-	return ManyFile{Clients: 56, FilesPer: 16, OpBlocks: 1, FileBlocks: 64, Volumes: 4}
+	return ManyFile{Clients: 56, Volumes: 4}
 }
 
 // Attach creates the per-client file sets and spawns the client threads.
 func (w ManyFile) Attach(sys *wafl.System) {
 	for i := 0; i < w.Clients; i++ {
-		vols := make([]int, w.FilesPer)
-		inos := make([]uint64, w.FilesPer)
+		vols := make([]int, manyFilesPer)
+		inos := make([]uint64, manyFilesPer)
 		for f := range inos {
 			if w.Placed {
-				vols[f] = sys.PlaceFile(w.FileBlocks)
+				vols[f] = sys.PlaceFile(manyFileBlocks)
 			} else {
 				vols[f] = i % w.Volumes
 			}
-			inos[f] = sys.CreateFileDirect(vols[f], w.FileBlocks)
+			inos[f] = sys.CreateFileDirect(vols[f], manyFileBlocks)
 		}
 		i := i
 		sys.ClientThread(fmt.Sprintf("manyfile-client-%d", i), func(c *wafl.ClientCtx) {
 			j := 0
 			for c.Alive() {
-				k := j % w.FilesPer
-				fbn := wafl.FBN(c.Rand(int64(w.FileBlocks) - int64(w.OpBlocks) + 1))
-				c.Write(vols[k], inos[k], fbn, w.OpBlocks)
+				k := j % manyFilesPer
+				fbn := wafl.FBN(c.Rand(manyFileBlocks - manyOpBlocks + 1))
+				c.Write(vols[k], inos[k], fbn, manyOpBlocks)
 				j++
 			}
 		})
@@ -148,43 +153,41 @@ func (w ManyFile) Attach(sys *wafl.System) {
 // working set, with client-side think time so the system can run below
 // saturation (the "knee" regime).
 type OLTP struct {
-	Clients    int
-	FileBlocks uint64
-	Volumes    int
-	WritePct   int           // percentage of ops that are writes
-	Think      wafl.Duration // per-op client think time
-	Prefill    bool          // age the database files before measuring
+	Clients int
+	Volumes int
+	Think   wafl.Duration // per-op client think time
 }
+
+// An OLTP database is one 16384-block file per volume; 60 % of its 2-block
+// ops are writes.
+const (
+	oltpFileBlocks = 16384
+	oltpWritePct   = 60
+)
 
 // DefaultOLTP matches the Flash Pool testbed shape.
 func DefaultOLTP() OLTP {
-	return OLTP{Clients: 16, FileBlocks: 16384, Volumes: 2, WritePct: 60, Think: 200 * wafl.Microsecond, Prefill: true}
+	return OLTP{Clients: 16, Volumes: 2, Think: 200 * wafl.Microsecond}
 }
 
-// Attach creates (and, with Prefill, ages) the database files and spawns
-// the client threads.
+// Attach creates and ages the database files and spawns the client threads.
 func (w OLTP) Attach(sys *wafl.System) {
 	inos := make([]uint64, w.Volumes)
 	for v := 0; v < w.Volumes; v++ {
-		inos[v] = sys.CreateFileDirect(v, w.FileBlocks)
-		if w.Prefill {
-			sys.Prewrite(v, inos[v], w.FileBlocks, true)
-		}
+		inos[v] = sys.CreateFileDirect(v, oltpFileBlocks)
+		sys.Prewrite(v, inos[v], oltpFileBlocks, true)
 	}
-	if w.Prefill {
-		if err := sys.Flush(); err != nil {
-			panic(err)
-		}
+	if err := sys.Flush(); err != nil {
+		panic(err)
 	}
 	for i := 0; i < w.Clients; i++ {
 		vol := i % w.Volumes
 		ino := inos[vol]
 		i := i
 		sys.ClientThread(fmt.Sprintf("oltp-client-%d", i), func(c *wafl.ClientCtx) {
-			span := int64(w.FileBlocks) - 2
 			for c.Alive() {
-				fbn := wafl.FBN(c.Rand(span))
-				if int(c.Rand(100)) < w.WritePct {
+				fbn := wafl.FBN(c.Rand(oltpFileBlocks - 2))
+				if int(c.Rand(100)) < oltpWritePct {
 					c.Write(vol, ino, fbn, 2)
 				} else {
 					c.Read(vol, ino, fbn, 2)
@@ -207,28 +210,24 @@ func (w OLTP) Attach(sys *wafl.System) {
 // delete — the snapshot analogue of the paper's aged-volume setting.
 type SnapChurn struct {
 	Clients    int
-	OpBlocks   int
 	FileBlocks uint64
 	Volumes    int
 	SnapEvery  int           // manager think interval, in write-op units
 	MaxSnaps   int           // live snapshots per volume before rotation
 	Think      wafl.Duration // manager pause between snapshot ops
-	Prefill    bool
 }
 
 // DefaultSnapChurn keeps a ring of 4 snapshots per volume under steady
 // random overwrites.
 func DefaultSnapChurn() SnapChurn {
-	return SnapChurn{Clients: 32, OpBlocks: 2, FileBlocks: 8192, Volumes: 4,
-		SnapEvery: 64, MaxSnaps: 4, Think: 2 * wafl.Millisecond, Prefill: true}
+	return SnapChurn{Clients: 32, FileBlocks: 8192, Volumes: 4,
+		SnapEvery: 64, MaxSnaps: 4, Think: 2 * wafl.Millisecond}
 }
 
-// Attach creates and ages the files, spawns the writer clients, and one
-// snapshot-manager client per volume.
+// Attach creates and ages the files, spawns the writer clients (RandWrite's),
+// and one snapshot-manager client per volume.
 func (w SnapChurn) Attach(sys *wafl.System) {
-	rw := RandWrite{Clients: w.Clients, OpBlocks: w.OpBlocks,
-		FileBlocks: w.FileBlocks, Volumes: w.Volumes, Prefill: w.Prefill}
-	rw.Attach(sys)
+	RandWrite{Clients: w.Clients, FileBlocks: w.FileBlocks, Volumes: w.Volumes}.Attach(sys)
 	for v := 0; v < w.Volumes; v++ {
 		v := v
 		sys.ClientThread(fmt.Sprintf("snap-manager-%d", v), func(c *wafl.ClientCtx) {

@@ -45,8 +45,8 @@ func TestSeqWriteProducesLoad(t *testing.T) {
 	if res.Ops == 0 || res.Blocks == 0 {
 		t.Fatal("no load produced")
 	}
-	if res.Blocks != res.Ops*uint64(w.OpBlocks) {
-		t.Fatalf("blocks=%d ops=%d opblocks=%d", res.Blocks, res.Ops, w.OpBlocks)
+	if res.Blocks != res.Ops*seqOpBlocks {
+		t.Fatalf("blocks=%d ops=%d opblocks=%d", res.Blocks, res.Ops, seqOpBlocks)
 	}
 	if res.CPs == 0 {
 		t.Fatal("write load must trigger CPs")
@@ -127,7 +127,6 @@ func TestOLTPMixesReadsAndWrites(t *testing.T) {
 	w := DefaultOLTP()
 	w.Clients = 4
 	w.Volumes = 2
-	w.FileBlocks = 4096
 	res := runWorkload(t, w)
 	if res.Ops == 0 {
 		t.Fatal("no OLTP ops")
@@ -165,7 +164,6 @@ func TestWorkloadsAreDeterministic(t *testing.T) {
 		w := DefaultOLTP()
 		w.Clients = 4
 		w.Volumes = 2
-		w.FileBlocks = 2048
 		w.Attach(sys)
 		res := sys.Measure(50*wafl.Millisecond, 100*wafl.Millisecond)
 		sys.Shutdown()
