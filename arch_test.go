@@ -319,8 +319,8 @@ var volOps = []string{"CreateFileAt", "DeleteFile", "RequestSnapshot", "DeleteSn
 	"RequestRestore", "RequestCloneBind", "AddCloneRef", "StartSplit", "EnsureL0Resident", "WriteBlock"}
 
 // System's stats accessors, by name pattern and in full: Stats and MemberStats
-// are the spine, CloneStats and the two reports are not counters, and the rest
-// are the views bench/child.go still reads.
+// are the spine, CloneStats is not a counter, and the rest — the two reports
+// too, renders of Stats — are the views bench/child.go still reads.
 var (
 	statAccessor = regexp.MustCompile(`(Stats|Counters|Report)$`)
 	statMethods  = []string{"AdmissionStats", "BCacheStats", "CPPhaseReport", "CPStats",
@@ -809,13 +809,19 @@ var archRules = []archRule{
 	},
 	{
 		// One stats spine (wafl.Stats, stats.go): a window's deltas are
-		// Results.Stats, a new counter is a field of its layer's struct, and
-		// the reflective fold never runs on a path a simulated event takes.
+		// Results.Stats, a new counter or histogram is a field of its layer's
+		// struct, and the reflective fold never runs on a path a simulated
+		// event takes. The histogram renders and the tracer's view of them
+		// are bench/'s alone.
 		name: "stat",
 		clauses: []clause{{
 			scan:   []string{"harness", "cmd", "workload"},
 			forbid: callOn(nil, "Counters", "CPStats", "BCacheStats", "AdmissionStats"),
 			msg:    "bench-only view of Stats called: read Results.Stats or System.Stats",
+		}, {
+			scan: []string{"..."}, except: []string{"bench"},
+			forbid: callOn(nil, "TraceReport", "CPPhaseReport", "Histograms"),
+			msg:    "bench-only histogram view called: read the histograms of Results.Stats or System.Stats",
 		}, {
 			scan: []string{"."}, except: []string{"stats.go"}, forbid: imports("reflect"),
 			msg: "reflect imported outside stats.go",
@@ -836,6 +842,9 @@ var archRules = []archRule{
 		bad: []badTree{{
 			files: map[string]string{"cmd/x/main.go": `package main; func f(s S) { a := s.Counters(); _ = a }`},
 			want:  "cmd/x/main.go:1: bench-only view of Stats called",
+		}, {
+			files: map[string]string{"internal/core/infra.go": `package core; func f(t T) { _ = t.Tracer().Histograms() }`},
+			want:  "internal/core/infra.go:1: bench-only histogram view called",
 		}, {
 			files: map[string]string{"results.go": "package wafl\nimport \"reflect\"\nvar _ = reflect.TypeOf"},
 			want:  "results.go:2: reflect imported outside stats.go",
@@ -1223,6 +1232,9 @@ var archRules = []archRule{
 		// No export without a caller: an exported function or method that no
 		// non-test file names is API nobody uses — delete it, or move it to
 		// its package's export_test.go if only that package's tests need it.
+		// It matches by bare name, so a method whose name another one shares
+		// (ID, Cores, Profile, Sched, ...) passes while any of them is named
+		// anywhere: make cover's 0 % list is what catches those.
 		name: "export",
 		require: func(tr *tree) []string {
 			everywhere := []string{"..."}

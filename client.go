@@ -18,7 +18,6 @@ import (
 type ClientCtx struct {
 	sys *System
 	t   *sim.Thread
-	id  int
 
 	// threadIdx is the client thread's scheduler index, recorded so a
 	// member crash can take down the clients pinned to it
@@ -33,10 +32,9 @@ type ClientCtx struct {
 // ClientThread spawns a closed-loop client running fn. Call before Run /
 // Measure.
 func (sys *System) ClientThread(name string, fn func(*ClientCtx)) *ClientCtx {
-	c := &ClientCtx{sys: sys, id: len(sys.clients), threadIdx: sys.s.ThreadMark()}
+	c := &ClientCtx{sys: sys, threadIdx: sys.s.ThreadMark()}
 	c.op.sys = sys
 	c.op.write, c.op.read, c.op.stat = c.op.writeBlocks, c.op.readBlock, c.op.lookup
-	sys.clients = append(sys.clients, c)
 	sys.s.Go(name, sim.CatClient, func(t *sim.Thread) {
 		c.t = t
 		fn(c)
@@ -126,10 +124,10 @@ func (c *ClientCtx) reserveLog(m *Member, bytes uint64) (nvlog.Reservation, Dura
 		m.engine.RequestCP()
 		m.engine.WaitCPDone(c.t)
 		stalled += Duration(c.t.Now() - start)
+		m.client.LogStall.Observe(int64(c.t.Now() - start))
 		if tr := c.t.Tracer(); tr != nil {
 			tr.Span(obs.PidThreads, c.t.TrackID(), "client", "nvram stall",
 				int64(start), int64(c.t.Now()))
-			tr.Observe("client.stall", int64(c.t.Now()-start))
 		}
 		res, ok = m.log.Reserve(bytes)
 	}
@@ -194,17 +192,17 @@ func (c *ClientCtx) awaitCP(m *Member, durable func() bool) {
 }
 
 // ack completes a client op, served or refused: the completion cost, the
-// op's trace span (when named; with a latency observation when hist is too)
-// and the op and latency counters, which must move together — Results.Ops is
-// the latency histogram's count. Returns the op latency.
-func (c *ClientCtx) ack(m *Member, start Time, cost Duration, span, hist string, arg int64) Duration {
+// op's trace span (when named), its kind's latency histogram (when it has
+// one) and the op and latency counters, which must move together —
+// Results.Ops is the latency histogram's count. Returns the op latency.
+func (c *ClientCtx) ack(m *Member, start Time, cost Duration, span string, hist *obs.Histogram, arg int64) Duration {
 	c.t.Consume(cost)
 	lat := Duration(c.t.Now() - start)
 	if tr := c.t.Tracer(); tr != nil && span != "" {
 		tr.SpanArg(obs.PidThreads, c.t.TrackID(), "client", span, int64(start), int64(c.t.Now()), arg)
-		if hist != "" {
-			tr.Observe(hist, int64(lat))
-		}
+	}
+	if hist != nil {
+		hist.Observe(int64(lat))
 	}
 	m.client.Ops++
 	m.lat.Observe(int64(lat))
@@ -347,7 +345,7 @@ func (c *ClientCtx) WriteTag(vol int, ino uint64, fbn FBN, nblocks int, tag byte
 	m.maybeTriggerCP()
 	m.client.BlocksWritten += uint64(nblocks)
 	m.client.StallTime += stalled
-	return c.ack(m, start, 0, "write", "client.write", int64(nblocks))
+	return c.ack(m, start, 0, "write", m.client.WriteLat, int64(nblocks))
 }
 
 // admitBulk runs the bulk-class admission gate against member m's NVRAM
@@ -378,11 +376,10 @@ func (c *ClientCtx) admitBulk(m *Member) bool {
 		c.t.Sleep(admitDelayStep)
 		d := Duration(c.t.Now() - start)
 		delayed += d
-		m.admission.Delay += d
+		m.admission.Delay.Observe(int64(d))
 		if tr := c.t.Tracer(); tr != nil {
 			tr.Span(obs.PidThreads, c.t.TrackID(), "client", "admission delay",
 				int64(start), int64(c.t.Now()))
-			tr.Observe("client.admit", int64(d))
 		}
 	}
 }
@@ -420,7 +417,7 @@ func (c *ClientCtx) Read(vol int, ino uint64, fbn FBN, nblocks int) Duration {
 		m.call(c.t, m.stripeAff(lv, op.fbn), sim.CatClient, op.read)
 	}
 	m.client.BlocksRead += uint64(nblocks)
-	return c.ack(m, start, sys.cfg.Costs.ClientOp, "read", "client.read", int64(nblocks))
+	return c.ack(m, start, sys.cfg.Costs.ClientOp, "read", m.client.ReadLat, int64(nblocks))
 }
 
 // Create makes a new file on the (globally addressed) volume and returns
@@ -438,7 +435,7 @@ func (c *ClientCtx) Create(vol int, maxBlocks uint64) uint64 {
 	// Bind the oldest unbound placement charge (if the volume came from
 	// PlaceFile) to this inode, so its writes decay the reservation.
 	m.bindPlacement(lv, rec.Ino)
-	c.ack(m, start, cost, "", "", 0)
+	c.ack(m, start, cost, "", nil, 0)
 	m.maybeTriggerCP()
 	return memberHandle(m.id, rec.Ino)
 }
@@ -472,7 +469,7 @@ func (c *ClientCtx) Delete(vol int, ino uint64) bool {
 		}
 		m.maybeTriggerCP()
 	}
-	c.ack(m, start, cost, "", "", 0)
+	c.ack(m, start, cost, "", nil, 0)
 	return ok
 }
 
@@ -485,7 +482,7 @@ func (c *ClientCtx) Getattr(vol int, ino uint64) Duration {
 	op := &c.op
 	op.v, op.li = m.a.Volume(lv), li
 	m.call(c.t, m.logicalAff(lv), sim.CatClient, op.stat)
-	return c.ack(m, start, sys.cfg.Costs.ClientOp/2, "", "", 0)
+	return c.ack(m, start, sys.cfg.Costs.ClientOp/2, "", nil, 0)
 }
 
 // SnapCreate takes a point-in-time snapshot of the volume and returns its
@@ -501,7 +498,7 @@ func (c *ClientCtx) SnapCreate(vol int) uint64 {
 	c.logged(m, lv, cost, &rec)
 	v := m.a.Volume(lv)
 	c.awaitCP(m, func() bool { return v.SnapshotExists(rec.Ino) })
-	c.ack(m, start, cost, "snap-create", "", int64(rec.Ino))
+	c.ack(m, start, cost, "snap-create", nil, int64(rec.Ino))
 	return rec.Ino
 }
 
@@ -517,7 +514,7 @@ func (c *ClientCtx) SnapDelete(vol int, id uint64) bool {
 	if ok {
 		m.maybeTriggerCP()
 	}
-	c.ack(m, start, cost, "", "", 0)
+	c.ack(m, start, cost, "", nil, 0)
 	return ok
 }
 
@@ -538,7 +535,7 @@ func (c *ClientCtx) SnapRestore(vol int, id uint64) bool {
 		v := m.a.Volume(lv)
 		c.awaitCP(m, func() bool { return !v.RestorePending() })
 	}
-	c.ack(m, start, cost, "snap-restore", "client.restore", int64(id))
+	c.ack(m, start, cost, "snap-restore", m.client.RestoreLat, int64(id))
 	return ok
 }
 
@@ -560,7 +557,7 @@ func (c *ClientCtx) CloneCreate(parentVol int, snapID uint64) (int, bool) {
 		slot = int(rec.Vol)
 		c.awaitCP(m, m.a.Volume(slot).IsClone)
 	}
-	c.ack(m, start, cost, "clone-create", "client.clone", int64(slot))
+	c.ack(m, start, cost, "clone-create", m.client.CloneLat, int64(slot))
 	if slot < 0 {
 		return -1, false
 	}
@@ -582,7 +579,7 @@ func (c *ClientCtx) CloneSplit(vol int) bool {
 	if ok {
 		m.engine.RequestCP()
 	}
-	c.ack(m, start, cost, "", "", 0)
+	c.ack(m, start, cost, "", nil, 0)
 	return ok
 }
 
@@ -605,7 +602,7 @@ func (c *ClientCtx) SnapRead(vol int, snapID, ino uint64, fbn FBN, nblocks int) 
 		})
 	}
 	m.client.BlocksRead += uint64(nblocks)
-	return c.ack(m, start, sys.cfg.Costs.ClientOp, "snap-read", "", int64(nblocks)), ok
+	return c.ack(m, start, sys.cfg.Costs.ClientOp, "snap-read", nil, int64(nblocks)), ok
 }
 
 // VerifyRead returns the live content of a block without timing effects

@@ -3,6 +3,7 @@ package wafl
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -683,4 +684,92 @@ func TestSnapRestoreOfSplittingClone(t *testing.T) {
 		}
 		sys.Shutdown()
 	}
+}
+
+// TestWriteStallsOnRestoreGate sends a client write to a volume whose
+// SnapRestore gate is closed, live and on a recovered system whose NVRAM
+// replay closed it again: the write stalls (ClientCtx.stallRestore) until the
+// restoring CP commits, then lands. Client.Stalls rises with no NVRAM-full
+// round, the content is the reference payload's with the restored holes, and
+// fsck is clean.
+func TestWriteStallsOnRestoreGate(t *testing.T) {
+	const n = 64
+	sys, ino := newCrashSystem(t, cloneConfig())
+	var snapID uint64
+	sys.ClientThread("setup", func(c *ClientCtx) {
+		for fbn := FBN(0); fbn < 2*n; fbn++ {
+			c.Write(0, ino, fbn, 1)
+			if fbn == n-1 {
+				snapID = c.SnapCreate(0)
+			}
+		}
+	})
+	sys.Run(20 * Second)
+	// gatedWrite writes block fbn as soon as the volume's gate is closed.
+	gatedWrite := func(sys *System, fbn FBN) {
+		v := sys.m0().a.Volume(0)
+		sys.ClientThread("gated", func(c *ClientCtx) {
+			for !v.RestorePending() {
+				c.t.Sleep(Microsecond)
+			}
+			c.Write(0, ino, fbn, 1)
+		})
+	}
+	// check holds sys to the snapshot's blocks, the holes the restore left
+	// and the written ones, to a clean fsck, and to a stall round since
+	// before with no NVRAM-full one.
+	check := func(sys *System, before ClientStats, written []FBN, label string) {
+		t.Helper()
+		if err := sys.Flush(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		after := sys.Stats().Client
+		if after.Stalls <= before.Stalls || after.LogStall.Count != before.LogStall.Count {
+			t.Fatalf("%s: stall rounds %d -> %d, NVRAM-full ones %d -> %d; want a gate stall and no NVRAM one",
+				label, before.Stalls, after.Stalls, before.LogStall.Count, after.LogStall.Count)
+		}
+		for fbn := FBN(0); fbn < 2*n+2; fbn++ {
+			if fbn < n || slices.Contains(written, fbn) {
+				if err := sys.VerifyAgainst(0, ino, fbn); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			} else {
+				expectBlock(t, sys, 0, ino, fbn, -1, label)
+			}
+		}
+		if rep := sys.Fsck(); !rep.OK() {
+			t.Fatalf("%s: fsck: %s", label, rep)
+		}
+	}
+
+	before := sys.Stats().Client
+	restored := false
+	sys.ClientThread("restorer", func(c *ClientCtx) { restored = c.SnapRestore(0, snapID) })
+	gatedWrite(sys, 2*n)
+	sys.Run(20 * Second)
+	if !restored {
+		t.Fatal("SnapRestore failed")
+	}
+	check(sys, before, []FBN{2 * n}, "live")
+
+	// Crash while a second restore to the snapshot is logged but its CP has
+	// not committed: replay closes the gate again, and a write after recovery
+	// meets it.
+	before = sys.Stats().Client
+	sys.ClientThread("restorer", func(c *ClientCtx) { c.SnapRestore(0, snapID) })
+	for v := sys.m0().a.Volume(0); !v.RestorePending(); {
+		sys.Run(Microsecond)
+	}
+	sys.Crash()
+	rec, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Shutdown()
+	if !rec.m0().a.Volume(0).RestorePending() {
+		t.Fatal("replay left the restore gate open")
+	}
+	gatedWrite(rec, 2*n+1)
+	rec.Run(20 * Second)
+	check(rec, before, []FBN{2*n + 1}, "recovered")
 }

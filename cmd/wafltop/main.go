@@ -1,10 +1,10 @@
 // Command wafltop is the introspection tool: it runs a short workload and
 // renders the window's results and per-component core usage, every layer's
-// non-zero counters over that window (wafl.Stats: client, admission, the
-// White Alligator bucket/tetris/stage lifecycle of Fig 2-3, cleaner pool,
-// CP engine, buffer cache, RAID, drives, Waffinity), the consistency-point
-// phase breakdown, and the Hierarchical Waffinity affinity tree (paper
-// Fig 1) with per-affinity message counts.
+// non-zero counters and latency histograms over that window (wafl.Stats:
+// client, admission, the White Alligator bucket/tetris/stage lifecycle of
+// Fig 2-3, cleaner pool, CP engine and its phases, buffer cache, RAID,
+// drives, Waffinity, the scheduler's waits), and the Hierarchical Waffinity
+// affinity tree (paper Fig 1) with per-affinity message counts.
 //
 // Usage:
 //
@@ -124,11 +124,8 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Println("=== counters over the window (non-zero; one layer per line) ===")
+	fmt.Println("=== counters over the window (non-zero; one layer per line), then its latency histograms ===")
 	fmt.Println(res.Stats)
-	fmt.Println()
-	fmt.Println("=== CP phase durations (always on; no trace needed) ===")
-	fmt.Println(sys.CPPhaseReport())
 	fmt.Println()
 	fmt.Println("=== volumes (snapshots & free-space split) ===")
 	cum := sys.Stats().CP // since format, not over the window
@@ -169,9 +166,6 @@ func main() {
 			os.Exit(1)
 		}
 		f.Close()
-		fmt.Println()
-		fmt.Println("=== trace latency histograms ===")
-		fmt.Print(sys.TraceReport())
 		tr := sys.Tracer()
 		fmt.Printf("\nwrote %d trace events to %s (%d dropped by ring wrap); open at ui.perfetto.dev\n",
 			tr.Len(), *traceOut, tr.Dropped())

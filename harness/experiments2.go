@@ -193,14 +193,10 @@ func Ablations(rc RunConfig) (Table, error) {
 			return Table{}, err
 		}
 	}
-	policies := []struct {
-		name   string
-		policy wafl.AAPolicy
-	}{{"most-free", wafl.AAMostFree}, {"first-fit", wafl.AAFirstFit}, {"round-robin", wafl.AARoundRobin}}
-	for _, p := range policies {
+	for _, p := range []wafl.AAPolicy{wafl.AAMostFree, wafl.AAFirstFit, wafl.AARoundRobin} {
 		p := p
-		if err := run("aa-policy", p.name, func(c *wafl.Config) {
-			c.Allocator.AASelection = p.policy
+		if err := run("aa-policy", p.String(), func(c *wafl.Config) {
+			c.Allocator.AASelection = p
 		}); err != nil {
 			return Table{}, err
 		}

@@ -66,7 +66,7 @@ func runOverload(cfg wafl.Config, warmup, window wafl.Duration, mode string) (Ov
 		Shed:         w.Shed - shed0,
 		Stalls:       res.Stalls,
 		StallTime:    res.StallTime,
-		AdmitDelay:   res.Stats.Admission.Delay,
+		AdmitDelay:   wafl.Duration(res.Stats.Admission.Delay.Sum),
 		CPs:          res.CPs,
 		BCacheHits:   res.Stats.BCache.Hits,
 		BCacheMisses: res.Stats.BCache.Misses,

@@ -276,9 +276,6 @@ func (a *Aggregate) SetInjector(in storage.Injector) {
 	}
 }
 
-// Injector returns the wired drive-fault plan, or nil.
-func (a *Aggregate) Injector() storage.Injector { return a.inj }
-
 // Repairs returns the ReadVBNRaw fault-repair counters.
 func (a *Aggregate) Repairs() RepairStats { return a.repair }
 

@@ -159,9 +159,6 @@ func (a *Aggregate) AddVolume(vvbnBlocks uint64) *Volume {
 // ID returns the volume's index in the aggregate.
 func (v *Volume) ID() int { return v.id }
 
-// Aggr returns the owning aggregate.
-func (v *Volume) Aggr() *Aggregate { return v.aggr }
-
 // VVBNBlocks returns the size of the volume's virtual block space.
 func (v *Volume) VVBNBlocks() uint64 { return v.vvbnBlocks }
 

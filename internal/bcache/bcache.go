@@ -62,9 +62,6 @@ func New(capacity int) *Cache {
 	return &Cache{capacity: capacity, m: make(map[Key]*entry, capacity)}
 }
 
-// Capacity returns the configured block capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Len returns the number of resident blocks.
 func (c *Cache) Len() int { return len(c.m) }
 

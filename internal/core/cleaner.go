@@ -56,6 +56,10 @@ type PoolStats struct {
 	StageCommits   uint64
 	Activations    uint64 // dynamic tuner thread activations
 	Deactivations  uint64
+
+	// Batch is each cleaner batch's run time: the live histogram, which
+	// wafl.Stats copies.
+	Batch *obs.Histogram
 }
 
 // cleanerState is the per-thread context: the held buckets, free stages,
@@ -112,6 +116,7 @@ func NewPool(in *Infra, opts Options, costs CostModel) *Pool {
 		cond:     sim.NewWaitQueue(in.s, "cleaner-queue-cond"),
 		idleCond: sim.NewWaitQueue(in.s, "cleaner-idle"),
 		activeN:  opts.InitialCleaners,
+		stats:    PoolStats{Batch: obs.NewHistogram("cleaner.batch")},
 	}
 	if p.activeN < 1 {
 		p.activeN = 1
@@ -271,10 +276,10 @@ func (p *Pool) threadLoop(cs *cleanerState) {
 			p.runJob(cs, job)
 		}
 		cs.engaged += sim.Duration(t.Now() - jobStart)
+		p.stats.Batch.Observe(int64(t.Now() - jobStart))
 		if tr := t.Tracer(); tr != nil {
 			tr.SpanArg(obs.PidThreads, t.TrackID(), "cleaner", "clean batch",
 				int64(jobStart), int64(t.Now()), int64(len(batch)))
-			tr.Observe("cleaner.batch", int64(t.Now()-jobStart))
 		}
 
 		p.queueMu.Lock(t)

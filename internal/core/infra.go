@@ -31,6 +31,11 @@ type InfraStats struct {
 
 	// The recycled window state's pools (DESIGN §9).
 	BucketPool, VBucketPool, ListPool, CommitPool fifo.PoolStats
+
+	// Each GET's wait for a bucket and each vGET's for a vbucket (zero
+	// when the cache had one), and each tetris's size in blocks: the live
+	// histograms, which wafl.Stats copies.
+	GetWait, VGetWait, TetrisSize *obs.Histogram
 }
 
 // windowState tracks a RAID group's fill cursor.
@@ -145,6 +150,11 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		counterMu: sim.NewMutex(s, "global-counters"),
 		drainCond: sim.NewWaitQueue(s, "infra-drain"),
 		global:    counters.NewGlobal(),
+		stats: InfraStats{
+			GetWait:    obs.NewHistogram("infra.get_wait"),
+			VGetWait:   obs.NewHistogram("infra.vget_wait"),
+			TetrisSize: obs.NewHistogram("infra.tetris_blocks"),
+		},
 	}
 	in.done = in.opDone
 	in.bucketPool = fifo.NewPool(&in.stats.BucketPool, func() *Bucket { return new(Bucket) })
@@ -388,11 +398,9 @@ func (in *Infra) GetBucket(t *sim.Thread) *Bucket {
 	}
 	b := in.cache.Pop()
 	in.cacheMu.Unlock(t)
-	if tr := t.Tracer(); tr != nil {
-		if waited {
-			tr.Span(obs.PidThreads, t.TrackID(), "alloc", "GET wait", int64(getStart), int64(t.Now()))
-		}
-		tr.Observe("infra.get_wait", int64(t.Now()-getStart))
+	in.stats.GetWait.Observe(int64(t.Now() - getStart))
+	if tr := t.Tracer(); tr != nil && waited {
+		tr.Span(obs.PidThreads, t.TrackID(), "alloc", "GET wait", int64(getStart), int64(t.Now()))
 	}
 	return b
 }
@@ -469,10 +477,10 @@ func (in *Infra) sendTetris(t *sim.Thread, te *Tetris) {
 	t.Consume(in.costs.TetrisSend)
 	in.stats.TetrisesSent++
 	in.stats.TetrisBlocks += uint64(te.blocks)
+	in.stats.TetrisSize.Observe(int64(te.blocks))
 	if tr := t.Tracer(); tr != nil {
 		tr.InstantArg(obs.PidInfra, in.groupTrack(tr, te.group), "tetris", "tetris send",
 			int64(t.Now()), int64(te.blocks))
-		tr.Observe("infra.tetris_blocks", int64(te.blocks))
 	}
 	in.pendingIO++
 	writes := te.perDrive

@@ -89,11 +89,9 @@ func (in *Infra) GetVBucket(t *sim.Thread, vol *aggregate.Volume) *VBucket {
 		waited = true
 		vs.cond.Wait(t)
 	}
-	if tr := t.Tracer(); tr != nil {
-		if waited {
-			tr.Span(obs.PidThreads, t.TrackID(), "alloc", "vGET wait", int64(getStart), int64(t.Now()))
-		}
-		tr.Observe("infra.vget_wait", int64(t.Now()-getStart))
+	in.stats.VGetWait.Observe(int64(t.Now() - getStart))
+	if tr := t.Tracer(); tr != nil && waited {
+		tr.Span(obs.PidThreads, t.TrackID(), "alloc", "vGET wait", int64(getStart), int64(t.Now()))
 	}
 	vb := vs.cache.Pop()
 	if !in.draining && in.inCP && vs.cache.Len()+vs.pendingFills < volBucketsReady {

@@ -10,7 +10,6 @@ package cp
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
@@ -54,6 +53,26 @@ type Stats struct {
 	MetaDuration    sim.Duration // metafile flush phases (cumulative)
 	BackToBack      uint64       // CPs that started with another already requested
 	LongestDuration sim.Duration `stat:"max"`
+
+	// One sample per CP: each phase's duration, in execution order, then the
+	// metafile phases together (records through amap flush) and the whole
+	// CP. SnapReclaim is the blocks each snapshot delete returned. All are
+	// the live histograms, which wafl.Stats copies.
+	PhaseFreeze, PhaseClean, PhaseRecords, PhaseMetafiles *obs.Histogram
+	PhaseVoltable, PhaseAmap, PhaseCommit                 *obs.Histogram
+	MetaTime, TotalTime, SnapReclaim                      *obs.Histogram
+}
+
+// newStats returns zero counters and empty histograms.
+func newStats() Stats {
+	h := obs.NewHistogram
+	return Stats{
+		PhaseFreeze: h("cp.phase.freeze+zombies"), PhaseClean: h("cp.phase.clean"),
+		PhaseRecords: h("cp.phase.records"), PhaseMetafiles: h("cp.phase.metafiles"),
+		PhaseVoltable: h("cp.phase.voltable"), PhaseAmap: h("cp.phase.amap flush"),
+		PhaseCommit: h("cp.phase.commit"),
+		MetaTime:    h("cp.meta"), TotalTime: h("cp.total"), SnapReclaim: h("snap.reclaimed"),
+	}
 }
 
 // Engine orchestrates consistency points on its own simulated thread.
@@ -67,12 +86,6 @@ type Engine struct {
 	log   *nvlog.Log
 	opts  core.Options
 	costs core.CostModel
-
-	// phaseHist holds the always-on per-phase duration histograms (keyed by
-	// phase name, phaseOrder preserving execution order). Only the engine
-	// thread observes into them, between scatter joins.
-	phaseHist  map[string]*obs.Histogram
-	phaseOrder []string
 
 	trigger *sim.WaitQueue
 	cpDone  *sim.WaitQueue
@@ -131,40 +144,13 @@ func (e *Engine) snapTrack(tr *obs.Tracer) int32 {
 	return e.obsSnapTid - 1
 }
 
-// observePhase records one phase duration into the engine-held, always-on
-// histogram set (maintained whether or not tracing is enabled).
-func (e *Engine) observePhase(name string, d int64) {
-	h := e.phaseHist[name]
-	if h == nil {
-		h = obs.NewHistogram("cp.phase." + name)
-		e.phaseHist[name] = h
-		e.phaseOrder = append(e.phaseOrder, name)
-	}
-	h.Observe(d)
-}
-
-// PhaseReport renders the per-phase CP duration breakdown (count, mean,
-// p50/p95/p99, max) in execution order, so the serial-vs-parallel CP split
-// is visible without loading a Chrome trace.
-func (e *Engine) PhaseReport() string {
-	if len(e.phaseOrder) == 0 {
-		return "no consistency points completed"
-	}
-	var b strings.Builder
-	for _, name := range e.phaseOrder {
-		b.WriteString(e.phaseHist[name].String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // New creates the engine and starts its thread.
 func New(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggregate, in *core.Infra, pool *core.Pool, log *nvlog.Log, opts core.Options, costs core.CostModel) *Engine {
 	e := &Engine{
 		s: a.Sched(), w: w, h: h, a: a, in: in, pool: pool, log: log, opts: opts, costs: costs,
-		trigger:   sim.NewWaitQueue(a.Sched(), "cp-trigger"),
-		cpDone:    sim.NewWaitQueue(a.Sched(), "cp-done"),
-		phaseHist: make(map[string]*obs.Histogram),
+		trigger: sim.NewWaitQueue(a.Sched(), "cp-trigger"),
+		cpDone:  sim.NewWaitQueue(a.Sched(), "cp-done"),
+		stats:   newStats(),
 	}
 	e.s.Go("cp-engine", sim.CatCP, func(t *sim.Thread) { e.loop(t) })
 	return e
@@ -288,15 +274,13 @@ func (e *Engine) runCP(t *sim.Thread) {
 	tr := t.Tracer()
 	ph := start // start of the phase currently executing
 
-	// phase closes out the currently-running phase: it always feeds the
-	// engine's duration histograms (wafltop's p50/p99 breakdown), and when
-	// tracing also emits the span plus a cp.phase.<name> observation.
-	phase := func(name string) {
+	// phase closes out the currently-running phase: it records the
+	// duration in h, and when tracing also emits the span.
+	phase := func(h *obs.Histogram, name string) {
 		now := t.Now()
-		e.observePhase(name, int64(now-ph))
+		h.Observe(int64(now - ph))
 		if tr != nil {
 			tr.Span(obs.PidCP, e.track(tr), "cp", name, int64(ph), int64(now))
-			tr.Observe("cp.phase."+name, int64(now-ph))
 		}
 		ph = now
 	}
@@ -487,9 +471,9 @@ func (e *Engine) runCP(t *sim.Thread) {
 				e.stats.SnapsDeleted++
 				e.stats.SnapReclaimed += uint64(len(pvbns))
 				cut.snapSet = true
+				e.stats.SnapReclaim.Observe(int64(len(pvbns)))
 				if wtr := wt.Tracer(); wtr != nil {
 					wtr.InstantArg(obs.PidCP, e.snapTrack(wtr), "snap", "snap-delete", int64(wt.Now()), int64(z.ID))
-					wtr.Observe("snap.reclaimed", int64(len(pvbns)))
 				}
 			}
 		})
@@ -545,17 +529,14 @@ func (e *Engine) runCP(t *sim.Thread) {
 		jobs = append(jobs, e.pool.BuildJobs(v, cuts[v.ID()].frozen, true)...)
 	}
 	cleanStart := t.Now()
-	phase("freeze+zombies")
+	phase(e.stats.PhaseFreeze, "freeze+zombies")
 	e.pool.RunPhase(t, jobs)
 	// Wait only for infrastructure messages: the allocation-bitmap state
 	// must be final before metafiles are cleaned, but the tetris write
 	// I/Os keep flowing underneath the metafile phases.
 	e.in.DrainOps(t)
 	e.stats.CleanDuration += sim.Duration(t.Now() - cleanStart)
-	phase("clean")
-	if tr != nil {
-		tr.Observe("cp.clean", int64(t.Now()-cleanStart))
-	}
+	phase(e.stats.PhaseClean, "clean")
 	e.boundary(t, "clean")
 
 	// Phase 2b: snapshot capture, part one. With cleaning drained, the
@@ -599,7 +580,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 		e.stats.InodesCleaned += uint64(len(cut.frozen))
 	})
 
-	phase("records")
+	phase(e.stats.PhaseRecords, "records")
 	e.boundary(t, "records")
 
 	// Phase 3b: snapshot capture, part two. Inode-file content is final
@@ -634,7 +615,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 		}
 	}
 	e.pool.RunPhase(t, metaJobs)
-	phase("metafiles")
+	phase(e.stats.PhaseMetafiles, "metafiles")
 	e.boundary(t, "metafiles")
 
 	// Phase 5: snapdir + volume table. Volumes whose snapshot set changed
@@ -661,7 +642,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 		e.pool.RunPhase(t, []*core.Job{{File: e.a.VolTableFile(), Mode: core.JobFull}})
 	}
 	e.in.DrainOps(t)
-	phase("voltable")
+	phase(e.stats.PhaseVoltable, "voltable")
 	e.boundary(t, "voltable")
 
 	// Phase 6: the self-referential aggregate activemap, via the
@@ -678,10 +659,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 	e.issueAmapWrites(t, writes)
 	e.in.DrainIO(t)
 	e.stats.MetaDuration += sim.Duration(t.Now() - metaStart)
-	phase("amap flush")
-	if tr != nil {
-		tr.Observe("cp.meta", int64(t.Now()-metaStart))
-	}
+	phase(e.stats.PhaseAmap, "amap flush")
+	e.stats.MetaTime.Observe(int64(t.Now() - metaStart))
 	e.boundary(t, "amap")
 
 	// Phase 7: commit. The superblock overwrite is the atomic transition
@@ -710,14 +689,13 @@ func (e *Engine) runCP(t *sim.Thread) {
 	}
 	e.boundary(t, "done")
 
-	phase("commit")
+	phase(e.stats.PhaseCommit, "commit")
 	if tr != nil {
 		tr.SpanArg(obs.PidCP, e.track(tr), "cp", "CP", int64(start), int64(t.Now()),
 			int64(e.a.CPCount()))
-		tr.Observe("cp.total", int64(t.Now()-start))
 	}
 	d := sim.Duration(t.Now() - start)
-	e.observePhase("total", int64(d))
+	e.stats.TotalTime.Observe(int64(d))
 	e.stats.CPs++
 	e.stats.TotalDuration += d
 	e.stats.LastDuration = d

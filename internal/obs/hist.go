@@ -3,14 +3,16 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"slices"
 )
 
 // Histogram accumulates int64 samples (latencies in nanoseconds, sizes in
 // blocks) into log-linear buckets: exact below 2^subBits, then subCount
-// sub-buckets per power of two — the classic HDR layout. Memory is O(1),
-// recording is O(1), and quantiles are exact to within 1/subCount relative
-// error, which is deterministic across runs (no sampling).
+// sub-buckets per power of two — the classic HDR layout. It keeps only the
+// octaves from its smallest sample's to its largest's, so memory is
+// O(log(max/min)), recording is O(1), and quantiles are exact to within
+// 1/subCount relative error, which is deterministic across runs (no
+// sampling).
 type Histogram struct {
 	Name  string
 	Count uint64
@@ -18,24 +20,18 @@ type Histogram struct {
 	Min   int64
 	Max   int64
 
-	buckets []uint64
+	lo      int      // the bucket buckets[0] counts
+	buckets []uint64 // buckets lo, lo+1, ...: whole octaves
 }
 
 const (
 	subBits  = 4
 	subCount = 1 << subBits // 16 sub-buckets per octave
-	// maxBuckets covers the full non-negative int64 range.
-	maxBuckets = subCount + (63-subBits)*subCount
 )
 
-func newHistogram(name string) *Histogram {
-	return &Histogram{Name: name, buckets: make([]uint64, maxBuckets)}
-}
-
-// NewHistogram creates a standalone histogram for callers that keep their
-// own metric state (e.g. the CP engine's always-on phase-duration
-// histograms) rather than registering through a Tracer.
-func NewHistogram(name string) *Histogram { return newHistogram(name) }
+// NewHistogram returns an empty histogram. A layer keeps one per latency
+// distribution it records, as a field of its stats struct.
+func NewHistogram(name string) *Histogram { return &Histogram{Name: name} }
 
 // bucketOf maps a non-negative sample to its bucket index: exact for
 // v < subCount, then the octave [2^e, 2^(e+1)) splits into subCount
@@ -72,7 +68,27 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.Count++
 	h.Sum += v
-	h.buckets[bucketOf(v)]++
+	b := bucketOf(v)
+	if b < h.lo || b >= h.lo+len(h.buckets) {
+		h.span(b, b+1)
+	}
+	h.buckets[b-h.lo]++
+}
+
+// span extends the buckets, in whole octaves, to cover buckets [lo, hi).
+func (h *Histogram) span(lo, hi int) {
+	if len(h.buckets) == 0 {
+		h.lo = lo
+	}
+	end := h.lo + len(h.buckets)
+	if lo >= h.lo && hi <= end {
+		return
+	}
+	lo = min(lo, h.lo) / subCount * subCount
+	hi = (max(hi, end) + subCount - 1) / subCount * subCount
+	b := make([]uint64, hi-lo)
+	copy(b[h.lo-lo:], h.buckets)
+	h.lo, h.buckets = lo, b
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
@@ -113,10 +129,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 		target = h.Count
 	}
 	var cum uint64
-	for b, n := range h.buckets {
+	for i, n := range h.buckets {
 		cum += n
 		if cum >= target {
-			v := bucketUpper(b)
+			v := bucketUpper(h.lo + i)
 			if v < h.Min {
 				v = h.Min
 			}
@@ -134,51 +150,49 @@ func (h *Histogram) Quantile(q float64) int64 {
 // state against the snapshot.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
-	c.buckets = make([]uint64, len(h.buckets))
-	copy(c.buckets, h.buckets)
+	c.buckets = slices.Clone(h.buckets)
 	return &c
 }
 
 // Delta returns the samples recorded in h after the snapshot prev (which
-// must be an earlier Clone of the same histogram): per-bucket counts,
-// Count, and Sum subtract exactly. Min/Max of the window are recovered
-// from the first and last non-empty delta buckets (exact to within one
-// bucket, the histogram's native resolution), clamped to the cumulative
-// extremes.
+// must be an earlier Clone of the same histogram), leaving h as it is.
 func (h *Histogram) Delta(prev *Histogram) *Histogram {
-	d := &Histogram{Name: h.Name, buckets: make([]uint64, len(h.buckets))}
-	if prev == nil {
-		copy(d.buckets, h.buckets)
-		d.Count, d.Sum, d.Min, d.Max = h.Count, h.Sum, h.Min, h.Max
-		return d
-	}
-	d.Count = h.Count - prev.Count
-	d.Sum = h.Sum - prev.Sum
-	lo, hi := -1, -1
-	for b := range h.buckets {
-		n := h.buckets[b] - prev.buckets[b]
-		d.buckets[b] = n
-		if n > 0 {
-			if lo < 0 {
-				lo = b
-			}
-			hi = b
-		}
-	}
-	if lo >= 0 {
-		d.Min = bucketUpper(lo)
-		if lo > 0 {
-			d.Min = bucketUpper(lo-1) + 1
-		}
-		if d.Min < h.Min {
-			d.Min = h.Min
-		}
-		d.Max = bucketUpper(hi)
-		if d.Max > h.Max {
-			d.Max = h.Max
-		}
-	}
+	d := h.Clone()
+	d.Sub(prev)
 	return d
+}
+
+// Sub removes from h the samples of prev, an earlier Clone of h, leaving
+// those recorded since: per-bucket counts, Count, and Sum subtract exactly.
+// Min/Max of what remains are recovered from the first and last non-empty
+// buckets (exact to within one bucket, the histogram's native resolution),
+// clamped to the cumulative extremes. A nil prev removes nothing.
+func (h *Histogram) Sub(prev *Histogram) {
+	if prev == nil {
+		return
+	}
+	h.Count -= prev.Count
+	h.Sum -= prev.Sum
+	lo, hi := -1, -1
+	for i := range h.buckets {
+		if j := h.lo + i - prev.lo; j >= 0 && j < len(prev.buckets) {
+			h.buckets[i] -= prev.buckets[j]
+		}
+		if h.buckets[i] > 0 {
+			if lo < 0 {
+				lo = h.lo + i
+			}
+			hi = h.lo + i
+		}
+	}
+	if lo < 0 {
+		h.Min, h.Max = 0, 0
+		return
+	}
+	if lo > 0 {
+		h.Min = max(h.Min, bucketUpper(lo-1)+1)
+	}
+	h.Max = min(h.Max, bucketUpper(hi))
 }
 
 // Merge folds other into h: bucket counts, Count, and Sum add exactly;
@@ -196,8 +210,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.Count += other.Count
 	h.Sum += other.Sum
-	for b, n := range other.buckets {
-		h.buckets[b] += n
+	h.span(other.lo, other.lo+len(other.buckets))
+	for i, n := range other.buckets {
+		h.buckets[other.lo+i-h.lo] += n
 	}
 }
 
@@ -222,18 +237,4 @@ func fmtNanos(v int64) string {
 	default:
 		return fmt.Sprintf("%dns", v)
 	}
-}
-
-// HistogramReport renders every histogram, one per line, in
-// first-observation order.
-func (tr *Tracer) HistogramReport() string {
-	if tr == nil || len(tr.histOrder) == 0 {
-		return "no histograms recorded"
-	}
-	var b strings.Builder
-	for _, name := range tr.histOrder {
-		b.WriteString(tr.hists[name].String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

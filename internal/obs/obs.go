@@ -3,14 +3,17 @@
 // (the discrete-event kernel, the Waffinity scheduler, the White Alligator
 // infrastructure, the CP engine, and the simulated drives).
 //
-// A *Tracer records three kinds of data:
+// A *Tracer records the timeline:
 //
 //   - typed trace events (spans, instants, counter samples) carrying only
 //     simulated timestamps, appended to a bounded ring buffer that drops the
 //     oldest events under pressure;
-//   - per-category latency histograms (log-linear buckets, p50/p95/p99);
 //   - per-block forensic notes — the last context that claimed each physical
 //     block, used by the double-allocation panic path.
+//
+// Latency distributions are not the tracer's: a Histogram (log-linear
+// buckets, p50/p95/p99) is a field of the stats struct of the layer that
+// records it, on every run, traced or not.
 //
 // The disabled state is a nil *Tracer: every method is nil-receiver-safe, so
 // emission points reduce to a single pointer comparison and benchmark
@@ -92,7 +95,7 @@ type trackSet struct {
 	names []string
 }
 
-// Tracer records events, histograms, and forensic notes. All methods are
+// Tracer records events and forensic notes. All methods are
 // safe on a nil receiver (no-ops), which is the disabled fast path. A
 // Tracer is not safe for concurrent use from multiple goroutines; the
 // simulation kernel serializes all access.
@@ -104,8 +107,8 @@ type Tracer struct {
 
 	tracks map[int32]*trackSet
 
-	hists     map[string]*Histogram
-	histOrder []string
+	// view is what Histograms returns (SetHistograms).
+	view func() []*Histogram
 
 	notes map[uint64]string
 }
@@ -119,7 +122,6 @@ func New(opts Options) *Tracer {
 	return &Tracer{
 		ring:   make([]Event, 0, capacity),
 		tracks: make(map[int32]*trackSet),
-		hists:  make(map[string]*Histogram),
 		notes:  make(map[uint64]string),
 	}
 }
@@ -204,31 +206,20 @@ func (tr *Tracer) Counter(pid, tid int32, name string, at Time, value int64) {
 	tr.push(Event{Start: at, Pid: pid, Tid: tid, Ph: PhaseCounter, Name: name, Arg: value, HasArg: true})
 }
 
-// Observe adds a sample (typically nanoseconds) to the named histogram,
-// creating it on first use.
-func (tr *Tracer) Observe(metric string, v int64) {
-	if tr == nil {
-		return
+// SetHistograms hands the tracer a read-only view of histograms its owner
+// keeps: Histograms returns what view does.
+func (tr *Tracer) SetHistograms(view func() []*Histogram) {
+	if tr != nil {
+		tr.view = view
 	}
-	h := tr.hists[metric]
-	if h == nil {
-		h = newHistogram(metric)
-		tr.hists[metric] = h
-		tr.histOrder = append(tr.histOrder, metric)
-	}
-	h.Observe(v)
 }
 
-// Histograms returns every histogram in first-observation order.
+// Histograms returns the view SetHistograms installed, or nil.
 func (tr *Tracer) Histograms() []*Histogram {
-	if tr == nil {
+	if tr == nil || tr.view == nil {
 		return nil
 	}
-	out := make([]*Histogram, 0, len(tr.histOrder))
-	for _, name := range tr.histOrder {
-		out = append(out, tr.hists[name])
-	}
-	return out
+	return tr.view()
 }
 
 // NoteBlock records the context that last claimed physical block bn — the

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Span(PidCores, 0, "c", "n", 0, 1)
 	tr.Instant(PidCores, 0, "c", "n", 0)
 	tr.Counter(PidCores, 0, "n", 0, 1)
-	tr.Observe("m", 1)
+	tr.SetHistograms(func() []*Histogram { return []*Histogram{NewHistogram("m")} })
 	tr.NoteBlock(7, "ctx %d", 1)
 	if got := tr.BlockNote(7); got != "tracing off" {
 		t.Fatalf("BlockNote on nil = %q", got)
@@ -105,14 +106,14 @@ func TestNoteBlock(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := newHistogram("empty")
+	h := NewHistogram("empty")
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatalf("empty histogram: p50=%d mean=%d, want 0, 0", h.Quantile(0.5), h.Mean())
 	}
 }
 
 func TestHistogramSingleSample(t *testing.T) {
-	h := newHistogram("one")
+	h := NewHistogram("one")
 	h.Observe(123456)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := h.Quantile(q); got != 123456 {
@@ -125,7 +126,7 @@ func TestHistogramSingleSample(t *testing.T) {
 }
 
 func TestHistogramNegativeClamps(t *testing.T) {
-	h := newHistogram("neg")
+	h := NewHistogram("neg")
 	h.Observe(-5)
 	if h.Min != 0 || h.Quantile(0.5) != 0 {
 		t.Fatalf("negative sample not clamped: min=%d p50=%d", h.Min, h.Quantile(0.5))
@@ -133,7 +134,7 @@ func TestHistogramNegativeClamps(t *testing.T) {
 }
 
 func TestHistogramUniform(t *testing.T) {
-	h := newHistogram("uniform")
+	h := NewHistogram("uniform")
 	for v := int64(1); v <= 1000; v++ {
 		h.Observe(v)
 	}
@@ -152,6 +153,65 @@ func TestHistogramUniform(t *testing.T) {
 	}
 	if h.Quantile(1) != 1000 {
 		t.Fatalf("Quantile(1) = %d, want 1000", h.Quantile(1))
+	}
+}
+
+// maxBuckets covers the full non-negative int64 range.
+const maxBuckets = subCount + (63-subBits)*subCount
+
+// TestHistogramView: a tracer's Histograms is the view its owner handed it,
+// called afresh each time; without one it is nil.
+func TestHistogramView(t *testing.T) {
+	tr := New(Options{})
+	if tr.Histograms() != nil {
+		t.Fatal("a tracer without a view returned histograms")
+	}
+	h := NewHistogram("client.write")
+	calls := 0
+	tr.SetHistograms(func() []*Histogram { calls++; return []*Histogram{h.Clone()} })
+	h.Observe(7)
+	if got := tr.Histograms(); calls != 1 || len(got) != 1 || got[0].Name != "client.write" || got[0].Count != 1 {
+		t.Fatalf("Histograms = %v after %d calls, want the view's one histogram with its sample", got, calls)
+	}
+}
+
+// TestHistogramSpansItsOctaves: buckets cover the octaves from the smallest
+// sample's to the largest's, never past the int64 range, and Clone, Delta
+// and Merge agree across histograms of different spans with one that saw
+// every sample.
+func TestHistogramSpansItsOctaves(t *testing.T) {
+	h, ref := NewHistogram("h"), NewHistogram("ref")
+	if len(h.buckets) != 0 {
+		t.Fatalf("empty histogram holds %d buckets", len(h.buckets))
+	}
+	observe := func(vs ...int64) {
+		for _, v := range vs {
+			h.Observe(v)
+			ref.Observe(v)
+		}
+	}
+	observe(40_000, 90_000)
+	if h.lo%subCount != 0 || h.lo > bucketOf(40_000) || h.lo+len(h.buckets) <= bucketOf(90_000) || len(h.buckets) != 2*subCount {
+		t.Fatalf("buckets [%d, %d) for samples in buckets %d and %d, want their two octaves",
+			h.lo, h.lo+len(h.buckets), bucketOf(40_000), bucketOf(90_000))
+	}
+	prev := h.Clone()
+	observe(3, 1<<62)
+	if h.lo != 0 || len(h.buckets) > maxBuckets {
+		t.Fatalf("buckets [%d, %d), want from 0 and at most the %d of the int64 range", h.lo, h.lo+len(h.buckets), maxBuckets)
+	}
+	d := h.Delta(prev)
+	if d.Count != 2 || d.Sum != 3+1<<62 || d.Quantile(0.5) != 3 || d.Quantile(1) != 1<<62 {
+		t.Fatalf("delta over a wider span: %v", d)
+	}
+	short, long := prev.Clone(), d.Clone()
+	short.Merge(d)
+	long.Merge(prev)
+	for _, m := range []*Histogram{short, long} {
+		if m.Count != ref.Count || m.Sum != ref.Sum || m.Min != ref.Min || m.Max != ref.Max ||
+			m.lo != ref.lo || !slices.Equal(m.buckets, ref.buckets) {
+			t.Fatalf("merged %+v, want %+v", m, ref)
+		}
 	}
 }
 

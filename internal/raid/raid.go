@@ -216,9 +216,6 @@ func (g *Group) settle(landed []int) {
 	g.inflight = g.inflight[:0]
 }
 
-// ID returns the group's index within its aggregate.
-func (g *Group) ID() int { return g.id }
-
 // DataDrives returns the number of data drives in the group.
 func (g *Group) DataDrives() int { return len(g.data) }
 

@@ -336,7 +336,7 @@ func history(t *testing.T, steps int, rng *rand.Rand, step func(n int, g *Group,
 			}
 			rows[dbn] = row
 		}
-		submittedIOs := g.ParityDrive().Stats().WriteIOs
+		submittedIOs := g.ParityDrive().Stats().WriteService.Count
 		inj.parity = inj.parity[:0]
 		g.Write(writes, 0, nil)
 		if rng.Intn(4) == 0 {
@@ -349,7 +349,7 @@ func history(t *testing.T, steps int, rng *rand.Rand, step func(n int, g *Group,
 				n, st.ScratchPool.Outstanding(), st.WritePool.Outstanding())
 		}
 		landed := map[block.DBN][][]byte{}
-		if g.ParityDrive().Stats().WriteIOs > submittedIOs {
+		if g.ParityDrive().Stats().WriteService.Count > submittedIOs {
 			dbns := slices.Sorted(maps.Keys(rows)) // the parity write's order
 			if len(inj.parity) > 0 {
 				dbns = dbns[:inj.parity[0]]

@@ -143,6 +143,7 @@ type Scheduler struct {
 	busy       [NumCategories]Duration
 	dispatched uint64 // events processed
 	switches   uint64 // thread coroutines resumed by loop
+	stats      Stats
 
 	// target is the thread to switch into next, named by whoever yields to
 	// loop; nil once nothing more is due, which ends the Run/Drain.
@@ -270,14 +271,16 @@ func New(cores int, seed int64) *Scheduler {
 		cores:     cores,
 		freeCores: cores,
 		rng:       rand.New(rand.NewSource(seed)),
+		stats: Stats{
+			RunQueueWait:  obs.NewHistogram("sim.runq_wait"),
+			MutexWait:     obs.NewHistogram("mutex.wait:all"),
+			WaitQueueWait: obs.NewHistogram("waitq.block:all"),
+		},
 	}
 }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
-
-// Cores returns the number of simulated CPU cores.
-func (s *Scheduler) Cores() int { return s.cores }
 
 // Rand returns the simulation's deterministic random source.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
@@ -289,6 +292,9 @@ func (s *Scheduler) Live() int { return s.live }
 // Events returns the number of events processed so far (a cheap progress and
 // determinism fingerprint).
 func (s *Scheduler) Events() uint64 { return s.dispatched }
+
+// Stats returns the scheduler's wait histograms.
+func (s *Scheduler) Stats() Stats { return s.stats }
 
 // Switches returns how many times Run/Drain has switched into a thread's
 // coroutine so far: one per event that resumed a thread other than the one
@@ -462,11 +468,11 @@ func (s *Scheduler) dispatch(self *Thread) {
 // startBurst begins t's pending CPU burst now; completion is an event.
 func (s *Scheduler) startBurst(t *Thread) {
 	t.burstStart = s.now
+	if t.queuedAt >= 0 {
+		s.stats.RunQueueWait.Observe(int64(s.now - t.queuedAt))
+		t.queuedAt = -1
+	}
 	if s.tr != nil {
-		if t.queuedAt >= 0 {
-			s.tr.Observe("sim.runq_wait", int64(s.now-t.queuedAt))
-			t.queuedAt = -1
-		}
 		if n := len(s.freeCoreIDs); n > 0 {
 			t.burstCore = s.freeCoreIDs[n-1]
 			s.freeCoreIDs = s.freeCoreIDs[:n-1]

@@ -139,10 +139,10 @@ func TestMutexMutualExclusionAndFIFO(t *testing.T) {
 			t.Fatalf("order = %v, want FIFO %v", order, want)
 		}
 	}
-	if m.Contended != 3 {
-		t.Fatalf("contended = %d, want 3", m.Contended)
+	if w := s.Stats().MutexWait; w.Count != 3 {
+		t.Fatalf("contended = %d, want 3", w.Count)
 	}
-	if m.WaitTime == 0 {
+	if s.Stats().MutexWait.Sum == 0 {
 		t.Fatal("expected nonzero wait time")
 	}
 }

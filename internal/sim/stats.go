@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"wafl/internal/obs"
+)
 
 // Category identifies a CPU accounting bucket. Experiments report simulated
 // core usage per category, mirroring the paper's instrumented-kernel
@@ -55,4 +59,13 @@ func (s CPUStats) Cores(prev CPUStats, c Category) float64 {
 		return 0
 	}
 	return float64(s.Busy[c]-prev.Busy[c]) / float64(wall)
+}
+
+// Stats are the scheduler's wait distributions, one sample per wait, in
+// nanoseconds. The histograms are the live ones; a caller that keeps them
+// copies them (wafl.Stats does).
+type Stats struct {
+	RunQueueWait  *obs.Histogram // a CPU burst's wait for a free core
+	MutexWait     *obs.Histogram // a contended Mutex.Lock's wait for the holder
+	WaitQueueWait *obs.Histogram // a WaitQueue wait, from parking to the wake-up
 }

@@ -7,17 +7,13 @@ import (
 
 // Mutex is a simulated lock with FIFO waiters. Because the kernel serializes
 // all simulated execution, Mutex exists to model blocking and contention —
-// and to measure them — rather than to provide memory safety.
+// and to measure them (Stats.MutexWait) — rather than to provide memory
+// safety.
 type Mutex struct {
 	s       *Scheduler
 	name    string
 	holder  *Thread
 	waiters fifo.Queue[*Thread]
-
-	// contention statistics
-	Acquisitions uint64   // total successful Lock calls
-	Contended    uint64   // Lock calls that had to wait
-	WaitTime     Duration // total simulated time spent waiting
 }
 
 // NewMutex returns a simulated mutex. name is used in diagnostics.
@@ -29,20 +25,17 @@ func NewMutex(s *Scheduler, name string) *Mutex {
 // held. Lock costs no CPU by itself; callers model critical-section and
 // lock-operation CPU with Consume.
 func (m *Mutex) Lock(t *Thread) {
-	m.Acquisitions++
 	if m.holder == nil {
 		m.holder = t
 		return
 	}
-	m.Contended++
 	start := m.s.now
 	m.waiters.Push(t)
 	t.park()
 	// Ownership was transferred to us by Unlock before we were resumed.
-	m.WaitTime += Duration(m.s.now - start)
+	m.s.stats.MutexWait.Observe(int64(m.s.now - start))
 	if tr := m.s.tr; tr != nil {
 		tr.Span(obs.PidThreads, t.TrackID(), "sync", "lock:"+m.name, int64(start), int64(m.s.now))
-		tr.Observe("mutex.wait:"+m.name, int64(m.s.now-start))
 	}
 }
 
@@ -89,9 +82,9 @@ func (q *WaitQueue) enter(t *Thread) {
 }
 
 func (q *WaitQueue) leave(t *Thread) {
+	q.s.stats.WaitQueueWait.Observe(int64(q.s.now - t.waitStart))
 	if tr := q.s.tr; tr != nil {
 		tr.Span(obs.PidThreads, t.TrackID(), "sync", "wait:"+q.name, int64(t.waitStart), int64(q.s.now))
-		tr.Observe("waitq.block:"+q.name, int64(q.s.now-t.waitStart))
 	}
 }
 

@@ -114,9 +114,6 @@ func (t *Thread) TrackID() int32 {
 	return t.obsTid - 1
 }
 
-// Sched returns the scheduler this thread runs on.
-func (t *Thread) Sched() *Scheduler { return t.s }
-
 // Now returns the current simulated time.
 func (t *Thread) Now() Time { return t.s.now }
 
@@ -166,9 +163,7 @@ func (t *Thread) ConsumeAs(cat Category, d Duration) {
 		s.freeCores--
 		s.startBurst(t)
 	} else {
-		if s.tr != nil {
-			t.queuedAt = s.now
-		}
+		t.queuedAt = s.now
 		s.readyQ.Push(t)
 	}
 	t.park()

@@ -85,12 +85,9 @@ type Injector interface {
 
 // Stats holds cumulative per-drive I/O statistics.
 type Stats struct {
-	ReadIOs       uint64
-	WriteIOs      uint64
 	BlocksRead    uint64
 	BlocksWritten uint64
-	BytesWritten  uint64       // len of each submitted image; a RAID parity write's requests carry none
-	BusyTime      sim.Duration // total time the drive was servicing I/O
+	BytesWritten  uint64 // len of each submitted image; a RAID parity write's requests carry none
 
 	// Fault-injection outcomes.
 	DelayedIOs     uint64 // I/Os whose completion was delayed
@@ -100,6 +97,11 @@ type Stats struct {
 
 	// Images dropped by Forget, and their len counted like BytesWritten.
 	Forgotten, ForgottenBytes uint64
+
+	// Each I/O's service time (their Count is the drive's I/Os, their Sum
+	// its busy time), and its latency from submission to completion, by
+	// kind: the live histograms, which wafl.Stats copies.
+	ReadService, WriteService, ReadLatency, WriteLatency *obs.Histogram
 
 	// Recycled records (DESIGN §9): write and read I/Os, and the waits of
 	// WriteSync and ReadSync.
@@ -259,7 +261,12 @@ func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN)
 // group's parity drive, whose rows the group keeps: it times, counts and
 // fault-injects its I/O, reads as never written and has no media table.
 func NewParityDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
-	d := &Drive{s: s, name: name, profile: profile, nblocks: nblocks}
+	d := &Drive{s: s, name: name, profile: profile, nblocks: nblocks, stats: Stats{
+		ReadService:  obs.NewHistogram("storage.io_service:read"),
+		WriteService: obs.NewHistogram("storage.io_service:write"),
+		ReadLatency:  obs.NewHistogram("storage.io_latency:read"),
+		WriteLatency: obs.NewHistogram("storage.io_latency:write"),
+	}}
 	d.writePool = fifo.NewPool(&d.stats.WritePool, func() *inflightWrite {
 		e := &inflightWrite{d: d}
 		e.fire = e.complete
@@ -281,10 +288,8 @@ func (d *Drive) Name() string { return d.name }
 // Blocks returns the drive capacity in blocks.
 func (d *Drive) Blocks() block.DBN { return d.nblocks }
 
-// Profile returns the drive's service-time profile.
-func (d *Drive) Profile() Profile { return d.profile }
-
-// Stats returns a snapshot of the drive's I/O statistics.
+// Stats returns the drive's I/O statistics: the counters by value, the
+// histograms live.
 func (d *Drive) Stats() Stats { return d.stats }
 
 // SetInjector attaches a fault injector (nil disables fault injection).
@@ -313,20 +318,20 @@ func (d *Drive) removeInflight(e *inflightWrite) {
 	}
 }
 
-// service reserves the drive for an I/O of n blocks and returns its
-// completion time. kind labels the trace span ("read"/"write").
-func (d *Drive) service(n int, kind string) sim.Time {
+// service reserves the drive for an I/O of n blocks, records its service
+// time and latency in svc and lat, and returns its completion time. kind
+// labels the trace span ("read"/"write").
+func (d *Drive) service(n int, kind string, svc, lat *obs.Histogram) sim.Time {
 	start := d.s.Now()
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
 	dur := d.profile.PerIO + sim.Duration(n)*d.profile.PerBlock
 	d.busyUntil = start + sim.Time(dur)
-	d.stats.BusyTime += dur
+	svc.Observe(int64(dur))
+	lat.Observe(int64(d.busyUntil - d.s.Now()))
 	if tr := d.s.Tracer(); tr != nil {
 		tr.SpanArg(obs.PidStorage, d.track(tr), "io", kind, int64(start), int64(d.busyUntil), int64(n))
-		tr.Observe("storage.io_service:"+kind, int64(dur))
-		tr.Observe("storage.io_latency:"+kind, int64(d.busyUntil-d.s.Now()))
 	}
 	return d.busyUntil
 }
@@ -350,8 +355,7 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 	if d.inj != nil {
 		wf = d.inj.WriteFault(d.name, len(reqs))
 	}
-	completion := d.service(len(reqs), "write")
-	d.stats.WriteIOs++
+	completion := d.service(len(reqs), "write", d.stats.WriteService, d.stats.WriteLatency)
 	d.stats.BlocksWritten += uint64(len(reqs))
 	// Copy the requests into a recycled record; payloads are immutable by
 	// contract, so the caller may reuse its slice once Write returns.
@@ -383,8 +387,7 @@ func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
 			d.stats.DelayedIOs++
 		}
 	}
-	completion := d.service(len(dbns), "read")
-	d.stats.ReadIOs++
+	completion := d.service(len(dbns), "read", d.stats.ReadService, d.stats.ReadLatency)
 	d.stats.BlocksRead += uint64(len(dbns))
 	r := d.readPool.Get()
 	r.epoch, r.dbns, r.done = d.epoch, append(r.dbns, dbns...), done

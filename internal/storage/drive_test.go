@@ -100,11 +100,12 @@ func TestStats(t *testing.T) {
 	})
 	s.Run(sim.Time(sim.Second))
 	st := d.Stats()
-	if st.WriteIOs != 1 || st.BlocksWritten != 2 || st.ReadIOs != 1 || st.BlocksRead != 1 {
+	if st.WriteService.Count != 1 || st.BlocksWritten != 2 || st.ReadService.Count != 1 || st.BlocksRead != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.BusyTime == 0 {
-		t.Fatal("busy time not accounted")
+	w, r := SSD.PerIO+2*SSD.PerBlock, SSD.PerIO+SSD.PerBlock
+	if st.WriteService.Count != 1 || sim.Duration(st.WriteService.Sum) != w || st.ReadService.Count != 1 || sim.Duration(st.ReadService.Sum) != r {
+		t.Fatalf("service times: write %v, read %v; want one of %v, one of %v", st.WriteService, st.ReadService, w, r)
 	}
 }
 
@@ -135,7 +136,7 @@ func TestEmptyIO(t *testing.T) {
 	if !called {
 		t.Fatal("empty write should still complete")
 	}
-	if st := d.Stats(); st.WriteIOs != 0 {
+	if st := d.Stats(); st.WriteService.Count != 0 {
 		t.Fatal("empty write should not count as an I/O")
 	}
 }

@@ -80,9 +80,7 @@ type Affinity struct {
 
 	obsTid int32 // interned trace track id + 1; 0 when not yet interned
 
-	// cumulative statistics
-	Executed  uint64       // messages completed
-	QueueWait sim.Duration // total time messages waited for dispatch
+	Executed uint64 // messages completed
 }
 
 // track returns the affinity's trace track id under obs.PidAffinity,
@@ -147,6 +145,10 @@ type Stats struct {
 	EmptyWakes uint64 // idle-worker wake-ups that found every queued message excluded
 	MaxQueued  int    `stat:"max"`
 
+	// QueueWait is each message's wait from Send to dispatch: the live
+	// histogram, which wafl.Stats copies.
+	QueueWait *obs.Histogram
+
 	// The recycled op state's pools (DESIGN §9): messages, Call's completions.
 	MsgPool, CallPool fifo.PoolStats
 }
@@ -189,6 +191,7 @@ func New(s *sim.Scheduler, workers int, dispatchCost sim.Duration) *Scheduler {
 		idle:     sim.NewWaitQueue(s, "waffinity.idle"),
 		nworkers: workers,
 		dispatch: dispatchCost,
+		stats:    Stats{QueueWait: obs.NewHistogram("waffinity.queue_wait")},
 	}
 	ws.msgPool = fifo.NewPool(&ws.stats.MsgPool, func() *message { return new(message) })
 	ws.callPool = fifo.NewPool(&ws.stats.CallPool, func() *call {
@@ -346,7 +349,7 @@ func (w *Scheduler) workerLoop(t *sim.Thread) {
 		}
 		start(m.aff)
 		dispatchAt := w.s.Now()
-		m.aff.QueueWait += sim.Duration(dispatchAt - m.enqueued)
+		w.stats.QueueWait.Observe(int64(dispatchAt - m.enqueued))
 		if w.dispatch > 0 {
 			t.ConsumeAs(sim.CatWaffinity, w.dispatch)
 		}
@@ -362,7 +365,6 @@ func (w *Scheduler) workerLoop(t *sim.Thread) {
 			// one affinity track never overlap.
 			tr.SpanArg(obs.PidAffinity, m.aff.track(tr), m.cat.String(), msgNames[m.cat],
 				int64(dispatchAt), int64(w.s.Now()), int64(dispatchAt-m.enqueued))
-			tr.Observe("waffinity.queue_wait", int64(dispatchAt-m.enqueued))
 		}
 		if m.done != nil {
 			m.done()

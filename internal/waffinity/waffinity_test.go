@@ -415,8 +415,8 @@ func TestQueueWaitAccounting(t *testing.T) {
 	}
 	s.Run(sim.Time(sim.Second))
 	// Waits: 0 + 10us + 20us = 30us.
-	if aff.QueueWait != 30*sim.Microsecond {
-		t.Fatalf("queue wait = %v, want 30us", aff.QueueWait)
+	if qw := w.Stats().QueueWait; qw.Count != 3 || sim.Duration(qw.Sum) != 30*sim.Microsecond {
+		t.Fatalf("queue wait = %d messages, %v; want 3, 30us", qw.Count, sim.Duration(qw.Sum))
 	}
 }
 

@@ -74,11 +74,11 @@ type Member struct {
 	// sets and releases it.
 	bulkHeld bool
 
-	// Cumulative client and admission totals and the client latency
-	// histogram, incremented in place by the client ops; stats() publishes
-	// them with every layer's counters. They outlive a remount (copied
-	// wholesale to the new incarnation), and base continues the layers a
-	// remount rebuilds — see rebuilt.
+	// The client and admission totals and the client latency histogram,
+	// incremented in place by the client ops; stats() publishes them with
+	// every layer's counters. Like those of every layer a remount rebuilds,
+	// they restart with the incarnation, and base continues them — see
+	// rebuilt.
 	client    ClientStats
 	admission AdmissionStats
 	lat       *obs.Histogram
@@ -107,9 +107,9 @@ func (m *Member) load(t *sim.Thread, lv int, f *fs.File, fbn FBN, miss Time) {
 		return
 	}
 	m.bc.Insert(bcache.Key{Vol: lv, Ino: f.Ino(), FBN: fbn})
+	m.client.BCacheMiss.Observe(int64(t.Now() - miss))
 	if tr := t.Tracer(); tr != nil {
 		tr.Span(obs.PidThreads, t.TrackID(), "client", "bcache miss", int64(miss), int64(t.Now()))
-		tr.Observe("client.bcache.miss", int64(t.Now()-miss))
 	}
 }
 
@@ -197,7 +197,7 @@ func buildMember(sys *System, id int) (*Member, error) {
 	// volumes: indices [Volumes, Volumes+CloneSlots). With CloneSlots == 0
 	// the layout (and every event) is identical to the pre-clone code.
 	localVols := cfg.Volumes + cfg.CloneSlots
-	m := &Member{sys: sys, id: id, lat: obs.NewHistogram("client.lat"),
+	m := &Member{sys: sys, id: id,
 		reserved:     make([]int64, localVols),
 		pendingPlace: make([][]int64, localVols),
 		placements:   make(map[placeKey]int64)}
@@ -229,13 +229,17 @@ func buildMember(sys *System, id int) (*Member, error) {
 // the one order the event stream depends on; format and remount both come
 // through them, and every service thread is spawned inside them, which is
 // what makes [threadLo, threadHi) the member's crash domain. startScheduler
-// is the half that needs no aggregate: the cold buffer cache and the
-// Waffinity scheduler with its worker threads and hierarchy.
+// is the half that needs no aggregate: the client totals, the cold buffer
+// cache and the Waffinity scheduler with its worker threads and hierarchy.
 func (m *Member) startScheduler() {
 	cfg, s := m.sys.cfg, m.sys.s
 	s.SetSpawnPrefix(spawnPrefix(m.id))
 	defer s.SetSpawnPrefix("")
 	m.threadLo = s.ThreadMark()
+	h := obs.NewHistogram
+	m.client = ClientStats{WriteLat: h("client.write"), ReadLat: h("client.read"), RestoreLat: h("client.restore"),
+		CloneLat: h("client.clone"), LogStall: h("client.stall"), BCacheMiss: h("client.bcache.miss")}
+	m.admission, m.lat = AdmissionStats{Delay: h("client.admit")}, h("client.lat")
 	if cfg.BCacheBlocks > 0 {
 		m.bc = bcache.New(cfg.BCacheBlocks)
 	}
@@ -267,16 +271,18 @@ func (m *Member) startAllocator(a *aggregate.Aggregate) {
 }
 
 // rebuilt returns the cumulative counters of the layers a remount builds anew
-// (the volatile stack, and the mounted aggregate's repair path and image
-// pool): this incarnation's, continued from base — the same value the
-// incarnation a crash destroyed last reported — so no counter runs backwards
-// across RecoverMember.
+// (the client totals, the volatile stack, and the mounted aggregate's repair
+// path and image pool): this incarnation's, continued from base — the same
+// value the incarnation a crash destroyed last reported — so no counter runs
+// backwards across RecoverMember.
 func (m *Member) rebuilt() Stats {
-	st := Stats{Infra: m.in.Stats(), Pool: m.pool.Stats(), CP: m.engine.Stats(),
-		Waffinity: m.w.Stats(), Repairs: m.a.Repairs(), Images: m.a.ImageStats()}
+	live := Stats{Client: m.client, Admission: m.admission, Lat: m.lat, Infra: m.in.Stats(), Pool: m.pool.Stats(),
+		CP: m.engine.Stats(), Waffinity: m.w.Stats(), Repairs: m.a.Repairs(), Images: m.a.ImageStats()}
 	if m.bc != nil {
-		st.BCache = m.bc.Stats()
+		live.BCache = m.bc.Stats()
 	}
+	var st Stats
+	foldInto(opAdd, &st, live) // copies the live histograms
 	foldInto(opCarry, &st, m.base)
 	return st
 }
@@ -286,7 +292,6 @@ func (m *Member) rebuilt() Stats {
 // are the same objects across a remount and need no carrying.
 func (m *Member) stats() Stats {
 	st := m.rebuilt()
-	st.Client, st.Admission, st.Lat = m.client, m.admission, m.lat.Clone()
 	for gi := 0; gi < m.a.Groups(); gi++ {
 		g := m.a.Group(gi)
 		foldInto(opAdd, &st.RAID, g.Stats())
@@ -339,9 +344,9 @@ func (m *Member) onRestore(lv int) {
 // the blocks freed since the last forget) and replays the member's NVRAM log
 // partition, leaving the replayed
 // operations dirty for the next CP. The rebuilt member runs on the same
-// scheduler and drives; cumulative statistics carry over — the facade's own
-// totals wholesale, the rebuilt layers' as base — so measurement windows
-// spanning the crash stay meaningful.
+// scheduler and drives; cumulative statistics carry over — the rebuilt
+// layers' as base — so measurement windows spanning the crash stay
+// meaningful.
 func (sys *System) remountMember(om *Member) (*Member, error) {
 	a, err := aggregate.MountFrom(om.a)
 	if err != nil {
@@ -350,7 +355,7 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 	a.ForgetUnreachable()
 	m := &Member{
 		sys: sys, id: om.id,
-		client: om.client, admission: om.admission, lat: om.lat, base: om.rebuilt(),
+		base: om.rebuilt(),
 		// Deep-copy the placement state: sharing om.reserved's backing array
 		// (the old `reserved: om.reserved`) let post-recovery reservation
 		// mutations be observed through stale references to the dead member

@@ -41,6 +41,7 @@ func (sys *System) Recover() (*System, error) {
 		m.sys = ns
 		ns.members = append(ns.members, m)
 	}
+	ns.viewHistograms()
 	return ns, nil
 }
 

@@ -154,13 +154,13 @@ func residencyHistory(t *testing.T, capacity int, seed int64) {
 			}
 			ino := k.ino
 			pays := !shadow.touch(k) && onMedia[k]
-			before := sys.Stats().Drives.ReadIOs
+			before := sys.Stats().Drives.ReadService.Count
 			do(step, "read", func(c *ClientCtx) { c.Read(0, ino, k.fbn, 1) })
 			reads++
 			if pays {
 				paid++
 			}
-			if paid := sys.Stats().Drives.ReadIOs - before; paid != map[bool]uint64{false: 0, true: 1}[pays] {
+			if paid := sys.Stats().Drives.ReadService.Count - before; paid != map[bool]uint64{false: 0, true: 1}[pays] {
 				t.Fatalf("step %d: read of ino %d fbn %d paid %d drive reads, the keep-everything rule says %v", step, ino, k.fbn, paid, pays)
 			}
 			got := sys.VerifyRead(0, ino, k.fbn)
@@ -252,7 +252,7 @@ func TestVerifyReadLeavesResidency(t *testing.T) {
 	if got := rec.VerifyRead(0, ino, 3); !bytes.Equal(got, rec.payload(ino, 3, 0)) {
 		t.Fatalf("VerifyRead returned %d bytes, not the written block", len(got))
 	}
-	before := rec.Stats().Drives.ReadIOs
+	before := rec.Stats().Drives.ReadService.Count
 	done := false
 	rec.ClientThread("r", func(c *ClientCtx) {
 		c.Read(0, ino, 3, 1)
@@ -261,7 +261,7 @@ func TestVerifyReadLeavesResidency(t *testing.T) {
 	for i := 0; !done && i < 100; i++ {
 		rec.Run(Millisecond)
 	}
-	if got := rec.Stats().Drives.ReadIOs - before; !done || got != 1 {
+	if got := rec.Stats().Drives.ReadService.Count - before; !done || got != 1 {
 		t.Fatalf("client read after VerifyRead paid %d drive reads (done %v), want 1", got, done)
 	}
 }

@@ -85,14 +85,17 @@ func (sys *System) Measure(warmup, window Duration) Results {
 // MeasureMembers runs the simulation for warmup, then for window, and
 // returns the cluster-wide metrics over the window and one Results per
 // member. The cluster value is read off the fold of the members' window
-// Stats. Core usage is measured once, cluster-wide (the CPU pool is shared;
-// per-member attribution is not available), and every value carries it.
+// Stats and the shared scheduler's window waits (Stats.Sched). Core usage is
+// measured once, cluster-wide (the CPU pool is shared; per-member
+// attribution is not available), and every value carries it.
 func (sys *System) MeasureMembers(warmup, window Duration) (Results, []Results) {
 	sys.Run(warmup)
 	start := make([]Stats, len(sys.members))
 	for i, m := range sys.members {
 		start[i] = m.stats()
 	}
+	var sched SchedStats
+	foldInto(opAdd, &sched, sys.s.Stats())
 	t0, cpu0 := sys.s.Now(), sys.s.CPU()
 	sys.Run(window)
 	cpu := sys.s.CPU()
@@ -109,10 +112,13 @@ func (sys *System) MeasureMembers(warmup, window Duration) (Results, []Results) 
 	var cluster Stats
 	parts := make([]Results, len(sys.members))
 	for i, m := range sys.members {
-		st := m.stats().Sub(start[i])
+		st := m.stats()
+		foldInto(opSub, &st, start[i])
 		foldInto(opAdd, &cluster, st)
 		parts[i] = windowResults(st, win, cores)
 	}
+	foldInto(opAdd, &cluster.Sched, sys.s.Stats())
+	foldInto(opSub, &cluster.Sched, sched)
 	return windowResults(cluster, win, cores), parts
 }
 

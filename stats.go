@@ -23,10 +23,11 @@ import (
 //   - `stat:"max"`: a high-water mark. Members take the larger; a window
 //     keeps its end value.
 //
-// Lat, the one histogram, merges across members and subtracts over a
-// window. Publishing a new counter is adding a field to its layer's struct:
-// fold, Each and String reach it by reflection, and a field of a kind with
-// no rule panics by name the first time Stats is called.
+// A histogram (*obs.Histogram) merges across members and subtracts over a
+// window; each Stats value holds its own copies. Publishing a new counter or
+// histogram is adding a field to its layer's struct: fold, Each and String
+// reach it by reflection, and a field of a kind with no rule panics by name
+// the first time Stats is called.
 type Stats struct {
 	Client    ClientStats
 	Admission AdmissionStats
@@ -41,6 +42,10 @@ type Stats struct {
 	Repairs   RepairStats    // raw-read-path retries and reconstructions
 	Images    ImageStats     // recycled CP-owned block images (audited, not leak-checked) and the user L0 buffer free list
 
+	// Sched is the shared scheduler's waits: the cluster's, so zero in a
+	// member's share.
+	Sched SchedStats
+
 	// CPCount is the aggregate's committed consistency-point generation. It
 	// is persistent — a recovered system reports the generation it mounted —
 	// unlike CP.CPs, which counts the CPs the engines ran to completion.
@@ -51,8 +56,7 @@ type Stats struct {
 	AggrFree int64 `stat:"gauge"` // aggregate free blocks (loosely accounted)
 	Reserved int64 `stat:"gauge"` // PlaceFile ingest reservations not yet written or refunded
 
-	// Lat is the client op latency histogram (log-linear buckets). Never
-	// shared with the live system or with another Stats value.
+	// Lat is the client op latency histogram (log-linear buckets).
 	Lat *obs.Histogram
 }
 
@@ -63,12 +67,16 @@ type ClientStats struct {
 	BlocksRead    uint64
 	Stalls        uint64   // stall rounds: NVRAM log full, or a SnapRestore gate closed
 	StallTime     Duration // time writes spent in those rounds
+
+	// Latencies of the op kinds that have their own, each NVRAM-full stall
+	// round, and each buffer-cache miss's media read.
+	WriteLat, ReadLat, RestoreLat, CloneLat, LogStall, BCacheMiss *obs.Histogram
 }
 
 // AdmissionStats is admission-control activity (Config.Admission).
 type AdmissionStats struct {
-	Shed  uint64   // bulk writes refused
-	Delay Duration // cumulative delay applied to bulk writes
+	Shed  uint64         // bulk writes refused
+	Delay *obs.Histogram // each delay round of a bulk write; Sum is the cumulative delay
 }
 
 // foldOp is one of the three ways two Stats values combine.
@@ -110,8 +118,8 @@ func combine[T int64 | uint64](op foldOp, name, tag string, a, b T) T {
 // roll-up, the sum over RAID groups and drives, the continuation across a
 // remount and the window delta — the one place that knows how a counter, a
 // gauge, a high-water mark and a histogram combine. It never stores src's
-// histogram in dst; adding merges into dst's own, so dst must not share it
-// (a roll-up starts from the zero value).
+// histogram in dst; it merges into or subtracts from dst's own, so dst must
+// not share it (a roll-up starts from the zero value).
 func fold(op foldOp, dst, src reflect.Value, name, tag string) {
 	switch dst.Kind() {
 	case reflect.Struct:
@@ -131,7 +139,7 @@ func fold(op foldOp, dst, src reflect.Value, name, tag string) {
 		s := src.Interface().(*obs.Histogram)
 		switch {
 		case op == opSub && d != nil:
-			d = d.Delta(s)
+			d.Sub(s)
 		case op != opSub && s != nil:
 			if d == nil {
 				d = obs.NewHistogram(s.Name)
@@ -151,32 +159,34 @@ func foldInto[T any](op foldOp, dst *T, src T) {
 // system or member with prev the earlier: counters subtract, gauges and
 // high-water marks keep st's value, Lat holds the samples recorded between.
 func (st Stats) Sub(prev Stats) Stats {
-	foldInto(opSub, &st, prev)
-	return st
+	var d Stats
+	foldInto(opAdd, &d, st) // copies st's histograms
+	foldInto(opSub, &d, prev)
+	return d
 }
 
 // Each calls fn for every counter, gauge and high-water mark of st in
 // declaration order, named by its path ("CP.AmapWrites", "Cleaners").
-// Durations are passed as nanoseconds; the histogram is not visited.
+// Durations are passed as nanoseconds; histograms are not visited.
 func (st Stats) Each(fn func(name string, v int64)) {
-	eachLeaf(reflect.ValueOf(st), "", func(name string, v reflect.Value) {
+	walk(reflect.ValueOf(st), "", func(name string, v reflect.Value) bool {
 		if v.CanInt() {
 			fn(name, v.Int())
-		} else {
+		} else if v.CanUint() {
 			fn(name, int64(v.Uint()))
 		}
+		return true
 	})
 }
 
-// eachLeaf walks the integer leaves of struct v, naming each by its path.
-func eachLeaf(v reflect.Value, prefix string, fn func(name string, v reflect.Value)) {
+// walk calls fn for every field of struct v, depth first in declaration
+// order, named by its path; it descends into a struct field fn returns true
+// for.
+func walk(v reflect.Value, prefix string, fn func(name string, f reflect.Value) bool) {
 	for i := 0; i < v.NumField(); i++ {
 		f, name := v.Field(i), prefix+v.Type().Field(i).Name
-		switch f.Kind() {
-		case reflect.Struct:
-			eachLeaf(f, name+".", fn)
-		case reflect.Uint64, reflect.Int, reflect.Int64:
-			fn(name, f)
+		if fn(name, f) && f.Kind() == reflect.Struct {
+			walk(f, name+".", fn)
 		}
 	}
 }
@@ -185,33 +195,27 @@ func eachLeaf(v reflect.Value, prefix string, fn func(name string, v reflect.Val
 // records outstanding: taken, and neither returned nor abandoned.
 func (st Stats) leaks() error {
 	var errs []error
-	var walk func(v reflect.Value, prefix string)
-	walk = func(v reflect.Value, prefix string) {
-		for i := 0; i < v.NumField(); i++ {
-			f, name := v.Field(i), prefix+v.Type().Field(i).Name
-			if p, ok := f.Interface().(fifo.PoolStats); ok {
-				if n := p.Outstanding(); n != 0 {
-					errs = append(errs, fmt.Errorf("%s: %d records outstanding (taken %d, returned %d, abandoned %d)",
-						name, n, p.Taken, p.Returned, p.Abandoned))
-				}
-			} else if f.Kind() == reflect.Struct {
-				walk(f, name+".")
-			}
+	walk(reflect.ValueOf(st), "", func(name string, f reflect.Value) bool {
+		p, ok := f.Interface().(fifo.PoolStats)
+		if n := p.Outstanding(); n != 0 {
+			errs = append(errs, fmt.Errorf("%s: %d records outstanding (taken %d, returned %d, abandoned %d)",
+				name, n, p.Taken, p.Returned, p.Abandoned))
 		}
-	}
-	walk(reflect.ValueOf(st), "")
+		return !ok
+	})
 	return errors.Join(errs...)
 }
 
 // String renders the non-zero leaves, one layer per line
 // ("CP: CPs=3 InodesCleaned=5086 TotalDuration=39.105ms ..."); the system-wide
-// scalars share the last line, and Lat's summary follows when it has samples.
+// scalars share the last line, and every histogram with samples follows, one
+// summary a line.
 func (st Stats) String() string {
 	var b strings.Builder
 	line := "" // the layer whose line is open
-	eachLeaf(reflect.ValueOf(st), "", func(name string, v reflect.Value) {
-		if v.IsZero() {
-			return
+	walk(reflect.ValueOf(st), "", func(name string, v reflect.Value) bool {
+		if !v.CanInt() && !v.CanUint() || v.IsZero() {
+			return true
 		}
 		layer, field, ok := strings.Cut(name, ".")
 		if !ok {
@@ -225,9 +229,22 @@ func (st Stats) String() string {
 			line = layer
 		}
 		fmt.Fprintf(&b, " %s=%v", field, v.Interface())
+		return true
 	})
-	if st.Lat != nil && st.Lat.Count > 0 {
-		fmt.Fprintf(&b, "\n%v", st.Lat)
+	for _, h := range histsOf(st) {
+		fmt.Fprintf(&b, "\n%v", h)
 	}
 	return b.String()
+}
+
+// histsOf returns the histograms with samples of struct v (Stats or one
+// layer's struct), in declaration order.
+func histsOf(v any) (out []*obs.Histogram) {
+	walk(reflect.ValueOf(v), "", func(_ string, f reflect.Value) bool {
+		if h, ok := f.Interface().(*obs.Histogram); ok && h != nil && h.Count > 0 {
+			out = append(out, h)
+		}
+		return true
+	})
+	return out
 }

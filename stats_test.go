@@ -207,8 +207,24 @@ func TestStatsMembers2(t *testing.T) {
 	sys.Run(20 * Millisecond)
 
 	before := sys.Stats()
-	if want := rollUp(sys.MemberStats(0), sys.MemberStats(1)); !reflect.DeepEqual(before, want) {
+	want := rollUp(sys.MemberStats(0), sys.MemberStats(1))
+	foldInto(opAdd, &want.Sched, sys.s.Stats())
+	if !reflect.DeepEqual(before, want) {
 		t.Fatalf("Stats() is not the fold of its members:\n got %+v\nwant %+v", before, want)
+	}
+	// The scheduler is the cluster's, not a member's: its waits are counted
+	// once, and a member's share has none.
+	live := sys.s.Stats()
+	if before.Sched.RunQueueWait.Count != live.RunQueueWait.Count || before.Sched.MutexWait.Count != live.MutexWait.Count ||
+		before.Sched.WaitQueueWait.Count != live.WaitQueueWait.Count || before.Sched.WaitQueueWait.Count == 0 {
+		t.Fatalf("Stats().Sched %v %v %v, want the scheduler's own %v %v %v once",
+			before.Sched.RunQueueWait, before.Sched.MutexWait, before.Sched.WaitQueueWait,
+			live.RunQueueWait, live.MutexWait, live.WaitQueueWait)
+	}
+	for i := 0; i < 2; i++ {
+		if st := sys.MemberStats(i).Sched; st != (SchedStats{}) {
+			t.Errorf("member %d reports scheduler waits %+v", i, st)
+		}
 	}
 	for _, name := range []string{"Client.Ops", "Infra.BucketsFilled", "Pool.JobsRun", "CP.CPs",
 		"RAID.FullStripeWrites", "Drives.BlocksWritten", "Waffinity.Executed", "CPCount", "Cleaners"} {
@@ -219,7 +235,7 @@ func TestStatsMembers2(t *testing.T) {
 
 	res, _ := sys.MeasureMembers(0, 40*Millisecond)
 	merged := res.Stats
-	want := sys.Stats().Sub(before)
+	want = sys.Stats().Sub(before)
 	if got, want := leafMap(merged), leafMap(want); !reflect.DeepEqual(got, want) {
 		for name, v := range want {
 			if got[name] != v {
@@ -229,20 +245,27 @@ func TestStatsMembers2(t *testing.T) {
 	}
 	// Bucket counts agree exactly; the window's Min/Max are recovered per
 	// histogram to within one bucket, so they are compared through a quantile.
-	if merged.Lat.Count != want.Lat.Count || merged.Lat.Sum != want.Lat.Sum ||
-		merged.Lat.Quantile(0.5) != want.Lat.Quantile(0.5) {
-		t.Errorf("merged window latency %v, cluster after-before %v", merged.Lat, want.Lat)
+	got, wantH := histsOf(merged), histsOf(want)
+	if len(got) != len(wantH) || len(got) < 20 {
+		t.Fatalf("merged window has %d histograms with samples, cluster after-before %d", len(got), len(wantH))
+	}
+	for i, h := range got {
+		if w := wantH[i]; h.Name != w.Name || h.Count != w.Count || h.Sum != w.Sum || h.Quantile(0.5) != w.Quantile(0.5) {
+			t.Errorf("merged window %v, cluster after-before %v", h, w)
+		}
 	}
 	if merged.Client.Ops == 0 || merged.Lat.Count != merged.Client.Ops {
 		t.Errorf("window saw %d ops and %d latency samples", merged.Client.Ops, merged.Lat.Count)
 	}
 }
 
-// TestStatsViews pins the five bench-only accessors to the Stats fields they
-// are views of, and Stats.String to one line per layer with a counter in it.
+// TestStatsViews pins the seven bench-only accessors and the tracer's
+// Histograms to the Stats fields they are views of, and Stats.String to one
+// line per layer with a counter in it.
 func TestStatsViews(t *testing.T) {
 	cfg := smallConfig()
 	cfg.BCacheBlocks = 64
+	cfg.Trace = true
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -258,9 +281,18 @@ func TestStatsViews(t *testing.T) {
 	res := sys.Measure(20*Millisecond, 40*Millisecond)
 	st := sys.Stats()
 	shed, delay := sys.AdmissionStats()
-	if sys.Counters() != st.Infra || sys.CPStats() != st.CP || sys.BCacheStats() != st.BCache ||
-		sys.CPCount() != st.CPCount || shed != st.Admission.Shed || delay != st.Admission.Delay {
+	if !reflect.DeepEqual(sys.Counters(), st.Infra) || !reflect.DeepEqual(sys.CPStats(), st.CP) || sys.BCacheStats() != st.BCache ||
+		sys.CPCount() != st.CPCount || shed != st.Admission.Shed || delay != Duration(st.Admission.Delay.Sum) {
 		t.Fatal("a bench view disagrees with the Stats field it reads")
+	}
+	if hs := sys.Tracer().Histograms(); !reflect.DeepEqual(hs, histsOf(st)) || len(hs) < 20 {
+		t.Fatalf("the tracer's %d histograms are not the %d of Stats", len(hs), len(histsOf(st)))
+	}
+	if r := sys.TraceReport(); r != st.String() || !strings.Contains(r, "\nclient.write: n=") {
+		t.Fatalf("TraceReport is not the render of Stats:\n%s", r)
+	}
+	if r := sys.CPPhaseReport(); r != (Stats{CP: st.CP}).String()+"\n" || !strings.Contains(r, "\ncp.phase.freeze+zombies: n=") {
+		t.Fatalf("CPPhaseReport is not the render of Stats.CP:\n%s", r)
 	}
 	if res.Ops != res.Stats.Client.Ops || res.CPs != res.Stats.CPCount || res.Cleaners != res.Stats.Cleaners {
 		t.Fatalf("Results fields are not read off Results.Stats: %+v", res)
@@ -274,4 +306,90 @@ func TestStatsViews(t *testing.T) {
 	if strings.Contains(out, "=0 ") || strings.Contains(out, "Faults:") {
 		t.Errorf("String() printed a zero counter or an idle layer:\n%s", out)
 	}
+}
+
+// TestStatsRecordUntraced: with tracing off, a short nfs-like run (writes,
+// reads over a working set larger than its buffer cache, getattrs) records a
+// sample in every histogram its ops reach, so no distribution needs a trace.
+// The rest wait on what the run never does: NVRAM-full stalls, admission, a
+// SnapRestore, a clone, a snapshot delete.
+func TestStatsRecordUntraced(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BCacheBlocks = 256
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	for v := 0; v < cfg.Volumes; v++ {
+		v, ino := v, sys.CreateFileDirect(v, 1<<12)
+		for k := 0; k < 3; k++ {
+			sys.ClientThread("nfs", func(c *ClientCtx) {
+				for c.Alive() {
+					fbn := FBN(c.Rand(2048))
+					switch c.Rand(3) {
+					case 0:
+						c.Write(v, ino, fbn, 2)
+					case 1:
+						c.Read(v, ino, fbn, 2)
+					default:
+						c.Getattr(v, ino)
+					}
+				}
+			})
+		}
+	}
+	res := sys.Measure(20*Millisecond, 60*Millisecond)
+	if sys.Tracer() != nil {
+		t.Fatal("tracing is on")
+	}
+	idle := map[string]bool{"client.restore": true, "client.clone": true, "client.stall": true,
+		"client.admit": true, "snap.reclaimed": true}
+	var names []string
+	eachHist(res.Stats, func(h *obs.Histogram) {
+		names = append(names, h.Name)
+		if idle[h.Name] != (h.Count == 0) {
+			t.Errorf("%s has %d samples; the run reaches it: %v", h.Name, h.Count, !idle[h.Name])
+		}
+	})
+	if len(names) < 30 {
+		t.Fatalf("only %d histograms in Stats: %v", len(names), names)
+	}
+}
+
+// TestStatsHistogramsAreCopies: every Stats value, cumulative, per member or
+// over a window, holds its own histograms, so writing into one changes no
+// later Stats.
+func TestStatsHistogramsAreCopies(t *testing.T) {
+	sys, _ := runTraced(t, false)
+	defer sys.Shutdown()
+	clobber := func(st Stats) {
+		eachHist(st, func(h *obs.Histogram) { h.Observe(1 << 40) })
+	}
+	want, wantM := sys.Stats(), sys.MemberStats(0)
+	clobber(sys.Stats())
+	clobber(sys.MemberStats(0))
+	res := sys.Measure(0, 0)
+	clobber(res.Stats)
+	if got := sys.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatal("writing into a returned Stats' histograms changed the next Stats()")
+	}
+	if got := sys.MemberStats(0); !reflect.DeepEqual(got, wantM) {
+		t.Fatal("writing into a returned Stats' histograms changed the next MemberStats(0)")
+	}
+}
+
+// eachHist calls fn for every histogram field of st that is set.
+func eachHist(st Stats, fn func(*obs.Histogram)) {
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Struct {
+				walk(f)
+			} else if h, ok := f.Interface().(*obs.Histogram); ok && h != nil {
+				fn(h)
+			}
+		}
+	}
+	walk(reflect.ValueOf(st))
 }

@@ -42,7 +42,7 @@ func TestTracingDeterminism(t *testing.T) {
 	evOn, swOn := sysOn.Events(), sysOn.Switches()
 	defer sysOn.Shutdown()
 
-	// Every layer's window counters and the latency buckets, by value.
+	// Every layer's window counters and every latency histogram, by value.
 	if !reflect.DeepEqual(resOff, resOn) {
 		t.Fatalf("tracing changed results:\noff: %+v\non:  %+v", resOff, resOn)
 	}

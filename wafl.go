@@ -69,13 +69,13 @@ type (
 	CostModel = core.CostModel
 	// AAPolicy selects the Allocation Area selection policy.
 	AAPolicy = core.AAPolicy
-	// Tracer is the observability spine: trace events, latency histograms,
-	// and Chrome-trace export. Nil when tracing is off.
+	// Tracer records the timeline: trace events, forensic notes and
+	// Chrome-trace export. Nil when tracing is off.
 	Tracer = obs.Tracer
 	// Event is one buffered trace event; determinism tests compare whole
 	// streams of these across runs.
 	Event = obs.Event
-	// TraceHistogram is one latency histogram recorded by the tracer.
+	// TraceHistogram is one log-linear latency histogram, as Stats keeps them.
 	TraceHistogram = obs.Histogram
 	// FaultConfig selects the deterministic drive-fault plan (torn writes,
 	// dropped/delayed completions, transient read errors) for crash tests.
@@ -102,6 +102,9 @@ type (
 	DriveStats = storage.Stats
 	// WaffinityStats counts affinity messages sent and executed.
 	WaffinityStats = waffinity.Stats
+	// SchedStats is the shared scheduler's run-queue, mutex and wait-queue
+	// waits.
+	SchedStats = sim.Stats
 	// ImageStats counts the aggregate's recycled CP-owned block images.
 	ImageStats = fs.ImageStats
 )
@@ -202,10 +205,10 @@ type Config struct {
 	// blocks matters.
 	PayloadBytes int
 
-	// Trace enables the observability spine: structured trace events and
-	// latency histograms, exportable as Chrome trace JSON (WriteTrace).
-	// Tracing never changes simulation results — runs are bit-identical
-	// with it on or off.
+	// Trace records the timeline: structured trace events, exportable as
+	// Chrome trace JSON (WriteTrace). The latency histograms are Stats
+	// fields either way. Tracing never changes simulation results — runs
+	// are bit-identical with it on or off.
 	Trace bool
 	// TraceEvents bounds the trace ring buffer (events, not bytes); zero
 	// selects the default capacity. Oldest events drop first.
@@ -278,7 +281,6 @@ type System struct {
 	s       *sim.Scheduler
 	members []*Member
 
-	clients    []*ClientCtx
 	threadMark int // first sim thread belonging to this System
 	stopped    bool
 }
@@ -299,6 +301,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.SetTracer(obs.New(obs.Options{Capacity: cfg.TraceEvents}))
 	}
 	sys := &System{cfg: cfg, s: s, threadMark: s.ThreadMark()}
+	sys.viewHistograms()
 	for i := 0; i < cfg.Members; i++ {
 		m, err := buildMember(sys, i)
 		if err != nil {
@@ -370,15 +373,31 @@ func (sys *System) Stats() Stats {
 	for _, m := range sys.members {
 		foldInto(opAdd, &t, m.stats())
 	}
+	foldInto(opAdd, &t.Sched, sys.s.Stats())
 	return t
+}
+
+// viewHistograms makes sys's Stats the tracer's Histograms.
+func (sys *System) viewHistograms() {
+	sys.s.Tracer().SetHistograms(func() []*obs.Histogram { return histsOf(sys.Stats()) })
 }
 
 // MemberStats returns member i's share of Stats.
 func (sys *System) MemberStats(i int) Stats { return sys.members[i].stats() }
 
-// The five accessors below are views of Stats kept, with their signatures,
-// for bench/child.go; they go when a benchmark PR lets it read Stats (Each)
-// instead. arch_test.go's stat rule keeps every other caller on Stats.
+// The seven accessors below, and the tracer's Histograms (set in NewSystem),
+// are views of Stats kept, with their signatures, for bench/child.go; they go
+// when a benchmark PR lets it read Stats (Each) instead. arch_test.go's stat
+// rule keeps every other caller on Stats.
+
+// TraceReport renders Stats: every counter, and every histogram by the name
+// the tracer once kept it under.
+func (sys *System) TraceReport() string { return sys.Stats().String() }
+
+// CPPhaseReport renders each member's CP counters and duration histograms.
+func (sys *System) CPPhaseReport() string {
+	return sys.perMember(func(m *Member) string { return Stats{CP: m.stats().CP}.String() + "\n" })
+}
 
 // BCacheStats returns the buffer-cache counters summed across members
 // (all zero when Config.BCacheBlocks is 0).
@@ -388,7 +407,7 @@ func (sys *System) BCacheStats() BCacheStats { return sys.Stats().BCache }
 // writes shed and cumulative bulk delay time.
 func (sys *System) AdmissionStats() (shed uint64, delay Duration) {
 	st := sys.Stats().Admission
-	return st.Shed, st.Delay
+	return st.Shed, Duration(st.Delay.Sum)
 }
 
 // CPCount returns the number of committed consistency points (the
@@ -540,12 +559,6 @@ func (sys *System) Tracer() *Tracer { return sys.s.Tracer() }
 // off it writes an empty, still-valid trace document.
 func (sys *System) WriteTrace(w io.Writer) error {
 	return sys.s.Tracer().WriteChromeTrace(w)
-}
-
-// TraceReport renders the tracer's latency histograms (p50/p95/p99 per
-// metric), or "" when tracing is off.
-func (sys *System) TraceReport() string {
-	return sys.s.Tracer().HistogramReport()
 }
 
 // Stop makes client loops exit at their next Alive check.
@@ -706,12 +719,6 @@ func (sys *System) CloneVolumes() []int {
 	return out
 }
 
-// CPPhaseReport renders the per-phase CP duration breakdown (p50/p99 per
-// phase) from the engines' always-on histograms.
-func (sys *System) CPPhaseReport() string {
-	return sys.perMember(func(m *Member) string { return m.engine.PhaseReport() })
-}
-
 // VolFreeBlocks returns the loosely-accounted allocatable-VVBN counter of
 // one (globally addressed) volume (free = !active && !summary). After a
 // Quiesce it matches FreeSpaceBreakdown(vol).Free exactly.
@@ -776,22 +783,22 @@ func (sys *System) Quiesce() error {
 // rounds, until the whole system is clean; verb names the caller in the
 // error.
 func (sys *System) drive(verb string) error {
+	var m *Member
 	for i := 0; i < 8; i++ {
 		sys.ForceCP()
 		sys.Run(2 * Second)
-		if sys.allClean() {
+		if m = sys.unclean(); m == nil {
 			return nil
 		}
 	}
-	m := sys.dirtiest()
 	return fmt.Errorf("wafl: system did not %s (member %d: log ops=%d, frozen=%v)",
 		verb, m.id, m.log.ActiveOps(), m.log.HasFrozen())
 }
 
-// allClean reports whether every member has no logged ops, no frozen log
-// half, no running CP, no dirty files, and quiescent snapshot, clone, and
-// restore machinery.
-func (sys *System) allClean() bool {
+// unclean returns the first member with logged ops, a frozen log half, a
+// running CP, dirty files, or snapshot, clone or restore machinery not yet
+// quiescent; nil when there is none.
+func (sys *System) unclean() *Member {
 	for _, m := range sys.members {
 		clean := m.log.ActiveOps() == 0 && !m.log.HasFrozen() && !m.engine.Running()
 		for _, v := range m.a.Volumes() {
@@ -800,19 +807,8 @@ func (sys *System) allClean() bool {
 			}
 		}
 		if !clean {
-			return false
-		}
-	}
-	return true
-}
-
-// dirtiest returns a member still holding un-flushed state (for error
-// messages), or member 0.
-func (sys *System) dirtiest() *Member {
-	for _, m := range sys.members {
-		if m.log.ActiveOps() != 0 || m.log.HasFrozen() || m.engine.Running() {
 			return m
 		}
 	}
-	return sys.members[0]
+	return nil
 }
