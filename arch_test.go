@@ -938,12 +938,13 @@ var archRules = []archRule{
 		}},
 	},
 	{
-		// One maker of image arrays in internal/fs: the image pool, where a
-		// CP-owned array comes from and goes back to when the media drops it
-		// (DESIGN §14). block.Clone stays for callers outside internal/fs.
+		// One maker of image arrays in internal/fs and the facade: the image
+		// pool, where every array a buffer holds and every client payload
+		// comes from and goes back to when the media drops it (DESIGN §14).
+		// block.Clone stays for callers elsewhere.
 		name: "images",
 		clauses: []clause{{
-			scan: []string{"internal/fs"}, except: []string{"internal/fs/images.go"}, forbid: makesImage,
+			scan: []string{"internal/fs", "."}, except: []string{"internal/fs/images.go"}, forbid: makesImage,
 			msg: "image array made outside internal/fs/images.go: take it from the ImagePool",
 		}},
 		bad: []badTree{{
@@ -958,6 +959,9 @@ var archRules = []archRule{
 		}, {
 			files: map[string]string{"internal/fs/walk.go": `package fs; func f() []byte { return make([]byte, 4096) }`},
 			want:  "internal/fs/walk.go:1: image array made outside internal/fs/images.go",
+		}, {
+			files: map[string]string{"client.go": `package wafl; func (sys *System) payload(n int) []byte { return make([]byte, n) }`},
+			want:  "client.go:1: image array made outside internal/fs/images.go",
 		}},
 	},
 	{

@@ -77,22 +77,27 @@ func (sys *System) NewWaitQueue(name string) *WaitQueue {
 // Wait parks the client on q until another client Signals it.
 func (c *ClientCtx) Wait(q *WaitQueue) { q.Wait(c.t) }
 
-// payload builds the pattern content for a block write. The pattern is
-// derived from the file handle as the client holds it (member tag
-// included), so content checks work with the handle alone. The array is the
-// one allocation a client write makes per block, and its only copy: the
-// NVLog record logs it and the buffer adopts it (fs.File.WriteBlock).
-func (sys *System) payload(ino uint64, fbn FBN, tag byte) []byte {
+// payload builds the pattern content for a block write to member m. The
+// pattern is derived from the file handle as the client holds it (member
+// tag included), so content checks work with the handle alone. The array
+// comes from the member's image pool and is the write's only copy: the
+// NVLog record logs it, the buffer adopts it (fs.File.WriteBlock), and once
+// the media alone holds it, it goes back to the pool when the media lets go
+// of it (DESIGN §14).
+func (sys *System) payload(m *Member, ino uint64, fbn FBN, tag byte) []byte {
+	p := m.a.Images().Get(sys.payloadLen())
+	fillPayload(p, ino, fbn, tag)
+	return p
+}
+
+// payloadLen is the length of every payload: Config.PayloadBytes, 64 if it
+// is unset, at most a block.
+func (sys *System) payloadLen() int {
 	n := sys.cfg.PayloadBytes
 	if n <= 0 {
 		n = 64
 	}
-	if n > block.Size {
-		n = block.Size
-	}
-	p := make([]byte, n)
-	fillPayload(p, ino, fbn, tag)
-	return p
+	return min(n, block.Size)
 }
 
 // fillPayload writes the pattern into p: byte i is
@@ -247,7 +252,7 @@ func (op *clientOp) writeBlocks(wt *sim.Thread) {
 		// writes into it again (fs.File.WriteBlock).
 		rec := nvlog.Record{
 			Kind: nvlog.OpWrite, Vol: uint32(op.lv), Ino: op.li,
-			FBN: fbn, Data: sys.payload(op.ino, fbn, op.tag), LogicalBytes: block.Size,
+			FBN: fbn, Data: sys.payload(m, op.ino, fbn, op.tag), LogicalBytes: block.Size,
 		}
 		if !m.apply(&rec) {
 			panic(fmt.Sprintf("wafl: write to nonexistent ino %d", op.ino))

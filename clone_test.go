@@ -14,6 +14,14 @@ func cloneConfig() Config {
 	return cfg
 }
 
+// expected returns the payload a write of (ino, fbn) with tag carried, in a
+// fresh array: the test's oracle, never one of the image pool's.
+func (sys *System) expected(ino uint64, fbn FBN, tag byte) []byte {
+	p := make([]byte, sys.payloadLen())
+	fillPayload(p, ino, fbn, tag)
+	return p
+}
+
 // expectBlock checks one live block of (vol, ino) against the tagged payload
 // (or a hole when tag < 0).
 func expectBlock(t *testing.T, sys *System, vol int, ino uint64, fbn FBN, tag int, label string) {
@@ -25,7 +33,7 @@ func expectBlock(t *testing.T, sys *System, vol int, ino uint64, fbn FBN, tag in
 		}
 		return
 	}
-	want := sys.payload(ino, fbn, byte(tag))
+	want := sys.expected(ino, fbn, byte(tag))
 	if got == nil {
 		t.Fatalf("%s: vol %d fbn %d: want tag %q, got hole", label, vol, fbn, byte(tag))
 	}
@@ -549,7 +557,7 @@ func TestSnapRestoreCrashAtEveryCPPhase(t *testing.T) {
 		// Decide the leg from block 0, then the whole image must agree.
 		legB := false
 		if got := rec.VerifyRead(0, ino, 0); got != nil {
-			wantB := rec.payload(ino, 0, 'B')
+			wantB := rec.expected(ino, 0, 'B')
 			legB = bytes.Equal(got[:len(wantB)], wantB)
 		}
 		for fbn := FBN(0); fbn < n; fbn++ {
@@ -772,4 +780,86 @@ func TestWriteStallsOnRestoreGate(t *testing.T) {
 	gatedWrite(rec, 2*n+1)
 	rec.Run(20 * Second)
 	check(rec, before, []FBN{2*n + 1}, "recovered")
+}
+
+// TestSplitCopiesMarkedParentBlocks: a clone split rewrites each shared base
+// block with a copy of the parent's image. The parent's committed blocks are
+// marked media-only, so once the parent overwrites them, its snapshot goes
+// and their homes are forgotten, the image pool takes their arrays back and
+// poisons them with 0xA5: a split volume that shared them would read the
+// poison.
+func TestSplitCopiesMarkedParentBlocks(t *testing.T) {
+	sys, ino := newCrashSystem(t, cloneConfig())
+	defer sys.Shutdown()
+	const n = 32
+	run := func(name string, fn func(c *ClientCtx)) {
+		t.Helper()
+		done := false
+		sys.ClientThread(name, func(c *ClientCtx) {
+			fn(c)
+			done = true
+		})
+		sys.Run(2 * Second)
+		if err := sys.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !done {
+			t.Fatalf("%s did not finish", name)
+		}
+	}
+	var snapID uint64
+	var cloneVol int
+	run("parent", func(c *ClientCtx) {
+		for fbn := FBN(0); fbn < n; fbn++ {
+			c.WriteTag(0, ino, fbn, 1, 'A')
+		}
+	})
+	a := sys.m0().a
+	_, vbn, _ := a.Volume(0).LookupFile(ino).Resolve(0, a)
+	if g, d, dbn := a.Geometry().Locate(vbn); !a.Group(g).Drive(d).MediaOnly(dbn) {
+		t.Fatal("the parent's committed block is not marked media-only")
+	}
+	run("cloner", func(c *ClientCtx) {
+		snapID = c.SnapCreate(0)
+		var ok bool
+		if cloneVol, ok = c.CloneCreate(0, snapID); !ok {
+			t.Error("clone create failed")
+		}
+	})
+	run("splitter", func(c *ClientCtx) {
+		if !c.CloneSplit(cloneVol) {
+			t.Error("CloneSplit refused")
+		}
+	})
+	for i := 0; i < 50 && !sys.CloneSplitDone(cloneVol); i++ {
+		sys.ForceCP()
+		sys.Run(500 * Millisecond)
+	}
+	if !sys.CloneSplitDone(cloneVol) {
+		t.Fatal("split did not complete")
+	}
+	returned := a.ImageStats().Returned
+	run("overwriter", func(c *ClientCtx) {
+		for fbn := FBN(0); fbn < n; fbn++ {
+			c.WriteTag(0, ino, fbn, 1, 'B')
+		}
+	})
+	if !sys.SnapDeleteDirect(0, snapID) {
+		t.Fatal("parent snapshot still guarded after the split")
+	}
+	for range 2 {
+		if err := sys.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.ImageStats().Returned - returned; got < n {
+		t.Fatalf("%d arrays came back to the pool, want the parent's %d forgotten payloads at least", got, n)
+	}
+	for fbn := FBN(0); fbn < n; fbn++ {
+		expectBlock(t, sys, cloneVol, ino, fbn, 'A', "split volume after the parent's blocks went back")
+		expectBlock(t, sys, 0, ino, fbn, 'B', "parent")
+	}
+	if err := sys.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
 }

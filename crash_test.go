@@ -569,8 +569,11 @@ func TestUsedBlocksReconstruct(t *testing.T) {
 
 // TestLoggedPayloadIsTheBufferImage: with full-block payloads a write's NVLog
 // record and its buffer's live image are one array, and nothing writes into
-// it — not the CP that cleans the block (after which the media holds it too),
-// not the replay that reapplies the record after a crash.
+// it — not the CP that cleans the block, after which the media holds it too
+// and, once the commit drops the buffer, alone (its DBN marked media-only).
+// The replay that reapplies the record after a crash adopts a copy from the
+// image pool with the same bytes, and the restored record holds that copy:
+// the crashed aggregate's array may be a committed block's (DESIGN §14).
 func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 	sys, ino := newCrashSystem(t, crashConfig())
 	write := func(sys *System, fbn FBN, tag byte) {
@@ -611,8 +614,12 @@ func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 	// array, and a verification read returns it.
 	_, vbn, _ := sys.m0().a.Volume(0).LookupFile(ino).Resolve(5, sys.m0().a)
 	if buffer(sys, 5) != nil || &sys.VerifyRead(0, ino, 5)[0] != &data[0] ||
-		&sys.m0().a.ReadVBNRaw(vbn)[0] != &data[0] || !bytes.Equal(data, sys.payload(ino, 5, 1)) {
+		&sys.m0().a.ReadVBNRaw(vbn)[0] != &data[0] || !bytes.Equal(data, sys.expected(ino, 5, 1)) {
 		t.Fatal("the CP copied the logged payload or wrote into it")
+	}
+	g, d, dbn := sys.m0().a.Geometry().Locate(vbn)
+	if !sys.m0().a.Group(g).Drive(d).MediaOnly(dbn) {
+		t.Fatal("the committed payload's DBN is not marked media-only once its buffer left")
 	}
 
 	write(sys, 9, 2)
@@ -622,8 +629,81 @@ func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &logged(rec, 9)[0] != &data[0] || &rec.VerifyRead(0, ino, 9)[0] != &data[0] ||
-		!bytes.Equal(data, sys.payload(ino, 9, 2)) {
-		t.Fatal("replay copied the logged payload or wrote into it")
+	replayed := logged(rec, 9)
+	if &replayed[0] == &data[0] || !bytes.Equal(replayed, data) || !bytes.Equal(data, sys.expected(ino, 9, 2)) {
+		t.Fatal("replay did not give the record a copy of the logged payload, or wrote into it")
 	}
+	if &buffer(rec, 9).Data()[0] != &replayed[0] || &rec.VerifyRead(0, ino, 9)[0] != &replayed[0] {
+		t.Fatal("the replayed buffer does not share its array with the restored record")
+	}
+}
+
+// TestPostCommitReplayCopiesMarkedPayloads: a crash at the post-commit
+// boundary — after the commit dropped the cleaned L0s' buffers and marked
+// their payloads' DBNs media-only (fs.File.DropClean), before the log half
+// that logged them was freed — replays records whose arrays the committed
+// blocks hold. Replay adopts a copy of each, so no array sits at two DBNs:
+// the audit (Quiesce) finds none right after recovery, and once the replayed
+// blocks are overwritten and their old homes forgotten, nothing a later
+// read reaches was poisoned by the image pool.
+func TestPostCommitReplayCopiesMarkedPayloads(t *testing.T) {
+	sys, ino := newCrashSystem(t, crashConfig())
+	const n = 16
+	sys.ClientThread("w", func(c *ClientCtx) {
+		c.Write(0, ino, 0, n)
+		sys.ForceCP()
+	})
+	sys.SetCPPhaseHook(func(phase string) bool {
+		if phase == "post-commit" {
+			sys.RequestHalt()
+		}
+		return phase == "post-commit"
+	})
+	sys.Run(Second)
+	recs := sys.m0().log.Replay()
+	if !sys.Halted() || len(recs) != n {
+		t.Fatalf("halted=%v with %d records in NVRAM; want the post-commit boundary with %d", sys.Halted(), len(recs), n)
+	}
+	a := sys.m0().a
+	f := a.Volume(0).LookupFile(ino)
+	for _, r := range recs {
+		_, vbn, _ := f.Resolve(r.FBN, a)
+		g, d, dbn := a.Geometry().Locate(vbn)
+		if drv := a.Group(g).Drive(d); &drv.Peek(dbn)[0] != &r.Data[0] || !drv.MediaOnly(dbn) {
+			t.Fatalf("fbn %d: the logged array is not its committed block's marked image", r.FBN)
+		}
+	}
+	sys.Crash()
+	rec, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Shutdown()
+	check := func(label string) {
+		t.Helper()
+		for fbn := FBN(0); fbn < n; fbn++ {
+			if err := rec.VerifyAgainst(0, ino, fbn); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		if err := rec.Quiesce(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	check("recovered")
+	done := false
+	rec.ClientThread("w", func(c *ClientCtx) {
+		c.Write(0, ino, 0, n)
+		done = true
+	})
+	rec.Run(10 * Millisecond)
+	for range 2 {
+		if err := rec.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !done {
+		t.Fatal("the overwrite was not acknowledged")
+	}
+	check("overwritten and flushed twice")
 }

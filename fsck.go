@@ -331,7 +331,9 @@ func (mem *Member) fsck(r *FsckReport, prefix string) {
 // the committed content matches (test helper).
 func (sys *System) VerifyAgainst(vol int, ino uint64, fbn FBN) error {
 	got := sys.VerifyRead(vol, ino, fbn)
-	want := sys.payload(ino, fbn, 0)
+	var buf [block.Size]byte
+	want := buf[:sys.payloadLen()]
+	fillPayload(want, ino, fbn, 0)
 	if got == nil {
 		return fmt.Errorf("vol %d ino %d fbn %d: hole, want data", vol, ino, fbn)
 	}
@@ -355,7 +357,9 @@ func (sys *System) SnapVerifyAgainst(vol int, snapID, ino uint64, fbn FBN, expec
 		}
 		return nil
 	}
-	want := sys.payload(ino, fbn, 0)
+	var buf [block.Size]byte
+	want := buf[:sys.payloadLen()]
+	fillPayload(want, ino, fbn, 0)
 	if got == nil {
 		return fmt.Errorf("vol %d snap %d ino %d fbn %d: hole, want data", vol, snapID, ino, fbn)
 	}

@@ -55,10 +55,13 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 
 // TestNFSMixHostAllocBudget guards the host cost of the op path on the
 // benchmark's nfsmix: at most 0.6 KiB and 5 mallocs of host heap per client
-// op. The figures sit near 0.434 KiB and 2.2 mallocs/op while a stripe's
-// parity is the XOR of its data images (DESIGN §4; 0.455 KiB when each
+// op. The figures sit near 0.380 KiB and 1.7 mallocs/op while a payload
+// comes from the image pool (DESIGN §14; 0.402 KiB when each was a fresh
+// array) and a stripe's parity is the XOR of its data images (DESIGN §4;
+// measured against 0.434 KiB and 2.2 mallocs then, 0.455 KiB when each
 // stripe write cloned a row of data images, 0.609 KiB when each stripe's
-// parity was XORed into an array) and a client op allocates only its payloads and
+// parity was XORed into an array), and a client op
+// allocates only the payloads the pool lacks and its
 // first-touch buffers (the message, its call completion, the op's body, the
 // NVRAM reservation, the bcache entry and the free commits all come back from
 // free lists; DESIGN §9), 0.98 KiB and 11.3 when each was garbage and the
@@ -90,8 +93,10 @@ func TestNFSMixHostAllocBudget(t *testing.T) {
 }
 
 // TestClientOpAllocations pins what a warm client op allocates on the host:
-// a Write exactly its payload, a Read that hits the buffer cache and a
-// Getattr nothing. Everything else an op uses is recycled (DESIGN §9).
+// nothing. A Write's payload comes from the image pool, which a generation
+// of overwritten and forgotten payloads has filled (DESIGN §14; one object
+// a write when every payload was a fresh array); a Read that hits the
+// buffer cache and a Getattr use nothing but recycled state (DESIGN §9).
 func TestClientOpAllocations(t *testing.T) {
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 64
@@ -101,6 +106,18 @@ func TestClientOpAllocations(t *testing.T) {
 	}
 	defer sys.Shutdown()
 	ino := sys.CreateFileDirect(0, 1024)
+	// Two generations of 64 blocks, each committed: the second's CP frees
+	// the first, and the CP after it hands the first's payloads back.
+	for range 2 {
+		sys.ClientThread("warm", func(c *wafl.ClientCtx) { c.Write(0, ino, 0, 64) })
+		sys.Run(10 * wafl.Millisecond)
+		if err := sys.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	got := map[string]float64{}
 	sys.ClientThread("probe", func(c *wafl.ClientCtx) {
 		for _, op := range []struct {
@@ -116,7 +133,7 @@ func TestClientOpAllocations(t *testing.T) {
 		}
 	})
 	sys.Run(50 * wafl.Millisecond)
-	for name, want := range map[string]float64{"write": 1, "read": 0, "getattr": 0} {
+	for name, want := range map[string]float64{"write": 0, "read": 0, "getattr": 0} {
 		if got[name] != want {
 			t.Errorf("a warm one-block %s allocates %v objects, want %v", name, got[name], want)
 		}
@@ -236,7 +253,7 @@ func liveHeap() float64 {
 // the budgets above guard what it allocates: at the end of overload_burst's
 // recover phase the live heap the system holds (HeapAlloc after a
 // collection, less what it was before the system was built: systems earlier
-// tests left running stay live) is under 17 MiB. It sits near 16.0 MiB while
+// tests left running stay live) is under 17 MiB. It sits near 14.7 MiB while
 // a clean user block keeps no buffer (DESIGN §15; 18.0 when every block
 // written or read kept one, 18.6 when the parity drive also kept every
 // stripe's row, DESIGN §4), while
@@ -263,7 +280,7 @@ func TestOverloadLiveHeapBudget(t *testing.T) {
 // TestNFSMixLiveHeapBudget guards the same on the benchmark's nfsmix, whose
 // 1,600 small files hold one sparse L1 each: after a 150 ms warm-up and a
 // 250 ms window the live heap the system holds is under 23 MiB. It sits near
-// 21.6 MiB while a clean user block keeps no buffer (DESIGN §15; 24.7 when
+// 20.3 MiB while a clean user block keeps no buffer (DESIGN §15; 24.7 when
 // every block written kept one, 26.2 when the parity drive also kept every
 // stripe's row, DESIGN §4) and a sparse indirect keeps an array only as long as its
 // pointers need and shares it with the media sealed (DESIGN §14); 31.6 MiB
@@ -309,7 +326,7 @@ func liveAfterWindow(t *testing.T, cfg wafl.Config, w harness.Attacher) float64 
 
 // TestSeqWriteLiveHeapBudget guards the live heap of the benchmark's
 // seqwrite: after a 150 ms warm-up and a 250 ms window the system holds
-// under 45 MiB. It sits near 38.3 MiB while a user L0 buffer lives only
+// under 45 MiB. It sits near 37.1 MiB while a user L0 buffer lives only
 // while its block is dirty or in a CP, and a clean block's content is its
 // media image (DESIGN §15); 63.6 MiB when every block ever written kept its
 // 96-byte buffer.
@@ -324,15 +341,18 @@ func TestSeqWriteLiveHeapBudget(t *testing.T) {
 
 // TestAgedRandLiveHeapBudget is its twin on the benchmark's agedrand, whose
 // set-up dirties a 393,216-block prefill in one CP: under 75 MiB after the
-// window. It sits near 61.8 MiB while that burst's buffers go to the garbage
+// window. It sits near 62.2 MiB while that burst's buffers go to the garbage
 // collector instead of the free list (ImagePool.TrimBuffers); 98.8 MiB when
 // every block kept its buffer. Over the window the system also allocates at
-// most 0.22 KiB of host heap per op: 0.17 while a snapshot delete reuses its
-// volume's reclamation arrays, 0.29 when every delete allocated them anew.
+// most 0.12 KiB of host heap per op: 0.091 while a client's payload comes
+// from the image pool and goes back to it when the media drops its
+// overwritten block (DESIGN §14; 0.167 when every payload was a fresh
+// array), 0.29 when every snapshot delete also allocated its volume's
+// reclamation arrays anew.
 // The less the run allocates once the prefill's burst is garbage, the less
 // its peak RSS depends on whether the collector reclaimed the burst first.
 func TestAgedRandLiveHeapBudget(t *testing.T) {
-	const budgetMiB, budgetKiB = 75, 0.22
+	const budgetMiB, budgetKiB = 75, 0.12
 	base := liveHeap()
 	cfg := wafl.DefaultConfig()
 	workload.DefaultAgedVol().Configure(&cfg)

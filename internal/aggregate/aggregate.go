@@ -57,9 +57,9 @@ type Aggregate struct {
 	vols    []*Volume
 	cpCount uint64
 
-	// images is where every file's CP-owned arrays come from, and where the
-	// media-only ones go back when the RAID groups let go of them (DESIGN
-	// §14). A mounted aggregate starts with an empty one.
+	// images is where every file's arrays and every client payload come
+	// from, and where the media-only ones go back when the RAID groups let
+	// go of them (DESIGN §14). A mounted aggregate starts with an empty one.
 	images *fs.ImagePool
 
 	// freed lists the VBNs cleared since the running CP started, cut those
@@ -87,7 +87,8 @@ func New(s *sim.Scheduler, cfg Config) (*Aggregate, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Aggregate{s: s, geo: cfg.Geometry, profile: cfg.Profile, images: fs.NewImagePool()}
+	a := &Aggregate{s: s, geo: cfg.Geometry, profile: cfg.Profile}
+	a.images = a.newImagePool()
 	for gi := 0; gi < cfg.NumGroups; gi++ {
 		a.groups = append(a.groups, raid.NewGroup(s, gi, cfg.DataDrives, cfg.Depth, cfg.Profile))
 	}
@@ -110,6 +111,24 @@ func New(s *sim.Scheduler, cfg Config) (*Aggregate, error) {
 		}
 	}
 	return a, nil
+}
+
+// newImagePool returns an empty image pool whose arrays a's data drives mark
+// media-only.
+func (a *Aggregate) newImagePool() *fs.ImagePool {
+	p := fs.NewImagePool()
+	p.SetMarker(a)
+	return p
+}
+
+// Mark marks vbn media-only if its data drive holds arr's array there
+// (storage.Drive.Mark): a buffer has let go of it (fs.Marker).
+func (a *Aggregate) Mark(vbn block.VBN, arr []byte) bool {
+	if vbn == block.InvalidVBN {
+		return false
+	}
+	g, d, dbn := a.geo.Locate(vbn)
+	return a.groups[g].Drive(d).Mark(dbn, arr)
 }
 
 // ownMedia makes a's image pool the owner of its RAID groups' media-only
@@ -135,6 +154,9 @@ func (a *Aggregate) newMetafile(ino uint64, height int) *fs.File {
 // ImageStats returns the image pool's counts.
 func (a *Aggregate) ImageStats() fs.ImageStats { return a.images.Stats() }
 
+// Images returns the aggregate's image pool, where client payloads come from.
+func (a *Aggregate) Images() *fs.ImagePool { return a.images }
+
 // CheckImages audits the image pool against the data drives
 // (fs.ImagePool.Audit). Only when no write is in flight: at Quiesce.
 func (a *Aggregate) CheckImages() error {
@@ -148,13 +170,13 @@ func (a *Aggregate) CheckImages() error {
 			files = append(files, f)
 		}
 	}
-	return a.images.Audit(files, func(visit func(block.VBN, []byte)) {
+	return a.images.Audit(files, func(visit func(block.VBN, []byte, bool)) {
 		for gi, g := range a.groups {
 			for di := 0; di < g.DataDrives(); di++ {
 				d := g.Drive(di)
 				for dbn := block.DBN(0); dbn < d.Blocks(); dbn++ {
 					if img := d.Peek(dbn); len(img) > 0 {
-						visit(a.geo.VBNOf(gi, di, dbn), img)
+						visit(a.geo.VBNOf(gi, di, dbn), img, d.MediaOnly(dbn))
 					}
 				}
 			}
@@ -200,13 +222,20 @@ func (a *Aggregate) ForgetFreed() {
 }
 
 // ForgetUnreachable takes the media over for an aggregate just mounted from
-// crashed media: a's image pool becomes the owner of the RAID groups'
-// media-only images, so the crashed aggregate's arrays are the garbage
-// collector's. Then it drops from the media the image of every VBN clear in
-// the activemap, so a recovery starts from media holding only what the
-// mounted tree reaches. Not for a live aggregate: there a clear VBN may hold
-// a landed write of the running CP.
+// crashed media: it clears every data drive's media-only marks, so the
+// crashed aggregate's arrays are the garbage collector's — among them those
+// of the NVLog records the recovery replays — and a's image pool becomes the
+// owner of the arrays marked from here on. Then it drops from the media the
+// image of every VBN clear in the activemap, so a recovery starts from media
+// holding only what the mounted tree reaches. Not for a live aggregate:
+// there a clear VBN may hold a landed write of the running CP, and its marks
+// are its pool's.
 func (a *Aggregate) ForgetUnreachable() {
+	for _, g := range a.groups {
+		for di := 0; di < g.DataDrives(); di++ {
+			g.Drive(di).ClearMarks()
+		}
+	}
 	a.ownMedia()
 	total := a.geo.TotalBlocks()
 	for ws := uint64(0); ws < total; ws += 64 {

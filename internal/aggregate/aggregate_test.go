@@ -202,7 +202,7 @@ func (c *testCheckpoint) cleanFile(th *sim.Thread, f *fs.File, dual bool, v *Vol
 					}
 				}
 				vbn := c.allocVBN()
-				img, _, _ := f.CleanChild(b, vvbn, vbn)
+				img, _, _, _ := f.CleanChild(b, vvbn, vbn)
 				c.writeVBN(th, vbn, img)
 				if !dual {
 					c.meta = append(c.meta, vbn)

@@ -9,8 +9,9 @@ import (
 
 // AmapWrite is one block write produced by planning the activemap flush.
 type AmapWrite struct {
-	VBN  block.VBN
-	Data []byte
+	VBN       block.VBN
+	Data      []byte
+	MediaOnly bool // storage.WriteReq.MediaOnly
 }
 
 // PlanAmapFlush cleans the aggregate activemap metafile and returns the
@@ -125,8 +126,8 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 			if !ok {
 				panic(fmt.Sprintf("aggregate: frozen activemap buffer (level %d, fbn %d) missing from flush plan", b.Level(), b.FBN()))
 			}
-			img, _, _ := f.CleanChild(b, block.InvalidVVBN, vbn) // old location already freed
-			writes = append(writes, AmapWrite{VBN: vbn, Data: img})
+			img, mediaOnly, _, _ := f.CleanChild(b, block.InvalidVVBN, vbn) // old location already freed
+			writes = append(writes, AmapWrite{VBN: vbn, Data: img, MediaOnly: mediaOnly})
 		}
 	}
 	if f.FrozenCount() != 0 {

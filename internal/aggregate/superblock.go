@@ -76,8 +76,8 @@ func MountFrom(old *Aggregate) (*Aggregate, error) {
 		geo:     old.geo,
 		profile: old.profile,
 		groups:  old.groups,
-		images:  fs.NewImagePool(),
 	}
+	a.images = a.newImagePool()
 	sb := a.ReadVBNRaw(a.geo.VBNOf(0, 0, 0))
 	if sb == nil {
 		return nil, fmt.Errorf("aggregate: no superblock on media")

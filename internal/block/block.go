@@ -14,6 +14,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Size is the file system block size in bytes (4 KiB, as in WAFL).
@@ -100,6 +101,29 @@ func Checksum(p []byte) uint64 {
 		h *= prime64
 	}
 	return h
+}
+
+// Classes is the number of size classes an image array comes in: 16-byte
+// steps up to 256 bytes, then eight steps per doubling up to a block.
+const Classes = 48
+
+// Class returns the size class of an n-byte image array, 0 < n <= Size, and
+// the class's capacity, which is at least n and at most an eighth more above
+// 128 bytes. The image pool (fs.ImagePool) keeps a free list per class, and
+// an image the media holds alone has an array of at least its class's
+// capacity (storage.Drive.Owned).
+func Class(n int) (c, capacity int) {
+	shift := max(bits.Len(uint(n-1))-4, 4)
+	k := (n - 1) >> shift
+	return 8*shift - 32 + k, (k + 1) << shift
+}
+
+// ClassCap is the capacity of class c.
+func ClassCap(c int) int {
+	if c < 16 {
+		return (c + 1) << 4
+	}
+	return (c%8 + 9) << (c/8 + 3)
 }
 
 // New allocates a zeroed block.

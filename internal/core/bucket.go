@@ -51,12 +51,12 @@ type Tetris struct {
 }
 
 // addToTetris enqueues a cleaned block's payload on te at its assigned
-// location.
-func (in *Infra) addToTetris(te *Tetris, drive int, dbn block.DBN, data []byte) {
+// location, to be marked media-only when it lands if mediaOnly is set.
+func (in *Infra) addToTetris(te *Tetris, drive int, dbn block.DBN, data []byte, mediaOnly bool) {
 	if te.perDrive == nil {
 		te.perDrive = in.listPool.Get()
 	}
-	te.perDrive[drive] = append(te.perDrive[drive], storage.WriteReq{DBN: dbn, Data: data})
+	te.perDrive[drive] = append(te.perDrive[drive], storage.WriteReq{DBN: dbn, Data: data, MediaOnly: mediaOnly})
 	te.blocks++
 }
 

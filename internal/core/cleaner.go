@@ -385,9 +385,9 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job) {
 				vvbn = vb.use(vbn)
 			}
 
-			img, oldVVBN, oldVBN := f.CleanChild(b, vvbn, vbn)
+			img, mediaOnly, oldVVBN, oldVBN := f.CleanChild(b, vvbn, vbn)
 			_, drive, dbn := geo.Locate(vbn)
-			p.in.addToTetris(cs.phys.tetris, drive, dbn, img)
+			p.in.addToTetris(cs.phys.tetris, drive, dbn, img, mediaOnly)
 			p.stats.BuffersCleaned++
 
 			// Loose accounting: allocation consumed a free block.

@@ -137,7 +137,7 @@ func TestPutBucketCommitsUsedOnly(t *testing.T) {
 			b.next++
 			g, d, dbn := e.a.Geometry().Locate(vbn)
 			_ = g
-			e.in.addToTetris(b.tetris, d, dbn, block.New())
+			e.in.addToTetris(b.tetris, d, dbn, block.New(), false)
 		}
 		used = append([]block.VBN(nil), b.Used()...)
 		unused = append([]block.VBN(nil), b.vbns[b.next:]...)
@@ -181,7 +181,7 @@ func TestTetrisSentWhenAllBucketsReturned(t *testing.T) {
 			_, d, dbn := e.a.Geometry().Locate(vbn)
 			data := block.New()
 			data[0] = byte(d + 1)
-			e.in.addToTetris(te, d, dbn, data)
+			e.in.addToTetris(te, d, dbn, data, false)
 		}
 		before := e.in.Stats().TetrisesSent
 		for i, b := range buckets {

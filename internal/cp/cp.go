@@ -718,7 +718,7 @@ func (e *Engine) issueAmapWrites(t *sim.Thread, writes []aggregate.AmapWrite) {
 		if reqs == nil {
 			reqs = make([][]storage.WriteReq, geo.DataDrives)
 		}
-		reqs[d] = append(reqs[d], storage.WriteReq{DBN: dbn, Data: w.Data})
+		reqs[d] = append(reqs[d], storage.WriteReq{DBN: dbn, Data: w.Data, MediaOnly: w.MediaOnly})
 		perGroup[g] = reqs
 	}
 	for g := 0; g < e.a.Groups(); g++ {

@@ -37,9 +37,9 @@ import (
 // first read (Data) or mutated CP-side (CPMutableData), and both of those
 // hand metafile code a full-length array. An indirect's array is only as
 // long as its pointers need (nil with none): CleanChild, its one writer,
-// grows it by doubling, and past sparseMax it is a full block. A CP-owned
-// buffer — an indirect block or a metafile L0 (cpOwned) — takes its arrays
-// from its file's ImagePool.
+// grows it by doubling, and past sparseMax it is a full block. Every array
+// a buffer makes comes from its file's ImagePool, and a client's payload
+// from the same pool.
 //
 // CoW semantics during a consistency point (paper §II-C): when a CP freezes
 // a dirty buffer, the buffer is marked inCP. If a client overwrites the
@@ -51,9 +51,10 @@ import (
 // never be mutated, so the next modification goes to a new array. An
 // indirect is always submitted as its own array (a sparse one cut to its
 // trimmed length) and sealed; a sparse metafile L0 is submitted as a trimmed
-// copy instead (MarkCleaned) and stays unsealed. A CP-owned array the buffer
-// leaves while the media still holds it becomes media-only, and goes back to
-// the pool when the media drops it.
+// copy instead (MarkCleaned) and stays unsealed. A sealed CP-owned array the
+// buffer moves off, and a clean user L0's array when its buffer leaves the
+// tree at commit, become media-only: the media marks them at the buffer's
+// VBN, and they go back to the pool when the media drops them.
 type Buffer struct {
 	f     *File // the file whose tree holds the buffer
 	fbn   block.FBN
@@ -111,24 +112,15 @@ func (b *Buffer) VBN() block.VBN { return b.vbn }
 // code through CPMutableData and CleanChild.
 func (b *Buffer) Data() []byte {
 	if b.data == nil && b.level == 0 {
-		b.data = b.pool().full(nil)
+		b.data = b.f.pool.full(nil)
 	}
 	return b.data
 }
 
 // cpOwned reports whether the buffer's image is CP-owned: an indirect block
 // or a metafile L0, which only CP-side code writes. Only such an image is
-// ever trimmed for the media, padded on install or recycled.
+// ever trimmed for the media or padded on install.
 func (b *Buffer) cpOwned() bool { return b.level > 0 || b.f.metafile }
-
-// pool returns the pool the buffer's arrays come from: its file's for a
-// CP-owned buffer, none (plain allocation) for a user L0.
-func (b *Buffer) pool() *ImagePool {
-	if b.cpOwned() {
-		return b.f.pool
-	}
-	return nil
-}
 
 // cpImage returns the image that belongs to the running CP: the preserved
 // pre-overwrite image if the buffer was overwritten while frozen, otherwise
@@ -166,17 +158,17 @@ func (b *Buffer) replace(data []byte) (cowed bool) {
 // live image are the same array and updates are visible to both; the
 // method copies if storage aliases the live image (sealed), if a client
 // write gave it (adopted: the NVLog record holds it too), or if it is
-// shorter than a block. A sealed CP-owned array it leaves is media-only from
-// then on.
+// shorter than a block. A sealed CP-owned array it leaves is marked
+// media-only at the buffer's VBN.
 func (b *Buffer) CPMutableData() []byte {
 	if b.cpData != nil {
 		return b.cpData
 	}
 	if b.sealed || b.adopted || len(b.data) < block.Size {
 		old, left := b.data, b.sealed && !b.adopted && b.cpOwned()
-		b.data = b.pool().full(old)
+		b.data = b.f.pool.full(old)
 		if left {
-			b.pool().leave(old)
+			b.f.pool.leave(b.vbn, old)
 		}
 		b.sealed, b.adopted = false, false
 	}
@@ -192,34 +184,35 @@ func (b *Buffer) freeze() {
 
 // MarkCleaned records that the cleaner is submitting the CP image at the new
 // location (vvbn, vbn). It returns the image to write, which storage keeps,
-// and the previous location for freeing; the buffer leaves the CP.
+// whether to write it marked media-only (storage.WriteReq.MediaOnly), and the
+// previous location for freeing; the buffer leaves the CP.
 //
 // This is where sealing is decided. An indirect is handed out as the
 // buffer's own array — cut to its trimmed length if that is sparseMax bytes
 // or fewer, whole otherwise — which seals the buffer: the next CP's ptrs
 // copies it. If the buffer was still sealed, its old array stays at the old
-// DBN, media-only, and the buffer first moves to a fresh one, so no array
-// sits at two DBNs. An indirect without pointers goes out empty and holds
-// no array on the media. A metafile L0 that trims to sparseMax bytes or
-// fewer is handed out as a trimmed private copy, media-only from birth, and
+// DBN, marked media-only, and the buffer first moves to a fresh one, so no
+// array sits at two DBNs. An indirect without pointers goes out empty and
+// holds no array on the media. A metafile L0 that trims to sparseMax bytes
+// or fewer is handed out as a trimmed private copy, written media-only, and
 // the buffer stays unsealed: the next CP updates it in place; a dense one
 // goes out as the buffer's array, the same way as an indirect. Any other
 // image, a client's adopted L0 among them, is handed out as is, and if it
 // is the live image the buffer is sealed.
-func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVBN block.VVBN, oldVBN block.VBN) {
+func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
 	img = b.cpImage()
 	switch {
 	case b.level > 0:
-		img = b.sharePtrs()
+		img = b.sharePtrs(oldVBN)
 	case b.cpOwned() && !b.adopted:
 		trimmed := block.Trim(img)
 		switch {
 		case len(trimmed) <= sparseMax:
-			img = b.pool().mediaCopy(trimmed)
+			img, mediaOnly = b.f.pool.mediaCopy(trimmed)
 		case b.sealed:
-			img = b.reseal()
+			img = b.reseal(oldVBN)
 		default:
 			b.sealed = true
 		}
@@ -229,7 +222,7 @@ func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVB
 	b.cpData = nil
 	b.inCP = false
 	b.dirtyFrozen = false
-	return img, oldVVBN, oldVBN
+	return img, mediaOnly, oldVVBN, oldVBN
 }
 
 // ptrs returns indirect b's image for CleanChild to write a pointer into,
@@ -239,7 +232,8 @@ func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVB
 // fresh array from the pool: as long as it needs when storage aliases the
 // old one (sealed), the copy-on-seal that the next CP's first pointer pays,
 // and grown by ptrsLen past the old one's capacity. A sealed array it leaves
-// is media-only from then on; a private one goes straight back to the pool.
+// is marked media-only at the buffer's VBN; a private one goes straight back
+// to the pool.
 func (b *Buffer) ptrs(need int) []byte {
 	n := len(b.data)
 	if !b.sealed && need <= cap(b.data) {
@@ -254,25 +248,26 @@ func (b *Buffer) ptrs(need int) []byte {
 		size = ptrsLen(cap(b.data), size)
 	}
 	old := b.data
-	b.data = b.pool().copyOf(old, size)
+	b.data = b.f.pool.copyOf(old, size)
 	if b.sealed {
-		b.pool().leave(old)
+		b.f.pool.leave(b.vbn, old)
 	} else {
-		b.pool().recycle(old)
+		b.f.pool.recycle(old)
 	}
 	b.sealed = false
 	return b.data
 }
 
 // sharePtrs returns indirect b's image for the media, sealing b: its own
-// array, cut to its trimmed length when that is sparseMax or less.
-func (b *Buffer) sharePtrs() []byte {
+// array, cut to its trimmed length when that is sparseMax or less. A sealed
+// b first leaves its array at old, its previous VBN.
+func (b *Buffer) sharePtrs(old block.VBN) []byte {
 	t := len(block.Trim(b.data))
 	switch {
 	case t == 0:
 		return []byte{}
 	case b.sealed:
-		b.reseal()
+		b.reseal(old)
 	}
 	b.sealed = true
 	if t <= sparseMax {
@@ -282,10 +277,11 @@ func (b *Buffer) sharePtrs() []byte {
 }
 
 // reseal moves sealed buffer b, re-cleaned unchanged, to a fresh copy of its
-// array and returns it: the old DBN keeps the old array, alone.
-func (b *Buffer) reseal() []byte {
+// array and returns it: the old array stays at vbn, b's previous VBN, alone
+// and marked media-only.
+func (b *Buffer) reseal(vbn block.VBN) []byte {
 	old := b.data
-	b.data = b.pool().copyOf(old, len(old))
-	b.pool().leave(old)
+	b.data = b.f.pool.copyOf(old, len(old))
+	b.f.pool.leave(vbn, old)
 	return b.data
 }

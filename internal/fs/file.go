@@ -316,7 +316,9 @@ func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.V
 // copy-on-write as needed, and marks the buffer dirty. data is adopted, not
 // copied: the caller gives the array up, and from here on nobody writes into
 // it — the buffer, the NVLog record that logged it and later the media share
-// it. It returns the buffer.
+// it. With an image pool, the array must be this write's alone: once the
+// media alone holds it, it goes back to the pool when the media drops the
+// block (DESIGN §14). It returns the buffer.
 func (f *File) WriteBlock(fbn block.FBN, data []byte) *Buffer {
 	b := f.getOrCreate(0, fbn)
 	if b.replace(data) {
@@ -418,13 +420,13 @@ func (f *File) FrozenRange(lo, hi block.FBN) []*Buffer {
 // if b is the root. It returns the image to write at vbn (Buffer.MarkCleaned)
 // and b's previous location, to be freed. It is the one writer of indirect
 // images, and the one place an indirect's array grows (Buffer.ptrs).
-func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte, oldVVBN block.VVBN, oldVBN block.VBN) {
+func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
 	if !b.dirtyFrozen {
 		panic("fs: CleanChild on buffer not in frozen set")
 	}
 	f.frozen[b.level].live--
 	f.frozenCount--
-	img, oldVVBN, oldVBN = b.MarkCleaned(vvbn, vbn)
+	img, mediaOnly, oldVVBN, oldVBN = b.MarkCleaned(vvbn, vbn)
 
 	if b.level == f.height {
 		f.RootVVBN, f.RootVBN = vvbn, vbn
@@ -441,14 +443,14 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte
 				}
 			}
 		}
-		return img, oldVVBN, oldVBN
+		return img, mediaOnly, oldVVBN, oldVBN
 	}
 	idx := b.Index()
 	parent := f.getOrCreate(b.level+1, idx>>radixBits)
 	slot := int(idx & (block.PtrsPerBlock - 1))
 	block.PutPtr(parent.ptrs((slot+1)*block.PtrSize), slot, vvbn, vbn)
 	f.DirtyIntoCP(parent)
-	return img, oldVVBN, oldVBN
+	return img, mediaOnly, oldVVBN, oldVBN
 }
 
 // DirtyIntoCP marks a buffer dirty directly into the frozen set — used for
@@ -467,15 +469,20 @@ func (f *File) DirtyIntoCP(b *Buffer) {
 // DropClean ends the running CP for user file f once it has committed: every
 // L0 the CP froze that is clean now leaves the tree for the free list. Its
 // write has landed, so the media holds its image, and its residency bit
-// stays. Not at MarkCleaned: until the commit the write may be in flight,
-// and the buffer is what holds the content. An L0 a client dirtied again
-// stays.
+// stays; the media alone holds its array from here on, so the array is
+// marked media-only at the buffer's VBN (the NVLog record that shares it is
+// freed with the log half this commit ends). Not at MarkCleaned: until the
+// commit the write may be in flight, and the buffer is what holds the
+// content. An L0 a client dirtied again stays.
 func (f *File) DropClean() {
 	for _, b := range f.frozen[0].bufs {
 		if !b.dirtyCurr && !b.inCP {
 			n := f.find(0, b.fbn, false)
 			n.leaves[digit(0, b.fbn, 1)] = nil
 			f.resident--
+			if b.sealed {
+				f.pool.leave(b.vbn, b.data)
+			}
 			f.pool.putBuffer(b)
 		}
 	}

@@ -112,7 +112,7 @@ func TestCleanChildUpdatesParentAndRoot(t *testing.T) {
 	f.Freeze()
 
 	b := f.FrozenLevel(0)[0]
-	_, oldVVBN, oldVBN := f.CleanChild(b, 100, 200)
+	_, _, oldVVBN, oldVBN := f.CleanChild(b, 100, 200)
 	if oldVVBN != block.InvalidVVBN || oldVBN != block.InvalidVBN {
 		t.Fatal("new block should have no old location")
 	}
@@ -165,7 +165,7 @@ func TestRecleanReportsOldLocation(t *testing.T) {
 	if b2 != b {
 		t.Fatal("same FBN should reuse the buffer")
 	}
-	_, oldVVBN, oldVBN := f.CleanChild(b2, 30, 40)
+	_, _, oldVVBN, oldVBN := f.CleanChild(b2, 30, 40)
 	if oldVVBN != 10 || oldVBN != 20 {
 		t.Fatalf("old location = (%v,%v), want (10,20)", oldVVBN, oldVBN)
 	}
@@ -176,7 +176,7 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 	f.WriteBlock(0, pattern(1))
 	f.Freeze()
 	b := f.FrozenLevel(0)[0]
-	submitted, _, _ := f.CleanChild(b, 10, 20)
+	submitted, _, _, _ := f.CleanChild(b, 10, 20)
 	f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
 	// After cleaning, the submitted array is owned by the media; a new
 	// client write must not mutate it.
@@ -234,7 +234,7 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 			for _, fb := range f.FrozenLevel(level) {
 				b = fb
 				live := b.cpImage()
-				img, _, _ = f.CleanChild(b, block.VVBN(loc), block.VBN(loc))
+				img, _, _, _ = f.CleanChild(b, block.VVBN(loc), block.VBN(loc))
 				loc++
 				if !block.Equal(img, live) {
 					t.Fatalf("%s: handed-out image differs from the CP image", c.name)
@@ -593,7 +593,7 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 		f.CleanChild(b, 10, 20)
 		f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
 		f.Freeze()
-		submitted, _, _ := f.CleanChild(b, 12, 22)
+		submitted, _, _, _ := f.CleanChild(b, 12, 22)
 		f.WriteBlock(0, c.old())
 		next := c.next()
 		f.WriteBlock(0, next)
@@ -688,7 +688,7 @@ func TestDropCleanKeepsResidency(t *testing.T) {
 	f.CleanChildAll(t)
 	f.WriteBlock(300, pattern(3)) // dirty again before the commit
 	at := f.Buffer(0, 3).VBN()
-	noMedia := func(func(block.VBN, []byte)) {}
+	noMedia := func(func(block.VBN, []byte, bool)) {}
 	if err := p.Audit([]*File{f}, noMedia); err == nil || !strings.Contains(err.Error(), "clean user L0 buffer (ino 1, fbn 3)") {
 		t.Fatalf("audit before the commit: %v, want the clean L0 3 named", err)
 	}

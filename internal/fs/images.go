@@ -1,48 +1,56 @@
 package fs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"wafl/internal/block"
 	"wafl/internal/fifo"
 )
 
-// ImagePool recycles the arrays of CP-owned images — indirect blocks and
-// metafile L0s, the blocks only CP-side code writes (DESIGN §14, *Who holds
-// a CP-owned array*). It is the one place in this package that makes an
-// image array: a metafile L0's full-block copy (CPMutableData,
-// InstallBuffer, Data), an indirect's array sized to its pointers
-// (CleanChild, InstallBuffer) and MarkCleaned's trimmed copy of a sparse
-// metafile L0 for the media come from it, one fifo.Pool per size class.
+// ImagePool recycles image arrays (DESIGN §14, *Who holds an image array*).
+// It is the one place in this package that makes one: a client's payload
+// (Get), a replay's or a clone split's copy of a user L0 (Copy), a metafile
+// L0's full-block copy (CPMutableData, InstallBuffer, Data), an indirect's
+// array sized to its pointers (CleanChild, InstallBuffer) and MarkCleaned's
+// trimmed copy of a sparse metafile L0 for the media come from it, one
+// fifo.Pool per size class (block.Class).
 //
 // An array comes back from the media, or from a buffer that outgrew it. The
-// pool registers the arrays that the media alone holds ("media-only"): a
-// trimmed copy from birth, and a buffer's array once the buffer leaves it
-// for a fresh one while the media still holds it. When the data drive and
-// the parity row have both let go of a media-only array (raid.Group's
-// Forget, or a completed write that displaced it), Release poisons it and
-// puts it back. An indirect that grows past its array leaves a private one,
-// which nothing else holds, and it goes back at once (recycle). No other
-// array is ever put back: a buffer's array is never registered while the
-// buffer holds it, and a user L0 is not the pool's. A nil pool allocates
-// every array and registers none.
+// media marks the DBN of an array it alone holds (storage.Drive.MediaOnly):
+// a trimmed copy is written marked, and a buffer's array is marked at its
+// VBN once the buffer leaves it while the media holds it — a sealed CP-owned
+// array the buffer moves off, a user L0's at the commit that drops its
+// buffer (Marker.Mark). When the data drive and the parity row have both let
+// go of a marked array (raid.Group's Forget, or a completed write that
+// displaced it), Release poisons it and puts it back. An indirect that grows
+// past its array leaves a private one, which nothing else holds, and it goes
+// back at once (recycle). No other array is ever put back: an array a buffer
+// holds is never marked. A nil pool allocates every array and marks none.
 type ImagePool struct {
-	classes [nClasses]fifo.Pool[[]byte]
+	classes [block.Classes]fifo.Pool[[]byte]
 	// buffers is the free list of user L0 buffers: a clean one leaves its
 	// tree when its CP commits (File.DropClean), and the next L0 a write
 	// or a load creates is drawn from here.
 	buffers  fifo.Pool[*Buffer]
 	bufStats fifo.PoolStats
 	bufTaken uint64 // bufStats.Taken at the last TrimBuffers
-	// mediaOnly maps a media-only array's first byte to the array at its
-	// full capacity: the media hands images back with their capacity cut to
-	// their length.
-	mediaOnly map[*byte][]byte
-	stats     fifo.PoolStats
-	recycled  uint64 // of stats.Returned, the arrays a growing indirect left
+	// marker marks the arrays buffers leave to the media; nil marks none.
+	marker   Marker
+	stats    fifo.PoolStats
+	recycled uint64 // of stats.Returned, the arrays a growing indirect left
+	// poisoned is a block of poison, copied over each array put back.
+	poisoned []byte
+}
+
+// Marker is where the pool's arrays sit once written, the data drives by
+// VBN, as far as marking them goes.
+type Marker interface {
+	// Mark marks vbn media-only if it holds arr's array, arr at its full
+	// capacity, and reports whether it does (storage.Drive.Mark).
+	Mark(vbn block.VBN, arr []byte) bool
 }
 
 // ImageStats counts an ImagePool's arrays. Unlike a fifo.PoolStats record,
@@ -50,11 +58,10 @@ type ImagePool struct {
 // Quiesce does not apply the leak rule to it; it audits where the arrays sit
 // instead (ImagePool.Audit).
 type ImageStats struct {
-	New       uint64 // arrays built
-	Taken     uint64 // arrays handed out, New included
-	Returned  uint64 // media-only arrays back from the media
-	Recycled  uint64 // private arrays back from an indirect that outgrew them
-	MediaOnly int64  `stat:"gauge"` // arrays the media alone holds
+	New      uint64 // arrays built
+	Taken    uint64 // arrays handed out, New included
+	Returned uint64 // media-only arrays back from the media
+	Recycled uint64 // private arrays back from an indirect that outgrew them
 
 	// Buffers counts the user L0 buffer free list. Unlike the arrays it is
 	// under the leak rule: a quiesced member's user files hold no buffer.
@@ -66,43 +73,26 @@ type ImageStats struct {
 // bytes.
 const poison = 0xA5
 
-// nClasses is the number of size classes: 16-byte steps up to 256 bytes,
-// then eight steps per doubling up to a block.
-const nClasses = 48
-
-// classOf returns the size class of an n-byte array, 0 < n <= block.Size,
-// and the class's capacity, which is at least n and at most an eighth more
-// above 128 bytes.
-func classOf(n int) (c, size int) {
-	shift := max(bits.Len(uint(n-1))-4, 4)
-	k := (n - 1) >> shift
-	return 8*shift - 32 + k, (k + 1) << shift
-}
-
-// classSize is the capacity of class c.
-func classSize(c int) int {
-	if c < 16 {
-		return (c + 1) << 4
-	}
-	return (c%8 + 9) << (c/8 + 3)
-}
-
 // NewImagePool returns an empty pool.
 func NewImagePool() *ImagePool {
-	p := &ImagePool{mediaOnly: make(map[*byte][]byte)}
+	p := &ImagePool{poisoned: bytes.Repeat([]byte{poison}, block.Size)}
 	p.buffers = fifo.NewPool(&p.bufStats, func() *Buffer { return new(Buffer) })
 	p.buffers.Limit(0) // until a commit has seen what a CP interval takes
 	for c := range p.classes {
-		size := classSize(c)
+		size := block.ClassCap(c)
 		p.classes[c] = fifo.NewPool(&p.stats, func() []byte { return make([]byte, size) })
 	}
 	return p
 }
 
+// SetMarker makes m the media that marks the arrays buffers leave. The owner
+// of the media sets it.
+func (p *ImagePool) SetMarker(m Marker) { p.marker = m }
+
 // Stats returns the pool's counts.
 func (p *ImagePool) Stats() ImageStats {
 	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled,
-		Recycled: p.recycled, MediaOnly: int64(len(p.mediaOnly)), Buffers: p.bufStats}
+		Recycled: p.recycled, Buffers: p.bufStats}
 }
 
 // buffer returns the empty buffer at (level, fbn) of f: a user L0 from the
@@ -136,15 +126,21 @@ func (p *ImagePool) TrimBuffers() {
 // Abandon writes off the buffers a crash dropped with their trees.
 func (p *ImagePool) Abandon() { p.buffers.Abandon() }
 
-// get returns an array of n bytes, 0 < n <= block.Size, holding garbage,
-// whose capacity is its size class.
-func (p *ImagePool) get(n int) []byte {
-	c, size := classOf(n)
+// Get returns an array of n bytes, 0 < n <= block.Size, holding garbage,
+// whose capacity is its size class: a client's payload, which its caller
+// fills whole.
+func (p *ImagePool) Get(n int) []byte {
+	c, size := block.Class(n)
 	if p == nil {
 		return make([]byte, n, size)
 	}
 	return p.classes[c].Get()[:n]
 }
+
+// Copy returns a private copy of image src, as long as src (nil for an empty
+// one): a user L0 written again from an image some other holder keeps — a
+// replayed record's, or a clone parent's block.
+func (p *ImagePool) Copy(src []byte) []byte { return p.copyOf(src, len(src)) }
 
 // copyOf returns an n-byte copy of image src, len(src) <= n, zero past
 // src's end; n == 0 gives nil.
@@ -152,7 +148,7 @@ func (p *ImagePool) copyOf(src []byte, n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	b := p.get(n)
+	b := p.Get(n)
 	clear(b[copy(b, src):])
 	return b
 }
@@ -168,56 +164,39 @@ func ptrsLen(cur, need int) int {
 	if need > sparseMax {
 		return block.Size
 	}
-	_, size := classOf(min(max(need, 2*cur), sparseMax))
+	_, size := block.Class(min(max(need, 2*cur), sparseMax))
 	return size
 }
 
 // mediaCopy returns a private copy of image src that only the media will
-// hold: registered from birth. An empty image is non-nil and not the pool's
-// (a nil image on the media is a block never written).
-func (p *ImagePool) mediaCopy(src []byte) []byte {
+// hold, and whether it is to be written marked media-only: the pool's copy
+// is. An empty image is non-nil and not the pool's (a nil image on the media
+// is a block never written).
+func (p *ImagePool) mediaCopy(src []byte) (img []byte, mediaOnly bool) {
 	if len(src) == 0 {
-		return []byte{}
+		return []byte{}, false
 	}
-	b := p.get(len(src))
+	b := p.Get(len(src))
 	copy(b, src)
-	p.leave(b)
-	return b
+	return b, p != nil
 }
 
-// leave registers img, one of the pool's arrays that its buffer no longer
-// holds, as media-only: the media holds it at exactly one DBN.
-func (p *ImagePool) leave(img []byte) {
-	if p != nil {
-		img = img[:cap(img)]
-		p.mediaOnly[&img[0]] = img
+// leave hands the media arr, one of the pool's arrays that its buffer no
+// longer holds, which the media holds at vbn: the media marks it
+// media-only there. If vbn holds another array by now (its block was
+// forgotten, or moved), nothing marks arr, and it is the garbage
+// collector's.
+func (p *ImagePool) leave(vbn block.VBN, arr []byte) {
+	if p != nil && p.marker != nil && cap(arr) > 0 {
+		p.marker.Mark(vbn, arr[:cap(arr)])
 	}
 }
 
-// MediaOnly reports whether img, an image a data drive holds, is an array
-// only the media holds.
-func (p *ImagePool) MediaOnly(img []byte) bool {
-	if len(img) == 0 {
-		return false
-	}
-	_, ok := p.mediaOnly[&img[0]]
-	return ok
-}
-
-// Release takes img back if it is media-only. Its caller has seen the data
-// drive and the parity row both let go of it. It is poisoned, and goes back
-// to its class. Any other array is the garbage collector's.
-func (p *ImagePool) Release(img []byte) {
-	if len(img) == 0 {
-		return
-	}
-	a, ok := p.mediaOnly[&img[0]]
-	if !ok {
-		return
-	}
-	delete(p.mediaOnly, &img[0])
-	p.put(a)
-}
+// Release takes back arr, the whole array of a marked image (its size
+// class's capacity, storage.Drive.Owned). Its caller has seen the data drive
+// and the parity row both let go of it. It is poisoned, and goes back to its
+// class.
+func (p *ImagePool) Release(arr []byte) { p.put(arr) }
 
 // recycle takes back img, one of the pool's arrays that its buffer left and
 // nothing else holds: never on the media, so it goes back at once.
@@ -228,26 +207,23 @@ func (p *ImagePool) recycle(img []byte) {
 	}
 }
 
-// put poisons a, an array at its full capacity, and returns it to its class.
+// put poisons a, an array at its size class's full capacity, and returns it
+// to its class.
 func (p *ImagePool) put(a []byte) {
-	a[0] = poison
-	for n := 1; n < len(a); n *= 2 {
-		copy(a[n:], a[:n])
-	}
-	c, _ := classOf(len(a))
+	copy(a, p.poisoned)
+	c, _ := block.Class(len(a))
 	p.classes[c].Put(a)
 }
 
 // Audit checks where the pool's arrays sit once no write is in flight (at
 // Quiesce), and that no user L0 buffer outlived its CP's commit clean. media
-// calls its argument with every data-drive image and the VBN it sits at;
-// files are every file whose buffers may hold the pool's arrays.
-// Every media-only array must sit at exactly one DBN, and in no buffer. A
-// CP-owned buffer's array, which the pool issued, may sit on the media only
-// if the buffer is sealed, and then exactly at the buffer's VBN: an array
-// the pool issued is on the media either registered or sealed into its
-// buffer.
-func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte))) error {
+// calls its argument with every data-drive image, the VBN it sits at and
+// whether the DBN is marked media-only; files are every file whose buffers
+// may hold the pool's arrays. It may be called more than once. A marked
+// DBN's array must sit in no buffer and at no other DBN. A CP-owned buffer's
+// array may sit on the media only if the buffer is sealed, and then exactly
+// at the buffer's VBN.
+func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte, mediaOnly bool))) error {
 	var errs []error
 	fail := func(format string, args ...any) {
 		if len(errs) < 8 {
@@ -257,51 +233,55 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 	held := map[*byte]*Buffer{}
 	for _, f := range files {
 		f.eachBuffer(func(b *Buffer) {
-			switch {
-			case b.cpOwned() && len(b.data) > 0:
-				held[&b.data[0]] = b
-			case !b.cpOwned() && !b.dirtyCurr && !b.inCP:
+			for _, a := range [][]byte{b.data, b.cpData} {
+				if len(a) > 0 {
+					held[&a[0]] = b
+				}
+			}
+			if !b.cpOwned() && !b.dirtyCurr && !b.inCP {
 				fail("clean user L0 buffer (ino %d, fbn %d) left in its tree after its CP committed", f.ino, b.fbn)
 			}
 		})
 	}
 	at := map[*byte][]block.VBN{}
-	media(func(vbn block.VBN, img []byte) {
+	media(func(vbn block.VBN, img []byte, mediaOnly bool) {
 		if len(img) == 0 {
 			return
 		}
 		k := &img[0]
-		_, reg := p.mediaOnly[k]
 		b := held[k]
 		switch {
-		case reg && b != nil:
+		case mediaOnly && b != nil:
 			fail("media-only array at %v is buffer (level %d, fbn %d)'s array", vbn, b.level, b.fbn)
-		case b != nil && !b.sealed:
+		case b == nil || !b.cpOwned():
+		case !b.sealed:
 			fail("unsealed buffer (level %d, fbn %d) at %v has its array on the media at %v", b.level, b.fbn, b.vbn, vbn)
-		case b != nil && b.vbn != vbn:
+		case b.vbn != vbn:
 			fail("sealed buffer (level %d, fbn %d) at %v has its array on the media at %v", b.level, b.fbn, b.vbn, vbn)
 		}
-		if reg || b != nil {
+		if mediaOnly || b != nil {
 			at[k] = append(at[k], vbn)
 		}
 	})
-	var lost int
-	for k := range p.mediaOnly {
-		switch vbns := at[k]; {
-		case len(vbns) == 0:
-			lost++
-		case len(vbns) > 1:
-			slices.Sort(vbns)
-			fail("media-only array sits at %d DBNs: %v", len(vbns), vbns)
+	// A second pass finds a marked array at an unmarked DBN the first met
+	// before it.
+	media(func(vbn block.VBN, img []byte, mediaOnly bool) {
+		if len(img) == 0 || mediaOnly || held[&img[0]] != nil {
+			return
 		}
-	}
-	if lost > 0 {
-		fail("%d media-only arrays sit at no DBN: the media let go of them and they never came back", lost)
-	}
-	for k, b := range held {
-		if vbns := at[k]; len(vbns) > 1 {
-			slices.Sort(vbns)
+		if vbns, ok := at[&img[0]]; ok {
+			at[&img[0]] = append(vbns, vbn)
+		}
+	})
+	for k, vbns := range at {
+		if len(vbns) < 2 {
+			continue
+		}
+		slices.Sort(vbns)
+		if b := held[k]; b != nil {
 			fail("buffer (level %d, fbn %d)'s array sits at %d DBNs: %v", b.level, b.fbn, len(vbns), vbns)
+		} else {
+			fail("media-only array sits at %d DBNs: %v", len(vbns), vbns)
 		}
 	}
 	return errors.Join(errs...)

@@ -2,6 +2,8 @@ package fs
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,26 +12,79 @@ import (
 
 // Every length from a byte to a block maps to the smallest class that holds
 // it, a class's capacity maps back to the class, and above 128 bytes a class
-// wastes at most an eighth of the length.
+// wastes at most an eighth of the length: the pool's classes are
+// block.Class's.
 func TestImageClasses(t *testing.T) {
 	prev := 0
 	for n := 1; n <= block.Size; n++ {
-		c, size := classOf(n)
-		if c < prev || c >= nClasses || size < n || classSize(c) != size {
-			t.Fatalf("classOf(%d) = %d, %d (class size %d, previous class %d)", n, c, size, classSize(c), prev)
+		c, size := block.Class(n)
+		if c < prev || c >= block.Classes || size < n || block.ClassCap(c) != size {
+			t.Fatalf("Class(%d) = %d, %d (class size %d, previous class %d)", n, c, size, block.ClassCap(c), prev)
 		}
 		if n > 128 && (size-n)*8 > n {
-			t.Fatalf("classOf(%d) wastes %d bytes", n, size-n)
+			t.Fatalf("Class(%d) wastes %d bytes", n, size-n)
 		}
 		prev = c
 	}
-	for c := range nClasses {
-		if got, _ := classOf(classSize(c)); got != c {
-			t.Fatalf("class %d of size %d maps to class %d", c, classSize(c), got)
+	for c := range block.Classes {
+		if got, _ := block.Class(block.ClassCap(c)); got != c {
+			t.Fatalf("class %d of size %d maps to class %d", c, block.ClassCap(c), got)
 		}
 	}
-	if _, size := classOf(block.Size); size != block.Size {
+	if _, size := block.Class(block.Size); size != block.Size {
 		t.Fatalf("a full block takes a class of %d bytes", size)
+	}
+}
+
+// markMedia stands in for the data drives as the pool sees them: an image per
+// VBN, and the media-only mark storage.Drive keeps beside it.
+type markMedia struct {
+	img  map[block.VBN][]byte
+	mark map[block.VBN]bool
+}
+
+func newMarkMedia(p *ImagePool) *markMedia {
+	m := &markMedia{img: map[block.VBN][]byte{}, mark: map[block.VBN]bool{}}
+	p.SetMarker(m)
+	return m
+}
+
+// land makes img the image at vbn, marked if mediaOnly: a write's landing.
+func (m *markMedia) land(vbn block.VBN, img []byte, mediaOnly bool) {
+	m.img[vbn], m.mark[vbn] = img, mediaOnly
+}
+
+// Mark is storage.Drive.Mark: vbn must hold arr's array, and arr must be at
+// least its image's size class long.
+func (m *markMedia) Mark(vbn block.VBN, arr []byte) bool {
+	img := m.img[vbn]
+	if len(img) == 0 || len(arr) == 0 || &img[0] != &arr[0] {
+		return false
+	}
+	if _, c := block.Class(len(img)); cap(arr) < c {
+		return false
+	}
+	m.img[vbn], m.mark[vbn] = arr[:len(img)], true
+	return true
+}
+
+// forget drops vbn's image and, if it was marked, hands its size class's
+// whole array back to p, as raid.Group.Forget does through
+// storage.Drive.Owned.
+func (m *markMedia) forget(p *ImagePool, vbn block.VBN) {
+	img, marked := m.img[vbn], m.mark[vbn]
+	delete(m.img, vbn)
+	delete(m.mark, vbn)
+	if marked {
+		_, c := block.Class(len(img))
+		p.Release(img[:c])
+	}
+}
+
+// visit calls fn with every image in VBN order, as Aggregate.CheckImages does.
+func (m *markMedia) visit(fn func(block.VBN, []byte, bool)) {
+	for _, vbn := range slices.Sorted(maps.Keys(m.img)) {
+		fn(vbn, m.img[vbn], m.mark[vbn])
 	}
 }
 
@@ -53,51 +108,69 @@ func setL0(f *File, fbn block.FBN, n int, tag byte) *Buffer {
 	return b
 }
 
-// clean cleans b at vbn and returns the image handed to the media.
-func clean(f *File, b *Buffer, vbn block.VBN) []byte {
-	img, _, _ := f.CleanChild(b, block.VVBN(vbn), vbn)
+// clean cleans b at vbn and returns the image handed to the media, and
+// whether it is written media-only.
+func clean(f *File, b *Buffer, vbn block.VBN) ([]byte, bool) {
+	img, mediaOnly, _, _ := f.CleanChild(b, block.VVBN(vbn), vbn)
+	return img, mediaOnly
+}
+
+// cleanTo cleans b at vbn and lands the image on m.
+func cleanTo(m *markMedia, f *File, b *Buffer, vbn block.VBN) []byte {
+	img, mediaOnly := clean(f, b, vbn)
+	m.land(vbn, img, mediaOnly)
 	return img
 }
 
-// The register and return rules (DESIGN §14): an array goes back to the pool
-// only once the media alone held it, and the media let go of it. Release
-// stands in for raid.Group's Forget and displaced-write completion, which call
-// it once the data drive and the parity row both dropped the image.
+// The mark and return rules (DESIGN §14): an array goes back to the pool only
+// once the media alone held it, its DBN marked, and the media let go of it.
+// markMedia.forget stands in for raid.Group's Forget and displaced-write
+// completion, which release a marked image once the data drive and the
+// parity row both dropped it.
 func TestImagePoolOwnership(t *testing.T) {
 	t.Run("sealed array forgotten while its buffer holds it", func(t *testing.T) {
 		p := NewImagePool()
+		m := newMarkMedia(p)
 		f := pooled(p, true)
 		b := setL0(f, 0, block.Size, 1)
-		img := clean(f, b, 100)
-		if &img[0] != &b.data[0] || !b.sealed || p.MediaOnly(img) {
-			t.Fatalf("dense image: aliased %v, sealed %v, media-only %v; want the buffer's own, sealed, not media-only",
-				&img[0] == &b.data[0], b.sealed, p.MediaOnly(img))
+		img := cleanTo(m, f, b, 100)
+		if &img[0] != &b.data[0] || !b.sealed || m.mark[100] {
+			t.Fatalf("dense image: aliased %v, sealed %v, marked %v; want the buffer's own, sealed, unmarked",
+				&img[0] == &b.data[0], b.sealed, m.mark[100])
 		}
 		// The VBN is forgotten (the block moved, or a snapshot let go of it)
 		// while the buffer still holds the array.
-		p.Release(img)
+		m.forget(p, 100)
 		if !bytes.Equal(b.Data(), pattern(1)) || p.Stats().Returned != 0 {
 			t.Fatalf("forgetting the media's copy recycled the buffer's array (%d returned)", p.Stats().Returned)
+		}
+		// The buffer then leaves it: no DBN holds it, so nothing marks it.
+		f.DirtyIntoCP(b)
+		b.CPMutableData()
+		if len(m.mark) != 0 {
+			t.Fatalf("an array no DBN holds was marked: %v", m.mark)
 		}
 	})
 	t.Run("sparse copy is media-only from birth and comes back poisoned", func(t *testing.T) {
 		p := NewImagePool()
+		m := newMarkMedia(p)
 		f := pooled(p, true)
 		b := setL0(f, 0, 100, 2)
-		img := clean(f, b, 100)
-		if len(img) > sparseMax || &img[0] == &b.data[0] || b.sealed || !p.MediaOnly(img) {
-			t.Fatalf("sparse image of %d bytes: aliased %v, sealed %v, media-only %v", len(img), &img[0] == &b.data[0], b.sealed, p.MediaOnly(img))
+		img, mediaOnly := clean(f, b, 100)
+		if len(img) > sparseMax || &img[0] == &b.data[0] || b.sealed || !mediaOnly {
+			t.Fatalf("sparse image of %d bytes: aliased %v, sealed %v, media-only %v", len(img), &img[0] == &b.data[0], b.sealed, mediaOnly)
 		}
-		p.Release(img)
-		if p.MediaOnly(img) || p.Stats().Returned != 1 || p.Stats().MediaOnly != 0 {
-			t.Fatalf("released copy: media-only %v, stats %+v", p.MediaOnly(img), p.Stats())
+		m.land(100, img, mediaOnly)
+		m.forget(p, 100)
+		if p.Stats().Returned != 1 {
+			t.Fatalf("released copy: stats %+v", p.Stats())
 		}
 		if bytes.Count(img, []byte{poison}) != len(img) {
 			t.Fatalf("released array is not poisoned: % x", img[:8])
 		}
 		// The next copy of its class reuses it, and holds its own bytes.
 		b2 := setL0(f, 1, len(img), 3)
-		img2 := clean(f, b2, 101)
+		img2, _ := clean(f, b2, 101)
 		if &img2[0] != &img[0] || !bytes.Equal(img2, block.Trim(pattern(3)[:len(img)])) {
 			t.Fatal("the next copy of the class did not reuse the released array, or kept its poison")
 		}
@@ -107,6 +180,7 @@ func TestImagePoolOwnership(t *testing.T) {
 	})
 	t.Run("sealed array the buffer leaves becomes media-only", func(t *testing.T) {
 		p := NewImagePool()
+		m := newMarkMedia(p)
 		f := pooled(p, false)
 		for fbn := range block.PtrsPerBlock {
 			f.WriteBlock(block.FBN(fbn), pattern(byte(fbn))[:64])
@@ -116,21 +190,21 @@ func TestImagePoolOwnership(t *testing.T) {
 			clean(f, l0, block.VBN(1000+i))
 		}
 		l1 := f.FrozenLevel(1)[0]
-		img := clean(f, l1, 100)
-		if !l1.sealed || p.MediaOnly(img) {
-			t.Fatal("a dense L1 was not sealed, or was registered while its buffer holds it")
+		img := cleanTo(m, f, l1, 100)
+		if !l1.sealed || m.mark[100] {
+			t.Fatal("a dense L1 was not sealed, or was marked while its buffer holds it")
 		}
 		f.DirtyIntoCP(l1)
 		recycled := p.Stats().Recycled
 		d := l1.ptrs(block.PtrSize)
-		if &d[0] == &img[0] || !p.MediaOnly(img) || p.Stats().Recycled != recycled {
-			t.Fatalf("next pointer into a sealed L1: in place %v, old array media-only %v, %d recycled",
-				&d[0] == &img[0], p.MediaOnly(img), p.Stats().Recycled-recycled)
+		if &d[0] == &img[0] || !m.mark[100] || p.Stats().Recycled != recycled {
+			t.Fatalf("next pointer into a sealed L1: in place %v, old array marked %v, %d recycled",
+				&d[0] == &img[0], m.mark[100], p.Stats().Recycled-recycled)
 		}
 		want := bytes.Clone(d)
-		p.Release(img)
+		m.forget(p, 100)
 		if !bytes.Equal(l1.Data(), want) || p.Stats().Returned != 1 {
-			t.Fatal("releasing the left array did not return it, or touched the buffer's new one")
+			t.Fatal("forgetting the left array did not return it, or touched the buffer's new one")
 		}
 	})
 	t.Run("a growing indirect recycles the private array it leaves", func(t *testing.T) {
@@ -148,7 +222,7 @@ func TestImagePoolOwnership(t *testing.T) {
 		// 16, 32 and 64 bytes: the first two were left, poisoned and counted
 		// apart from the media's returns.
 		st := p.Stats()
-		if len(left[2]) != 3*block.PtrSize+block.PtrSize || st.Recycled != 2 || st.Returned != 0 || st.MediaOnly != 0 {
+		if len(left[2]) != 3*block.PtrSize+block.PtrSize || st.Recycled != 2 || st.Returned != 0 {
 			t.Fatalf("after three pointers: an array of %d bytes, stats %+v; want 64 bytes, 2 recycled, none returned", len(left[2]), st)
 		}
 		for _, a := range left[:2] {
@@ -164,28 +238,42 @@ func TestImagePoolOwnership(t *testing.T) {
 	})
 	t.Run("re-cleaning a sealed buffer moves it to a fresh array", func(t *testing.T) {
 		p := NewImagePool()
+		m := newMarkMedia(p)
 		f := pooled(p, true)
 		b := setL0(f, 0, block.Size, 4)
-		first := clean(f, b, 100)
+		first := cleanTo(m, f, b, 100)
 		f.DirtyIntoCP(b)
-		second := clean(f, b, 101)
+		second := cleanTo(m, f, b, 101)
 		if &second[0] == &first[0] || &second[0] != &b.data[0] || !b.sealed {
 			t.Fatal("a re-cleaned sealed buffer handed one array to two DBNs")
 		}
-		if !p.MediaOnly(first) || p.MediaOnly(second) || !bytes.Equal(second, pattern(4)) {
-			t.Fatalf("old array media-only %v, new one %v", p.MediaOnly(first), p.MediaOnly(second))
+		if !m.mark[100] || m.mark[101] || !bytes.Equal(second, pattern(4)) {
+			t.Fatalf("old array marked %v, new one %v", m.mark[100], m.mark[101])
 		}
 	})
-	t.Run("a client's adopted array is never registered", func(t *testing.T) {
+	t.Run("a client's adopted array is marked when its buffer leaves at commit", func(t *testing.T) {
 		p := NewImagePool()
+		m := newMarkMedia(p)
 		f := pooled(p, false)
-		data := pattern(5)
+		data := p.Get(64)
+		copy(data, pattern(5))
 		b := f.WriteBlock(0, data)
 		f.Freeze()
-		img := clean(f, b, 100)
-		b.CPMutableData()
-		if &img[0] != &data[0] || p.MediaOnly(img) || p.Stats().MediaOnly != 0 {
-			t.Fatal("a client's adopted L0 reached the registry")
+		img := cleanTo(m, f, b, 100)
+		clean(f, f.FrozenLevel(1)[0], 101)
+		if &img[0] != &data[0] || m.mark[100] {
+			t.Fatal("a client's adopted L0 was copied, or marked while its buffer holds it")
+		}
+		f.DropClean()
+		if !m.mark[100] || f.Buffer(0, 0) != nil {
+			t.Fatal("the commit that dropped the clean L0 did not mark its array")
+		}
+		m.forget(p, 100)
+		if p.Stats().Returned != 1 || bytes.Count(data, []byte{poison}) != len(data) {
+			t.Fatal("the forgotten payload did not come back poisoned")
+		}
+		if again := p.Get(64); &again[0] != &data[0] {
+			t.Fatal("the next payload did not reuse the returned one")
 		}
 	})
 }
@@ -222,47 +310,45 @@ func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 	}
 }
 
-// Audit finds a media-only array that is on no DBN or on two, and a buffer's
-// array on the media other than sealed at the buffer's own VBN.
+// Audit finds a marked array that is also a buffer's or sits at two DBNs,
+// and a buffer's array on the media other than sealed at the buffer's own
+// VBN.
 func TestImagePoolAudit(t *testing.T) {
 	p := NewImagePool()
+	m := newMarkMedia(p)
 	f := pooled(p, true)
 	dense := setL0(f, 0, block.Size, 7)
-	sealed := clean(f, dense, 100)
-	sparse := clean(f, setL0(f, 1, 10, 8), 101)
-	audit := func(media map[block.VBN][]byte) error {
-		return p.Audit([]*File{f}, func(visit func(block.VBN, []byte)) {
-			for vbn := block.VBN(0); vbn < 200; vbn++ {
-				if img := media[vbn]; img != nil {
-					visit(vbn, img)
-				}
-			}
-		})
+	sealed := cleanTo(m, f, dense, 100)
+	sparse := cleanTo(m, f, setL0(f, 1, 10, 8), 101)
+	audit := func(land func(*markMedia)) error {
+		c := &markMedia{img: maps.Clone(m.img), mark: maps.Clone(m.mark)}
+		land(c)
+		return p.Audit([]*File{f}, c.visit)
 	}
-	if err := audit(map[block.VBN][]byte{100: sealed, 101: sparse}); err != nil {
+	if err := audit(func(*markMedia) {}); err != nil {
 		t.Fatalf("a consistent media: %v", err)
 	}
 	for _, c := range []struct {
-		name  string
-		media map[block.VBN][]byte
-		want  string
+		name string
+		land func(*markMedia)
+		want string
 	}{
-		{"media-only array dropped", map[block.VBN][]byte{100: sealed}, "1 media-only arrays sit at no DBN"},
-		{"media-only array at two DBNs", map[block.VBN][]byte{100: sealed, 101: sparse, 150: sparse}, "media-only array sits at 2 DBNs"},
-		{"sealed array elsewhere", map[block.VBN][]byte{102: sealed, 101: sparse}, "has its array on the media at vbn:102"},
+		{"media-only array at two DBNs", func(c *markMedia) { c.land(150, sparse, false) }, "media-only array sits at 2 DBNs"},
+		{"media-only array a buffer holds", func(c *markMedia) { c.mark[100] = true }, "media-only array at vbn:100 is buffer"},
+		{"sealed array elsewhere", func(c *markMedia) { c.land(102, sealed, false) }, "has its array on the media at vbn:102"},
 	} {
-		if err := audit(c.media); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := audit(c.land); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: audit said %v, want %q", c.name, err, c.want)
 		}
 	}
-	// The buffer leaves its sealed array; its new array must not be on the
-	// media, and the left one is media-only at its DBN.
+	// The buffer leaves its sealed array, which is marked at its DBN; its new
+	// array must not be on the media.
 	f.DirtyIntoCP(dense)
 	live := dense.CPMutableData()
-	if err := audit(map[block.VBN][]byte{100: sealed, 101: sparse}); err != nil {
-		t.Fatalf("after the buffer left its array: %v", err)
+	if err := audit(func(*markMedia) {}); err != nil || !m.mark[100] {
+		t.Fatalf("after the buffer left its array (marked %v): %v", m.mark[100], err)
 	}
-	if err := audit(map[block.VBN][]byte{100: sealed, 101: sparse, 102: live}); err == nil || !strings.Contains(err.Error(), "unsealed buffer") {
+	if err := audit(func(c *markMedia) { c.land(102, live, false) }); err == nil || !strings.Contains(err.Error(), "unsealed buffer") {
 		t.Fatalf("an unsealed buffer's array on the media: audit said %v", err)
 	}
 }

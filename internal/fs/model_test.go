@@ -419,7 +419,7 @@ func TestCleanLocationsNeverRepeatWithinCycle(t *testing.T) {
 			for _, b := range f.FrozenLevel(level) {
 				newVBN := block.VBN(loc)
 				loc++
-				_, _, oldVBN := f.CleanChild(b, block.VVBN(loc)<<32, newVBN)
+				_, _, _, oldVBN := f.CleanChild(b, block.VVBN(loc)<<32, newVBN)
 				if seen[newVBN] {
 					t.Fatal("location assigned twice")
 				}
@@ -453,9 +453,13 @@ func TestSparseIndirectMatchesFullBlock(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewImagePool()
+		mm := newMarkMedia(p)
 		f := pooled(p, false)
 		ref := block.New()
-		type onMedia struct{ img, want []byte }
+		type onMedia struct {
+			vbn       block.VBN
+			img, want []byte
+		}
 		var media []onMedia // handed out and not yet released, oldest first
 		loc := uint64(1000)
 		check := func(when string) {
@@ -476,7 +480,8 @@ func TestSparseIndirectMatchesFullBlock(t *testing.T) {
 			}
 		}
 		cleanL1 := func(when string) {
-			img := clean(f, f.Buffer(1, 0), block.VBN(loc))
+			vbn := block.VBN(loc)
+			img := cleanTo(mm, f, f.Buffer(1, 0), vbn)
 			loc++
 			want := block.Trim(ref)
 			if len(want) > sparseMax {
@@ -485,7 +490,7 @@ func TestSparseIndirectMatchesFullBlock(t *testing.T) {
 			if len(img) != len(want) || !bytes.Equal(img, want) {
 				t.Fatalf("seed %d, %s: handed out %d bytes, want the reference's %d", seed, when, len(img), len(want))
 			}
-			media = append(media, onMedia{img, bytes.Clone(img)})
+			media = append(media, onMedia{vbn, img, bytes.Clone(img)})
 		}
 		for cp := range 10 {
 			var n int
@@ -523,7 +528,7 @@ func TestSparseIndirectMatchesFullBlock(t *testing.T) {
 			// The media lets go of some images the buffer has left.
 			for i := len(media) - 2; i >= 0; i-- {
 				if rng.Intn(2) == 0 {
-					p.Release(media[i].img)
+					mm.forget(p, media[i].vbn)
 					media = slices.Delete(media, i, i+1)
 				}
 			}

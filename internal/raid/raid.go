@@ -65,28 +65,28 @@ type Group struct {
 	// derived is row's buffer for a derived stripe.
 	derived [][]byte
 
-	// images takes back the media-only images the group's media let go of;
-	// nil keeps none.
+	// images takes back the arrays of the media-only images (those a data
+	// drive marks) the group's media let go of; nil keeps none.
 	images Images
 
 	stats Stats
 }
 
-// Images is the owner of the images only the media holds (fs.ImagePool). A
-// data image that its data drive and its stripe's covered row have both let
-// go of goes back to it: at Forget, or when a write that displaced it has
-// landed, parity included.
+// Images is the owner of the images only the media holds (fs.ImagePool),
+// those whose DBN its data drive marks (storage.Drive.MediaOnly). A marked
+// image that its data drive and its stripe's covered row have both let go of
+// goes back to it, as the whole array of its size class (storage.Drive.Owned):
+// at Forget, or when a write that displaced it has landed, parity included.
 type Images interface {
-	MediaOnly(img []byte) bool
 	Release(img []byte)
 }
 
-// displaced is a media-only image a write in flight replaces at data drive
-// di's dbn.
+// displaced is the array of a media-only image a write in flight replaces at
+// data drive di's dbn.
 type displaced struct {
 	di  int
 	dbn block.DBN
-	img []byte
+	arr []byte
 }
 
 // stripeScratch is one Write's planning state: the touched stripes' DBNs,
@@ -170,8 +170,9 @@ func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile stor
 }
 
 // SetImages makes im the owner of the group's media-only images. The owner
-// of the media sets it, and a recovered one takes it over: the images its
-// predecessor registered are the garbage collector's.
+// of the media sets it, and a recovered one takes it over after clearing
+// the marks (storage.Drive.ClearMarks): the arrays its predecessor would
+// have taken back are the garbage collector's.
 func (g *Group) SetImages(im Images) { g.images = im }
 
 // Stats returns a snapshot of the group's parity statistics.
@@ -381,8 +382,8 @@ func (w *stripeWrite) issue() {
 			continue
 		}
 		for _, r := range reqs {
-			if img := g.data[di].Peek(r.DBN); g.images.MediaOnly(img) {
-				w.gone = append(w.gone, displaced{di, r.DBN, img})
+			if arr := g.data[di].Owned(r.DBN); arr != nil {
+				w.gone = append(w.gone, displaced{di, r.DBN, arr})
 			}
 		}
 	}
@@ -444,11 +445,11 @@ func (w *stripeWrite) ioDone() {
 		}
 	}
 	for _, d := range w.gone {
-		if sameArray(g.data[d.di].Peek(d.dbn), d.img) {
+		if inArray(g.data[d.di].Peek(d.dbn), d.arr) {
 			continue
 		}
-		if row, stale := g.rows[d.dbn]; !stale || !sameArray(row[d.di], d.img) {
-			g.images.Release(d.img)
+		if row, stale := g.rows[d.dbn]; !stale || !inArray(row[d.di], d.arr) {
+			g.images.Release(d.arr)
 		}
 	}
 	done := w.done
@@ -525,8 +526,8 @@ func (g *Group) CheckRows() error {
 // so VerifyStripe and every other block's ReconstructBlock read what they
 // read before. A derived stripe's row is its data images, so the drive's
 // image alone goes; a stale stripe's explicit row must hold the image too,
-// and keeps its emptied entry, as it still differs from the data. A
-// media-only image goes back to its owner (SetImages). Untimed, like
+// and keeps its emptied entry, as it still differs from the data. A marked
+// (media-only) image's array goes back to its owner (SetImages). Untimed, like
 // storage.Drive.Forget; its caller knows no committed tree reaches the block
 // and no write of the stripe is in flight.
 func (g *Group) Forget(di int, dbn block.DBN) bool {
@@ -540,9 +541,10 @@ func (g *Group) Forget(di int, dbn block.DBN) bool {
 		}
 		row[di] = nil // the row is the group's own, from rowPool
 	}
+	arr := g.data[di].Owned(dbn)
 	g.data[di].Forget(dbn)
-	if g.images != nil {
-		g.images.Release(img)
+	if g.images != nil && arr != nil {
+		g.images.Release(arr)
 	}
 	return true
 }
@@ -567,6 +569,9 @@ func (g *Group) row(dbn block.DBN) (row [][]byte, explicit bool) {
 func sameArray(a, b []byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
+
+// inArray reports whether image img is a prefix of array arr.
+func inArray(img, arr []byte) bool { return len(img) > 0 && &img[0] == &arr[0] }
 
 // stripe returns the committed images of stripe dbn: every data drive's
 // except skip's (-1 for none), then those of its covered row.

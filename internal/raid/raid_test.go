@@ -790,38 +790,31 @@ func TestDerivedParityMatchesRows(t *testing.T) {
 	}
 }
 
-// mediaOnly is an Images that registers the images it is told to and
-// records what comes back.
-type mediaOnly struct {
-	reg      map[*byte]bool
-	released [][]byte
-}
+// released is an Images that records what comes back.
+type released [][]byte
 
-func (m *mediaOnly) MediaOnly(img []byte) bool { return len(img) > 0 && m.reg[&img[0]] }
+func (r *released) Release(arr []byte) { *r = append(*r, arr) }
 
-func (m *mediaOnly) Release(img []byte) {
-	if m.MediaOnly(img) {
-		delete(m.reg, &img[0])
-		m.released = append(m.released, img)
-	}
-}
-
-// TestMediaOnlyImagesGoBack: a media-only image goes back to its owner once
-// its data drive and its parity row have both let go of it — when a write
-// that displaced it has landed, parity included, or at Forget — and no
-// other image does.
+// TestMediaOnlyImagesGoBack: a media-only image — its DBN marked — goes back
+// to its owner, as its size class's whole array, once its data drive and its
+// parity row have both let go of it: when a write that displaced it has
+// landed, parity included, or at Forget. No other image does.
 func TestMediaOnlyImagesGoBack(t *testing.T) {
 	s, g := newTestGroup(2)
-	im := &mediaOnly{reg: map[*byte]bool{}}
+	im := &released{}
 	g.SetImages(im)
 	old := make([][]storage.WriteReq, 4)
 	for di := range old {
-		old[di] = []storage.WriteReq{{DBN: 5, Data: fill(byte(di + 1))}}
+		// Drive 0's image is written marked; drive 1's is marked once it
+		// has landed, as a buffer leaving its array marks it.
+		old[di] = []storage.WriteReq{{DBN: 5, Data: fill(byte(di + 1)), MediaOnly: di == 0}}
 	}
 	g.Write(old, 0, nil)
 	s.Run(sim.Time(100 * sim.Millisecond))
 	displaced, forgotten, shared := old[0][0].Data, old[1][0].Data, old[2][0].Data
-	im.reg[&displaced[0]], im.reg[&forgotten[0]] = true, true
+	if !g.Drive(1).Mark(5, forgotten) || !g.Drive(0).MediaOnly(5) || g.Drive(2).MediaOnly(5) {
+		t.Fatal("the marks did not land with the write, or Mark refused a DBN's own array")
+	}
 
 	// A partial-stripe write over drives 0 and 2: the row keeps drive 1's
 	// image, which stays on its drive too.
@@ -830,21 +823,24 @@ func TestMediaOnlyImagesGoBack(t *testing.T) {
 	over[2] = []storage.WriteReq{{DBN: 5, Data: fill(0xE2)}}
 	landed := false
 	g.Write(over, 0, func() { landed = true })
-	if len(im.released) != 0 {
+	if len(*im) != 0 {
 		t.Fatal("an image went back before the write that displaced it landed")
 	}
 	s.Run(sim.Time(200 * sim.Millisecond))
-	if !landed || len(im.released) != 1 || !sameArray(im.released[0], displaced) {
-		t.Fatalf("after the write landed: %d images back, want the displaced one", len(im.released))
+	if !landed || len(*im) != 1 || !sameArray((*im)[0], displaced) {
+		t.Fatalf("after the write landed: %d images back, want the displaced one", len(*im))
+	}
+	if g.Drive(0).MediaOnly(5) {
+		t.Fatal("the mark stayed with the DBN after a write displaced its image")
 	}
 	if !g.VerifyStripe(5) || !bytes.Equal(shared, fill(3)) {
 		t.Fatal("the stripe's parity or an unregistered displaced image changed")
 	}
-	if !g.Forget(1, 5) || len(im.released) != 2 || !sameArray(im.released[1], forgotten) {
-		t.Fatalf("after Forget: %d images back, want the forgotten one too", len(im.released))
+	if !g.Forget(1, 5) || len(*im) != 2 || !sameArray((*im)[1], forgotten) || g.Drive(1).MediaOnly(5) {
+		t.Fatalf("after Forget: %d images back, want the forgotten one too", len(*im))
 	}
-	if !g.Forget(0, 5) || len(im.released) != 2 {
-		t.Fatal("Forget of an unregistered image gave it back")
+	if !g.Forget(0, 5) || len(*im) != 2 {
+		t.Fatal("Forget of an unmarked image gave it back")
 	}
 }
 

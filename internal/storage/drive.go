@@ -7,7 +7,6 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"unsafe"
 
 	"wafl/internal/block"
@@ -44,10 +43,27 @@ var (
 type WriteReq struct {
 	DBN  block.DBN
 	Data []byte // must remain immutable once submitted (CoW guarantees this)
+	// MediaOnly says that once Data lands the media is its array's only
+	// holder (DESIGN §14): the DBN is marked, and the array goes back to the
+	// image pool when the media lets go of it. An image that is empty, longer
+	// than a block, or whose array is shorter than its size class
+	// (block.Class) lands unmarked.
+	MediaOnly bool
 }
 
-// maxImage is the longest image a DBN holds: its length is kept in 16 bits.
-const maxImage = math.MaxUint16
+// A DBN's length entry keeps an unmarked image's length in its low 15 bits.
+// Its top bit is the media-only mark. A marked image is 1 to block.Size
+// bytes long, and its entry keeps its length less one in the low 12 bits
+// and, in the three between, how many size classes (block.Class) its array's
+// capacity lies above its length's: the pool must take the array back at the
+// class it came from, and an indirect's array, grown by doubling, may be up
+// to seven classes longer than the image the media holds.
+const (
+	mediaOnly  uint16 = 1 << 15
+	maxImage          = int(mediaOnly - 1) // the longest image a DBN holds
+	classShift        = 12
+	maxGap            = 7 // classes between a marked image's length and its array's
+)
 
 // WriteFault describes how an injector perturbs one write I/O.
 type WriteFault struct {
@@ -117,12 +133,13 @@ type Drive struct {
 	nblocks block.DBN
 
 	// ptr and n are the stable storage image: DBN i holds the image whose
-	// array starts at ptr[i] and whose length is n[i] — 10 bytes a DBN, not
-	// a 24-byte slice header (DESIGN §14). Entries are nil until first
-	// written; a parity drive (NewParityDrive) has no tables. Writes land at
-	// I/O completion time, never earlier, so a simulated crash (dropping
-	// all in-memory state and pending I/O) leaves exactly the committed
-	// image.
+	// array starts at ptr[i] and whose length n[i] keeps (imageLen) — 10
+	// bytes a DBN, not a 24-byte slice header (DESIGN §14). n[i]'s top bit is
+	// the media-only mark: the media alone holds the array. Entries are nil
+	// until first written; a parity drive (NewParityDrive) has no tables.
+	// Writes land at I/O completion time, never earlier, so a simulated
+	// crash (dropping all in-memory state and pending I/O) leaves exactly
+	// the committed image.
 	ptr []*byte
 	n   []uint16
 
@@ -164,7 +181,7 @@ func (e *inflightWrite) complete() {
 	}
 	d.removeInflight(e)
 	for _, r := range e.reqs {
-		d.land(r.DBN, r.Data)
+		d.land(r.DBN, r.Data, r.MediaOnly)
 	}
 	done := e.done
 	clear(e.reqs)
@@ -423,21 +440,98 @@ func (d *Drive) Peek(dbn block.DBN) []byte {
 	if d.ptr == nil {
 		return nil
 	}
-	return unsafe.Slice(d.ptr[dbn], d.n[dbn])
+	return unsafe.Slice(d.ptr[dbn], imageLen(d.n[dbn]))
 }
 
-// land makes img the committed image of dbn. The media keeps img's own array,
-// so Peek hands back the very array written; a nil image stays nil (a nil
-// pointer of length 0) and a non-nil empty one non-nil. A parity drive
+// imageLen is the image length a DBN's entry keeps.
+func imageLen(n uint16) int {
+	if n&mediaOnly == 0 {
+		return int(n)
+	}
+	return int(n&(1<<classShift-1)) + 1
+}
+
+// marked returns an n-byte image's entry marked media-only, its array of
+// capacity c, and whether the image may be marked at all: 1 to block.Size
+// bytes, its array at least its size class long, so that Owned can hand the
+// pool the class's whole array.
+func marked(n, c int) (uint16, bool) {
+	if n == 0 || n > block.Size {
+		return 0, false
+	}
+	c0, size := block.Class(n)
+	if c < size {
+		return 0, false
+	}
+	cc, size := block.Class(min(c, block.Size))
+	if size > c {
+		cc-- // a foreign array between two classes counts as the lower one
+	}
+	return mediaOnly | uint16(min(cc-c0, maxGap))<<classShift | uint16(n-1), true
+}
+
+// land makes img the committed image of dbn, marked media-only if mark is
+// set. The media keeps img's own array, so Peek hands back the very array
+// written; a nil image stays nil (a nil pointer of length 0) and a non-nil
+// empty one non-nil. The image it displaces loses its mark. A parity drive
 // lands nothing.
-func (d *Drive) land(dbn block.DBN, img []byte) {
+func (d *Drive) land(dbn block.DBN, img []byte, mark bool) {
 	if d.ptr == nil {
 		if img != nil {
 			panic(fmt.Sprintf("storage: image written to parity drive %s", d.name))
 		}
 		return
 	}
-	d.ptr[dbn], d.n[dbn] = unsafe.SliceData(img), uint16(len(img))
+	n, ok := marked(len(img), cap(img))
+	if !mark || !ok {
+		n = uint16(len(img))
+	}
+	d.ptr[dbn], d.n[dbn] = unsafe.SliceData(img), n
+}
+
+// MediaOnly reports whether dbn is marked: the media alone holds its image's
+// array (DESIGN §14, *Who holds an image array*).
+func (d *Drive) MediaOnly(dbn block.DBN) bool {
+	return d.ptr != nil && d.n[dbn]&mediaOnly != 0
+}
+
+// Mark marks dbn media-only if it holds img's array, and reports whether it
+// does: the array's other holder, a buffer, has just let go of it. img is
+// that array at its full capacity, which must be at least its image's size
+// class, as every pool array's is; a DBN that holds another array (the block
+// was forgotten, or its write has not landed) is left alone, and img is the
+// garbage collector's.
+func (d *Drive) Mark(dbn block.DBN, img []byte) bool {
+	if d.ptr == nil || len(img) == 0 || d.ptr[dbn] != &img[0] {
+		return false
+	}
+	e, ok := marked(imageLen(d.n[dbn]), cap(img))
+	if ok {
+		d.n[dbn] = e
+	}
+	return ok
+}
+
+// Owned returns the image at dbn, if the DBN is marked, as its whole array:
+// as long as the size class (block.Class) its mark records, for its owner to
+// take back once the media lets go of it; nil if it is not marked. The array
+// is still the media's until then.
+func (d *Drive) Owned(dbn block.DBN) []byte {
+	if !d.MediaOnly(dbn) {
+		return nil
+	}
+	n := d.n[dbn]
+	c, _ := block.Class(imageLen(n))
+	return unsafe.Slice(d.ptr[dbn], block.ClassCap(c+int(n>>classShift&maxGap)))
+}
+
+// ClearMarks drops every DBN's media-only mark: a mounted aggregate takes the
+// media over from a crashed one, and the arrays that one's pool would have
+// taken back are the garbage collector's.
+func (d *Drive) ClearMarks() {
+	for i, n := range d.n {
+		d.n[i] = uint16(imageLen(n))
+	}
 }
 
 // PeekChecked is the fallible media read the file system's mount and
@@ -459,8 +553,8 @@ func (d *Drive) PeekChecked(dbn block.DBN) ([]byte, bool) {
 func (d *Drive) Forget(dbn block.DBN) {
 	if d.ptr != nil && d.ptr[dbn] != nil {
 		d.stats.Forgotten++
-		d.stats.ForgottenBytes += uint64(d.n[dbn])
-		d.land(dbn, nil)
+		d.stats.ForgottenBytes += uint64(imageLen(d.n[dbn]))
+		d.land(dbn, nil, false)
 	}
 }
 
@@ -486,7 +580,7 @@ func (d *Drive) DropInFlight() []int {
 		prefixes[i] = p
 		if p > 0 {
 			for _, r := range e.reqs[:p] {
-				d.land(r.DBN, r.Data)
+				d.land(r.DBN, r.Data, r.MediaOnly)
 			}
 			d.stats.TornWrites++
 			d.stats.TornBlocksLost += uint64(len(e.reqs) - p)

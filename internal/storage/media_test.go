@@ -25,14 +25,16 @@ func (in *tornInjector) CrashPrefix(_ string, n int) int {
 	return p
 }
 
-// mediaModel drives one drive through seeded writes, forgets and torn
-// crashes, and keeps the reference of what each DBN must hold.
+// mediaModel drives one drive through seeded writes, forgets, marks and torn
+// crashes, and keeps the reference of what each DBN must hold: its image,
+// and for a marked one the length of the array Owned must return.
 type mediaModel struct {
-	t    *testing.T
-	s    *sim.Scheduler
-	d    *Drive
-	inj  *tornInjector
-	want map[block.DBN][]byte
+	t      *testing.T
+	s      *sim.Scheduler
+	d      *Drive
+	inj    *tornInjector
+	want   map[block.DBN][]byte
+	marked map[block.DBN]int
 	// forgotten counts the images Forget dropped, and their length.
 	forgotten, forgottenLen uint64
 }
@@ -40,7 +42,8 @@ type mediaModel struct {
 func (m *mediaModel) reqs() []WriteReq {
 	reqs := make([]WriteReq, 1+m.inj.rng.IntN(4))
 	for i := range reqs {
-		reqs[i] = WriteReq{DBN: block.DBN(m.inj.rng.IntN(int(m.d.Blocks()))), Data: blockImage(m.inj.rng)}
+		reqs[i] = WriteReq{DBN: block.DBN(m.inj.rng.IntN(int(m.d.Blocks()))), Data: blockImage(m.inj.rng),
+			MediaOnly: m.inj.rng.IntN(2) == 0}
 	}
 	return reqs
 }
@@ -48,7 +51,33 @@ func (m *mediaModel) reqs() []WriteReq {
 func (m *mediaModel) land(reqs []WriteReq) {
 	for _, r := range reqs {
 		m.want[r.DBN] = r.Data
+		delete(m.marked, r.DBN)
+		if r.MediaOnly && markable(r.Data) {
+			m.marked[r.DBN] = wholeLen(r.Data)
+		}
 	}
+}
+
+// markable reports whether img may be marked media-only: 1 to block.Size
+// bytes, its array at least its size class long.
+func markable(img []byte) bool {
+	if len(img) == 0 || len(img) > block.Size {
+		return false
+	}
+	_, c := block.Class(len(img))
+	return cap(img) >= c
+}
+
+// wholeLen is the length of the array Owned returns for a marked image
+// whose array is img's: its size class's capacity, or a class up to seven
+// above it that the array's capacity reaches.
+func wholeLen(img []byte) int {
+	c0, _ := block.Class(len(img))
+	c, size := block.Class(cap(img))
+	if size > cap(img) {
+		c--
+	}
+	return block.ClassCap(min(c, c0+7))
 }
 
 // step takes one random action: a completed write, a forget, or a crash with
@@ -56,7 +85,28 @@ func (m *mediaModel) land(reqs []WriteReq) {
 // landed, as the injector chose it and clamped to the write.
 func (m *mediaModel) step(step int) {
 	rng := m.inj.rng
-	switch rng.IntN(3) {
+	switch rng.IntN(5) {
+	case 3:
+		// A buffer lets go of the array a DBN holds (it marks), or of
+		// another one (it does not).
+		dbn := block.DBN(rng.IntN(int(m.d.Blocks())))
+		img := m.want[dbn]
+		arr := img[:cap(img)]
+		if rng.IntN(4) == 0 {
+			arr = block.New()
+		}
+		want := markable(img) && len(arr) > 0 && &arr[0] == &img[0]
+		if got := m.d.Mark(dbn, arr); got != want {
+			m.t.Fatalf("step %d: Mark of dbn %d (len %d) = %v, want %v", step, dbn, len(img), got, want)
+		}
+		if want {
+			m.marked[dbn] = wholeLen(img)
+		}
+	case 4:
+		if rng.IntN(8) == 0 {
+			m.d.ClearMarks()
+			clear(m.marked)
+		}
 	case 0:
 		reqs := m.reqs()
 		m.d.Write(reqs, nil)
@@ -70,6 +120,7 @@ func (m *mediaModel) step(step int) {
 		}
 		m.d.Forget(dbn)
 		delete(m.want, dbn)
+		delete(m.marked, dbn)
 	case 2:
 		var writes [][]WriteReq
 		for range 1 + rng.IntN(3) {
@@ -110,6 +161,14 @@ func (m *mediaModel) check(step int) {
 				step, i, m.d.Peek(dbns[i]) == nil, len(m.d.Peek(dbns[i])), checked == nil, len(checked), want == nil, len(want))
 		}
 	}
+	for _, dbn := range dbns {
+		size, marked := m.marked[dbn]
+		if owned := m.d.Owned(dbn); m.d.MediaOnly(dbn) != marked || (owned != nil) != marked ||
+			marked && (len(owned) != size || &owned[0] != &m.want[dbn][0]) {
+			m.t.Fatalf("step %d: dbn %d marked %v, owns %d bytes; want marked %v, the image's array at %d bytes",
+				step, dbn, m.d.MediaOnly(dbn), len(owned), marked, size)
+		}
+	}
 	read := false
 	m.d.Read(dbns, func(got [][]byte) {
 		read = true
@@ -128,29 +187,35 @@ func (m *mediaModel) check(step int) {
 	}
 }
 
-// blockImage is a nil image, a non-nil empty one, a trimmed one or a full
-// block.
+// blockImage is a nil image, a non-nil empty one, a trimmed one in an array
+// of its own length or of some size class at least as long, or a full block.
 func blockImage(rng *rand.Rand) []byte {
-	switch rng.IntN(4) {
+	switch rng.IntN(5) {
 	case 0:
 		return nil
 	case 1:
 		return []byte{}
 	case 2:
-		return block.New()[:1+rng.IntN(block.Size-1)]
+		n := 1 + rng.IntN(block.Size-1)
+		_, c := block.Class(n + rng.IntN(block.Size-n+1))
+		return make([]byte, n, c) // an array up to a few classes past its image
+	case 3:
+		return make([]byte, 1+rng.IntN(block.Size-1)) // too short to mark, mostly
 	}
 	return block.New()
 }
 
-// TestMediaTableKeepsImages: through seeded writes, forgets and torn crashes,
-// every DBN of a drive reads back the very image last landed there — nil as
-// nil, empty as non-nil empty, trimmed at its length, and the media's array,
-// never a copy — and each crash reports the prefix of each dropped write that
-// landed.
+// TestMediaTableKeepsImages: through seeded writes, forgets, marks and torn
+// crashes, every DBN of a drive reads back the very image last landed there
+// — nil as nil, empty as non-nil empty, trimmed at its length, and the
+// media's array, never a copy — and each crash reports the prefix of each
+// dropped write that landed. A DBN is marked media-only from a marked
+// write's landing or a Mark of its own array until the next landing, Forget
+// or ClearMarks, and Owned hands back its array at the capacity recorded.
 func TestMediaTableKeepsImages(t *testing.T) {
 	for seed := range uint64(4) {
 		s := sim.New(1, 1)
-		m := &mediaModel{t: t, s: s, d: NewDrive(s, "d", SSD, 32), want: map[block.DBN][]byte{}}
+		m := &mediaModel{t: t, s: s, d: NewDrive(s, "d", SSD, 32), want: map[block.DBN][]byte{}, marked: map[block.DBN]int{}}
 		m.inj = &tornInjector{rng: rand.New(rand.NewPCG(seed, 0))}
 		m.d.SetInjector(m.inj)
 		for step := range 400 {

@@ -410,9 +410,16 @@ func (m *Member) crash() {
 }
 
 // replay reapplies logged operations in sequence order against the mounted
-// member file system. Record coordinates (Vol, Ino) are member-local.
+// member file system. Record coordinates (Vol, Ino) are member-local. Each
+// write gets a copy of its payload from the member's image pool, and the
+// record keeps that copy: a record that survived its CP's commit (a crash
+// between the commit and the freeing of its log half) shares its array with
+// the committed block, which the overwrite must not write a second time.
 func (m *Member) replay(records []nvlog.Record) {
 	for i := range records {
+		if rec := &records[i]; rec.Kind == nvlog.OpWrite {
+			rec.Data = m.a.Images().Copy(rec.Data)
+		}
 		m.apply(&records[i])
 	}
 }

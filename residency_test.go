@@ -164,7 +164,7 @@ func residencyHistory(t *testing.T, capacity int, seed int64) {
 				t.Fatalf("step %d: read of ino %d fbn %d paid %d drive reads, the keep-everything rule says %v", step, ino, k.fbn, paid, pays)
 			}
 			got := sys.VerifyRead(0, ino, k.fbn)
-			if tag, ok := cur.content[k]; !ok && got != nil || ok && !bytes.Equal(got, sys.payload(ino, k.fbn, tag)) {
+			if tag, ok := cur.content[k]; !ok && got != nil || ok && !bytes.Equal(got, sys.expected(ino, k.fbn, tag)) {
 				t.Fatalf("step %d: ino %d fbn %d reads %d bytes, want tag %d (written %v)", step, ino, k.fbn, len(got), tag, ok)
 			}
 		case p < 82: // a CP
@@ -249,7 +249,7 @@ func TestVerifyReadLeavesResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Shutdown()
-	if got := rec.VerifyRead(0, ino, 3); !bytes.Equal(got, rec.payload(ino, 3, 0)) {
+	if got := rec.VerifyRead(0, ino, 3); !bytes.Equal(got, rec.expected(ino, 3, 0)) {
 		t.Fatalf("VerifyRead returned %d bytes, not the written block", len(got))
 	}
 	before := rec.Stats().Drives.ReadService.Count

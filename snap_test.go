@@ -23,7 +23,7 @@ func expectSnapBlock(t *testing.T, sys *System, snapID, ino uint64, fbn FBN, tag
 		}
 		return
 	}
-	want := sys.payload(ino, fbn, byte(tag))
+	want := sys.expected(ino, fbn, byte(tag))
 	if data == nil {
 		t.Fatalf("%s: snap %d fbn %d: want tag %q, got hole", label, snapID, fbn, byte(tag))
 	}
@@ -86,7 +86,7 @@ func TestSnapshotEndToEnd(t *testing.T) {
 		expectSnapBlock(t, sys, snap2, ino, fbn, 'B', "snap2")
 	}
 	for fbn := FBN(0); fbn < n+16; fbn++ {
-		want := sys.payload(ino, fbn, 'C')
+		want := sys.expected(ino, fbn, 'C')
 		got := sys.VerifyRead(0, ino, fbn)
 		if got == nil || !bytes.Equal(got[:len(want)], want) {
 			t.Fatalf("live fbn %d: want tag C content", fbn)
@@ -217,13 +217,13 @@ func TestSnapshotCrashAtEveryCPPhase(t *testing.T) {
 			verify := func(label string) {
 				for fbn, tag := range written {
 					gotb := rec.VerifyRead(0, ino, fbn)
-					want := rec.payload(ino, fbn, tag)
+					want := rec.expected(ino, fbn, tag)
 					match := gotb != nil && bytes.Equal(gotb[:len(want)], want)
 					if !match && fbn == pendFBN {
 						// An in-flight write at crash time may have been
 						// logged without being acknowledged; replay then
 						// legitimately applies it over the acked content.
-						pw := rec.payload(ino, fbn, pendTag)
+						pw := rec.expected(ino, fbn, pendTag)
 						match = gotb != nil && bytes.Equal(gotb[:len(pw)], pw)
 					}
 					if !match {

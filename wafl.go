@@ -641,7 +641,7 @@ func (sys *System) AgeOverwrite(vol int, ino uint64, n int, span uint64) {
 func (sys *System) writeDirect(vol int, ino uint64, fbns []uint64, tag byte) {
 	m, lv, li := sys.resolve(vol, ino)
 	for _, fbn := range fbns {
-		rec := nvlog.Record{Kind: nvlog.OpWrite, Vol: uint32(lv), Ino: li, FBN: FBN(fbn), Data: sys.payload(ino, FBN(fbn), tag)}
+		rec := nvlog.Record{Kind: nvlog.OpWrite, Vol: uint32(lv), Ino: li, FBN: FBN(fbn), Data: sys.payload(m, ino, FBN(fbn), tag)}
 		if !m.apply(&rec) {
 			panic(fmt.Sprintf("wafl: direct write to nonexistent ino %d", ino))
 		}
