@@ -834,7 +834,7 @@ func TestMediaOnlyImagesGoBack(t *testing.T) {
 		t.Fatal("the mark stayed with the DBN after a write displaced its image")
 	}
 	if !g.VerifyStripe(5) || !bytes.Equal(shared, fill(3)) {
-		t.Fatal("the stripe's parity or an unregistered displaced image changed")
+		t.Fatal("the stripe's parity or an unmarked displaced image changed")
 	}
 	if !g.Forget(1, 5) || len(*im) != 2 || !sameArray((*im)[1], forgotten) || g.Drive(1).MediaOnly(5) {
 		t.Fatalf("after Forget: %d images back, want the forgotten one too", len(*im))
