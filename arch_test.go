@@ -262,6 +262,24 @@ func makesImage(n ast.Node) bool {
 	return ok && at.Len == nil && lastName(at.Elt) == "byte"
 }
 
+// makesSlots matches a slot array of buffers built: make([]*Buffer, n) or
+// make([]*fs.Buffer, n).
+func makesSlots(n ast.Node) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "make" {
+		return false
+	}
+	at, ok := call.Args[0].(*ast.ArrayType)
+	if !ok || at.Len != nil {
+		return false
+	}
+	star, ok := at.Elt.(*ast.StarExpr)
+	return ok && lastName(star.X) == "Buffer"
+}
+
 // getOrNew matches a hand-rolled free list's get: a fifo.Queue popped when it
 // is not empty, and otherwise something new built — `if q.Len() > 0 { v =
 // q.Pop() } else { ... }`, or `if q.Len() > 0 { return q.Pop() }` with the
@@ -965,17 +983,25 @@ var archRules = []archRule{
 		}},
 	},
 	{
-		// One maker of buffers: the image pool, whose free list every user L0
-		// buffer comes from and goes back to when its CP commits (DESIGN
-		// §15), and which makes the buffers that stay in their trees.
+		// One maker of buffers and of the slot arrays that hold them: the
+		// image pool, whose free lists every user L0 buffer and every user
+		// file's level-1 slot array come from and go back to when its CP
+		// commits (DESIGN §15), and which makes the buffers and arrays that
+		// stay in their trees.
 		name: "buffers",
 		clauses: []clause{{
 			scan: []string{"..."}, except: []string{"internal/fs/images.go"}, forbid: callsFunc("newBuffer"),
 			msg: "newBuffer called outside internal/fs/images.go: take the buffer from the ImagePool",
+		}, {
+			scan: []string{"..."}, except: []string{"internal/fs/images.go"}, forbid: makesSlots,
+			msg: "slot array made outside internal/fs/images.go: take it from the ImagePool",
 		}},
 		bad: []badTree{{
 			files: map[string]string{"internal/fs/file.go": `package fs; func (f *File) f() *Buffer { return newBuffer(new(Buffer), f, 0, 0) }`},
 			want:  "internal/fs/file.go:1: newBuffer called outside internal/fs/images.go",
+		}, {
+			files: map[string]string{"internal/fs/file.go": `package fs; func (n *node) f(d int) { n.leaves = make([]*Buffer, 2*d) }`},
+			want:  "internal/fs/file.go:1: slot array made outside internal/fs/images.go",
 		}},
 	},
 	{

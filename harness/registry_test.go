@@ -2,7 +2,12 @@ package harness
 
 import (
 	"errors"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
+
+	"wafl"
 )
 
 // TestVerdict checks how a sweep's outcome becomes a registry result: a
@@ -50,4 +55,49 @@ func TestRegistrySweepDepth(t *testing.T) {
 		return
 	}
 	t.Fatal("clonesweep is not registered")
+}
+
+// TestRegistryTables runs every registry entry that is not a gate — every
+// table `waflbench -exp all` prints — at expsmoke's windows (a 4 ms window
+// after a 2 ms warm-up; flexgroup keeps its own), side by side, and checks
+// each table's shape: an ID and a title, headers, at least one row, every
+// row as wide as the headers, and every throughput cell (an ops/s or MB/s
+// column) a finite number above zero. The figures themselves mean nothing
+// at these windows. flexgroup sweeps widths 1 and 2 (`-members 2`): its
+// 4-member run would take more host time than the rest of its sweep and
+// adds nothing to the shape. The gates run in their own sweep tests.
+func TestRegistryTables(t *testing.T) {
+	for _, e := range Experiments {
+		if e.Gate {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			rc := DefaultRun()
+			rc.Warmup, rc.Window = 2*wafl.Millisecond, 4*wafl.Millisecond
+			if e.Name == "flexgroup" {
+				rc.Base.Members = 2
+			}
+			tab, err := e.Run(rc)
+			if err != nil {
+				t.Fatalf("%v\n%s", err, tab.String())
+			}
+			if tab.ID == "" || tab.Title == "" || len(tab.Headers) == 0 || len(tab.Rows) == 0 {
+				t.Fatalf("table %q (%q): %d headers, %d rows", tab.ID, tab.Title, len(tab.Headers), len(tab.Rows))
+			}
+			for i, row := range tab.Rows {
+				if len(row) != len(tab.Headers) {
+					t.Fatalf("row %d has %d cells, %d headers:\n%s", i, len(row), len(tab.Headers), tab.String())
+				}
+				for c, h := range tab.Headers {
+					if !strings.HasSuffix(h, "ops/s") && h != "MB/s" {
+						continue
+					}
+					if v, err := strconv.ParseFloat(row[c], 64); err != nil || v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+						t.Errorf("row %d: %s = %q, want a finite throughput above zero", i, h, row[c])
+					}
+				}
+			}
+		})
+	}
 }

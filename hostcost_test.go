@@ -11,9 +11,13 @@ import (
 
 // TestSeqWriteHostAllocBudget guards the host cost of the data path where
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
-// an 8-block sequential write may allocate at most 1.1 KiB of host heap.
+// an 8-block sequential write may allocate at most 0.85 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 0.94 KiB/op (9.8 mallocs/op) while a new
+// — and the figure sits near 0.74 KiB/op (8.3 mallocs/op) while a level-1
+// node's slot array comes from the image pool and goes back when its last
+// L0 buffer leaves (DESIGN §15) and the allocator's window records, the
+// cleaning jobs and the CP's scratch are recycled (DESIGN §9; 0.93 KiB and
+// 9.8 mallocs when each was built fresh), while a new
 // block's user L0 buffer comes from the free list its committed
 // predecessors went back to (DESIGN §15; 1.68 KiB and 17.8 mallocs when
 // every block ever written kept its buffer), while CP-owned
@@ -30,7 +34,7 @@ import (
 // map-free; materialising the zero tail of the eight L0 images alone adds
 // 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
-	const budgetKiB = 1.1
+	const budgetKiB = 0.85
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +58,11 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 }
 
 // TestNFSMixHostAllocBudget guards the host cost of the op path on the
-// benchmark's nfsmix: at most 0.6 KiB and 5 mallocs of host heap per client
-// op. The figures sit near 0.380 KiB and 1.7 mallocs/op while a payload
+// benchmark's nfsmix: at most 0.38 KiB and 1.3 mallocs of host heap per
+// client op. The figures sit near 0.332 KiB and 1.15 mallocs/op while the
+// cleaning jobs, the allocator's window records, the volumes' dirty maps
+// and the level-1 slot arrays are recycled (DESIGN §9, §15; 0.380 KiB and
+// 1.7 when each was built fresh), a payload
 // comes from the image pool (DESIGN §14; 0.402 KiB when each was a fresh
 // array) and a stripe's parity is the XOR of its data images (DESIGN §4;
 // measured against 0.434 KiB and 2.2 mallocs then, 0.455 KiB when each
@@ -67,7 +74,7 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 // free lists; DESIGN §9), 0.98 KiB and 11.3 when each was garbage and the
 // buffer copied its payload.
 func TestNFSMixHostAllocBudget(t *testing.T) {
-	const budgetKiB, budgetMallocs = 0.6, 5
+	const budgetKiB, budgetMallocs = 0.38, 1.3
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 8192
 	sys, err := wafl.NewSystem(cfg)
@@ -88,7 +95,56 @@ func TestNFSMixHostAllocBudget(t *testing.T) {
 	mallocs := float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
 	t.Logf("%.3f KiB/op, %.2f mallocs/op over %d ops", perOp, mallocs, res.Ops)
 	if perOp > budgetKiB || mallocs > budgetMallocs {
-		t.Fatalf("nfsmix allocates %.2f KiB and %.1f mallocs of host heap per op, budget %.1f KiB and %d", perOp, mallocs, budgetKiB, budgetMallocs)
+		t.Fatalf("nfsmix allocates %.3f KiB and %.2f mallocs of host heap per op, budget %v KiB and %v", perOp, mallocs, budgetKiB, budgetMallocs)
+	}
+}
+
+// TestWindowMallocsAreImages pins what a warm window allocates on the host
+// besides the image arrays and user L0 buffers the image pool had to build
+// (Stats.Images.New and Images.Buffers.New): the recycled state's floor,
+// over a 100 ms window after the benchmark's 150 ms warm-up. On seqwrite,
+// whose window writes every block for the first time, each of its ~8.1 new
+// images per op is one the media keeps; everything else — the allocator's
+// window records, message bodies, cleaning jobs, slot arrays, CP scratch —
+// comes back from free lists, and at most 0.5 mallocs per op are left: 0.19
+// now, 1.74 when windows, jobs, message bodies and the level-1 slot arrays
+// were built fresh (DESIGN §9, §15). On nfsmix, at most 0.36: 0.08 now,
+// 0.76 then.
+func TestWindowMallocsAreImages(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		budget float64
+		cfg    func(*wafl.Config)
+		w      harness.Attacher
+	}{
+		{"seqwrite", 0.5, func(*wafl.Config) {}, workload.DefaultSeqWrite()},
+		{"nfsmix", 0.36, func(c *wafl.Config) { c.BCacheBlocks = 8192 }, workload.DefaultNFSMix()},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := wafl.DefaultConfig()
+			row.cfg(&cfg)
+			sys, err := wafl.NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Shutdown()
+			row.w.Attach(sys)
+			sys.Run(150 * wafl.Millisecond)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res := sys.Measure(0, 100*wafl.Millisecond)
+			runtime.ReadMemStats(&after)
+			if res.Ops == 0 {
+				t.Fatal("no ops completed in the window")
+			}
+			img := res.Stats.Images
+			built := img.New + img.Buffers.New
+			other := (float64(after.Mallocs-before.Mallocs) - float64(built)) / float64(res.Ops)
+			t.Logf("%.3f other mallocs/op, %.2f images and buffers built/op over %d ops", other, float64(built)/float64(res.Ops), res.Ops)
+			if other > row.budget {
+				t.Fatalf("%s makes %.3f mallocs per op besides the arrays the image pool built, budget %v", row.name, other, row.budget)
+			}
+		})
 	}
 }
 
@@ -193,9 +249,12 @@ func overloadBurst(t *testing.T) *wafl.System {
 
 // TestOverloadHostAllocBudget guards the host cost of the CP's write path on
 // the benchmark's costliest workload: over overload_burst's 100 ms recover
-// phase at most 2.0 KiB of host heap per client op. The figure sits near
-// 0.99 KiB/op (1.17 when each stripe write cloned a row of data images,
-// DESIGN §4) while the CP's copies of indirect and metafile blocks (a
+// phase at most 0.8 KiB of host heap per client op. The figure sits near
+// 0.68 KiB/op (4.6 mallocs) while the CP's jobs and scratch, the
+// allocator's window records and the level-1 slot arrays are recycled
+// (DESIGN §9, §15; 0.96 KiB and 11.7 mallocs when each was built fresh,
+// 1.17 KiB when each stripe write also cloned a row of data images,
+// DESIGN §4) and the CP's copies of indirect and metafile blocks (a
 // sealed buffer's clone, a sparse block's trimmed copy for the media) come
 // from the aggregate's image pool and go back to it when the media drops
 // them (DESIGN §14): 4.67 when each was a fresh array for the garbage
@@ -203,7 +262,7 @@ func overloadBurst(t *testing.T) *wafl.System {
 // XORed into an array (displaced full-block ones reused), 6.79 without the
 // reuse, 7.79 when every sparse metafile L0 was a fresh full block too.
 func TestOverloadHostAllocBudget(t *testing.T) {
-	const budgetKiB = 2.0
+	const budgetKiB = 0.8
 	sys := overloadBurst(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -326,12 +385,14 @@ func liveAfterWindow(t *testing.T, cfg wafl.Config, w harness.Attacher) float64 
 
 // TestSeqWriteLiveHeapBudget guards the live heap of the benchmark's
 // seqwrite: after a 150 ms warm-up and a 250 ms window the system holds
-// under 45 MiB. It sits near 37.1 MiB while a user L0 buffer lives only
-// while its block is dirty or in a CP, and a clean block's content is its
+// under 40 MiB. It sits near 35.0 MiB while a level-1 node holds a slot
+// array only while it holds an L0 buffer (37.1 MiB when every node kept its
+// 2 KiB array after its buffers left), and a user L0 buffer lives only
+// while its block is dirty or in a CP, so a clean block's content is its
 // media image (DESIGN §15); 63.6 MiB when every block ever written kept its
 // 96-byte buffer.
 func TestSeqWriteLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 45
+	const budgetMiB = 40
 	live := liveAfterWindow(t, wafl.DefaultConfig(), workload.DefaultSeqWrite())
 	t.Logf("%.1f MiB live heap", live)
 	if live > budgetMiB {
@@ -341,10 +402,15 @@ func TestSeqWriteLiveHeapBudget(t *testing.T) {
 
 // TestAgedRandLiveHeapBudget is its twin on the benchmark's agedrand, whose
 // set-up dirties a 393,216-block prefill in one CP: under 75 MiB after the
-// window. It sits near 62.2 MiB while that burst's buffers go to the garbage
-// collector instead of the free list (ImagePool.TrimBuffers); 98.8 MiB when
+// window. It sits near 55.5 MiB while that burst's buffers go to the garbage
+// collector instead of the free list (ImagePool.Trim) and a spent dirty list
+// drops the burst's array (DESIGN §15; 59.0 MiB when the lists kept it,
+// 62.2 when every level-1 node also kept its slot array after its buffers
+// left); 98.8 MiB when
 // every block kept its buffer. Over the window the system also allocates at
-// most 0.12 KiB of host heap per op: 0.091 while a client's payload comes
+// most 0.12 KiB of host heap per op: 0.073 while the allocator's window
+// records and message bodies are recycled (DESIGN §9; 0.091 when each was
+// built fresh) and a client's payload comes
 // from the image pool and goes back to it when the media drops its
 // overwritten block (DESIGN §14; 0.167 when every payload was a fresh
 // array), 0.29 when every snapshot delete also allocated its volume's

@@ -68,6 +68,13 @@ type Aggregate struct {
 	freed, cut []block.VBN
 	inCP       bool
 
+	// plan is PlanAmapFlush's state, and supers the two arrays the
+	// superblock is encoded into by turns (WriteSuperblock): kept across
+	// CPs, so a commit builds neither.
+	plan      amapPlan
+	supers    [2][]byte
+	superNext int
+
 	// inj, when set, is the drive-fault plan wired into every drive; the
 	// aggregate keeps it to survive MountFrom and to report repair stats.
 	inj    storage.Injector
@@ -218,7 +225,7 @@ func (a *Aggregate) ForgetFreed() {
 	}
 	a.cut = a.cut[:0]
 	a.inCP = false
-	a.images.TrimBuffers()
+	a.images.Trim()
 }
 
 // ForgetUnreachable takes the media over for an aggregate just mounted from

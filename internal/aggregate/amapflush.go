@@ -38,30 +38,22 @@ type AmapWrite struct {
 // engine passes a cursor over a chosen Allocation Area that also avoids
 // blocks freed in the running CP). The D-set is bounded by the total number
 // of activemap buffers, so termination is structural.
+//
+// The plan's state lives in a.plan, kept across CPs, and so does the slice
+// it returns, which is valid until the next plan.
 func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 	f := a.amapFile
-	type key struct {
-		level int
-		idx   block.FBN
-	}
-	keyOf := func(b *fs.Buffer) key { return key{b.Level(), b.Index()} }
-
-	assigned := make(map[key]block.VBN)
-	member := make(map[key]*fs.Buffer)
-	prefreed := make(map[key]bool)
-	// memberOrder fixes the VBN-assignment order: alloc() is a cursor, so
-	// handing out VBNs in map-iteration order would nondeterministically
-	// shuffle which activemap block lands where on disk.
-	var memberOrder []key
+	p := &a.plan
+	p.reset()
 
 	// enroll adds b (and implicitly, later, its ancestors) to D.
 	enroll := func(b *fs.Buffer) bool {
-		k := keyOf(b)
-		if _, ok := member[k]; ok {
+		k := amapKey{b.Level(), b.Index()}
+		if _, ok := p.index[k]; ok {
 			return false
 		}
-		member[k] = b
-		memberOrder = append(memberOrder, k)
+		p.index[k] = len(p.members)
+		p.members = append(p.members, amapMember{b: b, vbn: block.InvalidVBN})
 		f.DirtyIntoCP(b)
 		return true
 	}
@@ -77,17 +69,22 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 				if enroll(b) {
 					changed = true
 				}
-				for _, anc := range f.AncestorPath(b) {
+				p.anc = f.AppendAncestors(p.anc[:0], b)
+				for _, anc := range p.anc {
 					if enroll(anc) {
 						changed = true
 					}
 				}
 			}
 		}
-		// Step 2: pre-allocate for members without a new home. Set() may
-		// dirty further activemap blocks; they are swept next pass.
-		for _, k := range memberOrder {
-			if _, ok := assigned[k]; ok {
+		// Step 2: pre-allocate for members without a new home, in
+		// enrollment order: alloc() is a cursor, so handing out VBNs in
+		// map-iteration order would nondeterministically shuffle which
+		// activemap block lands where on disk. Set() may dirty further
+		// activemap blocks; they are swept next pass.
+		for i := range p.members {
+			m := &p.members[i]
+			if m.vbn != block.InvalidVBN {
 				continue
 			}
 			vbn := alloc()
@@ -98,16 +95,17 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 				tr.NoteBlock(uint64(vbn), "amap flush plan")
 			}
 			a.Activemap.Set(uint64(vbn))
-			assigned[k] = vbn
+			m.vbn = vbn
 			changed = true
 		}
 		// Step 3: pre-free old locations.
-		for _, k := range memberOrder {
-			if prefreed[k] {
+		for i := range p.members {
+			m := &p.members[i]
+			if m.prefreed {
 				continue
 			}
-			prefreed[k] = true
-			if old := member[k].VBN(); old != block.InvalidVBN && old != 0 {
+			m.prefreed = true
+			if old := m.b.VBN(); old != block.InvalidVBN && old != 0 {
 				a.Activemap.Clear(uint64(old))
 			}
 			changed = true
@@ -118,20 +116,56 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 	}
 
 	// Step 4: bit state is final; clean bottom-up with assigned VBNs.
-	var writes []AmapWrite
 	for level := 0; level <= f.Height(); level++ {
 		for _, b := range f.FrozenLevel(level) {
-			k := keyOf(b)
-			vbn, ok := assigned[k]
+			i, ok := p.index[amapKey{b.Level(), b.Index()}]
 			if !ok {
 				panic(fmt.Sprintf("aggregate: frozen activemap buffer (level %d, fbn %d) missing from flush plan", b.Level(), b.FBN()))
 			}
+			vbn := p.members[i].vbn
 			img, mediaOnly, _, _ := f.CleanChild(b, block.InvalidVVBN, vbn) // old location already freed
-			writes = append(writes, AmapWrite{VBN: vbn, Data: img, MediaOnly: mediaOnly})
+			p.writes = append(p.writes, AmapWrite{VBN: vbn, Data: img, MediaOnly: mediaOnly})
 		}
 	}
 	if f.FrozenCount() != 0 {
 		panic("aggregate: activemap flush left frozen buffers")
 	}
-	return writes
+	return p.writes
+}
+
+// amapKey names an activemap buffer by its place in the tree.
+type amapKey struct {
+	level int
+	idx   block.FBN
+}
+
+// amapMember is one member of the flush set D: its buffer, the new home
+// step 2 assigned it (InvalidVBN until then) and whether step 3 freed its
+// old one.
+type amapMember struct {
+	b        *fs.Buffer
+	vbn      block.VBN
+	prefreed bool
+}
+
+// amapPlan is PlanAmapFlush's state: D's members in enrollment order, each
+// member's position by key, the ancestor scratch and the writes.
+type amapPlan struct {
+	index   map[amapKey]int
+	members []amapMember
+	anc     []*fs.Buffer
+	writes  []AmapWrite
+}
+
+// reset empties the plan, keeping what it has grown, and lets go of the
+// last plan's buffers and images.
+func (p *amapPlan) reset() {
+	if p.index == nil {
+		p.index = make(map[amapKey]int)
+	}
+	clear(p.index)
+	clear(p.members)
+	clear(p.anc)
+	clear(p.writes)
+	p.members, p.anc, p.writes = p.members[:0], p.anc[:0], p.writes[:0]
 }

@@ -31,9 +31,10 @@ func superSum(sb []byte) uint64 {
 	return h.Sum64()
 }
 
-// encodeSuperblock captures the aggregate's commit state into a block.
-func (a *Aggregate) encodeSuperblock() []byte {
-	b := block.New()
+// encodeSuperblock captures the aggregate's commit state into b, a full
+// block, and returns it.
+func (a *Aggregate) encodeSuperblock(b []byte) []byte {
+	clear(b)
 	binary.LittleEndian.PutUint64(b[0:], superMagic)
 	binary.LittleEndian.PutUint64(b[8:], a.cpCount)
 	binary.LittleEndian.PutUint64(b[16:], uint64(len(a.vols)))
@@ -47,15 +48,22 @@ func (a *Aggregate) encodeSuperblock() []byte {
 // bytes WriteSuperblock would persist. Determinism tests compare it across
 // runs as a compact digest of the committed tree (roots, CP count,
 // checksum).
-func (a *Aggregate) SuperblockBytes() []byte { return a.encodeSuperblock() }
+func (a *Aggregate) SuperblockBytes() []byte { return a.encodeSuperblock(block.New()) }
 
 // WriteSuperblock atomically persists the current commit state by
 // overwriting the superblock in place — the single non-copy-on-write write
 // in the system (paper §II-C). It blocks the calling simulated thread until
-// the write I/O completes.
+// the write I/O completes. Two arrays take turns: the media holds the one
+// the previous commit wrote until this write lands, and the other one no
+// longer.
 func (a *Aggregate) WriteSuperblock(t *sim.Thread) {
-	b := a.encodeSuperblock()
-	a.groups[0].Drive(0).WriteSync(t, []storage.WriteReq{{DBN: 0, Data: b}})
+	b := a.supers[a.superNext]
+	if b == nil {
+		b = block.New()
+		a.supers[a.superNext] = b
+	}
+	a.superNext ^= 1
+	a.groups[0].Drive(0).WriteSync(t, []storage.WriteReq{{DBN: 0, Data: a.encodeSuperblock(b)}})
 }
 
 // MountFrom rebuilds an aggregate's in-memory state from committed media

@@ -364,8 +364,8 @@ func (v *Volume) FreezeAll() []*fs.File {
 			out = append(out, f)
 		}
 	}
-	v.dirty = make(map[uint64]*fs.File)
-	v.recordDirty = make(map[uint64]*fs.File)
+	clear(v.dirty)
+	clear(v.recordDirty)
 	slices.SortFunc(out, func(a, b *fs.File) int { return cmp.Compare(a.Ino(), b.Ino()) })
 	return out
 }

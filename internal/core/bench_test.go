@@ -13,11 +13,11 @@ import (
 // sends the tetris to RAID and fills the next window. Every 16 windows a CP
 // boundary drains, lifts the fences and frees what the windows used, so the
 // aggregate never fills. With ReportAllocs, allocs/op is what a window still
-// allocates: the fill and commit message bodies and the tetris header.
-// Buckets, tetris lists, Waffinity messages, drive in-flight records, stripe
-// scratch, stripe-write records and parity rows come back from their free
-// lists; a pool that leaks or hands out live state shows up here, and under
-// `make benchsmoke`.
+// allocates: nothing. The window's record with its bound fill bodies,
+// buckets, tetris lists, commit bodies, Waffinity messages, drive in-flight
+// records, stripe scratch, stripe-write records and parity rows come back
+// from their free lists; a pool that leaks or hands out live state shows up
+// here, and under `make benchsmoke`.
 func BenchmarkWindowRoundTrip(b *testing.B) {
 	e := newEnv(b, nil)
 	geo := e.a.Geometry()

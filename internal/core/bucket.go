@@ -1,8 +1,8 @@
 package core
 
 import (
-	"wafl/internal/aggregate"
 	"wafl/internal/block"
+	"wafl/internal/sim"
 	"wafl/internal/storage"
 )
 
@@ -24,21 +24,32 @@ func (b *Bucket) Remaining() int { return len(b.vbns) - b.next }
 // Used returns the VBNs consumed so far.
 func (b *Bucket) Used() []block.VBN { return b.vbns[:b.next] }
 
-// Tetris accumulates the write I/O for one chunk-deep stripe window of a
-// RAID group (§IV-E): its width is the group's data-drive count and its
-// depth the chunk size. Each USE enqueues the cleaned buffer onto the
-// per-drive list; a reference count of outstanding buckets tells the
-// allocator when the window is complete and the I/O can be built and sent
-// to RAID. Within the window, the cleaner that holds a drive's bucket has
-// exclusive access to that drive's list, so no locking is needed on the
-// enqueue path — the paper's lock-free tetris insertion.
+// Tetris is one chunk-deep stripe window of a RAID group, from its fill to
+// its write I/O (§IV-E): the window's record, recycled through
+// Infra.tetrisPool with its per-drive fill bodies bound once. Its I/O's width
+// is the group's data-drive count and its depth the chunk size. Each USE
+// enqueues the cleaned buffer onto the per-drive list; a reference count of
+// outstanding buckets tells the allocator when the window is complete and
+// the I/O can be built and sent to RAID. Within the window, the cleaner that
+// holds a drive's bucket has exclusive access to that drive's list, so no
+// locking is needed on the enqueue path — the paper's lock-free tetris
+// insertion.
 type Tetris struct {
 	group  int
-	window block.DBN
-	// perDrive is taken from Infra.listPool by the first addToTetris after the
+	window block.DBN // first DBN
+	depth  block.DBN
+	// fills[d] is drive d's fill message body, bound once; buckets[d] is the
+	// bucket it filled, and pending counts the fills not yet run.
+	fills   []func(*sim.Thread)
+	buckets []*Bucket
+	pending int
+	// refs counts the window's buckets not yet recycled, the unfilled ones
+	// included; the last recycle puts the record back (Infra.unrefWindow).
+	refs int
+	// io is taken from Infra.listPool by the first addToTetris after the
 	// window opens (or after a send), and goes back, emptied, once RAID
 	// reports every drive I/O built from it complete.
-	perDrive [][]storage.WriteReq
+	io *tetrisIO
 	// outstanding counts buckets not yet returned via PUT (or exhausted);
 	// when it reaches zero the I/O is sent. initialBuckets is the number
 	// of non-empty buckets the window produced, and committedBuckets
@@ -50,13 +61,32 @@ type Tetris struct {
 	blocks           int
 }
 
+// tetrisIO is a window's write I/O: one request list per data drive, with
+// its RAID completion, the method value land, bound once.
+type tetrisIO struct {
+	in    *Infra
+	lists [][]storage.WriteReq
+	land  func()
+}
+
+// landed empties the lists once RAID reports every drive I/O built from
+// them complete, and returns the record.
+func (io *tetrisIO) landed() {
+	for d := range io.lists {
+		clear(io.lists[d])
+		io.lists[d] = io.lists[d][:0]
+	}
+	io.in.listPool.Put(io)
+	io.in.ioDone()
+}
+
 // addToTetris enqueues a cleaned block's payload on te at its assigned
 // location, to be marked media-only when it lands if mediaOnly is set.
 func (in *Infra) addToTetris(te *Tetris, drive int, dbn block.DBN, data []byte, mediaOnly bool) {
-	if te.perDrive == nil {
-		te.perDrive = in.listPool.Get()
+	if te.io == nil {
+		te.io = in.listPool.Get()
 	}
-	te.perDrive[drive] = append(te.perDrive[drive], storage.WriteReq{DBN: dbn, Data: data, MediaOnly: mediaOnly})
+	te.io.lists[drive] = append(te.io.lists[drive], storage.WriteReq{DBN: dbn, Data: data, MediaOnly: mediaOnly})
 	te.blocks++
 }
 
@@ -65,11 +95,13 @@ func (in *Infra) addToTetris(te *Tetris, drive int, dbn block.DBN, data []byte, 
 // infrastructure can commit container-map entries in batch ("a version of
 // this infrastructure is reused to write allocate Virtual VBNs", §IV-D).
 type VBucket struct {
-	vol   *aggregate.Volume
+	vs    *volState
 	vvbns []block.VVBN
 	next  int
 	// pvbns[i] is the physical home assigned alongside vvbns[i].
 	pvbns []block.VBN
+	// commit is the body of the message PutVBucket sends, bound once.
+	commit func(*sim.Thread)
 }
 
 // Remaining returns how many unused VVBNs the bucket still holds.
@@ -104,9 +136,24 @@ func (s *bitset) reset() {
 
 // recycleBucket ends a bucket's lifetime — its allocations committed, or its
 // reservation released unused — and keeps its VBN slice for the next fill.
+// Its window keeps the reference the bucket held until the caller is done
+// with the window too (unrefWindow).
 func (in *Infra) recycleBucket(b *Bucket) {
 	*b = Bucket{vbns: b.vbns[:0]}
 	in.bucketPool.Put(b)
+}
+
+// unrefWindow drops n of te's references: n of its buckets were recycled.
+// The last one puts the record back, keeping its bound fill bodies and its
+// buckets slice: every bucket was PUT or dropped by then, so the window's
+// I/O has been sent.
+func (in *Infra) unrefWindow(te *Tetris, n int) {
+	if te.refs -= n; te.refs > 0 {
+		return
+	}
+	clear(te.buckets)
+	*te = Tetris{fills: te.fills, buckets: te.buckets}
+	in.tetrisPool.Put(te)
 }
 
 // dropBucket releases an unused bucket's reservation and recycles it.
@@ -117,6 +164,6 @@ func (in *Infra) dropBucket(b *Bucket) {
 
 // recycleVBucket is recycleBucket for the virtual side.
 func (in *Infra) recycleVBucket(vb *VBucket) {
-	*vb = VBucket{vvbns: vb.vvbns[:0], pvbns: vb.pvbns[:0]}
+	*vb = VBucket{vvbns: vb.vvbns[:0], pvbns: vb.pvbns[:0], commit: vb.commit}
 	in.vbucketPool.Put(vb)
 }

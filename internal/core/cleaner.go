@@ -6,6 +6,7 @@ import (
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
 	"wafl/internal/counters"
+	"wafl/internal/fifo"
 	"wafl/internal/fs"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
@@ -28,23 +29,20 @@ const (
 
 // Job is one unit of work for the cleaner pool: one inode to clean, whole
 // or in part (batched inode cleaning, §V-C, hands a thread several jobs).
+// Jobs come from the pool's free list (AppendJobs, AppendFull) and go back
+// to it once they have run.
 type Job struct {
-	Vol   *aggregate.Volume // nil for aggregate-level metafiles
-	File  *fs.File
-	Dual  bool // assign VVBNs as well as VBNs (user files)
-	Mode  JobMode
-	Lo    block.FBN
-	Hi    block.FBN
-	group *splitGroup
-}
-
-// splitGroup coordinates the range jobs of one split file; when the last
-// range job finishes, a finalize job for the upper tree levels is enqueued.
-type splitGroup struct {
+	Vol  *aggregate.Volume // nil for aggregate-level metafiles
+	File *fs.File
+	Dual bool // assign VVBNs as well as VBNs (user files)
+	Mode JobMode
+	Lo   block.FBN
+	Hi   block.FBN
+	// fin is a range job's finalize job, which the last of its file's range
+	// jobs to finish enqueues; remaining, on the finalize job, counts the
+	// range jobs still to finish.
+	fin       *Job
 	remaining int
-	vol       *aggregate.Volume
-	file      *fs.File
-	dual      bool
 }
 
 // PoolStats holds cumulative cleaner-pool counters.
@@ -56,6 +54,9 @@ type PoolStats struct {
 	StageCommits   uint64
 	Activations    uint64 // dynamic tuner thread activations
 	Deactivations  uint64
+
+	// JobPool counts the recycled cleaning jobs (DESIGN §9).
+	JobPool fifo.PoolStats
 
 	// Batch is each cleaner batch's run time: the live histogram, which
 	// wafl.Stats copies.
@@ -76,6 +77,7 @@ type cleanerState struct {
 	stages  [][]uint64
 	holding bool
 	engaged sim.Duration // wall time spent processing jobs (tuner input)
+	batch   []*Job       // takeBatch's scratch
 }
 
 // Pool is the set of inode-cleaner threads consuming the White Alligator
@@ -89,7 +91,8 @@ type Pool struct {
 
 	queueMu *sim.Mutex
 	cond    *sim.WaitQueue
-	queue   []*Job
+	queue   fifo.Queue[*Job]
+	jobPool fifo.Pool[*Job]
 
 	threads []*cleanerState
 	activeN int
@@ -118,6 +121,7 @@ func NewPool(in *Infra, opts Options, costs CostModel) *Pool {
 		activeN:  opts.InitialCleaners,
 		stats:    PoolStats{Batch: obs.NewHistogram("cleaner.batch")},
 	}
+	p.jobPool = fifo.NewPool(&p.stats.JobPool, func() *Job { return new(Job) })
 	if p.activeN < 1 {
 		p.activeN = 1
 	}
@@ -177,41 +181,56 @@ func (p *Pool) CleanerEngaged() []sim.Duration {
 	return out
 }
 
-// BuildJobs converts a volume's frozen inode list into cleaning jobs,
-// applying large-file splitting.
-func (p *Pool) BuildJobs(vol *aggregate.Volume, files []*fs.File, dual bool) []*Job {
-	var jobs []*Job
+// AppendJobs appends to jobs the cleaning jobs of a volume's frozen inode
+// list, applying large-file splitting, and returns the extended slice.
+func (p *Pool) AppendJobs(jobs []*Job, vol *aggregate.Volume, files []*fs.File, dual bool) []*Job {
 	for _, f := range files {
 		l0 := f.FrozenLevelCount(0)
-		if p.opts.SplitLargeFiles && l0 >= splitThreshold {
-			p.stats.FilesSplit++
-			g := &splitGroup{remaining: splitJobs, vol: vol, file: f, dual: dual}
-			span := (f.Size() + splitJobs - 1) / splitJobs
-			for j := 0; j < splitJobs; j++ {
-				lo := block.FBN(j) * span
-				hi := lo + span
-				jobs = append(jobs, &Job{
-					Vol: vol, File: f, Dual: dual,
-					Mode: JobL0Range, Lo: lo, Hi: hi, group: g,
-				})
-			}
+		if !p.opts.SplitLargeFiles || l0 < splitThreshold {
+			jobs = append(jobs, p.job(vol, f, dual, JobFull))
 			continue
 		}
-		jobs = append(jobs, &Job{Vol: vol, File: f, Dual: dual, Mode: JobFull})
+		p.stats.FilesSplit++
+		fin := p.job(vol, f, dual, JobFinalize)
+		fin.remaining = splitJobs
+		span := (f.Size() + splitJobs - 1) / splitJobs
+		for j := 0; j < splitJobs; j++ {
+			r := p.job(vol, f, dual, JobL0Range)
+			r.Lo = block.FBN(j) * span
+			r.Hi = r.Lo + span
+			r.fin = fin
+			jobs = append(jobs, r)
+		}
 	}
 	return jobs
 }
 
+// AppendFull appends to jobs one job that cleans the whole of f, never
+// split: a metafile's.
+func (p *Pool) AppendFull(jobs []*Job, vol *aggregate.Volume, f *fs.File) []*Job {
+	return append(jobs, p.job(vol, f, false, JobFull))
+}
+
+// job takes a job from the free list.
+func (p *Pool) job(vol *aggregate.Volume, f *fs.File, dual bool, mode JobMode) *Job {
+	j := p.jobPool.Get()
+	j.Vol, j.File, j.Dual, j.Mode = vol, f, dual, mode
+	return j
+}
+
 // RunPhase enqueues jobs, lets the pool clean them, and blocks the calling
 // (CP) thread until every job is done and every thread has returned its
-// buckets, committed its stages, and flushed its token.
+// buckets, committed its stages, and flushed its token. The jobs go back to
+// the free list as they finish; the caller may reuse the slice.
 func (p *Pool) RunPhase(t *sim.Thread, jobs []*Job) {
 	if len(jobs) == 0 {
 		return
 	}
 	p.queueMu.Lock(t)
 	p.inCP = true
-	p.queue = append(p.queue, jobs...)
+	for _, j := range jobs {
+		p.queue.Push(j)
+	}
 	p.pendingJobs += len(jobs)
 	p.queueMu.Unlock(t)
 	p.cond.Broadcast()
@@ -236,8 +255,8 @@ func (p *Pool) threadLoop(cs *cleanerState) {
 		p.queueMu.Lock(t)
 		var batch []*Job
 		for {
-			if cs.id < p.activeN && len(p.queue) > 0 {
-				batch = p.takeBatch()
+			if cs.id < p.activeN && p.queue.Len() > 0 {
+				batch = p.takeBatch(cs.batch[:0])
 				break
 			}
 			// Nothing to do (or deactivated): release held resources
@@ -282,9 +301,12 @@ func (p *Pool) threadLoop(cs *cleanerState) {
 				int64(jobStart), int64(t.Now()), int64(len(batch)))
 		}
 
+		n := len(batch)
+		clear(batch)
+		cs.batch = batch[:0]
 		p.queueMu.Lock(t)
-		p.pendingJobs -= len(batch)
-		p.stats.JobsRun += uint64(len(batch))
+		p.pendingJobs -= n
+		p.stats.JobsRun += uint64(n)
 		if p.pendingJobs == 0 && p.resourcesHeld == 0 {
 			p.idleCond.Broadcast()
 		}
@@ -293,16 +315,15 @@ func (p *Pool) threadLoop(cs *cleanerState) {
 }
 
 // takeBatch pops the next job — and, with batched inode cleaning, up to
-// batchSize-1 further small jobs — from the queue. Caller holds queueMu.
-func (p *Pool) takeBatch() []*Job {
-	batch := []*Job{p.queue[0]}
-	p.queue = p.queue[1:]
+// batchSize-1 further small jobs — from the queue onto batch. Caller holds
+// queueMu.
+func (p *Pool) takeBatch(batch []*Job) []*Job {
+	batch = append(batch, p.queue.Pop())
 	if !p.opts.BatchedCleaning || !smallJob(batch[0]) {
 		return batch
 	}
-	for len(batch) < batchSize && len(p.queue) > 0 && smallJob(p.queue[0]) {
-		batch = append(batch, p.queue[0])
-		p.queue = p.queue[1:]
+	for len(batch) < batchSize && p.queue.Len() > 0 && smallJob(p.queue.Peek()) {
+		batch = append(batch, p.queue.Pop())
 	}
 	return batch
 }
@@ -314,20 +335,21 @@ func smallJob(j *Job) bool {
 }
 
 // runJob cleans one job's file and, after a split file's last range job,
-// enqueues the finalize job.
+// enqueues the finalize job. The job goes back to the free list.
 func (p *Pool) runJob(cs *cleanerState, job *Job) {
 	p.cleanFile(cs, job)
-	if job.group != nil {
-		job.group.remaining--
-		if job.group.remaining == 0 {
-			fin := &Job{Vol: job.group.vol, File: job.group.file, Dual: job.group.dual, Mode: JobFinalize}
+	if fin := job.fin; fin != nil {
+		fin.remaining--
+		if fin.remaining == 0 {
 			p.queueMu.Lock(cs.t)
-			p.queue = append(p.queue, fin)
+			p.queue.Push(fin)
 			p.pendingJobs++
 			p.queueMu.Unlock(cs.t)
 			p.cond.Signal()
 		}
 	}
+	*job = Job{}
+	p.jobPool.Put(job)
 }
 
 // cleanFile assigns locations to a file's frozen buffers bottom-up,

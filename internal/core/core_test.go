@@ -381,7 +381,7 @@ func TestPoolCleansFileCompletely(t *testing.T) {
 	vol := e.a.Volume(0)
 	f := buildDirtyFile(vol, 100)
 	e.in.StartCP([]*aggregate.Volume{vol})
-	jobs := e.pool.BuildJobs(vol, []*fs.File{f}, true)
+	jobs := e.pool.AppendJobs(nil, vol, []*fs.File{f}, true)
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, jobs)
 		e.drain(th)
@@ -419,7 +419,7 @@ func TestOverwriteStagesFrees(t *testing.T) {
 	f := buildDirtyFile(vol, 50)
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
-		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
+		e.pool.RunPhase(th, e.pool.AppendJobs(nil, vol, []*fs.File{f}, true))
 		e.drain(th)
 	})
 	e.in.EndCP()
@@ -434,7 +434,7 @@ func TestOverwriteStagesFrees(t *testing.T) {
 	vol.FreezeAll()
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
-		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
+		e.pool.RunPhase(th, e.pool.AppendJobs(nil, vol, []*fs.File{f}, true))
 		e.drain(th)
 	})
 	e.in.EndCP()
@@ -459,7 +459,7 @@ func TestLooseAccountingConverges(t *testing.T) {
 	freeBefore := e.in.AggrFree()
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
-		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
+		e.pool.RunPhase(th, e.pool.AppendJobs(nil, vol, []*fs.File{f}, true))
 		e.drain(th)
 	})
 	e.in.EndCP()
@@ -492,7 +492,7 @@ func TestBatchedCleaningTakesMultipleSmallJobs(t *testing.T) {
 	}
 	vol.FreezeAll()
 	e.in.StartCP([]*aggregate.Volume{vol})
-	jobs := e.pool.BuildJobs(vol, files, true)
+	jobs := e.pool.AppendJobs(nil, vol, files, true)
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, jobs)
 		e.drain(th)
@@ -511,7 +511,7 @@ func TestSplitLargeFile(t *testing.T) {
 	vol := e.a.Volume(0)
 	f := buildDirtyFile(vol, splitThreshold+100)
 	e.in.StartCP([]*aggregate.Volume{vol})
-	jobs := e.pool.BuildJobs(vol, []*fs.File{f}, true)
+	jobs := e.pool.AppendJobs(nil, vol, []*fs.File{f}, true)
 	if len(jobs) != splitJobs {
 		t.Fatalf("split produced %d jobs, want %d", len(jobs), splitJobs)
 	}
@@ -541,7 +541,7 @@ func TestTunerActivatesAndParks(t *testing.T) {
 	e.s.Go("feeder", sim.CatCP, func(th *sim.Thread) {
 		for k := 0; k < 30 && !stop; k++ {
 			f := buildDirtyFile(vol, 200)
-			e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
+			e.pool.RunPhase(th, e.pool.AppendJobs(nil, vol, []*fs.File{f}, true))
 		}
 		stop = true
 	})
@@ -606,7 +606,7 @@ func TestChunkSizeOne(t *testing.T) {
 	f := buildDirtyFile(vol, 20)
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
-		e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
+		e.pool.RunPhase(th, e.pool.AppendJobs(nil, vol, []*fs.File{f}, true))
 		e.drain(th)
 	})
 	if f.FrozenCount() != 0 {
@@ -645,7 +645,7 @@ func TestDrainLeavesNoReservations(t *testing.T) {
 		f := buildDirtyFile(vol, 60)
 		e.in.StartCP([]*aggregate.Volume{vol})
 		e.runThread(t, func(th *sim.Thread) {
-			e.pool.RunPhase(th, e.pool.BuildJobs(vol, []*fs.File{f}, true))
+			e.pool.RunPhase(th, e.pool.AppendJobs(nil, vol, []*fs.File{f}, true))
 			e.drain(th)
 		})
 		noReservations(t, e.in)

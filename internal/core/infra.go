@@ -30,7 +30,7 @@ type InfraStats struct {
 	WindowsSkipped    uint64 // windows with no free blocks at all
 
 	// The recycled window state's pools (DESIGN §9).
-	BucketPool, VBucketPool, ListPool, CommitPool fifo.PoolStats
+	TetrisPool, BucketPool, VBucketPool, ListPool, CommitPool fifo.PoolStats
 
 	// Each GET's wait for a bucket and each vGET's for a vbucket (zero
 	// when the cache had one), and each tetris's size in blocks: the live
@@ -42,13 +42,6 @@ type InfraStats struct {
 type windowState struct {
 	aa     int       // current Allocation Area (-1 before first selection)
 	cursor block.DBN // next window start within the AA
-}
-
-// windowFill coordinates the per-drive fill messages of one window.
-type windowFill struct {
-	tetris  *Tetris
-	buckets []*Bucket
-	pending int
 }
 
 // volState is the per-volume virtual allocation state: the volume's VVBN
@@ -63,6 +56,7 @@ type volState struct {
 	cursor       uint64 // next vvbn to scan within the region
 	usedRegions  []bool // vregions used this CP, by index
 	pendingFills int
+	fill         func(*sim.Thread) // the fill message body, bound once
 }
 
 // Infra is the White Alligator infrastructure: it owns the bucket cache and
@@ -103,26 +97,30 @@ type Infra struct {
 	global    *counters.Global
 	counterMu *sim.Mutex // the lock the LooseAccounting=false ablation contends on
 
-	pendingOps int    // outstanding infra messages (fills + commits)
-	done       func() // opDone, bound once: the completion callback of every send
-	pendingIO  int    // outstanding storage I/Os (tetris + metafile writes)
+	pendingOps int               // outstanding infra messages (fills + commits)
+	done       func()            // opDone, bound once: the completion callback of every send
+	commitUsed func(*sim.Thread) // commitBucket, bound once: the message every PUT sends
+	pendingIO  int               // outstanding storage I/Os (tetris + metafile writes)
 	drainCond  *sim.WaitQueue
 	draining   bool
 	inCP       bool
 
 	obsGroupTid []int32 // interned per-group trace track id + 1; 0 = unset
 
-	// Recycled state (DESIGN §9): buckets and vbuckets come back when
-	// committed or dropped, a tetris's per-drive lists when RAID completes
-	// their I/O, free-commit records when their message has applied them.
+	// Recycled state (DESIGN §9): windows come back when their last bucket
+	// does, buckets and vbuckets when committed or dropped, a tetris's
+	// per-drive lists when RAID completes their I/O, free-commit records
+	// when their message has applied them.
+	tetrisPool  fifo.Pool[*Tetris]
 	bucketPool  fifo.Pool[*Bucket]
 	vbucketPool fifo.Pool[*VBucket]
-	listPool    fifo.Pool[[][]storage.WriteReq]
+	listPool    fifo.Pool[*tetrisIO]
 	commitPool  fifo.Pool[*freeCommit]
 	// metaScan is FindMetaVBN's one-candidate scratch, freeOrder free's
-	// send-order scratch.
+	// send-order scratch, drained DrainOps' copy of the bucket cache.
 	metaScan  []block.VBN
 	freeOrder []*freeCommit
+	drained   []*Bucket
 
 	stats InfraStats
 }
@@ -157,10 +155,26 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		},
 	}
 	in.done = in.opDone
-	in.bucketPool = fifo.NewPool(&in.stats.BucketPool, func() *Bucket { return new(Bucket) })
-	in.vbucketPool = fifo.NewPool(&in.stats.VBucketPool, func() *VBucket { return new(VBucket) })
+	in.commitUsed = in.commitBucket
 	drives := a.Geometry().DataDrives
-	in.listPool = fifo.NewPool(&in.stats.ListPool, func() [][]storage.WriteReq { return make([][]storage.WriteReq, drives) })
+	in.tetrisPool = fifo.NewPool(&in.stats.TetrisPool, func() *Tetris {
+		te := &Tetris{fills: make([]func(*sim.Thread), drives), buckets: make([]*Bucket, drives)}
+		for d := range te.fills {
+			te.fills[d] = func(t *sim.Thread) { in.fillDrive(t, te, d) }
+		}
+		return te
+	})
+	in.bucketPool = fifo.NewPool(&in.stats.BucketPool, func() *Bucket { return new(Bucket) })
+	in.vbucketPool = fifo.NewPool(&in.stats.VBucketPool, func() *VBucket {
+		vb := new(VBucket)
+		vb.commit = func(wt *sim.Thread) { in.commitVBucket(wt, vb) }
+		return vb
+	})
+	in.listPool = fifo.NewPool(&in.stats.ListPool, func() *tetrisIO {
+		io := &tetrisIO{in: in, lists: make([][]storage.WriteReq, drives)}
+		io.land = io.landed
+		return io
+	})
 	in.commitPool = fifo.NewPool(&in.stats.CommitPool, func() *freeCommit {
 		fc := &freeCommit{in: in}
 		fc.run = fc.commit
@@ -187,6 +201,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 			usedRegions: make([]bool, (v.VVBNBlocks()+vRegionBits-1)/vRegionBits),
 		}
 		vs.find = v.FreeIdx.FindFree
+		vs.fill = func(t *sim.Thread) { in.fillVBucket(t, vs) }
 		in.vols = append(in.vols, vs)
 	}
 	return in
@@ -284,29 +299,30 @@ func (in *Infra) requestWindow(group int) {
 		tr.InstantArg(obs.PidInfra, in.groupTrack(tr, group), "window", "window request",
 			int64(in.s.Now()), int64(start))
 	}
-	wf := &windowFill{
-		tetris:  &Tetris{group: group, window: start},
-		buckets: make([]*Bucket, drives),
-		pending: drives,
-	}
+	te := in.tetrisPool.Get()
+	te.group, te.window, te.depth = group, start, depth
+	te.pending, te.refs = drives, drives
 	for d := 0; d < drives; d++ {
-		d := d
 		fbn := bitmap.BlockOf(uint64(geo.VBNOf(group, d, start)))
-		in.send(in.phys.aff(fbn), func(t *sim.Thread) {
-			b := in.fillBucket(t, group, d, start, depth, wf.tetris)
-			wf.buckets[d] = b
-			wf.pending--
-			if !in.opts.EqualProgress {
-				// Ablation: insert each bucket as soon as it fills, with
-				// no synchronized whole-window insertion. Drives fall out
-				// of lockstep and some idle while others queue.
-				in.installBucketEarly(t, wf, b)
-				return
-			}
-			if wf.pending == 0 {
-				in.installWindow(t, wf)
-			}
-		})
+		in.send(in.phys.aff(fbn), te.fills[d])
+	}
+}
+
+// fillDrive is drive d's fill message of window te: it builds the drive's
+// bucket and, with the window's last fill, installs the window.
+func (in *Infra) fillDrive(t *sim.Thread, te *Tetris, d int) {
+	b := in.fillBucket(t, te.group, d, te.window, te.depth, te)
+	te.buckets[d] = b
+	te.pending--
+	if !in.opts.EqualProgress {
+		// Ablation: insert each bucket as soon as it fills, with
+		// no synchronized whole-window insertion. Drives fall out
+		// of lockstep and some idle while others queue.
+		in.installBucketEarly(t, te, b)
+		return
+	}
+	if te.pending == 0 {
+		in.installWindow(t, te)
 	}
 }
 
@@ -314,14 +330,16 @@ func (in *Infra) requestWindow(group int) {
 // straight to the cache. Tetris accounting still works — outstanding is
 // incremented per inserted bucket — and the window refills once every
 // drive's fill has landed (or been dropped).
-func (in *Infra) installBucketEarly(t *sim.Thread, wf *windowFill, b *Bucket) {
+func (in *Infra) installBucketEarly(t *sim.Thread, te *Tetris, b *Bucket) {
 	if in.draining || !in.inCP {
 		in.dropBucket(b)
+		in.unrefWindow(te, 1)
 		return
 	}
-	if len(b.vbns) > 0 {
-		wf.tetris.outstanding++
-		wf.tetris.initialBuckets++
+	empty := len(b.vbns) == 0
+	if !empty {
+		te.outstanding++
+		te.initialBuckets++
 		in.cacheMu.Lock(t)
 		in.cache.Push(b)
 		in.cacheMu.Unlock(t)
@@ -330,47 +348,52 @@ func (in *Infra) installBucketEarly(t *sim.Thread, wf *windowFill, b *Bucket) {
 	} else {
 		in.recycleBucket(b)
 	}
-	if wf.pending == 0 && wf.tetris.initialBuckets == 0 {
+	if te.pending == 0 && te.initialBuckets == 0 {
 		in.stats.WindowsSkipped++
-		in.requestWindow(wf.tetris.group)
+		in.requestWindow(te.group)
+	}
+	if empty {
+		in.unrefWindow(te, 1)
 	}
 }
 
 // installWindow places a completed window's buckets into the bucket cache.
 // With EqualProgress (the paper's synchronized insertion) all buckets of
 // the window land together; the ablation inserts them as they come.
-func (in *Infra) installWindow(t *sim.Thread, wf *windowFill) {
+func (in *Infra) installWindow(t *sim.Thread, te *Tetris) {
 	if in.draining || !in.inCP {
 		// The CP is quiescing: a bucket inserted now would outlive the
 		// reservation reset at EndCP and collide with the next CP's
 		// fills. Release the reservations and drop the window.
-		for _, b := range wf.buckets {
+		for _, b := range te.buckets {
 			in.dropBucket(b)
 		}
+		in.unrefWindow(te, len(te.buckets))
 		return
 	}
 	nonEmpty := 0
-	for _, b := range wf.buckets {
+	for _, b := range te.buckets {
 		if len(b.vbns) > 0 {
 			nonEmpty++
 		}
 	}
 	if nonEmpty == 0 {
-		for _, b := range wf.buckets {
+		for _, b := range te.buckets {
 			in.recycleBucket(b)
 		}
 		in.stats.WindowsSkipped++
-		in.requestWindow(wf.tetris.group)
+		in.requestWindow(te.group)
+		in.unrefWindow(te, len(te.buckets))
 		return
 	}
-	wf.tetris.outstanding = nonEmpty
-	wf.tetris.initialBuckets = nonEmpty
+	te.outstanding = nonEmpty
+	te.initialBuckets = nonEmpty
 	if tr := t.Tracer(); tr != nil {
-		tr.InstantArg(obs.PidInfra, in.groupTrack(tr, wf.tetris.group), "window", "window install",
+		tr.InstantArg(obs.PidInfra, in.groupTrack(tr, te.group), "window", "window install",
 			int64(t.Now()), int64(nonEmpty))
 	}
 	in.cacheMu.Lock(t)
-	for _, b := range wf.buckets {
+	for _, b := range te.buckets {
 		if len(b.vbns) > 0 {
 			in.cache.Push(b)
 			in.stats.BucketsFilled++
@@ -379,6 +402,7 @@ func (in *Infra) installWindow(t *sim.Thread, wf *windowFill) {
 		}
 	}
 	in.cacheMu.Unlock(t)
+	in.unrefWindow(te, len(te.buckets)-nonEmpty)
 	for i := 0; i < nonEmpty; i++ {
 		in.cacheCond.Signal()
 	}
@@ -422,7 +446,7 @@ func (in *Infra) PutBucket(t *sim.Thread, b *Bucket) {
 	}
 	in.usedQueue.Push(b)
 	fbn := bitmap.BlockOf(uint64(in.a.Geometry().VBNOf(b.group, b.drive, b.window)))
-	in.send(in.phys.aff(fbn), in.commitBucket)
+	in.send(in.phys.aff(fbn), in.commitUsed)
 }
 
 // commitBucket pops the oldest used bucket — every PUT pushed one and sent
@@ -453,6 +477,7 @@ func (in *Infra) commitBucket(t *sim.Thread) {
 	if te.committedBuckets == te.initialBuckets && !in.draining && in.inCP {
 		in.requestWindow(te.group)
 	}
+	in.unrefWindow(te, 1)
 }
 
 // distinctBlocks counts the metafile blocks a commit of bns dirties, where
@@ -483,19 +508,12 @@ func (in *Infra) sendTetris(t *sim.Thread, te *Tetris) {
 			int64(t.Now()), int64(te.blocks))
 	}
 	in.pendingIO++
-	writes := te.perDrive
+	io := te.io
 	// Detach so a bucket inserted into this window later (the
 	// EqualProgress=false ablation) accumulates a fresh, smaller I/O
 	// instead of resending these blocks.
-	te.perDrive, te.blocks = nil, 0
-	res := in.a.Group(te.group).Write(writes, in.costs.ParityPerBlock, func() {
-		for d := range writes {
-			clear(writes[d])
-			writes[d] = writes[d][:0]
-		}
-		in.listPool.Put(writes)
-		in.ioDone()
-	})
+	te.io, te.blocks = nil, 0
+	res := in.a.Group(te.group).Write(io.lists, in.costs.ParityPerBlock, io.land)
 	if res.ParityCPU > 0 {
 		t.ConsumeAs(sim.CatRAID, res.ParityCPU)
 	}

@@ -47,9 +47,12 @@ func (in *Infra) Prefill() {
 func (in *Infra) DrainOps(t *sim.Thread) {
 	in.draining = true
 	in.cacheMu.Lock(t)
-	cache := in.cache.TakeAll()
+	drained := in.drained[:0]
+	for in.cache.Len() > 0 {
+		drained = append(drained, in.cache.Pop())
+	}
 	in.cacheMu.Unlock(t)
-	for _, b := range cache {
+	for _, b := range drained {
 		te := b.tetris
 		in.dropBucket(b)
 		te.outstanding--
@@ -57,9 +60,13 @@ func (in *Infra) DrainOps(t *sim.Thread) {
 		if te.outstanding == 0 && te.blocks > 0 {
 			in.sendTetris(t, te)
 		}
+		in.unrefWindow(te, 1)
 	}
+	clear(drained)
+	in.drained = drained[:0]
 	for _, vs := range in.vols {
-		for _, vb := range vs.cache.TakeAll() {
+		for vs.cache.Len() > 0 {
+			vb := vs.cache.Pop()
 			release(vs.space, vb.vvbns)
 			in.recycleVBucket(vb)
 		}

@@ -53,25 +53,28 @@ func (in *Infra) scanVBucket(t *sim.Thread, vs *volState, dst []block.VVBN) []bl
 }
 
 // requestVBucket sends a fill message that builds one virtual bucket for
-// the volume: it reserves the scanned VVBNs and adds the bucket to the
-// volume's cache.
+// the volume (fillVBucket).
 func (in *Infra) requestVBucket(vs *volState) {
 	vs.pendingFills++
-	in.send(vs.aff(bitmap.BlockOf(vs.cursor)), func(t *sim.Thread) {
-		vb := in.vbucketPool.Get()
-		vb.vvbns = in.scanVBucket(t, vs, vb.vvbns)
-		vs.pendingFills--
-		if in.draining || !in.inCP {
-			// Quiescing: drop the fill (nothing was reserved yet).
-			in.recycleVBucket(vb)
-			return
-		}
-		reserve(vs.space, vb.vvbns)
-		vb.vol = vs.vol
-		vs.cache.Push(vb)
-		in.stats.VBucketsFilled++
-		vs.cond.Signal()
-	})
+	in.send(vs.aff(bitmap.BlockOf(vs.cursor)), vs.fill)
+}
+
+// fillVBucket is the volume's fill message: it reserves the scanned VVBNs
+// and adds the bucket to the volume's cache.
+func (in *Infra) fillVBucket(t *sim.Thread, vs *volState) {
+	vb := in.vbucketPool.Get()
+	vb.vvbns = in.scanVBucket(t, vs, vb.vvbns)
+	vs.pendingFills--
+	if in.draining || !in.inCP {
+		// Quiescing: drop the fill (nothing was reserved yet).
+		in.recycleVBucket(vb)
+		return
+	}
+	reserve(vs.space, vb.vvbns)
+	vb.vs = vs
+	vs.cache.Push(vb)
+	in.stats.VBucketsFilled++
+	vs.cond.Signal()
 }
 
 // GetVBucket returns a virtual bucket for the volume, blocking until one is
@@ -108,21 +111,20 @@ func (in *Infra) PutVBucket(t *sim.Thread, vb *VBucket) {
 		tr.InstantArg(obs.PidThreads, t.TrackID(), "alloc", "PUT vbucket",
 			int64(t.Now()), int64(vb.next))
 	}
-	vs := in.vols[vb.vol.ID()]
+	vs := vb.vs
 	if vb.next == 0 {
 		// Nothing used: release reservations directly.
 		release(vs.space, vb.vvbns)
 		in.recycleVBucket(vb)
 		return
 	}
-	in.send(vs.aff(bitmap.BlockOf(uint64(vb.vvbns[0]))), func(wt *sim.Thread) {
-		in.commitVBucket(wt, vs, vb)
-	})
+	in.send(vs.aff(bitmap.BlockOf(uint64(vb.vvbns[0]))), vb.commit)
 }
 
-// commitVBucket applies a used virtual bucket's allocations and container
-// entries, and recycles it.
-func (in *Infra) commitVBucket(wt *sim.Thread, vs *volState, vb *VBucket) {
+// commitVBucket, the message PutVBucket sends, applies a used virtual
+// bucket's allocations and container entries, and recycles it.
+func (in *Infra) commitVBucket(wt *sim.Thread, vb *VBucket) {
+	vs, vol := vb.vs, vb.vs.vol
 	used := vb.vvbns[:vb.next]
 	amapBlocks := distinctBlocks(used, bitmap.BitsPerBlock)
 	contBlocks := distinctBlocks(used, aggregate.ContainerEntriesPerBlock)
@@ -131,11 +133,11 @@ func (in *Infra) commitVBucket(wt *sim.Thread, vs *volState, vb *VBucket) {
 			sim.Duration(len(used))*in.costs.CommitPerBit+
 			sim.Duration(len(used))*in.costs.ContainerEntry)
 	for i, vv := range used {
-		if vb.vol.Summary.IsSet(uint64(vv)) {
-			panic(fmt.Sprintf("core: vol %d allocated snapshot-held vvbn %d", vb.vol.ID(), vv))
+		if vol.Summary.IsSet(uint64(vv)) {
+			panic(fmt.Sprintf("core: vol %d allocated snapshot-held vvbn %d", vol.ID(), vv))
 		}
-		vb.vol.Activemap.Set(uint64(vv))
-		vb.vol.SetContainer(vv, vb.pvbns[i])
+		vol.Activemap.Set(uint64(vv))
+		vol.SetContainer(vv, vb.pvbns[i])
 	}
 	release(vs.space, vb.vvbns)
 	in.recycleVBucket(vb)

@@ -93,6 +93,8 @@ type Engine struct {
 	running bool
 	stopped bool
 
+	jobs []*core.Job // the cleaning phases' job list, reused
+
 	obsTid     int32 // interned CP-phase trace track id + 1; 0 = unset
 	obsSnapTid int32 // interned snapshot-event trace track id + 1; 0 = unset
 
@@ -523,10 +525,11 @@ func (e *Engine) runCP(t *sim.Thread) {
 		e.RequestCP()
 	}
 
-	// Phase 2: inode cleaning through the White Alligator API.
-	var jobs []*core.Job
+	// Phase 2: inode cleaning through the White Alligator API. Every
+	// cleaning phase builds its jobs in one retained slice.
+	jobs := e.jobs[:0]
 	for _, v := range dirtyVols {
-		jobs = append(jobs, e.pool.BuildJobs(v, cuts[v.ID()].frozen, true)...)
+		jobs = e.pool.AppendJobs(jobs, v, cuts[v.ID()].frozen, true)
 	}
 	cleanStart := t.Now()
 	phase(e.stats.PhaseFreeze, "freeze+zombies")
@@ -593,12 +596,11 @@ func (e *Engine) runCP(t *sim.Thread) {
 			wt.Consume(sim.Duration(copied) * e.costs.CommitPerBlock)
 		}
 	})
-	var snapJobs []*core.Job
+	jobs = jobs[:0]
 	for _, v := range pvols {
 		for _, s := range cuts[v.ID()].snaps {
-			snapJobs = append(snapJobs,
-				&core.Job{Vol: v, File: s.Snapmap, Mode: core.JobFull},
-				&core.Job{Vol: v, File: s.InoCopy, Mode: core.JobFull})
+			jobs = e.pool.AppendFull(jobs, v, s.Snapmap)
+			jobs = e.pool.AppendFull(jobs, v, s.InoCopy)
 		}
 	}
 
@@ -606,15 +608,14 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// activemap, snapdir, summary map) plus any newborn snapshot metafiles,
 	// cleaned through the same allocator.
 	e.in.Prefill()
-	metaJobs := snapJobs
 	for _, v := range e.a.Volumes() {
 		for _, mf := range v.Metafiles() {
 			if mf.FrozenCount() > 0 {
-				metaJobs = append(metaJobs, &core.Job{Vol: v, File: mf, Mode: core.JobFull})
+				jobs = e.pool.AppendFull(jobs, v, mf)
 			}
 		}
 	}
-	e.pool.RunPhase(t, metaJobs)
+	e.pool.RunPhase(t, jobs)
 	phase(e.stats.PhaseMetafiles, "metafiles")
 	e.boundary(t, "metafiles")
 
@@ -628,19 +629,20 @@ func (e *Engine) runCP(t *sim.Thread) {
 		v.WriteSnapdirEntries()
 		wt.Consume(e.costs.RecordWrite)
 	})
-	var sdJobs []*core.Job
+	jobs = jobs[:0]
 	for _, v := range svols {
 		if v.SnapdirFile().FrozenCount() > 0 {
-			sdJobs = append(sdJobs, &core.Job{Vol: v, File: v.SnapdirFile(), Mode: core.JobFull})
+			jobs = e.pool.AppendFull(jobs, v, v.SnapdirFile())
 		}
 	}
-	if len(sdJobs) > 0 {
-		e.pool.RunPhase(t, sdJobs)
-	}
+	e.pool.RunPhase(t, jobs)
 	e.a.WriteVolumeEntries()
 	if e.a.VolTableFile().FrozenCount() > 0 {
-		e.pool.RunPhase(t, []*core.Job{{File: e.a.VolTableFile(), Mode: core.JobFull}})
+		jobs = e.pool.AppendFull(jobs[:0], nil, e.a.VolTableFile())
+		e.pool.RunPhase(t, jobs)
 	}
+	clear(jobs)
+	e.jobs = jobs[:0]
 	e.in.DrainOps(t)
 	phase(e.stats.PhaseVoltable, "voltable")
 	e.boundary(t, "voltable")

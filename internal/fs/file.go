@@ -44,24 +44,24 @@ func HeightFor(maxBlocks uint64) int {
 // is what says the block is still in memory (DESIGN §15). Bits go with the
 // tree: a deleted, restored or crashed file starts over with none.
 //
-// Slot arrays are allocated on first touch and sized to the highest slot
-// touched (rounded up to a power of two), so small and sparse files do not
-// pay for 256 pointers per node, and nothing is ever sized from the file's
-// capacity or its on-media record. They stay when their buffers leave.
+// Slot arrays are sized to the highest slot touched, rounded up to a power
+// of two, so small and sparse files do not pay for 256 pointers per node,
+// and nothing is ever sized from the file's capacity or its on-media
+// record. A user file's level-1 node holds its array only while it holds an
+// L0 buffer (live counts them): the array comes from the image pool and
+// goes back to it when the node's last L0 leaves (DropClean, Release).
 type node struct {
 	buf    *Buffer   // the indirect buffer at this position; nil if not resident
 	kids   []*node   // level >= 2: child positions
-	leaves []*Buffer // level 1: L0 buffers
+	leaves []*Buffer // level 1: L0 buffers (ImagePool.leaves)
+	live   int       // level 1: the L0 buffers in leaves
 	held   [block.PtrsPerBlock / 64]uint64
 }
 
-// growSlots returns s extended to hold slot d.
-func growSlots[T any](s []*T, d int) []*T {
-	n := 8
-	for n <= d {
-		n *= 2
-	}
-	ns := make([]*T, n)
+// growKids returns s extended to hold slot d.
+func growKids(s []*node, d int) []*node {
+	_, n := slotClass(d)
+	ns := make([]*node, n)
 	copy(ns, s)
 	return ns
 }
@@ -87,12 +87,24 @@ func (dl *dirtyList) add(b *Buffer) {
 	dl.live++
 }
 
+// dirtyKeep is the capacity up to which a spent dirty list always keeps its
+// array; past it, reset keeps an array only if the list used at least an
+// eighth of it.
+const dirtyKeep = 1024
+
 // reset empties the list for reuse, clearing its entries: a user L0 leaves
 // for the free list at its CP's commit, and a spent list must not keep it
-// reachable.
+// reachable. An array far longer than the list that is reset used — a
+// burst's, such as a prefill dirtied in one CP — goes to the garbage
+// collector, and the list grows again from nothing: a list whose length
+// swings by less than eight times between CPs keeps its array.
 func (dl *dirtyList) reset() {
-	clear(dl.bufs)
-	*dl = dirtyList{bufs: dl.bufs[:0]}
+	bufs := dl.bufs
+	if cap(bufs) > dirtyKeep && cap(bufs) > 8*len(bufs) {
+		bufs = nil
+	}
+	clear(bufs)
+	*dl = dirtyList{bufs: bufs[:0]}
 }
 
 // sort puts the list in FBN order — the cleaning order. Sequential writers
@@ -193,7 +205,7 @@ func (f *File) find(level int, idx block.FBN, create bool) *node {
 			if !create {
 				return nil
 			}
-			n.kids = growSlots(n.kids, d)
+			n.kids = growKids(n.kids, d)
 		}
 		if n.kids[d] == nil {
 			if !create {
@@ -267,7 +279,7 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 	}
 	d := digit(0, idx, 1)
 	if d >= len(n.leaves) {
-		n.leaves = growSlots(n.leaves, d)
+		n.leaves = f.pool.leaves(f, n.leaves, d)
 	}
 	if n.leaves[d] == nil {
 		b := f.pool.buffer(f, idx, 0)
@@ -277,6 +289,7 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 			}
 		}
 		n.leaves[d] = b
+		n.live++
 		n.held[d/64] |= 1 << (d % 64)
 		f.resident++
 	}
@@ -473,12 +486,17 @@ func (f *File) DirtyIntoCP(b *Buffer) {
 // marked media-only at the buffer's VBN (the NVLog record that shares it is
 // freed with the log half this commit ends). Not at MarkCleaned: until the
 // commit the write may be in flight, and the buffer is what holds the
-// content. An L0 a client dirtied again stays.
+// content. An L0 a client dirtied again stays. A node left with no L0 gives
+// its slot array back.
 func (f *File) DropClean() {
 	for _, b := range f.frozen[0].bufs {
 		if !b.dirtyCurr && !b.inCP {
 			n := f.find(0, b.fbn, false)
 			n.leaves[digit(0, b.fbn, 1)] = nil
+			if n.live--; n.live == 0 {
+				f.pool.putLeaves(f, n.leaves)
+				n.leaves = nil
+			}
 			f.resident--
 			if b.sealed {
 				f.pool.leave(b.vbn, b.data)
@@ -489,14 +507,18 @@ func (f *File) DropClean() {
 	f.frozen[0].reset()
 }
 
-// Release puts every user L0 buffer left in f's tree back on the free list.
-// Its owner calls it once the tree is dropped — a deleted file, a volume's
-// discarded present — and no CP will clean it again.
+// Release puts every user L0 buffer left in f's tree back on the free list,
+// and the slot arrays that held them. Its owner calls it once the tree is
+// dropped — a deleted file, a volume's discarded present — and no CP will
+// clean it again.
 func (f *File) Release() {
-	f.eachBuffer(func(b *Buffer) {
-		if !b.cpOwned() {
-			f.pool.putBuffer(b)
+	f.eachNode(func(n *node) {
+		for _, b := range n.leaves {
+			if b != nil && !b.cpOwned() {
+				f.pool.putBuffer(b)
+			}
 		}
+		f.pool.putLeaves(f, n.leaves)
 	})
 	f.root, f.resident = node{}, 0
 }
@@ -512,12 +534,12 @@ func (f *File) GetOrCreateL0(fbn block.FBN) *Buffer {
 	return b
 }
 
-// AncestorPath returns the chain of indirect buffers strictly above b, from
-// b's parent up to the root, creating missing ones. Self-referential
-// metafile flushing uses it to enumerate every buffer a clean will rewrite
-// before committing to bit changes.
-func (f *File) AncestorPath(b *Buffer) []*Buffer {
-	var out []*Buffer
+// AppendAncestors appends to out the chain of indirect buffers strictly
+// above b, from b's parent up to the root, creating missing ones, and
+// returns the extended slice. Self-referential metafile flushing uses it to
+// enumerate every buffer a clean will rewrite before committing to bit
+// changes.
+func (f *File) AppendAncestors(out []*Buffer, b *Buffer) []*Buffer {
 	idx := b.Index()
 	for level := b.level + 1; level <= f.height; level++ {
 		idx >>= radixBits
@@ -526,25 +548,32 @@ func (f *File) AncestorPath(b *Buffer) []*Buffer {
 	return out
 }
 
-// eachBuffer calls fn for every resident buffer, indirect and L0.
-func (f *File) eachBuffer(fn func(*Buffer)) {
+// eachNode calls fn for every index node, parents before their children.
+func (f *File) eachNode(fn func(*node)) {
 	var visit func(n *node)
 	visit = func(n *node) {
-		if n.buf != nil {
-			fn(n.buf)
-		}
+		fn(n)
 		for _, k := range n.kids {
 			if k != nil {
 				visit(k)
 			}
+		}
+	}
+	visit(&f.root)
+}
+
+// eachBuffer calls fn for every resident buffer, indirect and L0.
+func (f *File) eachBuffer(fn func(*Buffer)) {
+	f.eachNode(func(n *node) {
+		if n.buf != nil {
+			fn(n.buf)
 		}
 		for _, b := range n.leaves {
 			if b != nil {
 				fn(b)
 			}
 		}
-	}
-	visit(&f.root)
+	})
 }
 
 // PtrAt reads entry childIdx of indirect buffer b; an entry past the end of

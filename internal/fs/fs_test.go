@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"wafl/internal/block"
+	"wafl/internal/fifo"
 )
 
 func pattern(tag byte) []byte {
@@ -715,5 +716,66 @@ func TestDropCleanKeepsResidency(t *testing.T) {
 	f.Release()
 	if st := p.Stats().Buffers; st.Outstanding() != 0 || f.ResidentBuffers() != 0 || f.Resident(3) {
 		t.Fatalf("after Release: pool %+v, %d buffers, resident 3 %v", st, f.ResidentBuffers(), f.Resident(3))
+	}
+}
+
+// TestSlotArrayLifecycle: a user file's level-1 node holds a slot array from
+// the image pool only while it holds an L0 buffer. The commit that drops a
+// node's last L0 gives the array back, and the block stays resident; writing
+// the block again takes a new array, and the buffer comes back sealed at the
+// address its resident L1 names. An outgrown array goes back at once,
+// Release returns what the tree still holds, and a crash abandons it. A
+// metafile's L0s never leave, so its arrays are not the pool's.
+func TestSlotArrayLifecycle(t *testing.T) {
+	p := NewImagePool()
+	f := NewFile(1, 2)
+	f.SetImagePool(p)
+	slots := func() fifo.PoolStats { return p.Stats().Slots }
+	leaves := func(fbn block.FBN) []*Buffer { return f.find(0, fbn, false).leaves }
+	f.WriteBlock(3, pattern(1))   // node 0, an 8-slot array
+	f.WriteBlock(300, pattern(2)) // node 1
+	p.Trim()                      // a commit: the lists may keep arrays from here on
+	f.Freeze()
+	f.CleanChildAll(t)
+	f.WriteBlock(300, pattern(3)) // dirty again before the commit
+	at := f.Buffer(0, 3).VBN()
+	f.DropClean()
+	if leaves(3) != nil || leaves(300) == nil || !f.Resident(3) {
+		t.Fatalf("after the commit: node 0 array %v, node 1 array %v, 3 resident %v", leaves(3) != nil, leaves(300) != nil, f.Resident(3))
+	}
+	if st := slots(); st.Taken != 2 || st.Returned != 1 || st.New != 2 {
+		t.Fatalf("slot pool %+v, want 2 built and taken, 1 returned", st)
+	}
+	b := f.GetOrCreateL0(3)
+	if len(leaves(3)) != minSlots || !b.sealed || b.VBN() != at {
+		t.Fatalf("rewritten L0 3: array of %d, sealed %v at %v, want %d slots, sealed at %v", len(leaves(3)), b.sealed, b.VBN(), minSlots, at)
+	}
+	if st := slots(); st.Taken != 3 || st.New != 2 {
+		t.Fatalf("slot pool %+v, want the returned array taken again", st)
+	}
+	f.WriteBlock(3, pattern(4))
+	f.WriteBlock(200, pattern(5)) // outgrows node 0's array
+	if len(leaves(3)) != 256 || f.Buffer(0, 3) != b {
+		t.Fatalf("node 0 grown to %d slots, buffer 3 kept %v", len(leaves(3)), f.Buffer(0, 3) == b)
+	}
+	if st := slots(); st.Taken != 4 || st.Returned != 2 || st.Outstanding() != 2 {
+		t.Fatalf("slot pool %+v, want the outgrown array back and 2 held", st)
+	}
+	f.Release()
+	if st := slots(); st.Outstanding() != 0 || st.Returned != 4 {
+		t.Fatalf("after Release: slot pool %+v, want every array back", st)
+	}
+	f.WriteBlock(5, pattern(6))
+	p.Abandon()
+	if st := slots(); st.Outstanding() != 0 || st.Abandoned != 1 {
+		t.Fatalf("after a crash: slot pool %+v, want the held array abandoned", st)
+	}
+
+	m := NewMetafile(2, 1)
+	m.SetImagePool(p)
+	before := slots()
+	m.GetOrCreateL0(9)
+	if m.find(0, 9, false).leaves == nil || slots() != before {
+		t.Fatalf("metafile slot array from the pool: %+v, was %+v", slots(), before)
 	}
 }

@@ -29,6 +29,9 @@ import (
 // past its array leaves a private one, which nothing else holds, and it goes
 // back at once (recycle). No other array is ever put back: an array a buffer
 // holds is never marked. A nil pool allocates every array and marks none.
+//
+// The pool is also the one maker of buffers and of the slot arrays a user
+// file's level-1 index nodes hold their L0 buffers in (DESIGN §15).
 type ImagePool struct {
 	classes [block.Classes]fifo.Pool[[]byte]
 	// buffers is the free list of user L0 buffers: a clean one leaves its
@@ -36,7 +39,13 @@ type ImagePool struct {
 	// or a load creates is drawn from here.
 	buffers  fifo.Pool[*Buffer]
 	bufStats fifo.PoolStats
-	bufTaken uint64 // bufStats.Taken at the last TrimBuffers
+	bufTaken uint64 // bufStats.Taken at the last Trim
+	// slots are the free lists of a user file's level-1 slot arrays, one
+	// per size class (slotClass): an array goes back when its node's last
+	// L0 buffer leaves (File.DropClean, Release) or when it is outgrown.
+	slots      [slotClasses]fifo.Pool[[]*Buffer]
+	slotStats  fifo.PoolStats
+	slotsTaken uint64 // slotStats.Taken at the last Trim
 	// marker marks the arrays buffers leave to the media; nil marks none.
 	marker   Marker
 	stats    fifo.PoolStats
@@ -63,9 +72,11 @@ type ImageStats struct {
 	Returned uint64 // media-only arrays back from the media
 	Recycled uint64 // private arrays back from an indirect that outgrew them
 
-	// Buffers counts the user L0 buffer free list. Unlike the arrays it is
-	// under the leak rule: a quiesced member's user files hold no buffer.
-	Buffers fifo.PoolStats
+	// Buffers counts the user L0 buffer free list, and Slots the user
+	// files' level-1 slot arrays. Unlike the image arrays both are under the
+	// leak rule: a quiesced member's user files hold no L0 buffer, so none
+	// of their nodes holds a slot array.
+	Buffers, Slots fifo.PoolStats
 }
 
 // poison fills an array on its way back to the pool, so a premature recycle
@@ -82,6 +93,11 @@ func NewImagePool() *ImagePool {
 		size := block.ClassCap(c)
 		p.classes[c] = fifo.NewPool(&p.stats, func() []byte { return make([]byte, size) })
 	}
+	for c := range p.slots {
+		n := minSlots << c
+		p.slots[c] = fifo.NewPool(&p.slotStats, func() []*Buffer { return make([]*Buffer, n) })
+		p.slots[c].Limit(0)
+	}
 	return p
 }
 
@@ -92,7 +108,7 @@ func (p *ImagePool) SetMarker(m Marker) { p.marker = m }
 // Stats returns the pool's counts.
 func (p *ImagePool) Stats() ImageStats {
 	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled,
-		Recycled: p.recycled, Buffers: p.bufStats}
+		Recycled: p.recycled, Buffers: p.bufStats, Slots: p.slotStats}
 }
 
 // buffer returns the empty buffer at (level, fbn) of f: a user L0 from the
@@ -113,18 +129,77 @@ func (p *ImagePool) putBuffer(b *Buffer) {
 	}
 }
 
-// TrimBuffers, at a CP's commit, limits the free list to twice the buffers
-// taken since the last commit: what the next CP interval is likely to take
-// again, with room to take more. The next commit's clean buffers beyond it
-// go to the garbage collector, so a burst — a prefill dirtied in one CP —
-// neither stays live nor grows the list.
-func (p *ImagePool) TrimBuffers() {
-	p.buffers.Limit(2 * int(p.bufStats.Taken-p.bufTaken))
-	p.bufTaken = p.bufStats.Taken
+// slotClasses is the number of slot-array sizes: minSlots << c pointers for
+// class c, from 8 up to block.PtrsPerBlock.
+const (
+	minSlots    = 8
+	slotClasses = 6
+)
+
+// slotClass returns the class of the shortest slot array that holds slot d,
+// and its length: a power of two from minSlots up, so small and sparse files
+// do not pay for 256 pointers per node.
+func slotClass(d int) (c, n int) {
+	for n = minSlots; n <= d; n *= 2 {
+		c++
+	}
+	return c, n
 }
 
-// Abandon writes off the buffers a crash dropped with their trees.
-func (p *ImagePool) Abandon() { p.buffers.Abandon() }
+// leaves returns s, the slot array of one of f's level-1 nodes (nil if it
+// has none), grown to hold slot d. A user file's array comes from its size
+// class's free list, and the one it outgrew goes back at once; a metafile's
+// L0s never leave their tree, so its arrays are the garbage collector's.
+func (p *ImagePool) leaves(f *File, s []*Buffer, d int) []*Buffer {
+	c, n := slotClass(d)
+	var grown []*Buffer
+	if p == nil || f.metafile {
+		grown = make([]*Buffer, n)
+	} else {
+		grown = p.slots[c].Get()
+	}
+	copy(grown, s)
+	p.putLeaves(f, s)
+	return grown
+}
+
+// putLeaves takes back s, a slot array of f that its node no longer holds.
+func (p *ImagePool) putLeaves(f *File, s []*Buffer) {
+	if p == nil || f.metafile || s == nil {
+		return
+	}
+	clear(s)
+	c, _ := slotClass(len(s) - 1)
+	p.slots[c].Put(s)
+}
+
+// Trim, at a CP's commit, limits the buffer free list to twice the buffers
+// taken since the last commit — what the next CP interval is likely to take
+// again, with room to take more — and each slot array list to twice the
+// arrays taken since then or held now, of every class, whichever is more: a
+// node's array passes through the classes as it grows, often over more than
+// one interval, and a short interval (a back-to-back CP) takes few. The next
+// commit's clean buffers and emptied arrays beyond the limits go to the
+// garbage collector, so a burst — a prefill dirtied in one CP — neither
+// stays live nor grows the lists.
+func (p *ImagePool) Trim() {
+	p.buffers.Limit(2 * int(p.bufStats.Taken-p.bufTaken))
+	p.bufTaken = p.bufStats.Taken
+	keep := 2 * max(int(p.slotStats.Taken-p.slotsTaken), int(p.slotStats.Outstanding()))
+	for c := range p.slots {
+		p.slots[c].Limit(keep)
+	}
+	p.slotsTaken = p.slotStats.Taken
+}
+
+// Abandon writes off the buffers, and the slot arrays holding them, that a
+// crash dropped with their trees.
+func (p *ImagePool) Abandon() {
+	p.buffers.Abandon()
+	for c := range p.slots {
+		p.slots[c].Abandon()
+	}
+}
 
 // Get returns an array of n bytes, 0 < n <= block.Size, holding garbage,
 // whose capacity is its size class: a client's payload, which its caller

@@ -9,14 +9,18 @@ import (
 	"wafl/internal/fifo"
 )
 
-// withhold takes one record from the fifo.Pool in field of owner and never
-// puts it back: the leak a path that forgets its Put leaves behind. The pools
-// are unexported, so a test reaches them by reflection.
+// withhold takes one record from the fifo.Pool in field of owner — the first
+// of an array of pools, one per size class — and never puts it back: the
+// leak a path that forgets its Put leaves behind. The pools are unexported,
+// so a test reaches them by reflection.
 func withhold(t *testing.T, owner any, field string) {
 	t.Helper()
 	f := reflect.ValueOf(owner).Elem().FieldByName(field)
 	if !f.IsValid() {
 		t.Fatalf("%T has no field %s", owner, field)
+	}
+	if f.Kind() == reflect.Array {
+		f = f.Index(0)
 	}
 	get := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).MethodByName("Get")
 	if !get.IsValid() {
@@ -65,8 +69,8 @@ func leakLoad(t *testing.T, cfg Config) *System {
 // TestQuiesceFindsLeakedRecord withholds one Put from each pool in turn, on a
 // live system, and requires Quiesce to fail naming that pool and no other;
 // with nothing withheld it passes. Then a crash: what the drives and RAID
-// groups had outstanding, and the user L0 buffers the trees held, is
-// abandoned, no more, and the recovered system quiesces clean.
+// groups had outstanding, and the user L0 buffers and slot arrays the trees
+// held, is abandoned, no more, and the recovered system quiesces clean.
 func TestQuiesceFindsLeakedRecord(t *testing.T) {
 	for _, row := range []struct {
 		pool  string // as Quiesce names it; "" withholds nothing
@@ -74,10 +78,12 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 		field string
 	}{
 		{pool: ""},
+		{"Infra.TetrisPool", func(m *Member) any { return m.in }, "tetrisPool"},
 		{"Infra.BucketPool", func(m *Member) any { return m.in }, "bucketPool"},
 		{"Infra.VBucketPool", func(m *Member) any { return m.in }, "vbucketPool"},
 		{"Infra.ListPool", func(m *Member) any { return m.in }, "listPool"},
 		{"Infra.CommitPool", func(m *Member) any { return m.in }, "commitPool"},
+		{"Pool.JobPool", func(m *Member) any { return m.pool }, "jobPool"},
 		{"RAID.ScratchPool", func(m *Member) any { return m.a.Group(1) }, "scratchPool"},
 		{"RAID.WritePool", func(m *Member) any { return m.a.Group(0) }, "writePool"},
 		{"Drives.WritePool", func(m *Member) any { return m.a.Group(0).Drive(2) }, "writePool"},
@@ -87,6 +93,7 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 		{"Waffinity.MsgPool", func(m *Member) any { return m.w }, "msgPool"},
 		{"Waffinity.CallPool", func(m *Member) any { return m.w }, "callPool"},
 		{"Images.Buffers", func(m *Member) any { return unexported(m.a, "images") }, "buffers"},
+		{"Images.Slots", func(m *Member) any { return unexported(m.a, "images") }, "slots"},
 	} {
 		name := row.pool
 		if name == "" {
@@ -132,7 +139,7 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 			return map[string]fifo.PoolStats{"RAID.ScratchPool": st.RAID.ScratchPool, "RAID.WritePool": st.RAID.WritePool,
 				"Drives.WritePool": st.Drives.WritePool, "Drives.ReadPool": st.Drives.ReadPool,
 				"Drives.WriteWaitPool": st.Drives.WriteWaitPool, "Drives.ReadWaitPool": st.Drives.ReadWaitPool,
-				"Images.Buffers": st.Images.Buffers}
+				"Images.Buffers": st.Images.Buffers, "Images.Slots": st.Images.Slots}
 		}
 		before := pools(sys.Stats())
 		sys.Crash()
