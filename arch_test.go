@@ -330,6 +330,20 @@ func leadingMinusOne(n ast.Node) bool {
 	return false
 }
 
+// groupWrite matches a RAID group's write: Group(...).Write(...).
+func groupWrite(n ast.Node) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Write" {
+		return false
+	}
+	recv, ok := sel.X.(*ast.CallExpr)
+	return ok && lastName(recv.Fun) == "Group"
+}
+
 // The volume request methods, the whole mutating surface of aggregate.Volume
 // that a namespace operation goes through, and the block write's
 // (Volume.EnsureL0Resident, fs.File.WriteBlock).
@@ -876,7 +890,12 @@ var archRules = []archRule{
 		// message is counted for the drains in one place, the per-CP fences
 		// cannot be open-coded again, the CP engine frees and credits only
 		// through Infra.Reclaim/AdjustAggrFree, and "volume -1 means the
-		// aggregate" stays gone.
+		// aggregate" stays gone. Its I/O twin: one write path and one read
+		// path for committed blocks. Every RAID write outside bench/ is the
+		// one Group(...).Write in internal/core (Infra.submit, for tetrises
+		// and the activemap flush alike), the CP engine builds no write of
+		// its own, and one function of internal/aggregate (readVBN) reads the
+		// media through the fault plan.
 		name: "space",
 		clauses: []clause{{
 			scan: []string{"internal/core"}, except: []string{"internal/core/space.go"}, forbid: callOn([]string{"w"}, "Send"),
@@ -891,7 +910,37 @@ var archRules = []archRule{
 		}, {
 			scan: []string{"internal/core", "internal/cp/cp.go"}, forbid: leadingMinusOne,
 			msg: "literal -1 passed as a leading argument: select the space, not a sentinel volume",
+		}, {
+			scan:   []string{"internal/cp"},
+			forbid: func(n ast.Node) bool { return groupWrite(n) || imports("wafl/internal/storage")(n) },
+			msg:    "internal/cp builds a RAID write: hand the activemap flush's writes to Infra.WriteAmap",
 		}},
+		require: func(tr *tree) []string {
+			var out, writes, readers []string
+			each(tr, []string{"..."}, func(file string, n *ast.CallExpr) {
+				if groupWrite(n) && !strings.HasPrefix(file, "bench/") {
+					pos := tr.fset.Position(n.Pos())
+					writes = append(writes, fmt.Sprintf("%s:%d", pos.Filename, pos.Line))
+				}
+			})
+			if len(writes) != 1 || !strings.HasPrefix(writes[0], "internal/core/") {
+				out = append(out, fmt.Sprintf("Group(...).Write called at %v, want once, in internal/core: submit through the allocator", writes))
+			}
+			each(tr, []string{"internal/aggregate"}, func(_ string, fn *ast.FuncDecl) {
+				calls := false
+				ast.Inspect(fn, func(n ast.Node) bool {
+					calls = calls || callOn(nil, "PeekChecked")(n)
+					return !calls
+				})
+				if calls {
+					readers = append(readers, fn.Name.Name)
+				}
+			})
+			if len(readers) != 1 {
+				out = append(out, fmt.Sprintf("internal/aggregate reads the media through the fault plan in %v, want one function", readers))
+			}
+			return out
+		},
 		bad: []badTree{{
 			files: map[string]string{"internal/core/infra.go": `package core; func (in *Infra) f() { in.w.Send(nil, 0, nil, nil) }`},
 			want:  "internal/core/infra.go:1: w.Send outside space.go",
@@ -904,6 +953,25 @@ var archRules = []archRule{
 		}, {
 			files: map[string]string{"internal/cp/cp.go": `package cp; func (e *Engine) f() { e.in.Free(-1, nil) }`},
 			want:  "internal/cp/cp.go:1: literal -1 passed as a leading argument",
+		}, {
+			// The activemap flush's writes built and sent by the CP engine.
+			files: map[string]string{"internal/cp/cp.go": "package cp\nimport \"wafl/internal/storage\"\nfunc (e *Engine) f(r [][]storage.WriteReq) { e.a.Group(0).Write(r, 0, nil) }"},
+			want:  "internal/cp/cp.go:2: internal/cp builds a RAID write",
+		}, {
+			files: map[string]string{
+				"internal/core/infra.go": `package core; func (in *Infra) f() { in.a.Group(0).Write(nil, 0, nil) }`,
+				"internal/core/cp.go":    `package core; func (in *Infra) g() { in.a.Group(1).Write(nil, 0, nil) }`,
+			},
+			want: "Group(...).Write called at [internal/core/cp.go:1 internal/core/infra.go:1], want once",
+		}, {
+			files: map[string]string{"wafl.go": `package wafl; func f(m *Member) { m.a.Group(0).Write(nil, 0, nil) }`},
+			want:  "Group(...).Write called at [wafl.go:1], want once, in internal/core",
+		}, {
+			// A timed read beside the fault-checked one.
+			files: map[string]string{"internal/aggregate/aggregate.go": `package aggregate
+func (a *Aggregate) readVBN(d *Drive) []byte { b, _ := d.PeekChecked(0); return b }
+func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok { return b }; return nil }`},
+			want: "internal/aggregate reads the media through the fault plan in [readVBN ReadVBN], want one function",
 		}},
 	},
 	{

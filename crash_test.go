@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wafl/internal/bcache"
 	"wafl/internal/block"
 	"wafl/internal/fs"
 	"wafl/internal/nvlog"
@@ -316,6 +317,94 @@ func TestPersistentReadErrorReconstructed(t *testing.T) {
 	if rep := sys.Fsck(); !rep.OK() {
 		t.Fatalf("fsck with persistent read error: %s", rep)
 	}
+}
+
+// TestTimedReadsReconstruct puts a persistent read error under committed
+// user blocks that no cache holds and reads them as a client does: a Read
+// that misses the buffer cache, and a SnapRead of a block only a snapshot
+// holds. Both are media reads, which all pass the fault plan, so both come
+// back as the original bytes, reconstructed from RAID parity.
+func TestTimedReadsReconstruct(t *testing.T) {
+	cfg := crashConfig()
+	cfg.BCacheBlocks = 8
+	// The injector wired as in TestPersistentReadErrorReconstructed: only
+	// FailBlock fires.
+	cfg.Faults = FaultConfig{TornWriteEvery: 1 << 30, TornWritePrefix: 0}
+	sys, ino := newCrashSystem(t, cfg)
+	defer sys.Shutdown()
+	const fbn = 5
+	m := sys.m0()
+	v := m.a.Volume(0)
+	f := v.LookupFile(ino)
+	vbnOf := func() block.VBN {
+		_, vbn, _ := f.Resolve(fbn, m.a)
+		return vbn
+	}
+	fail := func(vbn block.VBN) {
+		g, d, dbn := m.a.Geometry().Locate(vbn)
+		sys.Injector().FailBlock(m.a.Group(g).Drive(d).Name(), dbn)
+	}
+	// run runs op on a client thread to completion.
+	run := func(op func(c *ClientCtx)) {
+		t.Helper()
+		done := false
+		sys.ClientThread("op", func(c *ClientCtx) {
+			op(c)
+			done = true
+		})
+		for i := 0; !done; i++ {
+			if i == 1000 {
+				t.Fatal("client op did not finish")
+			}
+			sys.Run(Millisecond)
+		}
+	}
+	reconstructs := func() uint64 { return sys.Stats().Repairs.Reconstructs }
+
+	var snapID uint64
+	var snapVBN block.VBN
+	run(func(c *ClientCtx) {
+		c.Write(0, ino, fbn, 1)
+		snapID = c.SnapCreate(0)
+		snapVBN = vbnOf()
+		c.WriteTag(0, ino, fbn, 1, 'x') // now the snapshot alone holds snapVBN
+		c.Write(0, ino, 100, 32)        // and fbn leaves the 8-block cache
+	})
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if m.bc.Contains(bcache.Key{Vol: 0, Ino: ino, FBN: fbn}) || snapVBN == vbnOf() {
+		t.Fatal("the set-up left the block cached or the snapshot sharing it")
+	}
+	// read runs op, a client read, and one timed read of the block as a miss
+	// takes it, which returns the block's bytes.
+	read := func(what string, vbn block.VBN, want []byte, op func(c *ClientCtx), timed func(c *ClientCtx) []byte) {
+		t.Helper()
+		fail(vbn)
+		before := reconstructs()
+		run(op)
+		if reconstructs() == before {
+			t.Errorf("%s: no reconstruction recorded: the read skipped the fault plan", what)
+		}
+		var got []byte
+		run(func(c *ClientCtx) { got = timed(c) })
+		if len(got) < len(want) || !bytes.Equal(got[:len(want)], want) {
+			t.Errorf("%s: the timed read returned other bytes than the block's", what)
+		}
+	}
+	read("client read", vbnOf(), sys.expected(ino, fbn, 'x'),
+		func(c *ClientCtx) { c.Read(0, ino, fbn, 1) },
+		func(c *ClientCtx) []byte { return v.ReadBlock(c.t, f, fbn) })
+	read("snapshot read", snapVBN, sys.expected(ino, fbn, 0),
+		func(c *ClientCtx) {
+			if _, ok := c.SnapRead(0, snapID, ino, fbn, 1); !ok {
+				t.Error("snapshot read found no block")
+			}
+		},
+		func(c *ClientCtx) []byte {
+			data, _ := v.SnapReadBlock(c.t, snapID, ino, fbn)
+			return data
+		})
 }
 
 // TestDamagedImageIsAnError overwrites the committed root of volume 0's inode

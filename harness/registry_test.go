@@ -57,6 +57,15 @@ func TestRegistrySweepDepth(t *testing.T) {
 	t.Fatal("clonesweep is not registered")
 }
 
+// TestOverloadCheck runs the overloadcheck gate at its own settings
+// (DefaultRun): admission off must blow the latency-sensitive p99.9 up, and
+// admission on must shed bulk writes and bound it.
+func TestOverloadCheck(t *testing.T) {
+	if tab, err := OverloadCheck(DefaultRun()); err != nil {
+		t.Fatalf("%v\n%s", err, tab.String())
+	}
+}
+
 // TestRegistryTables runs every registry entry that is not a gate — every
 // table `waflbench -exp all` prints — at expsmoke's windows (a 4 ms window
 // after a 2 ms warm-up; flexgroup keeps its own), side by side, and checks

@@ -81,7 +81,7 @@ type Aggregate struct {
 	repair RepairStats
 }
 
-// RepairStats counts ReadVBNRaw fault handling: transient read errors that
+// RepairStats counts readVBN's fault handling: transient read errors that
 // succeeded on retry, and persistent errors repaired from RAID parity.
 type RepairStats struct {
 	Retries      uint64
@@ -312,41 +312,45 @@ func (a *Aggregate) SetInjector(in storage.Injector) {
 	}
 }
 
-// Repairs returns the ReadVBNRaw fault-repair counters.
+// Repairs returns readVBN's fault-repair counters.
 func (a *Aggregate) Repairs() RepairStats { return a.repair }
 
 // ReadVBNRaw returns the committed media content of vbn without timing
-// effects (mount/verification path). Never-written blocks return nil.
+// effects (mount/verification path): readVBN, untimed. Never-written blocks
+// return nil.
+func (a *Aggregate) ReadVBNRaw(vbn block.VBN) []byte { return a.readVBN(nil, vbn) }
+
+// readVBN is every media read of a committed block. It is subject to
+// injected read errors: a failed read is retried once (transient errors
+// clear), and a persistent failure is repaired by XOR reconstruction from the
+// rest of the RAID stripe. With t the read is timed: t first blocks for the
+// drive's service time (ReadSync), and the image is the one that I/O
+// returned unless the fault plan fails the read.
 //
-// This is the OS-visible read path, so it is subject to injected read
-// errors: a failed read is retried once (transient errors clear), and a
-// persistent failure is repaired by XOR reconstruction from the rest of the
-// RAID stripe. That is valid for a committed block whose stripe's parity
-// agrees with its data, not for one of a stripe a crash tore: such a stripe
-// keeps an explicit row of the images its last landed parity write covered
+// Reconstruction is valid for a committed block whose stripe's parity agrees
+// with its data, not for one of a stripe a crash tore: such a stripe keeps an
+// explicit row of the images its last landed parity write covered
 // (raid.Group), so a block of it may reconstruct to other bytes than its own.
 // Nothing repairs a torn stripe's parity yet.
-func (a *Aggregate) ReadVBNRaw(vbn block.VBN) []byte {
+func (a *Aggregate) readVBN(t *sim.Thread, vbn block.VBN) []byte {
 	g, d, dbn := a.geo.Locate(vbn)
 	drive := a.groups[g].Drive(d)
+	var img []byte
+	if t != nil {
+		img = drive.ReadSync(t, []block.DBN{dbn})[0]
+	}
 	b, ok := drive.PeekChecked(dbn)
-	if ok {
-		return b
+	if !ok {
+		a.repair.Retries++
+		if b, ok = drive.PeekChecked(dbn); !ok {
+			a.repair.Reconstructs++
+			return a.groups[g].ReconstructBlock(d, dbn)
+		}
 	}
-	a.repair.Retries++
-	if b, ok = drive.PeekChecked(dbn); ok {
-		return b
+	if t != nil {
+		return img
 	}
-	a.repair.Reconstructs++
-	return a.groups[g].ReconstructBlock(d, dbn)
-}
-
-// ReadVBN performs a timed single-block read of vbn, blocking the calling
-// simulated thread for the drive service time.
-func (a *Aggregate) ReadVBN(t *sim.Thread, vbn block.VBN) []byte {
-	g, d, dbn := a.geo.Locate(vbn)
-	bs := a.groups[g].Drive(d).ReadSync(t, []block.DBN{dbn})
-	return bs[0]
+	return b
 }
 
 // TotalFree returns the aggregate's current free block count (ground truth

@@ -235,7 +235,8 @@ func (v *Volume) WriteSnapdirEntries() {
 
 // SnapReadBlock reads FBN fbn of inode ino from snapshot snapID's frozen
 // image, walking the committed media image (snapshot trees live only on
-// media). When t is non-nil the walk's block loads are timed drive reads.
+// media). Every block the walk loads is a media read (readVBN), timed when t
+// is non-nil.
 // ok=false means the snapshot or the inode does not exist in it; a nil data
 // with ok=true is a hole in the frozen image.
 func (v *Volume) SnapReadBlock(t *sim.Thread, snapID, ino uint64, fbn block.FBN) (data []byte, ok bool) {
@@ -247,13 +248,7 @@ func (v *Volume) SnapReadBlock(t *sim.Thread, snapID, ino uint64, fbn block.FBN)
 	if !ok {
 		return nil, false
 	}
-	read := func(vbn block.VBN) []byte {
-		if t != nil {
-			return v.aggr.ReadVBN(t, vbn)
-		}
-		return v.aggr.ReadVBNRaw(vbn)
-	}
-	return fs.ReadTree(read, rec, fbn), true
+	return fs.ReadTree(func(vbn block.VBN) []byte { return v.aggr.readVBN(t, vbn) }, rec, fbn), true
 }
 
 // SummaryHeld reports whether vvbn is held by at least one snapshot.

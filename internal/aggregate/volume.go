@@ -402,11 +402,11 @@ func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
 // nothing resident: the member's residency set decides what a client read
 // pays, and its caller keeps it. The indirect blocks of the path load
 // untimed (File.Resolve). With t, the read is a client's that missed the
-// set: a timed drive read at the block's committed address. Without, it is
+// set: a timed media read at the block's committed address. Without, it is
 // untimed: a block with a buffer reads the buffer; one the tree holds
 // (File.Resident) reads its media image through its resident L1, past the
-// fault plan, as memory would; any other passes the fault plan's read path
-// (ReadVBNRaw).
+// fault plan, as memory would. Every other read, timed or not, is a media
+// read (readVBN): the fault plan, one retry, then reconstruction.
 //
 // The tree names a block's new location as soon as the running CP cleans
 // it, so a timed read may find nothing there yet: its write has not landed.
@@ -427,13 +427,11 @@ func (v *Volume) readL0(t *sim.Thread, f *fs.File, fbn block.FBN) (data []byte, 
 	switch {
 	case !ok:
 		return nil, vvbn, vbn
-	case t != nil:
-		data = v.aggr.ReadVBN(t, vbn)
-	case f.Resident(fbn):
+	case t == nil && f.Resident(fbn):
 		g, d, dbn := v.aggr.geo.Locate(vbn)
 		data = v.aggr.groups[g].Drive(d).Peek(dbn)
 	default:
-		data = v.aggr.ReadVBNRaw(vbn)
+		data = v.aggr.readVBN(t, vbn)
 	}
 	if data == nil && (b == nil || b.VBN() != vbn || !v.aggr.inCP) {
 		panic(fmt.Sprintf("volume %d: ino %d L0 fbn %d at %v unreadable", v.id, f.Ino(), fbn, vbn))

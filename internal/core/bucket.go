@@ -61,8 +61,9 @@ type Tetris struct {
 	blocks           int
 }
 
-// tetrisIO is a window's write I/O: one request list per data drive, with
-// its RAID completion, the method value land, bound once.
+// tetrisIO is one RAID write of the allocator's, a window's or a group's
+// share of the activemap flush: one request list per data drive, with its
+// RAID completion, the method value land, bound once.
 type tetrisIO struct {
 	in    *Infra
 	lists [][]storage.WriteReq

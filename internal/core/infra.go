@@ -100,7 +100,7 @@ type Infra struct {
 	pendingOps int               // outstanding infra messages (fills + commits)
 	done       func()            // opDone, bound once: the completion callback of every send
 	commitUsed func(*sim.Thread) // commitBucket, bound once: the message every PUT sends
-	pendingIO  int               // outstanding storage I/Os (tetris + metafile writes)
+	pendingIO  int               // outstanding storage I/Os (tetrises and activemap writes)
 	drainCond  *sim.WaitQueue
 	draining   bool
 	inCP       bool
@@ -108,9 +108,10 @@ type Infra struct {
 	obsGroupTid []int32 // interned per-group trace track id + 1; 0 = unset
 
 	// Recycled state (DESIGN §9): windows come back when their last bucket
-	// does, buckets and vbuckets when committed or dropped, a tetris's
-	// per-drive lists when RAID completes their I/O, free-commit records
-	// when their message has applied them.
+	// does, buckets and vbuckets when committed or dropped, a write's
+	// per-drive lists (a tetris's or the activemap flush's) when RAID
+	// completes their I/O, free-commit records when their message has
+	// applied them.
 	tetrisPool  fifo.Pool[*Tetris]
 	bucketPool  fifo.Pool[*Bucket]
 	vbucketPool fifo.Pool[*VBucket]
@@ -495,9 +496,7 @@ func distinctBlocks[T ~uint64](bns []T, per uint64) int {
 	return n
 }
 
-// sendTetris builds the window's write I/O and submits it to RAID,
-// charging parity XOR to the RAID category. The per-drive lists go back to
-// the free list, emptied, when RAID reports every drive I/O complete.
+// sendTetris builds the window's write I/O and submits it to RAID.
 func (in *Infra) sendTetris(t *sim.Thread, te *Tetris) {
 	t.Consume(in.costs.TetrisSend)
 	in.stats.TetrisesSent++
@@ -507,24 +506,46 @@ func (in *Infra) sendTetris(t *sim.Thread, te *Tetris) {
 		tr.InstantArg(obs.PidInfra, in.groupTrack(tr, te.group), "tetris", "tetris send",
 			int64(t.Now()), int64(te.blocks))
 	}
-	in.pendingIO++
 	io := te.io
 	// Detach so a bucket inserted into this window later (the
 	// EqualProgress=false ablation) accumulates a fresh, smaller I/O
 	// instead of resending these blocks.
 	te.io, te.blocks = nil, 0
-	res := in.a.Group(te.group).Write(io.lists, in.costs.ParityPerBlock, io.land)
+	in.submit(t, te.group, io)
+}
+
+// WriteAmap submits the activemap flush's planned writes (PlanAmapFlush) to
+// RAID: one write per RAID group, in ascending group order, each drive's
+// requests in plan order. They are not tetrises: only sendTetris counts those.
+func (in *Infra) WriteAmap(t *sim.Thread, writes []aggregate.AmapWrite) {
+	geo := in.a.Geometry()
+	for g := range in.a.Groups() {
+		var io *tetrisIO
+		for _, w := range writes {
+			if wg, d, dbn := geo.Locate(w.VBN); wg == g {
+				if io == nil {
+					io = in.listPool.Get()
+				}
+				io.lists[d] = append(io.lists[d], storage.WriteReq{DBN: dbn, Data: w.Data, MediaOnly: w.MediaOnly})
+			}
+		}
+		if io != nil {
+			in.submit(t, g, io)
+		}
+	}
+}
+
+// submit sends io to RAID group g, counting it for DrainIO and charging
+// parity XOR to the RAID category: every write of the allocator's goes out
+// here. The per-drive lists go back to the free list, emptied, when RAID
+// reports every drive I/O complete.
+func (in *Infra) submit(t *sim.Thread, g int, io *tetrisIO) {
+	in.pendingIO++
+	res := in.a.Group(g).Write(io.lists, in.costs.ParityPerBlock, io.land)
 	if res.ParityCPU > 0 {
 		t.ConsumeAs(sim.CatRAID, res.ParityCPU)
 	}
 }
-
-// AddIO registers an externally-submitted storage I/O (the CP engine's
-// metafile writes) with the drain accounting.
-func (in *Infra) AddIO() { in.pendingIO++ }
-
-// IODone is the completion callback for AddIO.
-func (in *Infra) IODone() { in.ioDone() }
 
 func (in *Infra) ioDone() {
 	in.pendingIO--

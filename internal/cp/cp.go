@@ -19,7 +19,6 @@ import (
 	"wafl/internal/obs"
 	"wafl/internal/sim"
 	"wafl/internal/snap"
-	"wafl/internal/storage"
 	"wafl/internal/waffinity"
 )
 
@@ -658,7 +657,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 	e.in.AdjustAggrFree(int64(e.a.TotalFree()) - freeBefore)
 	e.stats.AmapWrites += uint64(len(writes))
 	t.ConsumeAs(sim.CatInfra, sim.Duration(len(writes))*e.costs.CommitPerBlock)
-	e.issueAmapWrites(t, writes)
+	e.in.WriteAmap(t, writes)
 	e.in.DrainIO(t)
 	e.stats.MetaDuration += sim.Duration(t.Now() - metaStart)
 	phase(e.stats.PhaseAmap, "amap flush")
@@ -703,35 +702,5 @@ func (e *Engine) runCP(t *sim.Thread) {
 	e.stats.LastDuration = d
 	if d > e.stats.LongestDuration {
 		e.stats.LongestDuration = d
-	}
-}
-
-// issueAmapWrites sends the planned activemap block writes to RAID, one
-// grouped write per RAID group.
-func (e *Engine) issueAmapWrites(t *sim.Thread, writes []aggregate.AmapWrite) {
-	if len(writes) == 0 {
-		return
-	}
-	geo := e.a.Geometry()
-	perGroup := make(map[int][][]storage.WriteReq)
-	for _, w := range writes {
-		g, d, dbn := geo.Locate(w.VBN)
-		reqs := perGroup[g]
-		if reqs == nil {
-			reqs = make([][]storage.WriteReq, geo.DataDrives)
-		}
-		reqs[d] = append(reqs[d], storage.WriteReq{DBN: dbn, Data: w.Data, MediaOnly: w.MediaOnly})
-		perGroup[g] = reqs
-	}
-	for g := 0; g < e.a.Groups(); g++ {
-		reqs, ok := perGroup[g]
-		if !ok {
-			continue
-		}
-		e.in.AddIO()
-		res := e.a.Group(g).Write(reqs, e.costs.ParityPerBlock, e.in.IODone)
-		if res.ParityCPU > 0 {
-			t.ConsumeAs(sim.CatRAID, res.ParityCPU)
-		}
 	}
 }

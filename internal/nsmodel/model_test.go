@@ -282,6 +282,28 @@ func TestModelHasTeeth(t *testing.T) {
 	}
 }
 
+// TestTrailNamesTheOps: beside a Verify that fails, Trail names the
+// operations in flight and, last among those acknowledged, the one whose
+// effect the system lost.
+func TestTrailNamesTheOps(t *testing.T) {
+	w := newWorld()
+	acked := on(w, Op{Kind: Write, FBN: 6, N: 2})
+	w.do(acked)
+	delete(w.file(0), 7)
+	flying := on(w, Op{Kind: Write, FBN: 0, N: 1})
+	w.begin(flying)
+	errs := strings.Join(w.m.Verify(w.f, true), "\n")
+	if !strings.Contains(errs, "fbn 7") {
+		t.Fatalf("Verify = %q, want the lost block reported", errs)
+	}
+	trail := w.m.Trail()
+	for _, want := range []string{"in flight: [" + flying.String() + "]", acked.String() + "]"} {
+		if !strings.Contains(trail, want) {
+			t.Errorf("Trail = %q, want it to name %q", trail, want)
+		}
+	}
+}
+
 // TestVerifyUnsettled: until the system has settled, a volume with a
 // SnapRestore in flight is in transit — replay has discarded what the restore
 // supersedes, the image arrives with the next CP — and is not compared; a
