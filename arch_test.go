@@ -351,12 +351,12 @@ var volOps = []string{"CreateFileAt", "DeleteFile", "RequestSnapshot", "DeleteSn
 	"RequestRestore", "RequestCloneBind", "AddCloneRef", "StartSplit", "EnsureL0Resident", "WriteBlock"}
 
 // System's stats accessors, by name pattern and in full: Stats and MemberStats
-// are the spine, CloneStats is not a counter, and the rest — the two reports
-// too, renders of Stats — are the views bench/child.go still reads.
+// are the spine, and the rest — the two reports too, renders of Stats — are
+// the views bench/child.go still reads.
 var (
 	statAccessor = regexp.MustCompile(`(Stats|Counters|Report)$`)
 	statMethods  = []string{"AdmissionStats", "BCacheStats", "CPPhaseReport", "CPStats",
-		"CloneStats", "Counters", "MemberStats", "Stats", "TraceReport"}
+		"Counters", "MemberStats", "Stats", "TraceReport"}
 )
 
 // traffic is where configurations are made: the experiment registry, the

@@ -1,10 +1,12 @@
 // Command wafltop is the introspection tool: it runs a short workload and
 // renders the window's results and per-component core usage, every layer's
-// non-zero counters and latency histograms over that window (wafl.Stats:
-// client, admission, the White Alligator bucket/tetris/stage lifecycle of
-// Fig 2-3, cleaner pool, CP engine and its phases, buffer cache, RAID,
-// drives, Waffinity, the scheduler's waits), and the Hierarchical Waffinity
-// affinity tree (paper Fig 1) with per-affinity message counts.
+// non-zero counters, gauges and latency histograms over that window
+// (wafl.Stats: client, admission, the White Alligator bucket/tetris/stage
+// lifecycle of Fig 2-3, cleaner pool, CP engine and its phases, buffer cache,
+// RAID, drives, Waffinity, the scheduler's CPU time per category, thread
+// switches and waits, NVRAM fill), with -members N one row per member read
+// off its window's Stats, and the Hierarchical Waffinity affinity tree (paper
+// Fig 1) with per-affinity message counts.
 //
 // Usage:
 //
@@ -100,7 +102,7 @@ func main() {
 	fmt.Println(res)
 	// The kernel's work since format (warm-up included), per client op since then.
 	st := sys.Stats()
-	ev, sw, ew, ops := sys.Events(), sys.Switches(), st.Waffinity.EmptyWakes, float64(max(st.Client.Ops, 1))
+	ev, sw, ew, ops := sys.Events(), st.Sched.Switches, st.Waffinity.EmptyWakes, float64(max(st.Client.Ops, 1))
 	fmt.Printf("events %d (%.1f/op)  thread switches %d (%.1f/op)  empty worker wakes %d (%.1f/op)\n",
 		ev, float64(ev)/ops, sw, float64(sw)/ops, ew, float64(ew)/ops)
 	dr := res.Stats.Drives
@@ -113,13 +115,13 @@ func main() {
 		fmt.Printf("%-6s  %10s  %6s  %10s  %12s  %8s  %9s  %6s  %9s\n",
 			"member", "ops/s", "cps", "nvlog-fill", "free-blocks", "cleaners", "reserved", "shed", "bc-hit%")
 		for i, p := range parts {
-			mi, st := sys.MemberInfo(i), p.Stats
+			st := p.Stats
 			bcHit := 0.0
 			if lookups := st.BCache.Hits + st.BCache.Misses; lookups > 0 {
 				bcHit = 100 * float64(st.BCache.Hits) / float64(lookups)
 			}
 			fmt.Printf("%-6d  %10.0f  %6d  %9.0f%%  %12d  %8d  %9d  %6d  %8.1f%%\n",
-				mi.ID, p.OpsPerSec, p.CPs, 100*mi.NVLogFullness, st.VolFree, st.Cleaners,
+				i, p.OpsPerSec, p.CPs, 100*float64(st.NVLogBytes)/float64(cfg.NVRAMHalfBytes), st.VolFree, st.Cleaners,
 				st.Reserved, st.Admission.Shed, bcHit)
 		}
 		fmt.Println()
@@ -138,16 +140,20 @@ func main() {
 	fmt.Printf("snapshot ops: %d created, %d deleted, %d blocks reclaimed\n",
 		cum.SnapsCreated, cum.SnapsDeleted, cum.SnapReclaimed)
 	fmt.Println()
-	if cs := sys.CloneStats(); cum.CloneBinds > 0 || cum.Restores > 0 || cs.Bound > 0 {
+	if clones := sys.CloneVolumes(); cum.CloneBinds > 0 || cum.Restores > 0 || len(clones) > 0 {
 		fmt.Println("=== clones & restores ===")
 		fmt.Printf("%-6s  %-6s  %-6s  %10s  %12s\n", "clone", "parent", "snap", "base-held", "split-pend")
-		for _, cv := range sys.CloneVolumes() {
+		splitting := 0
+		for _, cv := range clones {
 			fs := sys.FreeSpaceBreakdown(cv)
 			pv, ps, _ := sys.CloneParent(cv)
 			fmt.Printf("%-6d  %-6d  %-6d  %10d  %12d\n", cv, pv, ps, fs.CloneHeld, fs.SplitPending)
+			if fs.SplitPending > 0 {
+				splitting++
+			}
 		}
 		fmt.Printf("clone ops: %d bound (%d live, %d splitting), %d splits done (%d blocks copied)\n",
-			cum.CloneBinds, cs.Bound, cs.Splitting, cum.SplitsDone, cum.SplitCopied)
+			cum.CloneBinds, len(clones), splitting, cum.SplitsDone, cum.SplitCopied)
 		fmt.Printf("restore ops: %d restores, %d blocks freed, %d metadata blocks rewritten\n",
 			cum.Restores, cum.RestoreFreed, cum.RestoreBlocks)
 		fmt.Println()

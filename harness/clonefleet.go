@@ -32,11 +32,15 @@ func CloneFleet(rc RunConfig) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	// The clone and restore counters are the run's since format.
-	cs, cp := sys.CloneStats(), sys.Stats().CP
+	// The clone and restore counters are the run's since format; clone-held
+	// is the bound clones' base blocks still shared with their parents.
+	cp, held := sys.Stats().CP, uint64(0)
+	for _, cv := range sys.CloneVolumes() {
+		held += sys.FreeSpaceBreakdown(cv).CloneHeld
+	}
 	t.Rows = append(t.Rows, []string{
 		f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
-		f2(wordsPerVBucket(res.Stats.Infra)), fmt.Sprintf("%d", cs.CloneHeld),
+		f2(wordsPerVBucket(res.Stats.Infra)), fmt.Sprintf("%d", held),
 		fmt.Sprintf("%d", cp.Restores), f0(restoreMetaPerOp(cp)),
 		fmt.Sprintf("%d", cp.SplitsDone), f2(res.Cores.Infra),
 	})

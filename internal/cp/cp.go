@@ -47,7 +47,6 @@ type Stats struct {
 	SplitsDone      uint64 // clone splits fully completed (guard released)
 	AmapWrites      uint64
 	TotalDuration   sim.Duration
-	LastDuration    sim.Duration `stat:"max"`
 	CleanDuration   sim.Duration // user-file cleaning phase (cumulative)
 	MetaDuration    sim.Duration // metafile flush phases (cumulative)
 	BackToBack      uint64       // CPs that started with another already requested
@@ -699,7 +698,6 @@ func (e *Engine) runCP(t *sim.Thread) {
 	e.stats.TotalTime.Observe(int64(d))
 	e.stats.CPs++
 	e.stats.TotalDuration += d
-	e.stats.LastDuration = d
 	if d > e.stats.LongestDuration {
 		e.stats.LongestDuration = d
 	}

@@ -75,10 +75,6 @@ type Log struct {
 	frozen   int // -1 when no CP is draining
 	seq      uint64
 	reserved uint64 // space promised to in-flight ops (see Reserve)
-
-	// Stalls counts Append attempts rejected because the active half was
-	// full while the other half was still draining (back-to-back CP).
-	Stalls uint64
 }
 
 // New creates a log whose halves hold halfCap bytes each.
@@ -93,7 +89,6 @@ func New(halfCap uint64) *Log {
 func (l *Log) Append(r Record) bool {
 	h := &l.halves[l.active]
 	if h.bytes+l.reserved+r.Size() > l.halfCap {
-		l.Stalls++
 		return false
 	}
 	l.append(r)
@@ -131,7 +126,6 @@ func (l *Log) Reserve(n uint64) (Reservation, bool) {
 		panic("nvlog: reservation exceeds half capacity")
 	}
 	if l.halves[l.active].bytes+l.reserved+n > l.halfCap {
-		l.Stalls++
 		return Reservation{}, false
 	}
 	l.reserved += n
@@ -166,9 +160,13 @@ func (r *Reservation) Release() {
 // ActiveOps returns the number of records in the active half.
 func (l *Log) ActiveOps() int { return len(l.halves[l.active].recs) }
 
-// Fullness returns the active half's fill fraction in [0,1].
+// ActiveBytes returns the bytes logged in the active half.
+func (l *Log) ActiveBytes() uint64 { return l.halves[l.active].bytes }
+
+// Fullness returns the active half's fill fraction in [0,1]: ActiveBytes
+// over the half's capacity.
 func (l *Log) Fullness() float64 {
-	return float64(l.halves[l.active].bytes) / float64(l.halfCap)
+	return float64(l.ActiveBytes()) / float64(l.halfCap)
 }
 
 // HasFrozen reports whether a CP is currently draining a frozen half.

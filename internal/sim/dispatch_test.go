@@ -332,7 +332,7 @@ func TestBodyPanicSurfacesInRun(t *testing.T) {
 	}
 }
 
-// TestSwitchesCountsCrossThreadResumes: Switches is one per event that
+// TestSwitchesCountsCrossThreadResumes: Stats.Switches is one per event that
 // resumed a thread other than the one that dispatched it. A thread yielding to
 // itself, plain callbacks and wake-ups that WaitUntil's condition refuses cost
 // none; two threads waking each other cost one per event.
@@ -347,9 +347,9 @@ func TestSwitchesCountsCrossThreadResumes(t *testing.T) {
 		}
 	})
 	s.Run(Time(Second))
-	if yields != 1000 || s.Events() != 2001 || s.Switches() != 1 {
+	if yields != 1000 || s.Events() != 2001 || s.Stats().Switches != 1 {
 		t.Fatalf("yields=%d events=%d switches=%d, want 1000, 2001 and the one switch that started the thread",
-			yields, s.Events(), s.Switches())
+			yields, s.Events(), s.Stats().Switches)
 	}
 	never := NewWaitQueue(s, "never")
 	refused := 0
@@ -363,9 +363,9 @@ func TestSwitchesCountsCrossThreadResumes(t *testing.T) {
 		}
 	})
 	s.Run(Time(Second))
-	if refused != 1000 || never.Waits != 1001 || s.Events() != 4003 || s.Switches() != 3 {
+	if refused != 1000 || never.Waits != 1001 || s.Events() != 4003 || s.Stats().Switches != 3 {
 		t.Fatalf("refused=%d waits=%d events=%d switches=%d, want 1000, 1001, 2002 more events and the two switches that started the threads",
-			refused, never.Waits, s.Events(), s.Switches())
+			refused, never.Waits, s.Events(), s.Stats().Switches)
 	}
 	q := [2]*WaitQueue{NewWaitQueue(s, "ping"), NewWaitQueue(s, "pong")}
 	for i := range q {
@@ -378,7 +378,7 @@ func TestSwitchesCountsCrossThreadResumes(t *testing.T) {
 	}
 	s.HaltAtEvent(s.Events() + 100)
 	s.Run(Time(2 * Second))
-	if !s.Halted() || s.Switches() != 103 {
-		t.Fatalf("halted=%v switches=%d, want 100 more, one per event", s.Halted(), s.Switches())
+	if !s.Halted() || s.Stats().Switches != 103 {
+		t.Fatalf("halted=%v switches=%d, want 100 more, one per event", s.Halted(), s.Stats().Switches)
 	}
 }

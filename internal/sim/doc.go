@@ -15,7 +15,7 @@
 // either simply returns (the event resumes the parking thread itself: no
 // switch at all) or names the thread to resume and yields. Every yield lands
 // in Run/Drain, the trampoline, which switches into the thread named (two
-// switches per cross-thread resume; Switches counts the pairs) or, when none
+// switches per cross-thread resume; Stats.Switches counts the pairs) or, when none
 // was named because nothing more is due or a halt is pending, returns. A
 // thread parked in WaitQueue.WaitUntil is named only if the condition it left
 // says so: the dispatcher runs it, as it would a callback, and a wake-up it

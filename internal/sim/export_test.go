@@ -6,10 +6,6 @@ func (s *Scheduler) GoAt(at Time, name string, cat Category, fn func(*Thread)) *
 }
 
 // totalBusy returns the cumulative busy time across all categories.
-func totalBusy(s CPUStats) Duration {
-	var total Duration
-	for _, b := range s.Busy {
-		total += b
-	}
-	return total
+func totalBusy(b Busy) Duration {
+	return b.Other + b.Client + b.Waffinity + b.Cleaner + b.Infra + b.CP + b.RAID
 }

@@ -293,14 +293,19 @@ func (s *Scheduler) Live() int { return s.live }
 // determinism fingerprint).
 func (s *Scheduler) Events() uint64 { return s.dispatched }
 
-// Stats returns the scheduler's wait histograms.
-func (s *Scheduler) Stats() Stats { return s.stats }
-
-// Switches returns how many times Run/Drain has switched into a thread's
-// coroutine so far: one per event that resumed a thread other than the one
-// that dispatched it. Callbacks and self-resumes switch nothing. As repeatable
-// as Events, given the same sequence of Run/Drain calls and halts.
-func (s *Scheduler) Switches() uint64 { return s.switches }
+// Stats returns the scheduler's counters and wait histograms. Switches is
+// how many times Run/Drain has switched into a thread's coroutine: one per
+// event that resumed a thread other than the one that dispatched it.
+// Callbacks and self-resumes switch nothing. As repeatable as Events, given
+// the same sequence of Run/Drain calls and halts.
+func (s *Scheduler) Stats() Stats {
+	st := s.stats
+	b := &s.busy
+	st.Busy = Busy{Other: b[CatOther], Client: b[CatClient], Waffinity: b[CatWaffinity],
+		Cleaner: b[CatCleaner], Infra: b[CatInfra], CP: b[CatCP], RAID: b[CatRAID]}
+	st.Switches = s.switches
+	return st
+}
 
 // HaltAtEvent arranges for Run/Drain to stop — between events, without
 // advancing the clock further — once the dispatched-event count reaches n.
@@ -327,11 +332,6 @@ func (s *Scheduler) shouldHalt() bool {
 		return true
 	}
 	return false
-}
-
-// CPU returns a snapshot of cumulative per-category busy time.
-func (s *Scheduler) CPU() CPUStats {
-	return CPUStats{Busy: s.busy, Wall: s.now}
 }
 
 // post schedules a to fire at time at (clamped to now). Only heap entries need

@@ -29,7 +29,7 @@ func TestSingleThreadConsume(t *testing.T) {
 	if end != Time(15*Microsecond) {
 		t.Fatalf("thread finished at %v, want 15us", end)
 	}
-	if got := s.CPU().Busy[CatOther]; got != 15*Microsecond {
+	if got := s.Stats().Busy.Other; got != 15*Microsecond {
 		t.Fatalf("busy = %v, want 15us", got)
 	}
 }
@@ -82,8 +82,7 @@ func TestCoreCapacityNeverExceeded(t *testing.T) {
 		})
 	}
 	s.Run(Time(10 * Millisecond))
-	stats := s.CPU()
-	if got, limit := totalBusy(stats), Duration(stats.Wall)*cores; got > limit {
+	if got, limit := totalBusy(s.Stats().Busy), Duration(s.Now())*cores; got > limit {
 		t.Fatalf("total busy %v exceeds capacity %v", got, limit)
 	}
 	// All work should have completed: 10 threads * 100 bursts of avg 4us =
@@ -239,17 +238,21 @@ func TestAfterCallbacksFireInOrder(t *testing.T) {
 	}
 }
 
+// TestCategoryAccounting: a burst is charged to the category it runs as,
+// and Stats reports each category's time in that category's field.
 func TestCategoryAccounting(t *testing.T) {
 	s := New(2, 1)
 	s.Go("mixed", CatClient, func(th *Thread) {
 		th.Consume(10 * Microsecond)
-		th.ConsumeAs(CatInfra, 20*Microsecond)
-		th.ConsumeAs(CatCleaner, 30*Microsecond)
+		for c := Category(0); c < NumCategories; c++ {
+			th.ConsumeAs(c, Duration(c+1)*Microsecond)
+		}
 	})
 	s.Run(Time(Second))
-	st := s.CPU()
-	if st.Busy[CatClient] != 10*Microsecond || st.Busy[CatInfra] != 20*Microsecond || st.Busy[CatCleaner] != 30*Microsecond {
-		t.Fatalf("accounting = %+v", st.Busy)
+	want := Busy{Other: 1 * Microsecond, Client: 12 * Microsecond, Waffinity: 3 * Microsecond,
+		Cleaner: 4 * Microsecond, Infra: 5 * Microsecond, CP: 6 * Microsecond, RAID: 7 * Microsecond}
+	if got := s.Stats().Busy; got != want {
+		t.Fatalf("accounting = %+v, want %+v", got, want)
 	}
 }
 
@@ -262,10 +265,8 @@ func TestCoresCalculation(t *testing.T) {
 			}
 		})
 	}
-	start := s.CPU()
 	s.Run(Time(1 * Second))
-	end := s.CPU()
-	cores := end.Cores(start, CatCleaner)
+	cores := float64(s.Stats().Busy.Cleaner) / float64(s.Now())
 	if cores < 1.9 || cores > 2.1 {
 		t.Fatalf("cleaner cores = %.2f, want ~2", cores)
 	}
@@ -300,7 +301,7 @@ func runFingerprint(seed int64) string {
 		})
 	}
 	s.Run(Time(100 * Millisecond))
-	return fmt.Sprintf("%v|%d|%d|%d", trace, shared, s.Events(), s.Switches())
+	return fmt.Sprintf("%v|%d|%d|%d", trace, shared, s.Events(), s.Stats().Switches)
 }
 
 func TestDeterminism(t *testing.T) {
@@ -337,7 +338,7 @@ func TestQuickCPUConservation(t *testing.T) {
 			})
 		}
 		s.Run(Time(Second * 1000))
-		if totalBusy(s.CPU()) != total {
+		if totalBusy(s.Stats().Busy) != total {
 			return false
 		}
 		return s.Live() == 0

@@ -45,26 +45,19 @@ func (c Category) String() string {
 	}
 }
 
-// CPUStats is a snapshot of cumulative busy time per category.
-type CPUStats struct {
-	Busy [NumCategories]Duration // cumulative CPU time per category
-	Wall Time                    // simulated time of the snapshot
+// Busy is cumulative CPU time per category, one field per Category.
+type Busy struct {
+	Other, Client, Waffinity, Cleaner, Infra, CP, RAID Duration
 }
 
-// Cores converts the busy time of category c over the window since prev into
-// an average number of occupied cores.
-func (s CPUStats) Cores(prev CPUStats, c Category) float64 {
-	wall := s.Wall - prev.Wall
-	if wall <= 0 {
-		return 0
-	}
-	return float64(s.Busy[c]-prev.Busy[c]) / float64(wall)
-}
-
-// Stats are the scheduler's wait distributions, one sample per wait, in
+// Stats are the scheduler's counters since New: CPU time per category,
+// coroutine switches, and its wait distributions, one sample per wait, in
 // nanoseconds. The histograms are the live ones; a caller that keeps them
 // copies them (wafl.Stats does).
 type Stats struct {
+	Busy     Busy
+	Switches uint64 // events that resumed a thread other than their dispatcher
+
 	RunQueueWait  *obs.Histogram // a CPU burst's wait for a free core
 	MutexWait     *obs.Histogram // a contended Mutex.Lock's wait for the holder
 	WaitQueueWait *obs.Histogram // a WaitQueue wait, from parking to the wake-up

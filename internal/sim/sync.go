@@ -94,7 +94,7 @@ func (q *WaitQueue) leave(t *Thread) {
 //
 // except that ready runs on whoever dispatches each wake-up, so one it refuses
 // switches into nobody: events, their order, Waits, Signals and the trace are
-// the loop's, and only Switches is lower. Like an After callback, ready must
+// the loop's, and only Stats.Switches is lower. Like an After callback, ready must
 // not block.
 func (q *WaitQueue) WaitUntil(t *Thread, ready func() bool) {
 	t.waitQ, t.ready = q, ready

@@ -90,7 +90,7 @@ func runWakeScript(literal bool) *wakeScript {
 }
 
 // TestWaitUntilIsTheLoop: WaitUntil and the loop in its doc comment are the
-// same program to everything but Switches — the order things happen in, the
+// same program to everything but Stats.Switches — the order things happen in, the
 // event count at each, the queue's counters, the clock, the trace and its
 // histograms.
 func TestWaitUntilIsTheLoop(t *testing.T) {
@@ -114,18 +114,20 @@ func TestWaitUntilIsTheLoop(t *testing.T) {
 	if a, b := lit.s.Tracer().Events(), got.s.Tracer().Events(); !reflect.DeepEqual(a, b) || len(a) == 0 {
 		t.Fatalf("trace streams differ: %d events from the loop, %d from WaitUntil", len(a), len(b))
 	}
-	// Every wake-up ends one wait: the three still parked have not ended theirs.
-	if a, b := lit.s.Stats(), got.s.Stats(); !reflect.DeepEqual(a, b) || a.WaitQueueWait.Count != lit.q.Waits-3 {
-		t.Fatalf("histograms differ, or the waits ended are not the queue's waits but the three parked:\nloop: %v %v %v\nWaitUntil: %v %v %v\nWaits %d",
-			a.RunQueueWait, a.MutexWait, a.WaitQueueWait, b.RunQueueWait, b.MutexWait, b.WaitQueueWait, lit.q.Waits)
-	}
 	// In this script every refused wake-up is dispatched by a thread other than
 	// the one it names, and the next thread to run is a third: the loop pays
 	// one switch for each. (Elsewhere it is zero, when a waiter dispatches its
 	// own wake-up, to two, when the thread that signalled runs next.)
-	if saved := lit.s.Switches() - got.s.Switches(); saved != uint64(lit.refused) {
+	a, b := lit.s.Stats(), got.s.Stats()
+	if saved := a.Switches - b.Switches; saved != uint64(lit.refused) {
 		t.Fatalf("switches: loop %d, WaitUntil %d, %d refusals; want the difference to be the refusals",
-			lit.s.Switches(), got.s.Switches(), lit.refused)
+			a.Switches, b.Switches, lit.refused)
+	}
+	// Every wake-up ends one wait: the three still parked have not ended theirs.
+	b.Switches = a.Switches
+	if !reflect.DeepEqual(a, b) || a.WaitQueueWait.Count != lit.q.Waits-3 {
+		t.Fatalf("busy time or histograms differ, or the waits ended are not the queue's waits but the three parked:\nloop: %v %v %v %+v\nWaitUntil: %v %v %v %+v\nWaits %d",
+			a.RunQueueWait, a.MutexWait, a.WaitQueueWait, a.Busy, b.RunQueueWait, b.MutexWait, b.WaitQueueWait, b.Busy, lit.q.Waits)
 	}
 }
 

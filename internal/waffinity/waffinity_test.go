@@ -402,7 +402,7 @@ func TestDispatchCostAccounted(t *testing.T) {
 		}, nil)
 	}
 	s.Run(sim.Time(sim.Second))
-	if got := s.CPU().Busy[sim.CatWaffinity]; got != 50*sim.Microsecond {
+	if got := s.Stats().Busy.Waffinity; got != 50*sim.Microsecond {
 		t.Fatalf("waffinity overhead = %v, want 50us", got)
 	}
 }
@@ -604,7 +604,7 @@ func TestHerdBehindSleepingMessage(t *testing.T) {
 	var order []int
 	w.Send(stripe, sim.CatClient, func(th *sim.Thread) { th.Sleep(200 * sim.Microsecond) }, nil)
 	s.Run(sim.Time(10 * sim.Microsecond))
-	before, switches := w.Stats(), s.Switches()
+	before, switches := w.Stats(), s.Stats().Switches
 	for i := 1; i <= 10; i++ {
 		s.After(sim.Duration(i)*sim.Microsecond, func() {
 			w.Send(stripe, sim.CatClient, func(th *sim.Thread) {
@@ -614,9 +614,9 @@ func TestHerdBehindSleepingMessage(t *testing.T) {
 		})
 	}
 	s.Run(sim.Time(100 * sim.Microsecond))
-	if st := w.Stats(); st.EmptyWakes-before.EmptyWakes != 10 || st.Executed != 0 || s.Switches() != switches {
+	if st := w.Stats(); st.EmptyWakes-before.EmptyWakes != 10 || st.Executed != 0 || s.Stats().Switches != switches {
 		t.Fatalf("behind the sleeper: %d empty wakes, %d executed, %d switches; want 10, 0, 0",
-			st.EmptyWakes-before.EmptyWakes, st.Executed, s.Switches()-switches)
+			st.EmptyWakes-before.EmptyWakes, st.Executed, s.Stats().Switches-switches)
 	}
 	s.Run(sim.Time(sim.Second))
 	if got, want := fmt.Sprint(order), fmt.Sprint([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}); got != want || w.Stats().Executed != 11 {

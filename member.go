@@ -311,6 +311,7 @@ func (m *Member) stats() Stats {
 	for _, r := range m.reserved {
 		st.Reserved += r
 	}
+	st.NVLogBytes = m.log.ActiveBytes()
 	return st
 }
 
@@ -571,12 +572,7 @@ func (m *Member) bulkGate() (held bool, full float64) {
 // number, so single-member systems see exactly the pre-cluster handles.
 const memberShift = 48
 
-func memberHandle(id int, ino uint64) uint64 {
-	if id == 0 {
-		return ino
-	}
-	return uint64(id)<<memberShift | ino
-}
+func memberHandle(id int, ino uint64) uint64 { return uint64(id)<<memberShift | ino }
 
 func handleMember(ino uint64) int { return int(ino >> memberShift) }
 func handleIno(ino uint64) uint64 { return ino & (1<<memberShift - 1) }

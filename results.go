@@ -3,8 +3,6 @@ package wafl
 import (
 	"fmt"
 	"strings"
-
-	"wafl/internal/sim"
 )
 
 // CoreUsage is per-component average simulated core occupancy over a
@@ -30,9 +28,8 @@ func (c CoreUsage) Total() float64 {
 func (c CoreUsage) WriteAllocation() float64 { return c.Cleaner + c.Infra }
 
 // Results summarizes one measurement window. Every field is read off the
-// window's Stats, its length and the cluster-wide core usage (windowResults),
-// so a cluster measurement is its members' window Stats folded and read the
-// same way: op, block, CP and stall totals are exact sums, FullStripe is the
+// window's Stats and its length (windowResults), so a cluster measurement is
+// its members' window Stats folded and read the same way: op, block, CP and stall totals are exact sums, FullStripe is the
 // fraction of the cluster's stripes written full, and latency statistics come
 // from the merged histogram. Latency percentiles come from a log-linear
 // histogram (16 sub-buckets per octave), so they are exact to within one
@@ -85,9 +82,9 @@ func (sys *System) Measure(warmup, window Duration) Results {
 // MeasureMembers runs the simulation for warmup, then for window, and
 // returns the cluster-wide metrics over the window and one Results per
 // member. The cluster value is read off the fold of the members' window
-// Stats and the shared scheduler's window waits (Stats.Sched). Core usage is
-// measured once, cluster-wide (the CPU pool is shared; per-member
-// attribution is not available), and every value carries it.
+// Stats and the shared scheduler's (Stats.Sched: its waits, busy time and
+// switches). Core usage is the cluster's (the CPU pool is shared; per-member
+// attribution is not available), and every member's value carries it.
 func (sys *System) MeasureMembers(warmup, window Duration) (Results, []Results) {
 	sys.Run(warmup)
 	start := make([]Stats, len(sys.members))
@@ -96,36 +93,30 @@ func (sys *System) MeasureMembers(warmup, window Duration) (Results, []Results) 
 	}
 	var sched SchedStats
 	foldInto(opAdd, &sched, sys.s.Stats())
-	t0, cpu0 := sys.s.Now(), sys.s.CPU()
+	t0 := sys.s.Now()
 	sys.Run(window)
-	cpu := sys.s.CPU()
-	cores := CoreUsage{
-		Client:    cpu.Cores(cpu0, sim.CatClient),
-		Waffinity: cpu.Cores(cpu0, sim.CatWaffinity),
-		Cleaner:   cpu.Cores(cpu0, sim.CatCleaner),
-		Infra:     cpu.Cores(cpu0, sim.CatInfra),
-		CP:        cpu.Cores(cpu0, sim.CatCP),
-		RAID:      cpu.Cores(cpu0, sim.CatRAID),
-		Other:     cpu.Cores(cpu0, sim.CatOther),
-	}
 	win := Duration(sys.s.Now() - t0)
 	var cluster Stats
+	foldInto(opAdd, &cluster.Sched, sys.s.Stats())
+	foldInto(opSub, &cluster.Sched, sched)
 	parts := make([]Results, len(sys.members))
 	for i, m := range sys.members {
 		st := m.stats()
 		foldInto(opSub, &st, start[i])
 		foldInto(opAdd, &cluster, st)
-		parts[i] = windowResults(st, win, cores)
+		parts[i] = windowResults(st, win)
 	}
-	foldInto(opAdd, &cluster.Sched, sys.s.Stats())
-	foldInto(opSub, &cluster.Sched, sched)
-	return windowResults(cluster, win, cores), parts
+	res := windowResults(cluster, win)
+	for i := range parts {
+		parts[i].Cores = res.Cores
+	}
+	return res, parts
 }
 
-// windowResults fills every Results field from the window's Stats, its
-// length and the cluster-wide core usage. It is the one place a Results
-// field is computed.
-func windowResults(st Stats, window Duration, cores CoreUsage) Results {
+// windowResults fills every Results field from the window's Stats and its
+// length: the totals, the rates, the core usage and the latency statistics.
+// It is the one place a Results field is computed.
+func windowResults(st Stats, window Duration) Results {
 	r := Results{
 		Window:    window,
 		Ops:       st.Client.Ops,
@@ -133,25 +124,21 @@ func windowResults(st Stats, window Duration, cores CoreUsage) Results {
 		CPs:       st.CPCount,
 		Stalls:    st.Client.Stalls,
 		StallTime: st.Client.StallTime,
-		Cores:     cores,
 		Cleaners:  st.Cleaners,
 		Stats:     st,
 	}
 	if n := st.RAID.FullStripeWrites + st.RAID.PartialStripeWrites; n > 0 {
 		r.FullStripe = float64(st.RAID.FullStripeWrites) / float64(n)
 	}
-	r.derive()
-	return r
-}
-
-// derive fills in what follows from the window's totals and histogram: the
-// rates and the latency statistics.
-func (r *Results) derive() {
-	if secs := r.Window.Seconds(); secs > 0 {
+	if secs := window.Seconds(); secs > 0 {
 		r.OpsPerSec = float64(r.Ops) / secs
 		r.MBPerSec = float64(r.Blocks) * 4096 / (1 << 20) / secs
+		b, w := st.Sched.Busy, float64(window)
+		r.Cores = CoreUsage{Client: float64(b.Client) / w, Waffinity: float64(b.Waffinity) / w,
+			Cleaner: float64(b.Cleaner) / w, Infra: float64(b.Infra) / w, CP: float64(b.CP) / w,
+			RAID: float64(b.RAID) / w, Other: float64(b.Other) / w}
 	}
-	if lat := r.Stats.Lat; lat != nil && lat.Count > 0 {
+	if lat := st.Lat; lat != nil && lat.Count > 0 {
 		r.LatAvg = Duration(lat.Mean())
 		r.LatP50 = Duration(lat.Quantile(0.50))
 		r.LatP90 = Duration(lat.Quantile(0.90))
@@ -159,28 +146,5 @@ func (r *Results) derive() {
 		r.LatP999 = Duration(lat.Quantile(0.999))
 		r.LatMax = Duration(lat.Max)
 	}
-}
-
-// CloneStats is the point-in-time block debt the clone fleet still owes its
-// parents; the cumulative clone and restore counters are in Stats.CP.
-type CloneStats struct {
-	CloneHeld    uint64 // live base blocks still shared with parents
-	SplitPending uint64 // of CloneHeld, blocks a running split has left
-	Bound        int    // clone volumes currently bound
-	Splitting    int    // of Bound, clones with a split in flight
-}
-
-// CloneStats walks the bound clone volumes for their live summary-hold debt.
-func (sys *System) CloneStats() CloneStats {
-	var cs CloneStats
-	for _, cv := range sys.CloneVolumes() {
-		fs := sys.FreeSpaceBreakdown(cv)
-		cs.CloneHeld += fs.CloneHeld
-		cs.SplitPending += fs.SplitPending
-		cs.Bound++
-		if fs.SplitPending > 0 {
-			cs.Splitting++
-		}
-	}
-	return cs
+	return r
 }

@@ -134,3 +134,74 @@ func TestMeasureMembersMidCP(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureMembersIsAStatsWindow: a measurement is a Stats window and
+// nothing else. Of two identical two-member systems, one is measured with
+// MeasureMembers and the other bracketed by hand — Run, Stats, Run, Stats,
+// Sub — and the hand window's Sched.Busy over its length is Results.Cores
+// exactly, field by field, its Sched.Switches the measured window's, and
+// every member's NVRAM gauge at the window's end its log's fill.
+func TestMeasureMembersIsAStatsWindow(t *testing.T) {
+	const warmup, window = 10 * Millisecond, 20 * Millisecond
+	cfg := clusterConfig(2)
+	cfg.NVRAMHalfBytes = 256 << 10
+	build := func() *System {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < sys.TotalVolumes(); v++ {
+			ino := sys.CreateFileDirect(v, 1<<12)
+			sys.ClientThread("load", func(c *ClientCtx) {
+				for i := 0; c.Alive(); i++ {
+					c.Write(v, ino, FBN((i*8)%4096), 8)
+				}
+			})
+		}
+		return sys
+	}
+	measured, hand := build(), build()
+	defer measured.Shutdown()
+	defer hand.Shutdown()
+
+	res, parts := measured.MeasureMembers(warmup, window)
+	hand.Run(warmup)
+	before := hand.Stats()
+	hand.Run(window)
+	st := hand.Stats().Sub(before)
+
+	b, w := st.Sched.Busy, float64(window)
+	for _, c := range []struct {
+		name  string
+		cores float64
+		busy  Duration
+	}{
+		{"Client", res.Cores.Client, b.Client}, {"Waffinity", res.Cores.Waffinity, b.Waffinity},
+		{"Cleaner", res.Cores.Cleaner, b.Cleaner}, {"Infra", res.Cores.Infra, b.Infra},
+		{"CP", res.Cores.CP, b.CP}, {"RAID", res.Cores.RAID, b.RAID}, {"Other", res.Cores.Other, b.Other},
+	} {
+		if c.cores != float64(c.busy)/w {
+			t.Errorf("Cores.%s = %v, want the hand window's %v busy over %v", c.name, c.cores, c.busy, window)
+		}
+	}
+	if res.Cores.Client == 0 || res.Cores.Cleaner == 0 {
+		t.Fatalf("no client or cleaner time in the window: %+v", res.Cores)
+	}
+	if got, want := res.Stats.Sched.Switches, st.Sched.Switches; got != want || got == 0 {
+		t.Fatalf("measured window switched %d times, the hand window %d", got, want)
+	}
+	filled := false
+	for i, m := range measured.members {
+		if parts[i].Cores != res.Cores {
+			t.Fatalf("member %d cores %+v, want the cluster's %+v", i, parts[i].Cores, res.Cores)
+		}
+		n := parts[i].Stats.NVLogBytes
+		if got := float64(n) / float64(cfg.NVRAMHalfBytes); got != m.log.Fullness() {
+			t.Fatalf("member %d NVRAM gauge %d bytes = %v full, log says %v", i, n, got, m.log.Fullness())
+		}
+		filled = filled || n > 0
+	}
+	if !filled {
+		t.Fatal("no member's NVRAM log holds a record at the window's end")
+	}
+}

@@ -42,8 +42,8 @@ type Stats struct {
 	Repairs   RepairStats    // raw-read-path retries and reconstructions
 	Images    ImageStats     // recycled CP-owned block images (audited, not leak-checked) and the user L0 buffer free list
 
-	// Sched is the shared scheduler's waits: the cluster's, so zero in a
-	// member's share.
+	// Sched is the shared scheduler's CPU time per category, coroutine
+	// switches and waits: the cluster's, so zero in a member's share.
 	Sched SchedStats
 
 	// CPCount is the aggregate's committed consistency-point generation. It
@@ -55,6 +55,8 @@ type Stats struct {
 	VolFree  int64 `stat:"gauge"` // allocatable VVBNs across the client volumes (loosely accounted)
 	AggrFree int64 `stat:"gauge"` // aggregate free blocks (loosely accounted)
 	Reserved int64 `stat:"gauge"` // PlaceFile ingest reservations not yet written or refunded
+
+	NVLogBytes uint64 `stat:"gauge"` // bytes logged in the active NVRAM half
 
 	// Lat is the client op latency histogram (log-linear buckets).
 	Lat *obs.Histogram

@@ -36,10 +36,10 @@ func runTraced(t *testing.T, trace bool) (*System, Results) {
 // results in any way — same event count, same throughput, same latencies.
 func TestTracingDeterminism(t *testing.T) {
 	sysOff, resOff := runTraced(t, false)
-	evOff, swOff := sysOff.Events(), sysOff.Switches()
+	evOff, swOff := sysOff.Events(), sysOff.Stats().Sched.Switches
 	sysOff.Shutdown()
 	sysOn, resOn := runTraced(t, true)
-	evOn, swOn := sysOn.Events(), sysOn.Switches()
+	evOn, swOn := sysOn.Events(), sysOn.Stats().Sched.Switches
 	defer sysOn.Shutdown()
 
 	// Every layer's window counters and every latency histogram, by value.

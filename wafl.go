@@ -102,8 +102,8 @@ type (
 	DriveStats = storage.Stats
 	// WaffinityStats counts affinity messages sent and executed.
 	WaffinityStats = waffinity.Stats
-	// SchedStats is the shared scheduler's run-queue, mutex and wait-queue
-	// waits.
+	// SchedStats is the shared scheduler's CPU time per category, coroutine
+	// switches, and run-queue, mutex and wait-queue waits.
 	SchedStats = sim.Stats
 	// ImageStats counts the aggregate's recycled CP-owned block images.
 	ImageStats = fs.ImageStats
@@ -351,21 +351,6 @@ func (sys *System) Members() int { return len(sys.members) }
 // Config.Volumes per member times the cluster width.
 func (sys *System) TotalVolumes() int { return sys.cfg.Volumes * len(sys.members) }
 
-// MemberInfo is the point-in-time state of one cluster member that is not a
-// counter (those are MemberStats), for monitoring tools (wafltop's
-// per-member section).
-type MemberInfo struct {
-	ID            int
-	NVLogFullness float64 // active NVRAM half fullness [0, 1]
-	Crashed       bool
-}
-
-// MemberInfo returns the current summary of member i.
-func (sys *System) MemberInfo(i int) MemberInfo {
-	m := sys.members[i]
-	return MemberInfo{ID: m.id, NVLogFullness: m.log.Fullness(), Crashed: m.crashed}
-}
-
 // Stats returns every layer's cumulative counters, rolled up across members.
 // Results.Stats is the same value over a measurement window.
 func (sys *System) Stats() Stats {
@@ -421,8 +406,8 @@ func (sys *System) Counters() InfraCounters { return sys.Stats().Infra }
 
 // CPStats returns a snapshot of the CP engine counters for metric diffing
 // around a measurement window (TotalDuration, BackToBack, ...). For a
-// cluster the counters and durations sum across members; LastDuration and
-// LongestDuration take the maximum.
+// cluster the counters and durations sum across members; LongestDuration
+// takes the maximum.
 func (sys *System) CPStats() CPStats { return sys.Stats().CP }
 
 // placementLogPenalty weighs NVRAM occupancy against free-space fraction
@@ -484,11 +469,6 @@ func (sys *System) Run(d Duration) { sys.s.RunFor(d) }
 // reproducible crash-point coordinate: with a fixed Config (including
 // Seed), event index k names the same instant in every run.
 func (sys *System) Events() uint64 { return sys.s.Events() }
-
-// Switches returns how many of those events resumed a simulated thread other
-// than the one that dispatched them — the part of the simulation's host cost
-// that is switching coroutines. As reproducible as Events.
-func (sys *System) Switches() uint64 { return sys.s.Switches() }
 
 // RunToEvent advances the simulation until event index n has been
 // dispatched, running at most max simulated time. It reports whether the
