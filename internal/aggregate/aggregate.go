@@ -75,9 +75,6 @@ type Aggregate struct {
 	supers    [2][]byte
 	superNext int
 
-	// inj, when set, is the drive-fault plan wired into every drive; the
-	// aggregate keeps it to survive MountFrom and to report repair stats.
-	inj    storage.Injector
 	repair RepairStats
 }
 
@@ -303,7 +300,6 @@ func (a *Aggregate) AAFree(group, aa int) int64 {
 // SetInjector wires a drive-fault plan into every drive (data and parity)
 // of every RAID group. Pass nil to disable injection.
 func (a *Aggregate) SetInjector(in storage.Injector) {
-	a.inj = in
 	for _, g := range a.groups {
 		for i := 0; i < g.DataDrives(); i++ {
 			g.Drive(i).SetInjector(in)

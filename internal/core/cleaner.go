@@ -5,7 +5,6 @@ import (
 
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
-	"wafl/internal/counters"
 	"wafl/internal/fifo"
 	"wafl/internal/fs"
 	"wafl/internal/obs"
@@ -68,13 +67,17 @@ type PoolStats struct {
 type cleanerState struct {
 	id   int
 	t    *sim.Thread
-	tok  *counters.Token
 	phys *Bucket
 	virt []*VBucket // by volume ID
 	// free stages (§IV-A last paragraph), one per space by space.idx: old
 	// block numbers accumulate here and are committed to the
 	// infrastructure when full.
-	stages  [][]uint64
+	stages [][]uint64
+	// The loose-accounting token (§III-C), the stages' twin: free-count
+	// deltas by space.idx, and how many updates were staged since the
+	// last flush.
+	deltas  []int64
+	staged  int
 	holding bool
 	engaged sim.Duration // wall time spent processing jobs (tuner input)
 	batch   []*Job       // takeBatch's scratch
@@ -97,7 +100,6 @@ type Pool struct {
 	threads []*cleanerState
 	activeN int
 
-	inCP          bool
 	pendingJobs   int
 	resourcesHeld int
 	idleCond      *sim.WaitQueue
@@ -131,9 +133,9 @@ func NewPool(in *Infra, opts Options, costs CostModel) *Pool {
 	for i := 0; i < opts.MaxCleaners; i++ {
 		cs := &cleanerState{
 			id:     i,
-			tok:    in.global.NewToken(),
 			virt:   make([]*VBucket, len(in.vols)),
 			stages: make([][]uint64, len(in.spaces)),
+			deltas: make([]int64, len(in.spaces)),
 		}
 		p.threads = append(p.threads, cs)
 		cs.t = in.s.Go(fmt.Sprintf("cleaner-%d", i), sim.CatCleaner, func(t *sim.Thread) {
@@ -227,7 +229,6 @@ func (p *Pool) RunPhase(t *sim.Thread, jobs []*Job) {
 		return
 	}
 	p.queueMu.Lock(t)
-	p.inCP = true
 	for _, j := range jobs {
 		p.queue.Push(j)
 	}
@@ -240,7 +241,6 @@ func (p *Pool) RunPhase(t *sim.Thread, jobs []*Job) {
 	for p.pendingJobs > 0 || p.resourcesHeld > 0 {
 		p.idleCond.WaitWith(t, p.queueMu)
 	}
-	p.inCP = false
 	p.queueMu.Unlock(t)
 	p.phaseTime += sim.Duration(t.Now() - phaseStart)
 }
@@ -413,9 +413,9 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job) {
 			p.stats.BuffersCleaned++
 
 			// Loose accounting: allocation consumed a free block.
-			p.in.CleanerCounterAdd(t, cs.tok, p.in.phys.counter, -1)
+			p.in.CleanerCounterAdd(cs, p.in.phys, -1)
 			if job.Dual {
-				p.in.CleanerCounterAdd(t, cs.tok, vs.counter, -1)
+				p.in.CleanerCounterAdd(cs, vs.space, -1)
 			}
 
 			// Stage the frees of the overwritten locations. A snapshot-held
@@ -446,7 +446,7 @@ func (p *Pool) stage(cs *cleanerState, sp *space, bn uint64, credit bool) {
 	cs.t.Consume(p.costs.StagePush)
 	cs.stages[sp.idx] = append(cs.stages[sp.idx], bn)
 	if credit {
-		p.in.CleanerCounterAdd(cs.t, cs.tok, sp.counter, 1)
+		p.in.CleanerCounterAdd(cs, sp, 1)
 	}
 	if len(cs.stages[sp.idx]) >= stageSize {
 		p.commitStage(cs, sp)
@@ -481,5 +481,5 @@ func (p *Pool) release(cs *cleanerState) {
 	for _, sp := range p.in.spaces {
 		p.commitStage(cs, sp)
 	}
-	p.in.FlushToken(t, cs.tok)
+	p.in.FlushToken(cs)
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
@@ -471,6 +473,150 @@ func TestLooseAccountingConverges(t *testing.T) {
 	if gotDelta != groundDelta {
 		t.Fatalf("loose counter delta %d != ground truth delta %d", gotDelta, groundDelta)
 	}
+}
+
+// TestLooseAccountingToken pins the token's rules on a cleaner state of the
+// test's own (§III-C): staged deltas leave every space's free count alone
+// until FlushToken, which adds each to its own space, resets the token and
+// charges TokenFlush once; AggrFree and VolFree lag until that flush; a token with nothing staged flushes for free; any
+// interleaving across tokens converges to the direct sum; and with
+// LooseAccounting off every update lands at once and charges CounterDirect.
+func TestLooseAccountingToken(t *testing.T) {
+	costs := DefaultCosts()
+	// token runs fn on a simulated thread with a fresh token over e's spaces.
+	token := func(t *testing.T, loose bool, fn func(e *env, cs *cleanerState)) {
+		e := newEnv(t, func(o *Options) { o.LooseAccounting = loose })
+		e.runThread(t, func(th *sim.Thread) {
+			fn(e, &cleanerState{t: th, deltas: make([]int64, len(e.in.spaces))})
+		})
+	}
+	frees := func(e *env) []int64 {
+		var out []int64
+		for _, sp := range e.in.spaces {
+			out = append(out, sp.free)
+		}
+		return out
+	}
+	// charged returns the CPU fn consumed on the token's thread.
+	charged := func(cs *cleanerState, fn func()) sim.Duration {
+		before := cs.t.Busy()
+		fn()
+		return cs.t.Busy() - before
+	}
+
+	t.Run("staged", func(t *testing.T) {
+		token(t, true, func(e *env, cs *cleanerState) {
+			if len(e.in.spaces) != 3 {
+				t.Fatalf("%d spaces, want the aggregate and two volumes", len(e.in.spaces))
+			}
+			start := frees(e)
+			want := slices.Clone(start)
+			for i, d := range []int64{-7, 3, -2, 5} {
+				sp := e.in.spaces[i%len(e.in.spaces)]
+				if got := charged(cs, func() { e.in.CleanerCounterAdd(cs, sp, d) }); got != 0 {
+					t.Fatalf("staging charged %v", got)
+				}
+				want[sp.idx] += d
+			}
+			if got := frees(e); !slices.Equal(got, start) {
+				t.Fatalf("staged deltas moved the free counts: %v -> %v", start, got)
+			}
+			if cs.staged != 4 || !slices.Equal(cs.deltas, []int64{-2, 3, -2}) {
+				t.Fatalf("token staged=%d deltas=%v", cs.staged, cs.deltas)
+			}
+			if got := charged(cs, func() { e.in.FlushToken(cs) }); got != costs.TokenFlush {
+				t.Fatalf("flush charged %v, want %v", got, costs.TokenFlush)
+			}
+			if got := frees(e); !slices.Equal(got, want) {
+				t.Fatalf("after flush free counts %v, want %v", got, want)
+			}
+			if cs.staged != 0 || slices.ContainsFunc(cs.deltas, func(d int64) bool { return d != 0 }) {
+				t.Fatalf("flush left staged=%d deltas=%v", cs.staged, cs.deltas)
+			}
+			// A second round credits only its own delta.
+			e.in.CleanerCounterAdd(cs, e.in.phys, 1)
+			e.in.FlushToken(cs)
+			if want[0]++; !slices.Equal(frees(e), want) {
+				t.Fatalf("second flush: free counts %v, want %v", frees(e), want)
+			}
+		})
+	})
+
+	// The readers see the count lag the logical value until the flush
+	// reconciles it.
+	t.Run("lags", func(t *testing.T) {
+		token(t, true, func(e *env, cs *cleanerState) {
+			aggr, vol := e.in.AggrFree(), e.in.VolFree(0)
+			e.in.CleanerCounterAdd(cs, e.in.phys, 1-aggr)
+			e.in.CleanerCounterAdd(cs, e.in.vols[0].space, 1-vol)
+			if e.in.AggrFree() != aggr || e.in.VolFree(0) != vol {
+				t.Fatalf("before flush AggrFree %d VolFree %d, want %d %d", e.in.AggrFree(), e.in.VolFree(0), aggr, vol)
+			}
+			e.in.FlushToken(cs)
+			if e.in.AggrFree() != 1 || e.in.VolFree(0) != 1 {
+				t.Fatalf("after flush AggrFree %d VolFree %d, want 1 1", e.in.AggrFree(), e.in.VolFree(0))
+			}
+		})
+	})
+
+	t.Run("empty", func(t *testing.T) {
+		token(t, true, func(e *env, cs *cleanerState) {
+			if got := charged(cs, func() { e.in.FlushToken(cs) }); got != 0 {
+				t.Fatalf("empty flush charged %v", got)
+			}
+			// Deltas that cancel are still staged updates: the flush runs.
+			start := frees(e)
+			e.in.CleanerCounterAdd(cs, e.in.phys, -1)
+			e.in.CleanerCounterAdd(cs, e.in.phys, 1)
+			if got := charged(cs, func() { e.in.FlushToken(cs) }); got != costs.TokenFlush {
+				t.Fatalf("cancelling flush charged %v, want %v", got, costs.TokenFlush)
+			}
+			if cs.staged != 0 || !slices.Equal(frees(e), start) {
+				t.Fatalf("cancelling flush: staged=%d free counts %v -> %v", cs.staged, start, frees(e))
+			}
+		})
+	})
+
+	t.Run("converge", func(t *testing.T) {
+		token(t, true, func(e *env, cs *cleanerState) {
+			toks := []*cleanerState{cs,
+				{t: cs.t, deltas: make([]int64, len(e.in.spaces))},
+				{t: cs.t, deltas: make([]int64, len(e.in.spaces))}}
+			fn := func(deltas []int16, split uint8) bool {
+				want := frees(e)
+				for i, d := range deltas {
+					sp := e.in.spaces[(int(split)+i)%len(e.in.spaces)]
+					e.in.CleanerCounterAdd(toks[(int(split)+i/2)%len(toks)], sp, int64(d))
+					want[sp.idx] += int64(d)
+				}
+				for _, tok := range toks {
+					e.in.FlushToken(tok)
+				}
+				return slices.Equal(frees(e), want)
+			}
+			if err := quick.Check(fn, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+
+	t.Run("direct", func(t *testing.T) {
+		token(t, false, func(e *env, cs *cleanerState) {
+			want := frees(e)
+			for i, d := range []int64{-4, 9, 1} {
+				sp := e.in.spaces[i]
+				if got := charged(cs, func() { e.in.CleanerCounterAdd(cs, sp, d) }); got != costs.CounterDirect {
+					t.Fatalf("direct update charged %v, want %v", got, costs.CounterDirect)
+				}
+				if want[i] += d; !slices.Equal(frees(e), want) {
+					t.Fatalf("direct update: free counts %v, want %v", frees(e), want)
+				}
+			}
+			if got := charged(cs, func() { e.in.FlushToken(cs) }); got != 0 || cs.staged != 0 {
+				t.Fatalf("flush after direct updates charged %v, staged=%d", got, cs.staged)
+			}
+		})
+	})
 }
 
 // TestBatchedCleaningTakesMultipleSmallJobs: eight one-buffer files are each

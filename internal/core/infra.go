@@ -6,7 +6,6 @@ import (
 	"wafl/internal/aggregate"
 	"wafl/internal/bitmap"
 	"wafl/internal/block"
-	"wafl/internal/counters"
 	"wafl/internal/fifo"
 	"wafl/internal/obs"
 	"wafl/internal/sim"
@@ -93,9 +92,7 @@ type Infra struct {
 
 	metaCursor uint64 // physical scan cursor for metafile allocations
 
-	// Global counters with loose accounting (§III-C).
-	global    *counters.Global
-	counterMu *sim.Mutex // the lock the LooseAccounting=false ablation contends on
+	counterMu *sim.Mutex // guards the spaces' free counts (§III-C): each token flush, or each update without LooseAccounting
 
 	pendingOps int               // outstanding infra messages (fills + commits)
 	done       func()            // opDone, bound once: the completion callback of every send
@@ -148,7 +145,6 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		cacheCond: sim.NewWaitQueue(s, "bucket-cache-cond"),
 		counterMu: sim.NewMutex(s, "global-counters"),
 		drainCond: sim.NewWaitQueue(s, "infra-drain"),
-		global:    counters.NewGlobal(),
 		stats: InfraStats{
 			GetWait:    obs.NewHistogram("infra.get_wait"),
 			VGetWait:   obs.NewHistogram("infra.vget_wait"),
@@ -181,7 +177,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		fc.run = fc.commit
 		return fc
 	})
-	in.phys = in.newSpace("aggr.free", a.Activemap, a.Geometry().TotalBlocks(), a.TotalFree(), h.AggrVBN, h.Ranges)
+	in.phys = in.newSpace(a.Activemap, a.Geometry().TotalBlocks(), a.TotalFree(), h.AggrVBN, h.Ranges)
 	for gi := 0; gi < a.Groups(); gi++ {
 		in.win = append(in.win, windowState{aa: -1})
 		in.usedAAs = append(in.usedAAs, make([]bool, a.Geometry().AAsPerGroup()))
@@ -195,7 +191,7 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 		free := v.Activemap.CountFreeNotIn(v.Summary, 0, v.VVBNBlocks())
 		hv := h.Volumes[v.ID()]
 		vs := &volState{
-			space:       in.newSpace(fmt.Sprintf("vol%d.free", v.ID()), v.Activemap, v.VVBNBlocks(), free, hv.VolVBN, hv.Ranges),
+			space:       in.newSpace(v.Activemap, v.VVBNBlocks(), free, hv.VolVBN, hv.Ranges),
 			vol:         v,
 			cond:        sim.NewWaitQueue(s, fmt.Sprintf("vol%d-vbucket-cond", v.ID())),
 			region:      -1,
@@ -211,12 +207,12 @@ func NewInfra(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggre
 // Stats returns a snapshot of infrastructure counters.
 func (in *Infra) Stats() InfraStats { return in.stats }
 
-// AggrFree returns the loosely-accounted global free-block counter.
-func (in *Infra) AggrFree() int64 { return in.global.Get(in.phys.counter) }
+// AggrFree returns the aggregate's loosely-accounted free-block count.
+func (in *Infra) AggrFree() int64 { return in.phys.free }
 
-// VolFree returns the loosely-accounted allocatable-VVBN counter of volID
+// VolFree returns the loosely-accounted allocatable-VVBN count of volID
 // (free = !active && !summary; snapshot-held blocks excluded).
-func (in *Infra) VolFree(volID int) int64 { return in.global.Get(in.vols[volID].counter) }
+func (in *Infra) VolFree(volID int) int64 { return in.vols[volID].free }
 
 // selectAA picks the next Allocation Area for a group according to the
 // configured policy, excluding AAs already used in this CP, or -1.

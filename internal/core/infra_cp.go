@@ -3,7 +3,6 @@ package core
 import (
 	"wafl/internal/aggregate"
 	"wafl/internal/block"
-	"wafl/internal/counters"
 	"wafl/internal/sim"
 )
 
@@ -127,14 +126,14 @@ func (in *Infra) Reclaim(v *aggregate.Volume, pvbns, vvbns []uint64, allocatable
 	vs := in.vols[v.ID()]
 	in.free(in.phys, pvbns)
 	in.free(vs.space, vvbns)
-	in.global.Add(in.phys.counter, int64(len(pvbns)))
-	in.global.Add(vs.counter, int64(allocatable))
+	in.phys.free += int64(len(pvbns))
+	vs.free += int64(allocatable)
 }
 
 // AdjustAggrFree corrects the loose aggregate free counter by delta: the
 // activemap flush planner allocates and frees directly, and the CP engine
 // reconciles the counter with the net change (§III-C's audit-and-correct).
-func (in *Infra) AdjustAggrFree(delta int64) { in.global.Add(in.phys.counter, delta) }
+func (in *Infra) AdjustAggrFree(delta int64) { in.phys.free += delta }
 
 // FindMetaVBN returns a free physical block for metafile placement (the
 // activemap flush planner's allocation source), scanning from a persistent
@@ -160,30 +159,36 @@ func (in *Infra) FindMetaVBN(t *sim.Thread) block.VBN {
 	panic("core: no free block for metafile allocation (aggregate full?)")
 }
 
-// CleanerCounterAdd applies a counter update from a cleaner thread. With
-// loose accounting the delta is staged in the thread's token at zero
-// synchronization cost; otherwise the global counter lock is taken for
-// every update — the contended pre-loose-accounting path (§III-C), kept as
-// an ablation.
-func (in *Infra) CleanerCounterAdd(t *sim.Thread, tok *counters.Token, id counters.ID, delta int64) {
+// CleanerCounterAdd applies an update of sp's free count from cleaner cs.
+// With loose accounting the delta is staged in the thread's token at zero
+// synchronization cost; otherwise the counter lock is taken for every
+// update — the contended pre-loose-accounting path (§III-C), kept as an
+// ablation.
+func (in *Infra) CleanerCounterAdd(cs *cleanerState, sp *space, delta int64) {
 	if in.opts.LooseAccounting {
-		tok.Add(id, delta)
+		cs.deltas[sp.idx] += delta
+		cs.staged++
 		return
 	}
-	in.counterMu.Lock(t)
-	t.Consume(in.costs.CounterDirect)
-	in.global.Add(id, delta)
-	in.counterMu.Unlock(t)
+	in.counterMu.Lock(cs.t)
+	cs.t.Consume(in.costs.CounterDirect)
+	sp.free += delta
+	in.counterMu.Unlock(cs.t)
 }
 
-// FlushToken applies a cleaner's staged counter deltas in one batched
-// update under the counter lock.
-func (in *Infra) FlushToken(t *sim.Thread, tok *counters.Token) {
-	if tok.Staged() == 0 {
+// FlushToken applies cleaner cs's staged deltas to the free counts in one
+// batched update under the counter lock, and resets the token. A token with
+// nothing staged takes no lock; one whose deltas cancel still flushes.
+func (in *Infra) FlushToken(cs *cleanerState) {
+	if cs.staged == 0 {
 		return
 	}
-	in.counterMu.Lock(t)
-	t.Consume(in.costs.TokenFlush)
-	tok.Flush()
-	in.counterMu.Unlock(t)
+	in.counterMu.Lock(cs.t)
+	cs.t.Consume(in.costs.TokenFlush)
+	for i, d := range cs.deltas {
+		in.spaces[i].free += d
+	}
+	clear(cs.deltas)
+	cs.staged = 0
+	in.counterMu.Unlock(cs.t)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"wafl/internal/bitmap"
 	"wafl/internal/block"
-	"wafl/internal/counters"
 	"wafl/internal/sim"
 	"wafl/internal/waffinity"
 )
@@ -35,7 +34,12 @@ type space struct {
 	// scan, and the raw candidates are copied out before the next one starts.
 	scanBuf []uint64
 
-	counter counters.ID // the space's loosely-accounted free count (§III-C)
+	// free is the space's loosely-accounted free count (§III-C): cleaners
+	// stage their updates in per-thread deltas (cleanerState.deltas, by
+	// idx) and flush them in batches, so between flushes it lags the
+	// logical value. It is the per-core "sloppy counter" of Boyd-Wickizer
+	// et al. (OSDI'10), which the paper notes as concurrent related work.
+	free int64
 
 	whole  *waffinity.Affinity   // the whole-metafile affinity (AggrVBN, VolVBN)
 	ranges []*waffinity.Affinity // its Range partitions, by metafile block
@@ -45,17 +49,16 @@ type space struct {
 	open []*freeCommit
 }
 
-// newSpace registers the next space: its counter (aggregate first, then
-// volumes by ID, which is the order tokens index deltas in), its fences, and
-// the hook that feeds pendingFree.
-func (in *Infra) newSpace(name string, amap *bitmap.Activemap, nbits, free uint64, whole *waffinity.Affinity, ranges []*waffinity.Affinity) *space {
+// newSpace registers the next space (aggregate first, then volumes by ID,
+// the order cleaners index their stages and deltas in): its free count, its
+// fences, and the hook that feeds pendingFree.
+func (in *Infra) newSpace(amap *bitmap.Activemap, nbits, free uint64, whole *waffinity.Affinity, ranges []*waffinity.Affinity) *space {
 	sp := &space{
 		idx: len(in.spaces), amap: amap, find: amap.FindFree,
 		pendingFree: newBitset(nbits), reserved: newBitset(nbits),
-		counter: in.global.Register(name), whole: whole, ranges: ranges,
+		free: int64(free), whole: whole, ranges: ranges,
 		open: make([]*freeCommit, bitmap.BlockOf(nbits-1)+1),
 	}
-	in.global.Add(sp.counter, int64(free))
 	if !in.opts.InfraParallel {
 		// Serialized (the §V-A instrumented baseline, modelling the pre-
 		// White-Alligator design where one thread owned all metafile

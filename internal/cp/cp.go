@@ -89,7 +89,6 @@ type Engine struct {
 	cpDone  *sim.WaitQueue
 	wantCP  bool
 	running bool
-	stopped bool
 
 	jobs []*core.Job // the cleaning phases' job list, reused
 
@@ -202,12 +201,6 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Running reports whether a CP is in progress.
 func (e *Engine) Running() bool { return e.running }
 
-// Stop makes the engine thread exit after the current CP.
-func (e *Engine) Stop() {
-	e.stopped = true
-	e.trigger.Signal()
-}
-
 // RequestCP asks for a consistency point. If one is already running, the
 // request is remembered and a back-to-back CP follows immediately — the
 // state in which client writes stall on NVRAM space.
@@ -227,12 +220,9 @@ func (e *Engine) WaitCPDone(t *sim.Thread) {
 }
 
 func (e *Engine) loop(t *sim.Thread) {
-	for !e.stopped {
-		for !e.wantCP && !e.stopped {
+	for {
+		for !e.wantCP {
 			e.trigger.Wait(t)
-		}
-		if e.stopped {
-			return
 		}
 		e.wantCP = false
 		e.running = true

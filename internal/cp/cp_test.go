@@ -249,12 +249,3 @@ func TestMultiVolumeCP(t *testing.T) {
 		}
 	}
 }
-
-func TestStopEndsEngine(t *testing.T) {
-	e := newEnv(t)
-	e.engine.Stop()
-	e.s.RunFor(100 * sim.Millisecond)
-	if e.s.Live() == 0 {
-		t.Skip("other threads keep the sim alive; just ensure no panic")
-	}
-}

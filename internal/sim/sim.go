@@ -285,10 +285,6 @@ func (s *Scheduler) Now() Time { return s.now }
 // Rand returns the simulation's deterministic random source.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
-// Live returns the number of simulated threads that have been spawned and
-// have not yet returned.
-func (s *Scheduler) Live() int { return s.live }
-
 // Events returns the number of events processed so far (a cheap progress and
 // determinism fingerprint).
 func (s *Scheduler) Events() uint64 { return s.dispatched }

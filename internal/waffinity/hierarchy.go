@@ -32,7 +32,6 @@ type VolAffinities struct {
 //	        ├── VolLogical ── Stripe[s]
 //	        └── VolVBN ── Range[r]
 type Hierarchy struct {
-	Sched   *Scheduler
 	Serial  *Affinity
 	Aggr    *Affinity
 	AggrVBN *Affinity   // aggregate allocation-metafile work
@@ -42,7 +41,7 @@ type Hierarchy struct {
 
 // NewHierarchy builds the standard tree on scheduler w.
 func NewHierarchy(w *Scheduler, cfg HierarchyConfig) *Hierarchy {
-	h := &Hierarchy{Sched: w, Serial: w.Root()}
+	h := &Hierarchy{Serial: w.Root()}
 	ai := cfg.FirstAggr
 	h.Aggr = w.AddChild(h.Serial, KindAggregate, fmt.Sprintf("aggr%d", ai))
 	h.AggrVBN = w.AddChild(h.Aggr, KindAggrVBN, fmt.Sprintf("aggr%d.vbn", ai))

@@ -167,12 +167,10 @@ type Scheduler struct {
 	// start only follow a scan that found something, which leaves it clear.
 	blocked bool
 
-	idle      *sim.WaitQueue
-	nworkers  int
-	stats     Stats
-	queued    int
-	dispatch  sim.Duration // per-message scheduler CPU overhead
-	announced bool
+	idle     *sim.WaitQueue
+	stats    Stats
+	queued   int
+	dispatch sim.Duration // per-message scheduler CPU overhead
 
 	// Recycled state (DESIGN §9): messages come back when their worker has
 	// run them and their completion, call records when their caller has seen
@@ -189,7 +187,6 @@ func New(s *sim.Scheduler, workers int, dispatchCost sim.Duration) *Scheduler {
 		s:        s,
 		root:     &Affinity{name: "Serial", kind: KindSerial},
 		idle:     sim.NewWaitQueue(s, "waffinity.idle"),
-		nworkers: workers,
 		dispatch: dispatchCost,
 		stats:    Stats{QueueWait: obs.NewHistogram("waffinity.queue_wait")},
 	}

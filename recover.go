@@ -12,14 +12,9 @@ package wafl
 func (sys *System) Crash() {
 	sys.stopped = true
 	for _, m := range sys.members {
-		if m.tuner != nil {
-			m.tuner.Stop()
-		}
+		m.crash()
 	}
-	sys.s.KillFrom(sys.threadMark)
-	for _, m := range sys.members {
-		m.a.CrashAll()
-	}
+	sys.s.KillFrom(sys.threadMark) // the client threads
 }
 
 // Recover mounts a fresh System from the crashed system's persistent

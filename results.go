@@ -43,10 +43,8 @@ type Results struct {
 	MBPerSec   float64
 	LatAvg     Duration
 	LatP50     Duration
-	LatP90     Duration
 	LatP99     Duration
-	LatP999    Duration // p99.9 — the overload-study tail metric
-	LatMax     Duration
+	LatP999    Duration  // p99.9 — the overload-study tail metric
 	Cores      CoreUsage // cluster-wide: the CPU pool is shared
 	CPs        uint64
 	Stalls     uint64
@@ -141,10 +139,8 @@ func windowResults(st Stats, window Duration) Results {
 	if lat := st.Lat; lat != nil && lat.Count > 0 {
 		r.LatAvg = Duration(lat.Mean())
 		r.LatP50 = Duration(lat.Quantile(0.50))
-		r.LatP90 = Duration(lat.Quantile(0.90))
 		r.LatP99 = Duration(lat.Quantile(0.99))
 		r.LatP999 = Duration(lat.Quantile(0.999))
-		r.LatMax = Duration(lat.Max)
 	}
 	return r
 }

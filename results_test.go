@@ -55,7 +55,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 // its latency must be the window's ops exactly — count, sum, p50, p99 and
 // p99.9 — as a reference histogram fed every op's returned latency records
 // them. A small NVRAM log makes the writes stall, so the tail is ~9x p50.
-// LatMax is not compared: a window histogram's Max is recovered from its top
+// The window histogram's Max is not compared: it is recovered from the top
 // bucket (obs.Histogram.Delta), exact only to that bucket, and so is any
 // quantile whose rank falls in the top bucket (p99.9 of a window of fewer
 // than 1,000 ops).
