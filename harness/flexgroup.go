@@ -9,8 +9,6 @@ import (
 
 // FlexgroupResult is one cluster width's measurement.
 type FlexgroupResult struct {
-	Members   int
-	Res       wafl.Results   // cluster-wide window: PerMember's Stats folded
 	PerMember []wafl.Results // one window per member
 	Speedup   float64        // ops/s relative to the first (baseline) width
 }
@@ -58,7 +56,7 @@ func Flexgroup(rc RunConfig, w workload.ManyFile) (Table, []FlexgroupResult, err
 		if base > 0 {
 			speedup = res.OpsPerSec / base
 		}
-		out = append(out, FlexgroupResult{Members: n, Res: res, PerMember: parts, Speedup: speedup})
+		out = append(out, FlexgroupResult{PerMember: parts, Speedup: speedup})
 
 		minOps, maxOps := parts[0].OpsPerSec, parts[0].OpsPerSec
 		for _, p := range parts[1:] {

@@ -11,8 +11,6 @@ import (
 // per-class sojourn tail (queue wait included), admission-control activity,
 // and the NVLog stall attribution that explains the tail.
 type OverloadPoint struct {
-	Mode string // "admission-off" | "admission-on"
-
 	// Sojourn (arrival -> completion) quantiles over the measurement
 	// window, per QoS class.
 	LSP50, LSP99, LSP999 wafl.Duration
@@ -40,7 +38,7 @@ func OverloadConfig(base wafl.Config) wafl.Config {
 }
 
 // runOverload measures one admission mode and returns its point.
-func runOverload(cfg wafl.Config, warmup, window wafl.Duration, mode string) (OverloadPoint, error) {
+func runOverload(cfg wafl.Config, warmup, window wafl.Duration) (OverloadPoint, error) {
 	w := workload.DefaultOpenLoop() // the same burst shape for both modes
 	sys, err := wafl.NewSystem(cfg)
 	if err != nil {
@@ -58,7 +56,6 @@ func runOverload(cfg wafl.Config, warmup, window wafl.Duration, mode string) (Ov
 	ls := w.LSLat.Delta(ls0)
 	bulk := w.BulkLat.Delta(bulk0)
 	p := OverloadPoint{
-		Mode:         mode,
 		LSP50:        wafl.Duration(ls.Quantile(0.50)),
 		LSP99:        wafl.Duration(ls.Quantile(0.99)),
 		LSP999:       wafl.Duration(ls.Quantile(0.999)),
@@ -99,7 +96,7 @@ func Overload(rc RunConfig) (Table, []OverloadPoint, error) {
 		if on {
 			mode = "admission-on"
 		}
-		p, err := runOverload(cfg, rc.Warmup, rc.Window, mode)
+		p, err := runOverload(cfg, rc.Warmup, rc.Window)
 		if err != nil {
 			return Table{}, nil, err
 		}

@@ -106,10 +106,11 @@ func TestNFSMixHostAllocBudget(t *testing.T) {
 // whose window writes every block for the first time, each of its ~8.1 new
 // images per op is one the media keeps; everything else — the allocator's
 // window records, message bodies, cleaning jobs, slot arrays, CP scratch —
-// comes back from free lists, and at most 0.5 mallocs per op are left: 0.19
-// now, 1.74 when windows, jobs, message bodies and the level-1 slot arrays
-// were built fresh (DESIGN §9, §15). On nfsmix, at most 0.36: 0.08 now,
-// 0.76 then.
+// comes back from free lists, and at most 0.5 mallocs per op are left: 0.11
+// now, 0.18 when each CP built its per-volume records and fan-out units,
+// 1.74 when windows, jobs, message bodies and the level-1 slot arrays were
+// built fresh too (DESIGN §9, §15). On nfsmix, at most 0.36: 0.06 now, 0.07
+// and 0.76 then.
 func TestWindowMallocsAreImages(t *testing.T) {
 	for _, row := range []struct {
 		name   string
@@ -250,9 +251,11 @@ func overloadBurst(t *testing.T) *wafl.System {
 // TestOverloadHostAllocBudget guards the host cost of the CP's write path on
 // the benchmark's costliest workload: over overload_burst's 100 ms recover
 // phase at most 0.8 KiB of host heap per client op. The figure sits near
-// 0.68 KiB/op (4.6 mallocs) while the CP's jobs and scratch, the
-// allocator's window records and the level-1 slot arrays are recycled
-// (DESIGN §9, §15; 0.96 KiB and 11.7 mallocs when each was built fresh,
+// 0.58 KiB/op (3.9 mallocs) while the CP's jobs and scratch, its per-volume
+// records and fan-out units, the allocator's window records and the
+// level-1 slot arrays are recycled (DESIGN §9, §15; 0.66 KiB and 4.5
+// mallocs when each CP built its cuts, frozen file lists and fan-out units
+// and closures; 0.96 KiB and 11.7 mallocs when everything was built fresh,
 // 1.17 KiB when each stripe write also cloned a row of data images,
 // DESIGN §4) and the CP's copies of indirect and metafile blocks (a
 // sealed buffer's clone, a sparse block's trimmed copy for the media) come
@@ -445,6 +448,37 @@ func TestAgedRandLiveHeapBudget(t *testing.T) {
 	}
 	if perOp > budgetKiB {
 		t.Fatalf("agedrand allocates %.3f KiB of host heap per op, budget %v KiB/op", perOp, budgetKiB)
+	}
+}
+
+// TestAgedPrefillLiveHeapBudget pins the moment that sets agedrand's peak
+// RSS: its set-up's prefill, 393,216 blocks dirty in one CP, before the
+// flush that cleans them. Built as AgedVol.Attach builds it, the system then
+// holds under 70 MiB of live heap. It sits near 65.7 MiB while a buffer is
+// 64 bytes, its rare preserved CP image in the image pool's side home
+// (DESIGN §15); 77.7 MiB when every buffer was 96 bytes, with a 24-byte CP
+// image field and a word-wide level.
+func TestAgedPrefillLiveHeapBudget(t *testing.T) {
+	const budgetMiB = 70
+	base := liveHeap()
+	w := workload.DefaultAgedVol()
+	cfg := wafl.DefaultConfig()
+	w.Configure(&cfg)
+	sys, err := wafl.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	for v := 0; v < w.Volumes; v++ {
+		for range w.FilesPerV {
+			sys.Prewrite(v, sys.CreateFileDirect(v, w.FileBlocks), w.FileBlocks, true)
+		}
+	}
+	live := liveHeap() - base
+	runtime.KeepAlive(sys)
+	t.Logf("%.1f MiB live heap", live)
+	if live > budgetMiB {
+		t.Fatalf("agedrand's dirty prefill keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
 	}
 }
 

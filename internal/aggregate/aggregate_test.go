@@ -222,7 +222,7 @@ func (c *testCheckpoint) cleanFile(th *sim.Thread, f *fs.File, dual bool, v *Vol
 func (c *testCheckpoint) run(th *sim.Thread) {
 	a := c.a
 	for _, v := range a.Volumes() {
-		files := v.FreezeAll()
+		files := v.FreezeAll(nil)
 		for _, f := range files {
 			c.cleanFile(th, f, true, v)
 			v.WriteRecord(f)
@@ -424,7 +424,7 @@ func TestCreateFileAtForms(t *testing.T) {
 	if got.Ino() != persisted.Ino() || !bytes.Equal(v.ReadBlock(nil, got, 5), pattern(1)) {
 		t.Fatal("re-creating a persisted inode did not return the file on media")
 	}
-	if v.DirtyFiles() != 0 || len(v.FreezeAll()) != 0 {
+	if v.DirtyFiles() != 0 || len(v.FreezeAll(nil)) != 0 {
 		t.Fatal("re-creating a persisted inode dirtied it")
 	}
 	// Explicit, fresh — ahead of the counter, as replay after a CP that
@@ -446,7 +446,7 @@ func TestCreateFileAtForms(t *testing.T) {
 	if gap := v.CreateFileAt(ahead-1, 100); gap.Ino() != ahead-1 || v.NextIno() != ahead+2 {
 		t.Fatalf("explicit create in a gap: ino %d, nextIno %d", gap.Ino(), v.NextIno())
 	}
-	if n := len(v.FreezeAll()); n != 3 {
+	if n := len(v.FreezeAll(nil)); n != 3 {
 		t.Fatalf("%d inode records queued, want 3 (pending, assigned, gap)", n)
 	}
 }

@@ -345,16 +345,17 @@ func (v *Volume) MarkDirty(f *fs.File) {
 func (v *Volume) DirtyFiles() int { return len(v.dirty) }
 
 // FreezeAll freezes every dirty user file for the starting CP and returns
-// the frozen inode list (sorted by ino for determinism). Files with only a
+// the frozen inode list (sorted by ino for determinism), built in out's
+// array: the CP engine passes the list its last CP used. Files with only a
 // record change (fresh creates) are included with zero frozen buffers. It
-// first releases the dropped files' buffers: the CP that froze them last has
-// committed.
-func (v *Volume) FreezeAll() []*fs.File {
+// first releases the dropped files' buffers: the CP that froze them last
+// has committed.
+func (v *Volume) FreezeAll(out []*fs.File) []*fs.File {
 	for _, f := range v.dropped {
 		f.Release()
 	}
 	v.dropped = v.dropped[:0]
-	out := make([]*fs.File, 0, len(v.dirty)+len(v.recordDirty))
+	out = out[:0]
 	for _, f := range v.dirty {
 		f.Freeze()
 		out = append(out, f)

@@ -369,7 +369,7 @@ func buildDirtyFile(v *aggregate.Volume, n int) *fs.File {
 		f.WriteBlock(block.FBN(i), []byte{byte(i)})
 	}
 	v.MarkDirty(f)
-	files := v.FreezeAll()
+	files := v.FreezeAll(nil)
 	for _, ff := range files {
 		if ff == f {
 			return f
@@ -433,7 +433,7 @@ func TestOverwriteStagesFrees(t *testing.T) {
 		f.WriteBlock(block.FBN(i), []byte{0xFF})
 	}
 	vol.MarkDirty(f)
-	vol.FreezeAll()
+	vol.FreezeAll(nil)
 	e.in.StartCP([]*aggregate.Volume{vol})
 	e.runThread(t, func(th *sim.Thread) {
 		e.pool.RunPhase(th, e.pool.AppendJobs(nil, vol, []*fs.File{f}, true))
@@ -636,7 +636,7 @@ func TestBatchedCleaningTakesMultipleSmallJobs(t *testing.T) {
 		vol.MarkDirty(f)
 		files = append(files, f)
 	}
-	vol.FreezeAll()
+	vol.FreezeAll(nil)
 	e.in.StartCP([]*aggregate.Volume{vol})
 	jobs := e.pool.AppendJobs(nil, vol, files, true)
 	e.runThread(t, func(th *sim.Thread) {

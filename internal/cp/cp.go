@@ -92,6 +92,15 @@ type Engine struct {
 
 	jobs []*core.Job // the cleaning phases' job list, reused
 
+	// A CP's per-volume records, kept from one CP to the next (DESIGN §9):
+	// cuts, each emptied when its CP ends; the volumes the cleaning phase
+	// has work for; and scatterVolumes' units, each bound once to its
+	// volUnit.
+	cuts      []volCut
+	dirtyVols []*aggregate.Volume
+	units     []waffinity.Unit
+	volUnits  []*volUnit
+
 	obsTid     int32 // interned CP-phase trace track id + 1; 0 = unset
 	obsSnapTid int32 // interned snapshot-event trace track id + 1; 0 = unset
 
@@ -155,6 +164,11 @@ func New(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggregate,
 	return e
 }
 
+// volFn is one volume's share of a CP phase. Phases are func literals that
+// capture nothing — the engine is their argument and its cuts their state —
+// so passing one allocates nothing.
+type volFn func(e *Engine, wt *sim.Thread, v *aggregate.Volume)
+
 // scatterVolumes runs fn once per volume of vols, in slice (sorted-ID)
 // order. ParallelCP=false runs the units inline on the engine thread; parallel
 // mode dispatches each as a message in that volume's Volume affinity and
@@ -165,34 +179,47 @@ func New(w *waffinity.Scheduler, h *waffinity.Hierarchy, a *aggregate.Aggregate,
 // touch engine/infra state directly — at most one simulated thread runs at
 // any real instant, so there is no host-level race — but fn must produce
 // only order-independent effects: writes to its own volume's volCut, counter
-// adds, stat increments.
-func (e *Engine) scatterVolumes(t *sim.Thread, name string, vols []*aggregate.Volume, fn func(wt *sim.Thread, v *aggregate.Volume)) {
+// adds, stat increments. The units are the engine's, one per volume slot,
+// reused by every fan-out.
+func (e *Engine) scatterVolumes(t *sim.Thread, name string, vols []*aggregate.Volume, fn volFn) {
 	if !e.opts.ParallelCP {
 		for _, v := range vols {
-			fn(t, v)
+			fn(e, t, v)
 		}
 		return
 	}
-	units := make([]waffinity.Unit, len(vols))
-	for i, v := range vols {
-		v := v
-		units[i] = waffinity.Unit{
-			Aff: e.h.Volumes[v.ID()].Volume,
-			Cat: sim.CatCP,
-			Fn: func(wt *sim.Thread) {
-				start := wt.Now()
-				fn(wt, v)
-				// Per-volume phase span on the executing worker's own
-				// track, so the fan-out's overlap is visible in the trace.
-				if tr := wt.Tracer(); tr != nil {
-					tr.Span(obs.PidThreads, wt.TrackID(), "cp",
-						fmt.Sprintf("cp.%s vol%d", name, v.ID()),
-						int64(start), int64(wt.Now()))
-				}
-			},
-		}
+	for len(e.units) < len(vols) {
+		u := &volUnit{e: e}
+		e.volUnits = append(e.volUnits, u)
+		e.units = append(e.units, waffinity.Unit{Cat: sim.CatCP, Fn: u.run})
 	}
-	e.w.ScatterJoin(t, units)
+	for i, v := range vols {
+		u := e.volUnits[i]
+		u.v, u.name, u.fn = v, name, fn
+		e.units[i].Aff = e.h.Volumes[v.ID()].Volume
+	}
+	e.w.ScatterJoin(t, e.units[:len(vols)])
+}
+
+// volUnit is one volume's message in a scatterVolumes fan-out.
+type volUnit struct {
+	e    *Engine
+	v    *aggregate.Volume
+	name string
+	fn   volFn
+}
+
+// run runs the unit's phase on its volume, on the worker wt.
+func (u *volUnit) run(wt *sim.Thread) {
+	start := wt.Now()
+	u.fn(u.e, wt, u.v)
+	// Per-volume phase span on the executing worker's own track, so the
+	// fan-out's overlap is visible in the trace.
+	if tr := wt.Tracer(); tr != nil {
+		tr.Span(obs.PidThreads, wt.TrackID(), "cp",
+			fmt.Sprintf("cp.%s vol%d", u.name, u.v.ID()),
+			int64(start), int64(wt.Now()))
+	}
 }
 
 // Stats returns a snapshot of engine counters.
@@ -249,16 +276,25 @@ type volCut struct {
 	redrive  bool             // phase 1b left work (deferred restore or bind, split batch) for a follow-up CP
 }
 
+// reset empties c for the next CP, keeping the arrays of its frozen list,
+// reap set and new-snapshot list.
+func (c *volCut) reset() {
+	clear(c.frozen)
+	clear(c.reaped)
+	clear(c.snaps)
+	*c = volCut{frozen: c.frozen[:0], reaped: c.reaped, snaps: c.snaps[:0]}
+}
+
 // runCP executes one full consistency point. The engine thread owns phase
 // ordering, the drains, and the crash-boundary hooks; the per-volume work
 // inside phases 1, 1b, 2b, 3, 3b, and 5 fans out across the Waffinity
 // Volume affinities when ParallelCP is on (see scatterVolumes).
 //
 // Everything a CP tracks per volume lives in one []volCut indexed by volume
-// ID. The freeze cut fills in what this CP — rather than the next — will
-// apply; after that every phase reads it, a fan-out worker writes only its
-// own volume's entry, and the engine thread reads any entry between joins
-// (picked selects the volumes a phase has work for).
+// ID, the engine's cuts. The freeze cut fills in what this CP — rather than
+// the next — will apply; after that every phase reads it, a fan-out worker
+// writes only its own volume's entry, and the engine thread reads any entry
+// between joins (picked selects the volumes a phase has work for).
 func (e *Engine) runCP(t *sim.Thread) {
 	start := t.Now()
 	tr := t.Tracer()
@@ -286,8 +322,11 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// surviving log record.
 	e.log.Switch()
 	vols := e.a.Volumes()
-	cuts := make([]volCut, len(vols))
-	picked := func(keep func(c *volCut) bool) (out []*aggregate.Volume) {
+	if n := len(vols) - len(e.cuts); n > 0 {
+		e.cuts = append(e.cuts, make([]volCut, n)...)
+	}
+	cuts := e.cuts[:len(vols)]
+	picked := func(out []*aggregate.Volume, keep func(c *volCut) bool) []*aggregate.Volume {
 		for _, v := range vols {
 			if keep(&cuts[v.ID()]) {
 				out = append(out, v)
@@ -301,11 +340,10 @@ func (e *Engine) runCP(t *sim.Thread) {
 		// the switch waits for the next. Restores are taken out of the volume
 		// here; binds stay queued on the volume (MaterializeClone consumes
 		// them) but the decision of *which* CP applies them is made now.
-		cuts[v.ID()] = volCut{
-			snapPend: v.TakePendingSnapshots(),
-			restPend: v.TakePendingRestores(),
-			bind:     v.ClonePending(),
-		}
+		c := &cuts[v.ID()]
+		c.snapPend = v.TakePendingSnapshots()
+		c.restPend = v.TakePendingRestores()
+		c.bind = v.ClonePending()
 	}
 	// The freeze itself fans out per volume. Client writes interleave with
 	// it either way (the serial loop yields in Consume between volumes):
@@ -314,12 +352,13 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// safe because replay is idempotent. Under fan-out each volume's freeze
 	// additionally excludes that volume's client ops (Stripes are
 	// descendants of Volume), making the per-volume cut atomic.
-	e.scatterVolumes(t, "freeze", vols, func(wt *sim.Thread, v *aggregate.Volume) {
-		files := v.FreezeAll()
-		cuts[v.ID()].frozen = files
-		wt.Consume(sim.Duration(len(files)) * e.costs.CPPerInode)
+	e.scatterVolumes(t, "freeze", vols, func(e *Engine, wt *sim.Thread, v *aggregate.Volume) {
+		c := &e.cuts[v.ID()]
+		c.frozen = v.FreezeAll(c.frozen)
+		wt.Consume(sim.Duration(len(c.frozen)) * e.costs.CPPerInode)
 	})
-	dirtyVols := picked(func(c *volCut) bool { return len(c.frozen) > 0 })
+	dirtyVols := picked(e.dirtyVols[:0], func(c *volCut) bool { return len(c.frozen) > 0 })
+	e.dirtyVols = dirtyVols
 
 	// Phase 1b: zombie processing — deleted files' on-disk blocks are
 	// reclaimed through the same free-commit machinery, and their inode
@@ -327,8 +366,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// walks are independent (all state is per-volume; free commits are
 	// asynchronous messages), so the walks fan out per volume.
 	e.in.StartCP(dirtyVols)
-	e.scatterVolumes(t, "zombies", vols, func(wt *sim.Thread, v *aggregate.Volume) {
-		cut := &cuts[v.ID()]
+	e.scatterVolumes(t, "zombies", vols, func(e *Engine, wt *sim.Thread, v *aggregate.Volume) {
+		cut := &e.cuts[v.ID()]
 		// SnapRestores taken at the freeze cut apply first: the restored
 		// image supersedes everything else queued on the volume (zombies and
 		// dirty state were already discarded at request time, and clients
@@ -419,7 +458,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 		}
 		cut.snapZ = v.TakeSnapZombies()
 	})
-	zvols := picked(func(c *volCut) bool { return len(c.snapZ) > 0 })
+	zvols := picked(nil, func(c *volCut) bool { return len(c.snapZ) > 0 })
 	// Splitting clones do their bounded block-copy step (or complete) after
 	// the zombie walks; computed here because a bind materialized above may
 	// have started a replay-queued split.
@@ -448,8 +487,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 		// and return exclusively-held blocks (plus the snapshot's own
 		// metafile trees) to the aggregate. Same-CP physical reuse is fenced
 		// by the pending-free set, exactly like file zombie frees.
-		e.scatterVolumes(t, "snapreclaim", zvols, func(wt *sim.Thread, v *aggregate.Volume) {
-			cut := &cuts[v.ID()]
+		e.scatterVolumes(t, "snapreclaim", zvols, func(e *Engine, wt *sim.Thread, v *aggregate.Volume) {
+			cut := &e.cuts[v.ID()]
 			zombies := cut.snapZ
 			for zi, z := range zombies {
 				pvbns, freedVVBNs, walked := v.ReclaimSnapshot(z, zombies[zi+1:])
@@ -476,7 +515,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 		// base block is live, completion clears the summary/base holds not
 		// owned by clone-local snapshots and (when fully drained) frees the
 		// base map metafile and drops the parent-snapshot delete guard.
-		e.scatterVolumes(t, "clonesplit", splitVols, func(wt *sim.Thread, v *aggregate.Volume) {
+		e.scatterVolumes(t, "clonesplit", splitVols, func(e *Engine, wt *sim.Thread, v *aggregate.Volume) {
 			if v.RestoreQueued() {
 				// The split is a writer and obeys the restore gate: a request
 				// that landed after this CP's freeze cut discarded the open
@@ -485,7 +524,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 				// CP's cleaner is already moving — freed twice. Checked here,
 				// not where splitVols is chosen: the request can arrive during
 				// the DrainFrees yield in between.
-				cuts[v.ID()].redrive = true
+				e.cuts[v.ID()].redrive = true
 				return
 			}
 			st := v.CloneState()
@@ -493,7 +532,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 				copied, walked := v.SplitStep(cloneSplitBatch)
 				wt.Consume(sim.Duration(walked) * e.costs.CommitPerBit)
 				e.stats.SplitCopied += uint64(copied)
-				cuts[v.ID()].redrive = true
+				e.cuts[v.ID()].redrive = true
 				return
 			}
 			pv, ps := st.ParentVol, st.ParentSnap
@@ -535,9 +574,9 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// pending snapshot's snapmap from the live amap content and fold it into
 	// the summary map, per volume. (The inode-file half of the image is
 	// captured after phase 3, once records are written.)
-	pvols := picked(func(c *volCut) bool { return len(c.snapPend) > 0 })
-	e.scatterVolumes(t, "snapcapture", pvols, func(wt *sim.Thread, v *aggregate.Volume) {
-		cut := &cuts[v.ID()]
+	pvols := picked(nil, func(c *volCut) bool { return len(c.snapPend) > 0 })
+	e.scatterVolumes(t, "snapcapture", pvols, func(e *Engine, wt *sim.Thread, v *aggregate.Volume) {
+		cut := &e.cuts[v.ID()]
 		for _, id := range cut.snapPend {
 			s, copied := v.MaterializeSnapshot(id, e.a.CPCount()+1)
 			wt.Consume(sim.Duration(copied) * e.costs.CommitPerBlock)
@@ -553,8 +592,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// Phase 3: inode records. Roots are final; serialize the records into
 	// the inode files, per volume.
 	metaStart := t.Now()
-	e.scatterVolumes(t, "records", dirtyVols, func(wt *sim.Thread, v *aggregate.Volume) {
-		cut := &cuts[v.ID()]
+	e.scatterVolumes(t, "records", dirtyVols, func(e *Engine, wt *sim.Thread, v *aggregate.Volume) {
+		cut := &e.cuts[v.ID()]
 		written := 0
 		for _, f := range cut.frozen {
 			if cut.reaped[f.Ino()] {
@@ -578,8 +617,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// (records written, deleted records cleared): copy it into each new
 	// snapshot's inocopy metafile, per volume. Both snapshot metafiles are
 	// then cleaned alongside the volume metafiles in phase 4.
-	e.scatterVolumes(t, "inocopy", pvols, func(wt *sim.Thread, v *aggregate.Volume) {
-		for _, s := range cuts[v.ID()].snaps {
+	e.scatterVolumes(t, "inocopy", pvols, func(e *Engine, wt *sim.Thread, v *aggregate.Volume) {
+		for _, s := range e.cuts[v.ID()].snaps {
 			copied := snap.CopyContent(s.InoCopy, v.InoFile())
 			wt.Consume(sim.Duration(copied) * e.costs.CommitPerBlock)
 		}
@@ -612,8 +651,8 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// are final after phase 4 — per volume; the snapdir is cleaned before
 	// the volume-table entries (which hold its root) are serialized. The
 	// volume table itself is aggregate state: it stays on the engine thread.
-	svols := picked(func(c *volCut) bool { return c.snapSet })
-	e.scatterVolumes(t, "snapdir", svols, func(wt *sim.Thread, v *aggregate.Volume) {
+	svols := picked(nil, func(c *volCut) bool { return c.snapSet })
+	e.scatterVolumes(t, "snapdir", svols, func(e *Engine, wt *sim.Thread, v *aggregate.Volume) {
 		v.WriteSnapdirEntries()
 		wt.Consume(e.costs.RecordWrite)
 	})
@@ -674,9 +713,13 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// The applied restores are durable: reopen the client gates. Deferred
 	// restores re-queued at phase 1b keep their volumes gated through
 	// pendRestores until the follow-up CP applies them.
-	for _, v := range picked(func(c *volCut) bool { return len(c.restPend) > 0 }) {
+	for _, v := range picked(nil, func(c *volCut) bool { return len(c.restPend) > 0 }) {
 		v.FinishRestore()
 	}
+	for i := range cuts {
+		cuts[i].reset()
+	}
+	clear(dirtyVols)
 	e.boundary(t, "done")
 
 	phase(e.stats.PhaseCommit, "commit")

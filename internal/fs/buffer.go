@@ -44,27 +44,32 @@ import (
 // CoW semantics during a consistency point (paper §II-C): when a CP freezes
 // a dirty buffer, the buffer is marked inCP. If a client overwrites the
 // buffer while it is inCP and not yet cleaned, the pre-overwrite image is
-// preserved as the CP image (cpData) and the live image (data) becomes the
-// overwrite's array; the change lands in the *next* CP. Once the cleaner has
-// submitted the buffer's CP image for writing, the buffer is sealed if the
-// submitted array is its own: the drive media references it and it must
-// never be mutated, so the next modification goes to a new array. An
-// indirect is always submitted as its own array (a sparse one cut to its
-// trimmed length) and sealed; a sparse metafile L0 is submitted as a trimmed
-// copy instead (MarkCleaned) and stays unsealed. A sealed CP-owned array the
-// buffer moves off, and a clean user L0's array when its buffer leaves the
-// tree at commit, become media-only: the media marks them at the buffer's
-// VBN, and they go back to the pool when the media drops them.
+// preserved as the CP image and the live image (data) becomes the
+// overwrite's array; the change lands in the *next* CP. A preserved image
+// lives outside the buffer, in its image pool's side home (cpImages), and
+// the buffer's preserved flag says it has one: few buffers ever do, and a
+// CP that cleans a prefill holds hundreds of thousands of buffers. Once the
+// cleaner has submitted the buffer's CP image for writing, the buffer is
+// sealed if the submitted array is its own: the drive media references it
+// and it must never be mutated, so the next modification goes to a new
+// array. An indirect is always submitted as its own array (a sparse one cut
+// to its trimmed length) and sealed; a sparse metafile L0 is submitted as a
+// trimmed copy instead (MarkCleaned) and stays unsealed. A sealed CP-owned
+// array the buffer moves off, and a clean user L0's array when its buffer
+// leaves the tree at commit, become media-only: the media marks them at the
+// buffer's VBN, and they go back to the pool when the media drops them.
+//
+// The struct is 64 bytes (TestBufferSize): a dirty block's host cost.
 type Buffer struct {
-	f     *File // the file whose tree holds the buffer
-	fbn   block.FBN
-	level int
+	f    *File // the file whose tree holds the buffer
+	fbn  block.FBN
+	data []byte // live image
 
-	data    []byte // live image
-	cpData  []byte // frozen CP image, set only if modified while inCP
-	inCP    bool   // frozen into the running CP, not yet cleaned
-	sealed  bool   // live image is aliased by storage; never mutate it
-	adopted bool   // live image is the array WriteBlock was given; never mutate it
+	level     uint8 // tree level, at most MaxHeight
+	inCP      bool  // frozen into the running CP, not yet cleaned
+	preserved bool  // overwritten while inCP: the CP image is in cpImages
+	sealed    bool  // live image is aliased by storage; never mutate it
+	adopted   bool  // live image is the array WriteBlock was given; never mutate it
 
 	dirtyCurr   bool // dirty in the open (accepting) generation
 	dirtyFrozen bool // dirty in the freezing CP's set
@@ -84,7 +89,7 @@ const sparseMax = block.Size / 2
 // newBuffer makes b the empty buffer at (level, fbn) of f and returns it.
 // The image pool is its one caller (ImagePool.buffer).
 func newBuffer(b *Buffer, f *File, fbn block.FBN, level int) *Buffer {
-	*b = Buffer{f: f, fbn: fbn, level: level, vvbn: block.InvalidVVBN, vbn: block.InvalidVBN}
+	*b = Buffer{f: f, fbn: fbn, level: uint8(level), vvbn: block.InvalidVVBN, vbn: block.InvalidVBN}
 	return b
 }
 
@@ -93,7 +98,7 @@ func newBuffer(b *Buffer, f *File, fbn block.FBN, level int) *Buffer {
 func (b *Buffer) FBN() block.FBN { return b.fbn }
 
 // Level returns the buffer's tree level (0 = data).
-func (b *Buffer) Level() int { return b.level }
+func (b *Buffer) Level() int { return int(b.level) }
 
 // Index returns the buffer's position within its level (its FBN for an L0):
 // (Level, Index) names the block in the tree.
@@ -126,8 +131,8 @@ func (b *Buffer) cpOwned() bool { return b.level > 0 || b.f.metafile }
 // pre-overwrite image if the buffer was overwritten while frozen, otherwise
 // the live image.
 func (b *Buffer) cpImage() []byte {
-	if b.cpData != nil {
-		return b.cpData
+	if b.preserved {
+		return b.f.cpImages().at(b)
 	}
 	return b.Data()
 }
@@ -137,9 +142,9 @@ func (b *Buffer) cpImage() []byte {
 // behind: to the running CP if the buffer is frozen and not yet preserved,
 // to the media if it is sealed. No image is ever overwritten in place.
 func (b *Buffer) replace(data []byte) (cowed bool) {
-	if b.inCP && b.cpData == nil {
-		b.cpData = b.Data()
-		cowed = true
+	if b.inCP && !b.preserved {
+		b.f.cpImages().keep(b, b.Data())
+		b.preserved, cowed = true, true
 	} else if b.sealed {
 		cowed = true
 	}
@@ -161,8 +166,8 @@ func (b *Buffer) replace(data []byte) (cowed bool) {
 // shorter than a block. A sealed CP-owned array it leaves is marked
 // media-only at the buffer's VBN.
 func (b *Buffer) CPMutableData() []byte {
-	if b.cpData != nil {
-		return b.cpData
+	if b.preserved {
+		return b.f.cpImages().at(b)
 	}
 	if b.sealed || b.adopted || len(b.data) < block.Size {
 		old, left := b.data, b.sealed && !b.adopted && b.cpOwned()
@@ -216,10 +221,13 @@ func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, mediaO
 		default:
 			b.sealed = true
 		}
-	case b.cpData == nil:
+	case !b.preserved:
 		b.sealed = true
 	}
-	b.cpData = nil
+	if b.preserved {
+		b.f.cpImages().drop(b)
+		b.preserved = false
+	}
 	b.inCP = false
 	b.dirtyFrozen = false
 	return img, mediaOnly, oldVVBN, oldVBN

@@ -125,6 +125,7 @@ type File struct {
 	size     block.FBN  // one past the highest FBN ever written
 	metafile bool       // a metafile (NewMetafile, or a FlagMetafile record): L0s are CP-owned images
 	pool     *ImagePool // where CP-owned arrays come from and go back to; nil allocates
+	unpooled cpImages   // without a pool, the side home of preserved CP images (cpImages)
 
 	root     node // index position of the root indirect block (level height)
 	resident int  // buffers in the index, all levels
@@ -175,6 +176,15 @@ func NewMetafile(ino uint64, height int) *File {
 // owner of the media sets it on every file it creates or mounts, before the
 // file holds a buffer.
 func (f *File) SetImagePool(p *ImagePool) { f.pool = p }
+
+// cpImages returns the side home of f's preserved CP images: its image
+// pool's, or for a file without a pool its own.
+func (f *File) cpImages() *cpImages {
+	if f.pool != nil {
+		return &f.pool.preserved
+	}
+	return &f.unpooled
+}
 
 // Ino returns the file's inode number.
 func (f *File) Ino() uint64 { return f.ino }
@@ -441,7 +451,7 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte
 	f.frozenCount--
 	img, mediaOnly, oldVVBN, oldVBN = b.MarkCleaned(vvbn, vbn)
 
-	if b.level == f.height {
+	if b.Level() == f.height {
 		f.RootVVBN, f.RootVBN = vvbn, vbn
 		f.Gen++
 		if f.frozenCount == 0 {
@@ -459,7 +469,7 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte
 		return img, mediaOnly, oldVVBN, oldVBN
 	}
 	idx := b.Index()
-	parent := f.getOrCreate(b.level+1, idx>>radixBits)
+	parent := f.getOrCreate(b.Level()+1, idx>>radixBits)
 	slot := int(idx & (block.PtrsPerBlock - 1))
 	block.PutPtr(parent.ptrs((slot+1)*block.PtrSize), slot, vvbn, vbn)
 	f.DirtyIntoCP(parent)
@@ -541,7 +551,7 @@ func (f *File) GetOrCreateL0(fbn block.FBN) *Buffer {
 // changes.
 func (f *File) AppendAncestors(out []*Buffer, b *Buffer) []*Buffer {
 	idx := b.Index()
-	for level := b.level + 1; level <= f.height; level++ {
+	for level := b.Level() + 1; level <= f.height; level++ {
 		idx >>= radixBits
 		out = append(out, f.getOrCreate(level, idx))
 	}

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,17 @@ func TestCOWDuringCP(t *testing.T) {
 	f.WriteBlock(3, pattern(10))
 	if f.CoWCopies != 1 {
 		t.Fatalf("CoWCopies = %d after second write, want 1", f.CoWCopies)
+	}
+}
+
+// TestBufferSize pins a buffer at 64 bytes. Every dirty block has one, and a
+// CP that cleans a prefill holds hundreds of thousands at once, so the
+// struct is a set-up's peak heap: the rare preserved CP image lives in its
+// pool's side home (cpImages), not in a 24-byte field, and the level and
+// flags share one word (96 bytes when they did not).
+func TestBufferSize(t *testing.T) {
+	if got := reflect.TypeFor[Buffer]().Size(); got != 64 {
+		t.Fatalf("fs.Buffer is %d bytes, want 64", got)
 	}
 }
 

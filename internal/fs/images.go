@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -31,7 +32,8 @@ import (
 // holds is never marked. A nil pool allocates every array and marks none.
 //
 // The pool is also the one maker of buffers and of the slot arrays a user
-// file's level-1 index nodes hold their L0 buffers in (DESIGN §15).
+// file's level-1 index nodes hold their L0 buffers in (DESIGN §15), and the
+// side home of its files' preserved CP images (cpImages).
 type ImagePool struct {
 	classes [block.Classes]fifo.Pool[[]byte]
 	// buffers is the free list of user L0 buffers: a clean one leaves its
@@ -46,6 +48,9 @@ type ImagePool struct {
 	slots      [slotClasses]fifo.Pool[[]*Buffer]
 	slotStats  fifo.PoolStats
 	slotsTaken uint64 // slotStats.Taken at the last Trim
+	// preserved holds the CP image of every frozen buffer a client
+	// overwrote before the CP cleaned it.
+	preserved cpImages
 	// marker marks the arrays buffers leave to the media; nil marks none.
 	marker   Marker
 	stats    fifo.PoolStats
@@ -71,6 +76,9 @@ type ImageStats struct {
 	Taken    uint64 // arrays handed out, New included
 	Returned uint64 // media-only arrays back from the media
 	Recycled uint64 // private arrays back from an indirect that outgrew them
+	// Preserved counts the CP images an overwrite of a frozen buffer left
+	// in the side home (cpImages) until the CP cleaned the buffer.
+	Preserved uint64
 
 	// Buffers counts the user L0 buffer free list, and Slots the user
 	// files' level-1 slot arrays. Unlike the image arrays both are under the
@@ -108,7 +116,7 @@ func (p *ImagePool) SetMarker(m Marker) { p.marker = m }
 // Stats returns the pool's counts.
 func (p *ImagePool) Stats() ImageStats {
 	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled,
-		Recycled: p.recycled, Buffers: p.bufStats, Slots: p.slotStats}
+		Recycled: p.recycled, Preserved: p.preserved.kept, Buffers: p.bufStats, Slots: p.slotStats}
 }
 
 // buffer returns the empty buffer at (level, fbn) of f: a user L0 from the
@@ -121,13 +129,50 @@ func (p *ImagePool) buffer(f *File, fbn block.FBN, level int) *Buffer {
 	return newBuffer(p.buffers.Get(), f, fbn, level)
 }
 
-// putBuffer takes back user L0 b, which its tree no longer holds.
+// putBuffer takes back user L0 b, which its tree no longer holds: a
+// dropped tree's frozen buffer leaves its preserved image behind too.
 func (p *ImagePool) putBuffer(b *Buffer) {
 	if p != nil {
+		if b.preserved {
+			p.preserved.drop(b)
+		}
 		*b = Buffer{}
 		p.buffers.Put(b)
 	}
 }
+
+// cpImages is the side home of preserved CP images: the pre-overwrite image
+// of each frozen buffer a client overwrote before the CP cleaned it
+// (Buffer.replace), from that overwrite until MarkCleaned hands it to the
+// media. A buffer's preserved flag says it has an entry, so the map is
+// probed only by a buffer that has one. Entries leave by delete and the map
+// is made once: after a CP's worth of overwrites, a warm run allocates
+// nothing for it. Only Audit walks it, and it sorts what it reports.
+type cpImages struct {
+	m    map[*Buffer][]byte
+	kept uint64 // images ever preserved (ImageStats.Preserved)
+}
+
+// keep preserves img as frozen buffer b's CP image.
+func (c *cpImages) keep(b *Buffer, img []byte) {
+	if c.m == nil {
+		c.m = map[*Buffer][]byte{}
+	}
+	c.m[b] = img
+	c.kept++
+}
+
+// at returns b's preserved CP image.
+func (c *cpImages) at(b *Buffer) []byte {
+	img, ok := c.m[b]
+	if !ok {
+		panic(fmt.Sprintf("fs: buffer (level %d, fbn %d) is flagged preserved but has no CP image", b.level, b.fbn))
+	}
+	return img
+}
+
+// drop forgets b's preserved CP image.
+func (c *cpImages) drop(b *Buffer) { delete(c.m, b) }
 
 // slotClasses is the number of slot-array sizes: minSlots << c pointers for
 // class c, from 8 up to block.PtrsPerBlock.
@@ -193,8 +238,9 @@ func (p *ImagePool) Trim() {
 }
 
 // Abandon writes off the buffers, and the slot arrays holding them, that a
-// crash dropped with their trees.
+// crash dropped with their trees, and forgets their preserved images.
 func (p *ImagePool) Abandon() {
+	clear(p.preserved.m)
 	p.buffers.Abandon()
 	for c := range p.slots {
 		p.slots[c].Abandon()
@@ -297,7 +343,9 @@ func (p *ImagePool) put(a []byte) {
 // may hold the pool's arrays. It may be called more than once. A marked
 // DBN's array must sit in no buffer and at no other DBN. A CP-owned buffer's
 // array may sit on the media only if the buffer is sealed, and then exactly
-// at the buffer's VBN.
+// at the buffer's VBN. A preserved CP image must belong to a frozen buffer
+// of files that is flagged as having one, and every such buffer must have
+// one: an image that outlives its CP fails.
 func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte, mediaOnly bool))) error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -306,17 +354,38 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 		}
 	}
 	held := map[*byte]*Buffer{}
+	frozen := map[*Buffer]bool{}
 	for _, f := range files {
 		f.eachBuffer(func(b *Buffer) {
-			for _, a := range [][]byte{b.data, b.cpData} {
-				if len(a) > 0 {
-					held[&a[0]] = b
+			if len(b.data) > 0 {
+				held[&b.data[0]] = b
+			}
+			if b.preserved {
+				img, ok := p.preserved.m[b]
+				if !ok {
+					fail("buffer (ino %d, level %d, fbn %d) is flagged preserved but has no CP image", f.ino, b.level, b.fbn)
 				}
+				if len(img) > 0 {
+					held[&img[0]] = b
+				}
+				frozen[b] = b.inCP
 			}
 			if !b.cpOwned() && !b.dirtyCurr && !b.inCP {
 				fail("clean user L0 buffer (ino %d, fbn %d) left in its tree after its CP committed", f.ino, b.fbn)
 			}
 		})
+	}
+	var stale []*Buffer
+	for b := range p.preserved.m {
+		if !frozen[b] {
+			stale = append(stale, b)
+		}
+	}
+	if len(stale) > 0 {
+		slices.SortFunc(stale, func(a, b *Buffer) int {
+			return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.fbn, b.fbn))
+		})
+		fail("%d preserved CP images outlive their CP or name a buffer not frozen, the first (level %d, fbn %d)", len(stale), stale[0].level, stale[0].fbn)
 	}
 	at := map[*byte][]block.VBN{}
 	media(func(vbn block.VBN, img []byte, mediaOnly bool) {

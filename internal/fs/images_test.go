@@ -352,3 +352,66 @@ func TestImagePoolAudit(t *testing.T) {
 		t.Fatalf("an unsealed buffer's array on the media: audit said %v", err)
 	}
 }
+
+// TestPreservedImageSideHome pins the side home of preserved CP images
+// (cpImages): a client's overwrite of a frozen L0 leaves the old image
+// there, the CP writes that image and the client reads the new one, and
+// the entry leaves when the buffer is cleaned or dropped with its tree. The
+// audit fails on an entry that outlives its CP — a MarkCleaned that kept it
+// — and on a flag without an entry.
+func TestPreservedImageSideHome(t *testing.T) {
+	p := NewImagePool()
+	f := pooled(p, false)
+	old, next := pattern(1), pattern(9)
+	f.WriteBlock(3, old)
+	f.WriteBlock(4, pattern(2))
+	f.Freeze()
+	b := f.Buffer(0, 3)
+	f.WriteBlock(3, next)
+	if !b.preserved || len(p.preserved.m) != 1 || p.Stats().Preserved != 1 {
+		t.Fatalf("an overwrite of a frozen L0: flag %v, %d entries, %d preserved; want one", b.preserved, len(p.preserved.m), p.Stats().Preserved)
+	}
+	audit := func() error { return p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}) }
+	if err := audit(); err != nil {
+		t.Fatalf("a frozen buffer's preserved image: %v", err)
+	}
+	img, _ := clean(f, b, 100)
+	if &img[0] != &old[0] || !bytes.Equal(f.ReadBlock(3), next) {
+		t.Fatal("the CP did not write the preserved image, or the client does not read its overwrite")
+	}
+	if b.preserved || len(p.preserved.m) != 0 {
+		t.Fatalf("after the clean: flag %v, %d entries; want none", b.preserved, len(p.preserved.m))
+	}
+	if err := audit(); err != nil {
+		t.Fatalf("after the clean: %v", err)
+	}
+	p.preserved.m[b] = old // a MarkCleaned that keeps the entry
+	if err := audit(); err == nil || !strings.Contains(err.Error(), "1 preserved CP images outlive their CP") {
+		t.Fatalf("an entry kept past its clean: audit said %v", err)
+	}
+	delete(p.preserved.m, b)
+	b.preserved = true // a flag without an entry
+	if err := audit(); err == nil || !strings.Contains(err.Error(), "flagged preserved but has no CP image") {
+		t.Fatalf("a flag without an entry: audit said %v", err)
+	}
+	b.preserved = false
+
+	// A frozen buffer dropped with its tree takes its entry with it, and a
+	// crash forgets them all.
+	f.WriteBlock(4, pattern(5))
+	if len(p.preserved.m) != 1 {
+		t.Fatalf("%d entries after a second overwrite, want 1", len(p.preserved.m))
+	}
+	f.Release()
+	if len(p.preserved.m) != 0 {
+		t.Fatalf("%d entries after the tree was released, want 0", len(p.preserved.m))
+	}
+	g := pooled(p, false)
+	g.WriteBlock(0, pattern(6))
+	g.Freeze()
+	g.WriteBlock(0, pattern(7))
+	p.Abandon()
+	if len(p.preserved.m) != 0 {
+		t.Fatalf("%d entries after a crash, want 0", len(p.preserved.m))
+	}
+}

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -16,7 +17,7 @@ type pos struct {
 	idx   block.FBN
 }
 
-func posOf(b *Buffer) pos { return pos{b.level, b.Index()} }
+func posOf(b *Buffer) pos { return pos{b.Level(), b.Index()} }
 
 // sparseFBN draws an FBN for a tree of the given height: mostly near the
 // bottom of the file, sometimes around an indirect-block boundary or at the
@@ -399,6 +400,33 @@ func TestDataPathAllocations(t *testing.T) {
 		i += 389
 	}); got != 0 {
 		t.Errorf("Buffer hit and miss allocate %v objects, want 0", got)
+	}
+
+	// WriteBlock over a frozen buffer: the old image waits for the CP in the
+	// image pool's side home, which the previous CP's overwrites sized.
+	// AllocsPerRun rounds down, so the mallocs are counted whole, after a
+	// collection: a cycle still running would count its own.
+	h := NewFile(100, 2)
+	h.SetImagePool(NewImagePool())
+	for gen := range 2 {
+		for fbn := block.FBN(0); fbn < n; fbn++ {
+			h.WriteBlock(fbn, payload)
+		}
+		h.Freeze()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for fbn := block.FBN(0); fbn < n; fbn++ {
+			h.WriteBlock(fbn, payload)
+		}
+		runtime.ReadMemStats(&after)
+		if len(h.pool.preserved.m) != n {
+			t.Fatalf("%d preserved images after %d overwrites of frozen buffers", len(h.pool.preserved.m), n)
+		}
+		if got := after.Mallocs - before.Mallocs; gen == 1 && got != 0 {
+			t.Errorf("%d overwrites of frozen buffers make %d objects once the side home is sized, want 0", n, got)
+		}
+		h.CleanChildAll(t)
 	}
 }
 

@@ -24,9 +24,11 @@ func runEvents(b *testing.B, s *Scheduler, perOp int) {
 
 // BenchmarkPingPong is one op = one cross-thread hand-off: two threads wake
 // each other over a pair of WaitQueues, so every event resumes the thread that
-// is not running — the case 27 % (nfsmix, agedrand) to 42 % (seqwrite) of a
-// workload's events are, and 97 % were before idle Waffinity workers waited
-// with WaitUntil.
+// is not running — the case of 26 % of a workload's events on agedrand, 27 %
+// on nfsmix, 39 % on overload_burst and 42 % on seqwrite (Stats.Switches over
+// the events of each bench configuration's window: 150 ms warm-up then
+// 250 ms, overload_burst's 300 ms from cold), and of 97 % before idle
+// Waffinity workers waited with WaitUntil.
 func BenchmarkPingPong(b *testing.B) {
 	s := New(2, 1)
 	q := [2]*WaitQueue{NewWaitQueue(s, "ping"), NewWaitQueue(s, "pong")}

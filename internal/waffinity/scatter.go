@@ -15,22 +15,36 @@ type Unit struct {
 // of them have completed. Units on disjoint affinities execute concurrently
 // under the hierarchy's usual exclusion rules; the join is a counted wait on
 // a single WaitQueue, like Call. t must not be a Waffinity worker — a worker
-// blocked on other messages could deadlock the pool.
+// blocked on other messages could deadlock the pool. One join runs at a
+// time, and its count, queue and completion are the scheduler's, reused by
+// every join.
 func (w *Scheduler) ScatterJoin(t *sim.Thread, units []Unit) {
 	if len(units) == 0 {
 		return
 	}
-	wq := sim.NewWaitQueue(w.s, "waffinity.scatter")
-	remaining := len(units)
-	for _, u := range units {
-		w.Send(u.Aff, u.Cat, u.Fn, func() {
-			remaining--
-			if remaining == 0 {
-				wq.Signal()
-			}
-		})
+	j := &w.join
+	if j.remaining != 0 {
+		panic("waffinity: ScatterJoin while another join is waiting")
 	}
-	for remaining > 0 {
-		wq.Wait(t)
+	j.remaining = len(units)
+	for _, u := range units {
+		w.Send(u.Aff, u.Cat, u.Fn, j.done)
+	}
+	for j.remaining > 0 {
+		j.wq.Wait(t)
+	}
+}
+
+// join is the state of the running ScatterJoin.
+type join struct {
+	wq        *sim.WaitQueue
+	remaining int    // units not yet completed
+	done      func() // each unit's completion: complete, bound once
+}
+
+// complete counts one unit done and wakes the joiner after the last.
+func (j *join) complete() {
+	if j.remaining--; j.remaining == 0 {
+		j.wq.Signal()
 	}
 }

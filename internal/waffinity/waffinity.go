@@ -177,6 +177,7 @@ type Scheduler struct {
 	// that completion.
 	msgPool  fifo.Pool[*message]
 	callPool fifo.Pool[*call]
+	join     join
 }
 
 // New creates a Waffinity scheduler with the given worker-pool size and a
@@ -190,6 +191,8 @@ func New(s *sim.Scheduler, workers int, dispatchCost sim.Duration) *Scheduler {
 		dispatch: dispatchCost,
 		stats:    Stats{QueueWait: obs.NewHistogram("waffinity.queue_wait")},
 	}
+	ws.join = join{wq: sim.NewWaitQueue(s, "waffinity.scatter")}
+	ws.join.done = ws.join.complete
 	ws.msgPool = fifo.NewPool(&ws.stats.MsgPool, func() *message { return new(message) })
 	ws.callPool = fifo.NewPool(&ws.stats.CallPool, func() *call {
 		c := &call{wq: sim.NewWaitQueue(s, "waffinity.call")}

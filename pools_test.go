@@ -1,12 +1,14 @@
 package wafl
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"wafl/internal/fifo"
+	"wafl/internal/fs"
 )
 
 // withhold takes one record from the fifo.Pool in field of owner — the first
@@ -156,4 +158,58 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestOverwriteOfFrozenBlock is the hazard a preserved CP image exists for
+// (DESIGN §15): a client overwrites user L0s frozen into the running CP
+// before the CP cleans them. The CP writes each block's old image and the
+// client reads its overwrite; no preserved image outlives the commit, and
+// Quiesce passes. The cleaners are slowed to a millisecond a buffer, so
+// every overwrite finds its block uncleaned. (That such an overwrite
+// allocates nothing once the side home is sized is internal/fs's
+// TestDataPathAllocations: here the CP's own work shares the window.)
+func TestOverwriteOfFrozenBlock(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Costs.CleanerPerBuffer = Millisecond
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	m := sys.m0()
+	const blocks, overwrites = 512, 51
+	ino := sys.CreateFileDirect(0, blocks)
+	file := func() *fs.File { return m.a.Volume(0).LookupFile(ino) }
+	checked := false
+	sys.ClientThread("cow", func(c *ClientCtx) {
+		c.WriteTag(0, ino, 0, blocks, 1)
+		sys.ForceCP()
+		for file().FrozenCount() == 0 {
+			c.Think(Microsecond)
+		}
+		for fbn := FBN(blocks - overwrites); fbn < blocks; fbn++ {
+			c.WriteTag(0, ino, fbn, 1, 2)
+		}
+		for m.engine.Running() {
+			c.Think(Microsecond)
+		}
+		for fbn := FBN(blocks - overwrites); fbn < blocks; fbn++ {
+			g, d, dbn := m.a.Geometry().Locate(file().Buffer(0, fbn).VBN())
+			if !bytes.Equal(m.a.Group(g).Drive(d).Peek(dbn), sys.expected(ino, fbn, 1)) ||
+				!bytes.Equal(sys.VerifyRead(0, ino, fbn), sys.expected(ino, fbn, 2)) {
+				t.Errorf("fbn %d: the CP did not write its preserved image, or the client does not read its overwrite", fbn)
+			}
+		}
+		if err := m.a.CheckImages(); err != nil {
+			t.Errorf("after the commit: %v", err)
+		}
+		checked = true
+	})
+	sys.Run(Second)
+	if n := m.a.ImageStats().Preserved; !checked || n != overwrites {
+		t.Fatalf("checked %v; %d of %d overwrites found their block frozen and uncleaned", checked, n, overwrites)
+	}
+	if err := sys.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
 }
