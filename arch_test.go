@@ -1026,12 +1026,30 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 		// One maker of image arrays in internal/fs and the facade: the image
 		// pool, where every array a buffer holds and every client payload
 		// comes from and goes back to when the media drops it (DESIGN §14).
-		// block.Clone stays for callers elsewhere.
+		// block.Clone stays for callers elsewhere. And three ways back into
+		// it (ImagePool.put), one for each last holder: the media
+		// (Release), a freed NVLog half (LogFreed), and an indirect that
+		// outgrew its private array (recycle).
 		name: "images",
 		clauses: []clause{{
 			scan: []string{"internal/fs", "."}, except: []string{"internal/fs/images.go"}, forbid: makesImage,
 			msg: "image array made outside internal/fs/images.go: take it from the ImagePool",
 		}},
+		require: func(tr *tree) []string {
+			var out []string
+			each(tr, []string{"internal/fs"}, func(file string, fn *ast.FuncDecl) {
+				if file == "internal/fs/images.go" && slices.Contains([]string{"Release", "LogFreed", "recycle"}, fn.Name.Name) {
+					return
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					if callOn(nil, "put")(n) {
+						out = append(out, tr.at(n, "image array put back to the pool by %s: only ImagePool.Release, LogFreed and recycle give one back", fn.Name.Name))
+					}
+					return true
+				})
+			})
+			return out
+		},
 		bad: []badTree{{
 			files: map[string]string{"internal/fs/buffer.go": `package fs; func (b *Buffer) f() { b.data = block.Clone(b.data) }`},
 			want:  "internal/fs/buffer.go:1: image array made outside internal/fs/images.go",
@@ -1047,6 +1065,12 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 		}, {
 			files: map[string]string{"client.go": `package wafl; func (sys *System) payload(n int) []byte { return make([]byte, n) }`},
 			want:  "client.go:1: image array made outside internal/fs/images.go",
+		}, {
+			files: map[string]string{"internal/fs/file.go": `package fs; func (f *File) drop(b *Buffer) { f.pool.put(b.data) }`},
+			want:  "internal/fs/file.go:1: image array put back to the pool by drop",
+		}, {
+			files: map[string]string{"internal/fs/images.go": `package fs; func (p *ImagePool) MarkLanded() { for _, l := range p.landing { p.put(l.arr) } }`},
+			want:  "internal/fs/images.go:1: image array put back to the pool by MarkLanded",
 		}},
 	},
 	{

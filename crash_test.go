@@ -796,3 +796,78 @@ func TestPostCommitReplayCopiesMarkedPayloads(t *testing.T) {
 	}
 	check("overwritten and flushed twice")
 }
+
+// TestLogOnlyPayloadsWaitForFreeFrozen is the hazard of the NVLog-only
+// hand-off (DESIGN §14): a client overwrites each of n blocks twice in one
+// generation, so each first payload is held by its NVLog record alone, on
+// the image pool's hand-back list. At the post-commit boundary — after the
+// commit's ForgetFreed and Trim, before FreeFrozen — the frozen half's
+// records still hold every payload byte-intact and none has gone back, so a
+// crash there replays them all; once FreeFrozen has run, the n first
+// payloads are back in the pool, poisoned, and the second ones, which the
+// media holds, are intact.
+func TestLogOnlyPayloadsWaitForFreeFrozen(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		sys, ino := newCrashSystem(t, crashConfig())
+		const n = 16
+		sys.ClientThread("w", func(c *ClientCtx) {
+			c.WriteTag(0, ino, 0, n, 1)
+			c.WriteTag(0, ino, 0, n, 2)
+			sys.ForceCP()
+		})
+		halted := false
+		sys.SetCPPhaseHook(func(phase string) bool {
+			if phase == "post-commit" && !halted {
+				halted = true
+				sys.RequestHalt()
+				return true
+			}
+			return false
+		})
+		sys.Run(Second)
+		a := sys.m0().a
+		recs := sys.m0().log.Replay()
+		if !sys.Halted() || len(recs) != 2*n {
+			t.Fatalf("halted=%v with %d records in NVRAM; want the post-commit boundary with %d", sys.Halted(), len(recs), 2*n)
+		}
+		for i, r := range recs {
+			if tag := byte(1 + i/n); !bytes.Equal(r.Data, sys.expected(ino, r.FBN, tag)) {
+				t.Fatalf("record %d (fbn %d, tag %d) does not hold its payload at the post-commit boundary", i, r.FBN, tag)
+			}
+		}
+		if got := a.ImageStats().FromLog; got != 0 {
+			t.Fatalf("%d payloads went back before FreeFrozen", got)
+		}
+		if crash {
+			sys.Crash()
+			rec, err := sys.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fbn := FBN(0); fbn < n; fbn++ {
+				if !bytes.Equal(rec.VerifyRead(0, ino, fbn), sys.expected(ino, fbn, 2)) {
+					t.Fatalf("fbn %d after the post-commit crash: not the second write's payload", fbn)
+				}
+			}
+			if err := rec.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			rec.Shutdown()
+			continue
+		}
+		sys.Run(Second)
+		if got := a.ImageStats().FromLog; got != n {
+			t.Fatalf("%d payloads back from the freed log half, want %d", got, n)
+		}
+		for i, r := range recs {
+			poisoned := bytes.Count(r.Data[:cap(r.Data)], []byte{0xA5}) == cap(r.Data)
+			if tag := byte(1 + i/n); poisoned != (tag == 1) || tag == 2 && !bytes.Equal(r.Data, sys.expected(ino, r.FBN, tag)) {
+				t.Fatalf("record %d (fbn %d, tag %d): poisoned %v after FreeFrozen", i, r.FBN, tag, poisoned)
+			}
+		}
+		if err := sys.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		sys.Shutdown()
+	}
+}

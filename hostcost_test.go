@@ -6,6 +6,7 @@ import (
 
 	"wafl"
 	"wafl/harness"
+	"wafl/internal/allocs"
 	"wafl/workload"
 )
 
@@ -150,10 +151,16 @@ func TestWindowMallocsAreImages(t *testing.T) {
 }
 
 // TestClientOpAllocations pins what a warm client op allocates on the host:
-// nothing. A Write's payload comes from the image pool, which a generation
-// of overwritten and forgotten payloads has filled (DESIGN §14; one object
-// a write when every payload was a fresh array); a Read that hits the
-// buffer cache and a Getattr use nothing but recycled state (DESIGN §9).
+// nothing, counted exactly over 50 ops (allocs.Count). A Write's payload
+// comes from the image pool, which a generation of overwritten and
+// forgotten payloads has filled (DESIGN §14; one object a write when every
+// payload was a fresh array). The write probe overwrites one block, 100
+// times with its warm-up, in one generation, so each payload it replaces is
+// held by its NVLog record alone and waits on the pool's hand-back list,
+// which a warm-up generation that overwrote every block twice has sized
+// (37 objects over the 50 writes when the replaced payloads were garbage). A
+// Read that hits the buffer cache and a Getattr use nothing but recycled
+// state (DESIGN §9).
 func TestClientOpAllocations(t *testing.T) {
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 64
@@ -164,9 +171,14 @@ func TestClientOpAllocations(t *testing.T) {
 	defer sys.Shutdown()
 	ino := sys.CreateFileDirect(0, 1024)
 	// Two generations of 64 blocks, each committed: the second's CP frees
-	// the first, and the CP after it hands the first's payloads back.
-	for range 2 {
-		sys.ClientThread("warm", func(c *wafl.ClientCtx) { c.Write(0, ino, 0, 64) })
+	// the first, and the CP after it hands the first's payloads back. The
+	// second writes every block twice.
+	for gen := range 2 {
+		sys.ClientThread("warm", func(c *wafl.ClientCtx) {
+			for range 2*gen + 1 {
+				c.Write(0, ino, 0, 64)
+			}
+		})
 		sys.Run(10 * wafl.Millisecond)
 		if err := sys.Flush(); err != nil {
 			t.Fatal(err)
@@ -175,7 +187,7 @@ func TestClientOpAllocations(t *testing.T) {
 	if err := sys.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]float64{}
+	got := map[string]uint64{}
 	sys.ClientThread("probe", func(c *wafl.ClientCtx) {
 		for _, op := range []struct {
 			name string
@@ -185,14 +197,19 @@ func TestClientOpAllocations(t *testing.T) {
 			{"read", func() { c.Read(0, ino, 7, 1) }},
 			{"getattr", func() { c.Getattr(0, ino) }},
 		} {
-			op.fn()
-			got[op.name] = testing.AllocsPerRun(50, op.fn)
+			// Warm up as long as the count runs: a free list's queue
+			// slides its array forward, and grows it, until it first
+			// compacts.
+			for range 50 {
+				op.fn()
+			}
+			got[op.name] = allocs.Count(50, op.fn)
 		}
 	})
 	sys.Run(50 * wafl.Millisecond)
-	for name, want := range map[string]float64{"write": 0, "read": 0, "getattr": 0} {
-		if got[name] != want {
-			t.Errorf("a warm one-block %s allocates %v objects, want %v", name, got[name], want)
+	for _, name := range []string{"write", "read", "getattr"} {
+		if got[name] != 0 {
+			t.Errorf("50 warm one-block %ss allocate %d objects, want 0", name, got[name])
 		}
 	}
 }
@@ -411,17 +428,19 @@ func TestSeqWriteLiveHeapBudget(t *testing.T) {
 // 62.2 when every level-1 node also kept its slot array after its buffers
 // left); 98.8 MiB when
 // every block kept its buffer. Over the window the system also allocates at
-// most 0.12 KiB of host heap per op: 0.073 while the allocator's window
-// records and message bodies are recycled (DESIGN §9; 0.091 when each was
-// built fresh) and a client's payload comes
-// from the image pool and goes back to it when the media drops its
-// overwritten block (DESIGN §14; 0.167 when every payload was a fresh
-// array), 0.29 when every snapshot delete also allocated its volume's
-// reclamation arrays anew.
+// most 0.05 KiB of host heap per op, and its image pool builds at most 0.15
+// arrays per op (Stats.Images.New): 0.026 KiB and 0.038 arrays while a
+// client's payload goes back to the image pool from its last holder — the
+// media, as a marked preserved CP image or sealed payload an overwrite left,
+// or a freed NVLog half, as a payload only its record held (DESIGN §14;
+// 0.073 KiB and 0.75 arrays when those three were garbage), 0.091 KiB when
+// the allocator's window records and message bodies were also built fresh
+// (DESIGN §9), 0.167 when every payload was a fresh array, 0.29 when every
+// snapshot delete also allocated its volume's reclamation arrays anew.
 // The less the run allocates once the prefill's burst is garbage, the less
 // its peak RSS depends on whether the collector reclaimed the burst first.
 func TestAgedRandLiveHeapBudget(t *testing.T) {
-	const budgetMiB, budgetKiB = 75, 0.12
+	const budgetMiB, budgetKiB, budgetBuilt = 75, 0.05, 0.15
 	base := liveHeap()
 	cfg := wafl.DefaultConfig()
 	workload.DefaultAgedVol().Configure(&cfg)
@@ -442,12 +461,17 @@ func TestAgedRandLiveHeapBudget(t *testing.T) {
 		t.Fatal("no ops completed in the window")
 	}
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(res.Ops)
-	t.Logf("%.1f MiB live heap, %.3f KiB/op", live, perOp)
+	built := float64(res.Stats.Images.New) / float64(res.Ops)
+	t.Logf("%.1f MiB live heap, %.3f KiB/op, %.3f mallocs/op, %.3f image arrays built/op over %d ops",
+		live, perOp, float64(after.Mallocs-before.Mallocs)/float64(res.Ops), built, res.Ops)
 	if live > budgetMiB {
 		t.Fatalf("agedrand keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
 	}
 	if perOp > budgetKiB {
 		t.Fatalf("agedrand allocates %.3f KiB of host heap per op, budget %v KiB/op", perOp, budgetKiB)
+	}
+	if built > budgetBuilt {
+		t.Fatalf("agedrand's image pool builds %.3f arrays per op, budget %v", built, budgetBuilt)
 	}
 }
 

@@ -3,6 +3,7 @@ package bcache
 import (
 	"testing"
 
+	"wafl/internal/allocs"
 	"wafl/internal/block"
 )
 
@@ -80,9 +81,17 @@ func TestInsertThatEvictsAllocatesNothing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.Insert(k(i))
 	}
+	// Warm up past the map's first growth: the slots evicted keys leave
+	// marked fill its table within the first few thousand evicting inserts,
+	// and it grows once (two objects); the next growth is tens of thousands
+	// of inserts away.
 	i := n
-	if got := testing.AllocsPerRun(1000, func() { c.Insert(k(i)); i++ }); got != 0 {
-		t.Errorf("an Insert that evicts allocates %v objects, want 0", got)
+	for range 5000 {
+		c.Insert(k(i))
+		i++
+	}
+	if got := allocs.Count(1000, func() { c.Insert(k(i)); i++ }); got != 0 {
+		t.Errorf("1000 Inserts that evict allocate %d objects, want 0", got)
 	}
 	if c.Len() != n || c.Contains(k(i-n-1)) || !c.Contains(k(i-n)) || !c.Contains(k(i-1)) {
 		t.Fatalf("after %d inserts: Len %d; want the last %d keys resident", i, c.Len(), n)

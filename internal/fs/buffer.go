@@ -55,9 +55,12 @@ import (
 // array. An indirect is always submitted as its own array (a sparse one cut
 // to its trimmed length) and sealed; a sparse metafile L0 is submitted as a
 // trimmed copy instead (MarkCleaned) and stays unsealed. A sealed CP-owned
-// array the buffer moves off, and a clean user L0's array when its buffer
-// leaves the tree at commit, become media-only: the media marks them at the
-// buffer's VBN, and they go back to the pool when the media drops them.
+// array the buffer moves off, a clean user L0's array when its buffer
+// leaves the tree at commit, and a sealed user L0's array a client
+// overwrite leaves become media-only: the media marks them at the buffer's
+// VBN, and they go back to the pool when the media drops them. A preserved
+// CP image is written media-only, and an overwritten payload only its NVLog
+// record holds goes back when the record's log half is freed (handBack).
 //
 // The struct is 64 bytes (TestBufferSize): a dirty block's host cost.
 type Buffer struct {
@@ -140,13 +143,24 @@ func (b *Buffer) cpImage() []byte {
 // replace adopts data as the live image — a client's whole-block overwrite
 // in the open generation — and reports whether the old image had to be left
 // behind: to the running CP if the buffer is frozen and not yet preserved,
-// to the media if it is sealed. No image is ever overwritten in place.
+// to the media if it is sealed. No image is ever overwritten in place. A
+// sealed payload is marked media-only at the buffer's VBN once the CP's
+// write of it has landed; a media image a load adopted stays unmarked, as
+// it may be a crashed aggregate's. Any other adopted image, an earlier
+// overwrite's, is held by its NVLog record alone from here on, and goes on
+// the hand-back list.
 func (b *Buffer) replace(data []byte) (cowed bool) {
-	if b.inCP && !b.preserved {
+	switch {
+	case b.inCP && !b.preserved:
 		b.f.cpImages().keep(b, b.Data())
 		b.preserved, cowed = true, true
-	} else if b.sealed {
+	case b.sealed:
+		if b.adopted {
+			b.f.pool.leaveSealed(b.vbn, b.data)
+		}
 		cowed = true
+	case b.adopted:
+		b.f.pool.logOnly(b.data)
 	}
 	b.data, b.sealed, b.adopted = data, false, true
 	return cowed
@@ -203,7 +217,10 @@ func (b *Buffer) freeze() {
 // the buffer stays unsealed: the next CP updates it in place; a dense one
 // goes out as the buffer's array, the same way as an indirect. Any other
 // image, a client's adopted L0 among them, is handed out as is, and if it
-// is the live image the buffer is sealed.
+// is the live image the buffer is sealed. A user L0's preserved CP image is
+// written media-only, as a trimmed copy is: the buffer has let go of it, and
+// its NVLog record is freed at this CP's commit, while its DBN cannot be
+// forgotten before the commit after next.
 func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
@@ -223,6 +240,8 @@ func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, mediaO
 		}
 	case !b.preserved:
 		b.sealed = true
+	default:
+		mediaOnly = b.f.pool != nil
 	}
 	if b.preserved {
 		b.f.cpImages().drop(b)

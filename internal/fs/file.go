@@ -520,11 +520,15 @@ func (f *File) DropClean() {
 // Release puts every user L0 buffer left in f's tree back on the free list,
 // and the slot arrays that held them. Its owner calls it once the tree is
 // dropped — a deleted file, a volume's discarded present — and no CP will
-// clean it again.
+// clean it again. A dirty L0's adopted array, never written, is held by its
+// NVLog record alone from here on, and goes on the hand-back list.
 func (f *File) Release() {
 	f.eachNode(func(n *node) {
 		for _, b := range n.leaves {
 			if b != nil && !b.cpOwned() {
+				if b.adopted && !b.sealed {
+					f.pool.logOnly(b.data)
+				}
 				f.pool.putBuffer(b)
 			}
 		}

@@ -19,17 +19,23 @@ import (
 // trimmed copy of a sparse metafile L0 for the media come from it, one
 // fifo.Pool per size class (block.Class).
 //
-// An array comes back from the media, or from a buffer that outgrew it. The
-// media marks the DBN of an array it alone holds (storage.Drive.MediaOnly):
-// a trimmed copy is written marked, and a buffer's array is marked at its
-// VBN once the buffer leaves it while the media holds it — a sealed CP-owned
-// array the buffer moves off, a user L0's at the commit that drops its
-// buffer (Marker.Mark). When the data drive and the parity row have both let
-// go of a marked array (raid.Group's Forget, or a completed write that
-// displaced it), Release poisons it and puts it back. An indirect that grows
-// past its array leaves a private one, which nothing else holds, and it goes
-// back at once (recycle). No other array is ever put back: an array a buffer
-// holds is never marked. A nil pool allocates every array and marks none.
+// An array comes back from whichever of its holders lets go of it last: the
+// media, the CP image or the NVLog alone. The media marks the DBN of an
+// array it alone holds (storage.Drive.MediaOnly): a trimmed copy and a
+// preserved CP image are written marked, and a buffer's array is marked at
+// its VBN once the buffer leaves it while the media holds it — a sealed
+// CP-owned array the buffer moves off, a user L0's at the commit that drops
+// its buffer (Marker.Mark), a sealed user L0's that a client overwrite
+// leaves, at the overwrite or, if the CP's write of it has not landed yet,
+// at the commit (MarkLanded). When the data drive and the parity row have
+// both let go of a marked array (raid.Group's Forget, or a completed write
+// that displaced it), Release poisons it and puts it back. An adopted array
+// an overwrite drops while only its NVLog record holds it waits on the
+// hand-back list until that record's log half is freed (LogFreed). An
+// indirect that grows past its array leaves a private one, which nothing
+// else holds, and it goes back at once (recycle). No other array is ever
+// put back: an array a buffer holds is never marked nor listed. A nil pool
+// allocates every array and marks none.
 //
 // The pool is also the one maker of buffers and of the slot arrays a user
 // file's level-1 index nodes hold their L0 buffers in (DESIGN §15), and the
@@ -51,12 +57,24 @@ type ImagePool struct {
 	// preserved holds the CP image of every frozen buffer a client
 	// overwrote before the CP cleaned it.
 	preserved cpImages
+	// logged is the hand-back list: the arrays only NVLog records hold.
+	logged handBack
+	// landing holds the sealed user-L0 arrays client overwrites left before
+	// the CP's write of them landed, for the commit to mark (MarkLanded).
+	// It is emptied in place and reused.
+	landing []leftArray
 	// marker marks the arrays buffers leave to the media; nil marks none.
 	marker   Marker
 	stats    fifo.PoolStats
 	recycled uint64 // of stats.Returned, the arrays a growing indirect left
 	// poisoned is a block of poison, copied over each array put back.
 	poisoned []byte
+}
+
+// leftArray is a sealed user-L0 array an overwrite left to the media at vbn.
+type leftArray struct {
+	vbn block.VBN
+	arr []byte
 }
 
 // Marker is where the pool's arrays sit once written, the data drives by
@@ -76,6 +94,9 @@ type ImageStats struct {
 	Taken    uint64 // arrays handed out, New included
 	Returned uint64 // media-only arrays back from the media
 	Recycled uint64 // private arrays back from an indirect that outgrew them
+	// FromLog counts the payloads only their NVLog records held, back once
+	// the records' log half was freed (LogFreed).
+	FromLog uint64
 	// Preserved counts the CP images an overwrite of a frozen buffer left
 	// in the side home (cpImages) until the CP cleaned the buffer.
 	Preserved uint64
@@ -115,8 +136,8 @@ func (p *ImagePool) SetMarker(m Marker) { p.marker = m }
 
 // Stats returns the pool's counts.
 func (p *ImagePool) Stats() ImageStats {
-	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled,
-		Recycled: p.recycled, Preserved: p.preserved.kept, Buffers: p.bufStats, Slots: p.slotStats}
+	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled - p.logged.back,
+		Recycled: p.recycled, FromLog: p.logged.back, Preserved: p.preserved.kept, Buffers: p.bufStats, Slots: p.slotStats}
 }
 
 // buffer returns the empty buffer at (level, fbn) of f: a user L0 from the
@@ -173,6 +194,21 @@ func (c *cpImages) at(b *Buffer) []byte {
 
 // drop forgets b's preserved CP image.
 func (c *cpImages) drop(b *Buffer) { delete(c.m, b) }
+
+// handBack is the hand-back list: the adopted arrays buffers dropped while
+// only their NVLog records held them — the payload a client overwrite of
+// the same block in the same generation replaces (Buffer.replace), a dirty
+// L0 of a dropped tree (File.Release). Such a record is in the log's active
+// half. The first frozen arrays' records are in the frozen half
+// (LogSwitched), and they go back once that half is discarded (LogFreed):
+// not before, because a crash replays a log half until it is freed. The
+// list is cut in place and reused, never remade, so a warm run allocates
+// nothing for it; a crash drops it (Abandon).
+type handBack struct {
+	arrs   [][]byte // each at its size class's full capacity
+	frozen int
+	back   uint64 // arrays handed back (ImageStats.FromLog)
+}
 
 // slotClasses is the number of slot-array sizes: minSlots << c pointers for
 // class c, from 8 up to block.PtrsPerBlock.
@@ -238,9 +274,15 @@ func (p *ImagePool) Trim() {
 }
 
 // Abandon writes off the buffers, and the slot arrays holding them, that a
-// crash dropped with their trees, and forgets their preserved images.
+// crash dropped with their trees, and forgets their preserved images, the
+// hand-back list and the arrays waiting for their landing: the pool never
+// takes back an array a crashed aggregate wrote.
 func (p *ImagePool) Abandon() {
 	clear(p.preserved.m)
+	clear(p.logged.arrs)
+	p.logged.arrs, p.logged.frozen = p.logged.arrs[:0], 0
+	clear(p.landing)
+	p.landing = p.landing[:0]
 	p.buffers.Abandon()
 	for c := range p.slots {
 		p.slots[c].Abandon()
@@ -313,6 +355,54 @@ func (p *ImagePool) leave(vbn block.VBN, arr []byte) {
 	}
 }
 
+// leaveSealed hands the media arr, the sealed array of a user L0 that a
+// client overwrite leaves, which the media holds at vbn once the CP's write
+// of it lands: the media marks it there now if the write has landed, and
+// at the commit, when every write of the CP has, if not (MarkLanded).
+func (p *ImagePool) leaveSealed(vbn block.VBN, arr []byte) {
+	if p != nil && p.marker != nil && cap(arr) > 0 && !p.marker.Mark(vbn, arr[:cap(arr)]) {
+		p.landing = append(p.landing, leftArray{vbn, arr[:cap(arr)]})
+	}
+}
+
+// MarkLanded, at a CP's commit, marks the sealed arrays client overwrites
+// left before the CP's write of them landed (leaveSealed): every write of
+// the CP has landed now. One whose DBN holds another array is the garbage
+// collector's.
+func (p *ImagePool) MarkLanded() {
+	for _, l := range p.landing {
+		p.marker.Mark(l.vbn, l.arr)
+	}
+	clear(p.landing)
+	p.landing = p.landing[:0]
+}
+
+// logOnly lists arr, an adopted array its buffer dropped that only its
+// NVLog record holds, on the hand-back list.
+func (p *ImagePool) logOnly(arr []byte) {
+	if p != nil && cap(arr) > 0 {
+		p.logged.arrs = append(p.logged.arrs, arr[:cap(arr)])
+	}
+}
+
+// LogSwitched follows nvlog.Log.Switch: the records of every array listed
+// so far are in the frozen half now.
+func (p *ImagePool) LogSwitched() { p.logged.frozen = len(p.logged.arrs) }
+
+// LogFreed follows nvlog.Log.FreeFrozen, the hand-back: the frozen half's
+// records are gone, so the arrays only they held are poisoned and go back.
+// The active half's stay listed.
+func (p *ImagePool) LogFreed() {
+	l := &p.logged
+	for _, a := range l.arrs[:l.frozen] {
+		p.put(a)
+	}
+	l.back += uint64(l.frozen)
+	n := copy(l.arrs, l.arrs[l.frozen:])
+	clear(l.arrs[n:])
+	l.arrs, l.frozen = l.arrs[:n], 0
+}
+
 // Release takes back arr, the whole array of a marked image (its size
 // class's capacity, storage.Drive.Owned). Its caller has seen the data drive
 // and the parity row both let go of it. It is poisoned, and goes back to its
@@ -345,7 +435,9 @@ func (p *ImagePool) put(a []byte) {
 // array may sit on the media only if the buffer is sealed, and then exactly
 // at the buffer's VBN. A preserved CP image must belong to a frozen buffer
 // of files that is flagged as having one, and every such buffer must have
-// one: an image that outlives its CP fails.
+// one: an image that outlives its CP fails. An array on the hand-back list
+// must be listed once, and sit in no buffer, no preserved image and at no
+// DBN.
 func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte, mediaOnly bool))) error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -375,6 +467,16 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 			}
 		})
 	}
+	listed := map[*byte]bool{}
+	for _, a := range p.logged.arrs {
+		k := &a[0]
+		if b := held[k]; b != nil {
+			fail("NVLog hand-back array is buffer (level %d, fbn %d)'s array or CP image", b.level, b.fbn)
+		} else if listed[k] {
+			fail("NVLog hand-back array is listed twice")
+		}
+		listed[k] = true
+	}
 	var stale []*Buffer
 	for b := range p.preserved.m {
 		if !frozen[b] {
@@ -393,6 +495,9 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 			return
 		}
 		k := &img[0]
+		if listed[k] {
+			fail("NVLog hand-back array sits on the media at %v", vbn)
+		}
 		b := held[k]
 		switch {
 		case mediaOnly && b != nil:

@@ -88,6 +88,14 @@ func (m *markMedia) visit(fn func(block.VBN, []byte, bool)) {
 	}
 }
 
+// payload returns a client's 64-byte payload of pattern tag, taken from p
+// as System.payload takes one.
+func payload(p *ImagePool, tag byte) []byte {
+	d := p.Get(64)
+	copy(d, pattern(tag))
+	return d
+}
+
 // pooled returns a file of height 1 drawing from p: a metafile, or a user
 // file whose L1 is its one CP-owned block.
 func pooled(p *ImagePool, meta bool) *File {
@@ -276,6 +284,98 @@ func TestImagePoolOwnership(t *testing.T) {
 			t.Fatal("the next payload did not reuse the returned one")
 		}
 	})
+	t.Run("a preserved CP image is written media-only and comes back when its block is forgotten", func(t *testing.T) {
+		p := NewImagePool()
+		m := newMarkMedia(p)
+		f := pooled(p, false)
+		old := payload(p, 5)
+		b := f.WriteBlock(0, old)
+		f.Freeze()
+		next := payload(p, 6)
+		f.WriteBlock(0, next) // the frozen buffer's image waits in the side home
+		img, mediaOnly := clean(f, b, 100)
+		if &img[0] != &old[0] || !mediaOnly || b.sealed {
+			t.Fatalf("the preserved image: handed out %v, media-only %v, buffer sealed %v; want it, marked, and the buffer unsealed", &img[0] == &old[0], mediaOnly, b.sealed)
+		}
+		m.land(100, img, mediaOnly)
+		clean(f, f.FrozenLevel(1)[0], 101)
+		f.DropClean()
+		m.forget(p, 100)
+		if p.Stats().Returned != 1 || bytes.Count(old, []byte{poison}) != len(old) || !bytes.Equal(f.ReadBlock(0), pattern(6)[:64]) {
+			t.Fatal("the forgotten preserved image did not come back poisoned, or the buffer's overwrite changed")
+		}
+	})
+	t.Run("a sealed payload an overwrite leaves is marked, also before its write lands", func(t *testing.T) {
+		for _, landed := range []bool{true, false} {
+			p := NewImagePool()
+			m := newMarkMedia(p)
+			f := pooled(p, false)
+			data := payload(p, 7)
+			b := f.WriteBlock(0, data)
+			f.Freeze()
+			img, mediaOnly := clean(f, b, 100)
+			clean(f, f.FrozenLevel(1)[0], 101)
+			if landed {
+				m.land(100, img, mediaOnly)
+			}
+			f.WriteBlock(0, payload(p, 8)) // the client overwrites the sealed block
+			if m.mark[100] != landed {
+				t.Fatalf("landed before the overwrite %v: marked at the overwrite %v", landed, m.mark[100])
+			}
+			if !landed {
+				// The CP's write lands after the overwrite, and the commit,
+				// when every write of the CP has, marks it.
+				m.land(100, img, mediaOnly)
+				f.DropClean()
+				p.MarkLanded()
+			}
+			if !m.mark[100] || len(p.landing) != 0 {
+				t.Fatalf("landed before the overwrite %v: marked %v, %d left waiting", landed, m.mark[100], len(p.landing))
+			}
+			m.forget(p, 100)
+			if p.Stats().Returned != 1 || bytes.Count(data, []byte{poison}) != len(data) {
+				t.Fatalf("landed before the overwrite %v: the forgotten payload did not come back poisoned", landed)
+			}
+		}
+	})
+	t.Run("a payload only its record holds comes back once its log half is freed", func(t *testing.T) {
+		p := NewImagePool()
+		f := pooled(p, false)
+		first, second := payload(p, 1), payload(p, 2)
+		f.WriteBlock(0, first)
+		f.WriteBlock(0, second) // first is its NVLog record's alone now
+		p.LogSwitched()         // a CP starts: the record is in the frozen half
+		third := payload(p, 3)
+		f.WriteBlock(0, third) // second's record is in the active half
+		if err := p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}); err != nil {
+			t.Fatalf("two payloads on the hand-back list: %v", err)
+		}
+		if !bytes.Equal(first, pattern(1)[:64]) || p.Stats().FromLog != 0 {
+			t.Fatal("a listed payload went back before its log half was freed")
+		}
+		p.LogFreed() // the CP committed and freed the frozen half
+		if st := p.Stats(); st.FromLog != 1 || st.Returned != 0 || bytes.Count(first, []byte{poison}) != len(first) {
+			t.Fatalf("after the first half was freed: %+v, first poisoned %v; want it alone back", st, bytes.Count(first, []byte{poison}) == len(first))
+		}
+		if !bytes.Equal(second, pattern(2)[:64]) {
+			t.Fatal("a payload whose record is in the active half went back")
+		}
+		p.LogSwitched()
+		p.LogFreed()
+		if p.Stats().FromLog != 2 || bytes.Count(second, []byte{poison}) != len(second) || !bytes.Equal(f.ReadBlock(0), pattern(3)[:64]) {
+			t.Fatal("the next freed half did not hand back the second payload, or touched the buffer's")
+		}
+		// A dropped tree lists its dirty L0s' payloads; a crash drops the
+		// list.
+		f.Release()
+		if len(p.logged.arrs) != 1 || &p.logged.arrs[0][0] != &third[0] {
+			t.Fatalf("Release listed %d arrays, want the dirty L0's", len(p.logged.arrs))
+		}
+		p.Abandon()
+		if len(p.logged.arrs) != 0 || p.logged.frozen != 0 {
+			t.Fatal("a crash left the hand-back list")
+		}
+	})
 }
 
 // InstallBuffer never aliases a CP-owned image, dense or sparse, so no buffer
@@ -311,8 +411,9 @@ func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 }
 
 // Audit finds a marked array that is also a buffer's or sits at two DBNs,
-// and a buffer's array on the media other than sealed at the buffer's own
-// VBN.
+// a buffer's array on the media other than sealed at the buffer's own VBN,
+// and an array on the hand-back list that a buffer or the media holds, or
+// that is listed twice.
 func TestImagePoolAudit(t *testing.T) {
 	p := NewImagePool()
 	m := newMarkMedia(p)
@@ -350,6 +451,31 @@ func TestImagePoolAudit(t *testing.T) {
 	}
 	if err := audit(func(c *markMedia) { c.land(102, live, false) }); err == nil || !strings.Contains(err.Error(), "unsealed buffer") {
 		t.Fatalf("an unsealed buffer's array on the media: audit said %v", err)
+	}
+
+	// The hand-back list: an array on it is its NVLog record's alone.
+	for _, c := range []struct {
+		name string
+		arr  []byte
+		want string
+	}{
+		{"a buffer's array", live, "NVLog hand-back array is buffer (level 0, fbn 0)'s array"},
+		{"an array on the media", sparse, "NVLog hand-back array sits on the media at vbn:101"},
+	} {
+		p.logOnly(c.arr)
+		if err := audit(func(*markMedia) {}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s listed: audit said %v, want %q", c.name, err, c.want)
+		}
+		p.Abandon()
+	}
+	record := p.Get(64)
+	p.logOnly(record)
+	if err := audit(func(*markMedia) {}); err != nil {
+		t.Fatalf("an array only its record holds, listed: %v", err)
+	}
+	p.logOnly(record)
+	if err := audit(func(*markMedia) {}); err == nil || !strings.Contains(err.Error(), "listed twice") {
+		t.Fatalf("an array listed twice: audit said %v", err)
 	}
 }
 

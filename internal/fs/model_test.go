@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"wafl/internal/allocs"
 	"wafl/internal/block"
 )
 
@@ -347,7 +348,7 @@ func TestDataPathAllocations(t *testing.T) {
 	const n = 4096
 	payload := bytes.Repeat([]byte{7}, 64)
 
-	// Freeze: a flag flip per buffer and a list hand-over. AllocsPerRun
+	// Freeze: a flag flip per buffer and a list hand-over. allocs.Count
 	// calls its function runs+1 times; each call freezes a fresh file.
 	const runs = 5
 	files := make([]*File, 0, runs+1)
@@ -359,13 +360,13 @@ func TestDataPathAllocations(t *testing.T) {
 		files = append(files, f)
 	}
 	next := 0
-	if got := testing.AllocsPerRun(runs, func() {
+	if got := allocs.Count(runs, func() {
 		if files[next].Freeze() != n {
 			t.Fatal("short freeze")
 		}
 		next++
 	}); got != 0 {
-		t.Errorf("Freeze of %d dirty buffers allocates %v objects, want 0", n, got)
+		t.Errorf("%d Freezes of %d dirty buffers allocate %d objects, want 0", runs, n, got)
 	}
 	// A second generation reuses the list the first one left behind.
 	f := files[0]
@@ -373,15 +374,15 @@ func TestDataPathAllocations(t *testing.T) {
 	for fbn := block.FBN(0); fbn < n; fbn++ {
 		f.WriteBlock(fbn, payload)
 	}
-	if got := testing.AllocsPerRun(1, func() {
+	if got := allocs.Count(1, func() {
 		if f.FrozenCount() == 0 {
 			f.Freeze()
 		}
 	}); got != 0 {
-		t.Errorf("second-generation Freeze allocates %v objects, want 0", got)
+		t.Errorf("second-generation Freeze allocates %d objects, want 0", got)
 	}
-	if got := testing.AllocsPerRun(10, func() { f.FrozenLevel(0); f.FrozenRange(100, 2000) }); got != 0 {
-		t.Errorf("FrozenLevel/FrozenRange of an in-order list allocate %v objects, want 0", got)
+	if got := allocs.Count(10, func() { f.FrozenLevel(0); f.FrozenRange(100, 2000) }); got != 0 {
+		t.Errorf("10 FrozenLevel/FrozenRange calls on an in-order list allocate %d objects, want 0", got)
 	}
 
 	// WriteBlock to a resident buffer: it adopts the array it is given.
@@ -390,22 +391,22 @@ func TestDataPathAllocations(t *testing.T) {
 		g.WriteBlock(fbn, payload)
 	}
 	i := block.FBN(0)
-	if got := testing.AllocsPerRun(1000, func() { g.WriteBlock(i%n, payload); i += 389 }); got != 0 {
-		t.Errorf("WriteBlock to a resident buffer allocates %v objects, want 0", got)
+	if got := allocs.Count(1000, func() { g.WriteBlock(i%n, payload); i += 389 }); got != 0 {
+		t.Errorf("1000 WriteBlocks to resident buffers allocate %d objects, want 0", got)
 	}
-	if got := testing.AllocsPerRun(1000, func() {
+	if got := allocs.Count(1000, func() {
 		if g.Buffer(0, i%n) == nil || g.Buffer(0, n+i%n) != nil || g.Buffer(1, 200) != nil || g.Buffer(0, 1<<20) != nil {
 			t.Fatal("wrong residency")
 		}
 		i += 389
 	}); got != 0 {
-		t.Errorf("Buffer hit and miss allocate %v objects, want 0", got)
+		t.Errorf("1000 Buffer hits and misses allocate %d objects, want 0", got)
 	}
 
 	// WriteBlock over a frozen buffer: the old image waits for the CP in the
 	// image pool's side home, which the previous CP's overwrites sized.
-	// AllocsPerRun rounds down, so the mallocs are counted whole, after a
-	// collection: a cycle still running would count its own.
+	// The mallocs are counted whole, after a collection, as allocs.Count
+	// does: a cycle still running would count its own.
 	h := NewFile(100, 2)
 	h.SetImagePool(NewImagePool())
 	for gen := range 2 {

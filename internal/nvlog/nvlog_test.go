@@ -2,6 +2,8 @@ package nvlog
 
 import (
 	"testing"
+
+	"wafl/internal/allocs"
 )
 
 func rec(ino uint64, n int) Record {
@@ -298,8 +300,8 @@ func TestSteadyStateAppendAllocatesNothing(t *testing.T) {
 	}
 	cycle()
 	cycle() // both halves have grown to 100 records
-	if n := testing.AllocsPerRun(10, cycle); n != 0 {
-		t.Fatalf("steady-state Append/Switch/FreeFrozen cycle allocates %v times, want 0", n)
+	if n := allocs.Count(10, cycle); n != 0 {
+		t.Fatalf("10 steady-state Append/Switch/FreeFrozen cycles allocate %d objects, want 0", n)
 	}
 	freed := l.halves[1-l.active].recs
 	if len(freed) != 0 || freed[:1][0].Data != nil {

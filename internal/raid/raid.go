@@ -475,10 +475,16 @@ func (g *Group) pin(dbn block.DBN) [][]byte {
 }
 
 // unpin drops stripe dbn's explicit row if its data drives hold it: the
-// stripe is derived again.
+// stripe is derived again. The map's last row goes by clear, which also
+// drops the slots its deleted keys left marked: every write pins new
+// stripes, and the marks would fill the map until it grows into a new table.
 func (g *Group) unpin(dbn block.DBN, row [][]byte) {
 	if g.matches(dbn, row) {
-		delete(g.rows, dbn)
+		if len(g.rows) == 1 {
+			clear(g.rows)
+		} else {
+			delete(g.rows, dbn)
+		}
 		g.putRow(row)
 	}
 }

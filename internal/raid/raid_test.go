@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"wafl/internal/allocs"
 	"wafl/internal/block"
 	"wafl/internal/sim"
 	"wafl/internal/storage"
@@ -867,25 +868,25 @@ func TestWarmWriteAllocatesNoRows(t *testing.T) {
 			s.RunFor(sim.Millisecond)
 		}
 	}
-	measure := func(k int) (allocs, bytes float64) {
+	measure := func(k int) (objects uint64, bytes float64) {
 		const runs = 50
 		w := writer(k)
-		allocs = testing.AllocsPerRun(runs, w)
+		objects = allocs.Count(runs, w)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
 			w()
 		}
 		runtime.ReadMemStats(&after)
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
 	const k1, k2 = 4, 12
 	a1, b1 := measure(k1)
 	a2, b2 := measure(k2)
 	perStripe := (b2 - b1) / (k2 - k1)
-	t.Logf("%v allocs for %d stripes, %v for %d; %.0f bytes per stripe", a1, k1, a2, k2, perStripe)
+	t.Logf("%d objects over 50 writes of %d stripes, %d of %d; %.0f bytes per stripe", a1, k1, a2, k2, perStripe)
 	if a2 != a1 {
-		t.Fatalf("%d more stripes allocate %v more times, want none", k2-k1, a2-a1)
+		t.Fatalf("%d more stripes allocate %d objects against %d over 50 writes, want as many", k2-k1, a2, a1)
 	}
 	// Less than one 24-byte slice header, let alone a row of four.
 	if perStripe >= 24 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"wafl/internal/allocs"
 	"wafl/internal/block"
 	"wafl/internal/fifo"
 	"wafl/internal/sim"
@@ -262,8 +263,8 @@ func TestSteadyStateWriteAllocatesOnlyItsCompletion(t *testing.T) {
 	if n := idle(d.Stats().WritePool); n != 1 {
 		t.Fatalf("%d spare records after one completed write, want 1", n)
 	}
-	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
-		t.Fatalf("steady-state Write allocates %.1f times, want 0", allocs)
+	if n := allocs.Count(100, write); n != 0 {
+		t.Fatalf("100 steady-state Writes allocate %d objects, want 0", n)
 	}
 }
 
@@ -287,17 +288,17 @@ func TestReadRecordLifetime(t *testing.T) {
 		s.RunFor(sim.Millisecond)
 	}
 	read()
-	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
-		t.Fatalf("a warm Read allocates %.1f times, want 0", allocs)
+	if n := allocs.Count(100, read); n != 0 {
+		t.Fatalf("100 warm Reads allocate %d objects, want 0", n)
 	}
-	syncAllocs := -1.0
+	syncAllocs := ^uint64(0)
 	s.Go("reader", sim.CatOther, func(th *sim.Thread) {
 		d.ReadSync(th, dbns)
-		syncAllocs = testing.AllocsPerRun(100, func() { d.ReadSync(th, dbns) })
+		syncAllocs = allocs.Count(100, func() { d.ReadSync(th, dbns) })
 	})
 	s.RunFor(sim.Second)
 	if syncAllocs != 0 {
-		t.Fatalf("a warm ReadSync allocates %.1f times, want 0", syncAllocs)
+		t.Fatalf("100 warm ReadSyncs allocate %d objects, want 0", syncAllocs)
 	}
 
 	calls = 0

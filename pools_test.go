@@ -168,6 +168,15 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 // every overwrite finds its block uncleaned. (That such an overwrite
 // allocates nothing once the side home is sized is internal/fs's
 // TestDataPathAllocations: here the CP's own work shares the window.)
+//
+// The passes repeat it on the same blocks, each CP's preserved images the
+// previous pass's overwrites, and pin a preserved image's way back (DESIGN
+// §14): it is written media-only and returns to the image pool when its
+// block is forgotten, two commits on, so once that many passes have turned
+// the pool over, a pass builds no array (ImageStats.New): six passes, the
+// last three of them building 15 between them (indirect and metafile
+// images among them). When a preserved image went to the media unmarked,
+// each pass built its 51 anew, and more.
 func TestOverwriteOfFrozenBlock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Costs.CleanerPerBuffer = Millisecond
@@ -177,37 +186,43 @@ func TestOverwriteOfFrozenBlock(t *testing.T) {
 	}
 	defer sys.Shutdown()
 	m := sys.m0()
-	const blocks, overwrites = 512, 51
+	const blocks, overwrites, passes, warm = 512, 51, 10, 6
 	ino := sys.CreateFileDirect(0, blocks)
 	file := func() *fs.File { return m.a.Volume(0).LookupFile(ino) }
-	checked := false
+	var built []uint64 // ImageStats.New after each pass
 	sys.ClientThread("cow", func(c *ClientCtx) {
 		c.WriteTag(0, ino, 0, blocks, 1)
-		sys.ForceCP()
-		for file().FrozenCount() == 0 {
-			c.Think(Microsecond)
-		}
-		for fbn := FBN(blocks - overwrites); fbn < blocks; fbn++ {
-			c.WriteTag(0, ino, fbn, 1, 2)
-		}
-		for m.engine.Running() {
-			c.Think(Microsecond)
-		}
-		for fbn := FBN(blocks - overwrites); fbn < blocks; fbn++ {
-			g, d, dbn := m.a.Geometry().Locate(file().Buffer(0, fbn).VBN())
-			if !bytes.Equal(m.a.Group(g).Drive(d).Peek(dbn), sys.expected(ino, fbn, 1)) ||
-				!bytes.Equal(sys.VerifyRead(0, ino, fbn), sys.expected(ino, fbn, 2)) {
-				t.Errorf("fbn %d: the CP did not write its preserved image, or the client does not read its overwrite", fbn)
+		for pass := range byte(passes) {
+			sys.ForceCP()
+			for file().FrozenCount() == 0 {
+				c.Think(Microsecond)
 			}
+			for fbn := FBN(blocks - overwrites); fbn < blocks; fbn++ {
+				c.WriteTag(0, ino, fbn, 1, pass+2)
+			}
+			for m.engine.Running() {
+				c.Think(Microsecond)
+			}
+			for fbn := FBN(blocks - overwrites); fbn < blocks; fbn++ {
+				g, d, dbn := m.a.Geometry().Locate(file().Buffer(0, fbn).VBN())
+				if !bytes.Equal(m.a.Group(g).Drive(d).Peek(dbn), sys.expected(ino, fbn, pass+1)) ||
+					!bytes.Equal(sys.VerifyRead(0, ino, fbn), sys.expected(ino, fbn, pass+2)) {
+					t.Errorf("pass %d, fbn %d: the CP did not write its preserved image, or the client does not read its overwrite", pass, fbn)
+				}
+			}
+			if err := m.a.CheckImages(); err != nil {
+				t.Errorf("pass %d, after the commit: %v", pass, err)
+			}
+			built = append(built, m.a.ImageStats().New)
 		}
-		if err := m.a.CheckImages(); err != nil {
-			t.Errorf("after the commit: %v", err)
-		}
-		checked = true
 	})
-	sys.Run(Second)
-	if n := m.a.ImageStats().Preserved; !checked || n != overwrites {
-		t.Fatalf("checked %v; %d of %d overwrites found their block frozen and uncleaned", checked, n, overwrites)
+	sys.Run(3 * Second)
+	if n := m.a.ImageStats().Preserved; len(built) != passes || n != passes*overwrites {
+		t.Fatalf("%d of %d passes ran; %d of %d overwrites found their block frozen and uncleaned", len(built), passes, n, passes*overwrites)
+	}
+	t.Logf("image arrays built after each pass: %v", built)
+	if built[passes-1] != built[warm-1] {
+		t.Errorf("after %d passes the image pool still builds arrays: %d over the last %d passes, want 0", warm, built[passes-1]-built[warm-1], passes-warm)
 	}
 	if err := sys.Quiesce(); err != nil {
 		t.Fatal(err)
