@@ -38,14 +38,15 @@ race:
 # racecp is the focused race gate for work on the CP engine or the simulation
 # kernel: the smoke tests plus the parallel-CP regression and determinism
 # tests and the nfsmix switch budget (a WaitUntil condition running on the
-# dispatcher's coroutine, at load), and the whole of sim and Waffinity
-# (event-order goldens included).
+# dispatcher's coroutine, at load), the paths a user block's name takes
+# (NVRAM replay, a clone split's copy, reconstruction from parity), and the
+# whole of sim and Waffinity (event-order goldens included).
 # Simulated threads are iter.Pull coroutines and the execution token moves by
 # coroutine switch, each of which iter annotates as a release/acquire pair: the
 # race detector is the cheapest proof that nothing touches simulation state
 # from outside that chain. A subset of `race`, so `ci` does not repeat it.
 racecp:
-	$(GO) test -race ./... -run 'TestSmoke|TestParallelCP|TestNFSMixSwitchBudget'
+	$(GO) test -race ./... -run 'TestSmoke|TestParallelCP|TestNFSMixSwitchBudget|TestReplayedNamesExpandExactly|TestLoggedPayloadIsTheBufferImage|TestSplitCopiesMarkedParentBlocks|TestUsedBlocksReconstruct|TestTimedReadsReconstruct'
 	$(GO) test -race -count=1 ./internal/sim ./internal/waffinity
 
 # benchsmoke runs every package benchmark under internal/ for one iteration,

@@ -67,10 +67,9 @@ func (a *applyOps) Delete(vol int, ino uint64) bool {
 }
 
 func (a *applyOps) Write(vol int, ino uint64, fbn FBN, nblocks int) Duration {
-	m, _ := a.sys.volMember(vol)
 	for b := FBN(0); b < FBN(nblocks); b++ {
 		a.do(vol, nvlog.Record{Kind: nvlog.OpWrite, Ino: ino, FBN: fbn + b,
-			Data: a.sys.payload(m, ino, fbn+b, 0), LogicalBytes: block.Size})
+			Name: a.sys.payload(ino, fbn+b, 0), LogicalBytes: block.Size})
 	}
 	return 0
 }

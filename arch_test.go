@@ -348,7 +348,7 @@ func groupWrite(n ast.Node) bool {
 // that a namespace operation goes through, and the block write's
 // (Volume.EnsureL0Resident, fs.File.WriteBlock).
 var volOps = []string{"CreateFileAt", "DeleteFile", "RequestSnapshot", "DeleteSnapshot",
-	"RequestRestore", "RequestCloneBind", "AddCloneRef", "StartSplit", "EnsureL0Resident", "WriteBlock"}
+	"RequestRestore", "RequestCloneBind", "AddCloneRef", "StartSplit", "EnsureL0Resident", "WriteImage"}
 
 // System's stats accessors, by name pattern and in full: Stats and MemberStats
 // are the spine, and the rest — the two reports too, renders of Stats — are
@@ -820,7 +820,7 @@ var archRules = []archRule{
 			want:  "member.go calls StartSplit 2 times",
 		}, {
 			// A block written beside apply, as an untimed setup path might.
-			files: map[string]string{"wafl.go": `package wafl; func f(v *V, f *F) { v.EnsureL0Resident(f, 0); f.WriteBlock(0, nil) }`},
+			files: map[string]string{"wafl.go": `package wafl; func f(v *V, f *F) { v.EnsureL0Resident(f, 0); f.WriteImage(0, block.Image{}) }`},
 			want:  "wafl.go:1: volume request method called outside member.go",
 		}},
 	},
@@ -1024,11 +1024,10 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 	},
 	{
 		// One maker of image arrays in internal/fs and the facade: the image
-		// pool, where every array a buffer holds and every client payload
-		// comes from and goes back to when the media drops it (DESIGN §14).
-		// block.Clone stays for callers elsewhere. And three ways back into
-		// it (ImagePool.put), one for each last holder: the media
-		// (Release), a freed NVLog half (LogFreed), and an indirect that
+		// pool, where every CP-owned array a buffer holds comes from and goes
+		// back to when the media drops it (DESIGN §14). block.Clone stays
+		// for callers elsewhere. And two ways back into it (ImagePool.put),
+		// one for each last holder: the media (Release) and an indirect that
 		// outgrew its private array (recycle).
 		name: "images",
 		clauses: []clause{{
@@ -1038,12 +1037,12 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 		require: func(tr *tree) []string {
 			var out []string
 			each(tr, []string{"internal/fs"}, func(file string, fn *ast.FuncDecl) {
-				if file == "internal/fs/images.go" && slices.Contains([]string{"Release", "LogFreed", "recycle"}, fn.Name.Name) {
+				if file == "internal/fs/images.go" && slices.Contains([]string{"Release", "recycle"}, fn.Name.Name) {
 					return
 				}
 				ast.Inspect(fn, func(n ast.Node) bool {
 					if callOn(nil, "put")(n) {
-						out = append(out, tr.at(n, "image array put back to the pool by %s: only ImagePool.Release, LogFreed and recycle give one back", fn.Name.Name))
+						out = append(out, tr.at(n, "image array put back to the pool by %s: only ImagePool.Release and recycle give one back", fn.Name.Name))
 					}
 					return true
 				})
@@ -1069,8 +1068,8 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 			files: map[string]string{"internal/fs/file.go": `package fs; func (f *File) drop(b *Buffer) { f.pool.put(b.data) }`},
 			want:  "internal/fs/file.go:1: image array put back to the pool by drop",
 		}, {
-			files: map[string]string{"internal/fs/images.go": `package fs; func (p *ImagePool) MarkLanded() { for _, l := range p.landing { p.put(l.arr) } }`},
-			want:  "internal/fs/images.go:1: image array put back to the pool by MarkLanded",
+			files: map[string]string{"internal/fs/images.go": `package fs; func (p *ImagePool) Trim() { p.put(nil) }`},
+			want:  "internal/fs/images.go:1: image array put back to the pool by Trim",
 		}},
 	},
 	{
@@ -1127,16 +1126,41 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 		}},
 	},
 	{
-		// One unsafe file: the media's pointer-and-length table (DESIGN §14)
-		// is the only place an image is taken apart and rebuilt.
+		// No unsafe: the media's table is words — names and handles to byte
+		// images (DESIGN §14) — and every image stays a whole slice.
 		name: "unsafe",
 		clauses: []clause{{
-			scan: []string{"..."}, except: []string{"internal/storage/drive.go"}, forbid: imports("unsafe"),
-			msg: "unsafe imported outside internal/storage/drive.go: keep images whole slices",
+			scan: []string{"..."}, forbid: imports("unsafe"),
+			msg: "unsafe imported: keep images whole slices",
 		}},
 		bad: []badTree{{
-			files: map[string]string{"internal/raid/raid.go": `package raid; import "unsafe"; var _ = unsafe.Sizeof(0)`},
-			want:  "internal/raid/raid.go:1: unsafe imported outside internal/storage/drive.go",
+			files: map[string]string{"internal/storage/drive.go": `package storage; import "unsafe"; var _ = unsafe.Sizeof(0)`},
+			want:  "internal/storage/drive.go:1: unsafe imported",
+		}},
+	},
+	{
+		// A user block is a name (block.Name): one helper writes its payload
+		// pattern, and only what reads a block's bytes expands it — a
+		// verification read and fsck's oracle (the facade's client.go and
+		// fsck.go), parity and reconstruction (internal/raid).
+		name: "names",
+		clauses: []clause{{
+			scan: []string{"..."}, except: []string{"internal/block", "internal/raid/raid.go", "client.go", "fsck.go"},
+			forbid: callOn(nil, "AppendBytes", "Expand"),
+			msg:    "a name expanded outside a read: keep the block.Name",
+		}, {
+			scan: []string{"..."}, except: []string{"internal/block/name.go"}, forbid: identLike(`(?i)payload.*(fill|pattern)|fill.*payload`),
+			msg: "payload pattern written outside block.Name.AppendBytes",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"internal/fs/buffer.go": `package fs; func (b *Buffer) f() []byte { return b.Image().Expand() }`},
+			want:  "internal/fs/buffer.go:1: a name expanded outside a read",
+		}, {
+			files: map[string]string{"member.go": `package wafl; func f(n block.Name) []byte { return n.AppendBytes(nil) }`},
+			want:  "member.go:1: a name expanded outside a read",
+		}, {
+			files: map[string]string{"client.go": `package wafl; func fillPayload(p []byte) {}`},
+			want:  "client.go:1: payload pattern written outside block.Name.AppendBytes",
 		}},
 	},
 	{

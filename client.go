@@ -77,43 +77,23 @@ func (sys *System) NewWaitQueue(name string) *WaitQueue {
 // Wait parks the client on q until another client Signals it.
 func (c *ClientCtx) Wait(q *WaitQueue) { q.Wait(c.t) }
 
-// payload builds the pattern content for a block write to member m. The
+// payload names the pattern content of a block write (block.Name). The
 // pattern is derived from the file handle as the client holds it (member
-// tag included), so content checks work with the handle alone. The array
-// comes from the member's image pool and is the write's only copy: the
-// NVLog record logs it, the buffer adopts it (fs.File.WriteBlock), and once
-// the media alone holds it, it goes back to the pool when the media lets go
-// of it (DESIGN §14).
-func (sys *System) payload(m *Member, ino uint64, fbn FBN, tag byte) []byte {
-	p := m.a.Images().Get(sys.payloadLen())
-	fillPayload(p, ino, fbn, tag)
-	return p
+// tag included), so content checks work with the handle alone. The NVLog
+// record, the buffer and the media hold the name by value; it expands to
+// payloadLen bytes only where something reads them (DESIGN §14).
+func (sys *System) payload(ino uint64, fbn FBN, tag byte) block.Name {
+	return block.NameOf(ino, fbn, tag, sys.payloadLen())
 }
 
-// payloadLen is the length of every payload: Config.PayloadBytes, 64 if it
-// is unset, at most a block.
+// payloadLen is the length every payload expands to: Config.PayloadBytes,
+// 64 if it is unset, at most a block.
 func (sys *System) payloadLen() int {
 	n := sys.cfg.PayloadBytes
 	if n <= 0 {
 		n = 64
 	}
 	return min(n, block.Size)
-}
-
-// fillPayload writes the pattern into p: byte i is
-// byte(ino) ^ byte(fbn>>(i%24)) ^ tag ^ byte(i). The first three terms
-// repeat every 24 bytes, so they come from a table built once per block.
-func fillPayload(p []byte, ino uint64, fbn FBN, tag byte) {
-	var t [24]byte
-	for j := range t {
-		t[j] = byte(uint64(fbn)>>j) ^ byte(ino) ^ tag
-	}
-	for off := 0; off < len(p); off += len(t) {
-		chunk := p[off:min(off+len(t), len(p))]
-		for j := range chunk {
-			chunk[j] = t[j] ^ byte(off+j)
-		}
-	}
 }
 
 // reserveLog reserves NVRAM space on member m for an op's records, stalling
@@ -248,11 +228,10 @@ func (op *clientOp) writeBlocks(wt *sim.Thread) {
 	for fbn := op.fbn; fbn < op.fbn+FBN(op.n); fbn++ {
 		// Apply + log with no simulation primitive in between: atomic with
 		// respect to CP freezes. Records carry member-local coordinates. The
-		// record and the buffer share the one payload array, and nothing
-		// writes into it again (fs.File.WriteBlock).
+		// record and the buffer hold the payload's name by value.
 		rec := nvlog.Record{
 			Kind: nvlog.OpWrite, Vol: uint32(op.lv), Ino: op.li,
-			FBN: fbn, Data: sys.payload(m, op.ino, fbn, op.tag), LogicalBytes: block.Size,
+			FBN: fbn, Name: sys.payload(op.ino, fbn, op.tag), LogicalBytes: block.Size,
 		}
 		if !m.apply(&rec) {
 			panic(fmt.Sprintf("wafl: write to nonexistent ino %d", op.ino))
@@ -611,9 +590,9 @@ func (c *ClientCtx) SnapRead(vol int, snapID, ino uint64, fbn FBN, nblocks int) 
 }
 
 // VerifyRead returns the live content of a block without timing effects
-// (nil for holes) — the test/validation path. It leaves the residency set
-// as it found it: the next client read of the block pays what it would
-// have.
+// (nil for holes), its name expanded — the test/validation path. It leaves
+// the residency set as it found it: the next client read of the block pays
+// what it would have.
 func (sys *System) VerifyRead(vol int, ino uint64, fbn FBN) []byte {
 	m, lv, li := sys.resolve(vol, ino)
 	v := m.a.Volume(lv)
@@ -621,7 +600,7 @@ func (sys *System) VerifyRead(vol int, ino uint64, fbn FBN) []byte {
 	if f == nil {
 		return nil
 	}
-	return v.ReadBlock(nil, f, fbn)
+	return v.ReadBlock(nil, f, fbn).Expand()
 }
 
 // CreateFileDirect makes a file without logging or timing (test setup) and
@@ -640,7 +619,8 @@ func (sys *System) CreateFileDirect(vol int, maxBlocks uint64) uint64 {
 // true means a hole in the frozen image.
 func (sys *System) SnapVerifyRead(vol int, snapID, ino uint64, fbn FBN) ([]byte, bool) {
 	m, lv, li := sys.resolve(vol, ino)
-	return m.a.Volume(lv).SnapReadBlock(nil, snapID, li, fbn)
+	img, ok := m.a.Volume(lv).SnapReadBlock(nil, snapID, li, fbn)
+	return img.Expand(), ok
 }
 
 // SnapshotExists reports whether the volume has a materialized snapshot id.

@@ -14,12 +14,10 @@ func cloneConfig() Config {
 	return cfg
 }
 
-// expected returns the payload a write of (ino, fbn) with tag carried, in a
-// fresh array: the test's oracle, never one of the image pool's.
+// expected returns the payload a write of (ino, fbn) with tag carried, its
+// name expanded into a fresh array: the test's oracle.
 func (sys *System) expected(ino uint64, fbn FBN, tag byte) []byte {
-	p := make([]byte, sys.payloadLen())
-	fillPayload(p, ino, fbn, tag)
-	return p
+	return sys.payload(ino, fbn, tag).AppendBytes(nil)
 }
 
 // expectBlock checks one live block of (vol, ino) against the tagged payload
@@ -783,11 +781,10 @@ func TestWriteStallsOnRestoreGate(t *testing.T) {
 }
 
 // TestSplitCopiesMarkedParentBlocks: a clone split rewrites each shared base
-// block with a copy of the parent's image. The parent's committed blocks are
-// marked media-only, so once the parent overwrites them, its snapshot goes
-// and their homes are forgotten, the image pool takes their arrays back and
-// poisons them with 0xA5: a split volume that shared them would read the
-// poison.
+// block with a copy of the parent's image, its name by value. Once the
+// parent overwrites its blocks, its snapshot goes and their homes are
+// forgotten, the split volume still reads the parent's old payloads: no
+// split block depends on a home the parent let go of.
 func TestSplitCopiesMarkedParentBlocks(t *testing.T) {
 	sys, ino := newCrashSystem(t, cloneConfig())
 	defer sys.Shutdown()
@@ -816,8 +813,8 @@ func TestSplitCopiesMarkedParentBlocks(t *testing.T) {
 	})
 	a := sys.m0().a
 	_, vbn, _ := a.Volume(0).LookupFile(ino).Resolve(0, a)
-	if g, d, dbn := a.Geometry().Locate(vbn); !a.Group(g).Drive(d).MediaOnly(dbn) {
-		t.Fatal("the parent's committed block is not marked media-only")
+	if g, d, dbn := a.Geometry().Locate(vbn); a.Group(g).Drive(d).Image(dbn).Name != sys.payload(ino, 0, 'A') {
+		t.Fatal("the parent's committed block does not hold its payload's name")
 	}
 	run("cloner", func(c *ClientCtx) {
 		snapID = c.SnapCreate(0)
@@ -838,7 +835,7 @@ func TestSplitCopiesMarkedParentBlocks(t *testing.T) {
 	if !sys.CloneSplitDone(cloneVol) {
 		t.Fatal("split did not complete")
 	}
-	returned := a.ImageStats().Returned
+	forgotten := sys.Stats().Drives.Forgotten
 	run("overwriter", func(c *ClientCtx) {
 		for fbn := FBN(0); fbn < n; fbn++ {
 			c.WriteTag(0, ino, fbn, 1, 'B')
@@ -852,8 +849,8 @@ func TestSplitCopiesMarkedParentBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.ImageStats().Returned - returned; got < n {
-		t.Fatalf("%d arrays came back to the pool, want the parent's %d forgotten payloads at least", got, n)
+	if got := sys.Stats().Drives.Forgotten - forgotten; got < n {
+		t.Fatalf("%d blocks forgotten, want the parent's %d old homes at least", got, n)
 	}
 	for fbn := FBN(0); fbn < n; fbn++ {
 		expectBlock(t, sys, cloneVol, ino, fbn, 'A', "split volume after the parent's blocks went back")

@@ -110,8 +110,8 @@ func main() {
 		float64(dr.BytesWritten)/float64(max(dr.BlocksWritten, 1)), dr.BlocksWritten)
 	fmt.Printf("explicit parity rows %d at the window's end (stripes with a write in flight or torn by a crash)\n", res.Stats.RAID.Rows)
 	img := res.Stats.Images
-	fmt.Printf("image arrays built %.3f/op over the window (%d built; back from the media %d, from freed NVLog halves %d)\n",
-		float64(img.New)/float64(max(res.Ops, 1)), img.New, img.Returned, img.FromLog)
+	fmt.Printf("image arrays built %.3f/op over the window (%d built; back from the media %d)\n",
+		float64(img.New)/float64(max(res.Ops, 1)), img.New, img.Returned)
 	fmt.Println()
 	if sys.Members() > 1 {
 		fmt.Println("=== cluster members (measurement window + point-in-time state) ===")

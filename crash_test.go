@@ -394,7 +394,7 @@ func TestTimedReadsReconstruct(t *testing.T) {
 	}
 	read("client read", vbnOf(), sys.expected(ino, fbn, 'x'),
 		func(c *ClientCtx) { c.Read(0, ino, fbn, 1) },
-		func(c *ClientCtx) []byte { return v.ReadBlock(c.t, f, fbn) })
+		func(c *ClientCtx) []byte { return v.ReadBlock(c.t, f, fbn).Expand() })
 	read("snapshot read", snapVBN, sys.expected(ino, fbn, 0),
 		func(c *ClientCtx) {
 			if _, ok := c.SnapRead(0, snapID, ino, fbn, 1); !ok {
@@ -402,8 +402,8 @@ func TestTimedReadsReconstruct(t *testing.T) {
 			}
 		},
 		func(c *ClientCtx) []byte {
-			data, _ := v.SnapReadBlock(c.t, snapID, ino, fbn)
-			return data
+			img, _ := v.SnapReadBlock(c.t, snapID, ino, fbn)
+			return img.Expand()
 		})
 }
 
@@ -547,7 +547,7 @@ func TestTrimmedImagesReconstructed(t *testing.T) {
 		for d := 0; d < cfg.DataDrives; d++ {
 			drive := a.Group(g).Drive(d)
 			for dbn := block.DBN(1); dbn < drive.Blocks(); dbn++ {
-				if img := drive.Peek(dbn); img != nil && len(img) < block.Size {
+				if img := drive.Image(dbn).Expand(); img != nil && len(img) < block.Size {
 					sys.Injector().FailBlock(drive.Name(), dbn)
 					failed++
 					if meta[a.Geometry().VBNOf(g, d, dbn)] {
@@ -597,7 +597,7 @@ func TestUsedBlocksReconstruct(t *testing.T) {
 				continue
 			}
 			checked++
-			if img, got := a.Group(g).Drive(d).Peek(dbn), a.Group(g).ReconstructBlock(d, dbn); !block.Equal(got, img) {
+			if img, got := a.Group(g).Drive(d).Image(dbn).Expand(), a.Group(g).ReconstructBlock(d, dbn); !block.Equal(got, img) {
 				t.Fatalf("%s: vbn %d reconstructs to %d trimmed bytes unlike its %d-byte image", when, bn, len(block.Trim(got)), len(block.Trim(img)))
 			}
 		}
@@ -656,13 +656,15 @@ func TestUsedBlocksReconstruct(t *testing.T) {
 	}
 }
 
-// TestLoggedPayloadIsTheBufferImage: with full-block payloads a write's NVLog
-// record and its buffer's live image are one array, and nothing writes into
-// it — not the CP that cleans the block, after which the media holds it too
-// and, once the commit drops the buffer, alone (its DBN marked media-only).
-// The replay that reapplies the record after a crash adopts a copy from the
-// image pool with the same bytes, and the restored record holds that copy:
-// the crashed aggregate's array may be a committed block's (DESIGN §14).
+// holdsName reports whether img is name n, with no bytes.
+func holdsName(img block.Image, n block.Name) bool { return img.Name == n && img.Bytes == nil }
+
+// TestLoggedPayloadIsTheBufferImage: a write's NVLog record and its
+// buffer's live image hold one name by value, and no array: the CP writes
+// that name, the media holds it once the commit drops the buffer, and a
+// verification read expands it to the payload's bytes. The replay that
+// reapplies the record after a crash gives the buffer the record's name
+// (DESIGN §14).
 func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 	sys, ino := newCrashSystem(t, crashConfig())
 	write := func(sys *System, fbn FBN, tag byte) {
@@ -677,64 +679,56 @@ func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 			t.Fatalf("write of fbn %d not acknowledged", fbn)
 		}
 	}
-	logged := func(sys *System, fbn FBN) []byte {
+	logged := func(sys *System, fbn FBN) nvlog.Record {
 		t.Helper()
 		for _, r := range sys.m0().log.Replay() {
 			if r.Kind == nvlog.OpWrite && r.FBN == fbn {
-				return r.Data
+				return r
 			}
 		}
 		t.Fatalf("no logged write of fbn %d", fbn)
-		return nil
+		return nvlog.Record{}
 	}
 	buffer := func(sys *System, fbn FBN) *fs.Buffer {
 		return sys.m0().a.Volume(0).LookupFile(ino).Buffer(0, fbn)
 	}
 
 	write(sys, 5, 1)
-	data := logged(sys, 5)
-	if len(data) != block.Size || &buffer(sys, 5).Data()[0] != &data[0] {
-		t.Fatal("the buffer's live image is not the logged payload's array")
+	r := logged(sys, 5)
+	if r.Data != nil || r.Name != sys.payload(ino, 5, 1) || !holdsName(buffer(sys, 5).Image(), r.Name) {
+		t.Fatal("the record and the buffer do not hold the payload's name alone")
 	}
 	if err := sys.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// The committed block's buffer has left the tree: the media holds the
-	// array, and a verification read returns it.
+	// name, and a verification read expands it.
 	_, vbn, _ := sys.m0().a.Volume(0).LookupFile(ino).Resolve(5, sys.m0().a)
-	if buffer(sys, 5) != nil || &sys.VerifyRead(0, ino, 5)[0] != &data[0] ||
-		&sys.m0().a.ReadVBNRaw(vbn)[0] != &data[0] || !bytes.Equal(data, sys.expected(ino, 5, 1)) {
-		t.Fatal("the CP copied the logged payload or wrote into it")
-	}
-	g, d, dbn := sys.m0().a.Geometry().Locate(vbn)
-	if !sys.m0().a.Group(g).Drive(d).MediaOnly(dbn) {
-		t.Fatal("the committed payload's DBN is not marked media-only once its buffer left")
+	if buffer(sys, 5) != nil || !holdsName(sys.m0().a.ReadImage(vbn), r.Name) ||
+		!bytes.Equal(sys.VerifyRead(0, ino, 5), sys.expected(ino, 5, 1)) {
+		t.Fatal("the media does not hold the logged name, or it reads other bytes")
 	}
 
 	write(sys, 9, 2)
-	data = logged(sys, 9)
+	r = logged(sys, 9)
 	sys.Crash()
 	rec, err := sys.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := logged(rec, 9)
-	if &replayed[0] == &data[0] || !bytes.Equal(replayed, data) || !bytes.Equal(data, sys.expected(ino, 9, 2)) {
-		t.Fatal("replay did not give the record a copy of the logged payload, or wrote into it")
-	}
-	if &buffer(rec, 9).Data()[0] != &replayed[0] || &rec.VerifyRead(0, ino, 9)[0] != &replayed[0] {
-		t.Fatal("the replayed buffer does not share its array with the restored record")
+	if replayed := logged(rec, 9); replayed.Name != r.Name || !holdsName(buffer(rec, 9).Image(), r.Name) ||
+		!bytes.Equal(rec.VerifyRead(0, ino, 9), sys.expected(ino, 9, 2)) {
+		t.Fatal("the replayed record and buffer do not hold the logged name")
 	}
 }
 
 // TestPostCommitReplayCopiesMarkedPayloads: a crash at the post-commit
-// boundary — after the commit dropped the cleaned L0s' buffers and marked
-// their payloads' DBNs media-only (fs.File.DropClean), before the log half
-// that logged them was freed — replays records whose arrays the committed
-// blocks hold. Replay adopts a copy of each, so no array sits at two DBNs:
-// the audit (Quiesce) finds none right after recovery, and once the replayed
-// blocks are overwritten and their old homes forgotten, nothing a later
-// read reaches was poisoned by the image pool.
+// boundary — after the commit dropped the cleaned L0s' buffers
+// (fs.File.DropClean), before the log half that logged them was freed —
+// replays records whose names the committed blocks hold. Replay copies the
+// value: the audit (Quiesce) passes right after recovery, and once the
+// replayed blocks are overwritten and their old homes forgotten, every read
+// still returns the payload.
 func TestPostCommitReplayCopiesMarkedPayloads(t *testing.T) {
 	sys, ino := newCrashSystem(t, crashConfig())
 	const n = 16
@@ -758,8 +752,8 @@ func TestPostCommitReplayCopiesMarkedPayloads(t *testing.T) {
 	for _, r := range recs {
 		_, vbn, _ := f.Resolve(r.FBN, a)
 		g, d, dbn := a.Geometry().Locate(vbn)
-		if drv := a.Group(g).Drive(d); &drv.Peek(dbn)[0] != &r.Data[0] || !drv.MediaOnly(dbn) {
-			t.Fatalf("fbn %d: the logged array is not its committed block's marked image", r.FBN)
+		if drv := a.Group(g).Drive(d); !holdsName(drv.Image(dbn), r.Name) || drv.MediaOnly(dbn) {
+			t.Fatalf("fbn %d: the logged name is not its committed block's unmarked image", r.FBN)
 		}
 	}
 	sys.Crash()
@@ -797,15 +791,13 @@ func TestPostCommitReplayCopiesMarkedPayloads(t *testing.T) {
 	check("overwritten and flushed twice")
 }
 
-// TestLogOnlyPayloadsWaitForFreeFrozen is the hazard of the NVLog-only
-// hand-off (DESIGN §14): a client overwrites each of n blocks twice in one
-// generation, so each first payload is held by its NVLog record alone, on
-// the image pool's hand-back list. At the post-commit boundary — after the
-// commit's ForgetFreed and Trim, before FreeFrozen — the frozen half's
-// records still hold every payload byte-intact and none has gone back, so a
-// crash there replays them all; once FreeFrozen has run, the n first
-// payloads are back in the pool, poisoned, and the second ones, which the
-// media holds, are intact.
+// TestLogOnlyPayloadsWaitForFreeFrozen: a client overwrites each of n
+// blocks twice in one generation, so each first payload is held by its
+// NVLog record alone. At the post-commit boundary — after the commit's
+// ForgetFreed and Trim, before FreeFrozen — the frozen half's records
+// still hold every name, so a crash there replays them all and recovers
+// the second writes; once FreeFrozen has run the log is empty, and the
+// media holds the second names.
 func TestLogOnlyPayloadsWaitForFreeFrozen(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		sys, ino := newCrashSystem(t, crashConfig())
@@ -825,18 +817,14 @@ func TestLogOnlyPayloadsWaitForFreeFrozen(t *testing.T) {
 			return false
 		})
 		sys.Run(Second)
-		a := sys.m0().a
 		recs := sys.m0().log.Replay()
 		if !sys.Halted() || len(recs) != 2*n {
 			t.Fatalf("halted=%v with %d records in NVRAM; want the post-commit boundary with %d", sys.Halted(), len(recs), 2*n)
 		}
 		for i, r := range recs {
-			if tag := byte(1 + i/n); !bytes.Equal(r.Data, sys.expected(ino, r.FBN, tag)) {
+			if tag := byte(1 + i/n); r.Name != sys.payload(ino, r.FBN, tag) {
 				t.Fatalf("record %d (fbn %d, tag %d) does not hold its payload at the post-commit boundary", i, r.FBN, tag)
 			}
-		}
-		if got := a.ImageStats().FromLog; got != 0 {
-			t.Fatalf("%d payloads went back before FreeFrozen", got)
 		}
 		if crash {
 			sys.Crash()
@@ -856,18 +844,117 @@ func TestLogOnlyPayloadsWaitForFreeFrozen(t *testing.T) {
 			continue
 		}
 		sys.Run(Second)
-		if got := a.ImageStats().FromLog; got != n {
-			t.Fatalf("%d payloads back from the freed log half, want %d", got, n)
+		if left := sys.m0().log.Replay(); len(left) != 0 {
+			t.Fatalf("%d records left after FreeFrozen", len(left))
 		}
-		for i, r := range recs {
-			poisoned := bytes.Count(r.Data[:cap(r.Data)], []byte{0xA5}) == cap(r.Data)
-			if tag := byte(1 + i/n); poisoned != (tag == 1) || tag == 2 && !bytes.Equal(r.Data, sys.expected(ino, r.FBN, tag)) {
-				t.Fatalf("record %d (fbn %d, tag %d): poisoned %v after FreeFrozen", i, r.FBN, tag, poisoned)
+		for fbn := FBN(0); fbn < n; fbn++ {
+			if !bytes.Equal(sys.VerifyRead(0, ino, fbn), sys.expected(ino, fbn, 2)) {
+				t.Fatalf("fbn %d after FreeFrozen: not the second write's payload", fbn)
 			}
 		}
 		if err := sys.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
 		sys.Shutdown()
+	}
+}
+
+// TestReplayedNamesExpandExactly: with full-block payloads (PayloadBytes
+// 4096) a crash at a CP's commit loses every buffer and leaves a clone
+// split and the parent's and the clone's latest writes in NVRAM alone. Recovery replays their names, and
+// every block of both volumes then reads, byte for byte and at full length,
+// the expansion of the name its last acknowledged write carried — the
+// replayed ones, the committed ones and the parent blocks the clone still
+// shares — and again once the split has copied every shared block by value.
+func TestReplayedNamesExpandExactly(t *testing.T) {
+	sys, ino := newCrashSystem(t, cloneConfig())
+	const n = 48
+	run := func(sys *System, name string, d Duration, fn func(c *ClientCtx)) {
+		t.Helper()
+		done := false
+		sys.ClientThread(name, func(c *ClientCtx) {
+			fn(c)
+			done = true
+		})
+		sys.Run(d)
+		if !done {
+			t.Fatalf("%s did not finish", name)
+		}
+	}
+	var cloneVol int
+	run(sys, "setup", 2*Second, func(c *ClientCtx) {
+		c.WriteTag(0, ino, 0, n, 'A')
+		snap := c.SnapCreate(0)
+		var ok bool
+		if cloneVol, ok = c.CloneCreate(0, snap); !ok {
+			t.Error("clone create failed")
+		}
+	})
+	// The parent overwrites its first half, the clone diverges on every
+	// third block and the split starts; the crash comes at the commit of the
+	// CP that copies the split's blocks, so it and the writes live in NVRAM
+	// alone.
+	halted := false
+	sys.SetCPPhaseHook(func(phase string) bool {
+		if phase != "commit" || halted {
+			return false
+		}
+		halted = true
+		sys.RequestHalt()
+		return true
+	})
+	run(sys, "diverge", Second, func(c *ClientCtx) {
+		c.WriteTag(0, ino, 0, n/2, 'B')
+		for fbn := FBN(0); fbn < n; fbn += 3 {
+			c.WriteTag(cloneVol, ino, fbn, 1, 'C')
+		}
+		if !c.CloneSplit(cloneVol) {
+			t.Error("CloneSplit refused")
+		}
+	})
+	if !halted {
+		t.Fatal("no CP reached its commit")
+	}
+	if recs := len(sys.m0().log.Replay()); recs == 0 || sys.CloneSplitDone(cloneVol) {
+		t.Fatalf("%d records in NVRAM, split done %v: want the crash with writes in NVRAM and the split under way", recs, sys.CloneSplitDone(cloneVol))
+	}
+	check := func(sys *System, label string) {
+		t.Helper()
+		for fbn := FBN(0); fbn < n; fbn++ {
+			parent, clone := byte('A'), byte('A')
+			if fbn < n/2 {
+				parent = 'B'
+			}
+			if fbn%3 == 0 {
+				clone = 'C'
+			}
+			for _, c := range []struct {
+				vol int
+				tag byte
+			}{{0, parent}, {cloneVol, clone}} {
+				got, want := sys.VerifyRead(c.vol, ino, fbn), sys.expected(ino, fbn, c.tag)
+				if len(want) != block.Size || !bytes.Equal(got, want) {
+					t.Fatalf("%s: vol %d fbn %d reads %d bytes unlike the %d of its name (tag %q)", label, c.vol, fbn, len(got), len(want), c.tag)
+				}
+			}
+		}
+	}
+	sys.Crash()
+	rec, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Shutdown()
+	check(rec, "recovered")
+	for i := 0; i < 50 && !rec.CloneSplitDone(cloneVol); i++ {
+		rec.ForceCP()
+		rec.Run(500 * Millisecond)
+	}
+	if !rec.CloneSplitDone(cloneVol) {
+		t.Fatal("the split did not complete after recovery")
+	}
+	check(rec, "split")
+	if err := rec.Quiesce(); err != nil {
+		t.Fatal(err)
 	}
 }

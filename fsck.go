@@ -116,12 +116,12 @@ func (mem *Member) fsck(r *FsckReport, prefix string) {
 			if visit != nil {
 				visit(level, idx, vvbn, vbn)
 			}
-			data := m.ReadVBNRaw(vbn)
-			if data == nil {
+			img := m.ReadImage(vbn)
+			if img.IsNil() {
 				r.Missing++
 				fail("%s: unreadable block at %v", tag, vbn)
 			}
-			return data
+			return img.Bytes
 		})
 	}
 	walk := func(f *fs.File, tag string) { walkSkip(f, tag, nil, nil) }
@@ -306,7 +306,7 @@ func (mem *Member) fsck(r *FsckReport, prefix string) {
 			continue
 		}
 		usedIn[g*int(geo.Depth)+int(dbn)]++
-		if m.Group(g).Drive(d).Peek(dbn) == nil {
+		if m.Group(g).Drive(d).Image(dbn).IsNil() {
 			r.Missing++
 			fail("used vbn %d has no media image", bn)
 		}
@@ -332,8 +332,7 @@ func (mem *Member) fsck(r *FsckReport, prefix string) {
 func (sys *System) VerifyAgainst(vol int, ino uint64, fbn FBN) error {
 	got := sys.VerifyRead(vol, ino, fbn)
 	var buf [block.Size]byte
-	want := buf[:sys.payloadLen()]
-	fillPayload(want, ino, fbn, 0)
+	want := sys.payload(ino, fbn, 0).AppendBytes(buf[:0])
 	if got == nil {
 		return fmt.Errorf("vol %d ino %d fbn %d: hole, want data", vol, ino, fbn)
 	}
@@ -358,8 +357,7 @@ func (sys *System) SnapVerifyAgainst(vol int, snapID, ino uint64, fbn FBN, expec
 		return nil
 	}
 	var buf [block.Size]byte
-	want := buf[:sys.payloadLen()]
-	fillPayload(want, ino, fbn, 0)
+	want := sys.payload(ino, fbn, 0).AppendBytes(buf[:0])
 	if got == nil {
 		return fmt.Errorf("vol %d snap %d ino %d fbn %d: hole, want data", vol, snapID, ino, fbn)
 	}

@@ -14,7 +14,9 @@ import (
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
 // an 8-block sequential write may allocate at most 0.85 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 0.74 KiB/op (8.3 mallocs/op) while a level-1
+// — and the figure sits near 0.24 KiB/op (0.3 mallocs/op) while a block's
+// payload is a name its record, buffer and media hold (DESIGN §14; 0.74
+// KiB and 8.3 mallocs with an array per payload), while a level-1
 // node's slot array comes from the image pool and goes back when its last
 // L0 buffer leaves (DESIGN §15) and the allocator's window records, the
 // cleaning jobs and the CP's scratch are recycled (DESIGN §9; 0.93 KiB and
@@ -104,14 +106,14 @@ func TestNFSMixHostAllocBudget(t *testing.T) {
 // besides the image arrays and user L0 buffers the image pool had to build
 // (Stats.Images.New and Images.Buffers.New): the recycled state's floor,
 // over a 100 ms window after the benchmark's 150 ms warm-up. On seqwrite,
-// whose window writes every block for the first time, each of its ~8.1 new
-// images per op is one the media keeps; everything else — the allocator's
-// window records, message bodies, cleaning jobs, slot arrays, CP scratch —
-// comes back from free lists, and at most 0.5 mallocs per op are left: 0.11
-// now, 0.18 when each CP built its per-volume records and fan-out units,
-// 1.74 when windows, jobs, message bodies and the level-1 slot arrays were
-// built fresh too (DESIGN §9, §15). On nfsmix, at most 0.36: 0.06 now, 0.07
-// and 0.76 then.
+// whose window writes every block for the first time, its new images per op
+// are the indirects the media keeps (0.07; 8.1 when each payload was an
+// array); everything else — the allocator's window records, message
+// bodies, cleaning jobs, slot arrays, CP scratch — comes back from free
+// lists, and at most 0.5 mallocs per op are left: 0.12 now, 0.18 when each
+// CP built its per-volume records and fan-out units, 1.74 when windows,
+// jobs, message bodies and the level-1 slot arrays were built fresh too
+// (DESIGN §9, §15). On nfsmix, at most 0.36: 0.07 now, 0.76 then.
 func TestWindowMallocsAreImages(t *testing.T) {
 	for _, row := range []struct {
 		name   string
@@ -151,14 +153,10 @@ func TestWindowMallocsAreImages(t *testing.T) {
 }
 
 // TestClientOpAllocations pins what a warm client op allocates on the host:
-// nothing, counted exactly over 50 ops (allocs.Count). A Write's payload
-// comes from the image pool, which a generation of overwritten and
-// forgotten payloads has filled (DESIGN §14; one object a write when every
-// payload was a fresh array). The write probe overwrites one block, 100
-// times with its warm-up, in one generation, so each payload it replaces is
-// held by its NVLog record alone and waits on the pool's hand-back list,
-// which a warm-up generation that overwrote every block twice has sized
-// (37 objects over the 50 writes when the replaced payloads were garbage). A
+// nothing, counted exactly over 50 ops (allocs.Count). A Write's payload is
+// a name, a value its NVLog record and its buffer hold (DESIGN §14; one
+// object a write when every payload was a fresh array). The write probe
+// overwrites one block, 100 times with its warm-up, in one generation. A
 // Read that hits the buffer cache and a Getattr use nothing but recycled
 // state (DESIGN §9).
 func TestClientOpAllocations(t *testing.T) {
@@ -332,8 +330,9 @@ func liveHeap() float64 {
 // the budgets above guard what it allocates: at the end of overload_burst's
 // recover phase the live heap the system holds (HeapAlloc after a
 // collection, less what it was before the system was built: systems earlier
-// tests left running stay live) is under 17 MiB. It sits near 14.7 MiB while
-// a clean user block keeps no buffer (DESIGN §15; 18.0 when every block
+// tests left running stay live) is under 17 MiB. It sits near 11.2 MiB while
+// a user block's media image is a name (DESIGN §14; 14.7 MiB with a
+// payload array per block), while a clean user block keeps no buffer (DESIGN §15; 18.0 when every block
 // written or read kept one, 18.6 when the parity drive also kept every
 // stripe's row, DESIGN §4), while
 // a sparse indirect keeps an array only as long as its pointers need and
@@ -359,7 +358,8 @@ func TestOverloadLiveHeapBudget(t *testing.T) {
 // TestNFSMixLiveHeapBudget guards the same on the benchmark's nfsmix, whose
 // 1,600 small files hold one sparse L1 each: after a 150 ms warm-up and a
 // 250 ms window the live heap the system holds is under 23 MiB. It sits near
-// 20.3 MiB while a clean user block keeps no buffer (DESIGN §15; 24.7 when
+// 16.0 MiB while a user block's media image is a name (DESIGN §14; 20.3
+// with a payload array per block), while a clean user block keeps no buffer (DESIGN §15; 24.7 when
 // every block written kept one, 26.2 when the parity drive also kept every
 // stripe's row, DESIGN §4) and a sparse indirect keeps an array only as long as its
 // pointers need and shares it with the media sealed (DESIGN §14); 31.6 MiB
@@ -405,7 +405,9 @@ func liveAfterWindow(t *testing.T, cfg wafl.Config, w harness.Attacher) float64 
 
 // TestSeqWriteLiveHeapBudget guards the live heap of the benchmark's
 // seqwrite: after a 150 ms warm-up and a 250 ms window the system holds
-// under 40 MiB. It sits near 35.0 MiB while a level-1 node holds a slot
+// under 40 MiB. It sits near 16.4 MiB while a user block's media image is a
+// name (DESIGN §14; 35.0 MiB with a payload array per block), while a
+// level-1 node holds a slot
 // array only while it holds an L0 buffer (37.1 MiB when every node kept its
 // 2 KiB array after its buffers left), and a user L0 buffer lives only
 // while its block is dirty or in a CP, so a clean block's content is its
@@ -422,18 +424,19 @@ func TestSeqWriteLiveHeapBudget(t *testing.T) {
 
 // TestAgedRandLiveHeapBudget is its twin on the benchmark's agedrand, whose
 // set-up dirties a 393,216-block prefill in one CP: under 75 MiB after the
-// window. It sits near 55.5 MiB while that burst's buffers go to the garbage
+// window. It sits near 25.2 MiB while a user block's media image is a name
+// (DESIGN §14; 55.5 MiB with a payload array per block), while that burst's
+// buffers go to the garbage
 // collector instead of the free list (ImagePool.Trim) and a spent dirty list
 // drops the burst's array (DESIGN §15; 59.0 MiB when the lists kept it,
 // 62.2 when every level-1 node also kept its slot array after its buffers
 // left); 98.8 MiB when
 // every block kept its buffer. Over the window the system also allocates at
 // most 0.05 KiB of host heap per op, and its image pool builds at most 0.15
-// arrays per op (Stats.Images.New): 0.026 KiB and 0.038 arrays while a
-// client's payload goes back to the image pool from its last holder — the
-// media, as a marked preserved CP image or sealed payload an overwrite left,
-// or a freed NVLog half, as a payload only its record held (DESIGN §14;
-// 0.073 KiB and 0.75 arrays when those three were garbage), 0.091 KiB when
+// arrays per op (Stats.Images.New): 0.024 KiB and 0.005 arrays while a
+// client's payload is a name (DESIGN §14), 0.026 KiB and 0.038 arrays when
+// each was an array the pool took back from its last holder, 0.073 KiB and
+// 0.75 arrays when some of those were garbage, 0.091 KiB when
 // the allocator's window records and message bodies were also built fresh
 // (DESIGN §9), 0.167 when every payload was a fresh array, 0.29 when every
 // snapshot delete also allocated its volume's reclamation arrays anew.
@@ -478,10 +481,10 @@ func TestAgedRandLiveHeapBudget(t *testing.T) {
 // TestAgedPrefillLiveHeapBudget pins the moment that sets agedrand's peak
 // RSS: its set-up's prefill, 393,216 blocks dirty in one CP, before the
 // flush that cleans them. Built as AgedVol.Attach builds it, the system then
-// holds under 70 MiB of live heap. It sits near 65.7 MiB while a buffer is
-// 64 bytes, its rare preserved CP image in the image pool's side home
-// (DESIGN §15); 77.7 MiB when every buffer was 96 bytes, with a 24-byte CP
-// image field and a word-wide level.
+// holds under 70 MiB of live heap. It sits near 45.7 MiB while each block's
+// payload is a name its record and its 80-byte buffer hold (DESIGN §14,
+// §15); 65.7 MiB when each also had a 64-byte payload array beside a
+// 64-byte buffer, 77.7 MiB when every buffer was 96 bytes.
 func TestAgedPrefillLiveHeapBudget(t *testing.T) {
 	const budgetMiB = 70
 	base := liveHeap()
@@ -533,5 +536,48 @@ func TestNFSMixSwitchBudget(t *testing.T) {
 		perOp, float64(res.Stats.Waffinity.EmptyWakes)/float64(res.Ops), res.Ops)
 	if perOp > budget {
 		t.Fatalf("nfsmix switches threads %.1f times per op, budget %d/op", perOp, budget)
+	}
+}
+
+// TestFirstFillAllocatesNoArrayPerBlock: a client that fills a file for
+// the first time, eight blocks a write, lands every block through CPs
+// without an array of its own: the NVLog record, the buffer and the media
+// hold each payload by name (DESIGN §14). Over three warm 20 ms windows of
+// the running fill the system allocates under half an object per block it
+// writes (0.22 now: mostly L0 buffers the free list's trim let go between
+// CPs of different sizes, and CP and indirect-block work), where an array
+// per payload made it 1.22, one per block more, which the media kept.
+func TestFirstFillAllocatesNoArrayPerBlock(t *testing.T) {
+	const rounds = 3
+	sys, err := wafl.NewSystem(wafl.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	ino := sys.CreateFileDirect(0, 1<<20)
+	last := wafl.FBN(0)
+	sys.ClientThread("fill", func(c *wafl.ClientCtx) {
+		for fbn := wafl.FBN(0); c.Alive() && fbn < 1<<20; fbn += 8 {
+			c.Write(0, ino, fbn, 8)
+			last = fbn + 7
+		}
+	})
+	sys.Run(50 * wafl.Millisecond) // the pools' working sets
+	var blocks [rounds + 1]uint64
+	call := 0
+	got := allocs.Count(rounds, func() {
+		before := sys.Stats().Client.BlocksWritten
+		sys.Run(20 * wafl.Millisecond)
+		blocks[call] = sys.Stats().Client.BlocksWritten - before
+		call++
+	})
+	written := blocks[1] + blocks[2] + blocks[3]
+	perBlock := float64(got) / float64(written)
+	t.Logf("%d objects over %d first-filled blocks: %.3f a block", got, written, perBlock)
+	if written < 5_000 || perBlock >= 0.5 {
+		t.Fatalf("a first fill of %d blocks allocates %.3f objects a block, want under 0.5", written, perBlock)
+	}
+	if err := sys.VerifyAgainst(0, ino, last); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -158,9 +158,6 @@ func (a *Aggregate) newMetafile(ino uint64, height int) *fs.File {
 // ImageStats returns the image pool's counts.
 func (a *Aggregate) ImageStats() fs.ImageStats { return a.images.Stats() }
 
-// Images returns the aggregate's image pool, where client payloads come from.
-func (a *Aggregate) Images() *fs.ImagePool { return a.images }
-
 // CheckImages audits the image pool against the data drives
 // (fs.ImagePool.Audit). Only when no write is in flight: at Quiesce.
 func (a *Aggregate) CheckImages() error {
@@ -179,7 +176,7 @@ func (a *Aggregate) CheckImages() error {
 			for di := 0; di < g.DataDrives(); di++ {
 				d := g.Drive(di)
 				for dbn := block.DBN(0); dbn < d.Blocks(); dbn++ {
-					if img := d.Peek(dbn); len(img) > 0 {
+					if img := d.Image(dbn).Bytes; len(img) > 0 {
 						visit(a.geo.VBNOf(gi, di, dbn), img, d.MediaOnly(dbn))
 					}
 				}
@@ -311,10 +308,15 @@ func (a *Aggregate) SetInjector(in storage.Injector) {
 // Repairs returns readVBN's fault-repair counters.
 func (a *Aggregate) Repairs() RepairStats { return a.repair }
 
-// ReadVBNRaw returns the committed media content of vbn without timing
-// effects (mount/verification path): readVBN, untimed. Never-written blocks
+// ReadVBNRaw returns the committed byte image of vbn without timing effects
+// (mount/verification path): readVBN, untimed, of an indirect, a metafile
+// block or the superblock. Never-written blocks, and blocks held by name,
 // return nil.
-func (a *Aggregate) ReadVBNRaw(vbn block.VBN) []byte { return a.readVBN(nil, vbn) }
+func (a *Aggregate) ReadVBNRaw(vbn block.VBN) []byte { return a.readVBN(nil, vbn).Bytes }
+
+// ReadImage returns the committed image of vbn by value without timing
+// effects: readVBN, untimed. A never-written block is the nil Image.
+func (a *Aggregate) ReadImage(vbn block.VBN) block.Image { return a.readVBN(nil, vbn) }
 
 // readVBN is every media read of a committed block. It is subject to
 // injected read errors: a failed read is retried once (transient errors
@@ -328,10 +330,10 @@ func (a *Aggregate) ReadVBNRaw(vbn block.VBN) []byte { return a.readVBN(nil, vbn
 // explicit row of the images its last landed parity write covered
 // (raid.Group), so a block of it may reconstruct to other bytes than its own.
 // Nothing repairs a torn stripe's parity yet.
-func (a *Aggregate) readVBN(t *sim.Thread, vbn block.VBN) []byte {
+func (a *Aggregate) readVBN(t *sim.Thread, vbn block.VBN) block.Image {
 	g, d, dbn := a.geo.Locate(vbn)
 	drive := a.groups[g].Drive(d)
-	var img []byte
+	var img block.Image
 	if t != nil {
 		img = drive.ReadSync(t, []block.DBN{dbn})[0]
 	}
@@ -340,7 +342,7 @@ func (a *Aggregate) readVBN(t *sim.Thread, vbn block.VBN) []byte {
 		a.repair.Retries++
 		if b, ok = drive.PeekChecked(dbn); !ok {
 			a.repair.Reconstructs++
-			return a.groups[g].ReconstructBlock(d, dbn)
+			return block.Image{Bytes: a.groups[g].ReconstructBlock(d, dbn)}
 		}
 	}
 	if t != nil {

@@ -203,7 +203,7 @@ func (c *testCheckpoint) cleanFile(th *sim.Thread, f *fs.File, dual bool, v *Vol
 				}
 				vbn := c.allocVBN()
 				img, _, _, _ := f.CleanChild(b, vvbn, vbn)
-				c.writeVBN(th, vbn, img)
+				c.writeVBN(th, vbn, img.Bytes)
 				if !dual {
 					c.meta = append(c.meta, vbn)
 				}
@@ -293,11 +293,11 @@ func TestCheckpointMountRoundTrip(t *testing.T) {
 	}
 	for fbn, want := range map[block.FBN][]byte{0: pattern(1), 5: pattern(2), 300: pattern(3)} {
 		got := mv.ReadBlock(nil, mf, fbn)
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(got.Bytes, want) {
 			t.Fatalf("fbn %d content mismatch after mount", fbn)
 		}
 	}
-	if mv.ReadBlock(nil, mf, 7) != nil {
+	if !mv.ReadBlock(nil, mf, 7).IsNil() {
 		t.Fatal("hole should read nil")
 	}
 	me := mv.LookupFile(empty.Ino())
@@ -421,7 +421,7 @@ func TestCreateFileAtForms(t *testing.T) {
 
 	// Explicit, persisted: the file on media, not a fresh empty one.
 	got := v.CreateFileAt(persisted.Ino(), 1<<12)
-	if got.Ino() != persisted.Ino() || !bytes.Equal(v.ReadBlock(nil, got, 5), pattern(1)) {
+	if got.Ino() != persisted.Ino() || !bytes.Equal(v.ReadBlock(nil, got, 5).Bytes, pattern(1)) {
 		t.Fatal("re-creating a persisted inode did not return the file on media")
 	}
 	if v.DirtyFiles() != 0 || len(v.FreezeAll(nil)) != 0 {

@@ -124,7 +124,7 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 			}
 			vbn := p.members[i].vbn
 			img, mediaOnly, _, _ := f.CleanChild(b, block.InvalidVVBN, vbn) // old location already freed
-			p.writes = append(p.writes, AmapWrite{VBN: vbn, Data: img, MediaOnly: mediaOnly})
+			p.writes = append(p.writes, AmapWrite{VBN: vbn, Data: img.Bytes, MediaOnly: mediaOnly})
 		}
 	}
 	if f.FrozenCount() != 0 {

@@ -159,10 +159,9 @@ func (v *Volume) StartSplit() bool {
 // SplitStep rewrites up to batch still-live base L0 blocks with their own
 // content, dirtying them into the open generation so the next CP's cleaner
 // assigns each a fresh VVBN and physical home — block-copy divergence
-// through the exact machinery ordinary overwrites use. Each is written as a
-// copy from the image pool: the parent's block keeps its array, which the
-// parent's media may hand back to the pool while the clone's block lives
-// (DESIGN §14). Resumes at the
+// through the exact machinery ordinary overwrites use. Each is written as
+// the parent's image by value: a name, or the media's immutable array, which
+// no pool takes back (DESIGN §14). Resumes at the
 // persisted-state-free (SplitIno, SplitFBN) cursor and wraps at the end of
 // a pass. Returns blocks queued for copy and the scan cost in blocks.
 func (v *Volume) SplitStep(batch int) (copied, walked int) {
@@ -186,8 +185,8 @@ func (v *Volume) SplitStep(batch int) (copied, walked int) {
 			if b := f.Buffer(0, fbn); b != nil {
 				continue // dirty: already diverging through a pending clean
 			}
-			data, vvbn, _ := v.readL0(nil, f, fbn)
-			if data == nil {
+			img, vvbn, _ := v.readL0(nil, f, fbn)
+			if img.IsNil() {
 				continue // hole
 			}
 			f.Hold(fbn)
@@ -195,7 +194,7 @@ func (v *Volume) SplitStep(batch int) (copied, walked int) {
 				!v.Activemap.IsSet(uint64(vvbn)) {
 				continue // clone-owned or already diverged
 			}
-			f.WriteBlock(fbn, v.aggr.images.Copy(data))
+			f.WriteImage(fbn, img)
 			v.MarkDirty(f)
 			copied++
 		}

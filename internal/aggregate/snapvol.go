@@ -239,16 +239,16 @@ func (v *Volume) WriteSnapdirEntries() {
 // is non-nil.
 // ok=false means the snapshot or the inode does not exist in it; a nil data
 // with ok=true is a hole in the frozen image.
-func (v *Volume) SnapReadBlock(t *sim.Thread, snapID, ino uint64, fbn block.FBN) (data []byte, ok bool) {
+func (v *Volume) SnapReadBlock(t *sim.Thread, snapID, ino uint64, fbn block.FBN) (img block.Image, ok bool) {
 	s := v.snaps[snapID]
 	if s == nil {
-		return nil, false
+		return block.Image{}, false
 	}
 	rec, ok := snap.RecordAt(s.InoCopy, ino)
 	if !ok {
-		return nil, false
+		return block.Image{}, false
 	}
-	return fs.ReadTree(func(vbn block.VBN) []byte { return v.aggr.readVBN(t, vbn) }, rec, fbn), true
+	return fs.ReadTree(func(vbn block.VBN) block.Image { return v.aggr.readVBN(t, vbn) }, rec, fbn), true
 }
 
 // SummaryHeld reports whether vvbn is held by at least one snapshot.

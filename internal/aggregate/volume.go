@@ -394,8 +394,8 @@ func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
 	if f.RootVBN == block.InvalidVBN || f.Resident(fbn) {
 		return
 	}
-	if data, vvbn, vbn := v.readL0(nil, f, fbn); data != nil {
-		f.InstallBuffer(0, fbn, data, vvbn, vbn)
+	if img, vvbn, vbn := v.readL0(nil, f, fbn); !img.IsNil() {
+		f.InstallImage(0, fbn, img, vvbn, vbn)
 	}
 }
 
@@ -413,31 +413,31 @@ func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
 // it, so a timed read may find nothing there yet: its write has not landed.
 // The buffer, in the tree until that CP commits, holds the content then.
 // Nothing at a committed location is a lost block.
-func (v *Volume) ReadBlock(t *sim.Thread, f *fs.File, fbn block.FBN) []byte {
-	data, _, _ := v.readL0(t, f, fbn)
-	return data
+func (v *Volume) ReadBlock(t *sim.Thread, f *fs.File, fbn block.FBN) block.Image {
+	img, _, _ := v.readL0(t, f, fbn)
+	return img
 }
 
 // readL0 is ReadBlock, with the address the content was read at.
-func (v *Volume) readL0(t *sim.Thread, f *fs.File, fbn block.FBN) (data []byte, vvbn block.VVBN, vbn block.VBN) {
+func (v *Volume) readL0(t *sim.Thread, f *fs.File, fbn block.FBN) (img block.Image, vvbn block.VVBN, vbn block.VBN) {
 	b := f.Buffer(0, fbn)
 	if b != nil && t == nil {
-		return b.Data(), b.VVBN(), b.VBN()
+		return b.Image(), b.VVBN(), b.VBN()
 	}
 	vvbn, vbn, ok := f.Resolve(fbn, v.aggr)
 	switch {
 	case !ok:
-		return nil, vvbn, vbn
+		return block.Image{}, vvbn, vbn
 	case t == nil && f.Resident(fbn):
 		g, d, dbn := v.aggr.geo.Locate(vbn)
-		data = v.aggr.groups[g].Drive(d).Peek(dbn)
+		img = v.aggr.groups[g].Drive(d).Image(dbn)
 	default:
-		data = v.aggr.readVBN(t, vbn)
+		img = v.aggr.readVBN(t, vbn)
 	}
-	if data == nil && (b == nil || b.VBN() != vbn || !v.aggr.inCP) {
+	if img.IsNil() && (b == nil || b.VBN() != vbn || !v.aggr.inCP) {
 		panic(fmt.Sprintf("volume %d: ino %d L0 fbn %d at %v unreadable", v.id, f.Ino(), fbn, vbn))
 	}
-	return data, vvbn, vbn
+	return img, vvbn, vbn
 }
 
 // NextIno returns the next inode number to be assigned (persisted in the

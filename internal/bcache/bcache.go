@@ -13,12 +13,19 @@
 // first touch; once it exceeds capacity, LRU eviction makes re-reads pay
 // media latency again.
 //
-// All operations are O(1) (map plus intrusive doubly-linked LRU list) and
-// deterministic: the map is only ever probed by key, never iterated —
-// eviction order comes from the list alone.
+// All operations are O(1) (an open-addressed key table plus an intrusive
+// doubly-linked LRU list) and deterministic: the table is only ever probed
+// by key, never iterated — eviction order comes from the list alone. It
+// probes linearly and deletes by shifting the rest of the probe chain back,
+// so a delete leaves no mark behind: the table is made once, at twice the
+// capacity, and a full cache that evicts on every insert allocates nothing.
 package bcache
 
-import "wafl/internal/block"
+import (
+	"math/bits"
+
+	"wafl/internal/block"
+)
 
 // Key names one cached block: member-local volume, member-local inode, and
 // file block number.
@@ -26,6 +33,12 @@ type Key struct {
 	Vol int
 	Ino uint64
 	FBN block.FBN
+}
+
+// hash mixes a key's fields into a table index (before masking).
+func (k Key) hash() int {
+	h := uint64(k.Vol)*0x9E3779B97F4A7C15 ^ k.Ino*0xC2B2AE3D27D4EB4F ^ uint64(k.FBN)*0x165667B19E3779F9
+	return int(h ^ h>>29)
 }
 
 type entry struct {
@@ -46,9 +59,12 @@ type Stats struct {
 // concurrency; the simulation serializes all access.
 type Cache struct {
 	capacity int
-	m        map[Key]*entry
-	head     *entry // most recently used
-	tail     *entry // least recently used
+	// slots is the key table, nil where empty: a power of two at least twice
+	// the capacity, made once.
+	slots []*entry
+	n     int    // resident blocks
+	head  *entry // most recently used
+	tail  *entry // least recently used
 
 	hits, misses, evictions uint64
 }
@@ -59,15 +75,43 @@ func New(capacity int) *Cache {
 	if capacity < 1 {
 		panic("bcache: capacity must be positive")
 	}
-	return &Cache{capacity: capacity, m: make(map[Key]*entry, capacity)}
+	n := 1 << bits.Len(uint(2*capacity-1))
+	return &Cache{capacity: capacity, slots: make([]*entry, n)}
+}
+
+// probe returns the slot that holds k, or the empty slot its chain ends at.
+func (c *Cache) probe(k Key) int {
+	mask := len(c.slots) - 1
+	i := k.hash() & mask
+	for c.slots[i] != nil && c.slots[i].key != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove deletes resident key k from the table: each entry later in its
+// probe chain whose home slot lies cyclically outside (emptied, its slot]
+// moves back into the emptied slot, so no chain is broken and no slot is
+// left marked.
+func (c *Cache) remove(k Key) {
+	mask := len(c.slots) - 1
+	i := c.probe(k)
+	c.slots[i] = nil
+	for j := (i + 1) & mask; c.slots[j] != nil; j = (j + 1) & mask {
+		if h := c.slots[j].key.hash() & mask; (j > i && (h <= i || h > j)) || (j < i && h <= i && h > j) {
+			c.slots[i], c.slots[j] = c.slots[j], nil
+			i = j
+		}
+	}
+	c.n--
 }
 
 // Len returns the number of resident blocks.
-func (c *Cache) Len() int { return len(c.m) }
+func (c *Cache) Len() int { return c.n }
 
 // Stats returns the counter snapshot.
 func (c *Cache) Stats() Stats {
-	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Resident: len(c.m)}
+	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Resident: c.n}
 }
 
 // unlink removes e from the LRU list.
@@ -102,7 +146,7 @@ func (c *Cache) pushFront(e *entry) {
 // then calls Insert, so a read that crashes mid-I/O never leaves a phantom
 // resident block.
 func (c *Cache) Touch(k Key) bool {
-	if e, ok := c.m[k]; ok {
+	if e := c.slots[c.probe(k)]; e != nil {
 		c.hits++
 		if c.head != e {
 			c.unlink(e)
@@ -116,15 +160,14 @@ func (c *Cache) Touch(k Key) bool {
 
 // Contains reports residency without perturbing recency or counters.
 func (c *Cache) Contains(k Key) bool {
-	_, ok := c.m[k]
-	return ok
+	return c.slots[c.probe(k)] != nil
 }
 
 // Insert makes k resident (refreshing it if already resident), evicting the
 // least recently used block if the cache is full; the evicted entry becomes
 // k's.
 func (c *Cache) Insert(k Key) {
-	if e, ok := c.m[k]; ok {
+	if e := c.slots[c.probe(k)]; e != nil {
 		if c.head != e {
 			c.unlink(e)
 			c.pushFront(e)
@@ -132,21 +175,22 @@ func (c *Cache) Insert(k Key) {
 		return
 	}
 	var e *entry
-	if len(c.m) >= c.capacity {
+	if c.n >= c.capacity {
 		e = c.tail
 		c.unlink(e)
-		delete(c.m, e.key)
+		c.remove(e.key)
 		c.evictions++
 		e.key = k
 	} else {
 		e = &entry{key: k}
 	}
-	c.m[k] = e
+	c.slots[c.probe(k)] = e
+	c.n++
 	c.pushFront(e)
 }
 
 // InvalidateFile evicts every resident block of (vol, ino) — the delete
-// path's coherence hook. Walks the LRU list (never the map), so eviction
+// path's coherence hook. Walks the LRU list (never the table), so eviction
 // order and the surviving list are deterministic. Returns blocks evicted.
 func (c *Cache) InvalidateFile(vol int, ino uint64) int {
 	n := 0
@@ -154,7 +198,7 @@ func (c *Cache) InvalidateFile(vol int, ino uint64) int {
 		next := e.next
 		if e.key.Vol == vol && e.key.Ino == ino {
 			c.unlink(e)
-			delete(c.m, e.key)
+			c.remove(e.key)
 			n++
 		}
 		e = next
@@ -171,7 +215,7 @@ func (c *Cache) InvalidateVol(vol int) int {
 		next := e.next
 		if e.key.Vol == vol {
 			c.unlink(e)
-			delete(c.m, e.key)
+			c.remove(e.key)
 			n++
 		}
 		e = next

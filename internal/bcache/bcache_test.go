@@ -1,6 +1,9 @@
 package bcache
 
 import (
+	"math/rand/v2"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"wafl/internal/allocs"
@@ -74,27 +77,122 @@ func TestRemoveAndReinsert(t *testing.T) {
 }
 
 // TestInsertThatEvictsAllocatesNothing: in a full cache the evicted entry
-// becomes the inserted key's, and the LRU order is what it was.
+// becomes the inserted key's, the key table neither grows nor rebuilds — a
+// delete leaves no marked slot behind — and the LRU order is what it was.
+// Over 50,000 evicting inserts of random keys, in each of five seeds, the
+// cache allocates nothing once it has filled. A Go map lost its evicted
+// keys' slots to deletion marks and grew into a new table every few
+// thousand inserts.
 func TestInsertThatEvictsAllocatesNothing(t *testing.T) {
-	const n = 64
-	c := New(n)
-	for i := 0; i < n; i++ {
-		c.Insert(k(i))
+	const n, inserts = 64, 50_000
+	for seed := range uint64(5) {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		c := New(n)
+		var last [n]Key // the n most recent keys, by insert count mod n
+		i := 0
+		insert := func() {
+			key := Key{Vol: rng.IntN(4), Ino: rng.Uint64(), FBN: block.FBN(rng.Uint64())}
+			c.Insert(key)
+			last[i%n] = key
+			i++
+		}
+		for range n {
+			insert()
+		}
+		// The runtime's background scavenger allocates now and then for its
+		// own timer while it has memory to return, which a run this long,
+		// under the race detector above all, may count: return it first.
+		debug.FreeOSMemory()
+		if got := allocs.Count(inserts, insert); got != 0 {
+			t.Errorf("seed %d: %d Inserts that evict allocate %d objects, want 0", seed, inserts, got)
+		}
+		if want := uint64(inserts + 1); c.Len() != n || c.Stats().Evictions != want {
+			t.Fatalf("seed %d: Len %d, %d evictions; want %d and %d", seed, c.Len(), c.Stats().Evictions, n, want)
+		}
+		for j := range n {
+			if !c.Contains(last[(i+j)%n]) {
+				t.Fatalf("seed %d: key inserted %d ago is not resident", seed, n-j)
+			}
+		}
+		// The least recently used goes first: the oldest resident key.
+		c.Insert(k(-1))
+		if c.Contains(last[i%n]) || !c.Contains(last[(i+1)%n]) {
+			t.Fatalf("seed %d: the insert did not evict the least recently used key alone", seed)
+		}
 	}
-	// Warm up past the map's first growth: the slots evicted keys leave
-	// marked fill its table within the first few thousand evicting inserts,
-	// and it grows once (two objects); the next growth is tens of thousands
-	// of inserts away.
-	i := n
-	for range 5000 {
-		c.Insert(k(i))
-		i++
-	}
-	if got := allocs.Count(1000, func() { c.Insert(k(i)); i++ }); got != 0 {
-		t.Errorf("1000 Inserts that evict allocate %d objects, want 0", got)
-	}
-	if c.Len() != n || c.Contains(k(i-n-1)) || !c.Contains(k(i-n)) || !c.Contains(k(i-1)) {
-		t.Fatalf("after %d inserts: Len %d; want the last %d keys resident", i, c.Len(), n)
+}
+
+// TestMatchesReferenceLRU drives the cache and a reference LRU (a slice in
+// recency order) with the same seeded Inserts, Touches and invalidations
+// over a small key space, so probe chains collide, wrap and shift back, and
+// compares residency, order and counters after every operation.
+func TestMatchesReferenceLRU(t *testing.T) {
+	for seed := range uint64(8) {
+		rng := rand.New(rand.NewPCG(seed, 2))
+		capacity := 1 + rng.IntN(40)
+		c := New(capacity)
+		var ref []Key // most recent first
+		var hits, misses, evictions uint64
+		at := func(key Key) int { return slices.Index(ref, key) }
+		for step := range 4000 {
+			key := Key{Vol: rng.IntN(3), Ino: uint64(rng.IntN(4)), FBN: block.FBN(rng.IntN(50))}
+			switch op := rng.IntN(20); {
+			case op < 10:
+				c.Insert(key)
+				if i := at(key); i >= 0 {
+					ref = slices.Delete(ref, i, i+1)
+				} else if len(ref) == capacity {
+					ref = ref[:len(ref)-1]
+					evictions++
+				}
+				ref = slices.Insert(ref, 0, key)
+			case op < 18:
+				i := at(key)
+				if got := c.Touch(key); got != (i >= 0) {
+					t.Fatalf("seed %d step %d: Touch(%v) = %v", seed, step, key, got)
+				}
+				if i >= 0 {
+					hits++
+					ref = slices.Insert(slices.Delete(ref, i, i+1), 0, key)
+				} else {
+					misses++
+				}
+			case op < 19:
+				n := c.InvalidateFile(key.Vol, key.Ino)
+				before := len(ref)
+				ref = slices.DeleteFunc(ref, func(r Key) bool { return r.Vol == key.Vol && r.Ino == key.Ino })
+				if n != before-len(ref) {
+					t.Fatalf("seed %d step %d: InvalidateFile evicted %d, want %d", seed, step, n, before-len(ref))
+				}
+			default:
+				n := c.InvalidateVol(key.Vol)
+				before := len(ref)
+				ref = slices.DeleteFunc(ref, func(r Key) bool { return r.Vol == key.Vol })
+				if n != before-len(ref) {
+					t.Fatalf("seed %d step %d: InvalidateVol evicted %d, want %d", seed, step, n, before-len(ref))
+				}
+			}
+			var order []Key
+			for e := c.head; e != nil; e = e.next {
+				order = append(order, e.key)
+			}
+			if !slices.Equal(order, ref) || c.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: LRU order %v, want %v", seed, step, order, ref)
+			}
+			for vol := range 3 {
+				for ino := range uint64(4) {
+					for fbn := range block.FBN(50) {
+						k := Key{Vol: vol, Ino: ino, FBN: fbn}
+						if c.Contains(k) != (at(k) >= 0) {
+							t.Fatalf("seed %d step %d: Contains(%v) = %v", seed, step, k, !(at(k) >= 0))
+						}
+					}
+				}
+			}
+			if st := c.Stats(); st.Hits != hits || st.Misses != misses || st.Evictions != evictions || st.Resident != len(ref) {
+				t.Fatalf("seed %d step %d: stats %+v, want %d hits, %d misses, %d evictions", seed, step, st, hits, misses, evictions)
+			}
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func BenchmarkWindowRoundTrip(b *testing.B) {
 					vbn := bk.vbns[bk.next]
 					bk.next++
 					_, drive, dbn := geo.Locate(vbn)
-					e.in.addToTetris(bk.tetris, drive, dbn, img, false)
+					e.in.addToTetris(bk.tetris, drive, dbn, block.Image{Bytes: img}, false)
 					used = append(used, vbn)
 				}
 				e.in.PutBucket(th, bk)

@@ -81,13 +81,13 @@ func (io *tetrisIO) landed() {
 	io.in.ioDone()
 }
 
-// addToTetris enqueues a cleaned block's payload on te at its assigned
+// addToTetris enqueues a cleaned block's image on te at its assigned
 // location, to be marked media-only when it lands if mediaOnly is set.
-func (in *Infra) addToTetris(te *Tetris, drive int, dbn block.DBN, data []byte, mediaOnly bool) {
+func (in *Infra) addToTetris(te *Tetris, drive int, dbn block.DBN, img block.Image, mediaOnly bool) {
 	if te.io == nil {
 		te.io = in.listPool.Get()
 	}
-	te.io.lists[drive] = append(te.io.lists[drive], storage.WriteReq{DBN: dbn, Data: data, MediaOnly: mediaOnly})
+	te.io.lists[drive] = append(te.io.lists[drive], storage.WriteReq{DBN: dbn, Data: img.Bytes, Name: img.Name, MediaOnly: mediaOnly})
 	te.blocks++
 }
 

@@ -140,7 +140,7 @@ func TestPutBucketCommitsUsedOnly(t *testing.T) {
 			b.next++
 			g, d, dbn := e.a.Geometry().Locate(vbn)
 			_ = g
-			e.in.addToTetris(b.tetris, d, dbn, block.New(), false)
+			e.in.addToTetris(b.tetris, d, dbn, block.Image{Bytes: block.New()}, false)
 		}
 		used = append([]block.VBN(nil), b.Used()...)
 		unused = append([]block.VBN(nil), b.vbns[b.next:]...)
@@ -184,7 +184,7 @@ func TestTetrisSentWhenAllBucketsReturned(t *testing.T) {
 			_, d, dbn := e.a.Geometry().Locate(vbn)
 			data := block.New()
 			data[0] = byte(d + 1)
-			e.in.addToTetris(te, d, dbn, data, false)
+			e.in.addToTetris(te, d, dbn, block.Image{Bytes: data}, false)
 		}
 		before := e.in.Stats().TetrisesSent
 		for i, b := range buckets {
@@ -204,7 +204,7 @@ func TestTetrisSentWhenAllBucketsReturned(t *testing.T) {
 	found := 0
 	for dbn := block.DBN(0); dbn < g.Depth(); dbn++ {
 		for d := 0; d < g.DataDrives(); d++ {
-			if b := g.Drive(d).Peek(dbn); b != nil && b[0] == byte(d+1) {
+			if b := g.Drive(d).Image(dbn).Expand(); b != nil && b[0] == byte(d+1) {
 				found++
 				if !g.VerifyStripe(dbn) {
 					t.Fatalf("parity mismatch at stripe %d", dbn)

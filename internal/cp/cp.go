@@ -321,7 +321,6 @@ func (e *Engine) runCP(t *sim.Thread) {
 	// next — so an acked create is always covered by a committed CP or a
 	// surviving log record.
 	e.log.Switch()
-	e.a.Images().LogSwitched()
 	vols := e.a.Volumes()
 	if n := len(vols) - len(e.cuts); n > 0 {
 		e.cuts = append(e.cuts, make([]volCut, n)...)
@@ -701,20 +700,15 @@ func (e *Engine) runCP(t *sim.Thread) {
 	e.a.SetCPCount(e.a.CPCount() + 1)
 	e.a.WriteSuperblock(t)
 	// The cleaned user L0s have landed and are committed: the clean ones
-	// leave their trees, and the media is their content from here on. The
-	// payloads client overwrites left while their writes were in flight
-	// have landed too, and are marked media-only.
+	// leave their trees, and the media is their content from here on.
 	for _, c := range cuts {
 		for _, f := range c.frozen {
 			f.DropClean()
 		}
 	}
-	e.a.Images().MarkLanded()
 	e.a.ForgetFreed()
 	e.boundary(t, "post-commit")
-	// The payloads only the freed half's records held go back to the pool.
 	e.log.FreeFrozen()
-	e.a.Images().LogFreed()
 	e.in.EndCP()
 	// The applied restores are durable: reopen the client gates. Deferred
 	// restores re-queued at phase 1b keep their volumes gated through

@@ -121,7 +121,7 @@ func TestCPCommitsSuperblockAndMounts(t *testing.T) {
 		t.Fatal("file lost across mount")
 	}
 	got := m.Volume(0).ReadBlock(nil, mf, 7)
-	if !bytes.Equal(got, payload(0xAB)) {
+	if !bytes.Equal(got.Bytes, payload(0xAB)) {
 		t.Fatal("mounted content mismatch")
 	}
 }
@@ -221,7 +221,7 @@ func TestCrashMidCPKeepsPreviousImage(t *testing.T) {
 	}
 	mf := m.Volume(0).LookupFile(f.Ino())
 	got := m.Volume(0).ReadBlock(nil, mf, 0)
-	if !bytes.Equal(got, payload(1)) {
+	if !bytes.Equal(got.Bytes, payload(1)) {
 		t.Fatal("previous CP's content corrupted by crashed CP")
 	}
 }

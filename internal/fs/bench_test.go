@@ -102,7 +102,8 @@ func BenchmarkCleanSparseIndirect(b *testing.B) {
 			f.CleanChild(buf, block.VVBN(loc), block.VBN(loc))
 			loc++
 		}
-		img, _, _, _ = f.CleanChild(f.FrozenLevel(1)[0], block.VVBN(loc), block.VBN(loc))
+		out, _, _, _ := f.CleanChild(f.FrozenLevel(1)[0], block.VVBN(loc), block.VBN(loc))
+		img = out.Bytes
 	}
 	round() // make every buffer and list resident
 	b.ReportAllocs()
@@ -110,27 +111,5 @@ func BenchmarkCleanSparseIndirect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.InstallBuffer(1, 0, img, block.VVBN(ptrs+1), block.VBN(ptrs+1))
 		round()
-	}
-}
-
-// BenchmarkPayloadRoundTrip is one client payload's trip through the image
-// pool: taken and filled for a write (ImagePool.Get), landed at its DBN,
-// marked media-only there when its buffer leaves at the commit (leave, as
-// File.DropClean calls it), and taken back poisoned when the media forgets
-// the block (Release, through the fake media standing in for
-// raid.Group.Forget). Warm, it allocates nothing: each payload is the one
-// the previous trip returned.
-func BenchmarkPayloadRoundTrip(b *testing.B) {
-	const vbn = 100
-	p := NewImagePool()
-	m := newMarkMedia(p)
-	fill := pattern(1)[:64]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		arr := p.Get(len(fill))
-		copy(arr, fill)
-		m.land(vbn, arr, false)
-		p.leave(vbn, arr)
-		m.forget(p, vbn)
 	}
 }

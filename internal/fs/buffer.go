@@ -17,6 +17,8 @@
 package fs
 
 import (
+	"fmt"
+
 	"wafl/internal/block"
 )
 
@@ -30,47 +32,47 @@ import (
 // resident after that — its residency bit (node.held) says so — and its
 // content is its media image, read through its resident L1.
 //
-// Images follow the internal/block rule: a []byte of len <= block.Size
-// whose missing tail reads as zero. A user L0 buffer holds the very array
-// the client wrote (WriteBlock adopts it; the NVLog record shares it), at
-// whatever length it was written; nothing is allocated until an L0 is
-// first read (Data) or mutated CP-side (CPMutableData), and both of those
-// hand metafile code a full-length array. An indirect's array is only as
-// long as its pointers need (nil with none): CleanChild, its one writer,
-// grows it by doubling, and past sparseMax it is a full block. Every array
-// a buffer makes comes from its file's ImagePool, and a client's payload
-// from the same pool.
+// A user L0 in an aggregate holds its image by value, a block.Name
+// (WriteImage): the NVLog record that logged it and later the media hold
+// the same value, and nothing allocates for it. Every other image follows
+// the internal/block rule: a []byte of len <= block.Size whose missing tail
+// reads as zero. A user L0 written as bytes holds the very array the
+// caller wrote (WriteBlock adopts it), at whatever length it was written;
+// nothing is allocated until an L0 is first read (Data) or mutated CP-side
+// (CPMutableData), and both of those hand metafile code a full-length
+// array. An indirect's array is only as long as its pointers need (nil with
+// none): CleanChild, its one writer, grows it by doubling, and past
+// sparseMax it is a full block. Every array a buffer makes comes from its
+// file's ImagePool.
 //
 // CoW semantics during a consistency point (paper §II-C): when a CP freezes
 // a dirty buffer, the buffer is marked inCP. If a client overwrites the
 // buffer while it is inCP and not yet cleaned, the pre-overwrite image is
-// preserved as the CP image and the live image (data) becomes the
-// overwrite's array; the change lands in the *next* CP. A preserved image
-// lives outside the buffer, in its image pool's side home (cpImages), and
-// the buffer's preserved flag says it has one: few buffers ever do, and a
-// CP that cleans a prefill holds hundreds of thousands of buffers. Once the
-// cleaner has submitted the buffer's CP image for writing, the buffer is
-// sealed if the submitted array is its own: the drive media references it
-// and it must never be mutated, so the next modification goes to a new
-// array. An indirect is always submitted as its own array (a sparse one cut
-// to its trimmed length) and sealed; a sparse metafile L0 is submitted as a
-// trimmed copy instead (MarkCleaned) and stays unsealed. A sealed CP-owned
-// array the buffer moves off, a clean user L0's array when its buffer
-// leaves the tree at commit, and a sealed user L0's array a client
-// overwrite leaves become media-only: the media marks them at the buffer's
-// VBN, and they go back to the pool when the media drops them. A preserved
-// CP image is written media-only, and an overwritten payload only its NVLog
-// record holds goes back when the record's log half is freed (handBack).
+// preserved as the CP image and the live image becomes the overwrite's;
+// the change lands in the *next* CP. A preserved name is the buffer's cp
+// field; a preserved byte image waits in its file's side home (cpBytes).
+// Once the cleaner has submitted the buffer's CP image for writing, the
+// buffer is sealed if the submitted image is its live one: the media holds
+// it, and a byte array must never be mutated, so the next modification
+// goes to a new array. An indirect is always submitted as its own array (a
+// sparse one cut to its trimmed length) and sealed; a sparse metafile L0 is
+// submitted as a trimmed copy instead (MarkCleaned) and stays unsealed. A
+// sealed CP-owned array the buffer moves off becomes media-only: the media
+// marks it at the buffer's VBN, and it goes back to the pool when the media
+// drops it.
 //
-// The struct is 64 bytes (TestBufferSize): a dirty block's host cost.
+// The struct is 80 bytes (TestBufferSize): a dirty block's host cost, the
+// two names included.
 type Buffer struct {
 	f    *File // the file whose tree holds the buffer
 	fbn  block.FBN
-	data []byte // live image
+	data []byte     // live byte image
+	name block.Name // live image by name; 0 for a byte image
+	cp   block.Name // the preserved CP image by name (preserved)
 
 	level     uint8 // tree level, at most MaxHeight
 	inCP      bool  // frozen into the running CP, not yet cleaned
-	preserved bool  // overwritten while inCP: the CP image is in cpImages
+	preserved bool  // overwritten while inCP: the CP image is cp, or in cpBytes
 	sealed    bool  // live image is aliased by storage; never mutate it
 	adopted   bool  // live image is the array WriteBlock was given; never mutate it
 
@@ -113,16 +115,25 @@ func (b *Buffer) VVBN() block.VVBN { return b.vvbn }
 // VBN returns the buffer's current on-disk physical address.
 func (b *Buffer) VBN() block.VBN { return b.vbn }
 
-// Data returns the live image for reading, materialising the zero block of
-// an L0 nobody has written yet. An indirect's image is as long as its
-// pointers need, nil with none; PtrAt reads it as its padded twin. Callers
-// must not mutate it; clients overwrite through File.WriteBlock, CP-side
-// code through CPMutableData and CleanChild.
+// Data returns the live byte image for reading, materialising the zero
+// block of an L0 nobody has written yet. An indirect's image is as long as
+// its pointers need, nil with none; PtrAt reads it as its padded twin. A
+// buffer whose image is a name has no bytes: Image returns it. Callers must
+// not mutate it; clients overwrite through File.WriteBlock, CP-side code
+// through CPMutableData and CleanChild.
 func (b *Buffer) Data() []byte {
-	if b.data == nil && b.level == 0 {
+	if b.data == nil && b.level == 0 && b.name == 0 {
 		b.data = b.f.pool.full(nil)
 	}
 	return b.data
+}
+
+// Image returns the live image by value: its name, or its bytes (Data).
+func (b *Buffer) Image() block.Image {
+	if b.name != 0 {
+		return block.Image{Name: b.name}
+	}
+	return block.Image{Bytes: b.Data()}
 }
 
 // cpOwned reports whether the buffer's image is CP-owned: an indirect block
@@ -133,36 +144,34 @@ func (b *Buffer) cpOwned() bool { return b.level > 0 || b.f.metafile }
 // cpImage returns the image that belongs to the running CP: the preserved
 // pre-overwrite image if the buffer was overwritten while frozen, otherwise
 // the live image.
-func (b *Buffer) cpImage() []byte {
-	if b.preserved {
-		return b.f.cpImages().at(b)
+func (b *Buffer) cpImage() block.Image {
+	switch {
+	case !b.preserved:
+		return b.Image()
+	case b.cp != 0:
+		return block.Image{Name: b.cp}
 	}
-	return b.Data()
+	return block.Image{Bytes: b.f.cpBytes[b]}
 }
 
-// replace adopts data as the live image — a client's whole-block overwrite
-// in the open generation — and reports whether the old image had to be left
+// replace makes img the live image — a client's whole-block overwrite in
+// the open generation — and reports whether the old image had to be left
 // behind: to the running CP if the buffer is frozen and not yet preserved,
 // to the media if it is sealed. No image is ever overwritten in place. A
-// sealed payload is marked media-only at the buffer's VBN once the CP's
-// write of it has landed; a media image a load adopted stays unmarked, as
-// it may be a crashed aggregate's. Any other adopted image, an earlier
-// overwrite's, is held by its NVLog record alone from here on, and goes on
-// the hand-back list.
-func (b *Buffer) replace(data []byte) (cowed bool) {
+// byte image is adopted, not copied.
+func (b *Buffer) replace(img block.Image) (cowed bool) {
 	switch {
 	case b.inCP && !b.preserved:
-		b.f.cpImages().keep(b, b.Data())
+		if b.name != 0 {
+			b.cp = b.name
+		} else {
+			b.f.keepCPBytes(b, b.Data())
+		}
 		b.preserved, cowed = true, true
 	case b.sealed:
-		if b.adopted {
-			b.f.pool.leaveSealed(b.vbn, b.data)
-		}
 		cowed = true
-	case b.adopted:
-		b.f.pool.logOnly(b.data)
 	}
-	b.data, b.sealed, b.adopted = data, false, true
+	b.data, b.name, b.sealed, b.adopted = img.Bytes, img.Name, false, true
 	return cowed
 }
 
@@ -178,10 +187,14 @@ func (b *Buffer) replace(data []byte) (cowed bool) {
 // method copies if storage aliases the live image (sealed), if a client
 // write gave it (adopted: the NVLog record holds it too), or if it is
 // shorter than a block. A sealed CP-owned array it leaves is marked
-// media-only at the buffer's VBN.
+// media-only at the buffer's VBN. An L0 held by name has no bytes to
+// mutate.
 func (b *Buffer) CPMutableData() []byte {
+	if b.name != 0 || b.cp != 0 {
+		panic(fmt.Sprintf("fs: CPMutableData on L0 fbn %d held by name", b.fbn))
+	}
 	if b.preserved {
-		return b.f.cpImages().at(b)
+		return b.f.cpBytes[b]
 	}
 	if b.sealed || b.adopted || len(b.data) < block.Size {
 		old, left := b.data, b.sealed && !b.adopted && b.cpOwned()
@@ -216,36 +229,31 @@ func (b *Buffer) freeze() {
 // or fewer is handed out as a trimmed private copy, written media-only, and
 // the buffer stays unsealed: the next CP updates it in place; a dense one
 // goes out as the buffer's array, the same way as an indirect. Any other
-// image, a client's adopted L0 among them, is handed out as is, and if it
-// is the live image the buffer is sealed. A user L0's preserved CP image is
-// written media-only, as a trimmed copy is: the buffer has let go of it, and
-// its NVLog record is freed at this CP's commit, while its DBN cannot be
-// forgotten before the commit after next.
-func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img []byte, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
+// image — a user L0's name, a client's adopted array — is handed out as is,
+// and if it is the live image the buffer is sealed.
+func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img block.Image, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
 	img = b.cpImage()
 	switch {
 	case b.level > 0:
-		img = b.sharePtrs(oldVBN)
+		img.Bytes = b.sharePtrs(oldVBN)
 	case b.cpOwned() && !b.adopted:
-		trimmed := block.Trim(img)
+		trimmed := block.Trim(img.Bytes)
 		switch {
 		case len(trimmed) <= sparseMax:
-			img, mediaOnly = b.f.pool.mediaCopy(trimmed)
+			img.Bytes, mediaOnly = b.f.pool.mediaCopy(trimmed)
 		case b.sealed:
-			img = b.reseal(oldVBN)
+			img.Bytes = b.reseal(oldVBN)
 		default:
 			b.sealed = true
 		}
 	case !b.preserved:
 		b.sealed = true
-	default:
-		mediaOnly = b.f.pool != nil
 	}
 	if b.preserved {
-		b.f.cpImages().drop(b)
-		b.preserved = false
+		delete(b.f.cpBytes, b)
+		b.cp, b.preserved = 0, false
 	}
 	b.inCP = false
 	b.dirtyFrozen = false

@@ -125,7 +125,11 @@ type File struct {
 	size     block.FBN  // one past the highest FBN ever written
 	metafile bool       // a metafile (NewMetafile, or a FlagMetafile record): L0s are CP-owned images
 	pool     *ImagePool // where CP-owned arrays come from and go back to; nil allocates
-	unpooled cpImages   // without a pool, the side home of preserved CP images (cpImages)
+	// cpBytes is the side home of preserved CP images held as bytes: the
+	// pre-overwrite image of each frozen byte L0 a client overwrote before
+	// the CP cleaned it, until MarkCleaned hands it to the media. A buffer's
+	// preserved flag says it has an entry; a name needs none (Buffer.cp).
+	cpBytes map[*Buffer][]byte
 
 	root     node // index position of the root indirect block (level height)
 	resident int  // buffers in the index, all levels
@@ -177,13 +181,12 @@ func NewMetafile(ino uint64, height int) *File {
 // file holds a buffer.
 func (f *File) SetImagePool(p *ImagePool) { f.pool = p }
 
-// cpImages returns the side home of f's preserved CP images: its image
-// pool's, or for a file without a pool its own.
-func (f *File) cpImages() *cpImages {
-	if f.pool != nil {
-		return &f.pool.preserved
+// keepCPBytes preserves img as frozen buffer b's CP image.
+func (f *File) keepCPBytes(b *Buffer, img []byte) {
+	if f.cpBytes == nil {
+		f.cpBytes = map[*Buffer][]byte{}
 	}
-	return &f.unpooled
+	f.cpBytes[b] = img
 }
 
 // Ino returns the file's inode number.
@@ -306,26 +309,33 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 	return n.leaves[d]
 }
 
-// InstallBuffer populates the cache with a block loaded from persistent
-// storage (the mount/read path). A user L0's data is adopted, not copied, and
-// the buffer is sealed: it aliases the media image until first modification,
-// and a read miss allocates nothing, however short the image. A CP-owned
-// image is copied from the pool, unsealed, so no buffer ever holds a media
-// array the pool may take back: a sparse indirect (sparseMax bytes or
-// fewer) into an array of the image's own length, nil if it is empty, as
-// CleanChild would have grown it; a dense indirect and a metafile L0 into a
-// private full block, because CPMutableData and the metafile decoders work
-// on whole blocks.
+// InstallBuffer populates the cache with a block image loaded from
+// persistent storage (the mount/read path): InstallImage of bytes.
 func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.VVBN, vbn block.VBN) *Buffer {
+	return f.InstallImage(level, idx, block.Image{Bytes: data}, vvbn, vbn)
+}
+
+// InstallImage populates the cache with a block loaded from persistent
+// storage. A user L0's image is adopted, not copied — a name by value, an
+// array as it is — and the buffer is sealed: it aliases the media image
+// until first modification, and a read miss allocates nothing, however short
+// the image. A CP-owned image is copied from the pool, unsealed, so no buffer
+// ever holds a media array the pool may take back: a sparse indirect
+// (sparseMax bytes or fewer) into an array of the image's own length, nil if
+// it is empty, as CleanChild would have grown it; a dense indirect and a
+// metafile L0 into a private full block, because CPMutableData and the
+// metafile decoders work on whole blocks.
+func (f *File) InstallImage(level int, idx block.FBN, img block.Image, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
+	data := img.Bytes
 	switch {
-	case data == nil:
+	case img.IsNil():
+	case !b.cpOwned():
+		b.data, b.name, b.sealed = data, img.Name, true
 	case level > 0 && len(data) <= sparseMax:
 		b.data, b.sealed = f.pool.copyOf(data, len(data)), false
-	case b.cpOwned():
-		b.data, b.sealed = f.pool.full(data), false
 	default:
-		b.data, b.sealed = data, true
+		b.data, b.sealed = f.pool.full(data), false
 	}
 	b.vvbn, b.vbn = vvbn, vbn
 	if level == 0 && b.fbn >= f.size {
@@ -335,16 +345,20 @@ func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.V
 }
 
 // WriteBlock replaces FBN fbn with the block image data (up to one block;
-// bytes past len(data) read as zero) in the open generation, applying CP
-// copy-on-write as needed, and marks the buffer dirty. data is adopted, not
-// copied: the caller gives the array up, and from here on nobody writes into
-// it — the buffer, the NVLog record that logged it and later the media share
-// it. With an image pool, the array must be this write's alone: once the
-// media alone holds it, it goes back to the pool when the media drops the
-// block (DESIGN §14). It returns the buffer.
+// bytes past len(data) read as zero): WriteImage of bytes. data is adopted,
+// not copied: the caller gives the array up, and from here on nobody writes
+// into it — the buffer, the NVLog record that logged it and later the media
+// share it.
 func (f *File) WriteBlock(fbn block.FBN, data []byte) *Buffer {
+	return f.WriteImage(fbn, block.Image{Bytes: data})
+}
+
+// WriteImage replaces FBN fbn with img in the open generation, applying CP
+// copy-on-write as needed, and marks the buffer dirty: a client's write
+// holds its payload by name, which costs no array. It returns the buffer.
+func (f *File) WriteImage(fbn block.FBN, img block.Image) *Buffer {
 	b := f.getOrCreate(0, fbn)
-	if b.replace(data) {
+	if b.replace(img) {
 		f.CoWCopies++
 	}
 	if !b.dirtyCurr {
@@ -443,7 +457,7 @@ func (f *File) FrozenRange(lo, hi block.FBN) []*Buffer {
 // if b is the root. It returns the image to write at vbn (Buffer.MarkCleaned)
 // and b's previous location, to be freed. It is the one writer of indirect
 // images, and the one place an indirect's array grows (Buffer.ptrs).
-func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img []byte, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
+func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img block.Image, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
 	if !b.dirtyFrozen {
 		panic("fs: CleanChild on buffer not in frozen set")
 	}
@@ -492,12 +506,12 @@ func (f *File) DirtyIntoCP(b *Buffer) {
 // DropClean ends the running CP for user file f once it has committed: every
 // L0 the CP froze that is clean now leaves the tree for the free list. Its
 // write has landed, so the media holds its image, and its residency bit
-// stays; the media alone holds its array from here on, so the array is
-// marked media-only at the buffer's VBN (the NVLog record that shares it is
-// freed with the log half this commit ends). Not at MarkCleaned: until the
-// commit the write may be in flight, and the buffer is what holds the
-// content. An L0 a client dirtied again stays. A node left with no L0 gives
-// its slot array back.
+// stays. Not at MarkCleaned: until the commit the write may be in flight,
+// and the buffer is what holds the content. An L0 a client dirtied again
+// stays. A node left with no L0 gives its slot array back. If no client
+// dirtied the file during the CP, the open list takes the frozen list's
+// array, the one the file's writes grew: a file written between CPs, not
+// during them, keeps one array instead of growing a second.
 func (f *File) DropClean() {
 	for _, b := range f.frozen[0].bufs {
 		if !b.dirtyCurr && !b.inCP {
@@ -508,33 +522,29 @@ func (f *File) DropClean() {
 				n.leaves = nil
 			}
 			f.resident--
-			if b.sealed {
-				f.pool.leave(b.vbn, b.data)
-			}
 			f.pool.putBuffer(b)
 		}
 	}
 	f.frozen[0].reset()
+	if len(f.curr.bufs) == 0 && cap(f.curr.bufs) < cap(f.frozen[0].bufs) {
+		f.curr.bufs, f.frozen[0].bufs = f.frozen[0].bufs, f.curr.bufs
+	}
 }
 
 // Release puts every user L0 buffer left in f's tree back on the free list,
 // and the slot arrays that held them. Its owner calls it once the tree is
 // dropped — a deleted file, a volume's discarded present — and no CP will
-// clean it again. A dirty L0's adopted array, never written, is held by its
-// NVLog record alone from here on, and goes on the hand-back list.
+// clean it again.
 func (f *File) Release() {
 	f.eachNode(func(n *node) {
 		for _, b := range n.leaves {
 			if b != nil && !b.cpOwned() {
-				if b.adopted && !b.sealed {
-					f.pool.logOnly(b.data)
-				}
 				f.pool.putBuffer(b)
 			}
 		}
 		f.pool.putLeaves(f, n.leaves)
 	})
-	f.root, f.resident = node{}, 0
+	f.root, f.resident, f.cpBytes = node{}, 0, nil
 }
 
 // GetOrCreateL0 returns the L0 buffer for fbn, creating it if needed,

@@ -89,7 +89,7 @@ func TestCOWDuringCP(t *testing.T) {
 	b := f.Buffer(0, 3)
 	// Client overwrites during the CP: the CP image must keep pattern(1).
 	f.WriteBlock(3, pattern(9))
-	if !bytes.Equal(b.cpImage(), pattern(1)) {
+	if !bytes.Equal(b.cpImage().Bytes, pattern(1)) {
 		t.Fatal("CP image lost pre-modification content")
 	}
 	if !bytes.Equal(b.Data(), pattern(9)) {
@@ -108,14 +108,16 @@ func TestCOWDuringCP(t *testing.T) {
 	}
 }
 
-// TestBufferSize pins a buffer at 64 bytes. Every dirty block has one, and a
+// TestBufferSize pins a buffer at 80 bytes. Every dirty block has one, and a
 // CP that cleans a prefill holds hundreds of thousands at once, so the
-// struct is a set-up's peak heap: the rare preserved CP image lives in its
-// pool's side home (cpImages), not in a 24-byte field, and the level and
-// flags share one word (96 bytes when they did not).
+// struct is a set-up's peak heap. A user L0 holds its live image and its
+// rare preserved CP image by name (16 bytes), where it once held a 64-byte
+// payload array besides a 64-byte buffer; the level and flags share one
+// word (96 bytes when they did not, and a byte image's preserved copy
+// lives in its file's side home, not in a 24-byte field).
 func TestBufferSize(t *testing.T) {
-	if got := reflect.TypeFor[Buffer]().Size(); got != 64 {
-		t.Fatalf("fs.Buffer is %d bytes, want 64", got)
+	if got := reflect.TypeFor[Buffer]().Size(); got != 80 {
+		t.Fatalf("fs.Buffer is %d bytes, want 80", got)
 	}
 }
 
@@ -194,7 +196,7 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 	// After cleaning, the submitted array is owned by the media; a new
 	// client write must not mutate it.
 	f.WriteBlock(0, pattern(2))
-	if !bytes.Equal(submitted, pattern(1)) {
+	if !bytes.Equal(submitted.Bytes, pattern(1)) {
 		t.Fatal("post-clean write mutated the submitted (persisted) image")
 	}
 }
@@ -246,8 +248,9 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		for level := 0; level <= c.level; level++ {
 			for _, fb := range f.FrozenLevel(level) {
 				b = fb
-				live := b.cpImage()
-				img, _, _, _ = f.CleanChild(b, block.VVBN(loc), block.VBN(loc))
+				live := b.cpImage().Bytes
+				out, _, _, _ := f.CleanChild(b, block.VVBN(loc), block.VBN(loc))
+				img = out.Bytes
 				loc++
 				if !block.Equal(img, live) {
 					t.Fatalf("%s: handed-out image differs from the CP image", c.name)
@@ -592,10 +595,10 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 		f.WriteBlock(0, c.old())
 		f.Freeze()
 		b := f.Buffer(0, 0)
-		frozen := b.cpImage()
+		frozen := b.cpImage().Bytes
 		f.WriteBlock(0, c.next())
 		f.WriteBlock(0, c.next()) // the second overwrite is adopted too
-		if &b.cpImage()[0] != &frozen[0] || !bytes.Equal(frozen, c.old()) {
+		if &b.cpImage().Bytes[0] != &frozen[0] || !bytes.Equal(frozen, c.old()) {
 			t.Fatalf("%s: overwrite while inCP disturbed the CP image", c.name)
 		}
 		if !bytes.Equal(b.Data(), c.next()) || f.CoWCopies != 1 {
@@ -610,7 +613,7 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 		f.WriteBlock(0, c.old())
 		next := c.next()
 		f.WriteBlock(0, next)
-		if !bytes.Equal(submitted, c.next()) || &b.Data()[0] == &submitted[0] || &b.Data()[0] != &next[0] {
+		if !bytes.Equal(submitted.Bytes, c.next()) || &b.Data()[0] == &submitted.Bytes[0] || &b.Data()[0] != &next[0] {
 			t.Fatalf("%s: overwrite of a sealed buffer touched the submitted array or did not adopt its own", c.name)
 		}
 	}

@@ -2,7 +2,6 @@ package fs
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -11,35 +10,27 @@ import (
 	"wafl/internal/fifo"
 )
 
-// ImagePool recycles image arrays (DESIGN §14, *Who holds an image array*).
-// It is the one place in this package that makes one: a client's payload
-// (Get), a replay's or a clone split's copy of a user L0 (Copy), a metafile
+// ImagePool recycles the CP-owned image arrays (DESIGN §14, *Who holds an
+// array*). It is the one place in this package that makes one: a metafile
 // L0's full-block copy (CPMutableData, InstallBuffer, Data), an indirect's
 // array sized to its pointers (CleanChild, InstallBuffer) and MarkCleaned's
 // trimmed copy of a sparse metafile L0 for the media come from it, one
-// fifo.Pool per size class (block.Class).
+// fifo.Pool per size class (block.Class). A user L0 of an aggregate holds
+// its image by name, and takes nothing from it.
 //
-// An array comes back from whichever of its holders lets go of it last: the
-// media, the CP image or the NVLog alone. The media marks the DBN of an
-// array it alone holds (storage.Drive.MediaOnly): a trimmed copy and a
-// preserved CP image are written marked, and a buffer's array is marked at
-// its VBN once the buffer leaves it while the media holds it — a sealed
-// CP-owned array the buffer moves off, a user L0's at the commit that drops
-// its buffer (Marker.Mark), a sealed user L0's that a client overwrite
-// leaves, at the overwrite or, if the CP's write of it has not landed yet,
-// at the commit (MarkLanded). When the data drive and the parity row have
-// both let go of a marked array (raid.Group's Forget, or a completed write
-// that displaced it), Release poisons it and puts it back. An adopted array
-// an overwrite drops while only its NVLog record holds it waits on the
-// hand-back list until that record's log half is freed (LogFreed). An
-// indirect that grows past its array leaves a private one, which nothing
-// else holds, and it goes back at once (recycle). No other array is ever
-// put back: an array a buffer holds is never marked nor listed. A nil pool
-// allocates every array and marks none.
+// An array comes back from whichever of its holders lets go of it last: its
+// buffer or the media. The media marks the DBN of an array it alone holds
+// (storage.Drive.MediaOnly): a trimmed copy is written marked, and a sealed
+// array its buffer moves off is marked at the buffer's VBN (Marker.Mark).
+// When the data drive and the parity row have both let go of a marked
+// array (raid.Group's Forget, or a completed write that displaced it),
+// Release poisons it and puts it back. An indirect that grows past its
+// array leaves a private one, which nothing else holds, and it goes back at
+// once (recycle). No other array is ever put back: an array a buffer holds
+// is never marked. A nil pool allocates every array and marks none.
 //
 // The pool is also the one maker of buffers and of the slot arrays a user
-// file's level-1 index nodes hold their L0 buffers in (DESIGN §15), and the
-// side home of its files' preserved CP images (cpImages).
+// file's level-1 index nodes hold their L0 buffers in (DESIGN §15).
 type ImagePool struct {
 	classes [block.Classes]fifo.Pool[[]byte]
 	// buffers is the free list of user L0 buffers: a clean one leaves its
@@ -54,27 +45,12 @@ type ImagePool struct {
 	slots      [slotClasses]fifo.Pool[[]*Buffer]
 	slotStats  fifo.PoolStats
 	slotsTaken uint64 // slotStats.Taken at the last Trim
-	// preserved holds the CP image of every frozen buffer a client
-	// overwrote before the CP cleaned it.
-	preserved cpImages
-	// logged is the hand-back list: the arrays only NVLog records hold.
-	logged handBack
-	// landing holds the sealed user-L0 arrays client overwrites left before
-	// the CP's write of them landed, for the commit to mark (MarkLanded).
-	// It is emptied in place and reused.
-	landing []leftArray
 	// marker marks the arrays buffers leave to the media; nil marks none.
 	marker   Marker
 	stats    fifo.PoolStats
 	recycled uint64 // of stats.Returned, the arrays a growing indirect left
 	// poisoned is a block of poison, copied over each array put back.
 	poisoned []byte
-}
-
-// leftArray is a sealed user-L0 array an overwrite left to the media at vbn.
-type leftArray struct {
-	vbn block.VBN
-	arr []byte
 }
 
 // Marker is where the pool's arrays sit once written, the data drives by
@@ -94,12 +70,6 @@ type ImageStats struct {
 	Taken    uint64 // arrays handed out, New included
 	Returned uint64 // media-only arrays back from the media
 	Recycled uint64 // private arrays back from an indirect that outgrew them
-	// FromLog counts the payloads only their NVLog records held, back once
-	// the records' log half was freed (LogFreed).
-	FromLog uint64
-	// Preserved counts the CP images an overwrite of a frozen buffer left
-	// in the side home (cpImages) until the CP cleaned the buffer.
-	Preserved uint64
 
 	// Buffers counts the user L0 buffer free list, and Slots the user
 	// files' level-1 slot arrays. Unlike the image arrays both are under the
@@ -136,8 +106,8 @@ func (p *ImagePool) SetMarker(m Marker) { p.marker = m }
 
 // Stats returns the pool's counts.
 func (p *ImagePool) Stats() ImageStats {
-	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled - p.logged.back,
-		Recycled: p.recycled, FromLog: p.logged.back, Preserved: p.preserved.kept, Buffers: p.bufStats, Slots: p.slotStats}
+	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled,
+		Recycled: p.recycled, Buffers: p.bufStats, Slots: p.slotStats}
 }
 
 // buffer returns the empty buffer at (level, fbn) of f: a user L0 from the
@@ -150,64 +120,12 @@ func (p *ImagePool) buffer(f *File, fbn block.FBN, level int) *Buffer {
 	return newBuffer(p.buffers.Get(), f, fbn, level)
 }
 
-// putBuffer takes back user L0 b, which its tree no longer holds: a
-// dropped tree's frozen buffer leaves its preserved image behind too.
+// putBuffer takes back user L0 b, which its tree no longer holds.
 func (p *ImagePool) putBuffer(b *Buffer) {
 	if p != nil {
-		if b.preserved {
-			p.preserved.drop(b)
-		}
 		*b = Buffer{}
 		p.buffers.Put(b)
 	}
-}
-
-// cpImages is the side home of preserved CP images: the pre-overwrite image
-// of each frozen buffer a client overwrote before the CP cleaned it
-// (Buffer.replace), from that overwrite until MarkCleaned hands it to the
-// media. A buffer's preserved flag says it has an entry, so the map is
-// probed only by a buffer that has one. Entries leave by delete and the map
-// is made once: after a CP's worth of overwrites, a warm run allocates
-// nothing for it. Only Audit walks it, and it sorts what it reports.
-type cpImages struct {
-	m    map[*Buffer][]byte
-	kept uint64 // images ever preserved (ImageStats.Preserved)
-}
-
-// keep preserves img as frozen buffer b's CP image.
-func (c *cpImages) keep(b *Buffer, img []byte) {
-	if c.m == nil {
-		c.m = map[*Buffer][]byte{}
-	}
-	c.m[b] = img
-	c.kept++
-}
-
-// at returns b's preserved CP image.
-func (c *cpImages) at(b *Buffer) []byte {
-	img, ok := c.m[b]
-	if !ok {
-		panic(fmt.Sprintf("fs: buffer (level %d, fbn %d) is flagged preserved but has no CP image", b.level, b.fbn))
-	}
-	return img
-}
-
-// drop forgets b's preserved CP image.
-func (c *cpImages) drop(b *Buffer) { delete(c.m, b) }
-
-// handBack is the hand-back list: the adopted arrays buffers dropped while
-// only their NVLog records held them — the payload a client overwrite of
-// the same block in the same generation replaces (Buffer.replace), a dirty
-// L0 of a dropped tree (File.Release). Such a record is in the log's active
-// half. The first frozen arrays' records are in the frozen half
-// (LogSwitched), and they go back once that half is discarded (LogFreed):
-// not before, because a crash replays a log half until it is freed. The
-// list is cut in place and reused, never remade, so a warm run allocates
-// nothing for it; a crash drops it (Abandon).
-type handBack struct {
-	arrs   [][]byte // each at its size class's full capacity
-	frozen int
-	back   uint64 // arrays handed back (ImageStats.FromLog)
 }
 
 // slotClasses is the number of slot-array sizes: minSlots << c pointers for
@@ -274,25 +192,18 @@ func (p *ImagePool) Trim() {
 }
 
 // Abandon writes off the buffers, and the slot arrays holding them, that a
-// crash dropped with their trees, and forgets their preserved images, the
-// hand-back list and the arrays waiting for their landing: the pool never
-// takes back an array a crashed aggregate wrote.
+// crash dropped with their trees: the pool never takes back an array a
+// crashed aggregate wrote.
 func (p *ImagePool) Abandon() {
-	clear(p.preserved.m)
-	clear(p.logged.arrs)
-	p.logged.arrs, p.logged.frozen = p.logged.arrs[:0], 0
-	clear(p.landing)
-	p.landing = p.landing[:0]
 	p.buffers.Abandon()
 	for c := range p.slots {
 		p.slots[c].Abandon()
 	}
 }
 
-// Get returns an array of n bytes, 0 < n <= block.Size, holding garbage,
-// whose capacity is its size class: a client's payload, which its caller
-// fills whole.
-func (p *ImagePool) Get(n int) []byte {
+// get returns an array of n bytes, 0 < n <= block.Size, holding garbage,
+// whose capacity is its size class.
+func (p *ImagePool) get(n int) []byte {
 	c, size := block.Class(n)
 	if p == nil {
 		return make([]byte, n, size)
@@ -300,18 +211,13 @@ func (p *ImagePool) Get(n int) []byte {
 	return p.classes[c].Get()[:n]
 }
 
-// Copy returns a private copy of image src, as long as src (nil for an empty
-// one): a user L0 written again from an image some other holder keeps — a
-// replayed record's, or a clone parent's block.
-func (p *ImagePool) Copy(src []byte) []byte { return p.copyOf(src, len(src)) }
-
 // copyOf returns an n-byte copy of image src, len(src) <= n, zero past
 // src's end; n == 0 gives nil.
 func (p *ImagePool) copyOf(src []byte, n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	b := p.Get(n)
+	b := p.get(n)
 	clear(b[copy(b, src):])
 	return b
 }
@@ -339,7 +245,7 @@ func (p *ImagePool) mediaCopy(src []byte) (img []byte, mediaOnly bool) {
 	if len(src) == 0 {
 		return []byte{}, false
 	}
-	b := p.Get(len(src))
+	b := p.get(len(src))
 	copy(b, src)
 	return b, p != nil
 }
@@ -353,54 +259,6 @@ func (p *ImagePool) leave(vbn block.VBN, arr []byte) {
 	if p != nil && p.marker != nil && cap(arr) > 0 {
 		p.marker.Mark(vbn, arr[:cap(arr)])
 	}
-}
-
-// leaveSealed hands the media arr, the sealed array of a user L0 that a
-// client overwrite leaves, which the media holds at vbn once the CP's write
-// of it lands: the media marks it there now if the write has landed, and
-// at the commit, when every write of the CP has, if not (MarkLanded).
-func (p *ImagePool) leaveSealed(vbn block.VBN, arr []byte) {
-	if p != nil && p.marker != nil && cap(arr) > 0 && !p.marker.Mark(vbn, arr[:cap(arr)]) {
-		p.landing = append(p.landing, leftArray{vbn, arr[:cap(arr)]})
-	}
-}
-
-// MarkLanded, at a CP's commit, marks the sealed arrays client overwrites
-// left before the CP's write of them landed (leaveSealed): every write of
-// the CP has landed now. One whose DBN holds another array is the garbage
-// collector's.
-func (p *ImagePool) MarkLanded() {
-	for _, l := range p.landing {
-		p.marker.Mark(l.vbn, l.arr)
-	}
-	clear(p.landing)
-	p.landing = p.landing[:0]
-}
-
-// logOnly lists arr, an adopted array its buffer dropped that only its
-// NVLog record holds, on the hand-back list.
-func (p *ImagePool) logOnly(arr []byte) {
-	if p != nil && cap(arr) > 0 {
-		p.logged.arrs = append(p.logged.arrs, arr[:cap(arr)])
-	}
-}
-
-// LogSwitched follows nvlog.Log.Switch: the records of every array listed
-// so far are in the frozen half now.
-func (p *ImagePool) LogSwitched() { p.logged.frozen = len(p.logged.arrs) }
-
-// LogFreed follows nvlog.Log.FreeFrozen, the hand-back: the frozen half's
-// records are gone, so the arrays only they held are poisoned and go back.
-// The active half's stay listed.
-func (p *ImagePool) LogFreed() {
-	l := &p.logged
-	for _, a := range l.arrs[:l.frozen] {
-		p.put(a)
-	}
-	l.back += uint64(l.frozen)
-	n := copy(l.arrs, l.arrs[l.frozen:])
-	clear(l.arrs[n:])
-	l.arrs, l.frozen = l.arrs[:n], 0
 }
 
 // Release takes back arr, the whole array of a marked image (its size
@@ -428,16 +286,12 @@ func (p *ImagePool) put(a []byte) {
 
 // Audit checks where the pool's arrays sit once no write is in flight (at
 // Quiesce), and that no user L0 buffer outlived its CP's commit clean. media
-// calls its argument with every data-drive image, the VBN it sits at and
-// whether the DBN is marked media-only; files are every file whose buffers
-// may hold the pool's arrays. It may be called more than once. A marked
-// DBN's array must sit in no buffer and at no other DBN. A CP-owned buffer's
-// array may sit on the media only if the buffer is sealed, and then exactly
-// at the buffer's VBN. A preserved CP image must belong to a frozen buffer
-// of files that is flagged as having one, and every such buffer must have
-// one: an image that outlives its CP fails. An array on the hand-back list
-// must be listed once, and sit in no buffer, no preserved image and at no
-// DBN.
+// calls its argument with every data-drive byte image, the VBN it sits at
+// and whether the DBN is marked media-only; files are every file whose
+// buffers may hold the pool's arrays. It may be called more than once. A
+// marked DBN's array must sit in no buffer and at no other DBN. A CP-owned
+// buffer's array may sit on the media only if the buffer is sealed, and then
+// exactly at the buffer's VBN.
 func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte, mediaOnly bool))) error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -446,48 +300,15 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 		}
 	}
 	held := map[*byte]*Buffer{}
-	frozen := map[*Buffer]bool{}
 	for _, f := range files {
 		f.eachBuffer(func(b *Buffer) {
 			if len(b.data) > 0 {
 				held[&b.data[0]] = b
 			}
-			if b.preserved {
-				img, ok := p.preserved.m[b]
-				if !ok {
-					fail("buffer (ino %d, level %d, fbn %d) is flagged preserved but has no CP image", f.ino, b.level, b.fbn)
-				}
-				if len(img) > 0 {
-					held[&img[0]] = b
-				}
-				frozen[b] = b.inCP
-			}
 			if !b.cpOwned() && !b.dirtyCurr && !b.inCP {
 				fail("clean user L0 buffer (ino %d, fbn %d) left in its tree after its CP committed", f.ino, b.fbn)
 			}
 		})
-	}
-	listed := map[*byte]bool{}
-	for _, a := range p.logged.arrs {
-		k := &a[0]
-		if b := held[k]; b != nil {
-			fail("NVLog hand-back array is buffer (level %d, fbn %d)'s array or CP image", b.level, b.fbn)
-		} else if listed[k] {
-			fail("NVLog hand-back array is listed twice")
-		}
-		listed[k] = true
-	}
-	var stale []*Buffer
-	for b := range p.preserved.m {
-		if !frozen[b] {
-			stale = append(stale, b)
-		}
-	}
-	if len(stale) > 0 {
-		slices.SortFunc(stale, func(a, b *Buffer) int {
-			return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.fbn, b.fbn))
-		})
-		fail("%d preserved CP images outlive their CP or name a buffer not frozen, the first (level %d, fbn %d)", len(stale), stale[0].level, stale[0].fbn)
 	}
 	at := map[*byte][]block.VBN{}
 	media(func(vbn block.VBN, img []byte, mediaOnly bool) {
@@ -495,9 +316,6 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 			return
 		}
 		k := &img[0]
-		if listed[k] {
-			fail("NVLog hand-back array sits on the media at %v", vbn)
-		}
 		b := held[k]
 		switch {
 		case mediaOnly && b != nil:

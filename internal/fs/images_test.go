@@ -88,13 +88,8 @@ func (m *markMedia) visit(fn func(block.VBN, []byte, bool)) {
 	}
 }
 
-// payload returns a client's 64-byte payload of pattern tag, taken from p
-// as System.payload takes one.
-func payload(p *ImagePool, tag byte) []byte {
-	d := p.Get(64)
-	copy(d, pattern(tag))
-	return d
-}
+// payload returns a 64-byte payload of pattern tag, written as bytes.
+func payload(tag byte) []byte { return pattern(tag)[:64] }
 
 // pooled returns a file of height 1 drawing from p: a metafile, or a user
 // file whose L1 is its one CP-owned block.
@@ -120,7 +115,7 @@ func setL0(f *File, fbn block.FBN, n int, tag byte) *Buffer {
 // whether it is written media-only.
 func clean(f *File, b *Buffer, vbn block.VBN) ([]byte, bool) {
 	img, mediaOnly, _, _ := f.CleanChild(b, block.VVBN(vbn), vbn)
-	return img, mediaOnly
+	return img.Bytes, mediaOnly
 }
 
 // cleanTo cleans b at vbn and lands the image on m.
@@ -259,123 +254,6 @@ func TestImagePoolOwnership(t *testing.T) {
 			t.Fatalf("old array marked %v, new one %v", m.mark[100], m.mark[101])
 		}
 	})
-	t.Run("a client's adopted array is marked when its buffer leaves at commit", func(t *testing.T) {
-		p := NewImagePool()
-		m := newMarkMedia(p)
-		f := pooled(p, false)
-		data := p.Get(64)
-		copy(data, pattern(5))
-		b := f.WriteBlock(0, data)
-		f.Freeze()
-		img := cleanTo(m, f, b, 100)
-		clean(f, f.FrozenLevel(1)[0], 101)
-		if &img[0] != &data[0] || m.mark[100] {
-			t.Fatal("a client's adopted L0 was copied, or marked while its buffer holds it")
-		}
-		f.DropClean()
-		if !m.mark[100] || f.Buffer(0, 0) != nil {
-			t.Fatal("the commit that dropped the clean L0 did not mark its array")
-		}
-		m.forget(p, 100)
-		if p.Stats().Returned != 1 || bytes.Count(data, []byte{poison}) != len(data) {
-			t.Fatal("the forgotten payload did not come back poisoned")
-		}
-		if again := p.Get(64); &again[0] != &data[0] {
-			t.Fatal("the next payload did not reuse the returned one")
-		}
-	})
-	t.Run("a preserved CP image is written media-only and comes back when its block is forgotten", func(t *testing.T) {
-		p := NewImagePool()
-		m := newMarkMedia(p)
-		f := pooled(p, false)
-		old := payload(p, 5)
-		b := f.WriteBlock(0, old)
-		f.Freeze()
-		next := payload(p, 6)
-		f.WriteBlock(0, next) // the frozen buffer's image waits in the side home
-		img, mediaOnly := clean(f, b, 100)
-		if &img[0] != &old[0] || !mediaOnly || b.sealed {
-			t.Fatalf("the preserved image: handed out %v, media-only %v, buffer sealed %v; want it, marked, and the buffer unsealed", &img[0] == &old[0], mediaOnly, b.sealed)
-		}
-		m.land(100, img, mediaOnly)
-		clean(f, f.FrozenLevel(1)[0], 101)
-		f.DropClean()
-		m.forget(p, 100)
-		if p.Stats().Returned != 1 || bytes.Count(old, []byte{poison}) != len(old) || !bytes.Equal(f.ReadBlock(0), pattern(6)[:64]) {
-			t.Fatal("the forgotten preserved image did not come back poisoned, or the buffer's overwrite changed")
-		}
-	})
-	t.Run("a sealed payload an overwrite leaves is marked, also before its write lands", func(t *testing.T) {
-		for _, landed := range []bool{true, false} {
-			p := NewImagePool()
-			m := newMarkMedia(p)
-			f := pooled(p, false)
-			data := payload(p, 7)
-			b := f.WriteBlock(0, data)
-			f.Freeze()
-			img, mediaOnly := clean(f, b, 100)
-			clean(f, f.FrozenLevel(1)[0], 101)
-			if landed {
-				m.land(100, img, mediaOnly)
-			}
-			f.WriteBlock(0, payload(p, 8)) // the client overwrites the sealed block
-			if m.mark[100] != landed {
-				t.Fatalf("landed before the overwrite %v: marked at the overwrite %v", landed, m.mark[100])
-			}
-			if !landed {
-				// The CP's write lands after the overwrite, and the commit,
-				// when every write of the CP has, marks it.
-				m.land(100, img, mediaOnly)
-				f.DropClean()
-				p.MarkLanded()
-			}
-			if !m.mark[100] || len(p.landing) != 0 {
-				t.Fatalf("landed before the overwrite %v: marked %v, %d left waiting", landed, m.mark[100], len(p.landing))
-			}
-			m.forget(p, 100)
-			if p.Stats().Returned != 1 || bytes.Count(data, []byte{poison}) != len(data) {
-				t.Fatalf("landed before the overwrite %v: the forgotten payload did not come back poisoned", landed)
-			}
-		}
-	})
-	t.Run("a payload only its record holds comes back once its log half is freed", func(t *testing.T) {
-		p := NewImagePool()
-		f := pooled(p, false)
-		first, second := payload(p, 1), payload(p, 2)
-		f.WriteBlock(0, first)
-		f.WriteBlock(0, second) // first is its NVLog record's alone now
-		p.LogSwitched()         // a CP starts: the record is in the frozen half
-		third := payload(p, 3)
-		f.WriteBlock(0, third) // second's record is in the active half
-		if err := p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}); err != nil {
-			t.Fatalf("two payloads on the hand-back list: %v", err)
-		}
-		if !bytes.Equal(first, pattern(1)[:64]) || p.Stats().FromLog != 0 {
-			t.Fatal("a listed payload went back before its log half was freed")
-		}
-		p.LogFreed() // the CP committed and freed the frozen half
-		if st := p.Stats(); st.FromLog != 1 || st.Returned != 0 || bytes.Count(first, []byte{poison}) != len(first) {
-			t.Fatalf("after the first half was freed: %+v, first poisoned %v; want it alone back", st, bytes.Count(first, []byte{poison}) == len(first))
-		}
-		if !bytes.Equal(second, pattern(2)[:64]) {
-			t.Fatal("a payload whose record is in the active half went back")
-		}
-		p.LogSwitched()
-		p.LogFreed()
-		if p.Stats().FromLog != 2 || bytes.Count(second, []byte{poison}) != len(second) || !bytes.Equal(f.ReadBlock(0), pattern(3)[:64]) {
-			t.Fatal("the next freed half did not hand back the second payload, or touched the buffer's")
-		}
-		// A dropped tree lists its dirty L0s' payloads; a crash drops the
-		// list.
-		f.Release()
-		if len(p.logged.arrs) != 1 || &p.logged.arrs[0][0] != &third[0] {
-			t.Fatalf("Release listed %d arrays, want the dirty L0's", len(p.logged.arrs))
-		}
-		p.Abandon()
-		if len(p.logged.arrs) != 0 || p.logged.frozen != 0 {
-			t.Fatal("a crash left the hand-back list")
-		}
-	})
 }
 
 // InstallBuffer never aliases a CP-owned image, dense or sparse, so no buffer
@@ -411,9 +289,8 @@ func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 }
 
 // Audit finds a marked array that is also a buffer's or sits at two DBNs,
-// a buffer's array on the media other than sealed at the buffer's own VBN,
-// and an array on the hand-back list that a buffer or the media holds, or
-// that is listed twice.
+// and a buffer's array on the media other than sealed at the buffer's own
+// VBN.
 func TestImagePoolAudit(t *testing.T) {
 	p := NewImagePool()
 	m := newMarkMedia(p)
@@ -452,92 +329,49 @@ func TestImagePoolAudit(t *testing.T) {
 	if err := audit(func(c *markMedia) { c.land(102, live, false) }); err == nil || !strings.Contains(err.Error(), "unsealed buffer") {
 		t.Fatalf("an unsealed buffer's array on the media: audit said %v", err)
 	}
-
-	// The hand-back list: an array on it is its NVLog record's alone.
-	for _, c := range []struct {
-		name string
-		arr  []byte
-		want string
-	}{
-		{"a buffer's array", live, "NVLog hand-back array is buffer (level 0, fbn 0)'s array"},
-		{"an array on the media", sparse, "NVLog hand-back array sits on the media at vbn:101"},
-	} {
-		p.logOnly(c.arr)
-		if err := audit(func(*markMedia) {}); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s listed: audit said %v, want %q", c.name, err, c.want)
-		}
-		p.Abandon()
-	}
-	record := p.Get(64)
-	p.logOnly(record)
-	if err := audit(func(*markMedia) {}); err != nil {
-		t.Fatalf("an array only its record holds, listed: %v", err)
-	}
-	p.logOnly(record)
-	if err := audit(func(*markMedia) {}); err == nil || !strings.Contains(err.Error(), "listed twice") {
-		t.Fatalf("an array listed twice: audit said %v", err)
-	}
 }
 
-// TestPreservedImageSideHome pins the side home of preserved CP images
-// (cpImages): a client's overwrite of a frozen L0 leaves the old image
-// there, the CP writes that image and the client reads the new one, and
-// the entry leaves when the buffer is cleaned or dropped with its tree. The
-// audit fails on an entry that outlives its CP — a MarkCleaned that kept it
-// — and on a flag without an entry.
+// TestPreservedImageSideHome pins where a preserved CP image waits: a
+// client's overwrite of a frozen L0 keeps a name in the buffer itself
+// (Buffer.cp) and a byte image in its file's side home (cpBytes); the CP
+// writes that image and the client reads the new one, and the entry leaves
+// when the buffer is cleaned or dropped with its tree.
 func TestPreservedImageSideHome(t *testing.T) {
 	p := NewImagePool()
 	f := pooled(p, false)
+	oldName, nextName := block.NameOf(1, 3, 0, 64), block.NameOf(1, 3, 1, 64)
+	f.WriteImage(3, block.Image{Name: oldName})
 	old, next := pattern(1), pattern(9)
-	f.WriteBlock(3, old)
-	f.WriteBlock(4, pattern(2))
+	f.WriteBlock(4, old)
 	f.Freeze()
-	b := f.Buffer(0, 3)
-	f.WriteBlock(3, next)
-	if !b.preserved || len(p.preserved.m) != 1 || p.Stats().Preserved != 1 {
-		t.Fatalf("an overwrite of a frozen L0: flag %v, %d entries, %d preserved; want one", b.preserved, len(p.preserved.m), p.Stats().Preserved)
+	named, bytesBuf := f.Buffer(0, 3), f.Buffer(0, 4)
+	f.WriteImage(3, block.Image{Name: nextName})
+	f.WriteBlock(4, next)
+	if !named.preserved || named.cp != oldName || !bytesBuf.preserved || len(f.cpBytes) != 1 {
+		t.Fatalf("overwrites of frozen L0s: name kept %v, bytes kept %v with %d side-home entries; want both, one entry",
+			named.preserved && named.cp == oldName, bytesBuf.preserved, len(f.cpBytes))
 	}
-	audit := func() error { return p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}) }
-	if err := audit(); err != nil {
-		t.Fatalf("a frozen buffer's preserved image: %v", err)
+	img, _, _, _ := f.CleanChild(named, 100, 100)
+	if img.Name != oldName || named.Image().Name != nextName || named.preserved || named.cp != 0 {
+		t.Fatal("the CP did not write the preserved name, or the client does not read its overwrite")
 	}
-	img, _ := clean(f, b, 100)
-	if &img[0] != &old[0] || !bytes.Equal(f.ReadBlock(3), next) {
-		t.Fatal("the CP did not write the preserved image, or the client does not read its overwrite")
+	img, _, _, _ = f.CleanChild(bytesBuf, 101, 101)
+	if &img.Bytes[0] != &old[0] || !bytes.Equal(f.ReadBlock(4), next) || bytesBuf.preserved || len(f.cpBytes) != 0 {
+		t.Fatal("the CP did not write the preserved bytes, or the entry outlived the clean")
 	}
-	if b.preserved || len(p.preserved.m) != 0 {
-		t.Fatalf("after the clean: flag %v, %d entries; want none", b.preserved, len(p.preserved.m))
-	}
-	if err := audit(); err != nil {
+	if err := p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}); err != nil {
 		t.Fatalf("after the clean: %v", err)
 	}
-	p.preserved.m[b] = old // a MarkCleaned that keeps the entry
-	if err := audit(); err == nil || !strings.Contains(err.Error(), "1 preserved CP images outlive their CP") {
-		t.Fatalf("an entry kept past its clean: audit said %v", err)
-	}
-	delete(p.preserved.m, b)
-	b.preserved = true // a flag without an entry
-	if err := audit(); err == nil || !strings.Contains(err.Error(), "flagged preserved but has no CP image") {
-		t.Fatalf("a flag without an entry: audit said %v", err)
-	}
-	b.preserved = false
 
-	// A frozen buffer dropped with its tree takes its entry with it, and a
-	// crash forgets them all.
+	// A frozen buffer dropped with its tree takes its entry with it.
+	f.CleanChild(f.FrozenLevel(1)[0], 102, 102)
+	f.Freeze()
 	f.WriteBlock(4, pattern(5))
-	if len(p.preserved.m) != 1 {
-		t.Fatalf("%d entries after a second overwrite, want 1", len(p.preserved.m))
+	if len(f.cpBytes) != 1 {
+		t.Fatalf("%d entries after a second overwrite, want 1", len(f.cpBytes))
 	}
 	f.Release()
-	if len(p.preserved.m) != 0 {
-		t.Fatalf("%d entries after the tree was released, want 0", len(p.preserved.m))
-	}
-	g := pooled(p, false)
-	g.WriteBlock(0, pattern(6))
-	g.Freeze()
-	g.WriteBlock(0, pattern(7))
-	p.Abandon()
-	if len(p.preserved.m) != 0 {
-		t.Fatalf("%d entries after a crash, want 0", len(p.preserved.m))
+	if len(f.cpBytes) != 0 {
+		t.Fatalf("%d entries after the tree was released, want 0", len(f.cpBytes))
 	}
 }

@@ -403,31 +403,85 @@ func TestDataPathAllocations(t *testing.T) {
 		t.Errorf("1000 Buffer hits and misses allocate %d objects, want 0", got)
 	}
 
-	// WriteBlock over a frozen buffer: the old image waits for the CP in the
-	// image pool's side home, which the previous CP's overwrites sized.
-	// The mallocs are counted whole, after a collection, as allocs.Count
-	// does: a cycle still running would count its own.
+	// A name written over a frozen buffer: the old name waits for the CP in
+	// the buffer itself, so no overwrite allocates once the open list has
+	// the array the previous generation left it. The mallocs are counted whole, after a collection,
+	// as allocs.Count does: a cycle still running would count its own.
 	h := NewFile(100, 2)
 	h.SetImagePool(NewImagePool())
+	name := func(fbn block.FBN, tag byte) block.Image { return block.Image{Name: block.NameOf(100, fbn, tag, 64)} }
 	for gen := range 2 {
 		for fbn := block.FBN(0); fbn < n; fbn++ {
-			h.WriteBlock(fbn, payload)
+			h.WriteImage(fbn, name(fbn, 1))
 		}
 		h.Freeze()
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for fbn := block.FBN(0); fbn < n; fbn++ {
-			h.WriteBlock(fbn, payload)
+			h.WriteImage(fbn, name(fbn, 2))
 		}
 		runtime.ReadMemStats(&after)
-		if len(h.pool.preserved.m) != n {
-			t.Fatalf("%d preserved images after %d overwrites of frozen buffers", len(h.pool.preserved.m), n)
+		preserved := 0
+		h.eachBuffer(func(b *Buffer) {
+			if b.preserved && b.cp == name(b.fbn, 1).Name {
+				preserved++
+			}
+		})
+		if preserved != n {
+			t.Fatalf("generation %d: %d preserved names after %d overwrites of frozen buffers", gen, preserved, n)
 		}
 		if got := after.Mallocs - before.Mallocs; gen == 1 && got != 0 {
-			t.Errorf("%d overwrites of frozen buffers make %d objects once the side home is sized, want 0", n, got)
+			t.Errorf("%d overwrites of frozen buffers make %d objects in the second generation, want 0", n, got)
 		}
 		h.CleanChildAll(t)
+	}
+}
+
+// TestDirtyListCarriesItsArray: a file written between CPs and not during
+// them keeps one open-list array. Each cycle writes one block, freezes,
+// cleans it and its L1 at alternating locations on a media stand-in that
+// hands the L1's left arrays back (markMedia), and commits (DropClean,
+// Trim). A first file warms the pool up; then, after a second file's first
+// cycle, which gives it its list array, no cycle of that file allocates.
+// When the open list did not take the array the commit left idle, the
+// file's second generation grew a second one: one object here, and one for
+// each file a warm overload_burst window writes a second time.
+func TestDirtyListCarriesItsArray(t *testing.T) {
+	p := NewImagePool()
+	m := newMarkMedia(p)
+	data := pattern(1)[:64]
+	cycles := func(f *File) func() {
+		gen := 0
+		return func() {
+			f.WriteBlock(0, data)
+			f.Freeze()
+			for level := 0; level <= f.Height(); level++ {
+				for _, b := range f.FrozenLevel(level) {
+					vbn := block.VBN(100*(level+1) + gen%2)
+					img, mediaOnly, _, old := f.CleanChild(b, block.VVBN(vbn), vbn)
+					m.land(vbn, img.Bytes, mediaOnly)
+					if old != block.InvalidVBN {
+						m.forget(p, old)
+					}
+				}
+			}
+			f.DropClean()
+			p.Trim()
+			gen++
+		}
+	}
+	warm := cycles(pooled(p, false))
+	for range 10 {
+		warm()
+	}
+	p.Release(make([]byte, 16)) // the second file's second L1 array
+	f := pooled(p, false)
+	if got := allocs.Count(20, cycles(f)); got != 0 {
+		t.Errorf("20 write/CP cycles of one block allocate %d objects after the first, want 0", got)
+	}
+	if cap(f.curr.bufs) == 0 {
+		t.Error("the open list holds no array between writes")
 	}
 }
 

@@ -79,19 +79,19 @@ func (f *File) load(media Media, level int, idx block.FBN, vvbn block.VVBN, vbn 
 // timed aggregate block read). Snapshot trees are never resident in buffer
 // caches — the walk touches media at every level. A nil return means a hole
 // in the snapshot image.
-func ReadTree(read func(block.VBN) []byte, rec Record, fbn block.FBN) []byte {
+func ReadTree(read func(block.VBN) block.Image, rec Record, fbn block.FBN) block.Image {
 	if rec.RootVBN == block.InvalidVBN {
-		return nil
+		return block.Image{}
 	}
 	vbn := rec.RootVBN
 	for level := int(rec.Height); level > 0; level-- {
-		data := read(vbn)
+		data := read(vbn).Bytes
 		if data == nil {
-			return nil
+			return block.Image{}
 		}
 		_, cvbn := block.GetPtr(data, digit(0, fbn, level))
 		if hole(cvbn) {
-			return nil
+			return block.Image{}
 		}
 		vbn = cvbn
 	}

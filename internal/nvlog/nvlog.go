@@ -41,9 +41,13 @@ type Record struct {
 	Vol  uint32
 	Ino  uint64
 	FBN  block.FBN
-	// Data is OpWrite's payload. It is immutable: the buffer the write
-	// dirtied adopts this very array (fs.File.WriteBlock), and the media
-	// later holds it, so nobody writes into it once it is logged.
+	// Name is a client OpWrite's payload by name (block.Name): the buffer
+	// the write dirtied, and later the media, hold the same value.
+	Name block.Name
+	// Data is an OpWrite's payload as bytes, for a record that carries no
+	// name. It is immutable: the buffer the write dirtied adopts this very
+	// array (fs.File.WriteBlock), so nobody writes into it once it is
+	// logged.
 	Data []byte
 	// LogicalBytes, when nonzero, is the NVRAM space the record occupies
 	// regardless of how much pattern data the simulation stores (payload
@@ -55,11 +59,11 @@ type Record struct {
 
 // Size returns the NVRAM bytes this record occupies.
 func (r Record) Size() uint64 {
-	payload := uint64(len(r.Data))
-	if uint64(r.LogicalBytes) > payload {
-		payload = uint64(r.LogicalBytes)
+	payload := max(len(r.Data), int(r.LogicalBytes))
+	if r.Name != 0 {
+		payload = max(payload, r.Name.Len())
 	}
-	return recordOverhead + payload
+	return recordOverhead + uint64(payload)
 }
 
 type half struct {

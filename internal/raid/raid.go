@@ -56,14 +56,14 @@ type Group struct {
 	writePool   fifo.Pool[*stripeWrite]
 	// rows holds the explicit rows by stripe DBN; rowPool recycles them: one
 	// is outstanding for each row in rows and each parity request in flight.
-	rows     map[block.DBN][][]byte
-	rowPool  fifo.Pool[[][]byte]
+	rows     map[block.DBN][]block.Image
+	rowPool  fifo.Pool[[]block.Image]
 	rowStats fifo.PoolStats
 	// inflight is the submitted writes whose last I/O has not completed, in
 	// submission order.
 	inflight []*stripeWrite
 	// derived is row's buffer for a derived stripe.
-	derived [][]byte
+	derived []block.Image
 
 	// images takes back the arrays of the media-only images (those a data
 	// drive marks) the group's media let go of; nil keeps none.
@@ -98,7 +98,7 @@ type displaced struct {
 // outstanding for good (DropInFlight).
 type stripeScratch struct {
 	dbns     []block.DBN
-	rows     [][]byte
+	rows     []block.Image
 	fresh    []bool
 	readPlan [][]block.DBN
 }
@@ -137,31 +137,31 @@ type stripeWrite struct {
 	// pins[k] the stripe's explicit row it lands into: one array from the
 	// first write of the stripe in flight to the last.
 	parity     []storage.WriteReq
-	rows, pins [][][]byte
+	rows, pins [][]block.Image
 	landed     bool // the parity I/O has landed
 	shared     bool // another write in flight may cover one of its stripes
 	gone       []displaced
 
-	reads              []func([][]byte) // phase A's, by data drive
+	reads              []func([]block.Image) // phase A's, by data drive
 	onIODone, onParity func()
 }
 
 // NewGroup builds a RAID group with ndata data drives and one parity drive,
 // each of depth blocks, using the given drive profile.
 func NewGroup(s *sim.Scheduler, id int, ndata int, depth block.DBN, profile storage.Profile) *Group {
-	g := &Group{s: s, id: id, depth: depth, rows: map[block.DBN][][]byte{}}
+	g := &Group{s: s, id: id, depth: depth, rows: map[block.DBN][]block.Image{}}
 	g.scratchPool = fifo.NewPool(&g.stats.ScratchPool, func() *stripeScratch {
 		return &stripeScratch{readPlan: make([][]block.DBN, len(g.data))}
 	})
 	g.writePool = fifo.NewPool(&g.stats.WritePool, func() *stripeWrite {
-		w := &stripeWrite{g: g, reads: make([]func([][]byte), len(g.data))}
+		w := &stripeWrite{g: g, reads: make([]func([]block.Image), len(g.data))}
 		w.onIODone, w.onParity = w.ioDone, w.parityLanded
 		for di := range w.reads {
-			w.reads[di] = func(bs [][]byte) { w.readLanded(di, bs) }
+			w.reads[di] = func(bs []block.Image) { w.readLanded(di, bs) }
 		}
 		return w
 	})
-	g.rowPool = fifo.NewPool(&g.rowStats, func() [][]byte { return make([][]byte, 0, len(g.data)) })
+	g.rowPool = fifo.NewPool(&g.rowStats, func() []block.Image { return make([]block.Image, 0, len(g.data)) })
 	for i := 0; i < ndata; i++ {
 		g.data = append(g.data, storage.NewDrive(s, fmt.Sprintf("rg%d.d%d", id, i), profile, depth))
 	}
@@ -280,7 +280,7 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 	for di, reqs := range writes {
 		for _, r := range reqs {
 			i := sc.rowOf(r.DBN, nd) + di
-			sc.rows[i], sc.fresh[i] = r.Data, true
+			sc.rows[i], sc.fresh[i] = block.Image{Name: r.Name, Bytes: r.Data}, true
 		}
 	}
 
@@ -324,7 +324,7 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 
 // readLanded puts the images phase A read from data drive di into their
 // stripes' rows, and submits the write once every read has landed.
-func (w *stripeWrite) readLanded(di int, bs [][]byte) {
+func (w *stripeWrite) readLanded(di int, bs []block.Image) {
 	sc, nd := w.sc, len(w.g.data)
 	for i, dbn := range sc.readPlan[di] {
 		sc.rows[sc.rowOf(dbn, nd)+di] = bs[i]
@@ -335,15 +335,21 @@ func (w *stripeWrite) readLanded(di int, bs [][]byte) {
 	}
 }
 
-// xorAll returns the XOR of the given block images, sized to the longest.
-func xorAll(imgs [][]byte) []byte {
+// xorAll returns the XOR of the given block images, sized to the longest: a
+// name's bytes are its expansion.
+func xorAll(imgs []block.Image) []byte {
 	n := 0
 	for _, img := range imgs {
-		n = max(n, len(img))
+		n = max(n, img.Len())
 	}
 	out := make([]byte, n)
+	var scratch [block.Size]byte
 	for _, img := range imgs {
-		block.XOR(out, img)
+		if img.Name != 0 {
+			block.XOR(out, img.Name.AppendBytes(scratch[:0]))
+		} else {
+			block.XOR(out, img.Bytes)
+		}
 	}
 	return out
 }
@@ -445,10 +451,10 @@ func (w *stripeWrite) ioDone() {
 		}
 	}
 	for _, d := range w.gone {
-		if inArray(g.data[d.di].Peek(d.dbn), d.arr) {
+		if inArray(g.data[d.di].Image(d.dbn).Bytes, d.arr) {
 			continue
 		}
-		if row, stale := g.rows[d.dbn]; !stale || !inArray(row[d.di], d.arr) {
+		if row, stale := g.rows[d.dbn]; !stale || !inArray(row[d.di].Bytes, d.arr) {
 			g.images.Release(d.arr)
 		}
 	}
@@ -465,10 +471,10 @@ func (w *stripeWrite) ioDone() {
 
 // pin makes derived stripe dbn's data images its explicit row, and returns
 // it.
-func (g *Group) pin(dbn block.DBN) [][]byte {
+func (g *Group) pin(dbn block.DBN) []block.Image {
 	row := g.rowPool.Get()
 	for _, d := range g.data {
-		row = append(row, d.Peek(dbn))
+		row = append(row, d.Image(dbn))
 	}
 	g.rows[dbn] = row
 	return row
@@ -478,7 +484,7 @@ func (g *Group) pin(dbn block.DBN) [][]byte {
 // stripe is derived again. The map's last row goes by clear, which also
 // drops the slots its deleted keys left marked: every write pins new
 // stripes, and the marks would fill the map until it grows into a new table.
-func (g *Group) unpin(dbn block.DBN, row [][]byte) {
+func (g *Group) unpin(dbn block.DBN, row []block.Image) {
 	if g.matches(dbn, row) {
 		if len(g.rows) == 1 {
 			clear(g.rows)
@@ -490,7 +496,7 @@ func (g *Group) unpin(dbn block.DBN, row [][]byte) {
 }
 
 // putRow returns a row that neither rows nor a parity I/O in flight holds.
-func (g *Group) putRow(row [][]byte) {
+func (g *Group) putRow(row []block.Image) {
 	clear(row)
 	g.rowPool.Put(row[:0])
 }
@@ -498,10 +504,9 @@ func (g *Group) putRow(row [][]byte) {
 // matches reports whether row is, entry for entry, the images stripe dbn's
 // data drives hold — nil where they hold nil — so that the row's stripe
 // reads the same derived.
-func (g *Group) matches(dbn block.DBN, row [][]byte) bool {
+func (g *Group) matches(dbn block.DBN, row []block.Image) bool {
 	for di, d := range g.data {
-		img := d.Peek(dbn)
-		if (row[di] == nil) != (img == nil) || !sameArray(row[di], img) {
+		if !same(row[di], d.Image(dbn)) {
 			return false
 		}
 	}
@@ -537,15 +542,15 @@ func (g *Group) CheckRows() error {
 // storage.Drive.Forget; its caller knows no committed tree reaches the block
 // and no write of the stripe is in flight.
 func (g *Group) Forget(di int, dbn block.DBN) bool {
-	img := g.data[di].Peek(dbn)
-	if img == nil {
+	img := g.data[di].Image(dbn)
+	if img.IsNil() {
 		return false
 	}
 	if row, stale := g.rows[dbn]; stale {
-		if row[di] == nil || !sameArray(row[di], img) {
+		if !same(row[di], img) {
 			return false
 		}
-		row[di] = nil // the row is the group's own, from rowPool
+		row[di] = block.Image{} // the row is the group's own, from rowPool
 	}
 	arr := g.data[di].Owned(dbn)
 	g.data[di].Forget(dbn)
@@ -558,22 +563,26 @@ func (g *Group) Forget(di int, dbn block.DBN) bool {
 // row returns stripe dbn's covered row and whether it is explicit: the
 // group's row, or else the images the data drives hold, in a buffer valid
 // until the next call.
-func (g *Group) row(dbn block.DBN) (row [][]byte, explicit bool) {
+func (g *Group) row(dbn block.DBN) (row []block.Image, explicit bool) {
 	if row, ok := g.rows[dbn]; ok {
 		return row, true
 	}
 	g.derived = g.derived[:0]
 	for _, d := range g.data {
-		g.derived = append(g.derived, d.Peek(dbn))
+		g.derived = append(g.derived, d.Image(dbn))
 	}
 	return g.derived, false
 }
 
-// sameArray reports whether a and b are one image: the same bytes of the
-// same array, not merely equal ones. Two empty images are one: both are the
-// zero block.
-func sameArray(a, b []byte) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+// same reports whether a and b are one image: the same name, or the same
+// bytes of the same array, not merely equal ones; nil only where the other
+// is nil. Two empty images are one: both are the zero block.
+func same(a, b block.Image) bool {
+	if a.Name != 0 || b.Name != 0 {
+		return a.Name == b.Name
+	}
+	x, y := a.Bytes, b.Bytes
+	return (x == nil) == (y == nil) && len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }
 
 // inArray reports whether image img is a prefix of array arr.
@@ -581,12 +590,12 @@ func inArray(img, arr []byte) bool { return len(img) > 0 && &img[0] == &arr[0] }
 
 // stripe returns the committed images of stripe dbn: every data drive's
 // except skip's (-1 for none), then those of its covered row.
-func (g *Group) stripe(dbn block.DBN, skip int) [][]byte {
+func (g *Group) stripe(dbn block.DBN, skip int) []block.Image {
 	row, _ := g.row(dbn)
-	out := make([][]byte, 0, len(g.data)+len(row))
+	out := make([]block.Image, 0, len(g.data)+len(row))
 	for di, d := range g.data {
 		if di != skip {
-			out = append(out, d.Peek(dbn))
+			out = append(out, d.Image(dbn))
 		}
 	}
 	return append(out, row...)

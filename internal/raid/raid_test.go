@@ -217,7 +217,7 @@ func TestMixedLengthImages(t *testing.T) {
 	flip := block.New()
 	flip[block.Size-1] = 1
 	row, _ := g.row(4)
-	g.rows[4] = append(slices.Clone(row), flip)
+	g.rows[4] = append(slices.Clone(row), block.Image{Bytes: flip})
 	if g.VerifyStripe(4) {
 		t.Fatal("corrupt parity verified")
 	}
@@ -258,6 +258,20 @@ func eagerXOR(imgs ...[]byte) []byte {
 
 // sameImage reports whether a and b hold the same bytes at the same length.
 func sameImage(a, b []byte) bool { return len(a) == len(b) && bytes.Equal(a, b) }
+
+// sameArray reports whether byte images a and b are the same bytes of the
+// same array; two empty images are one.
+func sameArray(a, b []byte) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+
+// bytesOf returns the byte images of row, whose entries the tests write as
+// bytes.
+func bytesOf(row []block.Image) [][]byte {
+	out := make([][]byte, len(row))
+	for i, img := range row {
+		out[i] = img.Bytes
+	}
+	return out
+}
 
 // sameRow reports whether rows a and b hold, entry for entry, the same
 // images: the same arrays, and nil where the other is nil.
@@ -329,7 +343,7 @@ func history(t *testing.T, steps int, rng *rand.Rand, step func(n int, g *Group,
 			dbn := block.DBN(k)
 			row := make([][]byte, nd)
 			for di := range row {
-				row[di] = g.Drive(di).Peek(dbn)
+				row[di] = g.Drive(di).Image(dbn).Expand()
 			}
 			_, imgs := addStripe(rng, writes, dbn, row)
 			for _, img := range imgs {
@@ -389,7 +403,7 @@ func TestParityByReference(t *testing.T) {
 			}
 			data := make([][]byte, nd)
 			for di := range data {
-				data[di] = g.Drive(di).Peek(dbn)
+				data[di] = g.Drive(di).Image(dbn).Expand()
 			}
 			consistent := block.Equal(eagerXOR(data...), ref[dbn])
 			if g.VerifyStripe(dbn) != consistent {
@@ -462,7 +476,7 @@ func TestForgetIsExact(t *testing.T) {
 				row, _ := g.row(b.dbn)
 				var held []int
 				for di, img := range row {
-					if img != nil && sameArray(img, g.Drive(di).Peek(b.dbn)) {
+					if !img.IsNil() && same(img, g.Drive(di).Image(b.dbn)) {
 						held = append(held, di)
 					}
 				}
@@ -471,32 +485,32 @@ func TestForgetIsExact(t *testing.T) {
 				}
 			}
 			covered, explicit := g.row(b.dbn)
-			img, row := g.Drive(b.di).Peek(b.dbn), slices.Clone(covered)
+			img, row := g.Drive(b.di).Image(b.dbn), slices.Clone(covered)
 			// history's images are nil or non-empty.
-			want := img != nil && row[b.di] != nil && len(row[b.di]) == len(img) && &row[b.di][0] == &img[0]
+			want := !img.IsNil() && same(row[b.di], img)
 			got := g.Forget(b.di, b.dbn)
-			after := g.Drive(b.di).Peek(b.dbn)
+			after := g.Drive(b.di).Image(b.dbn)
 			afterRow, _ := g.row(b.dbn)
 			switch {
 			case got != want:
 				t.Fatalf("step %d: Forget%v = %v, want %v", step, b, got, want)
-			case !got && (!sameArray(after, img) || len(afterRow) != len(row)):
+			case !got && (!same(after, img) || len(afterRow) != len(row)):
 				t.Fatalf("step %d: a refused Forget%v dropped the image or the row", step, b)
-			case got && after != nil:
+			case got && !after.IsNil():
 				t.Fatalf("step %d: Forget%v left the data image", step, b)
 			}
 			if got {
-				row[b.di] = nil
+				row[b.di] = block.Image{}
 				gone[b] = true
 				forgot++
-			} else if img != nil {
+			} else if !img.IsNil() {
 				refused++
 			}
-			if got && explicit && !slices.ContainsFunc(afterRow, func(img []byte) bool { return img != nil }) {
+			if got && explicit && !slices.ContainsFunc(afterRow, func(img block.Image) bool { return !img.IsNil() }) {
 				rowsEmptied++
 			}
 			for di := range row {
-				if !sameArray(afterRow[di], row[di]) || (afterRow[di] == nil) != (row[di] == nil) {
+				if !same(afterRow[di], row[di]) {
 					t.Fatalf("step %d: Forget%v left row entry %d other than it was", step, b, di)
 				}
 			}
@@ -604,7 +618,7 @@ func (m *rowModel) observe() {
 			ahead := true
 			for k, dbn := range tw.dbns {
 				for di, img := range tw.rows[k] {
-					ahead = ahead && sameArray(m.g.Drive(di).Peek(dbn), img)
+					ahead = ahead && sameArray(m.g.Drive(di).Image(dbn).Bytes, img)
 				}
 			}
 			if ahead || !inFlight {
@@ -625,7 +639,7 @@ func (m *rowModel) observe() {
 		}
 		tw := &trackedWrite{rec: w}
 		for k, r := range w.parity {
-			tw.dbns, tw.rows = append(tw.dbns, r.DBN), append(tw.rows, slices.Clone(w.rows[k]))
+			tw.dbns, tw.rows = append(tw.dbns, r.DBN), append(tw.rows, bytesOf(w.rows[k]))
 		}
 		m.tracked = append(m.tracked, tw)
 	}
@@ -678,7 +692,7 @@ func (m *rowModel) forget(step int) {
 	if m.busy(dbn) {
 		return
 	}
-	img, row := m.g.Drive(di).Peek(dbn), m.shadow[dbn]
+	img, row := m.g.Drive(di).Image(dbn).Expand(), m.shadow[dbn]
 	want := img != nil && row != nil && row[di] != nil && sameArray(row[di], img)
 	if got := m.g.Forget(di, dbn); got != want {
 		m.t.Fatalf("step %d: Forget(%d, %d) = %v, the shadow says %v", step, di, dbn, got, want)
@@ -706,7 +720,7 @@ func (m *rowModel) check(step int, after string) {
 	for dbn := range m.g.Depth() {
 		data := make([][]byte, nd)
 		for di := range data {
-			data[di] = m.g.Drive(di).Peek(dbn)
+			data[di] = m.g.Drive(di).Image(dbn).Expand()
 		}
 		srow := m.shadow[dbn]
 		if want := block.Equal(eagerXOR(data...), eagerXOR(srow...)); m.g.VerifyStripe(dbn) != want {
@@ -718,7 +732,7 @@ func (m *rowModel) check(step int, after string) {
 				m.t.Fatalf("step %d, after %s: ReconstructBlock(%d, %d) reads %d bytes unlike the shadow's %d", step, after, di, dbn, len(got), len(want))
 			}
 		}
-		if row, ok := m.g.rows[dbn]; ok && !m.busy(dbn) && sameRow(row, data) {
+		if row, ok := m.g.rows[dbn]; ok && !m.busy(dbn) && sameRow(bytesOf(row), data) {
 			m.t.Fatalf("step %d, after %s: stripe %d keeps an explicit row its data drives hold, with no write in flight", step, after, dbn)
 		}
 	}
@@ -845,27 +859,36 @@ func TestMediaOnlyImagesGoBack(t *testing.T) {
 	}
 }
 
-// TestWarmWriteAllocatesNoRows: a warm Write of fresh full stripes allocates
-// as often whether it covers 4 stripes or 12, and no bytes per stripe: its
-// rows and its record are recycled. A row cloned per stripe would be 96
-// bytes each, and an eager parity a 4 KiB array each.
+// TestWarmWriteAllocatesNoRows: a warm Write of full stripes allocates as
+// often whether it covers 4 stripes or 12, and no bytes per stripe: its rows
+// and its record are recycled, and each image lands in the handle its DBN's
+// last byte image left (the writes cycle over stripes written once before).
+// A row cloned per stripe would be 96 bytes each, and an eager parity a
+// 4 KiB array each.
 func TestWarmWriteAllocatesNoRows(t *testing.T) {
+	const span = 240 // stripes the writes cycle over, a multiple of both sizes
 	s := sim.New(2, 1)
 	g := NewGroup(s, 0, 4, 1<<14, storage.SSD)
 	img := fill(1)
-	next := block.DBN(1)
+	next := block.DBN(0)
 	writer := func(k int) func() {
 		writes := make([][]storage.WriteReq, g.DataDrives())
 		return func() {
 			for di := range writes {
 				writes[di] = writes[di][:0]
 				for j := range k {
-					writes[di] = append(writes[di], storage.WriteReq{DBN: next + block.DBN(j), Data: img})
+					writes[di] = append(writes[di], storage.WriteReq{DBN: 1 + next + block.DBN(j), Data: img})
 				}
 			}
-			next += block.DBN(k)
+			next = (next + block.DBN(k)) % span
 			g.Write(writes, 0, nil)
 			s.RunFor(sim.Millisecond)
+		}
+	}
+	for _, k := range []int{12, 4} {
+		w := writer(k)
+		for range 2 * span / k {
+			w()
 		}
 	}
 	measure := func(k int) (objects uint64, bytes float64) {

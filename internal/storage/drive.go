@@ -7,7 +7,6 @@ package storage
 
 import (
 	"fmt"
-	"unsafe"
 
 	"wafl/internal/block"
 	"wafl/internal/fifo"
@@ -39,10 +38,13 @@ var (
 	FlashPool = Profile{Name: "flashpool", PerIO: 500 * sim.Microsecond, PerBlock: 6 * sim.Microsecond}
 )
 
-// WriteReq is a single-block write within a multi-block drive I/O.
+// WriteReq is a single-block write within a multi-block drive I/O: an image
+// by name (a user block) or as bytes.
 type WriteReq struct {
 	DBN  block.DBN
 	Data []byte // must remain immutable once submitted (CoW guarantees this)
+	// Name is the image by name, written instead of Data when it is set.
+	Name block.Name
 	// MediaOnly says that once Data lands the media is its array's only
 	// holder (DESIGN §14): the DBN is marked, and the array goes back to the
 	// image pool when the media lets go of it. An image that is empty, longer
@@ -51,18 +53,16 @@ type WriteReq struct {
 	MediaOnly bool
 }
 
-// A DBN's length entry keeps an unmarked image's length in its low 15 bits.
-// Its top bit is the media-only mark. A marked image is 1 to block.Size
-// bytes long, and its entry keeps its length less one in the low 12 bits
-// and, in the three between, how many size classes (block.Class) its array's
-// capacity lies above its length's: the pool must take the array back at the
-// class it came from, and an indirect's array, grown by doubling, may be up
-// to seven classes longer than the image the media holds.
+// image is the image r writes.
+func (r *WriteReq) image() block.Image { return block.Image{Name: r.Name, Bytes: r.Data} }
+
+// A DBN's media word is 0 for a block never written, a block.Name (top bit
+// set), or a handle to a byte image in the drive's image table: its index
+// plus one, with the media-only mark in bit markBit.
 const (
-	mediaOnly  uint16 = 1 << 15
-	maxImage          = int(mediaOnly - 1) // the longest image a DBN holds
-	classShift        = 12
-	maxGap            = 7 // classes between a marked image's length and its array's
+	markBit  = 62
+	marked   = uint64(1) << markBit
+	maxImage = 1<<15 - 1 // the longest byte image a DBN holds
 )
 
 // WriteFault describes how an injector perturbs one write I/O.
@@ -132,16 +132,16 @@ type Drive struct {
 	profile Profile
 	nblocks block.DBN
 
-	// ptr and n are the stable storage image: DBN i holds the image whose
-	// array starts at ptr[i] and whose length n[i] keeps (imageLen) — 10
-	// bytes a DBN, not a 24-byte slice header (DESIGN §14). n[i]'s top bit is
-	// the media-only mark: the media alone holds the array. Entries are nil
-	// until first written; a parity drive (NewParityDrive) has no tables.
-	// Writes land at I/O completion time, never earlier, so a simulated
-	// crash (dropping all in-memory state and pending I/O) leaves exactly
-	// the committed image.
-	ptr []*byte
-	n   []uint16
+	// words is the stable storage image, one media word a DBN (DESIGN §14):
+	// 0 until first written, else a name or a handle into imgs, the byte
+	// images the DBNs hold (free lists the unused handles). The words hold
+	// no pointer, so the collector never scans them; a parity drive
+	// (NewParityDrive) has no table. Writes land at I/O completion time,
+	// never earlier, so a simulated crash (dropping all in-memory state and
+	// pending I/O) leaves exactly the committed image.
+	words []uint64
+	imgs  [][]byte
+	free  []int
 
 	busyUntil sim.Time
 	epoch     uint64 // bumped by DropInFlight; stale completions are discarded
@@ -180,8 +180,8 @@ func (e *inflightWrite) complete() {
 		return // lost to a crash before completing
 	}
 	d.removeInflight(e)
-	for _, r := range e.reqs {
-		d.land(r.DBN, r.Data, r.MediaOnly)
+	for i := range e.reqs {
+		d.land(&e.reqs[i])
 	}
 	done := e.done
 	clear(e.reqs)
@@ -200,8 +200,8 @@ type readIO struct {
 	d     *Drive
 	epoch uint64
 	dbns  []block.DBN
-	out   [][]byte
-	done  func([][]byte)
+	out   []block.Image
+	done  func([]block.Image)
 	fire  func()
 }
 
@@ -211,7 +211,7 @@ func (r *readIO) complete() {
 		return // lost to a crash before completing
 	}
 	for _, dbn := range r.dbns {
-		r.out = append(r.out, d.Peek(dbn))
+		r.out = append(r.out, d.Image(dbn))
 	}
 	if r.done != nil {
 		r.done(r.out)
@@ -228,12 +228,12 @@ func (r *readIO) complete() {
 type syncWait struct {
 	wq     *sim.WaitQueue
 	landed bool
-	out    [][]byte
-	read   func([][]byte) // readLanded
-	write  func()         // land
+	out    []block.Image
+	read   func([]block.Image) // readLanded
+	write  func()              // land
 }
 
-func (w *syncWait) readLanded(bs [][]byte) {
+func (w *syncWait) readLanded(bs []block.Image) {
 	w.out = append(w.out[:0], bs...)
 	w.land()
 }
@@ -270,7 +270,7 @@ func (d *Drive) track(tr *obs.Tracer) int32 {
 // NewDrive creates a drive of nblocks blocks with the given service profile.
 func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
 	d := NewParityDrive(s, name, profile, nblocks)
-	d.ptr, d.n = make([]*byte, nblocks), make([]uint16, nblocks)
+	d.words = make([]uint64, nblocks)
 	return d
 }
 
@@ -362,11 +362,12 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 		}
 		return
 	}
-	for _, r := range reqs {
+	for i := range reqs {
+		r := &reqs[i]
 		if r.DBN >= d.nblocks || len(r.Data) > maxImage {
 			panic(fmt.Sprintf("storage: write beyond drive %s: dbn %d >= %d or image of %d > %d", d.name, r.DBN, d.nblocks, len(r.Data), maxImage))
 		}
-		d.stats.BytesWritten += uint64(len(r.Data))
+		d.stats.BytesWritten += uint64(r.image().Len())
 	}
 	var wf WriteFault
 	if d.inj != nil {
@@ -390,7 +391,7 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 // nil; callers treat nil as a zero block. The slice done receives is the
 // drive's and valid only during the call; the images in it are the media's.
 // dbns is copied, so the caller may reuse it once Read returns.
-func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
+func (d *Drive) Read(dbns []block.DBN, done func([]block.Image)) {
 	if len(dbns) == 0 {
 		if done != nil {
 			d.s.After(0, func() { done(nil) })
@@ -414,7 +415,7 @@ func (d *Drive) Read(dbns []block.DBN, done func([][]byte)) {
 // ReadSync performs a read I/O and blocks the calling simulated thread until
 // it completes. The result is the drive's and valid until the thread next
 // blocks; the images in it are the media's.
-func (d *Drive) ReadSync(t *sim.Thread, dbns []block.DBN) [][]byte {
+func (d *Drive) ReadSync(t *sim.Thread, dbns []block.DBN) []block.Image {
 	w := d.readWaitPool.Get()
 	d.Read(dbns, w.read)
 	w.wait(t)
@@ -431,68 +432,85 @@ func (d *Drive) WriteSync(t *sim.Thread, reqs []WriteReq) {
 	d.writeWaitPool.Put(w)
 }
 
-// Peek returns the committed media content of dbn without timing effects —
-// the simulator's god view of the stable image, never subject to fault
-// injection. RAID reconstruction and test assertions use it. The image is
-// the array written, not a copy, with its capacity cut to its length; a
-// parity drive's DBNs read nil.
-func (d *Drive) Peek(dbn block.DBN) []byte {
-	if d.ptr == nil {
-		return nil
+// Image returns the committed media image of dbn by value without timing
+// effects — the simulator's god view of the stable image, never subject to
+// fault injection: a name, or the byte array written (not a copy, its
+// capacity cut to its length); the nil Image if it was never written, and
+// always on a parity drive.
+func (d *Drive) Image(dbn block.DBN) block.Image {
+	if d.words == nil || d.words[dbn] == 0 {
+		return block.Image{}
 	}
-	return unsafe.Slice(d.ptr[dbn], imageLen(d.n[dbn]))
+	if h := d.handle(dbn); h >= 0 {
+		b := d.imgs[h]
+		return block.Image{Bytes: b[:len(b):len(b)]}
+	}
+	return block.Image{Name: block.Name(d.words[dbn])}
 }
 
-// imageLen is the image length a DBN's entry keeps.
-func imageLen(n uint16) int {
-	if n&mediaOnly == 0 {
-		return int(n)
+// handle returns the index in imgs of dbn's byte image, or -1.
+func (d *Drive) handle(dbn block.DBN) int {
+	if w := d.words[dbn]; w != 0 && w>>63 == 0 {
+		return int(w&(marked-1)) - 1
 	}
-	return int(n&(1<<classShift-1)) + 1
+	return -1
 }
 
-// marked returns an n-byte image's entry marked media-only, its array of
-// capacity c, and whether the image may be marked at all: 1 to block.Size
-// bytes, its array at least its size class long, so that Owned can hand the
-// pool the class's whole array.
-func marked(n, c int) (uint16, bool) {
+// markable reports whether an n-byte image whose array has capacity c may be
+// marked media-only: 1 to block.Size bytes, its array at least its size
+// class long, so that Owned can hand the pool the class's whole array.
+func markable(n, c int) bool {
 	if n == 0 || n > block.Size {
-		return 0, false
+		return false
 	}
-	c0, size := block.Class(n)
-	if c < size {
-		return 0, false
-	}
-	cc, size := block.Class(min(c, block.Size))
-	if size > c {
-		cc-- // a foreign array between two classes counts as the lower one
-	}
-	return mediaOnly | uint16(min(cc-c0, maxGap))<<classShift | uint16(n-1), true
+	_, size := block.Class(n)
+	return c >= size
 }
 
-// land makes img the committed image of dbn, marked media-only if mark is
-// set. The media keeps img's own array, so Peek hands back the very array
-// written; a nil image stays nil (a nil pointer of length 0) and a non-nil
-// empty one non-nil. The image it displaces loses its mark. A parity drive
-// lands nothing.
-func (d *Drive) land(dbn block.DBN, img []byte, mark bool) {
-	if d.ptr == nil {
-		if img != nil {
+// land makes r's image the committed image of its DBN, marked media-only if
+// r says so and it may be. The media keeps the array itself, so Image hands
+// back the very array written; a nil image stays nil and a non-nil empty
+// one non-nil. The image it displaces loses its mark. A parity drive lands
+// nothing.
+func (d *Drive) land(r *WriteReq) {
+	if d.words == nil {
+		if !r.image().IsNil() {
 			panic(fmt.Sprintf("storage: image written to parity drive %s", d.name))
 		}
 		return
 	}
-	n, ok := marked(len(img), cap(img))
-	if !mark || !ok {
-		n = uint16(len(img))
+	d.put(r.DBN, r.image(), r.MediaOnly && markable(len(r.Data), cap(r.Data)))
+}
+
+// put stores img at dbn, marked if mark is set: a byte image in dbn's
+// handle, or a free one; a name or nil in the word alone, freeing the
+// handle.
+func (d *Drive) put(dbn block.DBN, img block.Image, mark bool) {
+	h := d.handle(dbn)
+	if img.Bytes == nil {
+		if h >= 0 {
+			d.imgs[h], d.free = nil, append(d.free, h)
+		}
+		d.words[dbn] = uint64(img.Name)
+		return
 	}
-	d.ptr[dbn], d.n[dbn] = unsafe.SliceData(img), n
+	if h < 0 {
+		if n := len(d.free); n > 0 {
+			h, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			h, d.imgs = len(d.imgs), append(d.imgs, nil)
+		}
+	}
+	d.imgs[h], d.words[dbn] = img.Bytes, uint64(h)+1
+	if mark {
+		d.words[dbn] |= marked
+	}
 }
 
 // MediaOnly reports whether dbn is marked: the media alone holds its image's
 // array (DESIGN §14, *Who holds an image array*).
 func (d *Drive) MediaOnly(dbn block.DBN) bool {
-	return d.ptr != nil && d.n[dbn]&mediaOnly != 0
+	return d.words != nil && d.words[dbn]>>62 == 1
 }
 
 // Mark marks dbn media-only if it holds img's array, and reports whether it
@@ -502,59 +520,66 @@ func (d *Drive) MediaOnly(dbn block.DBN) bool {
 // was forgotten, or its write has not landed) is left alone, and img is the
 // garbage collector's.
 func (d *Drive) Mark(dbn block.DBN, img []byte) bool {
-	if d.ptr == nil || len(img) == 0 || d.ptr[dbn] != &img[0] {
+	if d.words == nil || len(img) == 0 {
 		return false
 	}
-	e, ok := marked(imageLen(d.n[dbn]), cap(img))
-	if ok {
-		d.n[dbn] = e
+	h := d.handle(dbn)
+	if h < 0 || len(d.imgs[h]) == 0 || &d.imgs[h][0] != &img[0] || !markable(len(d.imgs[h]), cap(img)) {
+		return false
 	}
-	return ok
+	d.imgs[h] = img[:len(d.imgs[h])]
+	d.words[dbn] |= marked
+	return true
 }
 
 // Owned returns the image at dbn, if the DBN is marked, as its whole array:
-// as long as the size class (block.Class) its mark records, for its owner to
-// take back once the media lets go of it; nil if it is not marked. The array
-// is still the media's until then.
+// as long as the largest size class (block.Class) its capacity holds, for
+// its owner to take back once the media lets go of it; nil if it is not
+// marked. The array is still the media's until then.
 func (d *Drive) Owned(dbn block.DBN) []byte {
 	if !d.MediaOnly(dbn) {
 		return nil
 	}
-	n := d.n[dbn]
-	c, _ := block.Class(imageLen(n))
-	return unsafe.Slice(d.ptr[dbn], block.ClassCap(c+int(n>>classShift&maxGap)))
+	b := d.imgs[d.handle(dbn)]
+	c, size := block.Class(min(cap(b), block.Size))
+	if size > cap(b) {
+		size = block.ClassCap(c - 1) // a foreign array between two classes counts as the lower one
+	}
+	return b[:size]
 }
 
 // ClearMarks drops every DBN's media-only mark: a mounted aggregate takes the
 // media over from a crashed one, and the arrays that one's pool would have
 // taken back are the garbage collector's.
 func (d *Drive) ClearMarks() {
-	for i, n := range d.n {
-		d.n[i] = uint16(imageLen(n))
+	for i, w := range d.words {
+		if w>>62 == 1 {
+			d.words[i] = w &^ marked
+		}
 	}
 }
 
 // PeekChecked is the fallible media read the file system's mount and
-// verification paths use: it returns the committed content of dbn, or
+// verification paths use: it returns the committed image of dbn, or
 // ok=false when the injector fails this attempt (a media/checksum error).
 // Transient faults succeed on retry; persistent faults force the caller to
 // RAID reconstruction.
-func (d *Drive) PeekChecked(dbn block.DBN) ([]byte, bool) {
+func (d *Drive) PeekChecked(dbn block.DBN) (block.Image, bool) {
 	if d.inj != nil && d.inj.PeekFault(d.name, dbn) {
 		d.stats.PeekErrors++
-		return nil, false
+		return block.Image{}, false
 	}
-	return d.Peek(dbn), true
+	return d.Image(dbn), true
 }
 
 // Forget drops the image at dbn, which then reads as never written: the god
-// view's other half, untimed like Peek. Its caller knows that nothing can
+// view's other half, untimed like Image. Its caller knows that nothing can
 // reach the block any more — no committed tree, no explicit parity row.
 func (d *Drive) Forget(dbn block.DBN) {
-	if d.ptr != nil && d.ptr[dbn] != nil {
+	if d.words != nil && d.words[dbn] != 0 {
 		d.stats.Forgotten++
-		d.stats.ForgottenBytes += uint64(imageLen(d.n[dbn]))
-		d.land(dbn, nil, false)
+		d.stats.ForgottenBytes += uint64(d.Image(dbn).Len())
+		d.put(dbn, block.Image{}, false)
 	}
 }
 
@@ -579,8 +604,8 @@ func (d *Drive) DropInFlight() []int {
 		}
 		prefixes[i] = p
 		if p > 0 {
-			for _, r := range e.reqs[:p] {
-				d.land(r.DBN, r.Data, r.MediaOnly)
+			for i := range e.reqs[:p] {
+				d.land(&e.reqs[i])
 			}
 			d.stats.TornWrites++
 			d.stats.TornBlocksLost += uint64(len(e.reqs) - p)

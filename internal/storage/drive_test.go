@@ -21,7 +21,7 @@ func testBlock(tag byte) []byte {
 func TestWriteThenRead(t *testing.T) {
 	s := sim.New(2, 1)
 	d := NewDrive(s, "d0", SSD, 1024)
-	var got [][]byte
+	var got []block.Image
 	s.Go("io", sim.CatOther, func(th *sim.Thread) {
 		d.WriteSync(th, []WriteReq{{DBN: 5, Data: testBlock(0xAA)}, {DBN: 6, Data: testBlock(0xBB)}})
 		got = d.ReadSync(th, []block.DBN{5, 6, 7})
@@ -30,10 +30,10 @@ func TestWriteThenRead(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("got %d blocks", len(got))
 	}
-	if !bytes.Equal(got[0], testBlock(0xAA)) || !bytes.Equal(got[1], testBlock(0xBB)) {
+	if !bytes.Equal(got[0].Bytes, testBlock(0xAA)) || !bytes.Equal(got[1].Bytes, testBlock(0xBB)) {
 		t.Fatal("read data mismatch")
 	}
-	if got[2] != nil {
+	if !got[2].IsNil() {
 		t.Fatal("never-written block should read nil")
 	}
 }
@@ -76,7 +76,7 @@ func TestCrashDropsInFlightWrites(t *testing.T) {
 	if committed {
 		t.Fatal("in-flight write completed despite crash")
 	}
-	if d.Peek(1) != nil {
+	if d.Image(1).Expand() != nil {
 		t.Fatal("in-flight write landed on media despite crash")
 	}
 }
@@ -87,7 +87,7 @@ func TestCrashPreservesCompletedWrites(t *testing.T) {
 	d.Write([]WriteReq{{DBN: 1, Data: testBlock(7)}}, nil)
 	s.After(200*sim.Microsecond, func() { d.DropInFlight() })
 	s.Run(sim.Time(sim.Second))
-	if !bytes.Equal(d.Peek(1), testBlock(7)) {
+	if !bytes.Equal(d.Image(1).Expand(), testBlock(7)) {
 		t.Fatal("completed write lost by crash")
 	}
 }
@@ -177,10 +177,10 @@ func TestTornWriteAtCrash(t *testing.T) {
 	if fired {
 		t.Fatal("completion fired for a crashed I/O")
 	}
-	if d.Peek(10) == nil || d.Peek(11) == nil {
+	if d.Image(10).Expand() == nil || d.Image(11).Expand() == nil {
 		t.Fatal("torn-write prefix did not land")
 	}
-	if d.Peek(12) != nil {
+	if d.Image(12).Expand() != nil {
 		t.Fatal("torn-write suffix landed")
 	}
 	st := d.Stats()
@@ -198,7 +198,7 @@ func TestUntornCrashLandsNothing(t *testing.T) {
 	d.Write([]WriteReq{{DBN: 3, Data: testBlock(9)}}, nil)
 	d.DropInFlight()
 	s.Run(sim.Time(sim.Second))
-	if d.Peek(3) != nil {
+	if d.Image(3).Expand() != nil {
 		t.Fatal("in-flight write landed without injector")
 	}
 }
@@ -233,7 +233,7 @@ func TestPeekCheckedFaults(t *testing.T) {
 	if _, ok := d.PeekChecked(2); ok {
 		t.Fatal("first peek should fail (transient)")
 	}
-	if b, ok := d.PeekChecked(2); !ok || !bytes.Equal(b, testBlock(5)) {
+	if b, ok := d.PeekChecked(2); !ok || !bytes.Equal(b.Bytes, testBlock(5)) {
 		t.Fatal("retry peek should succeed with committed data")
 	}
 	if d.Stats().PeekErrors != 1 {
@@ -241,7 +241,7 @@ func TestPeekCheckedFaults(t *testing.T) {
 	}
 	// The god-view Peek is never subject to injection.
 	d.SetInjector(&stubInjector{peekFail: map[block.DBN]int{2: 100}})
-	if !bytes.Equal(d.Peek(2), testBlock(5)) {
+	if !bytes.Equal(d.Image(2).Expand(), testBlock(5)) {
 		t.Fatal("raw Peek must bypass faults")
 	}
 }
@@ -279,9 +279,9 @@ func TestReadRecordLifetime(t *testing.T) {
 	d := NewDrive(s, "d0", SSD, 64)
 	d.Write([]WriteReq{{DBN: 1, Data: testBlock(1)}, {DBN: 2, Data: testBlock(2)}}, nil)
 	s.RunFor(sim.Millisecond)
-	var got [][]byte
+	var got []block.Image
 	calls := 0
-	done := func(bs [][]byte) { got = append(got[:0], bs...); calls++ }
+	done := func(bs []block.Image) { got = append(got[:0], bs...); calls++ }
 	dbns := []block.DBN{1, 2}
 	read := func() {
 		d.Read(dbns, done)
@@ -315,7 +315,7 @@ func TestReadRecordLifetime(t *testing.T) {
 	if st.Abandoned != 1 || st.Outstanding() != 0 {
 		t.Fatalf("read pool %+v: want the dropped read abandoned and nothing outstanding", st)
 	}
-	if len(got) != 2 || !bytes.Equal(got[0], testBlock(1)) || !bytes.Equal(got[1], testBlock(2)) {
+	if len(got) != 2 || !bytes.Equal(got[0].Bytes, testBlock(1)) || !bytes.Equal(got[1].Bytes, testBlock(2)) {
 		t.Fatal("the post-crash read did not see what it named")
 	}
 }
@@ -354,7 +354,7 @@ func TestCrashNeverRecyclesInFlightRecords(t *testing.T) {
 	write(WriteReq{DBN: 41, Data: testBlock(9)}, WriteReq{DBN: 42, Data: testBlock(10)})
 	s.RunFor(sim.Millisecond)
 	for dbn := block.DBN(0); dbn < d.Blocks(); dbn++ {
-		if got := d.Peek(dbn); !bytes.Equal(got, want[dbn]) || (got == nil) != (want[dbn] == nil) {
+		if got := d.Image(dbn).Expand(); !bytes.Equal(got, want[dbn]) || (got == nil) != (want[dbn] == nil) {
 			t.Fatalf("dbn %d holds %v, want %v", dbn, got[:min(len(got), 1)], want[dbn][:min(len(want[dbn]), 1)])
 		}
 	}

@@ -33,7 +33,7 @@ type mediaModel struct {
 	s      *sim.Scheduler
 	d      *Drive
 	inj    *tornInjector
-	want   map[block.DBN][]byte
+	want   map[block.DBN]block.Image
 	marked map[block.DBN]int
 	// forgotten counts the images Forget dropped, and their length.
 	forgotten, forgottenLen uint64
@@ -42,25 +42,29 @@ type mediaModel struct {
 func (m *mediaModel) reqs() []WriteReq {
 	reqs := make([]WriteReq, 1+m.inj.rng.IntN(4))
 	for i := range reqs {
-		reqs[i] = WriteReq{DBN: block.DBN(m.inj.rng.IntN(int(m.d.Blocks()))), Data: blockImage(m.inj.rng),
-			MediaOnly: m.inj.rng.IntN(2) == 0}
+		reqs[i] = WriteReq{DBN: block.DBN(m.inj.rng.IntN(int(m.d.Blocks()))), MediaOnly: m.inj.rng.IntN(2) == 0}
+		if m.inj.rng.IntN(4) == 0 {
+			reqs[i].Name = block.NameOf(m.inj.rng.Uint64(), block.FBN(m.inj.rng.Uint64()), 0, 1+m.inj.rng.IntN(block.Size))
+		} else {
+			reqs[i].Data = blockImage(m.inj.rng)
+		}
 	}
 	return reqs
 }
 
 func (m *mediaModel) land(reqs []WriteReq) {
 	for _, r := range reqs {
-		m.want[r.DBN] = r.Data
+		m.want[r.DBN] = r.image()
 		delete(m.marked, r.DBN)
-		if r.MediaOnly && markable(r.Data) {
+		if r.MediaOnly && r.Name == 0 && canMark(r.Data) {
 			m.marked[r.DBN] = wholeLen(r.Data)
 		}
 	}
 }
 
-// markable reports whether img may be marked media-only: 1 to block.Size
-// bytes, its array at least its size class long.
-func markable(img []byte) bool {
+// canMark reports whether byte image img may be marked media-only: 1 to
+// block.Size bytes, its array at least its size class long.
+func canMark(img []byte) bool {
 	if len(img) == 0 || len(img) > block.Size {
 		return false
 	}
@@ -69,15 +73,13 @@ func markable(img []byte) bool {
 }
 
 // wholeLen is the length of the array Owned returns for a marked image
-// whose array is img's: its size class's capacity, or a class up to seven
-// above it that the array's capacity reaches.
+// whose array is img's: the largest size class its capacity reaches.
 func wholeLen(img []byte) int {
-	c0, _ := block.Class(len(img))
-	c, size := block.Class(cap(img))
+	c, size := block.Class(min(cap(img), block.Size))
 	if size > cap(img) {
 		c--
 	}
-	return block.ClassCap(min(c, c0+7))
+	return block.ClassCap(c)
 }
 
 // step takes one random action: a completed write, a forget, or a crash with
@@ -90,12 +92,12 @@ func (m *mediaModel) step(step int) {
 		// A buffer lets go of the array a DBN holds (it marks), or of
 		// another one (it does not).
 		dbn := block.DBN(rng.IntN(int(m.d.Blocks())))
-		img := m.want[dbn]
+		img := m.want[dbn].Bytes
 		arr := img[:cap(img)]
 		if rng.IntN(4) == 0 {
 			arr = block.New()
 		}
-		want := markable(img) && len(arr) > 0 && &arr[0] == &img[0]
+		want := canMark(img) && len(arr) > 0 && &arr[0] == &img[0]
 		if got := m.d.Mark(dbn, arr); got != want {
 			m.t.Fatalf("step %d: Mark of dbn %d (len %d) = %v, want %v", step, dbn, len(img), got, want)
 		}
@@ -114,9 +116,9 @@ func (m *mediaModel) step(step int) {
 		m.land(reqs)
 	case 1:
 		dbn := block.DBN(rng.IntN(int(m.d.Blocks())))
-		if img := m.want[dbn]; img != nil {
+		if img := m.want[dbn]; !img.IsNil() {
 			m.forgotten++
-			m.forgottenLen += uint64(len(img))
+			m.forgottenLen += uint64(img.Len())
 		}
 		m.d.Forget(dbn)
 		delete(m.want, dbn)
@@ -142,13 +144,18 @@ func (m *mediaModel) step(step int) {
 	}
 }
 
-// sameImage reports whether got is want itself: equally nil, equally long,
-// and, when not empty, starting at the same byte.
-func sameImage(got, want []byte) bool {
-	return (got == nil) == (want == nil) && len(got) == len(want) && (len(got) == 0 || &got[0] == &want[0])
+// sameImage reports whether got is want itself: the same name, or equally
+// nil, equally long and, when not empty, starting at the same byte.
+func sameImage(got, want block.Image) bool {
+	if got.Name != 0 || want.Name != 0 {
+		return got.Name == want.Name && got.Bytes == nil
+	}
+	g, w := got.Bytes, want.Bytes
+	return (g == nil) == (w == nil) && len(g) == len(w) && (len(g) == 0 || &g[0] == &w[0])
 }
 
-// check compares Peek, PeekChecked and Read of every DBN with the reference.
+// check compares Image, PeekChecked and Read of every DBN with the
+// reference.
 func (m *mediaModel) check(step int) {
 	m.t.Helper()
 	dbns := make([]block.DBN, m.d.Blocks())
@@ -156,25 +163,26 @@ func (m *mediaModel) check(step int) {
 		dbns[i] = block.DBN(i)
 		want := m.want[dbns[i]]
 		checked, ok := m.d.PeekChecked(dbns[i])
-		if !sameImage(m.d.Peek(dbns[i]), want) || !ok || !sameImage(checked, want) {
-			m.t.Fatalf("step %d: dbn %d peeks (nil %v, len %d) / (nil %v, len %d), want (nil %v, len %d) of the array written",
-				step, i, m.d.Peek(dbns[i]) == nil, len(m.d.Peek(dbns[i])), checked == nil, len(checked), want == nil, len(want))
+		if got := m.d.Image(dbns[i]); !sameImage(got, want) || !ok || !sameImage(checked, want) {
+			m.t.Fatalf("step %d: dbn %d holds (nil %v, len %d) / (nil %v, len %d), want (nil %v, len %d) of the image written",
+				step, i, got.IsNil(), got.Len(), checked.IsNil(), checked.Len(), want.IsNil(), want.Len())
 		}
+
 	}
 	for _, dbn := range dbns {
 		size, marked := m.marked[dbn]
 		if owned := m.d.Owned(dbn); m.d.MediaOnly(dbn) != marked || (owned != nil) != marked ||
-			marked && (len(owned) != size || &owned[0] != &m.want[dbn][0]) {
+			marked && (len(owned) != size || &owned[0] != &m.want[dbn].Bytes[0]) {
 			m.t.Fatalf("step %d: dbn %d marked %v, owns %d bytes; want marked %v, the image's array at %d bytes",
 				step, dbn, m.d.MediaOnly(dbn), len(owned), marked, size)
 		}
 	}
 	read := false
-	m.d.Read(dbns, func(got [][]byte) {
+	m.d.Read(dbns, func(got []block.Image) {
 		read = true
 		for i, img := range got {
 			if !sameImage(img, m.want[dbns[i]]) {
-				m.t.Fatalf("step %d: dbn %d reads (nil %v, len %d), want the array written", step, i, img == nil, len(img))
+				m.t.Fatalf("step %d: dbn %d reads (nil %v, len %d), want the image written", step, i, img.IsNil(), img.Len())
 			}
 		}
 	})
@@ -207,15 +215,15 @@ func blockImage(rng *rand.Rand) []byte {
 
 // TestMediaTableKeepsImages: through seeded writes, forgets, marks and torn
 // crashes, every DBN of a drive reads back the very image last landed there
-// — nil as nil, empty as non-nil empty, trimmed at its length, and the
-// media's array, never a copy — and each crash reports the prefix of each
-// dropped write that landed. A DBN is marked media-only from a marked
+// — a name as that name, nil as nil, empty as non-nil empty, trimmed at its
+// length, and the media's array, never a copy — and each crash reports the
+// prefix of each dropped write that landed. A DBN is marked media-only from a marked
 // write's landing or a Mark of its own array until the next landing, Forget
 // or ClearMarks, and Owned hands back its array at the capacity recorded.
 func TestMediaTableKeepsImages(t *testing.T) {
 	for seed := range uint64(4) {
 		s := sim.New(1, 1)
-		m := &mediaModel{t: t, s: s, d: NewDrive(s, "d", SSD, 32), want: map[block.DBN][]byte{}, marked: map[block.DBN]int{}}
+		m := &mediaModel{t: t, s: s, d: NewDrive(s, "d", SSD, 32), want: map[block.DBN]block.Image{}, marked: map[block.DBN]int{}}
 		m.inj = &tornInjector{rng: rand.New(rand.NewPCG(seed, 0))}
 		m.d.SetInjector(m.inj)
 		for step := range 400 {
@@ -225,9 +233,9 @@ func TestMediaTableKeepsImages(t *testing.T) {
 	}
 }
 
-// TestMediaTableBudget: a drive's media table costs 10 bytes a DBN — a
-// pointer and a 16-bit length — not a 24-byte slice header; and a parity
-// drive, whose writes carry no image, has no table at all.
+// TestMediaTableBudget: a drive's media table costs 8 bytes a DBN — one
+// word, a name or a handle to a byte image — not a 24-byte slice header;
+// and a parity drive, whose writes carry no image, has no table at all.
 func TestMediaTableBudget(t *testing.T) {
 	const nblocks = 1 << 16
 	retained := func(newDrive func(*sim.Scheduler, string, Profile, block.DBN) *Drive) float64 {

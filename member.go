@@ -411,16 +411,11 @@ func (m *Member) crash() {
 }
 
 // replay reapplies logged operations in sequence order against the mounted
-// member file system. Record coordinates (Vol, Ino) are member-local. Each
-// write gets a copy of its payload from the member's image pool, and the
-// record keeps that copy: a record that survived its CP's commit (a crash
-// between the commit and the freeing of its log half) shares its array with
-// the committed block, which the overwrite must not write a second time.
+// member file system. Record coordinates (Vol, Ino) are member-local. A
+// write's payload is its name, a value the record, the buffer and the media
+// each hold: replaying it copies nothing.
 func (m *Member) replay(records []nvlog.Record) {
 	for i := range records {
-		if rec := &records[i]; rec.Kind == nvlog.OpWrite {
-			rec.Data = m.a.Images().Copy(rec.Data)
-		}
 		m.apply(&records[i])
 	}
 }
@@ -450,7 +445,7 @@ func (m *Member) apply(rec *nvlog.Record) bool {
 		// Install the block's existing location (if any) so the replayed
 		// overwrite frees it at the next CP.
 		v.EnsureL0Resident(f, rec.FBN)
-		f.WriteBlock(rec.FBN, rec.Data)
+		f.WriteImage(rec.FBN, block.Image{Name: rec.Name, Bytes: rec.Data})
 		v.MarkDirty(f)
 	case nvlog.OpCreate:
 		rec.Ino = v.CreateFileAt(rec.Ino, rec.MaxBlocks).Ino()

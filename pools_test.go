@@ -166,17 +166,13 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 // client reads its overwrite; no preserved image outlives the commit, and
 // Quiesce passes. The cleaners are slowed to a millisecond a buffer, so
 // every overwrite finds its block uncleaned. (That such an overwrite
-// allocates nothing once the side home is sized is internal/fs's
-// TestDataPathAllocations: here the CP's own work shares the window.)
+// allocates nothing is internal/fs's TestDataPathAllocations: here the
+// CP's own work shares the window.)
 //
 // The passes repeat it on the same blocks, each CP's preserved images the
-// previous pass's overwrites, and pin a preserved image's way back (DESIGN
-// §14): it is written media-only and returns to the image pool when its
-// block is forgotten, two commits on, so once that many passes have turned
-// the pool over, a pass builds no array (ImageStats.New): six passes, the
-// last three of them building 15 between them (indirect and metafile
-// images among them). When a preserved image went to the media unmarked,
-// each pass built its 51 anew, and more.
+// previous pass's overwrites. A preserved image is the buffer's name by
+// value (DESIGN §14), so once the pool has turned its indirect and
+// metafile arrays over, a pass builds no array (ImageStats.New).
 func TestOverwriteOfFrozenBlock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Costs.CleanerPerBuffer = Millisecond
@@ -205,7 +201,7 @@ func TestOverwriteOfFrozenBlock(t *testing.T) {
 			}
 			for fbn := FBN(blocks - overwrites); fbn < blocks; fbn++ {
 				g, d, dbn := m.a.Geometry().Locate(file().Buffer(0, fbn).VBN())
-				if !bytes.Equal(m.a.Group(g).Drive(d).Peek(dbn), sys.expected(ino, fbn, pass+1)) ||
+				if !bytes.Equal(m.a.Group(g).Drive(d).Image(dbn).Expand(), sys.expected(ino, fbn, pass+1)) ||
 					!bytes.Equal(sys.VerifyRead(0, ino, fbn), sys.expected(ino, fbn, pass+2)) {
 					t.Errorf("pass %d, fbn %d: the CP did not write its preserved image, or the client does not read its overwrite", pass, fbn)
 				}
@@ -217,7 +213,7 @@ func TestOverwriteOfFrozenBlock(t *testing.T) {
 		}
 	})
 	sys.Run(3 * Second)
-	if n := m.a.ImageStats().Preserved; len(built) != passes || n != passes*overwrites {
+	if n := file().CoWCopies; len(built) != passes || n != passes*overwrites {
 		t.Fatalf("%d of %d passes ran; %d of %d overwrites found their block frozen and uncleaned", len(built), passes, n, passes*overwrites)
 	}
 	t.Logf("image arrays built after each pass: %v", built)

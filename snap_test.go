@@ -400,7 +400,7 @@ func TestFsckFlagsOwnerlessSummaryBit(t *testing.T) {
 		vbn = cvbn
 	}
 	g, d, dbn := sys.m0().a.Geometry().Locate(vbn)
-	media := sys.m0().a.Group(g).Drive(d).Peek(dbn)
+	media := sys.m0().a.Group(g).Drive(d).Image(dbn).Expand()
 	media[target/8] |= 1 << (target % 8)
 
 	rep := sys.Fsck()

@@ -194,15 +194,14 @@ type Config struct {
 	StripesPerVolume int
 	RangesPerVBN     int
 
-	// PayloadBytes is how many bytes of real pattern data each 4 KiB
-	// block write carries; the rest of the block reads as zeros and is
-	// never materialised (DESIGN.md §14), so the host memory a written
-	// block occupies in buffers, on the drive media and in its share of
-	// parity, and the host work of copying and XOR-ing it, scale with this
-	// value. Simulated costs do not: NVRAM, drive and CPU accounting
-	// always charge a full block, and every simulated metric is identical
-	// for any PayloadBytes. Use 4096 when byte-exact verification of whole
-	// blocks matters.
+	// PayloadBytes is the length a client write's payload name expands to
+	// where something reads its bytes — a verification read, fsck's
+	// oracle, parity and reconstruction (DESIGN.md §14); the rest of the
+	// block reads as zeros. It sets nothing else: the NVLog record, the
+	// buffer and the media hold the name, one word, for any length, and
+	// NVRAM, drive and CPU accounting always charge a full block, so every
+	// simulated metric is identical for any PayloadBytes. Use 4096 when
+	// byte-exact verification of whole blocks matters.
 	PayloadBytes int
 
 	// Trace records the timeline: structured trace events, exportable as
@@ -621,7 +620,7 @@ func (sys *System) AgeOverwrite(vol int, ino uint64, n int, span uint64) {
 func (sys *System) writeDirect(vol int, ino uint64, fbns []uint64, tag byte) {
 	m, lv, li := sys.resolve(vol, ino)
 	for _, fbn := range fbns {
-		rec := nvlog.Record{Kind: nvlog.OpWrite, Vol: uint32(lv), Ino: li, FBN: FBN(fbn), Data: sys.payload(m, ino, FBN(fbn), tag)}
+		rec := nvlog.Record{Kind: nvlog.OpWrite, Vol: uint32(lv), Ino: li, FBN: FBN(fbn), Name: sys.payload(ino, FBN(fbn), tag)}
 		if !m.apply(&rec) {
 			panic(fmt.Sprintf("wafl: direct write to nonexistent ino %d", ino))
 		}
