@@ -384,7 +384,7 @@ func (a *Aggregate) loadAll(files ...*fs.File) error {
 				err = fmt.Errorf("metafile %d block (level %d, index %d) at %v unreadable", f.Ino(), level, idx, vbn)
 				return nil
 			}
-			f.InstallBuffer(level, idx, data, vvbn, vbn)
+			f.InstallBuffer(level, idx, block.Image{Bytes: data}, vvbn, vbn)
 			return data
 		})
 		if err != nil {

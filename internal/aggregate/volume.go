@@ -395,7 +395,7 @@ func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
 		return
 	}
 	if img, vvbn, vbn := v.readL0(nil, f, fbn); !img.IsNil() {
-		f.InstallImage(0, fbn, img, vvbn, vbn)
+		f.InstallBuffer(0, fbn, img, vvbn, vbn)
 	}
 }
 

@@ -16,9 +16,9 @@
 // All operations are O(1) (an open-addressed key table plus an intrusive
 // doubly-linked LRU list) and deterministic: the table is only ever probed
 // by key, never iterated — eviction order comes from the list alone. It
-// probes linearly and deletes by shifting the rest of the probe chain back,
-// so a delete leaves no mark behind: the table is made once, at twice the
-// capacity, and a full cache that evicts on every insert allocates nothing.
+// probes linearly and a delete re-inserts the rest of its probe chain, so
+// it leaves no mark behind: the table is made once, at twice the capacity,
+// and a full cache that evicts on every insert allocates nothing.
 package bcache
 
 import (
@@ -89,19 +89,16 @@ func (c *Cache) probe(k Key) int {
 	return i
 }
 
-// remove deletes resident key k from the table: each entry later in its
-// probe chain whose home slot lies cyclically outside (emptied, its slot]
-// moves back into the emptied slot, so no chain is broken and no slot is
-// left marked.
+// remove deletes resident key k from the table and re-inserts the rest of
+// its probe chain, so no chain is broken and no slot is left marked.
 func (c *Cache) remove(k Key) {
 	mask := len(c.slots) - 1
 	i := c.probe(k)
 	c.slots[i] = nil
 	for j := (i + 1) & mask; c.slots[j] != nil; j = (j + 1) & mask {
-		if h := c.slots[j].key.hash() & mask; (j > i && (h <= i || h > j)) || (j < i && h <= i && h > j) {
-			c.slots[i], c.slots[j] = c.slots[j], nil
-			i = j
-		}
+		e := c.slots[j]
+		c.slots[j] = nil
+		c.slots[c.probe(e.key)] = e
 	}
 	c.n--
 }

@@ -192,7 +192,7 @@ func FuzzRebindPrefix(f *testing.F) {
 		}
 		free := func(data []byte) uint64 {
 			file := fs.NewFile(1, 1)
-			file.InstallBuffer(0, 0, data, 1, 1)
+			file.InstallBuffer(0, 0, block.Image{Bytes: data}, 1, 1)
 			return Rebind(file, BitsPerBlock).Free()
 		}
 		if got, want := free(img[:n]), free(block.Clone(img[:n])); got != want {

@@ -227,3 +227,25 @@ func BenchmarkTrim(b *testing.B) {
 }
 
 var trimSink []byte
+
+// TestImageIsANameOrBytes: ImageOf builds an image from a name or from
+// bytes, the nil image from neither, and refuses both, so no reader has to
+// pick which field wins.
+func TestImageIsANameOrBytes(t *testing.T) {
+	n := NameOf(7, 3, 1, 64)
+	if img := ImageOf(n, nil); img.Name != n || img.Bytes != nil || img.Len() != 64 {
+		t.Fatalf("ImageOf(name, nil) = %+v", img)
+	}
+	if img := ImageOf(0, []byte{}); img.Name != 0 || img.Bytes == nil || img.IsNil() {
+		t.Fatalf("ImageOf(0, empty) = %+v, want the zero block written", img)
+	}
+	if !ImageOf(0, nil).IsNil() {
+		t.Fatal("ImageOf(0, nil) is not the nil image")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ImageOf with a name and bytes did not panic")
+		}
+	}()
+	ImageOf(n, []byte{})
+}

@@ -1,11 +1,8 @@
 package block
 
 // Name is a user block's content by name: the client payload pattern it
-// expands to (AppendBytes), packed into one word. A client payload is a pure
-// function of the file handle the client wrote through, the FBN and a tag,
-// so the system keeps the name wherever it kept bytes — the NVLog record,
-// the buffer, a preserved CP image, the media's DBN entry — and expands it
-// only where something reads the bytes.
+// expands to (AppendBytes), packed into one word, which the system keeps
+// wherever it kept the payload's bytes (DESIGN §14).
 //
 // The word keeps what the pattern reads: byte i of an n-byte payload is
 // byte(ino) ^ byte(fbn>>(i%24)) ^ tag ^ byte(i), so the handle's and the
@@ -47,11 +44,21 @@ func (n Name) AppendBytes(dst []byte) []byte {
 }
 
 // Image is a block image by value: a user block's Name, or bytes under the
-// block image rule (package comment). The zero Image is nil, a block never
-// written; an Image with empty non-nil Bytes is the zero block written.
+// block image rule (package comment), never both. The zero Image is nil, a
+// block never written; an Image with empty non-nil Bytes is the zero block
+// written.
 type Image struct {
 	Name  Name
 	Bytes []byte
+}
+
+// ImageOf returns the image a record or a write request carries in its two
+// fields, a name or bytes. One carrying both is a fault: it panics.
+func ImageOf(name Name, data []byte) Image {
+	if name != 0 && data != nil {
+		panic("block: an image with both a name and bytes")
+	}
+	return Image{Name: name, Bytes: data}
 }
 
 // IsNil reports whether img is no image at all.

@@ -109,7 +109,7 @@ func BenchmarkCleanSparseIndirect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.InstallBuffer(1, 0, img, block.VVBN(ptrs+1), block.VBN(ptrs+1))
+		f.InstallBuffer(1, 0, block.Image{Bytes: img}, block.VVBN(ptrs+1), block.VBN(ptrs+1))
 		round()
 	}
 }

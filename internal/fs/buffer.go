@@ -27,52 +27,39 @@ import (
 //
 // Indirect and metafile buffers stay in their tree. A user L0 buffer lives
 // only while its block is dirty or in a CP: it comes from its aggregate's
-// free list (ImagePool) when a write or a load creates it, and goes back
-// when the CP that cleaned it commits (File.DropClean). The block stays
-// resident after that — its residency bit (node.held) says so — and its
-// content is its media image, read through its resident L1.
+// free list (ImagePool) and goes back when the CP that cleaned it commits
+// (File.DropClean); the block stays resident (node.held), its content its
+// media image, read through its resident L1.
 //
-// A user L0 in an aggregate holds its image by value, a block.Name
-// (WriteImage): the NVLog record that logged it and later the media hold
-// the same value, and nothing allocates for it. Every other image follows
-// the internal/block rule: a []byte of len <= block.Size whose missing tail
-// reads as zero. A user L0 written as bytes holds the very array the
-// caller wrote (WriteBlock adopts it), at whatever length it was written;
-// nothing is allocated until an L0 is first read (Data) or mutated CP-side
-// (CPMutableData), and both of those hand metafile code a full-length
-// array. An indirect's array is only as long as its pointers need (nil with
-// none): CleanChild, its one writer, grows it by doubling, and past
-// sparseMax it is a full block. Every array a buffer makes comes from its
-// file's ImagePool.
+// A user L0 in an aggregate holds its image by name (WriteImage), as its
+// NVLog record and later the media do. Every other image is a []byte under
+// the internal/block rule. A user L0 written as bytes holds the caller's
+// array (WriteBlock adopts it); an L0 gets a full-length array when first
+// read (Data) or mutated CP-side (CPMutableData); an indirect's array is
+// only as long as its pointers need (nil with none), grown by doubling up
+// to a full block past sparseMax (CleanChild). Every array a buffer makes
+// comes from its file's ImagePool.
 //
-// CoW semantics during a consistency point (paper §II-C): when a CP freezes
-// a dirty buffer, the buffer is marked inCP. If a client overwrites the
-// buffer while it is inCP and not yet cleaned, the pre-overwrite image is
-// preserved as the CP image and the live image becomes the overwrite's;
-// the change lands in the *next* CP. A preserved name is the buffer's cp
-// field; a preserved byte image waits in its file's side home (cpBytes).
-// Once the cleaner has submitted the buffer's CP image for writing, the
-// buffer is sealed if the submitted image is its live one: the media holds
-// it, and a byte array must never be mutated, so the next modification
-// goes to a new array. An indirect is always submitted as its own array (a
-// sparse one cut to its trimmed length) and sealed; a sparse metafile L0 is
-// submitted as a trimmed copy instead (MarkCleaned) and stays unsealed. A
-// sealed CP-owned array the buffer moves off becomes media-only: the media
-// marks it at the buffer's VBN, and it goes back to the pool when the media
+// CoW during a consistency point (paper §II-C): a client overwrite of a
+// frozen buffer (inCP) not yet cleaned keeps the pre-overwrite image, a
+// name or bytes, as the CP image in the image pool's side home (cpImages);
+// the overwrite lands in the *next* CP. Once the cleaner submits the
+// buffer's live image the buffer is sealed: the media holds it, so the next
+// modification goes to a new array (MarkCleaned has the cases). A sealed
+// CP-owned array the buffer moves off becomes media-only: the media marks
+// it at the buffer's VBN, and it goes back to the pool when the media
 // drops it.
 //
-// The struct is 80 bytes (TestBufferSize): a dirty block's host cost, the
-// two names included.
+// The struct is 72 bytes (TestBufferSize): a dirty block's host cost.
 type Buffer struct {
 	f    *File // the file whose tree holds the buffer
 	fbn  block.FBN
 	data []byte     // live byte image
 	name block.Name // live image by name; 0 for a byte image
-	cp   block.Name // the preserved CP image by name (preserved)
 
 	level     uint8 // tree level, at most MaxHeight
 	inCP      bool  // frozen into the running CP, not yet cleaned
-	preserved bool  // overwritten while inCP: the CP image is cp, or in cpBytes
+	preserved bool  // overwritten while inCP: the CP image is in cpImages
 	sealed    bool  // live image is aliased by storage; never mutate it
 	adopted   bool  // live image is the array WriteBlock was given; never mutate it
 
@@ -145,13 +132,10 @@ func (b *Buffer) cpOwned() bool { return b.level > 0 || b.f.metafile }
 // pre-overwrite image if the buffer was overwritten while frozen, otherwise
 // the live image.
 func (b *Buffer) cpImage() block.Image {
-	switch {
-	case !b.preserved:
-		return b.Image()
-	case b.cp != 0:
-		return block.Image{Name: b.cp}
+	if b.preserved {
+		return b.f.cpImages().at(b)
 	}
-	return block.Image{Bytes: b.f.cpBytes[b]}
+	return b.Image()
 }
 
 // replace makes img the live image — a client's whole-block overwrite in
@@ -162,11 +146,7 @@ func (b *Buffer) cpImage() block.Image {
 func (b *Buffer) replace(img block.Image) (cowed bool) {
 	switch {
 	case b.inCP && !b.preserved:
-		if b.name != 0 {
-			b.cp = b.name
-		} else {
-			b.f.keepCPBytes(b, b.Data())
-		}
+		b.f.cpImages()[b] = b.Image()
 		b.preserved, cowed = true, true
 	case b.sealed:
 		cowed = true
@@ -187,14 +167,16 @@ func (b *Buffer) replace(img block.Image) (cowed bool) {
 // method copies if storage aliases the live image (sealed), if a client
 // write gave it (adopted: the NVLog record holds it too), or if it is
 // shorter than a block. A sealed CP-owned array it leaves is marked
-// media-only at the buffer's VBN. An L0 held by name has no bytes to
-// mutate.
+// media-only at the buffer's VBN. An L0 held by name, live or preserved,
+// has no bytes to mutate.
 func (b *Buffer) CPMutableData() []byte {
-	if b.name != 0 || b.cp != 0 {
-		panic(fmt.Sprintf("fs: CPMutableData on L0 fbn %d held by name", b.fbn))
-	}
 	if b.preserved {
-		return b.f.cpBytes[b]
+		if img := b.f.cpImages().at(b); img.Name == 0 {
+			return img.Bytes
+		}
+	}
+	if b.name != 0 || b.preserved {
+		panic(fmt.Sprintf("fs: CPMutableData on L0 fbn %d held by name", b.fbn))
 	}
 	if b.sealed || b.adopted || len(b.data) < block.Size {
 		old, left := b.data, b.sealed && !b.adopted && b.cpOwned()
@@ -252,8 +234,8 @@ func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img block.Image, m
 		b.sealed = true
 	}
 	if b.preserved {
-		delete(b.f.cpBytes, b)
-		b.cp, b.preserved = 0, false
+		delete(b.f.cpImages(), b)
+		b.preserved = false
 	}
 	b.inCP = false
 	b.dirtyFrozen = false

@@ -125,11 +125,7 @@ type File struct {
 	size     block.FBN  // one past the highest FBN ever written
 	metafile bool       // a metafile (NewMetafile, or a FlagMetafile record): L0s are CP-owned images
 	pool     *ImagePool // where CP-owned arrays come from and go back to; nil allocates
-	// cpBytes is the side home of preserved CP images held as bytes: the
-	// pre-overwrite image of each frozen byte L0 a client overwrote before
-	// the CP cleaned it, until MarkCleaned hands it to the media. A buffer's
-	// preserved flag says it has an entry; a name needs none (Buffer.cp).
-	cpBytes map[*Buffer][]byte
+	unpooled cpImages   // without a pool, the side home of preserved CP images (cpImages)
 
 	root     node // index position of the root indirect block (level height)
 	resident int  // buffers in the index, all levels
@@ -181,12 +177,16 @@ func NewMetafile(ino uint64, height int) *File {
 // file holds a buffer.
 func (f *File) SetImagePool(p *ImagePool) { f.pool = p }
 
-// keepCPBytes preserves img as frozen buffer b's CP image.
-func (f *File) keepCPBytes(b *Buffer, img []byte) {
-	if f.cpBytes == nil {
-		f.cpBytes = map[*Buffer][]byte{}
+// cpImages returns the side home of f's preserved CP images: its image
+// pool's, or for a file without a pool its own.
+func (f *File) cpImages() cpImages {
+	if f.pool != nil {
+		return f.pool.preserved
 	}
-	f.cpBytes[b] = img
+	if f.unpooled == nil {
+		f.unpooled = cpImages{}
+	}
+	return f.unpooled
 }
 
 // Ino returns the file's inode number.
@@ -309,23 +309,17 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 	return n.leaves[d]
 }
 
-// InstallBuffer populates the cache with a block image loaded from
-// persistent storage (the mount/read path): InstallImage of bytes.
-func (f *File) InstallBuffer(level int, idx block.FBN, data []byte, vvbn block.VVBN, vbn block.VBN) *Buffer {
-	return f.InstallImage(level, idx, block.Image{Bytes: data}, vvbn, vbn)
-}
-
-// InstallImage populates the cache with a block loaded from persistent
-// storage. A user L0's image is adopted, not copied — a name by value, an
-// array as it is — and the buffer is sealed: it aliases the media image
-// until first modification, and a read miss allocates nothing, however short
-// the image. A CP-owned image is copied from the pool, unsealed, so no buffer
-// ever holds a media array the pool may take back: a sparse indirect
-// (sparseMax bytes or fewer) into an array of the image's own length, nil if
-// it is empty, as CleanChild would have grown it; a dense indirect and a
-// metafile L0 into a private full block, because CPMutableData and the
-// metafile decoders work on whole blocks.
-func (f *File) InstallImage(level int, idx block.FBN, img block.Image, vvbn block.VVBN, vbn block.VBN) *Buffer {
+// InstallBuffer populates the cache with a block loaded from persistent
+// storage (the mount/read path). A user L0's image is adopted, not copied —
+// a name by value, an array as it is — and the buffer is sealed: it aliases
+// the media image until first modification, and a read miss allocates
+// nothing, however short the image. A CP-owned image is copied from the
+// pool, unsealed, so no buffer ever holds a media array the pool may take
+// back: a sparse indirect (sparseMax bytes or fewer) into an array of the
+// image's own length, nil if it is empty, as CleanChild would have grown
+// it; a dense indirect and a metafile L0 into a private full block, because
+// CPMutableData and the metafile decoders work on whole blocks.
+func (f *File) InstallBuffer(level int, idx block.FBN, img block.Image, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
 	data := img.Bytes
 	switch {
@@ -544,7 +538,8 @@ func (f *File) Release() {
 		}
 		f.pool.putLeaves(f, n.leaves)
 	})
-	f.root, f.resident, f.cpBytes = node{}, 0, nil
+	f.root, f.resident = node{}, 0
+	clear(f.unpooled) // a pooled file's entries left with their buffers (putBuffer)
 }
 
 // GetOrCreateL0 returns the L0 buffer for fbn, creating it if needed,

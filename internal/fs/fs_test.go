@@ -108,16 +108,16 @@ func TestCOWDuringCP(t *testing.T) {
 	}
 }
 
-// TestBufferSize pins a buffer at 80 bytes. Every dirty block has one, and a
-// CP that cleans a prefill holds hundreds of thousands at once, so the
-// struct is a set-up's peak heap. A user L0 holds its live image and its
-// rare preserved CP image by name (16 bytes), where it once held a 64-byte
-// payload array besides a 64-byte buffer; the level and flags share one
-// word (96 bytes when they did not, and a byte image's preserved copy
-// lives in its file's side home, not in a 24-byte field).
+// TestBufferSize pins a buffer at 72 bytes, in the runtime's 80-byte size
+// class. Every dirty block has one, and a CP that cleans a prefill holds
+// hundreds of thousands at once, so the struct is a set-up's peak heap. A
+// user L0 holds its live image by name (8 bytes), where it once held a
+// 64-byte payload array besides its buffer; the level and flags share one
+// word, and a preserved CP image lives in the image pool's side home, not
+// in a field of every buffer.
 func TestBufferSize(t *testing.T) {
-	if got := reflect.TypeFor[Buffer]().Size(); got != 80 {
-		t.Fatalf("fs.Buffer is %d bytes, want 80", got)
+	if got := reflect.TypeFor[Buffer]().Size(); got != 72 {
+		t.Fatalf("fs.Buffer is %d bytes, want 72", got)
 	}
 }
 
@@ -304,7 +304,7 @@ func TestInstallBufferKeepsSparseIndirectShort(t *testing.T) {
 	block.PutPtr(l1, 1, 13, 14)
 	media := block.Trim(l1)
 	f := NewFile(1, 1)
-	b := f.InstallBuffer(1, 0, media, 50, 60)
+	b := f.InstallBuffer(1, 0, block.Image{Bytes: media}, 50, 60)
 	if len(b.Data()) != len(media) || b.sealed || &b.Data()[0] == &media[0] {
 		t.Fatalf("installed %d bytes of the media's %d, sealed %v, aliased %v; want a private array of the image's length",
 			len(b.Data()), len(media), b.sealed, &b.Data()[0] == &media[0])
@@ -321,7 +321,7 @@ func TestInstallBufferKeepsSparseIndirectShort(t *testing.T) {
 	if !bytes.Equal(media, block.Trim(l1)[:len(media)]) || !block.Equal(b.Data(), l1) {
 		t.Fatal("a CP-side update reached the media's array, or lost an entry")
 	}
-	if e := f.InstallBuffer(1, 0, []byte{}, 50, 60); e.data != nil {
+	if e := f.InstallBuffer(1, 0, block.Image{Bytes: []byte{}}, 50, 60); e.data != nil {
 		t.Fatalf("an empty image installed an array of %d bytes; want none", len(e.data))
 	}
 }
@@ -344,7 +344,7 @@ func TestInstallBufferShortL0(t *testing.T) {
 			t.Fatal(err)
 		}
 		media := pattern(3)[:100]
-		b := f.InstallBuffer(0, 2, media, 50, 60)
+		b := f.InstallBuffer(0, 2, block.Image{Bytes: media}, 50, 60)
 		if padded := &b.Data()[0] != &media[0]; padded != c.pad || !block.Equal(b.Data(), media) {
 			t.Fatalf("%s: installed %d bytes, padded %v; want padded %v, same content", c.name, len(b.Data()), padded, c.pad)
 		}
@@ -488,7 +488,7 @@ func TestFileFromRecordRoundTrip(t *testing.T) {
 func TestInstallBufferSealsAndAliases(t *testing.T) {
 	f := NewFile(1, 1)
 	media := pattern(7)
-	b := f.InstallBuffer(0, 4, media, 50, 60)
+	b := f.InstallBuffer(0, 4, block.Image{Bytes: media}, 50, 60)
 	if !bytes.Equal(f.ReadBlock(4), pattern(7)) {
 		t.Fatal("installed buffer unreadable")
 	}
@@ -658,7 +658,7 @@ func TestWriteBlockAdoptsCallerArray(t *testing.T) {
 	frozen.WriteBlock(0, pattern(2))
 	frozen.WriteBlock(0, pattern(3))
 	sealed := NewFile(1, 1)
-	sealed.InstallBuffer(0, 0, pattern(1), 5, 6)
+	sealed.InstallBuffer(0, 0, block.Image{Bytes: pattern(1)}, 5, 6)
 	sealed.WriteBlock(0, pattern(2))
 	sealed.WriteBlock(0, pattern(3))
 	for _, c := range []struct {

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -30,7 +31,8 @@ import (
 // is never marked. A nil pool allocates every array and marks none.
 //
 // The pool is also the one maker of buffers and of the slot arrays a user
-// file's level-1 index nodes hold their L0 buffers in (DESIGN §15).
+// file's level-1 index nodes hold their L0 buffers in (DESIGN §15), and the
+// side home of its files' preserved CP images (cpImages).
 type ImagePool struct {
 	classes [block.Classes]fifo.Pool[[]byte]
 	// buffers is the free list of user L0 buffers: a clean one leaves its
@@ -45,6 +47,9 @@ type ImagePool struct {
 	slots      [slotClasses]fifo.Pool[[]*Buffer]
 	slotStats  fifo.PoolStats
 	slotsTaken uint64 // slotStats.Taken at the last Trim
+	// preserved holds the CP image of every frozen buffer a client
+	// overwrote before the CP cleaned it.
+	preserved cpImages
 	// marker marks the arrays buffers leave to the media; nil marks none.
 	marker   Marker
 	stats    fifo.PoolStats
@@ -85,7 +90,7 @@ const poison = 0xA5
 
 // NewImagePool returns an empty pool.
 func NewImagePool() *ImagePool {
-	p := &ImagePool{poisoned: bytes.Repeat([]byte{poison}, block.Size)}
+	p := &ImagePool{preserved: cpImages{}, poisoned: bytes.Repeat([]byte{poison}, block.Size)}
 	p.buffers = fifo.NewPool(&p.bufStats, func() *Buffer { return new(Buffer) })
 	p.buffers.Limit(0) // until a commit has seen what a CP interval takes
 	for c := range p.classes {
@@ -120,12 +125,35 @@ func (p *ImagePool) buffer(f *File, fbn block.FBN, level int) *Buffer {
 	return newBuffer(p.buffers.Get(), f, fbn, level)
 }
 
-// putBuffer takes back user L0 b, which its tree no longer holds.
+// putBuffer takes back user L0 b, which its tree no longer holds. A
+// dropped tree's frozen buffer leaves its preserved image behind too.
 func (p *ImagePool) putBuffer(b *Buffer) {
 	if p != nil {
+		if b.preserved {
+			delete(p.preserved, b)
+		}
 		*b = Buffer{}
 		p.buffers.Put(b)
 	}
+}
+
+// cpImages is the side home of preserved CP images: the pre-overwrite image,
+// a name or bytes, of each frozen buffer a client overwrote before the CP
+// cleaned it (Buffer.replace), from that overwrite until MarkCleaned hands
+// it to the media. A buffer's preserved flag says it has an entry, so the
+// map is probed only by a buffer that has one. Entries leave by delete and
+// the map is made once: after a CP's worth of overwrites, a warm run
+// allocates nothing for it. Only Audit walks it, and it sorts what it
+// reports.
+type cpImages map[*Buffer]block.Image
+
+// at returns b's preserved CP image.
+func (c cpImages) at(b *Buffer) block.Image {
+	img, ok := c[b]
+	if !ok {
+		panic(fmt.Sprintf("fs: buffer (level %d, fbn %d) is flagged preserved but has no CP image", b.level, b.fbn))
+	}
+	return img
 }
 
 // slotClasses is the number of slot-array sizes: minSlots << c pointers for
@@ -192,9 +220,10 @@ func (p *ImagePool) Trim() {
 }
 
 // Abandon writes off the buffers, and the slot arrays holding them, that a
-// crash dropped with their trees: the pool never takes back an array a
-// crashed aggregate wrote.
+// crash dropped with their trees, and forgets their preserved images: the
+// pool never takes back an array a crashed aggregate wrote.
 func (p *ImagePool) Abandon() {
+	clear(p.preserved)
 	p.buffers.Abandon()
 	for c := range p.slots {
 		p.slots[c].Abandon()
@@ -291,7 +320,9 @@ func (p *ImagePool) put(a []byte) {
 // buffers may hold the pool's arrays. It may be called more than once. A
 // marked DBN's array must sit in no buffer and at no other DBN. A CP-owned
 // buffer's array may sit on the media only if the buffer is sealed, and then
-// exactly at the buffer's VBN.
+// exactly at the buffer's VBN. A preserved CP image must belong to a frozen
+// buffer of files that is flagged as having one, and every such buffer must
+// have one: an image that outlives its CP fails.
 func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte, mediaOnly bool))) error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -300,15 +331,38 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 		}
 	}
 	held := map[*byte]*Buffer{}
+	frozen := map[*Buffer]bool{}
 	for _, f := range files {
 		f.eachBuffer(func(b *Buffer) {
 			if len(b.data) > 0 {
 				held[&b.data[0]] = b
 			}
+			if b.preserved {
+				img, ok := p.preserved[b]
+				if !ok {
+					fail("buffer (ino %d, level %d, fbn %d) is flagged preserved but has no CP image", f.ino, b.level, b.fbn)
+				}
+				if len(img.Bytes) > 0 {
+					held[&img.Bytes[0]] = b
+				}
+				frozen[b] = b.inCP
+			}
 			if !b.cpOwned() && !b.dirtyCurr && !b.inCP {
 				fail("clean user L0 buffer (ino %d, fbn %d) left in its tree after its CP committed", f.ino, b.fbn)
 			}
 		})
+	}
+	var stale []*Buffer
+	for b := range p.preserved {
+		if !frozen[b] {
+			stale = append(stale, b)
+		}
+	}
+	if len(stale) > 0 {
+		slices.SortFunc(stale, func(a, b *Buffer) int {
+			return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.fbn, b.fbn))
+		})
+		fail("%d preserved CP images outlive their CP or name a buffer not frozen, the first (level %d, fbn %d)", len(stale), stale[0].level, stale[0].fbn)
 	}
 	at := map[*byte][]block.VBN{}
 	media(func(vbn block.VBN, img []byte, mediaOnly bool) {

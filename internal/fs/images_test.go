@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"fmt"
 	"maps"
 	"slices"
 	"strings"
@@ -278,7 +279,7 @@ func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 		p := NewImagePool()
 		f := pooled(p, c.meta)
 		media := pattern(6)[:c.n]
-		b := f.InstallBuffer(c.level, 0, media, 50, 60)
+		b := f.InstallBuffer(c.level, 0, block.Image{Bytes: media}, 50, 60)
 		if aliased := &b.Data()[0] == &media[0]; aliased != c.alias || aliased != b.sealed {
 			t.Fatalf("%s: aliased %v, sealed %v; want aliased %v", c.name, aliased, b.sealed, c.alias)
 		}
@@ -332,10 +333,12 @@ func TestImagePoolAudit(t *testing.T) {
 }
 
 // TestPreservedImageSideHome pins where a preserved CP image waits: a
-// client's overwrite of a frozen L0 keeps a name in the buffer itself
-// (Buffer.cp) and a byte image in its file's side home (cpBytes); the CP
-// writes that image and the client reads the new one, and the entry leaves
-// when the buffer is cleaned or dropped with its tree.
+// client's overwrite of a frozen L0 leaves the old image, a name or bytes,
+// in the image pool's side home (cpImages); the CP writes that image and the
+// client reads the new one, and the entry leaves when the buffer is cleaned,
+// dropped with its tree, or lost in a crash. Audit fails an entry that
+// outlives its clean and a flag without an entry, and so do the reads of
+// the CP image.
 func TestPreservedImageSideHome(t *testing.T) {
 	p := NewImagePool()
 	f := pooled(p, false)
@@ -347,31 +350,64 @@ func TestPreservedImageSideHome(t *testing.T) {
 	named, bytesBuf := f.Buffer(0, 3), f.Buffer(0, 4)
 	f.WriteImage(3, block.Image{Name: nextName})
 	f.WriteBlock(4, next)
-	if !named.preserved || named.cp != oldName || !bytesBuf.preserved || len(f.cpBytes) != 1 {
-		t.Fatalf("overwrites of frozen L0s: name kept %v, bytes kept %v with %d side-home entries; want both, one entry",
-			named.preserved && named.cp == oldName, bytesBuf.preserved, len(f.cpBytes))
+	if !named.preserved || !bytesBuf.preserved || len(p.preserved) != 2 || p.preserved[named].Name != oldName {
+		t.Fatalf("overwrites of frozen L0s: flags %v %v, %d entries; want both flagged, two entries, the old name kept",
+			named.preserved, bytesBuf.preserved, len(p.preserved))
+	}
+	audit := func() error { return p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}) }
+	if err := audit(); err != nil {
+		t.Fatalf("frozen buffers' preserved images: %v", err)
 	}
 	img, _, _, _ := f.CleanChild(named, 100, 100)
-	if img.Name != oldName || named.Image().Name != nextName || named.preserved || named.cp != 0 {
+	if img.Name != oldName || named.Image().Name != nextName || named.preserved {
 		t.Fatal("the CP did not write the preserved name, or the client does not read its overwrite")
 	}
 	img, _, _, _ = f.CleanChild(bytesBuf, 101, 101)
-	if &img.Bytes[0] != &old[0] || !bytes.Equal(f.ReadBlock(4), next) || bytesBuf.preserved || len(f.cpBytes) != 0 {
+	if &img.Bytes[0] != &old[0] || !bytes.Equal(f.ReadBlock(4), next) || bytesBuf.preserved || len(p.preserved) != 0 {
 		t.Fatal("the CP did not write the preserved bytes, or the entry outlived the clean")
 	}
-	if err := p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}); err != nil {
+	if err := audit(); err != nil {
 		t.Fatalf("after the clean: %v", err)
 	}
+	p.preserved[bytesBuf] = block.Image{Bytes: old} // a MarkCleaned that keeps the entry
+	if err := audit(); err == nil || !strings.Contains(err.Error(), "1 preserved CP images outlive their CP") {
+		t.Fatalf("an entry kept past its clean: audit said %v", err)
+	}
+	delete(p.preserved, bytesBuf)
+	bytesBuf.preserved = true // a flag without an entry
+	if err := audit(); err == nil || !strings.Contains(err.Error(), "flagged preserved but has no CP image") {
+		t.Fatalf("a flag without an entry: audit said %v", err)
+	}
+	for name, read := range map[string]func(){"cpImage": func() { bytesBuf.cpImage() }, "CPMutableData": func() { bytesBuf.CPMutableData() }} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "flagged preserved but has no CP image") {
+					t.Fatalf("%s of a flag without an entry: recovered %v, want the fault", name, r)
+				}
+			}()
+			read()
+		}()
+	}
+	bytesBuf.preserved = false
 
-	// A frozen buffer dropped with its tree takes its entry with it.
+	// A frozen buffer dropped with its tree takes its entry with it, and a
+	// crash forgets them all.
 	f.CleanChild(f.FrozenLevel(1)[0], 102, 102)
 	f.Freeze()
 	f.WriteBlock(4, pattern(5))
-	if len(f.cpBytes) != 1 {
-		t.Fatalf("%d entries after a second overwrite, want 1", len(f.cpBytes))
+	if len(p.preserved) != 1 {
+		t.Fatalf("%d entries after a second overwrite, want 1", len(p.preserved))
 	}
 	f.Release()
-	if len(f.cpBytes) != 0 {
-		t.Fatalf("%d entries after the tree was released, want 0", len(f.cpBytes))
+	if len(p.preserved) != 0 {
+		t.Fatalf("%d entries after the tree was released, want 0", len(p.preserved))
+	}
+	g := pooled(p, false)
+	g.WriteImage(0, block.Image{Name: oldName})
+	g.Freeze()
+	g.WriteImage(0, block.Image{Name: nextName})
+	p.Abandon()
+	if len(p.preserved) != 0 {
+		t.Fatalf("%d entries after a crash, want 0", len(p.preserved))
 	}
 }

@@ -339,7 +339,7 @@ func TestIndexNeverSizedFromRecord(t *testing.T) {
 			t.Fatal("InstallBuffer beyond the tree must panic, not alias another position")
 		}
 	}()
-	f.InstallBuffer(3, 256, nil, 1, 1)
+	f.InstallBuffer(3, 256, block.Image{}, 1, 1)
 }
 
 // TestDataPathAllocations pins the costs the list-and-trie layout exists
@@ -403,38 +403,47 @@ func TestDataPathAllocations(t *testing.T) {
 		t.Errorf("1000 Buffer hits and misses allocate %d objects, want 0", got)
 	}
 
-	// A name written over a frozen buffer: the old name waits for the CP in
-	// the buffer itself, so no overwrite allocates once the open list has
-	// the array the previous generation left it. The mallocs are counted whole, after a collection,
-	// as allocs.Count does: a cycle still running would count its own.
-	h := NewFile(100, 2)
-	h.SetImagePool(NewImagePool())
-	name := func(fbn block.FBN, tag byte) block.Image { return block.Image{Name: block.NameOf(100, fbn, tag, 64)} }
-	for gen := range 2 {
-		for fbn := block.FBN(0); fbn < n; fbn++ {
-			h.WriteImage(fbn, name(fbn, 1))
-		}
-		h.Freeze()
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for fbn := block.FBN(0); fbn < n; fbn++ {
-			h.WriteImage(fbn, name(fbn, 2))
-		}
-		runtime.ReadMemStats(&after)
-		preserved := 0
-		h.eachBuffer(func(b *Buffer) {
-			if b.preserved && b.cp == name(b.fbn, 1).Name {
-				preserved++
+	// An image written over a frozen buffer, as bytes or as a name: the old
+	// image waits for the CP in the image pool's side home, which the
+	// previous CP's overwrites sized, so no overwrite allocates once the
+	// open list has the array the previous generation left it. The mallocs
+	// are counted whole, after a collection, as allocs.Count does: a cycle
+	// still running would count its own.
+	for _, kind := range []string{"bytes", "name"} {
+		h := NewFile(100, 2)
+		h.SetImagePool(NewImagePool())
+		image := func(fbn block.FBN, tag byte) block.Image {
+			if kind == "bytes" {
+				return block.Image{Bytes: payload}
 			}
-		})
-		if preserved != n {
-			t.Fatalf("generation %d: %d preserved names after %d overwrites of frozen buffers", gen, preserved, n)
+			return block.Image{Name: block.NameOf(100, fbn, tag, 64)}
 		}
-		if got := after.Mallocs - before.Mallocs; gen == 1 && got != 0 {
-			t.Errorf("%d overwrites of frozen buffers make %d objects in the second generation, want 0", n, got)
+		for gen := range 2 {
+			for fbn := block.FBN(0); fbn < n; fbn++ {
+				h.WriteImage(fbn, image(fbn, 1))
+			}
+			h.Freeze()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for fbn := block.FBN(0); fbn < n; fbn++ {
+				h.WriteImage(fbn, image(fbn, 2))
+			}
+			runtime.ReadMemStats(&after)
+			preserved := 0
+			for b, img := range h.pool.preserved {
+				if b.preserved && img.Name == image(b.fbn, 1).Name {
+					preserved++
+				}
+			}
+			if preserved != n {
+				t.Fatalf("%s, generation %d: %d preserved images after %d overwrites of frozen buffers", kind, gen, preserved, n)
+			}
+			if got := after.Mallocs - before.Mallocs; gen == 1 && got != 0 {
+				t.Errorf("%d overwrites of frozen buffers by %s make %d objects in the second generation, want 0", n, kind, got)
+			}
+			h.CleanChildAll(t)
 		}
-		h.CleanChildAll(t)
 	}
 }
 

@@ -71,7 +71,7 @@ func (f *File) load(media Media, level int, idx block.FBN, vvbn block.VVBN, vbn 
 	if data == nil {
 		panic(fmt.Sprintf("fs: ino %d block (level %d, index %d) at %v unreadable", f.ino, level, idx, vbn))
 	}
-	f.InstallBuffer(level, idx, data, vvbn, vbn)
+	f.InstallBuffer(level, idx, block.Image{Bytes: data}, vvbn, vbn)
 }
 
 // ReadTree reads FBN fbn of the frozen file described by rec, walking the

@@ -59,11 +59,7 @@ type Record struct {
 
 // Size returns the NVRAM bytes this record occupies.
 func (r Record) Size() uint64 {
-	payload := max(len(r.Data), int(r.LogicalBytes))
-	if r.Name != 0 {
-		payload = max(payload, r.Name.Len())
-	}
-	return recordOverhead + uint64(payload)
+	return recordOverhead + uint64(max(block.ImageOf(r.Name, r.Data).Len(), int(r.LogicalBytes)))
 }
 
 type half struct {

@@ -280,7 +280,7 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 	for di, reqs := range writes {
 		for _, r := range reqs {
 			i := sc.rowOf(r.DBN, nd) + di
-			sc.rows[i], sc.fresh[i] = block.Image{Name: r.Name, Bytes: r.Data}, true
+			sc.rows[i], sc.fresh[i] = block.ImageOf(r.Name, r.Data), true
 		}
 	}
 

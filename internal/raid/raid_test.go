@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"wafl/internal/allocs"
 	"wafl/internal/block"
 	"wafl/internal/sim"
 	"wafl/internal/storage"
@@ -859,61 +858,67 @@ func TestMediaOnlyImagesGoBack(t *testing.T) {
 	}
 }
 
-// TestWarmWriteAllocatesNoRows: a warm Write of full stripes allocates as
-// often whether it covers 4 stripes or 12, and no bytes per stripe: its rows
-// and its record are recycled, and each image lands in the handle its DBN's
-// last byte image left (the writes cycle over stripes written once before).
-// A row cloned per stripe would be 96 bytes each, and an eager parity a
-// 4 KiB array each.
+// TestWarmWriteAllocatesNoRows: a warm Write of fresh full stripes recycles
+// its rows, its record and its scratch, so it builds none of them whether
+// it covers 4 stripes or 12, allocates no object per stripe and no parity
+// array. A row cloned per stripe would be an object each, and an eager
+// parity a 4 KiB array each. What a stripe does allocate is its data
+// drives' image tables growing, a 24-byte handle for each byte image
+// landing on a DBN that never held one, made a page at a time (storage's
+// TestByteImageHandles pins that growth).
 func TestWarmWriteAllocatesNoRows(t *testing.T) {
-	const span = 240 // stripes the writes cycle over, a multiple of both sizes
 	s := sim.New(2, 1)
 	g := NewGroup(s, 0, 4, 1<<14, storage.SSD)
 	img := fill(1)
-	next := block.DBN(0)
+	next := block.DBN(1)
 	writer := func(k int) func() {
 		writes := make([][]storage.WriteReq, g.DataDrives())
 		return func() {
 			for di := range writes {
 				writes[di] = writes[di][:0]
 				for j := range k {
-					writes[di] = append(writes[di], storage.WriteReq{DBN: 1 + next + block.DBN(j), Data: img})
+					writes[di] = append(writes[di], storage.WriteReq{DBN: next + block.DBN(j), Data: img})
 				}
 			}
-			next = (next + block.DBN(k)) % span
+			next += block.DBN(k)
 			g.Write(writes, 0, nil)
 			s.RunFor(sim.Millisecond)
 		}
 	}
-	for _, k := range []int{12, 4} {
-		w := writer(k)
-		for range 2 * span / k {
-			w()
-		}
+	built := func() uint64 {
+		st := g.Stats()
+		return g.rowStats.New + st.WritePool.New + st.ScratchPool.New
 	}
-	measure := func(k int) (objects uint64, bytes float64) {
-		const runs = 50
+	const runs = 50
+	measure := func(k int) (made uint64, objects, perStripe float64) {
 		w := writer(k)
-		objects = allocs.Count(runs, w)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		w()
+		before := built()
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
 		for range runs {
 			w()
 		}
-		runtime.ReadMemStats(&after)
-		return objects, float64(after.TotalAlloc-before.TotalAlloc) / runs
+		runtime.ReadMemStats(&m1)
+		if g.Stats().Rows != 0 {
+			t.Fatalf("%d explicit rows left after full-stripe writes landed, want 0", g.Stats().Rows)
+		}
+		stripes := float64(runs * k)
+		return built() - before, float64(m1.Mallocs-m0.Mallocs) / stripes, float64(m1.TotalAlloc-m0.TotalAlloc) / stripes
 	}
-	const k1, k2 = 4, 12
-	a1, b1 := measure(k1)
-	a2, b2 := measure(k2)
-	perStripe := (b2 - b1) / (k2 - k1)
-	t.Logf("%d objects over 50 writes of %d stripes, %d of %d; %.0f bytes per stripe", a1, k1, a2, k2, perStripe)
-	if a2 != a1 {
-		t.Fatalf("%d more stripes allocate %d objects against %d over 50 writes, want as many", k2-k1, a2, a1)
-	}
-	// Less than one 24-byte slice header, let alone a row of four.
-	if perStripe >= 24 {
-		t.Fatalf("a fresh full stripe allocates %.0f bytes, want none", perStripe)
+	for _, k := range []int{4, 12} {
+		made, objects, perStripe := measure(k)
+		t.Logf("50 writes of %d fresh stripes build %d rows, records or scratch; %.3f objects and %.0f bytes per stripe", k, made, objects, perStripe)
+		if objects >= 0.25 {
+			t.Fatalf("a fresh full stripe of %d allocates %.3f objects, want under one per four stripes", k, objects)
+		}
+		if made != 0 {
+			t.Fatalf("50 warm writes of %d fresh stripes build %d rows, records or scratch, want 0", k, made)
+		}
+		if perStripe >= block.Size/4 {
+			t.Fatalf("a fresh full stripe of %d allocates %.0f bytes, want under a quarter block", k, perStripe)
+		}
 	}
 }
 

@@ -65,64 +65,53 @@ type event struct {
 	do  action
 }
 
-// eventHeap is a 4-ary min-heap of future events ordered by (at, seq): the
-// children of node i are 4i+1..4i+4. A sift moves a hole, not the event:
-// each step copies one event into the hole, and the sifted event is written
-// once, where the hole stops. A wider node makes the tree half as deep as a
-// binary one's, and its four children lie side by side in memory.
+// eventHeap is a binary min-heap of future events ordered by (at, seq).
 type eventHeap []event
 
-// before reports whether a fires before b.
-func (a *event) before(b *event) bool {
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
+func (h eventHeap) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
 }
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
+	i := len(*h) - 1
 	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.before(&q[parent]) {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
 			break
 		}
-		q[i] = q[parent]
+		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
 		i = parent
 	}
-	q[i] = e
 }
 
 // pop removes the earliest event and returns its action.
 func (h *eventHeap) pop() action {
-	q := *h
-	top := q[0].do
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{} // drop the callback and thread references
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
-	}
+	old := *h
+	top := old[0].do
+	n := len(old) - 1
+	old[0] = old[n]
+	old[n] = event{} // drop the callback and thread references
+	*h = old[:n]
 	i := 0
 	for {
-		first := 4*i + 1
-		if first >= n {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && h.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
 			break
 		}
-		least := first
-		for c := first + 1; c < min(first+4, n); c++ {
-			if q[c].before(&q[least]) {
-				least = c
-			}
-		}
-		if !q[least].before(&last) {
-			break
-		}
-		q[i] = q[least]
-		i = least
+		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
+		i = smallest
 	}
-	q[i] = last
 	return top
 }
 

@@ -43,7 +43,8 @@ var (
 type WriteReq struct {
 	DBN  block.DBN
 	Data []byte // must remain immutable once submitted (CoW guarantees this)
-	// Name is the image by name, written instead of Data when it is set.
+	// Name is the image by name. A request sets Name or Data, never both:
+	// landing one with both panics (block.ImageOf).
 	Name block.Name
 	// MediaOnly says that once Data lands the media is its array's only
 	// holder (DESIGN §14): the DBN is marked, and the array goes back to the
@@ -54,15 +55,15 @@ type WriteReq struct {
 }
 
 // image is the image r writes.
-func (r *WriteReq) image() block.Image { return block.Image{Name: r.Name, Bytes: r.Data} }
+func (r *WriteReq) image() block.Image { return block.ImageOf(r.Name, r.Data) }
 
 // A DBN's media word is 0 for a block never written, a block.Name (top bit
 // set), or a handle to a byte image in the drive's image table: its index
 // plus one, with the media-only mark in bit markBit.
 const (
-	markBit  = 62
-	marked   = uint64(1) << markBit
-	maxImage = 1<<15 - 1 // the longest byte image a DBN holds
+	markBit = 62
+	marked  = uint64(1) << markBit
+	pageLen = 512 // byte-image handles a page of the image table holds
 )
 
 // WriteFault describes how an injector perturbs one write I/O.
@@ -134,13 +135,15 @@ type Drive struct {
 
 	// words is the stable storage image, one media word a DBN (DESIGN §14):
 	// 0 until first written, else a name or a handle into imgs, the byte
-	// images the DBNs hold (free lists the unused handles). The words hold
+	// images the DBNs hold, in pages of pageLen made as handles run out, so
+	// the table never copies (free lists the unused handles). The words hold
 	// no pointer, so the collector never scans them; a parity drive
 	// (NewParityDrive) has no table. Writes land at I/O completion time,
 	// never earlier, so a simulated crash (dropping all in-memory state and
 	// pending I/O) leaves exactly the committed image.
 	words []uint64
-	imgs  [][]byte
+	imgs  [][][]byte
+	made  int // handles made
 	free  []int
 
 	busyUntil sim.Time
@@ -364,8 +367,8 @@ func (d *Drive) Write(reqs []WriteReq, done func()) {
 	}
 	for i := range reqs {
 		r := &reqs[i]
-		if r.DBN >= d.nblocks || len(r.Data) > maxImage {
-			panic(fmt.Sprintf("storage: write beyond drive %s: dbn %d >= %d or image of %d > %d", d.name, r.DBN, d.nblocks, len(r.Data), maxImage))
+		if r.DBN >= d.nblocks {
+			panic(fmt.Sprintf("storage: write beyond drive %s: dbn %d >= %d", d.name, r.DBN, d.nblocks))
 		}
 		d.stats.BytesWritten += uint64(r.image().Len())
 	}
@@ -442,13 +445,16 @@ func (d *Drive) Image(dbn block.DBN) block.Image {
 		return block.Image{}
 	}
 	if h := d.handle(dbn); h >= 0 {
-		b := d.imgs[h]
+		b := *d.img(h)
 		return block.Image{Bytes: b[:len(b):len(b)]}
 	}
 	return block.Image{Name: block.Name(d.words[dbn])}
 }
 
-// handle returns the index in imgs of dbn's byte image, or -1.
+// img returns the table entry of handle h.
+func (d *Drive) img(h int) *[]byte { return &d.imgs[h/pageLen][h%pageLen] }
+
+// handle returns the handle of dbn's byte image, or -1.
 func (d *Drive) handle(dbn block.DBN) int {
 	if w := d.words[dbn]; w != 0 && w>>63 == 0 {
 		return int(w&(marked-1)) - 1
@@ -489,7 +495,7 @@ func (d *Drive) put(dbn block.DBN, img block.Image, mark bool) {
 	h := d.handle(dbn)
 	if img.Bytes == nil {
 		if h >= 0 {
-			d.imgs[h], d.free = nil, append(d.free, h)
+			*d.img(h), d.free = nil, append(d.free, h)
 		}
 		d.words[dbn] = uint64(img.Name)
 		return
@@ -498,10 +504,13 @@ func (d *Drive) put(dbn block.DBN, img block.Image, mark bool) {
 		if n := len(d.free); n > 0 {
 			h, d.free = d.free[n-1], d.free[:n-1]
 		} else {
-			h, d.imgs = len(d.imgs), append(d.imgs, nil)
+			if h = d.made; h%pageLen == 0 {
+				d.imgs = append(d.imgs, make([][]byte, pageLen))
+			}
+			d.made++
 		}
 	}
-	d.imgs[h], d.words[dbn] = img.Bytes, uint64(h)+1
+	*d.img(h), d.words[dbn] = img.Bytes, uint64(h)+1
 	if mark {
 		d.words[dbn] |= marked
 	}
@@ -520,14 +529,14 @@ func (d *Drive) MediaOnly(dbn block.DBN) bool {
 // was forgotten, or its write has not landed) is left alone, and img is the
 // garbage collector's.
 func (d *Drive) Mark(dbn block.DBN, img []byte) bool {
-	if d.words == nil || len(img) == 0 {
+	if d.words == nil || len(img) == 0 || d.handle(dbn) < 0 {
 		return false
 	}
-	h := d.handle(dbn)
-	if h < 0 || len(d.imgs[h]) == 0 || &d.imgs[h][0] != &img[0] || !markable(len(d.imgs[h]), cap(img)) {
+	b := d.img(d.handle(dbn))
+	if len(*b) == 0 || &(*b)[0] != &img[0] || !markable(len(*b), cap(img)) {
 		return false
 	}
-	d.imgs[h] = img[:len(d.imgs[h])]
+	*b = img[:len(*b)]
 	d.words[dbn] |= marked
 	return true
 }
@@ -540,7 +549,7 @@ func (d *Drive) Owned(dbn block.DBN) []byte {
 	if !d.MediaOnly(dbn) {
 		return nil
 	}
-	b := d.imgs[d.handle(dbn)]
+	b := *d.img(d.handle(dbn))
 	c, size := block.Class(min(cap(b), block.Size))
 	if size > cap(b) {
 		size = block.ClassCap(c - 1) // a foreign array between two classes counts as the lower one

@@ -445,7 +445,7 @@ func (m *Member) apply(rec *nvlog.Record) bool {
 		// Install the block's existing location (if any) so the replayed
 		// overwrite frees it at the next CP.
 		v.EnsureL0Resident(f, rec.FBN)
-		f.WriteImage(rec.FBN, block.Image{Name: rec.Name, Bytes: rec.Data})
+		f.WriteImage(rec.FBN, block.ImageOf(rec.Name, rec.Data))
 		v.MarkDirty(f)
 	case nvlog.OpCreate:
 		rec.Ino = v.CreateFileAt(rec.Ino, rec.MaxBlocks).Ino()
