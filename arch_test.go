@@ -262,7 +262,8 @@ func makesImage(n ast.Node) bool {
 	return ok && at.Len == nil && lastName(at.Elt) == "byte"
 }
 
-// makesSlots matches a slot array of buffers built: make([]*Buffer, n) or
+// makesSlots matches a slot array built: a user file's image words,
+// make([]imageWord, n), or a metafile's buffers, make([]*Buffer, n) or
 // make([]*fs.Buffer, n).
 func makesSlots(n ast.Node) bool {
 	call, ok := n.(*ast.CallExpr)
@@ -276,8 +277,10 @@ func makesSlots(n ast.Node) bool {
 	if !ok || at.Len != nil {
 		return false
 	}
-	star, ok := at.Elt.(*ast.StarExpr)
-	return ok && lastName(star.X) == "Buffer"
+	if star, ok := at.Elt.(*ast.StarExpr); ok {
+		return lastName(star.X) == "Buffer"
+	}
+	return lastName(at.Elt) == "imageWord"
 }
 
 // getOrNew matches a hand-rolled free list's get: a fifo.Queue popped when it
@@ -1073,22 +1076,19 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 		}},
 	},
 	{
-		// One maker of buffers and of the slot arrays that hold them: the
-		// image pool, whose free lists every user L0 buffer and every user
-		// file's level-1 slot array come from and go back to when its CP
-		// commits (DESIGN §15), and which makes the buffers and arrays that
-		// stay in their trees.
+		// One maker of the slot arrays a level-1 node holds its L0s in: the
+		// image pool, whose free lists every user file's array of image
+		// words comes from and goes back to when its node's last word
+		// leaves (DESIGN §15), and which makes the metafiles' arrays of
+		// buffers that stay in their trees.
 		name: "buffers",
 		clauses: []clause{{
-			scan: []string{"..."}, except: []string{"internal/fs/images.go"}, forbid: callsFunc("newBuffer"),
-			msg: "newBuffer called outside internal/fs/images.go: take the buffer from the ImagePool",
-		}, {
 			scan: []string{"..."}, except: []string{"internal/fs/images.go"}, forbid: makesSlots,
 			msg: "slot array made outside internal/fs/images.go: take it from the ImagePool",
 		}},
 		bad: []badTree{{
-			files: map[string]string{"internal/fs/file.go": `package fs; func (f *File) f() *Buffer { return newBuffer(new(Buffer), f, 0, 0) }`},
-			want:  "internal/fs/file.go:1: newBuffer called outside internal/fs/images.go",
+			files: map[string]string{"internal/fs/file.go": `package fs; func (n *node) f(d int) { n.words = make([]imageWord, 2*d) }`},
+			want:  "internal/fs/file.go:1: slot array made outside internal/fs/images.go",
 		}, {
 			files: map[string]string{"internal/fs/file.go": `package fs; func (n *node) f(d int) { n.leaves = make([]*Buffer, 2*d) }`},
 			want:  "internal/fs/file.go:1: slot array made outside internal/fs/images.go",

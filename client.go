@@ -263,7 +263,7 @@ func (op *clientOp) lookup(wt *sim.Thread) {
 }
 
 // Write performs one client write of nblocks 4 KiB blocks at fbn: it logs
-// to NVRAM, then dirties the buffers inside the owning stripe affinities
+// to NVRAM, then dirties the blocks inside the owning stripe affinities
 // (one message per stripe touched), and returns when the (logged) operation
 // is acknowledged — long before the data reaches a drive, as in the real
 // system.

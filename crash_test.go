@@ -660,10 +660,10 @@ func TestUsedBlocksReconstruct(t *testing.T) {
 func holdsName(img block.Image, n block.Name) bool { return img.Name == n && img.Bytes == nil }
 
 // TestLoggedPayloadIsTheBufferImage: a write's NVLog record and its
-// buffer's live image hold one name by value, and no array: the CP writes
-// that name, the media holds it once the commit drops the buffer, and a
-// verification read expands it to the payload's bytes. The replay that
-// reapplies the record after a crash gives the buffer the record's name
+// slot's live image hold one name by value, and no array: the CP writes
+// that name, the media holds it once the commit drops the slot's word, and
+// a verification read expands it to the payload's bytes. The replay that
+// reapplies the record after a crash gives the slot the record's name
 // (DESIGN §14).
 func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 	sys, ino := newCrashSystem(t, crashConfig())
@@ -689,22 +689,23 @@ func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 		t.Fatalf("no logged write of fbn %d", fbn)
 		return nvlog.Record{}
 	}
-	buffer := func(sys *System, fbn FBN) *fs.Buffer {
-		return sys.m0().a.Volume(0).LookupFile(ino).Buffer(0, fbn)
+	slot := func(sys *System, fbn FBN) block.Image {
+		img, _ := sys.m0().a.Volume(0).LookupFile(ino).L0(fbn)
+		return img
 	}
 
 	write(sys, 5, 1)
 	r := logged(sys, 5)
-	if r.Data != nil || r.Name != sys.payload(ino, 5, 1) || !holdsName(buffer(sys, 5).Image(), r.Name) {
-		t.Fatal("the record and the buffer do not hold the payload's name alone")
+	if r.Data != nil || r.Name != sys.payload(ino, 5, 1) || !holdsName(slot(sys, 5), r.Name) {
+		t.Fatal("the record and the slot do not hold the payload's name alone")
 	}
 	if err := sys.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// The committed block's buffer has left the tree: the media holds the
+	// The committed block's word has left its slot: the media holds the
 	// name, and a verification read expands it.
 	_, vbn, _ := sys.m0().a.Volume(0).LookupFile(ino).Resolve(5, sys.m0().a)
-	if buffer(sys, 5) != nil || !holdsName(sys.m0().a.ReadImage(vbn), r.Name) ||
+	if !slot(sys, 5).IsNil() || !holdsName(sys.m0().a.ReadImage(vbn), r.Name) ||
 		!bytes.Equal(sys.VerifyRead(0, ino, 5), sys.expected(ino, 5, 1)) {
 		t.Fatal("the media does not hold the logged name, or it reads other bytes")
 	}
@@ -716,9 +717,9 @@ func TestLoggedPayloadIsTheBufferImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed := logged(rec, 9); replayed.Name != r.Name || !holdsName(buffer(rec, 9).Image(), r.Name) ||
+	if replayed := logged(rec, 9); replayed.Name != r.Name || !holdsName(slot(rec, 9), r.Name) ||
 		!bytes.Equal(rec.VerifyRead(0, ino, 9), sys.expected(ino, 9, 2)) {
-		t.Fatal("the replayed record and buffer do not hold the logged name")
+		t.Fatal("the replayed record and slot do not hold the logged name")
 	}
 }
 

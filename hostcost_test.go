@@ -15,15 +15,14 @@ import (
 // an 8-block sequential write may allocate at most 0.85 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
 // — and the figure sits near 0.24 KiB/op (0.3 mallocs/op) while a block's
-// payload is a name its record, buffer and media hold (DESIGN §14; 0.74
+// payload is a name its record, slot and media hold (DESIGN §14; 0.74
 // KiB and 8.3 mallocs with an array per payload), while a level-1
 // node's slot array comes from the image pool and goes back when its last
-// L0 buffer leaves (DESIGN §15) and the allocator's window records, the
+// L0 word leaves (DESIGN §15) and the allocator's window records, the
 // cleaning jobs and the CP's scratch are recycled (DESIGN §9; 0.93 KiB and
-// 9.8 mallocs when each was built fresh), while a new
-// block's user L0 buffer comes from the free list its committed
-// predecessors went back to (DESIGN §15; 1.68 KiB and 17.8 mallocs when
-// every block ever written kept its buffer), while CP-owned
+// 9.8 mallocs when each was built fresh), while a user block is a word in
+// its level-1 node (DESIGN §15; 1.68 KiB and 17.8 mallocs when every block
+// ever written kept a buffer), while CP-owned
 // images come from the aggregate's image pool and go back to it when the
 // media drops them (DESIGN §14; 2.12 when every CP-side copy was a fresh
 // array), a stripe's parity is the XOR of its data images and a stripe
@@ -103,8 +102,8 @@ func TestNFSMixHostAllocBudget(t *testing.T) {
 }
 
 // TestWindowMallocsAreImages pins what a warm window allocates on the host
-// besides the image arrays and user L0 buffers the image pool had to build
-// (Stats.Images.New and Images.Buffers.New): the recycled state's floor,
+// besides the image arrays the image pool had to build (Stats.Images.New):
+// the recycled state's floor,
 // over a 100 ms window after the benchmark's 150 ms warm-up. On seqwrite,
 // whose window writes every block for the first time, its new images per op
 // are the indirects the media keeps (0.07; 8.1 when each payload was an
@@ -142,9 +141,9 @@ func TestWindowMallocsAreImages(t *testing.T) {
 				t.Fatal("no ops completed in the window")
 			}
 			img := res.Stats.Images
-			built := img.New + img.Buffers.New
+			built := img.New
 			other := (float64(after.Mallocs-before.Mallocs) - float64(built)) / float64(res.Ops)
-			t.Logf("%.3f other mallocs/op, %.2f images and buffers built/op over %d ops", other, float64(built)/float64(res.Ops), res.Ops)
+			t.Logf("%.3f other mallocs/op, %.2f images built/op over %d ops", other, float64(built)/float64(res.Ops), res.Ops)
 			if other > row.budget {
 				t.Fatalf("%s makes %.3f mallocs per op besides the arrays the image pool built, budget %v", row.name, other, row.budget)
 			}
@@ -154,7 +153,7 @@ func TestWindowMallocsAreImages(t *testing.T) {
 
 // TestClientOpAllocations pins what a warm client op allocates on the host:
 // nothing, counted exactly over 50 ops (allocs.Count). A Write's payload is
-// a name, a value its NVLog record and its buffer hold (DESIGN §14; one
+// a name, a value its NVLog record and its slot hold (DESIGN §14; one
 // object a write when every payload was a fresh array). The write probe
 // overwrites one block, 100 times with its warm-up, in one generation. A
 // Read that hits the buffer cache and a Getattr use nothing but recycled
@@ -358,7 +357,7 @@ func TestOverloadLiveHeapBudget(t *testing.T) {
 // TestNFSMixLiveHeapBudget guards the same on the benchmark's nfsmix, whose
 // 1,600 small files hold one sparse L1 each: after a 150 ms warm-up and a
 // 250 ms window the live heap the system holds is under 23 MiB. It sits near
-// 16.0 MiB while a user block's media image is a name (DESIGN §14; 20.3
+// 15.7 MiB while a user block's media image is a name (DESIGN §14; 20.3
 // with a payload array per block), while a clean user block keeps no buffer (DESIGN §15; 24.7 when
 // every block written kept one, 26.2 when the parity drive also kept every
 // stripe's row, DESIGN §4) and a sparse indirect keeps an array only as long as its
@@ -405,14 +404,13 @@ func liveAfterWindow(t *testing.T, cfg wafl.Config, w harness.Attacher) float64 
 
 // TestSeqWriteLiveHeapBudget guards the live heap of the benchmark's
 // seqwrite: after a 150 ms warm-up and a 250 ms window the system holds
-// under 40 MiB. It sits near 16.4 MiB while a user block's media image is a
+// under 40 MiB. It sits near 15.5 MiB while a user block's media image is a
 // name (DESIGN §14; 35.0 MiB with a payload array per block), while a
-// level-1 node holds a slot
-// array only while it holds an L0 buffer (37.1 MiB when every node kept its
-// 2 KiB array after its buffers left), and a user L0 buffer lives only
-// while its block is dirty or in a CP, so a clean block's content is its
-// media image (DESIGN §15); 63.6 MiB when every block ever written kept its
-// 96-byte buffer.
+// level-1 node holds a slot array only while a slot holds a word (37.1 MiB
+// when every node kept its 2 KiB array after its buffers left), and a user
+// L0's word lives only while its block is dirty or in a CP, so a clean
+// block's content is its media image (DESIGN §15); 63.6 MiB when every
+// block ever written kept its 96-byte buffer.
 func TestSeqWriteLiveHeapBudget(t *testing.T) {
 	const budgetMiB = 40
 	live := liveAfterWindow(t, wafl.DefaultConfig(), workload.DefaultSeqWrite())
@@ -424,14 +422,12 @@ func TestSeqWriteLiveHeapBudget(t *testing.T) {
 
 // TestAgedRandLiveHeapBudget is its twin on the benchmark's agedrand, whose
 // set-up dirties a 393,216-block prefill in one CP: under 75 MiB after the
-// window. It sits near 25.2 MiB while a user block's media image is a name
-// (DESIGN §14; 55.5 MiB with a payload array per block), while that burst's
-// buffers go to the garbage
-// collector instead of the free list (ImagePool.Trim) and a spent dirty list
-// drops the burst's array (DESIGN §15; 59.0 MiB when the lists kept it,
-// 62.2 when every level-1 node also kept its slot array after its buffers
-// left); 98.8 MiB when
-// every block kept its buffer. Over the window the system also allocates at
+// window. It sits near 24.6 MiB while a user block's media image is a name
+// (DESIGN §14; 55.5 MiB with a payload array per block), while that burst
+// builds no buffer and no dirty list (DESIGN §15; 59.0 MiB when a spent
+// dirty list kept the burst's array, 62.2 when every level-1 node also
+// kept its slot array after its buffers left); 98.8 MiB when every block
+// kept its buffer. Over the window the system also allocates at
 // most 0.05 KiB of host heap per op, and its image pool builds at most 0.15
 // arrays per op (Stats.Images.New): 0.024 KiB and 0.005 arrays while a
 // client's payload is a name (DESIGN §14), 0.026 KiB and 0.038 arrays when
@@ -481,12 +477,12 @@ func TestAgedRandLiveHeapBudget(t *testing.T) {
 // TestAgedPrefillLiveHeapBudget pins the moment that sets agedrand's peak
 // RSS: its set-up's prefill, 393,216 blocks dirty in one CP, before the
 // flush that cleans them. Built as AgedVol.Attach builds it, the system then
-// holds under 70 MiB of live heap. It sits near 45.7 MiB while each block's
-// payload is a name its record and its 80-byte buffer hold (DESIGN §14,
-// §15); 65.7 MiB when each also had a 64-byte payload array beside a
-// 64-byte buffer, 77.7 MiB when every buffer was 96 bytes.
+// holds under 15 MiB of live heap. It sits near 12.0 MiB while each block's
+// payload is a name its record and its L1's slot hold (DESIGN §14, §15);
+// 45.7 MiB when each block also had an 80-byte buffer and a dirty-list
+// entry, 65.7 MiB when each also had a 64-byte payload array.
 func TestAgedPrefillLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 70
+	const budgetMiB = 15
 	base := liveHeap()
 	w := workload.DefaultAgedVol()
 	cfg := wafl.DefaultConfig()
@@ -541,12 +537,13 @@ func TestNFSMixSwitchBudget(t *testing.T) {
 
 // TestFirstFillAllocatesNoArrayPerBlock: a client that fills a file for
 // the first time, eight blocks a write, lands every block through CPs
-// without an array of its own: the NVLog record, the buffer and the media
+// without an array of its own: the NVLog record, the slot and the media
 // hold each payload by name (DESIGN §14). Over three warm 20 ms windows of
-// the running fill the system allocates under half an object per block it
-// writes (0.22 now: mostly L0 buffers the free list's trim let go between
-// CPs of different sizes, and CP and indirect-block work), where an array
-// per payload made it 1.22, one per block more, which the media kept.
+// the running fill the system allocates under 0.15 objects per block it
+// writes (0.143 now: CP and indirect-block work), where an L0 buffer per
+// block that the free list's trim let go between CPs of different sizes
+// made it 0.22, and an array per payload 1.22, one per block more, which
+// the media kept.
 func TestFirstFillAllocatesNoArrayPerBlock(t *testing.T) {
 	const rounds = 3
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
@@ -574,8 +571,8 @@ func TestFirstFillAllocatesNoArrayPerBlock(t *testing.T) {
 	written := blocks[1] + blocks[2] + blocks[3]
 	perBlock := float64(got) / float64(written)
 	t.Logf("%d objects over %d first-filled blocks: %.3f a block", got, written, perBlock)
-	if written < 5_000 || perBlock >= 0.5 {
-		t.Fatalf("a first fill of %d blocks allocates %.3f objects a block, want under 0.5", written, perBlock)
+	if written < 5_000 || perBlock >= 0.15 {
+		t.Fatalf("a first fill of %d blocks allocates %.3f objects a block, want under 0.15", written, perBlock)
 	}
 	if err := sys.VerifyAgainst(0, ino, last); err != nil {
 		t.Fatal(err)

@@ -170,6 +170,7 @@ func (a *Aggregate) CheckImages() error {
 		for _, f := range v.files {
 			files = append(files, f)
 		}
+		files = append(files, v.dropped...)
 	}
 	return a.images.Audit(files, func(visit func(block.VBN, []byte, bool)) {
 		for gi, g := range a.groups {
@@ -356,7 +357,8 @@ func (a *Aggregate) readVBN(t *sim.Thread, vbn block.VBN) block.Image {
 func (a *Aggregate) TotalFree() uint64 { return a.Activemap.Free() }
 
 // CrashAll drops in-flight I/O on every drive, modelling power loss, and
-// writes off the user L0 buffers that went down with the trees.
+// writes off the user L0 images and slot arrays that went down with the
+// trees.
 func (a *Aggregate) CrashAll() {
 	for _, g := range a.groups {
 		g.DropInFlight()

@@ -187,29 +187,42 @@ func (c *testCheckpoint) writeVBN(th *sim.Thread, vbn block.VBN, data []byte) {
 }
 
 func (c *testCheckpoint) cleanFile(th *sim.Thread, f *fs.File, dual bool, v *Volume) {
+	// assign gives the next block a VBN, and a VVBN for a dual file.
+	assign := func() (block.VVBN, block.VBN) {
+		vvbn := block.InvalidVVBN
+		if dual && v != nil {
+			// Allocate a VVBN with a simple cursor too.
+			for bn := uint64(1); ; bn++ {
+				if !v.Activemap.IsSet(bn) {
+					v.Activemap.Set(bn)
+					vvbn = block.VVBN(bn)
+					break
+				}
+			}
+		}
+		return vvbn, c.allocVBN()
+	}
+	// written lands the image cleaned at (vvbn, vbn).
+	written := func(vvbn block.VVBN, vbn block.VBN, img block.Image) {
+		c.writeVBN(th, vbn, img.Bytes)
+		if !dual {
+			c.meta = append(c.meta, vbn)
+		}
+		if dual && v != nil {
+			v.SetContainer(vvbn, vbn)
+		}
+	}
 	for round := 0; round < 50 && f.FrozenCount() > 0; round++ {
+		for fbn, ok := f.NextFrozenL0(0, block.FBN(f.MaxBlocks())); ok; fbn, ok = f.NextFrozenL0(fbn+1, block.FBN(f.MaxBlocks())) {
+			vvbn, vbn := assign()
+			img, _, _ := f.CleanL0(fbn, vvbn, vbn)
+			written(vvbn, vbn, img)
+		}
 		for level := 0; level <= f.Height(); level++ {
 			for _, b := range f.FrozenLevel(level) {
-				vvbn := block.InvalidVVBN
-				if dual && v != nil {
-					// Allocate a VVBN with a simple cursor too.
-					for bn := uint64(1); ; bn++ {
-						if !v.Activemap.IsSet(bn) {
-							v.Activemap.Set(bn)
-							vvbn = block.VVBN(bn)
-							break
-						}
-					}
-				}
-				vbn := c.allocVBN()
+				vvbn, vbn := assign()
 				img, _, _, _ := f.CleanChild(b, vvbn, vbn)
-				c.writeVBN(th, vbn, img.Bytes)
-				if !dual {
-					c.meta = append(c.meta, vbn)
-				}
-				if dual && v != nil {
-					v.SetContainer(vvbn, vbn)
-				}
+				written(vvbn, vbn, img)
 			}
 		}
 	}

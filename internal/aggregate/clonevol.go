@@ -182,7 +182,7 @@ func (v *Volume) SplitStep(batch int) (copied, walked int) {
 			fbn := st.SplitFBN
 			st.SplitFBN++
 			walked++
-			if b := f.Buffer(0, fbn); b != nil {
+			if _, ok := f.L0(fbn); ok {
 				continue // dirty: already diverging through a pending clean
 			}
 			img, vvbn, _ := v.readL0(nil, f, fbn)

@@ -99,7 +99,7 @@ type Volume struct {
 	zombies []*fs.File
 	deleted map[uint64]bool
 	// dropped are files whose trees left the namespace (deleted, or a
-	// discarded present); the next CP's freeze releases their buffers
+	// discarded present); the next CP's freeze releases their images
 	// (File.Release), once the CP that may still clean them has committed.
 	dropped []*fs.File
 
@@ -347,8 +347,8 @@ func (v *Volume) DirtyFiles() int { return len(v.dirty) }
 // FreezeAll freezes every dirty user file for the starting CP and returns
 // the frozen inode list (sorted by ino for determinism), built in out's
 // array: the CP engine passes the list its last CP used. Files with only a
-// record change (fresh creates) are included with zero frozen buffers. It
-// first releases the dropped files' buffers: the CP that froze them last
+// record change (fresh creates) are included with zero frozen blocks. It
+// first releases the dropped files' images: the CP that froze them last
 // has committed.
 func (v *Volume) FreezeAll(out []*fs.File) []*fs.File {
 	for _, f := range v.dropped {
@@ -383,19 +383,17 @@ func (v *Volume) WriteRecord(f *fs.File) {
 }
 
 // EnsureL0Resident loads f's L0 fbn ahead of an overwrite if the tree does
-// not hold it (File.Resident): a block on committed media gets a buffer at
-// its committed (vvbn, vbn), so cleaning the overwrite frees the old
-// location instead of leaking it, holding the content read untimed through
-// the fault plan. A held block needs nothing: its buffer, or the resident
-// L1 its next buffer takes the address from, already knows. No-op for a
-// hole. The caller dirties the buffer at once: a clean user L0 buffer stays
-// in the tree only until its CP commits (DESIGN §15).
+// not hold it (File.Resident): a block on committed media is read untimed
+// through the fault plan, its path's indirects load, and it is held, so
+// cleaning the overwrite frees the committed address its resident L1 names
+// instead of leaking it. A held block needs nothing: its L1 already names
+// it. No-op for a hole. The caller overwrites the block at once.
 func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
 	if f.RootVBN == block.InvalidVBN || f.Resident(fbn) {
 		return
 	}
-	if img, vvbn, vbn := v.readL0(nil, f, fbn); !img.IsNil() {
-		f.InstallBuffer(0, fbn, img, vvbn, vbn)
+	if img, _, _ := v.readL0(nil, f, fbn); !img.IsNil() {
+		f.Hold(fbn)
 	}
 }
 
@@ -404,25 +402,26 @@ func (v *Volume) EnsureL0Resident(f *fs.File, fbn block.FBN) {
 // pays, and its caller keeps it. The indirect blocks of the path load
 // untimed (File.Resolve). With t, the read is a client's that missed the
 // set: a timed media read at the block's committed address. Without, it is
-// untimed: a block with a buffer reads the buffer; one the tree holds
+// untimed: a block in memory (File.L0) reads its slot; one the tree holds
 // (File.Resident) reads its media image through its resident L1, past the
 // fault plan, as memory would. Every other read, timed or not, is a media
 // read (readVBN): the fault plan, one retry, then reconstruction.
 //
 // The tree names a block's new location as soon as the running CP cleans
 // it, so a timed read may find nothing there yet: its write has not landed.
-// The buffer, in the tree until that CP commits, holds the content then.
-// Nothing at a committed location is a lost block.
+// The slot, which keeps the image until that CP commits, holds the content
+// then. Nothing at a committed location is a lost block.
 func (v *Volume) ReadBlock(t *sim.Thread, f *fs.File, fbn block.FBN) block.Image {
 	img, _, _ := v.readL0(t, f, fbn)
 	return img
 }
 
-// readL0 is ReadBlock, with the address the content was read at.
+// readL0 is ReadBlock, with the address the content was read at: none for
+// a block read from its slot.
 func (v *Volume) readL0(t *sim.Thread, f *fs.File, fbn block.FBN) (img block.Image, vvbn block.VVBN, vbn block.VBN) {
-	b := f.Buffer(0, fbn)
-	if b != nil && t == nil {
-		return b.Image(), b.VVBN(), b.VBN()
+	live, inMemory := f.L0(fbn)
+	if inMemory && t == nil {
+		return live, block.InvalidVVBN, block.InvalidVBN
 	}
 	vvbn, vbn, ok := f.Resolve(fbn, v.aggr)
 	switch {
@@ -434,7 +433,7 @@ func (v *Volume) readL0(t *sim.Thread, f *fs.File, fbn block.FBN) (img block.Ima
 	default:
 		img = v.aggr.readVBN(t, vbn)
 	}
-	if img.IsNil() && (b == nil || b.VBN() != vbn || !v.aggr.inCP) {
+	if img.IsNil() && (!inMemory || !v.aggr.inCP) {
 		panic(fmt.Sprintf("volume %d: ino %d L0 fbn %d at %v unreadable", v.id, f.Ino(), fbn, vbn))
 	}
 	return img, vvbn, vbn

@@ -2,9 +2,9 @@
 // residency set over (volume, inode, file block) keys, capacity-bounded in
 // 4 KiB blocks. With one configured it is its member's only residency set.
 //
-// The cache tracks residency, not bytes: a block's content is its buffer
-// while it is dirty or in a consistency point, and its media image once the
-// CP that wrote it commits (DESIGN §15). A key present in the cache means
+// The cache tracks residency, not bytes: a block's content is its slot's
+// image word while it is dirty or in a consistency point, and its media
+// image once the CP that wrote it commits (DESIGN §15). A key present in the cache means
 // the block is memory-resident and a client read of it pays no media I/O; a
 // key absent means the read is charged a timed drive read and then inserted.
 // Writes insert their blocks too — a freshly written block is the hottest
@@ -17,8 +17,10 @@
 // doubly-linked LRU list) and deterministic: the table is only ever probed
 // by key, never iterated — eviction order comes from the list alone. It
 // probes linearly and a delete re-inserts the rest of its probe chain, so
-// it leaves no mark behind: the table is made once, at twice the capacity,
-// and a full cache that evicts on every insert allocates nothing.
+// it leaves no mark behind. The entries are one array made in New, at the
+// capacity, and the table and the list hold indices into it; the table is
+// made there too, at twice the capacity, so neither filling the cache nor
+// a full cache that evicts on every insert allocates anything.
 package bcache
 
 import (
@@ -41,10 +43,15 @@ func (k Key) hash() int {
 	return int(h ^ h>>29)
 }
 
+// entry is one resident block: its key and its neighbours in the LRU list,
+// as indices into the entries array (none: -1).
 type entry struct {
 	key        Key
-	prev, next *entry
+	prev, next int32
 }
+
+// none is the index of no entry.
+const none = -1
 
 // Stats is a snapshot of the cache counters (the `stat` tag is read by
 // wafl.Stats).
@@ -58,13 +65,17 @@ type Stats struct {
 // Cache is an LRU block-residency cache. Not safe for host-level
 // concurrency; the simulation serializes all access.
 type Cache struct {
-	capacity int
-	// slots is the key table, nil where empty: a power of two at least twice
-	// the capacity, made once.
-	slots []*entry
-	n     int    // resident blocks
-	head  *entry // most recently used
-	tail  *entry // least recently used
+	// entries holds every entry there can be, made once; the first made are
+	// in use, and free chains the ones let go since through their next.
+	entries []entry
+	made    int
+	free    int32
+	// slots is the key table, one entry index plus one a slot, 0 where
+	// empty: a power of two at least twice the capacity, made once.
+	slots []int32
+	n     int   // resident blocks
+	head  int32 // most recently used
+	tail  int32 // least recently used
 
 	hits, misses, evictions uint64
 }
@@ -76,31 +87,44 @@ func New(capacity int) *Cache {
 		panic("bcache: capacity must be positive")
 	}
 	n := 1 << bits.Len(uint(2*capacity-1))
-	return &Cache{capacity: capacity, slots: make([]*entry, n)}
+	return &Cache{entries: make([]entry, capacity), free: none, slots: make([]int32, n), head: none, tail: none}
 }
+
+// at returns entry i.
+func (c *Cache) at(i int32) *entry { return &c.entries[i] }
 
 // probe returns the slot that holds k, or the empty slot its chain ends at.
 func (c *Cache) probe(k Key) int {
 	mask := len(c.slots) - 1
 	i := k.hash() & mask
-	for c.slots[i] != nil && c.slots[i].key != k {
+	for c.slots[i] != 0 && c.entries[c.slots[i]-1].key != k {
 		i = (i + 1) & mask
 	}
 	return i
 }
+
+// lookup returns the index of k's entry, or none.
+func (c *Cache) lookup(k Key) int32 { return c.slots[c.probe(k)] - 1 }
 
 // remove deletes resident key k from the table and re-inserts the rest of
 // its probe chain, so no chain is broken and no slot is left marked.
 func (c *Cache) remove(k Key) {
 	mask := len(c.slots) - 1
 	i := c.probe(k)
-	c.slots[i] = nil
-	for j := (i + 1) & mask; c.slots[j] != nil; j = (j + 1) & mask {
+	c.slots[i] = 0
+	for j := (i + 1) & mask; c.slots[j] != 0; j = (j + 1) & mask {
 		e := c.slots[j]
-		c.slots[j] = nil
-		c.slots[c.probe(e.key)] = e
+		c.slots[j] = 0
+		c.slots[c.probe(c.entries[e-1].key)] = e
 	}
 	c.n--
+}
+
+// release unlinks entry i, drops its key and chains it on the free list.
+func (c *Cache) release(i int32) {
+	c.unlink(i)
+	c.remove(c.at(i).key)
+	c.at(i).next, c.free = c.free, i
 }
 
 // Len returns the number of resident blocks.
@@ -111,30 +135,40 @@ func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Resident: c.n}
 }
 
-// unlink removes e from the LRU list.
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// unlink removes entry i from the LRU list.
+func (c *Cache) unlink(i int32) {
+	e := c.at(i)
+	if e.prev != none {
+		c.at(e.prev).next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != none {
+		c.at(e.next).prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = none, none
 }
 
-// pushFront makes e the most recently used entry.
-func (c *Cache) pushFront(e *entry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
+// pushFront makes entry i the most recently used.
+func (c *Cache) pushFront(i int32) {
+	e := c.at(i)
+	e.prev, e.next = none, c.head
+	if c.head != none {
+		c.at(c.head).prev = i
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	c.head = i
+	if c.tail == none {
+		c.tail = i
+	}
+}
+
+// refresh makes resident entry i the most recently used.
+func (c *Cache) refresh(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
@@ -143,12 +177,9 @@ func (c *Cache) pushFront(e *entry) {
 // then calls Insert, so a read that crashes mid-I/O never leaves a phantom
 // resident block.
 func (c *Cache) Touch(k Key) bool {
-	if e := c.slots[c.probe(k)]; e != nil {
+	if i := c.lookup(k); i != none {
 		c.hits++
-		if c.head != e {
-			c.unlink(e)
-			c.pushFront(e)
-		}
+		c.refresh(i)
 		return true
 	}
 	c.misses++
@@ -156,34 +187,33 @@ func (c *Cache) Touch(k Key) bool {
 }
 
 // Contains reports residency without perturbing recency or counters.
-func (c *Cache) Contains(k Key) bool {
-	return c.slots[c.probe(k)] != nil
-}
+func (c *Cache) Contains(k Key) bool { return c.lookup(k) != none }
 
 // Insert makes k resident (refreshing it if already resident), evicting the
 // least recently used block if the cache is full; the evicted entry becomes
 // k's.
 func (c *Cache) Insert(k Key) {
-	if e := c.slots[c.probe(k)]; e != nil {
-		if c.head != e {
-			c.unlink(e)
-			c.pushFront(e)
-		}
+	if i := c.lookup(k); i != none {
+		c.refresh(i)
 		return
 	}
-	var e *entry
-	if c.n >= c.capacity {
-		e = c.tail
-		c.unlink(e)
-		c.remove(e.key)
+	var i int32
+	switch {
+	case c.n >= len(c.entries):
+		i = c.tail
+		c.unlink(i)
+		c.remove(c.at(i).key)
 		c.evictions++
-		e.key = k
-	} else {
-		e = &entry{key: k}
+	case c.free != none:
+		i, c.free = c.free, c.at(c.free).next
+	default:
+		i = int32(c.made)
+		c.made++
 	}
-	c.slots[c.probe(k)] = e
+	c.at(i).key = k
+	c.slots[c.probe(k)] = i + 1
 	c.n++
-	c.pushFront(e)
+	c.pushFront(i)
 }
 
 // InvalidateFile evicts every resident block of (vol, ino) — the delete
@@ -191,14 +221,13 @@ func (c *Cache) Insert(k Key) {
 // order and the surviving list are deterministic. Returns blocks evicted.
 func (c *Cache) InvalidateFile(vol int, ino uint64) int {
 	n := 0
-	for e := c.head; e != nil; {
-		next := e.next
-		if e.key.Vol == vol && e.key.Ino == ino {
-			c.unlink(e)
-			c.remove(e.key)
+	for i := c.head; i != none; {
+		next := c.at(i).next
+		if k := c.at(i).key; k.Vol == vol && k.Ino == ino {
+			c.release(i)
 			n++
 		}
-		e = next
+		i = next
 	}
 	return n
 }
@@ -208,14 +237,13 @@ func (c *Cache) InvalidateFile(vol int, ino uint64) int {
 // present was resident. Returns blocks evicted.
 func (c *Cache) InvalidateVol(vol int) int {
 	n := 0
-	for e := c.head; e != nil; {
-		next := e.next
-		if e.key.Vol == vol {
-			c.unlink(e)
-			c.remove(e.key)
+	for i := c.head; i != none; {
+		next := c.at(i).next
+		if c.at(i).key.Vol == vol {
+			c.release(i)
 			n++
 		}
-		e = next
+		i = next
 	}
 	return n
 }

@@ -34,12 +34,14 @@ type Activemap struct {
 	SetOps, ClearOps uint64
 }
 
-// New creates an all-free activemap of nbits bits backed by file.
+// New creates an all-free activemap of nbits bits backed by file, which
+// becomes a metafile: the activemap writes its L0s CP-side.
 func New(file *fs.File, nbits uint64) *Activemap {
 	need := (nbits + BitsPerBlock - 1) / BitsPerBlock
 	if need > file.MaxBlocks() {
 		panic(fmt.Sprintf("bitmap: metafile too small: need %d blocks, capacity %d", need, file.MaxBlocks()))
 	}
+	file.SetMetafile()
 	return &Activemap{file: file, nbits: nbits, free: nbits}
 }
 

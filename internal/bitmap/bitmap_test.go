@@ -191,7 +191,7 @@ func FuzzRebindPrefix(f *testing.F) {
 			return
 		}
 		free := func(data []byte) uint64 {
-			file := fs.NewFile(1, 1)
+			file := fs.NewMetafile(1, 1)
 			file.InstallBuffer(0, 0, block.Image{Bytes: data}, 1, 1)
 			return Rebind(file, BitsPerBlock).Free()
 		}

@@ -16,9 +16,9 @@ type JobMode int
 
 // Job modes.
 const (
-	// JobFull cleans every frozen buffer of the file, bottom-up.
+	// JobFull cleans every frozen block of the file, bottom-up.
 	JobFull JobMode = iota
-	// JobL0Range cleans only frozen L0 buffers with FBN in [Lo, Hi) — one
+	// JobL0Range cleans only frozen L0s with FBN in [Lo, Hi) — one
 	// slice of a large file split across cleaner threads (§V-C).
 	JobL0Range
 	// JobFinalize cleans levels ≥ 1 after all of a split file's range
@@ -352,16 +352,13 @@ func (p *Pool) runJob(cs *cleanerState, job *Job) {
 	p.jobPool.Put(job)
 }
 
-// cleanFile assigns locations to a file's frozen buffers bottom-up,
-// enqueues their CP images to tetrises, and stages the freed old locations
-// — the USE step of Fig 2, repeated per dirty buffer.
+// cleanFile assigns locations to a file's frozen blocks bottom-up, enqueues
+// their CP images to tetrises, and stages the freed old locations — the USE
+// step of Fig 2, repeated per dirty block. A user file's L0s are cleaned in
+// FBN order off its frozen bits (fs.File.NextFrozenL0), every other level
+// off its list of buffers.
 func (p *Pool) cleanFile(cs *cleanerState, job *Job) {
-	t, f := cs.t, job.File
-	geo := p.in.a.Geometry()
-	var vs *volState // the volume's space, for dual-addressed files
-	if job.Dual {
-		vs = p.in.vols[job.Vol.ID()]
-	}
+	f := job.File
 	loLevel, hiLevel := 0, f.Height()
 	switch job.Mode {
 	case JobL0Range:
@@ -370,72 +367,93 @@ func (p *Pool) cleanFile(cs *cleanerState, job *Job) {
 		loLevel = 1
 	}
 	for level := loLevel; level <= hiLevel; level++ {
-		var bufs []*fs.Buffer
-		if job.Mode == JobL0Range {
-			bufs = f.FrozenRange(job.Lo, job.Hi)
-		} else {
-			bufs = f.FrozenLevel(level)
+		if level == 0 && !f.Metafile() {
+			lo, hi := block.FBN(0), block.FBN(f.MaxBlocks())
+			if job.Mode == JobL0Range {
+				lo, hi = job.Lo, job.Hi
+			}
+			for fbn, ok := f.NextFrozenL0(lo, hi); ok; fbn, ok = f.NextFrozenL0(fbn+1, hi) {
+				vvbn, vbn := p.use(cs, job)
+				img, oldVVBN, oldVBN := f.CleanL0(fbn, vvbn, vbn)
+				p.place(cs, job, vbn, img, false, oldVVBN, oldVBN)
+			}
+			continue
 		}
-		for _, b := range bufs {
-			t.Consume(p.costs.CleanerPerBuffer)
-
-			// USE: one VBN from the physical bucket.
-			for cs.phys == nil || cs.phys.Remaining() == 0 {
-				if cs.phys != nil {
-					p.in.PutBucket(t, cs.phys)
-				}
-				cs.phys = p.in.GetBucket(t)
-			}
-			vbn := cs.phys.vbns[cs.phys.next]
-			cs.phys.next++
-			if tr := t.Tracer(); tr != nil {
-				tr.InstantArg(obs.PidThreads, t.TrackID(), "alloc", "USE",
-					int64(t.Now()), int64(vbn))
-			}
-
-			// And a VVBN from the volume bucket for dual-addressed files.
-			vvbn := block.InvalidVVBN
-			if job.Dual {
-				vb := cs.virt[job.Vol.ID()]
-				for vb == nil || vb.Remaining() == 0 {
-					if vb != nil {
-						p.in.PutVBucket(t, vb)
-					}
-					vb = p.in.GetVBucket(t, job.Vol)
-					cs.virt[job.Vol.ID()] = vb
-				}
-				vvbn = vb.use(vbn)
-			}
-
+		for _, b := range f.FrozenLevel(level) {
+			vvbn, vbn := p.use(cs, job)
 			img, mediaOnly, oldVVBN, oldVBN := f.CleanChild(b, vvbn, vbn)
-			_, drive, dbn := geo.Locate(vbn)
-			p.in.addToTetris(cs.phys.tetris, drive, dbn, img, mediaOnly)
-			p.stats.BuffersCleaned++
-
-			// Loose accounting: allocation consumed a free block.
-			p.in.CleanerCounterAdd(cs, p.in.phys, -1)
-			if job.Dual {
-				p.in.CleanerCounterAdd(cs, vs.space, -1)
-			}
-
-			// Stage the frees of the overwritten locations. A snapshot-held
-			// old VVBN (summary map) keeps its physical home: the VVBN
-			// leaves the active map but the pvbn stays allocated for the
-			// snapshot image until the last holding snapshot is deleted.
-			snapHeld := job.Dual && oldVVBN != block.InvalidVVBN &&
-				job.Vol.Summary.IsSet(uint64(oldVVBN))
-			if oldVBN != block.InvalidVBN && oldVBN != 0 && !snapHeld {
-				p.stage(cs, p.in.phys, uint64(oldVBN), true)
-			}
-			if job.Dual && oldVVBN != block.InvalidVVBN {
-				// The volume counter tracks allocatable VVBNs (!active &&
-				// !summary): a snapshot-held overwrite leaves the active
-				// map but stays pinned by its summary bit, so it is not
-				// yet allocatable — its credit comes from the snapshot
-				// reclaim that drops the last holder.
-				p.stage(cs, vs.space, uint64(oldVVBN), !snapHeld)
-			}
+			p.place(cs, job, vbn, img, mediaOnly, oldVVBN, oldVBN)
 		}
+	}
+}
+
+// use takes the next block's new home: one VBN from the thread's physical
+// bucket, and a VVBN from its volume bucket for a dual-addressed file.
+func (p *Pool) use(cs *cleanerState, job *Job) (block.VVBN, block.VBN) {
+	t := cs.t
+	t.Consume(p.costs.CleanerPerBuffer)
+
+	// USE: one VBN from the physical bucket.
+	for cs.phys == nil || cs.phys.Remaining() == 0 {
+		if cs.phys != nil {
+			p.in.PutBucket(t, cs.phys)
+		}
+		cs.phys = p.in.GetBucket(t)
+	}
+	vbn := cs.phys.vbns[cs.phys.next]
+	cs.phys.next++
+	if tr := t.Tracer(); tr != nil {
+		tr.InstantArg(obs.PidThreads, t.TrackID(), "alloc", "USE",
+			int64(t.Now()), int64(vbn))
+	}
+
+	// And a VVBN from the volume bucket for dual-addressed files.
+	vvbn := block.InvalidVVBN
+	if job.Dual {
+		vb := cs.virt[job.Vol.ID()]
+		for vb == nil || vb.Remaining() == 0 {
+			if vb != nil {
+				p.in.PutVBucket(t, vb)
+			}
+			vb = p.in.GetVBucket(t, job.Vol)
+			cs.virt[job.Vol.ID()] = vb
+		}
+		vvbn = vb.use(vbn)
+	}
+	return vvbn, vbn
+}
+
+// place enqueues a cleaned block's image, written at vbn, to the thread's
+// tetris, and stages the frees of the location it left.
+func (p *Pool) place(cs *cleanerState, job *Job, vbn block.VBN, img block.Image, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
+	_, drive, dbn := p.in.a.Geometry().Locate(vbn)
+	p.in.addToTetris(cs.phys.tetris, drive, dbn, img, mediaOnly)
+	p.stats.BuffersCleaned++
+
+	// Loose accounting: allocation consumed a free block.
+	p.in.CleanerCounterAdd(cs, p.in.phys, -1)
+	var vs *volState // the volume's space, for dual-addressed files
+	if job.Dual {
+		vs = p.in.vols[job.Vol.ID()]
+		p.in.CleanerCounterAdd(cs, vs.space, -1)
+	}
+
+	// Stage the frees of the overwritten locations. A snapshot-held
+	// old VVBN (summary map) keeps its physical home: the VVBN
+	// leaves the active map but the pvbn stays allocated for the
+	// snapshot image until the last holding snapshot is deleted.
+	snapHeld := job.Dual && oldVVBN != block.InvalidVVBN &&
+		job.Vol.Summary.IsSet(uint64(oldVVBN))
+	if oldVBN != block.InvalidVBN && oldVBN != 0 && !snapHeld {
+		p.stage(cs, p.in.phys, uint64(oldVBN), true)
+	}
+	if job.Dual && oldVVBN != block.InvalidVVBN {
+		// The volume counter tracks allocatable VVBNs (!active &&
+		// !summary): a snapshot-held overwrite leaves the active
+		// map but stays pinned by its summary bit, so it is not
+		// yet allocatable — its credit comes from the snapshot
+		// reclaim that drops the last holder.
+		p.stage(cs, vs.space, uint64(oldVVBN), !snapHeld)
 	}
 }
 

@@ -404,17 +404,17 @@ func TestPoolCleansFileCompletely(t *testing.T) {
 	}
 	// Every L0 must have both addresses and a committed container entry.
 	for i := 0; i < 100; i++ {
-		b := f.Buffer(0, block.FBN(i))
-		if b.VBN() == block.InvalidVBN || b.VVBN() == block.InvalidVVBN {
+		vvbn, vbn, ok := f.Resolve(block.FBN(i), e.a)
+		if !ok || vvbn == block.InvalidVVBN {
 			t.Fatalf("block %d missing address", i)
 		}
-		if !e.a.Activemap.IsSet(uint64(b.VBN())) {
+		if !e.a.Activemap.IsSet(uint64(vbn)) {
 			t.Fatalf("block %d vbn not committed", i)
 		}
-		if !vol.Activemap.IsSet(uint64(b.VVBN())) {
+		if !vol.Activemap.IsSet(uint64(vvbn)) {
 			t.Fatalf("block %d vvbn not committed", i)
 		}
-		if vol.Container(b.VVBN()) != b.VBN() {
+		if vol.Container(vvbn) != vbn {
 			t.Fatalf("block %d container mismatch", i)
 		}
 	}
@@ -433,7 +433,7 @@ func TestOverwriteStagesFrees(t *testing.T) {
 		e.drain(th)
 	})
 	e.in.EndCP()
-	oldVBN := f.Buffer(0, 0).VBN()
+	_, oldVBN, _ := f.Resolve(0, e.a)
 	usedBefore := e.a.Activemap.Used()
 
 	// Overwrite all 50 blocks and clean again: the old locations free.

@@ -314,7 +314,7 @@ func (e *Engine) runCP(t *sim.Thread) {
 	e.boundary(t, "start")
 	e.a.StartCP()
 	// Phase 1: freeze. Atomically capture the dirty state: switch NVRAM
-	// halves and move every dirty inode's buffers into its frozen set.
+	// halves and move every dirty inode's blocks into its frozen set.
 	// Pending snapshot creates are taken in the same atomic cut (no yield
 	// between the switch and the take): a create logged to the frozen half
 	// is materialized by this CP, one logged after the switch waits for the

@@ -6,22 +6,21 @@ import (
 	"wafl/internal/block"
 )
 
-// Package benchmarks for the five things the data path asks of a File and
-// its image pool: create-and-dirty on first write, find a resident buffer,
-// carry a dirty set through one consistency point, re-clean a small file's
-// sparse L1, and recycle a client's payload. `make benchsmoke` runs each
-// once so they cannot rot; for numbers use
+// Package benchmarks for four things the data path asks of a File:
+// create-and-dirty on first write, find a resident L0, carry a dirty set
+// through one consistency point, and re-clean a small file's sparse L1.
+// `make benchsmoke` runs each once so they cannot rot; for numbers use
 //
 //	go test -run '^$' -bench . -benchmem -count 10 ./internal/fs
 
 var (
-	sinkBuf  *Buffer
-	sinkBufs []*Buffer
+	sinkBuf *Buffer
+	sinkOK  bool
 )
 
 // BenchmarkSeqWriteFreshFile is one op = 8192 sequential 64-byte WriteBlocks
-// into a new height-2 file: index growth, buffer creation and the open
-// generation's dirty list.
+// into a new height-2 file: index growth, slot arrays, byte-image handles
+// and the dirty bits.
 func BenchmarkSeqWriteFreshFile(b *testing.B) {
 	const blocks = 8192
 	payload := make([]byte, 64)
@@ -34,26 +33,27 @@ func BenchmarkSeqWriteFreshFile(b *testing.B) {
 	}
 }
 
-// BenchmarkBufferLookupRandom is one op = one Buffer(0, fbn) on a fully
-// resident 65536-block height-2 file, FBNs in a scattered order.
+// BenchmarkBufferLookupRandom is one op = one L0(fbn) on a 65536-block
+// height-2 file whose every L0 is dirty, FBNs in a scattered order.
 func BenchmarkBufferLookupRandom(b *testing.B) {
 	const blocks = 1 << 16
+	payload := make([]byte, 64)
 	f := NewFile(1, 2)
 	for fbn := block.FBN(0); fbn < blocks; fbn++ {
-		f.GetOrCreateL0(fbn)
+		f.WriteBlock(fbn, payload)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	fbn := block.FBN(0)
 	for i := 0; i < b.N; i++ {
-		sinkBuf = f.Buffer(0, fbn)
+		_, sinkOK = f.L0(fbn)
 		fbn = (fbn + 40503) % blocks
 	}
 }
 
-// BenchmarkFreezeCleanRound is one op = one CP over 4096 dirty buffers of a
-// resident file: overwrite them all, Freeze, then FrozenLevel + CleanChild
-// bottom-up.
+// BenchmarkFreezeCleanRound is one op = one CP over 4096 dirty L0s of a
+// resident file: overwrite them all, Freeze, then clean the L0s in FBN
+// order (NextFrozenL0 + CleanL0) and FrozenLevel + CleanChild above.
 func BenchmarkFreezeCleanRound(b *testing.B) {
 	const blocks = 4096
 	payload := make([]byte, 64)
@@ -64,15 +64,18 @@ func BenchmarkFreezeCleanRound(b *testing.B) {
 		}
 		f.Freeze()
 		loc := uint64(1)
-		for level := 0; level <= f.Height(); level++ {
-			sinkBufs = f.FrozenLevel(level)
-			for _, buf := range sinkBufs {
+		for fbn, ok := f.NextFrozenL0(0, blocks); ok; fbn, ok = f.NextFrozenL0(fbn+1, blocks) {
+			f.CleanL0(fbn, block.VVBN(loc), block.VBN(loc))
+			loc++
+		}
+		for level := 1; level <= f.Height(); level++ {
+			for _, buf := range f.FrozenLevel(level) {
 				f.CleanChild(buf, block.VVBN(loc), block.VBN(loc))
 				loc++
 			}
 		}
 	}
-	round() // make every buffer and list resident
+	round() // make every node, buffer and list resident
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,14 +101,14 @@ func BenchmarkCleanSparseIndirect(b *testing.B) {
 		}
 		f.Freeze()
 		loc := uint64(1)
-		for _, buf := range f.FrozenLevel(0) {
-			f.CleanChild(buf, block.VVBN(loc), block.VBN(loc))
+		for fbn, ok := f.NextFrozenL0(0, ptrs); ok; fbn, ok = f.NextFrozenL0(fbn+1, ptrs) {
+			f.CleanL0(fbn, block.VVBN(loc), block.VBN(loc))
 			loc++
 		}
 		out, _, _, _ := f.CleanChild(f.FrozenLevel(1)[0], block.VVBN(loc), block.VBN(loc))
 		img = out.Bytes
 	}
-	round() // make every buffer and list resident
+	round() // make every node, buffer and list resident
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

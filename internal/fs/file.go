@@ -3,6 +3,7 @@ package fs
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"wafl/internal/block"
@@ -29,33 +30,61 @@ func HeightFor(maxBlocks uint64) int {
 	panic(fmt.Sprintf("fs: file of %d blocks exceeds maximum height", maxBlocks))
 }
 
-// node is one position of a file's buffer index: a trie with the shape of
-// the indirect tree, one node per indirect-block position from level 1 up
-// to the root. An FBN is a radix path, so finding a buffer is one array
-// step per level. Nodes are not Buffers: a node exists as soon as anything
+// node is one position of a file's index: a trie with the shape of the
+// indirect tree, one node per indirect-block position from level 1 up to
+// the root. An FBN is a radix path, so finding a block is one array step
+// per level. Nodes are not Buffers: a node exists as soon as anything
 // beneath it is resident, while its indirect block may never have been
 // loaded — residency of the block is buf != nil, and the demand-load path
 // branches on exactly that.
 //
-// A level-1 node also keeps its L0s' residency bits (held): a bit is set
-// when an L0 buffer is created and when Hold marks a block read, and it
-// stays after the buffer leaves the tree at its CP's commit (DropClean). A
-// user L0's buffer lives only while the block is dirty or in a CP; the bit
-// is what says the block is still in memory (DESIGN §15). Bits go with the
-// tree: a deleted, restored or crashed file starts over with none.
+// A user file's level-1 node holds its L0s themselves, one image word a
+// slot (words), and a bitmap per state beside them: held (resident: set by
+// a write and by Hold, kept after the word leaves at its CP's commit,
+// DESIGN §15), dirty (in the open generation), frozen (in the running CP,
+// not yet cleaned), preserved (overwritten while frozen: the CP image waits
+// in userImages) and cleaned (cleaned in the running CP: the media holds the
+// word's image, and the word leaves at the commit). A slot holds a word
+// exactly when it is dirty, frozen or cleaned, and the node holds its array
+// only while some slot does. Above level 1, dirty and frozen roll up: bit d
+// says kid d has such slots beneath it (frozen until the CP commits), so
+// Freeze, the cleaner and DropClean visit exactly the nodes that have some,
+// in index order. A metafile's level-1 node holds its L0 buffers in leaves
+// instead. Bits go with the tree: a deleted, restored or crashed file starts
+// over with none.
 //
 // Slot arrays are sized to the highest slot touched, rounded up to a power
-// of two, so small and sparse files do not pay for 256 pointers per node,
-// and nothing is ever sized from the file's capacity or its on-media
-// record. A user file's level-1 node holds its array only while it holds an
-// L0 buffer (live counts them): the array comes from the image pool and
-// goes back to it when the node's last L0 leaves (DropClean, Release).
+// of two, so small and sparse files do not pay for 256 slots per node, and
+// nothing is ever sized from the file's capacity or its on-media record.
 type node struct {
-	buf    *Buffer   // the indirect buffer at this position; nil if not resident
-	kids   []*node   // level >= 2: child positions
-	leaves []*Buffer // level 1: L0 buffers (ImagePool.leaves)
-	live   int       // level 1: the L0 buffers in leaves
-	held   [block.PtrsPerBlock / 64]uint64
+	buf    *Buffer     // the indirect buffer at this position; nil if not resident
+	kids   []*node     // level >= 2: child positions
+	leaves []*Buffer   // level 1 of a metafile: L0 buffers
+	words  []imageWord // level 1 of a user file: L0 images (ImagePool.words)
+
+	held, dirty, frozen, preserved, cleaned slotBits
+}
+
+// slotBits is a bitmap over a node's slots.
+type slotBits [block.PtrsPerBlock / 64]uint64
+
+func (s *slotBits) has(d int) bool { return s[d/64]>>(d%64)&1 != 0 }
+func (s *slotBits) set(d int)      { s[d/64] |= 1 << (d % 64) }
+func (s *slotBits) clear(d int)    { s[d/64] &^= 1 << (d % 64) }
+func (s *slotBits) empty() bool    { return s[0]|s[1]|s[2]|s[3] == 0 }
+
+// next returns the first set bit at or after d, or -1.
+func (s *slotBits) next(d int) int {
+	for i := d / 64; i < len(s); i++ {
+		w := s[i]
+		if i == d/64 {
+			w &= ^uint64(0) << (d % 64)
+		}
+		if w != 0 {
+			return i*64 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // growKids returns s extended to hold slot d.
@@ -66,8 +95,8 @@ func growKids(s []*node, d int) []*node {
 	return ns
 }
 
-// dirtyList is a set of dirty buffers kept as an append-only list.
-// Membership is the buffer's own flag (dirtyCurr / dirtyFrozen): a buffer is
+// dirtyList is a set of CP-owned buffers dirty in the running CP, kept as an
+// append-only list. Membership is the buffer's own flag (inCP): a buffer is
 // appended on its false-to-true flag transition, which de-duplicates, and
 // leaves the set by having the flag cleared — the list entry stays behind.
 // So every member appears at least once, live counts the members, and
@@ -92,12 +121,10 @@ func (dl *dirtyList) add(b *Buffer) {
 // eighth of it.
 const dirtyKeep = 1024
 
-// reset empties the list for reuse, clearing its entries: a user L0 leaves
-// for the free list at its CP's commit, and a spent list must not keep it
-// reachable. An array far longer than the list that is reset used — a
-// burst's, such as a prefill dirtied in one CP — goes to the garbage
-// collector, and the list grows again from nothing: a list whose length
-// swings by less than eight times between CPs keeps its array.
+// reset empties the list for reuse. An array far longer than the list that
+// is reset used — a burst's — goes to the garbage collector, and the list
+// grows again from nothing: a list whose length swings by less than eight
+// times between CPs keeps its array.
 func (dl *dirtyList) reset() {
 	bufs := dl.bufs
 	if cap(bufs) > dirtyKeep && cap(bufs) > 8*len(bufs) {
@@ -107,8 +134,8 @@ func (dl *dirtyList) reset() {
 	*dl = dirtyList{bufs: bufs[:0]}
 }
 
-// sort puts the list in FBN order — the cleaning order. Sequential writers
-// append in order and never pay for it.
+// sort puts the list in FBN order — the cleaning order. Buffers dirtied in
+// order never pay for it.
 func (dl *dirtyList) sort() {
 	if dl.unsorted {
 		slices.SortFunc(dl.bufs, func(a, b *Buffer) int { return cmp.Compare(a.fbn, b.fbn) })
@@ -122,22 +149,22 @@ func (dl *dirtyList) sort() {
 type File struct {
 	ino      uint64
 	height   int
-	size     block.FBN  // one past the highest FBN ever written
-	metafile bool       // a metafile (NewMetafile, or a FlagMetafile record): L0s are CP-owned images
-	pool     *ImagePool // where CP-owned arrays come from and go back to; nil allocates
-	unpooled cpImages   // without a pool, the side home of preserved CP images (cpImages)
+	size     block.FBN   // one past the highest FBN ever written
+	metafile bool        // a metafile (NewMetafile, or a FlagMetafile record): L0s are CP-owned buffers
+	pool     *ImagePool  // where arrays come from and go back to; nil allocates
+	own      *userImages // without a pool, the home of the file's user L0 images (images)
 
 	root     node // index position of the root indirect block (level height)
 	resident int  // buffers in the index, all levels
 
-	// curr holds the buffers dirty in the open generation. Clients dirty
-	// only L0 buffers; indirect blocks are dirtied by cleaning, straight
-	// into the CP.
-	curr dirtyList
-	// frozen[l] holds the level-l buffers dirty in the freezing CP. All
-	// lists are emptied whenever frozenCount returns to zero.
+	// dirtyL0 counts the user L0s dirty in the open generation, frozenL0
+	// those frozen into the running CP and not yet cleaned.
+	dirtyL0, frozenL0 int
+	// frozen[l] holds the level-l buffers dirty in the running CP:
+	// indirects, which cleaning dirties straight into the CP, and metafile
+	// L0s. All lists are emptied whenever frozenCount returns to zero.
 	frozen      [MaxHeight + 1]dirtyList
-	frozenCount int
+	frozenCount int // buffers and user L0s awaiting cleaning
 
 	// Root location on persistent storage (pointer held by the inode).
 	RootVVBN block.VVBN
@@ -146,7 +173,7 @@ type File struct {
 	// Gen counts CPs that cleaned this file (persisted in the record).
 	Gen uint64
 
-	// CoWCopies counts client overwrites of frozen or sealed buffers, whose
+	// CoWCopies counts client overwrites of frozen or cleaned L0s, whose
 	// old image had to stay behind for the CP or the media.
 	CoWCopies uint64
 }
@@ -165,28 +192,36 @@ func NewFile(ino uint64, height int) *File {
 }
 
 // NewMetafile creates an empty metafile of the given tree height: a file
-// whose L0s, like every indirect block, are CP-owned images.
+// whose L0s, like every indirect block, are CP-owned buffers.
 func NewMetafile(ino uint64, height int) *File {
 	f := NewFile(ino, height)
 	f.metafile = true
 	return f
 }
 
-// SetImagePool makes p the pool the file's CP-owned arrays come from. The
-// owner of the media sets it on every file it creates or mounts, before the
-// file holds a buffer.
+// Metafile reports whether f is a metafile: its L0s are CP-owned buffers,
+// not slots.
+func (f *File) Metafile() bool { return f.metafile }
+
+// SetMetafile makes f, which holds no user L0, a metafile: CP-side code
+// writes its L0s (GetOrCreateL0, CPMutableData).
+func (f *File) SetMetafile() { f.metafile = true }
+
+// SetImagePool makes p the pool the file's arrays come from. The owner of
+// the media sets it on every file it creates or mounts, before the file
+// holds a block.
 func (f *File) SetImagePool(p *ImagePool) { f.pool = p }
 
-// cpImages returns the side home of f's preserved CP images: its image
-// pool's, or for a file without a pool its own.
-func (f *File) cpImages() cpImages {
+// images returns the home of f's user L0 images: its image pool's, or for a
+// file without a pool its own.
+func (f *File) images() *userImages {
 	if f.pool != nil {
-		return f.pool.preserved
+		return &f.pool.user
 	}
-	if f.unpooled == nil {
-		f.unpooled = cpImages{}
+	if f.own == nil {
+		f.own = &userImages{preserved: map[l0Key]imageWord{}}
 	}
-	return f.unpooled
+	return f.own
 }
 
 // Ino returns the file's inode number.
@@ -202,12 +237,12 @@ func (f *File) Size() block.FBN { return f.size }
 func (f *File) MaxBlocks() uint64 { return 1 << (radixBits * uint(f.height)) }
 
 // digit returns the slot, within the index node at level l, on the path to
-// the buffer at (level, idx).
+// the block at (level, idx).
 func digit(level int, idx block.FBN, l int) int {
 	return int(idx>>(radixBits*uint(l-1-level))) & (block.PtrsPerBlock - 1)
 }
 
-// find returns the index node that holds the buffer at (level, idx) — the
+// find returns the index node that holds the block at (level, idx) — the
 // node at that level, the level-1 node for an L0 — creating the nodes on its
 // path if create is set, or nil if one is missing.
 func (f *File) find(level int, idx block.FBN, create bool) *node {
@@ -231,7 +266,8 @@ func (f *File) find(level int, idx block.FBN, create bool) *node {
 	return n
 }
 
-// Buffer returns the cached buffer at (level, idx), or nil.
+// Buffer returns the cached buffer at (level, idx), or nil. A user L0 has
+// none: it is a slot (L0).
 func (f *File) Buffer(level int, idx block.FBN) *Buffer {
 	if uint(level) > uint(f.height) {
 		panic(fmt.Sprintf("fs: level %d outside tree of height %d (ino %d)", level, f.height, f.ino))
@@ -253,79 +289,65 @@ func (f *File) Buffer(level int, idx block.FBN) *Buffer {
 }
 
 // Resident reports whether L0 fbn is in the tree's residency bits: it has
-// had a buffer, or Hold marked it, since the tree was built.
+// been written, or Hold marked it, since the tree was built.
 func (f *File) Resident(fbn block.FBN) bool {
 	if fbn>>(radixBits*uint(f.height)) != 0 {
 		return false
 	}
 	n, d := f.find(0, fbn, false), digit(0, fbn, 1)
-	return n != nil && n.held[d/64]>>(d%64)&1 != 0
+	return n != nil && n.held.has(d)
 }
 
-// Hold sets L0 fbn's residency bit without a buffer: a read brought the
+// Hold sets L0 fbn's residency bit without an image: a read brought the
 // block into memory. A block past the file's capacity is a hole, and has
 // no bit.
 func (f *File) Hold(fbn block.FBN) {
 	if fbn>>(radixBits*uint(f.height)) == 0 {
-		d := digit(0, fbn, 1)
-		f.find(0, fbn, true).held[d/64] |= 1 << (d % 64)
+		f.find(0, fbn, true).held.set(digit(0, fbn, 1))
 	}
 }
 
-// getOrCreate returns the buffer at (level, idx), creating it zeroed if
-// absent. Only the index nodes on its path are created with it — never the
-// indirect buffers above it. An L0's residency bit is set. An L0 that had a
-// buffer until its CP committed comes back at the address its resident L1
-// names, sealed: the media holds its image there, and an overwrite frees
-// it.
+// getOrCreate returns the CP-owned buffer at (level, idx), creating it
+// zeroed if absent. Only the index nodes on its path are created with it —
+// never the indirect buffers above it. A metafile L0's residency bit is
+// set; a user L0 has no buffer, and asking for one panics.
 func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 	if uint(level) > uint(f.height) || idx>>(radixBits*uint(f.height-level)) != 0 {
 		panic(fmt.Sprintf("fs: buffer (level %d, index %d) outside tree of height %d (ino %d)", level, idx, f.height, f.ino))
 	}
+	if level == 0 && !f.metafile {
+		panic(fmt.Sprintf("fs: user L0 %d of ino %d has no buffer: it is a slot of its L1", idx, f.ino))
+	}
 	n := f.find(level, idx, true)
-	if level > 0 {
-		if n.buf == nil {
-			n.buf = f.pool.buffer(f, idx<<(radixBits*uint(level)), level)
-			f.resident++
+	at := &n.buf
+	if level == 0 {
+		d := digit(0, idx, 1)
+		if d >= len(n.leaves) {
+			n.leaves = leaves(n.leaves, d)
 		}
-		return n.buf
+		at = &n.leaves[d]
+		n.held.set(d)
 	}
-	d := digit(0, idx, 1)
-	if d >= len(n.leaves) {
-		n.leaves = f.pool.leaves(f, n.leaves, d)
-	}
-	if n.leaves[d] == nil {
-		b := f.pool.buffer(f, idx, 0)
-		if n.held[d/64]>>(d%64)&1 != 0 && n.buf != nil {
-			if vvbn, vbn := block.GetPtr(n.buf.Data(), d); !hole(vbn) {
-				b.vvbn, b.vbn, b.sealed = vvbn, vbn, true
-			}
-		}
-		n.leaves[d] = b
-		n.live++
-		n.held[d/64] |= 1 << (d % 64)
+	if *at == nil {
+		*at = &Buffer{f: f, fbn: idx << (radixBits * uint(level)), level: uint8(level), vvbn: block.InvalidVVBN, vbn: block.InvalidVBN}
 		f.resident++
 	}
-	return n.leaves[d]
+	return *at
 }
 
-// InstallBuffer populates the cache with a block loaded from persistent
-// storage (the mount/read path). A user L0's image is adopted, not copied —
-// a name by value, an array as it is — and the buffer is sealed: it aliases
-// the media image until first modification, and a read miss allocates
-// nothing, however short the image. A CP-owned image is copied from the
-// pool, unsealed, so no buffer ever holds a media array the pool may take
-// back: a sparse indirect (sparseMax bytes or fewer) into an array of the
-// image's own length, nil if it is empty, as CleanChild would have grown
-// it; a dense indirect and a metafile L0 into a private full block, because
-// CPMutableData and the metafile decoders work on whole blocks.
+// InstallBuffer populates the cache with a CP-owned block loaded from
+// persistent storage (the mount and demand-load paths). The image is copied
+// from the pool, unsealed, so no buffer ever holds a media array the pool
+// may take back: a sparse indirect (sparseMax bytes or fewer) into an array
+// of the image's own length, nil if it is empty, as CleanChild would have
+// grown it; a dense indirect and a metafile L0 into a private full block,
+// because CPMutableData and the metafile decoders work on whole blocks. A
+// user L0 has no buffer: a read of one holds it (Hold).
 func (f *File) InstallBuffer(level int, idx block.FBN, img block.Image, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
 	data := img.Bytes
 	switch {
 	case img.IsNil():
-	case !b.cpOwned():
-		b.data, b.name, b.sealed = data, img.Name, true
 	case level > 0 && len(data) <= sparseMax:
 		b.data, b.sealed = f.pool.copyOf(data, len(data)), false
 	default:
@@ -338,86 +360,202 @@ func (f *File) InstallBuffer(level int, idx block.FBN, img block.Image, vvbn blo
 	return b
 }
 
-// WriteBlock replaces FBN fbn with the block image data (up to one block;
-// bytes past len(data) read as zero): WriteImage of bytes. data is adopted,
-// not copied: the caller gives the array up, and from here on nobody writes
-// into it — the buffer, the NVLog record that logged it and later the media
-// share it.
+// WriteBlock replaces user L0 fbn with the block image data (up to one
+// block; bytes past len(data) read as zero): WriteImage of bytes. data is
+// adopted, not copied: the caller gives the array up, and from here on
+// nobody writes into it — the slot, the NVLog record that logged it and
+// later the media share it. It returns nil: a user L0 has no buffer.
 func (f *File) WriteBlock(fbn block.FBN, data []byte) *Buffer {
 	return f.WriteImage(fbn, block.Image{Bytes: data})
 }
 
-// WriteImage replaces FBN fbn with img in the open generation, applying CP
-// copy-on-write as needed, and marks the buffer dirty: a client's write
-// holds its payload by name, which costs no array. It returns the buffer.
+// WriteImage replaces user L0 fbn with img in the open generation and marks
+// it dirty: the image's word goes into the L0's slot, a client's payload by
+// name costing no array. No image anything else holds is written over: the
+// running CP's, if the L0 is frozen and not yet cleaned, is preserved for
+// it; the media's, if the L0 was cleaned or is held at the address its
+// resident L1 names, stays there. Each counts a copy-on-write (CoWCopies).
+// A nil image is the zero block written. It returns nil: a user L0 has no
+// buffer.
 func (f *File) WriteImage(fbn block.FBN, img block.Image) *Buffer {
-	b := f.getOrCreate(0, fbn)
-	if b.replace(img) {
-		f.CoWCopies++
+	if f.metafile || fbn>>(radixBits*uint(f.height)) != 0 {
+		panic(fmt.Sprintf("fs: client write to L0 %d outside the user tree of height %d (ino %d)", fbn, f.height, f.ino))
 	}
-	if !b.dirtyCurr {
-		b.dirtyCurr = true
-		f.curr.add(b)
+	if img.IsNil() {
+		img.Bytes = []byte{}
+	}
+	n, d := f.find(0, fbn, true), digit(0, fbn, 1)
+	if d >= len(n.words) {
+		n.words = f.pool.words(n.words, d)
+	}
+	u := f.images()
+	w := n.words[d]
+	switch {
+	case n.frozen.has(d) && !n.preserved.has(d):
+		u.preserved[l0Key{f, fbn}] = w
+		n.preserved.set(d)
+		w = 0
+		f.CoWCopies++
+	case n.cleaned.has(d):
+		n.cleaned.clear(d)
+		f.CoWCopies++
+	case w == 0 && n.held.has(d):
+		if _, vbn := l0Addr(n, d); vbn != block.InvalidVBN {
+			f.CoWCopies++
+		}
+	}
+	n.words[d] = u.hold(w, img)
+	n.held.set(d)
+	if !n.dirty.has(d) {
+		if n.dirty.empty() {
+			f.markDirty(fbn)
+		}
+		n.dirty.set(d)
+		f.dirtyL0++
 	}
 	if fbn >= f.size {
 		f.size = fbn + 1
 	}
-	return b
-}
-
-// ReadBlock returns the live image of FBN fbn from the cache, or nil if the
-// block is not resident (callers fall back to the demand-load path).
-func (f *File) ReadBlock(fbn block.FBN) []byte {
-	if b := f.Buffer(0, fbn); b != nil {
-		return b.Data()
-	}
 	return nil
 }
 
-// DirtyCount returns the number of buffers dirty in the open generation.
-func (f *File) DirtyCount() int { return f.curr.live }
+// markDirty sets the dirty bits on the path from the root to L0 fbn's
+// level-1 node, whose first dirty slot it is.
+func (f *File) markDirty(fbn block.FBN) {
+	n := &f.root
+	for l := f.height; l > 1; l-- {
+		d := digit(0, fbn, l)
+		n.dirty.set(d)
+		n = n.kids[d]
+	}
+}
 
-// FrozenCount returns the number of buffers still awaiting cleaning in the
-// frozen set.
+// l0Addr returns the address level-1 node n's resident L1 names for its L0
+// slot d; invalid if the L1 is not resident or the slot is a hole.
+func l0Addr(n *node, d int) (block.VVBN, block.VBN) {
+	if n.buf != nil {
+		if vvbn, vbn := block.GetPtr(n.buf.data, d); !hole(vbn) {
+			return vvbn, vbn
+		}
+	}
+	return block.InvalidVVBN, block.InvalidVBN
+}
+
+// L0 returns user L0 fbn's live image if it is in memory — dirty, in the
+// running CP, or cleaned by it and not yet committed — and ok false
+// otherwise: its content is its media image.
+func (f *File) L0(fbn block.FBN) (img block.Image, ok bool) {
+	if fbn>>(radixBits*uint(f.height)) != 0 {
+		return img, false
+	}
+	n, d := f.find(0, fbn, false), digit(0, fbn, 1)
+	if n == nil || d >= len(n.words) || n.words[d] == 0 {
+		return img, false
+	}
+	return f.images().image(n.words[d]), true
+}
+
+// ReadBlock returns user L0 fbn's live byte image, or nil if it has none:
+// the block is not in memory, and callers fall back to the demand-load
+// path, or it is held by name, which L0 returns.
+func (f *File) ReadBlock(fbn block.FBN) []byte {
+	img, _ := f.L0(fbn)
+	return img.Bytes
+}
+
+// DirtyCount returns the number of user L0s dirty in the open generation.
+func (f *File) DirtyCount() int { return f.dirtyL0 }
+
+// FrozenCount returns the number of blocks still awaiting cleaning in the
+// frozen set, all levels.
 func (f *File) FrozenCount() int { return f.frozenCount }
 
-// FrozenLevelCount returns the number of level-l buffers still awaiting
+// FrozenLevelCount returns the number of level-l blocks still awaiting
 // cleaning in the frozen set.
-func (f *File) FrozenLevelCount(level int) int { return f.frozen[level].live }
+func (f *File) FrozenLevelCount(level int) int {
+	if level == 0 && !f.metafile {
+		return f.frozenL0
+	}
+	return f.frozen[level].live
+}
 
-// Freeze atomically moves the open generation's dirty set into the frozen
-// set at CP start: a flag flip per buffer and a hand-over of the list. The
-// previous CP must have completed (empty frozen set). It returns the number
-// of buffers frozen.
+// Freeze atomically moves the open generation's dirty user L0s into the
+// running CP at its start: a word of bits at a time, down the nodes the
+// dirty bits lead to. The previous CP must have completed (empty frozen
+// set). It returns the number of L0s frozen.
 func (f *File) Freeze() int {
 	if f.frozenCount != 0 {
-		panic(fmt.Sprintf("fs: Freeze with %d uncleaned frozen buffers (ino %d)", f.frozenCount, f.ino))
+		panic(fmt.Sprintf("fs: Freeze with %d uncleaned frozen blocks (ino %d)", f.frozenCount, f.ino))
 	}
-	for _, b := range f.curr.bufs {
-		b.freeze()
+	if f.dirtyL0 > 0 {
+		f.root.freeze(f.height)
 	}
-	// The frozen lists are empty (frozenCount is 0), so the open list becomes
-	// the frozen L0 list as it stands and the spent one is reused.
-	spent := f.frozen[0].bufs[:0]
-	f.frozen[0] = f.curr
-	f.curr = dirtyList{bufs: spent}
-	f.frozenCount = f.frozen[0].live
-	return f.frozenCount
+	f.frozenL0, f.frozenCount, f.dirtyL0 = f.dirtyL0, f.dirtyL0, 0
+	return f.frozenL0
+}
+
+// freeze moves the dirty bits of n, at level, and of the nodes they lead to
+// into their frozen bits.
+func (n *node) freeze(level int) {
+	for i, w := range n.dirty {
+		n.frozen[i] |= w
+		n.dirty[i] = 0
+		for ; level > 1 && w != 0; w &= w - 1 {
+			n.kids[i*64+bits.TrailingZeros64(w)].freeze(level - 1)
+		}
+	}
+}
+
+// NextFrozenL0 returns the first user L0 at or after lo, and below hi, that
+// is frozen in the running CP and not yet cleaned, found down the frozen
+// bits: FBN order, the cleaning order, with no list and no sort. Cleaning an
+// L0 (CleanL0) clears its bit, so a cleaner goes on from the FBN after the
+// one it cleaned, and jobs over disjoint ranges of one file may interleave:
+// each sees exactly its range while the others clean theirs.
+func (f *File) NextFrozenL0(lo, hi block.FBN) (block.FBN, bool) {
+	hi = min(hi, block.FBN(f.MaxBlocks()))
+	if f.frozenL0 == 0 || lo >= hi {
+		return 0, false
+	}
+	return f.root.nextFrozen(f.height, 0, lo, hi)
+}
+
+// nextFrozen is NextFrozenL0 beneath n, at level, whose first L0 is base:
+// base <= lo < base + its span.
+func (n *node) nextFrozen(level int, base, lo, hi block.FBN) (block.FBN, bool) {
+	shift := radixBits * uint(level-1)
+	for d := int((lo - base) >> shift); ; d++ {
+		if d = n.frozen.next(d); d < 0 {
+			return 0, false
+		}
+		at := base + block.FBN(d)<<shift
+		if at >= hi {
+			return 0, false
+		}
+		if level == 1 {
+			return at, true
+		}
+		if fbn, ok := n.kids[d].nextFrozen(level-1, at, max(lo, at), hi); ok {
+			return fbn, true
+		}
+	}
 }
 
 // FrozenLevel returns the frozen-dirty buffers at the given level, sorted by
-// FBN — the cleaning order. Cleaning level l may add newly-dirtied parents
-// at level l+1; callers iterate levels bottom-up, calling FrozenLevel for
-// each level only after the previous level is fully cleaned.
+// FBN — the cleaning order: indirects, and a metafile's L0s (a user file's
+// L0s are slots, NextFrozenL0). Cleaning level l may add newly-dirtied
+// parents at level l+1; callers iterate levels bottom-up, calling
+// FrozenLevel for each level only after the previous level is fully
+// cleaned.
 //
 // The result is the level's own list, not a copy: it stays valid while
 // buffers are cleaned or dirtied, until the next FrozenLevel call for the
-// same level, which drops cleaned entries and sorts in place (at most once
-// per CP for a user file, and only if writes arrived out of FBN order).
+// same level, which drops cleaned entries and sorts in place (only if
+// buffers were dirtied out of FBN order).
 func (f *File) FrozenLevel(level int) []*Buffer {
 	dl := &f.frozen[level]
 	if len(dl.bufs) != dl.live {
-		dl.bufs = slices.DeleteFunc(dl.bufs, func(b *Buffer) bool { return !b.dirtyFrozen })
+		dl.bufs = slices.DeleteFunc(dl.bufs, func(b *Buffer) bool { return !b.inCP })
 	}
 	dl.sort()
 	if len(dl.bufs) != dl.live {
@@ -430,29 +568,48 @@ func (f *File) FrozenLevel(level int) []*Buffer {
 	return dl.bufs
 }
 
-// FrozenRange returns the part of the frozen L0 list with FBN in [lo, hi),
-// in FBN order, found by binary search — one slice of a large file split
-// across cleaner threads. Unlike FrozenLevel it never drops entries, so
-// range jobs over disjoint ranges of one file may interleave: each keeps
-// seeing exactly its range while the others clean theirs.
-func (f *File) FrozenRange(lo, hi block.FBN) []*Buffer {
-	dl := &f.frozen[0]
-	dl.sort()
-	at := func(fbn block.FBN) int {
-		i, _ := slices.BinarySearchFunc(dl.bufs, fbn, func(b *Buffer, fbn block.FBN) int { return cmp.Compare(b.fbn, fbn) })
-		return i
+// CleanL0 records that the cleaner assigned (vvbn, vbn) to frozen user L0
+// fbn: it updates the L1's CP image with the L0's new dual address, dirtying
+// the L1 into the same CP. It returns the image to write at vbn — the
+// preserved CP image if a client overwrote the L0 during the CP, else the
+// slot's word, which stays in the slot (cleaned) until the commit — and the
+// L0's previous address, to be freed: the one its resident L1 names, none
+// without one.
+func (f *File) CleanL0(fbn block.FBN, vvbn block.VVBN, vbn block.VBN) (img block.Image, oldVVBN block.VVBN, oldVBN block.VBN) {
+	n, d := f.find(0, fbn, false), digit(0, fbn, 1)
+	if n == nil || !n.frozen.has(d) {
+		panic(fmt.Sprintf("fs: CleanL0 on L0 %d not in the frozen set (ino %d)", fbn, f.ino))
 	}
-	return dl.bufs[at(lo):at(hi)]
+	n.frozen.clear(d)
+	f.frozenL0--
+	f.frozenCount--
+	oldVVBN, oldVBN = l0Addr(n, d)
+	u := f.images()
+	if n.preserved.has(d) {
+		k := l0Key{f, fbn}
+		w, ok := u.preserved[k]
+		if !ok {
+			panic(fmt.Sprintf("fs: L0 %d (ino %d) is flagged preserved but has no CP image", fbn, f.ino))
+		}
+		img = u.image(w)
+		u.drop(w)
+		delete(u.preserved, k)
+		n.preserved.clear(d)
+	} else {
+		img = u.image(n.words[d])
+		n.cleaned.set(d)
+	}
+	f.setParent(0, fbn, vvbn, vbn)
+	return img, oldVVBN, oldVBN
 }
 
 // CleanChild records that the cleaner assigned (vvbn, vbn) to frozen buffer
 // b: it updates the parent indirect's CP image with the child's new dual
 // address (dirtying the parent into the same CP), or the file's root pointer
 // if b is the root. It returns the image to write at vbn (Buffer.MarkCleaned)
-// and b's previous location, to be freed. It is the one writer of indirect
-// images, and the one place an indirect's array grows (Buffer.ptrs).
+// and b's previous location, to be freed.
 func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img block.Image, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
-	if !b.dirtyFrozen {
+	if !b.inCP {
 		panic("fs: CleanChild on buffer not in frozen set")
 	}
 	f.frozen[b.level].live--
@@ -465,23 +622,26 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img block.
 		if f.frozenCount == 0 {
 			// Nothing is left to clean, so nobody is iterating: drop the
 			// cleaned entries. This, not Freeze, is what bounds the lists
-			// of metafiles that are only ever dirtied into the CP. A user
-			// file's L0 list waits for the commit, where DropClean walks
-			// it.
+			// of metafiles that are only ever dirtied into the CP.
 			for l := range f.frozen {
-				if l > 0 || f.metafile {
-					f.frozen[l].reset()
-				}
+				f.frozen[l].reset()
 			}
 		}
 		return img, mediaOnly, oldVVBN, oldVBN
 	}
-	idx := b.Index()
-	parent := f.getOrCreate(b.Level()+1, idx>>radixBits)
+	f.setParent(b.Level(), b.Index(), vvbn, vbn)
+	return img, mediaOnly, oldVVBN, oldVBN
+}
+
+// setParent writes (vvbn, vbn), the new address of the block at (level,
+// idx), into its parent indirect's CP image, dirtying the parent into the
+// same CP. It is the one writer of indirect images, and the one place an
+// indirect's array grows (Buffer.ptrs).
+func (f *File) setParent(level int, idx block.FBN, vvbn block.VVBN, vbn block.VBN) {
+	parent := f.getOrCreate(level+1, idx>>radixBits)
 	slot := int(idx & (block.PtrsPerBlock - 1))
 	block.PutPtr(parent.ptrs((slot+1)*block.PtrSize), slot, vvbn, vbn)
 	f.DirtyIntoCP(parent)
-	return img, mediaOnly, oldVVBN, oldVBN
 }
 
 // DirtyIntoCP marks a buffer dirty directly into the frozen set — used for
@@ -489,61 +649,70 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img block.
 // persistent storage in that same CP (paper §II-C). The caller mutates the
 // buffer via CPMutableData.
 func (f *File) DirtyIntoCP(b *Buffer) {
-	if !b.dirtyFrozen {
-		b.dirtyFrozen = true
+	if !b.inCP {
 		b.inCP = true
 		f.frozen[b.level].add(b)
 		f.frozenCount++
 	}
 }
 
-// DropClean ends the running CP for user file f once it has committed: every
-// L0 the CP froze that is clean now leaves the tree for the free list. Its
+// DropClean ends the running CP for user file f once it has committed:
+// every L0 the CP cleaned that no client dirtied again leaves its slot. Its
 // write has landed, so the media holds its image, and its residency bit
-// stays. Not at MarkCleaned: until the commit the write may be in flight,
-// and the buffer is what holds the content. An L0 a client dirtied again
-// stays. A node left with no L0 gives its slot array back. If no client
-// dirtied the file during the CP, the open list takes the frozen list's
-// array, the one the file's writes grew: a file written between CPs, not
-// during them, keeps one array instead of growing a second.
-func (f *File) DropClean() {
-	for _, b := range f.frozen[0].bufs {
-		if !b.dirtyCurr && !b.inCP {
-			n := f.find(0, b.fbn, false)
-			n.leaves[digit(0, b.fbn, 1)] = nil
-			if n.live--; n.live == 0 {
-				f.pool.putLeaves(f, n.leaves)
-				n.leaves = nil
+// stays. Not at CleanL0: until the commit the write may be in flight, and
+// the word is what holds the content. A node left with no word gives its
+// slot array back. Only the nodes the CP froze are visited.
+func (f *File) DropClean() { f.root.dropClean(f, f.height) }
+
+func (n *node) dropClean(f *File, level int) {
+	if level > 1 {
+		for i, w := range n.frozen {
+			n.frozen[i] = 0
+			for ; w != 0; w &= w - 1 {
+				n.kids[i*64+bits.TrailingZeros64(w)].dropClean(f, level-1)
 			}
-			f.resident--
-			f.pool.putBuffer(b)
+		}
+		return
+	}
+	u := f.images()
+	for i, w := range n.cleaned {
+		n.cleaned[i] = 0
+		for ; w != 0; w &= w - 1 {
+			d := i*64 + bits.TrailingZeros64(w)
+			u.drop(n.words[d])
+			n.words[d] = 0
 		}
 	}
-	f.frozen[0].reset()
-	if len(f.curr.bufs) == 0 && cap(f.curr.bufs) < cap(f.frozen[0].bufs) {
-		f.curr.bufs, f.frozen[0].bufs = f.frozen[0].bufs, f.curr.bufs
+	if n.words != nil && n.dirty.empty() && n.frozen.empty() {
+		f.pool.putWords(n.words)
+		n.words = nil
 	}
 }
 
-// Release puts every user L0 buffer left in f's tree back on the free list,
-// and the slot arrays that held them. Its owner calls it once the tree is
-// dropped — a deleted file, a volume's discarded present — and no CP will
-// clean it again.
+// Release drops every user L0 image f's tree still holds, with the slot
+// arrays and the preserved images that held them. Its owner calls it once
+// the tree is dropped — a deleted file, a volume's discarded present — and
+// no CP will clean it again.
 func (f *File) Release() {
-	f.eachNode(func(n *node) {
-		for _, b := range n.leaves {
-			if b != nil && !b.cpOwned() {
-				f.pool.putBuffer(b)
+	u := f.images()
+	f.eachNode(func(n *node, _ int, base block.FBN) {
+		for d, w := range n.words {
+			u.drop(w)
+			if n.preserved.has(d) {
+				k := l0Key{f, base | block.FBN(d)}
+				u.drop(u.preserved[k])
+				delete(u.preserved, k)
 			}
 		}
-		f.pool.putLeaves(f, n.leaves)
+		f.pool.putWords(n.words)
 	})
 	f.root, f.resident = node{}, 0
-	clear(f.unpooled) // a pooled file's entries left with their buffers (putBuffer)
+	f.frozenCount -= f.frozenL0
+	f.dirtyL0, f.frozenL0 = 0, 0
 }
 
-// GetOrCreateL0 returns the L0 buffer for fbn, creating it if needed,
-// without marking it dirty. Metafile code uses it with DirtyIntoCP /
+// GetOrCreateL0 returns metafile f's L0 buffer for fbn, creating it if
+// needed, without marking it dirty. Metafile code uses it with DirtyIntoCP /
 // CPMutableData.
 func (f *File) GetOrCreateL0(fbn block.FBN) *Buffer {
 	b := f.getOrCreate(0, fbn)
@@ -567,32 +736,19 @@ func (f *File) AppendAncestors(out []*Buffer, b *Buffer) []*Buffer {
 	return out
 }
 
-// eachNode calls fn for every index node, parents before their children.
-func (f *File) eachNode(fn func(*node)) {
-	var visit func(n *node)
-	visit = func(n *node) {
-		fn(n)
-		for _, k := range n.kids {
+// eachNode calls fn for every index node, parents before their children,
+// with its level and the first L0 beneath it.
+func (f *File) eachNode(fn func(n *node, level int, base block.FBN)) {
+	var visit func(n *node, level int, base block.FBN)
+	visit = func(n *node, level int, base block.FBN) {
+		fn(n, level, base)
+		for d, k := range n.kids {
 			if k != nil {
-				visit(k)
+				visit(k, level-1, base|block.FBN(d)<<(radixBits*uint(level-1)))
 			}
 		}
 	}
-	visit(&f.root)
-}
-
-// eachBuffer calls fn for every resident buffer, indirect and L0.
-func (f *File) eachBuffer(fn func(*Buffer)) {
-	f.eachNode(func(n *node) {
-		if n.buf != nil {
-			fn(n.buf)
-		}
-		for _, b := range n.leaves {
-			if b != nil {
-				fn(b)
-			}
-		}
-	})
+	visit(&f.root, f.height, 0)
 }
 
 // PtrAt reads entry childIdx of indirect buffer b; an entry past the end of

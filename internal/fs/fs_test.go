@@ -2,11 +2,14 @@ package fs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"wafl/internal/allocs"
 	"wafl/internal/block"
 	"wafl/internal/fifo"
 )
@@ -71,14 +74,11 @@ func TestFreezeMovesDirtySet(t *testing.T) {
 	if n != 2 || f.FrozenCount() != 2 || f.DirtyCount() != 0 {
 		t.Fatalf("freeze: n=%d frozen=%d dirty=%d", n, f.FrozenCount(), f.DirtyCount())
 	}
-	l0 := f.FrozenLevel(0)
-	if len(l0) != 2 || l0[0].FBN() != 1 || l0[1].FBN() != 2 {
+	if l0 := frozenL0s(f); !slices.Equal(l0, []block.FBN{1, 2}) {
 		t.Fatalf("frozen level 0 = %v", l0)
 	}
-	for _, b := range l0 {
-		if !b.inCP {
-			t.Fatal("frozen buffer not marked inCP")
-		}
+	if r := f.root; r.frozen[0] != 0b110 || r.dirty[0] != 0 {
+		t.Fatalf("slot bits: frozen %b, dirty %b; want the two slots moved", r.frozen[0], r.dirty[0])
 	}
 }
 
@@ -86,13 +86,12 @@ func TestCOWDuringCP(t *testing.T) {
 	f := NewFile(1, 1)
 	f.WriteBlock(3, pattern(1))
 	f.Freeze()
-	b := f.Buffer(0, 3)
 	// Client overwrites during the CP: the CP image must keep pattern(1).
 	f.WriteBlock(3, pattern(9))
-	if !bytes.Equal(b.cpImage().Bytes, pattern(1)) {
+	if !bytes.Equal(cpImage(f, 3).Bytes, pattern(1)) {
 		t.Fatal("CP image lost pre-modification content")
 	}
-	if !bytes.Equal(b.Data(), pattern(9)) {
+	if !bytes.Equal(f.ReadBlock(3), pattern(9)) {
 		t.Fatal("live image lost client write")
 	}
 	if f.CoWCopies != 1 {
@@ -106,18 +105,18 @@ func TestCOWDuringCP(t *testing.T) {
 	if f.CoWCopies != 1 {
 		t.Fatalf("CoWCopies = %d after second write, want 1", f.CoWCopies)
 	}
+	if img, _, _ := f.CleanL0(3, 10, 20); !bytes.Equal(img.Bytes, pattern(1)) || !bytes.Equal(f.ReadBlock(3), pattern(10)) {
+		t.Fatal("the CP did not write the preserved image, or the client lost its last write")
+	}
 }
 
-// TestBufferSize pins a buffer at 72 bytes, in the runtime's 80-byte size
-// class. Every dirty block has one, and a CP that cleans a prefill holds
-// hundreds of thousands at once, so the struct is a set-up's peak heap. A
-// user L0 holds its live image by name (8 bytes), where it once held a
-// 64-byte payload array besides its buffer; the level and flags share one
-// word, and a preserved CP image lives in the image pool's side home, not
-// in a field of every buffer.
+// TestBufferSize pins a buffer at 64 bytes. Only CP-owned blocks have one —
+// indirects and metafile L0s — and a user L0 is a word in its L1's slot
+// array, so a dirty user block costs no buffer at all; the level and flags
+// share one word.
 func TestBufferSize(t *testing.T) {
-	if got := reflect.TypeFor[Buffer]().Size(); got != 72 {
-		t.Fatalf("fs.Buffer is %d bytes, want 72", got)
+	if got := reflect.TypeFor[Buffer]().Size(); got != 64 {
+		t.Fatalf("fs.Buffer is %d bytes, want 64", got)
 	}
 }
 
@@ -126,13 +125,9 @@ func TestCleanChildUpdatesParentAndRoot(t *testing.T) {
 	f.WriteBlock(5, pattern(5))
 	f.Freeze()
 
-	b := f.FrozenLevel(0)[0]
-	_, _, oldVVBN, oldVBN := f.CleanChild(b, 100, 200)
+	_, oldVVBN, oldVBN := f.CleanL0(5, 100, 200)
 	if oldVVBN != block.InvalidVVBN || oldVBN != block.InvalidVBN {
 		t.Fatal("new block should have no old location")
-	}
-	if b.VVBN() != 100 || b.VBN() != 200 {
-		t.Fatal("buffer location not updated")
 	}
 	// Parent (L1 idx 0) must now be frozen-dirty with the pointer set.
 	l1 := f.FrozenLevel(1)
@@ -169,18 +164,14 @@ func TestRecleanReportsOldLocation(t *testing.T) {
 	f := NewFile(1, 1)
 	f.WriteBlock(0, pattern(1))
 	f.Freeze()
-	b := f.FrozenLevel(0)[0]
-	f.CleanChild(b, 10, 20)
+	f.CleanL0(0, 10, 20)
 	f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
 
-	// Overwrite and clean again: the old location must be reported.
+	// Overwrite and clean again: the old location, which the L1 names, must
+	// be reported.
 	f.WriteBlock(0, pattern(2))
 	f.Freeze()
-	b2 := f.FrozenLevel(0)[0]
-	if b2 != b {
-		t.Fatal("same FBN should reuse the buffer")
-	}
-	_, _, oldVVBN, oldVBN := f.CleanChild(b2, 30, 40)
+	_, oldVVBN, oldVBN := f.CleanL0(0, 30, 40)
 	if oldVVBN != 10 || oldVBN != 20 {
 		t.Fatalf("old location = (%v,%v), want (10,20)", oldVVBN, oldVBN)
 	}
@@ -190,14 +181,13 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 	f := NewFile(1, 1)
 	f.WriteBlock(0, pattern(1))
 	f.Freeze()
-	b := f.FrozenLevel(0)[0]
-	submitted, _, _, _ := f.CleanChild(b, 10, 20)
+	submitted, _, _ := f.CleanL0(0, 10, 20)
 	f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
 	// After cleaning, the submitted array is owned by the media; a new
 	// client write must not mutate it.
 	f.WriteBlock(0, pattern(2))
-	if !bytes.Equal(submitted.Bytes, pattern(1)) {
-		t.Fatal("post-clean write mutated the submitted (persisted) image")
+	if !bytes.Equal(submitted.Bytes, pattern(1)) || f.CoWCopies != 1 {
+		t.Fatalf("post-clean write mutated the submitted (persisted) image, or counted %d copies", f.CoWCopies)
 	}
 }
 
@@ -206,8 +196,9 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 // block or less) cut to its trimmed length from an array that is itself
 // short, a dense one whole. A sparse metafile L0 goes out as a trimmed
 // private copy and its buffer stays unsealed, so the next CP updates the live
-// array in place; a dense one, and a client's adopted L0 however short, go
-// out as the buffer's own array, which seals the buffer.
+// array in place; a dense one goes out as the buffer's own array, which
+// seals the buffer. A user L0's image, however short, goes out as the
+// client gave it (CleanL0).
 func TestCleanChildHandsOutImage(t *testing.T) {
 	// clientWrites writes n 64-byte L0s, as a client does, and freezes them.
 	clientWrites := func(n int) func(*File) {
@@ -236,7 +227,6 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 	}{
 		{"sparse L1", NewFile, 1, clientWrites(3), false, true},
 		{"dense L1", NewFile, 1, clientWrites(block.PtrsPerBlock), false, false},
-		{"adopted L0", NewFile, 0, clientWrites(1), false, false},
 		{"sparse metafile L0", NewMetafile, 0, metaWrite(block.Size / 2), true, false},
 		{"dense metafile L0", NewMetafile, 0, metaWrite(block.Size/2 + 1), false, false},
 	} {
@@ -245,10 +235,11 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		loc := uint64(100)
 		var b *Buffer
 		var img []byte
+		loc += uint64(cleanL0s(f, loc))
 		for level := 0; level <= c.level; level++ {
 			for _, fb := range f.FrozenLevel(level) {
 				b = fb
-				live := b.cpImage().Bytes
+				live := b.Data()
 				out, _, _, _ := f.CleanChild(b, block.VVBN(loc), block.VBN(loc))
 				img = out.Bytes
 				loc++
@@ -273,9 +264,6 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		case len(img) != len(b.data):
 			t.Fatalf("%s: image of %d bytes from an array of %d; want it whole", c.name, len(img), len(b.data))
 		}
-		if b.adopted {
-			continue // client overwrites: TestSealedBufferCloneOnWrite
-		}
 		want := bytes.Clone(img)
 		live := b.data
 		f.DirtyIntoCP(b)
@@ -292,6 +280,13 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		if !bytes.Equal(img, want) {
 			t.Fatalf("%s: a CP-side update reached the image storage holds", c.name)
 		}
+	}
+	f := NewFile(1, 1)
+	written := pattern(1)[:64]
+	f.WriteBlock(0, written)
+	f.Freeze()
+	if img, _, _ := f.CleanL0(0, 100, 100); &img.Bytes[0] != &written[0] || len(img.Bytes) != len(written) {
+		t.Fatal("a user L0 went out as other than the array the client gave")
 	}
 }
 
@@ -328,13 +323,13 @@ func TestInstallBufferKeepsSparseIndirectShort(t *testing.T) {
 
 // A short L0 image from the media is padded into a private full block when
 // the file is a metafile (its record says so), because the metafile
-// decoders index whole blocks; a user file's short L0 is adopted as it is,
-// so a read miss allocates nothing.
+// decoders index whole blocks; a user file's L0 has no buffer to install
+// it in: a read holds it (Hold), and its content stays the media's.
 func TestInstallBufferShortL0(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		flags uint32
-		pad   bool
+		meta  bool
 	}{
 		{"metafile", FlagInUse | FlagMetafile, true},
 		{"user file", FlagInUse, false},
@@ -344,15 +339,20 @@ func TestInstallBufferShortL0(t *testing.T) {
 			t.Fatal(err)
 		}
 		media := pattern(3)[:100]
+		if !c.meta {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "has no buffer") {
+						t.Fatalf("%s: installing an L0 recovered %v, want the fault", c.name, r)
+					}
+				}()
+				f.InstallBuffer(0, 2, block.Image{Bytes: media}, 50, 60)
+			}()
+			continue
+		}
 		b := f.InstallBuffer(0, 2, block.Image{Bytes: media}, 50, 60)
-		if padded := &b.Data()[0] != &media[0]; padded != c.pad || !block.Equal(b.Data(), media) {
-			t.Fatalf("%s: installed %d bytes, padded %v; want padded %v, same content", c.name, len(b.Data()), padded, c.pad)
-		}
-		if c.pad && (len(b.Data()) != block.Size || b.sealed) {
-			t.Fatalf("%s: installed %d bytes, sealed %v; want a full private block", c.name, len(b.Data()), b.sealed)
-		}
-		if !c.pad && !b.sealed {
-			t.Fatalf("%s: the adopted media image is not sealed", c.name)
+		if &b.Data()[0] == &media[0] || !block.Equal(b.Data(), media) || len(b.Data()) != block.Size || b.sealed {
+			t.Fatalf("%s: installed %d bytes, sealed %v; want a full private block, same content", c.name, len(b.Data()), b.sealed)
 		}
 	}
 }
@@ -397,7 +397,7 @@ func FuzzDecodeRecordPrefix(f *testing.F) {
 }
 
 func TestDirtyIntoCPAndCPMutableData(t *testing.T) {
-	f := NewFile(1, 1)
+	f := NewMetafile(1, 1)
 	b := f.GetOrCreateL0(3)
 	d := b.CPMutableData()
 	d[0] = 0xEE
@@ -414,12 +414,14 @@ func TestDirtyIntoCPAndCPMutableData(t *testing.T) {
 	}
 }
 
-// CleanChildAll cleans every frozen buffer bottom-up with synthetic
-// locations and returns how many were cleaned. Test helper.
+// CleanChildAll cleans every frozen block bottom-up with synthetic
+// locations — a user file's L0s in FBN order, then the buffers level by
+// level — and returns how many were cleaned. Test helper.
 func (f *File) CleanChildAll(t *testing.T) int {
 	t.Helper()
-	n := 0
 	loc := uint64(1000)
+	n := cleanL0s(f, loc)
+	loc += 2 * uint64(n)
 	for level := 0; level <= f.height; level++ {
 		for _, b := range f.FrozenLevel(level) {
 			f.CleanChild(b, block.VVBN(loc), block.VBN(loc+1))
@@ -428,6 +430,36 @@ func (f *File) CleanChildAll(t *testing.T) int {
 		}
 	}
 	return n
+}
+
+// frozenL0s returns f's frozen user L0s in cleaning order.
+func frozenL0s(f *File) []block.FBN {
+	var out []block.FBN
+	for fbn, ok := f.NextFrozenL0(0, block.FBN(f.MaxBlocks())); ok; fbn, ok = f.NextFrozenL0(fbn+1, block.FBN(f.MaxBlocks())) {
+		out = append(out, fbn)
+	}
+	return out
+}
+
+// cleanL0s cleans f's frozen user L0s in cleaning order, the i-th at VVBN
+// loc+2i and VBN loc+2i+1, and returns how many it cleaned.
+func cleanL0s(f *File, loc uint64) int {
+	fbns := frozenL0s(f)
+	for i, fbn := range fbns {
+		f.CleanL0(fbn, block.VVBN(loc+2*uint64(i)), block.VBN(loc+2*uint64(i)+1))
+	}
+	return len(fbns)
+}
+
+// cpImage returns the image the running CP writes for user L0 fbn: its
+// preserved image if a client overwrote it, its live one otherwise.
+func cpImage(f *File, fbn block.FBN) block.Image {
+	u := f.images()
+	if w, ok := u.preserved[l0Key{f, fbn}]; ok {
+		return u.image(w)
+	}
+	img, _ := f.L0(fbn)
+	return img
 }
 
 func TestFreezeWithUncleanedFrozenPanics(t *testing.T) {
@@ -485,20 +517,26 @@ func TestFileFromRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// An L1 installed from the media names its L0s' committed addresses: a read
+// holds L0 4 (Hold) with no image of its own, its overwrite counts a
+// copy-on-write of the media's image, and its clean frees the address the
+// L1 names.
 func TestInstallBufferSealsAndAliases(t *testing.T) {
 	f := NewFile(1, 1)
-	media := pattern(7)
-	b := f.InstallBuffer(0, 4, block.Image{Bytes: media}, 50, 60)
-	if !bytes.Equal(f.ReadBlock(4), pattern(7)) {
-		t.Fatal("installed buffer unreadable")
+	l1 := block.New()
+	block.PutPtr(l1, 4, 50, 60)
+	f.InstallBuffer(1, 0, block.Image{Bytes: l1}, 70, 80)
+	f.Hold(4)
+	if _, ok := f.L0(4); ok || !f.Resident(4) {
+		t.Fatal("a held L0 has an image of its own, or no residency bit")
 	}
-	if b.VVBN() != 50 || b.VBN() != 60 {
-		t.Fatal("installed location wrong")
-	}
-	// Writing must clone, preserving the media array.
 	f.WriteBlock(4, pattern(8))
-	if !bytes.Equal(media, pattern(7)) {
-		t.Fatal("write mutated media-owned array")
+	if f.CoWCopies != 1 {
+		t.Fatalf("the overwrite of a held L0 counted %d copies, want 1", f.CoWCopies)
+	}
+	f.Freeze()
+	if _, oldVVBN, oldVBN := f.CleanL0(4, 90, 100); oldVVBN != 50 || oldVBN != 60 {
+		t.Fatalf("the clean freed (%v,%v), want the installed (50,60)", oldVVBN, oldVBN)
 	}
 }
 
@@ -513,12 +551,17 @@ func TestWriteBeyondCapacityPanics(t *testing.T) {
 }
 
 func TestFrozenLevelSorted(t *testing.T) {
-	f := NewFile(1, 1)
-	for _, fbn := range []block.FBN{9, 3, 7, 1, 200} {
+	f := NewFile(1, 2)
+	m := NewMetafile(2, 2)
+	for _, fbn := range []block.FBN{9, 3, 700, 7, 1, 200, 300} {
 		f.WriteBlock(fbn, pattern(byte(fbn)))
+		m.DirtyIntoCP(m.GetOrCreateL0(fbn))
 	}
 	f.Freeze()
-	l0 := f.FrozenLevel(0)
+	if l0 := frozenL0s(f); !slices.IsSorted(l0) || len(l0) != 7 {
+		t.Fatalf("frozen user L0s %v, want the seven in FBN order", l0)
+	}
+	l0 := m.FrozenLevel(0)
 	for i := 1; i < len(l0); i++ {
 		if l0[i-1].FBN() >= l0[i].FBN() {
 			t.Fatal("FrozenLevel not sorted")
@@ -545,15 +588,7 @@ func TestPropertyFreezeCleanCycle(t *testing.T) {
 		if n != len(seen) {
 			return false
 		}
-		cleaned := 0
-		loc := uint64(10)
-		for level := 0; level <= f.Height(); level++ {
-			for _, b := range f.FrozenLevel(level) {
-				f.CleanChild(b, block.VVBN(loc), block.VBN(loc+1))
-				loc += 2
-				cleaned++
-			}
-		}
+		cleaned := f.CleanChildAll(t)
 		if f.FrozenCount() != 0 {
 			return false
 		}
@@ -569,7 +604,7 @@ func TestPropertyFreezeCleanCycle(t *testing.T) {
 }
 
 // WriteBlock replaces the whole block with an image of the length written,
-// whatever state the buffer is in and whatever length it held before. Each
+// whatever state the L0 is in and whatever length it held before. Each
 // write hands over a fresh array, as the client does: WriteBlock adopts it.
 func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 	short := func(tag byte) []byte { return pattern(tag)[:64] }
@@ -581,8 +616,8 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 		{"trimmed then full", func() []byte { return short(1) }, func() []byte { return pattern(2) }},
 		{"trimmed then trimmed", func() []byte { return short(1) }, func() []byte { return short(2) }},
 	} {
-		// Private, dirty buffer: the old tail must not survive (a prefix
-		// merge would leave pattern(1)[64:] behind).
+		// Dirty L0: the old tail must not survive (a prefix merge would
+		// leave pattern(1)[64:] behind).
 		f := NewFile(1, 1)
 		f.WriteBlock(0, c.old())
 		f.WriteBlock(0, c.next())
@@ -590,65 +625,58 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 			t.Fatalf("%s: read back %d bytes, not the %d-byte image written", c.name, len(got), len(c.next()))
 		}
 
-		// Frozen buffer: the CP keeps the very array it froze.
+		// Frozen L0: the CP keeps the very array it froze.
 		f = NewFile(1, 1)
 		f.WriteBlock(0, c.old())
 		f.Freeze()
-		b := f.Buffer(0, 0)
-		frozen := b.cpImage().Bytes
+		frozen := cpImage(f, 0).Bytes
 		f.WriteBlock(0, c.next())
 		f.WriteBlock(0, c.next()) // the second overwrite is adopted too
-		if &b.cpImage().Bytes[0] != &frozen[0] || !bytes.Equal(frozen, c.old()) {
-			t.Fatalf("%s: overwrite while inCP disturbed the CP image", c.name)
+		if &cpImage(f, 0).Bytes[0] != &frozen[0] || !bytes.Equal(frozen, c.old()) {
+			t.Fatalf("%s: overwrite while frozen disturbed the CP image", c.name)
 		}
-		if !bytes.Equal(b.Data(), c.next()) || f.CoWCopies != 1 {
+		if !bytes.Equal(f.ReadBlock(0), c.next()) || f.CoWCopies != 1 {
 			t.Fatalf("%s: live image wrong or CoWCopies = %d, want 1", c.name, f.CoWCopies)
 		}
 
-		// Sealed buffer: the submitted array is the media's alias.
-		f.CleanChild(b, 10, 20)
+		// Cleaned L0: the submitted array is the media's alias.
+		f.CleanL0(0, 10, 20)
 		f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
 		f.Freeze()
-		submitted, _, _, _ := f.CleanChild(b, 12, 22)
+		submitted, _, _ := f.CleanL0(0, 12, 22)
 		f.WriteBlock(0, c.old())
 		next := c.next()
 		f.WriteBlock(0, next)
-		if !bytes.Equal(submitted.Bytes, c.next()) || &b.Data()[0] == &submitted.Bytes[0] || &b.Data()[0] != &next[0] {
-			t.Fatalf("%s: overwrite of a sealed buffer touched the submitted array or did not adopt its own", c.name)
+		if !bytes.Equal(submitted.Bytes, c.next()) || &f.ReadBlock(0)[0] == &submitted.Bytes[0] || &f.ReadBlock(0)[0] != &next[0] {
+			t.Fatalf("%s: overwrite of a cleaned L0 touched the submitted array or did not adopt its own", c.name)
 		}
 	}
 }
 
-// WriteBlock adopts the caller's array: the buffer's live image is that
-// array, nothing writes into it afterwards — not a later overwrite, not
-// CP-side code — and adopting counts copy-on-writes exactly as copying did.
+// WriteBlock adopts the caller's array: the L0's live image is that array,
+// nothing writes into it afterwards — not a later overwrite — and adopting
+// counts copy-on-writes exactly as copying did.
 func TestWriteBlockAdoptsCallerArray(t *testing.T) {
 	for _, n := range []int{64, block.Size} {
 		f := NewFile(1, 1)
 		first := pattern(1)[:n]
-		b := f.WriteBlock(0, first)
-		if &b.Data()[0] != &first[0] {
+		if f.WriteBlock(0, first) != nil {
+			t.Fatalf("%d bytes: a user L0 has a buffer", n)
+		}
+		if &f.ReadBlock(0)[0] != &first[0] {
 			t.Fatalf("%d bytes: WriteBlock copied the caller's array", n)
 		}
 		// A same-length overwrite adopts its own array and leaves the first.
 		second := pattern(2)[:n]
 		f.WriteBlock(0, second)
-		if !bytes.Equal(first, pattern(1)[:n]) || &b.Data()[0] != &second[0] {
+		if !bytes.Equal(first, pattern(1)[:n]) || &f.ReadBlock(0)[0] != &second[0] {
 			t.Fatalf("%d bytes: a later WriteBlock wrote into the earlier array", n)
-		}
-		// CP-side code gets a private full-length array, never the adopted one.
-		d := b.CPMutableData()
-		if &d[0] == &second[0] || len(d) != block.Size {
-			t.Fatalf("%d bytes: CPMutableData handed out the adopted array", n)
-		}
-		d[0] ^= 0xFF
-		if !bytes.Equal(second, pattern(2)[:n]) {
-			t.Fatalf("%d bytes: a CP-side update reached the adopted array", n)
 		}
 	}
 
-	// CoWCopies: an overwrite leaves nothing behind for a private buffer, the
-	// CP image for a frozen one (once), the media's array for a sealed one.
+	// CoWCopies: an overwrite leaves nothing behind for a dirty L0, the CP
+	// image for a frozen one (once), the media's image for one held at the
+	// address its L1 names.
 	private := NewFile(1, 1)
 	private.WriteBlock(0, pattern(1))
 	private.WriteBlock(0, pattern(2))
@@ -657,15 +685,18 @@ func TestWriteBlockAdoptsCallerArray(t *testing.T) {
 	frozen.Freeze()
 	frozen.WriteBlock(0, pattern(2))
 	frozen.WriteBlock(0, pattern(3))
-	sealed := NewFile(1, 1)
-	sealed.InstallBuffer(0, 0, block.Image{Bytes: pattern(1)}, 5, 6)
-	sealed.WriteBlock(0, pattern(2))
-	sealed.WriteBlock(0, pattern(3))
+	held := NewFile(1, 1)
+	l1 := block.New()
+	block.PutPtr(l1, 0, 5, 6)
+	held.InstallBuffer(1, 0, block.Image{Bytes: l1}, 7, 8)
+	held.Hold(0)
+	held.WriteBlock(0, pattern(2))
+	held.WriteBlock(0, pattern(3))
 	for _, c := range []struct {
 		name string
 		f    *File
 		want uint64
-	}{{"private", private, 0}, {"frozen", frozen, 1}, {"sealed", sealed, 1}} {
+	}{{"private", private, 0}, {"frozen", frozen, 1}, {"held", held, 1}} {
 		if c.f.CoWCopies != c.want {
 			t.Errorf("%s: CoWCopies = %d, want %d", c.name, c.f.CoWCopies, c.want)
 		}
@@ -675,25 +706,24 @@ func TestWriteBlockAdoptsCallerArray(t *testing.T) {
 // Buffers allocate no image until somebody needs one, and CP-side code
 // always gets a full-length array.
 func TestBufferImageMaterialisation(t *testing.T) {
-	f := NewFile(1, 1)
+	f := NewMetafile(1, 1)
 	b := f.GetOrCreateL0(3)
 	if b.data != nil {
 		t.Fatal("a buffer nobody read or wrote holds an image")
 	}
-	if len(b.Data()) != block.Size || len(f.ReadBlock(3)) != block.Size {
+	if len(b.Data()) != block.Size || len(f.Buffer(0, 3).Data()) != block.Size {
 		t.Fatal("an unwritten buffer must read as a full zero block")
 	}
-	f.WriteBlock(4, pattern(1)[:64])
-	if d := f.Buffer(0, 4).CPMutableData(); len(d) != block.Size || !block.Equal(d, pattern(1)[:64]) {
-		t.Fatal("CPMutableData must pad a trimmed image to a full block")
+	if d := f.GetOrCreateL0(4).CPMutableData(); len(d) != block.Size || !block.Equal(d, nil) {
+		t.Fatal("CPMutableData must hand out a full zero block")
 	}
 }
 
-// TestDropCleanKeepsResidency: when its CP commits, a clean user L0 leaves
-// the tree for the free list and its residency bit stays; the next write
-// creates it again at the address its L1 names, sealed, so the overwrite
-// frees that address and the media keeps the old array. An L0 overwritten
-// during the CP stays. Release takes back what the tree still holds.
+// TestDropCleanKeepsResidency: when its CP commits, a clean user L0's word
+// leaves its slot and its residency bit stays; the next write counts a
+// copy-on-write of the media's image and its clean frees the address its L1
+// names. An L0 overwritten during the CP keeps its word. Release takes back
+// what the tree still holds.
 func TestDropCleanKeepsResidency(t *testing.T) {
 	p := NewImagePool()
 	f := NewFile(1, 2)
@@ -703,75 +733,75 @@ func TestDropCleanKeepsResidency(t *testing.T) {
 	f.Freeze()
 	f.CleanChildAll(t)
 	f.WriteBlock(300, pattern(3)) // dirty again before the commit
-	at := f.Buffer(0, 3).VBN()
+	_, at, _ := f.Resolve(3, nil)
 	noMedia := func(func(block.VBN, []byte, bool)) {}
-	if err := p.Audit([]*File{f}, noMedia); err == nil || !strings.Contains(err.Error(), "clean user L0 buffer (ino 1, fbn 3)") {
+	if err := p.Audit([]*File{f}, noMedia); err == nil || !strings.Contains(err.Error(), "clean user L0 (ino 1, fbn 3)") {
 		t.Fatalf("audit before the commit: %v, want the clean L0 3 named", err)
 	}
 	f.DropClean()
 	if err := p.Audit([]*File{f}, noMedia); err != nil {
 		t.Fatalf("audit after the commit: %v", err)
 	}
-	if f.Buffer(0, 3) != nil || !f.Resident(3) || f.Buffer(0, 300) == nil || f.Resident(4) {
-		t.Fatalf("after the commit: buffer 3 %v resident %v, buffer 300 %v, resident 4 %v",
-			f.Buffer(0, 3) != nil, f.Resident(3), f.Buffer(0, 300) != nil, f.Resident(4))
+	_, in3 := f.L0(3)
+	_, in300 := f.L0(300)
+	if in3 || !f.Resident(3) || !in300 || f.Resident(4) {
+		t.Fatalf("after the commit: L0 3 in memory %v, resident %v; L0 300 in memory %v; resident 4 %v", in3, f.Resident(3), in300, f.Resident(4))
 	}
-	if st := p.Stats().Buffers; st.Taken != 2 || st.Returned != 1 {
-		t.Fatalf("buffer pool %+v, want 2 taken and 1 returned", st)
+	if p.user.handles() != 1 {
+		t.Fatalf("%d byte-image handles after the commit, want L0 300's", p.user.handles())
 	}
 	cow := f.CoWCopies
-	b := f.WriteBlock(3, pattern(4))
-	if b.VBN() != at || f.CoWCopies != cow+1 {
-		t.Fatalf("rewritten L0 3 at %v (CoW copies %d), want %v and a CoW copy of its sealed image", b.VBN(), f.CoWCopies-cow, at)
+	f.WriteBlock(3, pattern(4))
+	f.Freeze()
+	if _, _, old := f.CleanL0(3, 9, 9); old != at || f.CoWCopies != cow+1 {
+		t.Fatalf("rewritten L0 3 freed %v (CoW copies %d), want %v and a CoW copy of its media image", old, f.CoWCopies-cow, at)
 	}
 	f.Hold(7)
-	if !f.Resident(7) || f.Buffer(0, 7) != nil {
-		t.Fatal("Hold made a buffer, or no bit")
+	if _, ok := f.L0(7); !f.Resident(7) || ok {
+		t.Fatal("Hold made an image, or no bit")
 	}
 	f.Release()
-	if st := p.Stats().Buffers; st.Outstanding() != 0 || f.ResidentBuffers() != 0 || f.Resident(3) {
-		t.Fatalf("after Release: pool %+v, %d buffers, resident 3 %v", st, f.ResidentBuffers(), f.Resident(3))
+	if st := p.Stats().Slots; st.Outstanding() != 0 || p.user.handles() != 0 || f.Resident(3) {
+		t.Fatalf("after Release: slot pool %+v, %d handles, resident 3 %v", st, p.user.handles(), f.Resident(3))
 	}
 }
 
 // TestSlotArrayLifecycle: a user file's level-1 node holds a slot array from
-// the image pool only while it holds an L0 buffer. The commit that drops a
-// node's last L0 gives the array back, and the block stays resident; writing
-// the block again takes a new array, and the buffer comes back sealed at the
-// address its resident L1 names. An outgrown array goes back at once,
-// Release returns what the tree still holds, and a crash abandons it. A
-// metafile's L0s never leave, so its arrays are not the pool's.
+// the image pool only while one of its slots holds a word. The commit that
+// drops a node's last word gives the array back, and the block stays
+// resident; writing the block again takes a new array. An outgrown array
+// goes back at once, Release returns what the tree still holds, and a crash
+// abandons it. A metafile's L0 buffers never leave, so its arrays are not
+// the pool's.
 func TestSlotArrayLifecycle(t *testing.T) {
 	p := NewImagePool()
 	f := NewFile(1, 2)
 	f.SetImagePool(p)
 	slots := func() fifo.PoolStats { return p.Stats().Slots }
-	leaves := func(fbn block.FBN) []*Buffer { return f.find(0, fbn, false).leaves }
+	words := func(fbn block.FBN) []imageWord { return f.find(0, fbn, false).words }
 	f.WriteBlock(3, pattern(1))   // node 0, an 8-slot array
 	f.WriteBlock(300, pattern(2)) // node 1
 	p.Trim()                      // a commit: the lists may keep arrays from here on
 	f.Freeze()
 	f.CleanChildAll(t)
 	f.WriteBlock(300, pattern(3)) // dirty again before the commit
-	at := f.Buffer(0, 3).VBN()
 	f.DropClean()
-	if leaves(3) != nil || leaves(300) == nil || !f.Resident(3) {
-		t.Fatalf("after the commit: node 0 array %v, node 1 array %v, 3 resident %v", leaves(3) != nil, leaves(300) != nil, f.Resident(3))
+	if words(3) != nil || words(300) == nil || !f.Resident(3) {
+		t.Fatalf("after the commit: node 0 array %v, node 1 array %v, 3 resident %v", words(3) != nil, words(300) != nil, f.Resident(3))
 	}
 	if st := slots(); st.Taken != 2 || st.Returned != 1 || st.New != 2 {
 		t.Fatalf("slot pool %+v, want 2 built and taken, 1 returned", st)
 	}
-	b := f.GetOrCreateL0(3)
-	if len(leaves(3)) != minSlots || !b.sealed || b.VBN() != at {
-		t.Fatalf("rewritten L0 3: array of %d, sealed %v at %v, want %d slots, sealed at %v", len(leaves(3)), b.sealed, b.VBN(), minSlots, at)
+	f.WriteBlock(3, pattern(4))
+	if len(words(3)) != minSlots {
+		t.Fatalf("rewritten L0 3: array of %d, want %d slots", len(words(3)), minSlots)
 	}
 	if st := slots(); st.Taken != 3 || st.New != 2 {
 		t.Fatalf("slot pool %+v, want the returned array taken again", st)
 	}
-	f.WriteBlock(3, pattern(4))
 	f.WriteBlock(200, pattern(5)) // outgrows node 0's array
-	if len(leaves(3)) != 256 || f.Buffer(0, 3) != b {
-		t.Fatalf("node 0 grown to %d slots, buffer 3 kept %v", len(leaves(3)), f.Buffer(0, 3) == b)
+	if len(words(3)) != 256 || !bytes.Equal(f.ReadBlock(3), pattern(4)) {
+		t.Fatalf("node 0 grown to %d slots, L0 3 kept %v", len(words(3)), bytes.Equal(f.ReadBlock(3), pattern(4)))
 	}
 	if st := slots(); st.Taken != 4 || st.Returned != 2 || st.Outstanding() != 2 {
 		t.Fatalf("slot pool %+v, want the outgrown array back and 2 held", st)
@@ -782,8 +812,8 @@ func TestSlotArrayLifecycle(t *testing.T) {
 	}
 	f.WriteBlock(5, pattern(6))
 	p.Abandon()
-	if st := slots(); st.Outstanding() != 0 || st.Abandoned != 1 {
-		t.Fatalf("after a crash: slot pool %+v, want the held array abandoned", st)
+	if st := slots(); st.Outstanding() != 0 || st.Abandoned != 1 || p.user.handles() != 0 {
+		t.Fatalf("after a crash: slot pool %+v, %d handles, want the held array abandoned", st, p.user.handles())
 	}
 
 	m := NewMetafile(2, 1)
@@ -792,5 +822,70 @@ func TestSlotArrayLifecycle(t *testing.T) {
 	m.GetOrCreateL0(9)
 	if m.find(0, 9, false).leaves == nil || slots() != before {
 		t.Fatalf("metafile slot array from the pool: %+v, was %+v", slots(), before)
+	}
+}
+
+// TestSlotArraysOutlastABackToBackCP: a short CP interval — a back-to-back
+// CP that writes one node — does not trim away the slot arrays a regular
+// interval takes again: Trim keeps twice the larger of the last two
+// intervals' takes. Once warm, cycles of a regular interval (64 nodes
+// written, cleaned on a media stand-in that hands left arrays back, and
+// committed) and a short one allocate nothing. When Trim kept twice the
+// last interval's take alone, each cycle rebuilt 68 arrays
+// here, and a warm 300 ms overload_burst window built 2,313 (4 to 22 now).
+func TestSlotArraysOutlastABackToBackCP(t *testing.T) {
+	p := NewImagePool()
+	m := newMarkMedia(p)
+	f := NewFile(1, 2)
+	f.SetImagePool(p)
+	gen := 0
+	// at is where generation gen cleans block (level, idx): one of four
+	// VBNs, so no block is cleaned where it was the generation before, nor
+	// node 0 where it was two back.
+	at := func(level int, idx block.FBN) (block.VVBN, block.VBN) {
+		vbn := block.VBN(1_000_000*(level+1) + 10*int(idx) + gen%4)
+		return block.VVBN(vbn), vbn
+	}
+	// land puts the image cleaned to (level, idx) on the media and forgets
+	// the address it left.
+	land := func(level int, idx block.FBN, img block.Image, mediaOnly bool, old block.VBN) {
+		_, vbn := at(level, idx)
+		m.land(vbn, img.Bytes, mediaOnly)
+		if old != block.InvalidVBN {
+			m.forget(p, old)
+		}
+	}
+	interval := func(nodes int) {
+		for n := range nodes {
+			fbn := block.FBN(n * block.PtrsPerBlock)
+			f.WriteImage(fbn, block.Image{Name: block.NameOf(1, fbn, byte(gen), 64)})
+		}
+		f.Freeze()
+		for fbn, ok := f.NextFrozenL0(0, 1<<16); ok; fbn, ok = f.NextFrozenL0(fbn+1, 1<<16) {
+			vvbn, vbn := at(0, fbn)
+			img, _, old := f.CleanL0(fbn, vvbn, vbn)
+			land(0, fbn, img, false, old)
+		}
+		for level := 1; level <= f.Height(); level++ {
+			for _, b := range f.FrozenLevel(level) {
+				vvbn, vbn := at(level, b.Index())
+				img, mediaOnly, _, old := f.CleanChild(b, vvbn, vbn)
+				land(level, b.Index(), img, mediaOnly, old)
+			}
+		}
+		f.DropClean()
+		p.Trim()
+		gen++
+	}
+	cycle := func() {
+		interval(64)
+		interval(1)
+	}
+	for range 3 {
+		cycle()
+	}
+	built := p.Stats().Slots.New
+	if got := allocs.Count(10, cycle); got != 0 || p.Stats().Slots.New != built {
+		t.Errorf("10 cycles of a regular and a back-to-back CP allocate %d objects, %d slot arrays; want 0", got, p.Stats().Slots.New-built)
 	}
 }

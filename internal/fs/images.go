@@ -30,26 +30,20 @@ import (
 // once (recycle). No other array is ever put back: an array a buffer holds
 // is never marked. A nil pool allocates every array and marks none.
 //
-// The pool is also the one maker of buffers and of the slot arrays a user
-// file's level-1 index nodes hold their L0 buffers in (DESIGN §15), and the
-// side home of its files' preserved CP images (cpImages).
+// The pool is also the one maker of the slot arrays a file's level-1 index
+// nodes hold their L0s in (DESIGN §15), and the home of its user files' L0
+// images that a slot's word does not hold itself (userImages).
 type ImagePool struct {
 	classes [block.Classes]fifo.Pool[[]byte]
-	// buffers is the free list of user L0 buffers: a clean one leaves its
-	// tree when its CP commits (File.DropClean), and the next L0 a write
-	// or a load creates is drawn from here.
-	buffers  fifo.Pool[*Buffer]
-	bufStats fifo.PoolStats
-	bufTaken uint64 // bufStats.Taken at the last Trim
 	// slots are the free lists of a user file's level-1 slot arrays, one
 	// per size class (slotClass): an array goes back when its node's last
-	// L0 buffer leaves (File.DropClean, Release) or when it is outgrown.
-	slots      [slotClasses]fifo.Pool[[]*Buffer]
-	slotStats  fifo.PoolStats
+	// L0 leaves (File.DropClean, Release) or when it is outgrown.
+	slots     [slotClasses]fifo.Pool[[]imageWord]
+	slotStats fifo.PoolStats
+	// slotTakes are the arrays taken in the last two CP intervals (Trim).
+	slotTakes  [2]uint64
 	slotsTaken uint64 // slotStats.Taken at the last Trim
-	// preserved holds the CP image of every frozen buffer a client
-	// overwrote before the CP cleaned it.
-	preserved cpImages
+	user       userImages
 	// marker marks the arrays buffers leave to the media; nil marks none.
 	marker   Marker
 	stats    fifo.PoolStats
@@ -76,11 +70,10 @@ type ImageStats struct {
 	Returned uint64 // media-only arrays back from the media
 	Recycled uint64 // private arrays back from an indirect that outgrew them
 
-	// Buffers counts the user L0 buffer free list, and Slots the user
-	// files' level-1 slot arrays. Unlike the image arrays both are under the
-	// leak rule: a quiesced member's user files hold no L0 buffer, so none
-	// of their nodes holds a slot array.
-	Buffers, Slots fifo.PoolStats
+	// Slots counts the user files' level-1 slot arrays. Unlike the image
+	// arrays they are under the leak rule: a quiesced member's user files
+	// hold no image word, so none of their nodes holds a slot array.
+	Slots fifo.PoolStats
 }
 
 // poison fills an array on its way back to the pool, so a premature recycle
@@ -90,17 +83,15 @@ const poison = 0xA5
 
 // NewImagePool returns an empty pool.
 func NewImagePool() *ImagePool {
-	p := &ImagePool{preserved: cpImages{}, poisoned: bytes.Repeat([]byte{poison}, block.Size)}
-	p.buffers = fifo.NewPool(&p.bufStats, func() *Buffer { return new(Buffer) })
-	p.buffers.Limit(0) // until a commit has seen what a CP interval takes
+	p := &ImagePool{user: userImages{preserved: map[l0Key]imageWord{}}, poisoned: bytes.Repeat([]byte{poison}, block.Size)}
 	for c := range p.classes {
 		size := block.ClassCap(c)
 		p.classes[c] = fifo.NewPool(&p.stats, func() []byte { return make([]byte, size) })
 	}
 	for c := range p.slots {
 		n := minSlots << c
-		p.slots[c] = fifo.NewPool(&p.slotStats, func() []*Buffer { return make([]*Buffer, n) })
-		p.slots[c].Limit(0)
+		p.slots[c] = fifo.NewPool(&p.slotStats, func() []imageWord { return make([]imageWord, n) })
+		p.slots[c].Limit(0) // until a commit has seen what a CP interval takes
 	}
 	return p
 }
@@ -112,51 +103,98 @@ func (p *ImagePool) SetMarker(m Marker) { p.marker = m }
 // Stats returns the pool's counts.
 func (p *ImagePool) Stats() ImageStats {
 	return ImageStats{New: p.stats.New, Taken: p.stats.Taken, Returned: p.stats.Returned - p.recycled,
-		Recycled: p.recycled, Buffers: p.bufStats, Slots: p.slotStats}
+		Recycled: p.recycled, Slots: p.slotStats}
 }
 
-// buffer returns the empty buffer at (level, fbn) of f: a user L0 from the
-// free list, any other buffer — an indirect or a metafile L0, which stay in
-// their trees — new.
-func (p *ImagePool) buffer(f *File, fbn block.FBN, level int) *Buffer {
-	if p == nil || level > 0 || f.metafile {
-		return newBuffer(new(Buffer), f, fbn, level)
+// imageWord is a user L0's image in one word, as a drive's media word holds
+// a DBN's (storage.Drive, without its media-only mark): 0 for none, a
+// block.Name (top bit set), or a byte image's handle in userImages plus one.
+type imageWord uint64
+
+// handle returns the byte-image handle w holds, or -1 for none or a name.
+func (w imageWord) handle() int {
+	if w == 0 || w>>63 != 0 {
+		return -1
 	}
-	return newBuffer(p.buffers.Get(), f, fbn, level)
+	return int(w) - 1
 }
 
-// putBuffer takes back user L0 b, which its tree no longer holds. A
-// dropped tree's frozen buffer leaves its preserved image behind too.
-func (p *ImagePool) putBuffer(b *Buffer) {
-	if p != nil {
-		if b.preserved {
-			delete(p.preserved, b)
+// l0Key names a user L0: its file and FBN.
+type l0Key struct {
+	f   *File
+	fbn block.FBN
+}
+
+// pageLen is the number of byte-image handles a page of the table holds.
+const pageLen = 512
+
+// userImages is the home of the user L0 images that a slot's word does not
+// hold itself: byte images, in a table addressed by handle that grows a page
+// at a time and never copies (free lists the unused handles), and the
+// preserved CP image of each frozen L0 a client overwrote before the CP
+// cleaned it (File.WriteImage), from that overwrite until CleanL0 hands it
+// to the media. A node's preserved bit says the L0 has an entry, so the map
+// is probed only by an L0 that has one. Entries leave by delete and the map
+// is made once: after a CP's worth of overwrites, a warm run allocates
+// nothing for it. Only Audit walks it, and it sorts what it reports.
+type userImages struct {
+	pages     [][][]byte
+	made      int // handles made
+	free      []int
+	preserved map[l0Key]imageWord
+}
+
+// image returns the image word w holds.
+func (u *userImages) image(w imageWord) block.Image {
+	if h := w.handle(); h >= 0 {
+		return block.Image{Bytes: *u.at(h)}
+	}
+	return block.Image{Name: block.Name(w)}
+}
+
+// at returns the table entry of handle h.
+func (u *userImages) at(h int) *[]byte { return &u.pages[h/pageLen][h%pageLen] }
+
+// hold returns the word holding img, which replaces word w: a name by value,
+// a byte image in w's handle, or a free one. A nil image is no image.
+func (u *userImages) hold(w imageWord, img block.Image) imageWord {
+	if img.Bytes == nil {
+		u.drop(w)
+		return imageWord(img.Name)
+	}
+	h := w.handle()
+	if h < 0 {
+		if n := len(u.free); n > 0 {
+			h, u.free = u.free[n-1], u.free[:n-1]
+		} else {
+			if h = u.made; h%pageLen == 0 {
+				u.pages = append(u.pages, make([][]byte, pageLen))
+			}
+			u.made++
 		}
-		*b = Buffer{}
-		p.buffers.Put(b)
+	}
+	*u.at(h) = img.Bytes
+	return imageWord(h + 1)
+}
+
+// drop lets go of word w: a byte image's handle goes back to the free list.
+func (u *userImages) drop(w imageWord) {
+	if h := w.handle(); h >= 0 {
+		*u.at(h) = nil
+		u.free = append(u.free, h)
 	}
 }
 
-// cpImages is the side home of preserved CP images: the pre-overwrite image,
-// a name or bytes, of each frozen buffer a client overwrote before the CP
-// cleaned it (Buffer.replace), from that overwrite until MarkCleaned hands
-// it to the media. A buffer's preserved flag says it has an entry, so the
-// map is probed only by a buffer that has one. Entries leave by delete and
-// the map is made once: after a CP's worth of overwrites, a warm run
-// allocates nothing for it. Only Audit walks it, and it sorts what it
-// reports.
-type cpImages map[*Buffer]block.Image
+// handles returns the byte-image handles in use.
+func (u *userImages) handles() int { return u.made - len(u.free) }
 
-// at returns b's preserved CP image.
-func (c cpImages) at(b *Buffer) block.Image {
-	img, ok := c[b]
-	if !ok {
-		panic(fmt.Sprintf("fs: buffer (level %d, fbn %d) is flagged preserved but has no CP image", b.level, b.fbn))
-	}
-	return img
+// reset forgets every image: a crash dropped the trees holding them.
+func (u *userImages) reset() {
+	clear(u.preserved)
+	*u = userImages{preserved: u.preserved}
 }
 
-// slotClasses is the number of slot-array sizes: minSlots << c pointers for
+// slotClasses is the number of slot-array sizes: minSlots << c slots for
 // class c, from 8 up to block.PtrsPerBlock.
 const (
 	minSlots    = 8
@@ -165,7 +203,7 @@ const (
 
 // slotClass returns the class of the shortest slot array that holds slot d,
 // and its length: a power of two from minSlots up, so small and sparse files
-// do not pay for 256 pointers per node.
+// do not pay for 256 slots per node.
 func slotClass(d int) (c, n int) {
 	for n = minSlots; n <= d; n *= 2 {
 		c++
@@ -173,26 +211,25 @@ func slotClass(d int) (c, n int) {
 	return c, n
 }
 
-// leaves returns s, the slot array of one of f's level-1 nodes (nil if it
-// has none), grown to hold slot d. A user file's array comes from its size
-// class's free list, and the one it outgrew goes back at once; a metafile's
-// L0s never leave their tree, so its arrays are the garbage collector's.
-func (p *ImagePool) leaves(f *File, s []*Buffer, d int) []*Buffer {
+// words returns s, the slot array of one of a user file's level-1 nodes (nil
+// if it has none), grown to hold slot d: from its size class's free list,
+// and the one it outgrew goes back at once. A nil pool allocates.
+func (p *ImagePool) words(s []imageWord, d int) []imageWord {
 	c, n := slotClass(d)
-	var grown []*Buffer
-	if p == nil || f.metafile {
-		grown = make([]*Buffer, n)
+	var grown []imageWord
+	if p == nil {
+		grown = make([]imageWord, n)
 	} else {
 		grown = p.slots[c].Get()
 	}
 	copy(grown, s)
-	p.putLeaves(f, s)
+	p.putWords(s)
 	return grown
 }
 
-// putLeaves takes back s, a slot array of f that its node no longer holds.
-func (p *ImagePool) putLeaves(f *File, s []*Buffer) {
-	if p == nil || f.metafile || s == nil {
+// putWords takes back s, a slot array its node no longer holds.
+func (p *ImagePool) putWords(s []imageWord) {
+	if p == nil || s == nil {
 		return
 	}
 	clear(s)
@@ -200,31 +237,38 @@ func (p *ImagePool) putLeaves(f *File, s []*Buffer) {
 	p.slots[c].Put(s)
 }
 
-// Trim, at a CP's commit, limits the buffer free list to twice the buffers
-// taken since the last commit — what the next CP interval is likely to take
-// again, with room to take more — and each slot array list to twice the
-// arrays taken since then or held now, of every class, whichever is more: a
-// node's array passes through the classes as it grows, often over more than
-// one interval, and a short interval (a back-to-back CP) takes few. The next
-// commit's clean buffers and emptied arrays beyond the limits go to the
+// leaves returns s, the slot array of one of a metafile's level-1 nodes (nil
+// if it has none), grown to hold slot d. A metafile's L0 buffers never leave
+// their tree, so its arrays are the garbage collector's.
+func leaves(s []*Buffer, d int) []*Buffer {
+	_, n := slotClass(d)
+	grown := make([]*Buffer, n)
+	copy(grown, s)
+	return grown
+}
+
+// Trim, at a CP's commit, limits each slot array list to twice the arrays
+// taken in the longer of the last two CP intervals or held now, of every
+// class, whichever is more: a node's array passes through the classes as it
+// grows, often over more than one interval, and a short interval (a
+// back-to-back CP) takes few, while the next may take as many as the one
+// before it. The next commit's emptied arrays beyond the limit go to the
 // garbage collector, so a burst — a prefill dirtied in one CP — neither
 // stays live nor grows the lists.
 func (p *ImagePool) Trim() {
-	p.buffers.Limit(2 * int(p.bufStats.Taken-p.bufTaken))
-	p.bufTaken = p.bufStats.Taken
-	keep := 2 * max(int(p.slotStats.Taken-p.slotsTaken), int(p.slotStats.Outstanding()))
+	p.slotTakes[0], p.slotTakes[1] = p.slotTakes[1], p.slotStats.Taken-p.slotsTaken
+	p.slotsTaken = p.slotStats.Taken
+	keep := 2 * max(int(max(p.slotTakes[0], p.slotTakes[1])), int(p.slotStats.Outstanding()))
 	for c := range p.slots {
 		p.slots[c].Limit(keep)
 	}
-	p.slotsTaken = p.slotStats.Taken
 }
 
-// Abandon writes off the buffers, and the slot arrays holding them, that a
-// crash dropped with their trees, and forgets their preserved images: the
-// pool never takes back an array a crashed aggregate wrote.
+// Abandon writes off the slot arrays, and the images they held, that a crash
+// dropped with their trees, and forgets the preserved images: the pool never
+// takes back an array a crashed aggregate wrote.
 func (p *ImagePool) Abandon() {
-	clear(p.preserved)
-	p.buffers.Abandon()
+	p.user.reset()
 	for c := range p.slots {
 		p.slots[c].Abandon()
 	}
@@ -314,15 +358,16 @@ func (p *ImagePool) put(a []byte) {
 }
 
 // Audit checks where the pool's arrays sit once no write is in flight (at
-// Quiesce), and that no user L0 buffer outlived its CP's commit clean. media
-// calls its argument with every data-drive byte image, the VBN it sits at
-// and whether the DBN is marked media-only; files are every file whose
-// buffers may hold the pool's arrays. It may be called more than once. A
-// marked DBN's array must sit in no buffer and at no other DBN. A CP-owned
-// buffer's array may sit on the media only if the buffer is sealed, and then
-// exactly at the buffer's VBN. A preserved CP image must belong to a frozen
-// buffer of files that is flagged as having one, and every such buffer must
-// have one: an image that outlives its CP fails.
+// Quiesce), and that no user L0 outlived its CP's commit clean. media calls
+// its argument with every data-drive byte image, the VBN it sits at and
+// whether the DBN is marked media-only; files are every file whose buffers
+// may hold the pool's arrays. It may be called more than once. A marked
+// DBN's array must sit in no buffer and at no other DBN. A buffer's array
+// may sit on the media only if the buffer is sealed, and then exactly at the
+// buffer's VBN. A preserved CP image must belong to a frozen L0 of files
+// whose preserved bit is set, and every such L0 must have one: an image that
+// outlives its CP fails. Every byte-image handle in use must be held by a
+// slot's word or a preserved image.
 func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte, mediaOnly bool))) error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -331,38 +376,54 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 		}
 	}
 	held := map[*byte]*Buffer{}
-	frozen := map[*Buffer]bool{}
+	frozen := map[l0Key]bool{}
+	handles := 0
 	for _, f := range files {
-		f.eachBuffer(func(b *Buffer) {
-			if len(b.data) > 0 {
-				held[&b.data[0]] = b
+		f.eachNode(func(n *node, level int, base block.FBN) {
+			if n.buf != nil && len(n.buf.data) > 0 {
+				held[&n.buf.data[0]] = n.buf
 			}
-			if b.preserved {
-				img, ok := p.preserved[b]
+			for _, b := range n.leaves {
+				if b != nil && len(b.data) > 0 {
+					held[&b.data[0]] = b
+				}
+			}
+			for d, w := range n.words {
+				fbn := base | block.FBN(d)
+				if w.handle() >= 0 {
+					handles++
+				}
+				if n.cleaned.has(d) {
+					fail("clean user L0 (ino %d, fbn %d) left in its tree after its CP committed", f.ino, fbn)
+				}
+				if !n.preserved.has(d) {
+					continue
+				}
+				w, ok := p.user.preserved[l0Key{f, fbn}]
 				if !ok {
-					fail("buffer (ino %d, level %d, fbn %d) is flagged preserved but has no CP image", f.ino, b.level, b.fbn)
+					fail("L0 (ino %d, fbn %d) is flagged preserved but has no CP image", f.ino, fbn)
 				}
-				if len(img.Bytes) > 0 {
-					held[&img.Bytes[0]] = b
+				if w.handle() >= 0 {
+					handles++
 				}
-				frozen[b] = b.inCP
-			}
-			if !b.cpOwned() && !b.dirtyCurr && !b.inCP {
-				fail("clean user L0 buffer (ino %d, fbn %d) left in its tree after its CP committed", f.ino, b.fbn)
+				frozen[l0Key{f, fbn}] = n.frozen.has(d)
 			}
 		})
 	}
-	var stale []*Buffer
-	for b := range p.preserved {
-		if !frozen[b] {
-			stale = append(stale, b)
+	var stale []l0Key
+	for k := range p.user.preserved {
+		if !frozen[k] {
+			stale = append(stale, k)
 		}
 	}
 	if len(stale) > 0 {
-		slices.SortFunc(stale, func(a, b *Buffer) int {
-			return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.fbn, b.fbn))
+		slices.SortFunc(stale, func(a, b l0Key) int {
+			return cmp.Or(cmp.Compare(a.f.ino, b.f.ino), cmp.Compare(a.fbn, b.fbn))
 		})
-		fail("%d preserved CP images outlive their CP or name a buffer not frozen, the first (level %d, fbn %d)", len(stale), stale[0].level, stale[0].fbn)
+		fail("%d preserved CP images outlive their CP or name an L0 not frozen, the first (ino %d, fbn %d)", len(stale), stale[0].f.ino, stale[0].fbn)
+	}
+	if handles != p.user.handles() {
+		fail("%d byte-image handles in use, %d held by the files' words", p.user.handles(), handles)
 	}
 	at := map[*byte][]block.VBN{}
 	media(func(vbn block.VBN, img []byte, mediaOnly bool) {
@@ -374,7 +435,7 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 		switch {
 		case mediaOnly && b != nil:
 			fail("media-only array at %v is buffer (level %d, fbn %d)'s array", vbn, b.level, b.fbn)
-		case b == nil || !b.cpOwned():
+		case b == nil:
 		case !b.sealed:
 			fail("unsealed buffer (level %d, fbn %d) at %v has its array on the media at %v", b.level, b.fbn, b.vbn, vbn)
 		case b.vbn != vbn:

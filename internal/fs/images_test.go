@@ -190,9 +190,7 @@ func TestImagePoolOwnership(t *testing.T) {
 			f.WriteBlock(block.FBN(fbn), pattern(byte(fbn))[:64])
 		}
 		f.Freeze()
-		for i, l0 := range f.FrozenLevel(0) {
-			clean(f, l0, block.VBN(1000+i))
-		}
+		cleanL0s(f, 1000)
 		l1 := f.FrozenLevel(1)[0]
 		img := cleanTo(m, f, l1, 100)
 		if !l1.sealed || m.mark[100] {
@@ -219,8 +217,8 @@ func TestImagePoolOwnership(t *testing.T) {
 		}
 		f.Freeze()
 		var left [][]byte
-		for i, l0 := range f.FrozenLevel(0) {
-			clean(f, l0, block.VBN(1000+i))
+		for i, fbn := range frozenL0s(f) {
+			f.CleanL0(fbn, block.VVBN(1000+i), block.VBN(1000+i))
 			left = append(left, f.Buffer(1, 0).data)
 		}
 		// 16, 32 and 64 bytes: the first two were left, poisoned and counted
@@ -258,30 +256,27 @@ func TestImagePoolOwnership(t *testing.T) {
 }
 
 // InstallBuffer never aliases a CP-owned image, dense or sparse, so no buffer
-// holds an array the pool may take back from the media; a user L0 is adopted.
-// A sparse indirect's copy is as long as the media's image, every other
-// CP-owned copy a full block.
+// holds an array the pool may take back from the media. A sparse indirect's
+// copy is as long as the media's image, every other copy a full block.
 func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		meta  bool
 		level int
 		n     int
-		alias bool
 		want  int // length of the installed array
 	}{
-		{"dense indirect", false, 1, block.Size, false, block.Size},
-		{"sparse indirect", false, 1, 40, false, 40},
-		{"dense metafile L0", true, 0, block.Size, false, block.Size},
-		{"sparse metafile L0", true, 0, 40, false, block.Size},
-		{"dense user L0", false, 0, block.Size, true, block.Size},
+		{"dense indirect", false, 1, block.Size, block.Size},
+		{"sparse indirect", false, 1, 40, 40},
+		{"dense metafile L0", true, 0, block.Size, block.Size},
+		{"sparse metafile L0", true, 0, 40, block.Size},
 	} {
 		p := NewImagePool()
 		f := pooled(p, c.meta)
 		media := pattern(6)[:c.n]
 		b := f.InstallBuffer(c.level, 0, block.Image{Bytes: media}, 50, 60)
-		if aliased := &b.Data()[0] == &media[0]; aliased != c.alias || aliased != b.sealed {
-			t.Fatalf("%s: aliased %v, sealed %v; want aliased %v", c.name, aliased, b.sealed, c.alias)
+		if &b.Data()[0] == &media[0] || b.sealed {
+			t.Fatalf("%s: aliased %v, sealed %v; want a private unsealed copy", c.name, &b.Data()[0] == &media[0], b.sealed)
 		}
 		if !block.Equal(b.Data(), media) || len(b.Data()) != c.want {
 			t.Fatalf("%s: installed %d bytes unlike the media's", c.name, len(b.Data()))
@@ -333,12 +328,13 @@ func TestImagePoolAudit(t *testing.T) {
 }
 
 // TestPreservedImageSideHome pins where a preserved CP image waits: a
-// client's overwrite of a frozen L0 leaves the old image, a name or bytes,
-// in the image pool's side home (cpImages); the CP writes that image and the
-// client reads the new one, and the entry leaves when the buffer is cleaned,
-// dropped with its tree, or lost in a crash. Audit fails an entry that
-// outlives its clean and a flag without an entry, and so do the reads of
-// the CP image.
+// client's overwrite of a frozen L0 leaves the old image's word, a name or a
+// byte image's handle, in the image pool's side home (userImages.preserved),
+// keyed by file and FBN; the CP writes that image and the client reads the
+// new one, and the entry leaves when the L0 is cleaned, dropped with its
+// tree, or lost in a crash. Audit fails an entry that outlives its clean, a
+// flag without an entry and a byte image no word holds, and so does the
+// clean of a flag without an entry.
 func TestPreservedImageSideHome(t *testing.T) {
 	p := NewImagePool()
 	f := pooled(p, false)
@@ -347,67 +343,71 @@ func TestPreservedImageSideHome(t *testing.T) {
 	old, next := pattern(1), pattern(9)
 	f.WriteBlock(4, old)
 	f.Freeze()
-	named, bytesBuf := f.Buffer(0, 3), f.Buffer(0, 4)
 	f.WriteImage(3, block.Image{Name: nextName})
 	f.WriteBlock(4, next)
-	if !named.preserved || !bytesBuf.preserved || len(p.preserved) != 2 || p.preserved[named].Name != oldName {
+	n := &f.root
+	if !n.preserved.has(3) || !n.preserved.has(4) || len(p.user.preserved) != 2 || p.user.preserved[l0Key{f, 3}] != imageWord(oldName) {
 		t.Fatalf("overwrites of frozen L0s: flags %v %v, %d entries; want both flagged, two entries, the old name kept",
-			named.preserved, bytesBuf.preserved, len(p.preserved))
+			n.preserved.has(3), n.preserved.has(4), len(p.user.preserved))
 	}
 	audit := func() error { return p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}) }
 	if err := audit(); err != nil {
-		t.Fatalf("frozen buffers' preserved images: %v", err)
+		t.Fatalf("frozen L0s' preserved images: %v", err)
 	}
-	img, _, _, _ := f.CleanChild(named, 100, 100)
-	if img.Name != oldName || named.Image().Name != nextName || named.preserved {
+	img, _, _ := f.CleanL0(3, 100, 100)
+	if live, _ := f.L0(3); img.Name != oldName || live.Name != nextName || n.preserved.has(3) {
 		t.Fatal("the CP did not write the preserved name, or the client does not read its overwrite")
 	}
-	img, _, _, _ = f.CleanChild(bytesBuf, 101, 101)
-	if &img.Bytes[0] != &old[0] || !bytes.Equal(f.ReadBlock(4), next) || bytesBuf.preserved || len(p.preserved) != 0 {
+	img, _, _ = f.CleanL0(4, 101, 101)
+	if &img.Bytes[0] != &old[0] || !bytes.Equal(f.ReadBlock(4), next) || n.preserved.has(4) || len(p.user.preserved) != 0 {
 		t.Fatal("the CP did not write the preserved bytes, or the entry outlived the clean")
 	}
 	if err := audit(); err != nil {
 		t.Fatalf("after the clean: %v", err)
 	}
-	p.preserved[bytesBuf] = block.Image{Bytes: old} // a MarkCleaned that keeps the entry
+	p.user.preserved[l0Key{f, 4}] = p.user.hold(0, block.Image{Bytes: old}) // a clean that keeps the entry
 	if err := audit(); err == nil || !strings.Contains(err.Error(), "1 preserved CP images outlive their CP") {
 		t.Fatalf("an entry kept past its clean: audit said %v", err)
 	}
-	delete(p.preserved, bytesBuf)
-	bytesBuf.preserved = true // a flag without an entry
+	p.user.drop(p.user.preserved[l0Key{f, 4}])
+	delete(p.user.preserved, l0Key{f, 4})
+	stray := p.user.hold(0, block.Image{Bytes: old}) // a handle no word holds
+	if err := audit(); err == nil || !strings.Contains(err.Error(), "byte-image handles in use") {
+		t.Fatalf("a stray handle: audit said %v", err)
+	}
+	p.user.drop(stray)
+	f.CleanChild(f.FrozenLevel(1)[0], 102, 102)
+	f.Freeze()
+	n.preserved.set(4) // a flag without an entry
 	if err := audit(); err == nil || !strings.Contains(err.Error(), "flagged preserved but has no CP image") {
 		t.Fatalf("a flag without an entry: audit said %v", err)
 	}
-	for name, read := range map[string]func(){"cpImage": func() { bytesBuf.cpImage() }, "CPMutableData": func() { bytesBuf.CPMutableData() }} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "flagged preserved but has no CP image") {
-					t.Fatalf("%s of a flag without an entry: recovered %v, want the fault", name, r)
-				}
-			}()
-			read()
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "flagged preserved but has no CP image") {
+				t.Fatalf("clean of a flag without an entry: recovered %v, want the fault", r)
+			}
 		}()
-	}
-	bytesBuf.preserved = false
+		f.CleanL0(4, 103, 103)
+	}()
+	n.preserved.clear(4)
 
-	// A frozen buffer dropped with its tree takes its entry with it, and a
-	// crash forgets them all.
-	f.CleanChild(f.FrozenLevel(1)[0], 102, 102)
-	f.Freeze()
-	f.WriteBlock(4, pattern(5))
-	if len(p.preserved) != 1 {
-		t.Fatalf("%d entries after a second overwrite, want 1", len(p.preserved))
+	// A frozen L0 dropped with its tree takes its entry with it, and a crash
+	// forgets them all.
+	f.WriteBlock(3, pattern(5))
+	if len(p.user.preserved) != 1 {
+		t.Fatalf("%d entries after a second overwrite, want 1", len(p.user.preserved))
 	}
 	f.Release()
-	if len(p.preserved) != 0 {
-		t.Fatalf("%d entries after the tree was released, want 0", len(p.preserved))
+	if len(p.user.preserved) != 0 || p.user.handles() != 0 {
+		t.Fatalf("%d entries and %d handles after the tree was released, want 0", len(p.user.preserved), p.user.handles())
 	}
 	g := pooled(p, false)
 	g.WriteImage(0, block.Image{Name: oldName})
 	g.Freeze()
 	g.WriteImage(0, block.Image{Name: nextName})
 	p.Abandon()
-	if len(p.preserved) != 0 {
-		t.Fatalf("%d entries after a crash, want 0", len(p.preserved))
+	if len(p.user.preserved) != 0 {
+		t.Fatalf("%d entries after a crash, want 0", len(p.user.preserved))
 	}
 }

@@ -116,8 +116,8 @@ type Reservation struct {
 // Reserve sets aside n bytes of the active half for an in-flight operation,
 // so that the operation's later Reservation.Append calls cannot fail. The
 // write path reserves in the (stallable) client context, then appends each
-// record *atomically adjacent* to dirtying its buffer inside the stripe
-// affinity — guaranteeing a record and its dirty buffer land on the same
+// record *atomically adjacent* to dirtying its block inside the stripe
+// affinity — guaranteeing a record and its dirty block land on the same
 // side of any CP freeze. The Reservation is a value the op keeps (the client
 // keeps it in its op record); it returns the zero Reservation and false when
 // the half cannot hold the reservation yet.
@@ -134,7 +134,7 @@ func (l *Log) Reserve(n uint64) (Reservation, bool) {
 
 // Append logs rec against this reservation; it cannot stall. If a half
 // switch happened since Reserve, the record (and its reservation) simply
-// apply to the new active half — consistent with its buffer dirtying, which
+// apply to the new active half — consistent with its block's dirtying, which
 // also lands in the new CP generation. Panics if rec exceeds the
 // reservation's remaining bytes.
 func (r *Reservation) Append(rec Record) {

@@ -66,7 +66,7 @@ type Member struct {
 	// an LRU cache of user blocks that decides what a client read pays.
 	// Nil otherwise, and the set is the trees' own residency bits
 	// (fs.File.Resident), unbounded. Either way a block's content is its
-	// buffer while it is dirty or in a CP, else its media image. Volatile:
+	// slot's word while it is dirty or in a CP, else its media image. Volatile:
 	// rebuilt cold on recovery.
 	bc *bcache.Cache
 
@@ -113,8 +113,8 @@ func (m *Member) load(t *sim.Thread, lv int, f *fs.File, fbn FBN, miss Time) {
 	}
 }
 
-// wrote makes a freshly written block resident. The write's buffer set the
-// tree's bit; a sized cache inserts it, as the hottest block there is.
+// wrote makes a freshly written block resident. The write set the tree's
+// bit; a sized cache inserts it, as the hottest block there is.
 func (m *Member) wrote(lv int, li uint64, fbn FBN) {
 	if m.bc != nil {
 		m.bc.Insert(bcache.Key{Vol: lv, Ino: li, FBN: fbn})
@@ -412,7 +412,7 @@ func (m *Member) crash() {
 
 // replay reapplies logged operations in sequence order against the mounted
 // member file system. Record coordinates (Vol, Ino) are member-local. A
-// write's payload is its name, a value the record, the buffer and the media
+// write's payload is its name, a value the record, the slot and the media
 // each hold: replaying it copies nothing.
 func (m *Member) replay(records []nvlog.Record) {
 	for i := range records {

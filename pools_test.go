@@ -71,8 +71,8 @@ func leakLoad(t *testing.T, cfg Config) *System {
 // TestQuiesceFindsLeakedRecord withholds one Put from each pool in turn, on a
 // live system, and requires Quiesce to fail naming that pool and no other;
 // with nothing withheld it passes. Then a crash: what the drives and RAID
-// groups had outstanding, and the user L0 buffers and slot arrays the trees
-// held, is abandoned, no more, and the recovered system quiesces clean.
+// groups had outstanding, and the slot arrays the trees held, is
+// abandoned, no more, and the recovered system quiesces clean.
 func TestQuiesceFindsLeakedRecord(t *testing.T) {
 	for _, row := range []struct {
 		pool  string // as Quiesce names it; "" withholds nothing
@@ -94,7 +94,6 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 		{"Drives.ReadWaitPool", func(m *Member) any { return m.a.Group(0).Drive(0) }, "readWaitPool"},
 		{"Waffinity.MsgPool", func(m *Member) any { return m.w }, "msgPool"},
 		{"Waffinity.CallPool", func(m *Member) any { return m.w }, "callPool"},
-		{"Images.Buffers", func(m *Member) any { return unexported(m.a, "images") }, "buffers"},
 		{"Images.Slots", func(m *Member) any { return unexported(m.a, "images") }, "slots"},
 	} {
 		name := row.pool
@@ -141,7 +140,7 @@ func TestQuiesceFindsLeakedRecord(t *testing.T) {
 			return map[string]fifo.PoolStats{"RAID.ScratchPool": st.RAID.ScratchPool, "RAID.WritePool": st.RAID.WritePool,
 				"Drives.WritePool": st.Drives.WritePool, "Drives.ReadPool": st.Drives.ReadPool,
 				"Drives.WriteWaitPool": st.Drives.WriteWaitPool, "Drives.ReadWaitPool": st.Drives.ReadWaitPool,
-				"Images.Buffers": st.Images.Buffers, "Images.Slots": st.Images.Slots}
+				"Images.Slots": st.Images.Slots}
 		}
 		before := pools(sys.Stats())
 		sys.Crash()
@@ -200,7 +199,8 @@ func TestOverwriteOfFrozenBlock(t *testing.T) {
 				c.Think(Microsecond)
 			}
 			for fbn := FBN(blocks - overwrites); fbn < blocks; fbn++ {
-				g, d, dbn := m.a.Geometry().Locate(file().Buffer(0, fbn).VBN())
+				_, vbn, _ := file().Resolve(fbn, m.a)
+				g, d, dbn := m.a.Geometry().Locate(vbn)
 				if !bytes.Equal(m.a.Group(g).Drive(d).Image(dbn).Expand(), sys.expected(ino, fbn, pass+1)) ||
 					!bytes.Equal(sys.VerifyRead(0, ino, fbn), sys.expected(ino, fbn, pass+2)) {
 					t.Errorf("pass %d, fbn %d: the CP did not write its preserved image, or the client does not read its overwrite", pass, fbn)

@@ -63,7 +63,7 @@ func (im residencyImage) clone() residencyImage {
 // TestResidencyMatchesKeepEverything runs seeded histories on one member —
 // writes, reads, overwrites, CPs, snapshot creates and restores, deletes and
 // crashes with recovery — with no buffer cache and with a 64-block one. A
-// user L0 buffer lives only while its block is dirty or in a CP, and the
+// user L0's word lives only while its block is dirty or in a CP, and the
 // member's residency set alone says what a client read pays. Every read is
 // checked against the shadow of the keep-everything rule: whether it paid a
 // timed drive read, and (through VerifyRead, which must not make the block

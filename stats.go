@@ -40,7 +40,7 @@ type Stats struct {
 	Waffinity WaffinityStats // affinity message scheduler
 	Faults    FaultStats     // injection decisions (zero when Config.Faults is)
 	Repairs   RepairStats    // raw-read-path retries and reconstructions
-	Images    ImageStats     // recycled CP-owned block images (audited, not leak-checked) and the user L0 buffer free list
+	Images    ImageStats     // recycled CP-owned block images (audited, not leak-checked) and the user files' slot arrays
 
 	// Sched is the shared scheduler's CPU time per category, coroutine
 	// switches and waits: the cluster's, so zero in a member's share.

@@ -227,8 +227,8 @@ type Config struct {
 	// client reads and writes occupy it with LRU eviction. Either way a read
 	// outside the set pays a timed media I/O — the CAWL-style regime split
 	// between below-cache-capacity fast paths and eviction-limited steady
-	// state — and a resident block's content is its buffer while it is dirty
-	// or in a CP, else its media image.
+	// state — and a resident block's content is its slot's word while it is
+	// dirty or in a CP, else its media image.
 	BCacheBlocks int
 
 	// Admission configures NVLog watermark-based admission control for
@@ -731,7 +731,7 @@ func (sys *System) Flush() error { return sys.drive("flush") }
 // incarnation's: the pools a remount rebuilds died with the old one. The
 // image pool's arrays, which a buffer or the media hold by design, are
 // audited against the media instead (Aggregate.CheckImages), which also
-// fails on a clean user L0 buffer left in a tree after its CP committed, and
+// fails on a clean user L0 left in its slot after its CP committed, and
 // so are the RAID groups' explicit parity rows (raid.Group.CheckRows).
 func (sys *System) Quiesce() error {
 	sys.stopped = true
