@@ -41,14 +41,15 @@ race:
 # dispatcher's coroutine, at load), the paths a user block's name takes
 # (NVRAM replay, a clone split's copy, reconstruction from parity), a user
 # L0's slot in its level-1 node (the model, range-interleaved cleaning,
-# preserved CP images, slot arrays across CPs), and the whole of sim and
-# Waffinity (event-order goldens included).
+# preserved CP images, slot arrays across CPs, one slot array per cycle),
+# CP-owned buffers on the same frozen bits (their model), and the whole of
+# sim and Waffinity (event-order goldens included).
 # Simulated threads are iter.Pull coroutines and the execution token moves by
 # coroutine switch, each of which iter annotates as a release/acquire pair: the
 # race detector is the cheapest proof that nothing touches simulation state
 # from outside that chain. A subset of `race`, so `ci` does not repeat it.
 racecp:
-	$(GO) test -race ./... -run 'TestSmoke|TestParallelCP|TestNFSMixSwitchBudget|TestReplayedNamesExpandExactly|TestLoggedPayloadIsTheBufferImage|TestSplitCopiesMarkedParentBlocks|TestUsedBlocksReconstruct|TestTimedReadsReconstruct|TestModelRandomOps|TestInterleavedRangeIterations|TestPreservedImageSideHome|TestSlotArray'
+	$(GO) test -race ./... -run 'TestSmoke|TestParallelCP|TestNFSMixSwitchBudget|TestReplayedNamesExpandExactly|TestLoggedPayloadIsTheBufferImage|TestSplitCopiesMarkedParentBlocks|TestUsedBlocksReconstruct|TestTimedReadsReconstruct|TestModelRandomOps|TestInterleavedRangeIterations|TestPreservedImageSideHome|TestSlotArray|TestOneSlotArrayPerCycle|TestModelCPOwnedBuffers'
 	$(GO) test -race -count=1 ./internal/sim ./internal/waffinity
 
 # benchsmoke runs every package benchmark under internal/ for one iteration,

@@ -212,16 +212,17 @@ func (c *testCheckpoint) cleanFile(th *sim.Thread, f *fs.File, dual bool, v *Vol
 			v.SetContainer(vvbn, vbn)
 		}
 	}
+	all := block.FBN(f.MaxBlocks())
 	for round := 0; round < 50 && f.FrozenCount() > 0; round++ {
-		for fbn, ok := f.NextFrozenL0(0, block.FBN(f.MaxBlocks())); ok; fbn, ok = f.NextFrozenL0(fbn+1, block.FBN(f.MaxBlocks())) {
-			vvbn, vbn := assign()
-			img, _, _ := f.CleanL0(fbn, vvbn, vbn)
-			written(vvbn, vbn, img)
-		}
 		for level := 0; level <= f.Height(); level++ {
-			for _, b := range f.FrozenLevel(level) {
+			for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
 				vvbn, vbn := assign()
-				img, _, _, _ := f.CleanChild(b, vvbn, vbn)
+				var img block.Image
+				if b == nil {
+					img, _, _ = f.CleanL0(idx, vvbn, vbn)
+				} else {
+					img, _, _, _ = f.CleanChild(b, vvbn, vbn)
+				}
 				written(vvbn, vbn, img)
 			}
 		}

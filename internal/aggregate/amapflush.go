@@ -43,6 +43,7 @@ type AmapWrite struct {
 // it returns, which is valid until the next plan.
 func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 	f := a.amapFile
+	all := block.FBN(f.MaxBlocks()) // past every index at every level
 	p := &a.plan
 	p.reset()
 
@@ -65,7 +66,7 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 		changed := false
 		// Step 1: sweep the frozen set and ancestors into D.
 		for level := 0; level <= f.Height(); level++ {
-			for _, b := range f.FrozenLevel(level) {
+			for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
 				if enroll(b) {
 					changed = true
 				}
@@ -117,9 +118,9 @@ func (a *Aggregate) PlanAmapFlush(alloc func() block.VBN) []AmapWrite {
 
 	// Step 4: bit state is final; clean bottom-up with assigned VBNs.
 	for level := 0; level <= f.Height(); level++ {
-		for _, b := range f.FrozenLevel(level) {
-			i, ok := p.index[amapKey{b.Level(), b.Index()}]
-			if !ok {
+		for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
+			i, planned := p.index[amapKey{level, idx}]
+			if !planned {
 				panic(fmt.Sprintf("aggregate: frozen activemap buffer (level %d, fbn %d) missing from flush plan", b.Level(), b.FBN()))
 			}
 			vbn := p.members[i].vbn

@@ -354,33 +354,29 @@ func (p *Pool) runJob(cs *cleanerState, job *Job) {
 
 // cleanFile assigns locations to a file's frozen blocks bottom-up, enqueues
 // their CP images to tetrises, and stages the freed old locations — the USE
-// step of Fig 2, repeated per dirty block. A user file's L0s are cleaned in
-// FBN order off its frozen bits (fs.File.NextFrozenL0), every other level
-// off its list of buffers.
+// step of Fig 2, repeated per dirty block. Every level is one walk down the
+// file's frozen bits in index order (fs.File.NextFrozen): a user L0 is a
+// slot, cleaned by CleanL0, and every other block a buffer, cleaned by
+// CleanChild.
 func (p *Pool) cleanFile(cs *cleanerState, job *Job) {
 	f := job.File
 	loLevel, hiLevel := 0, f.Height()
+	lo, hi := block.FBN(0), block.FBN(f.MaxBlocks())
 	switch job.Mode {
 	case JobL0Range:
 		hiLevel = 0
+		lo, hi = job.Lo, job.Hi
 	case JobFinalize:
 		loLevel = 1
 	}
 	for level := loLevel; level <= hiLevel; level++ {
-		if level == 0 && !f.Metafile() {
-			lo, hi := block.FBN(0), block.FBN(f.MaxBlocks())
-			if job.Mode == JobL0Range {
-				lo, hi = job.Lo, job.Hi
-			}
-			for fbn, ok := f.NextFrozenL0(lo, hi); ok; fbn, ok = f.NextFrozenL0(fbn+1, hi) {
-				vvbn, vbn := p.use(cs, job)
-				img, oldVVBN, oldVBN := f.CleanL0(fbn, vvbn, vbn)
-				p.place(cs, job, vbn, img, false, oldVVBN, oldVBN)
-			}
-			continue
-		}
-		for _, b := range f.FrozenLevel(level) {
+		for idx, b, ok := f.NextFrozen(level, lo, hi); ok; idx, b, ok = f.NextFrozen(level, idx+1, hi) {
 			vvbn, vbn := p.use(cs, job)
+			if b == nil {
+				img, oldVVBN, oldVBN := f.CleanL0(idx, vvbn, vbn)
+				p.place(cs, job, vbn, img, false, oldVVBN, oldVBN)
+				continue
+			}
 			img, mediaOnly, oldVVBN, oldVBN := f.CleanChild(b, vvbn, vbn)
 			p.place(cs, job, vbn, img, mediaOnly, oldVVBN, oldVBN)
 		}

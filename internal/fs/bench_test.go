@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"math/rand"
 	"testing"
 
 	"wafl/internal/block"
@@ -52,35 +53,58 @@ func BenchmarkBufferLookupRandom(b *testing.B) {
 }
 
 // BenchmarkFreezeCleanRound is one op = one CP over 4096 dirty L0s of a
-// resident file: overwrite them all, Freeze, then clean the L0s in FBN
-// order (NextFrozenL0 + CleanL0) and FrozenLevel + CleanChild above.
+// resident height-2 file and their indirects, every level cleaned in its
+// walk's order (NextFrozen). user: a user file's L0s overwritten in FBN
+// order and frozen, cleaned by CleanL0 and the indirects by CleanChild.
+// metafile: a metafile's L0s dirtied into the CP in a shuffled order
+// (DirtyIntoCP), every block cleaned by CleanChild.
 func BenchmarkFreezeCleanRound(b *testing.B) {
 	const blocks = 4096
-	payload := make([]byte, 64)
-	f := NewFile(1, 2)
-	round := func() {
-		for fbn := block.FBN(0); fbn < blocks; fbn++ {
-			f.WriteBlock(fbn, payload)
-		}
-		f.Freeze()
+	clean := func(f *File) {
 		loc := uint64(1)
-		for fbn, ok := f.NextFrozenL0(0, blocks); ok; fbn, ok = f.NextFrozenL0(fbn+1, blocks) {
-			f.CleanL0(fbn, block.VVBN(loc), block.VBN(loc))
-			loc++
-		}
-		for level := 1; level <= f.Height(); level++ {
-			for _, buf := range f.FrozenLevel(level) {
-				f.CleanChild(buf, block.VVBN(loc), block.VBN(loc))
+		for level := 0; level <= f.Height(); level++ {
+			for idx, buf, ok := f.NextFrozen(level, 0, blocks); ok; idx, buf, ok = f.NextFrozen(level, idx+1, blocks) {
+				if buf == nil {
+					f.CleanL0(idx, block.VVBN(loc), block.VBN(loc))
+				} else {
+					f.CleanChild(buf, block.VVBN(loc), block.VBN(loc))
+				}
 				loc++
 			}
 		}
 	}
-	round() // make every node, buffer and list resident
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
+	run := func(b *testing.B, round func()) {
+		round() // make every node and buffer resident
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
 	}
+	b.Run("user", func(b *testing.B) {
+		payload := make([]byte, 64)
+		f := NewFile(1, 2)
+		run(b, func() {
+			for fbn := block.FBN(0); fbn < blocks; fbn++ {
+				f.WriteBlock(fbn, payload)
+			}
+			f.Freeze()
+			clean(f)
+		})
+	})
+	b.Run("metafile", func(b *testing.B) {
+		f := NewMetafile(1, 2)
+		var bufs []*Buffer
+		for _, fbn := range rand.New(rand.NewSource(1)).Perm(blocks) {
+			bufs = append(bufs, f.GetOrCreateL0(block.FBN(fbn)))
+		}
+		run(b, func() {
+			for _, buf := range bufs {
+				f.DirtyIntoCP(buf)
+			}
+			clean(f)
+		})
+	})
 }
 
 // BenchmarkCleanSparseIndirect is one op = one CP over a 64-block file whose
@@ -101,14 +125,14 @@ func BenchmarkCleanSparseIndirect(b *testing.B) {
 		}
 		f.Freeze()
 		loc := uint64(1)
-		for fbn, ok := f.NextFrozenL0(0, ptrs); ok; fbn, ok = f.NextFrozenL0(fbn+1, ptrs) {
+		for fbn, _, ok := f.NextFrozen(0, 0, ptrs); ok; fbn, _, ok = f.NextFrozen(0, fbn+1, ptrs) {
 			f.CleanL0(fbn, block.VVBN(loc), block.VBN(loc))
 			loc++
 		}
-		out, _, _, _ := f.CleanChild(f.FrozenLevel(1)[0], block.VVBN(loc), block.VBN(loc))
+		out, _, _, _ := f.CleanChild(f.Buffer(1, 0), block.VVBN(loc), block.VBN(loc))
 		img = out.Bytes
 	}
-	round() // make every node, buffer and list resident
+	round() // make every node and buffer resident
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,11 +11,11 @@
 //
 // Nothing on the data path hashes. An FBN is a radix path, so a File finds
 // its blocks through a trie shaped like the indirect tree (node). A user L0
-// is a word in its level-1 node, and bitmaps beside the words, rolled up
-// the trie, are its dirty sets: Freeze moves them word by word and the
-// cleaner walks them in FBN order. A CP-owned buffer's dirty set is an
-// append-only list whose membership is the buffer's own flag (dirtyList).
-// DESIGN.md §15 has the invariants.
+// is a word in its level-1 node, and bitmaps in the nodes, rolled up the
+// trie, are the dirty sets of every block: Freeze moves a user file's word
+// by word, DirtyIntoCP sets the bits on a CP-owned buffer's path, and the
+// cleaner walks every level in index order (File.NextFrozen). DESIGN.md §15
+// has the invariants.
 package fs
 
 import (

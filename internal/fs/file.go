@@ -1,10 +1,8 @@
 package fs
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"wafl/internal/block"
 )
@@ -42,16 +40,22 @@ func HeightFor(maxBlocks uint64) int {
 // slot (words), and a bitmap per state beside them: held (resident: set by
 // a write and by Hold, kept after the word leaves at its CP's commit,
 // DESIGN §15), dirty (in the open generation), frozen (in the running CP,
-// not yet cleaned), preserved (overwritten while frozen: the CP image waits
-// in userImages) and cleaned (cleaned in the running CP: the media holds the
-// word's image, and the word leaves at the commit). A slot holds a word
-// exactly when it is dirty, frozen or cleaned, and the node holds its array
-// only while some slot does. Above level 1, dirty and frozen roll up: bit d
-// says kid d has such slots beneath it (frozen until the CP commits), so
-// Freeze, the cleaner and DropClean visit exactly the nodes that have some,
-// in index order. A metafile's level-1 node holds its L0 buffers in leaves
-// instead. Bits go with the tree: a deleted, restored or crashed file starts
-// over with none.
+// not yet cleaned) and cleaned (cleaned in the running CP: the media holds
+// the word's image, and the word leaves at the commit). A slot both frozen
+// and dirty was overwritten during the CP: its CP image waits in
+// userImages. A slot holds a word exactly when it is dirty, frozen or
+// cleaned, and the node holds its array only while some slot does. A
+// metafile's level-1 node holds its L0 buffers in leaves instead, with the
+// frozen bit of each buffer dirty in the running CP.
+//
+// Above level 1, dirty and frozen roll up: bit d says kid d has such slots
+// beneath it, and for frozen also that the kid's indirect, or one beneath
+// it, is dirty in the running CP (Buffer.inCP). Rolled-up frozen bits stay
+// set until the CP ends — a user file's commit (DropClean), the root clean
+// that empties a metafile's frozen set — so Freeze, the cleaner's walk
+// (NextFrozen) and DropClean visit exactly the nodes that have some, in
+// index order. Bits go with the tree: a deleted, restored or crashed file
+// starts over with none.
 //
 // Slot arrays are sized to the highest slot touched, rounded up to a power
 // of two, so small and sparse files do not pay for 256 slots per node, and
@@ -62,7 +66,7 @@ type node struct {
 	leaves []*Buffer   // level 1 of a metafile: L0 buffers
 	words  []imageWord // level 1 of a user file: L0 images (ImagePool.words)
 
-	held, dirty, frozen, preserved, cleaned slotBits
+	held, dirty, frozen, cleaned slotBits
 }
 
 // slotBits is a bitmap over a node's slots.
@@ -95,54 +99,6 @@ func growKids(s []*node, d int) []*node {
 	return ns
 }
 
-// dirtyList is a set of CP-owned buffers dirty in the running CP, kept as an
-// append-only list. Membership is the buffer's own flag (inCP): a buffer is
-// appended on its false-to-true flag transition, which de-duplicates, and
-// leaves the set by having the flag cleared — the list entry stays behind.
-// So every member appears at least once, live counts the members, and
-// len(bufs) == live exactly when the list holds no cleaned entry and no
-// repeat (a buffer cleaned and re-dirtied before the list was reset).
-type dirtyList struct {
-	bufs     []*Buffer
-	live     int
-	unsorted bool // some append arrived below its predecessor's FBN
-}
-
-func (dl *dirtyList) add(b *Buffer) {
-	if n := len(dl.bufs); n > 0 && b.fbn < dl.bufs[n-1].fbn {
-		dl.unsorted = true
-	}
-	dl.bufs = append(dl.bufs, b)
-	dl.live++
-}
-
-// dirtyKeep is the capacity up to which a spent dirty list always keeps its
-// array; past it, reset keeps an array only if the list used at least an
-// eighth of it.
-const dirtyKeep = 1024
-
-// reset empties the list for reuse. An array far longer than the list that
-// is reset used — a burst's — goes to the garbage collector, and the list
-// grows again from nothing: a list whose length swings by less than eight
-// times between CPs keeps its array.
-func (dl *dirtyList) reset() {
-	bufs := dl.bufs
-	if cap(bufs) > dirtyKeep && cap(bufs) > 8*len(bufs) {
-		bufs = nil
-	}
-	clear(bufs)
-	*dl = dirtyList{bufs: bufs[:0]}
-}
-
-// sort puts the list in FBN order — the cleaning order. Buffers dirtied in
-// order never pay for it.
-func (dl *dirtyList) sort() {
-	if dl.unsorted {
-		slices.SortFunc(dl.bufs, func(a, b *Buffer) int { return cmp.Compare(a.fbn, b.fbn) })
-		dl.unsorted = false
-	}
-}
-
 // File is a buffer tree: a radix tree of indirect blocks over L0 data
 // blocks. Both user files and metafiles (allocation bitmaps, inode files,
 // container maps) are Files — "WAFL stores all metadata in files".
@@ -157,14 +113,12 @@ type File struct {
 	root     node // index position of the root indirect block (level height)
 	resident int  // buffers in the index, all levels
 
-	// dirtyL0 counts the user L0s dirty in the open generation, frozenL0
-	// those frozen into the running CP and not yet cleaned.
-	dirtyL0, frozenL0 int
-	// frozen[l] holds the level-l buffers dirty in the running CP:
-	// indirects, which cleaning dirties straight into the CP, and metafile
-	// L0s. All lists are emptied whenever frozenCount returns to zero.
-	frozen      [MaxHeight + 1]dirtyList
-	frozenCount int // buffers and user L0s awaiting cleaning
+	// dirtyL0 counts the user L0s dirty in the open generation; frozen[l]
+	// the level-l blocks in the running CP and not yet cleaned: user L0s
+	// frozen into it, indirects that cleaning dirties straight into it and
+	// metafile L0s (DirtyIntoCP).
+	dirtyL0 int
+	frozen  [MaxHeight + 1]int
 
 	// Root location on persistent storage (pointer held by the inode).
 	RootVVBN block.VVBN
@@ -198,10 +152,6 @@ func NewMetafile(ino uint64, height int) *File {
 	f.metafile = true
 	return f
 }
-
-// Metafile reports whether f is a metafile: its L0s are CP-owned buffers,
-// not slots.
-func (f *File) Metafile() bool { return f.metafile }
 
 // SetMetafile makes f, which holds no user L0, a metafile: CP-side code
 // writes its L0s (GetOrCreateL0, CPMutableData).
@@ -391,9 +341,8 @@ func (f *File) WriteImage(fbn block.FBN, img block.Image) *Buffer {
 	u := f.images()
 	w := n.words[d]
 	switch {
-	case n.frozen.has(d) && !n.preserved.has(d):
+	case n.frozen.has(d) && !n.dirty.has(d):
 		u.preserved[l0Key{f, fbn}] = w
-		n.preserved.set(d)
 		w = 0
 		f.CoWCopies++
 	case n.cleaned.has(d):
@@ -468,30 +417,31 @@ func (f *File) DirtyCount() int { return f.dirtyL0 }
 
 // FrozenCount returns the number of blocks still awaiting cleaning in the
 // frozen set, all levels.
-func (f *File) FrozenCount() int { return f.frozenCount }
+func (f *File) FrozenCount() int {
+	n := 0
+	for _, c := range f.frozen {
+		n += c
+	}
+	return n
+}
 
 // FrozenLevelCount returns the number of level-l blocks still awaiting
 // cleaning in the frozen set.
-func (f *File) FrozenLevelCount(level int) int {
-	if level == 0 && !f.metafile {
-		return f.frozenL0
-	}
-	return f.frozen[level].live
-}
+func (f *File) FrozenLevelCount(level int) int { return f.frozen[level] }
 
 // Freeze atomically moves the open generation's dirty user L0s into the
 // running CP at its start: a word of bits at a time, down the nodes the
 // dirty bits lead to. The previous CP must have completed (empty frozen
 // set). It returns the number of L0s frozen.
 func (f *File) Freeze() int {
-	if f.frozenCount != 0 {
-		panic(fmt.Sprintf("fs: Freeze with %d uncleaned frozen blocks (ino %d)", f.frozenCount, f.ino))
+	if n := f.FrozenCount(); n != 0 {
+		panic(fmt.Sprintf("fs: Freeze with %d uncleaned frozen blocks (ino %d)", n, f.ino))
 	}
 	if f.dirtyL0 > 0 {
 		f.root.freeze(f.height)
 	}
-	f.frozenL0, f.frozenCount, f.dirtyL0 = f.dirtyL0, f.dirtyL0, 0
-	return f.frozenL0
+	f.frozen[0], f.dirtyL0 = f.dirtyL0, 0
+	return f.frozen[0]
 }
 
 // freeze moves the dirty bits of n, at level, and of the nodes they lead to
@@ -506,66 +456,56 @@ func (n *node) freeze(level int) {
 	}
 }
 
-// NextFrozenL0 returns the first user L0 at or after lo, and below hi, that
-// is frozen in the running CP and not yet cleaned, found down the frozen
-// bits: FBN order, the cleaning order, with no list and no sort. Cleaning an
-// L0 (CleanL0) clears its bit, so a cleaner goes on from the FBN after the
-// one it cleaned, and jobs over disjoint ranges of one file may interleave:
-// each sees exactly its range while the others clean theirs.
-func (f *File) NextFrozenL0(lo, hi block.FBN) (block.FBN, bool) {
-	hi = min(hi, block.FBN(f.MaxBlocks()))
-	if f.frozenL0 == 0 || lo >= hi {
-		return 0, false
+// NextFrozen returns the first block at level, with index at or after lo and
+// below hi, that is frozen in the running CP and not yet cleaned, and its
+// buffer: nil for a user L0, which is a slot (CleanL0), else the buffer to
+// clean (CleanChild). It is found down the frozen bits — a slot by its bit
+// in its level-1 node, an indirect by Buffer.inCP under the roll-ups — in
+// index order, the cleaning order, with no list and no sort. Cleaning a
+// block clears its bit, so a cleaner goes on from the index after the one
+// it cleaned, and L0 range jobs over disjoint ranges of one file may
+// interleave: each sees exactly its range while the others clean theirs.
+// Cleaning level l dirties parents at level l+1, so callers walk the levels
+// bottom-up, each once the one below is cleaned.
+func (f *File) NextFrozen(level int, lo, hi block.FBN) (block.FBN, *Buffer, bool) {
+	hi = min(hi, block.FBN(1)<<(radixBits*uint(f.height-level)))
+	switch {
+	case f.frozen[level] == 0 || lo >= hi:
+		return 0, nil, false
+	case level == f.height:
+		return 0, f.root.buf, true
 	}
-	return f.root.nextFrozen(f.height, 0, lo, hi)
+	return f.root.nextFrozen(f.height, level, 0, lo, hi)
 }
 
-// nextFrozen is NextFrozenL0 beneath n, at level, whose first L0 is base:
-// base <= lo < base + its span.
-func (n *node) nextFrozen(level int, base, lo, hi block.FBN) (block.FBN, bool) {
-	shift := radixBits * uint(level-1)
+// nextFrozen is NextFrozen beneath n, the node at nl > level whose first
+// block at level is base: base <= lo < base + its span.
+func (n *node) nextFrozen(nl, level int, base, lo, hi block.FBN) (block.FBN, *Buffer, bool) {
+	shift := radixBits * uint(nl-1-level)
 	for d := int((lo - base) >> shift); ; d++ {
 		if d = n.frozen.next(d); d < 0 {
-			return 0, false
+			return 0, nil, false
 		}
 		at := base + block.FBN(d)<<shift
-		if at >= hi {
-			return 0, false
+		switch {
+		case at >= hi:
+			return 0, nil, false
+		case nl == 1:
+			var b *Buffer
+			if d < len(n.leaves) {
+				b = n.leaves[d]
+			}
+			return at, b, true
+		case nl-1 == level:
+			if b := n.kids[d].buf; b != nil && b.inCP {
+				return at, b, true
+			}
+		default:
+			if idx, b, ok := n.kids[d].nextFrozen(nl-1, level, at, max(lo, at), hi); ok {
+				return idx, b, true
+			}
 		}
-		if level == 1 {
-			return at, true
-		}
-		if fbn, ok := n.kids[d].nextFrozen(level-1, at, max(lo, at), hi); ok {
-			return fbn, true
-		}
 	}
-}
-
-// FrozenLevel returns the frozen-dirty buffers at the given level, sorted by
-// FBN — the cleaning order: indirects, and a metafile's L0s (a user file's
-// L0s are slots, NextFrozenL0). Cleaning level l may add newly-dirtied
-// parents at level l+1; callers iterate levels bottom-up, calling
-// FrozenLevel for each level only after the previous level is fully
-// cleaned.
-//
-// The result is the level's own list, not a copy: it stays valid while
-// buffers are cleaned or dirtied, until the next FrozenLevel call for the
-// same level, which drops cleaned entries and sorts in place (only if
-// buffers were dirtied out of FBN order).
-func (f *File) FrozenLevel(level int) []*Buffer {
-	dl := &f.frozen[level]
-	if len(dl.bufs) != dl.live {
-		dl.bufs = slices.DeleteFunc(dl.bufs, func(b *Buffer) bool { return !b.inCP })
-	}
-	dl.sort()
-	if len(dl.bufs) != dl.live {
-		// Repeats of a buffer cleaned and re-dirtied are adjacent now.
-		dl.bufs = slices.Compact(dl.bufs)
-	}
-	if len(dl.bufs) != dl.live {
-		panic(fmt.Sprintf("fs: frozen list of level %d holds %d buffers, %d dirty (ino %d)", level, len(dl.bufs), dl.live, f.ino))
-	}
-	return dl.bufs
 }
 
 // CleanL0 records that the cleaner assigned (vvbn, vbn) to frozen user L0
@@ -581,20 +521,18 @@ func (f *File) CleanL0(fbn block.FBN, vvbn block.VVBN, vbn block.VBN) (img block
 		panic(fmt.Sprintf("fs: CleanL0 on L0 %d not in the frozen set (ino %d)", fbn, f.ino))
 	}
 	n.frozen.clear(d)
-	f.frozenL0--
-	f.frozenCount--
+	f.frozen[0]--
 	oldVVBN, oldVBN = l0Addr(n, d)
 	u := f.images()
-	if n.preserved.has(d) {
+	if n.dirty.has(d) {
 		k := l0Key{f, fbn}
 		w, ok := u.preserved[k]
 		if !ok {
-			panic(fmt.Sprintf("fs: L0 %d (ino %d) is flagged preserved but has no CP image", fbn, f.ino))
+			panic(fmt.Sprintf("fs: L0 %d (ino %d) is frozen and dirty but has no CP image", fbn, f.ino))
 		}
 		img = u.image(w)
 		u.drop(w)
 		delete(u.preserved, k)
-		n.preserved.clear(d)
 	} else {
 		img = u.image(n.words[d])
 		n.cleaned.set(d)
@@ -612,20 +550,20 @@ func (f *File) CleanChild(b *Buffer, vvbn block.VVBN, vbn block.VBN) (img block.
 	if !b.inCP {
 		panic("fs: CleanChild on buffer not in frozen set")
 	}
-	f.frozen[b.level].live--
-	f.frozenCount--
+	f.frozen[b.level]--
+	if b.level == 0 {
+		f.find(0, b.fbn, false).frozen.clear(digit(0, b.fbn, 1))
+	}
 	img, mediaOnly, oldVVBN, oldVBN = b.MarkCleaned(vvbn, vbn)
 
 	if b.Level() == f.height {
 		f.RootVVBN, f.RootVBN = vvbn, vbn
 		f.Gen++
-		if f.frozenCount == 0 {
-			// Nothing is left to clean, so nobody is iterating: drop the
-			// cleaned entries. This, not Freeze, is what bounds the lists
-			// of metafiles that are only ever dirtied into the CP.
-			for l := range f.frozen {
-				f.frozen[l].reset()
-			}
+		if f.metafile && f.FrozenCount() == 0 {
+			// Nothing is left to clean, so nobody is walking: clear the
+			// roll-ups. This, not a commit, is what ends the CP of a
+			// metafile, which is only ever dirtied into the CP.
+			f.DropClean()
 		}
 		return img, mediaOnly, oldVVBN, oldVBN
 	}
@@ -647,12 +585,23 @@ func (f *File) setParent(level int, idx block.FBN, vvbn block.VVBN, vbn block.VB
 // DirtyIntoCP marks a buffer dirty directly into the frozen set — used for
 // metafile updates made on behalf of the running CP, which must reach
 // persistent storage in that same CP (paper §II-C). The caller mutates the
-// buffer via CPMutableData.
+// buffer via CPMutableData. It sets the frozen bits on the path to the
+// buffer: a metafile L0's slot bit in its level-1 node, and the roll-ups
+// above.
 func (f *File) DirtyIntoCP(b *Buffer) {
-	if !b.inCP {
-		b.inCP = true
-		f.frozen[b.level].add(b)
-		f.frozenCount++
+	if b.inCP {
+		return
+	}
+	b.inCP = true
+	f.frozen[b.level]++
+	level, idx := b.Level(), b.Index()
+	n := &f.root
+	for l := f.height; l > level; l-- {
+		d := digit(level, idx, l)
+		n.frozen.set(d)
+		if l > level+1 {
+			n = n.kids[d]
+		}
 	}
 }
 
@@ -661,7 +610,8 @@ func (f *File) DirtyIntoCP(b *Buffer) {
 // write has landed, so the media holds its image, and its residency bit
 // stays. Not at CleanL0: until the commit the write may be in flight, and
 // the word is what holds the content. A node left with no word gives its
-// slot array back. Only the nodes the CP froze are visited.
+// slot array back. Only the nodes the CP froze are visited, and their
+// rolled-up frozen bits are cleared.
 func (f *File) DropClean() { f.root.dropClean(f, f.height) }
 
 func (n *node) dropClean(f *File, level int) {
@@ -698,7 +648,7 @@ func (f *File) Release() {
 	f.eachNode(func(n *node, _ int, base block.FBN) {
 		for d, w := range n.words {
 			u.drop(w)
-			if n.preserved.has(d) {
+			if n.frozen.has(d) && n.dirty.has(d) {
 				k := l0Key{f, base | block.FBN(d)}
 				u.drop(u.preserved[k])
 				delete(u.preserved, k)
@@ -707,8 +657,7 @@ func (f *File) Release() {
 		f.pool.putWords(n.words)
 	})
 	f.root, f.resident = node{}, 0
-	f.frozenCount -= f.frozenL0
-	f.dirtyL0, f.frozenL0 = 0, 0
+	f.dirtyL0, f.frozen = 0, [MaxHeight + 1]int{}
 }
 
 // GetOrCreateL0 returns metafile f's L0 buffer for fbn, creating it if

@@ -120,6 +120,15 @@ func TestBufferSize(t *testing.T) {
 	}
 }
 
+// TestNodeSize pins an index node at 208 bytes: four slices and four
+// 256-bit bitmaps (held, dirty, frozen, cleaned). A slot overwritten during
+// its CP is one both frozen and dirty, so it needs no bitmap of its own.
+func TestNodeSize(t *testing.T) {
+	if got := reflect.TypeFor[node]().Size(); got != 208 {
+		t.Fatalf("fs node is %d bytes, want 208", got)
+	}
+}
+
 func TestCleanChildUpdatesParentAndRoot(t *testing.T) {
 	f := NewFile(1, 2)
 	f.WriteBlock(5, pattern(5))
@@ -130,7 +139,7 @@ func TestCleanChildUpdatesParentAndRoot(t *testing.T) {
 		t.Fatal("new block should have no old location")
 	}
 	// Parent (L1 idx 0) must now be frozen-dirty with the pointer set.
-	l1 := f.FrozenLevel(1)
+	l1 := frozenAt(f, 1)
 	if len(l1) != 1 {
 		t.Fatalf("L1 frozen = %d, want 1", len(l1))
 	}
@@ -140,7 +149,7 @@ func TestCleanChildUpdatesParentAndRoot(t *testing.T) {
 	}
 	// Clean up the chain: L1 then root (level 2).
 	f.CleanChild(l1[0], 101, 201)
-	l2 := f.FrozenLevel(2)
+	l2 := frozenAt(f, 2)
 	if len(l2) != 1 {
 		t.Fatalf("root level frozen = %d, want 1", len(l2))
 	}
@@ -165,7 +174,7 @@ func TestRecleanReportsOldLocation(t *testing.T) {
 	f.WriteBlock(0, pattern(1))
 	f.Freeze()
 	f.CleanL0(0, 10, 20)
-	f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
+	f.CleanChild(frozenAt(f, 1)[0], 11, 21)
 
 	// Overwrite and clean again: the old location, which the L1 names, must
 	// be reported.
@@ -182,7 +191,7 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 	f.WriteBlock(0, pattern(1))
 	f.Freeze()
 	submitted, _, _ := f.CleanL0(0, 10, 20)
-	f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
+	f.CleanChild(frozenAt(f, 1)[0], 11, 21)
 	// After cleaning, the submitted array is owned by the media; a new
 	// client write must not mutate it.
 	f.WriteBlock(0, pattern(2))
@@ -237,7 +246,7 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		var img []byte
 		loc += uint64(cleanL0s(f, loc))
 		for level := 0; level <= c.level; level++ {
-			for _, fb := range f.FrozenLevel(level) {
+			for _, fb := range frozenAt(f, level) {
 				b = fb
 				live := b.Data()
 				out, _, _, _ := f.CleanChild(b, block.VVBN(loc), block.VBN(loc))
@@ -414,29 +423,45 @@ func TestDirtyIntoCPAndCPMutableData(t *testing.T) {
 	}
 }
 
-// CleanChildAll cleans every frozen block bottom-up with synthetic
-// locations — a user file's L0s in FBN order, then the buffers level by
-// level — and returns how many were cleaned. Test helper.
+// CleanChildAll cleans every frozen block bottom-up, each level in its
+// walk's order (NextFrozen), the i-th at VVBN 1000+2i and VBN 1001+2i, and
+// returns how many it cleaned. Test helper.
 func (f *File) CleanChildAll(t *testing.T) int {
 	t.Helper()
-	loc := uint64(1000)
-	n := cleanL0s(f, loc)
-	loc += 2 * uint64(n)
+	n := 0
 	for level := 0; level <= f.height; level++ {
-		for _, b := range f.FrozenLevel(level) {
-			f.CleanChild(b, block.VVBN(loc), block.VBN(loc+1))
-			loc += 2
+		for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
+			vvbn, vbn := block.VVBN(1000+2*n), block.VBN(1001+2*n)
+			if b == nil {
+				f.CleanL0(idx, vvbn, vbn)
+			} else {
+				f.CleanChild(b, vvbn, vbn)
+			}
 			n++
 		}
 	}
 	return n
 }
 
-// frozenL0s returns f's frozen user L0s in cleaning order.
+// all is past every index of every level of every tree: a walk's hi that
+// stops nowhere.
+const all = block.FBN(1) << (radixBits * MaxHeight)
+
+// frozenL0s returns f's frozen user L0s in cleaning order: none for a
+// metafile, whose L0s are buffers.
 func frozenL0s(f *File) []block.FBN {
 	var out []block.FBN
-	for fbn, ok := f.NextFrozenL0(0, block.FBN(f.MaxBlocks())); ok; fbn, ok = f.NextFrozenL0(fbn+1, block.FBN(f.MaxBlocks())) {
+	for fbn, b, ok := f.NextFrozen(0, 0, all); ok && b == nil; fbn, b, ok = f.NextFrozen(0, fbn+1, all) {
 		out = append(out, fbn)
+	}
+	return out
+}
+
+// frozenAt returns f's frozen buffers at level in cleaning order.
+func frozenAt(f *File, level int) []*Buffer {
+	var out []*Buffer
+	for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
+		out = append(out, b)
 	}
 	return out
 }
@@ -550,6 +575,9 @@ func TestWriteBeyondCapacityPanics(t *testing.T) {
 	f.WriteBlock(block.FBN(block.PtrsPerBlock), pattern(1))
 }
 
+// TestFrozenLevelSorted: blocks written and dirtied into the CP out of FBN
+// order are walked in FBN order, a user file's slots and a metafile's L0
+// buffers alike.
 func TestFrozenLevelSorted(t *testing.T) {
 	f := NewFile(1, 2)
 	m := NewMetafile(2, 2)
@@ -561,10 +589,13 @@ func TestFrozenLevelSorted(t *testing.T) {
 	if l0 := frozenL0s(f); !slices.IsSorted(l0) || len(l0) != 7 {
 		t.Fatalf("frozen user L0s %v, want the seven in FBN order", l0)
 	}
-	l0 := m.FrozenLevel(0)
+	l0 := frozenAt(m, 0)
+	if len(l0) != 7 {
+		t.Fatalf("frozen metafile L0s = %d, want 7", len(l0))
+	}
 	for i := 1; i < len(l0); i++ {
 		if l0[i-1].FBN() >= l0[i].FBN() {
-			t.Fatal("FrozenLevel not sorted")
+			t.Fatal("frozen metafile L0s not walked in FBN order")
 		}
 	}
 }
@@ -641,7 +672,7 @@ func TestWriteBlockReplacesWholeBlock(t *testing.T) {
 
 		// Cleaned L0: the submitted array is the media's alias.
 		f.CleanL0(0, 10, 20)
-		f.CleanChild(f.FrozenLevel(1)[0], 11, 21)
+		f.CleanChild(frozenAt(f, 1)[0], 11, 21)
 		f.Freeze()
 		submitted, _, _ := f.CleanL0(0, 12, 22)
 		f.WriteBlock(0, c.old())
@@ -861,16 +892,16 @@ func TestSlotArraysOutlastABackToBackCP(t *testing.T) {
 			f.WriteImage(fbn, block.Image{Name: block.NameOf(1, fbn, byte(gen), 64)})
 		}
 		f.Freeze()
-		for fbn, ok := f.NextFrozenL0(0, 1<<16); ok; fbn, ok = f.NextFrozenL0(fbn+1, 1<<16) {
-			vvbn, vbn := at(0, fbn)
-			img, _, old := f.CleanL0(fbn, vvbn, vbn)
-			land(0, fbn, img, false, old)
-		}
-		for level := 1; level <= f.Height(); level++ {
-			for _, b := range f.FrozenLevel(level) {
-				vvbn, vbn := at(level, b.Index())
+		for level := 0; level <= f.Height(); level++ {
+			for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
+				vvbn, vbn := at(level, idx)
+				if b == nil {
+					img, _, old := f.CleanL0(idx, vvbn, vbn)
+					land(0, idx, img, false, old)
+					continue
+				}
 				img, mediaOnly, _, old := f.CleanChild(b, vvbn, vbn)
-				land(level, b.Index(), img, mediaOnly, old)
+				land(level, idx, img, mediaOnly, old)
 			}
 		}
 		f.DropClean()

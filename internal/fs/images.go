@@ -133,10 +133,11 @@ const pageLen = 512
 // at a time and never copies (free lists the unused handles), and the
 // preserved CP image of each frozen L0 a client overwrote before the CP
 // cleaned it (File.WriteImage), from that overwrite until CleanL0 hands it
-// to the media. A node's preserved bit says the L0 has an entry, so the map
-// is probed only by an L0 that has one. Entries leave by delete and the map
-// is made once: after a CP's worth of overwrites, a warm run allocates
-// nothing for it. Only Audit walks it, and it sorts what it reports.
+// to the media. An L0 has an entry exactly when its slot is both frozen and
+// dirty, so the map is probed only by an L0 that has one. Entries leave by
+// delete and the map is made once: after a CP's worth of overwrites, a warm
+// run allocates nothing for it. Only Audit walks it, and it sorts what it
+// reports.
 type userImages struct {
 	pages     [][][]byte
 	made      int // handles made
@@ -364,10 +365,10 @@ func (p *ImagePool) put(a []byte) {
 // may hold the pool's arrays. It may be called more than once. A marked
 // DBN's array must sit in no buffer and at no other DBN. A buffer's array
 // may sit on the media only if the buffer is sealed, and then exactly at the
-// buffer's VBN. A preserved CP image must belong to a frozen L0 of files
-// whose preserved bit is set, and every such L0 must have one: an image that
-// outlives its CP fails. Every byte-image handle in use must be held by a
-// slot's word or a preserved image.
+// buffer's VBN. A preserved CP image must belong to an L0 of files that is
+// frozen and dirty (overwritten during its CP), and every such L0 must have
+// one: an image that outlives its CP fails. Every byte-image handle in use
+// must be held by a slot's word or a preserved image.
 func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, img []byte, mediaOnly bool))) error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -376,7 +377,7 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 		}
 	}
 	held := map[*byte]*Buffer{}
-	frozen := map[l0Key]bool{}
+	overwritten := map[l0Key]bool{} // frozen and dirty: the L0s with a CP image
 	handles := 0
 	for _, f := range files {
 		f.eachNode(func(n *node, level int, base block.FBN) {
@@ -396,23 +397,23 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 				if n.cleaned.has(d) {
 					fail("clean user L0 (ino %d, fbn %d) left in its tree after its CP committed", f.ino, fbn)
 				}
-				if !n.preserved.has(d) {
+				if !n.frozen.has(d) || !n.dirty.has(d) {
 					continue
 				}
 				w, ok := p.user.preserved[l0Key{f, fbn}]
 				if !ok {
-					fail("L0 (ino %d, fbn %d) is flagged preserved but has no CP image", f.ino, fbn)
+					fail("L0 (ino %d, fbn %d) is frozen and dirty but has no CP image", f.ino, fbn)
 				}
 				if w.handle() >= 0 {
 					handles++
 				}
-				frozen[l0Key{f, fbn}] = n.frozen.has(d)
+				overwritten[l0Key{f, fbn}] = true
 			}
 		})
 	}
 	var stale []l0Key
 	for k := range p.user.preserved {
-		if !frozen[k] {
+		if !overwritten[k] {
 			stale = append(stale, k)
 		}
 	}
@@ -420,7 +421,7 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 		slices.SortFunc(stale, func(a, b l0Key) int {
 			return cmp.Or(cmp.Compare(a.f.ino, b.f.ino), cmp.Compare(a.fbn, b.fbn))
 		})
-		fail("%d preserved CP images outlive their CP or name an L0 not frozen, the first (ino %d, fbn %d)", len(stale), stale[0].f.ino, stale[0].fbn)
+		fail("%d preserved CP images outlive their CP or name an L0 not frozen and dirty, the first (ino %d, fbn %d)", len(stale), stale[0].f.ino, stale[0].fbn)
 	}
 	if handles != p.user.handles() {
 		fail("%d byte-image handles in use, %d held by the files' words", p.user.handles(), handles)

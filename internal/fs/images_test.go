@@ -191,7 +191,7 @@ func TestImagePoolOwnership(t *testing.T) {
 		}
 		f.Freeze()
 		cleanL0s(f, 1000)
-		l1 := f.FrozenLevel(1)[0]
+		l1 := frozenAt(f, 1)[0]
 		img := cleanTo(m, f, l1, 100)
 		if !l1.sealed || m.mark[100] {
 			t.Fatal("a dense L1 was not sealed, or was marked while its buffer holds it")
@@ -332,9 +332,10 @@ func TestImagePoolAudit(t *testing.T) {
 // byte image's handle, in the image pool's side home (userImages.preserved),
 // keyed by file and FBN; the CP writes that image and the client reads the
 // new one, and the entry leaves when the L0 is cleaned, dropped with its
-// tree, or lost in a crash. Audit fails an entry that outlives its clean, a
-// flag without an entry and a byte image no word holds, and so does the
-// clean of a flag without an entry.
+// tree, or lost in a crash. An L0 has an entry exactly while its slot is
+// both frozen and dirty. Audit fails an entry that outlives its clean, a
+// frozen dirty slot without an entry and a byte image no word holds, and so
+// does the clean of a frozen dirty slot without an entry.
 func TestPreservedImageSideHome(t *testing.T) {
 	p := NewImagePool()
 	f := pooled(p, false)
@@ -346,20 +347,21 @@ func TestPreservedImageSideHome(t *testing.T) {
 	f.WriteImage(3, block.Image{Name: nextName})
 	f.WriteBlock(4, next)
 	n := &f.root
-	if !n.preserved.has(3) || !n.preserved.has(4) || len(p.user.preserved) != 2 || p.user.preserved[l0Key{f, 3}] != imageWord(oldName) {
-		t.Fatalf("overwrites of frozen L0s: flags %v %v, %d entries; want both flagged, two entries, the old name kept",
-			n.preserved.has(3), n.preserved.has(4), len(p.user.preserved))
+	overwritten := func(d int) bool { return n.frozen.has(d) && n.dirty.has(d) }
+	if !overwritten(3) || !overwritten(4) || len(p.user.preserved) != 2 || p.user.preserved[l0Key{f, 3}] != imageWord(oldName) {
+		t.Fatalf("overwrites of frozen L0s: frozen and dirty %v %v, %d entries; want both, two entries, the old name kept",
+			overwritten(3), overwritten(4), len(p.user.preserved))
 	}
 	audit := func() error { return p.Audit([]*File{f}, func(func(block.VBN, []byte, bool)) {}) }
 	if err := audit(); err != nil {
 		t.Fatalf("frozen L0s' preserved images: %v", err)
 	}
 	img, _, _ := f.CleanL0(3, 100, 100)
-	if live, _ := f.L0(3); img.Name != oldName || live.Name != nextName || n.preserved.has(3) {
+	if live, _ := f.L0(3); img.Name != oldName || live.Name != nextName || overwritten(3) {
 		t.Fatal("the CP did not write the preserved name, or the client does not read its overwrite")
 	}
 	img, _, _ = f.CleanL0(4, 101, 101)
-	if &img.Bytes[0] != &old[0] || !bytes.Equal(f.ReadBlock(4), next) || n.preserved.has(4) || len(p.user.preserved) != 0 {
+	if &img.Bytes[0] != &old[0] || !bytes.Equal(f.ReadBlock(4), next) || overwritten(4) || len(p.user.preserved) != 0 {
 		t.Fatal("the CP did not write the preserved bytes, or the entry outlived the clean")
 	}
 	if err := audit(); err != nil {
@@ -376,21 +378,21 @@ func TestPreservedImageSideHome(t *testing.T) {
 		t.Fatalf("a stray handle: audit said %v", err)
 	}
 	p.user.drop(stray)
-	f.CleanChild(f.FrozenLevel(1)[0], 102, 102)
+	f.CleanChild(frozenAt(f, 1)[0], 102, 102)
 	f.Freeze()
-	n.preserved.set(4) // a flag without an entry
-	if err := audit(); err == nil || !strings.Contains(err.Error(), "flagged preserved but has no CP image") {
-		t.Fatalf("a flag without an entry: audit said %v", err)
+	n.dirty.set(4) // frozen and dirty without an entry
+	if err := audit(); err == nil || !strings.Contains(err.Error(), "frozen and dirty but has no CP image") {
+		t.Fatalf("a frozen dirty L0 without an entry: audit said %v", err)
 	}
 	func() {
 		defer func() {
-			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "flagged preserved but has no CP image") {
-				t.Fatalf("clean of a flag without an entry: recovered %v, want the fault", r)
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "frozen and dirty but has no CP image") {
+				t.Fatalf("clean of a frozen dirty L0 without an entry: recovered %v, want the fault", r)
 			}
 		}()
 		f.CleanL0(4, 103, 103)
 	}()
-	n.preserved.clear(4)
+	n.dirty.clear(4)
 
 	// A frozen L0 dropped with its tree takes its entry with it, and a crash
 	// forgets them all.

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -89,7 +90,7 @@ func TestModelRandomOps(t *testing.T) {
 			}
 			slices.Sort(want)
 			var got []block.FBN
-			for fbn, ok := f.NextFrozenL0(lo, hi); ok; fbn, ok = f.NextFrozenL0(fbn+1, hi) {
+			for fbn, _, ok := f.NextFrozen(0, lo, hi); ok; fbn, _, ok = f.NextFrozen(0, fbn+1, hi) {
 				got = append(got, fbn)
 				vbn := block.VBN(loc)
 				img, oldVVBN, oldVBN := f.CleanL0(fbn, block.VVBN(loc), vbn)
@@ -188,7 +189,7 @@ func TestModelRandomOps(t *testing.T) {
 				if inCP {
 					cleanRange(step, 0, maxFBN)
 					for level := 1; level <= height; level++ {
-						for _, b := range f.FrozenLevel(level) {
+						for _, b := range frozenAt(f, level) {
 							f.CleanChild(b, block.VVBN(loc), block.VBN(loc))
 							loc++
 							if level < height {
@@ -221,9 +222,177 @@ func TestModelRandomOps(t *testing.T) {
 	}
 }
 
-// TestRedirtyAfterCleanAppearsOnce pins what the map-keyed frozen set gave
-// for free: a buffer cleaned and then dirtied into the same CP again (the
-// PlanAmapFlush fixed-point pattern) is listed exactly once, in FBN order.
+// TestModelCPOwnedBuffers drives a metafile's frozen set through seeded
+// rounds on trees of height 1 to 3: metafile L0s dirtied into the CP in a
+// shuffled order (DirtyIntoCP), some with their ancestors (AppendAncestors,
+// as PlanAmapFlush enrolls them), then each level cleaned bottom-up in
+// parts: a part of the level, cleaned buffers dirtied into the CP again,
+// the rest. After every step the walk of every level (NextFrozen), over the
+// whole level and over a random range, must return exactly a sorted
+// reference set of the buffers dirty in the CP — each once, in index order
+// — and FrozenLevelCount and FrozenCount its sizes. Some rounds dirty an L0
+// after level 0 was cleaned, so the root clean leaves the set non-empty and
+// the next round walks under the roll-ups it kept; once a root clean empties
+// the set, no frozen bit is left anywhere in the index.
+func TestModelCPOwnedBuffers(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		height := int(seed-1)%3 + 1
+		rng := rand.New(rand.NewSource(seed))
+		f := NewMetafile(1, height)
+		ref := make([]map[block.FBN]*Buffer, height+1) // by level and index
+		for l := range ref {
+			ref[l] = map[block.FBN]*Buffer{}
+		}
+		dirty := func(b *Buffer) {
+			f.DirtyIntoCP(b)
+			ref[b.Level()][b.Index()] = b
+		}
+		loc := block.VBN(100)
+		clean := func(b *Buffer) {
+			f.CleanChild(b, block.InvalidVVBN, loc)
+			loc++
+			delete(ref[b.Level()], b.Index())
+			if b.Level() < height {
+				parent := f.Buffer(b.Level()+1, b.Index()>>radixBits)
+				ref[parent.Level()][parent.Index()] = parent
+			}
+		}
+		check := func(round int, when string) {
+			t.Helper()
+			total := 0
+			for level, set := range ref {
+				span := block.FBN(1) << (radixBits * uint(height-level))
+				lo := block.FBN(rng.Int63n(int64(span)))
+				hi := lo + block.FBN(rng.Int63n(int64(span-lo)+1))
+				for _, r := range [][2]block.FBN{{0, all}, {lo, hi}} {
+					var got, want []block.FBN
+					for idx, b, ok := f.NextFrozen(level, r[0], r[1]); ok; idx, b, ok = f.NextFrozen(level, idx+1, r[1]) {
+						if b != set[idx] {
+							t.Fatalf("seed %d round %d, %s: the walk of level %d returned a buffer at index %d the reference does not hold", seed, round, when, level, idx)
+						}
+						got = append(got, idx)
+					}
+					for _, idx := range slices.Sorted(maps.Keys(set)) {
+						if idx >= r[0] && idx < r[1] {
+							want = append(want, idx)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d round %d, %s: the walk of level %d over [%d,%d) returned %v, want %v", seed, round, when, level, r[0], r[1], got, want)
+					}
+				}
+				if f.FrozenLevelCount(level) != len(set) {
+					t.Fatalf("seed %d round %d, %s: level %d counts %d frozen, reference %d", seed, round, when, level, f.FrozenLevelCount(level), len(set))
+				}
+				total += len(set)
+			}
+			if f.FrozenCount() != total {
+				t.Fatalf("seed %d round %d, %s: %d frozen, reference %d", seed, round, when, f.FrozenCount(), total)
+			}
+		}
+		var anc []*Buffer
+		for round := range 12 {
+			for range 8 + rng.Intn(40) {
+				b := f.GetOrCreateL0(sparseFBN(rng, height))
+				dirty(b)
+				if rng.Intn(4) == 0 {
+					anc = f.AppendAncestors(anc[:0], b)
+					for _, a := range anc {
+						dirty(a)
+					}
+				}
+			}
+			check(round, "dirtied")
+			for level := 0; level <= height; level++ {
+				var cleaned []*Buffer
+				for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
+					if rng.Intn(2) == 0 {
+						clean(b)
+						cleaned = append(cleaned, b)
+					}
+				}
+				check(round, "a part of a level cleaned")
+				for _, b := range cleaned {
+					if rng.Intn(3) == 0 {
+						dirty(b)
+					}
+				}
+				check(round, "cleaned buffers dirtied again")
+				for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
+					clean(b)
+				}
+				if len(ref[level]) != 0 {
+					t.Fatalf("seed %d round %d: the walk of level %d left %d buffers uncleaned", seed, round, level, len(ref[level]))
+				}
+				check(round, "a level cleaned")
+				if level == 0 && rng.Intn(4) == 0 {
+					dirty(f.GetOrCreateL0(sparseFBN(rng, height))) // dirtied after its level's walk
+				}
+			}
+			if f.FrozenCount() == 0 {
+				f.eachNode(func(n *node, level int, base block.FBN) {
+					if !n.frozen.empty() {
+						t.Fatalf("seed %d round %d: the root clean emptied the frozen set, and the node at level %d over %d keeps frozen bits %x", seed, round, level, base, n.frozen)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestMetafileRoundAllocatesNothing: a warm metafile CP round — 4,096 L0s
+// dirtied into the CP in a shuffled order, then the walk and the cleans of
+// every level — allocates no object: the frozen set is the index's bits,
+// with no list to grow or sort. The media stand-in lets go of every image
+// at once, so the pool has each array back for the next round.
+func TestMetafileRoundAllocatesNothing(t *testing.T) {
+	const n = 4096
+	p := NewImagePool()
+	p.SetMarker(releaseAtOnce{p})
+	f := NewMetafile(1, 2)
+	f.SetImagePool(p)
+	var bufs []*Buffer
+	for _, fbn := range rand.New(rand.NewSource(1)).Perm(n) {
+		b := f.GetOrCreateL0(block.FBN(fbn))
+		b.CPMutableData()[0] = byte(fbn)
+		bufs = append(bufs, b)
+	}
+	loc := block.VBN(1)
+	round := func() {
+		for _, b := range bufs {
+			f.DirtyIntoCP(b)
+		}
+		for level := 0; level <= f.Height(); level++ {
+			for idx, b, ok := f.NextFrozen(level, 0, n); ok; idx, b, ok = f.NextFrozen(level, idx+1, n) {
+				img, mediaOnly, _, _ := f.CleanChild(b, block.InvalidVVBN, loc)
+				loc++
+				if mediaOnly {
+					p.Release(img.Bytes[:cap(img.Bytes)])
+				}
+			}
+		}
+		if f.FrozenCount() != 0 {
+			t.Fatalf("%d frozen left after a round", f.FrozenCount())
+		}
+	}
+	round()
+	if got := allocs.Count(5, round); got != 0 {
+		t.Errorf("5 metafile CP rounds of %d shuffled L0s allocate %d objects, want 0", n, got)
+	}
+}
+
+// releaseAtOnce is a media that lets go of each array a buffer leaves to it
+// the moment it is marked.
+type releaseAtOnce struct{ p *ImagePool }
+
+func (m releaseAtOnce) Mark(_ block.VBN, arr []byte) bool {
+	m.p.Release(arr)
+	return true
+}
+
+// TestRedirtyAfterCleanAppearsOnce: a buffer cleaned and then dirtied into
+// the same CP again (the PlanAmapFlush fixed-point pattern) is walked
+// exactly once, in FBN order.
 func TestRedirtyAfterCleanAppearsOnce(t *testing.T) {
 	f := NewMetafile(1, 1)
 	a, b := f.GetOrCreateL0(3), f.GetOrCreateL0(9)
@@ -232,7 +401,7 @@ func TestRedirtyAfterCleanAppearsOnce(t *testing.T) {
 	f.CleanChild(a, block.InvalidVVBN, 100)
 	f.DirtyIntoCP(a)
 	f.DirtyIntoCP(a)
-	if got := f.FrozenLevel(0); len(got) != 2 || got[0] != a || got[1] != b {
+	if got := frozenAt(f, 0); len(got) != 2 || got[0] != a || got[1] != b {
 		t.Fatalf("frozen L0 = %v, want [fbn 3, fbn 9] once each", got)
 	}
 	if f.FrozenCount() != 3 { // a, b and the root dirtied by the clean
@@ -240,7 +409,7 @@ func TestRedirtyAfterCleanAppearsOnce(t *testing.T) {
 	}
 	f.CleanChild(a, block.InvalidVVBN, 101)
 	f.CleanChild(b, block.InvalidVVBN, 102)
-	if got := f.FrozenLevel(0); len(got) != 0 {
+	if got := frozenAt(f, 0); len(got) != 0 {
 		t.Fatalf("frozen L0 = %v after cleaning both", got)
 	}
 	f.CleanChildAll(t)
@@ -250,8 +419,9 @@ func TestRedirtyAfterCleanAppearsOnce(t *testing.T) {
 }
 
 // TestUnfrozenMetafileListsStayBounded: a metafile is only ever dirtied into
-// the CP, never Freeze()d, so its lists must be emptied by the clean that
-// takes the frozen count back to zero.
+// the CP, never Freeze()d, so the clean that takes its frozen count back to
+// zero must leave no frozen state behind: no frozen bit in any node, no
+// count at any level, round after round.
 func TestUnfrozenMetafileListsStayBounded(t *testing.T) {
 	f := NewMetafile(1, 2)
 	for round := 0; round < 1000; round++ {
@@ -259,20 +429,22 @@ func TestUnfrozenMetafileListsStayBounded(t *testing.T) {
 			f.DirtyIntoCP(f.GetOrCreateL0(fbn))
 		}
 		f.CleanChildAll(t)
-		for l := range f.frozen {
-			if n := len(f.frozen[l].bufs); n != 0 {
-				t.Fatalf("round %d: level %d list holds %d entries with nothing frozen", round, l, n)
-			}
-			if c := cap(f.frozen[l].bufs); c > 8 {
-				t.Fatalf("round %d: level %d list grew to capacity %d", round, l, c)
+		for l := 0; l <= f.Height(); l++ {
+			if n := f.FrozenLevelCount(l); n != 0 {
+				t.Fatalf("round %d: level %d counts %d frozen after the root clean", round, l, n)
 			}
 		}
+		f.eachNode(func(n *node, level int, base block.FBN) {
+			if !n.frozen.empty() {
+				t.Fatalf("round %d: the node at level %d over %d keeps frozen bits %x with nothing frozen", round, level, base, n.frozen)
+			}
+		})
 	}
 }
 
 // TestInterleavedRangeIterations is what concurrent JobL0Range cleaner jobs
 // do across their Consume points: each walks its range of one file's frozen
-// L0s with NextFrozenL0 and cleans them while the other cleans its own, and
+// L0s with NextFrozen and cleans them while the other cleans its own, and
 // writes that arrived out of FBN order come out in FBN order.
 func TestInterleavedRangeIterations(t *testing.T) {
 	f := NewFile(1, 2)
@@ -290,7 +462,7 @@ func TestInterleavedRangeIterations(t *testing.T) {
 	}
 	lo, hi := &cursor{lo: 0, hi: 250}, &cursor{lo: 250, hi: n + 100}
 	step := func(c *cursor, vbn int) bool {
-		fbn, ok := f.NextFrozenL0(c.lo, c.hi)
+		fbn, _, ok := f.NextFrozen(0, c.lo, c.hi)
 		if ok {
 			c.seen = append(c.seen, fbn)
 			f.CleanL0(fbn, block.VVBN(vbn), block.VBN(vbn))
@@ -315,7 +487,7 @@ func TestInterleavedRangeIterations(t *testing.T) {
 		t.Fatal("frozen L0s left after both ranges")
 	}
 	// The finalize job: levels 1 and up, dirtied out of order by the two.
-	if l1 := f.FrozenLevel(1); len(l1) != 3 || l1[0].FBN() != 0 || l1[2].FBN() != 512 {
+	if l1 := frozenAt(f, 1); len(l1) != 3 || l1[0].FBN() != 0 || l1[2].FBN() != 512 {
 		t.Fatalf("frozen L1 = %v, want the three parents in order", l1)
 	}
 	f.CleanChildAll(t)
@@ -425,7 +597,7 @@ func TestDataPathAllocations(t *testing.T) {
 		t.Errorf("second-generation Freeze allocates %d objects, want 0", got)
 	}
 	if got := allocs.Count(10, func() {
-		for fbn, ok := f.NextFrozenL0(100, 2000); ok; fbn, ok = f.NextFrozenL0(fbn+1, 2000) {
+		for fbn, _, ok := f.NextFrozen(0, 100, 2000); ok; fbn, _, ok = f.NextFrozen(0, fbn+1, 2000) {
 		}
 	}); got != 0 {
 		t.Errorf("10 walks of a frozen range allocate %d objects, want 0", got)
@@ -496,14 +668,14 @@ func TestDataPathAllocations(t *testing.T) {
 	}
 }
 
-// TestDirtyListCarriesItsArray: a file written between CPs and not during
-// them turns over the same state every CP — its L1's slot array, its lists
-// of frozen indirects, its byte-image handle. Each cycle writes one block,
-// freezes, cleans it and its L1 at alternating locations on a media stand-in
-// that hands the L1's left arrays back (markMedia), and commits (DropClean,
+// TestOneSlotArrayPerCycle: a file written between CPs and not during them
+// turns over the same state every CP — its L1's slot array, its byte-image
+// handle, its L1's pointer array. Each cycle writes one block, freezes,
+// cleans it and its L1 at alternating locations on a media stand-in that
+// hands the L1's left arrays back (markMedia), and commits (DropClean,
 // Trim). A first file warms the pool up; then, after a second file's first
 // cycle, no cycle of that file allocates.
-func TestDirtyListCarriesItsArray(t *testing.T) {
+func TestOneSlotArrayPerCycle(t *testing.T) {
 	p := NewImagePool()
 	m := newMarkMedia(p)
 	data := pattern(1)[:64]
@@ -519,7 +691,7 @@ func TestDirtyListCarriesItsArray(t *testing.T) {
 				m.forget(p, old)
 			}
 			for level := 1; level <= f.Height(); level++ {
-				for _, b := range f.FrozenLevel(level) {
+				for idx, b, ok := f.NextFrozen(level, 0, all); ok; idx, b, ok = f.NextFrozen(level, idx+1, all) {
 					vbn := block.VBN(100*(level+1) + gen%2)
 					img, mediaOnly, _, old := f.CleanChild(b, block.VVBN(vbn), vbn)
 					m.land(vbn, img.Bytes, mediaOnly)
@@ -578,7 +750,7 @@ func TestCleanLocationsNeverRepeatWithinCycle(t *testing.T) {
 			prev[fbn] = newVBN
 		}
 		for level := 1; level <= f.Height(); level++ {
-			for _, b := range f.FrozenLevel(level) {
+			for _, b := range frozenAt(f, level) {
 				f.CleanChild(b, block.VVBN(loc)<<32, assign())
 			}
 		}

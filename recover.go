@@ -3,7 +3,7 @@ package wafl
 // Crash models a whole-node power loss: every simulated thread belonging
 // to this System is destroyed (a CP caught mid-flight never finishes),
 // every in-flight drive I/O on every member is dropped, and all volatile
-// state (buffer caches, dirty lists, allocator state) is abandoned. The
+// state (buffer caches, dirty sets, allocator state) is abandoned. The
 // System is unusable afterwards; call Recover to mount a new System from
 // the committed media plus the (nonvolatile) operation logs.
 //
