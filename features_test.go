@@ -2,6 +2,8 @@ package wafl
 
 import (
 	"testing"
+
+	"wafl/internal/block"
 )
 
 func TestDeleteReclaimsSpace(t *testing.T) {
@@ -305,4 +307,50 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestAddressSpaceGuard: a pointer holds a VBN and a VVBN in 32 bits each,
+// so a geometry is accepted one block short of block.AddrLimit and refused
+// at it, in either space and whichever factor makes it up — an overflowing
+// product too. NewSystem refuses before it builds any drive.
+func TestAddressSpaceGuard(t *testing.T) {
+	const limit = uint64(block.AddrLimit)
+	ok := DefaultConfig()
+	for _, c := range []struct {
+		name               string
+		groups, drives     int
+		driveBlocks, vvbns uint64
+		refused            bool
+	}{
+		{"default", ok.RAIDGroups, ok.DataDrives, ok.DriveBlocks, ok.VolumeBlocks, false},
+		{"vbn one short", 1, 1, limit - 1, 1 << 17, false},
+		{"vbn at limit", 1, 1, limit, 1 << 17, true},
+		{"vbn product one short", 3, 5, (limit - 1) / 15, 1 << 17, false},
+		{"vbn product at limit", 3, 5, limit / 15, 1 << 17, true},
+		{"vbn product overflows", 1 << 20, 1 << 20, 1 << 30, 1 << 17, true},
+		{"vvbn one short", 1, 1, 1 << 16, limit - 1, false},
+		{"vvbn at limit", 1, 1, 1 << 16, limit, true},
+	} {
+		cfg := ok
+		cfg.RAIDGroups, cfg.DataDrives, cfg.DriveBlocks, cfg.VolumeBlocks = c.groups, c.drives, c.driveBlocks, c.vvbns
+		if err := checkAddressSpace(cfg); (err != nil) != c.refused {
+			t.Errorf("%s: checkAddressSpace = %v, want refused %v", c.name, err, c.refused)
+		}
+	}
+	// A geometry aggregate.New would take, at a size its drives could not
+	// be built at: NewSystem must fail on the guard, before it builds one.
+	for _, huge := range []func(*Config){
+		func(c *Config) { c.DriveBlocks = 1 << 30 },
+		func(c *Config) { c.VolumeBlocks = limit },
+	} {
+		cfg := smallConfig()
+		huge(&cfg)
+		want := checkAddressSpace(cfg)
+		if want == nil {
+			t.Fatalf("checkAddressSpace accepts %d x %d x %d blocks, %d volume blocks", cfg.RAIDGroups, cfg.DataDrives, cfg.DriveBlocks, cfg.VolumeBlocks)
+		}
+		if _, err := NewSystem(cfg); err == nil || err.Error() != want.Error() {
+			t.Fatalf("NewSystem = %v, want the guard's %v", err, want)
+		}
+	}
 }

@@ -12,9 +12,11 @@ import (
 
 // TestSeqWriteHostAllocBudget guards the host cost of the data path where
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
-// an 8-block sequential write may allocate at most 0.85 KiB of host heap.
+// an 8-block sequential write may allocate at most 0.21 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 0.24 KiB/op (0.3 mallocs/op) while a block's
+// — and the figure sits near 0.19 KiB/op (0.3 mallocs/op) while a block
+// pointer is two 32-bit numbers, so a full indirect's array is half a block
+// (DESIGN §14; 0.24 KiB with 64-bit pointers), while a block's
 // payload is a name its record, slot and media hold (DESIGN §14; 0.74
 // KiB and 8.3 mallocs with an array per payload), while a level-1
 // node's slot array comes from the image pool and goes back when its last
@@ -36,7 +38,7 @@ import (
 // map-free; materialising the zero tail of the eight L0 images alone adds
 // 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
-	const budgetKiB = 0.85
+	const budgetKiB = 0.21
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +62,10 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 }
 
 // TestNFSMixHostAllocBudget guards the host cost of the op path on the
-// benchmark's nfsmix: at most 0.38 KiB and 1.3 mallocs of host heap per
-// client op. The figures sit near 0.332 KiB and 1.15 mallocs/op while the
+// benchmark's nfsmix: at most 0.20 KiB and 1.3 mallocs of host heap per
+// client op. The figures sit near 0.177 KiB and 0.29 mallocs/op while a
+// block pointer is two 32-bit numbers (DESIGN §14; 0.282 KiB with 64-bit
+// pointers, whose indirect arrays made two thirds of the bytes), while the
 // cleaning jobs, the allocator's window records, the volumes' dirty maps
 // and the level-1 slot arrays are recycled (DESIGN §9, §15; 0.380 KiB and
 // 1.7 when each was built fresh), a payload
@@ -76,7 +80,7 @@ func TestSeqWriteHostAllocBudget(t *testing.T) {
 // free lists; DESIGN §9), 0.98 KiB and 11.3 when each was garbage and the
 // buffer copied its payload.
 func TestNFSMixHostAllocBudget(t *testing.T) {
-	const budgetKiB, budgetMallocs = 0.38, 1.3
+	const budgetKiB, budgetMallocs = 0.20, 1.3
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 8192
 	sys, err := wafl.NewSystem(cfg)
@@ -212,17 +216,19 @@ func TestClientOpAllocations(t *testing.T) {
 }
 
 // TestNFSMixMediaBytesBudget guards the host memory the simulated media
-// holds: on the benchmark's nfsmix at most 300 image bytes per block
+// holds: on the benchmark's nfsmix at most 180 image bytes per block
 // written, data and parity. Drives.BytesWritten is a count, exact for the
 // seed, of data images alone: a parity write's blocks count as written, but
-// it carries no image. 246 while a sparse indirect or metafile block (one
-// that trims to half a block or less) goes to storage trimmed; 247 when a
+// it carries no image. 160 while an indirect's pointers are 8 bytes each and
+// it goes to storage trimmed; 246 with 16-byte pointers, while a sparse
+// indirect or metafile block (one that trims to half a block or less) went
+// to storage trimmed; 247 when a
 // parity write counted one per image its row referenced, 386 when each
 // stripe's parity was an array as long as its longest image, 419 with sparse
 // indirects alone trimmed, 1,605 when every indirect image was also a full
 // 4 KiB array.
 func TestNFSMixMediaBytesBudget(t *testing.T) {
-	const budget = 300
+	const budget = 180
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 8192
 	sys, err := wafl.NewSystem(cfg)
@@ -264,8 +270,10 @@ func overloadBurst(t *testing.T) *wafl.System {
 
 // TestOverloadHostAllocBudget guards the host cost of the CP's write path on
 // the benchmark's costliest workload: over overload_burst's 100 ms recover
-// phase at most 0.8 KiB of host heap per client op. The figure sits near
-// 0.58 KiB/op (3.9 mallocs) while the CP's jobs and scratch, its per-volume
+// phase at most 0.16 KiB of host heap per client op. The figure sits near
+// 0.14 KiB/op (0.2 mallocs) while a block pointer is two 32-bit numbers
+// (DESIGN §14; 0.18 KiB with 64-bit pointers). Earlier figures: 0.58
+// KiB/op (3.9 mallocs) while the CP's jobs and scratch, its per-volume
 // records and fan-out units, the allocator's window records and the
 // level-1 slot arrays are recycled (DESIGN §9, §15; 0.66 KiB and 4.5
 // mallocs when each CP built its cuts, frozen file lists and fan-out units
@@ -279,7 +287,7 @@ func overloadBurst(t *testing.T) *wafl.System {
 // XORed into an array (displaced full-block ones reused), 6.79 without the
 // reuse, 7.79 when every sparse metafile L0 was a fresh full block too.
 func TestOverloadHostAllocBudget(t *testing.T) {
-	const budgetKiB = 0.8
+	const budgetKiB = 0.16
 	sys := overloadBurst(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -297,15 +305,16 @@ func TestOverloadHostAllocBudget(t *testing.T) {
 }
 
 // TestOverloadMediaBytesBudget guards the host memory the simulated media
-// holds on overload_burst, over the same window: at most 800 image bytes
+// holds on overload_burst, over the same window: at most 650 image bytes
 // per block written, data and parity. A count, exact for the seed, of data
-// images alone, as above: 692 while a sparse metafile L0 (one that trims to
+// images alone, as above: 600 while an indirect's pointers are 8 bytes each
+// (692 with 16-byte ones) and a sparse metafile L0 (one that trims to
 // half a block or less) goes to storage trimmed; 694 when a parity write
 // counted one per image its row referenced, 1,110 when each stripe's parity
 // was an array, 1,293 when each sparse metafile L0 was also a full 4 KiB
 // array.
 func TestOverloadMediaBytesBudget(t *testing.T) {
-	const budget = 800
+	const budget = 650
 	dr := overloadBurst(t).Measure(0, 100*wafl.Millisecond).Stats.Drives
 	if dr.BlocksWritten == 0 {
 		t.Fatal("no blocks written in the window")
@@ -329,8 +338,9 @@ func liveHeap() float64 {
 // the budgets above guard what it allocates: at the end of overload_burst's
 // recover phase the live heap the system holds (HeapAlloc after a
 // collection, less what it was before the system was built: systems earlier
-// tests left running stay live) is under 17 MiB. It sits near 11.2 MiB while
-// a user block's media image is a name (DESIGN §14; 14.7 MiB with a
+// tests left running stay live) is under 10.5 MiB. It sits near 9.6 MiB while
+// a block pointer is two 32-bit numbers (DESIGN §14; 11.0 MiB with 64-bit
+// pointers), while a user block's media image is a name (DESIGN §14; 14.7 MiB with a
 // payload array per block), while a clean user block keeps no buffer (DESIGN §15; 18.0 when every block
 // written or read kept one, 18.6 when the parity drive also kept every
 // stripe's row, DESIGN §4), while
@@ -342,7 +352,7 @@ func liveHeap() float64 {
 // 24-byte slice header, and 56.2 MiB before the media dropped a freed
 // block's image once its free commits.
 func TestOverloadLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 17
+	const budgetMiB = 10.5
 	base := liveHeap()
 	sys := overloadBurst(t)
 	sys.Measure(0, 100*wafl.Millisecond)
@@ -350,21 +360,22 @@ func TestOverloadLiveHeapBudget(t *testing.T) {
 	runtime.KeepAlive(sys)
 	t.Logf("%.1f MiB live heap", live)
 	if live > budgetMiB {
-		t.Fatalf("overload_burst keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
+		t.Fatalf("overload_burst keeps %.1f MiB of live host heap, budget %v MiB", live, budgetMiB)
 	}
 }
 
 // TestNFSMixLiveHeapBudget guards the same on the benchmark's nfsmix, whose
 // 1,600 small files hold one sparse L1 each: after a 150 ms warm-up and a
-// 250 ms window the live heap the system holds is under 23 MiB. It sits near
-// 15.7 MiB while a user block's media image is a name (DESIGN §14; 20.3
+// 250 ms window the live heap the system holds is under 13.5 MiB. It sits
+// near 12.1 MiB while a block pointer is two 32-bit numbers (DESIGN §14;
+// 15.3 MiB with 64-bit pointers), while a user block's media image is a name (DESIGN §14; 20.3
 // with a payload array per block), while a clean user block keeps no buffer (DESIGN §15; 24.7 when
 // every block written kept one, 26.2 when the parity drive also kept every
 // stripe's row, DESIGN §4) and a sparse indirect keeps an array only as long as its
 // pointers need and shares it with the media sealed (DESIGN §14); 31.6 MiB
 // when every indirect kept a full block and the media got a trimmed copy.
 func TestNFSMixLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 23
+	const budgetMiB = 13.5
 	base := liveHeap()
 	cfg := wafl.DefaultConfig()
 	cfg.BCacheBlocks = 8192
@@ -380,7 +391,7 @@ func TestNFSMixLiveHeapBudget(t *testing.T) {
 	runtime.KeepAlive(sys)
 	t.Logf("%.1f MiB live heap", live)
 	if live > budgetMiB {
-		t.Fatalf("nfsmix keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
+		t.Fatalf("nfsmix keeps %.1f MiB of live host heap, budget %v MiB", live, budgetMiB)
 	}
 }
 

@@ -56,13 +56,21 @@ func (v VVBN) String() string {
 }
 
 // PtrSize is the on-disk size of a block pointer entry in an indirect block:
-// a (VVBN, VBN) pair. WAFL indirect blocks store dual addresses so that
-// reads can go straight to physical storage while the volume remains
-// logically relocatable.
-const PtrSize = 16
+// a (VVBN, VBN) pair of 32-bit numbers. WAFL indirect blocks store dual
+// addresses so that reads can go straight to physical storage while the
+// volume remains logically relocatable. No address space reaches AddrLimit
+// blocks (NewSystem refuses a geometry that would, the bound of WAFL's
+// 32-bit aggregates), so 32 bits hold every address.
+const PtrSize = 8
 
-// PtrsPerBlock is the fan-out of an indirect block.
-const PtrsPerBlock = Size / PtrSize // 256
+// PtrsPerBlock is the fan-out of an indirect block. It is fixed, not
+// Size/PtrSize, so a full indirect's image is half a block.
+const PtrsPerBlock = 256
+
+// AddrLimit bounds the addresses a pointer holds: every real VBN and VVBN
+// is below it, and its 32-bit pattern is the entry of InvalidVVBN and
+// InvalidVBN.
+const AddrLimit = 1<<32 - 1
 
 // zeros is the chunk Trim compares a zero tail against.
 var zeros [256]byte
@@ -138,11 +146,11 @@ func Clone(p []byte) []byte {
 }
 
 // PutPtr encodes the pointer pair (vvbn, vbn) at entry index i of indirect
-// block b.
+// block b, each as 32 bits.
 func PutPtr(b []byte, i int, vvbn VVBN, vbn VBN) {
 	off := i * PtrSize
-	binary.LittleEndian.PutUint64(b[off:], uint64(vvbn))
-	binary.LittleEndian.PutUint64(b[off+8:], uint64(vbn))
+	binary.LittleEndian.PutUint32(b[off:], narrow(uint64(vvbn)))
+	binary.LittleEndian.PutUint32(b[off+4:], narrow(uint64(vbn)))
 }
 
 // GetPtr decodes the pointer pair at entry index i of indirect block image
@@ -153,7 +161,29 @@ func GetPtr(b []byte, i int) (VVBN, VBN) {
 	if off := i * PtrSize; off < len(b) {
 		copy(e[:], b[off:])
 	}
-	return VVBN(binary.LittleEndian.Uint64(e[:])), VBN(binary.LittleEndian.Uint64(e[8:]))
+	return VVBN(widen(binary.LittleEndian.Uint32(e[:]))), VBN(widen(binary.LittleEndian.Uint32(e[4:])))
+}
+
+// narrow returns address a's 32-bit entry: AddrLimit for the invalid
+// sentinel (InvalidVVBN and InvalidVBN are both all ones).
+func narrow(a uint64) uint32 {
+	switch {
+	case a == uint64(InvalidVBN):
+		return AddrLimit
+	case a >= AddrLimit:
+		// Invariant violation: NewSystem refuses every geometry with an
+		// address this large, so some layer made one up.
+		panic(fmt.Sprintf("block: address %d does not fit a 32-bit pointer entry", a))
+	}
+	return uint32(a)
+}
+
+// widen is narrow's inverse.
+func widen(e uint32) uint64 {
+	if e == AddrLimit {
+		return uint64(InvalidVBN)
+	}
+	return uint64(e)
 }
 
 // XOR accumulates image src into dst (dst ^= src), used for RAID parity.

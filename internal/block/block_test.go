@@ -20,16 +20,58 @@ func TestPtrRoundTrip(t *testing.T) {
 	}
 }
 
+// An entry holds any 32-bit address below AddrLimit, and either sentinel,
+// in 8 bytes: the entries beside it keep theirs.
 func TestPtrRoundTripQuick(t *testing.T) {
 	b := New()
-	f := func(idx uint8, vvbn, vbn uint64) bool {
+	addr := func(a uint32, sentinel uint8) uint64 {
+		switch {
+		case sentinel%4 == 0:
+			return uint64(InvalidVBN)
+		case a == AddrLimit:
+			return AddrLimit - 1
+		}
+		return uint64(a)
+	}
+	f := func(idx uint8, vvbn, vbn uint32, sv, sp uint8) bool {
 		i := int(idx) % PtrsPerBlock
-		PutPtr(b, i, VVBN(vvbn), VBN(vbn))
+		wv, wp := VVBN(addr(vvbn, sv)), VBN(addr(vbn, sp))
+		before := Clone(b)
+		PutPtr(b, i, wv, wp)
 		gv, gp := GetPtr(b, i)
-		return gv == VVBN(vvbn) && gp == VBN(vbn)
+		clear(before[i*PtrSize : (i+1)*PtrSize])
+		after := Clone(b)
+		clear(after[i*PtrSize : (i+1)*PtrSize])
+		return gv == wv && gp == wp && bytes.Equal(before, after)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	if vv, v := GetPtr(b[:0], 0); vv != 0 || v != 0 {
+		t.Fatalf("an empty image's entry is (%v,%v), want a hole", vv, v)
+	}
+}
+
+// A full indirect is half a block, and an address a pointer cannot hold is
+// an invariant violation: PutPtr panics rather than truncate it.
+func TestPtrFormat(t *testing.T) {
+	if PtrSize != 8 || PtrsPerBlock*PtrSize != Size/2 {
+		t.Fatalf("a full indirect is %d entries of %d bytes; want 256 of 8, half a block", PtrsPerBlock, PtrSize)
+	}
+	b := New()
+	PutPtr(b, 1, InvalidVVBN, 7)
+	if got := Trim(b); len(got) != 13 || got[8] != 0xFF || got[11] != 0xFF || got[12] != 7 {
+		t.Fatalf("entry 1 of (invalid, 7) is % x; want 0xFFFFFFFF at bytes 8-11, 7 at 12", got)
+	}
+	panics := func(put func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		put()
+		return false
+	}
+	for _, a := range []uint64{AddrLimit, AddrLimit + 1, 1 << 40, uint64(InvalidVBN) - 1} {
+		if !panics(func() { PutPtr(b, 0, 1, VBN(a)) }) || !panics(func() { PutPtr(b, 0, VVBN(a), 1) }) {
+			t.Errorf("PutPtr of address %d as a VBN or a VVBN did not panic", a)
+		}
 	}
 }
 
@@ -175,11 +217,16 @@ func TestTrimMatchesByteLoop(t *testing.T) {
 	}
 }
 
-// l1With returns an indirect block holding n pointers in its first entries.
+// l1With returns an indirect block holding n pointers in its first entries,
+// every fourth VVBN the invalid sentinel (an aggregate metafile's).
 func l1With(n int) []byte {
 	b := New()
 	for i := 0; i < n; i++ {
-		PutPtr(b, i, VVBN(1<<20+i), VBN(3<<24+i))
+		vvbn := VVBN(1<<20 + i)
+		if i%4 == 3 {
+			vvbn = InvalidVVBN
+		}
+		PutPtr(b, i, vvbn, VBN(3<<24+i))
 	}
 	return b
 }
@@ -189,8 +236,11 @@ func l1With(n int) []byte {
 func FuzzGetPtrPrefix(f *testing.F) {
 	for _, n := range []int{0, 1, 64, 255, 256} {
 		img := l1With(n)
-		f.Add(img, len(Trim(img)))            // as the media keeps it
-		f.Add(img, max(len(Trim(img))-11, 0)) // cut inside an entry
+		m := len(Trim(img))
+		f.Add(img, m)              // as the media keeps it
+		f.Add(img, max(m-5, 0))    // cut inside an entry's VVBN
+		f.Add(img, max(m-2, 0))    // cut inside its VBN
+		f.Add(img, min(m+1, Size)) // past the last entry
 	}
 	f.Fuzz(func(t *testing.T, img []byte, n int) {
 		if len(img) > Size {
@@ -211,8 +261,8 @@ func FuzzGetPtrPrefix(f *testing.F) {
 	})
 }
 
-// BenchmarkTrim cuts the zero tail of a sparse L1 (40 pointers, 3.4 KiB of
-// zeros) and of a dense one (a few bytes).
+// BenchmarkTrim cuts the zero tail of a sparse L1 (40 pointers, 3.7 KiB of
+// zeros) and of a dense one (every pointer, 2 KiB of zeros).
 func BenchmarkTrim(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -110,10 +110,9 @@ func BenchmarkFreezeCleanRound(b *testing.B) {
 // BenchmarkCleanSparseIndirect is one op = one CP over a 64-block file whose
 // L1 comes from the media, as after a mount: install the L1's 64-pointer
 // image, overwrite the 64 L0s, Freeze, then clean them and the L1. The file
-// has no image pool, so -benchmem's B/op is every array the L1 takes: ~1 KiB
-// while a sparse indirect keeps an array of its image's length and hands it
-// to the media sealed, a 4 KiB block plus a trimmed copy when it kept a full
-// block.
+// has no image pool, so -benchmem's B/op is every array the L1 takes: 512 B,
+// its 64 8-byte pointers, while a sparse indirect keeps an array of its
+// image's length and hands it to the media sealed.
 func BenchmarkCleanSparseIndirect(b *testing.B) {
 	const ptrs = 64
 	payload := make([]byte, 64)

@@ -28,7 +28,7 @@ import (
 // in their trees.
 //
 // An indirect's array is only as long as its pointers need (nil with none),
-// grown by doubling up to a full block past sparseMax (CleanChild); a
+// grown by doubling up to a full indirect's half block (CleanChild); a
 // metafile L0 gets a full-length array when first read (Data) or mutated
 // (CPMutableData). Every array a buffer makes comes from its file's
 // ImagePool.
@@ -53,12 +53,12 @@ type Buffer struct {
 	vbn  block.VBN  // current on-disk physical location (InvalidVBN if none)
 }
 
-// sparseMax is the longest trimmed image, in bytes, with which a CP-owned
-// image goes to storage short: a sparse indirect as its buffer's array cut
-// to its trimmed length, a sparse metafile L0 as a private trimmed copy. It
-// is also the longest short array an indirect keeps. Every indirect has
-// some zero tail (the high bytes of a VBN are zero), and a short copy of a
-// dense image would duplicate the array its buffer keeps anyway.
+// sparseMax is the longest trimmed image, in bytes, with which a metafile
+// L0 goes to storage as a private trimmed copy (MarkCleaned); a denser one
+// goes out as its buffer's array, because a short copy of it would
+// duplicate the full block the buffer keeps anyway. An indirect needs no
+// such rule: its pointers fill at most half a block, so it always goes out
+// as its own array cut to its trimmed length.
 const sparseMax = block.Size / 2
 
 // FBN returns the buffer's file block number (for level > 0, the lowest FBN
@@ -115,15 +115,15 @@ func (b *Buffer) CPMutableData() []byte {
 // and the previous location for freeing; the buffer leaves the CP.
 //
 // This is where sealing is decided. An indirect is handed out as the
-// buffer's own array — cut to its trimmed length if that is sparseMax bytes
-// or fewer, whole otherwise — which seals the buffer: the next CP's ptrs
-// copies it. If the buffer was still sealed, its old array stays at the old
-// DBN, marked media-only, and the buffer first moves to a fresh one, so no
-// array sits at two DBNs. An indirect without pointers goes out empty and
-// holds no array on the media. A metafile L0 that trims to sparseMax bytes
-// or fewer is handed out as a trimmed private copy, written media-only, and
-// the buffer stays unsealed: the next CP updates it in place; a dense one
-// goes out as the buffer's array, the same way as an indirect.
+// buffer's own array cut to its trimmed length, which seals the buffer: the
+// next CP's ptrs copies it. If the buffer was still sealed, its old array
+// stays at the old DBN, marked media-only, and the buffer first moves to a
+// fresh one, so no array sits at two DBNs. An indirect without pointers
+// goes out empty and holds no array on the media. A metafile L0 that trims
+// to sparseMax bytes or fewer is handed out as a trimmed private copy,
+// written media-only, and the buffer stays unsealed: the next CP updates it
+// in place; a dense one goes out as the buffer's array, the same way as an
+// indirect.
 func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img block.Image, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
@@ -179,8 +179,8 @@ func (b *Buffer) ptrs(need int) []byte {
 }
 
 // sharePtrs returns indirect b's image for the media, sealing b: its own
-// array, cut to its trimmed length when that is sparseMax or less. A sealed
-// b first leaves its array at old, its previous VBN.
+// array, cut to its trimmed length. A sealed b first leaves its array at
+// old, its previous VBN.
 func (b *Buffer) sharePtrs(old block.VBN) []byte {
 	t := len(block.Trim(b.data))
 	switch {
@@ -190,10 +190,7 @@ func (b *Buffer) sharePtrs(old block.VBN) []byte {
 		b.reseal(old)
 	}
 	b.sealed = true
-	if t <= sparseMax {
-		return b.data[:t:t]
-	}
-	return b.data
+	return b.data[:t:t]
 }
 
 // reseal moves sealed buffer b, re-cleaned unchanged, to a fresh copy of its

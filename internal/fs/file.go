@@ -288,17 +288,16 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 // InstallBuffer populates the cache with a CP-owned block loaded from
 // persistent storage (the mount and demand-load paths). The image is copied
 // from the pool, unsealed, so no buffer ever holds a media array the pool
-// may take back: a sparse indirect (sparseMax bytes or fewer) into an array
-// of the image's own length, nil if it is empty, as CleanChild would have
-// grown it; a dense indirect and a metafile L0 into a private full block,
-// because CPMutableData and the metafile decoders work on whole blocks. A
-// user L0 has no buffer: a read of one holds it (Hold).
+// may take back: an indirect into an array of the image's own length, nil
+// if it is empty, as CleanChild would have grown it; a metafile L0 into a
+// private full block, because CPMutableData and the metafile decoders work
+// on whole blocks. A user L0 has no buffer: a read of one holds it (Hold).
 func (f *File) InstallBuffer(level int, idx block.FBN, img block.Image, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
 	data := img.Bytes
 	switch {
 	case img.IsNil():
-	case level > 0 && len(data) <= sparseMax:
+	case level > 0:
 		b.data, b.sealed = f.pool.copyOf(data, len(data)), false
 	default:
 		b.data, b.sealed = f.pool.full(data), false

@@ -201,9 +201,9 @@ func TestSealedBufferCloneOnWrite(t *testing.T) {
 }
 
 // CleanChild hands storage the image to keep. An indirect goes out as the
-// buffer's own array, which seals the buffer: a sparse one (trimmed to half a
-// block or less) cut to its trimmed length from an array that is itself
-// short, a dense one whole. A sparse metafile L0 goes out as a trimmed
+// buffer's own array cut to its trimmed length, which seals the buffer: the
+// array is as long as its pointers need, a full L1's 2,048 bytes (half a
+// block) at most. A sparse metafile L0 goes out as a trimmed
 // private copy and its buffer stays unsealed, so the next CP updates the live
 // array in place; a dense one goes out as the buffer's own array, which
 // seals the buffer. A user L0's image, however short, goes out as the
@@ -232,12 +232,12 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 		level  int
 		write  func(*File)
 		copied bool // a private copy, not the buffer's array
-		short  bool // the buffer's array, cut to its trimmed length
+		array  int  // an indirect's array length: the image is it, trimmed
 	}{
-		{"sparse L1", NewFile, 1, clientWrites(3), false, true},
-		{"dense L1", NewFile, 1, clientWrites(block.PtrsPerBlock), false, false},
-		{"sparse metafile L0", NewMetafile, 0, metaWrite(block.Size / 2), true, false},
-		{"dense metafile L0", NewMetafile, 0, metaWrite(block.Size/2 + 1), false, false},
+		{"sparse L1", NewFile, 1, clientWrites(3), false, 32},
+		{"full L1", NewFile, 1, clientWrites(block.PtrsPerBlock), false, block.Size / 2},
+		{"sparse metafile L0", NewMetafile, 0, metaWrite(block.Size / 2), true, 0},
+		{"dense metafile L0", NewMetafile, 0, metaWrite(block.Size/2 + 1), false, 0},
 	} {
 		f := c.newf(1, 1)
 		c.write(f)
@@ -265,10 +265,10 @@ func TestCleanChildHandsOutImage(t *testing.T) {
 			}
 		case &img[0] != &b.data[0] || !b.sealed:
 			t.Fatalf("%s: want the buffer's own array, sealed", c.name)
-		case c.short:
-			if n := len(block.Trim(b.data)); len(img) != n || cap(img) != n || n > sparseMax || len(b.data) > sparseMax {
-				t.Fatalf("%s: image of %d bytes (capacity %d) from an array of %d, trimmed %d; want the short array cut to its trimmed length",
-					c.name, len(img), cap(img), len(b.data), n)
+		case c.array > 0:
+			if n := len(block.Trim(b.data)); len(img) != n || cap(img) != n || len(b.data) != c.array {
+				t.Fatalf("%s: image of %d bytes (capacity %d) from an array of %d, trimmed %d; want the %d-byte array cut to its trimmed length",
+					c.name, len(img), cap(img), len(b.data), n, c.array)
 			}
 		case len(img) != len(b.data):
 			t.Fatalf("%s: image of %d bytes from an array of %d; want it whole", c.name, len(img), len(b.data))

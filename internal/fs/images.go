@@ -301,13 +301,10 @@ func (p *ImagePool) full(src []byte) []byte { return p.copyOf(src, block.Size) }
 
 // ptrsLen is the length an indirect's array of capacity cur grows to so
 // that it holds need: the size class of twice cur, or of need if that is
-// longer, up to sparseMax, so a sequential fill copies the array about log2
-// times; a full block once need is past sparseMax.
+// longer, up to a full indirect's image, so a sequential fill copies the
+// array about log2 times.
 func ptrsLen(cur, need int) int {
-	if need > sparseMax {
-		return block.Size
-	}
-	_, size := block.Class(min(max(need, 2*cur), sparseMax))
+	_, size := block.Class(min(max(need, 2*cur), block.PtrsPerBlock*block.PtrSize))
 	return size
 }
 

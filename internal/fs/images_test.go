@@ -212,7 +212,7 @@ func TestImagePoolOwnership(t *testing.T) {
 	t.Run("a growing indirect recycles the private array it leaves", func(t *testing.T) {
 		p := NewImagePool()
 		f := pooled(p, false)
-		for fbn := range 3 {
+		for fbn := range 5 {
 			f.WriteBlock(block.FBN(fbn), pattern(byte(fbn))[:64])
 		}
 		f.Freeze()
@@ -221,18 +221,24 @@ func TestImagePoolOwnership(t *testing.T) {
 			f.CleanL0(fbn, block.VVBN(1000+i), block.VBN(1000+i))
 			left = append(left, f.Buffer(1, 0).data)
 		}
-		// 16, 32 and 64 bytes: the first two were left, poisoned and counted
-		// apart from the media's returns.
+		// 8-byte pointers fill 16, 32 and 64 bytes: each array takes a
+		// second pointer in place, and the first two were left, poisoned
+		// and counted apart from the media's returns.
 		st := p.Stats()
-		if len(left[2]) != 3*block.PtrSize+block.PtrSize || st.Recycled != 2 || st.Returned != 0 {
-			t.Fatalf("after three pointers: an array of %d bytes, stats %+v; want 64 bytes, 2 recycled, none returned", len(left[2]), st)
+		for i, n := range []int{16, 16, 32, 32, 64} {
+			if len(left[i]) != n {
+				t.Fatalf("after %d pointers: an array of %d bytes, want %d", i+1, len(left[i]), n)
+			}
 		}
-		for _, a := range left[:2] {
+		if st.Recycled != 2 || st.Returned != 0 {
+			t.Fatalf("after five pointers: stats %+v; want 2 recycled, none returned", st)
+		}
+		for _, a := range [][]byte{left[1], left[3]} {
 			if bytes.Count(a, []byte{poison}) != len(a) {
 				t.Fatalf("a left %d-byte array is not poisoned: % x", len(a), a)
 			}
 		}
-		for i := range 3 {
+		for i := range 5 {
 			if vv, v := PtrAt(f.Buffer(1, 0), i); vv != block.VVBN(1000+i) || v != block.VBN(1000+i) {
 				t.Fatalf("entry %d = (%v,%v) after growing", i, vv, v)
 			}
@@ -256,8 +262,8 @@ func TestImagePoolOwnership(t *testing.T) {
 }
 
 // InstallBuffer never aliases a CP-owned image, dense or sparse, so no buffer
-// holds an array the pool may take back from the media. A sparse indirect's
-// copy is as long as the media's image, every other copy a full block.
+// holds an array the pool may take back from the media. An indirect's copy
+// is as long as the media's image, a metafile L0's a full block.
 func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -266,7 +272,7 @@ func TestInstallBufferNeverAliasesCPOwned(t *testing.T) {
 		n     int
 		want  int // length of the installed array
 	}{
-		{"dense indirect", false, 1, block.Size, block.Size},
+		{"full indirect", false, 1, block.Size / 2, block.Size / 2},
 		{"sparse indirect", false, 1, 40, 40},
 		{"dense metafile L0", true, 0, block.Size, block.Size},
 		{"sparse metafile L0", true, 0, 40, block.Size},

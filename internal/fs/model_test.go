@@ -721,7 +721,8 @@ func TestOneSlotArrayPerCycle(t *testing.T) {
 
 // TestCleanLocationsNeverRepeatWithinCycle checks the allocator-facing
 // contract: across a freeze/clean cycle each block gets exactly one new
-// location and reports its previous one exactly once.
+// location and reports its previous one exactly once. Its VVBNs, apart from
+// its VBNs, stay below block.AddrLimit, as a pointer's 32 bits need.
 func TestCleanLocationsNeverRepeatWithinCycle(t *testing.T) {
 	f := NewFile(1, 2)
 	prev := make(map[block.FBN]block.VBN)
@@ -743,7 +744,7 @@ func TestCleanLocationsNeverRepeatWithinCycle(t *testing.T) {
 		}
 		for _, fbn := range frozenL0s(f) {
 			newVBN := assign()
-			_, _, oldVBN := f.CleanL0(fbn, block.VVBN(loc)<<32, newVBN)
+			_, _, oldVBN := f.CleanL0(fbn, block.VVBN(loc)<<16, newVBN)
 			if want, ok := prev[fbn]; ok && oldVBN != want {
 				t.Fatalf("round %d fbn %d: freed %v, expected %v", round, fbn, oldVBN, want)
 			}
@@ -751,7 +752,7 @@ func TestCleanLocationsNeverRepeatWithinCycle(t *testing.T) {
 		}
 		for level := 1; level <= f.Height(); level++ {
 			for _, b := range frozenAt(f, level) {
-				f.CleanChild(b, block.VVBN(loc)<<32, assign())
+				f.CleanChild(b, block.VVBN(loc)<<16, assign())
 			}
 		}
 	}
@@ -762,11 +763,11 @@ func TestCleanLocationsNeverRepeatWithinCycle(t *testing.T) {
 // CP — with CPs, re-cleans of a sealed buffer and media releases in between,
 // against a reference that keeps a full block and trims it. PtrAt agrees
 // with the reference on every slot, every image handed out is the trimmed
-// reference byte for byte and in length (the whole block when that is
-// longer than sparseMax) and keeps its bytes until the media releases it, the array stays within sparseMax while the trimmed reference
-// does, and a CP copies the array at most once per doubling.
+// reference byte for byte and in length and keeps its bytes until the media
+// releases it, the array never grows past a full indirect's half block, and
+// a CP copies the array at most once per doubling.
 func TestSparseIndirectMatchesFullBlock(t *testing.T) {
-	const maxCopies = 9 // one copy-on-seal, then 16 B doubled up to a block
+	const maxCopies = 8 // one copy-on-seal, then 16 B doubled up to half a block
 	orders := []func(s []int){
 		slices.Sort[[]int],
 		func(s []int) { slices.Sort(s); slices.Reverse(s) },
@@ -792,7 +793,7 @@ func TestSparseIndirectMatchesFullBlock(t *testing.T) {
 					t.Fatalf("seed %d, %s: entry %d = (%v,%v), reference (%v,%v)", seed, when, i, gvv, gv, wvv, wv)
 				}
 			}
-			if len(block.Trim(ref)) <= sparseMax && len(l1.data) > sparseMax {
+			if len(l1.data) > block.PtrsPerBlock*block.PtrSize {
 				t.Fatalf("seed %d, %s: array of %d bytes for %d trimmed", seed, when, len(l1.data), len(block.Trim(ref)))
 			}
 			for _, m := range media {
@@ -806,9 +807,6 @@ func TestSparseIndirectMatchesFullBlock(t *testing.T) {
 			img := cleanTo(mm, f, f.Buffer(1, 0), vbn)
 			loc++
 			want := block.Trim(ref)
-			if len(want) > sparseMax {
-				want = ref // a dense image goes out whole
-			}
 			if len(img) != len(want) || !bytes.Equal(img, want) {
 				t.Fatalf("seed %d, %s: handed out %d bytes, want the reference's %d", seed, when, len(img), len(want))
 			}

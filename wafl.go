@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 
 	"wafl/internal/aggregate"
@@ -295,6 +296,9 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Members < 1 {
 		cfg.Members = 1
 	}
+	if err := checkAddressSpace(cfg); err != nil {
+		return nil, err
+	}
 	s := sim.New(cfg.Cores*cfg.Members, cfg.Seed)
 	if cfg.Trace {
 		s.SetTracer(obs.New(obs.Options{Capacity: cfg.TraceEvents}))
@@ -330,6 +334,25 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	}
 	return sys, nil
+}
+
+// checkAddressSpace refuses a member geometry whose VBN space (groups x
+// data drives x DriveBlocks) or VVBN space (VolumeBlocks) reaches
+// block.AddrLimit blocks, the 16 TiB bound of WAFL's 32-bit aggregates: an
+// indirect's pointer holds each address in 32 bits. NewSystem calls it
+// before it builds any drive, whose media table at that size would take
+// gigabytes.
+func checkAddressSpace(cfg Config) error {
+	hi, drives := bits.Mul64(uint64(max(cfg.RAIDGroups, 0)), uint64(max(cfg.DataDrives, 0)))
+	hi2, vbns := bits.Mul64(drives, cfg.DriveBlocks)
+	if hi|hi2 != 0 || vbns >= block.AddrLimit {
+		return fmt.Errorf("wafl: %d groups x %d data drives x %d blocks reach the VBN limit of %d blocks",
+			cfg.RAIDGroups, cfg.DataDrives, cfg.DriveBlocks, uint64(block.AddrLimit))
+	}
+	if cfg.VolumeBlocks >= block.AddrLimit {
+		return fmt.Errorf("wafl: VolumeBlocks %d reaches the VVBN limit of %d blocks", cfg.VolumeBlocks, uint64(block.AddrLimit))
+	}
+	return nil
 }
 
 // allFormatted reports whether every member has committed its initial CP.
