@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wafl/internal/aggregate"
 	"wafl/internal/bcache"
 	"wafl/internal/block"
 	"wafl/internal/fs"
@@ -506,6 +507,60 @@ func TestSparseIndirectsSurviveRemount(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(rec2, "after a second remount")
+}
+
+// TestContainerBlocksSurviveRecover: a container-map block is a 2 KiB image
+// (512 32-bit PVBNs). Through a crash mid-run and recovery, every container
+// L0 of the recovered system is again a 2 KiB array, no block on the media
+// is longer, the acknowledged writes read back and fsck is clean; and so
+// after the recovered system's own CPs rewrite them.
+func TestContainerBlocksSurviveRecover(t *testing.T) {
+	const l0Len = aggregate.ContainerEntriesPerBlock * block.AddrSize
+	sys, ino := newCrashSystem(t, crashConfig())
+	var acked []FBN
+	attachTrackedWriter(sys, ino, &acked)
+	sys.Run(150 * Millisecond)
+	check := func(sys *System, label string) {
+		t.Helper()
+		a := sys.m0().a
+		blocks := 0
+		for _, v := range a.Volumes() {
+			f := v.ContainerFile()
+			for fbn := range f.Size() {
+				b := f.Buffer(0, fbn)
+				if b == nil {
+					continue
+				}
+				blocks++
+				if d := b.Data(); len(d) != l0Len || cap(d) != l0Len {
+					t.Fatalf("%s: vol %d container block %d is %d bytes (capacity %d); want %d", label, v.ID(), fbn, len(d), cap(d), l0Len)
+				}
+				if n := len(a.ReadVBNRaw(b.VBN())); b.VBN() != block.InvalidVBN && n > l0Len {
+					t.Fatalf("%s: vol %d container block %d is %d bytes on the media; want at most %d", label, v.ID(), fbn, n, l0Len)
+				}
+			}
+		}
+		if blocks == 0 {
+			t.Fatalf("%s: no container block", label)
+		}
+		if rep := sys.Fsck(); !rep.OK() {
+			t.Fatalf("%s: fsck: %s", label, rep)
+		}
+		verifyAckedWrites(t, sys, ino, acked, label)
+	}
+
+	sys.Crash()
+	rec, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(rec, "after recovery")
+	attachTrackedWriter(rec, ino, &acked)
+	rec.Run(100 * Millisecond)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check(rec, "after the recovered system's CPs")
 }
 
 // TestTrimmedImagesReconstructed runs the default 64-byte payload, so user

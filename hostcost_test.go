@@ -12,9 +12,11 @@ import (
 
 // TestSeqWriteHostAllocBudget guards the host cost of the data path where
 // `go test ./...` sees it: on the default configuration (64-byte payloads)
-// an 8-block sequential write may allocate at most 0.21 KiB of host heap.
+// an 8-block sequential write may allocate at most 0.17 KiB of host heap.
 // TotalAlloc is a count, not a timing — it repeats to 0.01 % (bench/README)
-// — and the figure sits near 0.19 KiB/op (0.3 mallocs/op) while a block
+// — and the figure sits near 0.15 KiB/op (0.3 mallocs/op) while a
+// container-map entry is a 32-bit PVBN, so a container block's array is half
+// a block (DESIGN §2 row 7; 0.19 KiB with 64-bit entries), while a block
 // pointer is two 32-bit numbers, so a full indirect's array is half a block
 // (DESIGN §14; 0.24 KiB with 64-bit pointers), while a block's
 // payload is a name its record, slot and media hold (DESIGN §14; 0.74
@@ -38,7 +40,7 @@ import (
 // map-free; materialising the zero tail of the eight L0 images alone adds
 // 32 KiB.
 func TestSeqWriteHostAllocBudget(t *testing.T) {
-	const budgetKiB = 0.21
+	const budgetKiB = 0.17
 	sys, err := wafl.NewSystem(wafl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -305,16 +307,18 @@ func TestOverloadHostAllocBudget(t *testing.T) {
 }
 
 // TestOverloadMediaBytesBudget guards the host memory the simulated media
-// holds on overload_burst, over the same window: at most 650 image bytes
+// holds on overload_burst, over the same window: at most 590 image bytes
 // per block written, data and parity. A count, exact for the seed, of data
-// images alone, as above: 600 while an indirect's pointers are 8 bytes each
-// (692 with 16-byte ones) and a sparse metafile L0 (one that trims to
-// half a block or less) goes to storage trimmed; 694 when a parity write
+// images alone, as above: 553 while a container-map entry is 4 bytes, so a
+// dense container block is 2 KiB on the media (600 with 8-byte entries),
+// while an indirect's pointers are 8 bytes each (692 with 16-byte ones) and
+// a sparse metafile L0 (one that trims to half its file's L0 length or
+// less) goes to storage trimmed; 694 when a parity write
 // counted one per image its row referenced, 1,110 when each stripe's parity
 // was an array, 1,293 when each sparse metafile L0 was also a full 4 KiB
 // array.
 func TestOverloadMediaBytesBudget(t *testing.T) {
-	const budget = 650
+	const budget = 590
 	dr := overloadBurst(t).Measure(0, 100*wafl.Millisecond).Stats.Drives
 	if dr.BlocksWritten == 0 {
 		t.Fatal("no blocks written in the window")
@@ -415,26 +419,30 @@ func liveAfterWindow(t *testing.T, cfg wafl.Config, w harness.Attacher) float64 
 
 // TestSeqWriteLiveHeapBudget guards the live heap of the benchmark's
 // seqwrite: after a 150 ms warm-up and a 250 ms window the system holds
-// under 40 MiB. It sits near 15.5 MiB while a user block's media image is a
-// name (DESIGN §14; 35.0 MiB with a payload array per block), while a
+// under 12.5 MiB. It sits near 11.8 MiB while a container block is a 2 KiB
+// array of 32-bit PVBNs (DESIGN §2 row 7; 13.0 MiB with 64-bit entries),
+// while a user block's media image is a name (DESIGN §14; 35.0 MiB with a
+// payload array per block), while a
 // level-1 node holds a slot array only while a slot holds a word (37.1 MiB
 // when every node kept its 2 KiB array after its buffers left), and a user
 // L0's word lives only while its block is dirty or in a CP, so a clean
 // block's content is its media image (DESIGN §15); 63.6 MiB when every
 // block ever written kept its 96-byte buffer.
 func TestSeqWriteLiveHeapBudget(t *testing.T) {
-	const budgetMiB = 40
+	const budgetMiB = 12.5
 	live := liveAfterWindow(t, wafl.DefaultConfig(), workload.DefaultSeqWrite())
 	t.Logf("%.1f MiB live heap", live)
 	if live > budgetMiB {
-		t.Fatalf("seqwrite keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
+		t.Fatalf("seqwrite keeps %.1f MiB of live host heap, budget %v MiB", live, budgetMiB)
 	}
 }
 
 // TestAgedRandLiveHeapBudget is its twin on the benchmark's agedrand, whose
-// set-up dirties a 393,216-block prefill in one CP: under 75 MiB after the
-// window. It sits near 24.6 MiB while a user block's media image is a name
-// (DESIGN §14; 55.5 MiB with a payload array per block), while that burst
+// set-up dirties a 393,216-block prefill in one CP: under 19.5 MiB after
+// the window. It sits near 18.7 MiB while a container block is a 2 KiB
+// array of 32-bit PVBNs (DESIGN §2 row 7; 20.6 MiB with 64-bit entries),
+// while a user block's media image is a name (DESIGN §14; 55.5 MiB with a
+// payload array per block), while that burst
 // builds no buffer and no dirty list (DESIGN §15; 59.0 MiB when a spent
 // dirty list kept the burst's array, 62.2 when every level-1 node also
 // kept its slot array after its buffers left); 98.8 MiB when every block
@@ -450,7 +458,7 @@ func TestSeqWriteLiveHeapBudget(t *testing.T) {
 // The less the run allocates once the prefill's burst is garbage, the less
 // its peak RSS depends on whether the collector reclaimed the burst first.
 func TestAgedRandLiveHeapBudget(t *testing.T) {
-	const budgetMiB, budgetKiB, budgetBuilt = 75, 0.05, 0.15
+	const budgetMiB, budgetKiB, budgetBuilt = 19.5, 0.05, 0.15
 	base := liveHeap()
 	cfg := wafl.DefaultConfig()
 	workload.DefaultAgedVol().Configure(&cfg)
@@ -475,7 +483,7 @@ func TestAgedRandLiveHeapBudget(t *testing.T) {
 	t.Logf("%.1f MiB live heap, %.3f KiB/op, %.3f mallocs/op, %.3f image arrays built/op over %d ops",
 		live, perOp, float64(after.Mallocs-before.Mallocs)/float64(res.Ops), built, res.Ops)
 	if live > budgetMiB {
-		t.Fatalf("agedrand keeps %.1f MiB of live host heap, budget %d MiB", live, budgetMiB)
+		t.Fatalf("agedrand keeps %.1f MiB of live host heap, budget %v MiB", live, budgetMiB)
 	}
 	if perOp > budgetKiB {
 		t.Fatalf("agedrand allocates %.3f KiB of host heap per op, budget %v KiB/op", perOp, budgetKiB)

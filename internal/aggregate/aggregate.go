@@ -369,7 +369,9 @@ func (a *Aggregate) CrashAll() {
 // loadAll mounts metafiles: it gives each the aggregate's image pool and
 // eagerly installs every block of its committed tree from the media
 // (untimed). A block the tree points at outside the aggregate or never
-// written is a damaged image: reading stops and the error says where.
+// written, or an L0 whose image runs past its file's L0 length
+// (fs.File.L0Len), is a damaged image: reading stops and the error says
+// where.
 func (a *Aggregate) loadAll(files ...*fs.File) error {
 	for _, f := range files {
 		a.own(f)
@@ -382,8 +384,13 @@ func (a *Aggregate) loadAll(files ...*fs.File) error {
 			if uint64(vbn) < a.geo.TotalBlocks() {
 				data = a.ReadVBNRaw(vbn)
 			}
-			if data == nil {
+			switch {
+			case data == nil:
 				err = fmt.Errorf("metafile %d block (level %d, index %d) at %v unreadable", f.Ino(), level, idx, vbn)
+			case level == 0 && len(data) > f.L0Len() && len(block.Trim(data)) > f.L0Len():
+				err = fmt.Errorf("metafile %d block (level %d, index %d) at %v holds %d bytes, past its %d-byte L0", f.Ino(), level, idx, vbn, len(block.Trim(data)), f.L0Len())
+			}
+			if err != nil {
 				return nil
 			}
 			f.InstallBuffer(level, idx, block.Image{Bytes: data}, vvbn, vbn)

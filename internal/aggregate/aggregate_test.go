@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,61 @@ func TestVolumeCreateAndContainer(t *testing.T) {
 	}
 	if got := v.Container(701); got != 0 {
 		t.Fatalf("unset container = %v", got)
+	}
+}
+
+// TestContainerEntryFormat: a container-map entry is a 32-bit PVBN, 512 to
+// a block whose image is half a block. 0, the largest real address and
+// InvalidVBN round-trip through SetContainer and Container, each entry at
+// bytes 4i of its block, the sentinel as 0xFFFFFFFF.
+func TestContainerEntryFormat(t *testing.T) {
+	if ContainerEntriesPerBlock != 512 || containerL0Len != block.Size/2 {
+		t.Fatalf("a container block is %d entries in %d bytes; want 512 in half a block", ContainerEntriesPerBlock, containerL0Len)
+	}
+	_, a := newTestAggr(t)
+	v := a.AddVolume(1 << 16)
+	want := setContainers(v)
+	for vvbn, pvbn := range want {
+		if got := v.Container(vvbn); got != pvbn {
+			t.Errorf("container entry of %v = %v; want %v", vvbn, got, pvbn)
+		}
+		d := v.ContainerFile().Buffer(0, block.FBN(vvbn/ContainerEntriesPerBlock)).Data()
+		if len(d) != containerL0Len || cap(d) != containerL0Len {
+			t.Fatalf("container block of %v is %d bytes (capacity %d); want %d", vvbn, len(d), cap(d), containerL0Len)
+		}
+		if got := binary.LittleEndian.Uint32(d[vvbn%ContainerEntriesPerBlock*block.AddrSize:]); got != uint32(pvbn) {
+			t.Errorf("container entry of %v holds %#x; want %#x", vvbn, got, uint32(pvbn))
+		}
+	}
+}
+
+// setContainers sets container entries covering the format's corners in v,
+// a volume of at least 2^16 VVBNs, and returns them: 0, the largest real
+// address and InvalidVBN in a sparse block, each over an earlier entry, and
+// a block with every entry set, which is dense.
+func setContainers(v *Volume) map[block.VVBN]block.VBN {
+	want := map[block.VVBN]block.VBN{0: block.AddrLimit - 1, 1: 0, 511: block.InvalidVBN, 1<<16 - 1: 12345}
+	for vvbn := range want {
+		v.SetContainer(vvbn, 99)
+	}
+	for i := range block.VVBN(ContainerEntriesPerBlock) {
+		want[2*ContainerEntriesPerBlock+i] = block.VBN(1000 + i)
+	}
+	for vvbn, pvbn := range want {
+		v.SetContainer(vvbn, pvbn)
+	}
+	return want
+}
+
+// checkContainerL0s fails unless every container L0 buffer of v holds an
+// array of the container's L0 length exactly.
+func checkContainerL0s(t *testing.T, v *Volume, label string) {
+	t.Helper()
+	f := v.ContainerFile()
+	for fbn := range f.Size() {
+		if b := f.Buffer(0, fbn); b != nil && (len(b.Data()) != containerL0Len || cap(b.Data()) != containerL0Len) {
+			t.Fatalf("%s: container block %d is %d bytes (capacity %d); want %d", label, fbn, len(b.Data()), cap(b.Data()), containerL0Len)
+		}
 	}
 }
 
@@ -325,6 +381,36 @@ func TestCheckpointMountRoundTrip(t *testing.T) {
 	vvbn0, vbn0, ok := mf.Resolve(0, m)
 	if !ok || mv.Container(vvbn0) != vbn0 {
 		t.Fatal("container map inconsistent with file pointer")
+	}
+}
+
+// TestContainerSurvivesMount: the container map's entries, sparse and
+// dense blocks alike, read the same after a checkpoint and a mount, and the
+// mounted container file's L0s are again arrays of its L0 length.
+func TestContainerSurvivesMount(t *testing.T) {
+	s, a := newTestAggr(t)
+	v := a.AddVolume(1 << 16)
+	want := setContainers(v)
+	cp := &testCheckpoint{t: t, s: s, a: a}
+	s.Go("cp", sim.CatCP, func(th *sim.Thread) { cp.run(th) })
+	s.Run(sim.Time(10 * sim.Second))
+	cp.check()
+	dense := v.ContainerFile().Buffer(0, 2).VBN()
+	if n := len(a.ReadVBNRaw(dense)); n != containerL0Len {
+		t.Fatalf("a dense container block is %d bytes on the media; want %d", n, containerL0Len)
+	}
+
+	a.CrashAll()
+	m, err := MountFrom(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := m.Volume(0)
+	checkContainerL0s(t, mv, "after mount")
+	for vvbn, pvbn := range want {
+		if got := mv.Container(vvbn); got != pvbn {
+			t.Errorf("container entry of %v = %v after mount; want %v", vvbn, got, pvbn)
+		}
 	}
 }
 
@@ -609,6 +695,34 @@ func TestMountRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestMountRejectsOverlongL0: a container block written in a 64-bit entry
+// format, 4 KiB on the media, holds entries past the container's 2 KiB L0
+// length. Installing it would cut them off, so mount fails with an error
+// that names the block; the undamaged image mounts again.
+func TestMountRejectsOverlongL0(t *testing.T) {
+	s, a, _ := checkpointed(t)
+	v := a.Volume(0)
+	b := v.ContainerFile().Buffer(0, 0)
+	undo := patchVBN(s, a, b.VBN(), func(img []byte) {
+		for i := range ContainerEntriesPerBlock {
+			binary.LittleEndian.PutUint64(img[8*i:], uint64(v.Container(block.VVBN(i))))
+		}
+		binary.LittleEndian.PutUint64(img[8*(ContainerEntriesPerBlock-1):], 12345)
+	})
+	m, err := MountFrom(a)
+	if m != nil || err == nil {
+		t.Fatal("a 4 KiB container block mounted")
+	}
+	at := fmt.Sprintf("metafile %d block (level 0, index 0) at %v", inoVolContainer, b.VBN())
+	if !strings.Contains(err.Error(), at) {
+		t.Fatalf("mount failed with %q; want it to name %s", err, at)
+	}
+	undo()
+	if _, err := MountFrom(a); err != nil {
+		t.Fatalf("the restored image does not mount: %v", err)
+	}
+}
+
 // FuzzMountFrom checks that mount survives a damaged metafile: with any
 // bytes written over any committed metafile block of the checkpointed
 // aggregate, MountFrom returns an aggregate or an error, never panics. The
@@ -627,6 +741,8 @@ func FuzzMountFrom(f *testing.F) {
 	for i := range cp.meta {
 		f.Add(uint16(i), uint16(i*24), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	}
+	// A container block with an entry past its 2 KiB L0 length.
+	f.Add(uint16(slices.Index(cp.meta, a.Volume(0).ContainerFile().Buffer(0, 0).VBN())), uint16(containerL0Len), []byte{7})
 	f.Fuzz(func(t *testing.T, pick, off uint16, patch []byte) {
 		vbn := cp.meta[int(pick)%len(cp.meta)]
 		undo := patchVBN(s, a, vbn, func(img []byte) {

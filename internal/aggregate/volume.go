@@ -23,8 +23,14 @@ const VolEntrySize = 512
 const VolEntriesPerBlock = block.Size / VolEntrySize
 
 // ContainerEntriesPerBlock is the number of vvbn->pvbn map entries per
-// container-file block.
-const ContainerEntriesPerBlock = block.Size / 8
+// container-file block. It is fixed, not Size/AddrSize: the VVBNs a block
+// covers decide which blocks a CP dirties. An entry is a 32-bit PVBN
+// (block.PutAddr), so a container block's image is half a block, the
+// container file's L0 length (fs.File.SetL0Len).
+const (
+	ContainerEntriesPerBlock = 512
+	containerL0Len           = ContainerEntriesPerBlock * block.AddrSize
+)
 
 // Well-known per-volume metafile inode numbers (user files start at
 // FirstUserIno).
@@ -146,6 +152,7 @@ func (a *Aggregate) AddVolume(vvbnBlocks uint64) *Volume {
 	v.amapFile = a.newMetafile(inoVolActivemap, fs.HeightFor(amapBlocks+1))
 	contBlocks := (vvbnBlocks + ContainerEntriesPerBlock - 1) / ContainerEntriesPerBlock
 	v.container = a.newMetafile(inoVolContainer, fs.HeightFor(contBlocks+1))
+	v.container.SetL0Len(containerL0Len)
 	v.inofile = a.newMetafile(inoVolInofile, fs.HeightFor(1<<16))
 	v.Activemap = bitmap.New(v.amapFile, vvbnBlocks)
 	v.summaryFile = a.newMetafile(inoVolSummary, fs.HeightFor(amapBlocks+1))
@@ -194,23 +201,18 @@ func (v *Volume) Metafiles() []*fs.File {
 // container block into the running CP. The infrastructure calls this while
 // committing used volume buckets.
 func (v *Volume) SetContainer(vvbn block.VVBN, pvbn block.VBN) {
-	fbn := block.FBN(uint64(vvbn) / ContainerEntriesPerBlock)
-	buf := v.container.GetOrCreateL0(fbn)
-	d := buf.CPMutableData()
-	off := (uint64(vvbn) % ContainerEntriesPerBlock) * 8
-	binary.LittleEndian.PutUint64(d[off:], uint64(pvbn))
+	buf := v.container.GetOrCreateL0(block.FBN(uint64(vvbn) / ContainerEntriesPerBlock))
+	block.PutAddr(buf.CPMutableData(), int(uint64(vvbn)%ContainerEntriesPerBlock), uint64(pvbn))
 	v.container.DirtyIntoCP(buf)
 }
 
 // Container returns the physical location recorded for vvbn (0 if none).
 func (v *Volume) Container(vvbn block.VVBN) block.VBN {
-	fbn := block.FBN(uint64(vvbn) / ContainerEntriesPerBlock)
-	buf := v.container.Buffer(0, fbn)
+	buf := v.container.Buffer(0, block.FBN(uint64(vvbn)/ContainerEntriesPerBlock))
 	if buf == nil {
 		return 0
 	}
-	off := (uint64(vvbn) % ContainerEntriesPerBlock) * 8
-	return block.VBN(binary.LittleEndian.Uint64(buf.Data()[off:]))
+	return block.VBN(block.GetAddr(buf.Data(), int(uint64(vvbn)%ContainerEntriesPerBlock)))
 }
 
 // CreateFile allocates a new user file able to hold maxBlocks blocks. The
@@ -513,6 +515,7 @@ func (a *Aggregate) decodeVolume(src []byte) (*Volume, error) {
 			return nil, err
 		}
 	}
+	v.container.SetL0Len(containerL0Len)
 	if err := a.loadAll(v.inofile, v.container, v.amapFile, v.snapdir, v.summaryFile); err != nil {
 		return nil, err
 	}

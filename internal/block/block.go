@@ -56,19 +56,19 @@ func (v VVBN) String() string {
 }
 
 // PtrSize is the on-disk size of a block pointer entry in an indirect block:
-// a (VVBN, VBN) pair of 32-bit numbers. WAFL indirect blocks store dual
-// addresses so that reads can go straight to physical storage while the
-// volume remains logically relocatable. No address space reaches AddrLimit
+// a (VVBN, VBN) pair of 32-bit address entries (PutAddr). WAFL indirect
+// blocks store dual addresses so that reads can go straight to physical
+// storage while the volume remains logically relocatable. No address space reaches AddrLimit
 // blocks (NewSystem refuses a geometry that would, the bound of WAFL's
 // 32-bit aggregates), so 32 bits hold every address.
-const PtrSize = 8
+const PtrSize = 2 * AddrSize
 
 // PtrsPerBlock is the fan-out of an indirect block. It is fixed, not
 // Size/PtrSize, so a full indirect's image is half a block.
 const PtrsPerBlock = 256
 
-// AddrLimit bounds the addresses a pointer holds: every real VBN and VVBN
-// is below it, and its 32-bit pattern is the entry of InvalidVVBN and
+// AddrLimit bounds the addresses an address entry holds: every real VBN and
+// VVBN is below it, and its 32-bit pattern is the entry of InvalidVVBN and
 // InvalidVBN.
 const AddrLimit = 1<<32 - 1
 
@@ -145,23 +145,39 @@ func Clone(p []byte) []byte {
 	return b
 }
 
+// AddrSize is the on-disk size of a 32-bit address entry: each half of a
+// block pointer, and a container-map entry (a PVBN).
+const AddrSize = 4
+
+// PutAddr encodes address a as the 32-bit entry at index i of image b:
+// AddrLimit for the invalid sentinel. Any other address >= AddrLimit is an
+// invariant violation, and panics.
+func PutAddr(b []byte, i int, a uint64) {
+	binary.LittleEndian.PutUint32(b[i*AddrSize:], narrow(a))
+}
+
+// GetAddr decodes the 32-bit address entry at index i of image b; the
+// sentinel entry reads as the all-ones invalid address. Like every image, b
+// may be short: the bytes of an entry past its end read as zero.
+func GetAddr(b []byte, i int) uint64 {
+	var e [AddrSize]byte
+	if off := i * AddrSize; off < len(b) {
+		copy(e[:], b[off:])
+	}
+	return widen(binary.LittleEndian.Uint32(e[:]))
+}
+
 // PutPtr encodes the pointer pair (vvbn, vbn) at entry index i of indirect
-// block b, each as 32 bits.
+// block b, each as a 32-bit address entry.
 func PutPtr(b []byte, i int, vvbn VVBN, vbn VBN) {
-	off := i * PtrSize
-	binary.LittleEndian.PutUint32(b[off:], narrow(uint64(vvbn)))
-	binary.LittleEndian.PutUint32(b[off+4:], narrow(uint64(vbn)))
+	PutAddr(b, 2*i, uint64(vvbn))
+	PutAddr(b, 2*i+1, uint64(vbn))
 }
 
 // GetPtr decodes the pointer pair at entry index i of indirect block image
-// b. Like every image, b may be short: the bytes of an entry past its end
-// read as zero, so an entry wholly past it is a hole.
+// b. An entry wholly past the end of a short b is a hole.
 func GetPtr(b []byte, i int) (VVBN, VBN) {
-	var e [PtrSize]byte
-	if off := i * PtrSize; off < len(b) {
-		copy(e[:], b[off:])
-	}
-	return VVBN(widen(binary.LittleEndian.Uint32(e[:]))), VBN(widen(binary.LittleEndian.Uint32(e[4:])))
+	return VVBN(GetAddr(b, 2*i)), VBN(GetAddr(b, 2*i+1))
 }
 
 // narrow returns address a's 32-bit entry: AddrLimit for the invalid
@@ -173,7 +189,7 @@ func narrow(a uint64) uint32 {
 	case a >= AddrLimit:
 		// Invariant violation: NewSystem refuses every geometry with an
 		// address this large, so some layer made one up.
-		panic(fmt.Sprintf("block: address %d does not fit a 32-bit pointer entry", a))
+		panic(fmt.Sprintf("block: address %d does not fit a 32-bit address entry", a))
 	}
 	return uint32(a)
 }

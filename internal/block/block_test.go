@@ -52,6 +52,49 @@ func TestPtrRoundTripQuick(t *testing.T) {
 	}
 }
 
+// An address entry is 4 little-endian bytes at 4i: 0 and the largest real
+// address hold themselves, the invalid sentinel is 0xFFFFFFFF, and each
+// reads back as written; an entry past a short image's end reads as 0. An
+// address no entry holds panics rather than truncate.
+func TestAddrRoundTrip(t *testing.T) {
+	b := make([]byte, 4*AddrSize)
+	for i, c := range []struct {
+		addr uint64
+		enc  []byte
+	}{
+		{0, []byte{0, 0, 0, 0}},
+		{AddrLimit - 1, []byte{0xFE, 0xFF, 0xFF, 0xFF}},
+		{uint64(InvalidVBN), []byte{0xFF, 0xFF, 0xFF, 0xFF}},
+		{0x01020304, []byte{4, 3, 2, 1}},
+	} {
+		PutAddr(b, i, c.addr)
+		if got := b[i*AddrSize : (i+1)*AddrSize]; !bytes.Equal(got, c.enc) {
+			t.Errorf("entry %d of address %#x is % x; want % x", i, c.addr, got, c.enc)
+		}
+	}
+	for i, want := range []uint64{0, AddrLimit - 1, uint64(InvalidVBN), 0x01020304} {
+		if got := GetAddr(b, i); got != want {
+			t.Errorf("entry %d reads %#x; want %#x", i, got, want)
+		}
+	}
+	if got := GetAddr(b[:6], 1); got != 0xFFFE {
+		t.Errorf("an entry cut after 2 bytes reads %#x; want its zero-padded twin 0xFFFE", got)
+	}
+	if got := GetAddr(b[:4], 1); got != 0 {
+		t.Errorf("an entry past the image reads %#x; want 0", got)
+	}
+	for _, a := range []uint64{AddrLimit, 1 << 40, uint64(InvalidVBN) - 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PutAddr of address %#x did not panic", a)
+				}
+			}()
+			PutAddr(b, 0, a)
+		}()
+	}
+}
+
 // A full indirect is half a block, and an address a pointer cannot hold is
 // an invariant violation: PutPtr panics rather than truncate it.
 func TestPtrFormat(t *testing.T) {

@@ -29,9 +29,9 @@ import (
 //
 // An indirect's array is only as long as its pointers need (nil with none),
 // grown by doubling up to a full indirect's half block (CleanChild); a
-// metafile L0 gets a full-length array when first read (Data) or mutated
-// (CPMutableData). Every array a buffer makes comes from its file's
-// ImagePool.
+// metafile L0 gets an array of its file's L0 length (File.L0Len) when first
+// read (Data) or mutated (CPMutableData). Every array a buffer makes comes
+// from its file's ImagePool.
 //
 // Once the cleaner submits the buffer's image the buffer is sealed: the
 // media holds it, so the next modification goes to a new array
@@ -53,14 +53,6 @@ type Buffer struct {
 	vbn  block.VBN  // current on-disk physical location (InvalidVBN if none)
 }
 
-// sparseMax is the longest trimmed image, in bytes, with which a metafile
-// L0 goes to storage as a private trimmed copy (MarkCleaned); a denser one
-// goes out as its buffer's array, because a short copy of it would
-// duplicate the full block the buffer keeps anyway. An indirect needs no
-// such rule: its pointers fill at most half a block, so it always goes out
-// as its own array cut to its trimmed length.
-const sparseMax = block.Size / 2
-
 // FBN returns the buffer's file block number (for level > 0, the lowest FBN
 // it covers).
 func (b *Buffer) FBN() block.FBN { return b.fbn }
@@ -76,13 +68,13 @@ func (b *Buffer) Index() block.FBN { return b.fbn >> (radixBits * uint(b.level))
 func (b *Buffer) VBN() block.VBN { return b.vbn }
 
 // Data returns the live byte image for reading, materialising the zero
-// block of a metafile L0 nobody has written yet. An indirect's image is as
-// long as its pointers need, nil with none; PtrAt reads it as its padded
-// twin. Callers must not mutate it; CP-side code writes through
-// CPMutableData and CleanChild.
+// image, of its file's L0 length, of a metafile L0 nobody has written yet.
+// An indirect's image is as long as its pointers need, nil with none; PtrAt
+// reads it as its padded twin. Callers must not mutate it; CP-side code
+// writes through CPMutableData and CleanChild.
 func (b *Buffer) Data() []byte {
 	if b.data == nil && b.level == 0 {
-		b.data = b.f.pool.full(nil)
+		b.data = b.f.pool.copyOf(nil, b.f.l0Len)
 	}
 	return b.data
 }
@@ -90,17 +82,17 @@ func (b *Buffer) Data() []byte {
 // CPMutableData returns a metafile L0's image for mutation by CP-side code
 // (the infrastructure updating allocation-metafile bits, inode-record
 // serialization): a modification belongs to the running CP. The returned
-// array is always full-length. An indirect is written by CleanChild alone,
-// through ptrs, never through this method.
+// array is always its file's L0 length (File.L0Len). An indirect is written
+// by CleanChild alone, through ptrs, never through this method.
 //
 // The CP image and the live image are the same array, so updates are
 // visible to both; the method copies if storage aliases the live image
-// (sealed) or if it is shorter than a block. A sealed array it leaves is
+// (sealed) or if it is shorter than that. A sealed array it leaves is
 // marked media-only at the buffer's VBN.
 func (b *Buffer) CPMutableData() []byte {
-	if b.sealed || len(b.data) < block.Size {
+	if b.sealed || len(b.data) < b.f.l0Len {
 		old, left := b.data, b.sealed
-		b.data = b.f.pool.full(old)
+		b.data = b.f.pool.copyOf(old, b.f.l0Len)
 		if left {
 			b.f.pool.leave(b.vbn, old)
 		}
@@ -120,10 +112,12 @@ func (b *Buffer) CPMutableData() []byte {
 // stays at the old DBN, marked media-only, and the buffer first moves to a
 // fresh one, so no array sits at two DBNs. An indirect without pointers
 // goes out empty and holds no array on the media. A metafile L0 that trims
-// to sparseMax bytes or fewer is handed out as a trimmed private copy,
-// written media-only, and the buffer stays unsealed: the next CP updates it
-// in place; a dense one goes out as the buffer's array, the same way as an
-// indirect.
+// to half its file's L0 length or less is sparse: it is handed out as a
+// trimmed private copy, written media-only, and the buffer stays unsealed,
+// so the next CP updates it in place. A dense one goes out as the buffer's
+// array, the same way as an indirect: a short copy of it would duplicate
+// the array the buffer keeps anyway. An indirect needs no such rule, as its
+// pointers fill at most half a block.
 func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img block.Image, mediaOnly bool, oldVVBN block.VVBN, oldVBN block.VBN) {
 	oldVVBN, oldVBN = b.vvbn, b.vbn
 	b.vvbn, b.vbn = vvbn, vbn
@@ -133,7 +127,7 @@ func (b *Buffer) MarkCleaned(vvbn block.VVBN, vbn block.VBN) (img block.Image, m
 		img.Bytes = b.Data()
 		trimmed := block.Trim(img.Bytes)
 		switch {
-		case len(trimmed) <= sparseMax:
+		case len(trimmed) <= b.f.l0Len/2:
 			img.Bytes, mediaOnly = b.f.pool.mediaCopy(trimmed)
 		case b.sealed:
 			img.Bytes = b.reseal(oldVBN)

@@ -107,6 +107,7 @@ type File struct {
 	height   int
 	size     block.FBN   // one past the highest FBN ever written
 	metafile bool        // a metafile (NewMetafile, or a FlagMetafile record): L0s are CP-owned buffers
+	l0Len    int         // a metafile L0's image length in bytes (SetL0Len)
 	pool     *ImagePool  // where arrays come from and go back to; nil allocates
 	own      *userImages // without a pool, the home of the file's user L0 images (images)
 
@@ -140,6 +141,7 @@ func NewFile(ino uint64, height int) *File {
 	return &File{
 		ino:      ino,
 		height:   height,
+		l0Len:    block.Size,
 		RootVVBN: block.InvalidVVBN,
 		RootVBN:  block.InvalidVBN,
 	}
@@ -156,6 +158,17 @@ func NewMetafile(ino uint64, height int) *File {
 // SetMetafile makes f, which holds no user L0, a metafile: CP-side code
 // writes its L0s (GetOrCreateL0, CPMutableData).
 func (f *File) SetMetafile() { f.metafile = true }
+
+// SetL0Len makes n bytes, 0 < n <= block.Size, the length of metafile f's
+// L0 images: of the arrays its L0 buffers hold (Data, CPMutableData,
+// InstallBuffer), and the measure of MarkCleaned's sparse rule. It is
+// block.Size but for a metafile whose entries fill less: the owner that
+// decodes its L0s sets it, when it creates or mounts the file and before
+// the file holds a block.
+func (f *File) SetL0Len(n int) { f.l0Len = n }
+
+// L0Len returns the length of f's metafile L0 images (SetL0Len).
+func (f *File) L0Len() int { return f.l0Len }
 
 // SetImagePool makes p the pool the file's arrays come from. The owner of
 // the media sets it on every file it creates or mounts, before the file
@@ -290,8 +303,10 @@ func (f *File) getOrCreate(level int, idx block.FBN) *Buffer {
 // from the pool, unsealed, so no buffer ever holds a media array the pool
 // may take back: an indirect into an array of the image's own length, nil
 // if it is empty, as CleanChild would have grown it; a metafile L0 into a
-// private full block, because CPMutableData and the metafile decoders work
-// on whole blocks. A user L0 has no buffer: a read of one holds it (Hold).
+// private array of the file's L0 length (L0Len), because CPMutableData and
+// the metafile decoders work on whole images. A metafile L0's image must
+// hold nothing past that length (the mount checks it): its bytes past it,
+// if any, are zero. A user L0 has no buffer: a read of one holds it (Hold).
 func (f *File) InstallBuffer(level int, idx block.FBN, img block.Image, vvbn block.VVBN, vbn block.VBN) *Buffer {
 	b := f.getOrCreate(level, idx)
 	data := img.Bytes
@@ -300,7 +315,7 @@ func (f *File) InstallBuffer(level int, idx block.FBN, img block.Image, vvbn blo
 	case level > 0:
 		b.data, b.sealed = f.pool.copyOf(data, len(data)), false
 	default:
-		b.data, b.sealed = f.pool.full(data), false
+		b.data, b.sealed = f.pool.copyOf(data, f.l0Len), false
 	}
 	b.vvbn, b.vbn = vvbn, vbn
 	if level == 0 && b.fbn >= f.size {

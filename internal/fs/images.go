@@ -13,10 +13,10 @@ import (
 
 // ImagePool recycles the CP-owned image arrays (DESIGN §14, *Who holds an
 // array*). It is the one place in this package that makes one: a metafile
-// L0's full-block copy (CPMutableData, InstallBuffer, Data), an indirect's
-// array sized to its pointers (CleanChild, InstallBuffer) and MarkCleaned's
-// trimmed copy of a sparse metafile L0 for the media come from it, one
-// fifo.Pool per size class (block.Class). A user L0 of an aggregate holds
+// L0's copy at its file's L0 length (CPMutableData, InstallBuffer, Data),
+// an indirect's array sized to its pointers (CleanChild, InstallBuffer) and
+// MarkCleaned's trimmed copy of a sparse metafile L0 for the media come
+// from it, one fifo.Pool per size class (block.Class). A user L0 of an aggregate holds
 // its image by name, and takes nothing from it.
 //
 // An array comes back from whichever of its holders lets go of it last: its
@@ -285,8 +285,8 @@ func (p *ImagePool) get(n int) []byte {
 	return p.classes[c].Get()[:n]
 }
 
-// copyOf returns an n-byte copy of image src, len(src) <= n, zero past
-// src's end; n == 0 gives nil.
+// copyOf returns an n-byte copy of image src, zero past src's end; n == 0
+// gives nil. src's bytes past n, if any, must be zero.
 func (p *ImagePool) copyOf(src []byte, n int) []byte {
 	if n == 0 {
 		return nil
@@ -295,9 +295,6 @@ func (p *ImagePool) copyOf(src []byte, n int) []byte {
 	clear(b[copy(b, src):])
 	return b
 }
-
-// full returns a full-block copy of image src; nil gives the zero block.
-func (p *ImagePool) full(src []byte) []byte { return p.copyOf(src, block.Size) }
 
 // ptrsLen is the length an indirect's array of capacity cur grows to so
 // that it holds need: the size class of twice cur, or of need if that is

@@ -161,7 +161,7 @@ func TestImagePoolOwnership(t *testing.T) {
 		f := pooled(p, true)
 		b := setL0(f, 0, 100, 2)
 		img, mediaOnly := clean(f, b, 100)
-		if len(img) > sparseMax || &img[0] == &b.data[0] || b.sealed || !mediaOnly {
+		if len(img) > f.L0Len()/2 || &img[0] == &b.data[0] || b.sealed || !mediaOnly {
 			t.Fatalf("sparse image of %d bytes: aliased %v, sealed %v, media-only %v", len(img), &img[0] == &b.data[0], b.sealed, mediaOnly)
 		}
 		m.land(100, img, mediaOnly)

@@ -99,7 +99,7 @@ func FileFromRecord(r Record) (*File, error) {
 // DecodeMetafile decodes src as a metafile's record and reconstructs the
 // file (DecodeRecord, then FileFromRecord). A record without FlagMetafile is
 // damage, an error: the file's short L0s would be adopted unpadded, and the
-// metafile decoders index whole blocks.
+// metafile decoders index whole images.
 func DecodeMetafile(src []byte) (*File, error) {
 	r := DecodeRecord(src)
 	if r.Flags&FlagMetafile == 0 {
