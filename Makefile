@@ -1,7 +1,8 @@
 GO ?= go
 
 # The gates of the harness registry (harness.Experiments, Gate set), one make
-# stage each, named as waflbench names them:
+# target each for a single run, named as waflbench names them (ci runs them
+# all, clonesweep too, through registrycheck):
 #   crashsweep    crash at 101 reproducible points (event indices + CP phase
 #                 boundaries, both CP engines, one mid-shed overload point, 18
 #                 boundaries of the clone/split/SnapRestore script, and 32
@@ -15,7 +16,7 @@ GO ?= go
 #                 latency-sensitive p99.9 up, on must shed bulk and bound it
 GATES = crashsweep clustersweep overloadcheck
 
-.PHONY: all build test vet fmt race racecp benchsmoke fuzzsmoke expsmoke cover $(GATES) ci clean
+.PHONY: all build test vet fmt race racecp benchsmoke fuzzsmoke expsmoke cover $(GATES) registry registrycheck ci clean
 
 all: build
 
@@ -90,6 +91,22 @@ expsmoke:
 $(GATES):
 	$(GO) run ./cmd/waflbench -exp $@
 
+# registry rewrites harness/testdata/registry.txt: the stdout of `waflbench
+# -exp all`, then of every gate, at the default flags. Stdout is a pure
+# function of the code (host times go to stderr), so registrycheck, a ci
+# stage, runs the same commands and fails on any difference from the file as
+# well as on a gate that exits non-zero. A change that moves a number
+# rewrites the file with `make registry`, and says which rows moved and why.
+# ~40 s on 2 vCPU.
+REGISTRY = harness/testdata/registry.txt
+REGISTRY_EXPS = all crashsweep clustersweep clonesweep overloadcheck
+registry registrycheck:
+	@$(GO) build -o waflbench ./cmd/waflbench
+	@out=$$(mktemp); trap 'rm -f $$out' EXIT; failed=; \
+	for e in $(REGISTRY_EXPS); do ./waflbench -exp $$e >> $$out || failed="$$failed $$e"; done; \
+	if [ $@ = registry ]; then cp $$out $(REGISTRY); else diff -u $(REGISTRY) $$out || failed="$$failed (stdout differs from $(REGISTRY))"; fi; \
+	[ -z "$$failed" ] || { echo "$@ failed:$$failed"; exit 1; }
+
 # cover runs the tests of every package but bench/ and the commands, with
 # coverage of all of them, and fails on a function outside cmd/ that no test
 # reaches unless cover.allow lists it with its non-test caller (cmd/waflbench
@@ -114,7 +131,7 @@ cover:
 # runs: every stage once. The architecture rules (one apply path, one oracle,
 # one stats spine, one allocation space, one owner of the on-media tree, no
 # unused knob or export) are rows of arch_test.go and run with the tests.
-ci: vet fmt build race benchsmoke fuzzsmoke expsmoke cover $(GATES)
+ci: vet fmt build race benchsmoke fuzzsmoke expsmoke cover registrycheck
 
 clean:
 	rm -f wafltop waflbench *.test

@@ -5,6 +5,10 @@
 // reproduction target (see EXPERIMENTS.md). The tracked performance numbers
 // are `go run ./bench`, not this command.
 //
+// Stdout holds the tables only, so it depends on nothing but the code and the
+// flags: harness/testdata/registry.txt is the default run's, checked by `make
+// registrycheck`. The host time each entry took goes to stderr.
+//
 // Usage:
 //
 //	waflbench                 # every table (no gates)
@@ -82,7 +86,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s took %.1fs host time)\n\n", e.Name, time.Since(start).Seconds())
+		fmt.Fprintf(os.Stderr, "(%s took %.1fs host time)\n", e.Name, time.Since(start).Seconds())
 	}
 	stopProfiles()
 }
