@@ -842,6 +842,23 @@ var archRules = []archRule{
 		}},
 	},
 	{
+		// One measurement runner: a registry table is a list of scenarios
+		// that RunConfig.run (harness.go) builds, measures, traces and shuts
+		// down. The crash and cluster sweeps' schedules, which crash and
+		// recover systems rather than measure them, build theirs in
+		// crashsweep.go.
+		name: "runner",
+		clauses: []clause{{
+			scan: []string{"harness"}, except: []string{"harness/harness.go", "harness/crashsweep.go"},
+			forbid: callOn([]string{"wafl"}, "NewSystem"),
+			msg:    "wafl.NewSystem called under harness/: measure a scenario through RunConfig.run",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"harness/flexgroup.go": `package harness; func f(c wafl.Config) { wafl.NewSystem(c) }`},
+			want:  "harness/flexgroup.go:1: wafl.NewSystem called under harness/",
+		}},
+	},
+	{
 		// One stats spine (wafl.Stats, stats.go): a window's deltas are
 		// Results.Stats, a new counter or histogram is a field of its layer's
 		// struct, and the reflective fold never runs on a path a simulated

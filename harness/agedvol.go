@@ -25,19 +25,15 @@ func AgedVolume(rc RunConfig) (Table, error) {
 	cfg := rc.Base
 	w.Configure(&cfg)
 	// Attach prefills and ages in simulated time.
-	res, _, err := rc.Measure(cfg, w)
-	if err != nil {
-		return t, err
-	}
-	in := res.Stats.Infra
-	t.Rows = append(t.Rows, []string{
-		f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
-		fmt.Sprintf("%d", in.VFillWords), fmt.Sprintf("%d", in.VBucketsFilled),
-		f2(wordsPerVBucket(in)), f2(res.Cores.Infra), fmt.Sprintf("%d", in.GetWaits),
+	t, _, err := rc.rows(t, []scenario{rc.scenario(nil, cfg, w)}, func(m, _ measurement) []string {
+		r, in := m.res, m.res.Stats.Infra
+		return []string{f0(r.OpsPerSec), f2(r.MBPerSec), ms(r.LatP50), ms(r.LatP99),
+			fmt.Sprint(in.VFillWords), fmt.Sprint(in.VBucketsFilled),
+			f2(wordsPerVBucket(in)), f2(r.Cores.Infra), fmt.Sprint(in.GetWaits)}
 	})
 	t.Notes = append(t.Notes,
 		"both volumes ~82% occupied (active + snapshot-held) with a pinned base snapshot and a rotating 2-deep ring")
-	return t, nil
+	return t, err
 }
 
 // wordsPerVBucket is the volume fill words charged per installed virtual

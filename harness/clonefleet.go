@@ -28,12 +28,13 @@ func CloneFleet(rc RunConfig) (Table, error) {
 	cfg := rc.Base
 	w.Configure(&cfg)
 	// Attach prefills, fans out and ages by divergence in simulated time.
-	res, sys, err := rc.Measure(cfg, w)
+	m, err := rc.run(rc.scenario(nil, cfg, w))
 	if err != nil {
 		return t, err
 	}
 	// The clone and restore counters are the run's since format; clone-held
 	// is the bound clones' base blocks still shared with their parents.
+	res, sys := m.res, m.sys
 	cp, held := sys.Stats().CP, uint64(0)
 	for _, cv := range sys.CloneVolumes() {
 		held += sys.FreeSpaceBreakdown(cv).CloneHeld

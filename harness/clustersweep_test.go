@@ -37,20 +37,20 @@ func TestFlexgroupSmall(t *testing.T) {
 	rc.Base.Members = 2 // widths 1 and 2
 	w := workload.DefaultManyFile()
 	w.Clients = 8
-	tab, res, err := Flexgroup(rc, w)
+	tab, runs, err := flexgroup(rc, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 {
-		t.Fatalf("want 2 widths, got %d results", len(res))
+	if len(runs) != 2 {
+		t.Fatalf("want 2 widths, got %d results", len(runs))
 	}
-	if res[1].Speedup < 1.4 {
-		t.Fatalf("2 members only %.2fx the 1-member throughput:\n%s", res[1].Speedup, tab.String())
+	if speedup := runs[1].res.OpsPerSec / runs[0].res.OpsPerSec; speedup < 1.4 {
+		t.Fatalf("2 members only %.2fx the 1-member throughput:\n%s", speedup, tab.String())
 	}
-	if got := len(res[1].PerMember); got != 2 {
+	if got := len(runs[1].members); got != 2 {
 		t.Fatalf("2-member run reports %d per-member windows", got)
 	}
-	for i, p := range res[1].PerMember {
+	for i, p := range runs[1].members {
 		if p.Ops == 0 {
 			t.Fatalf("member %d served no ops in the window:\n%s", i, tab.String())
 		}

@@ -3,100 +3,58 @@ package harness
 import (
 	"fmt"
 
-	"wafl"
 	"wafl/workload"
 )
 
-// Permutation names one {cleaner, infrastructure} parallelization setting
-// of the §V-A instrumented kernels.
-type Permutation struct {
-	Name          string
-	InfraParallel bool
-	Cleaners      int
-}
-
-// permutations returns the four Fig 4 / Fig 7 configurations.
-func permutations(parallelCleaners int) []Permutation {
-	return []Permutation{
-		{"serialized (baseline)", false, 1},
-		{"+parallel infra", true, 1},
-		{"+parallel cleaners", false, parallelCleaners},
-		{"White Alligator (both)", true, parallelCleaners},
+// permutations returns the four Fig 4 / Fig 7 scenarios: w under each
+// {infrastructure, cleaner} parallelization of the §V-A instrumented kernels,
+// rc.Cleaners cleaner threads where the cleaners are parallel.
+func (rc RunConfig) permutations(w Attacher) []scenario {
+	perm := func(label string, infra bool, cleaners int) scenario {
+		cfg := withCleaners(rc.Base, cleaners)
+		cfg.Allocator.InfraParallel = infra
+		return rc.scenario([]string{label}, cfg, w)
+	}
+	return []scenario{
+		perm("serialized (baseline)", false, 1),
+		perm("+parallel infra", true, 1),
+		perm("+parallel cleaners", false, rc.Cleaners),
+		perm("White Alligator (both)", true, rc.Cleaners),
 	}
 }
 
-// PermutationResult pairs a permutation with its measurement.
-type PermutationResult struct {
-	Permutation
-	Res wafl.Results
-}
-
-// RunPermutations measures a workload under the four parallelization
-// permutations.
-func RunPermutations(rc RunConfig, mk func() Attacher, parallelCleaners int) ([]PermutationResult, error) {
-	var out []PermutationResult
-	for _, p := range permutations(parallelCleaners) {
-		cfg := rc.Base
-		cfg.Allocator.InfraParallel = p.InfraParallel
-		cfg.Allocator.InitialCleaners = p.Cleaners
-		cfg.Allocator.MaxCleaners = p.Cleaners
-		res, _, err := rc.Measure(cfg, mk())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PermutationResult{p, res})
-	}
-	return out, nil
-}
-
-// permTable renders permutation results in the Fig 4 / Fig 7 format:
-// relative throughput plus write-allocation core usage.
-func permTable(id, title string, prs []PermutationResult) Table {
+// permTable measures w under the four permutations and renders the Fig 4 /
+// Fig 7 format: relative throughput plus write-allocation core usage.
+func (rc RunConfig) permTable(id, title string, w Attacher) (Table, []measurement, error) {
 	t := Table{
 		ID:    id,
 		Title: title,
 		Headers: []string{"configuration", "ops/s", "rel-throughput", "cleaner-cores", "infra-cores",
 			"walloc-cores", "total-cores"},
 	}
-	base := prs[0].Res.OpsPerSec
-	for _, pr := range prs {
-		t.Rows = append(t.Rows, []string{
-			pr.Name,
-			f0(pr.Res.OpsPerSec),
-			pct(pr.Res.OpsPerSec, base),
-			f2(pr.Res.Cores.Cleaner),
-			f2(pr.Res.Cores.Infra),
-			f2(pr.Res.Cores.WriteAllocation()),
-			f2(pr.Res.Cores.Total()),
-		})
-	}
-	return t
+	return rc.rows(t, rc.permutations(w), func(m, base measurement) []string {
+		r := m.res
+		return []string{f0(r.OpsPerSec), pct(r.OpsPerSec, base.res.OpsPerSec), f2(r.Cores.Cleaner),
+			f2(r.Cores.Infra), f2(r.Cores.WriteAllocation()), f2(r.Cores.Total())}
+	})
 }
 
 // Fig4 reproduces Figure 4: sequential write under the four permutations.
 // Paper shape: +7% (infra only), +82% (cleaners only), +274% (both);
 // ~6.2 write-allocation cores at full parallelism.
 func Fig4(rc RunConfig) (Table, error) {
-	prs, err := RunPermutations(rc, func() Attacher { return workload.DefaultSeqWrite() }, rc.Cleaners)
-	if err != nil {
-		return Table{}, err
-	}
-	t := permTable("Fig4", "Sequential write: throughput & core usage by parallelization", prs)
+	t, _, err := rc.permTable("Fig4", "Sequential write: throughput & core usage by parallelization", workload.DefaultSeqWrite())
 	t.Notes = append(t.Notes, "paper: +7% infra-only, +82% cleaners-only, +274% both")
-	return t, nil
+	return t, err
 }
 
 // Fig7 reproduces Figure 7: random write under the four permutations.
 // Paper shape (inverted vs Fig 4): +25% infra-only, +14% cleaners-only,
 // +50% both.
 func Fig7(rc RunConfig) (Table, error) {
-	prs, err := RunPermutations(rc, func() Attacher { return workload.DefaultRandWrite() }, rc.Cleaners)
-	if err != nil {
-		return Table{}, err
-	}
-	t := permTable("Fig7", "Random write: throughput & core usage by parallelization", prs)
+	t, _, err := rc.permTable("Fig7", "Random write: throughput & core usage by parallelization", workload.DefaultRandWrite())
 	t.Notes = append(t.Notes, "paper: +25% infra-only, +14% cleaners-only, +50% both")
-	return t, nil
+	return t, err
 }
 
 // Fig5 reproduces Figure 5: sequential-write throughput and cleaner core
@@ -108,24 +66,16 @@ func Fig5(rc RunConfig) (Table, error) {
 		Title:   "Sequential write vs number of cleaner threads (parallel infra)",
 		Headers: []string{"cleaners", "ops/s", "rel", "cleaner-cores", "infra-cores", "total-cores"},
 	}
-	var base float64
+	var scs []scenario
 	for n := 1; n <= 6; n++ {
-		cfg := rc.Base
-		cfg.Allocator.InitialCleaners = n
-		cfg.Allocator.MaxCleaners = n
-		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
-		if err != nil {
-			return Table{}, err
-		}
-		if n == 1 {
-			base = res.OpsPerSec
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n), f0(res.OpsPerSec), pct(res.OpsPerSec, base),
-			f2(res.Cores.Cleaner), f2(res.Cores.Infra), f2(res.Cores.Total()),
-		})
+		scs = append(scs, rc.scenario([]string{fmt.Sprint(n)}, withCleaners(rc.Base, n), workload.DefaultSeqWrite()))
 	}
-	return t, nil
+	t, _, err := rc.rows(t, scs, func(m, base measurement) []string {
+		r := m.res
+		return []string{f0(r.OpsPerSec), pct(r.OpsPerSec, base.res.OpsPerSec),
+			f2(r.Cores.Cleaner), f2(r.Cores.Infra), f2(r.Cores.Total())}
+	})
+	return t, err
 }
 
 // Fig6 reproduces Figure 6: infrastructure core usage and throughput with
@@ -137,28 +87,16 @@ func Fig6(rc RunConfig) (Table, error) {
 		Title:   "Infrastructure parallelization (cleaners parallel)",
 		Headers: []string{"infrastructure", "ops/s", "rel", "infra-cores", "total-cores"},
 	}
-	var base float64
-	for _, par := range []bool{false, true} {
-		cfg := rc.Base
-		cfg.Allocator.InfraParallel = par
-		cfg.Allocator.InitialCleaners = rc.Cleaners
-		cfg.Allocator.MaxCleaners = rc.Cleaners
-		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
-		if err != nil {
-			return Table{}, err
-		}
-		if !par {
-			base = res.OpsPerSec
-		}
-		name := "serialized"
-		if par {
-			name = "parallel"
-		}
-		t.Rows = append(t.Rows, []string{
-			name, f0(res.OpsPerSec), pct(res.OpsPerSec, base),
-			f2(res.Cores.Infra), f2(res.Cores.Total()),
-		})
+	var scs []scenario
+	for i, label := range []string{"serialized", "parallel"} {
+		cfg := withCleaners(rc.Base, rc.Cleaners)
+		cfg.Allocator.InfraParallel = i == 1
+		scs = append(scs, rc.scenario([]string{label}, cfg, workload.DefaultSeqWrite()))
 	}
+	t, _, err := rc.rows(t, scs, func(m, base measurement) []string {
+		r := m.res
+		return []string{f0(r.OpsPerSec), pct(r.OpsPerSec, base.res.OpsPerSec), f2(r.Cores.Infra), f2(r.Cores.Total())}
+	})
 	t.Notes = append(t.Notes, "paper: infra cores 0.94 -> 2.35, throughput +106%")
-	return t, nil
+	return t, err
 }

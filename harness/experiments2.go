@@ -7,32 +7,17 @@ import (
 	"wafl/workload"
 )
 
-// cleanerConfigs returns the Fig 8 / Fig 9 thread configurations: static
-// 1..max plus dynamic.
-type cleanerConfig struct {
-	Name    string
-	Static  int // 0 => dynamic
-	Max     int
-	Dynamic bool
-}
-
-func cleanerConfigs(max int) []cleanerConfig {
-	var out []cleanerConfig
-	for n := 1; n <= max; n++ {
-		out = append(out, cleanerConfig{Name: fmt.Sprintf("%d threads", n), Static: n, Max: n})
+// cleanerSettings returns the Fig 8 / Fig 9 cleaner-thread settings of base,
+// as scenarios without a workload: 1 to 4 static threads, then the dynamic
+// tuner starting from one thread with up to four.
+func (rc RunConfig) cleanerSettings(base wafl.Config) []scenario {
+	var scs []scenario
+	for n := 1; n <= 4; n++ {
+		scs = append(scs, rc.scenario([]string{fmt.Sprintf("%d threads", n)}, withCleaners(base, n), nil))
 	}
-	out = append(out, cleanerConfig{Name: "dynamic", Max: max, Dynamic: true})
-	return out
-}
-
-func (cc cleanerConfig) apply(cfg *wafl.Config) {
-	cfg.Allocator.Dynamic = cc.Dynamic
-	cfg.Allocator.MaxCleaners = cc.Max
-	if cc.Dynamic {
-		cfg.Allocator.InitialCleaners = 1
-	} else {
-		cfg.Allocator.InitialCleaners = cc.Static
-	}
+	dyn := base
+	dyn.Allocator.Dynamic, dyn.Allocator.InitialCleaners, dyn.Allocator.MaxCleaners = true, 1, 4
+	return append(scs, rc.scenario([]string{"dynamic"}, dyn, nil))
 }
 
 // Fig8 reproduces Figure 8: the OLTP benchmark on the Flash Pool system
@@ -43,6 +28,10 @@ func (cc cleanerConfig) apply(cfg *wafl.Config) {
 func Fig8(rc RunConfig) (Table, error) {
 	base := rc.Base
 	base.Drives = wafl.FlashPool
+	// OLTP LUN cleaning parallelism on this testbed equals the volume count
+	// (2): per-inode splitting is not in play (§V-C's feature targets
+	// single-file hotspots, not steady OLTP).
+	base.Allocator.SplitLargeFiles = false
 
 	peak := workload.DefaultOLTP()
 	peak.Clients = 80
@@ -56,37 +45,23 @@ func Fig8(rc RunConfig) (Table, error) {
 		Title:   "OLTP (Flash Pool): peak throughput & knee latency vs cleaner threads",
 		Headers: []string{"cleaners", "peak ops/s", "rel", "knee latency", "rel"},
 	}
-	var baseOps float64
-	var baseLat wafl.Duration
-	for _, cc := range cleanerConfigs(4) {
-		cfgPeak := base
-		cc.apply(&cfgPeak)
-		// OLTP LUN cleaning parallelism on this testbed equals the volume
-		// count (2): per-inode splitting is not in play (§V-C's feature
-		// targets single-file hotspots, not steady OLTP).
-		cfgPeak.Allocator.SplitLargeFiles = false
-		resPeak, _, err := rc.Measure(cfgPeak, peak)
-		if err != nil {
-			return Table{}, err
+	var scs []scenario // each setting's peak, then its knee
+	for _, sc := range rc.cleanerSettings(base) {
+		for _, w := range []Attacher{peak, knee} {
+			sc.work = w
+			scs = append(scs, sc)
 		}
-		cfgKnee := base
-		cc.apply(&cfgKnee)
-		cfgKnee.Allocator.SplitLargeFiles = false
-		resKnee, _, err := rc.Measure(cfgKnee, knee)
-		if err != nil {
-			return Table{}, err
-		}
-		if baseOps == 0 {
-			baseOps = resPeak.OpsPerSec
-			baseLat = resKnee.LatAvg
-		}
+	}
+	runs, err := rc.runAll(scs)
+	for i := 0; i < len(runs); i += 2 {
+		p, k := runs[i].res, runs[i+1].res
 		t.Rows = append(t.Rows, []string{
-			cc.Name, f0(resPeak.OpsPerSec), pct(resPeak.OpsPerSec, baseOps),
-			us(resKnee.LatAvg), pct(float64(resKnee.LatAvg), float64(baseLat)),
+			runs[i].label[0], f0(p.OpsPerSec), pct(p.OpsPerSec, runs[0].res.OpsPerSec),
+			us(k.LatAvg), pct(float64(k.LatAvg), float64(runs[1].res.LatAvg)),
 		})
 	}
 	t.Notes = append(t.Notes, "paper: 2 static threads optimal; >2 adds latency and -3% throughput; dynamic best overall")
-	return t, nil
+	return t, err
 }
 
 // Fig9 reproduces Figure 9: sequential-write throughput vs latency at
@@ -94,75 +69,62 @@ func Fig8(rc RunConfig) (Table, error) {
 // tuning. Paper shape: 4 threads win peak throughput, 3 threads have lower
 // off-peak latency, and dynamic tuning traces the lower envelope.
 func Fig9(rc RunConfig) (Table, error) {
-	loads := []int{4, 8, 16, 24}
 	t := Table{
 		ID:      "Fig9",
 		Title:   "Sequential write: throughput vs latency at rising load",
 		Headers: []string{"config", "clients", "MB/s", "avg latency"},
 	}
-	for _, cc := range cleanerConfigs(4) {
-		for _, clients := range loads {
-			cfg := rc.Base
-			cc.apply(&cfg)
+	var scs []scenario
+	for _, sc := range rc.cleanerSettings(rc.Base) {
+		for _, clients := range []int{4, 8, 16, 24} {
 			w := workload.DefaultSeqWrite()
 			w.Clients = clients
-			res, _, err := rc.Measure(cfg, w)
-			if err != nil {
-				return Table{}, err
-			}
-			t.Rows = append(t.Rows, []string{cc.Name, fmt.Sprintf("%d", clients), f2(res.MBPerSec), us(res.LatAvg)})
+			sc.label, sc.work = []string{sc.label[0], fmt.Sprint(clients)}, w
+			scs = append(scs, sc)
 		}
 	}
+	t, _, err := rc.rows(t, scs, func(m, _ measurement) []string {
+		return []string{f2(m.res.MBPerSec), us(m.res.LatAvg)}
+	})
 	t.Notes = append(t.Notes, "paper: peak with 4 threads, lower off-peak latency with 3, dynamic ≥ both")
-	return t, nil
+	return t, err
 }
 
 // BatchedCleaning reproduces the §V-C in-text result: the NFSv3 mix on SAS
 // drives with and without batched inode cleaning. Paper: 21.2K -> 22.0K
 // ops/s (+3.8%) and latency 6.7ms -> 6.5ms.
 func BatchedCleaning(rc RunConfig) (Table, error) {
-	base := rc.Base
-	base.Drives = wafl.HDD
+	sas := rc.Base
+	sas.Drives = wafl.HDD
 	// The SAS testbed spreads load over a shelf of spindles: four RAID
 	// groups, so drive bandwidth is not the CP bottleneck.
-	base.RAIDGroups = 4
-	base.DriveBlocks = 32768
+	sas.RAIDGroups = 4
+	sas.DriveBlocks = 32768
+	// Measure at saturation (no think time): throughput is CP-drain
+	// bound, which is where per-inode message overhead shows.
+	w := workload.DefaultNFSMix()
+	w.Think = 0
+	w.FilesPerV = 800
 	t := Table{
 		ID:      "V-C",
 		Title:   "NFSv3 mix (SAS): batched inode cleaning",
 		Headers: []string{"batching", "ops/s", "rel", "avg latency", "rel", "jobs", "batches"},
 	}
-	var baseOps float64
-	var baseLat wafl.Duration
-	for _, batching := range []bool{false, true} {
-		cfg := base
-		cfg.Allocator.BatchedCleaning = batching
-		// Measure at saturation (no think time): throughput is CP-drain
-		// bound, which is where per-inode message overhead shows.
-		w := workload.DefaultNFSMix()
-		w.Think = 0
-		w.FilesPerV = 800
-		res, sys, err := rc.Measure(cfg, w)
-		if err != nil {
-			return Table{}, err
-		}
-		if !batching {
-			baseOps = res.OpsPerSec
-			baseLat = res.LatAvg
-		}
-		name := "off"
-		if batching {
-			name = "on"
-		}
-		pool := sys.Stats().Pool // cumulative: jobs equal batches unless batching merged some
-		t.Rows = append(t.Rows, []string{
-			name, f0(res.OpsPerSec), pct(res.OpsPerSec, baseOps),
-			us(res.LatAvg), pct(float64(res.LatAvg), float64(baseLat)),
-			fmt.Sprintf("%d", pool.JobsRun), fmt.Sprintf("%d", pool.BatchesRun),
-		})
+	var scs []scenario
+	for i, label := range []string{"off", "on"} {
+		cfg := sas
+		cfg.Allocator.BatchedCleaning = i == 1
+		scs = append(scs, rc.scenario([]string{label}, cfg, w))
 	}
+	t, _, err := rc.rows(t, scs, func(m, base measurement) []string {
+		r := m.res
+		pool := m.sys.Stats().Pool // cumulative: jobs equal batches unless batching merged some
+		return []string{f0(r.OpsPerSec), pct(r.OpsPerSec, base.res.OpsPerSec),
+			us(r.LatAvg), pct(float64(r.LatAvg), float64(base.res.LatAvg)),
+			fmt.Sprint(pool.JobsRun), fmt.Sprint(pool.BatchesRun)}
+	})
 	t.Notes = append(t.Notes, "paper: +3.8% ops/s, latency 6.7ms -> 6.5ms")
-	return t, nil
+	return t, err
 }
 
 // Ablations measures the design choices §IV calls out: bucket (chunk)
@@ -174,46 +136,26 @@ func Ablations(rc RunConfig) (Table, error) {
 		Title:   "Design-choice ablations (sequential write, White Alligator config)",
 		Headers: []string{"ablation", "setting", "ops/s", "full-stripe%", "get-waits"},
 	}
-	run := func(name, setting string, mut func(*wafl.Config)) error {
+	var scs []scenario
+	ablate := func(name string, setting any, set func(*wafl.Config)) {
 		cfg := rc.Base
-		mut(&cfg)
-		res, _, err := rc.Measure(cfg, workload.DefaultSeqWrite())
-		if err != nil {
-			return err
-		}
-		t.Rows = append(t.Rows, []string{
-			name, setting, f0(res.OpsPerSec), f0(res.FullStripe * 100), fmt.Sprint(res.Stats.Infra.GetWaits),
-		})
-		return nil
+		set(&cfg)
+		scs = append(scs, rc.scenario([]string{name, fmt.Sprint(setting)}, cfg, workload.DefaultSeqWrite()))
 	}
 	for _, chunk := range []int{1, 8, 64, 256} {
-		if err := run("bucket-size", fmt.Sprintf("%d blocks", chunk), func(c *wafl.Config) {
-			c.Allocator.ChunkBlocks = chunk
-		}); err != nil {
-			return Table{}, err
-		}
+		ablate("bucket-size", fmt.Sprintf("%d blocks", chunk), func(c *wafl.Config) { c.Allocator.ChunkBlocks = chunk })
 	}
 	for _, p := range []wafl.AAPolicy{wafl.AAMostFree, wafl.AAFirstFit, wafl.AARoundRobin} {
-		p := p
-		if err := run("aa-policy", p.String(), func(c *wafl.Config) {
-			c.Allocator.AASelection = p
-		}); err != nil {
-			return Table{}, err
-		}
+		ablate("aa-policy", p, func(c *wafl.Config) { c.Allocator.AASelection = p })
 	}
 	for _, loose := range []bool{true, false} {
-		if err := run("loose-accounting", fmt.Sprintf("%v", loose), func(c *wafl.Config) {
-			c.Allocator.LooseAccounting = loose
-		}); err != nil {
-			return Table{}, err
-		}
+		ablate("loose-accounting", loose, func(c *wafl.Config) { c.Allocator.LooseAccounting = loose })
 	}
 	for _, eq := range []bool{true, false} {
-		if err := run("equal-progress", fmt.Sprintf("%v", eq), func(c *wafl.Config) {
-			c.Allocator.EqualProgress = eq
-		}); err != nil {
-			return Table{}, err
-		}
+		ablate("equal-progress", eq, func(c *wafl.Config) { c.Allocator.EqualProgress = eq })
 	}
-	return t, nil
+	t, _, err := rc.rows(t, scs, func(m, _ measurement) []string {
+		return []string{f0(m.res.OpsPerSec), f0(m.res.FullStripe * 100), fmt.Sprint(m.res.Stats.Infra.GetWaits)}
+	})
+	return t, err
 }

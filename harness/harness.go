@@ -8,6 +8,7 @@ package harness
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"wafl"
@@ -81,7 +82,7 @@ type RunConfig struct {
 	// sweep's CI-sized default.
 	Points int
 	Seeds  []int64
-	// Trace, when set, traces every Measure of the run (TraceOut).
+	// Trace, when set, traces every measurement of the run (TraceOut).
 	Trace *TraceOut
 }
 
@@ -97,7 +98,7 @@ func DefaultRun() RunConfig {
 	}
 }
 
-// TraceOut asks every Measure of a run for a Chrome trace-event JSON timeline:
+// TraceOut asks every measurement of a run for a Chrome trace-event JSON timeline:
 // the run has the observability spine on, and its timeline goes to
 // <Prefix>-NNN.json, numbered in run order. Events bounds the trace ring
 // buffer; 0 selects the default. Tracing never changes measured results.
@@ -107,22 +108,54 @@ type TraceOut struct {
 	seq    int // timelines written so far
 }
 
-// Measure builds a system with cfg, attaches the workload, measures it over
-// rc's warm-up and window, and tears the system down (the returned *System
-// is only good for reading statistics). With rc.Trace set, the run is traced
-// and its timeline written before teardown.
-func (rc RunConfig) Measure(cfg wafl.Config, w Attacher) (wafl.Results, *wafl.System, error) {
-	tr := rc.Trace
+// A scenario is one measurement of a registry table: the row's label (its
+// leading cells), the system's config, the workload, and the warm-up and
+// window it is measured over. A table is a list of them and a renderer.
+type scenario struct {
+	label          []string
+	cfg            wafl.Config
+	work           Attacher
+	warmup, window wafl.Duration
+	// atWindow, when set, runs at the window's start, after the warm-up:
+	// a workload that keeps statistics of its own marks them there.
+	atWindow func()
+}
+
+// scenario returns the scenario of cfg and w at rc's warm-up and window.
+func (rc RunConfig) scenario(label []string, cfg wafl.Config, w Attacher) scenario {
+	return scenario{label: label, cfg: cfg, work: w, warmup: rc.Warmup, window: rc.Window}
+}
+
+// A measurement is a scenario's outcome: the cluster's window, each
+// member's, and the system, shut down and good only for reading statistics.
+type measurement struct {
+	scenario
+	res     wafl.Results
+	members []wafl.Results
+	sys     *wafl.System
+}
+
+// run is the one way the registry measures: it builds sc's system, attaches
+// the workload, warms up, measures the window and shuts the system down.
+// With rc.Trace set, the run is traced and its timeline written before the
+// shutdown.
+func (rc RunConfig) run(sc scenario) (measurement, error) {
+	cfg, tr := sc.cfg, rc.Trace
 	if tr != nil {
 		cfg.Trace = true
 		cfg.TraceEvents = tr.Events
 	}
 	sys, err := wafl.NewSystem(cfg)
 	if err != nil {
-		return wafl.Results{}, nil, err
+		return measurement{}, err
 	}
-	w.Attach(sys)
-	res := sys.Measure(rc.Warmup, rc.Window)
+	sc.work.Attach(sys)
+	sys.Run(sc.warmup)
+	if sc.atWindow != nil {
+		sc.atWindow()
+	}
+	m := measurement{scenario: sc, sys: sys}
+	m.res, m.members = sys.MeasureMembers(0, sc.window)
 	if tr != nil {
 		name := fmt.Sprintf("%s-%03d.json", tr.Prefix, tr.seq)
 		tr.seq++
@@ -137,7 +170,46 @@ func (rc RunConfig) Measure(cfg wafl.Config, w Attacher) (wafl.Results, *wafl.Sy
 		}
 	}
 	sys.Shutdown()
-	return res, sys, nil
+	return m, nil
+}
+
+// runAll runs scs in order.
+func (rc RunConfig) runAll(scs []scenario) ([]measurement, error) {
+	runs := make([]measurement, 0, len(scs))
+	for _, sc := range scs {
+		m, err := rc.run(sc)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, m)
+	}
+	return runs, nil
+}
+
+// rows runs scs in order and adds a row to t for each: the scenario's label,
+// then the cells row renders from its measurement and the first one's, the
+// baseline of a relative column.
+func (rc RunConfig) rows(t Table, scs []scenario, row func(m, base measurement) []string) (Table, []measurement, error) {
+	runs, err := rc.runAll(scs)
+	for _, m := range runs {
+		t.Rows = append(t.Rows, slices.Concat(m.label, row(m, runs[0])))
+	}
+	return t, runs, err
+}
+
+// Measure builds a system with cfg, attaches w and measures it over rc's
+// warm-up and window through the registry's runner; the returned *System is
+// shut down, good only for reading statistics.
+func (rc RunConfig) Measure(cfg wafl.Config, w Attacher) (wafl.Results, *wafl.System, error) {
+	m, err := rc.run(rc.scenario(nil, cfg, w))
+	return m.res, m.sys, err
+}
+
+// withCleaners returns cfg with n cleaner threads, static unless the
+// allocator's dynamic tuner is on.
+func withCleaners(cfg wafl.Config, n int) wafl.Config {
+	cfg.Allocator.InitialCleaners, cfg.Allocator.MaxCleaners = n, n
+	return cfg
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -25,14 +25,16 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestPermutationsShape(t *testing.T) {
-	ps := permutations(6)
+	rc := DefaultRun()
+	rc.Cleaners = 6
+	ps := rc.permutations(workload.DefaultSeqWrite())
 	if len(ps) != 4 {
 		t.Fatalf("permutations = %d, want 4", len(ps))
 	}
-	if ps[0].InfraParallel || ps[0].Cleaners != 1 {
+	if a := ps[0].cfg.Allocator; a.InfraParallel || a.InitialCleaners != 1 || a.MaxCleaners != 1 {
 		t.Fatal("baseline must be fully serialized")
 	}
-	if !ps[3].InfraParallel || ps[3].Cleaners != 6 {
+	if a := ps[3].cfg.Allocator; !a.InfraParallel || a.InitialCleaners != 6 || a.MaxCleaners != 6 {
 		t.Fatal("last permutation must be fully parallel")
 	}
 }
@@ -54,63 +56,63 @@ func smallRun() RunConfig {
 	return rc
 }
 
-func TestMeasureRunsAndTearsDown(t *testing.T) {
-	rc := smallRun()
+// smallSeqWrite is a sequential-write load sized for smallRun.
+func smallSeqWrite(clients int) workload.SeqWrite {
 	w := workload.DefaultSeqWrite()
-	w.Clients = 4
+	w.Clients = clients
 	w.Volumes = 2
 	w.FileBlocks = 2048
-	res, sys, err := rc.Measure(rc.Base, w)
+	return w
+}
+
+// TestMeasureRunsAndTearsDown: the runner measures a window and returns the
+// shut-down system for its statistics, and so does Measure over it.
+func TestMeasureRunsAndTearsDown(t *testing.T) {
+	rc := smallRun()
+	m, err := rc.run(rc.scenario(nil, rc.Base, smallSeqWrite(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops == 0 {
-		t.Fatal("no ops measured")
+	if m.res.Ops == 0 || len(m.members) != 1 || m.members[0].Ops != m.res.Ops {
+		t.Fatalf("window of %d ops, members %+v", m.res.Ops, m.members)
 	}
-	if sys == nil {
+	if m.sys == nil {
 		t.Fatal("system not returned for stats")
+	}
+	res, sys, err := rc.Measure(rc.Base, smallSeqWrite(4))
+	if err != nil || res.Ops != m.res.Ops || sys == nil {
+		t.Fatalf("Measure: %d ops, system %p, error %v; the runner measured %d ops", res.Ops, sys, err, m.res.Ops)
 	}
 }
 
 func TestRunPermutationsOrdering(t *testing.T) {
 	rc := smallRun()
-	prs, err := RunPermutations(rc, func() Attacher {
-		w := workload.DefaultSeqWrite()
-		w.Clients = 6
-		w.Volumes = 2
-		w.FileBlocks = 2048
-		return w
-	}, 3)
+	rc.Cleaners = 3
+	runs, err := rc.runAll(rc.permutations(smallSeqWrite(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prs) != 4 {
-		t.Fatalf("%d results", len(prs))
+	if len(runs) != 4 {
+		t.Fatalf("%d results", len(runs))
 	}
-	base := prs[0].Res.OpsPerSec
-	full := prs[3].Res.OpsPerSec
+	base := runs[0].res.OpsPerSec
+	full := runs[3].res.OpsPerSec
 	if full <= base {
 		t.Fatalf("full parallelism (%f) must beat the serialized baseline (%f)", full, base)
 	}
 	// Cleaners-parallel should beat the baseline too (the paper's +82%).
-	if prs[2].Res.OpsPerSec <= base {
+	if runs[2].res.OpsPerSec <= base {
 		t.Fatal("parallel cleaners did not improve on the baseline")
 	}
 }
 
 func TestPermTableHasRelativeColumns(t *testing.T) {
 	rc := smallRun()
-	prs, err := RunPermutations(rc, func() Attacher {
-		w := workload.DefaultSeqWrite()
-		w.Clients = 4
-		w.Volumes = 2
-		w.FileBlocks = 2048
-		return w
-	}, 2)
+	rc.Cleaners = 2
+	tab, _, err := rc.permTable("FigX", "test", smallSeqWrite(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := permTable("FigX", "test", prs)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

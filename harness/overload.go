@@ -37,30 +37,29 @@ func OverloadConfig(base wafl.Config) wafl.Config {
 	return cfg
 }
 
-// runOverload measures one admission mode and returns its point.
-func runOverload(cfg wafl.Config, warmup, window wafl.Duration) (OverloadPoint, error) {
-	w := workload.DefaultOpenLoop() // the same burst shape for both modes
-	sys, err := wafl.NewSystem(cfg)
-	if err != nil {
-		return OverloadPoint{}, err
-	}
-	w.Attach(sys)
-	sys.Run(warmup)
+// openLoopWindow is the study's workload with what it keeps itself, its
+// histograms and shed count, as they stood at the window's start: they
+// accumulate from t=0, so a mode's point is their difference since. The
+// system's own deltas come with the Results.
+type openLoopWindow struct {
+	w          *workload.OpenLoop
+	ls0, bulk0 *wafl.TraceHistogram
+	shed0      uint64
+}
 
-	// Window baselines for what the workload itself keeps: its histograms
-	// and shed count accumulate from t=0, so snapshot at the window edge and
-	// diff. The system's own deltas come with the Results.
-	ls0, bulk0 := w.LSLat.Clone(), w.BulkLat.Clone()
-	shed0 := w.Shed
-	res := sys.Measure(0, window)
-	ls := w.LSLat.Delta(ls0)
-	bulk := w.BulkLat.Delta(bulk0)
-	p := OverloadPoint{
+func (o *openLoopWindow) mark() {
+	o.ls0, o.bulk0, o.shed0 = o.w.LSLat.Clone(), o.w.BulkLat.Clone(), o.w.Shed
+}
+
+// point reads the mode's point off its window's results.
+func (o *openLoopWindow) point(res wafl.Results) OverloadPoint {
+	ls, bulk := o.w.LSLat.Delta(o.ls0), o.w.BulkLat.Delta(o.bulk0)
+	return OverloadPoint{
 		LSP50:        wafl.Duration(ls.Quantile(0.50)),
 		LSP99:        wafl.Duration(ls.Quantile(0.99)),
 		LSP999:       wafl.Duration(ls.Quantile(0.999)),
 		BulkP999:     wafl.Duration(bulk.Quantile(0.999)),
-		Shed:         w.Shed - shed0,
+		Shed:         o.w.Shed - o.shed0,
 		Stalls:       res.Stalls,
 		StallTime:    res.StallTime,
 		AdmitDelay:   wafl.Duration(res.Stats.Admission.Delay.Sum),
@@ -68,8 +67,6 @@ func runOverload(cfg wafl.Config, warmup, window wafl.Duration) (OverloadPoint, 
 		BCacheHits:   res.Stats.BCache.Hits,
 		BCacheMisses: res.Stats.BCache.Misses,
 	}
-	sys.Shutdown()
-	return p, nil
 }
 
 // Overload runs the open-loop overload study: the burst-shaped Poisson
@@ -87,26 +84,28 @@ func Overload(rc RunConfig) (Table, []OverloadPoint, error) {
 		Headers: []string{"admission", "ls p50", "ls p99", "ls p99.9", "bulk p99.9",
 			"shed", "stalls", "stall time", "admit delay", "cps", "bc hit%"},
 	}
-	base := OverloadConfig(rc.Base)
+	var scs []scenario
+	var windows []*openLoopWindow
+	for i, mode := range []string{"admission-off", "admission-on"} {
+		cfg := OverloadConfig(rc.Base)
+		cfg.Admission.Enabled = i == 1
+		w := workload.DefaultOpenLoop() // the same burst shape for both modes
+		o := &openLoopWindow{w: &w}
+		sc := rc.scenario([]string{mode}, cfg, o.w)
+		sc.atWindow = o.mark
+		scs, windows = append(scs, sc), append(windows, o)
+	}
+	runs, err := rc.runAll(scs)
 	var points []OverloadPoint
-	for _, on := range []bool{false, true} {
-		cfg := base
-		cfg.Admission.Enabled = on
-		mode := "admission-off"
-		if on {
-			mode = "admission-on"
-		}
-		p, err := runOverload(cfg, rc.Warmup, rc.Window)
-		if err != nil {
-			return Table{}, nil, err
-		}
+	for i, m := range runs {
+		p := windows[i].point(m.res)
 		points = append(points, p)
 		hitPct := 0.0
 		if lookups := p.BCacheHits + p.BCacheMisses; lookups > 0 {
 			hitPct = 100 * float64(p.BCacheHits) / float64(lookups)
 		}
 		t.Rows = append(t.Rows, []string{
-			mode, us(p.LSP50), us(p.LSP99), ms(p.LSP999), ms(p.BulkP999),
+			m.label[0], us(p.LSP50), us(p.LSP99), ms(p.LSP999), ms(p.BulkP999),
 			fmt.Sprintf("%d", p.Shed), fmt.Sprintf("%d", p.Stalls), ms(p.StallTime),
 			ms(p.AdmitDelay), fmt.Sprintf("%d", p.CPs), f2(hitPct),
 		})
@@ -115,7 +114,7 @@ func Overload(rc RunConfig) (Table, []OverloadPoint, error) {
 		"sojourn latency: completion - arrival, queue wait included (open loop)",
 		"off: burst fills NVLog, back-to-back CP stalls hit both classes",
 		"on: bulk delayed/shed at the watermarks, LS tail stays bounded")
-	return t, points, nil
+	return t, points, err
 }
 
 // OverloadCheck runs the study and asserts the SLO contract that the

@@ -40,43 +40,37 @@ func ParallelCP(rc RunConfig) (Table, error) {
 			return w
 		}},
 	}
-	modes := []struct {
-		name     string
-		parallel bool
-	}{
-		{"serial", false},
-		{"parallel", true},
-	}
+	var scs []scenario
 	for _, w := range workloads {
-		var cpAvgUs, stallMs [2]float64 // by mode
-		var b2b [2]uint64
-		for i, m := range modes {
+		for i, mode := range []string{"serial", "parallel"} {
 			cfg := rc.Base
 			cfg.NVRAMHalfBytes = 2 << 20 // CP-bound: the log half fills fast
-			cfg.Allocator.ParallelCP = m.parallel
+			cfg.Allocator.ParallelCP = i == 1
 			attacher := w.attach(&cfg) // before cfg is passed on: it mutates it
-			res, _, err := rc.Measure(cfg, attacher)
-			if err != nil {
-				return t, err
-			}
-			if cp := res.Stats.CP; cp.CPs > 0 {
-				cpAvgUs[i] = cp.TotalDuration.Micros() / float64(cp.CPs)
-			}
-			stallMs[i] = res.StallTime.Micros() / 1000
-			b2b[i] = res.Stats.CP.BackToBack
-			t.Rows = append(t.Rows, []string{
-				w.name, m.name, f0(res.OpsPerSec), f2(res.MBPerSec), ms(res.LatP99),
-				fmt.Sprintf("%d", res.CPs), fmt.Sprintf("%.0fus", cpAvgUs[i]),
-				fmt.Sprintf("%d", b2b[i]),
-				fmt.Sprintf("%d", res.Stalls), ms(res.StallTime),
-			})
-		}
-		if cpAvgUs[1] > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%s: cp avg %.0fus -> %.0fus (%.2fx), stall time %.1fms -> %.1fms, back2back %d -> %d",
-				w.name, cpAvgUs[0], cpAvgUs[1], cpAvgUs[0]/cpAvgUs[1],
-				stallMs[0], stallMs[1], b2b[0], b2b[1]))
+			scs = append(scs, rc.scenario([]string{w.name, mode}, cfg, attacher))
 		}
 	}
-	return t, nil
+	t, runs, err := rc.rows(t, scs, func(m, _ measurement) []string {
+		r := m.res
+		return []string{f0(r.OpsPerSec), f2(r.MBPerSec), ms(r.LatP99), fmt.Sprint(r.CPs),
+			fmt.Sprintf("%.0fus", cpAvgUs(r)), fmt.Sprint(r.Stats.CP.BackToBack), fmt.Sprint(r.Stalls), ms(r.StallTime)}
+	})
+	for i := 0; i+1 < len(runs); i += 2 { // each workload's serial, then its parallel run
+		s, p := runs[i].res, runs[i+1].res
+		if cpAvgUs(p) > 0 {
+			t.Notes = append(t.Notes, fmt.Sprintf(
+				"%s: cp avg %.0fus -> %.0fus (%.2fx), stall time %.1fms -> %.1fms, back2back %d -> %d",
+				runs[i].label[0], cpAvgUs(s), cpAvgUs(p), cpAvgUs(s)/cpAvgUs(p),
+				s.StallTime.Micros()/1000, p.StallTime.Micros()/1000, s.Stats.CP.BackToBack, p.Stats.CP.BackToBack))
+		}
+	}
+	return t, err
+}
+
+// cpAvgUs is a window's mean CP duration in microseconds (0 with no CP).
+func cpAvgUs(r wafl.Results) float64 {
+	if cp := r.Stats.CP; cp.CPs > 0 {
+		return cp.TotalDuration.Micros() / float64(cp.CPs)
+	}
+	return 0
 }

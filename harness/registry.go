@@ -72,7 +72,7 @@ const (
 // run's box.
 func runFlexgroup(rc RunConfig) (Table, error) {
 	rc.Warmup, rc.Window = flexWarmup, flexWindow
-	t, _, err := Flexgroup(rc, workload.DefaultManyFile())
+	t, _, err := flexgroup(rc, workload.DefaultManyFile())
 	return t, err
 }
 

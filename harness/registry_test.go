@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,15 +69,39 @@ func TestOverloadCheck(t *testing.T) {
 	}
 }
 
+// registrySums are the SHA-256 sums of the tables TestRegistryTables
+// renders, by entry. Every figure is a pure function of the code, so a sum
+// moves only with a change that moves a simulated number; such a change
+// rewrites these sums and harness/testdata/registry.txt (`make registry`)
+// together, and says which rows moved and why.
+var registrySums = map[string]string{
+	"ablations":  "2a562248c9a70aa32181f4273490df45d2e4928fa887cfadd24fd3bb926a149c",
+	"agedvol":    "73d1ee0a307e374554023d2d377d9764f06aee34254ab64d0175cc843bb9fdf1",
+	"batch":      "684599a0073fbdb34ee993c5f00ebea4ad17fbf5c4ab57adb7539358ef43c0e8",
+	"clonefleet": "738953f7f6927d3001a45b3fe824aa96b9cd625fbe1ce17e47294797374637db",
+	"fig4":       "ef8e8be41dc24e805489f30a161021098ec996908b060757ad3b64524eb46bda",
+	"fig5":       "f9af42a146d26fd22529066a115a927d6a08e5e5a4eeb0734fabda370dda8795",
+	"fig6":       "566ca620d10f201bd92d14fa2419d63dce939a825b30570790d3eb1be16a052d",
+	"fig7":       "8697b0903432618046c58752683927d785e0bfd8f4e13d3b0849bbdb33de54fc",
+	"fig8":       "768c7be415bb31816cff4e7291b1c3c713c241935b0992c37487f2429915a45d",
+	"fig9":       "b473f8fe1b58b89e328410dde2a117d7926e0bd30a251d87ed380e32864a8309",
+	"flexgroup":  "836fcdbee028c46ad28f3ae1f19fa45726832fa1d2c2caa6b21a17471cd648b2",
+	"overload":   "7665d2a36047aebf35180bd98f1247572d1395686696989bc4d820abd9bb298b",
+	"parallelcp": "c131515830533f18b0e8a3199b54dc2080070dd2ad8eeaef7ae574687bb6d5d3",
+	"snapchurn":  "65ffd22d783d77efed4400f4201713d60edf8b8b813a2132483298322eb7d072",
+}
+
 // TestRegistryTables runs every registry entry that is not a gate — every
 // table `waflbench -exp all` prints — at expsmoke's windows (a 4 ms window
 // after a 2 ms warm-up; flexgroup keeps its own), side by side, and checks
 // each table's shape: an ID and a title, headers, at least one row, every
 // row as wide as the headers, and every throughput cell (an ops/s or MB/s
-// column) a finite number above zero. The figures themselves mean nothing
-// at these windows. flexgroup sweeps widths 1 and 2 (`-members 2`): its
-// 4-member run would take more host time than the rest of its sweep and
-// adds nothing to the shape. The gates run in their own sweep tests.
+// column) a finite number above zero. It then compares each table's SHA-256
+// with registrySums: the figures mean nothing for the paper at these
+// windows, but they are exact, and a 1 ns change to one CPU cost already
+// moves them. flexgroup sweeps widths 1 and 2 (`-members 2`): its 4-member
+// run would take more host time than the rest of its sweep and adds nothing
+// to the shape. The gates run in their own sweep tests.
 func TestRegistryTables(t *testing.T) {
 	for _, e := range Experiments {
 		if e.Gate {
@@ -107,6 +134,36 @@ func TestRegistryTables(t *testing.T) {
 					}
 				}
 			}
+			if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(tab.String()))); sum != registrySums[e.Name] {
+				t.Errorf("table's SHA-256 is %s, registrySums has %q: a simulated number moved\n%s", sum, registrySums[e.Name], tab.String())
+			}
 		})
+	}
+}
+
+// TestTraceCoversEveryMeasurement: with rc.Trace set, every measurement of
+// a table writes its timeline, the overload study's two modes and each of
+// flexgroup's widths included.
+func TestTraceCoversEveryMeasurement(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	want := map[string]int{"overload": 2, "flexgroup": 2}
+	for _, e := range Experiments {
+		if want[e.Name] == 0 {
+			continue
+		}
+		rc := DefaultRun()
+		rc.Warmup, rc.Window = 2*wafl.Millisecond, 4*wafl.Millisecond
+		if e.Name == "flexgroup" {
+			rc.Base.Members = 2 // widths 1 and 2, at flexgroup's own windows
+		}
+		rc.Trace = &TraceOut{Prefix: filepath.Join(dir, e.Name), Events: 1000}
+		if tab, err := e.Run(rc); err != nil {
+			t.Fatalf("%s: %v\n%s", e.Name, err, tab.String())
+		}
+		files, err := filepath.Glob(filepath.Join(dir, e.Name+"-*.json"))
+		if err != nil || len(files) != want[e.Name] {
+			t.Errorf("%s wrote %d timelines (%v), want %d", e.Name, len(files), err, want[e.Name])
+		}
 	}
 }

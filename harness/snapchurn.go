@@ -21,36 +21,25 @@ func SnapshotChurn(rc RunConfig) (Table, error) {
 			"snaps +/-", "reclaimed blks", "active", "snap-held", "free"},
 	}
 	churn := workload.DefaultSnapChurn()
-	modes := []struct {
-		name string
-		w    Attacher
-	}{
-		{"no snapshots", workload.RandWrite{Clients: churn.Clients, FileBlocks: churn.FileBlocks, Volumes: churn.Volumes}},
-		{"snapshot churn", churn},
+	scs := []scenario{
+		rc.scenario([]string{"no snapshots"}, rc.Base,
+			workload.RandWrite{Clients: churn.Clients, FileBlocks: churn.FileBlocks, Volumes: churn.Volumes}),
+		rc.scenario([]string{"snapshot churn"}, rc.Base, churn),
 	}
-	for _, m := range modes {
-		cfg := rc.Base
-		res, sys, err := rc.Measure(cfg, m.w)
-		if err != nil {
-			return t, err
-		}
-		cp := sys.Stats().CP // cumulative snapshot activity
+	t, _, err := rc.rows(t, scs, func(m, _ measurement) []string {
+		cp := m.sys.Stats().CP // cumulative snapshot activity
 		var active, held, free uint64
-		for v := 0; v < cfg.Volumes; v++ {
-			fs := sys.FreeSpaceBreakdown(v)
+		for v := 0; v < m.cfg.Volumes; v++ {
+			fs := m.sys.FreeSpaceBreakdown(v)
 			active += fs.Active
 			held += fs.SnapOnly
 			free += fs.Free
 		}
-		t.Rows = append(t.Rows, []string{
-			m.name, f2(res.MBPerSec), ms(res.LatP50), ms(res.LatP99),
-			fmt.Sprintf("%d", res.CPs),
-			fmt.Sprintf("%d/%d", cp.SnapsCreated, cp.SnapsDeleted),
-			fmt.Sprintf("%d", cp.SnapReclaimed),
-			fmt.Sprintf("%d", active), fmt.Sprintf("%d", held), fmt.Sprintf("%d", free),
-		})
-	}
+		return []string{f2(m.res.MBPerSec), ms(m.res.LatP50), ms(m.res.LatP99), fmt.Sprint(m.res.CPs),
+			fmt.Sprintf("%d/%d", cp.SnapsCreated, cp.SnapsDeleted), fmt.Sprint(cp.SnapReclaimed),
+			fmt.Sprint(active), fmt.Sprint(held), fmt.Sprint(free)}
+	})
 	t.Notes = append(t.Notes,
 		"snap-held blocks are clear in the activemap but pinned by the summary map until the last holding snapshot is deleted")
-	return t, nil
+	return t, err
 }

@@ -369,9 +369,10 @@ func (a *Aggregate) CrashAll() {
 // loadAll mounts metafiles: it gives each the aggregate's image pool and
 // eagerly installs every block of its committed tree from the media
 // (untimed). A block the tree points at outside the aggregate or never
-// written, or an L0 whose image runs past its file's L0 length
-// (fs.File.L0Len), is a damaged image: reading stops and the error says
-// where.
+// written, or an image that runs past what its block holds — an L0 past its
+// file's L0 length (fs.File.L0Len), an indirect past its block.PtrsPerBlock
+// pointers — is a damaged image: reading stops and the error says where. A
+// longer image with only zeros past that end is the same block.
 func (a *Aggregate) loadAll(files ...*fs.File) error {
 	for _, f := range files {
 		a.own(f)
@@ -384,11 +385,15 @@ func (a *Aggregate) loadAll(files ...*fs.File) error {
 			if uint64(vbn) < a.geo.TotalBlocks() {
 				data = a.ReadVBNRaw(vbn)
 			}
+			limit, kind := f.L0Len(), "L0"
+			if level > 0 {
+				limit, kind = block.PtrsPerBlock*block.PtrSize, "indirect"
+			}
 			switch {
 			case data == nil:
 				err = fmt.Errorf("metafile %d block (level %d, index %d) at %v unreadable", f.Ino(), level, idx, vbn)
-			case level == 0 && len(data) > f.L0Len() && len(block.Trim(data)) > f.L0Len():
-				err = fmt.Errorf("metafile %d block (level %d, index %d) at %v holds %d bytes, past its %d-byte L0", f.Ino(), level, idx, vbn, len(block.Trim(data)), f.L0Len())
+			case len(data) > limit && len(block.Trim(data)) > limit:
+				err = fmt.Errorf("metafile %d block (level %d, index %d) at %v holds %d bytes, past its %d-byte %s", f.Ino(), level, idx, vbn, len(block.Trim(data)), limit, kind)
 			}
 			if err != nil {
 				return nil

@@ -698,7 +698,10 @@ func TestMountRejectsDamage(t *testing.T) {
 // TestMountRejectsOverlongL0: a container block written in a 64-bit entry
 // format, 4 KiB on the media, holds entries past the container's 2 KiB L0
 // length. Installing it would cut them off, so mount fails with an error
-// that names the block; the undamaged image mounts again.
+// that names the block; the undamaged image mounts again. So does a
+// container L1 with a byte past its 256 pointers, which installing would
+// carry into a full-block array and the next clean back to the media; the
+// same L1 written as a full block with only zeros past its pointers mounts.
 func TestMountRejectsOverlongL0(t *testing.T) {
 	s, a, _ := checkpointed(t)
 	v := a.Volume(0)
@@ -721,6 +724,22 @@ func TestMountRejectsOverlongL0(t *testing.T) {
 	if _, err := MountFrom(a); err != nil {
 		t.Fatalf("the restored image does not mount: %v", err)
 	}
+
+	l1 := v.ContainerFile().Buffer(1, 0)
+	undo = patchVBN(s, a, l1.VBN(), func(img []byte) { img[3000] = 7 })
+	if m, err = MountFrom(a); m != nil || err == nil {
+		t.Fatal("a container L1 with a byte past its pointers mounted")
+	}
+	at = fmt.Sprintf("metafile %d block (level 1, index 0) at %v", inoVolContainer, l1.VBN())
+	if !strings.Contains(err.Error(), at) {
+		t.Fatalf("mount failed with %q; want it to name %s", err, at)
+	}
+	undo()
+	undo = patchVBN(s, a, l1.VBN(), func([]byte) {})
+	if _, err := MountFrom(a); err != nil {
+		t.Fatalf("a full-block L1 with only zeros past its pointers does not mount: %v", err)
+	}
+	undo()
 }
 
 // FuzzMountFrom checks that mount survives a damaged metafile: with any
@@ -743,6 +762,8 @@ func FuzzMountFrom(f *testing.F) {
 	}
 	// A container block with an entry past its 2 KiB L0 length.
 	f.Add(uint16(slices.Index(cp.meta, a.Volume(0).ContainerFile().Buffer(0, 0).VBN())), uint16(containerL0Len), []byte{7})
+	// A container L1 with a byte past its 256 pointers.
+	f.Add(uint16(slices.Index(cp.meta, a.Volume(0).ContainerFile().Buffer(1, 0).VBN())), uint16(3000), []byte{7})
 	f.Fuzz(func(t *testing.T, pick, off uint16, patch []byte) {
 		vbn := cp.meta[int(pick)%len(cp.meta)]
 		undo := patchVBN(s, a, vbn, func(img []byte) {
