@@ -147,7 +147,7 @@ func (rc RunConfig) run(sc scenario) (measurement, error) {
 	}
 	sys, err := wafl.NewSystem(cfg)
 	if err != nil {
-		return measurement{}, err
+		return measurement{}, fmt.Errorf("row %q: %w", strings.Join(sc.label, " "), err)
 	}
 	sc.work.Attach(sys)
 	sys.Run(sc.warmup)

@@ -83,6 +83,11 @@ func TestMeasureRunsAndTearsDown(t *testing.T) {
 	if err != nil || res.Ops != m.res.Ops || sys == nil {
 		t.Fatalf("Measure: %d ops, system %p, error %v; the runner measured %d ops", res.Ops, sys, err, m.res.Ops)
 	}
+	bad := rc.Base
+	bad.VolumeBlocks = 1 << 32 // past the address-space guard: NewSystem refuses it
+	if _, err := rc.run(rc.scenario([]string{"too", "large"}, bad, smallSeqWrite(4))); err == nil || !strings.HasPrefix(err.Error(), `row "too large": `) {
+		t.Fatalf("a refused config's error is %v; want it to name the row", err)
+	}
 }
 
 func TestRunPermutationsOrdering(t *testing.T) {
