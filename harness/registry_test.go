@@ -155,7 +155,9 @@ func TestTraceCoversEveryMeasurement(t *testing.T) {
 		rc := DefaultRun()
 		rc.Warmup, rc.Window = 2*wafl.Millisecond, 4*wafl.Millisecond
 		if e.Name == "flexgroup" {
-			rc.Base.Members = 2 // widths 1 and 2, at flexgroup's own windows
+			// Widths 1 and 2 of a small box, at flexgroup's own windows.
+			rc.Base = smallRun().Base
+			rc.Base.Members = 2
 		}
 		rc.Trace = &TraceOut{Prefix: filepath.Join(dir, e.Name), Events: 1000}
 		if tab, err := e.Run(rc); err != nil {
