@@ -92,19 +92,19 @@ $(GATES):
 	$(GO) run ./cmd/waflbench -exp $@
 
 # registry rewrites harness/testdata/registry.txt: the stdout of `waflbench
-# -exp all`, then of every gate, at the default flags. Stdout is a pure
-# function of the code (host times go to stderr), so registrycheck, a ci
-# stage, runs the same commands and fails on any difference from the file as
-# well as on a gate that exits non-zero. A change that moves a number
-# rewrites the file with `make registry`, and says which rows moved and why.
-# ~40 s on 2 vCPU.
+# -exp all`, then of every gate, at the default flags. When a command fails it
+# leaves the file as it was and exits non-zero. Stdout is a pure function of
+# the code (host times go to stderr), so registrycheck, a ci stage, runs the
+# same commands and fails on any difference from the file as well as on a gate
+# that exits non-zero. A change that moves a number rewrites the file with
+# `make registry`, and says which rows moved and why. ~40 s on 2 vCPU.
 REGISTRY = harness/testdata/registry.txt
 REGISTRY_EXPS = all crashsweep clustersweep clonesweep overloadcheck
 registry registrycheck:
 	@$(GO) build -o waflbench ./cmd/waflbench
 	@out=$$(mktemp); trap 'rm -f $$out' EXIT; failed=; \
 	for e in $(REGISTRY_EXPS); do ./waflbench -exp $$e >> $$out || failed="$$failed $$e"; done; \
-	if [ $@ = registry ]; then cp $$out $(REGISTRY); else diff -u $(REGISTRY) $$out || failed="$$failed (stdout differs from $(REGISTRY))"; fi; \
+	if [ $@ = registry ]; then [ -n "$$failed" ] || cp $$out $(REGISTRY); else diff -u $(REGISTRY) $$out || failed="$$failed (stdout differs from $(REGISTRY))"; fi; \
 	[ -z "$$failed" ] || { echo "$@ failed:$$failed"; exit 1; }
 
 # cover runs the tests of every package but bench/ and the commands, with

@@ -25,7 +25,7 @@ func AgedVolume(rc RunConfig) (Table, error) {
 	cfg := rc.Base
 	w.Configure(&cfg)
 	// Attach prefills and ages in simulated time.
-	t, _, err := rc.rows(t, []scenario{rc.scenario(nil, cfg, w)}, func(m, _ measurement) []string {
+	t, _, err := rc.rows(t, []scenario{newScenario(nil, cfg, w)}, func(m, _ measurement) []string {
 		r, in := m.res, m.res.Stats.Infra
 		return []string{f0(r.OpsPerSec), f2(r.MBPerSec), ms(r.LatP50), ms(r.LatP99),
 			fmt.Sprint(in.VFillWords), fmt.Sprint(in.VBucketsFilled),

@@ -28,7 +28,7 @@ func CloneFleet(rc RunConfig) (Table, error) {
 	cfg := rc.Base
 	w.Configure(&cfg)
 	// Attach prefills, fans out and ages by divergence in simulated time.
-	m, err := rc.run(rc.scenario(nil, cfg, w))
+	m, err := rc.run(newScenario(nil, cfg, w))
 	if err != nil {
 		return t, err
 	}

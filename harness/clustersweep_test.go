@@ -44,6 +44,9 @@ func TestFlexgroupSmall(t *testing.T) {
 	if len(runs) != 2 {
 		t.Fatalf("want 2 widths, got %d results", len(runs))
 	}
+	if runs[0].res.OpsPerSec <= 0 {
+		t.Fatalf("the 1-member run served no ops:\n%s", tab.String())
+	}
 	if speedup := runs[1].res.OpsPerSec / runs[0].res.OpsPerSec; speedup < 1.4 {
 		t.Fatalf("2 members only %.2fx the 1-member throughput:\n%s", speedup, tab.String())
 	}

@@ -13,7 +13,7 @@ func (rc RunConfig) permutations(w Attacher) []scenario {
 	perm := func(label string, infra bool, cleaners int) scenario {
 		cfg := withCleaners(rc.Base, cleaners)
 		cfg.Allocator.InfraParallel = infra
-		return rc.scenario([]string{label}, cfg, w)
+		return newScenario([]string{label}, cfg, w)
 	}
 	return []scenario{
 		perm("serialized (baseline)", false, 1),
@@ -68,7 +68,7 @@ func Fig5(rc RunConfig) (Table, error) {
 	}
 	var scs []scenario
 	for n := 1; n <= 6; n++ {
-		scs = append(scs, rc.scenario([]string{fmt.Sprint(n)}, withCleaners(rc.Base, n), workload.DefaultSeqWrite()))
+		scs = append(scs, newScenario([]string{fmt.Sprint(n)}, withCleaners(rc.Base, n), workload.DefaultSeqWrite()))
 	}
 	t, _, err := rc.rows(t, scs, func(m, base measurement) []string {
 		r := m.res
@@ -91,7 +91,7 @@ func Fig6(rc RunConfig) (Table, error) {
 	for i, label := range []string{"serialized", "parallel"} {
 		cfg := withCleaners(rc.Base, rc.Cleaners)
 		cfg.Allocator.InfraParallel = i == 1
-		scs = append(scs, rc.scenario([]string{label}, cfg, workload.DefaultSeqWrite()))
+		scs = append(scs, newScenario([]string{label}, cfg, workload.DefaultSeqWrite()))
 	}
 	t, _, err := rc.rows(t, scs, func(m, base measurement) []string {
 		r := m.res

@@ -13,11 +13,11 @@ import (
 func (rc RunConfig) cleanerSettings(base wafl.Config) []scenario {
 	var scs []scenario
 	for n := 1; n <= 4; n++ {
-		scs = append(scs, rc.scenario([]string{fmt.Sprintf("%d threads", n)}, withCleaners(base, n), nil))
+		scs = append(scs, newScenario([]string{fmt.Sprintf("%d threads", n)}, withCleaners(base, n), nil))
 	}
 	dyn := base
 	dyn.Allocator.Dynamic, dyn.Allocator.InitialCleaners, dyn.Allocator.MaxCleaners = true, 1, 4
-	return append(scs, rc.scenario([]string{"dynamic"}, dyn, nil))
+	return append(scs, newScenario([]string{"dynamic"}, dyn, nil))
 }
 
 // Fig8 reproduces Figure 8: the OLTP benchmark on the Flash Pool system
@@ -114,7 +114,7 @@ func BatchedCleaning(rc RunConfig) (Table, error) {
 	for i, label := range []string{"off", "on"} {
 		cfg := sas
 		cfg.Allocator.BatchedCleaning = i == 1
-		scs = append(scs, rc.scenario([]string{label}, cfg, w))
+		scs = append(scs, newScenario([]string{label}, cfg, w))
 	}
 	t, _, err := rc.rows(t, scs, func(m, base measurement) []string {
 		r := m.res
@@ -140,7 +140,7 @@ func Ablations(rc RunConfig) (Table, error) {
 	ablate := func(name string, setting any, set func(*wafl.Config)) {
 		cfg := rc.Base
 		set(&cfg)
-		scs = append(scs, rc.scenario([]string{name, fmt.Sprint(setting)}, cfg, workload.DefaultSeqWrite()))
+		scs = append(scs, newScenario([]string{name, fmt.Sprint(setting)}, cfg, workload.DefaultSeqWrite()))
 	}
 	for _, chunk := range []int{1, 8, 64, 256} {
 		ablate("bucket-size", fmt.Sprintf("%d blocks", chunk), func(c *wafl.Config) { c.Allocator.ChunkBlocks = chunk })

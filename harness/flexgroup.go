@@ -34,7 +34,7 @@ func flexgroup(rc RunConfig, w workload.ManyFile) (Table, []measurement, error) 
 		cfg := rc.Base
 		cfg.Members = n
 		load := workload.ManyFile{Clients: w.Clients * n, Volumes: cfg.Volumes * n, Placed: n > 1}
-		scs = append(scs, rc.scenario([]string{fmt.Sprint(n)}, cfg, load))
+		scs = append(scs, newScenario([]string{fmt.Sprint(n)}, cfg, load))
 	}
 	t, runs, err := rc.rows(t, scs, func(m, base measurement) []string {
 		r := m.res

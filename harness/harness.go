@@ -109,21 +109,19 @@ type TraceOut struct {
 }
 
 // A scenario is one measurement of a registry table: the row's label (its
-// leading cells), the system's config, the workload, and the warm-up and
-// window it is measured over. A table is a list of them and a renderer.
+// leading cells), the system's config and the workload; the run's warm-up
+// and window are its RunConfig's. A table is a list of them and a renderer.
 type scenario struct {
-	label          []string
-	cfg            wafl.Config
-	work           Attacher
-	warmup, window wafl.Duration
+	label []string
+	cfg   wafl.Config
+	work  Attacher
 	// atWindow, when set, runs at the window's start, after the warm-up:
 	// a workload that keeps statistics of its own marks them there.
 	atWindow func()
 }
 
-// scenario returns the scenario of cfg and w at rc's warm-up and window.
-func (rc RunConfig) scenario(label []string, cfg wafl.Config, w Attacher) scenario {
-	return scenario{label: label, cfg: cfg, work: w, warmup: rc.Warmup, window: rc.Window}
+func newScenario(label []string, cfg wafl.Config, w Attacher) scenario {
+	return scenario{label: label, cfg: cfg, work: w}
 }
 
 // A measurement is a scenario's outcome: the cluster's window, each
@@ -136,7 +134,8 @@ type measurement struct {
 }
 
 // run is the one way the registry measures: it builds sc's system, attaches
-// the workload, warms up, measures the window and shuts the system down.
+// the workload, warms up for rc.Warmup, measures rc.Window and shuts the
+// system down.
 // With rc.Trace set, the run is traced and its timeline written before the
 // shutdown.
 func (rc RunConfig) run(sc scenario) (measurement, error) {
@@ -150,12 +149,12 @@ func (rc RunConfig) run(sc scenario) (measurement, error) {
 		return measurement{}, fmt.Errorf("row %q: %w", strings.Join(sc.label, " "), err)
 	}
 	sc.work.Attach(sys)
-	sys.Run(sc.warmup)
+	sys.Run(rc.Warmup)
 	if sc.atWindow != nil {
 		sc.atWindow()
 	}
 	m := measurement{scenario: sc, sys: sys}
-	m.res, m.members = sys.MeasureMembers(0, sc.window)
+	m.res, m.members = sys.MeasureMembers(0, rc.Window)
 	if tr != nil {
 		name := fmt.Sprintf("%s-%03d.json", tr.Prefix, tr.seq)
 		tr.seq++
@@ -201,7 +200,7 @@ func (rc RunConfig) rows(t Table, scs []scenario, row func(m, base measurement) 
 // warm-up and window through the registry's runner; the returned *System is
 // shut down, good only for reading statistics.
 func (rc RunConfig) Measure(cfg wafl.Config, w Attacher) (wafl.Results, *wafl.System, error) {
-	m, err := rc.run(rc.scenario(nil, cfg, w))
+	m, err := rc.run(newScenario(nil, cfg, w))
 	return m.res, m.sys, err
 }
 

@@ -69,7 +69,7 @@ func smallSeqWrite(clients int) workload.SeqWrite {
 // shut-down system for its statistics, and so does Measure over it.
 func TestMeasureRunsAndTearsDown(t *testing.T) {
 	rc := smallRun()
-	m, err := rc.run(rc.scenario(nil, rc.Base, smallSeqWrite(4)))
+	m, err := rc.run(newScenario(nil, rc.Base, smallSeqWrite(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMeasureRunsAndTearsDown(t *testing.T) {
 	}
 	bad := rc.Base
 	bad.VolumeBlocks = 1 << 32 // past the address-space guard: NewSystem refuses it
-	if _, err := rc.run(rc.scenario([]string{"too", "large"}, bad, smallSeqWrite(4))); err == nil || !strings.HasPrefix(err.Error(), `row "too large": `) {
+	if _, err := rc.run(newScenario([]string{"too", "large"}, bad, smallSeqWrite(4))); err == nil || !strings.HasPrefix(err.Error(), `row "too large": `) {
 		t.Fatalf("a refused config's error is %v; want it to name the row", err)
 	}
 }

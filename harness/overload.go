@@ -91,7 +91,7 @@ func Overload(rc RunConfig) (Table, []OverloadPoint, error) {
 		cfg.Admission.Enabled = i == 1
 		w := workload.DefaultOpenLoop() // the same burst shape for both modes
 		o := &openLoopWindow{w: &w}
-		sc := rc.scenario([]string{mode}, cfg, o.w)
+		sc := newScenario([]string{mode}, cfg, o.w)
 		sc.atWindow = o.mark
 		scs, windows = append(scs, sc), append(windows, o)
 	}

@@ -47,7 +47,7 @@ func ParallelCP(rc RunConfig) (Table, error) {
 			cfg.NVRAMHalfBytes = 2 << 20 // CP-bound: the log half fills fast
 			cfg.Allocator.ParallelCP = i == 1
 			attacher := w.attach(&cfg) // before cfg is passed on: it mutates it
-			scs = append(scs, rc.scenario([]string{w.name, mode}, cfg, attacher))
+			scs = append(scs, newScenario([]string{w.name, mode}, cfg, attacher))
 		}
 	}
 	t, runs, err := rc.rows(t, scs, func(m, _ measurement) []string {

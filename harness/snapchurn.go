@@ -22,9 +22,9 @@ func SnapshotChurn(rc RunConfig) (Table, error) {
 	}
 	churn := workload.DefaultSnapChurn()
 	scs := []scenario{
-		rc.scenario([]string{"no snapshots"}, rc.Base,
+		newScenario([]string{"no snapshots"}, rc.Base,
 			workload.RandWrite{Clients: churn.Clients, FileBlocks: churn.FileBlocks, Volumes: churn.Volumes}),
-		rc.scenario([]string{"snapshot churn"}, rc.Base, churn),
+		newScenario([]string{"snapshot churn"}, rc.Base, churn),
 	}
 	t, _, err := rc.rows(t, scs, func(m, _ measurement) []string {
 		cp := m.sys.Stats().CP // cumulative snapshot activity
