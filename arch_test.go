@@ -263,7 +263,7 @@ func makesImage(n ast.Node) bool {
 }
 
 // makesSlots matches a slot array built: a user file's image words,
-// make([]imageWord, n), or a metafile's buffers, make([]*Buffer, n) or
+// make([]block.Word, n), or a metafile's buffers, make([]*Buffer, n) or
 // make([]*fs.Buffer, n).
 func makesSlots(n ast.Node) bool {
 	call, ok := n.(*ast.CallExpr)
@@ -280,7 +280,24 @@ func makesSlots(n ast.Node) bool {
 	if star, ok := at.Elt.(*ast.StarExpr); ok {
 		return lastName(star.X) == "Buffer"
 	}
-	return lastName(at.Elt) == "imageWord"
+	return lastName(at.Elt) == "Word"
+}
+
+// decodesWord matches code that knows the image-word format: a shift by 62
+// or 63, the bits a block.Word keeps its kind and its holder's bit in, or a
+// conversion to block.Name.
+func decodesWord(n ast.Node) bool {
+	switch v := n.(type) {
+	case *ast.BinaryExpr:
+		if v.Op == token.SHL || v.Op == token.SHR {
+			lit, ok := v.Y.(*ast.BasicLit)
+			return ok && (lit.Value == "62" || lit.Value == "63")
+		}
+	case *ast.CallExpr:
+		sel, ok := v.Fun.(*ast.SelectorExpr)
+		return ok && len(v.Args) == 1 && sel.Sel.Name == "Name" && lastName(sel.X) == "block"
+	}
+	return false
 }
 
 // getOrNew matches a hand-rolled free list's get: a fifo.Queue popped when it
@@ -1100,15 +1117,36 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 		// buffers that stay in their trees.
 		name: "buffers",
 		clauses: []clause{{
-			scan: []string{"..."}, except: []string{"internal/fs/images.go"}, forbid: makesSlots,
+			// A drive's media table, one block.Word a DBN, is no slot array.
+			scan: []string{"..."}, except: []string{"internal/fs/images.go", "internal/storage/drive.go"}, forbid: makesSlots,
 			msg: "slot array made outside internal/fs/images.go: take it from the ImagePool",
 		}},
 		bad: []badTree{{
-			files: map[string]string{"internal/fs/file.go": `package fs; func (n *node) f(d int) { n.words = make([]imageWord, 2*d) }`},
+			files: map[string]string{"internal/fs/file.go": `package fs; func (n *node) f(d int) { n.words = make([]block.Word, 2*d) }`},
 			want:  "internal/fs/file.go:1: slot array made outside internal/fs/images.go",
 		}, {
 			files: map[string]string{"internal/fs/file.go": `package fs; func (n *node) f(d int) { n.leaves = make([]*Buffer, 2*d) }`},
 			want:  "internal/fs/file.go:1: slot array made outside internal/fs/images.go",
+		}},
+	},
+	{
+		// One image-word format (DESIGN §14): a drive's media word and a user
+		// L0's slot are a block.Word, and only internal/block tells a name
+		// from a handle or reads a byte image's handle.
+		name: "words",
+		clauses: []clause{{
+			scan: []string{"..."}, except: []string{"internal/block"}, forbid: decodesWord,
+			msg: "image word decoded outside internal/block: use block.Table",
+		}},
+		bad: []badTree{{
+			files: map[string]string{"internal/storage/drive.go": `package storage; func (d *Drive) named(dbn block.DBN) bool { return d.words[dbn]>>63 != 0 }`},
+			want:  "internal/storage/drive.go:1: image word decoded outside internal/block",
+		}, {
+			files: map[string]string{"internal/fs/images.go": `package fs; func image(w uint64) block.Image { return block.Image{Name: block.Name(w)} }`},
+			want:  "internal/fs/images.go:1: image word decoded outside internal/block",
+		}, {
+			files: map[string]string{"internal/storage/drive.go": `package storage; const marked = uint64(1) << 62`},
+			want:  "internal/storage/drive.go:1: image word decoded outside internal/block",
 		}},
 	},
 	{

@@ -217,6 +217,47 @@ func TestTetrisSentWhenAllBucketsReturned(t *testing.T) {
 	}
 }
 
+// TestSendDuringSendTakesItsOwnIO sends a window's tetris twice at once, as
+// the EqualProgress=false ablation can: a bucket of the window is installed,
+// used and PUT while the first send is still consuming its CPU. Each send
+// submits the blocks added before it began, and neither submits nothing.
+func TestSendDuringSendTakesItsOwnIO(t *testing.T) {
+	e := newEnv(t, func(o *Options) { o.EqualProgress = false })
+	e.in.StartCP(nil)
+	var b *Bucket
+	var g, d int
+	var dbns []block.DBN
+	use := func() {
+		var dbn block.DBN
+		g, d, dbn = e.a.Geometry().Locate(b.vbns[b.next])
+		b.next++
+		e.in.addToTetris(b.tetris, d, dbn, block.Image{Bytes: []byte{byte(dbn) + 1}}, false)
+		dbns = append(dbns, dbn)
+	}
+	e.runThread(t, func(th *sim.Thread) {
+		b = e.in.GetBucket(th)
+		use()
+		e.s.Go("second put", sim.CatCP, func(th2 *sim.Thread) {
+			th2.Sleep(e.in.costs.TetrisSend / 2)
+			use()
+			e.in.sendTetris(th2, b.tetris)
+		})
+		e.in.sendTetris(th, b.tetris)
+		th.Sleep(sim.Millisecond)
+		e.in.DrainIO(th)
+		if st := e.in.Stats(); st.TetrisesSent != 2 || st.TetrisBlocks != 2 {
+			t.Errorf("%d tetrises of %d blocks sent, want 2 of 2", st.TetrisesSent, st.TetrisBlocks)
+		}
+		e.in.PutBucket(th, b)
+		e.drain(th)
+	})
+	for _, dbn := range dbns {
+		if img := e.a.Group(g).Drive(d).Image(dbn); len(img.Bytes) != 1 || img.Bytes[0] != byte(dbn)+1 {
+			t.Fatalf("DBN %d holds %v after both sends landed", dbn, img.Bytes)
+		}
+	}
+}
+
 func TestVBucketCommitWritesContainer(t *testing.T) {
 	e := newEnv(t, nil)
 	vol := e.a.Volume(0)

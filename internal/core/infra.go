@@ -494,19 +494,19 @@ func distinctBlocks[T ~uint64](bns []T, per uint64) int {
 
 // sendTetris builds the window's write I/O and submits it to RAID.
 func (in *Infra) sendTetris(t *sim.Thread, te *Tetris) {
+	// Detach before the Consume yields, so a bucket inserted into this
+	// window meanwhile (the EqualProgress=false ablation) accumulates a
+	// fresh, smaller I/O, and its own send does not find this one.
+	io, blocks := te.io, te.blocks
+	te.io, te.blocks = nil, 0
 	t.Consume(in.costs.TetrisSend)
 	in.stats.TetrisesSent++
-	in.stats.TetrisBlocks += uint64(te.blocks)
-	in.stats.TetrisSize.Observe(int64(te.blocks))
+	in.stats.TetrisBlocks += uint64(blocks)
+	in.stats.TetrisSize.Observe(int64(blocks))
 	if tr := t.Tracer(); tr != nil {
 		tr.InstantArg(obs.PidInfra, in.groupTrack(tr, te.group), "tetris", "tetris send",
-			int64(t.Now()), int64(te.blocks))
+			int64(t.Now()), int64(blocks))
 	}
-	io := te.io
-	// Detach so a bucket inserted into this window later (the
-	// EqualProgress=false ablation) accumulates a fresh, smaller I/O
-	// instead of resending these blocks.
-	te.io, te.blocks = nil, 0
 	in.submit(t, te.group, io)
 }
 

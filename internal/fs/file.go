@@ -61,10 +61,10 @@ func HeightFor(maxBlocks uint64) int {
 // of two, so small and sparse files do not pay for 256 slots per node, and
 // nothing is ever sized from the file's capacity or its on-media record.
 type node struct {
-	buf    *Buffer     // the indirect buffer at this position; nil if not resident
-	kids   []*node     // level >= 2: child positions
-	leaves []*Buffer   // level 1 of a metafile: L0 buffers
-	words  []imageWord // level 1 of a user file: L0 images (ImagePool.words)
+	buf    *Buffer      // the indirect buffer at this position; nil if not resident
+	kids   []*node      // level >= 2: child positions
+	leaves []*Buffer    // level 1 of a metafile: L0 buffers
+	words  []block.Word // level 1 of a user file: L0 images (ImagePool.words)
 
 	held, dirty, frozen, cleaned slotBits
 }
@@ -182,7 +182,7 @@ func (f *File) images() *userImages {
 		return &f.pool.user
 	}
 	if f.own == nil {
-		f.own = &userImages{preserved: map[l0Key]imageWord{}}
+		f.own = &userImages{preserved: map[l0Key]block.Word{}}
 	}
 	return f.own
 }
@@ -367,7 +367,7 @@ func (f *File) WriteImage(fbn block.FBN, img block.Image) *Buffer {
 			f.CoWCopies++
 		}
 	}
-	n.words[d] = u.hold(w, img)
+	n.words[d] = u.Put(w, img)
 	n.held.set(d)
 	if !n.dirty.has(d) {
 		if n.dirty.empty() {
@@ -415,7 +415,7 @@ func (f *File) L0(fbn block.FBN) (img block.Image, ok bool) {
 	if n == nil || d >= len(n.words) || n.words[d] == 0 {
 		return img, false
 	}
-	return f.images().image(n.words[d]), true
+	return f.images().Image(n.words[d]), true
 }
 
 // ReadBlock returns user L0 fbn's live byte image, or nil if it has none:
@@ -544,11 +544,11 @@ func (f *File) CleanL0(fbn block.FBN, vvbn block.VVBN, vbn block.VBN) (img block
 		if !ok {
 			panic(fmt.Sprintf("fs: L0 %d (ino %d) is frozen and dirty but has no CP image", fbn, f.ino))
 		}
-		img = u.image(w)
-		u.drop(w)
+		img = u.Image(w)
+		u.Put(w, block.Image{})
 		delete(u.preserved, k)
 	} else {
-		img = u.image(n.words[d])
+		img = u.Image(n.words[d])
 		n.cleaned.set(d)
 	}
 	f.setParent(0, fbn, vvbn, vbn)
@@ -643,8 +643,7 @@ func (n *node) dropClean(f *File, level int) {
 		n.cleaned[i] = 0
 		for ; w != 0; w &= w - 1 {
 			d := i*64 + bits.TrailingZeros64(w)
-			u.drop(n.words[d])
-			n.words[d] = 0
+			n.words[d] = u.Put(n.words[d], block.Image{})
 		}
 	}
 	if n.words != nil && n.dirty.empty() && n.frozen.empty() {
@@ -661,10 +660,10 @@ func (f *File) Release() {
 	u := f.images()
 	f.eachNode(func(n *node, _ int, base block.FBN) {
 		for d, w := range n.words {
-			u.drop(w)
+			u.Put(w, block.Image{})
 			if n.frozen.has(d) && n.dirty.has(d) {
 				k := l0Key{f, base | block.FBN(d)}
-				u.drop(u.preserved[k])
+				u.Put(u.preserved[k], block.Image{})
 				delete(u.preserved, k)
 			}
 		}

@@ -481,7 +481,7 @@ func cleanL0s(f *File, loc uint64) int {
 func cpImage(f *File, fbn block.FBN) block.Image {
 	u := f.images()
 	if w, ok := u.preserved[l0Key{f, fbn}]; ok {
-		return u.image(w)
+		return u.Image(w)
 	}
 	img, _ := f.L0(fbn)
 	return img
@@ -778,8 +778,8 @@ func TestDropCleanKeepsResidency(t *testing.T) {
 	if in3 || !f.Resident(3) || !in300 || f.Resident(4) {
 		t.Fatalf("after the commit: L0 3 in memory %v, resident %v; L0 300 in memory %v; resident 4 %v", in3, f.Resident(3), in300, f.Resident(4))
 	}
-	if p.user.handles() != 1 {
-		t.Fatalf("%d byte-image handles after the commit, want L0 300's", p.user.handles())
+	if p.user.Len() != 1 {
+		t.Fatalf("%d byte-image handles after the commit, want L0 300's", p.user.Len())
 	}
 	cow := f.CoWCopies
 	f.WriteBlock(3, pattern(4))
@@ -792,8 +792,8 @@ func TestDropCleanKeepsResidency(t *testing.T) {
 		t.Fatal("Hold made an image, or no bit")
 	}
 	f.Release()
-	if st := p.Stats().Slots; st.Outstanding() != 0 || p.user.handles() != 0 || f.Resident(3) {
-		t.Fatalf("after Release: slot pool %+v, %d handles, resident 3 %v", st, p.user.handles(), f.Resident(3))
+	if st := p.Stats().Slots; st.Outstanding() != 0 || p.user.Len() != 0 || f.Resident(3) {
+		t.Fatalf("after Release: slot pool %+v, %d handles, resident 3 %v", st, p.user.Len(), f.Resident(3))
 	}
 }
 
@@ -809,7 +809,7 @@ func TestSlotArrayLifecycle(t *testing.T) {
 	f := NewFile(1, 2)
 	f.SetImagePool(p)
 	slots := func() fifo.PoolStats { return p.Stats().Slots }
-	words := func(fbn block.FBN) []imageWord { return f.find(0, fbn, false).words }
+	words := func(fbn block.FBN) []block.Word { return f.find(0, fbn, false).words }
 	f.WriteBlock(3, pattern(1))   // node 0, an 8-slot array
 	f.WriteBlock(300, pattern(2)) // node 1
 	p.Trim()                      // a commit: the lists may keep arrays from here on
@@ -843,8 +843,8 @@ func TestSlotArrayLifecycle(t *testing.T) {
 	}
 	f.WriteBlock(5, pattern(6))
 	p.Abandon()
-	if st := slots(); st.Outstanding() != 0 || st.Abandoned != 1 || p.user.handles() != 0 {
-		t.Fatalf("after a crash: slot pool %+v, %d handles, want the held array abandoned", st, p.user.handles())
+	if st := slots(); st.Outstanding() != 0 || st.Abandoned != 1 || p.user.Len() != 0 {
+		t.Fatalf("after a crash: slot pool %+v, %d handles, want the held array abandoned", st, p.user.Len())
 	}
 
 	m := NewMetafile(2, 1)

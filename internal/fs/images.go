@@ -38,7 +38,7 @@ type ImagePool struct {
 	// slots are the free lists of a user file's level-1 slot arrays, one
 	// per size class (slotClass): an array goes back when its node's last
 	// L0 leaves (File.DropClean, Release) or when it is outgrown.
-	slots     [slotClasses]fifo.Pool[[]imageWord]
+	slots     [slotClasses]fifo.Pool[[]block.Word]
 	slotStats fifo.PoolStats
 	// slotTakes are the arrays taken in the last two CP intervals (Trim).
 	slotTakes  [2]uint64
@@ -83,14 +83,14 @@ const poison = 0xA5
 
 // NewImagePool returns an empty pool.
 func NewImagePool() *ImagePool {
-	p := &ImagePool{user: userImages{preserved: map[l0Key]imageWord{}}, poisoned: bytes.Repeat([]byte{poison}, block.Size)}
+	p := &ImagePool{user: userImages{preserved: map[l0Key]block.Word{}}, poisoned: bytes.Repeat([]byte{poison}, block.Size)}
 	for c := range p.classes {
 		size := block.ClassCap(c)
 		p.classes[c] = fifo.NewPool(&p.stats, func() []byte { return make([]byte, size) })
 	}
 	for c := range p.slots {
 		n := minSlots << c
-		p.slots[c] = fifo.NewPool(&p.slotStats, func() []imageWord { return make([]imageWord, n) })
+		p.slots[c] = fifo.NewPool(&p.slotStats, func() []block.Word { return make([]block.Word, n) })
 		p.slots[c].Limit(0) // until a commit has seen what a CP interval takes
 	}
 	return p
@@ -106,93 +106,30 @@ func (p *ImagePool) Stats() ImageStats {
 		Recycled: p.recycled, Slots: p.slotStats}
 }
 
-// imageWord is a user L0's image in one word, as a drive's media word holds
-// a DBN's (storage.Drive, without its media-only mark): 0 for none, a
-// block.Name (top bit set), or a byte image's handle in userImages plus one.
-type imageWord uint64
-
-// handle returns the byte-image handle w holds, or -1 for none or a name.
-func (w imageWord) handle() int {
-	if w == 0 || w>>63 != 0 {
-		return -1
-	}
-	return int(w) - 1
-}
-
 // l0Key names a user L0: its file and FBN.
 type l0Key struct {
 	f   *File
 	fbn block.FBN
 }
 
-// pageLen is the number of byte-image handles a page of the table holds.
-const pageLen = 512
-
 // userImages is the home of the user L0 images that a slot's word does not
-// hold itself: byte images, in a table addressed by handle that grows a page
-// at a time and never copies (free lists the unused handles), and the
-// preserved CP image of each frozen L0 a client overwrote before the CP
-// cleaned it (File.WriteImage), from that overwrite until CleanL0 hands it
-// to the media. An L0 has an entry exactly when its slot is both frozen and
-// dirty, so the map is probed only by an L0 that has one. Entries leave by
-// delete and the map is made once: after a CP's worth of overwrites, a warm
-// run allocates nothing for it. Only Audit walks it, and it sorts what it
-// reports.
+// hold itself: byte images, in the table a word's handle indexes
+// (block.Table, DESIGN §14), and the preserved CP image of each frozen L0 a
+// client overwrote before the CP cleaned it (File.WriteImage), from that
+// overwrite until CleanL0 hands it to the media. An L0 has an entry exactly
+// when its slot is both frozen and dirty, so the map is probed only by an
+// L0 that has one. Entries leave by delete and the map is made once: after
+// a CP's worth of overwrites, a warm run allocates nothing for it. Only
+// Audit walks it, and it sorts what it reports.
 type userImages struct {
-	pages     [][][]byte
-	made      int // handles made
-	free      []int
-	preserved map[l0Key]imageWord
+	block.Table
+	preserved map[l0Key]block.Word
 }
-
-// image returns the image word w holds.
-func (u *userImages) image(w imageWord) block.Image {
-	if h := w.handle(); h >= 0 {
-		return block.Image{Bytes: *u.at(h)}
-	}
-	return block.Image{Name: block.Name(w)}
-}
-
-// at returns the table entry of handle h.
-func (u *userImages) at(h int) *[]byte { return &u.pages[h/pageLen][h%pageLen] }
-
-// hold returns the word holding img, which replaces word w: a name by value,
-// a byte image in w's handle, or a free one. A nil image is no image.
-func (u *userImages) hold(w imageWord, img block.Image) imageWord {
-	if img.Bytes == nil {
-		u.drop(w)
-		return imageWord(img.Name)
-	}
-	h := w.handle()
-	if h < 0 {
-		if n := len(u.free); n > 0 {
-			h, u.free = u.free[n-1], u.free[:n-1]
-		} else {
-			if h = u.made; h%pageLen == 0 {
-				u.pages = append(u.pages, make([][]byte, pageLen))
-			}
-			u.made++
-		}
-	}
-	*u.at(h) = img.Bytes
-	return imageWord(h + 1)
-}
-
-// drop lets go of word w: a byte image's handle goes back to the free list.
-func (u *userImages) drop(w imageWord) {
-	if h := w.handle(); h >= 0 {
-		*u.at(h) = nil
-		u.free = append(u.free, h)
-	}
-}
-
-// handles returns the byte-image handles in use.
-func (u *userImages) handles() int { return u.made - len(u.free) }
 
 // reset forgets every image: a crash dropped the trees holding them.
 func (u *userImages) reset() {
 	clear(u.preserved)
-	*u = userImages{preserved: u.preserved}
+	u.Table = block.Table{}
 }
 
 // slotClasses is the number of slot-array sizes: minSlots << c slots for
@@ -215,11 +152,11 @@ func slotClass(d int) (c, n int) {
 // words returns s, the slot array of one of a user file's level-1 nodes (nil
 // if it has none), grown to hold slot d: from its size class's free list,
 // and the one it outgrew goes back at once. A nil pool allocates.
-func (p *ImagePool) words(s []imageWord, d int) []imageWord {
+func (p *ImagePool) words(s []block.Word, d int) []block.Word {
 	c, n := slotClass(d)
-	var grown []imageWord
+	var grown []block.Word
 	if p == nil {
-		grown = make([]imageWord, n)
+		grown = make([]block.Word, n)
 	} else {
 		grown = p.slots[c].Get()
 	}
@@ -229,7 +166,7 @@ func (p *ImagePool) words(s []imageWord, d int) []imageWord {
 }
 
 // putWords takes back s, a slot array its node no longer holds.
-func (p *ImagePool) putWords(s []imageWord) {
+func (p *ImagePool) putWords(s []block.Word) {
 	if p == nil || s == nil {
 		return
 	}
@@ -385,7 +322,7 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 			}
 			for d, w := range n.words {
 				fbn := base | block.FBN(d)
-				if w.handle() >= 0 {
+				if p.user.Image(w).Bytes != nil {
 					handles++
 				}
 				if n.cleaned.has(d) {
@@ -398,7 +335,7 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 				if !ok {
 					fail("L0 (ino %d, fbn %d) is frozen and dirty but has no CP image", f.ino, fbn)
 				}
-				if w.handle() >= 0 {
+				if p.user.Image(w).Bytes != nil {
 					handles++
 				}
 				overwritten[l0Key{f, fbn}] = true
@@ -417,8 +354,8 @@ func (p *ImagePool) Audit(files []*File, media func(visit func(vbn block.VBN, im
 		})
 		fail("%d preserved CP images outlive their CP or name an L0 not frozen and dirty, the first (ino %d, fbn %d)", len(stale), stale[0].f.ino, stale[0].fbn)
 	}
-	if handles != p.user.handles() {
-		fail("%d byte-image handles in use, %d held by the files' words", p.user.handles(), handles)
+	if handles != p.user.Len() {
+		fail("%d byte-image handles in use, %d held by the files' words", p.user.Len(), handles)
 	}
 	at := map[*byte][]block.VBN{}
 	media(func(vbn block.VBN, img []byte, mediaOnly bool) {

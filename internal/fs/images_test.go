@@ -354,7 +354,7 @@ func TestPreservedImageSideHome(t *testing.T) {
 	f.WriteBlock(4, next)
 	n := &f.root
 	overwritten := func(d int) bool { return n.frozen.has(d) && n.dirty.has(d) }
-	if !overwritten(3) || !overwritten(4) || len(p.user.preserved) != 2 || p.user.preserved[l0Key{f, 3}] != imageWord(oldName) {
+	if !overwritten(3) || !overwritten(4) || len(p.user.preserved) != 2 || p.user.preserved[l0Key{f, 3}] != block.Word(oldName) {
 		t.Fatalf("overwrites of frozen L0s: frozen and dirty %v %v, %d entries; want both, two entries, the old name kept",
 			overwritten(3), overwritten(4), len(p.user.preserved))
 	}
@@ -373,17 +373,17 @@ func TestPreservedImageSideHome(t *testing.T) {
 	if err := audit(); err != nil {
 		t.Fatalf("after the clean: %v", err)
 	}
-	p.user.preserved[l0Key{f, 4}] = p.user.hold(0, block.Image{Bytes: old}) // a clean that keeps the entry
+	p.user.preserved[l0Key{f, 4}] = p.user.Put(0, block.Image{Bytes: old}) // a clean that keeps the entry
 	if err := audit(); err == nil || !strings.Contains(err.Error(), "1 preserved CP images outlive their CP") {
 		t.Fatalf("an entry kept past its clean: audit said %v", err)
 	}
-	p.user.drop(p.user.preserved[l0Key{f, 4}])
+	p.user.Put(p.user.preserved[l0Key{f, 4}], block.Image{})
 	delete(p.user.preserved, l0Key{f, 4})
-	stray := p.user.hold(0, block.Image{Bytes: old}) // a handle no word holds
+	stray := p.user.Put(0, block.Image{Bytes: old}) // a handle no word holds
 	if err := audit(); err == nil || !strings.Contains(err.Error(), "byte-image handles in use") {
 		t.Fatalf("a stray handle: audit said %v", err)
 	}
-	p.user.drop(stray)
+	p.user.Put(stray, block.Image{})
 	f.CleanChild(frozenAt(f, 1)[0], 102, 102)
 	f.Freeze()
 	n.dirty.set(4) // frozen and dirty without an entry
@@ -407,8 +407,8 @@ func TestPreservedImageSideHome(t *testing.T) {
 		t.Fatalf("%d entries after a second overwrite, want 1", len(p.user.preserved))
 	}
 	f.Release()
-	if len(p.user.preserved) != 0 || p.user.handles() != 0 {
-		t.Fatalf("%d entries and %d handles after the tree was released, want 0", len(p.user.preserved), p.user.handles())
+	if len(p.user.preserved) != 0 || p.user.Len() != 0 {
+		t.Fatalf("%d entries and %d handles after the tree was released, want 0", len(p.user.preserved), p.user.Len())
 	}
 	g := pooled(p, false)
 	g.WriteImage(0, block.Image{Name: oldName})

@@ -212,8 +212,8 @@ func TestModelRandomOps(t *testing.T) {
 					clear(held)
 					clear(addr)
 					clear(indirect)
-					if f.pool != nil && (p.Stats().Slots.Outstanding() != 0 || p.user.handles() != 0) {
-						t.Fatalf("seed %d step %d: Release left %d slot arrays, %d handles", seed, step, p.Stats().Slots.Outstanding(), p.user.handles())
+					if f.pool != nil && (p.Stats().Slots.Outstanding() != 0 || p.user.Len() != 0) {
+						t.Fatalf("seed %d step %d: Release left %d slot arrays, %d handles", seed, step, p.Stats().Slots.Outstanding(), p.user.Len())
 					}
 				}
 			}

@@ -864,7 +864,7 @@ func TestMediaOnlyImagesGoBack(t *testing.T) {
 // array. A row cloned per stripe would be an object each, and an eager
 // parity a 4 KiB array each. What a stripe does allocate is its data
 // drives' image tables growing, a 24-byte handle for each byte image
-// landing on a DBN that never held one, made a page at a time (storage's
+// landing on a DBN that never held one, made a page at a time (block's
 // TestByteImageHandles pins that growth).
 func TestWarmWriteAllocatesNoRows(t *testing.T) {
 	s := sim.New(2, 1)

@@ -57,14 +57,9 @@ type WriteReq struct {
 // image is the image r writes.
 func (r *WriteReq) image() block.Image { return block.ImageOf(r.Name, r.Data) }
 
-// A DBN's media word is 0 for a block never written, a block.Name (top bit
-// set), or a handle to a byte image in the drive's image table: its index
-// plus one, with the media-only mark in bit markBit.
-const (
-	markBit = 62
-	marked  = uint64(1) << markBit
-	pageLen = 512 // byte-image handles a page of the image table holds
-)
+// marked is a DBN's media-only mark, in the bit of its media word that the
+// word's holder keeps.
+const marked = block.HolderBit
 
 // WriteFault describes how an injector perturbs one write I/O.
 type WriteFault struct {
@@ -133,18 +128,13 @@ type Drive struct {
 	profile Profile
 	nblocks block.DBN
 
-	// words is the stable storage image, one media word a DBN (DESIGN §14):
-	// 0 until first written, else a name or a handle into imgs, the byte
-	// images the DBNs hold, in pages of pageLen made as handles run out, so
-	// the table never copies (free lists the unused handles). The words hold
-	// no pointer, so the collector never scans them; a parity drive
-	// (NewParityDrive) has no table. Writes land at I/O completion time,
+	// words is the stable storage image, one block.Word a DBN (DESIGN §14),
+	// 0 until first written, with its byte images in images; a parity drive
+	// (NewParityDrive) has no words. Writes land at I/O completion time,
 	// never earlier, so a simulated crash (dropping all in-memory state and
 	// pending I/O) leaves exactly the committed image.
-	words []uint64
-	imgs  [][][]byte
-	made  int // handles made
-	free  []int
+	words  []block.Word
+	images block.Table
 
 	busyUntil sim.Time
 	epoch     uint64 // bumped by DropInFlight; stale completions are discarded
@@ -273,7 +263,7 @@ func (d *Drive) track(tr *obs.Tracer) int32 {
 // NewDrive creates a drive of nblocks blocks with the given service profile.
 func NewDrive(s *sim.Scheduler, name string, profile Profile, nblocks block.DBN) *Drive {
 	d := NewParityDrive(s, name, profile, nblocks)
-	d.words = make([]uint64, nblocks)
+	d.words = make([]block.Word, nblocks)
 	return d
 }
 
@@ -441,25 +431,12 @@ func (d *Drive) WriteSync(t *sim.Thread, reqs []WriteReq) {
 // capacity cut to its length); the nil Image if it was never written, and
 // always on a parity drive.
 func (d *Drive) Image(dbn block.DBN) block.Image {
-	if d.words == nil || d.words[dbn] == 0 {
+	if d.words == nil {
 		return block.Image{}
 	}
-	if h := d.handle(dbn); h >= 0 {
-		b := *d.img(h)
-		return block.Image{Bytes: b[:len(b):len(b)]}
-	}
-	return block.Image{Name: block.Name(d.words[dbn])}
-}
-
-// img returns the table entry of handle h.
-func (d *Drive) img(h int) *[]byte { return &d.imgs[h/pageLen][h%pageLen] }
-
-// handle returns the handle of dbn's byte image, or -1.
-func (d *Drive) handle(dbn block.DBN) int {
-	if w := d.words[dbn]; w != 0 && w>>63 == 0 {
-		return int(w&(marked-1)) - 1
-	}
-	return -1
+	img := d.images.Image(d.words[dbn])
+	img.Bytes = img.Bytes[:len(img.Bytes):len(img.Bytes)]
+	return img
 }
 
 // markable reports whether an n-byte image whose array has capacity c may be
@@ -485,41 +462,16 @@ func (d *Drive) land(r *WriteReq) {
 		}
 		return
 	}
-	d.put(r.DBN, r.image(), r.MediaOnly && markable(len(r.Data), cap(r.Data)))
-}
-
-// put stores img at dbn, marked if mark is set: a byte image in dbn's
-// handle, or a free one; a name or nil in the word alone, freeing the
-// handle.
-func (d *Drive) put(dbn block.DBN, img block.Image, mark bool) {
-	h := d.handle(dbn)
-	if img.Bytes == nil {
-		if h >= 0 {
-			*d.img(h), d.free = nil, append(d.free, h)
-		}
-		d.words[dbn] = uint64(img.Name)
-		return
-	}
-	if h < 0 {
-		if n := len(d.free); n > 0 {
-			h, d.free = d.free[n-1], d.free[:n-1]
-		} else {
-			if h = d.made; h%pageLen == 0 {
-				d.imgs = append(d.imgs, make([][]byte, pageLen))
-			}
-			d.made++
-		}
-	}
-	*d.img(h), d.words[dbn] = img.Bytes, uint64(h)+1
-	if mark {
-		d.words[dbn] |= marked
+	d.words[r.DBN] = d.images.Put(d.words[r.DBN], r.image())
+	if r.MediaOnly && markable(len(r.Data), cap(r.Data)) {
+		d.words[r.DBN] |= marked
 	}
 }
 
 // MediaOnly reports whether dbn is marked: the media alone holds its image's
 // array (DESIGN §14, *Who holds an image array*).
 func (d *Drive) MediaOnly(dbn block.DBN) bool {
-	return d.words != nil && d.words[dbn]>>62 == 1
+	return d.words != nil && d.words[dbn]&marked != 0
 }
 
 // Mark marks dbn media-only if it holds img's array, and reports whether it
@@ -529,15 +481,14 @@ func (d *Drive) MediaOnly(dbn block.DBN) bool {
 // was forgotten, or its write has not landed) is left alone, and img is the
 // garbage collector's.
 func (d *Drive) Mark(dbn block.DBN, img []byte) bool {
-	if d.words == nil || len(img) == 0 || d.handle(dbn) < 0 {
+	if d.words == nil || len(img) == 0 {
 		return false
 	}
-	b := d.img(d.handle(dbn))
-	if len(*b) == 0 || &(*b)[0] != &img[0] || !markable(len(*b), cap(img)) {
+	b := d.images.Image(d.words[dbn]).Bytes
+	if len(b) == 0 || &b[0] != &img[0] || !markable(len(b), cap(img)) {
 		return false
 	}
-	*b = img[:len(*b)]
-	d.words[dbn] |= marked
+	d.words[dbn] = d.images.Put(d.words[dbn], block.Image{Bytes: img[:len(b)]}) | marked
 	return true
 }
 
@@ -549,7 +500,7 @@ func (d *Drive) Owned(dbn block.DBN) []byte {
 	if !d.MediaOnly(dbn) {
 		return nil
 	}
-	b := *d.img(d.handle(dbn))
+	b := d.images.Image(d.words[dbn]).Bytes
 	c, size := block.Class(min(cap(b), block.Size))
 	if size > cap(b) {
 		size = block.ClassCap(c - 1) // a foreign array between two classes counts as the lower one
@@ -562,7 +513,7 @@ func (d *Drive) Owned(dbn block.DBN) []byte {
 // taken back are the garbage collector's.
 func (d *Drive) ClearMarks() {
 	for i, w := range d.words {
-		if w>>62 == 1 {
+		if w&marked != 0 {
 			d.words[i] = w &^ marked
 		}
 	}
@@ -588,7 +539,7 @@ func (d *Drive) Forget(dbn block.DBN) {
 	if d.words != nil && d.words[dbn] != 0 {
 		d.stats.Forgotten++
 		d.stats.ForgottenBytes += uint64(d.Image(dbn).Len())
-		d.put(dbn, block.Image{}, false)
+		d.words[dbn] = d.images.Put(d.words[dbn], block.Image{})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"wafl/internal/allocs"
 	"wafl/internal/block"
 	"wafl/internal/sim"
 )
@@ -255,82 +254,5 @@ func TestMediaTableBudget(t *testing.T) {
 	}
 	if perDBN := retained(NewParityDrive); perDBN >= 1 {
 		t.Fatalf("a parity drive of %d DBNs retains %.2f heap bytes a DBN, want < 1", nblocks, perDBN)
-	}
-}
-
-// TestByteImageHandles pins what a byte image costs the media table beyond
-// its DBN's word: a handle into the drive's image table, held while the DBN
-// holds a byte image. A byte image landing on a DBN that holds one reuses
-// its handle; one landing where there is none takes a handle a name or a
-// Forget freed, if there is one; neither allocates. Only a byte image past
-// every handle made grows the table, a page of pageLen handles at a time
-// that is never copied: 24 bytes a handle, and no object per image.
-func TestByteImageHandles(t *testing.T) {
-	const n = 1024
-	s := sim.New(1, 1)
-	d := NewDrive(s, "d", SSD, 2*n)
-	img := testBlock(1)
-	reqs := make([]WriteReq, 1)
-	write := func(r WriteReq) {
-		reqs[0] = r
-		d.Write(reqs, nil)
-		s.RunFor(sim.Millisecond)
-	}
-	write(WriteReq{DBN: 2*n - 1}) // a nil image takes no handle; the I/O record warms up
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for dbn := range block.DBN(n) {
-		write(WriteReq{DBN: dbn, Data: img})
-	}
-	runtime.ReadMemStats(&after)
-	if d.made != n || len(d.free) != 0 {
-		t.Fatalf("%d fresh byte images: %d handles, %d free; want %d, 0", n, d.made, len(d.free), n)
-	}
-	// A page per pageLen images and the page list: a few objects, and 24
-	// bytes an image; a table grown by append would copy itself, allocating
-	// about twice that.
-	objs, perImage := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/n
-	if objs >= n/64 || perImage > 40 {
-		t.Fatalf("%d fresh byte images allocate %d objects and %.0f bytes each, want under %d objects and at most 40 bytes", n, objs, perImage, n/64)
-	}
-	var dbn block.DBN
-	short := testBlock(2)[:100]
-	if got := allocs.Count(n-1, func() { write(WriteReq{DBN: dbn % n, Data: short}); dbn += 7 }); got != 0 {
-		t.Fatalf("%d byte images over byte images allocate %d objects, want 0", n, got)
-	}
-	if d.made != n {
-		t.Fatalf("rewrites grew the table to %d handles", d.made)
-	}
-	// A name and a Forget each free their DBN's handle, and fresh DBNs take
-	// the freed handles before the table grows.
-	for dbn := block.DBN(0); dbn < n; dbn += 2 {
-		write(WriteReq{DBN: dbn, Name: block.NameOf(1, block.FBN(dbn), 0, 64)})
-		d.Forget(dbn + 1)
-	}
-	if len(d.free) != n {
-		t.Fatalf("%d handles free after names and forgets over every byte image, want %d", len(d.free), n)
-	}
-	dbn = n
-	if got := allocs.Count(n-1, func() { write(WriteReq{DBN: dbn, Data: img}); dbn++ }); got != 0 {
-		t.Fatalf("%d byte images on fresh DBNs with handles free allocate %d objects, want 0", n, got)
-	}
-	if d.made != n || len(d.free) != 0 {
-		t.Fatalf("after refilling: %d handles, %d free; want %d, 0", d.made, len(d.free), n)
-	}
-	for dbn := range block.DBN(2 * n) {
-		got := d.Image(dbn)
-		switch {
-		case dbn >= n:
-			if len(got.Bytes) != len(img) || &got.Bytes[0] != &img[0] {
-				t.Fatalf("DBN %d reads %d bytes, not the image it took a freed handle for", dbn, len(got.Bytes))
-			}
-		case dbn < n && dbn%2 == 0:
-			if got.Name != block.NameOf(1, block.FBN(dbn), 0, 64) {
-				t.Fatalf("DBN %d reads %+v, not its name", dbn, got)
-			}
-		case !got.IsNil():
-			t.Fatalf("DBN %d, forgotten, reads %d bytes", dbn, got.Len())
-		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -470,7 +471,7 @@ func (sys *System) PlaceFile(sizeBlocks uint64) int {
 		}
 	}
 	m := sys.members[best]
-	bestVol, bestFree := 0, int64(-1<<62)
+	bestVol, bestFree := 0, int64(math.MinInt64)
 	for v := 0; v < sys.cfg.Volumes; v++ {
 		if f := m.in.VolFree(v) - m.reserved[v]; f > bestFree {
 			bestVol, bestFree = v, f
