@@ -405,8 +405,6 @@ var knobStructs = []configStruct{
 	{"workload", "workload/openloop.go", "OpenLoop"},
 	{"harness", "harness/harness.go", "RunConfig"},
 	{"harness", "harness/harness.go", "TraceOut"},
-	{"harness", "harness/crashsweep.go", "CrashSweepConfig"},
-	{"harness", "harness/clustersweep.go", "ClusterSweepConfig"},
 }
 
 // knobSets is what the traffic sets, each with the type whose Default*
@@ -768,14 +766,12 @@ func (d decls) resolve(parts []string) (cited, ok bool) {
 // knobAllow lists the configuration fields no traffic file assigns, with why
 // each stays a field.
 var knobAllow = map[string]string{
-	"Costs":        "the calibration table of DESIGN.md §5, which explaining §V-C's batching shortfall may need to vary",
-	"Dropped":      "an OpenLoop result, always 0 (its queues are unbounded), that bench/ still reads",
-	"Workers":      "bench/ladder.go reads OpenLoop's worker pools into its backlog bound; openloop_test.go shrinks them",
-	"BulkWorkers":  "bench/ladder.go reads OpenLoop's worker pools into its backlog bound; openloop_test.go shrinks them",
-	"MaxSnaps":     "workload_test.go's TestSnapChurnRotatesSnapshots shrinks SnapChurn's ring to see it rotate within its window",
-	"SnapEvery":    "TestSnapChurnRotatesSnapshots paces SnapChurn's ring faster, and crashsweep_test.go's TestSweepRunsShort snapshots every 5th op of its short history",
-	"OpsPerClient": "TestCrashSweepSmall and TestSweepRunsShort shorten the crash sweep's histories; the latter needs one that ends before its 40 boundaries",
-	"Modes":        "crashsweep_test.go's TestSweepRunsShort sweeps one CP mode so that one row counts its boundaries",
+	"Costs":       "the calibration table of DESIGN.md §5, which explaining §V-C's batching shortfall may need to vary",
+	"Dropped":     "an OpenLoop result, always 0 (its queues are unbounded), that bench/ still reads",
+	"Workers":     "bench/ladder.go reads OpenLoop's worker pools into its backlog bound; openloop_test.go shrinks them",
+	"BulkWorkers": "bench/ladder.go reads OpenLoop's worker pools into its backlog bound; openloop_test.go shrinks them",
+	"MaxSnaps":    "workload_test.go's TestSnapChurnRotatesSnapshots shrinks SnapChurn's ring to see it rotate within its window",
+	"SnapEvery":   "workload_test.go's TestSnapChurnRotatesSnapshots paces SnapChurn's ring faster to see it rotate within its window",
 }
 
 // exportAllow lists the exported functions no non-test file names, with the
@@ -1293,10 +1289,10 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 		}, {
 			// A harness config field its constructor assigns after building it.
 			files: map[string]string{
-				"harness/crashsweep.go": `package harness; type CrashSweepConfig struct { Seeds []int64; MaxRun int64 }; func DefaultCrashSweep() CrashSweepConfig { c := CrashSweepConfig{Seeds: []int64{1}}; c.MaxRun = 2; return c }`,
-				"harness/registry.go":   `package harness; func f(c CrashSweepConfig) { c.Seeds = nil }`,
+				"harness/harness.go":  `package harness; type RunConfig struct { Seeds []int64; MaxRun int64 }; func DefaultRun() RunConfig { c := RunConfig{Seeds: []int64{1}}; c.MaxRun = 2; return c }`,
+				"harness/registry.go": `package harness; func f(c RunConfig) { c.Seeds = nil }`,
 			},
-			want: "harness.CrashSweepConfig.MaxRun is assigned by no file under",
+			want: "harness.RunConfig.MaxRun is assigned by no file under",
 		}},
 	},
 	{

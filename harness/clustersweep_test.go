@@ -12,10 +12,7 @@ import (
 // sweep is `make clustersweep`; this keeps `go test ./...` coverage of the
 // cluster harness cheap.
 func TestClusterSweepSmall(t *testing.T) {
-	cfg := DefaultClusterSweep()
-	cfg.Seeds = []int64{1}
-	cfg.Points = 3
-	tab, res, err := ClusterSweep(cfg)
+	tab, res, err := runSchedules("clustersweep", "member crash", clusterSchedules(2, 3, []int64{1}), "verified")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +28,7 @@ func TestClusterSweepSmall(t *testing.T) {
 // checks that two members beat one by a clear margin (the full 1/2/4 curve
 // with the paper-shaped config is `waflbench -exp flexgroup`).
 func TestFlexgroupSmall(t *testing.T) {
-	rc := RunConfig{Base: DefaultCrashSweep().Base, Warmup: 20 * wafl.Millisecond, Window: 80 * wafl.Millisecond}
+	rc := RunConfig{Base: sweepConfig(), Warmup: 20 * wafl.Millisecond, Window: 80 * wafl.Millisecond}
 	rc.Base.Faults = wafl.FaultConfig{} // no fault injection in a perf sweep
 	rc.Base.NVRAMHalfBytes = 2 << 20
 	rc.Base.Members = 2 // widths 1 and 2

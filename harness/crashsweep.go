@@ -9,57 +9,31 @@ import (
 	"wafl/internal/nsmodel"
 )
 
-// CrashSweepConfig parameterizes a crash-schedule sweep: a seeded workload
-// is run to completion once to learn its event-index span, then re-run and
-// crashed at evenly spaced event indices (and, optionally, at CP phase
-// boundaries). After every crash the system is recovered, checked with
-// Fsck, and verified against the reference model (internal/nsmodel) of
-// everything its clients were acknowledged; then the *recovered* system is
-// crashed again before it can run — the double-crash that catches
-// NVRAM-protection bugs — and re-verified, and once more after it quiesces.
-type CrashSweepConfig struct {
-	// Base is the system configuration, including the fault plan
-	// (Base.Faults). Base.Seed is overridden by Seeds.
-	Base wafl.Config
-	// Seeds are the workload seeds swept; every seed gets its own set of
-	// crash points.
-	Seeds []int64
-	// Points is how many evenly spaced event-index crash points to sweep
-	// per seed (once per workload: files and snapshots, and the history one).
-	Points int
-	// Phases, when > 0, additionally crashes at the first Phases CP
-	// phase-boundary hits of the first seed's run (a CP has nine
-	// boundaries, so Phases = 9 covers one full CP, 18 two, ...).
-	Phases int
-	// Clients and OpsPerClient bound the workload.
-	Clients      int
-	OpsPerClient int
-	// SnapEvery, when > 0, makes one op in SnapEvery a snapshot op: creates
-	// and deletes (of any snapshot of the volume) in equal parts.
-	SnapEvery int
-	// Modes lists the ParallelCP settings to sweep; every mode repeats the
-	// full event-index and phase-boundary schedule, so each CP boundary is
-	// crash-tested both under fan-out and on the serial ablation. Empty
-	// means "just Base.Allocator.ParallelCP as configured".
-	Modes []bool
-	// Overload adds one crash point taken while NVLog admission control is
-	// actively shedding bulk load: the crash lands mid-shed and recovery
-	// must replay exactly the admitted (logged, acked) writes — shed writes
-	// were never logged and must stay absent from the contract.
-	Overload bool
-	// ClonePoints, when > 0, adds that many consecutive CP phase-boundary
-	// crash points (18 = two full CPs) taken inside a scripted clone window
-	// (snapshot → parent churn → clone create → clone writes → clone split
-	// → SnapRestore → post-restore writes): an acked clone serves the frozen
-	// parent image plus its own acked writes, an acked restore is
-	// all-or-nothing and supersedes the parent's post-snapshot churn, and
-	// fsck must hold zero leaked/missing blocks on every recovery leg.
-	ClonePoints int
-}
+// The sweeps' fixed shape. A crash sweep crashes, per CP mode and seed, at
+// sweepPoints evenly spaced event indices of a baseline run of each of two
+// workloads: sweepClients clients of sweepOps operations, one op in
+// sweepSnapEvery a snapshot op, and a history of every logged operation
+// kind. On its first seed it adds the first sweepPhases CP phase boundaries
+// (one CP's nine), a point mid-shed under overload, and cloneBounds
+// boundaries (two CPs) of the clone window. The cluster sweep crashes one
+// member at clusterPoints event indices while clusterClients clients of
+// clusterOps operations run on each member.
+const (
+	sweepPoints    = 8
+	sweepPhases    = 9
+	cloneBounds    = 18
+	sweepClients   = 4
+	sweepOps       = 200
+	sweepSnapEvery = 25
 
-// DefaultCrashSweep returns a bounded sweep sized for CI: a small server,
-// two seeds, torn writes + delayed completions + transient read errors.
-func DefaultCrashSweep() CrashSweepConfig {
+	clusterPoints  = 6
+	clusterClients = 3
+	clusterOps     = 150
+)
+
+// sweepConfig is the sweeps' system: a small server under torn writes,
+// delayed completions and transient read errors, its payloads byte-exact.
+func sweepConfig() wafl.Config {
 	cfg := wafl.DefaultConfig()
 	cfg.Cores = 8
 	cfg.RAIDGroups = 2
@@ -82,18 +56,7 @@ func DefaultCrashSweep() CrashSweepConfig {
 		Delay:           200 * wafl.Microsecond,
 		ReadErrEvery:    9,
 	}
-	return CrashSweepConfig{
-		Base:         cfg,
-		Seeds:        []int64{1, 2},
-		Points:       8,
-		Phases:       9,
-		Clients:      4,
-		OpsPerClient: 200,
-		SnapEvery:    25,
-		Modes:        []bool{true, false},
-		Overload:     true,
-		ClonePoints:  18,
-	}
+	return cfg
 }
 
 // CrashSweepResult is the machine-readable sweep outcome.
@@ -359,6 +322,12 @@ func runSchedules(id, title string, scheds []schedule, verified string) (Table, 
 	return tab, res, nil
 }
 
+// crashSweep sweeps scheds into the crashsweep table.
+func crashSweep(scheds []schedule) (Table, CrashSweepResult, error) {
+	return runSchedules("crashsweep", "systematic crash/recovery verification (§II-C contract)", scheds,
+		"crash points: recovery + double-crash recovery all verified")
+}
+
 // filesMix is the sweeps' base workload: writes, creates, deletes and
 // getattrs 7:1:1:1, with one op in snapEvery a snapshot create or delete.
 func filesMix(snapEvery int) nsmodel.Mix {
@@ -389,65 +358,84 @@ func cloneScript() []nsmodel.Op {
 
 const cloneWindow = 2 + 32
 
-// CrashSweep runs the crash-schedule sweep described by cfg — the
-// event-index, history (three clients drawing every logged operation kind,
-// nsmodel.AllKinds) and phase-boundary schedules once per entry of cfg.Modes
-// (ParallelCP on/off) — and returns a rendered table plus the
-// machine-readable result.
-func CrashSweep(cfg CrashSweepConfig) (Table, CrashSweepResult, error) {
-	modes, first := cfg.Modes, cfg.Base.Seed // first: the seed of the single-seed schedules
-	if len(modes) == 0 {
-		modes = []bool{cfg.Base.Allocator.ParallelCP}
-	}
-	if len(cfg.Seeds) > 0 {
-		first = cfg.Seeds[0]
-	}
-	// The sweeps' base load, on seed in CP mode parallel.
-	sched := func(name string, seed int64, parallel bool) schedule {
-		s := schedule{name: name, cfg: cfg.Base,
-			repro: fmt.Sprintf("crashsweep -seeds %d -points %d", seed, cfg.Points),
-			mix:   filesMix(cfg.SnapEvery), clients: cfg.Clients, steps: cfg.OpsPerClient, span: sweepSpan}
-		s.cfg.Seed, s.cfg.Allocator.ParallelCP = seed, parallel
+// crashSchedules is the crash sweep at points event indices per workload
+// over seeds: per CP mode (fan-out, then the serial ablation, so that each
+// CP boundary is crash-tested under both), each seed's event-index and
+// history schedules (three clients drawing every logged operation kind,
+// nsmodel.AllKinds) and the first seed's phase-boundary one; then the first
+// seed's overload point and clone window. After every crash the system is
+// recovered, checked with fsck and verified against the model of everything
+// its clients were acknowledged, then crashed again before it can run (the
+// double crash that catches NVRAM-protection bugs) and re-verified, and once
+// more after it quiesces (crashPoint).
+func crashSchedules(points int, seeds []int64) []schedule {
+	sched := func(name string, seed int64) schedule {
+		s := schedule{name: name, cfg: sweepConfig(),
+			repro: fmt.Sprintf("crashsweep -seeds %d -points %d", seed, points),
+			mix:   filesMix(sweepSnapEvery), clients: sweepClients, steps: sweepOps, span: sweepSpan}
+		s.cfg.Seed = seed
 		return s
 	}
 	var scheds []schedule
-	for _, parallel := range modes {
+	for _, parallel := range []bool{true, false} {
 		tag := map[bool]string{true: "/parallel-cp", false: "/serial-cp"}[parallel]
-		for _, seed := range cfg.Seeds {
-			s, h := sched("event-index"+tag, seed, parallel), sched("history"+tag, seed, parallel)
-			s.events, h.events = cfg.Points, cfg.Points
+		mode := func(name string, seed int64) schedule {
+			s := sched(name+tag, seed)
+			s.cfg.Allocator.ParallelCP = parallel
+			return s
+		}
+		for _, seed := range seeds {
+			s, h := mode("event-index", seed), mode("history", seed)
+			s.events, h.events = points, points
 			h.mix, h.clients, h.span, h.cfg.CloneSlots = nsmodel.AllKinds, 3, 64, 2
-			if cfg.Points > 0 {
-				scheds = append(scheds, s, h)
-			}
+			scheds = append(scheds, s, h)
 		}
-		if cfg.Phases > 0 { // CP phase boundaries, on the first seed
-			s := sched("cp-phase"+tag, first, parallel)
-			s.bounds = cfg.Phases
-			scheds = append(scheds, s)
-		}
-	}
-	if cfg.Overload {
-		// A small log and admission on, under hammering bulk writers that
-		// fill it past the shed watermark; the crash lands well into the shed
-		// regime. The model hears of a bulk write what WriteBulk reported, so
-		// verification proves the shed-load contract: every admitted write
-		// replays, and nothing shed leaks into the recovered image.
-		s := sched("overload-shed", first, cfg.Base.Allocator.ParallelCP)
-		s.mix, s.steps = nsmodel.Mix{Weights: [nsmodel.NumKinds]int{nsmodel.Write: 1, nsmodel.WriteBulk: 3}}, 0
-		s.cfg.NVRAMHalfBytes = 256 << 10
-		s.cfg.Admission.Enabled = true
-		s.when = func(r *run) bool { return r.sys.Stats().Admission.Shed >= 64 }
+		s := mode("cp-phase", seeds[0])
+		s.bounds = sweepPhases
 		scheds = append(scheds, s)
 	}
-	if cfg.ClonePoints > 0 {
-		s := sched("clone-ops", first, cfg.Base.Allocator.ParallelCP)
-		s.repro = fmt.Sprintf("clonesweep -seeds %d -points %d", first, cfg.ClonePoints)
-		s.mix, s.clients, s.span = nsmodel.Mix{Script: cloneScript()}, 1, 256
-		s.cfg.CloneSlots, s.bounds = 2, cfg.ClonePoints
-		s.after = func(r *run) bool { return r.model.Acked > cloneWindow } // (the set-up's create is the one more)
+	// A small log and admission on, under hammering bulk writers that fill
+	// it past the shed watermark; the crash lands well into the shed regime.
+	// The model hears of a bulk write what WriteBulk reported, so
+	// verification proves the shed-load contract: every admitted write
+	// replays, and nothing shed leaks into the recovered image.
+	s := sched("overload-shed", seeds[0])
+	s.mix, s.steps = nsmodel.Mix{Weights: [nsmodel.NumKinds]int{nsmodel.Write: 1, nsmodel.WriteBulk: 3}}, 0
+	s.cfg.NVRAMHalfBytes = 256 << 10
+	s.cfg.Admission.Enabled = true
+	s.when = func(r *run) bool { return r.sys.Stats().Admission.Shed >= 64 }
+	return append(scheds, s, cloneSchedule(seeds[0], cloneBounds))
+}
+
+// cloneSchedule crashes at the first points CP phase boundaries inside the
+// clone window on seed (cloneScript): an acked clone serves the frozen parent
+// image plus its own acked writes, an acked restore is all-or-nothing and
+// supersedes the parent's post-snapshot churn, and fsck must hold zero
+// leaked or missing blocks on every recovery leg.
+func cloneSchedule(seed int64, points int) schedule {
+	s := schedule{name: "clone-ops", cfg: sweepConfig(),
+		repro: fmt.Sprintf("clonesweep -seeds %d -points %d", seed, points),
+		mix:   nsmodel.Mix{Script: cloneScript()}, clients: 1, span: 256, bounds: points}
+	s.cfg.Seed, s.cfg.CloneSlots = seed, 2
+	s.after = func(r *run) bool { return r.model.Acked > cloneWindow } // (the set-up's create is the one more)
+	return s
+}
+
+// clusterSchedules is the member-crash sweep of a members-wide cluster at
+// points event indices per seed: at each point one member fails (victims
+// rotate across points) while the survivors keep serving, which must make
+// progress; then it recovers in place, is crashed again at once (the double
+// crash), recovers and quiesces, the model and every member's fsck checked
+// on each leg. Clients are pinned to their member's volumes, so a member
+// crash takes down exactly its own.
+func clusterSchedules(members, points int, seeds []int64) []schedule {
+	var scheds []schedule
+	for _, seed := range seeds {
+		s := schedule{name: "member-crash", cfg: sweepConfig(), events: points, victims: members,
+			repro: fmt.Sprintf("clustersweep -seeds %d -points %d", seed, points),
+			mix:   filesMix(0), clients: clusterClients, steps: clusterOps, span: sweepSpan}
+		s.cfg.Seed, s.cfg.Members = seed, members
 		scheds = append(scheds, s)
 	}
-	return runSchedules("crashsweep", "systematic crash/recovery verification (§II-C contract)", scheds,
-		"crash points: recovery + double-crash recovery all verified")
+	return scheds
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // The constants were captured before the walkers moved into fs.File; a
 // change that reads one block more or fewer moves them.
 func TestMediaReadSequencePinned(t *testing.T) {
-	cfg := DefaultCrashSweep().Base
+	cfg := sweepConfig()
 	cfg.Seed = 1
 	sys, err := wafl.NewSystem(cfg)
 	if err != nil {
@@ -80,14 +81,20 @@ func TestMediaReadSequencePinned(t *testing.T) {
 // boundaries — end to end. The full sweep is `make crashsweep`; this keeps
 // `go test ./...` coverage of the harness itself cheap.
 func TestCrashSweepSmall(t *testing.T) {
-	cfg := DefaultCrashSweep()
-	cfg.Seeds = []int64{1}
-	cfg.Points = 2
-	cfg.Phases = 3
-	cfg.Clients = 2
-	cfg.OpsPerClient = 60
-	cfg.ClonePoints = 3
-	tab, res, err := CrashSweep(cfg)
+	scheds := crashSchedules(2, []int64{1})
+	for i := range scheds {
+		s := &scheds[i]
+		if s.clients == sweepClients {
+			s.clients = 2
+		}
+		if s.steps == sweepOps {
+			s.steps = 60
+		}
+		if s.bounds > 0 {
+			s.bounds = 3
+		}
+	}
+	tab, res, err := crashSweep(scheds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +108,44 @@ func TestCrashSweepSmall(t *testing.T) {
 	}
 }
 
+// schedNamed returns the schedule of scheds named name.
+func schedNamed(t *testing.T, scheds []schedule, name string) schedule {
+	t.Helper()
+	i := slices.IndexFunc(scheds, func(s schedule) bool { return s.name == name })
+	if i < 0 {
+		t.Fatalf("no %s schedule", name)
+	}
+	return scheds[i]
+}
+
 // TestSweepRunsShort: a boundary schedule asked for more boundaries than its
 // workload reaches says so in its row and in the result, instead of stopping
 // quietly — the registry's verdict turns that into a gate failure.
 func TestSweepRunsShort(t *testing.T) {
-	cfg := DefaultCrashSweep()
-	cfg.Seeds, cfg.Points, cfg.Overload, cfg.ClonePoints = []int64{1}, 0, false, 0
-	cfg.Modes, cfg.Clients, cfg.OpsPerClient, cfg.SnapEvery, cfg.Phases = []bool{true}, 1, 20, 5, 40
-	tab, res, err := CrashSweep(cfg)
+	s := schedNamed(t, crashSchedules(sweepPoints, []int64{1}), "cp-phase/parallel-cp")
+	s.clients, s.steps, s.mix, s.bounds = 1, 20, filesMix(5), 40
+	tab, res, err := crashSweep([]schedule{s})
 	if err != nil || !res.OK() {
 		t.Fatalf("%v\n%s", err, tab.String())
 	}
 	if res.Requested != 40 || res.PointsRun == 0 || res.PointsRun >= 40 || !strings.Contains(tab.Rows[0][2], "of 40: boundary space exhausted") {
 		t.Fatalf("ran %d of %d; want a short row:\n%s", res.PointsRun, res.Requested, tab.String())
+	}
+}
+
+// TestOverlappingStripeWrites sweeps the schedule whose crash at event 12422
+// once recovered a stripe whose parity covered stale data: two tetris writes
+// of one RAID group overlapped in stripes, and the second's reconstruction
+// reads ran while a fault delayed the first's data write, so fsck counted
+// parity errors once the system quiesced. raid.Group.Write now holds the
+// second back until the first is done.
+func TestOverlappingStripeWrites(t *testing.T) {
+	s := schedNamed(t, crashSchedules(sweepPoints, []int64{4}), "history/serial-cp")
+	tab, res, err := crashSweep([]schedule{s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PointsRun != sweepPoints || !res.OK() {
+		t.Fatalf("ran %d of %d points:\n%s", res.PointsRun, res.Requested, tab.String())
 	}
 }

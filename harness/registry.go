@@ -36,25 +36,19 @@ var Experiments = []struct {
 	}},
 	{Name: "flexgroup", Run: runFlexgroup},
 	{Name: "crashsweep", Gate: true, Run: func(rc RunConfig) (Table, error) {
-		cfg := DefaultCrashSweep()
-		cfg.Points, cfg.Seeds = rc.deepen(cfg.Points, cfg.Seeds)
-		return rc.verdict(CrashSweep(cfg))
+		return rc.verdict(crashSweep(crashSchedules(rc.deepen(sweepPoints, []int64{1, 2}))))
 	}},
 	{Name: "clustersweep", Gate: true, Run: func(rc RunConfig) (Table, error) {
-		cfg := DefaultClusterSweep()
-		if rc.Base.Members > 1 {
-			cfg.Base.Members = rc.Base.Members
-		}
-		cfg.Points, cfg.Seeds = rc.deepen(cfg.Points, cfg.Seeds)
-		return rc.verdict(ClusterSweep(cfg))
+		points, seeds := rc.deepen(clusterPoints, []int64{1, 2})
+		return rc.verdict(runSchedules("clustersweep", "independent member crash/recovery under surviving traffic",
+			clusterSchedules(max(2, rc.Base.Members), points, seeds),
+			"member-crash points: survivor progress, recovery, double crash, per-member fsck all verified"))
 	}},
 	// clonesweep is crashsweep's clone-ops schedule on its own, for going
 	// deeper than the 18 boundaries the default sweep already covers.
 	{Name: "clonesweep", Gate: true, Run: func(rc RunConfig) (Table, error) {
-		cfg := DefaultCrashSweep()
-		cfg.Points, cfg.Phases, cfg.Overload, cfg.Seeds = 0, 0, false, []int64{1}
-		cfg.ClonePoints, cfg.Seeds = rc.deepen(cfg.ClonePoints, cfg.Seeds)
-		return rc.verdict(CrashSweep(cfg))
+		points, seeds := rc.deepen(cloneBounds, []int64{1})
+		return rc.verdict(crashSweep([]schedule{cloneSchedule(seeds[0], points)}))
 	}},
 	{Name: "overloadcheck", Gate: true, Run: OverloadCheck},
 }

@@ -8,7 +8,6 @@
 package raid
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -59,8 +58,11 @@ type Group struct {
 	rows     map[block.DBN][]block.Image
 	rowPool  fifo.Pool[[]block.Image]
 	rowStats fifo.PoolStats
-	// inflight is the submitted writes whose last I/O has not completed, in
-	// submission order.
+	// writes is every write not yet done, in call order: one whose stripe
+	// span meets an earlier one's waits until that one is done, so a stripe
+	// has at most one write in flight. inflight is the submitted ones, whose
+	// last I/O has not completed, in submission order.
+	writes   []*stripeWrite
 	inflight []*stripeWrite
 	// derived is row's buffer for a derived stripe.
 	derived []block.Image
@@ -130,16 +132,17 @@ type stripeWrite struct {
 	sc     *stripeScratch       // until submitted
 	done   func()
 
+	lo, hi                block.DBN // its first and last stripe
+	waiting               bool      // phase A waits for a write its span meets
 	pendingReads, pending int
 
 	// parity is the parity I/O, one request a stripe in DBN order; rows[k]
 	// is the row from rowPool that parity[k] lands, until it has, and
-	// pins[k] the stripe's explicit row it lands into: one array from the
-	// first write of the stripe in flight to the last.
+	// pins[k] the stripe's explicit row it lands into until the write is
+	// done.
 	parity     []storage.WriteReq
 	rows, pins [][]block.Image
 	landed     bool // the parity I/O has landed
-	shared     bool // another write in flight may cover one of its stripes
 	gone       []displaced
 
 	reads              []func([]block.Image) // phase A's, by data drive
@@ -184,7 +187,8 @@ func (g *Group) Stats() Stats {
 
 // DropInFlight models a power loss on the group: every drive drops its
 // in-flight I/O, tearing what its injector says, and the records of the
-// writes that dropped are abandoned. The explicit rows then settle.
+// writes that dropped are abandoned, those still waiting (nothing of them
+// was issued) with them. The explicit rows then settle.
 func (g *Group) DropInFlight() {
 	for _, d := range g.data {
 		d.DropInFlight()
@@ -214,7 +218,8 @@ func (g *Group) settle(landed []int) {
 		}
 	}
 	clear(g.inflight)
-	g.inflight = g.inflight[:0]
+	clear(g.writes)
+	g.inflight, g.writes = g.inflight[:0], g.writes[:0]
 }
 
 // DataDrives returns the number of data drives in the group.
@@ -242,8 +247,11 @@ type WriteResult struct {
 // from new data alone when the stripe is fully covered, otherwise after
 // reading the stripe's missing blocks — as the stripe's row of images, whose
 // XOR the stripe's readers compute; its cost is charged here.
-// done (optional) fires in scheduler context when every drive I/O, parity
-// included, has completed. The returned WriteResult is populated
+// A write whose stripe span meets an earlier write's not yet done starts
+// only once no such write remains: otherwise its reconstruction reads could
+// read images the earlier one has yet to land, and parity would cover stale
+// data. done (optional) fires in scheduler context when every drive I/O,
+// parity included, has completed. The returned WriteResult is populated
 // immediately with the parity work required; callers charge ParityCPU to
 // the simulated CPU.
 //
@@ -306,20 +314,40 @@ func (g *Group) Write(writes [][]storage.WriteReq, parityCPUPerBlock sim.Duratio
 	g.stats.PartialStripeWrites += uint64(res.PartialStripes)
 	g.stats.ParityReadBlocks += uint64(res.ParityReads)
 
-	// Phase A: issue reconstruction reads. When all complete, compute
-	// parity and issue the data + parity writes (phase B).
 	w := g.writePool.Get()
 	w.writes, w.sc, w.done = writes, sc, done
-	for di, plan := range sc.readPlan {
+	w.lo, w.hi = sc.dbns[0], sc.dbns[len(sc.dbns)-1]
+	g.writes = append(g.writes, w)
+	if w.waiting = g.blocked(len(g.writes) - 1); !w.waiting {
+		w.start()
+	}
+	return res
+}
+
+// blocked reports whether the stripe span of writes[i] meets that of a write
+// called before it.
+func (g *Group) blocked(i int) bool {
+	w := g.writes[i]
+	for _, o := range g.writes[:i] {
+		if o.lo <= w.hi && w.lo <= o.hi {
+			return true
+		}
+	}
+	return false
+}
+
+// start runs phase A, the write's reconstruction reads; once all complete,
+// it computes parity and issues the data and parity writes (phase B).
+func (w *stripeWrite) start() {
+	for di, plan := range w.sc.readPlan {
 		if len(plan) > 0 {
 			w.pendingReads++
-			g.data[di].Read(plan, w.reads[di])
+			w.g.data[di].Read(plan, w.reads[di])
 		}
 	}
 	if w.pendingReads == 0 {
 		w.issue()
 	}
-	return res
 }
 
 // readLanded puts the images phase A read from data drive di into their
@@ -371,12 +399,6 @@ func (w *stripeWrite) issue() {
 		w.rows = append(w.rows, append(g.rowPool.Get(), sc.rows[k*nd:(k+1)*nd]...))
 	}
 	g.stats.ParityBlocksWritten += uint64(len(w.parity))
-	lo, hi := sc.dbns[0], sc.dbns[len(sc.dbns)-1]
-	for _, o := range g.inflight {
-		if o.parity[0].DBN <= hi && lo <= o.parity[len(o.parity)-1].DBN {
-			o.shared, w.shared = true, true
-		}
-	}
 	g.inflight = append(g.inflight, w)
 
 	w.pending = 1 // parity I/O
@@ -403,15 +425,6 @@ func (w *stripeWrite) issue() {
 	g.recycle(sc)
 }
 
-// covers returns the index in w.parity of stripe dbn, or -1.
-func (w *stripeWrite) covers(dbn block.DBN) int {
-	k, ok := slices.BinarySearchFunc(w.parity, dbn, func(r storage.WriteReq, dbn block.DBN) int { return cmp.Compare(r.DBN, dbn) })
-	if !ok {
-		return -1
-	}
-	return k
-}
-
 // parityLanded runs as the parity I/O lands.
 func (w *stripeWrite) parityLanded() {
 	w.landed = true
@@ -433,11 +446,11 @@ func (w *stripeWrite) land(n int) {
 	w.rows = w.rows[:0]
 }
 
-// ioDone counts one I/O of the write complete. At the last, each stripe no
-// other write in flight covers drops its row if its data drives hold that
-// row, the media-only images the write displaced go back to their owner —
-// each one its drive no longer holds, unless a stale stripe's explicit row
-// still does — and done runs.
+// ioDone counts one I/O of the write complete. At the last, each of its
+// stripes drops its row if its data drives hold that row, the media-only
+// images the write displaced go back to their owner — each one its drive no
+// longer holds, unless a stale stripe's explicit row still does — the writes
+// it held back that no other holds back start, and done runs.
 func (w *stripeWrite) ioDone() {
 	w.pending--
 	if w.pending > 0 {
@@ -445,10 +458,9 @@ func (w *stripeWrite) ioDone() {
 	}
 	g := w.g
 	g.inflight = slices.DeleteFunc(g.inflight, func(o *stripeWrite) bool { return o == w })
+	g.writes = slices.DeleteFunc(g.writes, func(o *stripeWrite) bool { return o == w })
 	for k, r := range w.parity {
-		if !w.shared || !slices.ContainsFunc(g.inflight, func(o *stripeWrite) bool { return o.covers(r.DBN) >= 0 }) {
-			g.unpin(r.DBN, w.pins[k])
-		}
+		g.unpin(r.DBN, w.pins[k])
 	}
 	for _, d := range w.gone {
 		if inArray(g.data[d.di].Image(d.dbn).Bytes, d.arr) {
@@ -462,8 +474,14 @@ func (w *stripeWrite) ioDone() {
 	clear(w.pins)
 	clear(w.gone)
 	w.parity, w.pins, w.gone = w.parity[:0], w.pins[:0], w.gone[:0]
-	w.landed, w.shared, w.done = false, false, nil
+	w.landed, w.done = false, nil
 	g.writePool.Put(w)
+	for i, o := range g.writes {
+		if o.waiting && !g.blocked(i) {
+			o.waiting = false
+			o.start()
+		}
+	}
 	if done != nil {
 		done()
 	}
@@ -517,8 +535,8 @@ func (g *Group) matches(dbn block.DBN, row []block.Image) bool {
 // Quiesce): each differs from its stripe's data images, and they are all the
 // rows the group has outstanding.
 func (g *Group) CheckRows() error {
-	if len(g.inflight) > 0 {
-		return fmt.Errorf("raid group %d: %d writes in flight", g.id, len(g.inflight))
+	if len(g.writes) > 0 {
+		return fmt.Errorf("raid group %d: %d writes in flight", g.id, len(g.writes))
 	}
 	for _, dbn := range slices.Sorted(maps.Keys(g.rows)) {
 		if g.matches(dbn, g.rows[dbn]) {

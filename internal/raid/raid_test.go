@@ -109,6 +109,58 @@ func TestParityCoversOldData(t *testing.T) {
 	}
 }
 
+// delayOnce delays the first write I/O of the drives it is set on.
+type delayOnce struct {
+	tornFaults
+	delay sim.Duration
+}
+
+func (f *delayOnce) WriteFault(string, int) storage.WriteFault {
+	d := f.delay
+	f.delay = 0
+	return storage.WriteFault{Delay: d}
+}
+
+// TestOverlappingWritesReadLandedData: two partial-stripe writes whose stripes
+// overlap, the first's data write delayed. The second's reconstruction reads
+// must see the first's data, not the images it replaces, so once both are
+// done every stripe they touch verifies. (A shadow of the rows each write
+// computed, as TestDerivedParityMatchesRows keeps, cannot see this: the
+// second's rows are stale as computed.)
+func TestOverlappingWritesReadLandedData(t *testing.T) {
+	s, g := newTestGroup(2)
+	pre := make([][]storage.WriteReq, 4)
+	for di := range pre {
+		for dbn := block.DBN(1); dbn <= 4; dbn++ {
+			pre[di] = append(pre[di], storage.WriteReq{DBN: dbn, Data: fill(byte(0x10*di) + byte(dbn))})
+		}
+	}
+	g.Write(pre, 0, nil)
+	s.Run(sim.Time(100 * sim.Millisecond))
+
+	g.Drive(0).SetInjector(&delayOnce{delay: sim.Millisecond})
+	first, second := make([][]storage.WriteReq, 4), make([][]storage.WriteReq, 4)
+	for dbn := block.DBN(1); dbn <= 3; dbn++ {
+		first[0] = append(first[0], storage.WriteReq{DBN: dbn, Data: fill(0xA0 + byte(dbn))})
+		second[1] = append(second[1], storage.WriteReq{DBN: dbn + 1, Data: fill(0xB0 + byte(dbn))})
+	}
+	done := 0
+	g.Write(first, 0, func() { done++ })
+	g.Write(second, 0, func() { done++ })
+	s.Run(sim.Time(sim.Second))
+	if done != 2 {
+		t.Fatalf("%d of 2 writes done", done)
+	}
+	for dbn := block.DBN(1); dbn <= 4; dbn++ {
+		if !g.VerifyStripe(dbn) {
+			t.Errorf("stripe %d: parity does not cover its data", dbn)
+		}
+	}
+	if err := g.CheckRows(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMultiStripeMixedWrite(t *testing.T) {
 	s, g := newTestGroup(4)
 	writes := make([][]storage.WriteReq, 4)
