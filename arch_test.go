@@ -300,6 +300,28 @@ func decodesWord(n ast.Node) bool {
 	return false
 }
 
+// writesLedger matches a write to a member's placement ledger: an
+// assignment, increment or decrement of x.reserved or x.placements or an
+// index of either, or a delete or clear of one.
+func writesLedger(n ast.Node) bool {
+	field := func(e ast.Expr) bool {
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			e = ix.X
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && slices.Contains([]string{"reserved", "placements"}, sel.Sel.Name)
+	}
+	switch v := n.(type) {
+	case *ast.AssignStmt:
+		return slices.ContainsFunc(v.Lhs, field)
+	case *ast.IncDecStmt:
+		return field(v.X)
+	case *ast.CallExpr:
+		return (callsFunc("delete")(v) || callsFunc("clear")(v)) && field(v.Args[0])
+	}
+	return false
+}
+
 // getOrNew matches a hand-rolled free list's get: a fifo.Queue popped when it
 // is not empty, and otherwise something new built — `if q.Len() > 0 { v =
 // q.Pop() } else { ... }`, or `if q.Len() > 0 { return q.Pop() }` with the
@@ -1004,6 +1026,42 @@ var archRules = []archRule{
 func (a *Aggregate) readVBN(d *Drive) []byte { b, _ := d.PeekChecked(0); return b }
 func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok { return b }; return nil }`},
 			want: "internal/aggregate reads the media through the fault plan in [readVBN ReadVBN], want one function",
+		}},
+	},
+	{
+		// One placement ledger (DESIGN §11): a member's ingest reservation
+		// per volume is the sum of the charges bound to its placed files, so
+		// only member.go's ledger helpers write either, and a caller cannot
+		// charge a volume without binding the charge to a file.
+		name: "ledger",
+		require: func(tr *tree) []string {
+			var out []string
+			for _, p := range tr.in(".") {
+				for _, d := range tr.files[p].Decls {
+					fn, ok := d.(*ast.FuncDecl)
+					if !ok || p == "member.go" && slices.Contains([]string{"place", "consumePlacement", "refundPlacement"}, fn.Name.Name) {
+						continue
+					}
+					ast.Inspect(fn, func(n ast.Node) bool {
+						if writesLedger(n) {
+							out = append(out, tr.at(n, "placement ledger written by %s: charge, consume or refund through member.go's place, consumePlacement, refundPlacement", fn.Name.Name))
+						}
+						return true
+					})
+				}
+			}
+			return out
+		},
+		bad: []badTree{{
+			// A charge with no file to bind it to.
+			files: map[string]string{"wafl.go": `package wafl; func (sys *System) PlaceFile(n int64) { sys.members[0].reserved[0] += n }`},
+			want:  "wafl.go:1: placement ledger written by PlaceFile",
+		}, {
+			files: map[string]string{"member.go": `package wafl; func (m *Member) onRestore(lv int) { for k := range m.placements { delete(m.placements, k) } }`},
+			want:  "member.go:1: placement ledger written by onRestore",
+		}, {
+			files: map[string]string{"client.go": `package wafl; func (c *ClientCtx) f(m *Member) { m.placements[placeKey{}]-- }`},
+			want:  "client.go:1: placement ledger written by f",
 		}},
 	},
 	{

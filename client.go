@@ -416,20 +416,21 @@ func (c *ClientCtx) Create(vol int, maxBlocks uint64) uint64 {
 	cost := c.sys.cfg.Costs.ClientOp
 	rec := nvlog.Record{Kind: nvlog.OpCreate, Vol: uint32(lv), MaxBlocks: maxBlocks}
 	c.logged(m, lv, cost, &rec)
-	// Bind the oldest unbound placement charge (if the volume came from
-	// PlaceFile) to this inode, so its writes decay the reservation.
-	m.bindPlacement(lv, rec.Ino)
 	c.ack(m, start, cost, "", nil, 0)
 	m.maybeTriggerCP()
 	return memberHandle(m.id, rec.Ino)
 }
 
-// CreatePlaced creates a new file on the member the placement policy
-// picks (capacity- and load-aware; see System.PlaceFile) and returns the
-// chosen global volume along with the file handle.
+// CreatePlaced creates a new file with Create on the volume the placement
+// policy picks (capacity- and load-aware; see System.PlaceFile), charges it
+// the same ingest reservation, and returns the chosen global volume along
+// with the file handle.
 func (c *ClientCtx) CreatePlaced(maxBlocks uint64) (vol int, ino uint64) {
-	vol = c.sys.PlaceFile(maxBlocks)
-	return vol, c.Create(vol, maxBlocks)
+	m, lv := c.sys.placement()
+	vol = c.sys.globalVol(m.id, lv)
+	ino = c.Create(vol, maxBlocks)
+	m.place(lv, handleIno(ino), int64(maxBlocks))
+	return vol, ino
 }
 
 // Delete removes a file. The namespace change is immediate; the file's
@@ -609,7 +610,6 @@ func (sys *System) CreateFileDirect(vol int, maxBlocks uint64) uint64 {
 	m, lv := sys.volMember(vol)
 	rec := nvlog.Record{Kind: nvlog.OpCreate, Vol: uint32(lv), MaxBlocks: maxBlocks}
 	m.apply(&rec)
-	m.bindPlacement(lv, rec.Ino)
 	return memberHandle(m.id, rec.Ino)
 }
 

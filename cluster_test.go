@@ -262,9 +262,9 @@ func TestPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vol := sys.PlaceFile(64)
-	if got := vol / cfg.Volumes; got != 1 {
-		t.Fatalf("placement chose member %d (vol %d), want emptier member 1", got, vol)
+	vol, ino := sys.PlaceFile(64)
+	if got := vol / cfg.Volumes; got != 1 || handleMember(ino) != 1 {
+		t.Fatalf("placement chose member %d (vol %d, handle on member %d), want emptier member 1", got, vol, handleMember(ino))
 	}
 
 	var placedVol int

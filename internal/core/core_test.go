@@ -728,7 +728,7 @@ func TestTunerActivatesAndParks(t *testing.T) {
 		o.MaxCleaners = 4
 		o.InitialCleaners = 1
 	})
-	tu := StartTuner(e.pool)
+	StartTuner(e.pool)
 	// Saturate the single active cleaner with a busy-loop job stream.
 	vol := e.a.Volume(0)
 	e.in.StartCP([]*aggregate.Volume{vol})
@@ -749,7 +749,6 @@ func TestTunerActivatesAndParks(t *testing.T) {
 	if e.pool.Active() != 1 {
 		t.Fatalf("tuner did not park idle threads (active=%d)", e.pool.Active())
 	}
-	tu.Stop()
 }
 
 // TestSelectAAMostFree pins what each AA policy picks and that an AA already

@@ -31,26 +31,23 @@ type Tuner struct {
 
 	// History of decisions (bounded) for inspection.
 	Samples []TunerSample
-	stopped bool
 }
 
-// StartTuner launches the tuner loop as a simulated thread.
+// StartTuner launches the tuner loop as a simulated thread. The loop never
+// returns: the kill that ends its member's service threads ends it.
 func StartTuner(pool *Pool) *Tuner {
 	tu := &Tuner{pool: pool}
 	tu.prevBusy = pool.CleanerEngaged()
 	tu.prevPhase = pool.PhaseTime()
 	pool.s.Go("cleaner-tuner", sim.CatOther, func(t *sim.Thread) {
 		tu.prevAt = t.Now()
-		for !tu.stopped {
+		for {
 			t.Sleep(tunerInterval)
 			tu.tick(t.Now())
 		}
 	})
 	return tu
 }
-
-// Stop ends the tuner loop after its current sleep.
-func (tu *Tuner) Stop() { tu.stopped = true }
 
 // tick computes the active threads' utilization over the window — engaged
 // time normalized by the time cleaning phases were actually running, so a

@@ -117,9 +117,9 @@ func (t *Thread) TrackID() int32 {
 // Now returns the current simulated time.
 func (t *Thread) Now() Time { return t.s.now }
 
-// Busy returns the cumulative CPU time this thread has consumed. The dynamic
-// cleaner-thread tuner uses deltas of this value to compute per-thread
-// utilization over its 50ms windows.
+// Busy returns the cumulative CPU time this thread has consumed. Only tests
+// read it: the cleaner tuner measures the cleaners' engaged time
+// (core.Pool.CleanerEngaged), not their CPU.
 func (t *Thread) Busy() Duration { return t.busy }
 
 // SetCat changes the thread's default accounting category and returns the

@@ -2,6 +2,8 @@ package wafl
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"wafl/internal/aggregate"
 	"wafl/internal/bcache"
@@ -44,22 +46,19 @@ type Member struct {
 	threadLo, threadHi int // scheduler thread-index range of service threads
 	crashed            bool
 
-	// reserved is the per-local-volume ingest reservation (blocks charged
-	// by PlaceFile for files placed but not yet written). Host-side
-	// placement state; never read by simulated threads. Reservations decay
-	// as the placed writes land (reservation becomes consumption, which the
-	// free-space counters then reflect) and the remainder is refunded when
-	// the placed file is deleted — without the decay, a churning cluster
-	// eventually reports zero reservation-net free space everywhere and
-	// placement degenerates to member 0.
+	// reserved is the per-local-volume ingest reservation: the blocks placed
+	// files (System.PlaceFile, ClientCtx.CreatePlaced) were charged that
+	// their writes have not yet consumed. Host-side placement state; never
+	// read by simulated threads. Reservations decay as the placed writes
+	// land (reservation becomes consumption, which the free-space counters
+	// then reflect) and the remainder is refunded when the placed file is
+	// deleted — without the decay, a churning cluster eventually reports zero
+	// reservation-net free space everywhere and placement degenerates to
+	// member 0. reserved[lv] is always the sum of placements on lv: only the
+	// ledger helpers (place, consumePlacement, refundPlacement) write either.
 	reserved []int64
-	// pendingPlace is, per local volume, the FIFO of placement charges not
-	// yet bound to a created inode: PlaceFile pushes, the next create on
-	// that volume pops and binds.
-	pendingPlace [][]int64
 	// placements maps a placed file (by local volume and inode) to the
-	// blocks of its reservation not yet converted to consumption. Lookup
-	// only — never iterated — so determinism is safe.
+	// blocks of its reservation not yet converted to consumption.
 	placements map[placeKey]int64
 
 	// bc is the member's residency set when Config.BCacheBlocks sizes one:
@@ -128,23 +127,14 @@ type placeKey struct {
 	ino uint64
 }
 
-// bindPlacement binds the oldest unbound placement charge on local volume
-// lv to the newly created inode ino, so later writes to it can decay the
-// reservation and a delete can refund the remainder. No-op when no
-// placement is pending (plain creates).
-//
-// Concurrent placed creates on one volume may interleave between PlaceFile
-// and the create, so a charge can bind to a different same-volume file than
-// the one it was sized for; the invariant that matters — reserved[lv] equals
-// pending plus bound remainders — holds regardless, and the FIFO keeps the
-// binding deterministic.
-func (m *Member) bindPlacement(lv int, ino uint64) {
-	q := m.pendingPlace[lv]
-	if len(q) == 0 {
-		return
-	}
-	m.placements[placeKey{lv, ino}] = q[0]
-	m.pendingPlace[lv] = q[1:]
+// place charges a placed file's expected size to its local volume lv and
+// binds the charge to its inode, so its writes decay the reservation and a
+// delete refunds the rest. A reused inode number — a placed file a crash lost
+// before its create was logged, its charge carried over by the remount —
+// adds to the entry it finds, keeping the ledger whole.
+func (m *Member) place(lv int, ino uint64, blocks int64) {
+	m.reserved[lv] += blocks
+	m.placements[placeKey{lv, ino}] += blocks
 }
 
 // consumePlacement converts up to blocks of the file's outstanding
@@ -198,9 +188,8 @@ func buildMember(sys *System, id int) (*Member, error) {
 	// the layout (and every event) is identical to the pre-clone code.
 	localVols := cfg.Volumes + cfg.CloneSlots
 	m := &Member{sys: sys, id: id,
-		reserved:     make([]int64, localVols),
-		pendingPlace: make([][]int64, localVols),
-		placements:   make(map[placeKey]int64)}
+		reserved:   make([]int64, localVols),
+		placements: make(map[placeKey]int64)}
 	// The scheduler comes up before the aggregate is formatted. The aggregate
 	// spawns no thread and posts no event until its first I/O, so formatting
 	// it first would leave every digest as it is — but not the heap layout:
@@ -317,9 +306,9 @@ func (m *Member) stats() Stats {
 
 // onRestore is the CP engine's post-SnapRestore-apply callback: the restored
 // image supersedes the volume's volatile present, so evict its buffer-cache
-// residency and refund every ingest reservation charged against it (bound or
-// still pending) — the files those charges stood in for were discarded or
-// reverted with the rest of the present.
+// residency and refund every ingest reservation charged against it — the
+// files those charges stood in for were discarded or reverted with the rest
+// of the present.
 func (m *Member) onRestore(lv int) {
 	if m.bc != nil {
 		m.bc.InvalidateVol(lv)
@@ -327,16 +316,11 @@ func (m *Member) onRestore(lv int) {
 	// Deleting map entries while iterating is fine in Go, and the resulting
 	// reserved[lv] is a sum — order-independent, so determinism holds even
 	// though the map iteration order is not.
-	for k, rem := range m.placements {
+	for k := range m.placements {
 		if k.vol == lv {
-			m.reserved[lv] -= rem
-			delete(m.placements, k)
+			m.refundPlacement(lv, k.ino)
 		}
 	}
-	for _, q := range m.pendingPlace[lv] {
-		m.reserved[lv] -= q
-	}
-	m.pendingPlace[lv] = nil
 }
 
 // remountMember rebuilds a crashed member from its persistent state: it
@@ -357,22 +341,13 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 	m := &Member{
 		sys: sys, id: om.id,
 		base: om.rebuilt(),
-		// Deep-copy the placement state: sharing om.reserved's backing array
-		// (the old `reserved: om.reserved`) let post-recovery reservation
-		// mutations be observed through stale references to the dead member
-		// held by in-flight measurement/debug paths.
-		reserved:     append([]int64(nil), om.reserved...),
-		pendingPlace: make([][]int64, len(om.pendingPlace)),
-		placements:   make(map[placeKey]int64, len(om.placements)),
+		// Copy the placement ledger: sharing om's would let the rebuilt
+		// member's charges show through stale references to the dead one.
+		reserved:   slices.Clone(om.reserved),
+		placements: maps.Clone(om.placements),
 		// Fault injection outlives the crash: the drives are the same objects
 		// (media persists), so the plan wired into them keeps applying.
 		inj: om.inj,
-	}
-	for v, q := range om.pendingPlace {
-		m.pendingPlace[v] = append([]int64(nil), q...)
-	}
-	for k, rem := range om.placements {
-		m.placements[k] = rem
 	}
 	// Everything volatile is rebuilt from scratch — including the Waffinity
 	// scheduler and its worker threads (the crash destroyed the old ones) and
@@ -403,9 +378,6 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 // is unusable until remounted.
 func (m *Member) crash() {
 	m.crashed = true
-	if m.tuner != nil {
-		m.tuner.Stop()
-	}
 	m.sys.s.KillRange(m.threadLo, m.threadHi)
 	m.a.CrashAll()
 }

@@ -1,6 +1,8 @@
 package wafl
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -32,6 +34,9 @@ func TestPlacementReservationsDrain(t *testing.T) {
 		}
 		var partial []placed // partially written files awaiting delete
 		for r := 0; r < rounds && c.Alive(); r++ {
+			if err := ledgerErr(sys); err != nil {
+				t.Errorf("round %d: %v", r, err)
+			}
 			vol, ino := c.CreatePlaced(size)
 			counts[vol/cfg.Volumes]++
 			if r%2 == 0 {
@@ -82,6 +87,9 @@ func TestPlacementReservationsDrain(t *testing.T) {
 	if reserved != 0 {
 		t.Fatalf("reservations leaked: %d blocks still reserved after churn (pre-fix bug)", reserved)
 	}
+	if err := ledgerErr(sys); err != nil {
+		t.Fatal(err)
+	}
 
 	// Balance assertion: identical members under symmetric churn must split
 	// placements evenly (within 1% of the round count).
@@ -107,7 +115,7 @@ func TestRemountPreservesReservations(t *testing.T) {
 	}
 
 	// Charge a reservation and leave it outstanding (no writes land).
-	vol := sys.PlaceFile(128)
+	vol, _ := sys.PlaceFile(128)
 	member := vol / cfg.Volumes
 	if got := sys.MemberStats(member).Reserved; got != 128 {
 		t.Fatalf("member %d reserves %d, want 128", member, got)
@@ -135,5 +143,140 @@ func TestRemountPreservesReservations(t *testing.T) {
 	}
 	if now != 128+64 {
 		t.Fatalf("recovered total = %d, want %d", now, 128+64)
+	}
+}
+
+// ledgerErr reports a member whose ingest reservation on some local volume
+// is not the sum of the placements bound on it.
+func ledgerErr(sys *System) error {
+	for _, m := range sys.members {
+		sum := make([]int64, len(m.reserved))
+		for k, rem := range m.placements {
+			sum[k.vol] += rem
+		}
+		if !slices.Equal(sum, m.reserved) {
+			return fmt.Errorf("member %d reserves %v per volume, its placements sum to %v", m.id, m.reserved, sum)
+		}
+	}
+	return nil
+}
+
+// TestPlainCreateTakesNoCharge pins that a placement's charge belongs to the
+// file placed: a plain create on its volume takes none of it, and writing
+// the placed file in full releases all of it. While a charge waited for the
+// next create on its volume, the plain 8-block file took it and 64 blocks
+// stayed reserved.
+func TestPlainCreateTakesNoCharge(t *testing.T) {
+	cfg := clusterConfig(2)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+
+	const size = 64
+	vol, ino := sys.PlaceFile(size)
+	sys.CreateFileDirect(vol, 8)
+	done := false
+	sys.ClientThread("writer", func(c *ClientCtx) {
+		for fbn := FBN(0); fbn < size; fbn += 8 {
+			c.Write(vol, ino, fbn, 8)
+		}
+		done = true
+	})
+	for i := 0; i < 32 && !done; i++ {
+		sys.Run(10 * Millisecond)
+	}
+	if !done {
+		t.Fatal("writes did not finish")
+	}
+	if got := sys.MemberStats(vol / cfg.Volumes).Reserved; got != 0 {
+		t.Fatalf("member %d still reserves %d blocks after the placed file was written in full", vol/cfg.Volumes, got)
+	}
+	if err := ledgerErr(sys); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlacementLedgerAcrossRestoreAndCrash checks that each member's
+// reservation stays the sum of its placements when a SnapRestore discards
+// placed files (their charges are refunded) and across a member crash and
+// remount (the charges carry over), and that placements after the remount,
+// which reuse the inode numbers of files the crash lost, keep it so.
+func TestPlacementLedgerAcrossRestoreAndCrash(t *testing.T) {
+	cfg := clusterConfig(2)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+
+	const size = 64
+	vol, _ := sys.PlaceFile(size)
+	mid, lv := vol/cfg.Volumes, vol%cfg.Volumes
+	var charged int64
+	restored := false
+	sys.ClientThread("placer", func(c *ClientCtx) {
+		id := c.SnapCreate(vol)
+		// Place until a written-in-part file besides the first lands on the
+		// snapshot's volume; the rest stand charged on the others.
+		for n := 0; n < 4*cfg.Volumes; n++ {
+			v, ino := c.CreatePlaced(size)
+			c.Write(v, ino, 0, 8)
+			if v == vol {
+				break
+			}
+		}
+		if err := ledgerErr(sys); err != nil {
+			t.Errorf("before the restore: %v", err)
+		}
+		charged = sys.members[mid].reserved[lv]
+		restored = c.SnapRestore(vol, id)
+	})
+	for i := 0; i < 64 && !restored; i++ {
+		sys.Run(10 * Millisecond)
+	}
+	if !restored {
+		t.Fatal("SnapRestore did not complete")
+	}
+	if err := ledgerErr(sys); err != nil {
+		t.Fatalf("after the restore: %v", err)
+	}
+	if r := sys.members[mid].reserved[lv]; charged < 2*size-8 || r != 0 {
+		t.Fatalf("restored volume %d reserves %d blocks, %d before the restore, want 0 after at least %d", vol, r, charged, 2*size-8)
+	}
+
+	// Files placed host-side are not logged: the crash loses them, their
+	// charges carry over, and placements after the remount reuse their inode
+	// numbers. Crash the member with the most outstanding charge.
+	for range 2 * cfg.Volumes {
+		sys.PlaceFile(size)
+	}
+	crashed := 0
+	if sys.MemberStats(1).Reserved > sys.MemberStats(0).Reserved {
+		crashed = 1
+	}
+	want := sys.MemberStats(crashed).Reserved
+	if want == 0 {
+		t.Fatal("no placement charge outstanding to carry across the crash")
+	}
+	sys.CrashMember(crashed)
+	if err := ledgerErr(sys); err != nil {
+		t.Fatalf("after the crash: %v", err)
+	}
+	if err := sys.RecoverMember(crashed); err != nil {
+		t.Fatal(err)
+	}
+	if err := ledgerErr(sys); err != nil {
+		t.Fatalf("after the remount: %v", err)
+	}
+	if got := sys.MemberStats(crashed).Reserved; got != want {
+		t.Fatalf("member %d reserves %d after the remount, want %d", crashed, got, want)
+	}
+	for range 4 * cfg.Volumes {
+		sys.PlaceFile(size)
+	}
+	if err := ledgerErr(sys); err != nil {
+		t.Fatalf("placed after the remount: %v", err)
 	}
 }

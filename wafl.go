@@ -439,20 +439,31 @@ func (sys *System) CPStats() CPStats { return sys.Stats().CP }
 // less free space.
 const placementLogPenalty = 0.5
 
-// PlaceFile picks the best member for a new file of up to sizeBlocks
-// blocks — deterministic, capacity- and load-aware — and returns a global
-// volume index on it. The score combines the member's allocatable-block
-// fraction (from the hierarchical free-space index counters, net of ingest
-// reservations) with its NVRAM log occupancy; ties break toward the lowest
-// member id, and within the chosen member the volume with the most
-// reservation-adjusted free space wins.
+// PlaceFile creates a file of up to sizeBlocks blocks, without logging or
+// timing as CreateFileDirect does, on the volume the placement policy picks
+// (see placement), and returns that global volume and the file's handle.
 //
-// Each placement charges sizeBlocks against the chosen volume as an ingest
-// reservation, so a burst of placements on an idle cluster stripes across
-// members instead of piling onto whichever one happened to score first:
-// the free-space counters only move once the placed files are written, and
-// the reservation stands in for that forthcoming usage.
-func (sys *System) PlaceFile(sizeBlocks uint64) int {
+// The file is charged sizeBlocks as an ingest reservation on its volume, so
+// a burst of placements on an idle cluster stripes across members instead of
+// piling onto whichever one happened to score first: the free-space counters
+// only move once the placed files are written, and the reservation stands in
+// for that forthcoming usage. Its writes decay the charge and a delete
+// refunds the rest.
+func (sys *System) PlaceFile(sizeBlocks uint64) (vol int, ino uint64) {
+	m, lv := sys.placement()
+	rec := nvlog.Record{Kind: nvlog.OpCreate, Vol: uint32(lv), MaxBlocks: sizeBlocks}
+	m.apply(&rec)
+	m.place(lv, rec.Ino, int64(sizeBlocks))
+	return sys.globalVol(m.id, lv), memberHandle(m.id, rec.Ino)
+}
+
+// placement picks the best member for a new file — deterministic, capacity-
+// and load-aware — and a local volume on it. The score combines the member's
+// allocatable-block fraction (from the hierarchical free-space index
+// counters, net of ingest reservations) with its NVRAM log occupancy; ties
+// break toward the lowest member id, and within the chosen member the volume
+// with the most reservation-adjusted free space wins.
+func (sys *System) placement() (*Member, int) {
 	best, bestScore := 0, -1.0e300
 	capacity := float64(sys.cfg.Volumes) * float64(sys.cfg.VolumeBlocks)
 	for i, m := range sys.members {
@@ -477,12 +488,7 @@ func (sys *System) PlaceFile(sizeBlocks uint64) int {
 			bestVol, bestFree = v, f
 		}
 	}
-	m.reserved[bestVol] += int64(sizeBlocks)
-	// The charge starts unbound; the next create on the volume binds it to
-	// its inode (Member.bindPlacement), after which landed writes decay it
-	// and a delete refunds the rest.
-	m.pendingPlace[bestVol] = append(m.pendingPlace[bestVol], int64(sizeBlocks))
-	return best*sys.cfg.Volumes + bestVol
+	return m, bestVol
 }
 
 // Run advances the simulation by d.
@@ -543,11 +549,6 @@ func (sys *System) Injector() *faultinject.Injector { return sys.members[0].inj 
 // shares the scheduler).
 func (sys *System) Shutdown() {
 	sys.stopped = true
-	for _, m := range sys.members {
-		if m.tuner != nil {
-			m.tuner.Stop()
-		}
-	}
 	sys.s.Shutdown()
 }
 

@@ -129,11 +129,11 @@ func (w ManyFile) Attach(sys *wafl.System) {
 		inos := make([]uint64, manyFilesPer)
 		for f := range inos {
 			if w.Placed {
-				vols[f] = sys.PlaceFile(manyFileBlocks)
+				vols[f], inos[f] = sys.PlaceFile(manyFileBlocks)
 			} else {
 				vols[f] = i % w.Volumes
+				inos[f] = sys.CreateFileDirect(vols[f], manyFileBlocks)
 			}
-			inos[f] = sys.CreateFileDirect(vols[f], manyFileBlocks)
 		}
 		i := i
 		sys.ClientThread(fmt.Sprintf("manyfile-client-%d", i), func(c *wafl.ClientCtx) {
