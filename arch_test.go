@@ -1065,6 +1065,34 @@ func (a *Aggregate) ReadVBN(d *Drive) []byte { if b, ok := d.PeekChecked(0); ok 
 		}},
 	},
 	{
+		// One construction path for a System: NewSystem. Recovery remounts
+		// each member in place (RecoverMember), so no second System comes to
+		// share the first one's scheduler, drives and tracer.
+		name: "system",
+		require: func(tr *tree) []string {
+			var out []string
+			for _, p := range tr.in("...") {
+				for _, d := range tr.files[p].Decls {
+					fn, ok := d.(*ast.FuncDecl)
+					if ok && p == "wafl.go" && fn.Name.Name == "NewSystem" {
+						continue
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						if cl, ok := n.(*ast.CompositeLit); ok && lastName(cl.Type) == "System" {
+							out = append(out, tr.at(n, "System built outside NewSystem: recover or rebuild members in place"))
+						}
+						return true
+					})
+				}
+			}
+			return out
+		},
+		bad: []badTree{{
+			files: map[string]string{"recover.go": `package wafl; func (sys *System) Recover() (*System, error) { return &System{cfg: sys.cfg, s: sys.s}, nil }`},
+			want:  "recover.go:1: System built outside NewSystem",
+		}},
+	},
+	{
 		// One owner for the on-media tree: the radix, the hole rule and the
 		// slot arithmetic live in internal/fs (File.Walk, File.Resolve,
 		// ReadTree) over internal/block's pointer encoding, and everything

@@ -200,7 +200,7 @@ func (s *schedule) crashPoint(p point) (fails []string, reached bool) {
 	if err != nil {
 		return []string{"build: " + err.Error()}, true
 	}
-	defer func() { r.sys.Shutdown() }() // whichever system survived
+	defer r.sys.Shutdown()
 	if !r.runTo(s, p) {
 		return nil, false
 	}
@@ -210,10 +210,7 @@ func (s *schedule) crashPoint(p point) (fails []string, reached bool) {
 			err = r.sys.Quiesce()
 		case p.victim < 0:
 			r.sys.Crash()
-			var rec *wafl.System
-			if rec, err = r.sys.Recover(); err == nil {
-				r.sys = rec
-			}
+			_, err = r.sys.Recover()
 		case leg == "recover":
 			idle, before := r.finished(s, p.victim), r.model.Acked // (idle: their bounded workload was over already)
 			r.sys.CrashMember(p.victim, r.handles[p.victim*s.clients:(p.victim+1)*s.clients]...)

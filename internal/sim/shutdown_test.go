@@ -61,7 +61,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-func TestKillFromTerminatesOnlyNewThreads(t *testing.T) {
+func TestKillRangeTerminatesOnlyNewThreads(t *testing.T) {
 	s := New(2, 1)
 	oldAlive := true
 	s.Go("old", CatOther, func(th *Thread) {
@@ -84,7 +84,7 @@ func TestKillFromTerminatesOnlyNewThreads(t *testing.T) {
 	if ranBefore == 0 {
 		t.Fatal("new threads never ran")
 	}
-	s.KillFrom(mark)
+	s.KillRange(mark, s.ThreadMark())
 	if s.Live() != 1 {
 		t.Fatalf("live = %d, want only the old thread", s.Live())
 	}
@@ -99,7 +99,7 @@ func TestKillFromTerminatesOnlyNewThreads(t *testing.T) {
 	}
 }
 
-func TestKillFromWhileThreadInReadyQueue(t *testing.T) {
+func TestKillRangeWhileThreadInReadyQueue(t *testing.T) {
 	// One core, several CPU-hungry threads: some sit in the ready queue.
 	s := New(1, 1)
 	mark := s.ThreadMark()
@@ -112,9 +112,9 @@ func TestKillFromWhileThreadInReadyQueue(t *testing.T) {
 	}
 	// Stop mid-burst: some threads are running, some queued.
 	s.Run(Time(150 * Microsecond))
-	s.KillFrom(mark)
+	s.KillRange(mark, s.ThreadMark())
 	if s.Live() != 0 {
-		t.Fatalf("live = %d after KillFrom", s.Live())
+		t.Fatalf("live = %d after KillRange", s.Live())
 	}
 	// The scheduler must still work for new threads.
 	done := false
@@ -124,7 +124,7 @@ func TestKillFromWhileThreadInReadyQueue(t *testing.T) {
 	})
 	s.Run(Time(Second))
 	if !done {
-		t.Fatal("scheduler unusable after KillFrom")
+		t.Fatal("scheduler unusable after KillRange")
 	}
 }
 
@@ -140,7 +140,7 @@ func TestKilledThreadStaleEventsAreNoOps(t *testing.T) {
 	})
 	s.Run(Time(100 * Microsecond))
 	q.Signal() // wakeup event remains in the lane
-	s.KillFrom(mark)
+	s.KillRange(mark, s.ThreadMark())
 	// Run past the stale wakeups: must not hang, panic or consult the waiter's
 	// condition.
 	s.Run(Time(2 * Millisecond))

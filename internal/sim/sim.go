@@ -207,7 +207,8 @@ func (s *Scheduler) Shutdown() {
 }
 
 // ThreadMark returns a marker identifying the threads spawned so far; a
-// later KillFrom(mark) terminates exactly the threads spawned after it.
+// later KillRange(mark, ThreadMark()) terminates exactly the threads spawned
+// in between.
 func (s *Scheduler) ThreadMark() int { return len(s.threads) }
 
 // SetSpawnPrefix prepends p to the name of every subsequently spawned
@@ -215,15 +216,6 @@ func (s *Scheduler) ThreadMark() int { return len(s.threads) }
 // thread (and trace-track) names distinct per subsystem; the empty prefix
 // leaves names exactly as passed to Go.
 func (s *Scheduler) SetSpawnPrefix(p string) { s.spawnPrefix = p }
-
-// KillFrom terminates every thread spawned at or after the given mark — the
-// crash model for one subsystem sharing the scheduler with its recovered
-// successor: the old system's threads must stop executing (a real crash
-// destroys them), while the scheduler lives on for the new instance. Must
-// not be called while Run is active.
-func (s *Scheduler) KillFrom(mark int) {
-	s.KillRange(mark, len(s.threads))
-}
 
 // KillRange terminates exactly the threads with spawn index in [lo, hi) —
 // the crash model for ONE member of a cluster sharing the scheduler:

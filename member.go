@@ -2,8 +2,6 @@ package wafl
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"wafl/internal/aggregate"
 	"wafl/internal/bcache"
@@ -129,9 +127,8 @@ type placeKey struct {
 
 // place charges a placed file's expected size to its local volume lv and
 // binds the charge to its inode, so its writes decay the reservation and a
-// delete refunds the rest. A reused inode number — a placed file a crash lost
-// before its create was logged, its charge carried over by the remount —
-// adds to the entry it finds, keeping the ledger whole.
+// delete refunds the rest. A remount calls it again for each placed file its
+// mount has, with what remained of the file's charge.
 func (m *Member) place(lv int, ino uint64, blocks int64) {
 	m.reserved[lv] += blocks
 	m.placements[placeKey{lv, ino}] += blocks
@@ -327,9 +324,9 @@ func (m *Member) onRestore(lv int) {
 // mounts the last committed consistency point from the member's drives, drops
 // every image that CP's tree does not reach (the crashed CP's landed writes,
 // the blocks freed since the last forget) and replays the member's NVRAM log
-// partition, leaving the replayed
-// operations dirty for the next CP. The rebuilt member runs on the same
-// scheduler and drives; cumulative statistics carry over — the rebuilt
+// partition, leaving the replayed operations dirty for the next CP; then it
+// re-charges the placed files its mount has. The rebuilt member runs on the
+// same scheduler and drives; cumulative statistics carry over — the rebuilt
 // layers' as base — so measurement windows spanning the crash stay
 // meaningful.
 func (sys *System) remountMember(om *Member) (*Member, error) {
@@ -340,11 +337,9 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 	a.ForgetUnreachable()
 	m := &Member{
 		sys: sys, id: om.id,
-		base: om.rebuilt(),
-		// Copy the placement ledger: sharing om's would let the rebuilt
-		// member's charges show through stale references to the dead one.
-		reserved:   slices.Clone(om.reserved),
-		placements: maps.Clone(om.placements),
+		base:       om.rebuilt(),
+		reserved:   make([]int64, len(om.reserved)),
+		placements: make(map[placeKey]int64),
 		// Fault injection outlives the crash: the drives are the same objects
 		// (media persists), so the plan wired into them keeps applying.
 		inj: om.inj,
@@ -365,6 +360,14 @@ func (sys *System) remountMember(om *Member) (*Member, error) {
 	records := om.log.Replay()
 	m.replay(records)
 	m.log.Restore(records)
+	// A placed file keeps its charge only if the mount has it: one placed
+	// host-side after the last CP, unlogged, died with the crash, and its
+	// inode number is free for the next create.
+	for k, rem := range om.placements {
+		if m.a.Volume(k.vol).LookupFile(k.ino) != nil {
+			m.place(k.vol, k.ino, rem)
+		}
+	}
 	if len(records) > 0 {
 		// Schedule a recovery CP so the replayed state reaches disk (and
 		// frees the log) promptly once the scheduler runs again.

@@ -102,46 +102,58 @@ func TestPlacementReservationsDrain(t *testing.T) {
 	}
 }
 
-// TestRemountPreservesReservations pins the remount path's deep copy of the
-// reservation state: a crash/recover cycle must carry outstanding ingest
-// reservations over to the new Member without aliasing the old slice (the
-// original bug shared the slice header, so post-recovery mutations wrote
-// through to the dead member's state and vice versa).
+// TestRemountPreservesReservations pins what a crash/recover cycle does to
+// outstanding ingest reservations: a placed file a CP committed keeps its
+// charge, one placed after it is lost with its charge, and the rebuilt
+// members share no ledger with the dead ones (the original bug shared the
+// slice header, so post-recovery mutations wrote through to the dead
+// member's state and vice versa).
 func TestRemountPreservesReservations(t *testing.T) {
 	cfg := clusterConfig(2)
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Shutdown()
 
-	// Charge a reservation and leave it outstanding (no writes land).
+	// Charge a reservation, commit the file, and leave the charge
+	// outstanding (no writes land).
 	vol, _ := sys.PlaceFile(128)
 	member := vol / cfg.Volumes
 	if got := sys.MemberStats(member).Reserved; got != 128 {
 		t.Fatalf("member %d reserves %d, want 128", member, got)
 	}
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// No CP commits this one: the crash loses the file and its charge.
+	sys.PlaceFile(32)
 
+	dead := slices.Clone(sys.members)
 	sys.Crash()
 	rec, err := sys.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Shutdown()
 	if got := rec.MemberStats(member).Reserved; got != 128 {
 		t.Fatalf("reservation lost across remount: member %d reserves %d, want 128", member, got)
 	}
-	// Mutating the recovered member's reservations must not write through
-	// to the crashed system's state.
+	if got := rec.Stats().Reserved; got != 128 {
+		t.Fatalf("recovered total = %d, want 128: the unflushed placement's charge outlived its file", got)
+	}
+	// Mutating the recovered members' reservations must not write through
+	// to the dead members' state.
 	rec.PlaceFile(64)
-	var old, now int64
-	for i := 0; i < 2; i++ {
-		old += sys.MemberStats(i).Reserved
-		now += rec.MemberStats(i).Reserved
+	var old int64
+	for _, m := range dead {
+		for _, r := range m.reserved {
+			old += r
+		}
 	}
-	if old != 128 {
-		t.Fatalf("recovered-system mutation aliased into old member state: old total = %d, want 128", old)
+	if old != 128+32 {
+		t.Fatalf("recovered-system mutation aliased into dead member state: dead total = %d, want %d", old, 128+32)
 	}
-	if now != 128+64 {
+	if now := rec.Stats().Reserved; now != 128+64 {
 		t.Fatalf("recovered total = %d, want %d", now, 128+64)
 	}
 }
@@ -201,8 +213,9 @@ func TestPlainCreateTakesNoCharge(t *testing.T) {
 // TestPlacementLedgerAcrossRestoreAndCrash checks that each member's
 // reservation stays the sum of its placements when a SnapRestore discards
 // placed files (their charges are refunded) and across a member crash and
-// remount (the charges carry over), and that placements after the remount,
-// which reuse the inode numbers of files the crash lost, keep it so.
+// remount (the committed files' charges carry over, the lost files' go with
+// them), and that placements after the remount, which reuse the inode
+// numbers of files the crash lost, are charged once each.
 func TestPlacementLedgerAcrossRestoreAndCrash(t *testing.T) {
 	cfg := clusterConfig(2)
 	sys, err := NewSystem(cfg)
@@ -246,9 +259,24 @@ func TestPlacementLedgerAcrossRestoreAndCrash(t *testing.T) {
 		t.Fatalf("restored volume %d reserves %d blocks, %d before the restore, want 0 after at least %d", vol, r, charged, 2*size-8)
 	}
 
-	// Files placed host-side are not logged: the crash loses them, their
-	// charges carry over, and placements after the remount reuse their inode
-	// numbers. Crash the member with the most outstanding charge.
+	// Files placed host-side are not logged: a CP commits the first ones,
+	// the crash loses the rest with their charges, and placements after the
+	// remount reuse the lost files' inode numbers, each charged once. Crash
+	// the member with the most outstanding charge.
+	for range 2 * cfg.Volumes {
+		sys.PlaceFile(size)
+	}
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var flushed [2]int64
+	var kept [2]map[placeKey]bool
+	for i := range flushed {
+		flushed[i], kept[i] = sys.MemberStats(i).Reserved, map[placeKey]bool{}
+		for k := range sys.members[i].placements {
+			kept[i][k] = true
+		}
+	}
 	for range 2 * cfg.Volumes {
 		sys.PlaceFile(size)
 	}
@@ -256,9 +284,14 @@ func TestPlacementLedgerAcrossRestoreAndCrash(t *testing.T) {
 	if sys.MemberStats(1).Reserved > sys.MemberStats(0).Reserved {
 		crashed = 1
 	}
-	want := sys.MemberStats(crashed).Reserved
-	if want == 0 {
-		t.Fatal("no placement charge outstanding to carry across the crash")
+	lost := map[placeKey]bool{}
+	for k := range sys.members[crashed].placements {
+		if !kept[crashed][k] {
+			lost[k] = true
+		}
+	}
+	if len(lost) == 0 {
+		t.Fatal("no unflushed placement on the member to crash")
 	}
 	sys.CrashMember(crashed)
 	if err := ledgerErr(sys); err != nil {
@@ -270,11 +303,22 @@ func TestPlacementLedgerAcrossRestoreAndCrash(t *testing.T) {
 	if err := ledgerErr(sys); err != nil {
 		t.Fatalf("after the remount: %v", err)
 	}
-	if got := sys.MemberStats(crashed).Reserved; got != want {
-		t.Fatalf("member %d reserves %d after the remount, want %d", crashed, got, want)
+	if got := sys.MemberStats(crashed).Reserved; got != flushed[crashed] {
+		t.Fatalf("member %d reserves %d after the remount, want the flushed files' %d", crashed, got, flushed[crashed])
 	}
+	reused := 0
 	for range 4 * cfg.Volumes {
-		sys.PlaceFile(size)
+		v, ino := sys.PlaceFile(size)
+		m, k := sys.members[v/cfg.Volumes], placeKey{v % cfg.Volumes, handleIno(ino)}
+		if got := m.placements[k]; got != size {
+			t.Errorf("file %d on member %d volume %d is charged %d, want %d", k.ino, m.id, k.vol, got, size)
+		}
+		if m.id == crashed && lost[k] {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Error("no placement after the remount reused a lost file's inode number")
 	}
 	if err := ledgerErr(sys); err != nil {
 		t.Fatalf("placed after the remount: %v", err)

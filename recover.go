@@ -4,8 +4,8 @@ package wafl
 // to this System is destroyed (a CP caught mid-flight never finishes),
 // every in-flight drive I/O on every member is dropped, and all volatile
 // state (buffer caches, dirty sets, allocator state) is abandoned. The
-// System is unusable afterwards; call Recover to mount a new System from
-// the committed media plus the (nonvolatile) operation logs.
+// System is unusable until Recover remounts every member from the
+// committed media plus the (nonvolatile) operation logs.
 //
 // For a partial failure — one member down, survivors serving traffic —
 // use CrashMember/RecoverMember instead.
@@ -14,30 +14,26 @@ func (sys *System) Crash() {
 	for _, m := range sys.members {
 		m.crash()
 	}
-	sys.s.KillFrom(sys.threadMark) // the client threads
+	sys.s.KillRange(0, sys.s.ThreadMark()) // the client threads
 }
 
-// Recover mounts a fresh System from the crashed system's persistent
-// state: each member loads its last committed consistency point from its
-// drives and replays its NVRAM log partition (frozen half first, then
-// active), leaving the replayed operations dirty in memory for the next
-// CP — exactly the paper's §II-C recovery contract. The recovered System
-// runs on the same simulated scheduler and drives.
+// Recover is RecoverMember on every member in order: each loads its last
+// committed consistency point from its drives and replays its NVRAM log
+// partition (frozen half first, then active), leaving the replayed
+// operations dirty in memory for the next CP — exactly the paper's §II-C
+// recovery contract. It returns its receiver, running on the same
+// simulated scheduler and drives and accepting clients again.
 //
 // Mount-time and replay work is untimed: recovery latency is not part of
 // any measured experiment.
 func (sys *System) Recover() (*System, error) {
-	ns := &System{cfg: sys.cfg, s: sys.s, threadMark: sys.s.ThreadMark()}
-	for _, om := range sys.members {
-		m, err := sys.remountMember(om)
-		if err != nil {
+	for i := range sys.members {
+		if err := sys.RecoverMember(i); err != nil {
 			return nil, err
 		}
-		m.sys = ns
-		ns.members = append(ns.members, m)
 	}
-	ns.viewHistograms()
-	return ns, nil
+	sys.stopped = false
+	return sys, nil
 }
 
 // CrashMember models a single-member failure: member i's service threads

@@ -281,9 +281,7 @@ type System struct {
 	cfg     Config
 	s       *sim.Scheduler
 	members []*Member
-
-	threadMark int // first sim thread belonging to this System
-	stopped    bool
+	stopped bool
 }
 
 // NewSystem builds and formats a simulated storage server.
@@ -304,8 +302,8 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Trace {
 		s.SetTracer(obs.New(obs.Options{Capacity: cfg.TraceEvents}))
 	}
-	sys := &System{cfg: cfg, s: s, threadMark: s.ThreadMark()}
-	sys.viewHistograms()
+	sys := &System{cfg: cfg, s: s}
+	s.Tracer().SetHistograms(func() []*obs.Histogram { return histsOf(sys.Stats()) })
 	for i := 0; i < cfg.Members; i++ {
 		m, err := buildMember(sys, i)
 		if err != nil {
@@ -383,11 +381,6 @@ func (sys *System) Stats() Stats {
 	}
 	foldInto(opAdd, &t.Sched, sys.s.Stats())
 	return t
-}
-
-// viewHistograms makes sys's Stats the tracer's Histograms.
-func (sys *System) viewHistograms() {
-	sys.s.Tracer().SetHistograms(func() []*obs.Histogram { return histsOf(sys.Stats()) })
 }
 
 // MemberStats returns member i's share of Stats.
